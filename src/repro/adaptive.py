@@ -441,22 +441,16 @@ class AdaptiveScheduler(Scheduler):
         if sub is None or sub._cursor >= sub.total:
             self._open_stage()
             sub = self._sub
-        # Inlined delegation: call the sub-scheduler's sizing hook and
-        # replicate the base-class cursor/clip bookkeeping ourselves,
-        # skipping its ChunkAssignment construction.  The outer base
-        # class builds the one assignment the master actually sees, so
-        # the wrapper costs one chunk record per chunk, not two.  (The
-        # registry refuses distributed candidates, which are the only
-        # schedulers that override ``next_chunk`` itself.)
-        size = int(sub._chunk_size(worker))
-        if size < 1:
-            size = 1
-        left = sub.total - sub._cursor
-        if size > left:
-            size = left
-        start = self._sub_base + sub._cursor
-        sub._cursor += size
-        sub._step += 1
+        # Inlined delegation: let the sub-scheduler size, clip and
+        # consume its chunk, skipping its ChunkAssignment construction.
+        # The outer base class builds the one assignment the master
+        # actually sees, so the wrapper costs one chunk record per
+        # chunk, not two.  (The registry refuses distributed
+        # candidates, which are the only schedulers that override
+        # ``next_chunk`` itself.)
+        at = sub._take(worker)
+        size = sub._cursor - at
+        start = self._sub_base + at
         # Cost mode sticks to the *static* virtual power: the run
         # queue is runtime-observed state (the simulator's load model
         # sees a spike, the real runtime's view does not), so folding

@@ -30,7 +30,6 @@ Two families exist:
 from __future__ import annotations
 
 import dataclasses
-from abc import ABC, abstractmethod
 from typing import Iterator, Optional
 
 __all__ = [
@@ -114,12 +113,22 @@ class ChunkAssignment(object):
             )
 
 
-class Scheduler(ABC):
-    """Abstract chunk-size policy over a loop of ``total`` iterations.
+class Scheduler(object):
+    """Chunk-size policy over a loop of ``total`` iterations.
 
-    Concrete schemes implement :meth:`_chunk_size`; this base class owns
-    the interval bookkeeping (cursor, remaining count, clipping, step
-    numbering) so that subclasses only compute sizes.
+    A scheme states its formula **once**, as the pure method
+    :meth:`_nominal` ``(rem, step, wid, k) -> (size, stage)`` -- the
+    paper's Eq. 1, ``C_i = f(R_{i-1}, p)``, plus the requester view.
+    It reads scheme parameters and nothing else: every piece of loop
+    state (cursor, step, per-worker request counts, the clip rule)
+    belongs to whoever *drives* the formula.  There are three drivers:
+    :meth:`next_chunk` here, the lockstep
+    :class:`repro.core.kernel.ChunkCalculator`, and the analytic
+    stepper in :mod:`repro.simulation.fastpath`.
+
+    Schemes that are stateful by nature (ACP-driven, feedback-driven,
+    user-written) override :meth:`_chunk_size` instead; it stays the
+    public extension point and only :meth:`next_chunk` can drive it.
 
     A scheduler instance is single-use: it walks the loop from iteration
     0 to ``total`` exactly once.  Create a fresh instance per run (the
@@ -136,6 +145,12 @@ class Scheduler(ABC):
     #: ``observe_completion``, ``drain_decisions``) and the analytic
     #: fast path refuses the run.
     feedback_dependent: bool = False
+    #: True when :meth:`_nominal` ignores request order and worker
+    #: identity once read in lockstep (ordinal ``m`` is worker
+    #: ``m % p``'s request ``m // p``), i.e. the scheme has a
+    #: substrate-independent decentral form
+    #: (:func:`repro.core.kernel.make_calculator`).
+    decentral: bool = False
 
     def __init__(self, total: int, workers: int) -> None:
         if total < 0:
@@ -146,6 +161,9 @@ class Scheduler(ABC):
         self.workers = int(workers)
         self._cursor = 0
         self._step = 0
+        #: worker id -> requests served so far (``k`` of the next one).
+        self._requests: dict[int, int] = {}
+        self._stage = 0
 
     # -- public protocol ---------------------------------------------------
 
@@ -164,6 +182,15 @@ class Scheduler(ABC):
         """True once every iteration has been assigned."""
         return self._cursor >= self.total
 
+    @property
+    def constant(self) -> Optional[int]:
+        """The nominal size when every request gets the same one.
+
+        SS, CSS and BC say so here; drivers may then skip the per-chunk
+        :meth:`_nominal` call (and tabulate in closed form).
+        """
+        return None
+
     def next_chunk(self, worker: WorkerView) -> Optional[ChunkAssignment]:
         """Assign the next chunk to ``worker``.
 
@@ -172,15 +199,9 @@ class Scheduler(ABC):
         clipped to the remaining iterations, so chunk sizes always
         conserve the loop: the sizes over a full drain sum to ``total``.
         """
-        if self.finished:
+        if self._cursor >= self.total:
             return None
-        size = int(self._chunk_size(worker))
-        if size < 1:
-            size = 1
-        size = min(size, self.remaining)
-        start = self._cursor
-        self._cursor += size
-        self._step += 1
+        start = self._take(worker)
         return ChunkAssignment(
             start=start,
             stop=self._cursor,
@@ -189,15 +210,59 @@ class Scheduler(ABC):
             stage=self._current_stage(),
         )
 
+    def _take(self, worker: WorkerView) -> int:
+        """Size, clip and consume the next chunk; return its start.
+
+        The loop must not be finished.  This is the one place the
+        min-1 / clip-to-remaining rule lives for driven schedulers.
+        """
+        size = int(self._chunk_size(worker))
+        if size < 1:
+            size = 1
+        start = self._cursor
+        rem = self.total - start
+        self._cursor = start + (size if size < rem else rem)
+        self._step += 1
+        return start
+
     # -- subclass hooks ----------------------------------------------------
 
-    @abstractmethod
+    def _nominal(
+        self, rem: int, step: int, wid: int, k: int
+    ) -> tuple[int, int]:
+        """The scheme's formula: ``(nominal size, stage)``.
+
+        ``rem`` is the remaining iteration count, ``step`` the 0-based
+        global scheduling step, ``wid`` the requester and ``k`` the
+        requester's own 0-based request index.  Pure: no side effects,
+        no loop state on ``self``.  The driver floors the size at 1 and
+        clips it to ``rem``.
+        """
+        const = self.constant
+        if const is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither _nominal "
+                f"nor _chunk_size"
+            )
+        return const, 0
+
     def _chunk_size(self, worker: WorkerView) -> int:
-        """Return the *nominal* next chunk size (>=1; clipping is ours)."""
+        """Return the *nominal* next chunk size (clipping is ours).
+
+        The default evaluates :meth:`_nominal` at the scheduler's own
+        position; stateful schemes override this hook instead.
+        """
+        wid = worker.worker_id
+        k = self._requests.get(wid, 0)
+        self._requests[wid] = k + 1
+        size, self._stage = self._nominal(
+            self.total - self._cursor, self._step, wid, k
+        )
+        return size
 
     def _current_stage(self) -> int:
-        """Stage index recorded on assignments; staged schemes override."""
-        return 0
+        """Stage index recorded on the assignment just sized."""
+        return self._stage
 
     # -- ACP plumbing (distributed schemes override) -------------------------
 

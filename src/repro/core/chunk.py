@@ -12,7 +12,7 @@ scheduling logic and, for large ``k``, few messages.
 
 from __future__ import annotations
 
-from .base import Scheduler, SchemeError, WorkerView
+from .base import Scheduler, SchemeError
 
 __all__ = ["ChunkScheduler", "PureScheduler"]
 
@@ -21,6 +21,7 @@ class ChunkScheduler(Scheduler):
     """CSS(k): every request receives ``k`` iterations."""
 
     name = "CSS"
+    decentral = True
 
     def __init__(self, total: int, workers: int, k: int = 1) -> None:
         super().__init__(total, workers)
@@ -30,7 +31,8 @@ class ChunkScheduler(Scheduler):
         if self.k != 1:
             self.name = f"CSS({self.k})"
 
-    def _chunk_size(self, worker: WorkerView) -> int:
+    @property
+    def constant(self) -> int:
         return self.k
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-from .base import Scheduler, SchemeError, WorkerView
+from .base import Scheduler, SchemeError
 
 __all__ = ["FactoringScheduler", "WeightedFactoringScheduler", "ROUNDINGS"]
 
@@ -52,8 +52,8 @@ def _round_half_even(x: float) -> int:
 #: Supported rounding modes for the per-stage chunk computation.
 ROUNDINGS: dict[str, Callable[[float], int]] = {
     "half-even": _round_half_even,
-    "ceil": lambda x: math.ceil(x),
-    "floor": lambda x: math.floor(x),
+    "ceil": math.ceil,
+    "floor": math.floor,
 }
 
 
@@ -73,38 +73,34 @@ class StageLadderScheduler(Scheduler):
     shares then pile into the final one.)
 
     Subclasses provide :meth:`_plan`, returning the lockstep per-PE
-    chunk sequence; requests beyond the plan get the final planned
-    chunk (the base class clips to the loop's remaining iterations, so
-    over-planning is harmless and under-planning self-heals).
+    chunk sequence; requests beyond the plan get a shrinking tail (the
+    driver clips to the loop's remaining iterations, so over-planning
+    is harmless and under-planning self-heals).
     """
+
+    decentral = True
 
     def __init__(self, total: int, workers: int) -> None:
         super().__init__(total, workers)
         self._ladder: list[int] = [
             max(1, int(c)) for c in self._plan()
         ] or [1]
-        self._worker_stage: dict[int, int] = {}
 
     def _plan(self) -> list[int]:
         """The lockstep per-PE stage chunk sequence (``c_1, c_2, ...``)."""
         raise NotImplementedError
 
-    def _chunk_size(self, worker: WorkerView) -> int:
-        k = self._worker_stage.get(worker.worker_id, 0)
-        self._worker_stage[worker.worker_id] = k + 1
+    def _nominal(
+        self, rem: int, step: int, wid: int, k: int
+    ) -> tuple[int, int]:
         if k < len(self._ladder):
-            self._last_stage = k + 1
-            return self._ladder[k]
+            return self._ladder[k], k + 1
         # Beyond the plan (rounding/clipping left iterations over): a
         # shrinking factoring-style tail.  Replaying the final rung
         # would hand out the plan's *largest* chunks late for
         # increasing schemes (FISS) -- the exact straggler pattern
         # stages exist to avoid.
-        self._last_stage = k + 1
-        return max(1, math.ceil(self.remaining / (2 * self.workers)))
-
-    def _current_stage(self) -> int:
-        return getattr(self, "_last_stage", 0)
+        return math.ceil(rem / (2 * self.workers)), k + 1
 
 
 class FactoringScheduler(StageLadderScheduler):
@@ -188,17 +184,11 @@ class WeightedFactoringScheduler(Scheduler):
             remaining -= sc
         if not self._stage_totals:
             self._stage_totals = [max(total, 1)]
-        self._worker_stage: dict[int, int] = {}
-        self._last_stage = 0
 
-    def _chunk_size(self, worker: WorkerView) -> int:
-        k = self._worker_stage.get(worker.worker_id, 0)
-        self._worker_stage[worker.worker_id] = k + 1
+    def _nominal(
+        self, rem: int, step: int, wid: int, k: int
+    ) -> tuple[int, int]:
         idx = min(k, len(self._stage_totals) - 1)
-        self._last_stage = idx + 1
-        w = self.weights[worker.worker_id % self.workers]
+        w = self.weights[wid % self.workers]
         share = self._stage_totals[idx] * w / self._wsum
-        return max(1, _round_half_even(share))
-
-    def _current_stage(self) -> int:
-        return self._last_stage
+        return _round_half_even(share), idx + 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .base import Scheduler, SchemeError, WorkerView
+from .base import Scheduler, SchemeError
 
 __all__ = ["GuidedScheduler"]
 
@@ -31,6 +31,7 @@ class GuidedScheduler(Scheduler):
     """GSS / GSS(k): ``C_i = max(k, ceil(R/p))``."""
 
     name = "GSS"
+    decentral = True
 
     def __init__(self, total: int, workers: int, min_chunk: int = 1) -> None:
         super().__init__(total, workers)
@@ -40,5 +41,7 @@ class GuidedScheduler(Scheduler):
         if self.min_chunk != 1:
             self.name = f"GSS({self.min_chunk})"
 
-    def _chunk_size(self, worker: WorkerView) -> int:
-        return max(self.min_chunk, math.ceil(self.remaining / self.workers))
+    def _nominal(
+        self, rem: int, step: int, wid: int, k: int
+    ) -> tuple[int, int]:
+        return max(self.min_chunk, math.ceil(rem / self.workers)), 0

@@ -1,89 +1,68 @@
-"""Pure chunk kernel: calculators and vectorized ladder evaluation.
+"""Pure chunk kernel: the lockstep driver and ladder evaluation.
 
-This module is the single source of truth for the *pure form* of the
-self-scheduling schemes: ``chunk(scheduled) -> size`` as a function of
-the scheduled-iteration count alone, with no master and no per-request
-state.  Eleliemy & Ciorba's *Distributed Chunk Calculation Approach*
-(arXiv:2101.07050) observes that every quantity in the chunk formulas
-of SS/CSS/GSS/TSS (and, through the stage-span argument, FSS/FISS/TFSS)
-is derivable from that one number -- so a worker that atomically
-fetches-and-increments a shared counter can compute its own interval
-locally.
+One formula, three drivers
+--------------------------
 
-Historically these calculators lived in :mod:`repro.decentral.calc`
-(which now re-exports them unchanged); they were promoted here because
-every substrate consumes them:
+Each simple scheme states its chunk formula **once**, as the pure
+method ``Scheduler._nominal(rem, step, wid, k) -> (size, stage)`` next
+to its paper docstring (:mod:`repro.core.guided`,
+:mod:`repro.core.trapezoid`, ...).  The formula owns no loop state;
+three generic drivers supply it:
+
+* :meth:`repro.core.base.Scheduler.next_chunk` -- the stateful master
+  (cursor, step, per-worker request counts), one request at a time, in
+  whatever order requests arrive;
+* the per-request stepper in :mod:`repro.simulation.fastpath`, which
+  calls the same bound method with its own locals;
+* :class:`ChunkCalculator` here -- the **lockstep** reading: chunk
+  ordinal ``m`` is worker ``m % p``'s request number ``m // p``, so the
+  whole ladder is a table computed once, with no master and no
+  per-request state.
+
+The lockstep reading is Eleliemy & Ciorba's *Distributed Chunk
+Calculation Approach* (arXiv:2101.07050): a chunk size is a pure
+function of the scheduling position, so a worker that atomically
+fetches-and-increments a shared counter can derive its own interval
+locally.  Its consumers:
 
 * the **decentral simulator and runtime** map fetched ordinals to
   intervals (``calc.interval(i)`` after ``i = counter.fetch_add(1)``);
-* the **master-engine analytic fast path**
-  (:mod:`repro.simulation.fastpath`) serves the order-invariant schemes
-  straight from a precomputed ladder;
 * :mod:`repro.verify` uses kernel boundaries as the policy-conformance
   reference for order-invariant schemes;
-* analysis and experiments materialize whole chunk ladders as arrays.
-
-Two layers live here:
-
-1. **Calculators** -- :class:`ChunkCalculator` and its per-scheme
-   subclasses.  ``calc.chunk(scheduled)`` applies the scheduler base
-   class's clipping rules (minimum 1, never beyond ``total``);
-   ``calc.interval(i)`` maps a chunk ordinal to its half-open interval.
-2. **Vectorized evaluation** -- each calculator knows how to produce
-   its *entire* clipped size sequence as a NumPy array in one shot
-   (:meth:`ChunkCalculator._vector_sizes`); :func:`evaluate_ladder`
-   packages sizes, cut points, and stages into a :class:`ChunkLadder`,
-   and :func:`assign_ladder` adds a per-worker assignment under an
-   analytic cost model.  The vectorized forms are closed-form where the
-   math allows (CSS, TSS, the stage ladders) and tight local
-   recurrences otherwise (GSS); the hypothesis suite in
-   ``tests/core/test_kernel.py`` pins every one of them to the
-   step-by-step walk and to :func:`repro.verify.replay_cut_points`.
+* the decentral fast path, analysis and experiments materialize whole
+  ladders as arrays (:func:`evaluate_ladder`, :class:`ChunkLadder`,
+  :func:`assign_ladder`).
 
 Which schemes decentralize
 --------------------------
 
-A scheme qualifies when its chunk sizes are independent of request
-*order* and of worker identity: SS, CSS, GSS, TSS directly (size is a
-function of the remaining count), and the staged schemes FSS, FISS,
-TFSS through the stage-span argument: under the per-worker stage
-ladder, chunk ordinal ``m`` is worker ``m % p``'s ``(m // p)``-th
-request, so its size is ``ladder[m // p]`` -- a pure function of the
-ordinal, hence of the boundary.  WF needs the requester's static
-weight, S/BC need the requester's identity, and the distributed D*
-family consults runtime ACP reports; none has a substrate-independent
-pure form, and :func:`make_calculator` refuses them with an
-explanation.
+A scheme qualifies (``Scheduler.decentral``) when its chunk sizes are
+independent of request *order* and of worker identity: SS, CSS, GSS,
+TSS directly (size is a function of the remaining count or the step),
+and the staged schemes FSS, FISS, TFSS through the stage-span
+argument: under the per-worker stage ladder, ordinal ``m`` is served
+``ladder[m // p]`` -- a pure function of the ordinal.  WF needs the
+requester's static weight, S/BC are dealt by requester, and the
+distributed D* family consults runtime ACP reports; none has a
+substrate-independent lockstep form, and :func:`make_calculator`
+refuses them with an explanation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from bisect import bisect_right
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from . import registry
-from .base import SchemeError
-from .factoring import FactoringScheduler
-from .fixed_increase import FixedIncreaseScheduler
-from .tfss import TrapezoidFactoringScheduler
-from .trapezoid import TrapezoidParams
+from .base import Scheduler, SchemeError
 
 __all__ = [
     "ChunkCalculator",
-    "SerialCalculator",
-    "FixedChunkCalculator",
-    "GuidedCalculator",
-    "TrapezoidCalculator",
-    "FactoringCalculator",
-    "FixedIncreaseCalculator",
-    "TrapezoidFactoringCalculator",
     "CALCULATORS",
     "DECENTRAL_SCHEMES",
-    "NON_PURE_SCHEMES",
     "make_calculator",
     "chunk_size",
     "ChunkLadder",
@@ -94,465 +73,160 @@ __all__ = [
 
 
 class ChunkCalculator(object):
-    """Pure, picklable chunk policy over ``total`` iterations.
+    """Lockstep driver: a scheme's formula tabulated over ordinals.
 
-    Subclasses implement :meth:`_nominal`, the unclipped size at a
-    given boundary; everything else (clipping, ordinal/interval maps,
-    boundary sets) is derived here.  Instances carry only plain data,
-    so they pickle cheaply into decentral worker processes, and every
-    method is side-effect free -- two workers evaluating the same
-    ordinal always agree, which is what makes the shared counter the
-    *only* coordination point.
+    Holds a pristine scheme object (``scheduler``; its parameters are
+    readable there, its loop state is never touched) and reads
+    ``scheduler._nominal`` with ``wid = m % p``, ``k = m // p`` for
+    ordinal ``m``.  Instances carry the scheme's parameters and the
+    table, so they pickle cheaply into decentral worker processes, and
+    every method is side-effect free -- two workers evaluating the
+    same ordinal always agree, which is what makes the shared counter
+    the *only* coordination point.
     """
 
-    #: canonical scheme name (e.g. ``"TSS"``); set by subclasses.
-    scheme: str = "?"
+    def __init__(self, scheduler: Scheduler, scheme: str) -> None:
+        self.scheduler = scheduler
+        #: canonical registry key (e.g. ``"TSS"``).
+        self.scheme = scheme
+        self.total = scheduler.total
+        self.workers = scheduler.workers
+        #: cut points ``[start_0, ..., start_{n-1}, total]`` and the
+        #: stage of each chunk, built on first use.
+        self._table: Optional[tuple[list[int], list[int]]] = None
 
-    def __init__(self, total: int, workers: int) -> None:
-        if total < 0:
-            raise SchemeError(f"total iterations must be >= 0, got {total}")
-        if workers < 1:
-            raise SchemeError(f"workers must be >= 1, got {workers}")
-        self.total = int(total)
-        self.workers = int(workers)
-        self._starts: Optional[tuple[int, ...]] = None
+    def _size_at(self, rem: int, ordinal: int) -> tuple[int, int]:
+        """Clipped ``(size, stage)`` of chunk ``ordinal`` given ``rem``.
+
+        The calculator's one copy of the driver rule: floor the
+        nominal size at 1, cap it at the remaining count.
+        """
+        size, stage = self.scheduler._nominal(
+            rem, ordinal, ordinal % self.workers, ordinal // self.workers
+        )
+        size = int(size)
+        if size < 1:
+            size = 1
+        return (size if size < rem else rem), stage
+
+    def _tabulate(self) -> tuple[list[int], list[int]]:
+        if self._table is None:
+            total = self.total
+            const = self.scheduler.constant
+            if const is not None:
+                bounds = list(range(0, total, const))
+                stages = [0] * len(bounds)
+            else:
+                bounds, stages = [], []
+                at = 0
+                while at < total:
+                    size, stage = self._size_at(total - at, len(bounds))
+                    bounds.append(at)
+                    stages.append(stage)
+                    at += size
+            bounds.append(total)
+            self._table = (bounds, stages)
+        return self._table
 
     # -- the pure function -------------------------------------------------
 
     def chunk(self, scheduled: int) -> int:
         """Chunk size at boundary ``scheduled``; 0 once the loop is done.
 
-        Mirrors ``Scheduler.next_chunk``'s clipping exactly: the
-        nominal size is floored at 1 and capped at the remaining count,
-        so only the final chunk of a run is ever clipped.
+        Off a boundary, the formula is read at the ordinal whose chunk
+        contains ``scheduled``, over the ``total - scheduled``
+        iterations that remain.
         """
         if scheduled < 0:
             raise SchemeError(f"scheduled must be >= 0, got {scheduled}")
         if scheduled >= self.total:
             return 0
-        size = int(self._nominal(scheduled))
-        if size < 1:
-            size = 1
-        return min(size, self.total - scheduled)
-
-    def _nominal(self, scheduled: int) -> int:
-        """Unclipped size at boundary ``scheduled`` (subclass hook)."""
-        raise NotImplementedError
-
-    # -- vectorized evaluation ---------------------------------------------
-
-    def _vector_sizes(self) -> Optional[np.ndarray]:
-        """The full clipped size sequence as an int64 array, or None.
-
-        Subclasses with a closed form (or a tight local recurrence)
-        override this; ``None`` falls back to the generic step walk in
-        :meth:`_table`.  The returned sizes must match the step-by-step
-        ``chunk()`` walk element for element -- the kernel property
-        suite enforces this against every calculator.
-        """
-        return None
-
-    @staticmethod
-    def _clip_nominal(nominal: np.ndarray, total: int) -> np.ndarray:
-        """Cut a nominal (>=1 everywhere) sequence at ``total``.
-
-        Truncates after the first chunk whose cumulative sum reaches
-        ``total`` and clips that final chunk -- exactly the base
-        class's ``min(size, remaining)`` rule, which can only bite on
-        the last chunk of a run.
-        """
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        cum = np.cumsum(nominal)
-        cut = int(np.searchsorted(cum, total, side="left"))
-        sizes = np.array(nominal[: cut + 1], dtype=np.int64)
-        before = int(cum[cut - 1]) if cut > 0 else 0
-        sizes[cut] = total - before
-        return sizes
+        ordinal = bisect_right(self._tabulate()[0], scheduled) - 1
+        return self._size_at(self.total - scheduled, ordinal)[0]
 
     # -- ordinal geometry (what a fetched counter value buys) --------------
-
-    def _table(self) -> tuple[int, ...]:
-        if self._starts is None:
-            vec = self._vector_sizes()
-            if vec is not None:
-                stops = np.cumsum(vec)
-                self._starts = tuple(
-                    int(x) for x in (stops - vec)
-                )
-            else:
-                starts: list[int] = []
-                cursor = 0
-                while cursor < self.total:
-                    starts.append(cursor)
-                    cursor += self.chunk(cursor)  # chunk() >= 1 here
-                self._starts = tuple(starts)
-        return self._starts
 
     @property
     def n_chunks(self) -> int:
         """Number of chunks a full run produces."""
-        return len(self._table())
+        return len(self._tabulate()[1])
 
     def prefix(self, index: int) -> int:
         """Iterations assigned before chunk ordinal ``index``."""
-        starts = self._table()
-        if not 0 <= index <= len(starts):
+        bounds = self._tabulate()[0]
+        if not 0 <= index < len(bounds):
             raise SchemeError(
-                f"chunk index {index} out of range [0, {len(starts)}]"
+                f"chunk index {index} out of range [0, {len(bounds) - 1}]"
             )
-        return self.total if index == len(starts) else starts[index]
+        return bounds[index]
 
     def interval(self, index: int) -> tuple[int, int]:
         """Half-open iteration interval of chunk ordinal ``index``."""
-        start = self.prefix(index)
-        if start >= self.total:
+        bounds = self._tabulate()[0]
+        if not 0 <= index < len(bounds) - 1:
             raise SchemeError(
                 f"chunk index {index} beyond the loop (n_chunks="
-                f"{self.n_chunks})"
+                f"{len(bounds) - 1})"
             )
-        return start, start + self.chunk(start)
+        return bounds[index], bounds[index + 1]
 
     def sizes(self) -> list[int]:
         """Every chunk size in ordinal order (sums to ``total``)."""
-        starts = self._table()
-        return [self.chunk(s) for s in starts]
+        bounds = self._tabulate()[0]
+        return [b - a for a, b in zip(bounds, bounds[1:])]
 
     def stage_of(self, index: int) -> int:
-        """Stage recorded on chunk ``index`` (staged schemes override)."""
-        return 0
+        """Stage recorded on chunk ``index`` (0 for unstaged schemes)."""
+        stages = self._tabulate()[1]
+        if not 0 <= index < len(stages):
+            raise SchemeError(f"chunk index {index} out of range")
+        return stages[index]
 
     def boundaries(self) -> frozenset[int]:
         """All cut points, :func:`repro.verify.replay_cut_points` style."""
-        starts = self._table()
-        if not starts:
-            return frozenset()
-        return frozenset(starts) | {self.total}
+        bounds, stages = self._tabulate()
+        return frozenset(bounds) if stages else frozenset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<{type(self).__name__} {self.scheme} total={self.total} "
+            f"<ChunkCalculator {self.scheme} total={self.total} "
             f"workers={self.workers}>"
         )
 
 
-class SerialCalculator(ChunkCalculator):
-    """SS: one iteration per fetch (pure self-scheduling)."""
-
-    scheme = "SS"
-
-    def _nominal(self, scheduled: int) -> int:
-        return 1
-
-    def _vector_sizes(self) -> np.ndarray:
-        return np.ones(self.total, dtype=np.int64)
-
-
-class FixedChunkCalculator(ChunkCalculator):
-    """CSS(k): constant chunks of ``k`` iterations."""
-
-    scheme = "CSS"
-
-    def __init__(self, total: int, workers: int, k: int = 1) -> None:
-        super().__init__(total, workers)
-        if k < 1:
-            raise SchemeError(f"chunk size k must be >= 1, got {k}")
-        self.k = int(k)
-
-    def _nominal(self, scheduled: int) -> int:
-        return self.k
-
-    def _vector_sizes(self) -> np.ndarray:
-        if self.total == 0:
-            return np.zeros(0, dtype=np.int64)
-        n = -(-self.total // self.k)
-        sizes = np.full(n, self.k, dtype=np.int64)
-        sizes[-1] = self.total - (n - 1) * self.k
-        return sizes
-
-
-class GuidedCalculator(ChunkCalculator):
-    """GSS: ``max(min_chunk, ceil(R / p))`` -- pure in the remaining count."""
-
-    scheme = "GSS"
-
-    def __init__(
-        self, total: int, workers: int, min_chunk: int = 1
-    ) -> None:
-        super().__init__(total, workers)
-        if min_chunk < 1:
-            raise SchemeError(f"min_chunk must be >= 1, got {min_chunk}")
-        self.min_chunk = int(min_chunk)
-
-    def _nominal(self, scheduled: int) -> int:
-        remaining = self.total - scheduled
-        return max(self.min_chunk, math.ceil(remaining / self.workers))
-
-    def _vector_sizes(self) -> np.ndarray:
-        # No closed form (geometric decay with ceil at every step), but
-        # the recurrence touches O(p log total) terms -- a tight local
-        # loop with the exact per-step expression, no method dispatch.
-        sizes: list[int] = []
-        total, workers, floor = self.total, self.workers, self.min_chunk
-        scheduled = 0
-        while scheduled < total:
-            size = max(floor, math.ceil((total - scheduled) / workers))
-            if size > total - scheduled:
-                size = total - scheduled
-            sizes.append(size)
-            scheduled += size
-        return np.asarray(sizes, dtype=np.int64)
-
-
-class TrapezoidCalculator(ChunkCalculator):
-    """TSS in closed form: invert the arithmetic-series prefix.
-
-    The master's size sequence is ``s_j = max(L, F - jD)`` (0-based
-    ``j``), so the iterations before ordinal ``j`` are
-
-        ``P(j) = jF - D j(j-1)/2``          for ``j <= m``,
-        ``P(m) + (j - m) L``                 beyond,
-
-    with ``m = (F-L)//D + 1`` the number of above-floor steps.  A
-    worker holding boundary ``s`` recovers its ordinal by inverting the
-    strictly increasing ``P`` (binary search over at most ``m`` steps)
-    -- no shared state beyond the counter.
-    """
-
-    scheme = "TSS"
-
-    def __init__(
-        self,
-        total: int,
-        workers: int,
-        first: Optional[int] = None,
-        last: int = 1,
-    ) -> None:
-        super().__init__(total, workers)
-        self.params = TrapezoidParams.derive(
-            total, workers, first=first, last=last
-        )
-        self._first = int(self.params.first)
-        self._last = int(self.params.last)
-        # Integral by construction for TSS (integer_decrement=True).
-        self._dec = int(self.params.decrement)
-
-    def _nominal(self, scheduled: int) -> int:
-        first, last, dec = self._first, self._last, self._dec
-        if dec == 0:
-            return first
-        above = (first - last) // dec + 1  # steps before the L floor
-        def prefix(j: int) -> int:
-            return j * first - dec * j * (j - 1) // 2
-        if scheduled >= prefix(above):
-            return last
-        lo, hi = 0, above - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if prefix(mid) <= scheduled:
-                lo = mid
-            else:
-                hi = mid - 1
-        return first - lo * dec
-
-    def _vector_sizes(self) -> np.ndarray:
-        if self.total == 0:
-            return np.zeros(0, dtype=np.int64)
-        first, last, dec = self._first, self._last, self._dec
-        if dec == 0:
-            # Constant chunks of F: CSS(F) geometry.
-            n = -(-self.total // first)
-            sizes = np.full(n, first, dtype=np.int64)
-            sizes[-1] = self.total - (n - 1) * first
-            return sizes
-        above = (first - last) // dec + 1
-        head = first - dec * np.arange(above, dtype=np.int64)
-        head_sum = int(head.sum())
-        if head_sum < self.total:
-            n_tail = -(-(self.total - head_sum) // last)
-            nominal = np.concatenate(
-                [head, np.full(n_tail, last, dtype=np.int64)]
-            )
-        else:
-            nominal = head
-        return self._clip_nominal(nominal, self.total)
-
-
-class _LadderCalculator(ChunkCalculator):
-    """Base for staged schemes: stage spans over the boundary axis.
-
-    A per-worker stage ladder serves chunk ordinal ``m`` (= worker
-    ``m % p``'s request number ``m // p``) with size ``ladder[m // p]``,
-    so stage ``k`` occupies the boundary span
-    ``[p * sum(ladder[:k]), p * sum(ladder[:k+1]))`` and the size at a
-    boundary is a span lookup.  Past the plan the master's shrinking
-    tail rule applies: ``max(1, ceil(R / 2p))`` (rounding or clipping
-    can leave iterations over; see ``StageLadderScheduler``).
-    """
-
-    def __init__(self, total: int, workers: int, ladder: list[int]) -> None:
-        super().__init__(total, workers)
-        self._ladder = tuple(max(1, int(c)) for c in ladder) or (1,)
-        spans: list[int] = []
-        acc = 0
-        for c in self._ladder:
-            acc += c * self.workers
-            spans.append(acc)
-        self._spans = tuple(spans)
-
-    @property
-    def ladder(self) -> tuple[int, ...]:
-        """The lockstep per-PE stage sizes (one entry per stage)."""
-        return self._ladder
-
-    def _nominal(self, scheduled: int) -> int:
-        if scheduled < self._spans[-1]:
-            return self._ladder[bisect_right(self._spans, scheduled)]
-        remaining = self.total - scheduled
-        return max(1, math.ceil(remaining / (2 * self.workers)))
-
-    def _vector_sizes(self) -> np.ndarray:
-        if self.total == 0:
-            return np.zeros(0, dtype=np.int64)
-        head = np.repeat(
-            np.asarray(self._ladder, dtype=np.int64), self.workers
-        )
-        head_sum = int(head.sum())
-        if head_sum < self.total:
-            # Beyond the plan: the shrinking factoring-style tail --
-            # geometric decay, O(p log total) extra terms.
-            tail: list[int] = []
-            scheduled = head_sum
-            while scheduled < self.total:
-                size = max(
-                    1,
-                    math.ceil(
-                        (self.total - scheduled) / (2 * self.workers)
-                    ),
-                )
-                if size > self.total - scheduled:
-                    size = self.total - scheduled
-                tail.append(size)
-                scheduled += size
-            return np.concatenate(
-                [head, np.asarray(tail, dtype=np.int64)]
-            )
-        return self._clip_nominal(head, self.total)
-
-    def stage_of(self, index: int) -> int:
-        if not 0 <= index < self.n_chunks:
-            raise SchemeError(f"chunk index {index} out of range")
-        return index // self.workers + 1
-
-
-class FactoringCalculator(_LadderCalculator):
-    """FSS(alpha): stage plan taken verbatim from the FSS scheduler."""
-
-    scheme = "FSS"
-
-    def __init__(
-        self,
-        total: int,
-        workers: int,
-        alpha: float = 2.0,
-        rounding: str = "half-even",
-    ) -> None:
-        ref = FactoringScheduler(
-            total, workers, alpha=alpha, rounding=rounding
-        )
-        self.alpha = ref.alpha
-        self.rounding = ref.rounding
-        super().__init__(total, workers, ref._ladder)
-
-
-class FixedIncreaseCalculator(_LadderCalculator):
-    """FISS(sigma, X): increasing stage plan from the FISS scheduler."""
-
-    scheme = "FISS"
-
-    def __init__(
-        self,
-        total: int,
-        workers: int,
-        stages: int = 3,
-        x: Optional[float] = None,
-    ) -> None:
-        ref = FixedIncreaseScheduler(total, workers, stages=stages, x=x)
-        self.stages = ref.stages
-        self.x = ref.x
-        super().__init__(total, workers, ref._ladder)
-
-
-class TrapezoidFactoringCalculator(_LadderCalculator):
-    """TFSS: TSS-derived stage plan from the TFSS scheduler."""
-
-    scheme = "TFSS"
-
-    def __init__(
-        self,
-        total: int,
-        workers: int,
-        first: Optional[int] = None,
-        last: int = 1,
-    ) -> None:
-        ref = TrapezoidFactoringScheduler(
-            total, workers, first=first, last=last
-        )
-        super().__init__(total, workers, ref._ladder)
-
-
-#: scheme name -> calculator class: the decentralizable subset.
-CALCULATORS: dict[str, type[ChunkCalculator]] = {
-    "SS": SerialCalculator,
-    "CSS": FixedChunkCalculator,
-    "GSS": GuidedCalculator,
-    "TSS": TrapezoidCalculator,
-    "FSS": FactoringCalculator,
-    "FISS": FixedIncreaseCalculator,
-    "TFSS": TrapezoidFactoringCalculator,
+#: scheme name -> scheme class, for the schemes with a lockstep form
+#: (see the module docstring for why the others are excluded).
+CALCULATORS: dict[str, type[Scheduler]] = {
+    name: cls for name, cls in registry.SCHEMES.items() if cls.decentral
 }
 
-#: Schemes with a pure decentral form (see the module docstring for
-#: why the others are excluded).
+#: The same names, in registry order.
 DECENTRAL_SCHEMES: tuple[str, ...] = tuple(CALCULATORS)
-
-#: Registry schemes *without* a pure form, and why: chunk sizes that
-#: depend on worker identity (S, BC, WF) or on runtime ACP reports
-#: (the distributed family).  Every ``registry.SCHEMES`` key must
-#: appear either in :data:`CALCULATORS` or here -- ``repro-lint``
-#: rule REP302 enforces the partition, so a newly registered scheme
-#: cannot silently fall through both the decentral substrate and the
-#: analytic fast path.
-NON_PURE_SCHEMES: frozenset = frozenset({
-    "S", "BC", "WF", "DTSS", "DFSS", "DFISS", "DTFSS",
-})
 
 
 def make_calculator(
-    name: str, total: int, workers: int, **kwargs
+    name: str, total: int, workers: int, **kwargs: Any
 ) -> ChunkCalculator:
-    """Build the pure calculator for scheme ``name``.
+    """Build the lockstep calculator for scheme ``name``.
 
-    Accepts the same spellings as :func:`repro.core.make` (case
-    folding, ``"CSS(32)"`` inline parameters).  Schemes without a pure
-    form -- worker-identity-dependent (S, BC, WF) or ACP-driven (DTSS,
-    DFSS, DFISS, DTFSS) -- raise :class:`SchemeError`.
+    Accepts the same spellings and keyword parameters as
+    :func:`repro.core.make` (case folding, ``"CSS(32)"`` inline
+    parameters).  Schemes without a lockstep form --
+    worker-identity-dependent (S, BC, WF) or ACP-driven (DTSS, DFSS,
+    DFISS, DTFSS) -- raise :class:`SchemeError`.
     """
     key, inline = registry.parse(name)
-    for kw, value in inline.items():
-        kwargs.setdefault(kw, value)
-    if key not in CALCULATORS:
-        why = (
-            "chunk sizes depend on worker identity or runtime ACP, so "
-            "they cannot be a pure function of the scheduled count"
-            if key in NON_PURE_SCHEMES
-            else "it has no registered calculator"
-        )
+    cls = registry.SCHEMES.get(key)
+    if cls is None or not cls.decentral:
         raise SchemeError(
-            f"scheme {key!r} has no decentral form ({why}); "
+            f"scheme {key!r} has no decentral form (chunk sizes depend "
+            f"on worker identity or runtime ACP, so they cannot be a "
+            f"pure function of the scheduled count); "
             f"decentralizable: {', '.join(DECENTRAL_SCHEMES)}"
         )
-    return CALCULATORS[key](total, workers, **kwargs)
+    for kw, value in inline.items():
+        kwargs.setdefault(kw, value)
+    return ChunkCalculator(cls(total, workers, **kwargs), key)
 
 
 def chunk_size(
@@ -604,15 +278,14 @@ def evaluate_ladder(
     calc: ChunkCalculator | str,
     total: Optional[int] = None,
     workers: Optional[int] = None,
-    **kwargs,
+    **kwargs: Any,
 ) -> ChunkLadder:
-    """Materialize the full chunk ladder of ``calc`` in one shot.
+    """Materialize the full chunk ladder of ``calc`` as arrays.
 
     ``calc`` is a ready :class:`ChunkCalculator` or a scheme name (then
     ``total`` and ``workers`` are required and forwarded to
-    :func:`make_calculator`).  Uses the calculator's vectorized form
-    when it has one and the generic step walk otherwise, so the result
-    is always exactly the step-by-step ladder.
+    :func:`make_calculator`).  The arrays are the calculator's own
+    table, so the result is exactly the step-by-step ladder.
     """
     if isinstance(calc, str):
         if total is None or workers is None:
@@ -620,18 +293,12 @@ def evaluate_ladder(
                 "evaluate_ladder(name, ...) needs total and workers"
             )
         calc = make_calculator(calc, total, workers, **kwargs)
-    vec = calc._vector_sizes()
-    if vec is None:
-        vec = np.asarray(calc.sizes(), dtype=np.int64)
-    sizes = np.ascontiguousarray(vec, dtype=np.int64)
-    stops = np.cumsum(sizes)
-    starts = stops - sizes
-    if isinstance(calc, _LadderCalculator):
-        stages = np.arange(sizes.shape[0], dtype=np.int64) \
-            // calc.workers + 1
-    else:
-        stages = np.zeros(sizes.shape[0], dtype=np.int64)
-    for arr in (sizes, starts, stops, stages):
+    table = calc._tabulate()
+    bounds = np.asarray(table[0], dtype=np.int64)
+    stages = np.asarray(table[1], dtype=np.int64)
+    starts, stops = bounds[:-1], bounds[1:]
+    sizes = stops - starts
+    for arr in (bounds, sizes, stages):
         arr.setflags(write=False)
     return ChunkLadder(
         scheme=calc.scheme,

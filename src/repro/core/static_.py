@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .base import Scheduler, SchemeError, WorkerView
+from .base import Scheduler, SchemeError
 
 __all__ = ["StaticScheduler", "BlockCyclicScheduler", "weighted_block_sizes"]
 
@@ -74,21 +74,19 @@ class StaticScheduler(Scheduler):
             raise SchemeError(
                 f"need {workers} weights, got {len(weights)}"
             )
-        self._blocks = weighted_block_sizes(total, weights)
-        self._served = 0
+        # Zero-sized blocks (tiny loops) are nobody's request.
+        self._blocks = [
+            b for b in weighted_block_sizes(total, weights) if b > 0
+        ]
 
-    def _chunk_size(self, worker: WorkerView) -> int:
-        if self._served >= self.workers:
-            # All planned blocks were handed out but iterations remain
-            # (can only happen with zero-sized blocks); fall back to the
-            # remainder so the loop still completes.
-            return self.remaining
-        size = self._blocks[self._served]
-        self._served += 1
-        while size == 0 and self._served < self.workers:
-            size = self._blocks[self._served]
-            self._served += 1
-        return size if size > 0 else self.remaining
+    def _nominal(
+        self, rem: int, step: int, wid: int, k: int
+    ) -> tuple[int, int]:
+        if step < len(self._blocks):
+            return self._blocks[step], 0
+        # Every planned block is out; whatever remains goes at once so
+        # the loop still completes.
+        return rem, 0
 
 
 class BlockCyclicScheduler(Scheduler):
@@ -102,5 +100,6 @@ class BlockCyclicScheduler(Scheduler):
             raise SchemeError(f"block must be >= 1, got {block}")
         self.block = int(block)
 
-    def _chunk_size(self, worker: WorkerView) -> int:
+    @property
+    def constant(self) -> int:
         return self.block

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from .base import Scheduler, SchemeError, WorkerView
+from .base import Scheduler, SchemeError
 
 __all__ = ["TrapezoidParams", "TrapezoidScheduler", "nominal_tss_chunks"]
 
@@ -152,6 +152,7 @@ class TrapezoidScheduler(Scheduler):
     """
 
     name = "TSS"
+    decentral = True
 
     def __init__(
         self,
@@ -164,11 +165,11 @@ class TrapezoidScheduler(Scheduler):
         self.params = TrapezoidParams.derive(
             total, workers, first=first, last=last
         )
-        self._next_size = self.params.first
+        # Integral by construction (``integer_decrement=True``).
+        self._dec = int(self.params.decrement)
 
-    def _chunk_size(self, worker: WorkerView) -> int:
-        size = self._next_size
-        self._next_size = max(
-            self.params.last, self._next_size - self.params.decrement
-        )
-        return size
+    def _nominal(
+        self, rem: int, step: int, wid: int, k: int
+    ) -> tuple[int, int]:
+        p = self.params
+        return max(p.last, p.first - step * self._dec), 0

@@ -9,9 +9,9 @@ shared counter can derive its own interval with local arithmetic.
 
 Three layers, mirroring the repo's master-based stack:
 
-* :mod:`~repro.decentral.calc` -- closed-form chunk calculators for
-  SS/CSS/GSS/TSS/FSS/FISS/TFSS, verified equivalent to the stateful
-  schedulers in :mod:`repro.core`;
+* :mod:`repro.core.kernel` -- the lockstep chunk calculator for
+  SS/CSS/GSS/TSS/FSS/FISS/TFSS, reading the same formula the stateful
+  schedulers in :mod:`repro.core` drive;
 * :mod:`~repro.decentral.counter` + :mod:`~repro.decentral.executor`
   -- a real ``multiprocessing`` runtime over a SIGKILL-safe flock'd
   counter (plus a leased, hierarchical MPI+MPI-style mode);
@@ -20,7 +20,7 @@ Three layers, mirroring the repo's master-based stack:
   resource.
 """
 
-from .calc import (
+from ..core.kernel import (
     CALCULATORS,
     DECENTRAL_SCHEMES,
     ChunkCalculator,

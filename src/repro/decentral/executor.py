@@ -50,6 +50,7 @@ import numpy as np
 from ..chaos.plan import ChaosError, FaultPlan
 from ..chaos.runtime import ChaosController
 from ..core.acp import IMPROVED_ACP
+from ..core.kernel import ChunkCalculator, make_calculator
 from ..obs import ObsEvent
 from ..obs import resolve as _resolve_collector
 from ..runtime.config import RuntimeConfig
@@ -57,7 +58,6 @@ from ..runtime.executor import assemble_results
 from ..runtime.messages import WorkerStats
 from ..runtime.worker import WorkerSpec, _execute_with_slowdown
 from ..workloads import Workload
-from .calc import ChunkCalculator, make_calculator
 from .counter import LeasedCounter, SharedCounter
 
 __all__ = [

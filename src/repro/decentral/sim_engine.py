@@ -21,7 +21,7 @@ Per worker cycle:
 3. **return leg** -- ``latency + reply_bytes/bandwidth`` back (the
    fetched ordinal);
 4. **compute** -- the worker derives ``interval(ordinal)`` locally
-   (pure :mod:`~repro.decentral.calc` arithmetic, charged at zero --
+   (pure :mod:`repro.core.kernel` arithmetic, charged at zero --
    it is nanoseconds of integer math) and executes under its load
    trace; results are durable at completion (the runtime's shard
    write), so ``T_p`` is the last chunk *completion*, with no
@@ -55,6 +55,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core.base import SchemeError
+from ..core.kernel import ChunkCalculator, make_calculator
 from ..obs import ObsEvent
 from ..obs import resolve as _resolve_collector
 from ..workloads import Workload
@@ -64,7 +65,6 @@ from ..simulation.engine import _overlay_load_spikes
 from ..simulation.events import EventQueue, SimulationError
 from ..simulation.loadgen import integrate_compute
 from ..simulation.metrics import ChunkRecord, SimResult, WorkerMetrics
-from .calc import ChunkCalculator, make_calculator
 
 __all__ = ["DecentralSimulation", "simulate_decentral"]
 
@@ -625,7 +625,7 @@ def simulate_decentral(
     ``scheme`` is a decentralizable registry name (``"TSS"``,
     ``"CSS(32)"``, ...; see
     :data:`repro.decentral.DECENTRAL_SCHEMES`) or a ready
-    :class:`~repro.decentral.calc.ChunkCalculator`.  The cluster's
+    :class:`~repro.core.kernel.ChunkCalculator`.  The cluster's
     ``master_service``/``master_bandwidth`` fields are ignored --
     there is no master; ``atomic_op_cost`` (and, hierarchically,
     ``group_size``/``lease``/``local_op_cost``) replace them.

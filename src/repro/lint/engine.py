@@ -16,9 +16,8 @@ downstream layout:
 * *fork-sensitive*: the module creates ``multiprocessing`` processes
   (fork-context workers inherit the parent's threads and locks).
 * schema carriers: modules assigning ``EVENT_KINDS`` / ``SCHEMES`` /
-  ``CALCULATORS`` / ``NON_PURE_SCHEMES`` / ``OPS`` /
-  ``ALL_ARTIFACTS`` literals are the authorities the REP3xx rules
-  check emissions against.
+  ``OPS`` / ``ALL_ARTIFACTS`` literals are the authorities the REP3xx
+  rules check emissions against.
 """
 
 from __future__ import annotations
@@ -38,14 +37,13 @@ PathLike = Union[str, os.PathLike]
 _DIGEST_DEFS = ("canonical_stream", "stream_digest", "replay_cut_points")
 
 #: Module-level literal assignments the REP3xx rules consume.  The
-#: registries proper (``SCHEMES``, ``CALCULATORS``) must be *dict*
-#: displays -- experiment modules reuse the name ``SCHEMES`` for plain
-#: column tuples, which are not the authority.
+#: registry proper (``SCHEMES``) must be a *dict* display --
+#: experiment modules reuse the name for plain column tuples, which
+#: are not the authority.
 _PROTOCOL_NAMES = frozenset({
-    "EVENT_KINDS", "SCHEMES", "CALCULATORS", "NON_PURE_SCHEMES",
-    "OPS", "ALL_ARTIFACTS",
+    "EVENT_KINDS", "SCHEMES", "OPS", "ALL_ARTIFACTS",
 })
-_DICT_ONLY_NAMES = frozenset({"SCHEMES", "CALCULATORS"})
+_DICT_ONLY_NAMES = frozenset({"SCHEMES"})
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

@@ -4,11 +4,9 @@ The repo's string protocols are *closed*: an ObsEvent ``kind`` must be
 declared in ``repro.obs.events.EVENT_KINDS`` (the auditor and the
 canonical stream reject or mis-classify unknown kinds), a wire ``op``
 must be one the daemon dispatches (``repro.service.protocol.OPS``),
-every scheme in ``core.registry.SCHEMES`` needs a pure calculator in
-``core.kernel.CALCULATORS`` or an explicit entry in the documented
-refusal set ``NON_PURE_SCHEMES`` (plus a test that references it), and
-every CLI artifact name must round-trip through the argparse menu and
-the dispatch chain.  These rules read the authoritative literals from
+every scheme in ``core.registry.SCHEMES`` needs a test that references
+it, and every CLI artifact name must round-trip through the argparse
+menu and the dispatch chain.  These rules read the authoritative literals from
 whatever modules in the analyzed tree declare them (see
 :mod:`repro.lint.engine`), so they work on fixture trees too.
 """
@@ -25,8 +23,7 @@ from .engine import LintConfig, ModuleInfo
 from .findings import Finding
 
 __all__ = [
-    "check_rep301", "check_rep302", "check_rep303",
-    "check_rep304", "check_rep305",
+    "check_rep301", "check_rep303", "check_rep304", "check_rep305",
 ]
 
 #: Helper callees whose first string argument is an event kind.
@@ -79,42 +76,6 @@ def check_rep301(modules, config: LintConfig) -> Iterator[Finding]:
                     f"it; add it to the schema or fix the literal "
                     f"(known: {', '.join(sorted(kinds))})",
                 )
-
-
-def check_rep302(modules, config: LintConfig) -> Iterator[Finding]:
-    """REP302: registry scheme without kernel calculator (or refusal
-    entry), or calculator for an unregistered scheme."""
-    schemes = _declared(modules, "SCHEMES")
-    calculators = _declared(modules, "CALCULATORS")
-    non_pure = _declared(modules, "NON_PURE_SCHEMES")
-    if not schemes or not calculators:
-        return
-    for name, (mod, line) in sorted(schemes.items()):
-        if name not in calculators and name not in non_pure:
-            yield mod.finding(
-                "REP302", line,
-                f"scheme {name!r} is registered but has neither a "
-                f"core.kernel calculator (CALCULATORS) nor an entry "
-                f"in the documented refusal set NON_PURE_SCHEMES; "
-                f"the decentral substrate and the analytic fast path "
-                f"would fail on it with an unexplained KeyError",
-            )
-    for name, (mod, line) in sorted(calculators.items()):
-        if name not in schemes:
-            yield mod.finding(
-                "REP302", line,
-                f"calculator {name!r} has no scheme in "
-                f"core.registry.SCHEMES: it is unreachable from every "
-                f"string entry point (simulate, SimJob, the CLIs)",
-            )
-    for name, (mod, line) in sorted(non_pure.items()):
-        if name in calculators:
-            yield mod.finding(
-                "REP302", line,
-                f"{name!r} appears in both CALCULATORS and "
-                f"NON_PURE_SCHEMES; the refusal set must list exactly "
-                f"the schemes without a pure form",
-            )
 
 
 def check_rep303(modules, config: LintConfig) -> Iterator[Finding]:

@@ -161,10 +161,6 @@ class MasterSlaveSimulation(object):
         #: default), ``True`` (require it; raise when ineligible) or
         #: ``False`` (always run the generic DES).
         self.fast = fast
-        #: set by :func:`simulate` when the scheduler was built here
-        #: from a registry name -- the object never escapes, so the
-        #: fast path may use pure steppers instead of mutating it.
-        self._fresh_scheduler = False
         if scheduler.workers != cluster.size:
             raise SimulationError(
                 f"scheduler built for {scheduler.workers} workers but "
@@ -793,7 +789,7 @@ def simulate(
         scheduler = scheme
     else:
         scheduler = scheme(workload.size, cluster.size)
-    sim = MasterSlaveSimulation(
+    return MasterSlaveSimulation(
         scheduler,
         workload,
         cluster,
@@ -802,8 +798,4 @@ def simulate(
         chaos=chaos,
         collector=collector,
         fast=fast,
-    )
-    # The scheduler object never escapes simulate(), so the fast path
-    # may replace it with a pure stepper instead of mutating it.
-    sim._fresh_scheduler = isinstance(scheme, str)
-    return sim.run()
+    ).run()

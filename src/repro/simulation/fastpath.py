@@ -39,11 +39,15 @@ the DES's compute-event order for the same reason.
 
 Further per-chunk costs are shaved without touching the numbers:
 
-* chunk decisions come from **pure steppers** compiled per scheduler
-  class (a few integer operations each) when the scheduler was built
-  internally from a registry name, falling back to driving the real
-  scheduler for caller-supplied instances and the ACP-driven
-  distributed family (still bit-identical, less speedup);
+* chunk decisions for schemes that implement the pure
+  ``Scheduler._nominal`` formula (every built-in simple scheme,
+  caller-supplied instances included) come from calling that bound
+  method with this loop's own cursor, step and request counts -- no
+  ``WorkerView``, no ``ChunkAssignment`` -- and the drained state is
+  handed back to the scheduler afterwards; schemes that override
+  ``_chunk_size`` (the ACP-driven distributed family, user schemes)
+  are driven through the real ``next_chunk`` (still bit-identical,
+  less speedup);
 * the per-chunk compute integral is inlined for ``ConstantLoad``
   (``finish = t + cost / rate``), the overwhelmingly common case;
 * additions of exact zeros (switched-segment waits) are skipped --
@@ -73,23 +77,12 @@ from __future__ import annotations
 import math
 import os
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..core.base import WorkerView
-from ..core.chunk import ChunkScheduler, PureScheduler
-from ..core.factoring import (
-    FactoringScheduler,
-    WeightedFactoringScheduler,
-    _round_half_even,
-)
-from ..core.fixed_increase import FixedIncreaseScheduler
-from ..core.guided import GuidedScheduler
+from ..core.base import Scheduler, WorkerView
 from ..core.kernel import evaluate_ladder
-from ..core.static_ import BlockCyclicScheduler, StaticScheduler
-from ..core.tfss import TrapezoidFactoringScheduler
-from ..core.trapezoid import TrapezoidScheduler
 from .loadgen import ConstantLoad, integrate_compute
 from .metrics import LazyChunkList, SimResult
 
@@ -108,22 +101,10 @@ ENV_FAST = "REPRO_FAST"
 
 _INF = math.inf
 
-#: Scheduler classes with a compiled pure stepper (exact mirrors of
-#: their ``_chunk_size``).  Used only for internally built schedulers:
-#: pure steppers never touch the instance, so a caller-held scheduler
-#: would not see its cursor advance -- those get the driven fallback.
-_PURE_CLASSES = (
-    PureScheduler,
-    ChunkScheduler,
-    GuidedScheduler,
-    TrapezoidScheduler,
-    FactoringScheduler,
-    FixedIncreaseScheduler,
-    TrapezoidFactoringScheduler,
-    WeightedFactoringScheduler,
-    StaticScheduler,
-    BlockCyclicScheduler,
-)
+#: ``Scheduler`` methods a scheme must leave alone for this module to
+#: stand in for ``next_chunk``: then a chunk is exactly the base
+#: driver's clip of ``_nominal`` and can be evaluated on local state.
+_DRIVER_HOOKS = ("next_chunk", "_take", "_chunk_size", "_current_stage")
 
 
 def fast_enabled() -> bool:
@@ -193,131 +174,17 @@ def _pref_list(workload) -> list[float]:
     return lst
 
 
-# -- pure steppers ---------------------------------------------------------
+# -- driven stepper --------------------------------------------------------
 
 
-def _nominal_fn(scheduler) -> Callable[[int, int], tuple[int, int]]:
-    """The scheduler's ``_chunk_size`` as a closure: (worker, remaining)
-    -> (nominal size, stage).  Exact mirrors -- every branch below is a
-    transliteration of the corresponding ``_chunk_size``."""
-    kind = type(scheduler)
-    if kind in (PureScheduler, ChunkScheduler):
-        k = scheduler.k
-
-        def nominal(wid: int, rem: int) -> tuple[int, int]:
-            return k, 0
-
-    elif kind is GuidedScheduler:
-        min_chunk = scheduler.min_chunk
-        workers = scheduler.workers
-
-        def nominal(wid: int, rem: int) -> tuple[int, int]:
-            return max(min_chunk, math.ceil(rem / workers)), 0
-
-    elif kind is TrapezoidScheduler:
-        last = scheduler.params.last
-        dec = scheduler.params.decrement
-        state = [scheduler._next_size]
-
-        def nominal(wid: int, rem: int) -> tuple[int, int]:
-            size = state[0]
-            state[0] = max(last, size - dec)
-            return size, 0
-
-    elif kind in (
-        FactoringScheduler,
-        FixedIncreaseScheduler,
-        TrapezoidFactoringScheduler,
-    ):
-        ladder = scheduler._ladder
-        depth = len(ladder)
-        workers = scheduler.workers
-        counts = [0] * workers
-
-        def nominal(wid: int, rem: int) -> tuple[int, int]:
-            k = counts[wid]
-            counts[wid] = k + 1
-            if k < depth:
-                return ladder[k], k + 1
-            return max(1, math.ceil(rem / (2 * workers))), k + 1
-
-    elif kind is WeightedFactoringScheduler:
-        totals = scheduler._stage_totals
-        depth = len(totals)
-        weights = scheduler.weights
-        wsum = scheduler._wsum
-        workers = scheduler.workers
-        counts = [0] * workers
-
-        def nominal(wid: int, rem: int) -> tuple[int, int]:
-            k = counts[wid]
-            counts[wid] = k + 1
-            idx = k if k < depth else depth - 1
-            share = totals[idx] * weights[wid % workers] / wsum
-            return max(1, _round_half_even(share)), idx + 1
-
-    elif kind is StaticScheduler:
-        blocks = scheduler._blocks
-        workers = scheduler.workers
-        served = [scheduler._served]
-
-        def nominal(wid: int, rem: int) -> tuple[int, int]:
-            s = served[0]
-            if s >= workers:
-                return rem, 0
-            size = blocks[s]
-            s += 1
-            while size == 0 and s < workers:
-                size = blocks[s]
-                s += 1
-            served[0] = s
-            return (size if size > 0 else rem), 0
-
-    elif kind is BlockCyclicScheduler:
-        block = scheduler.block
-
-        def nominal(wid: int, rem: int) -> tuple[int, int]:
-            return block, 0
-
-    else:  # pragma: no cover - guarded by _PURE_CLASSES membership
-        raise TypeError(f"no pure stepper for {kind.__name__}")
-    return nominal
-
-
-def _compile_stepper(sim):
+def _driven_stepper(sim):
     """(worker, arrival, acp) -> (start, stop, stage) | None.
 
-    Pure when the scheduler is an internally built known class;
-    otherwise drives the real scheduler with an identically
-    constructed :class:`WorkerView` (bit-identical either way: the
-    pure steppers mirror ``next_chunk``'s clipping and stage rules).
+    Drives the real scheduler with a :class:`WorkerView` constructed
+    exactly as the DES constructs it: for schemes whose decisions are
+    stateful by nature (they override a ``_DRIVER_HOOKS`` method).
     """
     scheduler = sim.scheduler
-    pure = (
-        getattr(sim, "_fresh_scheduler", False)
-        and type(scheduler) in _PURE_CLASSES
-    )
-    if pure:
-        total = scheduler.total
-        nominal = _nominal_fn(scheduler)
-        cursor = [0]
-
-        def step(wid: int, arrival: float, acp) -> Optional[tuple]:
-            at = cursor[0]
-            if at >= total:
-                return None
-            rem = total - at
-            size, stage = nominal(wid, rem)
-            size = int(size)
-            if size < 1:
-                size = 1
-            if size > rem:
-                size = rem
-            cursor[0] = at + size
-            return (at, at + size, stage)
-
-        return step
-
     nodes = sim.cluster.nodes
 
     def step(wid: int, arrival: float, acp) -> Optional[tuple]:
@@ -376,19 +243,21 @@ def run_fast_master(sim) -> SimResult:
     else:
         participants = list(sim.workers)
 
-    # SS/CSS built here from a registry name: the nominal size is the
-    # constant ``k``, so the assignment is two integer ops inlined in
-    # the arrival branch (no stepper call at all).
-    const_k = None
-    cursor = 0
-    if (
-        getattr(sim, "_fresh_scheduler", False)
-        and type(scheduler) in (PureScheduler, ChunkScheduler)
-    ):
-        const_k = scheduler.k
-        step = None
-    else:
-        step = _compile_stepper(sim)
+    # A scheme that leaves the driver hooks alone is its ``_nominal``
+    # formula and nothing else: this loop owns the cursor, a worker's
+    # request index is its chunk count so far and the global step is
+    # the row count.  A constant formula (SS, CSS, BC) is two integer
+    # ops inlined in the arrival branch, no call at all.
+    kind = type(scheduler)
+    pure = all(
+        getattr(kind, hook) is getattr(Scheduler, hook)
+        for hook in _DRIVER_HOOKS
+    )
+    const_k = scheduler.constant if pure else None
+    nominal = scheduler._nominal
+    step = None if pure else _driven_stepper(sim)
+    cursor = scheduler._cursor
+    stage = scheduler._stage
     acp_model = sim.acp_model
     collect = sim.collect_results
 
@@ -486,22 +355,25 @@ def run_fast_master(sim) -> SimResult:
         acc_com[i] += rtx
         tc = service_end + rtx  # compute event fire time
         # -- assignment --------------------------------------------------
-        if const_k is not None:
-            if cursor < total:
-                rem = total - cursor
-                size = const_k if const_k < rem else rem
-                start = cursor
-                stop = cursor + size
-                cursor = stop
-                stage = 0
-            else:
-                start = -1
-        else:
+        if step is not None:
             a = step(i, arrival, nxt_acp[i])
             if a is None:
                 start = -1
             else:
                 start, stop, stage = a
+        elif cursor >= total:
+            start = -1
+        else:
+            rem = total - cursor
+            if const_k is not None:
+                size = const_k
+            else:
+                size, stage = nominal(rem, len(rows), i, acc_chunks[i])
+                size = int(size)
+                if size < 1:
+                    size = 1
+            start = cursor
+            stop = cursor = start + (size if size < rem else rem)
         if start >= 0:
             # -- compute leg, inline ------------------------------------
             cost = pref[stop] - pref[start]
@@ -582,6 +454,12 @@ def run_fast_master(sim) -> SimResult:
             if results
             else np.zeros(0)
         )
+    if pure:
+        # Hand the drained state back, as ``next_chunk`` leaves it.
+        scheduler._cursor = cursor
+        scheduler._step = len(rows)
+        scheduler._requests = dict(enumerate(acc_chunks))
+        scheduler._stage = stage
     sim._chunks = chunks
     sim._last_result_arrival = last_result
     return result

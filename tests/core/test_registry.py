@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core import (
@@ -9,6 +12,7 @@ from repro.core import (
     SchemeError,
     Scheduler,
     WorkerView,
+    drain,
     make,
     make_many,
     names,
@@ -46,6 +50,26 @@ class TestMake:
     def test_explicit_kwarg_beats_inline_default(self):
         sched = make("CSS(16)", 100, 4)
         assert sched.k == 16
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+], ids=["deepcopy", "pickle"])
+def test_copied_scheduler_continues_the_same_sequence(scheme, clone):
+    """All loop state lives on the instance
+    (``verify.replay_cut_points`` deep-copies schedulers): a copy
+    taken mid-run continues exactly as the original does."""
+    total, p = 500, 4
+    views = [WorkerView(i, virtual_power=1.0 + i, acp=10 * (1 + i))
+             for i in range(p)]
+    original = make(scheme, total, p)
+    for i in range(3):
+        original.next_chunk(views[i % p])
+    copied = clone(original)
+    rest = list(drain(original, views))
+    assert rest == list(drain(copied, views))
+    assert rest and rest[-1].stop == total
 
 
 class TestMakeMany:

@@ -89,23 +89,16 @@ class TestStagedCalculators:
         with pytest.raises(SchemeError):
             calc.stage_of(calc.n_chunks)
 
-    def test_fss_ladder_matches_scheduler_plan(self):
-        from repro.core.factoring import FactoringScheduler
-
-        ref = FactoringScheduler(1000, 4)
-        calc = make_calculator("FSS", 1000, 4)
-        assert list(calc.ladder) == [max(1, int(c)) for c in ref._ladder]
-
 
 class TestFactoryAndParams:
     def test_inline_parameters(self):
-        assert make_calculator("css(32)", 1000, 4).k == 32
-        assert make_calculator("GSS(8)", 1000, 4).min_chunk == 8
-        assert make_calculator("FISS(5)", 1000, 4).stages == 5
+        assert make_calculator("css(32)", 1000, 4).scheduler.k == 32
+        assert make_calculator("GSS(8)", 1000, 4).scheduler.min_chunk == 8
+        assert make_calculator("FISS(5)", 1000, 4).scheduler.stages == 5
 
     def test_keyword_parameters(self):
         calc = make_calculator("TSS", 1000, 4, first=100, last=4)
-        assert calc.params.first == 100
+        assert calc.scheduler.params.first == 100
         assert calc.boundaries() == replay_cut_points(
             "TSS", 1000, 4, first=100, last=4
         )
@@ -132,6 +125,14 @@ class TestFactoryAndParams:
 
     @pytest.mark.parametrize("scheme", DECENTRAL_SCHEMES)
     def test_calculators_pickle(self, scheme):
-        calc = make_calculator(scheme, 500, 4)
-        clone = pickle.loads(pickle.dumps(calc))
-        assert clone.sizes() == calc.sizes()
+        # The calculator carries its scheme object into decentral
+        # worker processes, so the object itself must pickle --
+        # including the rounding callables FSS holds.
+        variants = [{}]
+        if scheme == "FSS":
+            variants += [{"rounding": "ceil"}, {"rounding": "floor"},
+                         {"alpha": 3.0}]
+        for kwargs in variants:
+            calc = make_calculator(scheme, 500, 4, **kwargs)
+            clone = pickle.loads(pickle.dumps(calc))
+            assert clone.sizes() == calc.sizes(), kwargs

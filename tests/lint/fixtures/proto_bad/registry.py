@@ -1,7 +1,6 @@
-"""Scheme registry with one orphan scheme (no calculator, no refusal
-entry)."""
+"""Scheme registry (the proto_bad tree's sins are elsewhere)."""
 
 SCHEMES = {
     "TSS": "trapezoid",
-    "GHOST": "nowhere",   # -> REP302 (no calculator, not refused)
+    "GHOST": "nowhere",
 }

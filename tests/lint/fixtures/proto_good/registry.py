@@ -1,4 +1,4 @@
-"""Registry partitioned exactly into calculators + refusals."""
+"""Scheme registry."""
 
 SCHEMES = {
     "TSS": "trapezoid",

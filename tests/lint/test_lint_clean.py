@@ -41,8 +41,6 @@ def test_role_discovery_finds_the_real_authorities():
             )
     assert "events.py" in declared.get("EVENT_KINDS", set())
     assert "registry.py" in declared.get("SCHEMES", set())
-    assert "kernel.py" in declared.get("CALCULATORS", set())
-    assert "kernel.py" in declared.get("NON_PURE_SCHEMES", set())
     assert "protocol.py" in declared.get("OPS", set())
     digest_modules = {
         os.path.basename(m.path) for m in modules if m.digest_critical
@@ -54,12 +52,29 @@ def test_role_discovery_finds_the_real_authorities():
     assert fork_modules, "no fork-sensitive module discovered"
 
 
-def test_registry_partition_matches_kernel():
-    """The invariant REP302 enforces, restated dynamically: SCHEMES
-    splits exactly into CALCULATORS and NON_PURE_SCHEMES."""
-    from repro.core import registry
-    from repro.core.kernel import CALCULATORS, NON_PURE_SCHEMES
+def test_drivers_import_no_scheme_formula_module():
+    """Each scheme's arithmetic lives once, in its own ``core`` file:
+    the generic drivers (lockstep calculator, fast-path stepper) must
+    not import a scheme-formula module, so a formula cannot be
+    re-transliterated there unnoticed."""
+    import ast
 
-    schemes = set(registry.SCHEMES)
-    assert schemes == set(CALCULATORS) | set(NON_PURE_SCHEMES)
-    assert not set(CALCULATORS) & set(NON_PURE_SCHEMES)
+    formula_modules = {
+        "chunk", "guided", "trapezoid", "factoring", "fixed_increase",
+        "tfss", "static_", "distributed",
+    }
+    for rel in ("repro/core/kernel.py", "repro/simulation/fastpath.py"):
+        path = os.path.join(_SRC, rel)
+        with open(path, "r", encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported.update(alias.name.split("."))
+        assert not imported & formula_modules, (
+            rel, sorted(imported & formula_modules)
+        )

@@ -1,9 +1,8 @@
 """REP3xx cross-file protocol rules: fixture trees + synthetic trees.
 
-The synthetic-tree test is the ISSUE's acceptance check: a temp module
-tree that registers a scheme with no kernel calculator and emits an
-ObsEvent kind missing from the schema must produce *exactly*
-``{REP301, REP302}`` -- nothing more (no false positives from the
+The synthetic-tree test is the acceptance check: a temp module tree
+that emits an ObsEvent kind missing from the schema must produce
+*exactly* ``{REP301}`` -- nothing more (no false positives from the
 other rules), nothing less.
 """
 
@@ -20,9 +19,6 @@ class TestProtoFixtureTrees:
             by_rule.setdefault(f.rule, []).append(f)
         # REP301: ObsEvent("chunkk"), kind="progress", emit("heartbeatt")
         assert len(by_rule.get("REP301", [])) == 3
-        # REP302: GHOST unbacked, ORPHAN unreachable, S unreachable,
-        # S in both CALCULATORS and NON_PURE_SCHEMES
-        assert len(by_rule.get("REP302", [])) == 4
         # REP303: table3 not offered, figure undispatched, table3
         # never compared
         assert len(by_rule.get("REP303", [])) == 3
@@ -58,33 +54,15 @@ class TestSyntheticTree:
                 '    "GHOST": "unbacked",\n'
                 "}\n"
             ),
-            "pkg/kernel.py": (
-                'CALCULATORS = {"TSS": "calc_tss"}\n'
-            ),
             "pkg/emitter.py": (
                 "def publish(bus, t):\n"
                 '    bus.push(ObsEvent("mystery", "src", t))\n'
             ),
         })
-        assert rules_of(findings) == {"REP301", "REP302"}
-        rep301 = [f for f in findings if f.rule == "REP301"]
-        rep302 = [f for f in findings if f.rule == "REP302"]
-        assert len(rep301) == 1 and "'mystery'" in rep301[0].message
-        assert len(rep302) == 1 and "'GHOST'" in rep302[0].message
-        assert rep301[0].path.endswith("emitter.py")
-        assert rep302[0].path.endswith("registry.py")
-
-    def test_refusal_set_entry_silences_rep302(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "pkg/registry.py": (
-                'SCHEMES = {"TSS": "t", "GHOST": "g"}\n'
-            ),
-            "pkg/kernel.py": (
-                'CALCULATORS = {"TSS": "calc_tss"}\n'
-                'NON_PURE_SCHEMES = frozenset({"GHOST"})\n'
-            ),
-        })
-        assert "REP302" not in rules_of(findings)
+        assert rules_of(findings) == {"REP301"}
+        assert len(findings) == 1
+        assert "'mystery'" in findings[0].message
+        assert findings[0].path.endswith("emitter.py")
 
     def test_no_schema_no_rep301(self, tmp_path):
         # Trees without an EVENT_KINDS authority are not judged: the
@@ -101,13 +79,18 @@ class TestSyntheticTree:
     def test_scheme_tuple_is_not_the_registry(self, tmp_path):
         # Experiment modules reuse the name SCHEMES for column tuples;
         # only dict displays are the authority (the false positive the
-        # first run over this repo actually hit).
-        findings = lint_tree(tmp_path, {
-            "pkg/kernel.py": 'CALCULATORS = {"TSS": "calc"}\n',
+        # first run over this repo actually hit).  "TreeS" appears in
+        # no test, so REP304 would flag it if the tuple counted.
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        (tests / "test_schemes.py").write_text(
+            'def test_tss():\n    assert "TSS"\n', encoding="utf-8"
+        )
+        findings = lint_tree(tmp_path / "src", {
             "pkg/registry.py": 'SCHEMES = {"TSS": "t"}\n',
             "pkg/table.py": 'SCHEMES = ("TSS", "TreeS")\n',
-        })
-        assert "REP302" not in rules_of(findings)
+        }, tests_dir=str(tests))
+        assert findings == [], [f.render() for f in findings]
 
 
 class TestRep304SchemeTestCoverage:
@@ -122,10 +105,6 @@ class TestRep304SchemeTestCoverage:
         (src / "registry.py").write_text(
             'SCHEMES = {"TSS": "t", "ZZZQ": "z"}\n', encoding="utf-8"
         )
-        (src / "kernel.py").write_text(
-            'CALCULATORS = {"TSS": "c", "ZZZQ": "c"}\n',
-            encoding="utf-8",
-        )
         from repro.lint import LintConfig, run_lint
 
         findings = run_lint(
@@ -138,6 +117,5 @@ class TestRep304SchemeTestCoverage:
     def test_without_tests_dir_rule_skipped(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "registry.py": 'SCHEMES = {"ZZZQ": "z"}\n',
-            "kernel.py": 'CALCULATORS = {"ZZZQ": "c"}\n',
         })
         assert "REP304" not in rules_of(findings)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import FaultPlan
-from repro.core import make, names
+from repro.core import WorkerView, make, names
 from repro.decentral import DECENTRAL_SCHEMES, simulate_decentral
 from repro.experiments import paper_cluster, paper_workload
 from repro.obs import BufferedCollector
@@ -134,12 +134,24 @@ def test_feedback_dependent_schemes_refuse_fast(workload, scheme):
 
 
 def test_master_scheduler_instance_and_factory(workload):
+    """Caller-held instances (every pure scheme, one ACP-driven one)
+    take the fast path too, and get their loop state handed back
+    drained -- exactly as the DES leaves them."""
     cluster = heterogeneous_cluster()
-    a = simulate(make("TSS", workload.size, cluster.size),
-                 workload, cluster, fast=True)
-    b = simulate(make("TSS", workload.size, cluster.size),
-                 workload, cluster, fast=False)
-    assert_identical(a, b, "instance")
+    for scheme in ("S", "BC(3)", "SS", "CSS(4)", "GSS", "TSS", "FSS",
+                   "FISS", "TFSS", "WF", "DTSS"):
+        held = {
+            fast: make(scheme, workload.size, cluster.size)
+            for fast in (True, False)
+        }
+        a = simulate(held[True], workload, cluster, fast=True)
+        b = simulate(held[False], workload, cluster, fast=False)
+        assert_identical(a, b, f"instance/{scheme}")
+        for fast, sched in held.items():
+            assert sched.finished, (scheme, fast)
+            assert sched.remaining == 0, (scheme, fast)
+            assert sched.steps_taken == a.total_chunks, (scheme, fast)
+            assert sched.next_chunk(WorkerView(0)) is None, (scheme, fast)
     a = simulate(lambda t, w: make("FSS", t, w), workload, cluster,
                  fast=True)
     b = simulate(lambda t, w: make("FSS", t, w), workload, cluster,
