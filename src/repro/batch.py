@@ -20,7 +20,13 @@ Before submission the parent resolves every workload's cost vector
 (persistent cache hit or one computation) so pool workers receive a
 precomputed profile inside the pickled workload and never re-derive
 the grid; the Mandelbrot column memo is explicitly *excluded* from the
-pickle (see ``MandelbrotWorkload.__getstate__``).
+pickle (see ``MandelbrotWorkload.__getstate__``).  The pool is fed
+*tasks* of several consecutive jobs (the paper's CSS(k), applied to
+our own sweep): one pickle per task, so a workload or cluster shared
+by the task's jobs crosses the pipe once, and the pool hop is paid
+once per task.  Results come back as chunk *rows* (see
+:class:`~repro.simulation.metrics.LazyChunkList`), not as one record
+object per chunk.
 
 ``n_jobs`` resolution: an explicit positive integer wins; ``0`` or
 ``None`` means "all cores" (``REPRO_JOBS`` overrides the core count).
@@ -113,9 +119,12 @@ class SimJob(object):
         """A stable, human-readable descriptor of the job's inputs."""
         wl = self.workload
         wl_sig = wl.cost_signature()
+        # No signature: the class and size do not identify the loop
+        # (two slopes of one LinearWorkload), the costs do.
         wl_part = (
             repr(wl_sig) if wl_sig is not None
-            else f"{type(wl).__name__}(size={wl.size})"
+            else f"{type(wl).__name__}(size={wl.size}"
+                 f",costs={wl.cost_digest()})"
         )
         cl = self.cluster
         nodes = ";".join(
@@ -182,9 +191,13 @@ class SimJob(object):
         return result
 
 
-def _execute(job: SimJob) -> SimResult:
+#: Jobs per pool task under the default window.
+_TASK_JOBS = 4
+
+
+def _execute_many(jobs: list[SimJob]) -> list[SimResult]:
     """Top-level pool target (must be module-level for pickling)."""
-    return job.run()
+    return [job.run() for job in jobs]
 
 
 def resolve_jobs(n_jobs: Optional[int]) -> int:
@@ -326,8 +339,11 @@ def stream_batch(
     The streaming core behind :func:`run_batch`:
 
     * **Bounded in-flight window** -- at most ``window`` jobs (default
-      ``2 x workers``) are submitted ahead of the consumer, so a
+      ``8 x workers``) are submitted ahead of the consumer, so a
       million-job sweep holds a handful of futures, not a million.
+      The window is cut into two pool tasks per worker, each one
+      ``submit``: four jobs a task by default, one when the window
+      (or the whole batch) is shorter than ``4 x workers`` jobs.
     * **Incremental persistence** -- ``persist="sweep.jsonl"`` appends
       one flushed JSON line per finished job (``SimResult.to_dict``
       round-trips exactly; ``obs_events`` traces are not persisted).
@@ -349,6 +365,8 @@ def stream_batch(
             raise TypeError(
                 f"stream_batch expects SimJob items, got {job!r}"
             )
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1 or None, got {window}")
     # Resolve every distinct workload's cost vector in the parent so
     # pool workers receive a precomputed profile instead of re-deriving
     # the grid once per process.
@@ -386,27 +404,49 @@ def _stream(jobs, n_jobs, window, persist, resume, pool):
                     max_workers=min(workers, to_run)
                 )
                 try:
-                    win = window or 2 * (
+                    pool_workers = (
                         getattr(ex, "_max_workers", None) or workers
                     )
-                    win = max(1, win)
+                    win = (
+                        window if window is not None
+                        else 2 * _TASK_JOBS * pool_workers
+                    )
+                    # Two tasks per worker out of the window -- and
+                    # out of the batch, so that a short one still
+                    # reaches every worker.
+                    task = max(
+                        1, min(win, to_run) // (2 * pool_workers)
+                    )
+                    # (index, future, position in the future's list);
+                    # a cached index holds its window slot, no future.
                     inflight: deque = deque()
                     next_idx = 0
                     while next_idx < total or inflight:
-                        while next_idx < total and len(inflight) < win:
+                        # Refill a whole task at a time: topping up
+                        # job by job would decay to tasks of one.
+                        while next_idx < total \
+                                and win - len(inflight) >= task:
                             if next_idx in cached:
-                                inflight.append((next_idx, None))
-                            else:
-                                inflight.append((
-                                    next_idx,
-                                    ex.submit(_execute, jobs[next_idx]),
-                                ))
-                            next_idx += 1
-                        idx, fut = inflight.popleft()
+                                inflight.append((next_idx, None, 0))
+                                next_idx += 1
+                                continue
+                            hi = next_idx + 1
+                            stop = min(total, next_idx + task)
+                            while hi < stop and hi not in cached:
+                                hi += 1
+                            fut = ex.submit(
+                                _execute_many, jobs[next_idx:hi]
+                            )
+                            inflight.extend(
+                                (i, fut, i - next_idx)
+                                for i in range(next_idx, hi)
+                            )
+                            next_idx = hi
+                        idx, fut, pos = inflight.popleft()
                         if fut is None:
                             result = cached.pop(idx)
                         else:
-                            result = fut.result()
+                            result = fut.result()[pos]
                             sink.record(jobs[idx], idx, result)
                         done += 1
                         yield idx, result

@@ -52,6 +52,9 @@ class WorkerMetrics(object):
         return f"{self.t_com:.1f}/{self.t_wait:.1f}/{self.t_comp:.1f}"
 
 
+_WORKER_FIELDS = tuple(f.name for f in dataclasses.fields(WorkerMetrics))
+
+
 @dataclasses.dataclass(slots=True)
 class ChunkRecord(object):
     """One scheduling decision, for traces and post-hoc analysis.
@@ -76,6 +79,18 @@ class ChunkRecord(object):
         return self.stop - self.start
 
 
+def _record_row(c: ChunkRecord) -> tuple:
+    return (c.worker, c.start, c.stop, c.assigned_at, c.completed_at,
+            c.stage, c.acp)
+
+
+def _chunk_rows(chunks) -> list[tuple]:
+    """Field rows of a :class:`LazyChunkList` or a record list."""
+    if isinstance(chunks, LazyChunkList):
+        return chunks.rows()
+    return [_record_row(c) for c in chunks]
+
+
 class LazyChunkList(object):
     """Sequence of :class:`ChunkRecord` materialized on first access.
 
@@ -87,6 +102,12 @@ class LazyChunkList(object):
     :class:`ChunkRecord` objects only when someone actually touches
     them.  Materialization is exact (rows hold the final field values,
     in final order) and happens at most once.
+
+    Rows are also the transport form: a result crosses a process pool
+    and lands in JSONL (:meth:`SimResult.to_dict`) as rows, without
+    building a record per chunk on either side.  A row is a
+    :class:`ChunkRecord`'s fields in order; trailing defaulted fields
+    may be left off (the decentral fast path writes no ``acp``).
     """
 
     __slots__ = ("_rows", "_records")
@@ -125,10 +146,15 @@ class LazyChunkList(object):
     def __repr__(self) -> str:
         return repr(self._materialize())
 
+    def rows(self) -> list[tuple]:
+        """The field rows (read-only), whether materialized or not."""
+        rows = self._rows
+        return rows if rows is not None else _chunk_rows(self._records)
+
     def __reduce__(self):
-        # Pickles (e.g. crossing a process pool) as a plain list of
-        # records -- consumers only rely on the sequence protocol.
-        return (list, (self._materialize(),))
+        # Crosses a process pool as rows and stays lazy on the far
+        # side -- consumers only rely on the sequence protocol.
+        return (LazyChunkList, (self.rows(),))
 
 
 @dataclasses.dataclass
@@ -171,6 +197,13 @@ class SimResult(object):
                          f"[{w.chunks} chunks, {w.iterations} iters]")
         return "\n".join(lines)
 
+    def __getstate__(self) -> dict:
+        # A DES result's plain record list crosses a process pool the
+        # way a fast-path result's rows do (LazyChunkList.__reduce__).
+        state = self.__dict__.copy()
+        state["chunks"] = LazyChunkList(_chunk_rows(self.chunks))
+        return state
+
     def to_dict(self, include_results: bool = False) -> dict:
         """JSON-safe dict; exact round trip via :meth:`from_dict`.
 
@@ -180,13 +213,26 @@ class SimResult(object):
         are bulky and have their own sinks (:mod:`repro.obs`);
         ``results`` arrays ride along only on request.
         """
+        # Built from fields and rows directly: ``dataclasses.asdict``
+        # deep-copies every int and float, which cost more per job
+        # than the fast path's simulation.
         d = {
             "scheme": self.scheme,
             "t_p": self.t_p,
             "rederivations": self.rederivations,
             "events": self.events,
-            "workers": [dataclasses.asdict(w) for w in self.workers],
-            "chunks": [dataclasses.asdict(c) for c in self.chunks],
+            "workers": [
+                {name: getattr(w, name) for name in _WORKER_FIELDS}
+                for w in self.workers
+            ],
+            "chunks": [
+                {
+                    "worker": r[0], "start": r[1], "stop": r[2],
+                    "assigned_at": r[3], "completed_at": r[4],
+                    "stage": r[5], "acp": r[6] if len(r) > 6 else None,
+                }
+                for r in _chunk_rows(self.chunks)
+            ],
         }
         if include_results and self.results is not None:
             d["results"] = self.results.tolist()
@@ -200,7 +246,11 @@ class SimResult(object):
             scheme=d["scheme"],
             workers=[WorkerMetrics(**w) for w in d["workers"]],
             t_p=d["t_p"],
-            chunks=[ChunkRecord(**c) for c in d["chunks"]],
+            chunks=LazyChunkList([
+                (c["worker"], c["start"], c["stop"], c["assigned_at"],
+                 c["completed_at"], c.get("stage", 0), c.get("acp"))
+                for c in d["chunks"]
+            ]),
             results=(
                 None if results is None
                 else np.asarray(results, dtype=float)

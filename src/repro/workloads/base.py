@@ -28,6 +28,7 @@ computed once per machine rather than once per experiment module.
 
 from __future__ import annotations
 
+import hashlib
 from abc import ABC, abstractmethod
 from typing import Optional
 
@@ -85,6 +86,22 @@ class Workload(ABC):
             return None
         return _cost_cache.signature_key(signature)
 
+    #: memo of :meth:`cost_digest`; an instance attribute only once
+    #: computed, so workloads that never need it pickle without it.
+    _cost_digest: Optional[str] = None
+
+    def cost_digest(self) -> str:
+        """sha256 of the resolved cost vector, computed once.
+
+        The identity of a workload that has no :meth:`cost_signature`:
+        two such workloads of one class and size are told apart only
+        by what ``L(i)`` they resolve to.
+        """
+        costs = self.costs()
+        if self._cost_digest is None:
+            self._cost_digest = hashlib.sha256(costs.tobytes()).hexdigest()
+        return self._cost_digest
+
     def _install_costs(self, costs: np.ndarray) -> np.ndarray:
         """Validate, freeze, and prefix-sum a cost vector."""
         costs = np.ascontiguousarray(costs, dtype=np.float64)
@@ -97,6 +114,7 @@ class Workload(ABC):
         costs = costs.copy() if not costs.flags.owndata else costs
         costs.setflags(write=False)
         self._costs = costs
+        vars(self).pop("_cost_digest", None)
         prefix = np.concatenate(([0.0], np.cumsum(costs)))
         prefix.setflags(write=False)
         self._prefix = prefix

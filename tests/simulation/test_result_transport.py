@@ -1,0 +1,132 @@
+"""A result's chunks travel as rows: across a pickle, into ``to_dict``.
+
+``LazyChunkList`` pickles its field rows (and stays lazy on the far
+side), a DES result's plain record list crosses a pickle the same way,
+and ``SimResult.to_dict`` builds its dicts from rows and fields.  The
+reference throughout is the record-object form: ``list(original)`` for
+the pickle, ``dataclasses.asdict`` for the dicts.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import pickle
+
+import pytest
+
+from repro.chaos import FaultPlan
+from repro.core import names
+from repro.decentral import DECENTRAL_SCHEMES, simulate_decentral
+from repro.simulation import ClusterSpec, NodeSpec, simulate
+from repro.simulation.metrics import ChunkRecord, LazyChunkList, SimResult
+from repro.workloads import LinearWorkload
+
+MASTER_ROWS = [(0, 0, 5, 0.0, 1.5, 0, None), (1, 5, 9, 0.25, 2.0, 1, 3)]
+DECENTRAL_ROWS = [(0, 0, 5, 0.0, 1.5, 0), (1, 5, 9, 0.25, 2.0, 1)]
+
+#: ``"auto"`` takes the fast path wherever the scheme allows it.
+ENGINES = pytest.mark.parametrize("fast", ["auto", False],
+                                  ids=["fast", "des"])
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return LinearWorkload(300, slope=0.5)
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    return ClusterSpec(nodes=[
+        NodeSpec(name=f"n{i}", speed=60.0 + 25.0 * i,
+                 virtual_power=1.0 + 0.5 * i)
+        for i in range(4)
+    ])
+
+
+def asdict_form(result: SimResult) -> dict:
+    """``to_dict`` as it was: one ``dataclasses.asdict`` per record."""
+    return {
+        "scheme": result.scheme,
+        "t_p": result.t_p,
+        "rederivations": result.rederivations,
+        "events": result.events,
+        "workers": [dataclasses.asdict(w) for w in result.workers],
+        "chunks": [dataclasses.asdict(c) for c in result.chunks],
+    }
+
+
+def typed(value):
+    """``value`` with the type of every leaf beside it."""
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    return (type(value), value)
+
+
+def assert_same_dicts(result: SimResult) -> None:
+    d = result.to_dict()
+    reference = asdict_form(result)
+    assert typed(d) == typed(reference)
+    # Key order is part of the JSONL record's bytes.
+    assert json.dumps(d) == json.dumps(reference)
+    back = SimResult.from_dict(d)
+    assert isinstance(back.chunks, LazyChunkList)
+    assert back.chunks._records is None
+    assert back == result
+    assert back.to_dict() == d
+
+
+@pytest.mark.parametrize("rows", [MASTER_ROWS, DECENTRAL_ROWS],
+                         ids=["master-7", "decentral-6"])
+@pytest.mark.parametrize("materialized", [False, True])
+def test_lazy_chunk_list_pickles_as_rows(rows, materialized):
+    original = LazyChunkList(list(rows))
+    if materialized:
+        assert original[0].size == 5
+        assert original._rows is None
+    clone = pickle.loads(pickle.dumps(original))
+    assert isinstance(clone, LazyChunkList)
+    assert clone._records is None  # still lazy after the trip
+    assert len(clone) == len(rows)
+    assert list(clone) == list(original)
+    assert list(clone) == [ChunkRecord(*row) for row in rows]
+
+
+def test_materialized_list_pickles_its_records_not_stale_rows():
+    original = LazyChunkList(list(MASTER_ROWS))
+    original[0].stage = 7
+    clone = pickle.loads(pickle.dumps(original))
+    assert clone[0].stage == 7
+
+
+def test_des_result_crosses_a_pickle_as_rows(workload, cluster):
+    result = simulate("TSS", workload, cluster, fast=False)
+    assert type(result.chunks) is list
+    clone = pickle.loads(pickle.dumps(result))
+    assert isinstance(clone.chunks, LazyChunkList)
+    assert clone.chunks._records is None
+    assert clone == result
+    assert type(result.chunks) is list  # the original is untouched
+
+
+@ENGINES
+@pytest.mark.parametrize("scheme", names())
+def test_to_dict_equals_asdict_form_master(workload, cluster, scheme,
+                                           fast):
+    assert_same_dicts(simulate(scheme, workload, cluster, fast=fast))
+
+
+@ENGINES
+@pytest.mark.parametrize("scheme", DECENTRAL_SCHEMES)
+def test_to_dict_equals_asdict_form_decentral(workload, cluster, scheme,
+                                              fast):
+    assert_same_dicts(
+        simulate_decentral(scheme, workload, cluster, fast=fast))
+
+
+def test_to_dict_equals_asdict_form_under_chaos(workload, cluster):
+    plan = FaultPlan.random(7, workers=cluster.size, horizon=2.0)
+    assert plan.events
+    assert_same_dicts(simulate("FSS", workload, cluster, chaos=plan))

@@ -24,7 +24,11 @@ from repro.batch import (
 from repro.core import names
 from repro.experiments import paper_cluster, paper_workload
 from repro.simulation import ClusterSpec, NodeSpec
-from repro.workloads import GaussianPeakWorkload, UniformWorkload
+from repro.workloads import (
+    GaussianPeakWorkload,
+    LinearWorkload,
+    UniformWorkload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,23 @@ class TestSimJob:
         )
         assert SimJob("TSS", batch_workload, other_cluster).key \
             != base.key
+
+    def test_key_tells_signatureless_workloads_apart(self, tmp_path):
+        """Regression: two slopes of one LinearWorkload (no
+        ``cost_signature``) shared a key, so a resumed sweep handed
+        one the other's persisted result."""
+        cluster = ClusterSpec(nodes=[
+            NodeSpec(name=f"n{i}", speed=100.0) for i in range(3)
+        ])
+        ja = SimJob("TSS", LinearWorkload(200, slope=1.0), cluster)
+        jb = SimJob("TSS", LinearWorkload(200, slope=3.0), cluster)
+        assert ja.key != jb.key
+        assert ja.key == SimJob(
+            "TSS", LinearWorkload(200, slope=1.0), cluster).key
+        path = str(tmp_path / "sweep.jsonl")
+        run_batch([ja], persist=path)
+        resumed = run_batch([jb], persist=path, resume=True)[0]
+        assert resumed.t_p == jb.run().t_p != ja.run().t_p
 
     def test_rejects_unknown_engine(self, batch_workload,
                                     batch_cluster):
@@ -187,17 +208,19 @@ def result_rows(result):
 
 
 class _SyncPool(object):
-    """Executor stub that runs inline and records submission times."""
+    """Executor stub that runs inline and counts tasks and their jobs."""
 
     _max_workers = 2
 
     def __init__(self):
-        self.submitted = 0
+        self.submitted = 0  # tasks
+        self.jobs = 0
 
-    def submit(self, fn, *args):
+    def submit(self, fn, jobs):
         self.submitted += 1
+        self.jobs += len(jobs)
         fut = Future()
-        fut.set_result(fn(*args))
+        fut.set_result(fn(jobs))
         return fut
 
 
@@ -388,6 +411,90 @@ class TestStreamBatch:
             consumed += 1
             assert pool.submitted <= consumed + 3
         assert pool.submitted == len(jobs)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected_eagerly(self, window):
+        with pytest.raises(ValueError, match="window"):
+            stream_batch(small_jobs(2), window=window)
+
+    @pytest.mark.parametrize("window, n, task", [
+        (None, 21, 4), (8, 21, 2), (5, 21, 1), (None, 7, 1),
+    ])
+    def test_tasks_of_several_jobs_stay_inside_the_window(
+        self, window, n, task
+    ):
+        """The pool gets tasks of ``window // (2 x workers)`` jobs (a
+        batch shorter than the window is cut likewise), results come
+        out in submission order, and no more than ``window`` jobs are
+        ever submitted ahead of the consumer."""
+        jobs = small_jobs(n)
+        pool = _SyncPool()  # two workers: the default window is 16
+        bound = window or 16
+        consumed = 0
+        order = []
+        for idx, result in stream_batch(jobs, window=window, pool=pool):
+            assert pool.jobs <= consumed + bound
+            order.append(idx)
+            assert result_rows(result) == result_rows(jobs[idx].run())
+            consumed += 1
+        assert order == list(range(len(jobs)))
+        assert pool.jobs == len(jobs)
+        assert pool.submitted == -(-len(jobs) // task)
+
+    def test_resumed_indices_inside_a_task_range(self, tmp_path):
+        jobs = small_jobs(20)
+        path = str(tmp_path / "sweep.jsonl")
+        held = [1, 2, 6]
+        run_batch([jobs[i] for i in held], persist=path)
+        pool = _SyncPool()
+        resumed = list(stream_batch(jobs, persist=path, resume=True,
+                                    pool=pool))
+        assert [idx for idx, _ in resumed] == list(range(len(jobs)))
+        assert [result_rows(r) for _, r in resumed] \
+            == [result_rows(r) for r in run_batch(jobs)]
+        # Only the remainder ran, in tasks of four cut at the
+        # persisted indices: [0] [3-5] [7-10] [11-14] [15-18] [19].
+        assert pool.jobs == len(jobs) - len(held)
+        assert pool.submitted == 6
+        lines = [json.loads(line)
+                 for line in open(path, encoding="utf-8")]
+        assert sorted(rec["key"] for rec in lines) \
+            == sorted(batch_keys(jobs))
+
+    def test_pool_early_break_counts_yielded_jobs(self, tmp_path):
+        """A task's finished but unyielded results are neither counted
+        nor persisted: the manifest and the JSONL agree."""
+        jobs = small_jobs(8)
+        path = str(tmp_path / "sweep.jsonl")
+        for idx, _result in stream_batch(jobs, persist=path,
+                                         pool=_SyncPool()):
+            if idx == 1:
+                break
+        manifest = json.load(open(path + ".manifest.json"))
+        assert manifest == {"total": 8, "done": 2, "complete": False}
+        assert len(open(path, encoding="utf-8").readlines()) == 2
+
+    def test_pool_sigterm_flushes_like_ctrl_c(self, tmp_path):
+        jobs = small_jobs(24)
+        killer = _KillJob(
+            jobs[17].scheme, jobs[17].workload, jobs[17].cluster,
+            tag=jobs[17].tag,
+        )
+        path = str(tmp_path / "sweep.jsonl")
+        # The inline pool runs a task at submit: the first fill holds
+        # jobs 0-15, and the killer's task goes in once 0-3 are out.
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(jobs[:17] + [killer] + jobs[18:], persist=path,
+                      pool=_SyncPool())
+        manifest = json.load(open(path + ".manifest.json"))
+        assert manifest == {"total": 24, "done": 4, "complete": False}
+        assert len(open(path, encoding="utf-8").readlines()) == 4
+        resumed = run_batch(jobs, persist=path, resume=True,
+                            pool=_SyncPool())
+        assert [result_rows(r) for r in resumed] \
+            == [result_rows(r) for r in run_batch(jobs)]
+        manifest = json.load(open(path + ".manifest.json"))
+        assert manifest == {"total": 24, "done": 24, "complete": True}
 
     def test_pool_path_persist_and_resume(self, tmp_path):
         jobs = small_jobs(5)
