@@ -69,13 +69,15 @@ def _min_of(fn, repeats=5):
 def test_disabled_path_constructs_no_events(substrate, monkeypatch):
     run = SUBSTRATES[substrate]
     constructed = []
-    orig_init = ObsEvent.__init__
+    orig_new = ObsEvent.__new__
 
-    def counting_init(self, *args, **kwargs):
+    # ObsEvent is a named tuple: construction happens in ``__new__``
+    # (there is no ``__init__`` to count through).
+    def counting_new(cls, *args, **kwargs):
         constructed.append(1)
-        orig_init(self, *args, **kwargs)
+        return orig_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ObsEvent, "__init__", counting_init)
+    monkeypatch.setattr(ObsEvent, "__new__", counting_new)
     run()
     assert constructed == [], (
         f"{substrate}: disabled run constructed {len(constructed)} "

@@ -340,8 +340,7 @@ class DecentralSimulation(object):
             a_start, a_stop = self.calc.interval(index)
             self.obs.emit(ObsEvent(
                 "assign", _SRC, access_end, state.index,
-                start=a_start, stop=a_stop,
-                stage=self.calc.stage_of(index),
+                a_start, a_stop, self.calc.stage_of(index),
             ))
         state.pending_index = index
         self.queue.schedule_at(
@@ -358,8 +357,8 @@ class DecentralSimulation(object):
                                    state.node.load)
         if self.observing:
             self.obs.emit(ObsEvent(
-                "compute", _SRC, t, state.index, start=start, stop=stop,
-                stage=self.calc.stage_of(index), value=finish - t,
+                "compute", _SRC, t, state.index, start, stop,
+                self.calc.stage_of(index), None, finish - t,
             ))
         state.metrics.t_comp += finish - t
         state.metrics.chunks += 1
@@ -392,7 +391,7 @@ class DecentralSimulation(object):
             record = state.pending_record
             self.obs.emit(ObsEvent(
                 "result", _SRC, self.queue.now, state.index,
-                start=record.start, stop=record.stop,
+                record.start, record.stop,
             ))
         state.pending_index = None
         state.pending_record = None

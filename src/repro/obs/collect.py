@@ -20,7 +20,6 @@ The contract every instrumented hot path relies on:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import threading
@@ -129,7 +128,7 @@ class TaggedCollector(Collector):
             self.inner.emit(event)
             return
         tagged = self._prefix + detail if detail else self.tag
-        self.inner.emit(dataclasses.replace(event, detail=tagged))
+        self.inner.emit(event._replace(detail=tagged))
 
     def flush(self) -> None:
         self.inner.flush()

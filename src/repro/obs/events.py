@@ -59,8 +59,7 @@ simulator and runtime traces directly diffable.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = [
     "EVENT_KINDS",
@@ -124,9 +123,14 @@ class SchemaError(ValueError):
     """An event violates the unified schema."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ObsEvent(object):
-    """One observation; immutable, picklable, JSON-serializable.
+class ObsEvent(NamedTuple):
+    """One observation; immutable, hashable, picklable.
+
+    A named tuple: the DES engines build several per chunk, so
+    construction cost is the observed run's bill.  The hot emission
+    sites pass the fields positionally, in the order declared here.
+    It is still a *tuple* to ``json``: anything leaving the process
+    goes through :meth:`to_dict`.
 
     ``worker`` is ``-1`` for events not attributable to one worker
     (e.g. a master stall).  ``value`` is the kind-specific measurement

@@ -288,6 +288,9 @@ class WorkerPool(object):
         #: The service ledger: every submit/assign/result/death/requeue,
         #: consumed by :func:`repro.verify.audit_service_log`.
         self.log: list[dict] = []
+        #: ``worker-death`` entries in :attr:`log`, counted as they are
+        #: appended so a ``metrics`` poll never rescans the ledger.
+        self._worker_deaths = 0
         #: Per-tenant job-level ObsEvents (source ``service``).
         self.obs = BufferedCollector()
 
@@ -378,6 +381,7 @@ class WorkerPool(object):
                     for h in self._handles
                     if h.proc is not None and h.proc.is_alive()
                 ),
+                "worker_deaths": self._worker_deaths,
             }
 
     def queued_for(self, tenant: str) -> int:
@@ -623,6 +627,7 @@ class WorkerPool(object):
                     "worker-death", record,
                     worker=handle.slot, incarnation=handle.incarnation,
                 )
+                self._worker_deaths += 1
                 record.requeues += 1
                 if record.requeues > self.max_requeues:
                     record.state = "failed"

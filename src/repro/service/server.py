@@ -542,10 +542,9 @@ class ServiceServer(object):
         active = _cache.get_cache()
         self.metrics.gauge("cache_hits").set(active.hits)
         self.metrics.gauge("cache_misses").set(active.misses)
-        deaths = sum(
-            1 for entry in self.pool.log if entry["ev"] == "worker-death"
+        self.metrics.counter("worker_deaths_total").value = float(
+            stats["worker_deaths"]
         )
-        self.metrics.counter("worker_deaths_total").value = float(deaths)
         self.metrics.gauge("stream_subscribers").set(
             len(self._subscribers)
         )

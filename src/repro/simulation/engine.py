@@ -324,7 +324,7 @@ class MasterSlaveSimulation(object):
         )
         if self.observing:
             self.obs.emit(ObsEvent(
-                "request", _SRC, t, state.index, acp=acp,
+                "request", _SRC, t, state.index, None, None, None, acp,
             ))
         self.queue.schedule_at(
             tx_start + tx,
@@ -360,7 +360,7 @@ class MasterSlaveSimulation(object):
             if self.observing and state.unacked is not None:
                 self.obs.emit(ObsEvent(
                     "result", _SRC, arrival, state.index,
-                    start=state.unacked[0], stop=state.unacked[1],
+                    state.unacked[0], state.unacked[1],
                 ))
             state.unacked = None  # results safely delivered
         service_start = max(arrival, self._master_free)
@@ -420,8 +420,8 @@ class MasterSlaveSimulation(object):
         if self.observing:
             self.obs.emit(ObsEvent(
                 "assign", _SRC, service_end, state.index,
-                start=assignment[0], stop=assignment[1],
-                stage=assignment[2], acp=assignment[3],
+                assignment[0], assignment[1], assignment[2],
+                assignment[3],
             ))
         state.pending_chunk = assignment
         self.queue.schedule_at(
@@ -444,8 +444,7 @@ class MasterSlaveSimulation(object):
         if self.observing:
             self.obs.emit(ObsEvent(
                 "compute", _SRC, t, state.index,
-                start=start, stop=stop, stage=stage, acp=acp,
-                value=finish - t,
+                start, stop, stage, acp, finish - t,
             ))
         state.metrics.t_comp += finish - t
         state.metrics.chunks += 1

@@ -1,20 +1,26 @@
 """Discrete-event core: a deterministic time-ordered event queue.
 
-The cluster simulators (:mod:`repro.simulation.engine` and
-:mod:`repro.simulation.tree_engine`) are classic event-driven
+The cluster simulators (:mod:`repro.simulation.engine`,
+:mod:`repro.simulation.tree_engine` and
+:mod:`repro.decentral.sim_engine`) are classic event-driven
 simulations: every state change (message arrival, computation finish,
 flush timer) is an :class:`Event` popped in time order.  Determinism is
 load-bearing -- experiments must be exactly reproducible -- so ties are
 broken by a monotonically increasing sequence number, never by object
 identity or insertion hazards.
+
+An event is a named tuple ``(time, seq, action, kind, payload)`` and is
+its own heap entry: tuples order by ``(time, seq)`` first and ``seq`` is
+unique per queue, so a comparison never reaches ``action``.  A pass of
+the observed sweep pushes ~88k of them, which is why there is no
+wrapper object around the tuple.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 __all__ = ["Event", "EventQueue", "SimulationError"]
 
@@ -23,13 +29,12 @@ class SimulationError(RuntimeError):
     """Raised on simulator invariant violations (e.g. time reversal)."""
 
 
-@dataclasses.dataclass(frozen=True, order=False)
-class Event(object):
+class Event(NamedTuple):
     """A scheduled state change.
 
     ``action`` is invoked with the event when it fires.  ``payload`` is
-    free-form context for the action.  Events compare by ``(time, seq)``
-    via the queue, not by field comparison.
+    free-form context for the action.  Field order is the heap order:
+    ``(time, seq)`` decides, the rest is never compared.
     """
 
     time: float
@@ -48,7 +53,7 @@ class EventQueue(object):
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._seq = itertools.count()
         self.now = 0.0
         self.processed = 0
@@ -78,18 +83,17 @@ class EventQueue(object):
         payload: Any = None,
     ) -> Event:
         """Schedule ``action`` at absolute virtual time ``time``."""
-        if time < self.now:
+        # ``not >=`` rather than ``<``: a NaN compares false both ways
+        # and would leave the heap order undefined.  With every entry
+        # at or after ``now`` at insert, a pop can never move the clock
+        # back, which is what lets :meth:`run` skip the re-check.
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self.now}"
+                f"cannot schedule at t={time}: NaN or before "
+                f"now={self.now}"
             )
-        event = Event(
-            time=float(time),
-            seq=next(self._seq),
-            action=action,
-            kind=kind,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+        event = Event(float(time), next(self._seq), action, kind, payload)
+        heapq.heappush(self._heap, event)
         return event
 
     def pop(self) -> Optional[Event]:
@@ -97,10 +101,10 @@ class EventQueue(object):
         the queue is empty."""
         if not self._heap:
             return None
-        time, _seq, event = heapq.heappop(self._heap)
-        if time < self.now:  # pragma: no cover - guarded at insert
+        event = heapq.heappop(self._heap)
+        if event.time < self.now:  # pragma: no cover - guarded at insert
             raise SimulationError("event queue produced a time reversal")
-        self.now = time
+        self.now = event.time
         return event
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000
@@ -110,12 +114,14 @@ class EventQueue(object):
         ``until`` bounds virtual time (events beyond it stay queued);
         ``max_events`` is a runaway guard.  Returns events processed.
         """
+        heap = self._heap
+        heappop = heapq.heappop
         fired = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
+        while heap:
+            if until is not None and heap[0].time > until:
                 break
-            event = self.pop()
-            assert event is not None
+            event = heappop(heap)
+            self.now = event.time
             event.action(event)
             fired += 1
             self.processed += 1

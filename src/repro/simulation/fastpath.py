@@ -1,10 +1,11 @@
 """Analytic fast path: fault-free runs without the generic DES.
 
 The discrete-event engines pay for generality: every protocol step is
-an :class:`~repro.simulation.events.Event` dataclass wrapping a closure
-through a guarded dispatch, every chunk decision walks the scheduler's
-``next_chunk`` (frozen ``WorkerView`` + ``ChunkAssignment`` per
-request), and every emission site tests a collector.  None of that
+an :class:`~repro.simulation.events.Event` tuple pushed on a heap and
+carrying a closure through a guarded dispatch, every chunk decision
+walks the scheduler's ``next_chunk`` (frozen ``WorkerView`` +
+``ChunkAssignment`` per request), and every emission site tests a
+collector.  None of that
 machinery changes the *numbers*: on a fault-free run with no observer
 the protocol is a deterministic recurrence over a handful of floats
 (link-free / master-free / counter-free times), and the chunk sequence

@@ -379,8 +379,8 @@ class TreeSimulation(object):
         finish = integrate_compute(t, cost, w.node.speed, w.node.load)
         if self.observing:
             self.obs.emit(ObsEvent(
-                "compute", _SRC, t, w.index, start=start, stop=stop,
-                value=finish - t,
+                "compute", _SRC, t, w.index, start, stop, None, None,
+                finish - t,
             ))
         w.metrics.t_comp += finish - t
         w.metrics.iterations += stop - start
@@ -452,7 +452,7 @@ class TreeSimulation(object):
                 for blk_start, blk_stop in s.inflight:
                     self.obs.emit(ObsEvent(
                         "result", _SRC, self.queue.now, s.index,
-                        start=blk_start, stop=blk_stop,
+                        blk_start, blk_stop,
                     ))
             s.inflight.clear()
             if items:

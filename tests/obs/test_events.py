@@ -79,9 +79,18 @@ def test_from_dict_missing_required_field_raises():
 
 
 def test_events_are_immutable_and_picklable():
-    import dataclasses
-
     ev = ObsEvent("result", "sim.tree", 2.0, worker=1, start=0, stop=4)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ev.t = 3.0  # type: ignore[misc]
-    assert pickle.loads(pickle.dumps(ev)) == ev
+    with pytest.raises(AttributeError):
+        ev.extra = 1  # type: ignore[attr-defined]
+    twin = ObsEvent("result", "sim.tree", 2.0, 1, 0, 4)
+    assert twin == ev and hash(twin) == hash(ev)
+    assert len({ev, twin}) == 1
+    moved = ev._replace(t=3.0, detail="tenant=a")
+    assert (moved.t, moved.detail, moved.start) == (3.0, "tenant=a", 0)
+    assert moved != ev and ev.t == 2.0
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(ev, protocol=proto))
+        assert type(back) is ObsEvent and back == ev
+    assert ObsEvent.from_dict(ev.to_dict()) == ev

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -255,3 +256,44 @@ class TestDrain:
             assert metrics["jobs_completed_total"]["value"] == 1
             assert metrics["queue_wait_seconds"]["count"] == 1
             assert metrics["workers_live"]["value"] == 2
+
+    def test_worker_deaths_total_equals_ledger_count(self, tmp_path):
+        """The counter is kept where the pool appends ``worker-death``
+        (a ``metrics`` poll does not rescan the ledger): a kill on an
+        idle slot leaves no entry and is not counted, a kill under a
+        running job is."""
+        slow = dict(tenant_spec(0), scheme="SS",
+                    workload={"kind": "uniform", "size": 60000,
+                              "unit": 1e-4})
+
+        def deaths(ledger):
+            return sum(1 for e in ledger if e["ev"] == "worker-death")
+
+        def wait_until(what, ready):
+            deadline = time.monotonic() + 30.0
+            while not ready():
+                assert time.monotonic() < deadline, what
+                time.sleep(0.02)
+
+        with _Daemon(tmp_path, workers=1) as d, d.client("alice") as c:
+            pool = d.server.pool
+            (old_pid,) = pool.worker_pids()
+            assert c.kill_worker(0) is True
+            # Submit only once the slot is respawned: a job handed to
+            # the dying incarnation would (rightly) log a death.
+            wait_until("slot never respawned",
+                       lambda: pool.worker_pids()[0] not in (None, old_pid))
+            c.run(tenant_spec(0), timeout=60)
+            assert deaths(c.log()) == 0
+            assert c.metrics()["worker_deaths_total"]["value"] == 0
+            job_id = c.submit(slow)
+            wait_until("job never started",
+                       lambda: c.status()["pool"]["inflight"] == 1)
+            assert c.kill_worker(0) is True
+            out = c.wait(job_id, timeout=120)
+            ledger = c.log()
+            metrics = c.metrics()
+        assert out["state"] == "done" and out["requeues"] == 1
+        assert deaths(ledger) == 1
+        assert metrics["worker_deaths_total"]["value"] == deaths(ledger)
+        audit_service_log(ledger).raise_if_failed()

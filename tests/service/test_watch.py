@@ -147,6 +147,24 @@ class TestLiveStream:
             frames, trace=trace, complete=True
         ).raise_if_failed()
 
+    def test_wire_carries_event_dicts_never_bare_events(self, tmp_path):
+        """``ObsEvent`` is a named tuple, and ``json`` encodes a tuple
+        silently as an array: every event that crosses the wire -- a
+        watch batch, a ``trace`` reply, a job's shipped trace -- must
+        be its ``to_dict()`` form."""
+        with _Daemon(tmp_path) as d:
+            frames, result, trace_docs = _collect(
+                d, "alice", dict(SPEC, trace=True)
+            )
+        batches = [f["events"] for f in frames if f.get("events")]
+        assert batches and trace_docs and result["trace"]
+        for docs in batches + [trace_docs, result["trace"]]:
+            for doc in docs:
+                assert isinstance(doc, dict), doc
+                assert {"kind", "source", "t"} <= set(doc)
+                assert ObsEvent.from_dict(doc).to_dict() == doc
+        assert len(result["trace"]) == result["events_emitted"]
+
     def test_wildcard_subscriber_sees_every_tenant(self, tmp_path):
         with _Daemon(tmp_path) as d:
             with d.client("watcher") as watcher:

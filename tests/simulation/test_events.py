@@ -35,6 +35,42 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             q.schedule(-1.0, lambda e: None)
 
+    def test_nan_time_is_rejected_at_insert(self):
+        # ``nan < now`` is false, so a NaN used to reach the heap: the
+        # order was then undefined and this exact sequence fired 0.5
+        # after 1.0 (or died in pop's "time reversal" branch).
+        q = EventQueue()
+        fired = []
+        q.schedule_at(2.0, lambda e: fired.append(e.time))
+        with pytest.raises(SimulationError, match="nan"):
+            q.schedule_at(float("nan"), lambda e: fired.append(e.time))
+        with pytest.raises(SimulationError, match="nan"):
+            q.schedule(float("nan"), lambda e: fired.append(e.time))
+        q.schedule_at(1.0, lambda e: fired.append(e.time))
+        q.schedule_at(0.5, lambda e: fired.append(e.time))
+        assert len(q) == 3
+        assert q.run() == 3
+        assert fired == [0.5, 1.0, 2.0]
+        assert q.now == 2.0 and q.processed == 3
+
+    def test_same_time_events_never_compare_actions(self):
+        # An event is its own heap entry; ``seq`` is unique, so a tie
+        # on time is settled before the (non-orderable) actions,
+        # kinds or payloads are looked at.
+        q = EventQueue()
+        fired = []
+        events = [
+            q.schedule_at(
+                1.0, lambda e: fired.append(e.seq), kind="k",
+                payload={"unorderable": object()},
+            )
+            for _ in range(50)
+        ]
+        assert [e.seq for e in events] == list(range(50))
+        assert q.pop() is events[0]
+        q.run()
+        assert fired == list(range(1, 50))
+
     def test_actions_can_schedule_more(self):
         q = EventQueue()
         fired = []
