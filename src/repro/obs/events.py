@@ -103,11 +103,13 @@ JOB_KINDS = frozenset({
 #: result`` spine every substrate shares).
 LIFECYCLE_KINDS = frozenset({"request", "assign", "compute", "result"})
 
-#: Every execution path that emits events.
+#: Every execution path that emits events.  The three ``sim.*`` tags
+#: are the ``SRC`` of a ``simulation.des.DesCluster`` subclass; the
+#: chassis emits compute/fault/restart/park/terminate under it.
 SOURCES = frozenset({
-    "sim.master",       # simulation.engine.MasterSlaveSimulation
-    "sim.tree",         # simulation.tree_engine.TreeSimulation
-    "sim.decentral",    # decentral.sim_engine.DecentralSimulation
+    "sim.master",       # simulation.engine.MasterSlaveSimulation.SRC
+    "sim.tree",         # simulation.tree_engine.TreeSimulation.SRC
+    "sim.decentral",    # decentral.sim_engine.DecentralSimulation.SRC
     "runtime.master",   # runtime.master.master_loop (master side)
     "runtime.worker",   # runtime.worker.worker_main (shard writer)
     "runtime.decentral",  # decentral.executor (workers + repair)
@@ -126,9 +128,11 @@ class SchemaError(ValueError):
 class ObsEvent(NamedTuple):
     """One observation; immutable, hashable, picklable.
 
-    A named tuple: the DES engines build several per chunk, so
-    construction cost is the observed run's bill.  The hot emission
-    sites pass the fields positionally, in the order declared here.
+    A named tuple: the DES builds several per chunk, so construction
+    cost is the observed run's bill.  The hot emission sites (the
+    chassis's ``compute``, each engine's ``request``/``assign``/
+    ``result``) pass the fields positionally, in the order declared
+    here.
     It is still a *tuple* to ``json``: anything leaving the process
     goes through :meth:`to_dict`.
 

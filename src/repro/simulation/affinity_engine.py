@@ -15,30 +15,30 @@ decentralized baseline alongside TreeS.  The algorithm:
 
 Differences from TreeS: steal victims are chosen by load (global view),
 not by a fixed partner list, and the self-serve slice shrinks
-geometrically instead of being the whole block.  Results are flushed
-to the master at fixed epochs exactly as in the TreeS engine.
+geometrically instead of being the whole block.  Everything else --
+flushes to the master at fixed epochs, the steal round trip, the final
+flush, fail-stop recovery -- is the TreeS engine's.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from ..workloads import Workload
 from .cluster import ClusterSpec
-from .loadgen import integrate_compute
-from .metrics import ChunkRecord, SimResult
+from .metrics import SimResult
 from .tree_engine import TreeSimulation, _TreeWorker
 
 __all__ = ["AffinitySimulation", "simulate_affinity"]
 
 
 class AffinitySimulation(TreeSimulation):
-    """Affinity scheduling on the TreeS engine chassis.
+    """Affinity scheduling as a policy on the TreeS engine.
 
-    Reuses the worker/flush/accounting machinery of
-    :class:`~repro.simulation.tree_engine.TreeSimulation`; overrides
-    the *take* rule (geometric self-serve slices) and the *steal* rule
-    (most-loaded victim, ``1/p`` of its remainder).
+    Overrides the *take* rule (geometric self-serve slices) and the
+    *steal* rule (most-loaded victim, ``1/p`` of its remainder);
+    nothing else.
     """
 
     def __init__(
@@ -61,99 +61,39 @@ class AffinitySimulation(TreeSimulation):
             collect_results=collect_results,
         )
 
-    # -- take rule ---------------------------------------------------------
+    def _slice(self, w: _TreeWorker) -> int:
+        """``ceil(remaining / p)``: a PE's share of ``w``'s queue."""
+        return max(1, math.ceil(w.remaining() / self.cluster.size))
 
-    def _compute_next(self, w: _TreeWorker) -> None:
-        t = self.queue.now
-        if w.pending_items and t >= w.next_flush:
-            self._flush(w, final=False)
-            return
-        remaining = w.remaining()
-        if remaining == 0:
-            self._steal_from_most_loaded(w)
-            return
-        take = max(1, math.ceil(remaining / self.cluster.size))
-        block = w.pop_block(take)
-        assert block is not None
-        start, stop = block
-        cost = self.workload.chunk_cost(start, stop)
-        finish = integrate_compute(t, cost, w.node.speed, w.node.load)
-        w.metrics.t_comp += finish - t
-        w.metrics.iterations += stop - start
-        w.metrics.chunks += 1
-        w.pending_items += stop - start
-        self._chunks.append(
-            ChunkRecord(
-                worker=w.index,
-                start=start,
-                stop=stop,
-                assigned_at=t,
-                completed_at=finish,
-            )
-        )
-        if self.collect_results:
-            self._results.append(
-                (start, self.workload.execute(start, stop))
-            )
-        self.queue.schedule_at(
-            finish, lambda ev, s=w: self._compute_next(s),
-            kind="compute",
-        )
+    def _take(self, w: _TreeWorker) -> Optional[tuple[int, int]]:
+        return w.pop_block(self._slice(w))
 
-    # -- steal rule ----------------------------------------------------------
-
-    def _steal_from_most_loaded(self, w: _TreeWorker) -> None:
+    def _pick_victim(self, w: _TreeWorker) -> Optional[_TreeWorker]:
+        # A dead PE cannot refuse, however little it has left.
         victims = [
             v for v in self.workers
-            if v.index != w.index and v.remaining() >= self.min_steal
+            if v.index != w.index
+            and v.remaining() >= (1 if v.dead else self.min_steal)
         ]
         if not victims:
-            # Nothing stealable anywhere: finish at the next epoch.
-            t = self.queue.now
-            if w.pending_items and t < w.next_flush:
-                w.metrics.t_wait += w.next_flush - t
-                self.queue.schedule_at(
-                    w.next_flush,
-                    lambda ev, s=w: self._flush(s, final=True),
-                    kind="final-flush",
-                )
-            else:
-                self._flush(w, final=True)
-            return
-        victim = max(victims, key=lambda v: v.remaining())
-        rtt = (
-            w.node.transfer_time(self.cluster.request_bytes)
-            + victim.node.transfer_time(self.cluster.reply_bytes)
-        )
-        w.metrics.t_wait += rtt
+            return None
+        return max(victims, key=lambda v: v.remaining())
 
-        def arrive(ev, thief=w, victim=victim):
-            remaining = victim.remaining()
-            if remaining < self.min_steal:
-                # Raced with the victim; try again.
-                self._steal_from_most_loaded(thief)
-                return
-            want = max(1, math.ceil(remaining / self.cluster.size))
-            stolen = victim.steal_half(self.min_steal)
-            # steal_half takes back ~half; trim to the affinity share
-            # (1/p) by returning the surplus front part to the victim.
-            if stolen is None:
-                self._steal_from_most_loaded(thief)
-                return
-            lo, hi = stolen
-            if hi - lo > want:
-                victim.ranges.append([lo, hi - want])
-                lo = hi - want
-            self._steals += 1
-            thief.ranges.append([lo, hi])
-            self._compute_next(thief)
+    def _share(self, victim: _TreeWorker) -> Optional[tuple[int, int]]:
+        want = self._slice(victim)
+        stolen = victim.steal_half(self.min_steal)
+        if stolen is None:
+            return None  # raced with the victim; the thief tries again
+        # steal_half takes back ~half; trim to the affinity share
+        # (1/p) by returning the surplus front part to the victim.
+        lo, hi = stolen
+        if hi - lo > want:
+            victim.ranges.append([lo, hi - want])
+            lo = hi - want
+        return lo, hi
 
-        self.queue.schedule(rtt, arrive, kind="steal")
-
-    def run(self) -> SimResult:
-        result = super().run()
-        result.scheme = "AS" + ("-w" if self.weighted else "")
-        return result
+    def _label(self) -> tuple[str, int]:
+        return "AS" + ("-w" if self.weighted else ""), self._steals
 
 
 def simulate_affinity(

@@ -1,0 +1,530 @@
+"""The DES chassis: everything the simulated substrates share.
+
+The paper times every scheme -- centralized (Sec. 2.2), distributed
+(Sec. 5.2) and TreeS (Sec. 5) -- with one accounting, so the simulator
+has one implementation of it.  :class:`DesCluster` owns the virtual
+clock, the fail-stop worker lifecycle, fault-plan scheduling, the
+compute step and the ``T_com / T_wait / T_comp / T_p`` books; a
+substrate (:mod:`~repro.simulation.engine`,
+:mod:`repro.decentral.sim_engine`, :mod:`~repro.simulation.tree_engine`)
+subclasses it and says only *where the next chunk comes from*, through
+the hook methods grouped at the top of the class -- :meth:`next_work`
+first of all.
+
+Accounting matches Tables 2-3: per-PE ``T_com`` is link occupancy,
+``T_wait`` is queueing for whatever the substrate serializes plus
+terminal idling until the run ends (the paper's rows for fast PEs sum
+to ``T_p``), ``T_comp`` is iteration execution under the node's load
+trace, and ``T_p`` is the instant the last result became safe (landed
+on the master, or became durable where there is no master).
+
+Fail-stop semantics: a PE that dies loses every message it has in
+flight and every computed chunk whose results have not become safe
+(``DesWorker.undelivered``); those chunks are un-booked from the
+records, the metrics and the collected results, and the substrate
+re-offers their intervals to the survivors, so coverage of ``[0, I)``
+stays exactly-once.  Deaths come from ``NodeSpec.fails_at`` and from
+the :class:`~repro.chaos.FaultPlan`, merged into one per-worker
+schedule.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generic,
+    Optional,
+    Sequence,
+    TypeVar,
+)
+
+import numpy as np
+
+from ..obs import Collector, ObsEvent
+from ..obs import resolve as _resolve_collector
+from ..workloads import Workload
+from .cluster import ClusterSpec, NodeSpec
+from .events import Event, EventQueue, SimulationError
+from .loadgen import OverlayLoad, integrate_compute
+from .metrics import ChunkRecord, SimResult, WorkerMetrics
+
+if TYPE_CHECKING:
+    from ..chaos.plan import FaultPlan
+
+__all__ = ["DesWorker", "DesCluster"]
+
+
+@dataclasses.dataclass
+class DesWorker(object):
+    """What every substrate tracks per PE; subclasses add the rest."""
+
+    index: int
+    node: NodeSpec
+    metrics: WorkerMetrics
+    done: bool = False
+    dead: bool = False
+    #: incarnation counter: bumped at every death so events scheduled
+    #: by a previous incarnation no-op after a chaos restart.
+    epoch: int = 0
+    #: computed chunks whose results are not safe yet (still on this
+    #: PE or on the wire); rolled back if the PE dies.
+    undelivered: list[ChunkRecord] = dataclasses.field(
+        default_factory=list
+    )
+
+
+W = TypeVar("W", bound=DesWorker)
+
+
+def _overlay_load_spikes(
+    cluster: ClusterSpec, chaos: "FaultPlan"
+) -> ClusterSpec:
+    """A copy of ``cluster`` with the plan's LoadSpikes overlaid.
+
+    The caller's spec is never mutated: affected nodes are replaced
+    with copies whose trace is an :class:`OverlayLoad`.
+    """
+    windows: dict[int, list[tuple[float, float, int]]] = {}
+    for ev in chaos.spikes:
+        windows.setdefault(ev.worker, []).append(
+            (ev.at, ev.at + ev.duration, ev.extra_q)
+        )
+    if not windows:
+        return cluster
+    nodes = [
+        dataclasses.replace(node, load=OverlayLoad(node.load, windows[i]))
+        if i in windows else node
+        for i, node in enumerate(cluster.nodes)
+    ]
+    return dataclasses.replace(cluster, nodes=nodes)
+
+
+class DesCluster(Generic[W]):
+    """One simulated run; construct and call :meth:`run` once."""
+
+    #: event-source tag of the substrate's ``ObsEvent`` stream.
+    SRC: str
+    #: name of the attribute holding the busy-until time of the one
+    #: resource the substrate serializes (master, counter, master
+    #: NIC): what a chaos stall freezes.
+    STALLED: str
+    #: error raised when :meth:`_stranded`.
+    STRANDED: str
+
+    def __init__(
+        self,
+        worker_type: Callable[..., W],
+        workload: Workload,
+        cluster: ClusterSpec,
+        collect_results: bool,
+        chaos: Optional["FaultPlan"],
+        collector: Optional[Collector],
+    ) -> None:
+        #: unified event stream sink; falsy NullCollector when disabled.
+        self.obs = _resolve_collector(collector)
+        # Cached truthiness: the hot loops test this plain bool
+        # (~5x cheaper than NullCollector.__bool__ per gate);
+        # the collector never changes after construction.
+        self.observing = bool(self.obs)
+        self.chaos = chaos
+        if chaos is not None:
+            if chaos.max_worker >= cluster.size:
+                raise SimulationError(
+                    f"fault plan targets worker {chaos.max_worker} but "
+                    f"cluster has {cluster.size} nodes"
+                )
+            cluster = _overlay_load_spikes(cluster, chaos)
+        self.workload = workload
+        self.cluster = cluster
+        self.collect_results = collect_results
+        self.queue = EventQueue()
+        self.workers: list[W] = [
+            worker_type(
+                index=i, node=node, metrics=WorkerMetrics(name=node.name)
+            )
+            for i, node in enumerate(cluster.nodes)
+        ]
+        #: the PEs that take part (a substrate may screen some out
+        #: before the run); faults and terminal idling apply to these.
+        self._participants: list[W] = list(self.workers)
+        self._chunks: list[ChunkRecord] = []
+        self._results: list[tuple[int, np.ndarray]] = []
+        #: when the last result became safe; ``T_p`` at the end.
+        self._last_result_arrival = 0.0
+        #: shared-medium availability per LAN segment id.
+        self._segment_free: dict[str, float] = {}
+        #: per-worker list of scheduled death times still ahead
+        #: (fails_at plus chaos deaths), consumed in time order.
+        self._death_schedule: dict[int, list[float]] = {}
+        #: participants with a scheduled death still ahead.
+        self._pending_failers: set[int] = set()
+        #: chaos restarts not yet fired: while > 0 the all-dead check
+        #: stays soft because a PE is still coming back.
+        self._future_restarts = 0
+        #: per-worker (at, kind, extra_seconds) message faults, sorted.
+        self._message_faults: dict[
+            int, list[tuple[float, str, float]]
+        ] = {}
+        #: workers told to wait because work may still reappear (a
+        #: failing peer holds undelivered results).
+        self._parked: list[W] = []
+
+    # -- substrate hooks -----------------------------------------------------
+
+    def next_work(self, state: W) -> None:
+        """The idle PE ``state`` asks for its next interval, now (master
+        request, counter claim, own queue / partner steal).  The
+        substrate answers -- at once or some events later -- by calling
+        :meth:`_compute`."""
+        raise NotImplementedError
+
+    def _start(self, state: W) -> None:
+        """How a PE enters the computation: by default it just asks."""
+        self.next_work(state)
+
+    def _rejoin(self, state: W) -> None:
+        """What a chaos restart adds to :meth:`_start`: by default
+        nothing."""
+        self._start(state)
+
+    def _lose(self, state: W, spans: list[tuple[int, int]]) -> None:
+        """Re-offer a dead PE's lost intervals to the survivors (and
+        whatever it had been assigned but not yet begun)."""
+        raise NotImplementedError
+
+    def _stranded(self) -> bool:
+        """True when lost work has nobody left to take it."""
+        raise NotImplementedError
+
+    def _drain_parked(self) -> None:
+        """Wake the PEs in ``_parked`` once a death has settled whether
+        work reappears; a substrate that never parks has none."""
+
+    def _label(self) -> tuple[str, int]:
+        """Scheme name and ``rederivations`` counter of the result."""
+        raise NotImplementedError
+
+    def _leak(self, assigned: int) -> str:
+        """Error text when coverage is not exact at the end."""
+        return (
+            f"scheduling leak: assigned {assigned} of "
+            f"{self.workload.size} iterations"
+        )
+
+    # -- clock and links -----------------------------------------------------
+
+    def _alive_action(
+        self, state: W, fn: Callable[..., None], *args: Any
+    ) -> Callable[[Event], None]:
+        """An event action that no-ops if ``state`` died in the meantime.
+
+        Fail-stop: a dying worker's in-flight messages are lost with
+        it.  The epoch capture makes the guard restart-safe: a chaos
+        restart revives the worker, but events scheduled by the dead
+        incarnation still must not fire (their protocol context is
+        gone).
+        """
+        epoch = state.epoch
+
+        def action(_event: Event) -> None:
+            if state.dead or state.epoch != epoch:
+                return
+            fn(state, *args)
+
+        return action
+
+    def _acquire_segment(
+        self, node: NodeSpec, t: float, duration: float
+    ) -> float:
+        """Earliest start of a ``duration`` transfer at/after ``t``.
+
+        On a shared segment the medium is a single resource: the
+        transfer waits for it and then occupies it.  Switched nodes
+        (``segment=None``) start immediately.
+        """
+        if node.segment is None:
+            return t
+        free = self._segment_free.get(node.segment, 0.0)
+        start = max(t, free)
+        self._segment_free[node.segment] = start + duration
+        return start
+
+    def _pop_message_fault(
+        self, state: W, t: float
+    ) -> Optional[tuple[float, str, float]]:
+        """Consume the worker's due delay/loss fault, if any."""
+        faults = self._message_faults.get(state.index)
+        if not faults or faults[0][0] > t:
+            return None
+        return faults.pop(0)
+
+    def _message_held(
+        self, state: W, resend: Callable[..., None], *args: Any
+    ) -> bool:
+        """Apply a due delay/loss to the message ``state`` sends now.
+
+        Delay: the message sits on the wire ``extra`` longer.  Loss:
+        the message vanishes and the retransmission goes out after
+        ``retry_after`` -- to the protocol the two are the same pause,
+        accounted as wait time.  True means ``resend`` is scheduled
+        and the caller must not transmit.
+        """
+        t = self.queue.now
+        fault = self._pop_message_fault(state, t)
+        if fault is None:
+            return False
+        _at, kind, extra = fault
+        state.metrics.t_wait += extra
+        if self.observing:
+            self.obs.emit(ObsEvent(
+                "fault", self.SRC, t, state.index, value=extra,
+                detail=kind,
+            ))
+        self.queue.schedule_at(
+            t + extra,
+            self._alive_action(state, resend, *args),
+            kind=f"chaos-{kind}",
+        )
+        return True
+
+    # -- the compute step ----------------------------------------------------
+
+    def _compute(
+        self,
+        state: W,
+        start: int,
+        stop: int,
+        stage: Optional[int],
+        acp: Optional[int],
+        then: Callable[..., None],
+        kind: str,
+    ) -> ChunkRecord:
+        """Execute ``[start, stop)`` on ``state`` from now; ``then(state)``
+        fires when it finishes.
+
+        The compute time is integrated up front and booked at once; a
+        death before ``completed_at`` un-books the tail (see
+        :meth:`_worker_die`).  ``stage`` None (TreeS blocks belong to
+        no scheme stage) stays None in the event and is the record's
+        default 0.
+        """
+        t = self.queue.now
+        node = state.node
+        finish = integrate_compute(
+            t, self.workload.chunk_cost(start, stop), node.speed, node.load
+        )
+        if self.observing:
+            self.obs.emit(ObsEvent(
+                "compute", self.SRC, t, state.index,
+                start, stop, stage, acp, finish - t,
+            ))
+        metrics = state.metrics
+        metrics.t_comp += finish - t
+        metrics.chunks += 1
+        metrics.iterations += stop - start
+        record = ChunkRecord(
+            state.index, start, stop, t, finish,
+            0 if stage is None else stage, acp,
+        )
+        self._chunks.append(record)
+        state.undelivered.append(record)
+        if self.collect_results:
+            self._results.append((start, self.workload.execute(start, stop)))
+        self.queue.schedule_at(
+            finish, self._alive_action(state, then), kind=kind
+        )
+        return record
+
+    def _worker_terminate(self, state: W) -> None:
+        state.done = True
+        state.metrics.finished_at = self.queue.now
+        if self.observing:
+            self.obs.emit(ObsEvent(
+                "terminate", self.SRC, self.queue.now, state.index,
+            ))
+
+    # -- failure injection ---------------------------------------------------
+
+    def _schedule_faults(self) -> None:
+        """Queue every death (fails_at + plan) and chaos event.
+
+        Deaths from ``NodeSpec.fails_at`` and from the fault plan merge
+        into one per-worker schedule so the failer bookkeeping (and the
+        parking heuristic built on it) sees them uniformly.  Events
+        aimed at a PE that does not take part are dropped.  Scheduling
+        order decides same-instant ties: restarts and stalls in plan
+        order, then deaths per worker in time order.
+        """
+        taking_part = {s.index for s in self._participants}
+        deaths: dict[int, list[float]] = {}
+        for s in self._participants:
+            if s.node.fails_at is not None:
+                deaths.setdefault(s.index, []).append(
+                    float(s.node.fails_at)
+                )
+        if self.chaos is not None:
+            # One loop dispatches on ``kind``; the event union has no
+            # common shape beyond ``kind`` and ``at``.
+            events: Sequence[Any] = self.chaos.events
+            for ev in events:
+                kind = ev.kind
+                if kind == "stall":
+                    self.queue.schedule_at(
+                        float(ev.at),
+                        lambda _e, d=float(ev.duration): self._stall(d),
+                        kind="chaos-stall",
+                    )
+                elif ev.worker not in taking_part:
+                    continue
+                elif kind == "death":
+                    deaths.setdefault(ev.worker, []).append(float(ev.at))
+                elif kind == "restart":
+                    self._future_restarts += 1
+                    self.queue.schedule_at(
+                        float(ev.at),
+                        lambda _e, s=self.workers[ev.worker]:
+                            self._worker_restart(s),
+                        kind="chaos-restart",
+                    )
+                elif kind in ("delay", "loss"):
+                    self._message_faults.setdefault(ev.worker, [])
+            for idx in self._message_faults:
+                self._message_faults[idx] = self.chaos.message_faults(idx)
+        for idx, times in deaths.items():
+            times.sort()
+            self._death_schedule[idx] = times
+            self._pending_failers.add(idx)
+            for at in times:
+                self.queue.schedule_at(
+                    at,
+                    lambda _e, s=self.workers[idx]: self._worker_die(s),
+                    kind="death",
+                )
+
+    def _worker_die(self, state: W) -> None:
+        """Fail-stop: roll back undelivered work and re-offer it."""
+        t = self.queue.now
+        schedule = self._death_schedule.get(state.index)
+        if schedule:
+            schedule.pop(0)
+        if not schedule:
+            self._pending_failers.discard(state.index)
+        if state.dead or state.done:
+            # Already dead (duplicate fails_at + plan death) or already
+            # terminated normally: nothing is lost, but the failer
+            # bookkeeping above may have just unblocked parked peers.
+            self._drain_parked()
+            return
+        state.dead = True
+        state.done = True
+        state.epoch += 1
+        state.metrics.finished_at = t
+        if self.observing:
+            self.obs.emit(ObsEvent(
+                "fault", self.SRC, t, state.index, detail="death",
+            ))
+        lost, state.undelivered = state.undelivered, []
+        chunks = self._chunks
+        for record in lost:
+            # Remove the (now lost) execution record; it re-enters when
+            # a survivor recomputes the interval.
+            if record.completed_at > t:
+                # Died mid-chunk: un-book the never-executed tail of
+                # the pre-integrated compute time.
+                state.metrics.t_comp -= record.completed_at - t
+            state.metrics.chunks -= 1
+            state.metrics.iterations -= record.stop - record.start
+            for i in range(len(chunks) - 1, -1, -1):
+                if chunks[i] is record:
+                    del chunks[i]
+                    break
+            if self.collect_results:
+                for i in range(len(self._results) - 1, -1, -1):
+                    if self._results[i][0] == record.start:
+                        del self._results[i]
+                        break
+        self._lose(state, [(r.start, r.stop) for r in lost])
+        if self._future_restarts == 0 and self._stranded():
+            raise SimulationError(self.STRANDED)
+        self._drain_parked()
+
+    def _park(self, state: W, at: float) -> None:
+        """Nothing to hand out now, but a failing peer holds work that
+        may reappear: ``state`` waits for :meth:`_drain_parked`."""
+        if self.observing:
+            self.obs.emit(ObsEvent("park", self.SRC, at, state.index))
+        self._parked.append(state)
+
+    def _worker_restart(self, state: W) -> None:
+        """A chaos restart: the PE rejoins as a fresh, idle one.
+
+        Anything the dead incarnation held was rolled back and
+        re-offered at death; the revived worker simply enters the
+        computation again.
+        """
+        self._future_restarts -= 1
+        if not state.dead:
+            # The scheduled death never hurt this worker (it finished
+            # first, or the plan was applied to a reliable node).
+            return
+        state.dead = False
+        state.done = False
+        if self.observing:
+            self.obs.emit(ObsEvent(
+                "restart", self.SRC, self.queue.now, state.index,
+            ))
+        self._rejoin(state)
+
+    def _stall(self, duration: float) -> None:
+        """The substrate's serialized resource (``STALLED``) serves
+        nothing for ``duration`` from now."""
+        now = self.queue.now
+        if self.observing:
+            self.obs.emit(ObsEvent(
+                "fault", self.SRC, now, value=duration, detail="stall",
+            ))
+        setattr(
+            self, self.STALLED,
+            max(getattr(self, self.STALLED), now + duration),
+        )
+
+    # -- run -----------------------------------------------------------------
+
+    def run(self) -> SimResult:
+        self._schedule_faults()
+        for state in self._participants:
+            self._start(state)
+        self.queue.run()
+        t_p = self._last_result_arrival
+        # Terminal idling: PEs that finished early wait for the run to
+        # end (paper rows for fast PEs sum to ~T_p).  Dead workers do
+        # not idle -- their clock stopped at death.
+        for state in self._participants:
+            if state.dead:
+                continue
+            tracked = state.metrics.busy
+            if tracked < t_p:
+                state.metrics.t_wait += t_p - tracked
+        assigned = sum(c.size for c in self._chunks)
+        if assigned != self.workload.size:
+            raise SimulationError(self._leak(assigned))
+        scheme, rederivations = self._label()
+        result = SimResult(
+            scheme=scheme,
+            workers=[s.metrics for s in self.workers],
+            t_p=t_p,
+            chunks=self._chunks,
+            rederivations=rederivations,
+            events=self.queue.processed,
+        )
+        if self.collect_results:
+            self._results.sort(key=lambda pair: pair[0])
+            result.results = (
+                np.concatenate([r for _, r in self._results])
+                if self._results
+                else np.zeros(0)
+            )
+        return result

@@ -2,8 +2,9 @@
 
 The cluster simulators (:mod:`repro.simulation.engine`,
 :mod:`repro.simulation.tree_engine` and
-:mod:`repro.decentral.sim_engine`) are classic event-driven
-simulations: every state change (message arrival, computation finish,
+:mod:`repro.decentral.sim_engine`, all on the
+:mod:`repro.simulation.des` chassis, which owns the queue) are classic
+event-driven simulations: every state change (message arrival, computation finish,
 flush timer) is an :class:`Event` popped in time order.  Determinism is
 load-bearing -- experiments must be exactly reproducible -- so ties are
 broken by a monotonically increasing sequence number, never by object

@@ -14,11 +14,13 @@ from repro.chaos import (
     WorkerDeath,
     WorkerRestart,
 )
+from repro.decentral import simulate_decentral
 from repro.simulation import (
     ClusterSpec,
     NodeSpec,
     SimulationError,
     simulate,
+    simulate_tree,
 )
 from repro.workloads import GaussianPeakWorkload, UniformWorkload
 
@@ -69,9 +71,16 @@ class TestDeathAndRestart:
         nodes = [NodeSpec(name=f"n{i}", speed=100.0) for i in range(4)]
         nodes[2] = NodeSpec(name="n2", speed=100.0, fails_at=0.4)
         plan = FaultPlan(events=(WorkerDeath(worker=1, at=0.3),))
-        result = simulate("GSS", wl, ClusterSpec(nodes=nodes),
-                          chaos=plan)
-        exact_coverage(result, 400)
+        cluster = ClusterSpec(nodes=nodes)
+        for result in (
+            simulate("GSS", wl, cluster, chaos=plan),
+            simulate_decentral("GSS", wl, cluster, chaos=plan),
+            simulate_tree(wl, cluster, chaos=plan),
+        ):
+            exact_coverage(result, 400)
+            # Both injection points bit: neither PE kept its share.
+            assert result.workers[1].iterations < 100
+            assert result.workers[2].iterations < 100
 
     def test_all_dead_without_restart_raises(self):
         wl = UniformWorkload(500)

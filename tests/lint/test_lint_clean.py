@@ -78,3 +78,47 @@ def test_drivers_import_no_scheme_formula_module():
         assert not imported & formula_modules, (
             rel, sorted(imported & formula_modules)
         )
+
+
+def test_des_lifecycle_lives_once_on_the_chassis():
+    """Liveness guard, message faults, fault scheduling, segment
+    contention and the stall handler are each defined in exactly one
+    module, ``simulation/des.py``, and no engine books a chunk itself
+    (the compute step -- ``integrate_compute`` + ``ChunkRecord`` --
+    lives once): a substrate says where work comes from, nothing
+    else."""
+    import ast
+
+    chassis = {
+        "_alive_action", "_pop_message_fault", "_schedule_faults",
+        "_acquire_segment", "_stall",
+    }
+    engines = {
+        os.path.join("repro", "simulation", "engine.py"),
+        os.path.join("repro", "simulation", "tree_engine.py"),
+        os.path.join("repro", "simulation", "affinity_engine.py"),
+        os.path.join("repro", "decentral", "sim_engine.py"),
+    }
+    defined: dict = {}
+    for root, _dirs, files in os.walk(os.path.join(_SRC, "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, _SRC)
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and (
+                    node.name in chassis or node.name.endswith("_stall")
+                ):
+                    defined.setdefault(node.name, []).append(rel)
+                elif rel in engines and isinstance(node, ast.Call):
+                    callee = node.func
+                    called = getattr(callee, "id", None) \
+                        or getattr(callee, "attr", None)
+                    assert called not in (
+                        "ChunkRecord", "integrate_compute",
+                    ), (rel, node.lineno, called)
+    des = os.path.join("repro", "simulation", "des.py")
+    assert defined == {name: [des] for name in chassis}, defined

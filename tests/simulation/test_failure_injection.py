@@ -12,8 +12,23 @@ from repro.simulation import (
     NodeSpec,
     SimulationError,
     simulate,
+    simulate_affinity,
+    simulate_tree,
 )
 from repro.workloads import GaussianPeakWorkload, UniformWorkload
+
+
+def run(scheme, workload, cluster, **kwargs):
+    """``simulate``, with "TreeS" routed to the tree engine:
+    ``fails_at`` is the shared chassis's business, so every substrate
+    honours it."""
+    if scheme == "TreeS":
+        # Results land on the master at flush epochs; a grid finer
+        # than these sub-second runs lets ``t_p`` resolve a slowdown.
+        return simulate_tree(
+            workload, cluster, flush_interval=0.1, **kwargs
+        )
+    return simulate(scheme, workload, cluster, **kwargs)
 
 
 def cluster_with_failures(
@@ -31,46 +46,52 @@ def cluster_with_failures(
 class TestSingleDeath:
     def test_loop_completes(self):
         wl = UniformWorkload(300)
-        result = simulate("TSS", wl, cluster_with_failures({0: 0.5}))
-        assert result.total_iterations == 300
+        for scheme in ("TSS", "TreeS"):
+            result = run(scheme, wl, cluster_with_failures({0: 0.5}))
+            assert result.total_iterations == 300
+            assert result.workers[0].iterations < 300 // 4
 
     def test_results_complete_and_correct(self):
         wl = GaussianPeakWorkload(200, amplitude=20.0)
-        result = simulate(
-            "GSS", wl, cluster_with_failures({1: 0.3}),
-            collect_results=True,
-        )
-        np.testing.assert_allclose(result.results, wl.costs())
+        for scheme in ("GSS", "TreeS"):
+            result = run(
+                scheme, wl, cluster_with_failures({1: 0.3}),
+                collect_results=True,
+            )
+            np.testing.assert_allclose(result.results, wl.costs())
 
     def test_each_iteration_computed_exactly_once(self):
         wl = UniformWorkload(250)
-        result = simulate("FSS", wl, cluster_with_failures({0: 0.4}))
-        spans = sorted((c.start, c.stop) for c in result.chunks)
-        cursor = 0
-        for start, stop in spans:
-            assert start == cursor
-            cursor = stop
-        assert cursor == 250
+        for scheme in ("FSS", "TreeS"):
+            result = run(scheme, wl, cluster_with_failures({0: 0.4}))
+            spans = sorted((c.start, c.stop) for c in result.chunks)
+            cursor = 0
+            for start, stop in spans:
+                assert start == cursor
+                cursor = stop
+            assert cursor == 250
 
     def test_dead_worker_does_no_further_work(self):
         wl = UniformWorkload(400)
-        result = simulate("TSS", wl, cluster_with_failures({2: 0.2}))
-        dead = result.workers[2]
-        # Whatever it delivered before dying stays; nothing after.
-        assert dead.finished_at <= 0.2 + 1e-9 or dead.iterations >= 0
-        last_by_dead = [
-            c for c in result.chunks if c.worker == 2
-        ]
-        for c in last_by_dead:
-            # Records by the dead worker are only those whose results
-            # reached the master before the death.
-            assert c.assigned_at < 0.2
+        for scheme in ("TSS", "TreeS"):
+            result = run(scheme, wl, cluster_with_failures({2: 0.2}))
+            dead = result.workers[2]
+            # Whatever it delivered before dying stays; nothing after.
+            assert dead.finished_at <= 0.2 + 1e-9 or dead.iterations >= 0
+            last_by_dead = [
+                c for c in result.chunks if c.worker == 2
+            ]
+            for c in last_by_dead:
+                # Records by the dead worker are only those whose
+                # results reached the master before the death.
+                assert c.assigned_at < 0.2
 
     def test_death_slows_the_run(self):
         wl = UniformWorkload(400)
-        healthy = simulate("TSS", wl, cluster_with_failures({}))
-        failed = simulate("TSS", wl, cluster_with_failures({0: 0.1}))
-        assert failed.t_p > healthy.t_p
+        for scheme in ("TSS", "TreeS"):
+            healthy = run(scheme, wl, cluster_with_failures({}))
+            failed = run(scheme, wl, cluster_with_failures({0: 0.1}))
+            assert failed.t_p > healthy.t_p
 
     def test_distributed_scheme_survives_death(self):
         wl = UniformWorkload(500)
@@ -89,18 +110,20 @@ class TestMultipleDeaths:
 
     def test_death_before_start(self):
         wl = UniformWorkload(100)
-        result = simulate("TSS", wl, cluster_with_failures({3: 0.0}))
-        assert result.total_iterations == 100
-        assert result.workers[3].iterations == 0
+        for scheme in ("TSS", "TreeS"):
+            result = run(scheme, wl, cluster_with_failures({3: 0.0}))
+            assert result.total_iterations == 100
+            assert result.workers[3].iterations == 0
 
     def test_all_dead_raises(self):
         wl = UniformWorkload(100)
-        with pytest.raises(SimulationError):
-            simulate(
-                "TSS", wl,
-                cluster_with_failures({0: 0.1, 1: 0.1, 2: 0.1,
-                                       3: 0.1}),
-            )
+        for scheme in ("TSS", "TreeS"):
+            with pytest.raises(SimulationError):
+                run(
+                    scheme, wl,
+                    cluster_with_failures({0: 0.1, 1: 0.1, 2: 0.1,
+                                           3: 0.1}),
+                )
 
     def test_survivor_finishes_everything(self):
         wl = UniformWorkload(200)
@@ -109,6 +132,21 @@ class TestMultipleDeaths:
             cluster_with_failures({0: 0.05, 1: 0.05, 2: 0.05}),
         )
         assert result.workers[3].iterations >= 190
+
+
+    def test_affinity_policy_recovers_a_dead_pe_queue(self):
+        # The AS policy inherits the chassis lifecycle: its events are
+        # epoch-guarded, and a dead PE's queue -- however small -- is
+        # stripped by the most-loaded-victim rule.
+        wl = UniformWorkload(400)
+        for at in (0.0, 0.3, 0.9):
+            result = simulate_affinity(
+                wl, cluster_with_failures({0: at}),
+                flush_interval=0.1, collect_results=True,
+            )
+            assert result.total_iterations == 400
+            assert result.workers[0].iterations < 100
+            np.testing.assert_allclose(result.results, wl.costs())
 
 
 class TestRequeueOrder:
