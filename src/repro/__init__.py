@@ -60,7 +60,7 @@ schema whether the run is simulated or real::
 
 from .batch import SimJob, run_batch, stream_batch
 from .cache import CostCache, configure as configure_cache, get_cache
-from .chaos import FaultPlan, run_chaos
+from .chaos import FaultPlan
 from .core import (
     ChunkAssignment,
     Scheduler,
@@ -114,7 +114,6 @@ __all__ = [
     "get_cache",
     "configure_cache",
     "FaultPlan",
-    "run_chaos",
     "AuditError",
     "AuditReport",
     "audit_sim",

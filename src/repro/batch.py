@@ -92,10 +92,7 @@ class SimJob(object):
 
     ``collect_events=True`` additionally captures the unified
     observability trace (see :mod:`repro.obs`) and attaches it to the
-    result as ``SimResult.obs_events``.  ``engine="event"`` is accepted
-    as an alias for ``"master"`` (the master--slave engine *is* the
-    event-driven one); it normalizes before hashing, so the alias does
-    not perturb job keys.
+    result as ``SimResult.obs_events``.
     """
 
     scheme: str
@@ -107,12 +104,10 @@ class SimJob(object):
     collect_events: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine == "event":
-            object.__setattr__(self, "engine", "master")
         if self.engine not in ("master", "tree", "decentral"):
             raise ValueError(
-                f"engine must be 'master', 'tree', 'decentral' or "
-                f"'event', got {self.engine!r}"
+                f"engine must be 'master', 'tree' or 'decentral', "
+                f"got {self.engine!r}"
             )
 
     def describe(self) -> str:

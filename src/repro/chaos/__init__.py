@@ -3,8 +3,9 @@
 One :class:`FaultPlan` -- worker fail-stop, restart/rejoin, message
 delay/loss, master stalls, load spikes -- applies uniformly to the
 discrete-event simulators (``simulate(..., chaos=plan)``,
-``simulate_tree(..., chaos=plan)``) and to the real multiprocessing
-runtime (:func:`run_chaos`).  The trace invariant auditor in
+``simulate_tree(..., chaos=plan)``) and to the real-process runtimes
+(``run_parallel(..., plan=plan)``, ``run_decentral(..., plan=plan)``;
+:mod:`repro.runtime.chassis` replays it).  The trace invariant auditor in
 :mod:`repro.verify` checks that a faulty run still covered every
 iteration exactly once; ``docs/fault_model.md`` documents the taxonomy
 and the invariants.
@@ -21,7 +22,6 @@ from .plan import (
     WorkerDeath,
     WorkerRestart,
 )
-from .runtime import ChaosController, run_chaos
 from .service import applicable_faults, inject_service_faults
 
 __all__ = [
@@ -36,6 +36,4 @@ __all__ = [
     "MessageLoss",
     "MasterStall",
     "LoadSpike",
-    "ChaosController",
-    "run_chaos",
 ]

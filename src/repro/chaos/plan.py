@@ -6,7 +6,7 @@ unreliability *injectable, reproducible, and machine-checkable*.  A plan
 is pure data: a time-ordered set of fault events that the discrete-event
 engines (:func:`repro.simulation.simulate`,
 :func:`repro.simulation.simulate_tree`) and the real multiprocessing
-runtime (:func:`repro.chaos.run_chaos`) all interpret with the same
+runtime (:func:`repro.runtime.run_parallel`) all interpret with the same
 semantics:
 
 * :class:`WorkerDeath` -- fail-stop at ``at``: every message in flight

@@ -1,7 +1,7 @@
 """Chaos for a *live* service: FaultPlans against real pool workers.
 
 The one-shot chaos paths take a :class:`~repro.chaos.FaultPlan` into a
-run before it starts (simulator hooks, :func:`run_chaos`).  A daemon
+run before it starts (simulator hooks, ``run_parallel(plan=)``).  A daemon
 has no "before": workers are long-lived and shared across tenants, so
 faults must land on whatever incarnation occupies a slot *when the
 fault fires*.  :func:`inject_service_faults` maps a plan's

@@ -30,7 +30,7 @@ from ..core.kernel import (
 from .counter import LeasedCounter, SharedCounter
 from .executor import (
     REPAIR_LANE,
-    DecentralChaosController,
+    CounterChassis,
     DecentralResult,
     decentral_worker_main,
     run_decentral,
@@ -47,7 +47,7 @@ __all__ = [
     "DEFAULT_ATOMIC_OP_COST",
     "REPAIR_LANE",
     "ChunkCalculator",
-    "DecentralChaosController",
+    "CounterChassis",
     "DecentralResult",
     "DecentralSimulation",
     "LeasedCounter",

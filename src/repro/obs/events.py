@@ -113,7 +113,7 @@ SOURCES = frozenset({
     "runtime.master",   # runtime.master.master_loop (master side)
     "runtime.worker",   # runtime.worker.worker_main (shard writer)
     "runtime.decentral",  # decentral.executor (workers + repair)
-    "chaos",            # fault drivers (ChaosController and kin)
+    "chaos",            # the fault script (runtime.chassis)
     "service",          # service.server job-level lifecycle
 })
 

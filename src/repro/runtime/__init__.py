@@ -3,13 +3,8 @@ substrate; see DESIGN.md for the MPI substitution argument)."""
 
 from .config import DEFAULT_CONFIG, RuntimeConfig
 from .estimator import estimate_virtual_powers, probe_seconds_per_iteration
-from .executor import (
-    BackgroundLoad,
-    RunResult,
-    assemble_results,
-    run_parallel,
-    run_serial,
-)
+from .chassis import BackgroundLoad, ProcessChassis, assemble_results
+from .executor import PipeChassis, RunResult, run_parallel, run_serial
 from .master import (
     IncompleteRunError,
     MasterHooks,
@@ -19,7 +14,7 @@ from .master import (
 )
 from .mpi import have_mpi, run_mpi
 from .messages import Assign, Heartbeat, Request, Terminate, WorkerStats
-from .serial import best_of, time_serial
+from .serial import best_of, plan_time_scale, time_serial
 from .worker import WorkerSpec, worker_main
 
 __all__ = [
@@ -34,6 +29,8 @@ __all__ = [
     "IncompleteRunError",
     "WorkerTimeoutError",
     "assemble_results",
+    "ProcessChassis",
+    "PipeChassis",
     "WorkerSpec",
     "worker_main",
     "MasterResult",
@@ -47,5 +44,6 @@ __all__ = [
     "have_mpi",
     "run_mpi",
     "best_of",
+    "plan_time_scale",
     "time_serial",
 ]

@@ -3,35 +3,37 @@
 :func:`run_parallel` is the runtime counterpart of
 :func:`repro.simulation.simulate`: it spawns one OS process per worker,
 drives the master loop in the calling process, reassembles piggy-backed
-results into serial order, and reports wall-clock times.
+results into serial order, and reports wall-clock times.  With
+``plan=`` it is the counterpart of ``simulate(..., chaos=plan)``: the
+same :class:`~repro.chaos.FaultPlan`, replayed on the real processes
+by the :mod:`~repro.runtime.chassis` both real substrates share.
 
-Nondedicated mode: :class:`BackgroundLoad` starts the paper's stressor
-(processes adding two random 1000x1000 matrices) on request and stops it
-afterwards; use it as a context manager around a run.
+Nondedicated mode: wrap a run in
+:class:`~repro.runtime.chassis.BackgroundLoad`, the paper's stressor
+(processes adding two random 1000x1000 matrices).
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-import multiprocessing as mp
-import os
-import tempfile
 import time
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from ..chaos.plan import FaultPlan
 from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
 from ..obs import read_jsonl
-from ..obs import resolve as _resolve_collector
-from ..workloads import Workload, matrix_add_load
+from ..workloads import Workload
+from .chassis import ProcessChassis, WorkerCall, assemble_results
 from .config import RuntimeConfig
-from .master import MasterHooks, MasterResult, master_loop
+from .master import MasterHooks, master_loop
 from .messages import WorkerStats
-from .worker import WorkerSpec, worker_main
+from .worker import WorkerSpec, pad_specs, worker_main
 
-__all__ = ["RunResult", "run_parallel", "run_serial", "BackgroundLoad"]
+__all__ = ["RunResult", "PipeChassis", "run_parallel", "run_serial"]
 
 
 @dataclasses.dataclass
@@ -57,17 +59,79 @@ def run_serial(workload: Workload) -> tuple[np.ndarray, float]:
     return out, time.perf_counter() - t0
 
 
+class PipeChassis(ProcessChassis, MasterHooks):
+    """The master substrate's processes: one pipe per incarnation.
+
+    Doubles as the master loop's :class:`MasterHooks`: a restarted
+    incarnation's pipe is admitted into the running loop, and a plan
+    *stall* is slept by the master thread itself (:meth:`on_tick` runs
+    there), so requests queue behind it exactly as in the simulator.
+    """
+
+    def __init__(
+        self,
+        workload: Workload,
+        specs: Sequence[WorkerSpec],
+        distributed: bool,
+        acp_model: AcpModel,
+        **chassis: Any,
+    ) -> None:
+        super().__init__(len(specs), **chassis)
+        self.workload = workload
+        self.specs = specs
+        self.distributed = distributed
+        self.acp_model = acp_model
+        self._stalls: collections.deque[float] = collections.deque()
+
+    def _worker_call(
+        self, wid: int, incarnation: int
+    ) -> tuple[WorkerCall, Any, Any]:
+        parent, child = self.ctx.Pipe()
+        kwargs = {
+            "spec": self.specs[wid],
+            "distributed": self.distributed,
+            "acp_model": self.acp_model,
+            "heartbeat_interval": self.config.heartbeat_interval,
+            "delays": self.delays_for(wid, incarnation),
+            "obs_path": (
+                self.shard_path(wid, ".jsonl") if self.obs else None
+            ),
+        }
+        call = (worker_main, (child, self.workload, wid), kwargs)
+        return call, parent, child
+
+    def _freeze(self, duration: float) -> None:
+        self._stalls.append(duration)
+
+    def on_tick(self) -> None:
+        while self._stalls:
+            time.sleep(self._stalls.popleft())
+
+    def __exit__(self, *exc: object) -> None:
+        self.join()
+        # Fan the worker shards (every incarnation, SIGKILLed ones
+        # included -- the JSONL reader tolerates a torn tail) into the
+        # caller's collector: whole-file reads after the join, so no
+        # cross-process locking.
+        for _wid, path in self.shards():
+            for ev in read_jsonl(path):
+                self.obs.emit(ev)
+        super().__exit__(*exc)
+
+
 def run_parallel(
     scheme: str | Scheduler,
     workload: Workload,
     n_workers: int,
+    *,
     specs: Optional[Sequence[WorkerSpec]] = None,
     acp_model: AcpModel = IMPROVED_ACP,
     collect_results: bool = True,
     mp_context: str = "fork",
     config: Optional[RuntimeConfig] = None,
-    hooks: Optional[MasterHooks] = None,
-    worker_delays: Optional[dict[int, list[tuple[float, float]]]] = None,
+    plan: Optional[FaultPlan] = None,
+    time_scale: float = 1.0,
+    stress_size: int = 200,
     collector=None,
     **scheme_kwargs,
 ) -> RunResult:
@@ -77,22 +141,27 @@ def run_parallel(
     static run-queue); omitted entries default to a plain worker.
     Results are reassembled in iteration order, so
     ``np.array_equal(run.results, workload.execute_serial())`` holds for
-    any scheme -- the runtime's core correctness property.
+    any scheme -- the runtime's core correctness property -- and for
+    any ``plan``.
+
+    ``plan`` injects faults while the loop runs (``docs/fault_model.md``
+    has the per-fault semantics); its times are wall-clock seconds,
+    pre-scaled by ``time_scale``, and its load spikes run
+    ``stress_size``-sized matrix-add stressors.  Raises
+    :class:`~repro.runtime.master.IncompleteRunError` if the plan kills
+    every worker with no restart ahead (the runtime analogue of the
+    simulator's all-dead ``SimulationError``).
 
     ``config`` tunes polling/heartbeat/deadline behaviour (defaults to
-    :meth:`RuntimeConfig.from_env`); ``hooks`` and ``worker_delays``
-    are the chaos entry points (see :func:`repro.chaos.run_chaos`).
+    :meth:`RuntimeConfig.from_env`).
 
     ``collector`` receives the unified observability stream: the
-    master's events inline (source ``runtime.master``) plus each worker
-    process's JSONL shard (source ``runtime.worker``), merged after the
-    join -- see :mod:`repro.obs`.
+    master's events inline (source ``runtime.master``), the fault
+    script's injections (source ``chaos``), plus each worker
+    incarnation's JSONL shard (source ``runtime.worker``), merged after
+    the join -- see :mod:`repro.obs`.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    specs = list(specs or [])
-    while len(specs) < n_workers:
-        specs.append(WorkerSpec())
+    specs = pad_specs(specs, n_workers)
     scheduler = (
         make(scheme, workload.size, n_workers, **scheme_kwargs)
         if isinstance(scheme, str)
@@ -103,134 +172,34 @@ def run_parallel(
         # workload (the master process holds it; workers get copies).
         scheduler.bind_workload(workload)
     config = config or RuntimeConfig.from_env()
-    worker_delays = worker_delays or {}
-    obs = _resolve_collector(collector)
-    obs_dir: Optional[tempfile.TemporaryDirectory] = None
-    obs_paths: dict[int, str] = {}
-    if obs:
-        obs_dir = tempfile.TemporaryDirectory(prefix="repro-obs-")
-        obs_paths = {
-            wid: os.path.join(obs_dir.name, f"worker-{wid}.jsonl")
-            for wid in range(n_workers)
-        }
-    ctx = mp.get_context(mp_context)
-    pipes = {}
-    processes = []
-    try:
-        for wid in range(n_workers):
-            parent, child = ctx.Pipe()
-            pipes[wid] = parent
-            proc = ctx.Process(
-                target=worker_main,
-                args=(child, workload, wid),
-                kwargs={
-                    "spec": specs[wid],
-                    "distributed": scheduler.distributed,
-                    "acp_model": acp_model,
-                    "heartbeat_interval": config.heartbeat_interval,
-                    "delays": worker_delays.get(wid),
-                    "obs_path": obs_paths.get(wid),
-                },
-                daemon=True,
-            )
-            processes.append(proc)
+    if plan is not None and plan.events:
+        # A restart is admitted, and a stall begins, at the master's
+        # next poll: keep that snappy relative to plan timescales.
+        config = dataclasses.replace(
+            config, poll_timeout=min(config.poll_timeout, 0.25)
+        )
+    meta = {
+        wid: (spec.virtual_power, spec.run_queue)
+        for wid, spec in enumerate(specs)
+    }
+    with PipeChassis(
+        workload, specs, scheduler.distributed, acp_model,
+        plan=plan, time_scale=time_scale, stress_size=stress_size,
+        mp_context=mp_context, config=config, collector=collector,
+    ) as chassis:
         t0 = time.perf_counter()
-        for proc in processes:
-            proc.start()
-        meta = {
-            wid: (specs[wid].virtual_power, specs[wid].run_queue)
-            for wid in range(n_workers)
-        }
-        master: MasterResult = master_loop(
-            scheduler, pipes, meta, config=config, hooks=hooks,
-            collector=collector,
+        master = master_loop(
+            scheduler, chassis.start(), meta, config=config,
+            hooks=chassis, collector=collector,
         )
         elapsed = time.perf_counter() - t0
-        for proc in processes:
-            proc.join(timeout=config.join_timeout)
-            if proc.is_alive():  # pragma: no cover - hang guard
-                proc.terminate()
-        # Fan the worker shards into the caller's collector: each is a
-        # whole-file read after the join, so no cross-process locking.
-        for wid in sorted(obs_paths):
-            path = obs_paths[wid]
-            if os.path.exists(path):
-                for ev in read_jsonl(path):
-                    obs.emit(ev)
-    finally:
-        if obs_dir is not None:
-            obs_dir.cleanup()
-    combined: Optional[np.ndarray] = None
-    if collect_results:
-        master.results.sort(key=lambda pair: pair[0])
-        combined = (
-            np.concatenate([np.atleast_1d(np.asarray(r))
-                            for _, r in master.results])
-            if master.results
-            else np.zeros(0)
-        )
     return RunResult(
         scheme=scheduler.name,
         elapsed=elapsed,
-        results=combined,
+        results=(
+            assemble_results(master.results) if collect_results else None
+        ),
         stats=master.stats,
         chunks=master.chunks,
         requeued=master.requeued,
     )
-
-
-def assemble_results(
-    master_results: list[tuple[int, object]],
-) -> np.ndarray:
-    """Reassemble piggy-backed ``(start, payload)`` pairs serially."""
-    ordered = sorted(master_results, key=lambda pair: pair[0])
-    return (
-        np.concatenate([np.atleast_1d(np.asarray(r)) for _, r in ordered])
-        if ordered
-        else np.zeros(0)
-    )
-
-
-class BackgroundLoad(object):
-    """The paper's nondedicated stressor as a context manager.
-
-    Starts ``processes`` matrix-add loops (1000x1000 by default, the
-    paper's size) and stops them on exit.  On a single host these
-    contend for CPU with every worker; the paper pinned them to chosen
-    slaves, which process-level CPU affinity could emulate but the
-    experiments here treat as uniform background pressure.
-    """
-
-    def __init__(
-        self,
-        processes: int = 2,
-        size: int = 1000,
-        mp_context: str = "fork",
-    ) -> None:
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
-        self.processes = processes
-        self.size = size
-        self._ctx = mp.get_context(mp_context)
-        self._stop = self._ctx.Event()
-        self._procs: list[mp.process.BaseProcess] = []
-
-    def __enter__(self) -> "BackgroundLoad":
-        for i in range(self.processes):
-            proc = self._ctx.Process(
-                target=matrix_add_load,
-                args=(self._stop,),
-                kwargs={"size": self.size, "seed": i},
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - hang guard
-                proc.terminate()
-        self._procs.clear()

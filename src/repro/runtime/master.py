@@ -76,18 +76,17 @@ class WorkerTimeoutError(IncompleteRunError):
 class MasterHooks(object):
     """Extension points the master consults every loop iteration.
 
-    The base implementation is inert; :class:`repro.chaos.run_chaos`
-    subclasses it to inject faults and re-admit restarted workers.
+    The base implementation is inert; ``run_parallel`` passes its
+    :class:`~repro.runtime.executor.PipeChassis`, which sleeps plan
+    stalls on the master thread and re-admits restarted workers.
     """
 
     def on_tick(self) -> None:
         """Called once per loop iteration, before polling."""
 
-    def admissions(self) -> Iterable[tuple[int, Any, Optional[tuple]]]:
-        """New ``(worker_id, connection, meta)`` entries to serve.
-
-        ``meta`` is ``(virtual_power, run_queue)`` or None.
-        """
+    def admissions(self) -> Iterable[tuple[int, Any]]:
+        """New ``(worker_id, connection)`` entries to serve (a fresh
+        incarnation of a known worker id)."""
         return ()
 
     def expects_more(self) -> bool:
@@ -144,7 +143,7 @@ def master_loop(
             kind, _SRC, time.monotonic() - t0, worker,
             wall=time.time(), **fields,
         ))
-    worker_meta = dict(worker_meta or {})
+    worker_meta = worker_meta or {}
     live = dict(connections)
     outstanding: dict[int, tuple[int, int]] = {}
     #: adaptive (feedback-dependent) scheduler wiring: per-chunk
@@ -324,7 +323,7 @@ def master_loop(
 
     while live or hooks.expects_more():
         hooks.on_tick()
-        for wid, conn, meta in hooks.admissions():
+        for wid, conn in hooks.admissions():
             if wid in live or wid in outstanding:
                 # A restarted incarnation re-uses the id: whatever the
                 # old incarnation still held died with it -- requeue it
@@ -332,8 +331,6 @@ def master_loop(
                 drop_worker(wid)
             live[wid] = conn
             last_seen[wid] = time.monotonic()
-            if meta is not None:
-                worker_meta[wid] = meta
             logger.info("worker %d admitted", wid)
             if obs:
                 emit("restart", wid, detail="admission")

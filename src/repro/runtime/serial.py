@@ -11,7 +11,7 @@ from typing import Callable
 
 from ..workloads import Workload
 
-__all__ = ["time_serial", "best_of"]
+__all__ = ["time_serial", "plan_time_scale", "best_of"]
 
 
 def time_serial(workload: Workload, repeats: int = 1) -> float:
@@ -25,6 +25,18 @@ def time_serial(workload: Workload, repeats: int = 1) -> float:
         times.append(time.perf_counter() - t0)
     times.sort()
     return times[len(times) // 2]
+
+
+def plan_time_scale(workload: Workload, n_workers: int) -> float:
+    """Wall-clock seconds per unit of fault-plan time for this host.
+
+    ``run_parallel(..., plan=plan, time_scale=...)`` with this scale
+    lands a unit-horizon plan inside the first 40% of the ideal
+    parallel time, *measured* here by one serial execution -- so a kill
+    hits a worker that owns a chunk whether the host is fast, slow or
+    loaded.  The 50 ms floor keeps injections behind process start-up.
+    """
+    return max(0.4 * time_serial(workload) / n_workers, 0.05)
 
 
 def best_of(fn: Callable[[], object], repeats: int = 3) -> float:

@@ -26,11 +26,12 @@ import time
 from typing import Optional, Sequence
 
 from ..core.acp import IMPROVED_ACP, AcpModel
-from ..obs import NULL, JsonlCollector, ObsEvent
+from ..obs import NULL, JsonlCollector
 from ..workloads import Workload
-from .messages import Assign, Heartbeat, Request, Terminate, WorkerStats
+from .chassis import WorkerStep, heartbeat_sender
+from .messages import Assign, Heartbeat, Request, Terminate
 
-__all__ = ["WorkerSpec", "worker_main"]
+__all__ = ["WorkerSpec", "pad_specs", "worker_main"]
 
 #: Event-source tag for the unified observability stream.
 _SRC = "runtime.worker"
@@ -58,26 +59,15 @@ class WorkerSpec(object):
             raise ValueError("run_queue must be >= 1")
 
 
-def _execute_with_slowdown(
-    workload: Workload, start: int, stop: int, slowdown: float
-):
-    """Execute a chunk, then burn ``slowdown - 1`` extra executions.
-
-    The burn goes through :meth:`Workload.burn`, which bypasses any
-    memoization so the extra executions really cost CPU.
-    """
-    result = workload.execute(start, stop)
-    extra = slowdown - 1.0
-    while extra > 0:
-        if extra >= 1.0:
-            workload.burn(start, stop)
-            extra -= 1.0
-        else:
-            span = stop - start
-            part = max(1, int(span * extra))
-            workload.burn(start, start + part)
-            break
-    return result
+def pad_specs(
+    specs: Optional[Sequence[WorkerSpec]], n_workers: int
+) -> list[WorkerSpec]:
+    """``specs`` extended to ``n_workers`` entries with plain workers."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    specs = list(specs or [])
+    specs.extend(WorkerSpec() for _ in range(n_workers - len(specs)))
+    return specs
 
 
 def worker_main(
@@ -112,7 +102,6 @@ def worker_main(
     identical to the protocol: one late request).
     """
     spec = spec or WorkerSpec()
-    stats = WorkerStats()
     acp = (
         acp_model.acp(spec.virtual_power, spec.run_queue)
         if distributed
@@ -120,47 +109,24 @@ def worker_main(
     )
     pending: Optional[tuple[int, object]] = None
     obs = JsonlCollector(obs_path, flush_every=1) if obs_path else NULL
-    born = time.perf_counter()
-
-    def obs_emit(kind: str, at: Optional[float] = None,
-                 **fields) -> None:
-        # Disabled-path guard: skip event construction and clock reads
-        # entirely when no collector is attached (the per-chunk hot
-        # loop calls this).
-        if not obs:
-            return
-        t = (time.perf_counter() if at is None else at) - born
-        obs.emit(ObsEvent(
-            kind, _SRC, t, worker_id, wall=time.time(), **fields,
-        ))
-
+    step = WorkerStep(
+        workload, worker_id, spec.slowdown, delays, _SRC,
+        obs.emit if obs else None,
+    )
+    stats = step.stats
     # Heartbeats come from a side thread while the main loop computes;
     # the lock keeps the pipe's send side single-writer.
     send_lock = threading.Lock()
-    stop_heartbeat = threading.Event()
-    heartbeat_thread = None
-    if heartbeat_interval is not None and heartbeat_interval > 0:
-        def _beat() -> None:
-            while not stop_heartbeat.wait(heartbeat_interval):
-                with send_lock:
-                    if stop_heartbeat.is_set():
-                        return
-                    try:
-                        conn.send(Heartbeat(worker_id=worker_id))
-                    except (OSError, ValueError, BrokenPipeError):
-                        return
-                if obs:
-                    obs_emit("heartbeat")
 
-        heartbeat_thread = threading.Thread(target=_beat, daemon=True)
-        heartbeat_thread.start()
-    pending_delays = sorted(delays) if delays else []
+    def beat() -> None:
+        with send_lock:
+            conn.send(Heartbeat(worker_id=worker_id))
+        step.emit("heartbeat")
+
+    stop_heartbeat = heartbeat_sender(beat, heartbeat_interval)
     try:
         while True:
-            while pending_delays \
-                    and time.perf_counter() - born >= pending_delays[0][0]:
-                _at, extra = pending_delays.pop(0)
-                time.sleep(extra)
+            step.serve_delays()
             sent_at = time.perf_counter()
             with send_lock:
                 conn.send(
@@ -171,32 +137,15 @@ def worker_main(
             msg = conn.recv()
             stats.wait_seconds += time.perf_counter() - sent_at
             if isinstance(msg, Terminate):
-                if obs:
-                    obs_emit("terminate")
+                step.emit("terminate")
                 break
             assert isinstance(msg, Assign), f"unexpected message {msg!r}"
-            t0 = time.perf_counter()
-            payload = _execute_with_slowdown(
-                workload, msg.start, msg.stop, spec.slowdown
-            )
-            if obs:
-                # Span anchored at the compute *start*, so the Chrome
-                # trace renders [t, t+value) as the busy interval.
-                obs_emit(
-                    "compute", at=t0, start=msg.start, stop=msg.stop,
-                    value=time.perf_counter() - t0,
-                )
-            stats.compute_seconds += time.perf_counter() - t0
-            stats.chunks += 1
-            stats.iterations += msg.stop - msg.start
-            pending = (msg.start, payload)
+            pending = (msg.start, step.compute(msg.start, msg.stop))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         # Master vanished (or interactive interrupt): exit quietly; the
         # master side handles reassignment of any outstanding chunk.
         pass
     finally:
-        stop_heartbeat.set()
-        if heartbeat_thread is not None:
-            heartbeat_thread.join(timeout=1.0)
+        stop_heartbeat()
         obs.close()
         conn.close()

@@ -42,8 +42,9 @@ from multiprocessing.connection import wait as mp_wait
 from typing import Any, Callable, Optional
 
 from ..batch import SimJob
-from ..obs import BufferedCollector, stream_digest
+from ..obs import stream_digest
 from ..obs.logutil import get_logger
+from ..runtime.chassis import heartbeat_sender, join_or_terminate
 from ..runtime.config import RuntimeConfig
 
 __all__ = ["JobRecord", "WorkerPool", "service_worker_main"]
@@ -153,25 +154,18 @@ def service_worker_main(
     """Pool worker process target: loop jobs until ``stop`` or EOF.
 
     A daemon beat thread shares the pipe under a lock, so liveness
-    survives arbitrarily long jobs (the same trick as
+    survives arbitrarily long jobs (the same sender as
     :func:`repro.runtime.worker.worker_main`).
     """
     send_lock = threading.Lock()
-    stop_beat = threading.Event()
 
     def _send(msg) -> None:
         with send_lock:
             conn.send(msg)
 
-    if heartbeat_interval:
-        def _beat() -> None:
-            while not stop_beat.wait(heartbeat_interval):
-                try:
-                    _send(("hb", worker_id))
-                except (OSError, ValueError, BrokenPipeError):
-                    return
-
-        threading.Thread(target=_beat, daemon=True).start()
+    stop_beat = heartbeat_sender(
+        lambda: _send(("hb", worker_id)), heartbeat_interval
+    )
     try:
         while True:
             try:
@@ -196,7 +190,7 @@ def service_worker_main(
             except (OSError, ValueError, BrokenPipeError):
                 return
     finally:
-        stop_beat.set()
+        stop_beat()
 
 
 @dataclasses.dataclass
@@ -291,8 +285,6 @@ class WorkerPool(object):
         #: ``worker-death`` entries in :attr:`log`, counted as they are
         #: appended so a ``metrics`` poll never rescans the ledger.
         self._worker_deaths = 0
-        #: Per-tenant job-level ObsEvents (source ``service``).
-        self.obs = BufferedCollector()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -326,11 +318,8 @@ class WorkerPool(object):
                     pass
                 conn.close()
                 handle.conn = None
-            if proc is not None and proc.is_alive():
-                proc.join(timeout=self.config.join_timeout)
-                if proc.is_alive():  # pragma: no cover - hang guard
-                    proc.terminate()
-                    proc.join(timeout=1.0)
+            if proc is not None:
+                join_or_terminate(proc, self.config.join_timeout)
         os.close(self._wake_r)
         os.close(self._wake_w)
 

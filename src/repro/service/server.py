@@ -162,8 +162,8 @@ class ServiceServer(object):
         self.metrics = MetricsRegistry()
         #: Rolling time-series windows keyed on the service clock.
         self.rolling = RollingMetrics(width=ROLLING_WINDOW)
-        #: Per-tenant job-level event streams (plus ``pool.obs`` holds
-        #: nothing server-side; the merged view is :meth:`events_for`).
+        #: Per-tenant job-level event streams (the merged view is
+        #: :meth:`events_for`).
         self.tenant_obs: dict[str, BufferedCollector] = {}
         #: Merged-view cache: per-tenant append indices + the sorted
         #: merge so repeated polls are incremental, not O(total).

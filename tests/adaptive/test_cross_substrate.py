@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chaos import FaultPlan, run_chaos
+from repro.chaos import FaultPlan
 from repro.core import make
 from repro.obs import capture, canonical_stream, stream_digest
 from repro.runtime import run_parallel
@@ -101,8 +101,8 @@ def test_same_fault_plan_sim_vs_runtime(seed, workload, serial):
 
     run_sched = make(SPEC, workload.size, N_WORKERS, seed=seed)
     with capture() as run_trace:
-        run = run_chaos(run_sched, workload, N_WORKERS, plan,
-                        time_scale=0.15, collector=run_trace)
+        run = run_parallel(run_sched, workload, N_WORKERS, plan=plan,
+                           time_scale=0.15, collector=run_trace)
     audit_run(run, workload=workload,
               workers=N_WORKERS).raise_if_failed()
     np.testing.assert_array_equal(run.results, serial)

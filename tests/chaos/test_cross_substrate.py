@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chaos import FaultPlan, run_chaos
+from repro.chaos import FaultPlan
+from repro.runtime import run_parallel
 from repro.simulation import (
     ClusterSpec,
     NodeSpec,
@@ -73,8 +74,8 @@ def test_same_plan_all_substrates(seed, scheme, workload, serial):
         np.testing.assert_array_equal(tree.results, serial)
 
     # -- real multiprocessing runtime (wall clock) ---------------------
-    run = run_chaos(scheme, workload, N_WORKERS, plan,
-                    time_scale=0.15)
+    run = run_parallel(scheme, workload, N_WORKERS, plan=plan,
+                       time_scale=0.15)
     audit_run(run, workload=workload, scheme=scheme,
               workers=N_WORKERS).raise_if_failed()
     np.testing.assert_array_equal(run.results, serial)

@@ -8,6 +8,7 @@ import pytest
 from repro.chaos import (
     ChaosError,
     FaultPlan,
+    LoadSpike,
     MasterStall,
     MessageDelay,
     WorkerDeath,
@@ -145,9 +146,15 @@ class TestRuntimeChaos:
 
     def test_counter_stall_survivable(self, spin_workload, spin_serial):
         # A MasterStall maps to holding the counter's flock: claims
-        # block, nobody deadlocks, the loop completes.
-        plan = FaultPlan(events=(MasterStall(at=0.05, duration=0.3),))
-        run = run_decentral("TSS", spin_workload, 3, plan=plan)
+        # block, nobody deadlocks, the loop completes.  The LoadSpike
+        # runs real stressors alongside, so the counter substrate sees
+        # every non-fatal arm of the shared fault script.
+        plan = FaultPlan(events=(
+            LoadSpike(worker=1, at=0.0, duration=0.2, extra_q=2),
+            MasterStall(at=0.05, duration=0.3),
+        ))
+        run = run_decentral("TSS", spin_workload, 3, plan=plan,
+                            stress_size=100)
         audit_run(run, spin_workload.size, workers=3,
                   workload=spin_workload).raise_if_failed()
         np.testing.assert_array_equal(run.results, spin_serial)

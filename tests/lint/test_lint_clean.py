@@ -122,3 +122,56 @@ def test_des_lifecycle_lives_once_on_the_chassis():
                     ), (rel, node.lineno, called)
     des = os.path.join("repro", "simulation", "des.py")
     assert defined == {name: [des] for name in chassis}, defined
+
+
+def test_real_process_lifecycle_lives_once_on_the_chassis():
+    """Spawn site, SIGKILL, join-or-terminate, fault script, heartbeat
+    sender and worker compute step are each written once, in
+    ``runtime/chassis.py``: a real substrate says what a worker runs
+    and what a stall means, nothing else.  ``service/pool.py`` keeps
+    its own slot spawn and liveness kill (its pump, dispatch and
+    ledger are a different supervisor), but shares the sender thread
+    and the join guard."""
+    import ast
+
+    chassis = os.path.join("repro", "runtime", "chassis.py")
+    pool = os.path.join("repro", "service", "pool.py")
+    counter_hold = os.path.join("repro", "decentral", "executor.py")
+    #: call (by attribute / name tail) -> modules allowed to make it
+    allowed = {
+        "Process": {chassis, pool},
+        "kill": {chassis, pool},
+        "terminate": {chassis},
+        "Thread": {chassis, pool, counter_hold},
+        "burn": {chassis},
+    }
+    once = {
+        "spawn", "_drive", "_kill", "_restart", "_spike",
+        "join_or_terminate", "heartbeat_sender", "assemble_results",
+        "serve_delays",
+    }
+    calls: dict = {}
+    defined: dict = {}
+    for root, _dirs, files in os.walk(os.path.join(_SRC, "repro")):
+        if os.path.basename(root) in ("lint", "workloads"):
+            continue
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, _SRC)
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) \
+                        and node.name in once:
+                    defined.setdefault(node.name, []).append(rel)
+                elif isinstance(node, ast.Call):
+                    callee = node.func
+                    called = getattr(callee, "attr", None) \
+                        or getattr(callee, "id", None)
+                    if called in allowed:
+                        calls.setdefault(called, set()).add(rel)
+    for called, where in sorted(calls.items()):
+        assert where <= allowed[called], (called, sorted(where))
+    assert defined == {name: [chassis] for name in once}, defined

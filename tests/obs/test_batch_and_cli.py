@@ -21,13 +21,6 @@ def _cluster():
     )
 
 
-def test_event_engine_is_an_alias_that_keeps_keys_stable():
-    base = SimJob("TSS", WL, _cluster())
-    alias = SimJob("TSS", WL, _cluster(), engine="event")
-    assert alias.engine == "master"
-    assert alias.key == base.key
-
-
 def test_collect_events_marks_the_key_and_attaches_the_trace():
     base = SimJob("TSS", WL, _cluster())
     traced = SimJob("TSS", WL, _cluster(), collect_events=True)

@@ -10,10 +10,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chaos import FaultPlan, WorkerDeath, WorkerRestart
 from repro.core import make
+from repro.runtime import RuntimeConfig, plan_time_scale, run_parallel
 from repro.runtime.master import master_loop
 from repro.runtime.messages import Assign, Request, Terminate, WorkerStats
-from repro.workloads import UniformWorkload
+from repro.verify import audit_run
+from repro.workloads import SpinWorkload, UniformWorkload
+
+#: Plan time of the real-process kills, in units of
+#: :func:`plan_time_scale`: about a third into the ideal parallel run,
+#: so the victim owns a chunk whatever the host's speed.
+KILL_AT = 0.9
+
+
+@pytest.fixture(scope="module")
+def spin():
+    """(workload, serial result, measured plan time scale) -- compute-
+    bound and deterministic, so a SIGKILL lands mid-loop."""
+    wl = SpinWorkload(60, spins=200, veclen=4096)
+    return wl, wl.execute_serial(), plan_time_scale(wl, 3)
 
 
 class ScriptedWorker(object):
@@ -180,54 +196,63 @@ class TestRealProcessDeath:
         for proc in procs[1:]:
             proc.join(timeout=10)
 
-    def test_sigkill_mid_loop_result_equals_fault_free_run(self):
+    def test_sigkill_mid_loop_result_equals_fault_free_run(self, spin):
         """Kill a worker while it is actually computing.
 
         The run must finish on the survivors with results bit-identical
         to the fault-free execution -- the acceptance criterion for the
         runtime's fail-stop hardening.
         """
-        import numpy as np
-
-        from repro.chaos import FaultPlan, WorkerDeath, run_chaos
-        from repro.verify import audit_run
-        from repro.workloads import SpinWorkload
-
-        # Compute-bound and deterministic: the SIGKILL lands mid-loop.
-        wl = SpinWorkload(60, spins=50, veclen=4096)
-        serial = wl.execute_serial()
-        plan = FaultPlan(events=(WorkerDeath(worker=1, at=0.02),))
-        run = run_chaos("CSS", wl, 3, plan, k=6)
+        wl, serial, scale = spin
+        plan = FaultPlan(events=(WorkerDeath(worker=1, at=KILL_AT),))
+        run = run_parallel("CSS", wl, 3, plan=plan, time_scale=scale, k=6)
         audit_run(run, workload=wl, scheme="CSS", workers=3,
                   k=6).raise_if_failed()
         np.testing.assert_array_equal(run.results, serial)
 
-    def test_sigkill_then_restart_rejoins_and_result_is_exact(self):
+    def test_sigkill_then_restart_rejoins_and_result_is_exact(self, spin):
         """Kill one incarnation mid-run, admit a fresh one, finish.
 
         Exercises the restart re-admission path: the replacement pipe
         must not mask the dead incarnation's EOF (its outstanding chunk
         is requeued exactly once).
         """
-        import numpy as np
-
-        from repro.chaos import (
-            FaultPlan,
-            WorkerDeath,
-            WorkerRestart,
-            run_chaos,
-        )
-        from repro.verify import audit_run
-        from repro.workloads import SpinWorkload
-
-        wl = SpinWorkload(60, spins=50, veclen=4096)
-        serial = wl.execute_serial()
+        wl, serial, scale = spin
         plan = FaultPlan(events=(
-            WorkerDeath(worker=1, at=0.02),
-            WorkerRestart(worker=1, at=0.08),
+            WorkerDeath(worker=1, at=KILL_AT),
+            WorkerRestart(worker=1, at=2 * KILL_AT),
         ))
-        run = run_chaos("CSS", wl, 3, plan, k=6)
+        run = run_parallel("CSS", wl, 3, plan=plan, time_scale=scale, k=6)
         audit_run(run, workload=wl, scheme="CSS",
                   workers=3, k=6).raise_if_failed()
         assert run.requeued >= 1
         np.testing.assert_array_equal(run.results, serial)
+
+    @pytest.mark.parametrize("restart", [False, True])
+    @pytest.mark.parametrize("victim", [0, 1, 2])
+    def test_sigkill_of_any_worker_is_noticed_by_eof(
+        self, spin, victim, restart
+    ):
+        """A death is noticed at the next poll, not at the deadline.
+
+        Whichever worker dies, its pipe must read EOF: no sibling may
+        have inherited the victim's end of it (the chassis closes the
+        parent's copy before the next fork).  With a 5 s deadline the
+        run finishing in a fraction of it *is* the EOF detection.
+        """
+        wl, serial, scale = spin
+        events = [WorkerDeath(worker=victim, at=KILL_AT)]
+        if restart:
+            events.append(WorkerRestart(worker=victim, at=2 * KILL_AT))
+        run = run_parallel(
+            "CSS", wl, 3, plan=FaultPlan(events=tuple(events)),
+            time_scale=scale, k=6,
+            config=RuntimeConfig(worker_deadline=5.0,
+                                 heartbeat_interval=0.5,
+                                 poll_timeout=0.25),
+        )
+        audit_run(run, workload=wl, scheme="CSS", workers=3,
+                  k=6).raise_if_failed()
+        assert run.requeued >= 1
+        np.testing.assert_array_equal(run.results, serial)
+        assert run.elapsed < 2.5
