@@ -9,12 +9,11 @@ from .chunks import (
     per_worker_sizes,
     table1_rows,
 )
-from .plots import bar_chart, line_chart, profile_chart
+from .plots import bar_chart, gantt_chart, line_chart, profile_chart
 from .speedup import SpeedupPoint, efficiency, power_cap, speedup_series
 from .tables import (
     format_chunk_row,
     format_matrix,
-    format_runtime_table,
     format_time_table,
 )
 from .theory import (
@@ -44,11 +43,11 @@ __all__ = [
     "efficiency",
     "format_time_table",
     "format_matrix",
-    "format_runtime_table",
     "format_chunk_row",
     "line_chart",
     "profile_chart",
     "bar_chart",
+    "gantt_chart",
     "css_steps",
     "gss_steps",
     "tss_planned_steps",

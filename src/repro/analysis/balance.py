@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from ..obs.metrics import imbalance as range_over_mean
+
 __all__ = ["cov", "max_over_mean", "range_over_mean", "balance_report"]
 
 
@@ -41,15 +43,6 @@ def max_over_mean(values: Sequence[float]) -> float:
     if not values or mean == 0:
         return 1.0
     return max(values) / mean
-
-
-def range_over_mean(values: Sequence[float]) -> float:
-    """``(max - min) / mean``; the paper-style imbalance measure."""
-    values = list(values)
-    mean = _mean(values)
-    if not values or mean == 0:
-        return 0.0
-    return (max(values) - min(values)) / mean
 
 
 def balance_report(values: Sequence[float]) -> dict[str, float]:

@@ -57,21 +57,12 @@ def per_worker_sizes(
     scheduler = (
         make(scheme, total, workers, **kwargs)
         if isinstance(scheme, str)
-        else scheduler_guard(scheme)
+        else scheme
     )
     out: dict[int, list[int]] = {w: [] for w in range(workers)}
     for chunk in drain(scheduler):
         out[chunk.worker_id].append(chunk.size)
     return out
-
-
-def scheduler_guard(scheduler: Scheduler) -> Scheduler:
-    """Reject reuse of a partially drained scheduler."""
-    if scheduler.steps_taken:
-        raise ValueError(
-            "scheduler already used; schedulers are single-use"
-        )
-    return scheduler
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,7 +6,11 @@ The experiment runner is a CLI, so "figures" are drawn with characters:
   vs p);
 * :func:`profile_chart` -- a filled area profile (Figure 1, per-column
   cost);
-* :func:`bar_chart` -- labelled horizontal bars (T_p comparisons).
+* :func:`bar_chart` -- labelled horizontal bars (T_p comparisons);
+* :func:`gantt_chart` -- per-PE busy timelines of one simulated run,
+  the quickest way to *see* the load-balance story of Tables 2 and 3:
+  simple schemes show ragged right edges (stragglers) while
+  distributed schemes end almost flush.
 
 These are deliberately dependency-free (no matplotlib offline) and
 deterministic, so their output can be snapshotted in tests.
@@ -14,11 +18,13 @@ deterministic, so their output can be snapshotted in tests.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["line_chart", "profile_chart", "bar_chart"]
+from ..simulation.metrics import SimResult
+
+__all__ = ["line_chart", "profile_chart", "bar_chart", "gantt_chart"]
 
 #: Series glyphs, assigned to series in order.
 _MARKERS = "o*x+#@%&"
@@ -142,3 +148,42 @@ def bar_chart(
         bar = "#" * max(1, _scale(v, 0.0, hi, width))
         lines.append(f"{name.rjust(label_w)} |{bar} {v:.1f}{unit}")
     return "\n".join(lines)
+
+
+def gantt_chart(
+    result: SimResult,
+    width: int = 72,
+    until: Optional[float] = None,
+) -> str:
+    """ASCII Gantt chart: one row per PE, '#' while computing a chunk.
+
+    Distinct consecutive chunks alternate '#'/'=' so chunk boundaries
+    stay visible; '.' marks idle/communicating time.  The x-axis spans
+    ``[0, until]`` (default ``T_p``).
+    """
+    horizon = float(until if until is not None else result.t_p)
+    if horizon <= 0:
+        return "(empty run)"
+    rows = []
+    for wid, metrics in enumerate(result.workers):
+        cells = ["."] * width
+        glyphs = "#="
+        count = 0
+        for c in result.chunks:
+            if c.worker != wid:
+                continue
+            lo = int(c.assigned_at / horizon * width)
+            hi = int(c.completed_at / horizon * width)
+            lo = max(0, min(lo, width - 1))
+            hi = max(lo + 1, min(hi, width))
+            for i in range(lo, hi):
+                cells[i] = glyphs[count % 2]
+            count += 1
+        rows.append(f"{metrics.name.rjust(8)} |" + "".join(cells))
+    header = (
+        f"{result.scheme}: T_p = {result.t_p:.1f}s  "
+        f"('#'/'=' computing, '.' idle/comm)"
+    )
+    axis = " " * 9 + "+" + "-" * width
+    scale = " " * 10 + "0" + " " * (width - 8) + f"{horizon:.0f}s"
+    return "\n".join([header, *rows, axis, scale])

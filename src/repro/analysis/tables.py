@@ -8,30 +8,12 @@ objects so experiment output is visually comparable with the paper.
 
 from __future__ import annotations
 
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from ..simulation.metrics import SimResult
 
 
-class _WorkerClock(Protocol):
-    """What a runtime per-worker stats record must expose."""
-
-    wait_seconds: float
-    compute_seconds: float
-
-
-class _RuntimeRun(Protocol):
-    """Structural view of :class:`repro.runtime.RunResult`.
-
-    A Protocol instead of the concrete class keeps this analysis layer
-    import-free of the multiprocessing runtime (and lets tests feed
-    simple stand-ins).
-    """
-
-    elapsed: float
-    stats: Mapping[int, _WorkerClock]
-
-__all__ = ["format_time_table", "format_runtime_table", "format_matrix", "format_chunk_row"]
+__all__ = ["format_time_table", "format_matrix", "format_chunk_row"]
 
 
 def format_matrix(
@@ -84,40 +66,6 @@ def format_time_table(results: Mapping[str, SimResult]) -> str:
         )
     labels.append("T_p")
     rows.append([f"{results[s].t_p:.1f}" for s in schemes])
-    return format_matrix(schemes, rows, labels, corner="PE")
-
-
-def format_runtime_table(results: Mapping[str, _RuntimeRun]) -> str:
-    """Paper-style table from *real* runtime runs.
-
-    Takes ``scheme -> RunResult`` (from
-    :func:`repro.runtime.run_parallel`).  Real pipes have no separable
-    link-occupancy meter, so cells are ``T_wait/T_comp`` (wall seconds)
-    with an ``elapsed`` total row instead of ``T_p``.
-    """
-    if not results:
-        raise ValueError("no results to tabulate")
-    schemes = list(results)
-    worker_ids = sorted(
-        {wid for r in results.values() for wid in r.stats}
-    )
-    rows = []
-    labels = []
-    for wid in worker_ids:
-        labels.append(str(wid + 1))
-        cells = []
-        for s in schemes:
-            stats = results[s].stats.get(wid)
-            cells.append(
-                f"{stats.wait_seconds:.2f}/{stats.compute_seconds:.2f}"
-                if stats is not None
-                else "-"
-            )
-        rows.append(cells)
-    labels.append("elapsed")
-    rows.append(
-        [f"{results[s].elapsed:.2f}" for s in schemes]
-    )
     return format_matrix(schemes, rows, labels, corner="PE")
 
 

@@ -23,9 +23,7 @@ from .kernel import (
     CALCULATORS,
     ChunkCalculator,
     ChunkLadder,
-    assign_ladder,
     evaluate_ladder,
-    ladder_costs,
     make_calculator,
 )
 from .registry import (
@@ -79,8 +77,6 @@ __all__ = [
     "CALCULATORS",
     "make_calculator",
     "evaluate_ladder",
-    "ladder_costs",
-    "assign_ladder",
     "SCHEMES",
     "SIMPLE_SCHEMES",
     "DISTRIBUTED_SCHEMES",

@@ -151,6 +151,13 @@ class Scheduler(object):
     #: substrate-independent decentral form
     #: (:func:`repro.core.kernel.make_calculator`).
     decentral: bool = False
+    #: True when chunk boundaries are a pure function of the remaining
+    #: count / step index -- independent of which worker asks, or how
+    #: often.  Only these have a substrate-independent reference replay
+    #: (:func:`repro.verify.replay_cut_points`); the stage ladders
+    #: (FSS/FISS/TFSS) descend per-PE, WF weighs by requester, and the
+    #: distributed family consumes runtime ACP reports.
+    order_invariant: bool = False
 
     def __init__(self, total: int, workers: int) -> None:
         if total < 0:

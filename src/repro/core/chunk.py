@@ -22,6 +22,7 @@ class ChunkScheduler(Scheduler):
 
     name = "CSS"
     decentral = True
+    order_invariant = True
 
     def __init__(self, total: int, workers: int, k: int = 1) -> None:
         super().__init__(total, workers)

@@ -32,6 +32,7 @@ class GuidedScheduler(Scheduler):
 
     name = "GSS"
     decentral = True
+    order_invariant = True
 
     def __init__(self, total: int, workers: int, min_chunk: int = 1) -> None:
         super().__init__(total, workers)

@@ -29,9 +29,8 @@ locally.  Its consumers:
   intervals (``calc.interval(i)`` after ``i = counter.fetch_add(1)``);
 * :mod:`repro.verify` uses kernel boundaries as the policy-conformance
   reference for order-invariant schemes;
-* the decentral fast path, analysis and experiments materialize whole
-  ladders as arrays (:func:`evaluate_ladder`, :class:`ChunkLadder`,
-  :func:`assign_ladder`).
+* the decentral fast path and the ledger materialize whole ladders as
+  arrays (:func:`evaluate_ladder`, :class:`ChunkLadder`).
 
 Which schemes decentralize
 --------------------------
@@ -67,8 +66,6 @@ __all__ = [
     "chunk_size",
     "ChunkLadder",
     "evaluate_ladder",
-    "ladder_costs",
-    "assign_ladder",
 ]
 
 
@@ -309,67 +306,3 @@ def evaluate_ladder(
         stops=stops,
         stages=stages,
     )
-
-
-def ladder_costs(ladder: ChunkLadder, workload) -> np.ndarray:
-    """Per-chunk costs of ``ladder`` under ``workload``, vectorized.
-
-    One prefix-sum gather instead of ``n_chunks`` calls to
-    ``workload.chunk_cost`` -- the cost model input for
-    :func:`assign_ladder` and for analytic makespan estimates.
-    """
-    workload.costs()
-    prefix = workload._prefix
-    return prefix[ladder.stops] - prefix[ladder.starts]
-
-
-def assign_ladder(
-    ladder: ChunkLadder,
-    costs: np.ndarray,
-    speeds: np.ndarray,
-    overhead: float = 0.0,
-) -> dict[str, np.ndarray]:
-    """Greedy earliest-available assignment of a ladder to workers.
-
-    The analytic cost model behind the fast-path documentation: chunk
-    ordinals are handed out in ladder order, each to the worker that
-    frees up first (exactly the self-scheduling discipline with a
-    zero-latency master), charging ``costs[i] / speeds[w]`` per chunk
-    plus a fixed ``overhead`` per assignment.  Returns per-chunk
-    ``worker``/``start_time``/``finish_time`` arrays plus the makespan
-    -- a lower bound on any protocol's ``T_p`` under the same costs,
-    useful for sizing sweeps without running any engine.
-    """
-    speeds = np.asarray(speeds, dtype=np.float64)
-    if speeds.ndim != 1 or speeds.shape[0] < 1:
-        raise SchemeError("speeds must be a non-empty 1-D array")
-    if np.any(speeds <= 0):
-        raise SchemeError("speeds must be positive")
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.shape != (ladder.n_chunks,):
-        raise SchemeError(
-            f"costs shape {costs.shape} != ({ladder.n_chunks},)"
-        )
-    import heapq
-
-    free: list[tuple[float, int]] = [
-        (0.0, w) for w in range(speeds.shape[0])
-    ]
-    worker = np.zeros(ladder.n_chunks, dtype=np.int64)
-    start_t = np.zeros(ladder.n_chunks, dtype=np.float64)
-    finish_t = np.zeros(ladder.n_chunks, dtype=np.float64)
-    for i in range(ladder.n_chunks):
-        at, w = heapq.heappop(free)
-        begin = at + overhead
-        end = begin + costs[i] / speeds[w]
-        worker[i] = w
-        start_t[i] = begin
-        finish_t[i] = end
-        heapq.heappush(free, (end, w))
-    makespan = float(finish_t.max()) if ladder.n_chunks else 0.0
-    return {
-        "worker": worker,
-        "start_time": start_t,
-        "finish_time": finish_t,
-        "makespan": np.float64(makespan),
-    }

@@ -60,6 +60,7 @@ class StaticScheduler(Scheduler):
     """
 
     name = "S"
+    order_invariant = True
 
     def __init__(
         self,
@@ -93,6 +94,7 @@ class BlockCyclicScheduler(Scheduler):
     """Fixed blocks of ``block`` iterations, dealt in request order."""
 
     name = "BC"
+    order_invariant = True
 
     def __init__(self, total: int, workers: int, block: int = 1) -> None:
         super().__init__(total, workers)

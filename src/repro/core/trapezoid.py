@@ -153,6 +153,7 @@ class TrapezoidScheduler(Scheduler):
 
     name = "TSS"
     decentral = True
+    order_invariant = True
 
     def __init__(
         self,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .. import cache
 from . import (
@@ -49,14 +49,7 @@ from . import (
     windows,
 )
 
-__all__ = ["main", "build_parser"]
-
-#: Artifacts regenerated by ``repro-experiments all``, in print order.
-ALL_ARTIFACTS = (
-    "table1", "table2", "table3", "fig1", "fig2", "gantt", "windows",
-    "figures", "ablations", "replicate", "validate", "decentral-sweep",
-    "adaptive-sweep",
-)
+__all__ = ["main", "build_parser", "ARTIFACTS", "ALL_ARTIFACTS"]
 
 
 def _scheme_arg(text: str) -> str:
@@ -90,11 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=["table1", "table2", "table3", "figures", "fig1", "fig2",
-                 "ablations", "replicate", "validate", "gantt", "windows",
-                 "schemes", "verify-chaos", "decentral-sweep",
-                 "adaptive-sweep", "trace-report", "critpath-report",
-                 "all"],
+        choices=[*ARTIFACTS, "all"],
         help="which artifact to regenerate",
     )
     parser.add_argument(
@@ -206,7 +195,7 @@ def _figures_report(args: argparse.Namespace, workload=None) -> str:
     return "\n".join(parts)
 
 
-def _schemes_report() -> str:
+def _schemes_report(args=None, workload=None) -> str:
     """Every registered scheme with its class and default parameters."""
     from ..core import make, names
 
@@ -255,7 +244,8 @@ def _adaptive_grammar_lines() -> list[str]:
 
 def _gantt_report(args: argparse.Namespace, workload=None) -> str:
     """Per-PE busy timelines for one simple and one distributed run."""
-    from ..simulation import gantt_chart, simulate
+    from ..analysis import gantt_chart
+    from ..simulation import simulate
     from .config import paper_cluster, paper_workload
 
     wl = workload if workload is not None else paper_workload(
@@ -277,7 +267,7 @@ def _gantt_report(args: argparse.Namespace, workload=None) -> str:
     return "\n".join(parts)
 
 
-def _fig1_report(args: argparse.Namespace) -> str:
+def _fig1_report(args: argparse.Namespace, workload=None) -> str:
     data = figures.figure1(width=min(args.width, 1200),
                            height=min(args.height, 1200), sf=args.sf)
     orig, reord = data["original"], data["reordered"]
@@ -300,7 +290,9 @@ def _fig1_report(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _verify_chaos_report(args: argparse.Namespace) -> tuple[str, bool]:
+def _verify_chaos_report(
+    args: argparse.Namespace, workload=None
+) -> tuple[str, bool]:
     """Drive one seeded fault plan through every substrate and audit it.
 
     Returns ``(report_text, ok)``.  The plan is generated once from
@@ -416,7 +408,9 @@ def _verify_chaos_report(args: argparse.Namespace) -> tuple[str, bool]:
     return "\n".join(lines), ok
 
 
-def _trace_report(args: argparse.Namespace) -> tuple[str, bool]:
+def _trace_report(
+    args: argparse.Namespace, workload=None
+) -> tuple[str, bool]:
     """The unified-observability artifact.
 
     With ``--trace PATH`` it audits and summarizes an existing JSONL
@@ -525,7 +519,9 @@ def _trace_report(args: argparse.Namespace) -> tuple[str, bool]:
     return "\n".join(parts), ok
 
 
-def _critpath_report(args: argparse.Namespace) -> tuple[str, bool]:
+def _critpath_report(
+    args: argparse.Namespace, workload=None
+) -> tuple[str, bool]:
     """The critical-path-explainer artifact.
 
     With ``--trace PATH`` it reconstructs the blocking chain and the
@@ -590,6 +586,78 @@ def _critpath_report(args: argparse.Namespace) -> tuple[str, bool]:
     return "\n".join(parts), ok
 
 
+def _windows_report(args: argparse.Namespace, workload=None) -> str:
+    # Sweep around the CLI width the way the paper sweeps around 4000
+    # (4000, 5000, "and so on").
+    sweep = tuple(max(4, args.width * f // 4) for f in (1, 2, 4, 8))
+    return windows.report(
+        widths=sweep, height=args.height, n_jobs=args.jobs,
+    )
+
+
+class Artifact(NamedTuple):
+    """One row of :data:`ARTIFACTS`."""
+
+    #: ``(args, shared workload or None) -> text``, or ``-> (text,
+    #: ok)`` for a ``checked`` artifact.
+    report: Callable
+    #: regenerated by ``repro-experiments all``
+    in_all: bool = True
+    #: takes the invocation's shared paper workload
+    shared: bool = False
+    #: returns ``(text, ok)``; a false ``ok`` makes the exit code 1
+    checked: bool = False
+
+
+#: The artifact menu, declared once: the argparse ``choices``, the
+#: print order of ``all`` and the dispatch in :func:`main` are all
+#: read from this table.
+ARTIFACTS: dict[str, Artifact] = {
+    "table1": Artifact(lambda args, wl: table1.report()),
+    "table2": Artifact(lambda args, wl: table2.report(
+        workload=wl, serial_seconds=args.serial_seconds,
+        n_jobs=args.jobs,
+    ), shared=True),
+    "table3": Artifact(lambda args, wl: table3.report(
+        workload=wl, serial_seconds=args.serial_seconds,
+        n_jobs=args.jobs,
+    ), shared=True),
+    "fig1": Artifact(_fig1_report),
+    "fig2": Artifact(lambda args, wl: figures.figure2_ascii()),
+    "gantt": Artifact(_gantt_report, shared=True),
+    "windows": Artifact(_windows_report),
+    "figures": Artifact(_figures_report, shared=True),
+    "ablations": Artifact(lambda args, wl: ablations.report(
+        workload=wl, n_jobs=args.jobs,
+    ), shared=True),
+    "replicate": Artifact(lambda args, wl: replicate.report(
+        workload=wl, n_jobs=args.jobs,
+    ), shared=True),
+    "validate": Artifact(lambda args, wl: validation.report(
+        wl, n_jobs=args.jobs,
+    ), shared=True),
+    "decentral-sweep": Artifact(
+        lambda args, wl: decentral_sweep.report(n_jobs=args.jobs)
+    ),
+    "adaptive-sweep": Artifact(lambda args, wl: adaptive_sweep.report(
+        seed=args.seed, n_jobs=args.jobs,
+    )),
+    "schemes": Artifact(_schemes_report, in_all=False),
+    "verify-chaos": Artifact(
+        _verify_chaos_report, in_all=False, checked=True
+    ),
+    "trace-report": Artifact(_trace_report, in_all=False, checked=True),
+    "critpath-report": Artifact(
+        _critpath_report, in_all=False, checked=True
+    ),
+}
+
+#: Artifacts regenerated by ``repro-experiments all``, in print order.
+ALL_ARTIFACTS = tuple(
+    name for name, artifact in ARTIFACTS.items() if artifact.in_all
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..obs import configure_logging, write_artifact
 
@@ -615,8 +683,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # profile is resolved once (persistent cache or one computation)
     # instead of once per sub-report.
     shared_wl = None
-    if set(wanted) & {"table2", "table3", "gantt", "figures",
-                      "ablations", "replicate", "validate"}:
+    if any(ARTIFACTS[name].shared for name in wanted):
         from .config import paper_workload
 
         shared_wl = paper_workload(
@@ -624,69 +691,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     out: list[str] = []
     failed = False
-    for artifact in wanted:
-        if artifact == "verify-chaos":
-            text, ok = _verify_chaos_report(args)
-            out.append(text)
+    for name in wanted:
+        artifact = ARTIFACTS[name]
+        text = artifact.report(args, shared_wl)
+        if artifact.checked:
+            text, ok = text
             failed = failed or not ok
-            continue
-        if artifact == "trace-report":
-            text, ok = _trace_report(args)
-            out.append(text)
-            failed = failed or not ok
-            continue
-        if artifact == "critpath-report":
-            text, ok = _critpath_report(args)
-            out.append(text)
-            failed = failed or not ok
-            continue
-        if artifact == "table1":
-            out.append(table1.report())
-        elif artifact == "table2":
-            out.append(table2.report(
-                workload=shared_wl,
-                serial_seconds=args.serial_seconds, n_jobs=args.jobs,
-            ))
-        elif artifact == "table3":
-            out.append(table3.report(
-                workload=shared_wl,
-                serial_seconds=args.serial_seconds, n_jobs=args.jobs,
-            ))
-        elif artifact == "fig1":
-            out.append(_fig1_report(args))
-        elif artifact == "fig2":
-            out.append(figures.figure2_ascii())
-        elif artifact == "gantt":
-            out.append(_gantt_report(args, workload=shared_wl))
-        elif artifact == "windows":
-            # Sweep around the CLI width the way the paper sweeps
-            # around 4000 (4000, 5000, "and so on").
-            sweep = tuple(
-                max(4, args.width * f // 4) for f in (1, 2, 4, 8)
-            )
-            out.append(windows.report(
-                widths=sweep, height=args.height, n_jobs=args.jobs,
-            ))
-        elif artifact == "schemes":
-            out.append(_schemes_report())
-        elif artifact == "figures":
-            out.append(_figures_report(args, workload=shared_wl))
-        elif artifact == "ablations":
-            out.append(ablations.report(
-                workload=shared_wl, n_jobs=args.jobs
-            ))
-        elif artifact == "replicate":
-            out.append(replicate.report(
-                workload=shared_wl, n_jobs=args.jobs
-            ))
-        elif artifact == "validate":
-            out.append(validation.report(shared_wl, n_jobs=args.jobs))
-        elif artifact == "decentral-sweep":
-            out.append(decentral_sweep.report(n_jobs=args.jobs))
-        elif artifact == "adaptive-sweep":
-            out.append(adaptive_sweep.report(
-                seed=args.seed, n_jobs=args.jobs
-            ))
+        out.append(text)
     write_artifact("\n".join(out))
     return 1 if failed else 0
 

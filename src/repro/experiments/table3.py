@@ -9,85 +9,15 @@ DTSS posts the best ``T_p``, DFISS second in the nondedicated case.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..analysis import format_time_table
-from ..batch import SimJob, run_batch
-from ..core.acp import IMPROVED_ACP, AcpModel
-from ..simulation import SimResult
-from ..workloads import Workload
-from .config import overload_pattern, paper_cluster, paper_workload
+from ..core.acp import IMPROVED_ACP
+from .table2 import TimeTable
 
 __all__ = ["SCHEMES", "jobs", "run", "report"]
 
-SCHEMES = ("DTSS", "DFSS", "DFISS", "DTFSS", "TreeS")
-
-
-def jobs(
-    workload: Workload,
-    dedicated: bool = True,
-    serial_seconds: float = 60.0,
-    acp_model: AcpModel = IMPROVED_ACP,
-) -> list[SimJob]:
-    """One :class:`SimJob` per Table 3 column, in column order."""
-    overloaded = () if dedicated else overload_pattern(8)
-    cluster = paper_cluster(
-        workload, overloaded=overloaded, serial_seconds=serial_seconds
-    )
-    tag = "table3/" + ("ded" if dedicated else "nonded")
-    out = []
-    for scheme in SCHEMES:
-        if scheme == "TreeS":
-            # Distributed test: virtual-power-weighted initial blocks
-            # (paper Sec. 6.1).
-            out.append(SimJob(
-                scheme=scheme, workload=workload, cluster=cluster,
-                engine="tree", params=dict(weighted=True, grain=8),
-                tag=tag,
-            ))
-        else:
-            out.append(SimJob(
-                scheme=scheme, workload=workload, cluster=cluster,
-                params=dict(acp_model=acp_model), tag=tag,
-            ))
-    return out
-
-
-def run(
-    workload: Optional[Workload] = None,
-    dedicated: bool = True,
-    width: int = 4000,
-    height: int = 2000,
-    serial_seconds: float = 60.0,
-    acp_model: AcpModel = IMPROVED_ACP,
-    n_jobs: int = 1,
-) -> dict[str, SimResult]:
-    """Simulate every Table 3 column; returns scheme -> result."""
-    wl = workload or paper_workload(width=width, height=height)
-    batch = jobs(
-        wl, dedicated=dedicated, serial_seconds=serial_seconds,
-        acp_model=acp_model,
-    )
-    return dict(zip(SCHEMES, run_batch(batch, n_jobs=n_jobs)))
-
-
-def report(**kwargs) -> str:
-    """Both halves of Table 3 as text."""
-    parts = []
-    # Build the (cost-cached) workload once for both halves.
-    if kwargs.get("workload") is None:
-        kwargs = dict(kwargs)
-        kwargs["workload"] = paper_workload(
-            width=kwargs.pop("width", 4000),
-            height=kwargs.pop("height", 2000),
-        )
-    for dedicated in (True, False):
-        results = run(dedicated=dedicated, **kwargs)
-        title = "Dedicated" if dedicated else "NonDedicated"
-        parts.append(
-            f"Table 3 -- Distributed schemes, p = 8 ({title}); "
-            "cells are T_com/T_wait/T_comp (s)"
-        )
-        parts.append(format_time_table(results))
-        parts.append("")
-    return "\n".join(parts)
+_TABLE = TimeTable(
+    3, "Distributed schemes", ("DTSS", "DFSS", "DFISS", "DTFSS", "TreeS"),
+    weighted_tree=True, params=dict(acp_model=IMPROVED_ACP),
+)
+SCHEMES, jobs, run, report = (
+    _TABLE.schemes, _TABLE.jobs, _TABLE.run, _TABLE.report,
+)

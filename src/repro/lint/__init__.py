@@ -6,9 +6,9 @@ runtime and service runs of one scheme are byte-diffable
 -- rests on a handful of coding conventions: seeded RNG everywhere, no
 wall clock outside the ``t``/``wall`` event fields, fork hygiene in
 the process pools, no blocking calls inside the asyncio daemon, and
-closed string protocols (event kinds, service ops, scheme names,
-artifact names).  This package machine-checks those conventions as
-named rules over the AST, so a PR that would silently break digest
+closed string protocols (event kinds, service ops, scheme names).
+This package machine-checks those conventions as named rules over the
+AST, so a PR that would silently break digest
 bit-identity fails the ``repro-lint`` gate instead of a probabilistic
 tier-1 test.
 
@@ -25,8 +25,8 @@ REP2xx    async hygiene: blocking calls in ``async def``, un-awaited
           coroutines, dropped tasks
 REP3xx    cross-file protocol checks: event kinds vs the
           ``obs.events`` schema, registry schemes vs kernel
-          calculators and test references, CLI artifacts vs the
-          dispatch table, wire ops vs ``service.protocol.OPS``
+          calculators and test references, wire ops vs
+          ``service.protocol.OPS``
 ========  =============================================================
 
 Everything here is stdlib-only (``ast``): the gate must run in every
@@ -38,7 +38,6 @@ runs it over ``src/``).
 
 from __future__ import annotations
 
-from .baseline import load_baseline, write_baseline
 from .engine import LintConfig, run_lint
 from .findings import Finding
 from .rules import RULES, rule_ids
@@ -47,8 +46,6 @@ __all__ = [
     "Finding",
     "LintConfig",
     "RULES",
-    "load_baseline",
     "rule_ids",
     "run_lint",
-    "write_baseline",
 ]

@@ -1,8 +1,7 @@
 """``repro-lint``: the console entry point.
 
-Exit codes: 0 clean (or everything baselined), 1 findings, 2 usage
-errors.  ``--format json`` emits a machine-readable report for CI
-annotation tooling.
+Exit codes: 0 clean, 1 findings, 2 usage errors.  ``--format json``
+emits a machine-readable report for CI annotation tooling.
 """
 
 from __future__ import annotations
@@ -13,12 +12,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .engine import LintConfig, run_lint
 from .rules import RULES
 
@@ -39,17 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=None,
         help="files or directories to analyze (default: src if it "
              "exists, else .)",
-    )
-    parser.add_argument(
-        "--baseline", nargs="?", const=DEFAULT_BASELINE, default=None,
-        metavar="FILE",
-        help=f"subtract reviewed findings recorded in FILE (default "
-             f"when the flag is given bare: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record the current findings into the baseline file and "
-             "exit 0 (requires --baseline or uses the default path)",
     )
     parser.add_argument(
         "--select", default="REP", metavar="PREFIXES",
@@ -101,37 +83,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         tests_dir=tests_dir,
     )
     findings = run_lint(paths, config)
-    baseline_path = args.baseline
-    if args.write_baseline:
-        baseline_path = baseline_path or DEFAULT_BASELINE
-        count = write_baseline(baseline_path, findings)
-        print(f"repro-lint: wrote {count} finding(s) to "
-              f"{baseline_path}")
-        return 0
-    suppressed: list = []
-    if baseline_path is not None:
-        try:
-            known = load_baseline(baseline_path)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = apply_baseline(findings, known)
     if args.format == "json":
         print(json.dumps(
-            {
-                "findings": [f.to_dict() for f in findings],
-                "suppressed": len(suppressed),
-            },
+            {"findings": [f.to_dict() for f in findings]},
             indent=2, sort_keys=True,
         ))
     else:
         for finding in findings:
             print(finding.render())
-        tail = f" ({len(suppressed)} baselined)" if suppressed else ""
         if findings:
-            print(f"repro-lint: {len(findings)} finding(s){tail}")
+            print(f"repro-lint: {len(findings)} finding(s)")
         else:
-            print(f"repro-lint: clean{tail}")
+            print("repro-lint: clean")
     return 1 if findings else 0
 
 

@@ -3,8 +3,7 @@
 The engine walks the given paths, parses every ``.py`` file once, and
 hands each rule a :class:`ModuleInfo` -- the parsed tree plus the
 *role* classification and the project-level string literals the
-cross-file rules compare (event kinds, scheme registries, wire ops,
-artifact names).
+cross-file rules compare (event kinds, scheme registries, wire ops).
 
 Roles are discovered from **content, not path**, so the same rules
 work on this repo, on a temp fixture tree in the tests, and on any
@@ -16,8 +15,8 @@ downstream layout:
 * *fork-sensitive*: the module creates ``multiprocessing`` processes
   (fork-context workers inherit the parent's threads and locks).
 * schema carriers: modules assigning ``EVENT_KINDS`` / ``SCHEMES`` /
-  ``OPS`` / ``ALL_ARTIFACTS`` literals are the authorities the REP3xx
-  rules check emissions against.
+  ``OPS`` literals are the authorities the REP3xx rules check
+  emissions against.
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ _DIGEST_DEFS = ("canonical_stream", "stream_digest", "replay_cut_points")
 #: registry proper (``SCHEMES``) must be a *dict* display --
 #: experiment modules reuse the name for plain column tuples, which
 #: are not the authority.
-_PROTOCOL_NAMES = frozenset({
-    "EVENT_KINDS", "SCHEMES", "OPS", "ALL_ARTIFACTS",
-})
+_PROTOCOL_NAMES = frozenset({"EVENT_KINDS", "SCHEMES", "OPS"})
 _DICT_ONLY_NAMES = frozenset({"SCHEMES"})
 
 
@@ -95,10 +92,6 @@ class ModuleInfo(object):
     #: ``{assigned_name: [(literal, line), ...]}`` for the protocol
     #: carriers in ``_PROTOCOL_NAMES``.
     protocol_sets: dict = dataclasses.field(default_factory=dict)
-    #: choices=[...] of positional CLI arguments (artifact menus).
-    cli_choices: list = dataclasses.field(default_factory=list)
-    #: every ``== "literal"`` comparison in the module (dispatch sites).
-    eq_literals: set = dataclasses.field(default_factory=set)
 
     def __post_init__(self) -> None:
         self.lines = self.source.splitlines()
@@ -131,13 +124,6 @@ class ModuleInfo(object):
                 tail = callee.rsplit(".", 1)[-1]
                 if tail == "Process" or tail == "get_context":
                     self.fork_sensitive = True
-            elif isinstance(node, ast.Compare) \
-                    and len(node.ops) == 1 \
-                    and isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-                for side in (node.left, *node.comparators):
-                    if isinstance(side, ast.Constant) \
-                            and isinstance(side.value, str):
-                        self.eq_literals.add(side.value)
         for stmt in self.tree.body:
             target: Optional[ast.expr] = None
             value: Optional[ast.expr] = None
@@ -154,25 +140,6 @@ class ModuleInfo(object):
                 elements = _str_elements(value)
                 if elements is not None:
                     self.protocol_sets[target.id] = elements
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = dotted_name(node.func) or ""
-            if not callee.endswith("add_argument"):
-                continue
-            positional = bool(
-                node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-                and not node.args[0].value.startswith("-")
-            )
-            if not positional:
-                continue
-            for kw in node.keywords:
-                if kw.arg == "choices":
-                    elements = _str_elements(kw.value)
-                    if elements:
-                        self.cli_choices.extend(elements)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,17 +1,11 @@
-"""The finding model: what every rule reports and how it is keyed.
+"""The finding model: what every rule reports.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:attr:`~Finding.fingerprint` intentionally hashes the *content* of the
-offending line rather than its number, so a baseline entry survives
-unrelated edits above it (the same trick ESLint and ruff baselines
-use); moving or editing the offending line itself re-surfaces the
-finding for review.
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 __all__ = ["Finding", "PARSE_RULE"]
 
@@ -29,12 +23,6 @@ class Finding(object):
     message: str       #: human-readable explanation with the fix hint
     snippet: str = ""  #: stripped source line the finding anchors to
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining: rule + path + line content."""
-        basis = "\x1f".join((self.rule, self.path, self.snippet))
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
     def render(self) -> str:
         """``path:line: RULE message`` (the CLI text format)."""
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -46,5 +34,4 @@ class Finding(object):
             "line": self.line,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }

@@ -4,9 +4,8 @@ The repo's string protocols are *closed*: an ObsEvent ``kind`` must be
 declared in ``repro.obs.events.EVENT_KINDS`` (the auditor and the
 canonical stream reject or mis-classify unknown kinds), a wire ``op``
 must be one the daemon dispatches (``repro.service.protocol.OPS``),
-every scheme in ``core.registry.SCHEMES`` needs a test that references
-it, and every CLI artifact name must round-trip through the argparse
-menu and the dispatch chain.  These rules read the authoritative literals from
+and every scheme in ``core.registry.SCHEMES`` needs a test that
+references it.  These rules read the authoritative literals from
 whatever modules in the analyzed tree declare them (see
 :mod:`repro.lint.engine`), so they work on fixture trees too.
 """
@@ -22,9 +21,7 @@ from ._util import call_tail
 from .engine import LintConfig, ModuleInfo
 from .findings import Finding
 
-__all__ = [
-    "check_rep301", "check_rep303", "check_rep304", "check_rep305",
-]
+__all__ = ["check_rep301", "check_rep304", "check_rep305"]
 
 #: Helper callees whose first string argument is an event kind.
 _EMIT_HELPERS = frozenset({"emit", "_emit", "dump_event"})
@@ -75,43 +72,6 @@ def check_rep301(modules, config: LintConfig) -> Iterator[Finding]:
                     f"reject it and canonical streams cannot classify "
                     f"it; add it to the schema or fix the literal "
                     f"(known: {', '.join(sorted(kinds))})",
-                )
-
-
-def check_rep303(modules, config: LintConfig) -> Iterator[Finding]:
-    """REP303: artifact list, CLI choices and dispatch out of sync."""
-    for mod in modules:
-        artifacts = dict(mod.protocol_sets.get("ALL_ARTIFACTS", ()))
-        if not artifacts:
-            continue
-        choices = dict(mod.cli_choices)
-        if choices:
-            for name, line in sorted(artifacts.items()):
-                if name not in choices:
-                    yield mod.finding(
-                        "REP303", line,
-                        f"artifact {name!r} is in ALL_ARTIFACTS but "
-                        f"not offered by the CLI parser's choices; "
-                        f"'repro-experiments {name}' would be "
-                        f"rejected at argument parsing",
-                    )
-            for name, line in sorted(choices.items()):
-                if name == "all" or name in artifacts:
-                    continue
-                if name not in mod.eq_literals:
-                    yield mod.finding(
-                        "REP303", line,
-                        f"CLI choice {name!r} has no dispatch "
-                        f"comparison in this module: selecting it "
-                        f"parses fine and then silently produces "
-                        f"nothing",
-                    )
-        for name, line in sorted(artifacts.items()):
-            if name not in mod.eq_literals:
-                yield mod.finding(
-                    "REP303", line,
-                    f"artifact {name!r} has no dispatch comparison; "
-                    f"'repro-experiments all' would skip it silently",
                 )
 
 

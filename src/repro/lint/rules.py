@@ -44,8 +44,6 @@ FILE_RULES = (
 PROJECT_RULES = (
     ("REP301", "event kind not in the EVENT_KINDS schema",
      protocol.check_rep301),
-    ("REP303", "CLI artifact names out of sync with dispatch",
-     protocol.check_rep303),
     ("REP304", "registered scheme never referenced by tests",
      protocol.check_rep304),
     ("REP305", "wire op not in service.protocol.OPS",

@@ -50,7 +50,6 @@ from .collect import (
     Collector,
     JsonlCollector,
     NullCollector,
-    TaggedCollector,
     capture,
     resolve,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "NullCollector",
     "BufferedCollector",
     "JsonlCollector",
-    "TaggedCollector",
     "capture",
     "resolve",
     "to_jsonl",

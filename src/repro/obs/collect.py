@@ -32,7 +32,6 @@ __all__ = [
     "NullCollector",
     "BufferedCollector",
     "JsonlCollector",
-    "TaggedCollector",
     "NULL",
     "resolve",
     "capture",
@@ -103,35 +102,6 @@ class BufferedCollector(Collector):
 
     def by_kind(self, kind: str) -> list[ObsEvent]:
         return [e for e in self.events if e.kind == kind]
-
-
-class TaggedCollector(Collector):
-    """Prefix every event's ``detail`` with a tag, then forward.
-
-    The multi-tenant service wraps one of these per tenant around a
-    shared sink, so a merged stream stays attributable
-    (``detail="tenant=alice …"``) without changing the event schema.
-    Events whose detail already carries the tag pass through untouched
-    (server-side job events bake their tenant in at construction).
-    """
-
-    def __init__(self, inner: Collector, tag: str) -> None:
-        if not tag:
-            raise ValueError("TaggedCollector needs a non-empty tag")
-        self.inner = inner
-        self.tag = tag
-        self._prefix = f"{tag} "
-
-    def emit(self, event: ObsEvent) -> None:
-        detail = event.detail
-        if detail.startswith(self._prefix) or detail == self.tag:
-            self.inner.emit(event)
-            return
-        tagged = self._prefix + detail if detail else self.tag
-        self.inner.emit(event._replace(detail=tagged))
-
-    def flush(self) -> None:
-        self.inner.flush()
 
 
 class JsonlCollector(Collector):

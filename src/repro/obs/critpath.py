@@ -37,10 +37,10 @@ acp-update, adapt, job-*) are transparent.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Iterable, Optional, Sequence
 
 from .events import ObsEvent
+from .metrics import imbalance, population_sigma
 
 __all__ = [
     "CATEGORIES",
@@ -334,15 +334,6 @@ def critical_path(events: Iterable[ObsEvent]) -> CritPathReport:
     finish_spread = (
         finish_max - min(finishes) if finishes else 0.0
     )
-    imbalance = (
-        finish_spread / finish_mean if finish_mean > 0 else 0.0
-    )
-    busy_sigma = 0.0
-    if busies:
-        mean_busy = sum(busies) / len(busies)
-        busy_sigma = math.sqrt(
-            sum((b - mean_busy) ** 2 for b in busies) / len(busies)
-        )
     return CritPathReport(
         makespan=makespan,
         workers=workers,
@@ -350,8 +341,8 @@ def critical_path(events: Iterable[ObsEvent]) -> CritPathReport:
         finish_max=finish_max,
         finish_mean=finish_mean,
         finish_spread=finish_spread,
-        imbalance=imbalance,
-        busy_sigma=busy_sigma,
+        imbalance=imbalance(finishes),
+        busy_sigma=population_sigma(busies),
     )
 
 

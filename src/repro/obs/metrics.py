@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
+import math
 from typing import Iterable, Optional, Sequence
 
 from .events import ObsEvent
@@ -24,6 +25,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "metrics_from_events",
+    "imbalance",
+    "population_sigma",
 ]
 
 #: Default histogram bucket bounds: log-ish spread covering chunk
@@ -272,3 +275,29 @@ def metrics_from_events(
             restarts.inc()
     workers_gauge.set(len(workers))
     return reg
+
+
+def imbalance(values: Sequence[float]) -> float:
+    """Relative imbalance: ``(max - min) / mean`` (0 = perfectly even).
+
+    The paper's balance measure ("the execution is well-balanced, in
+    terms of the computation times" for distributed schemes; "not
+    well-balanced" for simple ones on the heterogeneous cluster), and
+    the one definition behind ``SimResult.comp_imbalance``, the rolling
+    ``imbalance`` gauge, the critical-path report and
+    ``analysis.range_over_mean``.
+    """
+    if not values:
+        return 0.0
+    mean = sum(values) / len(values)
+    if mean == 0 or not math.isfinite(mean):
+        return 0.0
+    return (max(values) - min(values)) / mean
+
+
+def population_sigma(values: Sequence[float]) -> float:
+    """Population standard deviation (the ``busy_sigma`` gauges)."""
+    if not values:
+        return 0.0
+    mean = sum(values) / len(values)
+    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))

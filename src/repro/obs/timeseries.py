@@ -23,6 +23,7 @@ import math
 from typing import Optional
 
 from .events import ObsEvent
+from .metrics import imbalance, population_sigma
 
 __all__ = [
     "RollingWindow",
@@ -207,19 +208,9 @@ class RollingMetrics(object):
             w.total(now) for w in self.busy.values()
         ]
         utilization = 0.0
-        imbalance = 0.0
-        sigma = 0.0
         if busy_totals:
-            n = len(busy_totals)
-            mean = sum(busy_totals) / n
+            mean = sum(busy_totals) / len(busy_totals)
             utilization = min(1.0, mean / self.width)
-            if mean > 0:
-                imbalance = (
-                    (max(busy_totals) - min(busy_totals)) / mean
-                )
-            sigma = math.sqrt(
-                sum((b - mean) ** 2 for b in busy_totals) / n
-            )
         return {
             "window_seconds": self.width,
             "now": now if now is not None else 0.0,
@@ -229,7 +220,7 @@ class RollingMetrics(object):
             "fault_rate": self.faults.rate(now),
             "job_rate": self.jobs.rate(now),
             "utilization": utilization,
-            "imbalance": imbalance,
-            "busy_sigma": sigma,
+            "imbalance": imbalance(busy_totals),
+            "busy_sigma": population_sigma(busy_totals),
             "workers_seen": len(self.busy),
         }

@@ -14,7 +14,7 @@ from .master import (
 )
 from .mpi import have_mpi, run_mpi
 from .messages import Assign, Heartbeat, Request, Terminate, WorkerStats
-from .serial import best_of, plan_time_scale, time_serial
+from .serial import plan_time_scale, time_serial
 from .worker import WorkerSpec, worker_main
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "probe_seconds_per_iteration",
     "have_mpi",
     "run_mpi",
-    "best_of",
     "plan_time_scale",
     "time_serial",
 ]

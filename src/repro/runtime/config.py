@@ -21,9 +21,6 @@ programmatically (pass a :class:`RuntimeConfig`) and operationally
 ``REPRO_JOIN_TIMEOUT``
     Seconds the executor waits for worker processes to exit (default
     30).
-``REPRO_RESTART_BACKOFF``
-    Seconds the master sleeps between checks while no worker is
-    connected but a (chaos) restart is still expected (default 0.05).
 
 Values are validated; a deadline shorter than the heartbeat interval is
 rejected because every worker would time out by construction.
@@ -46,10 +43,6 @@ def env_float(name: str) -> Optional[float]:
     errors always name the variable, and non-finite values are
     rejected before they can disable a timeout forever.
     """
-    return _env_float(name)
-
-
-def _env_float(name: str) -> Optional[float]:
     raw = os.environ.get(name)
     if raw is None or raw.strip() == "":
         return None
@@ -83,7 +76,6 @@ class RuntimeConfig(object):
     worker_deadline: Optional[float] = 120.0
     heartbeat_interval: Optional[float] = 2.0
     join_timeout: float = 30.0
-    restart_backoff: float = 0.05
 
     def __post_init__(self) -> None:
         if not (self.poll_timeout > 0):
@@ -106,10 +98,6 @@ class RuntimeConfig(object):
             raise ValueError(
                 f"join_timeout must be > 0, got {self.join_timeout}"
             )
-        if not (self.restart_backoff > 0):
-            raise ValueError(
-                f"restart_backoff must be > 0, got {self.restart_backoff}"
-            )
         if self.worker_deadline is not None \
                 and self.heartbeat_interval is not None \
                 and self.worker_deadline <= self.heartbeat_interval:
@@ -127,7 +115,7 @@ class RuntimeConfig(object):
         (or any non-positive value) disable the corresponding feature.
         """
         values: dict = {}
-        poll = _env_float("REPRO_POLL_TIMEOUT")
+        poll = env_float("REPRO_POLL_TIMEOUT")
         if poll is not None:
             if poll <= 0:
                 # Unlike the deadline/heartbeat knobs there is no
@@ -139,20 +127,17 @@ class RuntimeConfig(object):
                     f"> 0, got {poll}"
                 )
             values["poll_timeout"] = poll
-        deadline = _env_float("REPRO_WORKER_DEADLINE")
+        deadline = env_float("REPRO_WORKER_DEADLINE")
         if deadline is not None:
             values["worker_deadline"] = _disable_if_nonpositive(deadline)
-        heartbeat = _env_float("REPRO_HEARTBEAT_INTERVAL")
+        heartbeat = env_float("REPRO_HEARTBEAT_INTERVAL")
         if heartbeat is not None:
             values["heartbeat_interval"] = (
                 _disable_if_nonpositive(heartbeat)
             )
-        join = _env_float("REPRO_JOIN_TIMEOUT")
+        join = env_float("REPRO_JOIN_TIMEOUT")
         if join is not None:
             values["join_timeout"] = join
-        backoff = _env_float("REPRO_RESTART_BACKOFF")
-        if backoff is not None:
-            values["restart_backoff"] = backoff
         values.update(overrides)
         return cls(**values)
 

@@ -17,14 +17,17 @@ simulator implements (see ``docs/fault_model.md``):
   recomputes the lost interval (the simulator parks identically);
 * workers send :class:`~repro.runtime.messages.Heartbeat` messages from
   a side thread, so the deadline (``RuntimeConfig.worker_deadline``)
-  distinguishes a long chunk from a dead process;
+  distinguishes a long chunk from a dead process.  Silence is measured
+  every loop turn, not every idle poll: the wait is bounded by the
+  nearest expiry, so a wedged worker is dropped on time however
+  chatty its siblings are;
 * chaos restarts enter through :class:`MasterHooks` admissions -- the
   loop keeps serving while a restart is still expected even if no
   worker is currently connected.
 
-Timing knobs live in :class:`repro.runtime.config.RuntimeConfig`; the
-old hard-coded ``wait(..., timeout=5.0)`` is now
-``RuntimeConfig.poll_timeout`` / ``REPRO_POLL_TIMEOUT``.
+Timing knobs live in :class:`repro.runtime.config.RuntimeConfig`;
+``poll_timeout`` / ``REPRO_POLL_TIMEOUT`` is the ceiling on one
+``wait``.
 
 The loop *raises* instead of silently returning a partial result:
 :class:`WorkerTimeoutError` when deadline expiry leaves the run unable
@@ -58,6 +61,10 @@ __all__ = [
 _SRC = "runtime.master"
 
 logger = get_logger(__name__)
+
+#: Seconds the master sleeps between checks while no worker is
+#: connected but a (chaos) restart is still expected.
+RESTART_BACKOFF = 0.05
 
 
 class IncompleteRunError(RuntimeError):
@@ -294,6 +301,15 @@ def master_loop(
                 send_terminate(wid)
             parked.clear()
 
+    def poll_seconds() -> float:
+        """``poll_timeout``, cut short at the nearest deadline expiry."""
+        if config.worker_deadline is None or not last_seen:
+            return config.poll_timeout
+        expiry = min(last_seen.values()) + config.worker_deadline
+        return min(
+            config.poll_timeout, max(0.0, expiry - time.monotonic())
+        )
+
     def enforce_deadlines() -> None:
         nonlocal timeouts
         if config.worker_deadline is None:
@@ -336,15 +352,9 @@ def master_loop(
                 emit("restart", wid, detail="admission")
         drain_parked()
         if not live:
-            time.sleep(config.restart_backoff)
+            time.sleep(RESTART_BACKOFF)
             continue
-        ready = wait(list(live.values()), timeout=config.poll_timeout)
-        if not ready:
-            # No traffic for a full poll: workers may just be computing
-            # long chunks -- that is what heartbeats and the liveness
-            # deadline disambiguate.
-            enforce_deadlines()
-            continue
+        ready = wait(list(live.values()), timeout=poll_seconds())
         conn_to_wid = {id(c): w for w, c in live.items()}
         for conn in ready:
             wid = conn_to_wid.get(id(conn))
@@ -362,6 +372,11 @@ def master_loop(
                 continue
             if isinstance(msg, Request):
                 handle_request(wid, msg)
+        # After the reads, so whatever queued up behind a master stall
+        # counts as a sign of life before silence is judged.  A quiet
+        # worker may just be computing a long chunk -- that is what
+        # heartbeats and the deadline disambiguate.
+        enforce_deadlines()
 
     if requeue or not scheduler.finished:
         missing = sum(stop - start for start, stop in requeue)

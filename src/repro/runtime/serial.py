@@ -1,17 +1,16 @@
 """Serial baseline helpers (speedup denominators).
 
 Kept as a module of its own so benchmarks and examples have one obvious
-place to get a timed serial execution and a repeat-based stable timing.
+place to get a timed serial execution.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 from ..workloads import Workload
 
-__all__ = ["time_serial", "plan_time_scale", "best_of"]
+__all__ = ["time_serial", "plan_time_scale"]
 
 
 def time_serial(workload: Workload, repeats: int = 1) -> float:
@@ -37,15 +36,3 @@ def plan_time_scale(workload: Workload, n_workers: int) -> float:
     loaded.  The 50 ms floor keeps injections behind process start-up.
     """
     return max(0.4 * time_serial(workload) / n_workers, 0.05)
-
-
-def best_of(fn: Callable[[], object], repeats: int = 3) -> float:
-    """Minimum wall-clock seconds over ``repeats`` calls of ``fn``."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best

@@ -47,12 +47,24 @@ from ..obs.logutil import get_logger
 from ..runtime.chassis import heartbeat_sender, join_or_terminate
 from ..runtime.config import RuntimeConfig
 
-__all__ = ["JobRecord", "WorkerPool", "service_worker_main"]
+__all__ = [
+    "JobRecord", "WorkerPool", "service_worker_main", "SERVICE_RUNTIME",
+]
 
 _log = get_logger("service.pool")
 
 #: Jobs are abandoned after this many death-triggered re-executions.
 DEFAULT_MAX_REQUEUES = 3
+
+#: The service's timing defaults (pool and ``ServiceConfig.runtime``):
+#: snappier than the one-shot runtime's, because a daemon restart is
+#: cheap and a wedged slot stalls every tenant.
+SERVICE_RUNTIME = RuntimeConfig(
+    poll_timeout=0.1,
+    worker_deadline=30.0,
+    heartbeat_interval=0.5,
+    join_timeout=5.0,
+)
 
 
 class _StreamCollector(object):
@@ -123,24 +135,12 @@ def _execute_payload(
         "digest": stream_digest(events),
         "events_emitted": len(events),
     }
-    if hasattr(result, "to_dict"):
-        doc["result"] = result.to_dict(
-            include_results=bool(
-                want_results and getattr(result, "results", None)
-                is not None
-            )
+    doc["result"] = result.to_dict(
+        include_results=bool(
+            want_results and getattr(result, "results", None)
+            is not None
         )
-    else:  # runtime RunResult: summarize the dataclass by hand
-        doc["result"] = {
-            "scheme": result.scheme,
-            "elapsed": result.elapsed,
-            "chunks": len(result.chunks),
-            "requeued": result.requeued,
-        }
-        if want_results and result.results is not None:
-            doc["result"]["results"] = [
-                float(x) for x in result.results.ravel()
-            ]
+    )
     if want_trace:
         doc["trace"] = [ev.to_dict() for ev in events]
     return doc
@@ -257,12 +257,7 @@ class WorkerPool(object):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.size = int(size)
-        self.config = config or RuntimeConfig(
-            poll_timeout=0.25,
-            worker_deadline=30.0,
-            heartbeat_interval=0.5,
-            join_timeout=5.0,
-        )
+        self.config = config or SERVICE_RUNTIME
         self.on_complete = on_complete or (lambda record: None)
         self.on_idle = on_idle or (lambda: None)
         self.on_events = on_events or (lambda record, batch: None)
@@ -461,9 +456,6 @@ class WorkerPool(object):
             kwargs={
                 "heartbeat_interval": self.config.heartbeat_interval,
             },
-            # Non-daemonic: a pool worker may itself spawn processes
-            # (engine="runtime" jobs run the real multiprocessing
-            # runtime inside the slot).
             daemon=False,
             name=f"repro-service-w{handle.slot}.{handle.incarnation}",
         )

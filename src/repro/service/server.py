@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import itertools
+import math
 import signal as _signal
 from typing import Any, Optional
 
@@ -61,8 +62,8 @@ from ..obs import (
 )
 from ..obs.logutil import get_logger
 from ..runtime.config import RuntimeConfig
-from .jobs import JobSpecError, job_from_spec
-from .pool import JobRecord, WorkerPool
+from .jobs import JobSpecError, _spec_number, job_from_spec
+from .pool import SERVICE_RUNTIME, JobRecord, WorkerPool
 from .protocol import OPS, ProtocolError, read_frame, write_frame
 
 __all__ = ["ServiceConfig", "ServiceServer", "serve_until_complete"]
@@ -105,9 +106,8 @@ class ServiceConfig(object):
     Exactly one transport is used: ``socket_path`` (Unix socket, the
     default) unless ``host`` is set (TCP).  ``runtime`` reuses the
     runtime's validated timing knobs for the pool's heartbeat /
-    deadline machinery; service defaults are snappier than the
-    one-shot runtime's because a daemon restart is cheap and a wedged
-    slot stalls every tenant.
+    deadline machinery (default: :data:`~repro.service.pool.
+    SERVICE_RUNTIME`).
     """
 
     socket_path: Optional[str] = None
@@ -118,14 +118,7 @@ class ServiceConfig(object):
     tenant_capacity: int = 16
     max_requeues: int = 3
     cache_dir: Optional[str] = None
-    runtime: RuntimeConfig = dataclasses.field(
-        default_factory=lambda: RuntimeConfig(
-            poll_timeout=0.1,
-            worker_deadline=30.0,
-            heartbeat_interval=0.5,
-            join_timeout=5.0,
-        )
-    )
+    runtime: RuntimeConfig = SERVICE_RUNTIME
 
     def __post_init__(self) -> None:
         if self.socket_path is None and self.host is None:
@@ -686,7 +679,7 @@ class ServiceServer(object):
                 elif op == "kill-worker":
                     try:
                         hit = self.pool.kill_worker(
-                            int(doc.get("worker", -1))
+                            int(_wire_number(doc, "worker", -1))
                         )
                         reply = _reply(seq, ok=True, killed=hit)
                     except ValueError as exc:
@@ -753,15 +746,22 @@ class ServiceServer(object):
 
         try:
             plan = FaultPlan.from_json(doc.get("plan") or {})
+            time_scale = _wire_number(doc, "time_scale", 1.0)
         except (ChaosError, TypeError, KeyError, ValueError) as exc:
             return _reply(seq, ok=False, error="bad-plan",
                           message=str(exc))
-        count = self.inject_chaos(
-            plan, time_scale=float(doc.get("time_scale", 1.0))
-        )
+        count = self.inject_chaos(plan, time_scale=time_scale)
         return _reply(seq, ok=True, scheduled=count)
 
     async def _wait(self, tenant: str, doc: dict, seq) -> dict:
+        try:
+            timeout = (
+                _wire_number(doc, "timeout", 0.0)
+                if doc.get("timeout") else None
+            )
+        except ValueError as exc:
+            return _reply(seq, ok=False, error="bad-timeout",
+                          message=str(exc))
         job_id = doc.get("job_id")
         record = self._records.get(job_id)
         if record is None or record.tenant != tenant:
@@ -770,11 +770,9 @@ class ServiceServer(object):
             return _reply(seq, ok=False, error="unknown-job")
         future = self._futures.get(job_id)
         if future is not None and not record.terminal:
-            timeout = doc.get("timeout")
             try:
                 await asyncio.wait_for(
-                    asyncio.shield(future),
-                    timeout=float(timeout) if timeout else None,
+                    asyncio.shield(future), timeout=timeout
                 )
             except asyncio.TimeoutError:
                 return _reply(
@@ -792,6 +790,20 @@ class ServiceServer(object):
             )
         )
         return payload
+
+
+def _wire_number(doc: dict, field: str, default: float) -> float:
+    """A finite numeric request field, or ``ValueError`` naming it.
+
+    Raw ``float(...)`` / ``int(...)`` on untrusted wire input would
+    escape as ``TypeError`` (``null``) or ``OverflowError``
+    (``Infinity``) and kill the connection handler instead of
+    producing an ``ok: false`` reply.
+    """
+    number = _spec_number(doc.get(field, default), field)
+    if not math.isfinite(number):
+        raise ValueError(f"{field} must be finite, got {number!r}")
+    return number
 
 
 def _reply(seq, **fields) -> dict[str, Any]:

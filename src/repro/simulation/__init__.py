@@ -20,7 +20,6 @@ from .loadgen import (
     integrate_compute,
 )
 from .metrics import ChunkRecord, SimResult, WorkerMetrics, imbalance
-from .trace import chunks_to_csv, chunks_to_json, gantt_chart
 from .affinity_engine import AffinitySimulation, simulate_affinity
 from .tree_engine import TreeSimulation, simulate_tree
 
@@ -42,9 +41,6 @@ __all__ = [
     "ChunkRecord",
     "SimResult",
     "imbalance",
-    "chunks_to_csv",
-    "chunks_to_json",
-    "gantt_chart",
     "MasterSlaveSimulation",
     "simulate",
     "make_for_cluster",

@@ -19,10 +19,11 @@ master.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
+
+from ..obs.metrics import imbalance
 
 __all__ = [
     "WorkerMetrics", "ChunkRecord", "LazyChunkList", "SimResult",
@@ -258,19 +259,3 @@ class SimResult(object):
             rederivations=d.get("rederivations", 0),
             events=d.get("events", 0),
         )
-
-
-def imbalance(values: list[float]) -> float:
-    """Relative imbalance: ``(max - min) / mean`` (0 = perfectly even).
-
-    Used to check the paper's qualitative claims ("the execution is
-    well-balanced, in terms of the computation times" for distributed
-    schemes; "not well-balanced" for simple ones on the heterogeneous
-    cluster).
-    """
-    if not values:
-        return 0.0
-    mean = sum(values) / len(values)
-    if mean == 0 or not math.isfinite(mean):
-        return 0.0
-    return (max(values) - min(values)) / mean

@@ -63,13 +63,6 @@ __all__ = [
 #: tolerance for floating-point time comparisons.
 _EPS = 1e-9
 
-#: Schemes whose chunk boundaries are a pure function of the remaining
-#: count / step index -- independent of which worker asks, or how often.
-#: Only these have a substrate-independent reference replay; the stage
-#: ladders (FSS/FISS/TFSS) descend per-PE, WF weighs by requester, and
-#: the distributed family consumes runtime ACP reports.
-_ORDER_INVARIANT = frozenset({"S", "BC", "SS", "CSS", "GSS", "TSS"})
-
 #: Event sources whose ``t`` values share one monotone clock for the
 #: whole run (virtual simulation time, or the master's single
 #: ``monotonic`` base).  Worker-process sources are excluded: each
@@ -226,6 +219,11 @@ def replay_cut_points(
     return frozenset(cuts)
 
 
+def _order_invariant(key: str) -> bool:
+    cls = _registry.SCHEMES.get(key)
+    return cls is not None and cls.order_invariant
+
+
 def _check_conformance(
     spans: Sequence[tuple[int, int]],
     scheme: str | Scheduler,
@@ -238,8 +236,9 @@ def _check_conformance(
 
     Requeued intervals are reassigned *verbatim* on every substrate, so
     a fault plan may reorder chunks across workers but never move a cut
-    point.  The check only applies to the ``_ORDER_INVARIANT`` schemes
-    (size is a pure function of the remaining count / step index).
+    point.  The check only applies to ``Scheduler.order_invariant``
+    schemes (size is a pure function of the remaining count / step
+    index).
     Schemes whose sizes depend on which worker asks or how often (WF's
     weights, the per-PE stage ladders of FSS/FISS/TFSS, the ACP-driven
     distributed family) have no substrate-independent reference
@@ -248,7 +247,7 @@ def _check_conformance(
     skewed so worker 0 requests far more often).
     """
     name = scheme if isinstance(scheme, str) else scheme.name
-    if name.split("(")[0] not in _ORDER_INVARIANT:
+    if not _order_invariant(name.split("(")[0]):
         return
     forward = replay_cut_points(
         scheme, total, workers, **scheme_kwargs
@@ -479,7 +478,7 @@ def audit_adaptive(
       one stage window (a chunk crossing a switch point would mean the
       sub-scheduler escaped its stage);
     * **stage-conformance** -- for stages whose scheme is
-      order-invariant (the :data:`_ORDER_INVARIANT` set), the traced
+      order-invariant (``Scheduler.order_invariant``), the traced
       cut points inside the window equal a pure
       :func:`replay_cut_points` of that stage's scheme and recorded
       parameters, shifted to the stage base.  Requeued intervals are
@@ -535,7 +534,7 @@ def audit_adaptive(
     checked = 0
     for d in selects:
         key, _inline = _registry.parse(d.scheme)
-        if key not in _ORDER_INVARIANT:
+        if not _order_invariant(key):
             continue
         expected = replay_cut_points(
             d.scheme, d.size, workers, **d.params

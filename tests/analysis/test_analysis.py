@@ -148,25 +148,3 @@ class TestTables:
         text = format_chunk_row(list(range(30)), per_line=10)
         assert len(text.splitlines()) == 3
         assert format_chunk_row([]) == "(empty)"
-
-
-class TestRuntimeTable:
-    def test_runtime_table_from_real_runs(self):
-        from repro.analysis import format_runtime_table
-        from repro.runtime import run_parallel
-        from repro.workloads import UniformWorkload
-
-        wl = UniformWorkload(60)
-        results = {
-            "TSS": run_parallel("TSS", wl, 2),
-            "FSS": run_parallel("FSS", wl, 2),
-        }
-        text = format_runtime_table(results)
-        assert "elapsed" in text
-        assert "TSS" in text and "FSS" in text
-
-    def test_runtime_table_rejects_empty(self):
-        from repro.analysis import format_runtime_table
-
-        with pytest.raises(ValueError):
-            format_runtime_table({})

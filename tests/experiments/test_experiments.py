@@ -3,6 +3,9 @@ and satisfies its shape claims (at reduced scale for speed)."""
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,32 @@ class TestTable3Shapes:
         master = {k: v.t_p for k, v in dist.items() if k != "TreeS"}
         best = min(master, key=master.get)
         assert best in ("DTSS", "DTFSS")
+
+
+class TestTableGolden:
+    """Tables 2-3 ``T_p`` as a regression oracle (ROADMAP aim 3).
+
+    ``golden_tables.json`` was generated at the parent of the commit
+    that merged ``table2``/``table3`` into one builder; the simulator
+    is deterministic, so equality is exact.
+    """
+
+    @pytest.mark.parametrize("dedicated", [True, False])
+    @pytest.mark.parametrize("table", [table2, table3])
+    def test_t_p_matches_golden(
+        self, small_paper_workload, table, dedicated
+    ):
+        path = os.path.join(
+            os.path.dirname(__file__), "golden_tables.json"
+        )
+        with open(path, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)
+        name = table.__name__.rsplit(".", 1)[-1]
+        results = table.run(
+            workload=small_paper_workload, dedicated=dedicated
+        )
+        assert {s: r.t_p for s, r in results.items()} \
+            == golden[name]["ded" if dedicated else "nonded"]
 
 
 class TestFigures:

@@ -42,37 +42,12 @@ def test_missing_path_exits_two(tmp_path, capsys):
     assert "no such path" in capsys.readouterr().err
 
 
-def test_write_then_apply_baseline(tmp_path, capsys):
-    path = _write(tmp_path, "dirty.py", DIRTY)
-    baseline = str(tmp_path / "baseline.json")
-    assert main([path, "--baseline", baseline,
-                 "--write-baseline"]) == 0
-    wrote = capsys.readouterr().out
-    assert "wrote" in wrote
-    # With the baseline applied the same findings are suppressed...
-    assert main([path, "--baseline", baseline]) == 0
-    assert "baselined" in capsys.readouterr().out
-    # ...but a fresh violation still fails.
-    _write(tmp_path, "dirty.py",
-           DIRTY + "def worker_main():\n    global STATE\n")
-    assert main([path, "--baseline", baseline]) == 1
-
-
-def test_corrupt_baseline_exits_two(tmp_path, capsys):
-    path = _write(tmp_path, "clean.py", CLEAN)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("{\"version\": 7}", encoding="utf-8")
-    assert main([path, "--baseline", str(baseline)]) == 2
-    assert "bad baseline" in capsys.readouterr().err
-
-
 def test_json_format(tmp_path, capsys):
     path = _write(tmp_path, "dirty.py", DIRTY)
     assert main([path, "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     rules = {f["rule"] for f in doc["findings"]}
     assert {"REP001", "REP005"} <= rules
-    assert doc["suppressed"] == 0
 
 
 def test_select_and_ignore(tmp_path):

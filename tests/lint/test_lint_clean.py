@@ -2,8 +2,7 @@
 
 This is the test that makes every other rule test matter: the rules
 are not aspirational, the codebase actually satisfies them, and any
-PR that introduces a violation fails here (or consciously baselines
-it and faces the reviewer).
+PR that introduces a violation fails here.
 """
 
 from __future__ import annotations
@@ -175,3 +174,35 @@ def test_real_process_lifecycle_lives_once_on_the_chassis():
     for called, where in sorted(calls.items()):
         assert where <= allowed[called], (called, sorted(where))
     assert defined == {name: [chassis] for name in once}, defined
+
+
+def test_every_module_has_a_who_needs_it_row():
+    """Every ``src/repro/**/*.py`` is named, dotted and in backticks,
+    in the first column of the module table in
+    ``docs/architecture.md`` -- a module nobody can say the consumer
+    of does not get to stay -- and the table names no module that
+    does not exist."""
+    import re
+
+    modules = set()
+    root = os.path.join(_SRC, "repro")
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            rel = os.path.relpath(os.path.join(dirpath, name), root)
+            parts = rel[:-3].split(os.sep)
+            if parts[-1] == "__init__":
+                parts.pop()
+            modules.add(".".join(parts) or "repro")
+    doc = os.path.join(_REPO, "docs", "architecture.md")
+    with open(doc, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    table = text[text.index("## Who needs what"):]
+    table = table[:table.index("\n## ", 1)]
+    named = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            named.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert modules - named == set(), sorted(modules - named)
+    assert named - modules == set(), sorted(named - modules)

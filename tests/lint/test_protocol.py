@@ -19,9 +19,6 @@ class TestProtoFixtureTrees:
             by_rule.setdefault(f.rule, []).append(f)
         # REP301: ObsEvent("chunkk"), kind="progress", emit("heartbeatt")
         assert len(by_rule.get("REP301", [])) == 3
-        # REP303: table3 not offered, figure undispatched, table3
-        # never compared
-        assert len(by_rule.get("REP303", [])) == 3
         # REP305: "submitt" assignment, the "statuss" dispatch
         # arm, and the "watchh" alias in the membership test
         assert len(by_rule.get("REP305", [])) == 3

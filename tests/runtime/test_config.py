@@ -22,8 +22,6 @@ class TestDefaultsAndValidation:
             RuntimeConfig(poll_timeout=0.0)
         with pytest.raises(ValueError):
             RuntimeConfig(join_timeout=-1.0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(restart_backoff=0.0)
 
     def test_deadline_must_exceed_heartbeat(self):
         with pytest.raises(ValueError, match="deadline"):
@@ -39,13 +37,11 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_WORKER_DEADLINE", "30")
         monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.5")
         monkeypatch.setenv("REPRO_JOIN_TIMEOUT", "7")
-        monkeypatch.setenv("REPRO_RESTART_BACKOFF", "0.01")
         config = RuntimeConfig.from_env()
         assert config.poll_timeout == 1.5
         assert config.worker_deadline == 30.0
         assert config.heartbeat_interval == 0.5
         assert config.join_timeout == 7.0
-        assert config.restart_backoff == 0.01
 
     def test_non_positive_disables_deadline_and_heartbeat(
         self, monkeypatch

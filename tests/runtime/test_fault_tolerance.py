@@ -165,6 +165,84 @@ class TestWorkerDeath:
         assert result.assigned_iterations() == 200
 
 
+class TestWedgedWorker:
+    """Alive but silent: no EOF ever comes, only the deadline can tell."""
+
+    def test_hung_worker_is_dropped_while_a_sibling_heartbeats(
+        self, monkeypatch
+    ):
+        """Silence is measured every turn, not every idle poll.
+
+        The default shape -- ``poll_timeout`` above
+        ``heartbeat_interval`` -- means a heartbeating sibling (a
+        parked one here) keeps ``wait`` from ever timing out.  The
+        wedged worker must still be dropped at its deadline and its
+        chunk finished by the sibling.
+        """
+        import time
+
+        import repro.runtime.master as master_mod
+        from repro.runtime.messages import Heartbeat
+
+        beat, deadline = 0.02, 0.3
+
+        class Wedged(ScriptedWorker):
+            def send(self, msg):
+                """Takes its chunk and never says another word."""
+
+            def close(self):
+                self.dead = True
+
+        class Chatty(ScriptedWorker):
+            next_beat = 0.0
+
+            def recv(self):
+                if self._outbox:
+                    return self._outbox.pop(0)
+                self.next_beat = time.monotonic() + beat
+                return Heartbeat(self.wid)
+
+            def send(self, msg):
+                super().send(msg)
+                self.next_beat = time.monotonic() + beat
+
+        wl = UniformWorkload(20)
+        workers = [Wedged(0, wl), Chatty(1, wl)]
+        started = time.monotonic()
+
+        def fake_wait(conn_list, timeout=None):
+            until = time.monotonic() + timeout
+            while True:
+                now = time.monotonic()
+                ready = [
+                    c for c in conn_list if c._outbox or (
+                        isinstance(c, Chatty) and not c.terminated
+                        and now >= c.next_beat
+                    )
+                ]
+                if ready or now >= until:
+                    return ready
+                assert now - started < 1.0, (
+                    "wedged worker never dropped: the deadline scan "
+                    "is starved by the sibling's heartbeats"
+                )
+                time.sleep(0.002)
+
+        monkeypatch.setattr(master_mod, "wait", fake_wait)
+        result = master_loop(
+            make("CSS(10)", wl.size, 2), {w.wid: w for w in workers},
+            config=RuntimeConfig(
+                poll_timeout=0.1, worker_deadline=deadline,
+                heartbeat_interval=beat,
+            ),
+        )
+        elapsed = time.monotonic() - started
+        assert deadline <= elapsed < 1.0
+        assert result.timeouts == 1 and result.requeued == 1
+        assert result.chunks == [(1, 10, 20), (1, 0, 10)]
+        assert workers[1].terminated
+
+
 class TestRealProcessDeath:
     def test_sigkilled_worker_does_not_hang_run(self):
         """End-to-end: a real worker process is killed mid-run."""

@@ -110,6 +110,27 @@ class TestBasics:
                 c._checked({"op": "teleport"})
             assert err.value.reason == "unknown-op"
 
+    @pytest.mark.parametrize("request_doc, reason", [
+        ({"op": "kill-worker", "worker": None}, "bad-worker"),
+        ({"op": "kill-worker", "worker": float("inf")}, "bad-worker"),
+        ({"op": "chaos", "time_scale": "x"}, "bad-plan"),
+        ({"op": "chaos", "time_scale": float("nan")}, "bad-plan"),
+        ({"op": "wait", "job_id": "nope", "timeout": "x"},
+         "bad-timeout"),
+        ({"op": "wait", "job_id": "nope", "timeout": [1]},
+         "bad-timeout"),
+    ])
+    def test_malformed_numeric_field_is_refused_not_fatal(
+        self, tmp_path, request_doc, reason
+    ):
+        # Raw int()/float() on these fields used to raise out of the
+        # connection handler: no reply, connection dead.
+        with _Daemon(tmp_path) as d, d.client("alice") as c:
+            with pytest.raises(ServiceError) as err:
+                c._checked(request_doc)
+            assert err.value.reason == reason
+            assert c.ping()  # same connection, handler still alive
+
     def test_wait_is_tenant_isolated(self, tmp_path):
         with _Daemon(tmp_path) as d:
             with d.client("alice") as alice, d.client("bob") as bob:

@@ -1,17 +1,9 @@
-"""Tests for trace export and the Gantt renderer."""
+"""Tests for the Gantt renderer of a simulated run's chunk trace."""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-
-from repro.simulation import (
-    chunks_to_csv,
-    chunks_to_json,
-    gantt_chart,
-    simulate,
-)
+from repro.analysis import gantt_chart
+from repro.simulation import simulate
 from repro.workloads import UniformWorkload
 
 from tests.conftest import make_cluster
@@ -19,41 +11,6 @@ from tests.conftest import make_cluster
 
 def run_once():
     return simulate("TSS", UniformWorkload(120), make_cluster())
-
-
-class TestCsvExport:
-    def test_round_trips_through_csv_reader(self):
-        result = run_once()
-        rows = list(csv.DictReader(io.StringIO(chunks_to_csv(result))))
-        assert len(rows) == len(result.chunks)
-        total = sum(int(r["size"]) for r in rows)
-        assert total == 120
-
-    def test_columns(self):
-        result = run_once()
-        header = chunks_to_csv(result).splitlines()[0]
-        assert header.split(",") == [
-            "worker", "start", "stop", "size", "stage",
-            "assigned_at", "completed_at",
-        ]
-
-
-class TestJsonExport:
-    def test_valid_json_with_metadata(self):
-        result = run_once()
-        doc = json.loads(chunks_to_json(result))
-        assert doc["scheme"] == "TSS"
-        assert doc["t_p"] == result.t_p
-        assert len(doc["workers"]) == 4
-        assert len(doc["chunks"]) == len(result.chunks)
-
-    def test_chunk_fields(self):
-        doc = json.loads(chunks_to_json(run_once()))
-        chunk = doc["chunks"][0]
-        assert set(chunk) == {
-            "worker", "start", "stop", "stage", "assigned_at",
-            "completed_at",
-        }
 
 
 class TestGantt:
