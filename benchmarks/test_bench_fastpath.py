@@ -10,10 +10,13 @@ guard), and records per-sim wall time, sims/sec and the speedup ratio
 for the session's ``REPRO_BENCH_OUT`` JSON document.
 
 The in-test floor is deliberately lower than the measured speedups
-(master SS ~17x, CSS ~13x on the reference machine -- see
+(master SS and CSS ~7x, decentral ~3.5-4x -- see
 ``BENCH_baseline.json``): CI containers are noisy, and the regression
 guard proper is ``benchmarks/compare_bench.py`` against the committed
-baseline.
+baseline.  The ratio's denominator is the DES, so a faster DES lowers
+it with the fast path's own ``sims_per_sec`` unmoved: regenerate the
+baseline (the CI command with ``REPRO_BENCH_OUT``) and rescale the
+floors in the same PR.
 """
 
 from __future__ import annotations
@@ -28,17 +31,19 @@ from repro.simulation.engine import simulate
 from repro.workloads import MandelbrotWorkload
 
 #: (scheme, reps, floor).  Chunk-dominated schemes (SS, CSS) carry the
-#: 10x headline claim; short-ladder schemes (TSS: ~30 chunks total)
-#: are bounded by fixed per-sim overhead and get proportionally lower
-#: floors.  Every floor sits well under the measured ratio (see
-#: ``BENCH_baseline.json``) so a noisy runner does not flake, yet far
-#: above "the fast path is broken".
+#: headline ratio; short-ladder schemes (TSS: ~30 chunks total) are
+#: bounded by fixed per-sim overhead and get proportionally lower
+#: floors.  Every floor is 0.45-0.65 of the case's ratio in
+#: ``BENCH_baseline.json`` (each case keeps the fraction it was given
+#: when first measured), so a noisy runner does not flake, yet the
+#: floor stays far above "the fast path is broken"; decentral TSS is
+#: 13 chunks of work and only has to not lose.
 MASTER_CASES = [
-    ("SS", 20, 8.0), ("CSS(4)", 20, 6.0),
-    ("FSS", 60, 3.0), ("TSS", 40, 2.5),
+    ("SS", 20, 3.9), ("CSS(4)", 20, 3.0),
+    ("FSS", 60, 1.7), ("TSS", 40, 1.4),
 ]
 DECENTRAL_CASES = [
-    ("SS", 20, 6.0), ("CSS(4)", 20, 4.0), ("TSS", 40, 1.3),
+    ("SS", 20, 2.5), ("CSS(4)", 20, 1.6), ("TSS", 40, 1.0),
 ]
 
 

@@ -8,15 +8,17 @@ engine, tree engine):
   :class:`~repro.obs.ObsEvent` objects: every emission site gates on
   the falsy :class:`~repro.obs.NullCollector`, so the disabled path
   pays one truth test and nothing else;
-* **timing** -- the summed cost of those truth tests stays under 1%
-  of the reference simulation's runtime.  The bound composes a
-  min-of-N measurement of the gate cost with the run's actual event
-  count, which is robust where a direct A/B of two full runs would be
-  noise-bound (the gate itself is nanoseconds).
+* **timing** -- the summed cost of those truth tests stays under
+  ``GATE_NS_PER_CHUNK`` nanoseconds per computed chunk.  The bound
+  composes a min-of-N measurement of the gate cost with the run's
+  actual event count, which is robust where a direct A/B of two full
+  runs would be noise-bound (the gate itself is nanoseconds).
 
-The 1% budget is what lets the analytic fast path (and the DES hot
-loop) keep unconditional ``if self.obs:`` guards instead of compiling
-two variants of every handler.
+The budget is absolute, not a share of the run: a ratio to DES time
+tightens every time the DES gets faster, and fails without one gate
+being added.  100 ns is 1% of a ~10 us DES chunk.  It is what lets the
+DES hot loop keep unconditional ``if self.observing:`` guards instead
+of compiling two variants of every handler.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from repro.workloads import UniformWorkload
 
 #: Reference run: big enough to dominate per-call overheads.
 WL = UniformWorkload(size=4000, unit=1e-6)
+#: Disabled-path budget: nanoseconds of gate truth tests per chunk.
+#: Measured on the 2-CPU dev host at ~11 ns a gate: tree 22 (2 gates a
+#: block), master 45 (4), decentral 57 (5).
+GATE_NS_PER_CHUNK = 100.0
 
 
 def _cluster(n=4):
@@ -90,9 +96,9 @@ def test_disabled_path_constructs_no_events(substrate, monkeypatch):
 
 
 @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
-def test_null_collector_overhead_under_one_percent(substrate):
+def test_null_collector_overhead_per_chunk(substrate):
     run = SUBSTRATES[substrate]
-    run_seconds = _min_of(run)
+    chunks = len(run().chunks)
     # events the run *would* emit = gates the disabled run evaluates
     with capture() as trace:
         run(collector=trace)
@@ -106,11 +112,11 @@ def test_null_collector_overhead_under_one_percent(substrate):
         timeit.repeat("(1 if s.observing else 0)",
                       globals={"s": sim}, number=10_000, repeat=5)
     ) / 10_000
-    overhead = gates * per_gate
-    assert overhead < 0.01 * run_seconds, (
-        f"{substrate}: {gates} gates x {per_gate:.2e}s = "
-        f"{overhead:.6f}s exceeds 1% of the {run_seconds:.4f}s "
-        f"reference run"
+    per_chunk_ns = gates * per_gate / chunks * 1e9
+    assert per_chunk_ns < GATE_NS_PER_CHUNK, (
+        f"{substrate}: {gates} gates x {per_gate * 1e9:.1f}ns over "
+        f"{chunks} chunks = {per_chunk_ns:.0f}ns a chunk exceeds the "
+        f"{GATE_NS_PER_CHUNK:.0f}ns budget"
     )
 
 

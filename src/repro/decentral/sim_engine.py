@@ -219,7 +219,9 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
 
     def next_work(self, state: _DWorkerState) -> None:
         """One claim: link out, counter access, fetched ordinal back."""
-        if self._message_held(state, self.next_work):
+        if self._message_faults and self._message_held(
+            state, self.next_work
+        ):
             return
         t = self.queue.now
         if self.observing:
@@ -242,11 +244,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         state.metrics.t_com += back
         resume = back_start + back
         if index is None:
-            self.queue.schedule_at(
-                resume,
-                self._alive_action(state, self._worker_terminate),
-                kind="terminate",
-            )
+            self.queue.push(resume, self._worker_terminate, state)
             return
         if self.observing:
             a_start, a_stop = self.calc.interval(index)
@@ -255,17 +253,13 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
                 a_start, a_stop, self.calc.stage_of(index),
             ))
         state.pending_index = index
-        self.queue.schedule_at(
-            resume,
-            self._alive_action(state, self._begin_compute, index),
-            kind="compute",
-        )
+        self.queue.push(resume, self._begin_compute, state, index)
 
     def _begin_compute(self, state: _DWorkerState, index: int) -> None:
         start, stop = self.calc.interval(index)
         self._compute(
             state, start, stop, self.calc.stage_of(index), None,
-            self._finish_chunk, "chunk-durable",
+            self._finish_chunk,
         )
 
     def _finish_chunk(self, state: _DWorkerState) -> None:
@@ -319,11 +313,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
                 continue
             # Retry the fetch: either scavengeable work appeared, or
             # the exhaustion is now final and the claim terminates.
-            self.queue.schedule(
-                0.0,
-                self._alive_action(state, self.next_work),
-                kind="unpark",
-            )
+            self.queue.push(self.queue.now, self.next_work, state)
 
     # -- run ---------------------------------------------------------------
 

@@ -9,7 +9,7 @@ from .engine import (
     make_for_cluster,
     simulate,
 )
-from .events import Event, EventQueue, SimulationError
+from .events import EventQueue, SimulationError
 from .loadgen import (
     ConstantLoad,
     LoadTrace,
@@ -26,7 +26,6 @@ from .tree_engine import TreeSimulation, simulate_tree
 __all__ = [
     "ClusterSpec",
     "NodeSpec",
-    "Event",
     "EventQueue",
     "SimulationError",
     "StarvationError",

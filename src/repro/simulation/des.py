@@ -45,10 +45,10 @@ import numpy as np
 
 from ..obs import Collector, ObsEvent
 from ..obs import resolve as _resolve_collector
-from ..workloads import Workload
+from ..workloads import Workload, WorkloadError
 from .cluster import ClusterSpec, NodeSpec
-from .events import Event, EventQueue, SimulationError
-from .loadgen import OverlayLoad, integrate_compute
+from .events import EventQueue, SimulationError
+from .loadgen import ConstantLoad, OverlayLoad, integrate_compute
 from .metrics import ChunkRecord, SimResult, WorkerMetrics
 
 if TYPE_CHECKING:
@@ -66,9 +66,14 @@ class DesWorker(object):
     metrics: WorkerMetrics
     done: bool = False
     dead: bool = False
-    #: incarnation counter: bumped at every death so events scheduled
-    #: by a previous incarnation no-op after a chaos restart.
+    #: incarnation counter: bumped at every death so queue entries
+    #: pushed by a previous incarnation are skipped after a chaos
+    #: restart (the guard is in :meth:`EventQueue.run`).
     epoch: int = 0
+    #: ``speed / q`` under a :class:`ConstantLoad`, where the compute
+    #: integral is one division; None = walk the trace.  Set by
+    #: :meth:`DesCluster.run`.
+    rate: Optional[float] = None
     #: computed chunks whose results are not safe yet (still on this
     #: PE or on the wire); rolled back if the PE dies.
     undelivered: list[ChunkRecord] = dataclasses.field(
@@ -113,6 +118,9 @@ class DesCluster(Generic[W]):
     STALLED: str
     #: error raised when :meth:`_stranded`.
     STRANDED: str
+    #: the workload's cost prefix sums as plain floats (set by
+    #: :meth:`run`): a chunk's cost is one list subtraction.
+    _pref: list[float]
 
     def __init__(
         self,
@@ -216,26 +224,6 @@ class DesCluster(Generic[W]):
 
     # -- clock and links -----------------------------------------------------
 
-    def _alive_action(
-        self, state: W, fn: Callable[..., None], *args: Any
-    ) -> Callable[[Event], None]:
-        """An event action that no-ops if ``state`` died in the meantime.
-
-        Fail-stop: a dying worker's in-flight messages are lost with
-        it.  The epoch capture makes the guard restart-safe: a chaos
-        restart revives the worker, but events scheduled by the dead
-        incarnation still must not fire (their protocol context is
-        gone).
-        """
-        epoch = state.epoch
-
-        def action(_event: Event) -> None:
-            if state.dead or state.epoch != epoch:
-                return
-            fn(state, *args)
-
-        return action
-
     def _acquire_segment(
         self, node: NodeSpec, t: float, duration: float
     ) -> float:
@@ -270,7 +258,9 @@ class DesCluster(Generic[W]):
         the message vanishes and the retransmission goes out after
         ``retry_after`` -- to the protocol the two are the same pause,
         accounted as wait time.  True means ``resend`` is scheduled
-        and the caller must not transmit.
+        and the caller must not transmit.  Senders test
+        ``self._message_faults`` first (empty unless the plan has a
+        delay or loss), so a run without them never gets here.
         """
         t = self.queue.now
         fault = self._pop_message_fault(state, t)
@@ -283,11 +273,7 @@ class DesCluster(Generic[W]):
                 "fault", self.SRC, t, state.index, value=extra,
                 detail=kind,
             ))
-        self.queue.schedule_at(
-            t + extra,
-            self._alive_action(state, resend, *args),
-            kind=f"chaos-{kind}",
-        )
+        self.queue.push(t + extra, resend, state, *args)
         return True
 
     # -- the compute step ----------------------------------------------------
@@ -300,7 +286,6 @@ class DesCluster(Generic[W]):
         stage: Optional[int],
         acp: Optional[int],
         then: Callable[..., None],
-        kind: str,
     ) -> ChunkRecord:
         """Execute ``[start, stop)`` on ``state`` from now; ``then(state)``
         fires when it finishes.
@@ -311,11 +296,23 @@ class DesCluster(Generic[W]):
         no scheme stage) stays None in the event and is the record's
         default 0.
         """
-        t = self.queue.now
-        node = state.node
-        finish = integrate_compute(
-            t, self.workload.chunk_cost(start, stop), node.speed, node.load
-        )
+        queue = self.queue
+        t = queue.now
+        pref = self._pref
+        if not 0 <= start <= stop < len(pref):
+            raise WorkloadError(
+                f"chunk [{start}, {stop}) out of range "
+                f"[0, {len(pref) - 1}]"
+            )
+        cost = pref[stop] - pref[start]
+        rate = state.rate
+        if rate is not None:
+            # The ConstantLoad integral, in the exact expression shape
+            # of ``integrate_compute`` (and of the fast path).
+            finish = t + cost / rate if cost > 1e-12 else t
+        else:
+            node = state.node
+            finish = integrate_compute(t, cost, node.speed, node.load)
         if self.observing:
             self.obs.emit(ObsEvent(
                 "compute", self.SRC, t, state.index,
@@ -333,9 +330,7 @@ class DesCluster(Generic[W]):
         state.undelivered.append(record)
         if self.collect_results:
             self._results.append((start, self.workload.execute(start, stop)))
-        self.queue.schedule_at(
-            finish, self._alive_action(state, then), kind=kind
-        )
+        queue.push(finish, then, state)
         return record
 
     def _worker_terminate(self, state: W) -> None:
@@ -372,10 +367,9 @@ class DesCluster(Generic[W]):
             for ev in events:
                 kind = ev.kind
                 if kind == "stall":
-                    self.queue.schedule_at(
-                        float(ev.at),
-                        lambda _e, d=float(ev.duration): self._stall(d),
-                        kind="chaos-stall",
+                    self.queue.push(
+                        float(ev.at), self._stall, None,
+                        float(ev.duration),
                     )
                 elif ev.worker not in taking_part:
                     continue
@@ -383,11 +377,9 @@ class DesCluster(Generic[W]):
                     deaths.setdefault(ev.worker, []).append(float(ev.at))
                 elif kind == "restart":
                     self._future_restarts += 1
-                    self.queue.schedule_at(
-                        float(ev.at),
-                        lambda _e, s=self.workers[ev.worker]:
-                            self._worker_restart(s),
-                        kind="chaos-restart",
+                    self.queue.push(
+                        float(ev.at), self._worker_restart, None,
+                        self.workers[ev.worker],
                     )
                 elif kind in ("delay", "loss"):
                     self._message_faults.setdefault(ev.worker, [])
@@ -398,10 +390,8 @@ class DesCluster(Generic[W]):
             self._death_schedule[idx] = times
             self._pending_failers.add(idx)
             for at in times:
-                self.queue.schedule_at(
-                    at,
-                    lambda _e, s=self.workers[idx]: self._worker_die(s),
-                    kind="death",
+                self.queue.push(
+                    at, self._worker_die, None, self.workers[idx]
                 )
 
     def _worker_die(self, state: W) -> None:
@@ -494,6 +484,14 @@ class DesCluster(Generic[W]):
     # -- run -----------------------------------------------------------------
 
     def run(self) -> SimResult:
+        # Per-run hoisting lives here, not in ``__init__``: a run that
+        # takes the fast path constructs the chassis and never gets
+        # this far.
+        self._pref = self.workload.prefix_list()
+        for state in self.workers:
+            load = state.node.load
+            if type(load) is ConstantLoad:
+                state.rate = state.node.speed / load.q
         self._schedule_faults()
         for state in self._participants:
             self._start(state)

@@ -176,7 +176,9 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
 
     def next_work(self, state: _WorkerState) -> None:
         """Worker transmits a request (with piggy-backed results)."""
-        if self._message_held(state, self.next_work):
+        if self._message_faults and self._message_held(
+            state, self.next_work
+        ):
             return
         t = self.queue.now
         node = state.node
@@ -198,12 +200,9 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 "request", self.SRC, t, state.index, None, None, None,
                 acp,
             ))
-        self.queue.schedule_at(
-            tx_start + tx,
-            self._alive_action(
-                state, self._master_receive, acp, carries_results, nbytes
-            ),
-            kind="request-arrival",
+        self.queue.push(
+            tx_start + tx, self._master_receive, state,
+            acp, carries_results, nbytes,
         )
 
     def _master_receive(
@@ -267,10 +266,8 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 self._park(state, service_end)
                 return
             state.metrics.t_com += reply_tx
-            self.queue.schedule_at(
-                service_end + reply_tx,
-                self._alive_action(state, self._worker_terminate),
-                kind="terminate",
+            self.queue.push(
+                service_end + reply_tx, self._worker_terminate, state
             )
             return
         reply_start = self._acquire_segment(
@@ -285,10 +282,8 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 assignment[3],
             ))
         state.pending_chunk = assignment
-        self.queue.schedule_at(
-            reply_start + reply_tx,
-            self._alive_action(state, self._worker_compute),
-            kind="assign",
+        self.queue.push(
+            reply_start + reply_tx, self._worker_compute, state
         )
 
     def _worker_compute(self, state: _WorkerState) -> None:
@@ -302,7 +297,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             (stop - start) * self.cluster.result_bytes_per_item
         )
         record = self._compute(
-            state, start, stop, stage, acp, self.next_work, "request-send"
+            state, start, stop, stage, acp, self.next_work
         )
         if self._adaptive:
             self.scheduler.observe_completion(
@@ -341,14 +336,12 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         self.next_work(state)
 
     def _reply_parked(
-        self, state: _WorkerState, then: Callable[..., None], kind: str
+        self, state: _WorkerState, then: Callable[..., None]
     ) -> None:
         """The master's late reply to a parked worker."""
         reply_tx = state.node.transfer_time(self.cluster.reply_bytes)
         state.metrics.t_com += reply_tx
-        self.queue.schedule(
-            reply_tx, self._alive_action(state, then), kind=kind
-        )
+        self.queue.push(self.queue.now + reply_tx, then, state)
 
     def _drain_parked(self) -> None:
         """Hand requeued work to parked workers; terminate the rest."""
@@ -364,14 +357,12 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                     detail="requeue",
                 ))
             state.pending_chunk = (start, stop, 0, None)
-            self._reply_parked(state, self._worker_compute, "assign")
+            self._reply_parked(state, self._worker_compute)
         if not self._work_may_reappear() and not self._requeue \
                 and self.scheduler.finished:
             for state in self._parked:
                 if not state.dead:
-                    self._reply_parked(
-                        state, self._worker_terminate, "terminate"
-                    )
+                    self._reply_parked(state, self._worker_terminate)
             self._parked.clear()
 
     # -- run -----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Analytic fast path: fault-free runs without the generic DES.
 
 The discrete-event engines pay for generality: every protocol step is
-an :class:`~repro.simulation.events.Event` tuple pushed on a heap and
-carrying a closure through a guarded dispatch, every chunk decision
+a tuple pushed on a heap and popped through a liveness-guarded
+dispatch (:mod:`~repro.simulation.events`), every chunk decision
 walks the scheduler's ``next_chunk`` (frozen ``WorkerView`` +
 ``ChunkAssignment`` per request), and every emission site tests a
 collector.  None of that
@@ -154,27 +154,6 @@ def decentral_fast_reason(sim) -> Optional[str]:
     return _cluster_fast_reason(sim.cluster, sim.chaos, sim.obs)
 
 
-def _pref_list(workload) -> list[float]:
-    """The workload's cost prefix sums as a plain float list, cached.
-
-    ``pref[stop] - pref[start]`` on python floats is bit-identical to
-    the engine's ``float(np.float64 - np.float64)``; the list is
-    cached on the workload keyed by the prefix array's identity so a
-    sweep of many simulations over one workload converts it once.
-    """
-    workload.costs()
-    pref = workload._prefix
-    cached = getattr(workload, "_fast_pref", None)
-    if cached is not None and cached[0] is pref:
-        return cached[1]
-    lst = pref.tolist()
-    try:
-        workload._fast_pref = (pref, lst)
-    except AttributeError:  # slotted workload subclass: just recompute
-        pass
-    return lst
-
-
 # -- driven stepper --------------------------------------------------------
 
 
@@ -226,7 +205,7 @@ def run_fast_master(sim) -> SimResult:
     workload = sim.workload
     cluster = sim.cluster
     total = workload.size
-    pref = _pref_list(workload)
+    pref = workload.prefix_list()
 
     distributed = scheduler.distributed
     if distributed:
@@ -489,7 +468,7 @@ def run_fast_decentral(sim) -> SimResult:
     workload = sim.workload
     cluster = sim.cluster
     total = workload.size
-    pref = _pref_list(workload)
+    pref = workload.prefix_list()
 
     ladder = evaluate_ladder(calc)
     starts = ladder.starts.tolist()

@@ -156,9 +156,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         delay = w.node.transfer_time(self.cluster.reply_bytes)
         w.metrics.t_com += delay
         w.next_flush = self._next_epoch(self.queue.now + delay)
-        self.queue.schedule(
-            delay, self._alive_action(w, self.next_work), kind="join"
-        )
+        self.queue.push(self.queue.now + delay, self.next_work, w)
 
     def _lose(self, w: _TreeWorker, spans: list[tuple[int, int]]) -> None:
         # The lost intervals rejoin the dead PE's queue, where the
@@ -222,13 +220,13 @@ class TreeSimulation(DesCluster[_TreeWorker]):
             return
         start, stop = block
         w.pending_items += stop - start
-        self._compute(
-            w, start, stop, None, None, self.next_work, "compute"
-        )
+        self._compute(w, start, stop, None, None, self.next_work)
 
     def _flush(self, w: _TreeWorker, final: bool) -> None:
         # Chaos delay/loss: the flush leaves (or retransmits) late.
-        if self._message_held(w, self._flush, final):
+        if self._message_faults and self._message_held(
+            w, self._flush, final
+        ):
             return
         t = self.queue.now
         nbytes = (
@@ -251,16 +249,9 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         w.next_flush = self._next_epoch(arrival)
         # Under fail-stop the flush dies on the wire with its sender
         # (the death handler rolls the blocks back).
-        self.queue.schedule_at(
-            arrival,
-            self._alive_action(w, self._flush_arrival, items, final),
-            kind="flush-arrival",
-        )
+        self.queue.push(arrival, self._flush_arrival, w, items, final)
         if not final:
-            self.queue.schedule_at(
-                arrival, self._alive_action(w, self.next_work),
-                kind="resume",
-            )
+            self.queue.push(arrival, self.next_work, w)
 
     def _flush_arrival(
         self, w: _TreeWorker, items: int, final: bool
@@ -303,11 +294,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
             t = self.queue.now
             if w.pending_items and t < w.next_flush:
                 w.metrics.t_wait += w.next_flush - t
-                self.queue.schedule_at(
-                    w.next_flush,
-                    self._alive_action(w, self._flush, True),
-                    kind="final-flush",
-                )
+                self.queue.push(w.next_flush, self._flush, w, True)
             else:
                 self._flush(w, final=True)
             return
@@ -318,9 +305,8 @@ class TreeSimulation(DesCluster[_TreeWorker]):
             + victim.node.transfer_time(self.cluster.reply_bytes)
         )
         w.metrics.t_wait += rtt
-        self.queue.schedule(
-            rtt, self._alive_action(w, self._steal_arrival, victim),
-            kind="steal",
+        self.queue.push(
+            self.queue.now + rtt, self._steal_arrival, w, victim
         )
 
     def _steal_arrival(

@@ -109,12 +109,15 @@ class Workload(ABC):
             raise WorkloadError(
                 f"cost vector shape {costs.shape} != ({self._size},)"
             )
-        if self._size and costs.min() < 0:
-            raise WorkloadError("iteration costs must be >= 0")
+        # ``not >=`` rather than ``<``: a NaN minimum compares false
+        # both ways, and the simulators read a NaN cost as zero work.
+        if self._size and not (costs.min() >= 0 and costs.max() < np.inf):
+            raise WorkloadError("iteration costs must be finite and >= 0")
         costs = costs.copy() if not costs.flags.owndata else costs
         costs.setflags(write=False)
         self._costs = costs
         vars(self).pop("_cost_digest", None)
+        vars(self).pop("_prefix_list", None)
         prefix = np.concatenate(([0.0], np.cumsum(costs)))
         prefix.setflags(write=False)
         self._prefix = prefix
@@ -168,6 +171,24 @@ class Workload(ABC):
         assert self._prefix is not None
         return float(self._prefix[stop] - self._prefix[start])
 
+    #: memo of :meth:`prefix_list`; an instance attribute only once
+    #: computed, and never pickled (see :meth:`__getstate__`).
+    _prefix_list: Optional[list[float]] = None
+
+    def prefix_list(self) -> list[float]:
+        """The cost prefix sums as a plain float list, built once.
+
+        ``pref[stop] - pref[start]`` on python floats is bit-identical
+        to :meth:`chunk_cost` and several times cheaper per chunk; the
+        simulators' inner loops read this.  No range check: the caller
+        owns it.
+        """
+        if self._prefix_list is None:
+            self.costs()
+            assert self._prefix is not None
+            self._prefix_list = self._prefix.tolist()
+        return self._prefix_list
+
     def total_cost(self) -> float:
         """Total serial basic computations of the whole loop."""
         return self.chunk_cost(0, self._size)
@@ -202,6 +223,14 @@ class Workload(ABC):
         this so the re-execution actually burns CPU.
         """
         self.execute(start, stop)
+
+    def __getstate__(self) -> dict:
+        """Pickle without the :meth:`prefix_list` memo: the far side
+        rebuilds it from the prefix array on first use, for less than
+        it costs to ship a float list at nine bytes an entry."""
+        state = self.__dict__.copy()
+        state.pop("_prefix_list", None)
+        return state
 
     def __len__(self) -> int:
         return self._size

@@ -122,7 +122,7 @@ class MandelbrotWorkload(Workload):
         """Pickle without the column memo: pool workers re-derive any
         column they actually execute, and shipping a full-grid memo
         (hundreds of MB at paper scale) would swamp job submission."""
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         state["_columns"] = {}
         return state
 

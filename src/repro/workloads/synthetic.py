@@ -164,10 +164,11 @@ class TraceWorkload(Workload):
 
     def __init__(self, costs) -> None:
         arr = np.asarray(costs, dtype=np.float64).ravel()
-        if arr.size and arr.min() < 0:
-            raise WorkloadError("trace costs must be >= 0")
         super().__init__(arr.size)
         self._trace = arr.copy()
+        # Resolve now: a bad trace (negative, NaN, inf) fails where it
+        # is supplied, not inside the first simulation that reads it.
+        self.costs()
 
     def _compute_costs(self) -> np.ndarray:
         return self._trace.copy()

@@ -80,17 +80,18 @@ def test_drivers_import_no_scheme_formula_module():
 
 
 def test_des_lifecycle_lives_once_on_the_chassis():
-    """Liveness guard, message faults, fault scheduling, segment
-    contention and the stall handler are each defined in exactly one
-    module, ``simulation/des.py``, and no engine books a chunk itself
-    (the compute step -- ``integrate_compute`` + ``ChunkRecord`` --
-    lives once): a substrate says where work comes from, nothing
-    else."""
+    """Message faults, fault scheduling, segment contention and the
+    stall handler are each defined in exactly one module,
+    ``simulation/des.py``; the liveness guard is the queue's run loop
+    (``simulation/events.py``), so no engine looks at a worker's
+    ``epoch``; and no engine books a chunk itself (the compute step --
+    ``integrate_compute`` + ``ChunkRecord`` -- lives once): a
+    substrate says where work comes from, nothing else."""
     import ast
 
     chassis = {
-        "_alive_action", "_pop_message_fault", "_schedule_faults",
-        "_acquire_segment", "_stall",
+        "_pop_message_fault", "_schedule_faults", "_acquire_segment",
+        "_stall",
     }
     engines = {
         os.path.join("repro", "simulation", "engine.py"),
@@ -119,6 +120,8 @@ def test_des_lifecycle_lives_once_on_the_chassis():
                     assert called not in (
                         "ChunkRecord", "integrate_compute",
                     ), (rel, node.lineno, called)
+                elif rel in engines and isinstance(node, ast.Attribute):
+                    assert node.attr != "epoch", (rel, node.lineno)
     des = os.path.join("repro", "simulation", "des.py")
     assert defined == {name: [des] for name in chassis}, defined
 

@@ -42,6 +42,20 @@ class TestWorkloadFromSpec:
         wl = workload_from_spec({"kind": "trace", "costs": [1, 2, 3]})
         assert wl.size == 3
 
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), -1.0,
+    ])
+    def test_trace_costs_must_be_finite(self, bad):
+        # json.loads reads a bare ``NaN``/``Infinity``, so the daemon
+        # can be sent one; it must bounce at admission (bad-spec), not
+        # run as a loop with no work in it.
+        spec = {
+            "scheme": "TSS",
+            "workload": {"kind": "trace", "costs": [bad, 2.0]},
+        }
+        with pytest.raises(JobSpecError, match="bad trace workload"):
+            job_from_spec(spec)
+
     def test_mandelbrot_with_reorder(self):
         wl = workload_from_spec(
             {"kind": "mandelbrot", "width": 64, "height": 32, "sf": 4}

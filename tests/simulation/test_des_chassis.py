@@ -1,0 +1,147 @@
+"""The DES chassis's queue-entry contract, seen from a real engine.
+
+``tests/simulation/test_events.py`` pins the entry shape on a bare
+queue; these cases pin what the chassis builds on it: which entries a
+death makes stale, that they are skipped yet counted in
+``SimResult.events``, that a restart does not revive them, that
+deaths / restarts / stalls belong to nobody and always fire, and that
+the compute step still refuses an interval outside the loop.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from repro.chaos import FaultPlan, MasterStall, WorkerDeath, WorkerRestart
+from repro.core import make
+from repro.simulation import (
+    ClusterSpec,
+    MasterSlaveSimulation,
+    NodeSpec,
+    simulate,
+)
+from repro.verify import audit_sim
+from repro.workloads import UniformWorkload, WorkloadError
+
+#: 200 unit iterations at 100 ops/s in chunks of 50: a chunk computes
+#: for 0.5 s, so worker 0's first one is in flight from ~0 to ~0.5.
+SIZE, CHUNK, DEATH, RESTART = 200, "CSS(50)", 0.2, 0.3
+
+
+def traced_sim(fails_at=None, chaos=None):
+    """A two-PE master run that logs every push, every ``next_work``
+    call and every owner-less lifecycle handler as it happens."""
+    workload = UniformWorkload(SIZE)
+    cluster = ClusterSpec(nodes=[
+        NodeSpec(name="n0", speed=100.0, fails_at=fails_at),
+        NodeSpec(name="n1", speed=100.0),
+    ])
+    sim = MasterSlaveSimulation(
+        make(CHUNK, SIZE, 2), workload, cluster, chaos=chaos, fast=False,
+    )
+    log = {"push": [], "next_work": [], "lifecycle": []}
+    push, next_work = sim.queue.push, sim.next_work
+
+    def logged_push(time, fn, owner=None, *args):
+        log["push"].append((sim.queue.now, time, fn, owner))
+        push(time, fn, owner, *args)
+
+    def logged_next_work(state):
+        log["next_work"].append((sim.queue.now, state.index))
+        next_work(state)
+
+    sim.queue.push = logged_push
+    sim.next_work = logged_next_work
+    for name in ("_worker_die", "_worker_restart", "_stall"):
+        def logged(*args, _name=name, _fn=getattr(sim, name)):
+            log["lifecycle"].append((_name, sim.queue.now))
+            _fn(*args)
+        setattr(sim, name, logged)
+    return sim, log
+
+
+def stale_entries(log, worker, death):
+    """Entries ``worker`` pushed before ``death`` that were due after."""
+    return [
+        due for pushed, due, _fn, owner in log["push"]
+        if owner is not None and owner.index == worker
+        and pushed < death < due
+    ]
+
+
+def test_dead_owner_entry_is_skipped_and_counted():
+    sim, log = traced_sim(fails_at=DEATH)
+    result = sim.run()
+    # The in-flight chunk's completion is the one stale entry ...
+    (stale,) = stale_entries(log, 0, DEATH)
+    assert stale == pytest.approx(0.5, abs=0.01)
+    # ... it never fired (worker 0 asks for nothing after it died) ...
+    assert [t for t, i in log["next_work"] if i == 0] == [0.0]
+    # ... and still counts: every entry pushed was processed.
+    assert result.events == len(log["push"]) == sim.queue.processed
+    audit_sim(result, total=SIZE).raise_if_failed()
+
+
+def test_entry_scheduled_before_a_death_does_not_fire_after_restart():
+    plan = FaultPlan(events=(
+        WorkerDeath(worker=0, at=DEATH),
+        WorkerRestart(worker=0, at=RESTART),
+    ))
+    sim, log = traced_sim(chaos=plan)
+    result = sim.run()
+    (stale,) = stale_entries(log, 0, DEATH)
+    asked = [t for t, i in log["next_work"] if i == 0]
+    # Alive again (and asking: at start-up, on rejoin, after each new
+    # chunk) when the dead incarnation's completion comes due -- which
+    # must not read as a completion of the new incarnation's chunk.
+    assert asked[:2] == [0.0, RESTART] and len(asked) > 2
+    assert RESTART < stale < asked[2]
+    assert stale not in asked
+    assert result.events == len(log["push"])
+    assert result.workers[0].iterations > 0
+    audit_sim(result, total=SIZE).raise_if_failed()
+
+
+def test_ownerless_entries_always_fire():
+    # Two deaths aimed at one PE (fails_at + plan), a stall while it is
+    # dead, a restart: nobody owns these, so no liveness guard applies
+    # -- the second death reaches its handler although its target is
+    # already dead.
+    plan = FaultPlan(events=(
+        WorkerDeath(worker=0, at=0.25),
+        MasterStall(at=0.27, duration=0.01),
+        WorkerRestart(worker=0, at=RESTART),
+    ))
+    sim, log = traced_sim(fails_at=DEATH, chaos=plan)
+    result = sim.run()
+    assert log["lifecycle"] == [
+        ("_worker_die", DEATH),
+        ("_worker_die", 0.25),
+        ("_stall", 0.27),
+        ("_worker_restart", RESTART),
+    ]
+    assert [owner for _p, _d, fn, owner in log["push"]
+            if fn in (sim._worker_die, sim._worker_restart, sim._stall)
+            ] == [None] * 4
+    audit_sim(result, total=SIZE).raise_if_failed()
+
+
+@pytest.mark.parametrize("shift", [
+    {"stop": SIZE + 1},          # past the end
+    {"start": -3, "stop": 2},    # a list index would wrap around
+])
+def test_compute_refuses_an_interval_outside_the_loop(shift):
+    scheduler = make(CHUNK, SIZE, 2)
+    honest = scheduler.next_chunk
+
+    def rogue(view):
+        return dataclasses.replace(honest(view), **shift)
+
+    scheduler.next_chunk = rogue
+    cluster = ClusterSpec(
+        nodes=[NodeSpec(name=f"n{i}", speed=100.0) for i in range(2)]
+    )
+    with pytest.raises(WorkloadError, match="out of range"):
+        simulate(scheduler, UniformWorkload(SIZE), cluster, fast=False)

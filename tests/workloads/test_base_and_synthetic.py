@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,34 @@ class TestProtocol:
             uniform_workload.chunk_cost(-1, 5)
         with pytest.raises(WorkloadError):
             uniform_workload.chunk_cost(5, 201)
+
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), float("-inf"), -1.0,
+    ])
+    def test_injected_costs_must_be_finite_and_non_negative(self, bad):
+        wl = UniformWorkload(4)
+        with pytest.raises(WorkloadError, match="finite and >= 0"):
+            wl.set_costs([1.0, bad, 1.0, 1.0])
+        # The refused vector left nothing behind.
+        assert wl.total_cost() == 4.0
+
+    def test_prefix_list_is_the_prefix_sums_built_once(
+        self, peak_workload
+    ):
+        wl = peak_workload
+        pref = wl.prefix_list()
+        assert type(pref) is list and len(pref) == wl.size + 1
+        assert all(type(x) is float for x in pref)
+        assert pref[105] - pref[17] == wl.chunk_cost(17, 105)  # bit-equal
+        assert wl.prefix_list() is pref
+        # The memo stays home: a pickle is the size it was before the
+        # first simulation, and the copy rebuilds an equal list.
+        clone = pickle.loads(pickle.dumps(wl))
+        assert "_prefix_list" not in vars(clone)
+        assert clone.prefix_list() == pref
+        # Re-installed costs drop the memo with the prefix array.
+        wl.set_costs(np.ones(wl.size))
+        assert wl.prefix_list() == [float(i) for i in range(wl.size + 1)]
 
     def test_costs_are_read_only(self, uniform_workload):
         with pytest.raises(ValueError):
@@ -173,6 +203,18 @@ class TestTraceWorkload:
 
         with pytest.raises(WorkloadError):
             TraceWorkload([1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_rejected(self, bad):
+        # ``nan < 0`` is false, so a NaN cost used to be admitted and
+        # then simulated as zero work (``remaining > 1e-12`` is false
+        # for it too), on the fast path and the DES alike.
+        from repro.workloads import TraceWorkload
+
+        with pytest.raises(WorkloadError, match="finite"):
+            TraceWorkload([bad, 2.0])
 
     def test_schedulable_end_to_end(self):
         import numpy as np

@@ -144,6 +144,14 @@ class TestRobustness:
         cache.configure(directory=cache_dir)
         assert np.array_equal(fresh_workload().costs(), expected)
 
+    @pytest.mark.parametrize("poison", [float("nan"), float("inf")])
+    def test_poisoned_non_finite_entry_recomputed(self, cache_dir, poison):
+        wl = fresh_workload()
+        expected = wl.costs().copy()
+        cache.get_cache().put(wl.cost_key(), np.full(wl.size, poison))
+        cache.configure(directory=cache_dir)
+        assert np.array_equal(fresh_workload().costs(), expected)
+
 
 class TestLru:
     def test_memory_layer_is_bounded(self, tmp_path):
