@@ -294,15 +294,16 @@ class _Persister(object):
     def record(self, job: SimJob, index: int, result: SimResult) -> None:
         if self._fh is None:
             return
-        rec = {
+        head = json.dumps({
             "key": job.key,
             "index": index,
             "scheme": job.scheme,
             "engine": job.engine,
             "tag": job.tag,
-            "result": result.to_dict(),
-        }
-        self._fh.write(json.dumps(rec) + "\n")
+        })
+        self._fh.write(
+            '%s, "result": %s}\n' % (head[:-1], result.to_json())
+        )
         self._fh.flush()
 
     def close(self) -> None:
@@ -340,7 +341,7 @@ def stream_batch(
       ``submit``: four jobs a task by default, one when the window
       (or the whole batch) is shorter than ``4 x workers`` jobs.
     * **Incremental persistence** -- ``persist="sweep.jsonl"`` appends
-      one flushed JSON line per finished job (``SimResult.to_dict``
+      one flushed JSON line per finished job (``SimResult.to_json``
       round-trips exactly; ``obs_events`` traces are not persisted).
     * **Resume** -- ``resume=True`` loads the existing file and yields
       persisted results (rebuilt via :meth:`SimResult.from_dict`) for

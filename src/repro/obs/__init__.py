@@ -64,6 +64,7 @@ from .events import (
 )
 from .export import (
     canonical_stream,
+    events_json,
     read_jsonl,
     stream_digest,
     to_chrome_trace,
@@ -110,6 +111,7 @@ __all__ = [
     "write_chrome_trace",
     "canonical_stream",
     "stream_digest",
+    "events_json",
     "Counter",
     "Gauge",
     "Histogram",

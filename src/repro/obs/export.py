@@ -33,6 +33,7 @@ __all__ = [
     "write_chrome_trace",
     "canonical_stream",
     "stream_digest",
+    "events_json",
 ]
 
 #: Microseconds per unit of event time (Chrome traces use us).
@@ -195,3 +196,65 @@ def stream_digest(events: Iterable[ObsEvent]) -> str:
         for pair in pairs
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+_float_repr = float.__repr__
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def events_json(events: Sequence[ObsEvent]) -> str:
+    """Compact JSON array text of ``[ev.to_dict() for ev in events]``.
+
+    :meth:`ObsEvent.to_dict` is the definition and this is the writer
+    used where a trace leaves the process: the same members in the
+    same order, formatted straight from the tuple (a 4000-event trace
+    cost more to turn into dicts and encode than the run that made
+    it).  Integer fields are written with ``%d`` and times with
+    ``float.__repr__``; a stream holding a time those cannot write as
+    ``json`` would (an int where a float belongs, ``inf``, ``nan``) is
+    encoded from the definition instead.
+    ``tests/obs/test_export.py`` holds the two byte-identical.
+    """
+    try:
+        return _events_text(events)
+    except (TypeError, ValueError):
+        return _dumps([ev.to_dict() for ev in events])
+
+
+def _events_text(events: Sequence[ObsEvent]) -> str:
+    """The fast arm of :func:`events_json`: ``TypeError`` from
+    ``float.__repr__`` of a non-float, ``ValueError`` at a non-finite
+    time (``x - x`` is ``nan`` for ``inf`` and ``nan``)."""
+    heads: dict[tuple, str] = {}
+    out = []
+    for (kind, source, t, worker, start, stop, stage, acp, value,
+         detail, wall) in events:
+        head = heads.get((kind, source))
+        if head is None:
+            head = heads[kind, source] = '{"kind":%s,"source":%s,"t":' % (
+                _dumps(kind), _dumps(source))
+        if t - t != 0.0:
+            raise ValueError(t)
+        text = head + _float_repr(t)
+        if worker != -1:
+            text += ',"worker":%d' % worker
+        if start is not None:
+            text += ',"start":%d' % start
+        if stop is not None:
+            text += ',"stop":%d' % stop
+        if stage is not None:
+            text += ',"stage":%d' % stage
+        if acp is not None:
+            text += ',"acp":%d' % acp
+        if value is not None:
+            if value - value != 0.0:
+                raise ValueError(value)
+            text += ',"value":' + _float_repr(value)
+        if wall is not None:
+            if wall - wall != 0.0:
+                raise ValueError(wall)
+            text += ',"wall":' + _float_repr(wall)
+        if detail:
+            text += ',"detail":' + _dumps(detail)
+        out.append(text)
+    return "[" + "},".join(out) + "}]" if out else "[]"

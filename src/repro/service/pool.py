@@ -32,6 +32,7 @@ directly with plain threads.  Every state transition lands in
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing as mp
 import os
 import signal
@@ -39,10 +40,10 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as mp_wait
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from ..batch import SimJob
-from ..obs import stream_digest
+from ..obs import events_json, stream_digest
 from ..obs.logutil import get_logger
 from ..runtime.chassis import heartbeat_sender, join_or_terminate
 from ..runtime.config import RuntimeConfig
@@ -107,10 +108,22 @@ class _StreamCollector(object):
         self.flush()
 
 
-def _execute_payload(
+def _error_body(message: str) -> bytes:
+    return json.dumps(
+        {"error": message}, separators=(",", ":")
+    ).encode("utf-8")
+
+
+def _execute_body(
     job, want_results: bool, want_trace: bool, collector=None
-) -> dict:
-    """Run one job in the current process; JSON-safe result payload.
+) -> tuple[Optional[str], bytes]:
+    """Run one job in the current process; ``(digest, body)``.
+
+    ``body`` is the job's share of its ``wait`` reply, encoded here,
+    once: a JSON object of ``digest``, ``events_emitted``, ``result``
+    and (on request) ``trace`` -- or of ``error`` alone, with a
+    ``None`` digest, when the job raised.  Nothing downstream decodes
+    it: the pump stores the bytes, the daemon frames them.
 
     The digest is computed *here*, from the same
     :func:`~repro.obs.stream_digest` a one-shot caller would apply to
@@ -125,25 +138,14 @@ def _execute_payload(
         else:
             result = job.run()
     except BaseException as exc:  # noqa: BLE001 - ferried to the client
-        return {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-    events = getattr(result, "obs_events", None) or []
-    doc: dict[str, Any] = {
-        "ok": True,
-        "digest": stream_digest(events),
-        "events_emitted": len(events),
-    }
-    doc["result"] = result.to_dict(
-        include_results=bool(
-            want_results and getattr(result, "results", None)
-            is not None
-        )
-    )
+        return None, _error_body(f"{type(exc).__name__}: {exc}")
+    events = result.obs_events or []
+    digest = stream_digest(events)
+    text = '{"digest":"%s","events_emitted":%d,"result":%s' % (
+        digest, len(events), result.to_json(want_results))
     if want_trace:
-        doc["trace"] = [ev.to_dict() for ev in events]
-    return doc
+        text += ',"trace":' + events_json(events)
+    return digest, (text + "}").encode("utf-8")
 
 
 def service_worker_main(
@@ -178,7 +180,7 @@ def service_worker_main(
             collector = (
                 _StreamCollector(_send, job_id) if want_stream else None
             )
-            payload = _execute_payload(
+            digest, body = _execute_body(
                 job, want_results, want_trace, collector=collector
             )
             if collector is not None:
@@ -186,7 +188,7 @@ def service_worker_main(
                 # on the wire before the terminal result.
                 collector.flush()
             try:
-                _send(("done", job_id, payload))
+                _send(("done", job_id, digest, body))
             except (OSError, ValueError, BrokenPipeError):
                 return
     finally:
@@ -195,11 +197,19 @@ def service_worker_main(
 
 @dataclasses.dataclass
 class JobRecord(object):
-    """One admitted job's full lifecycle inside the service."""
+    """One admitted job's full lifecycle inside the service.
+
+    A terminal record keeps what its ``wait`` replies need and nothing
+    else: ``body`` (the encoded reply members, see
+    :func:`_execute_body`) and ``digest`` (``None`` when the job
+    failed).  ``job`` -- a workload with its cost vector and prefix
+    sums -- is held for the dispatch, and any re-dispatch after a
+    worker death, and released when the record turns terminal.
+    """
 
     job_id: str
     tenant: str
-    job: SimJob
+    job: Optional[SimJob]
     want_results: bool = False
     want_trace: bool = False
     want_stream: bool = False
@@ -210,11 +220,22 @@ class JobRecord(object):
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    payload: Optional[dict] = None
+    digest: Optional[str] = None
+    body: Optional[bytes] = None
 
     @property
     def terminal(self) -> bool:
         return self.state in ("done", "failed")
+
+    def finish(
+        self, at: float, digest: Optional[str], body: bytes
+    ) -> None:
+        """Turn terminal: keep the reply, release the inputs."""
+        self.state = "done" if digest is not None else "failed"
+        self.finished_at = at
+        self.digest = digest
+        self.body = body
+        self.job = None
 
 
 class _Handle(object):
@@ -540,7 +561,7 @@ class WorkerPool(object):
                 self._handle_events(handle, msg[1], msg[2])
                 continue
             if msg[0] == "done":
-                self._handle_done(handle, msg[1], msg[2])
+                self._handle_done(handle, *msg[1:])
 
     def _handle_events(
         self, handle: _Handle, job_id: str, batch: list
@@ -559,7 +580,8 @@ class WorkerPool(object):
         self.on_events(record, batch)
 
     def _handle_done(
-        self, handle: _Handle, job_id: str, payload: dict
+        self, handle: _Handle, job_id: str,
+        digest: Optional[str], body: bytes,
     ) -> None:
         with self._lock:
             record = handle.record
@@ -581,11 +603,9 @@ class WorkerPool(object):
                 )
                 return
             handle.record = None
-            record.finished_at = self.now()
-            record.payload = payload
-            record.state = "done" if payload.get("ok") else "failed"
+            record.finish(self.now(), digest, body)
             self._append_log_locked(
-                "result" if payload.get("ok") else "error",
+                "result" if digest is not None else "error",
                 record,
                 worker=handle.slot,
                 incarnation=handle.incarnation,
@@ -611,15 +631,10 @@ class WorkerPool(object):
                 self._worker_deaths += 1
                 record.requeues += 1
                 if record.requeues > self.max_requeues:
-                    record.state = "failed"
-                    record.finished_at = self.now()
-                    record.payload = {
-                        "ok": False,
-                        "error": (
-                            f"too-many-requeues: job killed "
-                            f"{record.requeues} worker incarnations"
-                        ),
-                    }
+                    record.finish(self.now(), None, _error_body(
+                        f"too-many-requeues: job killed "
+                        f"{record.requeues} worker incarnations"
+                    ))
                     self._append_log_locked(
                         "error", record,
                         worker=handle.slot, incarnation=handle.incarnation,

@@ -32,6 +32,7 @@ __all__ = [
     "OPS",
     "ProtocolError",
     "encode_frame",
+    "frame_payload",
     "FrameDecoder",
     "send_frame",
     "recv_frame",
@@ -66,21 +67,29 @@ class ProtocolError(ValueError):
     """A frame violated the wire format (length, encoding, or shape)."""
 
 
-def encode_frame(doc: dict[str, Any]) -> bytes:
-    """Serialize one message: 4-byte length prefix + compact JSON."""
-    if not isinstance(doc, dict):
-        raise ProtocolError(
-            f"frames carry JSON objects, got {type(doc).__name__}"
-        )
-    payload = json.dumps(
-        doc, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+def frame_payload(payload: bytes) -> bytes:
+    """Length-prefix one already-encoded JSON object.
+
+    The daemon's ``wait`` replies come this way: the result was
+    encoded once, where it was made, and is only framed here.
+    """
     if len(payload) > MAX_FRAME:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME "
             f"({MAX_FRAME})"
         )
     return _LEN.pack(len(payload)) + payload
+
+
+def encode_frame(doc: dict[str, Any]) -> bytes:
+    """Serialize one message: 4-byte length prefix + compact JSON."""
+    if not isinstance(doc, dict):
+        raise ProtocolError(
+            f"frames carry JSON objects, got {type(doc).__name__}"
+        )
+    return frame_payload(json.dumps(
+        doc, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8"))
 
 
 def _decode_payload(payload: bytes) -> dict[str, Any]:

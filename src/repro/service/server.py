@@ -49,9 +49,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import itertools
+import json
 import math
 import signal as _signal
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from .. import cache as _cache
 from ..obs import (
@@ -64,7 +65,14 @@ from ..obs.logutil import get_logger
 from ..runtime.config import RuntimeConfig
 from .jobs import JobSpecError, _spec_number, job_from_spec
 from .pool import SERVICE_RUNTIME, JobRecord, WorkerPool
-from .protocol import OPS, ProtocolError, read_frame, write_frame
+from .protocol import (
+    OPS,
+    ProtocolError,
+    encode_frame,
+    frame_payload,
+    read_frame,
+    write_frame,
+)
 
 __all__ = ["ServiceConfig", "ServiceServer", "serve_until_complete"]
 
@@ -491,7 +499,7 @@ class ServiceServer(object):
         # workers receive it precomputed inside the pickled workload.
         loop = asyncio.get_running_loop()
         try:
-            await loop.run_in_executor(None, record.job.workload.costs)
+            await loop.run_in_executor(None, job.workload.costs)
         finally:
             self._resolving -= 1
         self._emit(
@@ -641,6 +649,7 @@ class ServiceServer(object):
                     break
                 seq = doc.get("seq")
                 op = doc.get("op")
+                reply: Union[dict, bytes]
                 if op == "hello":
                     raw = doc.get("tenant", "default")
                     tenant = str(raw) if raw else "default"
@@ -719,8 +728,21 @@ class ServiceServer(object):
                         message=f"unknown op {op!r}; valid ops: "
                                 f"{', '.join(sorted(OPS))}",
                     )
+                try:
+                    frame = (
+                        reply if isinstance(reply, bytes)
+                        else encode_frame(reply)
+                    )
+                except ProtocolError as exc:
+                    # E.g. the ``trace`` of a tenant that streamed a
+                    # few hundred thousand chunk events.
+                    frame = encode_frame(_reply(
+                        seq, ok=False, error="reply-too-large",
+                        message=str(exc),
+                    ))
                 async with wlock:
-                    await write_frame(writer, reply)
+                    writer.write(frame)
+                    await writer.drain()
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.CancelledError):
             pass
@@ -753,7 +775,10 @@ class ServiceServer(object):
         count = self.inject_chaos(plan, time_scale=time_scale)
         return _reply(seq, ok=True, scheduled=count)
 
-    async def _wait(self, tenant: str, doc: dict, seq) -> dict:
+    async def _wait(
+        self, tenant: str, doc: dict, seq
+    ) -> Union[dict, bytes]:
+        """The ``wait`` reply: a dict, or a finished job's whole frame."""
         try:
             timeout = (
                 _wire_number(doc, "timeout", 0.0)
@@ -779,17 +804,27 @@ class ServiceServer(object):
                     seq, ok=False, error="timeout",
                     state=record.state,
                 )
-        payload = dict(record.payload or {})
-        payload.update(
-            _reply(
-                seq,
-                ok=bool(payload.get("ok")),
-                job_id=job_id,
-                state=record.state,
-                requeues=record.requeues,
-            )
+        envelope = _reply(
+            seq,
+            ok=record.state == "done",
+            job_id=job_id,
+            state=record.state,
+            requeues=record.requeues,
         )
-        return payload
+        body = record.body
+        assert body is not None  # a terminal record has one
+        # The job's members were encoded where it ran; they and the
+        # envelope are two objects with no key in common, so one brace
+        # less makes them one.
+        head = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+        try:
+            return frame_payload(head[:-1] + b"," + body[1:])
+        except ProtocolError as exc:
+            envelope.update(
+                ok=False, error="reply-too-large", message=str(exc),
+                digest=record.digest,
+            )
+            return envelope
 
 
 def _wire_number(doc: dict, field: str, default: float) -> float:

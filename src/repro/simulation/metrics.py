@@ -19,6 +19,7 @@ master.
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Optional
 
 import numpy as np
@@ -55,6 +56,9 @@ class WorkerMetrics(object):
 
 _WORKER_FIELDS = tuple(f.name for f in dataclasses.fields(WorkerMetrics))
 
+_float_repr = float.__repr__
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
 
 @dataclasses.dataclass(slots=True)
 class ChunkRecord(object):
@@ -78,6 +82,30 @@ class ChunkRecord(object):
     @property
     def size(self) -> int:
         return self.stop - self.start
+
+
+#: One chunk of :meth:`SimResult.to_json`: ``ChunkRecord``'s fields in
+#: order, the two times pre-formatted, ``acp`` an int or ``null``.
+_CHUNK_JSON = (
+    '{"worker":%d,"start":%d,"stop":%d,"assigned_at":%s,'
+    '"completed_at":%s,"stage":%d,"acp":%s}'
+)
+
+
+def _chunks_text(rows: list[tuple]) -> str:
+    """Rows as the items of a JSON array: ``TypeError`` from
+    ``float.__repr__`` of a non-float, ``ValueError`` at a non-finite
+    time (``x - x`` is ``nan`` for ``inf`` and ``nan``)."""
+    out = []
+    for r in rows:
+        t0, t1 = r[3], r[4]
+        if t0 - t0 != 0.0 or t1 - t1 != 0.0:
+            raise ValueError(r)
+        out.append(_CHUNK_JSON % (
+            r[0], r[1], r[2], _float_repr(t0), _float_repr(t1), r[5],
+            "null" if len(r) < 7 or r[6] is None else r[6],
+        ))
+    return ",".join(out)
 
 
 def _record_row(c: ChunkRecord) -> tuple:
@@ -205,6 +233,19 @@ class SimResult(object):
         state["chunks"] = LazyChunkList(_chunk_rows(self.chunks))
         return state
 
+    def _summary(self) -> dict:
+        """Everything :meth:`to_dict` holds but ``chunks``/``results``."""
+        return {
+            "scheme": self.scheme,
+            "t_p": self.t_p,
+            "rederivations": self.rederivations,
+            "events": self.events,
+            "workers": [
+                {name: getattr(w, name) for name in _WORKER_FIELDS}
+                for w in self.workers
+            ],
+        }
+
     def to_dict(self, include_results: bool = False) -> dict:
         """JSON-safe dict; exact round trip via :meth:`from_dict`.
 
@@ -217,27 +258,40 @@ class SimResult(object):
         # Built from fields and rows directly: ``dataclasses.asdict``
         # deep-copies every int and float, which cost more per job
         # than the fast path's simulation.
-        d = {
-            "scheme": self.scheme,
-            "t_p": self.t_p,
-            "rederivations": self.rederivations,
-            "events": self.events,
-            "workers": [
-                {name: getattr(w, name) for name in _WORKER_FIELDS}
-                for w in self.workers
-            ],
-            "chunks": [
-                {
-                    "worker": r[0], "start": r[1], "stop": r[2],
-                    "assigned_at": r[3], "completed_at": r[4],
-                    "stage": r[5], "acp": r[6] if len(r) > 6 else None,
-                }
-                for r in _chunk_rows(self.chunks)
-            ],
-        }
+        d = self._summary()
+        d["chunks"] = [
+            {
+                "worker": r[0], "start": r[1], "stop": r[2],
+                "assigned_at": r[3], "completed_at": r[4],
+                "stage": r[5], "acp": r[6] if len(r) > 6 else None,
+            }
+            for r in _chunk_rows(self.chunks)
+        ]
         if include_results and self.results is not None:
             d["results"] = self.results.tolist()
         return d
+
+    def to_json(self, include_results: bool = False) -> str:
+        """Compact JSON text of :meth:`to_dict`, written from rows.
+
+        :meth:`to_dict` is the definition
+        (``tests/simulation/test_result_transport.py`` holds
+        ``json.loads(r.to_json(x)) == r.to_dict(x)``); this is the
+        writer used where a result leaves the process -- a service
+        reply, a JSONL line -- with no dict per chunk in between.
+        Rows holding what ``%d`` / ``float.__repr__`` cannot write as
+        ``json`` would (an int time, ``inf``, ``nan``) are encoded
+        from the definition instead.
+        """
+        try:
+            chunks = _chunks_text(_chunk_rows(self.chunks))
+        except (TypeError, ValueError):
+            return _dumps(self.to_dict(include_results))
+        text = '%s,"chunks":[%s]' % (
+            _dumps(self._summary())[:-1], chunks)
+        if include_results and self.results is not None:
+            text += ',"results":' + _dumps(self.results.tolist())
+        return text + "}"
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimResult":

@@ -5,13 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.obs import export
 from repro.obs import (
     EVENT_KINDS,
     ObsEvent,
     canonical_stream,
+    events_json,
     read_jsonl,
     stream_digest,
     to_chrome_trace,
@@ -170,3 +173,65 @@ def test_stream_digest_is_the_digest_of_the_canonical_stream(events):
     assert stream_digest(events) == _digest_by_definition(events)
     assert stream_digest(iter(events)) == _digest_by_definition(events)
     assert stream_digest(events[::-1]) == stream_digest(events)
+
+
+def _json_by_definition(events) -> str:
+    return json.dumps(
+        [ev.to_dict() for ev in events], separators=(",", ":"))
+
+
+def test_events_json_literal():
+    assert events_json([]) == "[]"
+    assert events_json(EVENTS[:1] + EVENTS[4:5]) == (
+        '[{"kind":"request","source":"sim.master","t":0.0,"worker":0},'
+        '{"kind":"fault","source":"chaos","t":0.6,"worker":1,'
+        '"detail":"death"}]'
+    )
+    assert events_json(EVENTS) == _json_by_definition(EVENTS)
+    # An ordinary stream is written by the fast arm, not handed back
+    # to the definition.
+    assert export._events_text(EVENTS) == events_json(EVENTS)
+    with pytest.raises(ValueError):
+        export._events_text([EVENTS[0]._replace(t=float("inf"))])
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+#: A float field as an event may hold it: a finite float mostly
+#: (``np.float64`` is one); an int-valued or infinite one goes through
+#: the definition.
+_float_fields = st.one_of(
+    _finite,
+    _finite.map(np.float64),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([float("inf"), float("-inf"), -0.0, 5e-324]),
+)
+_int_fields = st.one_of(st.none(), st.integers(-10**12, 10**12))
+_wire_events = st.builds(
+    ObsEvent,
+    # Text fields: quotes, backslashes, control and non-ASCII
+    # characters all come out of ``st.text()``.
+    kind=st.one_of(st.sampled_from(sorted(EVENT_KINDS)), st.text()),
+    source=st.one_of(st.just("sim.master"), st.text(max_size=6)),
+    t=_float_fields,
+    worker=st.integers(min_value=-1, max_value=64),
+    start=_int_fields,
+    stop=_int_fields,
+    stage=_int_fields,
+    acp=_int_fields,
+    value=st.one_of(st.none(), _float_fields),
+    detail=st.one_of(
+        st.just(""), st.text(),
+        st.sampled_from(['say "hi"', "back\\slash", "tab\there",
+                         "nul\x00", "caf\u00e9 \u2603", "nan inf"]),
+    ),
+    wall=st.one_of(st.none(), _float_fields),
+)
+
+
+@given(st.lists(_wire_events, max_size=12))
+def test_events_json_is_the_json_of_the_dicts(events):
+    # ``events_json`` formats the tuples itself; ``to_dict`` through
+    # ``json.dumps`` stays the definition.
+    text = events_json(events)
+    assert json.loads(text) == [ev.to_dict() for ev in events]
+    assert text == _json_by_definition(events)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -63,6 +64,20 @@ def _record(job_id: str, tenant: str, spec: dict, **kw) -> JobRecord:
     )
 
 
+def _body(record: JobRecord) -> dict:
+    """The reply members a terminal record stored, decoded."""
+    assert isinstance(record.body, bytes)
+    return json.loads(record.body)
+
+
+def _holds_only_scalars(record: JobRecord) -> bool:
+    """A terminal record keeps encoded bytes: no job, no dict tree."""
+    return record.job is None and all(
+        value is None or isinstance(value, (str, bytes, int, float))
+        for value in vars(record).values()
+    )
+
+
 class TestValidation:
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError, match="size"):
@@ -88,8 +103,9 @@ class TestExecution:
             sink.wait_for("j1")
         record = sink.done["j1"]
         assert record.state == "done"
-        assert record.payload["digest"] == reference
-        assert record.payload["result"]["scheme"] == "TSS"
+        assert _body(record)["digest"] == reference == record.digest
+        assert _body(record)["result"]["scheme"] == "TSS"
+        assert _holds_only_scalars(record)
 
     def test_many_jobs_across_tenants_all_complete(self):
         sink = _Sink()
@@ -102,7 +118,7 @@ class TestExecution:
                 ))
             sink.wait_for(*ids)
             assert pool.idle()
-        digests = {sink.done[j].payload["digest"] for j in ids}
+        digests = {_body(sink.done[j])["digest"] for j in ids}
         assert len(digests) == 1  # identical jobs, identical digests
         report = audit_service_log(pool.log)
         assert report.ok, report.summary()
@@ -139,7 +155,8 @@ class TestExecution:
             sink.wait_for("bad")
         record = sink.done["bad"]
         assert record.state == "failed"
-        assert "TypeError" in record.payload["error"]
+        assert "TypeError" in _body(record)["error"]
+        assert record.digest is None and _holds_only_scalars(record)
         report = audit_service_log(pool.log)
         assert report.ok, report.summary()
 
@@ -168,7 +185,10 @@ class TestDeathRecovery:
         record = sink.done["victim"]
         assert record.state == "done"
         assert record.requeues == 1
-        assert record.payload["digest"] == reference
+        # The requeue re-dispatched the job the record still held; only
+        # the terminal record lets go of it.
+        assert _body(record)["digest"] == reference
+        assert _holds_only_scalars(record)
         events = [e["ev"] for e in pool.log]
         assert "worker-death" in events and "requeue" in events
         audit_service_log(pool.log).raise_if_failed()
@@ -185,7 +205,8 @@ class TestDeathRecovery:
             sink.wait_for("cursed")
         record = sink.done["cursed"]
         assert record.state == "failed"
-        assert "too-many-requeues" in record.payload["error"]
+        assert "too-many-requeues" in _body(record)["error"]
+        assert _holds_only_scalars(record)
         audit_service_log(pool.log).raise_if_failed()
 
     def test_bystander_tenant_digest_unaffected_by_kill(self):
@@ -203,7 +224,7 @@ class TestDeathRecovery:
             pool.submit(_record("b-fast", "bob", FAST_SPEC))
             pool.kill_worker(slot)
             sink.wait_for("a-slow", "b-fast")
-        assert sink.done["b-fast"].payload["digest"] == ref_fast
+        assert _body(sink.done["b-fast"])["digest"] == ref_fast
         assert sink.done["b-fast"].requeues == 0
         assert sink.done["a-slow"].state == "done"
         assert sink.done["a-slow"].requeues >= 1

@@ -14,6 +14,7 @@ from repro.service.protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame,
+    frame_payload,
     read_frame,
     recv_frame,
     send_frame,
@@ -35,6 +36,8 @@ class TestEncode:
         b = encode_frame({"a": 2, "b": 1})
         assert a == b
         assert b"\n" not in a and b" " not in a[4:]
+        # A payload encoded elsewhere is framed to the same bytes.
+        assert frame_payload(b'{"a":2,"b":1}') == a
 
     def test_rejects_non_object(self):
         with pytest.raises(ProtocolError, match="JSON object"):
@@ -43,6 +46,15 @@ class TestEncode:
     def test_rejects_oversized(self):
         with pytest.raises(ProtocolError, match="MAX_FRAME"):
             encode_frame({"pad": "x" * (MAX_FRAME + 1)})
+        # The pre-encoded door has the same cap, to the byte.
+        room = MAX_FRAME - len('{"pad":""}')
+        at_cap = b'{"pad":"%s"}' % (b"x" * room)
+        assert frame_payload(at_cap) == encode_frame({"pad": "x" * room})
+        with pytest.raises(ProtocolError, match="MAX_FRAME") as pre:
+            frame_payload(at_cap + b" ")
+        with pytest.raises(ProtocolError, match="MAX_FRAME") as enc:
+            encode_frame({"pad": "x" * (room + 1)})
+        assert str(pre.value) == str(enc.value)
 
 
 class TestFrameDecoder:

@@ -15,6 +15,7 @@ pairing.  The acceptance checks from the issue live here:
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 
@@ -22,7 +23,7 @@ import pytest
 
 from repro.obs import stream_digest
 from repro.runtime.config import RuntimeConfig
-from repro.service import ServiceClient, ServiceError
+from repro.service import ServiceClient, ServiceError, protocol
 from repro.service.jobs import job_from_spec
 from repro.service.server import ServiceConfig, ServiceServer
 from repro.verify import audit_service_log
@@ -46,6 +47,53 @@ def tenant_spec(i: int) -> dict:
         "cluster": {"workers": 3},
         "tag": f"tenant-{i}",
     }
+
+
+#: A traced spec small enough to pin whole.
+PINNED_SPEC = {
+    "scheme": "S",
+    "workload": {"kind": "uniform", "size": 4, "unit": 0.25},
+    "cluster": {"workers": 2},
+    "trace": True,
+}
+#: The frame payload the daemon sent for ``PINNED_SPEC`` (first job of
+#: tenant ``alice``, ``seq`` 3) when a reply was still a dict tree
+#: re-encoded with ``sort_keys`` on the event loop.
+PINNED_REPLY = (
+    '{"digest":"e9265275850ac46ca17546b956c096ba513f192b78a8c54025edb70'
+    'e5e46f51a","events_emitted":12,"job_id":"alice-000001","ok":true,"'
+    'requeues":0,"result":{"chunks":[{"acp":null,"assigned_at":0.002281'
+    '9199999999998,"completed_at":0.00728192,"stage":0,"start":0,"stop"'
+    ':2,"worker":0},{"acp":null,"assigned_at":0.0024819200000000003,"co'
+    'mpleted_at":0.00748192,"stage":0,"start":2,"stop":4,"worker":1}],"'
+    'events":10,"rederivations":0,"scheme":"S","t_p":0.00855232,"worker'
+    's":[{"chunks":1,"finished_at":0.00957792,"iterations":2,"name":"n0'
+    '","t_com":0.0041664,"t_comp":0.005,"t_wait":0.0004115200000000007}'
+    ',{"chunks":1,"finished_at":0.00977792,"iterations":2,"name":"n1","'
+    't_com":0.0041664,"t_comp":0.005,"t_wait":0.0006115200000000008}]},'
+    '"seq":3,"state":"done","trace":[{"kind":"request","source":"sim.ma'
+    'ster","t":0.0,"worker":0},{"kind":"request","source":"sim.master",'
+    '"t":0.0,"worker":1},{"kind":"assign","source":"sim.master","stage"'
+    ':0,"start":0,"stop":2,"t":0.00125632,"worker":0},{"kind":"assign",'
+    '"source":"sim.master","stage":0,"start":2,"stop":4,"t":0.00145632,'
+    '"worker":1},{"kind":"compute","source":"sim.master","stage":0,"sta'
+    'rt":0,"stop":2,"t":0.0022819199999999998,"value":0.005,"worker":0}'
+    ',{"kind":"compute","source":"sim.master","stage":0,"start":2,"stop'
+    '":4,"t":0.0024819200000000003,"value":0.005,"worker":1},{"kind":"r'
+    'equest","source":"sim.master","t":0.00728192,"worker":0},{"kind":"'
+    'request","source":"sim.master","t":0.00748192,"worker":1},{"kind":'
+    '"result","source":"sim.master","start":0,"stop":2,"t":0.00835232,"'
+    'worker":0},{"kind":"result","source":"sim.master","start":2,"stop"'
+    ':4,"t":0.00855232,"worker":1},{"kind":"terminate","source":"sim.ma'
+    'ster","t":0.00957792,"worker":0},{"kind":"terminate","source":"sim'
+    '.master","t":0.00977792,"worker":1}]}'
+)
+PINNED_FAILURE = {
+    "ok": False, "state": "failed", "requeues": 0,
+    "job_id": "alice-000002", "seq": 6,
+    "error": "TypeError: StaticScheduler.__init__() got an unexpected "
+             "keyword argument 'no_such_kwarg'",
+}
 
 
 class _Daemon(object):
@@ -131,6 +179,49 @@ class TestBasics:
             assert err.value.reason == reason
             assert c.ping()  # same connection, handler still alive
 
+    def test_wait_reply_parses_to_the_pinned_dicts(self, tmp_path):
+        # The reply is spliced from bytes encoded in the pool worker;
+        # parsed, it is the dict the daemon always sent (key order is
+        # the one thing that moved).
+        with _Daemon(tmp_path) as d, d.client("alice") as c:
+            job_id = c.submit(PINNED_SPEC)
+            reply = c._request({"op": "wait", "job_id": job_id})
+            assert reply == json.loads(PINNED_REPLY)
+            # A second wait re-frames the same stored bytes.
+            again = c._request({"op": "wait", "job_id": job_id})
+            assert again == dict(reply, seq=again["seq"])
+            bad = c.submit(dict(PINNED_SPEC,
+                                params={"no_such_kwarg": 1}))
+            assert c._request({"op": "wait", "job_id": bad}) \
+                == PINNED_FAILURE
+
+    def test_oversized_wait_reply_is_refused_not_fatal(
+        self, tmp_path, monkeypatch
+    ):
+        # A reply over MAX_FRAME used to raise out of the connection
+        # handler: no reply, connection dead.
+        monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
+        reference = stream_digest(
+            job_from_spec(PINNED_SPEC).run().obs_events
+        )
+        with _Daemon(tmp_path) as d, d.client("alice") as c:
+            # ``stream`` puts the chunk events in the tenant's trace.
+            job_id = c.submit(dict(PINNED_SPEC, stream=True))
+            reply = c._request({"op": "wait", "job_id": job_id})
+            assert reply["ok"] is False
+            assert reply["error"] == "reply-too-large"
+            size = len(PINNED_REPLY) - len('"seq":3,') + len('"seq":2,')
+            assert f"{size} bytes" in reply["message"]
+            assert "MAX_FRAME (1024)" in reply["message"]
+            assert reply["state"] == "done"
+            assert reply["digest"] == reference
+            assert c.ping()  # same connection, handler still alive
+            # Any other reply that outgrows the cap is refused alike.
+            with pytest.raises(ServiceError) as err:
+                c.trace()
+            assert err.value.reason == "reply-too-large"
+            assert c.ping()
+
     def test_wait_is_tenant_isolated(self, tmp_path):
         with _Daemon(tmp_path) as d:
             with d.client("alice") as alice, d.client("bob") as bob:
@@ -201,6 +292,12 @@ class TestAdmissionControl:
         rejected with a reason, and admitted+pending never exceeds
         capacity -- bounded memory by construction."""
         capacity = 4
+        # A job must outlast several submit round trips (~0.5 ms each)
+        # or one connection cannot oversubmit at all: the daemon keeps
+        # up with tiny jobs.  SS over 4000 iterations is ~40 ms of DES.
+        spec = dict(tenant_spec(0), scheme="SS",
+                    workload={"kind": "uniform", "size": 4000,
+                              "unit": 1e-4})
         with _Daemon(
             tmp_path, workers=1, queue_capacity=capacity,
             tenant_capacity=capacity,
@@ -208,7 +305,7 @@ class TestAdmissionControl:
             admitted, rejected = [], []
             for i in range(10 * capacity):
                 try:
-                    admitted.append(c.submit(tenant_spec(0)))
+                    admitted.append(c.submit(spec))
                 except ServiceError as exc:
                     assert exc.reason in ("queue-full", "tenant-quota")
                     rejected.append(exc.reason)

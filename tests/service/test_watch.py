@@ -297,7 +297,7 @@ class TestChaosStream:
     }
 
     def test_seeded_kill_keeps_stream_and_digest_faithful(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         """A watcher subscribed through a seeded worker kill sees the
         partial first incarnation *and* the recovery re-execution --
@@ -307,7 +307,14 @@ class TestChaosStream:
         digest still bit-identical to a never-subscribed one-shot."""
         from repro.chaos import FaultPlan, WorkerDeath
         from repro.obs import canonical_stream
+        from repro.service import protocol
 
+        # The tenant's trace holds the partial first incarnation plus
+        # the whole re-execution: 30-40 MB as one ``trace`` reply,
+        # either side of the default cap depending on where the kill
+        # lands.  This test is about the stream, not the cap.
+        monkeypatch.setattr(
+            protocol, "MAX_FRAME", 4 * protocol.MAX_FRAME)
         reference = stream_digest(
             job_from_spec(self.SLOW_SPEC).run().obs_events
         )

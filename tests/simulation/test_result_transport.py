@@ -1,10 +1,13 @@
-"""A result's chunks travel as rows: across a pickle, into ``to_dict``.
+"""A result's chunks travel as rows: across a pickle, into ``to_dict``
+and into the text ``to_json`` writes.
 
 ``LazyChunkList`` pickles its field rows (and stays lazy on the far
 side), a DES result's plain record list crosses a pickle the same way,
-and ``SimResult.to_dict`` builds its dicts from rows and fields.  The
+``SimResult.to_dict`` builds its dicts from rows and fields, and
+``SimResult.to_json`` formats the same rows without the dicts.  The
 reference throughout is the record-object form: ``list(original)`` for
-the pickle, ``dataclasses.asdict`` for the dicts.
+the pickle, ``dataclasses.asdict`` for the dicts, and ``to_dict``
+through ``json.dumps`` for the text.
 """
 
 from __future__ import annotations
@@ -13,13 +16,26 @@ import dataclasses
 import json
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.chaos import FaultPlan
 from repro.core import names
 from repro.decentral import DECENTRAL_SCHEMES, simulate_decentral
-from repro.simulation import ClusterSpec, NodeSpec, simulate
-from repro.simulation.metrics import ChunkRecord, LazyChunkList, SimResult
+from repro.simulation import (
+    ClusterSpec,
+    NodeSpec,
+    simulate,
+    simulate_tree,
+)
+from repro.simulation import metrics
+from repro.simulation.metrics import (
+    ChunkRecord,
+    LazyChunkList,
+    SimResult,
+    WorkerMetrics,
+)
 from repro.workloads import LinearWorkload
 
 MASTER_ROWS = [(0, 0, 5, 0.0, 1.5, 0, None), (1, 5, 9, 0.25, 2.0, 1, 3)]
@@ -76,6 +92,21 @@ def assert_same_dicts(result: SimResult) -> None:
     assert back.chunks._records is None
     assert back == result
     assert back.to_dict() == d
+    assert_text_is_the_dict(result)
+    assert_text_is_the_dict(back)
+
+
+def compact(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def assert_text_is_the_dict(result: SimResult) -> None:
+    """``to_json`` against its definition, parsed and byte for byte."""
+    for include_results in (False, True):
+        text = result.to_json(include_results)
+        d = result.to_dict(include_results)
+        assert text == compact(d)
+        assert json.loads(text) == d
 
 
 @pytest.mark.parametrize("rows", [MASTER_ROWS, DECENTRAL_ROWS],
@@ -130,3 +161,69 @@ def test_to_dict_equals_asdict_form_under_chaos(workload, cluster):
     plan = FaultPlan.random(7, workers=cluster.size, horizon=2.0)
     assert plan.events
     assert_same_dicts(simulate("FSS", workload, cluster, chaos=plan))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_to_json_is_to_dict_tree(workload, cluster, weighted):
+    assert_text_is_the_dict(
+        simulate_tree(workload, cluster, weighted=weighted))
+
+
+def test_to_json_writes_ordinary_rows_itself():
+    # The fast arm, not the definition, encodes what engines produce.
+    for rows in (MASTER_ROWS, DECENTRAL_ROWS):
+        assert metrics._chunks_text(rows)
+    with pytest.raises(ValueError):
+        metrics._chunks_text([(0, 0, 5, 0.0, float("inf"), 0)])
+    with pytest.raises(TypeError):
+        metrics._chunks_text([(0, 0, 5, 0, 1.5, 0)])
+
+
+def test_to_json_carries_results_on_request(workload, cluster):
+    result = simulate("GSS", workload, cluster, collect_results=True)
+    assert result.results is not None
+    assert "results" not in json.loads(result.to_json())
+    assert json.loads(result.to_json(True))["results"] \
+        == result.results.tolist()
+    assert_text_is_the_dict(result)
+
+
+_ints = st.integers(min_value=0, max_value=10**12)
+#: A time as a row may hold it: a finite float mostly (``np.float64``
+#: is one); an int or an infinity goes through the definition.
+_times = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([float("inf"), float("-inf"), 0.0, -0.0, 1e-320]),
+)
+_rows = st.one_of(
+    st.tuples(_ints, _ints, _ints, _times, _times, _ints),
+    st.tuples(_ints, _ints, _ints, _times, _times, _ints,
+              st.one_of(st.none(), _ints)),
+)
+
+
+@given(
+    rows=st.lists(_rows, max_size=12),
+    lazy=st.booleans(),
+    t_p=_times,
+    scheme=st.text(max_size=8),
+    results=st.one_of(
+        st.none(),
+        st.lists(st.floats(allow_nan=False), max_size=5),
+    ),
+)
+def test_to_json_is_to_dict_for_any_rows(rows, lazy, t_p, scheme,
+                                         results):
+    result = SimResult(
+        scheme=scheme,
+        workers=[WorkerMetrics(name=scheme, t_comp=1.5, chunks=2)],
+        t_p=t_p,
+        chunks=(
+            LazyChunkList(rows) if lazy
+            else [ChunkRecord(*row) for row in rows]
+        ),
+        results=None if results is None else np.asarray(results),
+    )
+    assert_text_is_the_dict(result)

@@ -294,6 +294,41 @@ class TestStreamBatch:
         assert [result_rows(r) for r in resumed] \
             == [result_rows(r) for r in run_batch(jobs)]
 
+    def test_resume_reads_the_earlier_line_format(self, tmp_path,
+                                                  monkeypatch):
+        """A line used to be ``json.dumps`` of one dict holding
+        ``result.to_dict()``; it is now spliced from ``to_json`` text.
+        Both parse to the same record, and one file may hold both."""
+        jobs = small_jobs(6)
+        results = run_batch(jobs)
+
+        def record(i):
+            return {
+                "key": jobs[i].key, "index": i,
+                "scheme": jobs[i].scheme, "engine": jobs[i].engine,
+                "tag": jobs[i].tag, "result": results[i].to_dict(),
+            }
+
+        path = str(tmp_path / "sweep.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(3):
+                fh.write(json.dumps(record(i)) + "\n")
+        runs = []
+        original = SimJob.run
+        monkeypatch.setattr(
+            SimJob, "run",
+            lambda self: runs.append(self.tag) or original(self),
+        )
+        for expected_runs in (["j3", "j4", "j5"], []):
+            runs.clear()
+            resumed = run_batch(jobs, persist=path, resume=True)
+            assert runs == expected_runs
+            assert [result_rows(r) for r in resumed] \
+                == [result_rows(r) for r in results]
+        lines = [json.loads(line)
+                 for line in open(path, encoding="utf-8")]
+        assert lines == [record(i) for i in range(6)]
+
     def test_resume_tolerates_torn_tail_line(self, tmp_path):
         jobs = small_jobs(3)
         path = str(tmp_path / "sweep.jsonl")
