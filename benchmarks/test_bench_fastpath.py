@@ -10,7 +10,7 @@ guard), and records per-sim wall time, sims/sec and the speedup ratio
 for the session's ``REPRO_BENCH_OUT`` JSON document.
 
 The in-test floor is deliberately lower than the measured speedups
-(master SS and CSS ~7x, decentral ~3.5-4x -- see
+(master SS and CSS(4) ~3.7x, decentral ~3-4x -- see
 ``BENCH_baseline.json``): CI containers are noisy, and the regression
 guard proper is ``benchmarks/compare_bench.py`` against the committed
 baseline.  The ratio's denominator is the DES, so a faster DES lowers
@@ -39,11 +39,11 @@ from repro.workloads import MandelbrotWorkload
 #: floor stays far above "the fast path is broken"; decentral TSS is
 #: 13 chunks of work and only has to not lose.
 MASTER_CASES = [
-    ("SS", 20, 3.9), ("CSS(4)", 20, 3.0),
-    ("FSS", 60, 1.7), ("TSS", 40, 1.4),
+    ("SS", 20, 2.05), ("CSS(4)", 20, 1.6),
+    ("FSS", 60, 1.05), ("TSS", 40, 0.9),
 ]
 DECENTRAL_CASES = [
-    ("SS", 20, 2.5), ("CSS(4)", 20, 1.6), ("TSS", 40, 1.0),
+    ("SS", 20, 2.5), ("CSS(4)", 20, 1.45), ("TSS", 40, 1.0),
 ]
 
 

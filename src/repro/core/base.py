@@ -30,13 +30,14 @@ Two families exist:
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 __all__ = [
     "WorkerView",
     "ChunkAssignment",
     "Scheduler",
     "SchemeError",
+    "formula_stepper",
     "drain",
 ]
 
@@ -123,8 +124,10 @@ class Scheduler(object):
     state (cursor, step, per-worker request counts, the clip rule)
     belongs to whoever *drives* the formula.  There are three drivers:
     :meth:`next_chunk` here, the lockstep
-    :class:`repro.core.kernel.ChunkCalculator`, and the analytic
-    stepper in :mod:`repro.simulation.fastpath`.
+    :class:`repro.core.kernel.ChunkCalculator`, and
+    :func:`formula_stepper` below, which the simulators use (the
+    analytic fast path inlines the same few lines around its own
+    cursor).
 
     Schemes that are stateful by nature (ACP-driven, feedback-driven,
     user-written) override :meth:`_chunk_size` instead; it stays the
@@ -220,8 +223,9 @@ class Scheduler(object):
     def _take(self, worker: WorkerView) -> int:
         """Size, clip and consume the next chunk; return its start.
 
-        The loop must not be finished.  This is the one place the
-        min-1 / clip-to-remaining rule lives for driven schedulers.
+        The loop must not be finished.  The min-1 / clip-to-remaining
+        rule lives in this module only: here for the hook-driven
+        schedulers, in :func:`formula_stepper` for the formula-driven.
         """
         size = int(self._chunk_size(worker))
         if size < 1:
@@ -310,6 +314,65 @@ class Scheduler(object):
             f"<{type(self).__name__} {self.name} total={self.total} "
             f"workers={self.workers} remaining={self.remaining}>"
         )
+
+
+#: ``Scheduler`` methods a scheme must leave alone to be driven by its
+#: formula: then a chunk is exactly the base driver's clip of
+#: ``_nominal`` and whoever owns the cursor may evaluate it.
+_DRIVER_HOOKS = ("next_chunk", "_take", "_chunk_size", "_current_stage")
+
+
+def formula_stepper(
+    scheduler: Scheduler,
+) -> Optional[Callable[[int], Optional[tuple[int, int, int]]]]:
+    """``wid -> (start, stop, stage) | None`` for a scheduler that *is*
+    its :meth:`~Scheduler._nominal` formula; None for one that is not.
+
+    A scheduler is formula-driven when neither its class nor the
+    instance itself replaces a driver hook.  For those, one call of the
+    returned function is one :meth:`~Scheduler.next_chunk` -- the same
+    interval, and the same ``_cursor`` / ``_step`` / ``_requests`` /
+    ``_stage`` left on the scheduler after every step (substrates read
+    ``scheduler.finished`` mid-run) -- without the ``WorkerView`` and
+    ``ChunkAssignment`` the formula never looks at.
+    """
+    for hook in _DRIVER_HOOKS:
+        # What the scheduler would call, class override and instance
+        # shadow alike.  (Not ``vars(scheduler)``: reading ``__dict__``
+        # un-inlines the instance's attribute values in CPython 3.11+
+        # and slows every later attribute access on it.)
+        bound = getattr(scheduler, hook, None)
+        if (
+            getattr(bound, "__func__", None) is not getattr(Scheduler, hook)
+            or bound.__self__ is not scheduler
+        ):
+            return None
+    total = scheduler.total
+    nominal = scheduler._nominal
+    # A constant formula (SS, CSS, BC) needs no call at all.
+    const = scheduler.constant
+
+    def step(wid: int) -> Optional[tuple[int, int, int]]:
+        start = scheduler._cursor
+        rem = total - start
+        if rem <= 0:
+            return None
+        requests = scheduler._requests
+        k = requests.get(wid, 0)
+        requests[wid] = k + 1
+        if const is None:
+            size, stage = nominal(rem, scheduler._step, wid, k)
+            size = int(size)
+        else:
+            size, stage = const, 0
+        if size < 1:
+            size = 1
+        stop = scheduler._cursor = start + (size if size < rem else rem)
+        scheduler._step += 1
+        scheduler._stage = stage
+        return start, stop, stage
+
+    return step
 
 
 def drain(scheduler: Scheduler, worker_cycle: Optional[list[WorkerView]] = None

@@ -54,7 +54,7 @@ import dataclasses
 from typing import Optional, Union
 
 from ..core.kernel import ChunkCalculator, make_calculator
-from ..obs import ObsEvent
+from ..obs import make_event
 from ..workloads import Workload
 from ..simulation import fastpath
 from ..simulation.cluster import ClusterSpec
@@ -165,9 +165,9 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         self._counter_free = end
         self._global_ops += 1
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(make_event(
                 "fetch-add", self.SRC, at, state.index,
-                value=start - at, detail="global",
+                None, None, None, None, start - at, "global", None,
             ))
         return end
 
@@ -196,9 +196,10 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         local_end = local_start + self.local_op_cost
         self._group_free[g] = local_end
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(make_event(
                 "fetch-add", self.SRC, arrival, state.index,
-                value=local_start - arrival, detail="local",
+                None, None, None, None, local_start - arrival, "local",
+                None,
             ))
         nxt, lease_end = self._lease_state[g]
         if nxt < min(lease_end, self._n):
@@ -225,7 +226,10 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
             return
         t = self.queue.now
         if self.observing:
-            self.obs.emit(ObsEvent("request", self.SRC, t, state.index))
+            self._emit(make_event(
+                "request", self.SRC, t, state.index,
+                None, None, None, None, None, "", None,
+            ))
         node = state.node
         tx = node.transfer_time(self.cluster.request_bytes)
         tx_start = self._acquire_segment(node, t, tx)
@@ -246,30 +250,35 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         if index is None:
             self.queue.push(resume, self._worker_terminate, state)
             return
+        # The worker derives its interval from the ordinal: sized once,
+        # here, for the event and for the compute step alike.
+        start, stop = self.calc.interval(index)
+        stage = self.calc.stage_of(index)
         if self.observing:
-            a_start, a_stop = self.calc.interval(index)
-            self.obs.emit(ObsEvent(
+            self._emit(make_event(
                 "assign", self.SRC, access_end, state.index,
-                a_start, a_stop, self.calc.stage_of(index),
+                start, stop, stage, None, None, "", None,
             ))
         state.pending_index = index
-        self.queue.push(resume, self._begin_compute, state, index)
+        self.queue.push(
+            resume, self._begin_compute, state, start, stop, stage
+        )
 
-    def _begin_compute(self, state: _DWorkerState, index: int) -> None:
-        start, stop = self.calc.interval(index)
+    def _begin_compute(
+        self, state: _DWorkerState, start: int, stop: int, stage: int
+    ) -> None:
         self._compute(
-            state, start, stop, self.calc.stage_of(index), None,
-            self._finish_chunk,
+            state, start, stop, stage, None, self._finish_chunk
         )
 
     def _finish_chunk(self, state: _DWorkerState) -> None:
         # The chunk is durable from here on (shard write in the real
         # runtime): a later death cannot lose it.
         if self.observing:
-            record = state.undelivered[0]
-            self.obs.emit(ObsEvent(
+            row = state.undelivered[0]
+            self._emit(make_event(
                 "result", self.SRC, self.queue.now, state.index,
-                record.start, record.stop,
+                row[1], row[2], None, None, None, "", None,
             ))
         state.undelivered.clear()
         state.pending_index = None

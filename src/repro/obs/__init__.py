@@ -52,6 +52,7 @@ from .collect import (
     NullCollector,
     capture,
     resolve,
+    sink,
 )
 from .events import (
     EVENT_KINDS,
@@ -60,6 +61,7 @@ from .events import (
     SOURCES,
     ObsEvent,
     SchemaError,
+    make_event,
     validate_event,
 )
 from .export import (
@@ -96,6 +98,7 @@ __all__ = [
     "ENV_LOG_LEVEL",
     "NULL",
     "ObsEvent",
+    "make_event",
     "SchemaError",
     "validate_event",
     "Collector",
@@ -104,6 +107,7 @@ __all__ = [
     "JsonlCollector",
     "capture",
     "resolve",
+    "sink",
     "to_jsonl",
     "write_jsonl",
     "read_jsonl",

@@ -8,6 +8,11 @@ The contract every instrumented hot path relies on:
   truth test and never even constructs the event object.  That is the
   whole design of the ~zero-cost off switch (guarded by
   ``benchmarks/test_bench_obs.py``).
+* A loop that emits per chunk asks :func:`sink` once for the callable
+  it will feed.  That is the collector's own ``emit`` -- every event
+  reaches it, in order -- except for a :class:`BufferedCollector`
+  whose ``emit`` nobody replaced: there ``emit`` *is* the list's
+  ``append``, so that is what the loop gets.
 * Collectors never validate on emit (schema checks live in tests and
   importers) and never raise out of ``emit`` for flow-control reasons:
   an observability layer must not alter the run it observes.
@@ -23,7 +28,7 @@ import contextlib
 import json
 import os
 import threading
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .events import ObsEvent
 
@@ -34,6 +39,7 @@ __all__ = [
     "JsonlCollector",
     "NULL",
     "resolve",
+    "sink",
     "capture",
 ]
 
@@ -149,6 +155,23 @@ class JsonlCollector(Collector):
             os.write(fd, payload)
         finally:
             os.close(fd)
+
+
+def sink(collector: Collector) -> Callable[[ObsEvent], None]:
+    """The callable a hot loop feeds for one whole run.
+
+    Nothing is stored on the collector (it still pickles and copies),
+    and an ``emit`` overridden in a subclass or set on the instance is
+    what gets called.
+    """
+    emit = collector.emit
+    if (
+        isinstance(collector, BufferedCollector)
+        and getattr(emit, "__func__", None) is BufferedCollector.emit
+        and emit.__self__ is collector
+    ):
+        return collector.events.append
+    return emit
 
 
 @contextlib.contextmanager

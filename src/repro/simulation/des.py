@@ -43,13 +43,14 @@ from typing import (
 
 import numpy as np
 
-from ..obs import Collector, ObsEvent
+from ..obs import Collector, ObsEvent, make_event
 from ..obs import resolve as _resolve_collector
+from ..obs import sink as _collector_sink
 from ..workloads import Workload, WorkloadError
 from .cluster import ClusterSpec, NodeSpec
 from .events import EventQueue, SimulationError
 from .loadgen import ConstantLoad, OverlayLoad, integrate_compute
-from .metrics import ChunkRecord, SimResult, WorkerMetrics
+from .metrics import LazyChunkList, SimResult, WorkerMetrics
 
 if TYPE_CHECKING:
     from ..chaos.plan import FaultPlan
@@ -74,9 +75,10 @@ class DesWorker(object):
     #: integral is one division; None = walk the trace.  Set by
     #: :meth:`DesCluster.run`.
     rate: Optional[float] = None
-    #: computed chunks whose results are not safe yet (still on this
-    #: PE or on the wire); rolled back if the PE dies.
-    undelivered: list[ChunkRecord] = dataclasses.field(
+    #: computed chunks (the rows :meth:`DesCluster._compute` booked)
+    #: whose results are not safe yet -- still on this PE or on the
+    #: wire; rolled back if the PE dies.
+    undelivered: list[tuple[Any, ...]] = dataclasses.field(
         default_factory=list
     )
 
@@ -137,6 +139,10 @@ class DesCluster(Generic[W]):
         # (~5x cheaper than NullCollector.__bool__ per gate);
         # the collector never changes after construction.
         self.observing = bool(self.obs)
+        #: where the emission sites put an event: resolved once, so a
+        #: plain buffer costs a list append per event and any other
+        #: collector one ``emit`` call.
+        self._emit = _collector_sink(self.obs)
         self.chaos = chaos
         if chaos is not None:
             if chaos.max_worker >= cluster.size:
@@ -158,7 +164,10 @@ class DesCluster(Generic[W]):
         #: the PEs that take part (a substrate may screen some out
         #: before the run); faults and terminal idling apply to these.
         self._participants: list[W] = list(self.workers)
-        self._chunks: list[ChunkRecord] = []
+        #: one row per computed chunk, ``ChunkRecord``'s fields in
+        #: order: (worker, start, stop, assigned_at, completed_at,
+        #: stage, acp) -- what the fast path writes too.
+        self._chunks: list[tuple[Any, ...]] = []
         self._results: list[tuple[int, np.ndarray]] = []
         #: when the last result became safe; ``T_p`` at the end.
         self._last_result_arrival = 0.0
@@ -269,7 +278,7 @@ class DesCluster(Generic[W]):
         _at, kind, extra = fault
         state.metrics.t_wait += extra
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(ObsEvent(
                 "fault", self.SRC, t, state.index, value=extra,
                 detail=kind,
             ))
@@ -286,15 +295,14 @@ class DesCluster(Generic[W]):
         stage: Optional[int],
         acp: Optional[int],
         then: Callable[..., None],
-    ) -> ChunkRecord:
+    ) -> tuple[Any, ...]:
         """Execute ``[start, stop)`` on ``state`` from now; ``then(state)``
-        fires when it finishes.
+        fires when it finishes.  Returns the chunk's row.
 
         The compute time is integrated up front and booked at once; a
         death before ``completed_at`` un-books the tail (see
         :meth:`_worker_die`).  ``stage`` None (TreeS blocks belong to
-        no scheme stage) stays None in the event and is the record's
-        default 0.
+        no scheme stage) stays None in the event and is 0 in the row.
         """
         queue = self.queue
         t = queue.now
@@ -314,30 +322,30 @@ class DesCluster(Generic[W]):
             node = state.node
             finish = integrate_compute(t, cost, node.speed, node.load)
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(make_event(
                 "compute", self.SRC, t, state.index,
-                start, stop, stage, acp, finish - t,
+                start, stop, stage, acp, finish - t, "", None,
             ))
         metrics = state.metrics
         metrics.t_comp += finish - t
         metrics.chunks += 1
         metrics.iterations += stop - start
-        record = ChunkRecord(
+        row = (
             state.index, start, stop, t, finish,
             0 if stage is None else stage, acp,
         )
-        self._chunks.append(record)
-        state.undelivered.append(record)
+        self._chunks.append(row)
+        state.undelivered.append(row)
         if self.collect_results:
             self._results.append((start, self.workload.execute(start, stop)))
         queue.push(finish, then, state)
-        return record
+        return row
 
     def _worker_terminate(self, state: W) -> None:
         state.done = True
         state.metrics.finished_at = self.queue.now
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(ObsEvent(
                 "terminate", self.SRC, self.queue.now, state.index,
             ))
 
@@ -413,30 +421,31 @@ class DesCluster(Generic[W]):
         state.epoch += 1
         state.metrics.finished_at = t
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(ObsEvent(
                 "fault", self.SRC, t, state.index, detail="death",
             ))
         lost, state.undelivered = state.undelivered, []
         chunks = self._chunks
-        for record in lost:
-            # Remove the (now lost) execution record; it re-enters when
-            # a survivor recomputes the interval.
-            if record.completed_at > t:
+        for row in lost:
+            # Remove the (now lost) execution row; it re-enters when a
+            # survivor recomputes the interval.
+            start, stop, finish = row[1], row[2], row[4]
+            if finish > t:
                 # Died mid-chunk: un-book the never-executed tail of
                 # the pre-integrated compute time.
-                state.metrics.t_comp -= record.completed_at - t
+                state.metrics.t_comp -= finish - t
             state.metrics.chunks -= 1
-            state.metrics.iterations -= record.stop - record.start
+            state.metrics.iterations -= stop - start
             for i in range(len(chunks) - 1, -1, -1):
-                if chunks[i] is record:
+                if chunks[i] is row:
                     del chunks[i]
                     break
             if self.collect_results:
                 for i in range(len(self._results) - 1, -1, -1):
-                    if self._results[i][0] == record.start:
+                    if self._results[i][0] == start:
                         del self._results[i]
                         break
-        self._lose(state, [(r.start, r.stop) for r in lost])
+        self._lose(state, [(row[1], row[2]) for row in lost])
         if self._future_restarts == 0 and self._stranded():
             raise SimulationError(self.STRANDED)
         self._drain_parked()
@@ -445,7 +454,7 @@ class DesCluster(Generic[W]):
         """Nothing to hand out now, but a failing peer holds work that
         may reappear: ``state`` waits for :meth:`_drain_parked`."""
         if self.observing:
-            self.obs.emit(ObsEvent("park", self.SRC, at, state.index))
+            self._emit(ObsEvent("park", self.SRC, at, state.index))
         self._parked.append(state)
 
     def _worker_restart(self, state: W) -> None:
@@ -463,7 +472,7 @@ class DesCluster(Generic[W]):
         state.dead = False
         state.done = False
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(ObsEvent(
                 "restart", self.SRC, self.queue.now, state.index,
             ))
         self._rejoin(state)
@@ -473,7 +482,7 @@ class DesCluster(Generic[W]):
         nothing for ``duration`` from now."""
         now = self.queue.now
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(ObsEvent(
                 "fault", self.SRC, now, value=duration, detail="stall",
             ))
         setattr(
@@ -506,7 +515,7 @@ class DesCluster(Generic[W]):
             tracked = state.metrics.busy
             if tracked < t_p:
                 state.metrics.t_wait += t_p - tracked
-        assigned = sum(c.size for c in self._chunks)
+        assigned = sum(row[2] - row[1] for row in self._chunks)
         if assigned != self.workload.size:
             raise SimulationError(self._leak(assigned))
         scheme, rederivations = self._label()
@@ -514,7 +523,7 @@ class DesCluster(Generic[W]):
             scheme=scheme,
             workers=[s.metrics for s in self.workers],
             t_p=t_p,
-            chunks=self._chunks,
+            chunks=LazyChunkList(self._chunks),
             rederivations=rederivations,
             events=self.queue.processed,
         )

@@ -38,7 +38,8 @@ from typing import Callable, Optional, Union
 
 from ..core import Scheduler, WorkerView, make
 from ..core.acp import IMPROVED_ACP, AcpModel
-from ..obs import ObsEvent
+from ..core.base import formula_stepper
+from ..obs import ObsEvent, make_event
 from ..workloads import Workload
 from . import fastpath
 from .cluster import ClusterSpec
@@ -130,6 +131,10 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         #: ``False`` (always run the generic DES).
         self.fast = fast
         self.scheduler = scheduler
+        #: how :meth:`_ask` drives the scheduler: the lean stepper for
+        #: a scheme that is its formula, None for one that needs a
+        #: :class:`WorkerView` and its own ``next_chunk``.
+        self._formula_step = formula_stepper(scheduler)
         #: feedback-dependent (adaptive) schedulers get the workload's
         #: cost structure, per-chunk completion reports, and their
         #: stage decisions drained into ``adapt`` events.  Cached as a
@@ -168,9 +173,30 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         acp = self._acp_now(state, t)
         self.scheduler.observe_acp(state.index, acp)
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(ObsEvent(
                 "acp-update", self.SRC, t, state.index, acp=acp,
             ))
+
+    def _ask(
+        self, wid: int, arrival: float, acp: Optional[int]
+    ) -> Optional[tuple[int, int, int]]:
+        """The scheduler's next ``(start, stop, stage)`` for worker
+        ``wid``, whose request reached the master at ``arrival``
+        carrying ``acp``; None once the loop is exhausted.  The DES and
+        the fast path's driven arm both ask here."""
+        step = self._formula_step
+        if step is not None:
+            return step(wid)
+        node = self.cluster.nodes[wid]
+        chunk = self.scheduler.next_chunk(WorkerView(
+            worker_id=wid,
+            virtual_power=float(node.virtual_power or 1.0),
+            run_queue=node.load.q_at(arrival),
+            acp=acp,
+        ))
+        if chunk is None:
+            return None
+        return chunk.start, chunk.stop, chunk.stage
 
     # -- protocol events ---------------------------------------------------------
 
@@ -196,9 +222,9 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             else None
         )
         if self.observing:
-            self.obs.emit(ObsEvent(
-                "request", self.SRC, t, state.index, None, None, None,
-                acp,
+            self._emit(make_event(
+                "request", self.SRC, t, state.index,
+                None, None, None, acp, None, "", None,
             ))
         self.queue.push(
             tx_start + tx, self._master_receive, state,
@@ -225,9 +251,10 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             )
             if self.observing and state.undelivered:
                 delivered = state.undelivered[0]
-                self.obs.emit(ObsEvent(
+                self._emit(make_event(
                     "result", self.SRC, arrival, state.index,
-                    delivered.start, delivered.stop,
+                    delivered[1], delivered[2], None, None, None, "",
+                    None,
                 ))
             state.undelivered.clear()  # results safely delivered
         service_start = max(arrival, self._master_free)
@@ -241,23 +268,17 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             start, stop = self._requeue.popleft()
             assignment = (start, stop, 0, acp)
         else:
-            view = WorkerView(
-                worker_id=state.index,
-                virtual_power=float(state.node.virtual_power or 1.0),
-                run_queue=state.node.load.q_at(arrival),
-                acp=acp,
-            )
-            chunk = self.scheduler.next_chunk(view)
+            asked = self._ask(state.index, arrival, acp)
             if self._adaptive and self.observing:
                 for d in self.scheduler.drain_decisions():
-                    self.obs.emit(ObsEvent(
+                    self._emit(ObsEvent(
                         "adapt", self.SRC, service_end, state.index,
                         start=d.base, stop=d.base + d.size,
                         stage=d.stage, value=d.reward,
                         detail=d.summary(),
                     ))
-            if chunk is not None:
-                assignment = (chunk.start, chunk.stop, chunk.stage, acp)
+            if asked is not None:
+                assignment = (asked[0], asked[1], asked[2], acp)
         reply_tx = state.node.transfer_time(self.cluster.reply_bytes)
         if assignment is None:
             if self._work_may_reappear():
@@ -276,10 +297,10 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         state.metrics.t_wait += reply_start - service_end
         state.metrics.t_com += reply_tx
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(make_event(
                 "assign", self.SRC, service_end, state.index,
                 assignment[0], assignment[1], assignment[2],
-                assignment[3],
+                assignment[3], None, "", None,
             ))
         state.pending_chunk = assignment
         self.queue.push(
@@ -296,13 +317,13 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         state.pending_piggyback = (
             (stop - start) * self.cluster.result_bytes_per_item
         )
-        record = self._compute(
+        row = self._compute(
             state, start, stop, stage, acp, self.next_work
         )
         if self._adaptive:
+            # completed_at - assigned_at
             self.scheduler.observe_completion(
-                state.index, start, stop,
-                record.completed_at - record.assigned_at,
+                state.index, start, stop, row[4] - row[3],
             )
 
     # -- failure injection --------------------------------------------------
@@ -351,7 +372,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 continue
             start, stop = self._requeue.popleft()
             if self.observing:
-                self.obs.emit(ObsEvent(
+                self._emit(ObsEvent(
                     "assign", self.SRC, self.queue.now, state.index,
                     start=start, stop=stop, stage=0,
                     detail="requeue",

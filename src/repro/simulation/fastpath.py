@@ -40,15 +40,15 @@ the DES's compute-event order for the same reason.
 
 Further per-chunk costs are shaved without touching the numbers:
 
-* chunk decisions for schemes that implement the pure
-  ``Scheduler._nominal`` formula (every built-in simple scheme,
-  caller-supplied instances included) come from calling that bound
-  method with this loop's own cursor, step and request counts -- no
-  ``WorkerView``, no ``ChunkAssignment`` -- and the drained state is
-  handed back to the scheduler afterwards; schemes that override
-  ``_chunk_size`` (the ACP-driven distributed family, user schemes)
-  are driven through the real ``next_chunk`` (still bit-identical,
-  less speedup);
+* chunk decisions for formula-driven schemes (see
+  :func:`repro.core.base.formula_stepper`: every built-in simple
+  scheme, caller-supplied instances included) come from calling the
+  bound ``_nominal`` with this loop's own cursor, step and request
+  counts -- no ``WorkerView``, no ``ChunkAssignment`` -- and the
+  drained state is handed back to the scheduler afterwards; schemes
+  that replace a driver hook (the ACP-driven distributed family, user
+  schemes) are asked the way the DES asks them,
+  ``MasterSlaveSimulation._ask`` (still bit-identical, less speedup);
 * the per-chunk compute integral is inlined for ``ConstantLoad``
   (``finish = t + cost / rate``), the overwhelmingly common case;
 * additions of exact zeros (switched-segment waits) are skipped --
@@ -82,7 +82,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.base import Scheduler, WorkerView
 from ..core.kernel import evaluate_ladder
 from .loadgen import ConstantLoad, integrate_compute
 from .metrics import LazyChunkList, SimResult
@@ -101,11 +100,6 @@ __all__ = [
 ENV_FAST = "REPRO_FAST"
 
 _INF = math.inf
-
-#: ``Scheduler`` methods a scheme must leave alone for this module to
-#: stand in for ``next_chunk``: then a chunk is exactly the base
-#: driver's clip of ``_nominal`` and can be evaluated on local state.
-_DRIVER_HOOKS = ("next_chunk", "_take", "_chunk_size", "_current_stage")
 
 
 def fast_enabled() -> bool:
@@ -154,35 +148,6 @@ def decentral_fast_reason(sim) -> Optional[str]:
     return _cluster_fast_reason(sim.cluster, sim.chaos, sim.obs)
 
 
-# -- driven stepper --------------------------------------------------------
-
-
-def _driven_stepper(sim):
-    """(worker, arrival, acp) -> (start, stop, stage) | None.
-
-    Drives the real scheduler with a :class:`WorkerView` constructed
-    exactly as the DES constructs it: for schemes whose decisions are
-    stateful by nature (they override a ``_DRIVER_HOOKS`` method).
-    """
-    scheduler = sim.scheduler
-    nodes = sim.cluster.nodes
-
-    def step(wid: int, arrival: float, acp) -> Optional[tuple]:
-        node = nodes[wid]
-        view = WorkerView(
-            worker_id=wid,
-            virtual_power=float(node.virtual_power or 1.0),
-            run_queue=node.load.q_at(arrival),
-            acp=acp,
-        )
-        chunk = scheduler.next_chunk(view)
-        if chunk is None:
-            return None
-        return (chunk.start, chunk.stop, chunk.stage)
-
-    return step
-
-
 # -- master-engine fast path -----------------------------------------------
 
 
@@ -223,19 +188,15 @@ def run_fast_master(sim) -> SimResult:
     else:
         participants = list(sim.workers)
 
-    # A scheme that leaves the driver hooks alone is its ``_nominal``
-    # formula and nothing else: this loop owns the cursor, a worker's
-    # request index is its chunk count so far and the global step is
-    # the row count.  A constant formula (SS, CSS, BC) is two integer
-    # ops inlined in the arrival branch, no call at all.
-    kind = type(scheduler)
-    pure = all(
-        getattr(kind, hook) is getattr(Scheduler, hook)
-        for hook in _DRIVER_HOOKS
-    )
+    # A formula-driven scheme is its ``_nominal`` and nothing else:
+    # this loop owns the cursor, a worker's request index is its chunk
+    # count so far and the global step is the row count.  A constant
+    # formula (SS, CSS, BC) is two integer ops inlined in the arrival
+    # branch, no call at all.
+    pure = sim._formula_step is not None
     const_k = scheduler.constant if pure else None
     nominal = scheduler._nominal
-    step = None if pure else _driven_stepper(sim)
+    step = None if pure else sim._ask
     cursor = scheduler._cursor
     stage = scheduler._stage
     acp_model = sim.acp_model
@@ -438,7 +399,9 @@ def run_fast_master(sim) -> SimResult:
         # Hand the drained state back, as ``next_chunk`` leaves it.
         scheduler._cursor = cursor
         scheduler._step = len(rows)
-        scheduler._requests = dict(enumerate(acc_chunks))
+        scheduler._requests = {
+            i: n for i, n in enumerate(acc_chunks) if n
+        }
         scheduler._stage = stage
     sim._chunks = chunks
     sim._last_result_arrival = last_result

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -123,14 +123,16 @@ def _chunk_rows(chunks) -> list[tuple]:
 class LazyChunkList(object):
     """Sequence of :class:`ChunkRecord` materialized on first access.
 
-    The analytic fast path produces one record per chunk, and once its
-    event loop is lean, record construction dominates the per-chunk
-    cost.  At million-run sweep scale most results only read ``t_p``
-    and the worker metrics, never the per-chunk trace -- so the fast
-    path stores the raw field rows and this wrapper builds the real
-    :class:`ChunkRecord` objects only when someone actually touches
-    them.  Materialization is exact (rows hold the final field values,
-    in final order) and happens at most once.
+    Every engine -- the DES chassis and both fast paths -- writes one
+    field row per chunk, and record construction would dominate the
+    per-chunk cost of the lean ones.  At million-run sweep scale most
+    results only read ``t_p`` and the worker metrics, never the
+    per-chunk trace -- so ``SimResult.chunks`` holds the raw rows and
+    this wrapper builds the real :class:`ChunkRecord` objects only
+    when someone actually touches them.  Materialization is exact
+    (rows hold the final field values, in final order) and happens at
+    most once; the records are mutable, so from then on they, not the
+    rows, are the list's content.
 
     Rows are also the transport form: a result crosses a process pool
     and lands in JSONL (:meth:`SimResult.to_dict`) as rows, without
@@ -193,7 +195,10 @@ class SimResult(object):
     scheme: str
     workers: list[WorkerMetrics]
     t_p: float
-    chunks: list[ChunkRecord]
+    #: one :class:`ChunkRecord` per chunk, in compute-start order.
+    #: Every engine hands out the row-backed :class:`LazyChunkList`;
+    #: a hand-built result may hold a plain record list.
+    chunks: Union[LazyChunkList, list[ChunkRecord]]
     results: Optional[np.ndarray] = None
     rederivations: int = 0
     events: int = 0
@@ -225,13 +230,6 @@ class SimResult(object):
             lines.append(f"  PE{i} ({w.name}): {w.row()}  "
                          f"[{w.chunks} chunks, {w.iterations} iters]")
         return "\n".join(lines)
-
-    def __getstate__(self) -> dict:
-        # A DES result's plain record list crosses a process pool the
-        # way a fast-path result's rows do (LazyChunkList.__reduce__).
-        state = self.__dict__.copy()
-        state["chunks"] = LazyChunkList(_chunk_rows(self.chunks))
-        return state
 
     def _summary(self) -> dict:
         """Everything :meth:`to_dict` holds but ``chunks``/``results``."""

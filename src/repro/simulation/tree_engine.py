@@ -32,7 +32,7 @@ import math
 from typing import Optional
 
 from ..core.tree import TreePartition, partner_order
-from ..obs import ObsEvent
+from ..obs import ObsEvent, make_event
 from ..workloads import Workload
 from .cluster import ClusterSpec
 from .des import DesCluster, DesWorker
@@ -259,10 +259,10 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         # The sender blocked for the whole transfer, so everything it
         # has computed and not yet delivered was in this message.
         if self.observing:
-            for record in w.undelivered:
-                self.obs.emit(ObsEvent(
+            for row in w.undelivered:
+                self._emit(make_event(
                     "result", self.SRC, self.queue.now, w.index,
-                    record.start, record.stop,
+                    row[1], row[2], None, None, None, "", None,
                 ))
         w.undelivered.clear()
         if items:
@@ -323,7 +323,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
             return
         self._steals += 1
         if self.observing:
-            self.obs.emit(ObsEvent(
+            self._emit(ObsEvent(
                 "steal", self.SRC, self.queue.now, thief.index,
                 start=stolen[0], stop=stolen[1],
                 detail=f"victim={victim.index}",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import threading
 
 from repro.obs import (
@@ -13,6 +15,7 @@ from repro.obs import (
     capture,
     read_jsonl,
     resolve,
+    sink,
 )
 
 
@@ -57,6 +60,56 @@ def test_buffered_extend_and_by_kind():
     assert len(trace) == 2
     assert [e.kind for e in trace] == ["request", "result"]
     assert len(trace.by_kind("result")) == 1
+
+
+def test_sink_of_a_plain_buffer_is_its_list_append():
+    trace = BufferedCollector()
+    put = sink(trace)
+    put(_ev(0))
+    trace.emit(_ev(1))
+    put(_ev(2))
+    assert [e.worker for e in trace.events] == [0, 1, 2]
+    # Nothing was stored on the collector: it still copies and
+    # pickles, and the copy's sink feeds the copy.
+    assert "emit" not in vars(trace)
+    for twin in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+        sink(twin)(_ev(3))
+        assert len(twin) == 4 and len(trace) == 3
+
+
+def test_sink_never_bypasses_an_emit_somebody_replaced():
+    class Doubling(BufferedCollector):
+        def emit(self, event):
+            super().emit(event)
+            super().emit(event)
+
+    doubling = Doubling()
+    sink(doubling)(_ev())
+    assert len(doubling) == 2
+
+    shadowed = BufferedCollector()
+    seen = []
+    shadowed.emit = seen.append
+    sink(shadowed)(_ev())
+    assert len(seen) == 1 and len(shadowed) == 0
+
+    class Duck(object):
+        """What ``service.pool._StreamCollector`` is: no base class."""
+
+        def __init__(self):
+            self.events = []
+            self.calls = 0
+
+        def __bool__(self):
+            return True
+
+        def emit(self, event):
+            self.calls += 1
+            self.events.append(event)
+
+    duck = Duck()
+    sink(duck)(_ev())
+    assert duck.calls == 1
 
 
 def test_capture_context_manager():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
@@ -12,6 +13,7 @@ from repro.obs import (
     SOURCES,
     ObsEvent,
     SchemaError,
+    make_event,
     validate_event,
 )
 
@@ -94,3 +96,40 @@ def test_events_are_immutable_and_picklable():
         back = pickle.loads(pickle.dumps(ev, protocol=proto))
         assert type(back) is ObsEvent and back == ev
     assert ObsEvent.from_dict(ev.to_dict()) == ev
+
+
+#: A value for every optional field, each legal beside the others.
+_OPTIONAL = {
+    "worker": 2, "start": 3, "stop": 9, "stage": 1, "acp": 7,
+    "value": 0.25, "detail": "global", "wall": 1700000000.5,
+}
+
+
+@pytest.mark.parametrize("kind", ["request", "fetch-add", "fault"])
+def test_full_width_constructor_equals_the_keyword_one(kind):
+    """``make_event`` against its definition, ``ObsEvent(**kw)``, for
+    every optional field set and unset."""
+    unset = ObsEvent._field_defaults
+    for r in range(len(_OPTIONAL) + 1):
+        for chosen in itertools.combinations(_OPTIONAL, r):
+            kw = {name: _OPTIONAL[name] for name in chosen}
+            reference = ObsEvent(kind=kind, source="sim.master", t=1.5,
+                                 **kw)
+            built = make_event(
+                kind, "sim.master", 1.5,
+                *(kw.get(name, unset[name]) for name in _OPTIONAL),
+            )
+            assert type(built) is ObsEvent
+            assert built == reference
+            assert built.to_dict() == reference.to_dict()
+            if kind != "fault" or "detail" in kw:
+                assert validate_event(built) is built
+    assert tuple(_OPTIONAL) == ObsEvent._fields[3:]
+
+
+def test_full_width_constructor_takes_exactly_eleven_fields():
+    with pytest.raises(TypeError):
+        make_event("request", "sim.master", 0.0, 2)
+    with pytest.raises(TypeError):
+        make_event("request", "sim.master", 0.0, 2, None, None, None,
+                   None, None, "", None, None)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.decentral import run_decentral, simulate_decentral
-from repro.obs import LIFECYCLE_KINDS, capture, validate_event
+from repro.obs import (
+    LIFECYCLE_KINDS,
+    Collector,
+    ObsEvent,
+    capture,
+    validate_event,
+)
 from repro.runtime import run_parallel
 from repro.simulation import ClusterSpec, NodeSpec, simulate, simulate_tree
 from repro.verify import audit_events
@@ -91,13 +97,36 @@ def test_runtime_decentral_emits_lifecycle():
                  workers=2).raise_if_failed()
 
 
-@pytest.mark.parametrize("runner", [
+SIM_RUNNERS = pytest.mark.parametrize("runner", [
     lambda c: simulate("GSS", WL, _cluster(), collector=c),
     lambda c: simulate_tree(WL, _cluster(), collector=c),
     lambda c: simulate_decentral("GSS", WL, _cluster(), collector=c),
 ])
+
+
+@SIM_RUNNERS
 def test_every_sim_event_validates(runner):
     with capture() as trace:
         runner(trace)
     for ev in trace.events:
         validate_event(ev)
+        assert type(ev) is ObsEvent
+
+
+@SIM_RUNNERS
+def test_a_custom_collector_gets_every_event_through_its_emit(runner):
+    """What a collector that is not a plain buffer is guaranteed: the
+    engines call *its* ``emit``, once per event, in stream order."""
+
+    class Recording(Collector):
+        def __init__(self):
+            self.seen = []
+
+        def emit(self, event):
+            self.seen.append(event)
+
+    custom = Recording()
+    runner(custom)
+    with capture() as trace:
+        runner(trace)
+    assert custom.seen == trace.events

@@ -1,0 +1,222 @@
+"""The formula driver against its oracle: a pass-through subclass.
+
+A scheduler that leaves the driver hooks alone *is* its ``_nominal``
+formula, and the simulators drive it through
+:func:`repro.core.base.formula_stepper` -- no ``WorkerView``, no
+``ChunkAssignment``.  A subclass whose ``_chunk_size`` only calls
+``super()`` computes the very same chunks but replaces a hook, so it is
+driven the long way, through ``next_chunk``.  The two must be
+indistinguishable: same ``SimResult``, same ``ObsEvent`` list, same
+state left on the scheduler -- on the DES, under a fault plan, and on
+the fast path's driven arm.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.chaos import FaultPlan
+from repro.core import WorkerView, make, names
+from repro.core.base import formula_stepper
+from repro.obs import BufferedCollector
+from repro.simulation import (
+    ClusterSpec,
+    ConstantLoad,
+    NodeSpec,
+    RandomLoad,
+    SimulationError,
+    simulate,
+)
+from repro.simulation.engine import make_for_cluster
+from repro.workloads import GaussianPeakWorkload
+
+LOADS = ("dedicated", "nondedicated", "random")
+
+
+def cluster_of(p: int, loads: str, seed: int) -> ClusterSpec:
+    nodes = []
+    for i in range(p):
+        if loads == "dedicated":
+            load = ConstantLoad(1)
+        elif loads == "nondedicated":
+            load = ConstantLoad(1 + (i + seed) % 3)
+        else:
+            load = RandomLoad(seed=seed + i)
+        nodes.append(NodeSpec(
+            name=f"n{i}", speed=70.0 + 23.0 * i,
+            latency=1e-3 * (1 + i % 3), bandwidth=1.0e6 * (1 + i),
+            load=load, virtual_power=1.0 + 0.5 * i,
+        ))
+    return ClusterSpec(nodes=nodes, master_service=2e-4)
+
+
+def _probe(name: str):
+    return make_for_cluster(name, 100, cluster_of(4, "dedicated", 0))
+
+
+#: Registry schemes the simulators drive by formula.
+PURE = [n for n in names() if formula_stepper(_probe(n)) is not None]
+
+
+def test_the_simple_registry_schemes_are_formula_driven():
+    assert len(PURE) == 10
+    assert {"SS", "CSS", "GSS", "TSS", "FSS", "FISS", "TFSS", "WF"} \
+        <= set(PURE)
+    for name in set(names()) - set(PURE):
+        probe = _probe(name)
+        assert probe.distributed or probe.feedback_dependent, name
+
+
+def pass_through(scheduler):
+    """``scheduler`` re-classed so that it replaces a driver hook with
+    one that changes nothing."""
+
+    class PassThrough(type(scheduler)):
+        def _chunk_size(self, worker):
+            return super()._chunk_size(worker)
+
+    scheduler.__class__ = PassThrough
+    assert formula_stepper(scheduler) is None
+    return scheduler
+
+
+def facts(result, trace):
+    return (
+        result.scheme, result.t_p, result.events, result.rederivations,
+        result.chunks.rows(),
+        [dataclasses.astuple(w) for w in result.workers],
+        None if trace is None else list(trace.events),
+    )
+
+
+def outcome(scheduler, workload, cluster, observed=True, **kwargs):
+    trace = BufferedCollector() if observed else None
+    try:
+        result = simulate(scheduler, workload, cluster, collector=trace,
+                          **kwargs)
+    except SimulationError as exc:  # a plan may strand the loop
+        return ("error", type(exc), str(exc))
+    return facts(result, trace)
+
+
+def loop_state(scheduler):
+    return (
+        scheduler._cursor, scheduler._step, scheduler._requests,
+        scheduler._stage, scheduler.finished, scheduler.steps_taken,
+        scheduler.remaining,
+    )
+
+
+def asked_in_order(trace, total):
+    """The workers whose requests reached the scheduler, in order: the
+    scheduler hands out ``[0, total)`` front to back, so an assignment
+    starting at the running cursor is one it sized (anything else is a
+    requeued interval, sized before)."""
+    cursor, workers = 0, []
+    for ev in trace:
+        if ev.kind == "assign" and ev.start == cursor:
+            workers.append(ev.worker)
+            cursor = ev.stop
+    assert cursor == total
+    return workers
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(PURE),
+    p=st.sampled_from([1, 2, 4, 8]),
+    loads=st.sampled_from(LOADS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=0, max_value=300),
+    chaos=st.booleans(),
+)
+def test_pass_through_subclass_is_indistinguishable(
+    name, p, loads, seed, size, chaos
+):
+    cluster = cluster_of(p, loads, seed)
+    workload = GaussianPeakWorkload(size, amplitude=5.0)
+
+    def fresh():
+        return make_for_cluster(name, size, cluster)
+
+    plan = None
+    if chaos:
+        horizon = simulate(fresh(), workload, cluster).t_p
+        plan = FaultPlan.random(seed, workers=p,
+                                horizon=max(horizon, 0.1))
+    driven, oracle = fresh(), pass_through(fresh())
+    got = outcome(driven, workload, cluster, chaos=plan)
+    assert got == outcome(oracle, workload, cluster, chaos=plan)
+    if got[0] != "error":
+        # One stepper call is one next_chunk: the state it leaves is
+        # what a next_chunk drain in the same request order leaves.
+        assert loop_state(driven) == loop_state(oracle)
+        twin = fresh()
+        for wid in asked_in_order(got[-1], size):
+            assert twin.next_chunk(WorkerView(worker_id=wid)) is not None
+        assert loop_state(twin) == loop_state(driven)
+        assert twin.next_chunk(WorkerView(worker_id=0)) is None
+        assert driven.next_chunk(WorkerView(worker_id=0)) is None
+    if plan is None:
+        # The fast path: its inlined loop for the formula-driven one,
+        # its driven arm (``_ask`` -> ``next_chunk``) for the oracle;
+        # both hand the drained state back.
+        fast, fast_oracle = fresh(), pass_through(fresh())
+        unobserved = got[:-1] + (None,)
+        assert outcome(fast, workload, cluster, observed=False,
+                       fast=True) == unobserved
+        assert outcome(fast_oracle, workload, cluster, observed=False,
+                       fast=True) == unobserved
+        assert loop_state(fast) == loop_state(driven)
+        assert loop_state(fast_oracle) == loop_state(driven)
+
+
+# -- purity is a property of the instance, not only of its class -----------
+
+
+def _counting(scheduler):
+    """Shadow ``next_chunk`` on the instance; returns the call log."""
+    calls = []
+    honest = scheduler.next_chunk
+
+    def wrapper(view):
+        calls.append(view.worker_id)
+        return honest(view)
+
+    scheduler.next_chunk = wrapper
+    return calls
+
+
+@pytest.mark.parametrize("fast", [False, "auto", True])
+def test_an_instance_level_hook_is_never_bypassed(fast):
+    """Regression: ``fast="auto"`` judged purity from the class alone
+    and ran a wrapped ``CSS(4)`` without ever calling the wrapper."""
+    cluster = cluster_of(2, "dedicated", 0)
+    workload = GaussianPeakWorkload(40, amplitude=5.0)
+    scheduler = make("CSS(4)", 40, 2)
+    calls = _counting(scheduler)
+    assert formula_stepper(scheduler) is None
+    result = simulate(scheduler, workload, cluster, fast=fast)
+    # Ten chunks, then one dry request per worker.
+    assert len(result.chunks) == 10 and len(calls) == 12
+    plain = simulate(make("CSS(4)", 40, 2), workload, cluster,
+                     fast=fast)
+    assert facts(result, None) == facts(plain, None)
+
+
+@pytest.mark.parametrize("hook", ["_take", "_chunk_size",
+                                  "_current_stage"])
+def test_every_driver_hook_counts_when_shadowed(hook):
+    scheduler = make("TSS", 100, 4)
+    assert formula_stepper(scheduler) is not None
+    honest = getattr(scheduler, hook)
+    setattr(scheduler, hook, lambda *args: honest(*args))
+    assert formula_stepper(scheduler) is None
+    # Another scheduler's method is not this scheduler's own either.
+    setattr(scheduler, hook, getattr(make("TSS", 100, 4), hook))
+    assert formula_stepper(scheduler) is None
+

@@ -2,12 +2,12 @@
 and into the text ``to_json`` writes.
 
 ``LazyChunkList`` pickles its field rows (and stays lazy on the far
-side), a DES result's plain record list crosses a pickle the same way,
-``SimResult.to_dict`` builds its dicts from rows and fields, and
-``SimResult.to_json`` formats the same rows without the dicts.  The
-reference throughout is the record-object form: ``list(original)`` for
-the pickle, ``dataclasses.asdict`` for the dicts, and ``to_dict``
-through ``json.dumps`` for the text.
+side), a DES result is row-backed like a fast-path one and crosses a
+pickle the same way, ``SimResult.to_dict`` builds its dicts from rows
+and fields, and ``SimResult.to_json`` formats the same rows without
+the dicts.  The reference throughout is the record-object form:
+``list(original)`` for the pickle, ``dataclasses.asdict`` for the
+dicts, and ``to_dict`` through ``json.dumps`` for the text.
 """
 
 from __future__ import annotations
@@ -134,12 +134,17 @@ def test_materialized_list_pickles_its_records_not_stale_rows():
 
 def test_des_result_crosses_a_pickle_as_rows(workload, cluster):
     result = simulate("TSS", workload, cluster, fast=False)
-    assert type(result.chunks) is list
+    # Row-backed on every path (the suite's auditor has already read
+    # the records by now, so laziness is asserted on the clone only).
+    assert isinstance(result.chunks, LazyChunkList)
+    rows = list(result.chunks.rows())
+    assert rows and all(type(row) is tuple for row in rows)
     clone = pickle.loads(pickle.dumps(result))
     assert isinstance(clone.chunks, LazyChunkList)
     assert clone.chunks._records is None
+    assert clone.chunks.rows() == rows
     assert clone == result
-    assert type(result.chunks) is list  # the original is untouched
+    assert list(result.chunks) == [ChunkRecord(*row) for row in rows]
 
 
 @ENGINES
