@@ -31,8 +31,8 @@ Spec shape (only ``scheme`` and ``workload`` are required)::
 nodes.  Workload kinds map onto :mod:`repro.workloads`: ``uniform``,
 ``linear``, ``conditional``, ``random``, ``gaussian-peak``, ``trace``,
 ``spin`` and ``mandelbrot`` (the paper's loop; expensive -- its cost
-profile is resolved once in the daemon and shared across every tenant
-through :mod:`repro.cache`).
+profile is resolved by the pool worker that runs the job, through the
+:mod:`repro.cache` directory every worker and every tenant shares).
 """
 
 from __future__ import annotations

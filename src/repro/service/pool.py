@@ -20,6 +20,10 @@ runtime grew in earlier work (:mod:`repro.runtime`):
   proves it from the pool's ledger);
 * **fair dispatch** -- pending jobs live in per-tenant FIFO queues
   served round-robin, so one chatty tenant cannot starve the rest;
+  whoever changes what can be dispatched does the dispatch -- the
+  thread calling :meth:`WorkerPool.submit`, or the pump when a slot
+  frees or is revived -- so an idle slot never waits for a third
+  thread to be woken;
 * **bounded requeues** -- a job that keeps killing workers fails with
   ``too-many-requeues`` instead of crash-looping the pool.
 
@@ -35,13 +39,14 @@ import dataclasses
 import json
 import multiprocessing as mp
 import os
+import selectors
 import signal
 import threading
 import time
 from collections import deque
-from multiprocessing.connection import wait as mp_wait
 from typing import Callable, Optional
 
+from .. import cache as _cache
 from ..batch import SimJob
 from ..obs import events_json, stream_digest
 from ..obs.logutil import get_logger
@@ -158,8 +163,16 @@ def service_worker_main(
     A daemon beat thread shares the pipe under a lock, so liveness
     survives arbitrarily long jobs (the same sender as
     :func:`repro.runtime.worker.worker_main`).
+
+    Cost profiles are resolved here, by ``job.run()``, through this
+    process's :mod:`repro.cache` (the fork's copy of the daemon's:
+    same directory, its own memory layer).  Every ``done`` carries the
+    ``(hits, misses)`` this incarnation has added to it so far; the
+    pool sums them for ``status``.
     """
     send_lock = threading.Lock()
+    profiles = _cache.get_cache()
+    hits0, misses0 = profiles.hits, profiles.misses
 
     def _send(msg) -> None:
         with send_lock:
@@ -188,7 +201,9 @@ def service_worker_main(
                 # on the wire before the terminal result.
                 collector.flush()
             try:
-                _send(("done", job_id, digest, body))
+                _send(("done", job_id, digest, body, (
+                    profiles.hits - hits0, profiles.misses - misses0,
+                )))
             except (OSError, ValueError, BrokenPipeError):
                 return
     finally:
@@ -202,9 +217,10 @@ class JobRecord(object):
     A terminal record keeps what its ``wait`` replies need and nothing
     else: ``body`` (the encoded reply members, see
     :func:`_execute_body`) and ``digest`` (``None`` when the job
-    failed).  ``job`` -- a workload with its cost vector and prefix
-    sums -- is held for the dispatch, and any re-dispatch after a
-    worker death, and released when the record turns terminal.
+    failed).  ``job`` -- the inputs alone: the worker that runs it
+    resolves the cost profile -- is held for the dispatch, and any
+    re-dispatch after a worker death, and released when the record
+    turns terminal.
     """
 
     job_id: str
@@ -239,10 +255,16 @@ class JobRecord(object):
 
 
 class _Handle(object):
-    """One worker slot: the live process behind it may be reincarnated."""
+    """One worker slot: the live process behind it may be reincarnated.
+
+    ``record`` is written by whichever thread dispatches or finishes a
+    job and ``proc`` / ``conn`` / ``incarnation`` / ``cache`` by the
+    pump alone (by ``start()`` before there is a pump); every write,
+    and every read off the pump thread, holds the pool lock.
+    """
 
     __slots__ = ("slot", "proc", "conn", "incarnation", "last_seen",
-                 "record")
+                 "record", "cache")
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
@@ -251,6 +273,8 @@ class _Handle(object):
         self.incarnation = -1
         self.last_seen = 0.0
         self.record: Optional[JobRecord] = None
+        #: ``(hits, misses)`` the live incarnation last reported.
+        self.cache = (0, 0)
 
 
 class WorkerPool(object):
@@ -260,7 +284,16 @@ class WorkerPool(object):
     reaches a terminal state; the daemon bridges it onto its event
     loop, the tests satisfy it with a plain callback.
     ``on_idle()`` fires whenever the pool transitions to fully idle
-    (nothing queued, nothing running) -- the drain hook.
+    (nothing queued, nothing running) -- the drain hook.  Only a job
+    turning terminal can make that transition, so it fires there, after
+    that job's ``on_complete``, and never from an idle pump turn.
+
+    One lock covers the queues, the ledger, every slot's ``record`` and
+    the use of its pipe for sending: :meth:`_dispatch_locked` runs on
+    the submitting thread and on the pump, and :meth:`_revive` closes a
+    dead slot's pipe and requeues its job inside one hold, so a job is
+    never sent down a pipe that is being torn down and a slot never
+    holds two records.
     """
 
     def __init__(
@@ -292,6 +325,11 @@ class WorkerPool(object):
         self._records: dict[str, JobRecord] = {}
         self._lock = threading.Lock()
         self._wake_r, self._wake_w = os.pipe()
+        #: What the pump waits on: the wake pipe (``stop()``), and per
+        #: slot its pipe and process sentinel, re-registered only where
+        #: they change (:meth:`_spawn`, :meth:`_revive`).
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
         self._pump: Optional[threading.Thread] = None
         self._running = False
         self._t0 = time.monotonic()
@@ -301,6 +339,8 @@ class WorkerPool(object):
         #: ``worker-death`` entries in :attr:`log`, counted as they are
         #: appended so a ``metrics`` poll never rescans the ledger.
         self._worker_deaths = 0
+        #: ``[hits, misses]`` of incarnations that are gone.
+        self._cache_retired = [0, 0]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -325,17 +365,20 @@ class WorkerPool(object):
         self._wake()
         if self._pump is not None:
             self._pump.join(timeout=self.config.join_timeout)
+        with self._lock:
+            for handle in self._handles:
+                conn = handle.conn
+                if conn is not None:
+                    try:
+                        conn.send(("stop",))
+                    except (OSError, ValueError, BrokenPipeError):
+                        pass
+                    conn.close()
+                    handle.conn = None
         for handle in self._handles:
-            conn, proc = handle.conn, handle.proc
-            if conn is not None:
-                try:
-                    conn.send(("stop",))
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-                conn.close()
-                handle.conn = None
-            if proc is not None:
-                join_or_terminate(proc, self.config.join_timeout)
+            if handle.proc is not None:
+                join_or_terminate(handle.proc, self.config.join_timeout)
+        self._selector.close()
         os.close(self._wake_r)
         os.close(self._wake_w)
 
@@ -348,7 +391,8 @@ class WorkerPool(object):
     # -- submission and state ----------------------------------------------
 
     def submit(self, record: JobRecord) -> None:
-        """Enqueue an admitted job (admission control is the server's)."""
+        """Enqueue an admitted job (admission control is the server's)
+        and, if a slot is idle, send it there from this thread."""
         record.submitted_at = self.now()
         with self._lock:
             queue = self._queues.get(record.tenant)
@@ -360,7 +404,7 @@ class WorkerPool(object):
             self._append_log_locked(
                 "submit", record, worker=None, incarnation=None
             )
-        self._wake()
+            self._dispatch_locked()
 
     def record(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:
@@ -397,12 +441,26 @@ class WorkerPool(object):
     def pending_total(self) -> int:
         """Jobs admitted but not terminal (queued + running)."""
         with self._lock:
-            return sum(len(q) for q in self._queues.values()) + sum(
-                1 for h in self._handles if h.record is not None
-            )
+            return self._pending_locked()
+
+    def _pending_locked(self) -> int:
+        return sum(len(q) for q in self._queues.values()) + sum(
+            1 for h in self._handles if h.record is not None
+        )
 
     def idle(self) -> bool:
         return self.pending_total() == 0
+
+    def cache_counters(self) -> tuple[int, int]:
+        """``(hits, misses)`` of the workers' cost-profile caches:
+        what each live incarnation last reported, plus everything the
+        dead ones had reported."""
+        with self._lock:
+            hits, misses = self._cache_retired
+            for handle in self._handles:
+                hits += handle.cache[0]
+                misses += handle.cache[1]
+            return hits, misses
 
     # -- chaos hooks ---------------------------------------------------------
 
@@ -421,7 +479,11 @@ class WorkerPool(object):
         proc = handle.proc
         if proc is None or not proc.is_alive() or proc.pid is None:
             return False
-        os.kill(proc.pid, signal.SIGKILL)
+        try:
+            os.kill(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            # The pump reaped it between the liveness check and here.
+            return False
         return True
 
     def worker_pids(self) -> list[Optional[int]]:
@@ -469,8 +531,15 @@ class WorkerPool(object):
         self.log.append(entry)
 
     def _spawn(self, handle: _Handle) -> None:
+        """Fork the slot's next incarnation and publish it.
+
+        The fork happens outside the pool lock, and another thread may
+        be holding that lock (mid-dispatch) when it does: the child
+        runs :func:`service_worker_main` on its own pipe end and never
+        touches pool state.
+        """
         parent, child = self._ctx.Pipe()
-        handle.incarnation += 1
+        incarnation = handle.incarnation + 1
         proc = self._ctx.Process(
             target=service_worker_main,
             args=(child, handle.slot),
@@ -478,48 +547,40 @@ class WorkerPool(object):
                 "heartbeat_interval": self.config.heartbeat_interval,
             },
             daemon=False,
-            name=f"repro-service-w{handle.slot}.{handle.incarnation}",
+            name=f"repro-service-w{handle.slot}.{incarnation}",
         )
         proc.start()
         child.close()
-        handle.proc = proc
-        handle.conn = parent
-        handle.last_seen = time.monotonic()
+        with self._lock:
+            handle.incarnation = incarnation
+            handle.proc = proc
+            handle.conn = parent
+            handle.last_seen = time.monotonic()
+        self._selector.register(parent, selectors.EVENT_READ, handle)
+        self._selector.register(
+            proc.sentinel, selectors.EVENT_READ, handle
+        )
         _log.info(
             "spawned worker slot=%d incarnation=%d pid=%s",
-            handle.slot, handle.incarnation, proc.pid,
+            handle.slot, incarnation, proc.pid,
         )
 
     def _pump_loop(self) -> None:
+        with self._lock:
+            self._dispatch_locked()  # whatever was queued before start()
         while self._running:
-            waitables: list = [self._wake_r]
-            by_conn = {}
-            by_sentinel = {}
-            for handle in self._handles:
-                if handle.conn is not None:
-                    waitables.append(handle.conn)
-                    by_conn[handle.conn] = handle
-                if handle.proc is not None:
-                    waitables.append(handle.proc.sentinel)
-                    by_sentinel[handle.proc.sentinel] = handle
-            ready = mp_wait(waitables, timeout=self.config.poll_timeout)
+            ready = self._selector.select(self.config.poll_timeout)
             if not self._running:
                 return
             dead: list[_Handle] = []
-            for obj in ready:
-                if obj == self._wake_r:
-                    try:
-                        os.read(self._wake_r, 4096)
-                    except OSError:  # pragma: no cover
-                        pass
-                    continue
-                handle = by_conn.get(obj)
-                if handle is not None:
+            for key, _mask in ready:
+                handle = key.data
+                if handle is None:
+                    continue  # the wake pipe: only stop() writes it
+                if key.fileobj is handle.conn:
                     if not self._drain_conn(handle):
                         dead.append(handle)
-                    continue
-                handle = by_sentinel.get(obj)
-                if handle is not None and not handle.proc.is_alive():
+                elif not handle.proc.is_alive():
                     dead.append(handle)
             now = time.monotonic()
             deadline = self.config.worker_deadline
@@ -541,27 +602,26 @@ class WorkerPool(object):
                     dead.append(handle)
             for handle in {id(h): h for h in dead}.values():
                 self._revive(handle)
-            self._dispatch()
-            if self.idle():
-                self.on_idle()
 
     def _drain_conn(self, handle: _Handle) -> bool:
-        """Pull every pending message; False when the pipe is dead."""
+        """Pull every pending message from a pipe the selector reported
+        readable; False when the pipe is dead."""
+        conn = handle.conn
         while True:
             try:
-                if not handle.conn.poll(0):
-                    return True
-                msg = handle.conn.recv()
+                msg = conn.recv()
             except (EOFError, OSError):
                 return False
             handle.last_seen = time.monotonic()
-            if msg[0] == "hb":
-                continue
             if msg[0] == "ev":
                 self._handle_events(handle, msg[1], msg[2])
-                continue
-            if msg[0] == "done":
+            elif msg[0] == "done":
                 self._handle_done(handle, *msg[1:])
+            try:
+                if not conn.poll(0):
+                    return True
+            except OSError:
+                return False
 
     def _handle_events(
         self, handle: _Handle, job_id: str, batch: list
@@ -581,9 +641,10 @@ class WorkerPool(object):
 
     def _handle_done(
         self, handle: _Handle, job_id: str,
-        digest: Optional[str], body: bytes,
+        digest: Optional[str], body: bytes, cache: tuple[int, int],
     ) -> None:
         with self._lock:
+            handle.cache = cache
             record = handle.record
             if record is None or record.job_id != job_id \
                     or record.incarnation != handle.incarnation:
@@ -610,17 +671,27 @@ class WorkerPool(object):
                 worker=handle.slot,
                 incarnation=handle.incarnation,
             )
+            self._dispatch_locked()  # the slot this freed
+            idle = self._pending_locked() == 0
         self.on_complete(record)
+        if idle:
+            self.on_idle()
 
     def _revive(self, handle: _Handle) -> None:
         """A worker incarnation died: requeue its job, respawn the slot."""
-        if handle.conn is not None:
-            handle.conn.close()
-            handle.conn = None
-        if handle.proc is not None:
-            handle.proc.join(timeout=1.0)
         victim: Optional[JobRecord] = None
+        idle = False
         with self._lock:
+            # Closing the pipe, taking the job back and requeueing it
+            # are one step to any dispatching thread: it sees the slot
+            # busy or gone, never a pipe that is being torn down.
+            if handle.conn is not None:
+                self._selector.unregister(handle.conn)
+                handle.conn.close()
+                handle.conn = None
+            self._cache_retired[0] += handle.cache[0]
+            self._cache_retired[1] += handle.cache[1]
+            handle.cache = (0, 0)
             record = handle.record
             handle.record = None
             if record is not None:
@@ -640,6 +711,7 @@ class WorkerPool(object):
                         worker=handle.slot, incarnation=handle.incarnation,
                     )
                     victim = record
+                    idle = self._pending_locked() == 0
                 else:
                     record.state = "queued"
                     record.worker = -1
@@ -656,19 +728,35 @@ class WorkerPool(object):
                     ).appendleft(record)
                     if record.tenant not in self._rr:
                         self._rr.append(record.tenant)
+                    # Another slot may be idle right now.
+                    self._dispatch_locked()
+        if handle.proc is not None:
+            self._selector.unregister(handle.proc.sentinel)
+            handle.proc.join(timeout=1.0)
         _log.warning(
             "worker slot=%d incarnation=%d died%s",
             handle.slot, handle.incarnation,
-            "" if victim is None and handle.record is None
-            else " (job requeued or failed)",
+            "" if record is None else " (job requeued or failed)",
         )
         if victim is not None:
             self.on_complete(victim)
+            if idle:
+                self.on_idle()
         if self._running:
             self._spawn(handle)
+            with self._lock:
+                self._dispatch_locked()  # the slot this revived
 
-    def _dispatch(self) -> None:
-        """Hand queued jobs to idle workers, round-robin over tenants."""
+    def _dispatch_locked(self) -> None:
+        """Hand queued jobs to idle workers, round-robin over tenants.
+
+        The one place a job is sent to a worker.  Runs on the thread
+        that made a dispatch possible -- :meth:`submit`'s caller for a
+        new job, the pump for a freed or revived slot -- always inside
+        the pool lock, so choosing the slot, marking it busy, the
+        ledger's ``assign`` and the send cannot interleave with another
+        dispatch or with :meth:`_revive` closing the pipe.
+        """
         while True:
             idle = next(
                 (
@@ -680,19 +768,18 @@ class WorkerPool(object):
             )
             if idle is None:
                 return
-            with self._lock:
-                record = self._next_record_locked()
-                if record is None:
-                    return
-                record.state = "running"
-                record.worker = idle.slot
-                record.incarnation = idle.incarnation
-                record.started_at = self.now()
-                idle.record = record
-                self._append_log_locked(
-                    "assign", record,
-                    worker=idle.slot, incarnation=idle.incarnation,
-                )
+            record = self._next_record_locked()
+            if record is None:
+                return
+            record.state = "running"
+            record.worker = idle.slot
+            record.incarnation = idle.incarnation
+            record.started_at = self.now()
+            idle.record = record
+            self._append_log_locked(
+                "assign", record,
+                worker=idle.slot, incarnation=idle.incarnation,
+            )
             try:
                 idle.conn.send((
                     "job",
@@ -704,8 +791,8 @@ class WorkerPool(object):
                 ))
             except (OSError, ValueError, BrokenPipeError):
                 # The slot died between the liveness check and the
-                # send; the next pump iteration revives it and
-                # requeues the record.
+                # send; the pump's next turn revives it and requeues
+                # the record.
                 idle.last_seen = 0.0
 
     def _next_record_locked(self) -> Optional[JobRecord]:

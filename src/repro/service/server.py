@@ -11,11 +11,12 @@ WorkerPool`.  The production concerns, in the order a job meets them:
   backpressure reply (``queue-full`` / ``tenant-quota``) -- the queue
   never grows without bound, so memory stays bounded no matter how
   hard a client hammers the socket;
-* **warm cache sharing** -- each admitted job's workload cost profile
-  is resolved once in the daemon (through the process-wide
-  :mod:`repro.cache`, off the event loop), so the first tenant pays
-  for a profile and every later tenant -- and every pool worker --
-  gets it for free;
+* **warm cache sharing** -- admission validates a spec and computes
+  nothing; the pool worker that runs a job resolves its workload's
+  cost profile through :mod:`repro.cache` (its own memory layer, then
+  the on-disk store the daemon configured before forking the pool),
+  so a profile is computed once per machine and read from disk once
+  per worker process, whichever tenant asks;
 * **fair dispatch** -- per-tenant FIFO queues served round-robin
   (see :mod:`repro.service.pool`);
 * **exactly-once execution** -- heartbeat/deadline death detection
@@ -175,7 +176,6 @@ class ServiceServer(object):
         self._records: dict[str, JobRecord] = {}
         self._futures: dict[str, asyncio.Future] = {}
         self._ids = itertools.count(1)
-        self._resolving = 0
         self._tenant_pending: dict[str, int] = {}
         self.draining = False
         self._drained = asyncio.Event()
@@ -316,7 +316,7 @@ class ServiceServer(object):
         self._check_drained()
 
     def _check_drained(self) -> None:
-        if self.draining and self._resolving == 0 and self.pool.idle():
+        if self.draining and self.pool.idle():
             self._drained.set()
 
     def _on_events_threadsafe(
@@ -352,7 +352,8 @@ class ServiceServer(object):
         """Record a job-level event and push it to live watchers."""
         self._record_event(tenant, event)
         self.rolling.observe(event, at=self.pool.now())
-        self._publish(tenant, [event.to_dict()])
+        if self._subscribers:
+            self._publish(tenant, [event.to_dict()])
 
     def _publish(
         self, tenant: str, batch: list, job_id: Optional[str] = None
@@ -425,8 +426,7 @@ class ServiceServer(object):
     def _admission_error(self, tenant: str) -> Optional[str]:
         if self.draining:
             return "draining"
-        pending = self.pool.pending_total() + self._resolving
-        if pending >= self.config.queue_capacity:
+        if self.pool.pending_total() >= self.config.queue_capacity:
             return "queue-full"
         if self._tenant_pending.get(tenant, 0) \
                 >= self.config.tenant_capacity:
@@ -447,7 +447,11 @@ class ServiceServer(object):
         )
         return _reply(seq, ok=False, error=reason)
 
-    async def _submit(self, tenant: str, doc: dict, seq) -> dict:
+    def _submit(self, tenant: str, doc: dict, seq) -> dict:
+        """Admit or refuse one job.  No suspension point: the admission
+        test, the bookkeeping and the hand-over to the pool (which
+        sends the job to an idle worker from this thread) are one step
+        of the event loop."""
         reason = self._admission_error(tenant)
         if reason is not None:
             return self._reject(tenant, reason, seq)
@@ -480,7 +484,6 @@ class ServiceServer(object):
         self._tenant_pending[tenant] = (
             self._tenant_pending.get(tenant, 0) + 1
         )
-        self._resolving += 1
         self.metrics.counter("jobs_submitted_total").inc()
         self.metrics.counter(f"tenant:{tenant}:submitted").inc()
         self._emit(
@@ -493,15 +496,6 @@ class ServiceServer(object):
                        f"scheme={job.scheme}",
             ),
         )
-        # Resolve the workload's cost profile off the loop, through
-        # the shared process-wide cache: the first tenant computes a
-        # profile, everyone after that hits memory or disk, and pool
-        # workers receive it precomputed inside the pickled workload.
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(None, job.workload.costs)
-        finally:
-            self._resolving -= 1
         self._emit(
             tenant,
             ObsEvent(
@@ -521,17 +515,16 @@ class ServiceServer(object):
         states: dict[str, int] = {}
         for record in self._records.values():
             states[record.state] = states.get(record.state, 0) + 1
-        active = _cache.get_cache()
+        hits, misses = self.pool.cache_counters()
         return {
             "draining": self.draining,
             "pool": stats,
             "jobs": states,
-            "resolving": self._resolving,
             "capacity": {
                 "queue": self.config.queue_capacity,
                 "tenant": self.config.tenant_capacity,
             },
-            "cache": {"hits": active.hits, "misses": active.misses},
+            "cache": {"hits": hits, "misses": misses},
         }
 
     def _metrics_snapshot(self) -> dict:
@@ -540,9 +533,9 @@ class ServiceServer(object):
         self.metrics.gauge("jobs_inflight").set(stats["inflight"])
         self.metrics.gauge("workers_live").set(stats["workers_live"])
         self.metrics.gauge("tenants").set(len(self.tenant_obs))
-        active = _cache.get_cache()
-        self.metrics.gauge("cache_hits").set(active.hits)
-        self.metrics.gauge("cache_misses").set(active.misses)
+        hits, misses = self.pool.cache_counters()
+        self.metrics.gauge("cache_hits").set(hits)
+        self.metrics.gauge("cache_misses").set(misses)
         self.metrics.counter("worker_deaths_total").value = float(
             stats["worker_deaths"]
         )
@@ -658,7 +651,7 @@ class ServiceServer(object):
                         tenant=tenant, workers=self.config.workers,
                     )
                 elif op == "submit":
-                    reply = await self._submit(tenant, doc, seq)
+                    reply = self._submit(tenant, doc, seq)
                 elif op == "wait":
                     reply = await self._wait(tenant, doc, seq)
                 elif op == "status":

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
 import threading
 import time
 
@@ -229,3 +231,191 @@ class TestDeathRecovery:
         assert sink.done["a-slow"].state == "done"
         assert sink.done["a-slow"].requeues >= 1
         audit_service_log(pool.log).raise_if_failed()
+
+
+def _wait_until(what: str, ready, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not ready():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.01)
+
+
+class _DispatchSpy(WorkerPool):
+    """Remembers which thread wrote each ``assign`` entry."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.assigned_by: dict[str, list[str]] = {}
+
+    def _dispatch_locked(self) -> None:
+        before = len(self.log)
+        super()._dispatch_locked()
+        for entry in self.log[before:]:
+            if entry["ev"] == "assign":
+                self.assigned_by.setdefault(entry["job"], []).append(
+                    threading.current_thread().name
+                )
+
+
+class TestIdleHook:
+    def test_on_idle_fires_on_the_edge_not_every_turn(self):
+        """``on_idle`` is the busy -> idle transition: N jobs run one
+        at a time make it at most N + 1 times, and an idle pump (which
+        still turns every ``poll_timeout``) never does."""
+        sink = _Sink()
+        idles: list[float] = []
+        n = 5
+        with WorkerPool(size=1, config=SNAPPY, on_complete=sink,
+                        on_idle=lambda: idles.append(time.monotonic())
+                        ) as pool:
+            for i in range(n):
+                pool.submit(_record(f"j{i}", "alice", FAST_SPEC))
+                sink.wait_for(f"j{i}")
+            _wait_until("the last job's idle edge never fired",
+                        lambda: len(idles) >= 1 and pool.idle())
+            time.sleep(2 * SNAPPY.poll_timeout)
+            fired = len(idles)
+            time.sleep(5 * SNAPPY.poll_timeout)
+            assert len(idles) == fired, "on_idle fired on an idle turn"
+        assert 1 <= fired <= n + 1, fired
+
+
+class TestTwoThreadDispatch:
+    def test_submitter_dispatches_to_an_idle_slot(self):
+        sink = _Sink()
+        with _DispatchSpy(size=1, config=SNAPPY,
+                          on_complete=sink) as pool:
+            # The pump's first turn has looked at the (empty) queue.
+            _wait_until("slot never came up",
+                        lambda: pool.stats()["workers_live"] == 1)
+            record = _record("j1", "alice", FAST_SPEC)
+            pool.submit(record)
+            # Assigned before submit() returned, by this thread.
+            assert record.worker == 0 and record.started_at is not None
+            sink.wait_for("j1")
+        assert pool.assigned_by["j1"] == [
+            threading.current_thread().name]
+
+    def test_busy_pool_leaves_the_record_queued_for_the_pump(self):
+        """Nothing is idle when the second job arrives: the submitter
+        only enqueues, and the pump dispatches it from the turn that
+        frees the slot."""
+        sink = _Sink()
+        blocker_spec = dict(SLOW_SPEC, workload={
+            "kind": "uniform", "size": 6000, "unit": 1e-4})
+        with _DispatchSpy(size=1, config=SNAPPY,
+                          on_complete=sink) as pool:
+            pool.submit(_record("blocker", "alice", blocker_spec))
+            _wait_until("blocker never started",
+                        lambda: pool.busy_slots() == {0: "blocker"})
+            queued = _record("queued", "bob", FAST_SPEC)
+            pool.submit(queued)
+            assert queued.state == "queued" and queued.worker == -1
+            assert pool.queued_for("bob") == 1
+            sink.wait_for("blocker", "queued")
+        assert sink.done["queued"].state == "done"
+        assert pool.assigned_by["queued"] == ["service-pool-pump"]
+        kinds = [(e["ev"], e["job"]) for e in pool.log]
+        assert kinds.index(("result", "blocker")) \
+            < kinds.index(("assign", "queued"))
+        audit_service_log(pool.log).raise_if_failed()
+
+    def test_concurrent_submitters_and_kills_are_exactly_once(
+        self, seed: int = 20011
+    ):
+        """K submitter threads and a killer against a 2-slot pool: the
+        dispatch runs on K + 1 threads, and the ledger must still read
+        as if one careful thread had written it."""
+        rng = random.Random(seed)
+        submitters, per_thread, tenants = 4, 15, 3
+        reference = stream_digest(
+            job_from_spec(FAST_SPEC).run().obs_events
+        )
+        plans = [
+            [(f"t{k}-j{m}", f"tenant{rng.randrange(tenants)}")
+             for m in range(per_thread)]
+            for k in range(submitters)
+        ]
+        gaps = [rng.uniform(0.0, 0.006)
+                for _ in range(submitters * per_thread)]
+        kills = [(rng.uniform(0.002, 0.012), rng.randrange(2))
+                 for _ in range(12)]
+        sink = _Sink()
+        errors: list[BaseException] = []
+        records: list[JobRecord] = []
+
+        # Every round the submitters leave the barrier together and
+        # meet slots the previous round's jobs have just freed.
+        barrier = threading.Barrier(submitters)
+
+        def submitter(k: int, pool: WorkerPool) -> None:
+            try:
+                for m, (job_id, tenant) in enumerate(plans[k]):
+                    record = _record(job_id, tenant, FAST_SPEC)
+                    records.append(record)
+                    barrier.wait(timeout=60.0)
+                    pool.submit(record)
+                    time.sleep(gaps[k * per_thread + m])
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        def killer(pool: WorkerPool, stop: threading.Event) -> None:
+            try:
+                for pause, slot in kills:
+                    if stop.wait(pause):
+                        return
+                    pool.kill_worker(slot)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # Far more requeues than kills: no job may fail of them.
+            with WorkerPool(size=2, config=SNAPPY, on_complete=sink,
+                            max_requeues=len(kills) + 1) as pool:
+                stop = threading.Event()
+                threads = [
+                    threading.Thread(target=submitter, args=(k, pool))
+                    for k in range(submitters)
+                ]
+                chaos = threading.Thread(
+                    target=killer, args=(pool, stop))
+                for thread in threads + [chaos]:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+                sink.wait_for(
+                    *(j for plan in plans for j, _ in plan),
+                    timeout=60.0,
+                )
+                stop.set()
+                chaos.join(timeout=60.0)
+                assert not chaos.is_alive()
+                assert pool.idle()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        log = pool.log
+        audit_service_log(log).raise_if_failed()
+        assert len(records) == submitters * per_thread
+        for record in records:
+            assert record.state == "done", (record.job_id, record.body)
+            assert record.digest == reference
+        # Per tenant, jobs were first assigned in the order submitted.
+        for t in range(tenants):
+            mine = [e for e in log if e["tenant"] == f"tenant{t}"]
+            submitted = [e["job"] for e in mine if e["ev"] == "submit"]
+            first_assign = list(dict.fromkeys(
+                e["job"] for e in mine if e["ev"] == "assign"))
+            assert first_assign == submitted, f"tenant{t}"
+        # No slot ever held two live records.
+        live: dict[int, str] = {}
+        for entry in log:
+            if entry["ev"] == "assign":
+                assert entry["worker"] not in live, (entry, live)
+                live[entry["worker"]] = entry["job"]
+            elif entry["ev"] in ("result", "error", "worker-death"):
+                assert live.pop(entry["worker"]) == entry["job"], entry
+        assert not live

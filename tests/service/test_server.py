@@ -88,12 +88,26 @@ PINNED_REPLY = (
     'ster","t":0.00957792,"worker":0},{"kind":"terminate","source":"sim'
     '.master","t":0.00977792,"worker":1}]}'
 )
+#: Passes ``job_from_spec``; ``costs()`` raises (1e308 + 1e308).
+UNRESOLVABLE_SPEC = {
+    "scheme": "TSS",
+    "workload": {"kind": "gaussian-peak", "size": 50,
+                 "amplitude": 1e308, "floor": 1e308},
+    "cluster": {"workers": 2},
+}
 PINNED_FAILURE = {
     "ok": False, "state": "failed", "requeues": 0,
     "job_id": "alice-000002", "seq": 6,
     "error": "TypeError: StaticScheduler.__init__() got an unexpected "
              "keyword argument 'no_such_kwarg'",
 }
+
+
+def _wait_until(what: str, ready) -> None:
+    deadline = time.monotonic() + 30.0
+    while not ready():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.02)
 
 
 class _Daemon(object):
@@ -222,6 +236,30 @@ class TestBasics:
             assert err.value.reason == "reply-too-large"
             assert c.ping()
 
+    def test_unresolvable_cost_profile_fails_the_job_not_the_daemon(
+        self, tmp_path
+    ):
+        # The spec is well-formed, its cost vector is not (inf): the
+        # error used to escape admission from the resolving executor --
+        # handler dead, connection closed mid-request, and a pending
+        # slot counted for a record nobody would ever finish.
+        with _Daemon(tmp_path, workers=1, tenant_capacity=1) as d, \
+                d.client("alice") as c:
+            job_id = c.submit(UNRESOLVABLE_SPEC)
+            reply = c._request({"op": "wait", "job_id": job_id})
+            assert reply["ok"] is False and reply["state"] == "failed"
+            assert reply["error"].startswith(
+                "WorkloadError: iteration costs must be finite")
+            assert c.ping()  # same connection, handler still alive
+            assert d.server._tenant_pending["alice"] == 0
+            # tenant_capacity is 1: a leaked slot would refuse this.
+            assert c.run(tenant_spec(0), timeout=60)["state"] == "done"
+            ledger = c.log()
+            c.drain()
+            d._thread.join(timeout=30.0)
+            assert not d._thread.is_alive(), "daemon failed to drain"
+        audit_service_log(ledger).raise_if_failed()
+
     def test_wait_is_tenant_isolated(self, tmp_path):
         with _Daemon(tmp_path) as d:
             with d.client("alice") as alice, d.client("bob") as bob:
@@ -312,9 +350,7 @@ class TestAdmissionControl:
             assert rejected, "oversubmission was never rejected"
             status = c.status()
             pending = (
-                status["pool"]["queued"]
-                + status["pool"]["inflight"]
-                + status["resolving"]
+                status["pool"]["queued"] + status["pool"]["inflight"]
             )
             assert pending <= capacity
             # Everything admitted still completes.
@@ -387,25 +423,19 @@ class TestDrain:
         def deaths(ledger):
             return sum(1 for e in ledger if e["ev"] == "worker-death")
 
-        def wait_until(what, ready):
-            deadline = time.monotonic() + 30.0
-            while not ready():
-                assert time.monotonic() < deadline, what
-                time.sleep(0.02)
-
         with _Daemon(tmp_path, workers=1) as d, d.client("alice") as c:
             pool = d.server.pool
             (old_pid,) = pool.worker_pids()
             assert c.kill_worker(0) is True
             # Submit only once the slot is respawned: a job handed to
             # the dying incarnation would (rightly) log a death.
-            wait_until("slot never respawned",
+            _wait_until("slot never respawned",
                        lambda: pool.worker_pids()[0] not in (None, old_pid))
             c.run(tenant_spec(0), timeout=60)
             assert deaths(c.log()) == 0
             assert c.metrics()["worker_deaths_total"]["value"] == 0
             job_id = c.submit(slow)
-            wait_until("job never started",
+            _wait_until("job never started",
                        lambda: c.status()["pool"]["inflight"] == 1)
             assert c.kill_worker(0) is True
             out = c.wait(job_id, timeout=120)
@@ -415,3 +445,44 @@ class TestDrain:
         assert deaths(ledger) == 1
         assert metrics["worker_deaths_total"]["value"] == deaths(ledger)
         audit_service_log(ledger).raise_if_failed()
+
+
+class TestCacheCounters:
+    def test_status_cache_sums_what_the_workers_resolved(self, tmp_path):
+        """Profiles are resolved in the pool workers, so that is where
+        the counters are read: one compute for two identical specs, and
+        a respawned incarnation finds the file the dead one wrote."""
+        spec = {
+            "scheme": "CSS(8)",
+            "workload": {"kind": "mandelbrot", "width": 60,
+                         "height": 30},
+            "cluster": {"workers": 2},
+        }
+        reference = stream_digest(job_from_spec(spec).run().obs_events)
+        cache_dir = tmp_path / "cold-cache"
+        with _Daemon(tmp_path, workers=1, cache_dir=str(cache_dir)) \
+                as d, d.client("alice") as c:
+            assert c.status()["cache"] == {"hits": 0, "misses": 0}
+            first = c.run(spec, timeout=60)
+            again = c.run(spec, timeout=60)
+            cache = c.status()["cache"]
+            assert cache["misses"] == 1 and cache["hits"] >= 1, cache
+            assert len(list(cache_dir.glob("*.npy"))) == 1
+            (old_pid,) = d.server.pool.worker_pids()
+            assert c.kill_worker(0) is True
+            _wait_until(
+                "slot never respawned",
+                lambda: d.server.pool.worker_pids()[0]
+                not in (None, old_pid))
+            # The dead incarnation's counts are kept.
+            assert c.status()["cache"] == cache
+            third = c.run(spec, timeout=60)
+            after = c.status()["cache"]
+            metrics = c.metrics()
+        assert after["misses"] == 1, "the respawned worker recomputed"
+        assert after["hits"] == cache["hits"] + 1
+        assert metrics["cache_hits"]["value"] == after["hits"]
+        assert metrics["cache_misses"]["value"] == after["misses"]
+        for out in (first, again, third):
+            assert out["state"] == "done"
+            assert out["digest"] == reference
