@@ -19,22 +19,19 @@ chooses and retunes the scheme *online*:
   per-chunk cost mean/variance -- e.g. high variance shrinks CSS's
   ``k`` and raises FSS's ``alpha``.
 
-The policy is **deterministic given its seed and its observations**: in
-the default ``feedback="cost"`` mode observations are the per-chunk
-workload costs (substrate-independent), so the same spec + seed +
-workload reproduce the same decision sequence bit for bit on the
-simulator and the real runtime.  ``feedback="timing"`` uses observed
-chunk durations instead (virtual time on the simulators -- still
-deterministic; wall time on the real runtime -- adaptive to the actual
-machine, not replayable).
+The policy is **deterministic given its seed and its observations**,
+and its observations are the per-chunk workload costs and the static
+virtual powers -- nothing a substrate measures -- so the same spec +
+seed + workload reproduce the same decision sequence bit for bit on
+the simulator and the real runtime.
 
 Every decision lands in :attr:`AdaptiveScheduler.decisions` (a
 :class:`StageDecision` log) and is mirrored to the substrates'
 ``adapt`` ObsEvents, so a trace explains every switch and retune;
 :func:`repro.verify.audit_adaptive` replays each stage's cut points
-from that log.  Being feedback-dependent, adaptive runs refuse the
-analytic fast path (see ``docs/performance.md``) and the decentral
-chunk calculators (there is no pure ladder to precompute).
+from that log.  Adaptive runs refuse the analytic fast path (see
+``docs/performance.md``) and the decentral chunk calculators (there
+is no pure ladder to precompute).
 
 Build one via the registry -- ``make("adaptive:TSS+FSS+GSS@6", N, p)``
 -- or any string-scheme entry point (``simulate``, ``run_parallel``,
@@ -124,8 +121,6 @@ class _StageRecord(object):
     size: int
     arm: int
     spans: list = dataclasses.field(default_factory=list)
-    #: (start, stop) -> (worker, elapsed); filled by observe_completion.
-    elapsed: dict = dataclasses.field(default_factory=dict)
 
 
 class DiscountedUCB(object):
@@ -331,22 +326,20 @@ class AdaptiveScheduler(Scheduler):
     size; the inherited cursor does the offsetting, so exactly-once
     tiling holds no matter what the policy decides.
 
-    Substrate hooks (all optional for the substrate):
+    Substrate hooks (inert on :class:`~repro.core.base.Scheduler`,
+    live here):
 
     * :meth:`bind_workload` -- gives the cost feedback loop the
-      workload's per-chunk costs (wired by the sim engine and
-      ``run_parallel``);
-    * :meth:`observe_completion` -- per-chunk duration reports for
-      ``feedback="timing"``;
+      workload's per-chunk costs (called by the sim engine and
+      ``run_parallel`` for every scheduler);
     * :meth:`drain_decisions` -- fresh :class:`StageDecision` records
       for ``adapt`` ObsEvent emission.
     """
 
     name = "adaptive"
     distributed = False
-    #: Marks the scheduler as adapting to runtime observations: the
-    #: analytic fast path must refuse it (decisions depend on feedback
-    #: the collapsed recurrence never produces).
+    #: The analytic fast path refuses the run (see
+    #: :func:`repro.simulation.fastpath.master_fast_reason`).
     feedback_dependent = True
 
     def __init__(
@@ -356,7 +349,6 @@ class AdaptiveScheduler(Scheduler):
         candidates: Optional[Sequence[str]] = None,
         stages: Optional[int] = None,
         seed: int = 0,
-        feedback: str = "cost",
         discount: float = 0.9,
         explore: float = 0.15,
         explore_frac: float = 0.25,
@@ -372,12 +364,6 @@ class AdaptiveScheduler(Scheduler):
                 f"positive integer"
             )
         self.stages = int(stages)
-        if feedback not in ("cost", "timing"):
-            raise SchemeError(
-                f"feedback must be 'cost' or 'timing', got {feedback!r}"
-            )
-        self.feedback = feedback
-        self._timing = feedback == "timing"
         self._cur_spans: list[tuple[int, int]] = []
         self.seed = int(seed)
         if not 0.0 < explore_frac < 1.0:
@@ -389,7 +375,7 @@ class AdaptiveScheduler(Scheduler):
             n_cand, seed=self.seed, discount=discount, explore=explore
         )
         self._min_stage = max(1, 2 * self.workers)
-        #: worker id -> last observed effective speed V_i / Q_i.
+        #: worker id -> static virtual power V_i, as last reported.
         self._speeds: dict[int, float] = {}
         self._workload = None
         self._sub: Optional[Scheduler] = None
@@ -410,21 +396,6 @@ class AdaptiveScheduler(Scheduler):
                 f"scheduler covers {self.total}"
             )
         self._workload = workload
-
-    def observe_completion(
-        self, worker_id: int, start: int, stop: int, elapsed: float
-    ) -> None:
-        """Report one completed chunk's duration (timing feedback).
-
-        No-op in cost mode: the cost signal is already known at
-        assignment time and keeps the policy substrate-independent.
-        """
-        if self.feedback != "timing":
-            return
-        for rec in reversed(self._records):
-            if rec.base <= start:
-                rec.elapsed[(start, stop)] = (worker_id, float(elapsed))
-                return
 
     def drain_decisions(self) -> list[StageDecision]:
         """Decisions made since the last drain (for ObsEvent emission)."""
@@ -451,15 +422,11 @@ class AdaptiveScheduler(Scheduler):
         at = sub._take(worker)
         size = sub._cursor - at
         start = self._sub_base + at
-        # Cost mode sticks to the *static* virtual power: the run
-        # queue is runtime-observed state (the simulator's load model
-        # sees a spike, the real runtime's view does not), so folding
-        # it in would break substrate-invariant decisions.  Timing
-        # mode is the observed-state mode, so there it counts.
-        speed = worker.virtual_power
-        if self._timing:
-            speed /= max(1, worker.run_queue)
-        self._speeds[worker.worker_id] = speed
+        # The *static* virtual power only: the run queue is
+        # runtime-observed state (the simulator's load model sees a
+        # spike, the real runtime's view does not), so folding it in
+        # would break substrate-invariant decisions.
+        self._speeds[worker.worker_id] = worker.virtual_power
         self._cur_spans.append((start, start + size))
         return size
 
@@ -485,17 +452,7 @@ class AdaptiveScheduler(Scheduler):
     def _stage_stats(self, rec: _StageRecord) -> StageStats:
         sizes = [stop - start for start, stop in rec.spans]
         workload = self._workload
-        if self.feedback == "timing" and rec.elapsed:
-            costs = []
-            for span in rec.spans:
-                obs = rec.elapsed.get(span)
-                if obs is not None:
-                    costs.append(obs[1])
-                elif workload is not None:
-                    costs.append(float(workload.chunk_cost(*span)))
-                else:
-                    costs.append(float(span[1] - span[0]))
-        elif workload is not None:
+        if workload is not None:
             costs = [
                 float(workload.chunk_cost(start, stop))
                 for start, stop in rec.spans

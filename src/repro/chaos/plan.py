@@ -368,7 +368,11 @@ class FaultPlan(object):
             at = float(rng.uniform(0.05, 0.8) * horizon)
             events.append(WorkerDeath(worker=victim, at=at))
             if rng.random() < restart_probability:
-                back = float(rng.uniform(at + 1e-3, horizon))
+                # At least a millisecond after the death, but never
+                # past a horizon shorter than that.
+                back = float(rng.uniform(
+                    min(at + 1e-3, horizon), horizon
+                ))
                 events.append(WorkerRestart(worker=victim, at=back))
         for _ in range(max(0, int(delays))):
             events.append(MessageDelay(

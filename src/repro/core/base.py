@@ -30,7 +30,7 @@ Two families exist:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 __all__ = [
     "WorkerView",
@@ -142,11 +142,12 @@ class Scheduler(object):
     name: str = "?"
     #: True for schemes that consume worker ACP (paper Sec. 6 pattern).
     distributed: bool = False
-    #: True for schemes whose decisions depend on runtime feedback
-    #: beyond ACP (e.g. :class:`repro.adaptive.AdaptiveScheduler`).
-    #: Substrates then wire the feedback hooks (``bind_workload``,
-    #: ``observe_completion``, ``drain_decisions``) and the analytic
-    #: fast path refuses the run.
+    #: True for schemes that retune themselves between stages
+    #: (:class:`repro.adaptive.AdaptiveScheduler`): the analytic fast
+    #: path refuses the run.  Read by
+    #: :func:`repro.simulation.fastpath.master_fast_reason` alone; the
+    #: substrates call :meth:`bind_workload` / :meth:`drain_decisions`
+    #: on every scheduler.
     feedback_dependent: bool = False
     #: True when :meth:`_nominal` ignores request order and worker
     #: identity once read in lockstep (ordinal ``m`` is worker
@@ -275,7 +276,7 @@ class Scheduler(object):
         """Stage index recorded on the assignment just sized."""
         return self._stage
 
-    # -- ACP plumbing (distributed schemes override) -------------------------
+    # -- substrate hooks (inert here; ACP-driven / adaptive schemes override)
 
     def observe_acp(self, worker_id: int, acp: int) -> None:
         """Record a worker's freshly reported ACP.
@@ -284,6 +285,20 @@ class Scheduler(object):
         (:mod:`repro.core.distributed`) use them for chunk scaling and
         for the "more than half changed -> re-derive parameters" rule.
         """
+
+    def bind_workload(self, workload: Any) -> None:
+        """The substrate hands over the loop it is about to run.
+
+        Fixed schemes size chunks from their parameters alone and
+        ignore it; the adaptive meta-scheduler reads per-chunk costs
+        from it to score a finished stage.
+        """
+
+    def drain_decisions(self) -> Sequence[Any]:
+        """Policy decisions made since the last drain, which the
+        substrate mirrors into ``adapt`` events; fixed schemes make
+        none."""
+        return ()
 
     def describe(self) -> dict[str, object]:
         """Introspection: the scheme's identity and public parameters.

@@ -126,8 +126,6 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
             _DWorkerState, workload, cluster, collect_results, chaos,
             collector,
         )
-        #: fast-path policy: ``"auto"`` (take it when eligible),
-        #: ``True`` (require it) or ``False`` (always run the DES).
         self.fast = fast
         self.calc = calc
         self.atomic_op_cost = float(atomic_op_cost)
@@ -329,19 +327,11 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
     def _label(self) -> tuple[str, int]:
         return self.calc.scheme, 0
 
-    def run(self) -> SimResult:
-        # Analytic fast path: fault-free deterministic runs skip the
-        # DES entirely (bit-identical; see repro.simulation.fastpath).
-        if self.fast is not False:
-            reason = fastpath.decentral_fast_reason(self)
-            if reason is None and fastpath.fast_enabled():
-                return fastpath.run_fast_decentral(self)
-            if self.fast is True:
-                raise SimulationError(
-                    f"fast=True but the run is not fast-path eligible: "
-                    f"{reason or 'disabled via ' + fastpath.ENV_FAST}"
-                )
-        return super().run()
+    def _fast_reason(self) -> Optional[str]:
+        return fastpath.decentral_fast_reason(self)
+
+    def _run_fast(self) -> SimResult:
+        return fastpath.run_fast_decentral(self)
 
     @property
     def counter_ops(self) -> tuple[int, int]:

@@ -31,9 +31,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from typing import Optional
+from typing import Hashable, Iterable, Mapping, Optional, TypeVar
 
 __all__ = ["RuntimeConfig", "DEFAULT_CONFIG", "env_float"]
+
+
+_K = TypeVar("_K", bound=Hashable)
 
 
 def env_float(name: str) -> Optional[float]:
@@ -106,6 +109,38 @@ class RuntimeConfig(object):
                 f"heartbeat_interval ({self.heartbeat_interval}), or "
                 f"every worker would miss its deadline by construction"
             )
+
+    # -- the deadline rule ---------------------------------------------------
+    # Pure functions of (last-heard-from times, now): the one-shot
+    # master and the service pool's pump both block and scan by them,
+    # so "dropped on time however the wait returned" is one rule.
+
+    def overdue(
+        self, last_seen: Mapping[_K, float], now: float
+    ) -> list[_K]:
+        """The keys of ``last_seen`` silent for more than
+        ``worker_deadline`` at ``now``; none when it is disabled."""
+        deadline = self.worker_deadline
+        if deadline is None:
+            return []
+        return [
+            key for key, seen in last_seen.items()
+            if now - seen > deadline
+        ]
+
+    def wait_bound(
+        self, last_seen_values: Iterable[float], now: float
+    ) -> float:
+        """How long a liveness loop may block from ``now``:
+        ``poll_timeout``, cut short at the nearest deadline expiry so
+        the scan after the wait is never late."""
+        oldest = min(last_seen_values, default=None)
+        if self.worker_deadline is None or oldest is None:
+            return self.poll_timeout
+        return min(
+            self.poll_timeout,
+            max(0.0, oldest + self.worker_deadline - now),
+        )
 
     @classmethod
     def from_env(cls, **overrides) -> "RuntimeConfig":

@@ -167,10 +167,9 @@ def run_parallel(
         if isinstance(scheme, str)
         else scheme
     )
-    if getattr(scheduler, "feedback_dependent", False):
-        # Adaptive meta-scheduling: the cost feedback loop needs the
-        # workload (the master process holds it; workers get copies).
-        scheduler.bind_workload(workload)
+    # The master process holds the workload (workers get copies); the
+    # adaptive meta-scheduler scores its stages from it.
+    scheduler.bind_workload(workload)
     config = config or RuntimeConfig.from_env()
     if plan is not None and plan.events:
         # A restart is admitted, and a stall begins, at the master's

@@ -153,16 +153,6 @@ def master_loop(
     worker_meta = worker_meta or {}
     live = dict(connections)
     outstanding: dict[int, tuple[int, int]] = {}
-    #: adaptive (feedback-dependent) scheduler wiring: per-chunk
-    #: durations reported on result delivery, stage decisions drained
-    #: into ``adapt`` events after every scheduler consultation.
-    adaptive = bool(getattr(scheduler, "feedback_dependent", False))
-    assigned_at: dict[int, float] = {}
-
-    def emit_decisions(wid: int) -> None:
-        for d in scheduler.drain_decisions():
-            emit("adapt", wid, start=d.base, stop=d.base + d.size,
-                 stage=d.stage, value=d.reward, detail=d.summary())
     #: FIFO of intervals lost to worker deaths -- first lost, first
     #: reassigned (loop order), mirroring the simulator's deque.
     requeue: collections.deque[tuple[int, int]] = collections.deque()
@@ -186,8 +176,6 @@ def master_loop(
         try:
             outstanding[wid] = assignment
             chunks.append((wid, assignment[0], assignment[1]))
-            if adaptive:
-                assigned_at[wid] = time.monotonic()
             conn.send(Assign(*assignment))
             if obs:
                 emit("assign", wid, start=assignment[0],
@@ -217,12 +205,6 @@ def master_loop(
             if obs and delivered is not None:
                 emit("result", wid, start=delivered[0],
                      stop=delivered[1])
-            if adaptive and delivered is not None:
-                sent = assigned_at.pop(wid, None)
-                scheduler.observe_completion(
-                    wid, delivered[0], delivered[1],
-                    0.0 if sent is None else time.monotonic() - sent,
-                )
         else:
             stale = outstanding.pop(wid, None)
             if stale is not None:
@@ -245,8 +227,12 @@ def master_loop(
             worker_id=wid, virtual_power=vp, run_queue=rq, acp=req.acp
         )
         chunk = scheduler.next_chunk(view)
-        if adaptive and obs:
-            emit_decisions(wid)
+        if obs:
+            # An adaptive scheduler's stage decisions become ``adapt``
+            # events; a fixed scheme drains none.
+            for d in scheduler.drain_decisions():
+                emit("adapt", wid, start=d.base, stop=d.base + d.size,
+                     stage=d.stage, value=d.reward, detail=d.summary())
         if chunk is not None:
             send_assignment(wid, (chunk.start, chunk.stop))
         elif outstanding or hooks.expects_more():
@@ -268,7 +254,6 @@ def master_loop(
         last_seen.pop(wid, None)
         if wid in parked:
             parked.remove(wid)
-        assigned_at.pop(wid, None)
         lost = outstanding.pop(wid, None)
         if was_live or lost is not None:
             logger.warning(
@@ -301,24 +286,9 @@ def master_loop(
                 send_terminate(wid)
             parked.clear()
 
-    def poll_seconds() -> float:
-        """``poll_timeout``, cut short at the nearest deadline expiry."""
-        if config.worker_deadline is None or not last_seen:
-            return config.poll_timeout
-        expiry = min(last_seen.values()) + config.worker_deadline
-        return min(
-            config.poll_timeout, max(0.0, expiry - time.monotonic())
-        )
-
     def enforce_deadlines() -> None:
         nonlocal timeouts
-        if config.worker_deadline is None:
-            return
-        now = time.monotonic()
-        overdue = [
-            wid for wid, seen in list(last_seen.items())
-            if now - seen > config.worker_deadline
-        ]
+        overdue = config.overdue(last_seen, time.monotonic())
         for wid in overdue:
             conn = live.get(wid)
             timeouts += 1
@@ -354,7 +324,9 @@ def master_loop(
         if not live:
             time.sleep(RESTART_BACKOFF)
             continue
-        ready = wait(list(live.values()), timeout=poll_seconds())
+        ready = wait(list(live.values()), timeout=config.wait_bound(
+            last_seen.values(), time.monotonic()
+        ))
         conn_to_wid = {id(c): w for w, c in live.items()}
         for conn in ready:
             wid = conn_to_wid.get(id(conn))

@@ -569,7 +569,10 @@ class WorkerPool(object):
         with self._lock:
             self._dispatch_locked()  # whatever was queued before start()
         while self._running:
-            ready = self._selector.select(self.config.poll_timeout)
+            ready = self._selector.select(self.config.wait_bound(
+                [h.last_seen for h in self._handles if h.proc is not None],
+                time.monotonic(),
+            ))
             if not self._running:
                 return
             dead: list[_Handle] = []
@@ -582,15 +585,17 @@ class WorkerPool(object):
                         dead.append(handle)
                 elif not handle.proc.is_alive():
                     dead.append(handle)
-            now = time.monotonic()
-            deadline = self.config.worker_deadline
-            for handle in self._handles:
-                if handle in dead or handle.proc is None:
-                    continue
+            live = [
+                h for h in self._handles
+                if h not in dead and h.proc is not None
+            ]
+            silent = self.config.overdue(
+                {h.slot: h.last_seen for h in live}, time.monotonic()
+            )
+            for handle in live:
                 if not handle.proc.is_alive():
                     dead.append(handle)
-                elif deadline is not None \
-                        and now - handle.last_seen > deadline:
+                elif handle.slot in silent:
                     # Silent past the liveness deadline: treat as dead.
                     # SIGKILL first so a wedged-but-alive incarnation
                     # can never deliver a stale result later.

@@ -405,22 +405,6 @@ class ServiceServer(object):
             self._merged.sort(key=lambda ev: ev.t)
         return self._merged
 
-    def events_since(
-        self, tenant: str, cursor: int = 0
-    ) -> tuple[list[ObsEvent], int]:
-        """Incremental per-tenant poll: events after ``cursor``.
-
-        Returns ``(new_events, next_cursor)``; pass the cursor back to
-        get only what arrived since.  O(new) per call.
-        """
-        bucket = self.tenant_obs.get(tenant)
-        if bucket is None:
-            return [], cursor
-        events = bucket.events
-        if cursor >= len(events):
-            return [], len(events)
-        return list(events[cursor:]), len(events)
-
     # -- admission ----------------------------------------------------------
 
     def _admission_error(self, tenant: str) -> Optional[str]:

@@ -9,7 +9,11 @@ substrate (:mod:`~repro.simulation.engine`,
 :mod:`repro.decentral.sim_engine`, :mod:`~repro.simulation.tree_engine`)
 subclasses it and says only *where the next chunk comes from*, through
 the hook methods grouped at the top of the class -- :meth:`next_work`
-first of all.
+first of all.  The analytic fast path
+(:mod:`~repro.simulation.fastpath`) is a run mode of the same chassis:
+:meth:`DesCluster.run` is the one gate that chooses it, and both modes
+share one :meth:`~DesCluster._prepare` step before the run and one
+:meth:`~DesCluster._finish` epilogue after it.
 
 Accounting matches Tables 2-3: per-PE ``T_com`` is link occupancy,
 ``T_wait`` is queueing for whatever the substrate serializes plus
@@ -47,6 +51,7 @@ from ..obs import Collector, ObsEvent, make_event
 from ..obs import resolve as _resolve_collector
 from ..obs import sink as _collector_sink
 from ..workloads import Workload, WorkloadError
+from . import fastpath
 from .cluster import ClusterSpec, NodeSpec
 from .events import EventQueue, SimulationError
 from .loadgen import ConstantLoad, OverlayLoad, integrate_compute
@@ -73,7 +78,7 @@ class DesWorker(object):
     epoch: int = 0
     #: ``speed / q`` under a :class:`ConstantLoad`, where the compute
     #: integral is one division; None = walk the trace.  Set by
-    #: :meth:`DesCluster.run`.
+    #: :meth:`DesCluster.run` for the DES and the fast path alike.
     rate: Optional[float] = None
     #: computed chunks (the rows :meth:`DesCluster._compute` booked)
     #: whose results are not safe yet -- still on this PE or on the
@@ -120,6 +125,12 @@ class DesCluster(Generic[W]):
     STALLED: str
     #: error raised when :meth:`_stranded`.
     STRANDED: str
+    #: fast-path policy, read by :meth:`run` alone: ``"auto"`` (take it
+    #: when eligible), ``True`` (require it; raise when ineligible) or
+    #: ``False`` (always run the DES).  A substrate with a fast path
+    #: sets it per run and answers :meth:`_fast_reason` /
+    #: :meth:`_run_fast`; the others keep False.
+    fast: object = False
     #: the workload's cost prefix sums as plain floats (set by
     #: :meth:`run`): a chunk's cost is one list subtraction.
     _pref: list[float]
@@ -223,6 +234,20 @@ class DesCluster(Generic[W]):
     def _label(self) -> tuple[str, int]:
         """Scheme name and ``rederivations`` counter of the result."""
         raise NotImplementedError
+
+    def _fast_reason(self) -> Optional[str]:
+        """Why this run cannot take the fast path (None = it can)."""
+        raise NotImplementedError
+
+    def _run_fast(self) -> SimResult:
+        """The substrate's collapsed loop; it returns through
+        :meth:`_finish`."""
+        raise NotImplementedError
+
+    def _prepare(self) -> None:
+        """What must hold before the first request on either path (the
+        master engine screens availability and registers ACPs here); by
+        default nothing."""
 
     def _leak(self, assigned: int) -> str:
         """Error text when coverage is not exact at the end."""
@@ -493,19 +518,37 @@ class DesCluster(Generic[W]):
     # -- run -----------------------------------------------------------------
 
     def run(self) -> SimResult:
-        # Per-run hoisting lives here, not in ``__init__``: a run that
-        # takes the fast path constructs the chassis and never gets
-        # this far.
+        # The one gate: decide, refuse, prepare, then run either way.
+        take_fast = False
+        if self.fast is not False:
+            reason = self._fast_reason()
+            take_fast = reason is None and fastpath.fast_enabled()
+            if self.fast is True and not take_fast:
+                raise SimulationError(
+                    f"fast=True but the run is not fast-path eligible: "
+                    f"{reason or 'disabled via ' + fastpath.ENV_FAST}"
+                )
+        self._prepare()
         self._pref = self.workload.prefix_list()
         for state in self.workers:
             load = state.node.load
             if type(load) is ConstantLoad:
                 state.rate = state.node.speed / load.q
+        if take_fast:
+            return self._run_fast()
         self._schedule_faults()
         for state in self._participants:
             self._start(state)
         self.queue.run()
-        t_p = self._last_result_arrival
+        return self._finish(
+            self._chunks, self._last_result_arrival, self.queue.processed
+        )
+
+    def _finish(
+        self, rows: list[tuple[Any, ...]], t_p: float, events: int
+    ) -> SimResult:
+        """The epilogue of every simulated run, DES or fast path: close
+        the books on ``rows`` (in compute order) and build the result."""
         # Terminal idling: PEs that finished early wait for the run to
         # end (paper rows for fast PEs sum to ~T_p).  Dead workers do
         # not idle -- their clock stopped at death.
@@ -515,7 +558,10 @@ class DesCluster(Generic[W]):
             tracked = state.metrics.busy
             if tracked < t_p:
                 state.metrics.t_wait += t_p - tracked
-        assigned = sum(row[2] - row[1] for row in self._chunks)
+        # Per-PE ``iterations`` move with the rows on both paths (booked
+        # and un-booked with each row by the DES, written back from the
+        # fast loops' columns), so coverage is O(P) to check, not O(rows).
+        assigned = sum(s.metrics.iterations for s in self.workers)
         if assigned != self.workload.size:
             raise SimulationError(self._leak(assigned))
         scheme, rederivations = self._label()
@@ -523,9 +569,9 @@ class DesCluster(Generic[W]):
             scheme=scheme,
             workers=[s.metrics for s in self.workers],
             t_p=t_p,
-            chunks=LazyChunkList(self._chunks),
+            chunks=LazyChunkList(rows),
             rederivations=rederivations,
-            events=self.queue.processed,
+            events=events,
         )
         if self.collect_results:
             self._results.sort(key=lambda pair: pair[0])

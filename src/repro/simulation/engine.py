@@ -126,24 +126,17 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             _WorkerState, workload, cluster, collect_results, chaos,
             collector,
         )
-        #: fast-path policy: ``"auto"`` (take it when eligible, the
-        #: default), ``True`` (require it; raise when ineligible) or
-        #: ``False`` (always run the generic DES).
         self.fast = fast
         self.scheduler = scheduler
         #: how :meth:`_ask` drives the scheduler: the lean stepper for
         #: a scheme that is its formula, None for one that needs a
         #: :class:`WorkerView` and its own ``next_chunk``.
         self._formula_step = formula_stepper(scheduler)
-        #: feedback-dependent (adaptive) schedulers get the workload's
-        #: cost structure, per-chunk completion reports, and their
-        #: stage decisions drained into ``adapt`` events.  Cached as a
-        #: plain bool so the hot path pays one truth test.
-        self._adaptive = bool(
-            getattr(scheduler, "feedback_dependent", False)
-        )
-        if self._adaptive:
-            scheduler.bind_workload(workload)
+        scheduler.bind_workload(workload)
+        #: stage decisions made since the last request, mirrored into
+        #: ``adapt`` events on an observed run; a fixed scheme's is the
+        #: inert ``Scheduler.drain_decisions``.
+        self._decisions = scheduler.drain_decisions
         self.acp_model = acp_model
         self._master_free = 0.0
         self._master_link_free = 0.0
@@ -269,8 +262,8 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             assignment = (start, stop, 0, acp)
         else:
             asked = self._ask(state.index, arrival, acp)
-            if self._adaptive and self.observing:
-                for d in self.scheduler.drain_decisions():
+            if self.observing:
+                for d in self._decisions():
                     self._emit(ObsEvent(
                         "adapt", self.SRC, service_end, state.index,
                         start=d.base, stop=d.base + d.size,
@@ -317,14 +310,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         state.pending_piggyback = (
             (stop - start) * self.cluster.result_bytes_per_item
         )
-        row = self._compute(
-            state, start, stop, stage, acp, self.next_work
-        )
-        if self._adaptive:
-            # completed_at - assigned_at
-            self.scheduler.observe_completion(
-                state.index, start, stop, row[4] - row[3],
-            )
+        self._compute(state, start, stop, stage, acp, self.next_work)
 
     # -- failure injection --------------------------------------------------
 
@@ -393,18 +379,13 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             self.scheduler, "rederivations", 0
         )
 
-    def run(self) -> SimResult:
-        # Analytic fast path: fault-free deterministic runs skip the
-        # DES entirely (bit-identical; see repro.simulation.fastpath).
-        if self.fast is not False:
-            reason = fastpath.master_fast_reason(self)
-            if reason is None and fastpath.fast_enabled():
-                return fastpath.run_fast_master(self)
-            if self.fast is True:
-                raise SimulationError(
-                    f"fast=True but the run is not fast-path eligible: "
-                    f"{reason or 'disabled via ' + fastpath.ENV_FAST}"
-                )
+    def _fast_reason(self) -> Optional[str]:
+        return fastpath.master_fast_reason(self)
+
+    def _run_fast(self) -> SimResult:
+        return fastpath.run_fast_master(self)
+
+    def _prepare(self) -> None:
         # Step 1(a): availability screen + initial ACP registration.
         if self.scheduler.distributed:
             self._participants = [
@@ -418,7 +399,6 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 )
             for s in self._participants:
                 self._register_acp(s, 0.0)
-        return super().run()
 
 
 def simulate(

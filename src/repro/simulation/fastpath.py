@@ -61,11 +61,15 @@ Further per-chunk costs are shaved without touching the numbers:
 Every floating-point expression is kept in the engine's exact shape
 and evaluation order, so the fast path is **bit-identical** to the DES
 -- enforced for every registry scheme by
-``tests/simulation/test_fastpath.py``, and selected automatically by
-:func:`~repro.simulation.engine.simulate` /
-:func:`~repro.decentral.simulate_decentral` only when eligibility
-holds (see :func:`master_fast_reason` / :func:`decentral_fast_reason`;
-``docs/performance.md`` documents the rules).
+``tests/simulation/test_fastpath.py``.  It is a run mode of the DES
+chassis, not a fork beside it: :meth:`DesCluster.run
+<repro.simulation.des.DesCluster.run>` is the one gate (it asks
+:func:`master_fast_reason` / :func:`decentral_fast_reason` through the
+engine's ``_fast_reason`` hook; ``docs/performance.md`` documents the
+rules), ``_prepare`` has screened availability and registered ACPs
+before either loop here starts, and both return through
+``DesCluster._finish`` -- terminal idling, the leak check and the
+result assembly are the DES's own.
 
 Set ``REPRO_FAST=0`` (or pass ``fast=False``) to force the DES; pass
 ``fast=True`` to *require* the fast path (raises when ineligible).
@@ -80,11 +84,9 @@ import os
 from operator import itemgetter
 from typing import Optional
 
-import numpy as np
-
 from ..core.kernel import evaluate_ladder
-from .loadgen import ConstantLoad, integrate_compute
-from .metrics import LazyChunkList, SimResult
+from .loadgen import integrate_compute
+from .metrics import SimResult, WorkerMetrics
 
 __all__ = [
     "ENV_FAST",
@@ -129,13 +131,18 @@ def master_fast_reason(sim) -> Optional[str]:
     The fast path replays the fault-free switched-network protocol
     exactly; anything that perturbs it -- chaos plans, ``fails_at``
     deaths, shared-segment contention (transfer ordering becomes
-    entangled with send times), an attached collector (emission points
-    sit inside the collapsed handlers), or a feedback-dependent
-    scheduler (the adaptive meta-scheduler consumes per-chunk
-    observations the collapsed recurrence never produces) -- falls back
-    to the DES.
+    entangled with send times) or an attached collector (emission
+    points sit inside the collapsed handlers) -- falls back to the DES.
+
+    So does a ``feedback_dependent`` (adaptive) scheduler, and not by
+    nature: its policy reads chunk spans, iteration costs and static
+    virtual powers, nothing the collapsed recurrence lacks.  This is
+    the one place the flag is still read, and it stays because the
+    frozen benchmark ledger's ``check_des`` requires every
+    ``sweep_des`` job -- the adaptive cells included -- to be refused;
+    only a ``benchmark`` PR may lift that (ROADMAP item 3).
     """
-    if getattr(sim.scheduler, "feedback_dependent", False):
+    if sim.scheduler.feedback_dependent:
         return (
             "the scheduler is feedback-dependent (adaptive "
             "meta-scheduling observes the run it is steering)"
@@ -146,6 +153,34 @@ def master_fast_reason(sim) -> Optional[str]:
 def decentral_fast_reason(sim) -> Optional[str]:
     """Why this decentral run cannot take the fast path (None = can)."""
     return _cluster_fast_reason(sim.cluster, sim.chaos, sim.obs)
+
+
+def _open_books(metrics: list[WorkerMetrics]) -> tuple[list, ...]:
+    """The five accumulator columns of a collapsed loop as plain lists
+    (``t_com``, ``t_wait``, ``t_comp``, ``chunks``, ``iterations``):
+    same values, same per-worker addition order as the dataclass
+    fields, and list stores are much cheaper than attribute updates on
+    the hot path."""
+    return (
+        [m.t_com for m in metrics],
+        [m.t_wait for m in metrics],
+        [m.t_comp for m in metrics],
+        [m.chunks for m in metrics],
+        [m.iterations for m in metrics],
+    )
+
+
+def _close_books(
+    metrics: list[WorkerMetrics], books: tuple[list, ...]
+) -> None:
+    """Write the columns back, once, at the end of the loop."""
+    acc_com, acc_wait, acc_comp, acc_chunks, acc_iters = books
+    for i, m in enumerate(metrics):
+        m.t_com = acc_com[i]
+        m.t_wait = acc_wait[i]
+        m.t_comp = acc_comp[i]
+        m.chunks = acc_chunks[i]
+        m.iterations = acc_iters[i]
 
 
 # -- master-engine fast path -----------------------------------------------
@@ -164,29 +199,14 @@ def run_fast_master(sim) -> SimResult:
     only depend on the arrival, and the ``q_at`` realizations of
     stochastic load traces are query-order independent.
     """
-    from .engine import SimulationError, StarvationError
-
     scheduler = sim.scheduler
     workload = sim.workload
     cluster = sim.cluster
     total = workload.size
-    pref = workload.prefix_list()
+    pref = sim._pref
 
     distributed = scheduler.distributed
-    if distributed:
-        participants = [
-            s for s in sim.workers if sim._available(s, 0.0)
-        ]
-        if not participants:
-            raise StarvationError(
-                "no worker has ACP above the availability threshold; "
-                "this is the classic-DTSS starvation the paper's "
-                "Sec. 5.2 scaled ACP model avoids"
-            )
-        for s in participants:
-            scheduler.observe_acp(s.index, sim._acp_now(s, 0.0))
-    else:
-        participants = list(sim.workers)
+    participants = sim._participants
 
     # A formula-driven scheme is its ``_nominal`` and nothing else:
     # this loop owns the cursor, a worker's request index is its chunk
@@ -214,20 +234,9 @@ def run_fast_master(sim) -> SimResult:
     load_of = [node.load for node in node_of]
     speed_of = [node.speed for node in node_of]
     # ConstantLoad: the compute integral collapses to cost / rate.
-    const_rate = [
-        node.speed / node.load.q if type(node.load) is ConstantLoad
-        else None
-        for node in node_of
-    ]
-    # Per-worker metric accumulators as plain lists: same values, same
-    # per-worker addition order as the dataclass fields, written back
-    # once at the end (list stores are much cheaper than dataclass
-    # attribute updates on the hot path).
-    acc_com = [m.t_com for m in metrics]
-    acc_wait = [m.t_wait for m in metrics]
-    acc_comp = [m.t_comp for m in metrics]
-    acc_chunks = [m.chunks for m in metrics]
-    acc_iters = [m.iterations for m in metrics]
+    const_rate = [s.rate for s in sim.workers]
+    books = _open_books(metrics)
+    acc_com, acc_wait, acc_comp, acc_chunks, acc_iters = books
 
     request_bytes = cluster.request_bytes
     master_bw = cluster.master_bandwidth
@@ -238,7 +247,7 @@ def run_fast_master(sim) -> SimResult:
     master_free = 0.0
     last_result = 0.0
     rows: list[tuple] = []
-    results: list[tuple[int, np.ndarray]] = []
+    results = sim._results
 
     # Pending next arrival per worker: time (inf = chain done), the
     # pedigree (send fire time, compute fire time, predecessor rank),
@@ -353,48 +362,7 @@ def run_fast_master(sim) -> SimResult:
             active -= 1
         rank += 1
 
-    for i, m in enumerate(metrics):
-        m.t_com = acc_com[i]
-        m.t_wait = acc_wait[i]
-        m.t_comp = acc_comp[i]
-        m.chunks = acc_chunks[i]
-        m.iterations = acc_iters[i]
-
-    t_p = last_result
-    for s in participants:
-        m = s.metrics
-        tracked = m.t_com + m.t_wait + m.t_comp
-        if tracked < t_p:
-            m.t_wait += t_p - tracked
-    # DES chunk order is compute-event order: compute seqs follow
-    # arrival processing order (= append order here), so a stable sort
-    # on fire time reproduces it exactly, ties included.
-    rows.sort(key=itemgetter(3))
-    chunks = LazyChunkList(rows)
-    result = SimResult(
-        scheme=scheduler.name,
-        workers=metrics,
-        t_p=t_p,
-        chunks=chunks,
-        rederivations=getattr(scheduler, "rederivations", 0),
-        # Fault-free event census: per worker, chunks+1 arrivals (the
-        # last is the dry request), one compute and one send event per
-        # chunk (the first send is a direct call), one terminate.
-        events=3 * len(rows) + 2 * len(participants),
-    )
-    assigned = sum(acc_iters)
-    if assigned != total:
-        raise SimulationError(
-            f"scheduling leak: assigned {assigned} of {total} "
-            f"iterations"
-        )
-    if collect:
-        results.sort(key=lambda pair: pair[0])
-        result.results = (
-            np.concatenate([r for _, r in results])
-            if results
-            else np.zeros(0)
-        )
+    _close_books(metrics, books)
     if pure:
         # Hand the drained state back, as ``next_chunk`` leaves it.
         scheduler._cursor = cursor
@@ -403,9 +371,16 @@ def run_fast_master(sim) -> SimResult:
             i: n for i, n in enumerate(acc_chunks) if n
         }
         scheduler._stage = stage
-    sim._chunks = chunks
-    sim._last_result_arrival = last_result
-    return result
+    # DES chunk order is compute-event order: compute seqs follow
+    # arrival processing order (= append order here), so a stable sort
+    # on fire time reproduces it exactly, ties included.
+    rows.sort(key=itemgetter(3))
+    # Fault-free event census: per worker, chunks+1 arrivals (the last
+    # is the dry request), one compute and one send event per chunk
+    # (the first send is a direct call), one terminate.
+    return sim._finish(
+        rows, last_result, 3 * len(rows) + 2 * len(participants)
+    )
 
 
 # -- decentral fast path ---------------------------------------------------
@@ -425,13 +400,10 @@ def run_fast_decentral(sim) -> SimResult:
     rank)`` -- the DES's seq order, by the same pedigree argument as
     the master loop.
     """
-    from .events import SimulationError
-
     calc = sim.calc
     workload = sim.workload
     cluster = sim.cluster
-    total = workload.size
-    pref = workload.prefix_list()
+    pref = sim._pref
 
     ladder = evaluate_ladder(calc)
     starts = ladder.starts.tolist()
@@ -450,11 +422,7 @@ def run_fast_decentral(sim) -> SimResult:
     ]
     load_of = [node.load for node in node_of]
     speed_of = [node.speed for node in node_of]
-    const_rate = [
-        node.speed / node.load.q if type(node.load) is ConstantLoad
-        else None
-        for node in node_of
-    ]
+    const_rate = [s.rate for s in sim.workers]
     collect = sim.collect_results
 
     atomic_op_cost = sim.atomic_op_cost
@@ -470,13 +438,9 @@ def run_fast_decentral(sim) -> SimResult:
     group_free = dict(sim._group_free)
 
     rows: list[tuple] = []
-    results: list[tuple[int, np.ndarray]] = []
-    # Per-worker metric accumulators as lists (see run_fast_master).
-    acc_com = [m.t_com for m in metrics]
-    acc_wait = [m.t_wait for m in metrics]
-    acc_comp = [m.t_comp for m in metrics]
-    acc_chunks = [m.chunks for m in metrics]
-    acc_iters = [m.iterations for m in metrics]
+    results = sim._results
+    books = _open_books(metrics)
+    acc_com, acc_wait, acc_comp, acc_chunks, acc_iters = books
 
     def allocate(i: int, at: float) -> tuple[Optional[int], float]:
         # Hierarchical (group-counter) claim path; the global-counter
@@ -594,50 +558,16 @@ def run_fast_decentral(sim) -> SimResult:
         # chunk -- performs exactly one global counter access.
         global_ops = len(rows) + n_workers
 
-    for i, m in enumerate(metrics):
-        m.t_com = acc_com[i]
-        m.t_wait = acc_wait[i]
-        m.t_comp = acc_comp[i]
-        m.chunks = acc_chunks[i]
-        m.iterations = acc_iters[i]
-
-    for s in sim.workers:
-        m = s.metrics
-        tracked = m.t_com + m.t_wait + m.t_comp
-        if tracked < t_p:
-            m.t_wait += t_p - tracked
-    assigned = sum(acc_iters)
-    if assigned != total:
-        raise SimulationError(
-            f"scheduling leak: assigned {assigned} of {total} "
-            f"iterations"
-        )
-    # DES chunk order is compute-event order; stable sort on fire time
-    # (rows were appended in claim order = compute seq order).
-    rows.sort(key=itemgetter(3))
-    chunks = LazyChunkList(rows)
-    result = SimResult(
-        scheme=calc.scheme,
-        workers=metrics,
-        t_p=t_p,
-        chunks=chunks,
-        rederivations=0,
-        # Census: compute + durable per chunk, terminate per worker
-        # (claims are direct calls, not events).
-        events=2 * len(rows) + n_workers,
-    )
-    if collect:
-        results.sort(key=lambda pair: pair[0])
-        result.results = (
-            np.concatenate([r for _, r in results])
-            if results
-            else np.zeros(0)
-        )
-    sim._chunks = chunks
+    _close_books(metrics, books)
     sim._next = next_ord
     sim._counter_free = counter_free
     sim._global_ops = global_ops
     sim._local_ops = local_ops
     sim._lease_state = lease_state
     sim._group_free = group_free
-    return result
+    # DES chunk order is compute-event order; stable sort on fire time
+    # (rows were appended in claim order = compute seq order).
+    rows.sort(key=itemgetter(3))
+    # Census: compute + durable per chunk, terminate per worker (claims
+    # are direct calls, not events).
+    return sim._finish(rows, t_p, 2 * len(rows) + n_workers)

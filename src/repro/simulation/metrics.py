@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -60,13 +60,14 @@ _float_repr = float.__repr__
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ChunkRecord(object):
     """One scheduling decision, for traces and post-hoc analysis.
 
-    ``slots=True``: simulations produce one record per chunk on the
-    hot path, and slots construction is measurably cheaper at the
-    million-run sweep scale (no per-record ``__dict__``).
+    A read-only view of one chunk row (see :class:`LazyChunkList`):
+    frozen, so the rows a result was built from stay its content and
+    everything that leaves the process is written from them;
+    ``dataclasses.replace`` makes an edited copy.
     """
 
     worker: int
@@ -108,18 +109,6 @@ def _chunks_text(rows: list[tuple]) -> str:
     return ",".join(out)
 
 
-def _record_row(c: ChunkRecord) -> tuple:
-    return (c.worker, c.start, c.stop, c.assigned_at, c.completed_at,
-            c.stage, c.acp)
-
-
-def _chunk_rows(chunks) -> list[tuple]:
-    """Field rows of a :class:`LazyChunkList` or a record list."""
-    if isinstance(chunks, LazyChunkList):
-        return chunks.rows()
-    return [_record_row(c) for c in chunks]
-
-
 class LazyChunkList(object):
     """Sequence of :class:`ChunkRecord` materialized on first access.
 
@@ -131,14 +120,14 @@ class LazyChunkList(object):
     this wrapper builds the real :class:`ChunkRecord` objects only
     when someone actually touches them.  Materialization is exact
     (rows hold the final field values, in final order) and happens at
-    most once; the records are mutable, so from then on they, not the
-    rows, are the list's content.
+    most once; the records are frozen, so the rows stay the list's
+    content.
 
     Rows are also the transport form: a result crosses a process pool
-    and lands in JSONL (:meth:`SimResult.to_dict`) as rows, without
-    building a record per chunk on either side.  A row is a
-    :class:`ChunkRecord`'s fields in order; trailing defaulted fields
-    may be left off (the decentral fast path writes no ``acp``).
+    and lands in JSONL (:meth:`SimResult.to_dict`) as rows, whether or
+    not anyone has read a record.  A row is a :class:`ChunkRecord`'s
+    fields in order; trailing defaulted fields may be left off (the
+    decentral fast path writes no ``acp``).
     """
 
     __slots__ = ("_rows", "_records")
@@ -153,12 +142,10 @@ class LazyChunkList(object):
             records = self._records = [
                 ChunkRecord(*row) for row in self._rows
             ]
-            self._rows = None
         return records
 
     def __len__(self) -> int:
-        rows = self._rows
-        return len(rows) if rows is not None else len(self._records)
+        return len(self._rows)
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -178,14 +165,13 @@ class LazyChunkList(object):
         return repr(self._materialize())
 
     def rows(self) -> list[tuple]:
-        """The field rows (read-only), whether materialized or not."""
-        rows = self._rows
-        return rows if rows is not None else _chunk_rows(self._records)
+        """The field rows (read-only)."""
+        return self._rows
 
     def __reduce__(self):
         # Crosses a process pool as rows and stays lazy on the far
         # side -- consumers only rely on the sequence protocol.
-        return (LazyChunkList, (self.rows(),))
+        return (LazyChunkList, (self._rows,))
 
 
 @dataclasses.dataclass
@@ -195,10 +181,12 @@ class SimResult(object):
     scheme: str
     workers: list[WorkerMetrics]
     t_p: float
-    #: one :class:`ChunkRecord` per chunk, in compute-start order.
-    #: Every engine hands out the row-backed :class:`LazyChunkList`;
-    #: a hand-built result may hold a plain record list.
-    chunks: Union[LazyChunkList, list[ChunkRecord]]
+    #: one :class:`ChunkRecord` per chunk, in compute-start order:
+    #: the row-backed :class:`LazyChunkList`, which is what
+    #: :meth:`to_dict`, :meth:`to_json` and pickling write from.  (The
+    #: auditors only iterate, so a test may hand them a result holding
+    #: a plain list of edited records.)
+    chunks: LazyChunkList
     results: Optional[np.ndarray] = None
     rederivations: int = 0
     events: int = 0
@@ -263,7 +251,7 @@ class SimResult(object):
                 "assigned_at": r[3], "completed_at": r[4],
                 "stage": r[5], "acp": r[6] if len(r) > 6 else None,
             }
-            for r in _chunk_rows(self.chunks)
+            for r in self.chunks.rows()
         ]
         if include_results and self.results is not None:
             d["results"] = self.results.tolist()
@@ -282,7 +270,7 @@ class SimResult(object):
         from the definition instead.
         """
         try:
-            chunks = _chunks_text(_chunk_rows(self.chunks))
+            chunks = _chunks_text(self.chunks.rows())
         except (TypeError, ValueError):
             return _dumps(self.to_dict(include_results))
         text = '%s,"chunks":[%s]' % (

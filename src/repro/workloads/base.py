@@ -123,15 +123,6 @@ class Workload(ABC):
         self._prefix = prefix
         return costs
 
-    def set_costs(self, costs: np.ndarray) -> None:
-        """Inject a precomputed cost vector, bypassing computation.
-
-        The batch layer uses this to ship a cached/parent-computed
-        profile to pool workers so no process ever re-derives it.  The
-        vector must match what ``_compute_costs()`` would produce.
-        """
-        self._install_costs(np.asarray(costs, dtype=np.float64))
-
     def costs(self) -> np.ndarray:
         """The full cost vector, computed once and cached (read-only).
 

@@ -52,9 +52,9 @@ class TestMake:
 
     def test_kwargs_forwarded(self):
         sched = make("adaptive:TSS+FSS", 500, 4, seed=7,
-                     feedback="timing")
+                     explore_frac=0.4)
         assert sched.seed == 7
-        assert sched.feedback == "timing"
+        assert sched.explore_frac == 0.4
 
     def test_describe_includes_candidates(self):
         info = make("adaptive:TSS+GSS", 100, 2).describe()
@@ -114,8 +114,10 @@ class TestMalformedSpecs:
         assert "CSS" in msg and "GSS" in msg and "BC" in msg
 
     def test_constructor_rejects_bad_feedback(self):
-        with pytest.raises(SchemeError, match="feedback"):
-            AdaptiveScheduler(100, 2, feedback="vibes")
+        """The timing-feedback knob is gone: the policy reads costs
+        only, and ``feedback=`` is an unknown keyword."""
+        with pytest.raises(TypeError, match="feedback"):
+            AdaptiveScheduler(100, 2, feedback="timing")
 
     def test_constructor_rejects_bad_explore_frac(self):
         with pytest.raises(SchemeError, match="explore_frac"):

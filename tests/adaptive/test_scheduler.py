@@ -193,17 +193,6 @@ class TestScheduler:
         with pytest.raises(SchemeError, match="100"):
             sched.bind_workload(UniformWorkload(50))
 
-    def test_timing_feedback_uses_observations(self):
-        sched = AdaptiveScheduler(
-            200, 2, candidates=("TSS", "GSS"), stages=3,
-            feedback="timing",
-        )
-        ledger = drain_with_timing(sched)
-        assert sched.finished
-        assert len(sched.stage_decisions()) >= 2
-        spans = sorted((s, e) for _w, s, e in ledger)
-        assert spans[0][0] == 0 and spans[-1][1] == 200
-
     def test_retune_decisions_follow_selects(self):
         wl = GaussianPeakWorkload(1200, amplitude=120.0)
         sched = make("adaptive:CSS(64)+GSS@6", 1200, 4)
@@ -213,23 +202,3 @@ class TestScheduler:
         assert retunes, "tuner never fired on a high-variance workload"
         stages = {d.stage for d in sched.stage_decisions()}
         assert all(d.stage in stages for d in retunes)
-
-
-def drain_with_timing(scheduler):
-    """Round-robin drain that reports synthetic chunk durations."""
-    from repro.core.base import WorkerView
-
-    views = [WorkerView(worker_id=i) for i in range(scheduler.workers)]
-    ledger = []
-    i = 0
-    while not scheduler.finished:
-        chunk = scheduler.next_chunk(views[i % len(views)])
-        if chunk is None:
-            break
-        ledger.append((i % len(views), chunk.start, chunk.stop))
-        scheduler.observe_completion(
-            i % len(views), chunk.start, chunk.stop,
-            elapsed=0.01 * chunk.size,
-        )
-        i += 1
-    return ledger

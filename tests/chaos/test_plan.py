@@ -143,6 +143,61 @@ class TestRandom:
             plan = FaultPlan.random(seed=seed, workers=3)
             assert plan.max_worker < 3
 
+    #: ``(kind, worker, at)`` per event of three plans at non-unit
+    #: horizons (``deaths=2, restart_probability=1.0``), generated
+    #: before the restart bound was clamped to the horizon: a draw that
+    #: succeeded then is bit-identical now.
+    PINNED = {
+        (3, 1.0): [
+            ("death", 2, 0.12059648168029939),
+            ("death", 3, 0.22760787994707476),
+            ("loss", 0, 0.39122819049566204),
+            ("stall", None, 0.5167401826213637),
+            ("restart", 2, 0.5423968274228279),
+            ("spike", 2, 0.5902702298337282),
+            ("restart", 3, 0.6776830871610949),
+            ("delay", 1, 0.7345771514092145),
+        ],
+        (11, 1.5): [
+            ("spike", 3, 0.1655616874403464),
+            ("death", 1, 0.2414168451496379),
+            ("restart", 1, 0.33097657547601295),
+            ("loss", 0, 0.5534896855946865),
+            ("death", 2, 0.6366875952451293),
+            ("restart", 2, 0.6624264830443735),
+            ("stall", None, 0.7670850327048939),
+            ("delay", 2, 1.4224926799376627),
+        ],
+        (7, 5.0): [
+            ("stall", None, 1.274347938270623),
+            ("loss", 3, 1.3921280605038666),
+            ("spike", 1, 2.018193035831813),
+            ("death", 1, 3.1588213384194757),
+            ("death", 3, 3.525825420235982),
+            ("restart", 1, 3.7121809308390126),
+            ("delay", 3, 3.9853471437602312),
+            ("restart", 3, 4.736638250377283),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed,horizon", sorted(PINNED))
+    def test_pinned_plans_did_not_move(self, seed, horizon):
+        plan = FaultPlan.random(seed, workers=4, horizon=horizon,
+                                deaths=2, restart_probability=1.0)
+        assert [
+            (ev.kind, getattr(ev, "worker", None), ev.at)
+            for ev in plan.events
+        ] == self.PINNED[seed, horizon]
+
+    def test_horizon_below_the_restart_gap(self):
+        """``horizon < 5e-3``: the restart's one-millisecond gap is
+        clamped to the horizon, it does not raise."""
+        for seed in range(50):
+            plan = FaultPlan.random(seed, workers=4, horizon=1e-3,
+                                    restart_probability=1.0)
+            (death,), (back,) = plan.deaths, plan.restarts
+            assert death.at <= back.at <= 1e-3
+
     def test_invalid_args(self):
         with pytest.raises(ChaosError):
             FaultPlan.random(seed=0, workers=0)

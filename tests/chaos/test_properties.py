@@ -112,3 +112,18 @@ def test_random_plans_always_validate(seed, workers):
     assert plan.max_worker < workers
     clone = FaultPlan.from_json(plan.to_json())
     assert clone == plan
+
+
+@given(st.integers(min_value=0, max_value=10**6),
+       st.floats(min_value=1e-6, max_value=10.0))
+@settings(max_examples=200, deadline=None)
+def test_random_plans_on_any_horizon(seed, horizon):
+    """A horizon under a few milliseconds (the ledger draws at
+    ``max(t_p, 1e-6)``) used to put the restart draw's ``at + 1e-3``
+    lower bound past its upper one: numpy's bare ``ValueError``."""
+    plan = FaultPlan.random(seed=seed, workers=4, horizon=horizon,
+                            deaths=3, restart_probability=1.0)
+    died = {d.worker: d.at for d in plan.deaths}
+    assert len(plan.restarts) == len(died) == 3
+    for back in plan.restarts:
+        assert died[back.worker] <= back.at <= horizon

@@ -179,6 +179,46 @@ def test_real_process_lifecycle_lives_once_on_the_chassis():
     assert defined == {name: [chassis] for name in once}, defined
 
 
+def test_the_run_spine_is_written_once():
+    """What defines a finished simulated run has one site under
+    ``src/repro``: the ``fast`` gate (the ``fast_enabled()`` call), the
+    availability screen (the ``StarvationError(...)`` construction),
+    the leak check (its ``"scheduling leak"`` text) and the result
+    assembly (the ``SimResult(...)`` construction).  A second copy is
+    how the fast path and the DES drifted apart before."""
+    import ast
+
+    sites: dict = {"fast_enabled": [], "StarvationError": [],
+                   "SimResult": [], "scheduling leak": []}
+    for root, _dirs, files in os.walk(os.path.join(_SRC, "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, _SRC)
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+            sites["scheduling leak"] += (
+                [rel] * text.count("scheduling leak")
+            )
+            for node in ast.walk(ast.parse(text, filename=path)):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    called = getattr(callee, "attr", None) \
+                        or getattr(callee, "id", None)
+                    if called in sites:
+                        sites[called].append(rel)
+    des = os.path.join("repro", "simulation", "des.py")
+    assert sites == {
+        "fast_enabled": [des],
+        "StarvationError": [
+            os.path.join("repro", "simulation", "engine.py")
+        ],
+        "SimResult": [des],
+        "scheduling leak": [des],
+    }, sites
+
+
 def test_every_module_has_a_who_needs_it_row():
     """Every ``src/repro/**/*.py`` is named, dotted and in backticks,
     in the first column of the module table in

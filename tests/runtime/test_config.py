@@ -31,6 +31,58 @@ class TestDefaultsAndValidation:
         RuntimeConfig(worker_deadline=1.0, heartbeat_interval=None)
 
 
+class TestDeadlineRule:
+    """``overdue`` / ``wait_bound`` on plain data: the master loop and
+    the service pool's pump both block and scan by these two."""
+
+    CONFIG = RuntimeConfig(
+        poll_timeout=0.1, worker_deadline=0.3, heartbeat_interval=0.02
+    )
+
+    def test_starved_scan_case_as_data(self):
+        """PR 18's bug class without a process or a sleep: worker 0 is
+        wedged, worker 1 heartbeats every 20 ms, so a wait never times
+        out -- the verdict must not depend on which wait returned."""
+        config = self.CONFIG
+        last_seen = {0: 0.0, 1: 0.0}
+        now, dropped_at = 0.0, None
+        while now < 1.0:
+            # The wait returns at the sibling's beat or at the bound,
+            # whichever is first (and a real clock always ticks).
+            bound = config.wait_bound(last_seen.values(), now)
+            assert 0.0 <= bound <= config.poll_timeout
+            now += max(1e-6, min(0.02, bound))
+            last_seen[1] = now
+            if config.overdue(last_seen, now) == [0]:
+                dropped_at = now
+                break
+        assert dropped_at is not None
+        assert 0.3 < dropped_at <= 0.3 + 0.02
+
+    def test_wait_is_cut_at_the_nearest_expiry(self):
+        config = self.CONFIG
+        assert config.wait_bound([0.0, 0.25], 0.1) == 0.1
+        assert config.wait_bound([0.0, 0.25], 0.25) == pytest.approx(0.05)
+        # Past the expiry (or a failed send's ``last_seen = 0.0``): scan
+        # now, never a negative timeout.
+        assert config.wait_bound([0.0, 5.0], 5.0) == 0.0
+        assert config.wait_bound([], 5.0) == 0.1
+
+    def test_overdue_is_strictly_after_the_deadline(self):
+        config = self.CONFIG
+        assert config.overdue({"a": 0.0, "b": 0.2}, 0.3) == []
+        assert config.overdue({"a": 0.0, "b": 0.2}, 0.31) == ["a"]
+        assert config.overdue({}, 9.0) == []
+
+    def test_disabled_deadline_never_expires(self):
+        config = RuntimeConfig(
+            poll_timeout=0.1, worker_deadline=None,
+            heartbeat_interval=None,
+        )
+        assert config.overdue({0: 0.0}, 1e9) == []
+        assert config.wait_bound([0.0], 1e9) == 0.1
+
+
 class TestFromEnv:
     def test_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_POLL_TIMEOUT", "1.5")

@@ -233,6 +233,45 @@ class TestDeathRecovery:
         audit_service_log(pool.log).raise_if_failed()
 
 
+class TestDeadlineScan:
+    def test_wedged_worker_in_a_one_slot_pool_is_killed_on_time(self):
+        """The pump's wait is cut at the nearest expiry (the master's
+        rule, ``RuntimeConfig.wait_bound``): with nobody else to wake
+        it, a pump that always slept ``poll_timeout`` noticed a wedged
+        worker up to 2 s late here."""
+        import os
+        import signal
+
+        config = RuntimeConfig(
+            poll_timeout=2.0, worker_deadline=0.4,
+            heartbeat_interval=0.1, join_timeout=5.0,
+        )
+        with WorkerPool(size=1, config=config) as pool:
+            _wait_until(
+                "the worker to start",
+                lambda: pool.worker_pids()[0] is not None,
+            )
+            # One beat has been read, so the pump's current wait is
+            # bounded by a deadline, not by the spawn.
+            time.sleep(0.25)
+            wedged = pool.worker_pids()[0]
+            os.kill(wedged, signal.SIGSTOP)
+            stopped = time.monotonic()
+            try:
+                _wait_until(
+                    "the slot to be revived",
+                    lambda: pool.worker_pids()[0] not in (None, wedged),
+                    timeout=5.0,
+                )
+                took = time.monotonic() - stopped
+            finally:
+                try:
+                    os.kill(wedged, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert took < 1.2, f"revived {took:.2f}s after the worker wedged"
+
+
 def _wait_until(what: str, ready, timeout: float = 30.0) -> None:
     deadline = time.monotonic() + timeout
     while not ready():

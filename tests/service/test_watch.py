@@ -9,8 +9,8 @@ The acceptance checks from the issue live here:
   trace, the cumulative drop count is declared in every frame, and the
   job's ``stream_digest`` is bit-identical to a one-shot run that was
   never subscribed -- streaming is a tap, not a second code path;
-* the incremental merged trace (``events_for``) and the cursor poll
-  (``events_since``) agree with the ground-truth per-tenant buffers.
+* the incremental merged trace (``events_for``) agrees with the
+  ground-truth per-tenant buffers.
 """
 
 from __future__ import annotations
@@ -238,20 +238,6 @@ class TestIncrementalTrace:
         assert server._merged_idx == {"a": 2, "b": 2}
         # No fresh events: the cached merge is returned as-is.
         assert server.events_for(None) is merged
-
-    def test_events_since_cursor_poll(self):
-        server = self._server()
-        events, cursor = server.events_since("a")
-        assert events == [] and cursor == 0
-        server._record_event("a", self._ev(1.0))
-        server._record_event("a", self._ev(2.0))
-        events, cursor = server.events_since("a", cursor)
-        assert [ev.t for ev in events] == [1.0, 2.0]
-        server._record_event("a", self._ev(3.0))
-        events, cursor = server.events_since("a", cursor)
-        assert [ev.t for ev in events] == [3.0]
-        events, cursor = server.events_since("a", cursor)
-        assert events == [] and cursor == 3
 
 
 class TestTopState:

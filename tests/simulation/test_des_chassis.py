@@ -6,6 +6,10 @@ death makes stale, that they are skipped yet counted in
 ``SimResult.events``, that a restart does not revive them, that
 deaths / restarts / stalls belong to nobody and always fire, and that
 the compute step still refuses an interval outside the loop.
+
+The second half pins the run spine the fast path shares with the DES:
+one gate (``DesCluster.run``), one ``_prepare`` before either path and
+one ``_finish`` after it.
 """
 
 from __future__ import annotations
@@ -15,15 +19,27 @@ import dataclasses
 import pytest
 
 from repro.chaos import FaultPlan, MasterStall, WorkerDeath, WorkerRestart
-from repro.core import make
+from repro.core import make, names
+from repro.core.acp import CLASSIC_ACP
+from repro.decentral import (
+    DECENTRAL_SCHEMES,
+    DecentralSimulation,
+    make_calculator,
+)
+from repro.experiments.config import speedup_configuration
+from repro.obs import BufferedCollector
 from repro.simulation import (
     ClusterSpec,
+    ConstantLoad,
     MasterSlaveSimulation,
     NodeSpec,
+    SimulationError,
     simulate,
 )
+from repro.simulation import fastpath
+from repro.simulation.engine import StarvationError, make_for_cluster
 from repro.verify import audit_sim
-from repro.workloads import UniformWorkload, WorkloadError
+from repro.workloads import LinearWorkload, UniformWorkload, WorkloadError
 
 #: 200 unit iterations at 100 ops/s in chunks of 50: a chunk computes
 #: for 0.5 s, so worker 0's first one is in flight from ~0 to ~0.5.
@@ -145,3 +161,113 @@ def test_compute_refuses_an_interval_outside_the_loop(shift):
     )
     with pytest.raises(WorkloadError, match="out of range"):
         simulate(scheduler, UniformWorkload(SIZE), cluster, fast=False)
+
+
+# -- the run spine: one gate, one prepare step, one epilogue ---------------
+
+SPINE_WORKLOAD = LinearWorkload(360)
+#: Everything ``fast=True`` accepts (the adaptive meta-scheduler is
+#: refused by contract; ``tests/adaptive/test_fastpath.py``).
+FAST_SCHEMES = [n for n in names() if not make(n, 100, 4).feedback_dependent]
+
+
+def spied(engine, scheme, cluster, **kwargs):
+    """A simulation of ``engine`` whose ``_prepare`` / ``_run_fast`` /
+    ``_finish`` calls are counted in ``sim.calls``."""
+    base = {"master": MasterSlaveSimulation,
+            "decentral": DecentralSimulation}[engine]
+
+    class Spy(base):
+        def _prepare(self):
+            self.calls.append("prepare")
+            super()._prepare()
+
+        def _run_fast(self):
+            self.calls.append("fast")
+            return super()._run_fast()
+
+        def _finish(self, rows, t_p, events):
+            self.calls.append("finish")
+            return super()._finish(rows, t_p, events)
+
+    size = SPINE_WORKLOAD.size
+    driver = (
+        make_for_cluster(scheme, size, cluster) if engine == "master"
+        else make_calculator(scheme, size, cluster.size)
+    )
+    sim = Spy(driver, SPINE_WORKLOAD, cluster, **kwargs)
+    sim.calls = []
+    return sim
+
+
+@pytest.mark.parametrize("dedicated", [True, False],
+                         ids=["dedicated", "nondedicated"])
+@pytest.mark.parametrize("engine,scheme", [
+    *(("master", n) for n in FAST_SCHEMES),
+    *(("decentral", n) for n in DECENTRAL_SCHEMES),
+])
+def test_both_paths_leave_through_the_same_finish(engine, scheme,
+                                                  dedicated):
+    cluster = speedup_configuration(SPINE_WORKLOAD, 4, dedicated)
+    fast = spied(engine, scheme, cluster, fast=True)
+    des = spied(engine, scheme, cluster, fast=False)
+    a, b = fast.run(), des.run()
+    assert fast.calls == ["prepare", "fast", "finish"]
+    assert des.calls == ["prepare", "finish"]
+    assert fast.queue.processed == 0 < des.queue.processed
+    assert a == b
+    audit_sim(a, total=SPINE_WORKLOAD.size).raise_if_failed()
+
+
+def starved_cluster():
+    # The paper's Sec. 5.2-I scenario: both PEs floor to ACP 0.
+    return ClusterSpec(nodes=[
+        NodeSpec(name="a", speed=100.0, load=ConstantLoad(2),
+                 virtual_power=1.0),
+        NodeSpec(name="b", speed=300.0, load=ConstantLoad(4),
+                 virtual_power=3.0),
+    ])
+
+
+def test_starvation_is_one_error_whatever_the_path():
+    raised = []
+    for fast in (False, "auto", True):
+        with pytest.raises(StarvationError) as err:
+            simulate("DTSS", UniformWorkload(100), starved_cluster(),
+                     acp_model=CLASSIC_ACP, fast=fast)
+        raised.append(str(err.value))
+    assert len(set(raised)) == 1 and "availability threshold" in raised[0]
+
+
+def test_refusal_comes_before_prepare_touches_the_scheduler():
+    cluster = speedup_configuration(SPINE_WORKLOAD, 4, False)
+    sim = spied("master", "DTSS", cluster, fast=True,
+                collector=BufferedCollector())
+    seen = []
+    sim.scheduler.observe_acp = lambda wid, acp: seen.append((wid, acp))
+    with pytest.raises(SimulationError, match="collector is attached"):
+        sim.run()
+    assert sim.calls == [] and seen == []
+    # The same run under "auto" registers every PE, then takes the DES.
+    sim = spied("master", "DTSS", cluster, collector=BufferedCollector())
+    sim.scheduler.observe_acp = lambda wid, acp: seen.append((wid, acp))
+    sim.run()
+    assert sim.calls == ["prepare", "finish"]
+    assert [wid for wid, _acp in seen[:4]] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("engine", ["master", "decentral"])
+def test_kill_switch_forces_the_des_on_both_engines(engine, monkeypatch):
+    cluster = speedup_configuration(SPINE_WORKLOAD, 4, True)
+    monkeypatch.setenv(fastpath.ENV_FAST, "0")
+    off = spied(engine, "TSS", cluster)
+    forced = off.run()
+    assert off.calls == ["prepare", "finish"] and off.queue.processed
+    refused = spied(engine, "TSS", cluster, fast=True)
+    with pytest.raises(SimulationError, match="disabled via REPRO_FAST"):
+        refused.run()
+    assert refused.calls == []
+    monkeypatch.delenv(fastpath.ENV_FAST)
+    on = spied(engine, "TSS", cluster)
+    assert on.run() == forced
+    assert on.calls == ["prepare", "fast", "finish"]

@@ -116,7 +116,8 @@ def test_lazy_chunk_list_pickles_as_rows(rows, materialized):
     original = LazyChunkList(list(rows))
     if materialized:
         assert original[0].size == 5
-        assert original._rows is None
+        # Records are frozen views: the rows outlive them.
+        assert original.rows() == list(rows)
     clone = pickle.loads(pickle.dumps(original))
     assert isinstance(clone, LazyChunkList)
     assert clone._records is None  # still lazy after the trip
@@ -125,11 +126,13 @@ def test_lazy_chunk_list_pickles_as_rows(rows, materialized):
     assert list(clone) == [ChunkRecord(*row) for row in rows]
 
 
-def test_materialized_list_pickles_its_records_not_stale_rows():
-    original = LazyChunkList(list(MASTER_ROWS))
-    original[0].stage = 7
-    clone = pickle.loads(pickle.dumps(original))
-    assert clone[0].stage == 7
+def test_records_are_frozen_views_of_the_rows():
+    chunks = LazyChunkList(list(MASTER_ROWS))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chunks[0].stage = 7
+    edited = dataclasses.replace(chunks[0], stage=7)
+    assert edited.stage == 7 and chunks[0].stage == MASTER_ROWS[0][5]
+    assert chunks.rows() == list(MASTER_ROWS)
 
 
 def test_des_result_crosses_a_pickle_as_rows(workload, cluster):
@@ -211,7 +214,7 @@ _rows = st.one_of(
 
 @given(
     rows=st.lists(_rows, max_size=12),
-    lazy=st.booleans(),
+    materialized=st.booleans(),
     t_p=_times,
     scheme=st.text(max_size=8),
     results=st.one_of(
@@ -219,16 +222,15 @@ _rows = st.one_of(
         st.lists(st.floats(allow_nan=False), max_size=5),
     ),
 )
-def test_to_json_is_to_dict_for_any_rows(rows, lazy, t_p, scheme,
-                                         results):
+def test_to_json_is_to_dict_for_any_rows(rows, materialized, t_p,
+                                         scheme, results):
     result = SimResult(
         scheme=scheme,
         workers=[WorkerMetrics(name=scheme, t_comp=1.5, chunks=2)],
         t_p=t_p,
-        chunks=(
-            LazyChunkList(rows) if lazy
-            else [ChunkRecord(*row) for row in rows]
-        ),
+        chunks=LazyChunkList(rows),
         results=None if results is None else np.asarray(results),
     )
+    if materialized:
+        assert len(list(result.chunks)) == len(rows)
     assert_text_is_the_dict(result)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,13 @@ def make_result(spans, total=None, scheme="TSS", t_p=None,
         t_p=t_p if t_p is not None else last,
         chunks=records, results=results,
     )
+
+
+def tamper(res, index, **changes):
+    """Records are frozen: swap an edited copy into a copied list."""
+    records = list(res.chunks)
+    records[index] = dataclasses.replace(records[index], **changes)
+    res.chunks = records
 
 
 class TestCoverage:
@@ -102,7 +111,7 @@ class TestMetricsAgreement:
 
     def test_unknown_worker_detected(self):
         res = make_result([(0, 0, 10, 0.0, 1.0)])
-        res.chunks[0].worker = 5
+        tamper(res, 0, worker=5)
         report = audit_sim(res, 10)
         assert not report.ok
 
@@ -110,17 +119,17 @@ class TestMetricsAgreement:
 class TestAcpBounds:
     def test_acp_bounds(self):
         res = make_result([(0, 0, 5, 0.0, 1.0), (1, 5, 10, 0.0, 1.0)])
-        res.chunks[0].acp = 7
-        res.chunks[1].acp = 0  # below the availability floor
+        tamper(res, 0, acp=7)
+        tamper(res, 1, acp=0)  # below the availability floor
         report = audit_sim(res, 10)
         assert "acp-bounds" in report.checks
         assert any("ACP" in v for v in report.violations)
 
     def test_max_acp_ceiling(self):
         res = make_result([(0, 0, 10, 0.0, 1.0)])
-        res.chunks[0].acp = 99
+        tamper(res, 0, acp=99)
         assert not audit_sim(res, 10, max_acp=50).ok
-        res.chunks[0].acp = 49
+        tamper(res, 0, acp=49)
         assert audit_sim(res, 10, max_acp=50).ok
 
 

@@ -1,5 +1,5 @@
 """Tests for the persistent cost-profile cache (repro.cache) and its
-integration with Workload.costs()/cost_key()/set_costs()."""
+integration with Workload.costs()/cost_key()."""
 
 from __future__ import annotations
 
@@ -167,25 +167,3 @@ class TestLru:
             assert np.array_equal(store.get("key0"), np.zeros(3))
         finally:
             cache._active = previous
-
-
-class TestSetCosts:
-    def test_injected_vector_bypasses_compute(self, cache_dir,
-                                              monkeypatch):
-        reference = fresh_workload().costs().copy()
-        wl = fresh_workload()
-        monkeypatch.setattr(
-            MandelbrotWorkload, "_compute_costs",
-            lambda self: (_ for _ in ()).throw(AssertionError("ran")),
-        )
-        cache.configure(directory=cache_dir / "empty")  # cold cache
-        wl.set_costs(reference)
-        assert np.array_equal(wl.costs(), reference)
-        assert wl.chunk_cost(0, wl.size) == pytest.approx(
-            reference.sum()
-        )
-
-    def test_rejects_wrong_shape(self):
-        wl = fresh_workload()
-        with pytest.raises(Exception):
-            wl.set_costs(np.zeros(3))
