@@ -129,9 +129,12 @@ class Scheduler(object):
     analytic fast path inlines the same few lines around its own
     cursor).
 
-    Schemes that are stateful by nature (ACP-driven, feedback-driven,
+    Schemes that are stateful by nature (feedback-driven,
     user-written) override :meth:`_chunk_size` instead; it stays the
     public extension point and only :meth:`next_chunk` can drive it.
+    The ACP-driven family (:mod:`repro.core.distributed`) has a stepper
+    of its own, ``(wid, acp) -> (start, stop, stage)``, which its
+    ``next_chunk`` adapts.
 
     A scheduler instance is single-use: it walks the loop from iteration
     0 to ``total`` exactly once.  Create a fresh instance per run (the
@@ -225,8 +228,10 @@ class Scheduler(object):
         """Size, clip and consume the next chunk; return its start.
 
         The loop must not be finished.  The min-1 / clip-to-remaining
-        rule lives in this module only: here for the hook-driven
-        schedulers, in :func:`formula_stepper` for the formula-driven.
+        rule lives here for the hook-driven schedulers, in
+        :func:`formula_stepper` for the formula-driven and in
+        :meth:`repro.core.distributed.DistributedSchedulerBase.step`
+        for the ACP-driven family.
         """
         size = int(self._chunk_size(worker))
         if size < 1:
@@ -337,6 +342,31 @@ class Scheduler(object):
 _DRIVER_HOOKS = ("next_chunk", "_take", "_chunk_size", "_current_stage")
 
 
+def calls_own_hooks(
+    scheduler: Scheduler, owner: type, hooks: Sequence[str]
+) -> bool:
+    """The hook rule of every lean driver: True when ``scheduler``
+    would call ``owner``'s own definition of each of ``hooks``.
+
+    A class override and an instance shadow both count as a
+    replacement; either one means the scheduler must be driven the
+    long way, through its ``next_chunk``, so that the replacement is
+    what runs.
+    """
+    for hook in hooks:
+        # What the scheduler would call, class override and instance
+        # shadow alike.  (Not ``vars(scheduler)``: reading ``__dict__``
+        # un-inlines the instance's attribute values in CPython 3.11+
+        # and slows every later attribute access on it.)
+        bound = getattr(scheduler, hook, None)
+        if (
+            getattr(bound, "__func__", None) is not getattr(owner, hook)
+            or bound.__self__ is not scheduler
+        ):
+            return False
+    return True
+
+
 def formula_stepper(
     scheduler: Scheduler,
 ) -> Optional[Callable[[int], Optional[tuple[int, int, int]]]]:
@@ -351,17 +381,8 @@ def formula_stepper(
     ``scheduler.finished`` mid-run) -- without the ``WorkerView`` and
     ``ChunkAssignment`` the formula never looks at.
     """
-    for hook in _DRIVER_HOOKS:
-        # What the scheduler would call, class override and instance
-        # shadow alike.  (Not ``vars(scheduler)``: reading ``__dict__``
-        # un-inlines the instance's attribute values in CPython 3.11+
-        # and slows every later attribute access on it.)
-        bound = getattr(scheduler, hook, None)
-        if (
-            getattr(bound, "__func__", None) is not getattr(Scheduler, hook)
-            or bound.__self__ is not scheduler
-        ):
-            return None
+    if not calls_own_hooks(scheduler, Scheduler, _DRIVER_HOOKS):
+        return None
     total = scheduler.total
     nominal = scheduler._nominal
     # A constant formula (SS, CSS, BC) needs no call at all.

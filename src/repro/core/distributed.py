@@ -15,6 +15,13 @@ Master
     2c. If more than half of the ``A_i`` changed since the parameters
         were derived, re-derive them over the *remaining* iterations.
 
+Steps 1a, 2a and 2c are written once, in
+:meth:`DistributedSchedulerBase.step`, the family's driver
+``(wid, acp) -> (start, stop, stage)``; a scheme states only 1b
+(``_derive``) and 2b (``_size``).  ``next_chunk`` is a thin adapter
+over the stepper, and the simulators call the stepper directly
+(:func:`acp_stepper`).
+
 Schemes implemented on this pattern:
 
 * :class:`DistributedTrapezoidScheduler` (**DTSS**, reviewed; with the
@@ -41,10 +48,16 @@ draw the next stage open exactly as in the simple staged schemes.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from .acp import IMPROVED_ACP, AcpModel
-from .base import ChunkAssignment, Scheduler, SchemeError, WorkerView
+from .base import (
+    ChunkAssignment,
+    Scheduler,
+    SchemeError,
+    WorkerView,
+    calls_own_hooks,
+)
 from .trapezoid import TrapezoidParams
 
 __all__ = [
@@ -53,11 +66,21 @@ __all__ = [
     "DistributedFactoringScheduler",
     "DistributedFixedIncreaseScheduler",
     "DistributedTrapezoidFactoringScheduler",
+    "acp_stepper",
 ]
 
 
 class DistributedSchedulerBase(Scheduler):
-    """Shared ACP bookkeeping + the "half changed -> re-derive" rule."""
+    """Shared ACP bookkeeping, the "half changed -> re-derive" rule and
+    the family's stepper.
+
+    The bookkeeping is incremental: ``A`` and the number of stored
+    reports that differ from the ones the parameters were derived from
+    are updated wherever a report is stored (:meth:`_record`: a
+    request's report, :meth:`observe_acp` at start-up or on a restart).
+    A request that repeats its last report costs O(1), and the "more
+    than half changed" check is one comparison on every request.
+    """
 
     distributed = True
 
@@ -70,77 +93,159 @@ class DistributedSchedulerBase(Scheduler):
         super().__init__(total, workers)
         self.acp_model = acp_model
         self._acps: dict[int, int] = {}
+        #: ``sum(self._acps.values())``, kept by :meth:`_record`.
+        self._acp_sum = 0
+        #: the reports the parameters were derived from (None before
+        #: the first derivation).
         self._derive_acps: Optional[dict[int, int]] = None
+        #: stored reports that differ from ``_derive_acps``.
+        self._changed = 0
+        #: half of ``len(_derive_acps)``; -1 before the first
+        #: derivation, so that the first request derives.
+        self._half = -1.0
         self.rederivations = 0  # observability: parameter refresh count
 
     # -- ACP reports -------------------------------------------------------
 
     def observe_acp(self, worker_id: int, acp: int) -> None:
-        """Record a worker's reported ACP (piggy-backed on its request)."""
+        """Record a worker's ACP reported outside a request: start-up
+        registration (paper 1a) or a restarted PE rejoining."""
+        self._record(int(worker_id), acp)
+
+    def _record(self, wid: int, acp: int) -> None:
+        """Store ``wid``'s report; keep ``A`` and the changed count."""
         if acp < 0:
             raise SchemeError(f"ACP must be >= 0, got {acp}")
-        self._acps[int(worker_id)] = int(acp)
-
-    def _effective_acp(self, worker: WorkerView) -> int:
-        """The ACP to use for this request, recording it as observed."""
-        if worker.acp is not None:
-            acp = int(worker.acp)
-        elif worker.worker_id in self._acps:
-            acp = self._acps[worker.worker_id]
-        else:
-            acp = self.acp_model.acp(worker.virtual_power, worker.run_queue)
-        self._acps[worker.worker_id] = acp
-        return max(1, acp)
+        acp = int(acp)
+        acps = self._acps
+        old = acps.get(wid)
+        acps[wid] = acp
+        self._acp_sum += acp if old is None else acp - old
+        base = self._derive_acps
+        if base is not None:
+            was = base.get(wid)
+            self._changed += (was != acp) - (old is not None and was != old)
 
     @property
     def total_acp(self) -> int:
         """``A``: summed ACP of the registered workers (>= 1)."""
-        return max(1, sum(max(0, a) for a in self._acps.values()))
+        return max(1, self._acp_sum)
 
     # -- derivation --------------------------------------------------------
 
     def _ensure_registered(self) -> None:
         """Fill in defaults for workers that never reported (V=Q=1).
 
-        Execution engines always register real ACPs before scheduling;
-        this fallback keeps the schemes usable analytically (e.g. via
+        Execution engines always register real ACPs before scheduling
+        (a PE screened out at start-up at 0); this fallback keeps the
+        schemes usable analytically (e.g. via
         :func:`repro.core.base.drain`) without an engine.
         """
         for wid in range(self.workers):
-            self._acps.setdefault(wid, self.acp_model.acp(1.0, 1))
+            if wid not in self._acps:
+                self._record(wid, self.acp_model.acp(1.0, 1))
 
-    def _maybe_rederive(self) -> None:
+    def _rederive(self) -> None:
+        """(Re-)derive the parameters from the reports stored now, over
+        the remaining iterations (paper 1b, 2c)."""
         if self._derive_acps is None:
             self._ensure_registered()
-            self._derive_acps = dict(self._acps)
-            self._derive(self.remaining)
-            return
-        baseline = self._derive_acps
-        changed = sum(
-            1
-            for wid, acp in self._acps.items()
-            if baseline.get(wid) != acp
-        )
-        changed += sum(1 for wid in baseline if wid not in self._acps)
-        if changed > len(baseline) / 2:
+        else:
             self.rederivations += 1
-            self._derive_acps = dict(self._acps)
-            self._derive(self.remaining)
+        self._derive_acps = dict(self._acps)
+        self._changed = 0
+        self._half = len(self._derive_acps) / 2
+        self._derive(self.remaining)
 
     def _derive(self, iterations: int) -> None:
         """Recompute scheme parameters over ``iterations`` with p := A."""
         raise NotImplementedError
 
+    def _size(self, wid: int, a: int) -> tuple[int, int]:
+        """The scheme's formula for one request from ``wid``, a PE of
+        power ``a`` (>= 1): ``(size >= 1, stage)``.  It advances the
+        scheme's own state (served ACP, the PE's stage ladder); the
+        stepper clips the size and owns the loop state."""
+        raise NotImplementedError
+
+    # -- drivers -----------------------------------------------------------
+
+    def step(self, wid: int, acp: int) -> Optional[tuple[int, int, int]]:
+        """``(start, stop, stage)`` for a request from ``wid`` reporting
+        ``acp``; None once the loop is exhausted.
+
+        One call is one ``next_chunk(WorkerView(wid, acp=acp))``: the
+        same interval and stage, the same state left on the scheduler.
+        The report is recorded before anything is sized, so it takes
+        part in this request's "half changed" check (paper 2a/2c).
+        """
+        if self._acps.get(wid) != acp:
+            self._record(wid, acp)
+        start = self._cursor
+        rem = self.total - start
+        if rem <= 0:
+            return None
+        if self._changed > self._half:
+            self._rederive()
+        size, stage = self._size(wid, acp if acp > 1 else 1)
+        stop = self._cursor = start + (size if size < rem else rem)
+        self._step += 1
+        return start, stop, stage
+
     def next_chunk(
         self, worker: WorkerView
     ) -> Optional[ChunkAssignment]:
-        # ACP observation must precede sizing so this request's own
-        # report participates in the "half changed" check (paper 2a/2c).
-        if worker.acp is not None:
-            self.observe_acp(worker.worker_id, worker.acp)
-        if not self.finished:
-            self._maybe_rederive()
-        return super().next_chunk(worker)
+        """The protocol's form of :meth:`step`: the view's fresh ACP if
+        it carries one, else the stored report -- the V=Q=1 default of
+        a PE that never reported once the first derivation registers
+        it, the view's own ``V_i`` / ``Q_i`` for an unknown PE."""
+        wid = worker.worker_id
+        acp = worker.acp
+        if acp is None:
+            if self.finished:
+                return None
+            if self._derive_acps is None:
+                self._ensure_registered()
+            acp = self._acps.get(wid)
+            if acp is None:
+                acp = self.acp_model.acp(
+                    worker.virtual_power, worker.run_queue
+                )
+        got = self.step(wid, int(acp))
+        if got is None:
+            return None
+        return ChunkAssignment(
+            start=got[0], stop=got[1], worker_id=wid, step=self._step,
+            stage=got[2],
+        )
+
+
+#: What :meth:`DistributedSchedulerBase.step` stands in for: the
+#: adapter every other caller goes through, and the scheme's formula.
+_FAMILY_HOOKS = ("next_chunk", "_size")
+
+
+def acp_stepper(
+    scheduler: Scheduler,
+) -> Optional[Callable[[int, int], Optional[tuple[int, int, int]]]]:
+    """The family's stepper ``(wid, acp) -> (start, stop, stage) | None``
+    of ``scheduler``; None for a scheduler outside the family, or one
+    that must be driven through ``next_chunk``.
+
+    The hook rule of :func:`repro.core.base.formula_stepper`: a class
+    override or an instance shadow of the adapter or of the sizing
+    formula of the scheme defined here that ``scheduler`` is (or
+    derives from) keeps the ``WorkerView`` path, so the replacement is
+    what runs.
+    """
+    if not isinstance(scheduler, DistributedSchedulerBase):
+        return None
+    owner = next(
+        cls for cls in type(scheduler).__mro__ if cls.__module__ == __name__
+    )
+    if not calls_own_hooks(scheduler, owner, _FAMILY_HOOKS):
+        return None
+    return scheduler.step
 
 
 class DistributedTrapezoidScheduler(DistributedSchedulerBase):
@@ -167,13 +272,15 @@ class DistributedTrapezoidScheduler(DistributedSchedulerBase):
         )
         self._served_acp = 0
 
-    def _chunk_size(self, worker: WorkerView) -> int:
-        assert self.params is not None
-        a = self._effective_acp(worker)
-        f, d = self.params.first, self.params.decrement
-        chunk = a * (f - d * (self._served_acp + (a - 1) / 2.0))
+    def _size(self, wid: int, a: int) -> tuple[int, int]:
+        params = self.params
+        assert params is not None
+        chunk = a * (
+            params.first
+            - params.decrement * (self._served_acp + (a - 1) / 2.0)
+        )
         self._served_acp += a
-        return max(1, math.floor(chunk))
+        return max(1, math.floor(chunk)), 0
 
 
 class _StagedDistributed(DistributedSchedulerBase):
@@ -183,7 +290,7 @@ class _StagedDistributed(DistributedSchedulerBase):
     stage *totals* ``SC_1, SC_2, ...`` over a given iteration count.
     Each worker walks its own stage ladder: its ``k``-th request (since
     the last parameter derivation) receives ``round(SC_k * A_j / A)``
-    (min 1; the base class clips to the loop's remaining iterations).
+    (min 1; the stepper clips to the loop's remaining iterations).
     Per-worker ladders are the asynchronous reading of "at stage k
     every PE gets its power share of SC_k": global-stage bookkeeping
     either lets fast PEs consume slow PEs' shares (request counting) or
@@ -201,11 +308,9 @@ class _StagedDistributed(DistributedSchedulerBase):
         workers: int,
         acp_model: AcpModel = IMPROVED_ACP,
     ) -> None:
-        super().__init__(total, workers)
-        self.acp_model = acp_model
+        super().__init__(total, workers, acp_model)
         self._stage_totals: list[int] = [max(1, total)]
         self._worker_stage: dict[int, int] = {}
-        self._last_stage = 0
 
     def _derive(self, iterations: int) -> None:
         self._worker_stage.clear()
@@ -216,25 +321,21 @@ class _StagedDistributed(DistributedSchedulerBase):
         """Lockstep stage totals ``SC_k`` covering ``iterations``."""
         raise NotImplementedError
 
-    def _chunk_size(self, worker: WorkerView) -> int:
-        a = self._effective_acp(worker)
-        total_acp = self.total_acp
-        k = self._worker_stage.get(worker.worker_id, 0)
-        self._worker_stage[worker.worker_id] = k + 1
-        self._last_stage = k + 1
-        if k < len(self._stage_totals):
-            share = self._stage_totals[k] * a / total_acp
+    def _size(self, wid: int, a: int) -> tuple[int, int]:
+        ladder = self._worker_stage
+        k = ladder.get(wid, 0)
+        ladder[wid] = k + 1
+        totals = self._stage_totals
+        if k < len(totals):
+            share = totals[k] * a / self.total_acp
         else:
             # Beyond the plan (rounding/clipping leftovers): shrinking
             # factoring-style tail.  Replaying the final rung would
             # hand out the plan's *largest* chunks late for increasing
             # schemes (DFISS) -- the straggler pattern stages exist to
             # avoid.
-            share = self.remaining * a / (2.0 * total_acp)
-        return max(1, round(share))
-
-    def _current_stage(self) -> int:
-        return self._last_stage
+            share = self.remaining * a / (2.0 * self.total_acp)
+        return max(1, round(share)), k + 1
 
 
 class DistributedFactoringScheduler(_StagedDistributed):

@@ -12,7 +12,8 @@ this substrate:
   **single FIFO server**: requests queue while it is busy (this is the
   contention source behind the p=2 speedup dip).  In distributed mode
   each slave samples its run queue at request time and attaches its
-  ACP; the scheduler sees it via :class:`~repro.core.base.WorkerView`
+  ACP; the scheduler receives it with the request (the family's
+  ``(wid, acp)`` stepper, :func:`repro.core.distributed.acp_stepper`)
   and applies the paper's re-derivation rule internally;
 * **result delivery** -- every request except the first **piggy-backs
   the previous chunk's results** (the paper found end-of-run collection
@@ -25,8 +26,9 @@ this substrate:
 Start-up follows the paper's step 1(a): the master knows every
 participating slave's initial ACP before the first assignment ("wait
 for all workers with A_i > 0 to report").  Slaves whose ACP falls below
-the model's availability threshold sit the computation out; if *no*
-slave is available, :class:`StarvationError` is raised -- exactly the
+the model's availability threshold sit the computation out (the master
+knows them at ACP 0, so they count nothing in ``A``); if *no* slave is
+available, :class:`StarvationError` is raised -- exactly the
 classic-DTSS deadlock the paper's Sec. 5.2(I) improvement fixes.
 """
 
@@ -39,6 +41,7 @@ from typing import Callable, Optional, Union
 from ..core import Scheduler, WorkerView, make
 from ..core.acp import IMPROVED_ACP, AcpModel
 from ..core.base import formula_stepper
+from ..core.distributed import acp_stepper
 from ..obs import ObsEvent, make_event
 from ..workloads import Workload
 from . import fastpath
@@ -129,9 +132,11 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         self.fast = fast
         self.scheduler = scheduler
         #: how :meth:`_ask` drives the scheduler: the lean stepper for
-        #: a scheme that is its formula, None for one that needs a
-        #: :class:`WorkerView` and its own ``next_chunk``.
+        #: a scheme that is its formula, the family's ``(wid, acp)``
+        #: stepper for an ACP-driven one, a :class:`WorkerView` and its
+        #: own ``next_chunk`` for any other (both None).
         self._formula_step = formula_stepper(scheduler)
+        self._acp_step = acp_stepper(scheduler)
         scheduler.bind_workload(workload)
         #: stage decisions made since the last request, mirrored into
         #: ``adapt`` events on an observed run; a fixed scheme's is the
@@ -175,11 +180,16 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
     ) -> Optional[tuple[int, int, int]]:
         """The scheduler's next ``(start, stop, stage)`` for worker
         ``wid``, whose request reached the master at ``arrival``
-        carrying ``acp``; None once the loop is exhausted.  The DES and
-        the fast path's driven arm both ask here."""
+        carrying ``acp``; None once the loop is exhausted.  The DES asks
+        here, and so does the fast path for a scheduler only
+        ``next_chunk`` may drive; this is the one ``WorkerView`` the
+        simulators build."""
         step = self._formula_step
         if step is not None:
             return step(wid)
+        acp_step = self._acp_step
+        if acp_step is not None and acp is not None:
+            return acp_step(wid, acp)
         node = self.cluster.nodes[wid]
         chunk = self.scheduler.next_chunk(WorkerView(
             worker_id=wid,
@@ -388,8 +398,9 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
     def _prepare(self) -> None:
         # Step 1(a): availability screen + initial ACP registration.
         if self.scheduler.distributed:
+            admitted = [self._available(s, 0.0) for s in self.workers]
             self._participants = [
-                s for s in self.workers if self._available(s, 0.0)
+                s for s, ok in zip(self.workers, admitted) if ok
             ]
             if not self._participants:
                 raise StarvationError(
@@ -397,8 +408,13 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                     "this is the classic-DTSS starvation the paper's "
                     "Sec. 5.2 scaled ACP model avoids"
                 )
-            for s in self._participants:
-                self._register_acp(s, 0.0)
+            for s, ok in zip(self.workers, admitted):
+                if ok:
+                    self._register_acp(s, 0.0)
+                else:
+                    # Screened out: known to the master at ACP 0, so it
+                    # counts nothing in A (no acp-update: it never asks).
+                    self.scheduler.observe_acp(s.index, 0)
 
 
 def simulate(

@@ -2,10 +2,8 @@
 
 The discrete-event engines pay for generality: every protocol step is
 a tuple pushed on a heap and popped through a liveness-guarded
-dispatch (:mod:`~repro.simulation.events`), every chunk decision
-walks the scheduler's ``next_chunk`` (frozen ``WorkerView`` +
-``ChunkAssignment`` per request), and every emission site tests a
-collector.  None of that
+dispatch (:mod:`~repro.simulation.events`), and every emission site
+tests a collector.  None of that
 machinery changes the *numbers*: on a fault-free run with no observer
 the protocol is a deterministic recurrence over a handful of floats
 (link-free / master-free / counter-free times), and the chunk sequence
@@ -45,9 +43,12 @@ Further per-chunk costs are shaved without touching the numbers:
   scheme, caller-supplied instances included) come from calling the
   bound ``_nominal`` with this loop's own cursor, step and request
   counts -- no ``WorkerView``, no ``ChunkAssignment`` -- and the
-  drained state is handed back to the scheduler afterwards; schemes
-  that replace a driver hook (the ACP-driven distributed family, user
-  schemes) are asked the way the DES asks them,
+  drained state is handed back to the scheduler afterwards; the
+  ACP-driven distributed family steps itself through its
+  ``(wid, acp)`` stepper (:func:`repro.core.distributed.acp_stepper`,
+  the call the DES makes too), which keeps its own state current; only
+  user schemes that replace a driver hook are asked with a
+  ``WorkerView``, through
   ``MasterSlaveSimulation._ask`` (still bit-identical, less speedup);
 * the per-chunk compute integral is inlined for ``ConstantLoad``
   (``finish = t + cost / rate``), the overwhelmingly common case;
@@ -216,7 +217,10 @@ def run_fast_master(sim) -> SimResult:
     pure = sim._formula_step is not None
     const_k = scheduler.constant if pure else None
     nominal = scheduler._nominal
-    step = None if pure else sim._ask
+    # Otherwise the scheduler steps itself: an ACP-driven one through
+    # the family's ``(wid, acp)`` stepper, any other through ``_ask``.
+    acp_step = sim._acp_step if distributed else None
+    ask = sim._ask
     cursor = scheduler._cursor
     stage = scheduler._stage
     acp_model = sim.acp_model
@@ -305,8 +309,11 @@ def run_fast_master(sim) -> SimResult:
         acc_com[i] += rtx
         tc = service_end + rtx  # compute event fire time
         # -- assignment --------------------------------------------------
-        if step is not None:
-            a = step(i, arrival, nxt_acp[i])
+        if not pure:
+            a = (
+                acp_step(i, nxt_acp[i]) if acp_step is not None
+                else ask(i, arrival, nxt_acp[i])
+            )
             if a is None:
                 start = -1
             else:

@@ -79,6 +79,39 @@ def test_drivers_import_no_scheme_formula_module():
         )
 
 
+def test_simulators_build_one_worker_view():
+    """The simulators drive every built-in scheme without the object
+    protocol (a formula-driven one through ``formula_stepper``, an
+    ACP-driven one through its family's stepper): a ``WorkerView`` is
+    constructed at one site under ``simulation/``, the arm of
+    ``MasterSlaveSimulation._ask`` that serves schedulers replacing a
+    driver hook."""
+    import ast
+
+    sites = []
+    root = os.path.join(_SRC, "repro", "simulation")
+    for dirpath, _dirs, files in os.walk(root):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            funcs = [f for f in ast.walk(tree)
+                     if isinstance(f, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None)
+                ) == "WorkerView":
+                    # The innermost function around the call.
+                    around = [f.name for f in funcs
+                              if f.lineno <= node.lineno <= f.end_lineno]
+                    sites.append((os.path.relpath(path, root),
+                                  around[-1] if around else None))
+    assert sites == [("engine.py", "_ask")], sites
+
+
 def test_des_lifecycle_lives_once_on_the_chassis():
     """Message faults, fault scheduling, segment contention and the
     stall handler are each defined in exactly one module,

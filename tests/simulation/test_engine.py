@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import CLASSIC_ACP, IMPROVED_ACP, AcpModel, make
+from repro.obs import BufferedCollector
 from repro.simulation import (
     ClusterSpec,
     ConstantLoad,
@@ -179,6 +180,36 @@ class TestStarvation:
         result = simulate("DTSS", wl, cluster, acp_model=model)
         assert result.workers[0].iterations == 0
         assert result.workers[1].iterations == 100
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("scheme, first", [("DTSS", 441),
+                                               ("DFSS", 500)])
+    def test_screened_out_pe_counts_nothing_in_A(self, scheme, first,
+                                                 fast):
+        """Regression: the first derivation gave a PE screened out at
+        start-up the V=Q=1 default, so the paper's Sec. 5.2 example was
+        derived over A = 20 and the one admitted PE (A_i = 10) got
+        half-size chunks (DTSS 235, DFSS 250)."""
+        nodes = [
+            NodeSpec(name="slow", speed=100.0, load=ConstantLoad(2),
+                     virtual_power=1.0),
+            NodeSpec(name="fast", speed=300.0, load=ConstantLoad(3),
+                     virtual_power=3.0),
+        ]
+        model = AcpModel(scale=10, a_min=6)  # A = (5, 10): "slow" sits out
+        scheduler = make(scheme, 1000, 2, acp_model=model)
+        trace = None if fast else BufferedCollector()
+        result = simulate(scheduler, UniformWorkload(1000),
+                          ClusterSpec(nodes=nodes), acp_model=model,
+                          collector=trace, fast=fast)
+        assert result.chunks[0].worker == 1
+        assert result.chunks[0].stop - result.chunks[0].start == first
+        assert result.workers[1].iterations == 1000
+        assert scheduler._acps == {0: 0, 1: 10}
+        assert scheduler.total_acp == 10
+        if trace is not None:
+            updates = [e for e in trace.events if e.kind == "acp-update"]
+            assert [(e.worker, e.acp) for e in updates] == [(1, 10)]
 
 
 class TestEdgeCases:

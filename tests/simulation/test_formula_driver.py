@@ -1,11 +1,15 @@
-"""The formula driver against its oracle: a pass-through subclass.
+"""The lean drivers against their oracle: a pass-through subclass.
 
 A scheduler that leaves the driver hooks alone *is* its ``_nominal``
 formula, and the simulators drive it through
 :func:`repro.core.base.formula_stepper` -- no ``WorkerView``, no
-``ChunkAssignment``.  A subclass whose ``_chunk_size`` only calls
-``super()`` computes the very same chunks but replaces a hook, so it is
-driven the long way, through ``next_chunk``.  The two must be
+``ChunkAssignment``.  An ACP-driven scheduler (DTSS, DFSS, DFISS,
+DTFSS) that leaves its family's adapter and sizing formula alone is
+driven through its own ``(wid, acp)`` stepper,
+:func:`repro.core.distributed.acp_stepper`.  A subclass whose sizing
+hook (``_chunk_size``, or the family's ``_size``) only calls
+``super()`` computes the very same chunks but replaces a hook, so it
+is driven the long way, through ``next_chunk``.  The two must be
 indistinguishable: same ``SimResult``, same ``ObsEvent`` list, same
 state left on the scheduler -- on the DES, under a fault plan, and on
 the fast path's driven arm.
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from repro.chaos import FaultPlan
 from repro.core import WorkerView, make, names
 from repro.core.base import formula_stepper
+from repro.core.distributed import acp_stepper
 from repro.obs import BufferedCollector
 from repro.simulation import (
     ClusterSpec,
@@ -60,27 +65,34 @@ def _probe(name: str):
 
 #: Registry schemes the simulators drive by formula.
 PURE = [n for n in names() if formula_stepper(_probe(n)) is not None]
+#: Registry schemes the simulators drive by the ACP family's stepper.
+FAMILY = [n for n in names() if acp_stepper(_probe(n)) is not None]
 
 
-def test_the_simple_registry_schemes_are_formula_driven():
+def test_every_registry_scheme_but_adaptive_has_a_lean_driver():
     assert len(PURE) == 10
     assert {"SS", "CSS", "GSS", "TSS", "FSS", "FISS", "TFSS", "WF"} \
         <= set(PURE)
-    for name in set(names()) - set(PURE):
-        probe = _probe(name)
-        assert probe.distributed or probe.feedback_dependent, name
+    assert FAMILY == ["DTSS", "DFSS", "DFISS", "DTFSS"]
+    assert set(names()) - set(PURE) - set(FAMILY) == {"ADAPTIVE"}
+    assert _probe("ADAPTIVE").feedback_dependent
 
 
 def pass_through(scheduler):
-    """``scheduler`` re-classed so that it replaces a driver hook with
-    one that changes nothing."""
+    """``scheduler`` re-classed so that it replaces its sizing hook
+    (``_chunk_size``, or the ACP family's ``_size``) with one that
+    changes nothing."""
 
     class PassThrough(type(scheduler)):
         def _chunk_size(self, worker):
             return super()._chunk_size(worker)
 
+        def _size(self, wid, a):
+            return super()._size(wid, a)
+
     scheduler.__class__ = PassThrough
     assert formula_stepper(scheduler) is None
+    assert acp_stepper(scheduler) is None
     return scheduler
 
 
@@ -103,12 +115,17 @@ def outcome(scheduler, workload, cluster, observed=True, **kwargs):
     return facts(result, trace)
 
 
+#: The family's own state, beside the loop state every scheme has.
+FAMILY_STATE = ("_acps", "rederivations", "total_acp", "_served_acp",
+                "_worker_stage", "_stage_totals", "params")
+
+
 def loop_state(scheduler):
     return (
         scheduler._cursor, scheduler._step, scheduler._requests,
         scheduler._stage, scheduler.finished, scheduler.steps_taken,
         scheduler.remaining,
-    )
+    ) + tuple(getattr(scheduler, attr, None) for attr in FAMILY_STATE)
 
 
 def asked_in_order(trace, total):
@@ -125,18 +142,43 @@ def asked_in_order(trace, total):
     return workers
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    name=st.sampled_from(PURE),
-    p=st.sampled_from([1, 2, 4, 8]),
-    loads=st.sampled_from(LOADS),
-    seed=st.integers(min_value=0, max_value=10_000),
-    size=st.integers(min_value=0, max_value=300),
-    chaos=st.booleans(),
-)
-def test_pass_through_subclass_is_indistinguishable(
-    name, p, loads, seed, size, chaos
-):
+def logged(scheduler):
+    """Record what a family scheduler is told, in order: every stepped
+    request (with its answer) and every out-of-band report.  Shadows
+    ``step`` and ``observe_acp`` on the instance; neither is a driver
+    hook, so the scheduler stays stepped."""
+    log = []
+    step, observe = scheduler.step, scheduler.observe_acp
+
+    def stepped(wid, acp):
+        got = step(wid, acp)
+        log.append(("ask", wid, acp, got))
+        return got
+
+    def observed(wid, acp):
+        log.append(("observe", wid, acp, None))
+        observe(wid, acp)
+
+    scheduler.step = stepped
+    scheduler.observe_acp = observed
+    assert acp_stepper(scheduler) is stepped
+    return log
+
+
+def replay(twin, log):
+    """Tell ``twin`` what ``log`` recorded, asking through
+    ``next_chunk``; every answer must be the stepper's."""
+    for kind, wid, acp, got in log:
+        if kind == "observe":
+            twin.observe_acp(wid, acp)
+            continue
+        chunk = twin.next_chunk(WorkerView(worker_id=wid, acp=acp))
+        assert got == (
+            None if chunk is None else (chunk.start, chunk.stop, chunk.stage)
+        )
+
+
+def check_indistinguishable(name, p, loads, seed, size, chaos):
     cluster = cluster_of(p, loads, seed)
     workload = GaussianPeakWorkload(size, amplitude=5.0)
 
@@ -149,6 +191,8 @@ def test_pass_through_subclass_is_indistinguishable(
         plan = FaultPlan.random(seed, workers=p,
                                 horizon=max(horizon, 0.1))
     driven, oracle = fresh(), pass_through(fresh())
+    family = name in FAMILY
+    log = logged(driven) if family else None
     got = outcome(driven, workload, cluster, chaos=plan)
     assert got == outcome(oracle, workload, cluster, chaos=plan)
     if got[0] != "error":
@@ -156,15 +200,20 @@ def test_pass_through_subclass_is_indistinguishable(
         # what a next_chunk drain in the same request order leaves.
         assert loop_state(driven) == loop_state(oracle)
         twin = fresh()
-        for wid in asked_in_order(got[-1], size):
-            assert twin.next_chunk(WorkerView(worker_id=wid)) is not None
+        if family:
+            replay(twin, log)
+        else:
+            for wid in asked_in_order(got[-1], size):
+                assert twin.next_chunk(WorkerView(worker_id=wid)) \
+                    is not None
         assert loop_state(twin) == loop_state(driven)
         assert twin.next_chunk(WorkerView(worker_id=0)) is None
         assert driven.next_chunk(WorkerView(worker_id=0)) is None
     if plan is None:
         # The fast path: its inlined loop for the formula-driven one,
-        # its driven arm (``_ask`` -> ``next_chunk``) for the oracle;
-        # both hand the drained state back.
+        # the family's stepper for an ACP-driven one, its driven arm
+        # (``_ask`` -> ``next_chunk``) for the oracle; all leave the
+        # drained state on the scheduler.
         fast, fast_oracle = fresh(), pass_through(fresh())
         unobserved = got[:-1] + (None,)
         assert outcome(fast, workload, cluster, observed=False,
@@ -173,6 +222,34 @@ def test_pass_through_subclass_is_indistinguishable(
                        fast=True) == unobserved
         assert loop_state(fast) == loop_state(driven)
         assert loop_state(fast_oracle) == loop_state(driven)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(PURE + FAMILY),
+    p=st.sampled_from([1, 2, 4, 8]),
+    loads=st.sampled_from(LOADS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=0, max_value=300),
+    chaos=st.booleans(),
+)
+def test_pass_through_subclass_is_indistinguishable(
+    name, p, loads, seed, size, chaos
+):
+    check_indistinguishable(name, p, loads, seed, size, chaos)
+
+
+@pytest.mark.parametrize("name, p, seed, size", [
+    ("DTSS", 1, 3, 2000), ("DFSS", 3, 1, 300), ("DFISS", 3, 1, 300),
+    ("DTFSS", 3, 2, 300),
+])
+def test_a_rederiving_run_is_indistinguishable(name, p, seed, size):
+    """Under ``random`` load the "more than half changed" rule fires
+    mid-run; the stepper and ``next_chunk`` must re-derive on the same
+    request."""
+    got = check_indistinguishable(name, p, "random", seed, size, False)
+    assert got[3] > 0  # result.rederivations
 
 
 # -- purity is a property of the instance, not only of its class -----------
