@@ -320,6 +320,10 @@ class FaultPlan(object):
 
     @classmethod
     def from_json(cls, doc: dict) -> "FaultPlan":
+        if not isinstance(doc, dict):
+            raise ChaosError(
+                f"a fault plan is an object, got {type(doc).__name__}"
+            )
         events = []
         for entry in doc.get("events", ()):
             entry = dict(entry)

@@ -9,7 +9,8 @@ self-scheduling as a shared, long-lived coordination point rather than
 a per-run process tree.
 
 * :mod:`repro.service.protocol` -- length-prefixed JSON frames (the
-  socket transport that replaces raw pipes), sync and asyncio codecs.
+  socket transport that replaces raw pipes): a blocking-socket codec
+  and an incremental decoder.
 * :mod:`repro.service.jobs` -- the wire job model: a JSON spec names a
   scheme, workload, cluster and engine; :func:`job_from_spec` builds
   the exact :class:`~repro.batch.SimJob` a one-shot run would use, so
@@ -46,10 +47,8 @@ from .protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame,
-    read_frame,
     recv_frame,
     send_frame,
-    write_frame,
 )
 from .server import ServiceConfig, ServiceServer, serve_until_complete
 
@@ -66,10 +65,8 @@ __all__ = [
     "cluster_from_spec",
     "encode_frame",
     "job_from_spec",
-    "read_frame",
     "recv_frame",
     "send_frame",
     "serve_until_complete",
     "workload_from_spec",
-    "write_frame",
 ]

@@ -29,6 +29,13 @@ from .protocol import ProtocolError, recv_frame, send_frame
 
 __all__ = ["ClientConfig", "ServiceClient", "ServiceError"]
 
+#: Seconds a ``wait(timeout=t)`` reads past ``t``: the daemon answers
+#: ``timeout`` at ``t``, and the reply needs time to arrive.
+WAIT_MARGIN = 5.0
+
+#: ``_request``'s default: read under the socket's own timeout.
+_SOCKET_TIMEOUT = object()
+
 
 @dataclasses.dataclass(frozen=True)
 class ClientConfig(object):
@@ -170,19 +177,51 @@ class ServiceClient(object):
 
     # -- plumbing ----------------------------------------------------------
 
-    def _request(self, doc: dict[str, Any]) -> dict[str, Any]:
+    def _request(
+        self, doc: dict[str, Any], timeout: Any = _SOCKET_TIMEOUT
+    ) -> dict[str, Any]:
+        """Send one request and read its reply.  ``timeout`` (seconds,
+        or ``None`` to block) replaces the socket timeout for the read.
+
+        A reply whose ``seq`` is not the request's is an error: it
+        answers something else (a late reply to an earlier request, or
+        a pushed stream frame), and taking it would shift every later
+        reply on this connection by one.
+        """
         self._seq += 1
         doc = dict(doc, seq=self._seq)
         send_frame(self._sock, doc)
-        reply = recv_frame(self._sock)
+        reply = (
+            recv_frame(self._sock) if timeout is _SOCKET_TIMEOUT
+            else self._recv_within(timeout)
+        )
         if reply is None:
             raise ProtocolError(
                 "daemon closed the connection mid-request"
             )
+        if reply.get("seq") != self._seq:
+            raise ProtocolError(
+                f"reply seq {reply.get('seq')!r} does not answer "
+                f"request seq {self._seq}"
+            )
         return reply
 
-    def _checked(self, doc: dict[str, Any]) -> dict[str, Any]:
-        reply = self._request(doc)
+    def _recv_within(
+        self, timeout: Optional[float]
+    ) -> Optional[dict[str, Any]]:
+        """One frame, read under ``timeout`` instead of the socket
+        timeout, which is restored afterwards."""
+        saved = self._sock.gettimeout()
+        self._sock.settimeout(timeout)
+        try:
+            return recv_frame(self._sock)
+        finally:
+            self._sock.settimeout(saved)
+
+    def _checked(
+        self, doc: dict[str, Any], timeout: Any = _SOCKET_TIMEOUT
+    ) -> dict[str, Any]:
+        reply = self._request(doc, timeout)
         if not reply.get("ok"):
             raise ServiceError(
                 str(reply.get("error", "unknown")),
@@ -211,11 +250,19 @@ class ServiceClient(object):
     ) -> dict[str, Any]:
         """Block until a job reaches a terminal state; returns its
         payload (``result``, ``digest``, ``state``, ``requeues``,
-        optionally ``results`` / ``trace``)."""
+        optionally ``results`` / ``trace``).
+
+        The daemon answers ``timeout`` after ``timeout`` seconds (none
+        given, or 0: it waits for the job), so the read waits that
+        long plus :data:`WAIT_MARGIN`, or blocks -- never the socket
+        timeout the connection was opened with.
+        """
         doc: dict[str, Any] = {"op": "wait", "job_id": job_id}
         if timeout is not None:
             doc["timeout"] = timeout
-        return self._checked(doc)
+        return self._checked(
+            doc, max(timeout, 0.0) + WAIT_MARGIN if timeout else None
+        )
 
     def run(
         self, job: dict[str, Any], timeout: Optional[float] = None
@@ -294,11 +341,11 @@ class ServiceClient(object):
 
         Returns ``None`` on a clean end of stream (daemon closed the
         connection).  ``timeout`` overrides the socket timeout for
-        this read; ``socket.timeout`` propagates on expiry.
+        this read only; ``socket.timeout`` propagates on expiry.
         """
-        if timeout is not None:
-            self._sock.settimeout(timeout)
-        return recv_frame(self._sock)
+        if timeout is None:
+            return recv_frame(self._sock)
+        return self._recv_within(timeout)
 
     def watch(
         self,

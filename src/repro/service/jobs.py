@@ -186,7 +186,9 @@ def workload_from_spec(spec: dict) -> Workload:
             f"workload spec must be an object, got {type(spec).__name__}"
         )
     kind = spec.get("kind")
-    builder = _WORKLOAD_BUILDERS.get(kind)
+    builder = (
+        _WORKLOAD_BUILDERS.get(kind) if isinstance(kind, str) else None
+    )
     if builder is None:
         raise JobSpecError(
             f"unknown workload kind {kind!r}; known kinds: "
@@ -196,7 +198,8 @@ def workload_from_spec(spec: dict) -> Workload:
         raise JobSpecError(f"{kind} workloads need a 'size'")
     try:
         return builder(spec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: ``int(inf)`` -- JSON's 1e400 or ``Infinity``.
         if isinstance(exc, JobSpecError):
             raise
         raise JobSpecError(f"bad {kind} workload spec: {exc}") from exc
@@ -227,7 +230,7 @@ def cluster_from_spec(
     if raw_nodes is None:
         try:
             workers = int(spec.get("workers", default_workers))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise JobSpecError(
                 f"workers must be an integer, got "
                 f"{spec.get('workers')!r}"
@@ -266,9 +269,10 @@ def cluster_from_spec(
             raise JobSpecError(f"bad node {i}: {exc}") from exc
     try:
         return ClusterSpec(nodes=nodes, **cluster_kwargs)
-    except (TypeError, ValueError) as exc:
-        # TypeError: unknown kwarg from the spec; ValueError: the
-        # constructor's own validation.  Anything else is a real bug.
+    except (TypeError, ValueError, SimulationError) as exc:
+        # TypeError: unknown kwarg from the spec; ValueError and
+        # SimulationError: the constructor's own validation (an empty
+        # ``nodes`` array, ...).  Anything else is a real bug.
         raise JobSpecError(f"bad cluster spec: {exc}") from exc
 
 
@@ -297,19 +301,27 @@ def job_from_spec(spec: dict) -> SimJob:
     engine = spec.get("engine", "master")
     workload = workload_from_spec(spec.get("workload"))
     cluster = cluster_from_spec(spec.get("cluster"))
-    params = dict(spec.get("params") or {})
+    params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise JobSpecError(
+            f"params must be an object, got {type(params).__name__}"
+        )
+    params = dict(params)
     if spec.get("chaos") is not None:
         from ..chaos import FaultPlan
 
-        try:
-            plan = FaultPlan.from_json(spec["chaos"])
-        except (KeyError, TypeError, ValueError) as exc:
-            # The shapes malformed JSON actually produces: missing
-            # keys, wrong field types, bad enum values.
-            raise JobSpecError(f"bad chaos plan: {exc!r}") from exc
         scale = spec.get("chaos_scale")
         if scale is not None:
-            plan = plan.scaled(_spec_number(scale, "chaos_scale"))
+            scale = _spec_number(scale, "chaos_scale")
+        try:
+            plan = FaultPlan.from_json(spec["chaos"])
+            if scale is not None:
+                plan = plan.scaled(scale)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # The shapes malformed JSON actually produces: missing
+            # keys, wrong field types, bad enum values, a scale that
+            # is not > 0.
+            raise JobSpecError(f"bad chaos plan: {exc!r}") from exc
         params["chaos"] = plan
     if spec.get("results"):
         params["collect_results"] = True

@@ -44,7 +44,7 @@ import signal
 import threading
 import time
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .. import cache as _cache
 from ..batch import SimJob
@@ -52,6 +52,7 @@ from ..obs import events_json, stream_digest
 from ..obs.logutil import get_logger
 from ..runtime.chassis import heartbeat_sender, join_or_terminate
 from ..runtime.config import RuntimeConfig
+from .jobs import job_from_spec
 
 __all__ = [
     "JobRecord", "WorkerPool", "service_worker_main", "SERVICE_RUNTIME",
@@ -124,6 +125,10 @@ def _execute_body(
 ) -> tuple[Optional[str], bytes]:
     """Run one job in the current process; ``(digest, body)``.
 
+    ``job`` is a wire spec (what the daemon admitted), built here with
+    :func:`~repro.service.jobs.job_from_spec`, or a ready
+    :class:`~repro.batch.SimJob`.
+
     ``body`` is the job's share of its ``wait`` reply, encoded here,
     once: a JSON object of ``digest``, ``events_emitted``, ``result``
     and (on request) ``trace`` -- or of ``error`` alone, with a
@@ -132,12 +137,14 @@ def _execute_body(
 
     The digest is computed *here*, from the same
     :func:`~repro.obs.stream_digest` a one-shot caller would apply to
-    ``job.run().obs_events`` -- that equality is the service's
-    bit-exactness contract.  ``collector`` (a
+    ``job_from_spec(spec).run().obs_events`` -- that equality is the
+    service's bit-exactness contract.  ``collector`` (a
     :class:`_StreamCollector`) taps the identical events live without
     perturbing that digest.
     """
     try:
+        if isinstance(job, dict):
+            job = job_from_spec(job)
         if collector is not None:
             result = job.run(collector=collector)
         else:
@@ -217,15 +224,16 @@ class JobRecord(object):
     A terminal record keeps what its ``wait`` replies need and nothing
     else: ``body`` (the encoded reply members, see
     :func:`_execute_body`) and ``digest`` (``None`` when the job
-    failed).  ``job`` -- the inputs alone: the worker that runs it
-    resolves the cost profile -- is held for the dispatch, and any
-    re-dispatch after a worker death, and released when the record
-    turns terminal.
+    failed).  ``job`` -- the inputs alone: the daemon stores the wire
+    spec it admitted, and the worker that runs it builds the
+    ``SimJob`` and resolves the cost profile; a ready ``SimJob`` runs
+    as well -- is held for the dispatch, and any re-dispatch after a
+    worker death, and released when the record turns terminal.
     """
 
     job_id: str
     tenant: str
-    job: Optional[SimJob]
+    job: Union[dict, SimJob, None]
     want_results: bool = False
     want_trace: bool = False
     want_stream: bool = False
@@ -261,10 +269,13 @@ class _Handle(object):
     job and ``proc`` / ``conn`` / ``incarnation`` / ``cache`` by the
     pump alone (by ``start()`` before there is a pump); every write,
     and every read off the pump thread, holds the pool lock.
+    ``condemned`` is set by a dispatch whose send failed and cleared
+    by the respawn: the pump retires that incarnation on its next turn,
+    whatever the pipe still delivers (a heartbeat cannot clear it).
     """
 
     __slots__ = ("slot", "proc", "conn", "incarnation", "last_seen",
-                 "record", "cache")
+                 "record", "cache", "condemned")
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
@@ -275,6 +286,7 @@ class _Handle(object):
         self.record: Optional[JobRecord] = None
         #: ``(hits, misses)`` the live incarnation last reported.
         self.cache = (0, 0)
+        self.condemned = False
 
 
 class WorkerPool(object):
@@ -325,9 +337,10 @@ class WorkerPool(object):
         self._records: dict[str, JobRecord] = {}
         self._lock = threading.Lock()
         self._wake_r, self._wake_w = os.pipe()
-        #: What the pump waits on: the wake pipe (``stop()``), and per
-        #: slot its pipe and process sentinel, re-registered only where
-        #: they change (:meth:`_spawn`, :meth:`_revive`).
+        #: What the pump waits on: the wake pipe (``stop()`` and a
+        #: failed dispatch send), and per slot its pipe and process
+        #: sentinel, re-registered only where they change
+        #: (:meth:`_spawn`, :meth:`_revive`).
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._wake_r, selectors.EVENT_READ)
         self._pump: Optional[threading.Thread] = None
@@ -556,6 +569,7 @@ class WorkerPool(object):
             handle.proc = proc
             handle.conn = parent
             handle.last_seen = time.monotonic()
+            handle.condemned = False
         self._selector.register(parent, selectors.EVENT_READ, handle)
         self._selector.register(
             proc.sentinel, selectors.EVENT_READ, handle
@@ -579,7 +593,10 @@ class WorkerPool(object):
             for key, _mask in ready:
                 handle = key.data
                 if handle is None:
-                    continue  # the wake pipe: only stop() writes it
+                    # The wake pipe: empty it, or it stays readable and
+                    # every later select returns at once.
+                    os.read(self._wake_r, 4096)
+                    continue
                 if key.fileobj is handle.conn:
                     if not self._drain_conn(handle):
                         dead.append(handle)
@@ -595,10 +612,11 @@ class WorkerPool(object):
             for handle in live:
                 if not handle.proc.is_alive():
                     dead.append(handle)
-                elif handle.slot in silent:
-                    # Silent past the liveness deadline: treat as dead.
-                    # SIGKILL first so a wedged-but-alive incarnation
-                    # can never deliver a stale result later.
+                elif handle.condemned or handle.slot in silent:
+                    # Condemned by a failed send, or silent past the
+                    # liveness deadline: treat as dead.  SIGKILL first
+                    # so a wedged-but-alive incarnation can never
+                    # deliver a stale result later.
                     if handle.proc.pid is not None:
                         try:
                             os.kill(handle.proc.pid, signal.SIGKILL)
@@ -796,9 +814,11 @@ class WorkerPool(object):
                 ))
             except (OSError, ValueError, BrokenPipeError):
                 # The slot died between the liveness check and the
-                # send; the pump's next turn revives it and requeues
-                # the record.
-                idle.last_seen = 0.0
+                # send (or its pipe cannot take the job): wake the
+                # pump, whose turn retires the incarnation and
+                # requeues the record.
+                idle.condemned = True
+                self._wake()
 
     def _next_record_locked(self) -> Optional[JobRecord]:
         for _ in range(len(self._rr)):

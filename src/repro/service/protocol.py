@@ -13,15 +13,15 @@ in-process runtimes use, frames are:
 * **stream-friendly** -- the :class:`FrameDecoder` is incremental, so
   a reader can feed it whatever chunk sizes the socket yields.
 
-Four entry points cover both IO styles: :func:`send_frame` /
-:func:`recv_frame` for blocking sockets (the client library),
-:func:`write_frame` / :func:`read_frame` for asyncio streams (the
-daemon).  All four speak the identical wire format.
+Two IO styles speak the identical wire format: :func:`send_frame` /
+:func:`recv_frame` for blocking sockets (the client library), and
+:func:`encode_frame` / :class:`FrameDecoder` for the daemon, whose
+per-connection :class:`asyncio.Protocol` writes whole frames to its
+transport and feeds the decoder whatever the socket delivers.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -36,8 +36,6 @@ __all__ = [
     "FrameDecoder",
     "send_frame",
     "recv_frame",
-    "write_frame",
-    "read_frame",
 ]
 
 #: Hard upper bound on one frame's JSON payload (bytes).  Large enough
@@ -95,7 +93,8 @@ def encode_frame(doc: dict[str, Any]) -> bytes:
 def _decode_payload(payload: bytes) -> dict[str, Any]:
     try:
         doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's stack.
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError(
@@ -111,6 +110,11 @@ class FrameDecoder(object):
     The decoder never copies more than one frame's worth of buffered
     bytes and raises :class:`ProtocolError` as soon as a length prefix
     exceeds :data:`MAX_FRAME`, before any payload is buffered.
+
+    :meth:`feed` takes bytes and returns every frame they complete;
+    :meth:`append` / :meth:`pop` are its two halves, for a reader that
+    takes one frame at a time and may leave the rest buffered (the
+    daemon, while a ``wait`` holds its connection).
     """
 
     def __init__(self) -> None:
@@ -119,22 +123,29 @@ class FrameDecoder(object):
     def feed(self, data: bytes) -> list[dict[str, Any]]:
         """Absorb ``data``; return every frame completed by it."""
         self._buf.extend(data)
-        frames: list[dict[str, Any]] = []
-        while True:
-            if len(self._buf) < _LEN.size:
-                return frames
-            (length,) = _LEN.unpack_from(self._buf)
-            if length > MAX_FRAME:
-                raise ProtocolError(
-                    f"announced frame length {length} exceeds MAX_FRAME "
-                    f"({MAX_FRAME})"
-                )
-            end = _LEN.size + length
-            if len(self._buf) < end:
-                return frames
-            payload = bytes(self._buf[_LEN.size:end])
-            del self._buf[:end]
-            frames.append(_decode_payload(payload))
+        return list(iter(self.pop, None))
+
+    def append(self, data: bytes) -> None:
+        """Buffer ``data`` without decoding anything."""
+        self._buf.extend(data)
+
+    def pop(self) -> Optional[dict[str, Any]]:
+        """The next whole frame buffered, or ``None`` if there is none
+        yet; raises :class:`ProtocolError` if that frame is bad."""
+        if len(self._buf) < _LEN.size:
+            return None
+        (length,) = _LEN.unpack_from(self._buf)
+        if length > MAX_FRAME:
+            raise ProtocolError(
+                f"announced frame length {length} exceeds MAX_FRAME "
+                f"({MAX_FRAME})"
+            )
+        end = _LEN.size + length
+        if len(self._buf) < end:
+            return None
+        payload = bytes(self._buf[_LEN.size:end])
+        del self._buf[:end]
+        return _decode_payload(payload)
 
     @property
     def pending_bytes(self) -> int:
@@ -183,43 +194,4 @@ def recv_frame(sock: socket.socket) -> Optional[dict[str, Any]]:
     payload = _recv_exact(sock, length) if length else b""
     if payload is None:
         raise ProtocolError("connection closed between header and payload")
-    return _decode_payload(payload)
-
-
-# -- asyncio side (daemon) ------------------------------------------------
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter, doc: dict[str, Any]
-) -> None:
-    """Write one frame to an asyncio stream and drain."""
-    writer.write(encode_frame(doc))
-    await writer.drain()
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> Optional[dict[str, Any]]:
-    """Read one frame from an asyncio stream (``None`` on clean EOF)."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed mid-header ({len(exc.partial)} bytes)"
-        ) from exc
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(
-            f"announced frame length {length} exceeds MAX_FRAME "
-            f"({MAX_FRAME})"
-        )
-    try:
-        payload = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)}/{length} "
-            f"bytes)"
-        ) from exc
     return _decode_payload(payload)

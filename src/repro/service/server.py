@@ -42,18 +42,22 @@ WorkerPool`.  The production concerns, in the order a job meets them:
 Protocol ops (every request may carry a ``seq`` echoed in the reply):
 ``hello``, ``submit``, ``wait``, ``status``, ``metrics``, ``trace``,
 ``log``, ``drain``, ``chaos``, ``kill-worker``, ``ping``,
-``subscribe`` / ``watch``.
+``subscribe`` / ``watch``.  Each connection is one
+:class:`asyncio.Protocol` that answers its frames in request order; a
+``wait`` on a running job holds the frames behind it until it is
+answered (see :class:`_Connection`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import signal as _signal
-from typing import Any, Optional, Union
+from typing import Any, Optional, Union, cast
 
 from .. import cache as _cache
 from ..obs import (
@@ -68,11 +72,10 @@ from .jobs import JobSpecError, _spec_number, job_from_spec
 from .pool import SERVICE_RUNTIME, JobRecord, WorkerPool
 from .protocol import (
     OPS,
+    FrameDecoder,
     ProtocolError,
     encode_frame,
     frame_payload,
-    read_frame,
-    write_frame,
 )
 
 __all__ = ["ServiceConfig", "ServiceServer", "serve_until_complete"]
@@ -89,6 +92,13 @@ SUBSCRIBER_QUEUE = 256
 
 #: Width (seconds of service clock) of the rolling telemetry window.
 ROLLING_WINDOW = 60.0
+
+#: Bytes a held connection may buffer before its transport stops
+#: reading (the request it holds on is answered first).
+READ_LIMIT = 64 * 1024
+
+#: Seconds shutdown lets the closing connections flush their replies.
+FLUSH_TIMEOUT = 5.0
 
 
 class _Subscription(object):
@@ -173,6 +183,7 @@ class ServiceServer(object):
         self._merged_idx: dict[str, int] = {}
         self._subscribers: list[_Subscription] = []
         self._stream_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._records: dict[str, JobRecord] = {}
         self._futures: dict[str, asyncio.Future] = {}
         self._ids = itertools.count(1)
@@ -187,18 +198,18 @@ class ServiceServer(object):
 
     async def start(self) -> None:
         """Bind the listener and start the pool."""
-        self._loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         if self.config.cache_dir is not None:
             _cache.configure(directory=self.config.cache_dir)
         self.pool.start()
+        factory = functools.partial(_Connection, self)
         if self.config.host is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host,
-                self.config.port,
+            self._server = await loop.create_server(
+                factory, self.config.host, self.config.port,
             )
         else:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.socket_path
+            self._server = await loop.create_unix_server(
+                factory, path=self.config.socket_path
             )
         _log.info(
             "repro-service listening on %s (%d workers, capacity %d)",
@@ -245,7 +256,8 @@ class ServiceServer(object):
         self._check_drained()
 
     async def shutdown(self) -> None:
-        """Close the listener and stop the pool (hard stop)."""
+        """Close the listener and the connections, and stop the pool
+        (hard stop)."""
         self._end_subscriptions()
         if self._stream_tasks:
             # Let the writer tasks flush their terminal frames; a
@@ -255,6 +267,20 @@ class ServiceServer(object):
             task.cancel()
         if self._server is not None:
             self._server.close()
+            conns = list(self._connections)
+            for conn in conns:
+                conn.transport.close()
+            if conns:
+                # A closing transport first flushes what it holds (a
+                # job's reply may be megabytes); a peer that stopped
+                # reading cannot hold shutdown beyond the timeout.
+                await asyncio.wait(
+                    [conn.closed for conn in conns],
+                    timeout=FLUSH_TIMEOUT,
+                )
+                for conn in conns:
+                    if not conn.closed.done():
+                        conn.transport.abort()
             await self._server.wait_closed()
             self._server = None
         self.pool.stop()
@@ -441,6 +467,8 @@ class ServiceServer(object):
             return self._reject(tenant, reason, seq)
         spec = doc.get("job")
         try:
+            # Validation only: the pool worker builds the job again
+            # from the same spec, exactly as a one-shot run would.
             job = job_from_spec(spec)
         except JobSpecError as exc:
             self.metrics.counter("jobs_rejected_total").inc()
@@ -451,7 +479,7 @@ class ServiceServer(object):
         record = JobRecord(
             job_id=job_id,
             tenant=tenant,
-            job=job,
+            job=spec,
             want_results=bool(spec.get("results")),
             want_trace=bool(spec.get("trace")),
             # Stream chunk events when the spec asks for it or when a
@@ -551,43 +579,10 @@ class ServiceServer(object):
         self._chaos_tasks.extend(tasks)
         return len(tasks)
 
-    # -- connection handling ---------------------------------------------------
+    # -- connections ----------------------------------------------------------
 
     def _has_subscriber(self, tenant: str) -> bool:
         return any(sub.wants(tenant) for sub in self._subscribers)
-
-    async def _stream_to(
-        self,
-        sub: _Subscription,
-        writer: asyncio.StreamWriter,
-        wlock: asyncio.Lock,
-    ) -> None:
-        """Push queued event batches to one subscriber until told to
-        stop (a ``None`` sentinel) or the peer goes away.
-
-        Every frame carries the subscription's monotone ``n`` and its
-        *cumulative* ``drops``, so a reader can both order frames and
-        see exactly how much it missed at any point; the sentinel
-        produces a final ``{"watch": "end"}`` frame with the closing
-        totals.
-        """
-        try:
-            while True:
-                item = await sub.queue.get()
-                sub.n += 1
-                if item is None:
-                    frame: dict[str, Any] = {"watch": "end"}
-                else:
-                    frame = {"watch": "events", **item}
-                frame["n"] = sub.n
-                frame["drops"] = sub.drops
-                async with wlock:
-                    await write_frame(writer, frame)
-                if item is None:
-                    return
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.CancelledError):
-            pass
 
     def _end_subscriptions(self) -> None:
         """Queue the terminal frame for every live subscriber."""
@@ -599,192 +594,26 @@ class ServiceServer(object):
                 # connection teardown will cancel its writer task.
                 pass
 
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        tenant = "default"
-        # Replies and pushed stream frames share the writer; the lock
-        # keeps their drains from interleaving.
-        wlock = asyncio.Lock()
-        subscription: Optional[_Subscription] = None
-        stream_task: Optional[asyncio.Task] = None
-        try:
-            while True:
-                try:
-                    doc = await read_frame(reader)
-                except ProtocolError as exc:
-                    async with wlock:
-                        await write_frame(
-                            writer,
-                            _reply(None, ok=False, error="protocol",
-                                   message=str(exc)),
-                        )
-                    break
-                if doc is None:
-                    break
-                seq = doc.get("seq")
-                op = doc.get("op")
-                reply: Union[dict, bytes]
-                if op == "hello":
-                    raw = doc.get("tenant", "default")
-                    tenant = str(raw) if raw else "default"
-                    reply = _reply(
-                        seq, ok=True, server="repro-service",
-                        tenant=tenant, workers=self.config.workers,
-                    )
-                elif op == "submit":
-                    reply = self._submit(tenant, doc, seq)
-                elif op == "wait":
-                    reply = await self._wait(tenant, doc, seq)
-                elif op == "status":
-                    reply = _reply(seq, ok=True, status=self._status())
-                elif op == "metrics":
-                    reply = _reply(
-                        seq, ok=True, metrics=self._metrics_snapshot()
-                    )
-                elif op == "trace":
-                    which = doc.get("tenant", tenant)
-                    events = self.events_for(
-                        None if which == "*" else str(which)
-                    )
-                    reply = _reply(
-                        seq, ok=True,
-                        events=[ev.to_dict() for ev in events],
-                    )
-                elif op == "log":
-                    reply = _reply(
-                        seq, ok=True, log=list(self.pool.log)
-                    )
-                elif op == "drain":
-                    self.initiate_drain()
-                    reply = _reply(seq, ok=True, draining=True)
-                elif op == "chaos":
-                    reply = self._chaos_op(doc, seq)
-                elif op == "kill-worker":
-                    try:
-                        hit = self.pool.kill_worker(
-                            int(_wire_number(doc, "worker", -1))
-                        )
-                        reply = _reply(seq, ok=True, killed=hit)
-                    except ValueError as exc:
-                        reply = _reply(seq, ok=False, error="bad-worker",
-                                       message=str(exc))
-                elif op == "ping":
-                    reply = _reply(seq, ok=True, pong=True)
-                elif op in ("subscribe", "watch"):
-                    if subscription is not None:
-                        reply = _reply(
-                            seq, ok=False, error="already-subscribed",
-                        )
-                    else:
-                        raw = doc.get("tenant", tenant)
-                        which = None if raw == "*" else str(raw)
-                        subscription = _Subscription(which)
-                        self._subscribers.append(subscription)
-                        self.metrics.counter(
-                            "subscriptions_total"
-                        ).inc()
-                        stream_task = asyncio.get_running_loop() \
-                            .create_task(self._stream_to(
-                                subscription, writer, wlock,
-                            ))
-                        self._stream_tasks.add(stream_task)
-                        stream_task.add_done_callback(
-                            self._stream_tasks.discard
-                        )
-                        reply = _reply(
-                            seq, ok=True, subscribed=True,
-                            tenant=raw,
-                            queue_capacity=SUBSCRIBER_QUEUE,
-                        )
-                else:
-                    reply = _reply(
-                        seq, ok=False, error="unknown-op",
-                        message=f"unknown op {op!r}; valid ops: "
-                                f"{', '.join(sorted(OPS))}",
-                    )
-                try:
-                    frame = (
-                        reply if isinstance(reply, bytes)
-                        else encode_frame(reply)
-                    )
-                except ProtocolError as exc:
-                    # E.g. the ``trace`` of a tenant that streamed a
-                    # few hundred thousand chunk events.
-                    frame = encode_frame(_reply(
-                        seq, ok=False, error="reply-too-large",
-                        message=str(exc),
-                    ))
-                async with wlock:
-                    writer.write(frame)
-                    await writer.drain()
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.CancelledError):
-            pass
-        finally:
-            if subscription is not None:
-                try:
-                    self._subscribers.remove(subscription)
-                except ValueError:  # pragma: no cover
-                    pass
-            if stream_task is not None:
-                stream_task.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.CancelledError):
-                # CancelledError lands here when the loop is torn
-                # down mid-close (drain); the task is done either way.
-                pass
-
     def _chaos_op(self, doc: dict, seq) -> dict:
         from ..chaos import ChaosError, FaultPlan
 
         try:
             plan = FaultPlan.from_json(doc.get("plan") or {})
             time_scale = _wire_number(doc, "time_scale", 1.0)
-        except (ChaosError, TypeError, KeyError, ValueError) as exc:
+        except (ChaosError, TypeError, KeyError, ValueError,
+                OverflowError) as exc:
             return _reply(seq, ok=False, error="bad-plan",
                           message=str(exc))
         count = self.inject_chaos(plan, time_scale=time_scale)
         return _reply(seq, ok=True, scheduled=count)
 
-    async def _wait(
-        self, tenant: str, doc: dict, seq
-    ) -> Union[dict, bytes]:
-        """The ``wait`` reply: a dict, or a finished job's whole frame."""
-        try:
-            timeout = (
-                _wire_number(doc, "timeout", 0.0)
-                if doc.get("timeout") else None
-            )
-        except ValueError as exc:
-            return _reply(seq, ok=False, error="bad-timeout",
-                          message=str(exc))
-        job_id = doc.get("job_id")
-        record = self._records.get(job_id)
-        if record is None or record.tenant != tenant:
-            # Tenant isolation: another tenant's job ids are
-            # indistinguishable from nonexistent ones.
-            return _reply(seq, ok=False, error="unknown-job")
-        future = self._futures.get(job_id)
-        if future is not None and not record.terminal:
-            try:
-                await asyncio.wait_for(
-                    asyncio.shield(future), timeout=timeout
-                )
-            except asyncio.TimeoutError:
-                return _reply(
-                    seq, ok=False, error="timeout",
-                    state=record.state,
-                )
+    def _wait_reply(self, record: JobRecord, seq) -> Union[dict, bytes]:
+        """A terminal job's ``wait`` reply: its whole frame, or a dict
+        when that frame would outgrow ``MAX_FRAME``."""
         envelope = _reply(
             seq,
             ok=record.state == "done",
-            job_id=job_id,
+            job_id=record.job_id,
             state=record.state,
             requeues=record.requeues,
         )
@@ -802,6 +631,340 @@ class ServiceServer(object):
                 digest=record.digest,
             )
             return envelope
+
+
+class _HeldWait(object):
+    """A ``wait`` on a running job, holding its connection.
+
+    Answered by whichever comes first: the job future's done-callback
+    (the job's reply) or the ``call_later`` timer (a ``timeout``
+    reply).  Either way the other is withdrawn, and the shared future
+    -- other connections may be waiting on the same job -- is never
+    cancelled.
+    """
+
+    __slots__ = ("conn", "record", "seq", "future", "timer")
+
+    def __init__(
+        self,
+        conn: "_Connection",
+        record: JobRecord,
+        seq,
+        future: asyncio.Future,
+        timeout: Optional[float],
+    ) -> None:
+        self.conn = conn
+        self.record = record
+        self.seq = seq
+        self.future = future
+        future.add_done_callback(self.finished)
+        self.timer = (
+            future.get_loop().call_later(timeout, self.expired)
+            if timeout is not None else None
+        )
+
+    def finished(self, _future: asyncio.Future) -> None:
+        self.conn.release(
+            self, self.conn.server._wait_reply(self.record, self.seq)
+        )
+
+    def expired(self) -> None:
+        self.conn.release(self, _reply(
+            self.seq, ok=False, error="timeout", state=self.record.state,
+        ))
+
+    def withdraw(self) -> None:
+        self.future.remove_done_callback(self.finished)
+        if self.timer is not None:
+            self.timer.cancel()
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, replies out, in request order.
+
+    ``data_received`` buffers bytes in a :class:`FrameDecoder` and
+    answers every whole frame synchronously, in order.  Two things stop
+    that loop, leaving the later frames buffered: a ``wait`` on a
+    running job (a :class:`_HeldWait`, answered from the job's
+    completion or its timeout) and a transport write buffer over its
+    high-water mark (``pause_writing`` .. ``resume_writing``).  While
+    either holds and more than :data:`READ_LIMIT` bytes are buffered,
+    the transport stops reading, so a client that pipelines requests
+    cannot grow the daemon's memory.
+
+    After ``subscribe`` the connection also carries pushed stream
+    frames, written by one task per subscription under the same write
+    flow control: a watcher that does not read fills its bounded queue
+    and loses batches (counted), never the daemon's memory.
+    """
+
+    transport: asyncio.Transport  # set by connection_made
+
+    def __init__(self, server: ServiceServer) -> None:
+        self.server = server
+        self.tenant = "default"
+        self._decoder = FrameDecoder()
+        self._held: Optional[_HeldWait] = None
+        self._write_paused = False
+        self._read_paused = False
+        #: Set by ``resume_writing`` for a stream task waiting on it.
+        self._writable: Optional[asyncio.Future] = None
+        self._eof = False
+        self._subscription: Optional[_Subscription] = None
+        self._stream_task: Optional[asyncio.Task] = None
+        #: Done once the transport is gone (shutdown waits on it).
+        self.closed: asyncio.Future = asyncio.get_running_loop() \
+            .create_future()
+
+    # -- asyncio.Protocol -----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._decoder.append(data)
+        self._serve_frames()
+        if (self._held is not None or self._write_paused) \
+                and not self._read_paused \
+                and self._decoder.pending_bytes > READ_LIMIT:
+            self._read_paused = True
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._serve_frames()
+        # Keep the transport: a held ``wait`` still owes its reply.
+        # ``_serve_frames`` closes it once every whole frame is answered.
+        return True
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        waiter, self._writable = self._writable, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+        self._serve_frames()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        server = self.server
+        server._connections.discard(self)
+        self.closed.set_result(None)
+        if self._held is not None:
+            self._held.withdraw()
+            self._held = None
+        if self._subscription is not None:
+            server._subscribers.remove(self._subscription)
+        if self._stream_task is not None:
+            self._stream_task.cancel()
+
+    # -- requests -------------------------------------------------------------
+
+    def _serve_frames(self) -> None:
+        """Answer buffered frames in order until one has to wait."""
+        transport = self.transport
+        while self._held is None and not self._write_paused:
+            if transport.is_closing():
+                return
+            try:
+                doc = self._decoder.pop()
+            except ProtocolError as exc:
+                self._refuse(str(exc))
+                return
+            if doc is None:
+                self._caught_up()
+                return
+            self._answer(doc)
+
+    def _caught_up(self) -> None:
+        """Every whole frame is answered and nothing holds the
+        connection: read again, and finish a connection at EOF."""
+        transport = self.transport
+        if self._read_paused:
+            self._read_paused = False
+            transport.resume_reading()
+        if self._eof:
+            pending = self._decoder.pending_bytes
+            if pending:
+                self._refuse(
+                    f"connection closed mid-frame ({pending} bytes "
+                    f"buffered)"
+                )
+            else:
+                transport.close()
+
+    def _refuse(self, message: str) -> None:
+        """One ``protocol`` error reply, then the connection closes."""
+        self._send(_reply(None, ok=False, error="protocol",
+                          message=message))
+        self.transport.close()
+
+    def release(self, held: _HeldWait, reply: Union[dict, bytes]) -> None:
+        """Answer a held ``wait`` and serve the frames behind it."""
+        if self._held is not held:
+            return  # withdrawn: the connection went, or the other won
+        self._held = None
+        held.withdraw()
+        self._send(reply, held.seq)
+        self._serve_frames()
+
+    def _send(self, reply: Union[dict, bytes], seq=None) -> None:
+        try:
+            frame = (
+                reply if isinstance(reply, bytes) else encode_frame(reply)
+            )
+        except ProtocolError as exc:
+            # E.g. the ``trace`` of a tenant that streamed a few
+            # hundred thousand chunk events.
+            frame = encode_frame(_reply(
+                seq, ok=False, error="reply-too-large", message=str(exc),
+            ))
+        self.transport.write(frame)
+
+    def _answer(self, doc: dict) -> None:
+        server = self.server
+        seq = doc.get("seq")
+        op = doc.get("op")
+        reply: Union[dict, bytes]
+        if op == "hello":
+            raw = doc.get("tenant", "default")
+            self.tenant = str(raw) if raw else "default"
+            reply = _reply(
+                seq, ok=True, server="repro-service",
+                tenant=self.tenant, workers=server.config.workers,
+            )
+        elif op == "submit":
+            reply = server._submit(self.tenant, doc, seq)
+        elif op == "wait":
+            waited = self._wait(doc, seq)
+            if waited is None:
+                return  # held: answered when the job ends or times out
+            reply = waited
+        elif op == "status":
+            reply = _reply(seq, ok=True, status=server._status())
+        elif op == "metrics":
+            reply = _reply(
+                seq, ok=True, metrics=server._metrics_snapshot()
+            )
+        elif op == "trace":
+            which = doc.get("tenant", self.tenant)
+            events = server.events_for(
+                None if which == "*" else str(which)
+            )
+            reply = _reply(
+                seq, ok=True, events=[ev.to_dict() for ev in events],
+            )
+        elif op == "log":
+            reply = _reply(seq, ok=True, log=list(server.pool.log))
+        elif op == "drain":
+            server.initiate_drain()
+            reply = _reply(seq, ok=True, draining=True)
+        elif op == "chaos":
+            reply = server._chaos_op(doc, seq)
+        elif op == "kill-worker":
+            try:
+                hit = server.pool.kill_worker(
+                    int(_wire_number(doc, "worker", -1))
+                )
+                reply = _reply(seq, ok=True, killed=hit)
+            except ValueError as exc:
+                reply = _reply(seq, ok=False, error="bad-worker",
+                               message=str(exc))
+        elif op == "ping":
+            reply = _reply(seq, ok=True, pong=True)
+        elif op in ("subscribe", "watch"):
+            reply = self._subscribe(doc, seq)
+        else:
+            reply = _reply(
+                seq, ok=False, error="unknown-op",
+                message=f"unknown op {op!r}; valid ops: "
+                        f"{', '.join(sorted(OPS))}",
+            )
+        self._send(reply, seq)
+
+    def _wait(self, doc: dict, seq) -> Union[dict, bytes, None]:
+        """The ``wait`` reply, or ``None`` once the connection is held
+        for a job that is still running."""
+        server = self.server
+        try:
+            timeout = (
+                _wire_number(doc, "timeout", 0.0)
+                if doc.get("timeout") else None
+            )
+        except ValueError as exc:
+            return _reply(seq, ok=False, error="bad-timeout",
+                          message=str(exc))
+        job_id = doc.get("job_id")
+        record = (
+            server._records.get(job_id) if isinstance(job_id, str)
+            else None
+        )
+        if record is None or record.tenant != self.tenant:
+            # Tenant isolation: another tenant's job ids are
+            # indistinguishable from nonexistent ones.
+            return _reply(seq, ok=False, error="unknown-job")
+        future = server._futures.get(job_id)
+        if future is None or record.terminal:
+            return server._wait_reply(record, seq)
+        if timeout is not None and timeout <= 0:
+            return _reply(seq, ok=False, error="timeout",
+                          state=record.state)
+        self._held = _HeldWait(self, record, seq, future, timeout)
+        return None
+
+    # -- live telemetry ------------------------------------------------------
+
+    def _subscribe(self, doc: dict, seq) -> dict:
+        if self._subscription is not None:
+            return _reply(seq, ok=False, error="already-subscribed")
+        server = self.server
+        raw = doc.get("tenant", self.tenant)
+        sub = self._subscription = _Subscription(
+            None if raw == "*" else str(raw)
+        )
+        server._subscribers.append(sub)
+        server.metrics.counter("subscriptions_total").inc()
+        task = self._stream_task = asyncio.get_running_loop() \
+            .create_task(self._stream_to(sub))
+        server._stream_tasks.add(task)
+        task.add_done_callback(server._stream_tasks.discard)
+        return _reply(
+            seq, ok=True, subscribed=True, tenant=raw,
+            queue_capacity=SUBSCRIBER_QUEUE,
+        )
+
+    async def _stream_to(self, sub: _Subscription) -> None:
+        """Push queued event batches to this subscriber until told to
+        stop (a ``None`` sentinel) or the peer goes away.
+
+        Every frame carries the subscription's monotone ``n`` and its
+        *cumulative* ``drops``, so a reader can both order frames and
+        see exactly how much it missed at any point; the sentinel
+        produces a final ``{"watch": "end"}`` frame with the closing
+        totals.  A frame waits for the transport to take it
+        (``resume_writing``) while the queue behind it fills.  The
+        connection cancels this task when its peer goes away.
+        """
+        while True:
+            item = await sub.queue.get()
+            sub.n += 1
+            if item is None:
+                frame: dict[str, Any] = {"watch": "end"}
+            else:
+                frame = {"watch": "events", **item}
+            frame["n"] = sub.n
+            frame["drops"] = sub.drops
+            if self._write_paused:
+                self._writable = asyncio.get_running_loop() \
+                    .create_future()
+                await self._writable
+            if self.transport.is_closing():
+                return
+            self._send(frame)
+            if item is None:
+                return
 
 
 def _wire_number(doc: dict, field: str, default: float) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.batch import SimJob
@@ -76,6 +78,26 @@ class TestWorkloadFromSpec:
         with pytest.raises(JobSpecError, match="object"):
             workload_from_spec("uniform")
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "uniform", "size": 1e400}',
+        '{"kind": "uniform", "size": Infinity}',
+        '{"kind": "mandelbrot", "width": 1e400}',
+        '{"kind": "mandelbrot", "width": 8, "height": 4, "sf": 1e400}',
+        '{"kind": "spin", "size": 8, "veclen": -Infinity}',
+        '{"kind": "random", "size": 8, "seed": 1e400}',
+    ])
+    def test_infinite_integer_fields_become_bad_spec(self, text):
+        # json.loads reads 1e400 (and a bare Infinity) as inf, and
+        # int(inf) raises OverflowError: it used to escape admission
+        # and kill the connection handler without a reply.
+        with pytest.raises(JobSpecError, match="bad .* workload spec"):
+            workload_from_spec(json.loads(text))
+
+    @pytest.mark.parametrize("kind", [["uniform"], {"k": 1}])
+    def test_unhashable_kind_becomes_bad_spec(self, kind):
+        with pytest.raises(JobSpecError, match="unknown workload kind"):
+            workload_from_spec({"kind": kind, "size": 5})
+
 
 class TestClusterFromSpec:
     def test_default_is_homogeneous(self):
@@ -111,6 +133,8 @@ class TestClusterFromSpec:
         ({"nodes": "nope"}, "array"),
         ({"workers": "many"}, "workers"),
         ({"master_service": [1, 2]}, "master_service"),
+        ({"workers": float("inf")}, "workers"),
+        ({"nodes": []}, "bad cluster spec"),
     ])
     def test_junk_values_become_bad_spec(self, spec, match):
         # Every conversion must surface as a JobSpecError (-> the
@@ -184,3 +208,32 @@ class TestJobFromSpec:
     def test_bad_engine_rejected(self):
         with pytest.raises(JobSpecError):
             job_from_spec(dict(self.SPEC, engine="quantum"))
+
+    @pytest.mark.parametrize("params", [[1, 2], "ab", 5, [["a", 1]]])
+    def test_params_must_be_an_object(self, params):
+        # dict([1, 2]) raises TypeError, dict("ab") ValueError: both
+        # used to escape admission and kill the connection handler.
+        with pytest.raises(JobSpecError, match="params must be an object"):
+            job_from_spec(dict(self.SPEC, params=params))
+
+    def test_wire_overflow_anywhere_is_bad_spec(self):
+        spec = json.loads(
+            '{"scheme": "TSS", "cluster": {"workers": 1e400},'
+            ' "workload": {"kind": "uniform", "size": 50}}'
+        )
+        with pytest.raises(JobSpecError, match="workers"):
+            job_from_spec(spec)
+
+    @pytest.mark.parametrize("chaos, scale", [
+        ([1], None),
+        ("plan", None),
+        ({"events": []}, float("nan")),
+        ({"events": []}, -1.0),
+        ({"events": []}, 0.0),
+    ])
+    def test_malformed_chaos_is_bad_spec(self, chaos, scale):
+        spec = dict(self.SPEC, chaos=chaos)
+        if scale is not None:
+            spec["chaos_scale"] = scale
+        with pytest.raises(JobSpecError, match="bad chaos plan"):
+            job_from_spec(spec)

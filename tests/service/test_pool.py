@@ -109,6 +109,25 @@ class TestExecution:
         assert _body(record)["result"]["scheme"] == "TSS"
         assert _holds_only_scalars(record)
 
+    def test_wire_spec_is_built_and_run_in_the_worker(self):
+        """What the daemon stores: the admitted wire spec itself.  The
+        worker builds it with ``job_from_spec`` -- the one-shot side of
+        the digest contract -- and the terminal record lets it go."""
+        spec = dict(FAST_SPEC, results=True)
+        reference = job_from_spec(spec).run()
+        sink = _Sink()
+        with WorkerPool(size=1, config=SNAPPY,
+                        on_complete=sink) as pool:
+            pool.submit(JobRecord(job_id="j1", tenant="alice",
+                                  job=dict(spec), want_results=True))
+            sink.wait_for("j1")
+        record = sink.done["j1"]
+        assert record.state == "done"
+        assert record.digest == stream_digest(reference.obs_events)
+        assert _body(record)["result"] == json.loads(
+            reference.to_json(True))
+        assert _holds_only_scalars(record)
+
     def test_many_jobs_across_tenants_all_complete(self):
         sink = _Sink()
         ids = [f"j{i}" for i in range(6)]
@@ -270,6 +289,38 @@ class TestDeadlineScan:
                 except ProcessLookupError:
                     pass
         assert took < 1.2, f"revived {took:.2f}s after the worker wedged"
+
+
+class TestFailedSend:
+    def test_failed_dispatch_send_wakes_the_pump(self):
+        """A send that fails on a live worker condemns its incarnation
+        and wakes the pump, which retires it and requeues the job on
+        that turn -- not ``poll_timeout`` later, and a heartbeat read
+        in between cannot take the verdict back."""
+        lazy = RuntimeConfig(
+            poll_timeout=5.0, worker_deadline=20.0,
+            heartbeat_interval=0.2, join_timeout=5.0,
+        )
+        sink = _Sink()
+        with WorkerPool(size=1, config=lazy, on_complete=sink) as pool:
+            _wait_until("the worker to start",
+                        lambda: pool.stats()["workers_live"] == 1)
+            conn = pool._handles[0].conn
+
+            def refuse(msg):
+                raise OSError("injected send failure")
+
+            conn.send = refuse  # this incarnation's pipe only
+            started = time.monotonic()
+            pool.submit(JobRecord(job_id="j1", tenant="alice",
+                                  job=dict(FAST_SPEC)))
+            sink.wait_for("j1", timeout=4.0)
+            took = time.monotonic() - started
+            ledger = list(pool.log)
+        record = sink.done["j1"]
+        assert record.state == "done" and record.requeues == 1
+        assert took < 2.5, f"requeued {took:.2f}s after the failed send"
+        audit_service_log(ledger).raise_if_failed()
 
 
 def _wait_until(what: str, ready, timeout: float = 30.0) -> None:

@@ -15,10 +15,8 @@ from repro.service.protocol import (
     ProtocolError,
     encode_frame,
     frame_payload,
-    read_frame,
     recv_frame,
     send_frame,
-    write_frame,
 )
 
 
@@ -152,49 +150,32 @@ class TestBlockingSockets:
 
 
 class TestAsyncioStreams:
-    def _run(self, coro):
-        return asyncio.run(coro)
-
-    def test_roundtrip_over_unix_socket(self, tmp_path):
-        path = str(tmp_path / "t.sock")
-
-        async def scenario():
-            got = []
-
-            async def handler(reader, writer):
-                got.append(await read_frame(reader))
-                await write_frame(writer, {"pong": True})
-                writer.close()
-
-            server = await asyncio.start_unix_server(handler, path=path)
-            reader, writer = await asyncio.open_unix_connection(path)
-            await write_frame(writer, {"op": "ping"})
-            reply = await read_frame(reader)
-            assert await read_frame(reader) is None  # clean EOF
-            writer.close()
-            server.close()
-            await server.wait_closed()
-            return got, reply
-
-        got, reply = self._run(scenario())
-        assert got == [{"op": "ping"}]
-        assert reply == {"pong": True}
-
     def test_async_and_blocking_interoperate(self, tmp_path):
-        """The client library's blocking codec against the daemon's
-        asyncio codec -- the actual production pairing."""
+        """The client library's blocking codec against an asyncio
+        ``Protocol`` that feeds a :class:`FrameDecoder` and writes
+        :func:`encode_frame` bytes -- the daemon's side of the actual
+        production pairing."""
         path = str(tmp_path / "t.sock")
+
+        class Echo(asyncio.Protocol):
+            def __init__(self, done):
+                self.done = done
+                self.decoder = FrameDecoder()
+
+            def connection_made(self, transport):
+                self.transport = transport
+
+            def data_received(self, data):
+                for doc in self.decoder.feed(data):
+                    self.transport.write(encode_frame({"echo": doc}))
+
+            def connection_lost(self, exc):
+                self.done.set()
 
         async def serve_once():
             done = asyncio.Event()
-
-            async def handler(reader, writer):
-                doc = await read_frame(reader)
-                await write_frame(writer, {"echo": doc})
-                writer.close()
-                done.set()
-
-            server = await asyncio.start_unix_server(handler, path=path)
+            server = await asyncio.get_running_loop().create_unix_server(
+                lambda: Echo(done), path=path)
             ready.set()
             await done.wait()
             server.close()
@@ -210,7 +191,12 @@ class TestAsyncioStreams:
         sock.connect(path)
         try:
             send_frame(sock, {"op": "ping", "seq": 9})
+            # Two frames in one write come back as two replies.
+            sock.sendall(encode_frame({"n": 1}) + encode_frame({"n": 2}))
             assert recv_frame(sock) == {"echo": {"op": "ping", "seq": 9}}
+            assert recv_frame(sock) == {"echo": {"n": 1}}
+            assert recv_frame(sock) == {"echo": {"n": 2}}
         finally:
             sock.close()
         thread.join(timeout=5.0)
+        assert not thread.is_alive()

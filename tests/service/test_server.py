@@ -24,6 +24,7 @@ import pytest
 from repro.obs import stream_digest
 from repro.runtime.config import RuntimeConfig
 from repro.service import ServiceClient, ServiceError, protocol
+from repro.service.protocol import encode_frame, recv_frame
 from repro.service.jobs import job_from_spec
 from repro.service.server import ServiceConfig, ServiceServer
 from repro.verify import audit_service_log
@@ -268,6 +269,48 @@ class TestBasics:
                     bob.wait(job_id, timeout=5)
                 assert err.value.reason == "unknown-job"
                 assert alice.wait(job_id, timeout=60)["state"] == "done"
+
+
+class TestHeldWait:
+    #: Runs for a few hundred milliseconds in the pool worker.
+    SLOWISH = dict(tenant_spec(0), scheme="SS",
+                   workload={"kind": "uniform", "size": 12000,
+                             "unit": 1e-4})
+
+    def test_frames_behind_a_held_wait_are_answered_after_it(
+        self, tmp_path
+    ):
+        """Replies on a connection come in request order: a ``wait``
+        on a running job holds the frames sent behind it."""
+        with _Daemon(tmp_path, workers=1) as d, d.client("alice") as c:
+            job_id = c.submit(self.SLOWISH)
+            c._sock.sendall(
+                encode_frame({"op": "wait", "job_id": job_id, "seq": 7})
+                + encode_frame({"op": "ping", "seq": 8})
+            )
+            first, second = recv_frame(c._sock), recv_frame(c._sock)
+        assert first["seq"] == 7 and first["state"] == "done"
+        assert second == {"ok": True, "pong": True, "seq": 8}
+
+    def test_a_timed_out_or_closed_wait_leaves_the_job_waitable(
+        self, tmp_path
+    ):
+        """Several waits share one job future: a wait that times out,
+        or whose connection closes, withdraws only itself."""
+        with _Daemon(tmp_path, workers=1) as d, \
+                d.client("alice") as a, d.client("alice") as b:
+            job_id = a.submit(self.SLOWISH)
+            b._sock.sendall(encode_frame(
+                {"op": "wait", "job_id": job_id, "seq": 1}))
+            with d.client("alice") as leaver:
+                leaver._sock.sendall(encode_frame(
+                    {"op": "wait", "job_id": job_id, "seq": 1}))
+            with pytest.raises(ServiceError) as err:
+                a.wait(job_id, timeout=0.05)
+            assert err.value.reason == "timeout"
+            assert a.ping()  # the timed-out connection is served on
+            assert recv_frame(b._sock)["state"] == "done"
+            assert a.wait(job_id, timeout=60)["state"] == "done"
 
 
 class TestMultiTenantDigests:
