@@ -1,18 +1,19 @@
 """Bench adaptive: the meta-scheduler wrapper must stay ~free.
 
-The adaptive scheduler delegates every ``next_chunk`` to a registry
-sub-scheduler and adds per-chunk bookkeeping (span recording, the
-speed map) plus per-stage bandit/tuner work.  On a uniform workload
-with a single candidate and a single stage it is *decision-equivalent*
-to the fixed scheme it wraps (the unit suite proves the ledgers
-identical), so the cost difference is pure wrapper overhead.
+The adaptive scheduler's stepper drives a registry sub-scheduler's own
+stepper and adds per-chunk bookkeeping (span recording, the speed map)
+plus per-stage bandit/tuner work.  On a uniform workload with a single
+candidate and a single stage it is *decision-equivalent* to the fixed
+scheme it wraps (the unit suite proves the ledgers identical), so the
+cost difference is pure wrapper overhead.
 
 The guard is on the **per-chunk wrapper cost** -- min-of-N pure
-scheduler drains (no DES) of ``adaptive:SS@1`` vs plain ``SS``: 6000
-chunk hand-outs per drain, so the difference is the bookkeeping
-itself -- as a share of the plain drain: wrapping a scheme must cost
-less than the scheme's own ``next_chunk``.  SS is the worst case (one
-chunk per iteration); every real candidate amortises the same
+scheduler drains (no DES) of ``adaptive:SS@1`` vs plain ``SS`` through
+``Scheduler.stepper``, the path every substrate takes: 6000 chunk
+hand-outs per drain, so the difference is the bookkeeping itself -- as
+a share of the plain drain.  SS is the worst case (one chunk per
+iteration, and its step is a constant formula: the smallest
+denominator there is); every real candidate amortises the same
 per-chunk cost over larger chunks.
 
 Both terms are scheduler drains from one session and neither contains
@@ -27,7 +28,6 @@ from __future__ import annotations
 import time
 
 from repro.core import make
-from repro.core.base import WorkerView
 from repro.simulation import ClusterSpec, NodeSpec, simulate
 from repro.workloads import UniformWorkload
 
@@ -38,9 +38,10 @@ WL = UniformWorkload(size=6000, unit=1e-6)
 DEGENERATE = "adaptive:SS@1"
 MULTI = "adaptive:TSS+FSS+GSS@6"
 #: Wrapper bookkeeping bound, as a share of the plain scheme's drain.
-#: Measured 0.35-0.65 on the 2-CPU dev host (~0.4-0.9 us a chunk on a
-#: ~1.6 us ``next_chunk``).
-OVERHEAD = 1.0
+#: Measured 0.9-1.2 on a 1-CPU container (~0.27 us a chunk on a
+#: ~0.25 us SS step; through ``next_chunk`` the same wrapper cost
+#: ~0.64 us a chunk before both were steppers).
+OVERHEAD = 2.0
 
 
 def _cluster(n=4):
@@ -59,16 +60,11 @@ def _min_of(fn, repeats=5):
 
 
 def _drain(spec):
-    views = [WorkerView(worker_id=i) for i in range(4)]
-    sched = make(spec, WL.size, 4)
-    i = 0
+    step = make(spec, WL.size, 4).stepper(lambda _wid: (1.0, 1))
     chunks = 0
-    while True:
-        chunk = sched.next_chunk(views[i % 4])
-        if chunk is None:
-            return chunks
+    while step(chunks % 4, None) is not None:
         chunks += 1
-        i += 1
+    return chunks
 
 
 def test_degenerate_adaptive_matches_fixed_result():

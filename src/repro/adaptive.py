@@ -50,7 +50,8 @@ import random
 from typing import Optional, Sequence
 
 from .core import registry as _registry
-from .core.base import Scheduler, SchemeError, WorkerView
+from .core.base import Reply, Requester, Scheduler, SchemeError
+from .core.base import SteppedScheduler, Stepper
 
 __all__ = [
     "DEFAULT_CANDIDATES",
@@ -316,15 +317,15 @@ def _normalize_candidates(
     return tuple(normalized)
 
 
-class AdaptiveScheduler(Scheduler):
+class AdaptiveScheduler(SteppedScheduler):
     """Stage-wise meta-scheduler over the fixed-scheme registry.
 
     Implements the standard :class:`~repro.core.base.Scheduler`
     protocol, so every master-dispatch substrate (simulator engine,
     runtime master, batch/CLI) drives it unchanged.  Internally each
-    stage delegates to a fresh sub-scheduler built over the stage's
-    size; the inherited cursor does the offsetting, so exactly-once
-    tiling holds no matter what the policy decides.
+    stage steps a fresh sub-scheduler built over the stage's size; the
+    inherited cursor does the offsetting, so exactly-once tiling holds
+    no matter what the policy decides.
 
     Substrate hooks (inert on :class:`~repro.core.base.Scheduler`,
     live here):
@@ -407,31 +408,35 @@ class AdaptiveScheduler(Scheduler):
 
     # -- policy ------------------------------------------------------------
 
-    def _chunk_size(self, worker: WorkerView) -> int:
+    def _lean_stepper(self, requester: Requester) -> Stepper:
+        """Drive the current stage's sub-scheduler through its own
+        stepper; a dry one opens the next stage."""
+        total, speeds = self.total, self._speeds
         sub = self._sub
-        if sub is None or sub._cursor >= sub.total:
-            self._open_stage()
-            sub = self._sub
-        # Inlined delegation: let the sub-scheduler size, clip and
-        # consume its chunk, skipping its ChunkAssignment construction.
-        # The outer base class builds the one assignment the master
-        # actually sees, so the wrapper costs one chunk record per
-        # chunk, not two.  (The registry refuses distributed
-        # candidates, which are the only schedulers that override
-        # ``next_chunk`` itself.)
-        at = sub._take(worker)
-        size = sub._cursor - at
-        start = self._sub_base + at
-        # The *static* virtual power only: the run queue is
-        # runtime-observed state (the simulator's load model sees a
-        # spike, the real runtime's view does not), so folding it in
-        # would break substrate-invariant decisions.
-        self._speeds[worker.worker_id] = worker.virtual_power
-        self._cur_spans.append((start, start + size))
-        return size
+        sub_step = None if sub is None else sub.stepper(requester)
 
-    def _current_stage(self) -> int:
-        return self._stage_count
+        def step(wid: int, acp: Optional[int] = None) -> Reply:
+            nonlocal sub_step
+            if self._cursor >= total:
+                return None
+            got = None if sub_step is None else sub_step(wid, acp)
+            if got is None:
+                sub_step = self._open_stage().stepper(requester)
+                got = sub_step(wid, acp)
+                assert got is not None  # a stage is never empty
+            base = self._sub_base
+            start, stop = base + got[0], base + got[1]
+            self._cursor = stop
+            self._step += 1
+            # The *static* virtual power only: the run queue is
+            # runtime-observed state (the simulator's load model sees a
+            # spike, the real runtime's requester does not), so folding
+            # it in would break substrate-invariant decisions.
+            speeds[wid] = requester(wid)[0]
+            self._cur_spans.append((start, stop))
+            return start, stop, self._stage_count
+
+        return step
 
     def _next_stage_size(self, remaining: int) -> int:
         n_cand = len(self.candidates)
@@ -485,7 +490,8 @@ class AdaptiveScheduler(Scheduler):
         self._bandit.update(rec.arm, stats.reward)
         return stats
 
-    def _open_stage(self) -> None:
+    def _open_stage(self) -> Scheduler:
+        """Score the finished stage, open the next; returns its scheme."""
         stats = self._close_stage()
         base = self._cursor
         remaining = self.total - base
@@ -527,6 +533,7 @@ class AdaptiveScheduler(Scheduler):
             )
             self.decisions.append(tune)
             self._fresh.append(tune)
+        return sub
 
     # -- introspection -----------------------------------------------------
 

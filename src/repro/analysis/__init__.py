@@ -6,7 +6,6 @@ from .chunks import (
     ChunkStats,
     chunk_sequence,
     chunk_stats,
-    per_worker_sizes,
     table1_rows,
 )
 from .plots import bar_chart, gantt_chart, line_chart, profile_chart
@@ -33,7 +32,6 @@ __all__ = [
     "range_over_mean",
     "balance_report",
     "chunk_sequence",
-    "per_worker_sizes",
     "ChunkStats",
     "chunk_stats",
     "table1_rows",

@@ -6,18 +6,16 @@ pure function of the schemes, no cluster needed;
 :func:`table1_rows` formats the table's rows, including the nominal TSS
 row the paper prints (which over-covers ``I`` -- see EXPERIMENTS.md).
 
-Also here: per-PE grouping (the staged schemes' "4 PEs per stage" view)
-and summary statistics used by the ablation benchmarks.
+Also here: summary statistics used by the ablation benchmarks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core import (
     Scheduler,
-    WorkerView,
     drain,
     make,
     nominal_tss_chunks,
@@ -26,7 +24,6 @@ from ..core import (
 
 __all__ = [
     "chunk_sequence",
-    "per_worker_sizes",
     "ChunkStats",
     "chunk_stats",
     "table1_rows",
@@ -34,11 +31,7 @@ __all__ = [
 
 
 def chunk_sequence(
-    scheme: str | Scheduler,
-    total: int,
-    workers: int,
-    worker_views: Optional[Sequence[WorkerView]] = None,
-    **kwargs,
+    scheme: str | Scheduler, total: int, workers: int, **kwargs
 ) -> list[int]:
     """Chunk sizes from a synchronous round-robin drain of ``scheme``."""
     scheduler = (
@@ -46,23 +39,7 @@ def chunk_sequence(
         if isinstance(scheme, str)
         else scheme
     )
-    cycle = list(worker_views) if worker_views else None
-    return [c.size for c in drain(scheduler, cycle)]
-
-
-def per_worker_sizes(
-    scheme: str | Scheduler, total: int, workers: int, **kwargs
-) -> dict[int, list[int]]:
-    """Chunk sizes grouped by requesting worker (round-robin order)."""
-    scheduler = (
-        make(scheme, total, workers, **kwargs)
-        if isinstance(scheme, str)
-        else scheme
-    )
-    out: dict[int, list[int]] = {w: [] for w in range(workers)}
-    for chunk in drain(scheduler):
-        out[chunk.worker_id].append(chunk.size)
-    return out
+    return [c.size for c in drain(scheduler)]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -13,9 +13,9 @@ worker request.  The paper's master--slave protocol (Sec. 2.2) is:
 
 Schemes here are *pure policies*, independent of any execution substrate:
 the discrete-event simulator (:mod:`repro.simulation`), the real
-multiprocessing runtime (:mod:`repro.runtime`), and the analytical
-chunk-trace tools (:mod:`repro.analysis.chunks`) all drive the same
-objects through the :class:`Scheduler` interface.
+runtimes (:mod:`repro.runtime`) and the replay auditor
+(:mod:`repro.verify`) ask through :meth:`Scheduler.stepper`, and the
+chunk-trace tools (:mod:`repro.analysis.chunks`) drain the objects.
 
 Two families exist:
 
@@ -23,8 +23,8 @@ Two families exist:
   stage bookkeeping -- every request at the same scheduling step gets the
   same size regardless of which PE asked;
 * **distributed** schemes (paper Sec. 3 and 6) scale chunks by the
-  requesting worker's *available computing power* (ACP), carried in the
-  :class:`WorkerView` passed to :meth:`Scheduler.next_chunk`.
+  requesting worker's *available computing power* (ACP), which every
+  request carries.
 """
 
 from __future__ import annotations
@@ -36,10 +36,19 @@ __all__ = [
     "WorkerView",
     "ChunkAssignment",
     "Scheduler",
+    "SteppedScheduler",
     "SchemeError",
-    "formula_stepper",
     "drain",
 ]
+
+#: ``requester(wid) -> (virtual_power, run_queue)``: the substrate's
+#: description of the PE that is asking (paper's ``V_i``, ``Q_i``).
+Requester = Callable[[int], tuple[float, int]]
+#: The master's reply: ``(start, stop, stage)``, None once the loop is
+#: exhausted (terminate).
+Reply = Optional[tuple[int, int, int]]
+#: ``step(wid, acp) -> Reply``; ``acp`` is the ACP the request carries.
+Stepper = Callable[[int, Optional[int]], Reply]
 
 
 class SchemeError(ValueError):
@@ -122,19 +131,22 @@ class Scheduler(object):
     paper's Eq. 1, ``C_i = f(R_{i-1}, p)``, plus the requester view.
     It reads scheme parameters and nothing else: every piece of loop
     state (cursor, step, per-worker request counts, the clip rule)
-    belongs to whoever *drives* the formula.  There are three drivers:
-    :meth:`next_chunk` here, the lockstep
-    :class:`repro.core.kernel.ChunkCalculator`, and
-    :func:`formula_stepper` below, which the simulators use (the
-    analytic fast path inlines the same few lines around its own
-    cursor).
+    belongs to whoever *drives* the formula.
 
-    Schemes that are stateful by nature (feedback-driven,
-    user-written) override :meth:`_chunk_size` instead; it stays the
-    public extension point and only :meth:`next_chunk` can drive it.
-    The ACP-driven family (:mod:`repro.core.distributed`) has a stepper
-    of its own, ``(wid, acp) -> (start, stop, stage)``, which its
-    ``next_chunk`` adapts.
+    A substrate asks one way, :meth:`stepper`; for a scheme that is its
+    formula that is a closure over :meth:`_nominal`.  Beside it stand
+    the lockstep :class:`repro.core.kernel.ChunkCalculator`, which
+    tabulates a whole ladder, and the analytic fast path's inlined arm,
+    the same few lines around the fast loop's own cursor.  That arm
+    stays because calling the closure per chunk measured 10.6% slower
+    on the ledger's ``sweep_fast`` (``jobs_per_s`` medians 3006 ->
+    2688, +21% ``job_p95_ms``, 6 of 6 alternating pairs).
+
+    User-written schemes may override :meth:`_chunk_size` instead; the
+    stepper then asks through :meth:`next_chunk`, one
+    :class:`WorkerView` per request.  A scheme whose policy *is* a
+    stepper (the ACP-driven family, the adaptive meta-scheduler)
+    derives from :class:`SteppedScheduler`.
 
     A scheduler instance is single-use: it walks the loop from iteration
     0 to ``total`` exactly once.  Create a fresh instance per run (the
@@ -165,6 +177,11 @@ class Scheduler(object):
     #: (FSS/FISS/TFSS) descend per-PE, WF weighs by requester, and the
     #: distributed family consumes runtime ACP reports.
     order_invariant: bool = False
+    #: The hooks :meth:`_lean_stepper` stands in for (the hook rule of
+    #: :meth:`stepper`).
+    _bypasses: tuple[str, ...] = (
+        "next_chunk", "_take", "_chunk_size", "_current_stage",
+    )
 
     def __init__(self, total: int, workers: int) -> None:
         if total < 0:
@@ -205,8 +222,69 @@ class Scheduler(object):
         """
         return None
 
-    def next_chunk(self, worker: WorkerView) -> Optional[ChunkAssignment]:
-        """Assign the next chunk to ``worker``.
+    def stepper(self, requester: Requester) -> Stepper:
+        """The one way a substrate asks: ``step(wid, acp)``, where
+        ``requester`` describes the PE asking (only a
+        :class:`WorkerView` reads it).  One step is one
+        :meth:`next_chunk`: the same reply, the same state left behind.
+
+        The hook rule lives here, once: a scheduler that replaces none
+        of ``_bypasses`` gets its :meth:`_lean_stepper` -- the formula
+        closure (tagged ``formula``: the fast path inlines it), the ACP
+        family's ``step``, the adaptive stage driver.  Any other is
+        asked through its own :meth:`next_chunk`.
+        """
+        for owner in type(self).__mro__:  # the class defining it
+            if "_lean_stepper" in owner.__dict__:
+                break
+        if calls_own_hooks(self, owner, self._bypasses):
+            return self._lean_stepper(requester)
+
+        def step(wid: int, acp: Optional[int] = None) -> Reply:
+            virtual_power, run_queue = requester(wid)
+            chunk = self.next_chunk(
+                WorkerView(wid, virtual_power, run_queue, acp)
+            )
+            if chunk is None:
+                return None
+            return chunk.start, chunk.stop, chunk.stage
+
+        return step
+
+    def _lean_stepper(self, requester: Requester) -> Stepper:
+        """The formula closure: :meth:`_nominal` at the scheduler's own
+        cursor, step and request counts, without the ``WorkerView`` and
+        ``ChunkAssignment`` the formula never looks at."""
+        total = self.total
+        nominal = self._nominal
+        # A constant formula (SS, CSS, BC) needs no call at all.
+        const = self.constant
+
+        def step(wid: int, acp: Optional[int] = None) -> Reply:
+            start = self._cursor
+            rem = total - start
+            if rem <= 0:
+                return None
+            requests = self._requests
+            k = requests.get(wid, 0)
+            requests[wid] = k + 1
+            if const is None:
+                size, stage = nominal(rem, self._step, wid, k)
+                size = int(size)
+            else:
+                size, stage = const, 0
+            if size < 1:
+                size = 1
+            stop = self._cursor = start + (size if size < rem else rem)
+            self._step += 1
+            self._stage = stage
+            return start, stop, stage
+
+        step.formula = True  # type: ignore[attr-defined]
+        return step
+
+    def next_chunk(self, view: WorkerView) -> Optional[ChunkAssignment]:
+        """Assign the next chunk to the worker ``view`` describes.
 
         Returns ``None`` when the loop is exhausted (the master then
         replies with a termination message).  The returned interval is
@@ -215,11 +293,11 @@ class Scheduler(object):
         """
         if self._cursor >= self.total:
             return None
-        start = self._take(worker)
+        start = self._take(view)
         return ChunkAssignment(
             start=start,
             stop=self._cursor,
-            worker_id=worker.worker_id,
+            worker_id=view.worker_id,
             step=self._step,
             stage=self._current_stage(),
         )
@@ -228,8 +306,8 @@ class Scheduler(object):
         """Size, clip and consume the next chunk; return its start.
 
         The loop must not be finished.  The min-1 / clip-to-remaining
-        rule lives here for the hook-driven schedulers, in
-        :func:`formula_stepper` for the formula-driven and in
+        rule lives here for the hook-driven schedulers, in the formula
+        closure (:meth:`_lean_stepper`) for the formula-driven and in
         :meth:`repro.core.distributed.DistributedSchedulerBase.step`
         for the ACP-driven family.
         """
@@ -336,23 +414,32 @@ class Scheduler(object):
         )
 
 
-#: ``Scheduler`` methods a scheme must leave alone to be driven by its
-#: formula: then a chunk is exactly the base driver's clip of
-#: ``_nominal`` and whoever owns the cursor may evaluate it.
-_DRIVER_HOOKS = ("next_chunk", "_take", "_chunk_size", "_current_stage")
+class SteppedScheduler(Scheduler):
+    """A scheduler whose policy is its :meth:`~Scheduler._lean_stepper`
+    (the ACP-driven family, the adaptive meta-scheduler):
+    :meth:`next_chunk` is the object protocol's one adapter over it."""
+
+    _bypasses = ("next_chunk",)
+
+    def next_chunk(self, view: WorkerView) -> Optional[ChunkAssignment]:
+        got = self._lean_stepper(
+            lambda _wid: (view.virtual_power, view.run_queue)
+        )(view.worker_id, view.acp)
+        if got is None:
+            return None
+        return ChunkAssignment(
+            start=got[0], stop=got[1], worker_id=view.worker_id,
+            step=self._step, stage=got[2],
+        )
 
 
 def calls_own_hooks(
     scheduler: Scheduler, owner: type, hooks: Sequence[str]
 ) -> bool:
-    """The hook rule of every lean driver: True when ``scheduler``
-    would call ``owner``'s own definition of each of ``hooks``.
-
-    A class override and an instance shadow both count as a
-    replacement; either one means the scheduler must be driven the
-    long way, through its ``next_chunk``, so that the replacement is
-    what runs.
-    """
+    """The hook rule of :meth:`Scheduler.stepper`: True when
+    ``scheduler`` would call ``owner``'s own definition of each of
+    ``hooks``.  A class override and an instance shadow both count as
+    a replacement: then the replacement must be what runs."""
     for hook in hooks:
         # What the scheduler would call, class override and instance
         # shadow alike.  (Not ``vars(scheduler)``: reading ``__dict__``
@@ -365,50 +452,6 @@ def calls_own_hooks(
         ):
             return False
     return True
-
-
-def formula_stepper(
-    scheduler: Scheduler,
-) -> Optional[Callable[[int], Optional[tuple[int, int, int]]]]:
-    """``wid -> (start, stop, stage) | None`` for a scheduler that *is*
-    its :meth:`~Scheduler._nominal` formula; None for one that is not.
-
-    A scheduler is formula-driven when neither its class nor the
-    instance itself replaces a driver hook.  For those, one call of the
-    returned function is one :meth:`~Scheduler.next_chunk` -- the same
-    interval, and the same ``_cursor`` / ``_step`` / ``_requests`` /
-    ``_stage`` left on the scheduler after every step (substrates read
-    ``scheduler.finished`` mid-run) -- without the ``WorkerView`` and
-    ``ChunkAssignment`` the formula never looks at.
-    """
-    if not calls_own_hooks(scheduler, Scheduler, _DRIVER_HOOKS):
-        return None
-    total = scheduler.total
-    nominal = scheduler._nominal
-    # A constant formula (SS, CSS, BC) needs no call at all.
-    const = scheduler.constant
-
-    def step(wid: int) -> Optional[tuple[int, int, int]]:
-        start = scheduler._cursor
-        rem = total - start
-        if rem <= 0:
-            return None
-        requests = scheduler._requests
-        k = requests.get(wid, 0)
-        requests[wid] = k + 1
-        if const is None:
-            size, stage = nominal(rem, scheduler._step, wid, k)
-            size = int(size)
-        else:
-            size, stage = const, 0
-        if size < 1:
-            size = 1
-        stop = scheduler._cursor = start + (size if size < rem else rem)
-        scheduler._step += 1
-        scheduler._stage = stage
-        return start, stop, stage
-
-    return step
 
 
 def drain(scheduler: Scheduler, worker_cycle: Optional[list[WorkerView]] = None

@@ -16,11 +16,13 @@ Master
         were derived, re-derive them over the *remaining* iterations.
 
 Steps 1a, 2a and 2c are written once, in
-:meth:`DistributedSchedulerBase.step`, the family's driver
+:meth:`DistributedSchedulerBase.step`, the family's stepper
 ``(wid, acp) -> (start, stop, stage)``; a scheme states only 1b
-(``_derive``) and 2b (``_size``).  ``next_chunk`` is a thin adapter
-over the stepper, and the simulators call the stepper directly
-(:func:`acp_stepper`).
+(``_derive``) and 2b (``_size``).  It is what
+:meth:`~repro.core.base.Scheduler.stepper` returns for the family, so
+every substrate calls it directly, and ``next_chunk`` is the adapter
+every stepped scheduler shares
+(:class:`~repro.core.base.SteppedScheduler`).
 
 Schemes implemented on this pattern:
 
@@ -48,16 +50,10 @@ draw the next stage open exactly as in the simple staged schemes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 from .acp import IMPROVED_ACP, AcpModel
-from .base import (
-    ChunkAssignment,
-    Scheduler,
-    SchemeError,
-    WorkerView,
-    calls_own_hooks,
-)
+from .base import Reply, Requester, SchemeError, SteppedScheduler, Stepper
 from .trapezoid import TrapezoidParams
 
 __all__ = [
@@ -66,11 +62,10 @@ __all__ = [
     "DistributedFactoringScheduler",
     "DistributedFixedIncreaseScheduler",
     "DistributedTrapezoidFactoringScheduler",
-    "acp_stepper",
 ]
 
 
-class DistributedSchedulerBase(Scheduler):
+class DistributedSchedulerBase(SteppedScheduler):
     """Shared ACP bookkeeping, the "half changed -> re-derive" rule and
     the family's stepper.
 
@@ -134,12 +129,9 @@ class DistributedSchedulerBase(Scheduler):
     # -- derivation --------------------------------------------------------
 
     def _ensure_registered(self) -> None:
-        """Fill in defaults for workers that never reported (V=Q=1).
-
-        Execution engines always register real ACPs before scheduling
-        (a PE screened out at start-up at 0); this fallback keeps the
-        schemes usable analytically (e.g. via
-        :func:`repro.core.base.drain`) without an engine.
+        """Fill in the V=Q=1 default for workers that never reported.
+        The substrates register real ACPs first (paper step 1(a)), so
+        only an analytic drain (:func:`repro.core.base.drain`) needs it.
         """
         for wid in range(self.workers):
             if wid not in self._acps:
@@ -168,17 +160,27 @@ class DistributedSchedulerBase(Scheduler):
         stepper clips the size and owns the loop state."""
         raise NotImplementedError
 
-    # -- drivers -----------------------------------------------------------
+    # -- the stepper -------------------------------------------------------
 
-    def step(self, wid: int, acp: int) -> Optional[tuple[int, int, int]]:
-        """``(start, stop, stage)`` for a request from ``wid`` reporting
-        ``acp``; None once the loop is exhausted.
+    def _lean_stepper(self, requester: Requester) -> Stepper:
+        return self.step
 
-        One call is one ``next_chunk(WorkerView(wid, acp=acp))``: the
-        same interval and stage, the same state left on the scheduler.
+    def step(self, wid: int, acp: Optional[int] = None) -> Reply:
+        """The reply to a request from ``wid`` reporting ``acp``.
+
         The report is recorded before anything is sized, so it takes
-        part in this request's "half changed" check (paper 2a/2c).
+        part in this request's "half changed" check (paper 2a/2c).  A
+        request without one (the simple protocol) is sized by the
+        stored report, or the V=Q=1 default of a PE that never reported.
         """
+        if acp is None:
+            if self._cursor >= self.total:
+                return None
+            if self._derive_acps is None:
+                self._ensure_registered()
+            acp = self._acps.get(wid)
+            if acp is None:
+                acp = self.acp_model.acp(1.0, 1)
         if self._acps.get(wid) != acp:
             self._record(wid, acp)
         start = self._cursor
@@ -191,61 +193,6 @@ class DistributedSchedulerBase(Scheduler):
         stop = self._cursor = start + (size if size < rem else rem)
         self._step += 1
         return start, stop, stage
-
-    def next_chunk(
-        self, worker: WorkerView
-    ) -> Optional[ChunkAssignment]:
-        """The protocol's form of :meth:`step`: the view's fresh ACP if
-        it carries one, else the stored report -- the V=Q=1 default of
-        a PE that never reported once the first derivation registers
-        it, the view's own ``V_i`` / ``Q_i`` for an unknown PE."""
-        wid = worker.worker_id
-        acp = worker.acp
-        if acp is None:
-            if self.finished:
-                return None
-            if self._derive_acps is None:
-                self._ensure_registered()
-            acp = self._acps.get(wid)
-            if acp is None:
-                acp = self.acp_model.acp(
-                    worker.virtual_power, worker.run_queue
-                )
-        got = self.step(wid, int(acp))
-        if got is None:
-            return None
-        return ChunkAssignment(
-            start=got[0], stop=got[1], worker_id=wid, step=self._step,
-            stage=got[2],
-        )
-
-
-#: What :meth:`DistributedSchedulerBase.step` stands in for: the
-#: adapter every other caller goes through, and the scheme's formula.
-_FAMILY_HOOKS = ("next_chunk", "_size")
-
-
-def acp_stepper(
-    scheduler: Scheduler,
-) -> Optional[Callable[[int, int], Optional[tuple[int, int, int]]]]:
-    """The family's stepper ``(wid, acp) -> (start, stop, stage) | None``
-    of ``scheduler``; None for a scheduler outside the family, or one
-    that must be driven through ``next_chunk``.
-
-    The hook rule of :func:`repro.core.base.formula_stepper`: a class
-    override or an instance shadow of the adapter or of the sizing
-    formula of the scheme defined here that ``scheduler`` is (or
-    derives from) keeps the ``WorkerView`` path, so the replacement is
-    what runs.
-    """
-    if not isinstance(scheduler, DistributedSchedulerBase):
-        return None
-    owner = next(
-        cls for cls in type(scheduler).__mro__ if cls.__module__ == __name__
-    )
-    if not calls_own_hooks(scheduler, owner, _FAMILY_HOOKS):
-        return None
-    return scheduler.step
 
 
 class DistributedTrapezoidScheduler(DistributedSchedulerBase):

@@ -25,6 +25,7 @@ import numpy as np
 from ..chaos.plan import FaultPlan
 from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
+from ..core.registry import DISTRIBUTED_SCHEMES, parse
 from ..obs import read_jsonl
 from ..workloads import Workload
 from .chassis import ProcessChassis, WorkerCall, assemble_results
@@ -138,7 +139,9 @@ def run_parallel(
     """Run ``workload`` under ``scheme`` on ``n_workers`` processes.
 
     ``specs`` carries per-worker heterogeneity (slowdown, virtual power,
-    static run-queue); omitted entries default to a plain worker.
+    static run-queue); omitted entries default to a plain worker.  A
+    distributed scheme screens them under ``acp_model``, as the
+    simulator does.
     Results are reassembled in iteration order, so
     ``np.array_equal(run.results, workload.execute_serial())`` holds for
     any scheme -- the runtime's core correctness property -- and for
@@ -162,11 +165,13 @@ def run_parallel(
     the join -- see :mod:`repro.obs`.
     """
     specs = pad_specs(specs, n_workers)
-    scheduler = (
-        make(scheme, workload.size, n_workers, **scheme_kwargs)
-        if isinstance(scheme, str)
-        else scheme
-    )
+    if isinstance(scheme, str):
+        if parse(scheme)[0] in DISTRIBUTED_SCHEMES:
+            # The master screens with the model the workers report by.
+            scheme_kwargs.setdefault("acp_model", acp_model)
+        scheduler = make(scheme, workload.size, n_workers, **scheme_kwargs)
+    else:
+        scheduler = scheme
     # The master process holds the workload (workers get copies); the
     # adaptive meta-scheduler scores its stages from it.
     scheduler.bind_workload(workload)

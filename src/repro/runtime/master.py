@@ -2,7 +2,10 @@
 
 The master multiplexes worker pipes with
 :func:`multiprocessing.connection.wait` (the select-style idiom), feeds
-each request through the scheduler, and collects piggy-backed results.
+each request through the scheduler's stepper (the one the simulators
+call), and collects piggy-backed results.  Start-up is the simulator's
+step 1(a) (:func:`repro.simulation.engine.admit`); a screened-out PE is
+answered with :class:`~repro.runtime.messages.Terminate`.
 
 Fault tolerance beyond the paper -- the same fail-stop semantics the
 simulator implements (see ``docs/fault_model.md``):
@@ -43,9 +46,11 @@ import time
 from multiprocessing.connection import wait
 from typing import Any, Iterable, Optional
 
-from ..core import Scheduler, WorkerView
+from ..core import Scheduler
+from ..core.distributed import DistributedSchedulerBase
 from ..obs import ObsEvent, get_logger
 from ..obs import resolve as _resolve_collector
+from ..simulation.engine import StarvationError, admit
 from .config import RuntimeConfig
 from .messages import Assign, Heartbeat, Request, Terminate, WorkerStats
 
@@ -127,8 +132,9 @@ def master_loop(
     """Serve requests until the loop completes and workers terminate.
 
     ``connections`` maps worker id -> master-side pipe end.
-    ``worker_meta`` maps worker id -> ``(virtual_power, run_queue)`` for
-    the :class:`WorkerView` (defaults to ``(1.0, 1)``).
+    ``worker_meta`` maps worker id -> ``(virtual_power, run_queue)``
+    (defaults to ``(1.0, 1)``): the stepper's requester, and what an
+    ACP-driven scheduler's own ``acp_model`` admits PEs by.
 
     ``collector`` receives the master-side half of the unified
     observability stream (source ``runtime.master``): event times are
@@ -151,6 +157,8 @@ def master_loop(
             wall=time.time(), **fields,
         ))
     worker_meta = worker_meta or {}
+    requester = lambda wid: worker_meta.get(wid, (1.0, 1))
+    step = scheduler.stepper(requester)
     live = dict(connections)
     outstanding: dict[int, tuple[int, int]] = {}
     #: FIFO of intervals lost to worker deaths -- first lost, first
@@ -197,6 +205,9 @@ def master_loop(
 
     def handle_request(wid: int, req: Request) -> None:
         nonlocal requeued
+        if wid in screened:
+            send_terminate(wid)
+            return
         if obs:
             emit("request", wid, acp=req.acp)
         if req.result is not None:
@@ -222,11 +233,7 @@ def master_loop(
             requeued += 1
             send_assignment(wid, requeue.popleft(), detail="requeue")
             return
-        vp, rq = worker_meta.get(wid, (1.0, 1))
-        view = WorkerView(
-            worker_id=wid, virtual_power=vp, run_queue=rq, acp=req.acp
-        )
-        chunk = scheduler.next_chunk(view)
+        chunk = step(wid, req.acp)
         if obs:
             # An adaptive scheduler's stage decisions become ``adapt``
             # events; a fixed scheme drains none.
@@ -234,7 +241,7 @@ def master_loop(
                 emit("adapt", wid, start=d.base, stop=d.base + d.size,
                      stage=d.stage, value=d.reward, detail=d.summary())
         if chunk is not None:
-            send_assignment(wid, (chunk.start, chunk.stop))
+            send_assignment(wid, chunk[:2])
         elif outstanding or hooks.expects_more():
             # Work may reappear if a peer dies (or a chaos restart
             # brings one back): park this worker instead of terminating
@@ -306,6 +313,18 @@ def master_loop(
                 f"(REPRO_WORKER_DEADLINE) or check the heartbeat "
                 f"interval ({config.heartbeat_interval})"
             )
+
+    # Step 1(a), as in the simulator (one rule: ``admit``).
+    screened: set[int] = set()
+    if isinstance(scheduler, DistributedSchedulerBase):
+        try:
+            acps = admit(scheduler, scheduler.acp_model,
+                         {wid: requester(wid) for wid in live})
+        except StarvationError:
+            for wid in list(live):
+                send_terminate(wid)
+            raise
+        screened = {wid for wid, acp in acps.items() if not acp}
 
     while live or hooks.expects_more():
         hooks.on_tick()

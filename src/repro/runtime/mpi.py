@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..core import Scheduler, WorkerView, make
+from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
 from ..workloads import Workload
 
@@ -73,25 +73,24 @@ def mpi_master(
     results: list[tuple[int, Any]] = []
     live = n_workers
     status = mpi.Status()
+    reported: dict[int, tuple[float, int]] = {}  # wid -> (V_i, Q_i)
+    step = scheduler.stepper(reported.__getitem__)
     while live:
         msg = comm.recv(source=mpi.ANY_SOURCE, tag=TAG_REQUEST,
                         status=status)
         source = status.Get_source()
         if msg.get("result") is not None:
             results.append(tuple(msg["result"]))
-        view = WorkerView(
-            worker_id=source - 1,
-            virtual_power=msg.get("virtual_power", 1.0),
-            run_queue=msg.get("run_queue", 1),
-            acp=msg.get("acp"),
+        wid = source - 1
+        reported[wid] = (
+            msg.get("virtual_power", 1.0), msg.get("run_queue", 1)
         )
-        chunk = scheduler.next_chunk(view)
+        chunk = step(wid, msg.get("acp"))
         if chunk is None:
             comm.send(None, dest=source, tag=TAG_TERMINATE)
             live -= 1
         else:
-            comm.send((chunk.start, chunk.stop), dest=source,
-                      tag=TAG_ASSIGN)
+            comm.send(chunk[:2], dest=source, tag=TAG_ASSIGN)
     results.sort(key=lambda pair: pair[0])
     return results
 

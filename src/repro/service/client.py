@@ -142,6 +142,7 @@ class ServiceClient(object):
         deadline = time.monotonic() + retry_for
         delay = config.retry_initial
         while True:
+            sock: Optional[socket.socket] = None
             try:
                 if port is not None:
                     sock = socket.create_connection(
@@ -152,7 +153,8 @@ class ServiceClient(object):
                                          socket.SOCK_STREAM)
                     sock.settimeout(timeout)
                     sock.connect(address)
-                return cls(sock, tenant=tenant)
+                client, sock = cls(sock, tenant=tenant), None
+                return client
             except (ConnectionRefusedError, FileNotFoundError):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -162,6 +164,10 @@ class ServiceClient(object):
                 # ladder allows.
                 time.sleep(min(delay, remaining))
                 delay = min(delay * 2.0, config.retry_max)
+            finally:
+                # A failed attempt (refused, missing, bad hello) closes.
+                if sock is not None:
+                    sock.close()
 
     def close(self) -> None:
         try:

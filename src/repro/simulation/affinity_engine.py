@@ -65,7 +65,7 @@ class AffinitySimulation(TreeSimulation):
         """``ceil(remaining / p)``: a PE's share of ``w``'s queue."""
         return max(1, math.ceil(w.remaining() / self.cluster.size))
 
-    def _take(self, w: _TreeWorker) -> Optional[tuple[int, int]]:
+    def _next_block(self, w: _TreeWorker) -> Optional[tuple[int, int]]:
         return w.pop_block(self._slice(w))
 
     def _pick_victim(self, w: _TreeWorker) -> Optional[_TreeWorker]:

@@ -12,9 +12,9 @@ this substrate:
   **single FIFO server**: requests queue while it is busy (this is the
   contention source behind the p=2 speedup dip).  In distributed mode
   each slave samples its run queue at request time and attaches its
-  ACP; the scheduler receives it with the request (the family's
-  ``(wid, acp)`` stepper, :func:`repro.core.distributed.acp_stepper`)
-  and applies the paper's re-derivation rule internally;
+  ACP; the scheduler receives it with the request (its stepper,
+  :meth:`repro.core.Scheduler.stepper`) and applies the paper's
+  re-derivation rule internally;
 * **result delivery** -- every request except the first **piggy-backs
   the previous chunk's results** (the paper found end-of-run collection
   caused contention idling, so piggy-backing is the protocol of
@@ -29,19 +29,18 @@ for all workers with A_i > 0 to report").  Slaves whose ACP falls below
 the model's availability threshold sit the computation out (the master
 knows them at ACP 0, so they count nothing in ``A``); if *no* slave is
 available, :class:`StarvationError` is raised -- exactly the
-classic-DTSS deadlock the paper's Sec. 5.2(I) improvement fixes.
+classic-DTSS deadlock the paper's Sec. 5.2(I) improvement fixes.  The
+screen is :func:`admit`, which the real runtime's master applies too.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Callable, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
-from ..core import Scheduler, WorkerView, make
+from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
-from ..core.base import formula_stepper
-from ..core.distributed import acp_stepper
 from ..obs import ObsEvent, make_event
 from ..workloads import Workload
 from . import fastpath
@@ -52,6 +51,7 @@ from .metrics import SimResult
 
 __all__ = [
     "StarvationError",
+    "admit",
     "simulate",
     "make_for_cluster",
     "MasterSlaveSimulation",
@@ -62,6 +62,31 @@ SchedulerLike = Union[str, Scheduler, Callable[[int, int], Scheduler]]
 
 class StarvationError(SimulationError):
     """No slave has ACP above the availability threshold (paper 5.2-I)."""
+
+
+def admit(
+    scheduler: Scheduler,
+    acp_model: AcpModel,
+    reports: Mapping[int, tuple[float, int]],
+) -> dict[int, int]:
+    """Paper step 1(a), for every master substrate: register each PE's
+    start-up ACP, from its ``(V_i, Q_i)`` report, before the first
+    assignment; a PE under the model's threshold is registered at 0 and
+    sits the computation out.  Returns the ACPs by worker id; raises
+    :class:`StarvationError` when no PE is admitted."""
+    acps = {
+        wid: acp_model.acp(v, q) if acp_model.available(v, q) else 0
+        for wid, (v, q) in reports.items()
+    }
+    if not any(acps.values()):
+        raise StarvationError(
+            "no worker has ACP above the availability threshold; "
+            "this is the classic-DTSS starvation the paper's "
+            "Sec. 5.2 scaled ACP model avoids"
+        )
+    for wid, acp in acps.items():
+        scheduler.observe_acp(wid, acp)
+    return acps
 
 
 def make_for_cluster(
@@ -131,12 +156,10 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         )
         self.fast = fast
         self.scheduler = scheduler
-        #: how :meth:`_ask` drives the scheduler: the lean stepper for
-        #: a scheme that is its formula, the family's ``(wid, acp)``
-        #: stepper for an ACP-driven one, a :class:`WorkerView` and its
-        #: own ``next_chunk`` for any other (both None).
-        self._formula_step = formula_stepper(scheduler)
-        self._acp_step = acp_stepper(scheduler)
+        #: when the request being asked about reached the master.
+        self._arrival = 0.0
+        #: how the DES and the fast path's non-formula arm ask.
+        self._step = scheduler.stepper(self._requester)
         scheduler.bind_workload(workload)
         #: stage decisions made since the last request, mirrored into
         #: ``adapt`` events on an observed run; a fixed scheme's is the
@@ -159,12 +182,6 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             float(node.virtual_power or 1.0), node.load.q_at(t)
         )
 
-    def _available(self, state: _WorkerState, t: float) -> bool:
-        node = state.node
-        return self.acp_model.available(
-            float(node.virtual_power or 1.0), node.load.q_at(t)
-        )
-
     def _register_acp(self, state: _WorkerState, t: float) -> None:
         """Step 1(a): the master learns ``state``'s ACP before it
         assigns to it (at start-up, and again for a late joiner)."""
@@ -175,31 +192,13 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 "acp-update", self.SRC, t, state.index, acp=acp,
             ))
 
-    def _ask(
-        self, wid: int, arrival: float, acp: Optional[int]
-    ) -> Optional[tuple[int, int, int]]:
-        """The scheduler's next ``(start, stop, stage)`` for worker
-        ``wid``, whose request reached the master at ``arrival``
-        carrying ``acp``; None once the loop is exhausted.  The DES asks
-        here, and so does the fast path for a scheduler only
-        ``next_chunk`` may drive; this is the one ``WorkerView`` the
-        simulators build."""
-        step = self._formula_step
-        if step is not None:
-            return step(wid)
-        acp_step = self._acp_step
-        if acp_step is not None and acp is not None:
-            return acp_step(wid, acp)
+    def _requester(self, wid: int) -> tuple[float, int]:
+        """``(V_i, Q_i)`` of ``wid``, ``Q_i`` when its request arrived."""
         node = self.cluster.nodes[wid]
-        chunk = self.scheduler.next_chunk(WorkerView(
-            worker_id=wid,
-            virtual_power=float(node.virtual_power or 1.0),
-            run_queue=node.load.q_at(arrival),
-            acp=acp,
-        ))
-        if chunk is None:
-            return None
-        return chunk.start, chunk.stop, chunk.stage
+        return (
+            float(node.virtual_power or 1.0),
+            node.load.q_at(self._arrival),
+        )
 
     # -- protocol events ---------------------------------------------------------
 
@@ -271,7 +270,8 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             start, stop = self._requeue.popleft()
             assignment = (start, stop, 0, acp)
         else:
-            asked = self._ask(state.index, arrival, acp)
+            self._arrival = arrival
+            asked = self._step(state.index, acp)
             if self.observing:
                 for d in self._decisions():
                     self._emit(ObsEvent(
@@ -398,23 +398,19 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
     def _prepare(self) -> None:
         # Step 1(a): availability screen + initial ACP registration.
         if self.scheduler.distributed:
-            admitted = [self._available(s, 0.0) for s in self.workers]
-            self._participants = [
-                s for s, ok in zip(self.workers, admitted) if ok
-            ]
-            if not self._participants:
-                raise StarvationError(
-                    "no worker has ACP above the availability threshold; "
-                    "this is the classic-DTSS starvation the paper's "
-                    "Sec. 5.2 scaled ACP model avoids"
-                )
-            for s, ok in zip(self.workers, admitted):
-                if ok:
-                    self._register_acp(s, 0.0)
-                else:
-                    # Screened out: known to the master at ACP 0, so it
-                    # counts nothing in A (no acp-update: it never asks).
-                    self.scheduler.observe_acp(s.index, 0)
+            acps = admit(self.scheduler, self.acp_model, {
+                s.index: (float(s.node.virtual_power or 1.0),
+                          s.node.load.q_at(0.0))
+                for s in self.workers
+            })
+            self._participants = [s for s in self.workers if acps[s.index]]
+            if self.observing:
+                # A screened-out PE never asks: no acp-update for it.
+                for s in self._participants:
+                    self._emit(ObsEvent(
+                        "acp-update", self.SRC, 0.0, s.index,
+                        acp=acps[s.index],
+                    ))
 
 
 def simulate(

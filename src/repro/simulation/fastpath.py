@@ -38,18 +38,17 @@ the DES's compute-event order for the same reason.
 
 Further per-chunk costs are shaved without touching the numbers:
 
-* chunk decisions for formula-driven schemes (see
-  :func:`repro.core.base.formula_stepper`: every built-in simple
-  scheme, caller-supplied instances included) come from calling the
-  bound ``_nominal`` with this loop's own cursor, step and request
-  counts -- no ``WorkerView``, no ``ChunkAssignment`` -- and the
-  drained state is handed back to the scheduler afterwards; the
-  ACP-driven distributed family steps itself through its
-  ``(wid, acp)`` stepper (:func:`repro.core.distributed.acp_stepper`,
-  the call the DES makes too), which keeps its own state current; only
-  user schemes that replace a driver hook are asked with a
-  ``WorkerView``, through
-  ``MasterSlaveSimulation._ask`` (still bit-identical, less speedup);
+* the scheduler is asked through the stepper the DES calls
+  (:meth:`repro.core.Scheduler.stepper`), except when that stepper is
+  a formula closure (every built-in simple scheme, caller-supplied
+  instances included): then the bound ``_nominal`` is called inline
+  with this loop's own cursor, step and request counts and the
+  drained state is handed back to the scheduler afterwards.  Calling
+  the closure instead measured 10.6% slower on the ledger's
+  ``sweep_fast``.  Every other scheduler keeps its own state current
+  through its stepper (the ACP-driven family's, or a ``WorkerView``
+  per request for a user scheme that replaces a driver hook: still
+  bit-identical, less speedup);
 * the per-chunk compute integral is inlined for ``ConstantLoad``
   (``finish = t + cost / rate``), the overwhelmingly common case;
 * additions of exact zeros (switched-segment waits) are skipped --
@@ -209,18 +208,16 @@ def run_fast_master(sim) -> SimResult:
     distributed = scheduler.distributed
     participants = sim._participants
 
-    # A formula-driven scheme is its ``_nominal`` and nothing else:
-    # this loop owns the cursor, a worker's request index is its chunk
-    # count so far and the global step is the row count.  A constant
-    # formula (SS, CSS, BC) is two integer ops inlined in the arrival
-    # branch, no call at all.
-    pure = sim._formula_step is not None
+    # A formula-driven scheme (its stepper says so) is its ``_nominal``
+    # and nothing else: this loop owns the cursor, a worker's request
+    # index is its chunk count so far and the global step is the row
+    # count.  A constant formula (SS, CSS, BC) is two integer ops
+    # inlined in the arrival branch, no call at all.  Any other
+    # scheduler steps itself through the stepper the DES calls.
+    step = sim._step
+    pure = getattr(step, "formula", False)
     const_k = scheduler.constant if pure else None
     nominal = scheduler._nominal
-    # Otherwise the scheduler steps itself: an ACP-driven one through
-    # the family's ``(wid, acp)`` stepper, any other through ``_ask``.
-    acp_step = sim._acp_step if distributed else None
-    ask = sim._ask
     cursor = scheduler._cursor
     stage = scheduler._stage
     acp_model = sim.acp_model
@@ -310,10 +307,8 @@ def run_fast_master(sim) -> SimResult:
         tc = service_end + rtx  # compute event fire time
         # -- assignment --------------------------------------------------
         if not pure:
-            a = (
-                acp_step(i, nxt_acp[i]) if acp_step is not None
-                else ask(i, arrival, nxt_acp[i])
-            )
+            sim._arrival = arrival
+            a = step(i, nxt_acp[i])
             if a is None:
                 start = -1
             else:

@@ -205,7 +205,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         return (math.floor(t / self.flush_interval) + 1) \
             * self.flush_interval
 
-    def _take(self, w: _TreeWorker) -> Optional[tuple[int, int]]:
+    def _next_block(self, w: _TreeWorker) -> Optional[tuple[int, int]]:
         """The next block of ``w``'s own queue (None when it is dry)."""
         return w.pop_block(self.grain)
 
@@ -213,7 +213,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         if w.pending_items and self.queue.now >= w.next_flush:
             self._flush(w, final=False)
             return
-        block = self._take(w)
+        block = self._next_block(w)
         if block is None:
             w.sweep_pos = 0
             self._try_steal(w)

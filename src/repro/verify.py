@@ -42,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Scheduler, WorkerView, make
+from .core import Scheduler, make
 from .core import registry as _registry
 from .core.kernel import CALCULATORS, evaluate_ladder, make_calculator
 from .obs.events import ObsEvent, SchemaError, validate_event
@@ -193,6 +193,7 @@ def replay_cut_points(
     if sched.distributed:
         return None
     order = list(order) if order is not None else list(range(workers))
+    step = sched.stepper(lambda _wid: (1.0, 1))
     cuts: set[int] = set()
     served = 0
     dry = 0
@@ -202,7 +203,7 @@ def replay_cut_points(
     for _ in range(2 * (total + workers) + 4):
         wid = order[i % len(order)]
         i += 1
-        chunk = sched.next_chunk(WorkerView(worker_id=wid))
+        chunk = step(wid, None)
         if chunk is None:
             # Static schemes run one worker dry while others still
             # hold unclaimed blocks: only stop once everyone is dry.
@@ -211,9 +212,8 @@ def replay_cut_points(
                 break
             continue
         dry = 0
-        cuts.add(chunk.start)
-        cuts.add(chunk.stop)
-        served += chunk.stop - chunk.start
+        cuts.update(chunk[:2])
+        served += chunk[1] - chunk[0]
         if served >= total:
             break
     return frozenset(cuts)

@@ -14,7 +14,6 @@ from repro.analysis import (
     format_matrix,
     format_time_table,
     max_over_mean,
-    per_worker_sizes,
     power_cap,
     range_over_mean,
     speedup_series,
@@ -29,11 +28,6 @@ from tests.conftest import make_cluster
 class TestChunkAnalytics:
     def test_chunk_sequence_matches_drain(self):
         assert chunk_sequence("CSS(10)", 35, 2) == [10, 10, 10, 5]
-
-    def test_per_worker_grouping(self):
-        per = per_worker_sizes("FSS", 1000, 4)
-        assert per[0][:2] == [125, 62]
-        assert all(len(v) == len(per[0]) for v in per.values())
 
     def test_chunk_stats(self):
         stats = chunk_stats([10, 20, 30])

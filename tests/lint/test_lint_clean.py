@@ -79,37 +79,56 @@ def test_drivers_import_no_scheme_formula_module():
         )
 
 
-def test_simulators_build_one_worker_view():
-    """The simulators drive every built-in scheme without the object
-    protocol (a formula-driven one through ``formula_stepper``, an
-    ACP-driven one through its family's stepper): a ``WorkerView`` is
-    constructed at one site under ``simulation/``, the arm of
-    ``MasterSlaveSimulation._ask`` that serves schedulers replacing a
-    driver hook."""
+def test_there_is_one_way_to_ask():
+    """Every substrate asks a scheduler through ``Scheduler.stepper``,
+    so under ``src/repro``: a ``WorkerView`` is built in ``core/base.py``
+    only (the stepper's adapter over ``next_chunk``, and ``drain``);
+    the hook rule (``calls_own_hooks``) is applied inside
+    ``Scheduler.stepper`` only; no module outside ``core/`` reads a
+    scheduler's ``_take`` or ``_chunk_size``; and outside ``core/`` only
+    the fast path's inlined formula arm reads ``_nominal``."""
     import ast
 
-    sites = []
-    root = os.path.join(_SRC, "repro", "simulation")
+    built, ruled, hooks, nominal = set(), [], [], []
+    root = os.path.join(_SRC, "repro")
     for dirpath, _dirs, files in os.walk(root):
         for name in sorted(files):
             if not name.endswith(".py"):
                 continue
             path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root)
+            core = rel.startswith("core" + os.sep)
             with open(path, "r", encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), filename=path)
             funcs = [f for f in ast.walk(tree)
                      if isinstance(f, ast.FunctionDef)]
+
+            def around(node):
+                # The innermost function around ``node``.
+                names = [f.name for f in funcs
+                         if f.lineno <= node.lineno <= f.end_lineno]
+                return names[-1] if names else None
+
             for node in ast.walk(tree):
-                if isinstance(node, ast.Call) and (
-                    getattr(node.func, "id", None)
-                    or getattr(node.func, "attr", None)
-                ) == "WorkerView":
-                    # The innermost function around the call.
-                    around = [f.name for f in funcs
-                              if f.lineno <= node.lineno <= f.end_lineno]
-                    sites.append((os.path.relpath(path, root),
-                                  around[-1] if around else None))
-    assert sites == [("engine.py", "_ask")], sites
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) \
+                        or getattr(node.func, "attr", None)
+                    if called == "WorkerView":
+                        built.add(rel)
+                    elif called == "calls_own_hooks":
+                        ruled.append((rel, around(node)))
+                elif isinstance(node, ast.Attribute) and not core:
+                    if node.attr in ("_take", "_chunk_size"):
+                        hooks.append((rel, node.lineno))
+                    elif node.attr == "_nominal":
+                        nominal.append((rel, around(node)))
+    base = os.path.join("core", "base.py")
+    assert built == {base}, built
+    assert ruled == [(base, "stepper")], ruled
+    assert hooks == [], hooks
+    assert nominal == [
+        (os.path.join("simulation", "fastpath.py"), "run_fast_master")
+    ], nominal
 
 
 def test_des_lifecycle_lives_once_on_the_chassis():

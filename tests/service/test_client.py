@@ -6,13 +6,16 @@ so every timing is exact and no job has to run for seconds.
 
 from __future__ import annotations
 
+import gc
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.service import ServiceClient
+from repro.service.client import ClientConfig
 from repro.service.protocol import ProtocolError, recv_frame, send_frame
 
 #: The connect-time socket timeout every client here is opened with.
@@ -113,3 +116,50 @@ class TestReplyPairing:
         time.sleep(3 * SOCKET_TIMEOUT)  # the late reply arrives
         with pytest.raises(ProtocolError, match="seq"):
             peer.client.ping()
+
+
+class TestFailedConnect:
+    """Every failed attempt of ``ServiceClient.connect`` closes its
+    socket: a retry loop against a missing daemon leaks nothing."""
+
+    @staticmethod
+    def _leaks(attempt):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            attempt()
+            gc.collect()
+        return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_retrying_a_missing_socket_leaks_nothing(self, tmp_path):
+        config = ClientConfig(retry_initial=0.001, retry_max=0.004)
+
+        def attempt():
+            with pytest.raises(FileNotFoundError):
+                ServiceClient.connect(str(tmp_path / "absent.sock"),
+                                      retry_for=0.05, config=config)
+
+        assert self._leaks(attempt) == []
+
+    def test_a_failed_hello_leaks_nothing(self, tmp_path):
+        path = str(tmp_path / "mute.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(1)
+
+        def hang_up():
+            conn, _addr = listener.accept()
+            conn.close()
+
+        closer = threading.Thread(target=hang_up, daemon=True)
+        closer.start()
+
+        def attempt():
+            # The peer hung up: the hello fails on its send or its read.
+            with pytest.raises((ProtocolError, OSError)):
+                ServiceClient.connect(path, timeout=SOCKET_TIMEOUT)
+
+        try:
+            assert self._leaks(attempt) == []
+        finally:
+            closer.join()
+            listener.close()

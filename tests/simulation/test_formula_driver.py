@@ -1,18 +1,18 @@
-"""The lean drivers against their oracle: a pass-through subclass.
+"""The lean steppers against their oracle: a pass-through subclass.
 
-A scheduler that leaves the driver hooks alone *is* its ``_nominal``
-formula, and the simulators drive it through
-:func:`repro.core.base.formula_stepper` -- no ``WorkerView``, no
+Every substrate asks through ``Scheduler.stepper()``.  A scheduler
+that leaves the driver hooks alone *is* its ``_nominal`` formula, and
+its stepper is the formula closure -- no ``WorkerView``, no
 ``ChunkAssignment``.  An ACP-driven scheduler (DTSS, DFSS, DFISS,
-DTFSS) that leaves its family's adapter and sizing formula alone is
-driven through its own ``(wid, acp)`` stepper,
-:func:`repro.core.distributed.acp_stepper`.  A subclass whose sizing
-hook (``_chunk_size``, or the family's ``_size``) only calls
-``super()`` computes the very same chunks but replaces a hook, so it
-is driven the long way, through ``next_chunk``.  The two must be
-indistinguishable: same ``SimResult``, same ``ObsEvent`` list, same
-state left on the scheduler -- on the DES, under a fault plan, and on
-the fast path's driven arm.
+DTFSS) steps itself through the family's ``step(wid, acp)``, and the
+adaptive meta-scheduler drives its current stage's sub-scheduler
+through that scheduler's own stepper.  A subclass whose ``next_chunk``
+only calls ``super()`` computes the very same chunks but replaces a
+hook, so its stepper takes the long way: one ``WorkerView`` per
+request, through ``next_chunk``.  The two must be indistinguishable:
+same ``SimResult``, same ``ObsEvent`` list, same state left on the
+scheduler (the adaptive policy's decisions and sub-scheduler
+included) -- on the DES, under a fault plan, and on the fast path.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import FaultPlan
-from repro.core import WorkerView, make, names
-from repro.core.base import formula_stepper
-from repro.core.distributed import acp_stepper
+from repro.core import WorkerView, drain, make, names
 from repro.obs import BufferedCollector
 from repro.simulation import (
     ClusterSpec,
@@ -63,36 +61,54 @@ def _probe(name: str):
     return make_for_cluster(name, 100, cluster_of(4, "dedicated", 0))
 
 
-#: Registry schemes the simulators drive by formula.
-PURE = [n for n in names() if formula_stepper(_probe(n)) is not None]
-#: Registry schemes the simulators drive by the ACP family's stepper.
-FAMILY = [n for n in names() if acp_stepper(_probe(n)) is not None]
+def stepper_of(scheduler):
+    return scheduler.stepper(lambda _wid: (1.0, 1))
 
 
-def test_every_registry_scheme_but_adaptive_has_a_lean_driver():
+def long_way(step) -> bool:
+    """True for the ``WorkerView`` adapter over ``next_chunk``."""
+    return step.__qualname__ == "Scheduler.stepper.<locals>.step"
+
+
+#: Registry schemes whose stepper is their formula closure.
+PURE = [n for n in names()
+        if getattr(stepper_of(_probe(n)), "formula", False)]
+def _steps_itself(scheduler) -> bool:
+    return stepper_of(scheduler) == getattr(scheduler, "step", None)
+
+
+#: Registry schemes that step themselves: the ACP family's ``step``.
+FAMILY = [n for n in names() if _steps_itself(_probe(n))]
+#: Adaptive specs: single and multi-candidate, with and without a
+#: stage count.
+ADAPTIVE = ["adaptive", "adaptive:TSS+FSS@4", "adaptive:GSS+CSS(8)@6",
+            "adaptive:FISS+TFSS+WF+SS"]
+
+
+def test_every_registry_scheme_has_a_lean_driver():
     assert len(PURE) == 10
     assert {"SS", "CSS", "GSS", "TSS", "FSS", "FISS", "TFSS", "WF"} \
         <= set(PURE)
     assert FAMILY == ["DTSS", "DFSS", "DFISS", "DTFSS"]
     assert set(names()) - set(PURE) - set(FAMILY) == {"ADAPTIVE"}
+    for spec in ADAPTIVE:
+        step = stepper_of(_probe(spec))
+        assert step.__qualname__.startswith("AdaptiveScheduler.")
+    # The fast path still refuses the adaptive policy.
     assert _probe("ADAPTIVE").feedback_dependent
 
 
 def pass_through(scheduler):
-    """``scheduler`` re-classed so that it replaces its sizing hook
-    (``_chunk_size``, or the ACP family's ``_size``) with one that
-    changes nothing."""
+    """``scheduler`` re-classed so that it replaces ``next_chunk`` --
+    a hook every lean stepper stands in for -- with one that changes
+    nothing."""
 
     class PassThrough(type(scheduler)):
-        def _chunk_size(self, worker):
-            return super()._chunk_size(worker)
-
-        def _size(self, wid, a):
-            return super()._size(wid, a)
+        def next_chunk(self, worker):
+            return super().next_chunk(worker)
 
     scheduler.__class__ = PassThrough
-    assert formula_stepper(scheduler) is None
-    assert acp_stepper(scheduler) is None
+    assert long_way(stepper_of(scheduler))
     return scheduler
 
 
@@ -120,12 +136,28 @@ FAMILY_STATE = ("_acps", "rederivations", "total_acp", "_served_acp",
                 "_worker_stage", "_stage_totals", "params")
 
 
+def adaptive_state(scheduler):
+    """The policy's decisions, what it learned, and its current
+    sub-scheduler's loop state (None for a fixed scheme)."""
+    if not hasattr(scheduler, "decisions"):
+        return None
+    sub = scheduler._sub
+    return (
+        scheduler.decisions, scheduler._speeds, scheduler._stage_count,
+        [(r.base, r.size, r.arm, r.spans) for r in scheduler._records],
+        scheduler._bandit.counts, scheduler._bandit.sums,
+        None if sub is None else loop_state(sub),
+    )
+
+
 def loop_state(scheduler):
     return (
         scheduler._cursor, scheduler._step, scheduler._requests,
         scheduler._stage, scheduler.finished, scheduler.steps_taken,
         scheduler.remaining,
-    ) + tuple(getattr(scheduler, attr, None) for attr in FAMILY_STATE)
+    ) + tuple(getattr(scheduler, attr, None) for attr in FAMILY_STATE) + (
+        adaptive_state(scheduler),
+    )
 
 
 def asked_in_order(trace, total):
@@ -161,7 +193,7 @@ def logged(scheduler):
 
     scheduler.step = stepped
     scheduler.observe_acp = observed
-    assert acp_stepper(scheduler) is stepped
+    assert stepper_of(scheduler) is stepped
     return log
 
 
@@ -185,6 +217,8 @@ def check_indistinguishable(name, p, loads, seed, size, chaos):
     def fresh():
         return make_for_cluster(name, size, cluster)
 
+    powers = cluster.virtual_powers()
+
     plan = None
     if chaos:
         horizon = simulate(fresh(), workload, cluster).t_p
@@ -200,20 +234,23 @@ def check_indistinguishable(name, p, loads, seed, size, chaos):
         # what a next_chunk drain in the same request order leaves.
         assert loop_state(driven) == loop_state(oracle)
         twin = fresh()
+        twin.bind_workload(workload)
         if family:
             replay(twin, log)
         else:
             for wid in asked_in_order(got[-1], size):
-                assert twin.next_chunk(WorkerView(worker_id=wid)) \
-                    is not None
+                view = WorkerView(worker_id=wid,
+                                  virtual_power=powers[wid])
+                assert twin.next_chunk(view) is not None
         assert loop_state(twin) == loop_state(driven)
         assert twin.next_chunk(WorkerView(worker_id=0)) is None
         assert driven.next_chunk(WorkerView(worker_id=0)) is None
-    if plan is None:
+    if plan is None and not driven.feedback_dependent:
         # The fast path: its inlined loop for the formula-driven one,
-        # the family's stepper for an ACP-driven one, its driven arm
-        # (``_ask`` -> ``next_chunk``) for the oracle; all leave the
-        # drained state on the scheduler.
+        # the stepper for any other (the family's, or the
+        # ``WorkerView`` adapter for the oracle); all leave the
+        # drained state on the scheduler.  (It refuses the adaptive
+        # policy.)
         fast, fast_oracle = fresh(), pass_through(fresh())
         unobserved = got[:-1] + (None,)
         assert outcome(fast, workload, cluster, observed=False,
@@ -227,7 +264,7 @@ def check_indistinguishable(name, p, loads, seed, size, chaos):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    name=st.sampled_from(PURE + FAMILY),
+    name=st.sampled_from(PURE + FAMILY + ADAPTIVE),
     p=st.sampled_from([1, 2, 4, 8]),
     loads=st.sampled_from(LOADS),
     seed=st.integers(min_value=0, max_value=10_000),
@@ -250,6 +287,35 @@ def test_a_rederiving_run_is_indistinguishable(name, p, seed, size):
     request."""
     got = check_indistinguishable(name, p, "random", seed, size, False)
     assert got[3] > 0  # result.rederivations
+
+
+@pytest.mark.parametrize("spec", ADAPTIVE)
+@pytest.mark.parametrize("loads", LOADS)
+def test_an_adaptive_run_is_indistinguishable(spec, loads):
+    """Every stage boundary, every decision and every sub-scheduler the
+    policy opens, on a heterogeneous cluster and a loop long enough to
+    use all its stages."""
+    got = check_indistinguishable(spec, 4, loads, 7, 600, False)
+    assert [ev.kind for ev in got[-1]].count("adapt") >= 2
+
+
+@pytest.mark.parametrize("name", FAMILY)
+@pytest.mark.parametrize("registered", [False, True])
+def test_a_family_request_without_a_report(name, registered):
+    """``step(wid, None)`` is what a ``WorkerView`` without an ACP asks
+    (the simple protocol): the stored report, or the V=Q=1 default a
+    PE that never reported is registered with.  A drain and the
+    stepper, round-robin, hand out the same chunks."""
+    drained, stepped = make(name, 500, 3), make(name, 500, 3)
+    if registered:
+        for s in (drained, stepped):
+            for wid in range(3):
+                s.observe_acp(wid, 10 * (1 + wid))
+    step = stepper_of(stepped)
+    chunks = [(c.start, c.stop, c.stage) for c in drain(drained)]
+    asked = [step(i % 3, None) for i in range(len(chunks) + 1)]
+    assert asked == chunks + [None]
+    assert loop_state(stepped) == loop_state(drained)
 
 
 # -- purity is a property of the instance, not only of its class -----------
@@ -276,7 +342,7 @@ def test_an_instance_level_hook_is_never_bypassed(fast):
     workload = GaussianPeakWorkload(40, amplitude=5.0)
     scheduler = make("CSS(4)", 40, 2)
     calls = _counting(scheduler)
-    assert formula_stepper(scheduler) is None
+    assert long_way(stepper_of(scheduler))
     result = simulate(scheduler, workload, cluster, fast=fast)
     # Ten chunks, then one dry request per worker.
     assert len(result.chunks) == 10 and len(calls) == 12
@@ -289,11 +355,11 @@ def test_an_instance_level_hook_is_never_bypassed(fast):
                                   "_current_stage"])
 def test_every_driver_hook_counts_when_shadowed(hook):
     scheduler = make("TSS", 100, 4)
-    assert formula_stepper(scheduler) is not None
+    assert not long_way(stepper_of(scheduler))
     honest = getattr(scheduler, hook)
     setattr(scheduler, hook, lambda *args: honest(*args))
-    assert formula_stepper(scheduler) is None
+    assert long_way(stepper_of(scheduler))
     # Another scheduler's method is not this scheduler's own either.
     setattr(scheduler, hook, getattr(make("TSS", 100, 4), hook))
-    assert formula_stepper(scheduler) is None
+    assert long_way(stepper_of(scheduler))
 
