@@ -8,7 +8,7 @@ from .chunks import (
     chunk_stats,
     table1_rows,
 )
-from .plots import bar_chart, gantt_chart, line_chart, profile_chart
+from .plots import gantt_chart, line_chart
 from .speedup import SpeedupPoint, efficiency, power_cap, speedup_series
 from .tables import (
     format_chunk_row,
@@ -43,8 +43,6 @@ __all__ = [
     "format_matrix",
     "format_chunk_row",
     "line_chart",
-    "profile_chart",
-    "bar_chart",
     "gantt_chart",
     "css_steps",
     "gss_steps",

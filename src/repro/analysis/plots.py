@@ -4,9 +4,6 @@ The experiment runner is a CLI, so "figures" are drawn with characters:
 
 * :func:`line_chart` -- multi-series line chart (Figures 4-7, speedup
   vs p);
-* :func:`profile_chart` -- a filled area profile (Figure 1, per-column
-  cost);
-* :func:`bar_chart` -- labelled horizontal bars (T_p comparisons);
 * :func:`gantt_chart` -- per-PE busy timelines of one simulated run,
   the quickest way to *see* the load-balance story of Tables 2 and 3:
   simple schemes show ragged right edges (stragglers) while
@@ -20,11 +17,9 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from ..simulation.metrics import SimResult
 
-__all__ = ["line_chart", "profile_chart", "bar_chart", "gantt_chart"]
+__all__ = ["line_chart", "gantt_chart"]
 
 #: Series glyphs, assigned to series in order.
 _MARKERS = "o*x+#@%&"
@@ -98,55 +93,6 @@ def line_chart(
         for i, name in enumerate(series)
     )
     lines.append(legend)
-    return "\n".join(lines)
-
-
-def profile_chart(
-    values: Sequence[float],
-    width: int = 72,
-    height: int = 12,
-    title: str = "",
-) -> str:
-    """Filled area chart of a 1-D profile (Figure 1 style).
-
-    The profile is block-averaged down to ``width`` columns; each
-    column is a bar of '#' proportional to the block mean.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("values must be a non-empty 1-D sequence")
-    blocks = [b.mean() for b in np.array_split(arr, min(width, arr.size))]
-    hi = max(blocks) or 1.0
-    cols = [max(0, _scale(b, 0.0, hi, height + 1)) for b in blocks]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"max block mean = {hi:.0f}")
-    for row in range(height, 0, -1):
-        lines.append(
-            "|" + "".join("#" if c >= row else " " for c in cols)
-        )
-    lines.append("+" + "-" * len(cols))
-    return "\n".join(lines)
-
-
-def bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    title: str = "",
-    unit: str = "",
-) -> str:
-    """Horizontal labelled bars (T_p comparisons)."""
-    if not values:
-        raise ValueError("need at least one bar")
-    hi = max(values.values())
-    if hi <= 0:
-        raise ValueError("bar values must include a positive maximum")
-    label_w = max(len(k) for k in values)
-    lines = [title] if title else []
-    for name, v in values.items():
-        bar = "#" * max(1, _scale(v, 0.0, hi, width))
-        lines.append(f"{name.rjust(label_w)} |{bar} {v:.1f}{unit}")
     return "\n".join(lines)
 
 

@@ -173,9 +173,12 @@ class Scheduler(object):
     #: True when chunk boundaries are a pure function of the remaining
     #: count / step index -- independent of which worker asks, or how
     #: often.  Only these have a substrate-independent reference replay
-    #: (:func:`repro.verify.replay_cut_points`); the stage ladders
-    #: (FSS/FISS/TFSS) descend per-PE, WF weighs by requester, and the
-    #: distributed family consumes runtime ACP reports.
+    #: (:func:`repro.verify.replay_cut_points`), and the auditor's
+    #: policy-conformance step checks exactly the schemes that set it
+    #: (``tests/core/test_properties.py`` proves the flag per registry
+    #: scheme).  The stage ladders (FSS/FISS/TFSS) descend per-PE, WF
+    #: weighs by requester, and the distributed family consumes
+    #: runtime ACP reports.
     order_invariant: bool = False
     #: The hooks :meth:`_lean_stepper` stands in for (the hook rule of
     #: :meth:`stepper`).

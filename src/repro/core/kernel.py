@@ -27,10 +27,13 @@ locally.  Its consumers:
 
 * the **decentral simulator and runtime** map fetched ordinals to
   intervals (``calc.interval(i)`` after ``i = counter.fetch_add(1)``);
-* :mod:`repro.verify` uses kernel boundaries as the policy-conformance
-  reference for order-invariant schemes;
-* the decentral fast path and the ledger materialize whole ladders as
-  arrays (:func:`evaluate_ladder`, :class:`ChunkLadder`).
+* the decentral fast path and the ledger read whole ladders as arrays
+  (:func:`evaluate_ladder`, :class:`ChunkLadder`: the calculator's own
+  table, handed over as int64 arrays).
+
+The kernel's oracle is :func:`repro.verify.replay_cut_points`, a
+request-by-request :meth:`~repro.core.base.Scheduler.stepper` replay
+that never reads the table.
 
 Which schemes decentralize
 --------------------------
@@ -257,12 +260,6 @@ class ChunkLadder(object):
     @property
     def n_chunks(self) -> int:
         return int(self.sizes.shape[0])
-
-    def cut_points(self) -> frozenset[int]:
-        """The ladder's boundary set, ``replay_cut_points`` style."""
-        if self.n_chunks == 0:
-            return frozenset()
-        return frozenset(int(s) for s in self.starts) | {self.total}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

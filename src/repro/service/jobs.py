@@ -28,9 +28,10 @@ Spec shape (only ``scheme`` and ``workload`` are required)::
     }
 
 ``cluster`` defaults to ``workers`` (default 4) identical 100-ops/s
-nodes.  Workload kinds map onto :mod:`repro.workloads`: ``uniform``,
-``linear``, ``conditional``, ``random``, ``gaussian-peak``, ``trace``,
-``spin`` and ``mandelbrot`` (the paper's loop; expensive -- its cost
+nodes; either spelling is capped at :data:`MAX_WORKERS` PEs.  Workload
+kinds map onto :mod:`repro.workloads`: ``uniform``, ``linear``,
+``conditional``, ``random``, ``gaussian-peak``, ``trace``, ``spin``
+and ``mandelbrot`` (the paper's loop; expensive -- its cost
 profile is resolved by the pool worker that runs the job, through the
 :mod:`repro.cache` directory every worker and every tenant shares).
 """
@@ -44,11 +45,20 @@ from ..simulation import ClusterSpec, NodeSpec, SimulationError
 from ..workloads import Workload
 
 __all__ = [
+    "MAX_WORKERS",
     "JobSpecError",
     "workload_from_spec",
     "cluster_from_spec",
     "job_from_spec",
 ]
+
+
+#: The largest cluster a wire spec may ask for, in either spelling
+#: (``workers`` or a ``nodes`` array).  Admission runs on the daemon's
+#: event loop and builds one node per PE, so an unbounded count would
+#: stall or kill the daemon for every tenant.  The paper's testbed has
+#: 9 PEs.
+MAX_WORKERS = 1024
 
 
 class JobSpecError(ValueError):
@@ -237,12 +247,21 @@ def cluster_from_spec(
             ) from exc
         if workers < 1:
             raise JobSpecError(f"workers must be >= 1, got {workers}")
+        if workers > MAX_WORKERS:
+            raise JobSpecError(
+                f"workers must be <= {MAX_WORKERS}, got {workers}"
+            )
         raw_nodes = [{"name": f"n{i}", "speed": 100.0}
                      for i in range(workers)]
     if not isinstance(raw_nodes, (list, tuple)):
         raise JobSpecError(
             f"cluster nodes must be an array, got "
             f"{type(raw_nodes).__name__}"
+        )
+    if len(raw_nodes) > MAX_WORKERS:
+        raise JobSpecError(
+            f"cluster nodes must number <= {MAX_WORKERS}, got "
+            f"{len(raw_nodes)}"
         )
     nodes = []
     for i, doc in enumerate(raw_nodes):

@@ -17,41 +17,40 @@ and (for simulations) when.  The auditor checks the invariants that any
   the trace (deaths must roll both back consistently);
 * **ACP bounds** -- reported ACPs are positive integers, and at most
   ``scale * max(V_i)`` when the cluster is known;
-* **policy conformance** -- for order-independent schemes, the trace's
-  interval boundaries equal a pure :class:`~repro.core.Scheduler`
-  replay's (requeued intervals are reassigned verbatim, so faults must
-  not move a single cut point).
+* **policy conformance** -- for ``Scheduler.order_invariant`` schemes,
+  the trace's interval boundaries equal one pure scheduler replay's
+  (requeued intervals are reassigned verbatim, so faults must not move
+  a single cut point).
 
-:func:`audit_sim` audits a :class:`~repro.simulation.SimResult`,
-:func:`audit_run` a runtime :class:`~repro.runtime.RunResult` (or
-:class:`~repro.runtime.MasterResult`), and :func:`audit_events` the
-unified observability stream itself (see :mod:`repro.obs`) -- the same
-coverage, sanity, and conformance core applied to ``result`` events, so
-a trace captured from *any* substrate can be proof-checked without the
-substrate's native result object.  All return an :class:`AuditReport`;
+:func:`audit_sim` (a :class:`~repro.simulation.SimResult`),
+:func:`audit_run` (a runtime result or a bare ``(worker, start,
+stop)`` chunk log), :func:`audit_adaptive` (an adaptive run against
+its decision log) and :func:`audit_events` (the :mod:`repro.obs`
+stream of any substrate) share one pipeline: the trace becomes
+``(worker, start, stop)`` rows, one coverage step proves the tiling,
+and one conformance step compares its cut points with one
+:func:`replay_cut_points`.  All return an :class:`AuditReport`;
 ``report.raise_if_failed()`` turns violations into an
-:class:`AuditError`.  The ``repro-experiments verify-chaos`` command
-and the test-suite fixtures are thin wrappers over these.
+:class:`AuditError`.  ``repro-experiments verify-chaos`` wraps them.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import Scheduler, make
 from .core import registry as _registry
-from .core.kernel import CALCULATORS, evaluate_ladder, make_calculator
 from .obs.events import ObsEvent, SchemaError, validate_event
 
 __all__ = [
     "AuditError",
     "AuditReport",
     "audit_adaptive",
-    "audit_chunks",
     "audit_events",
     "audit_service_log",
     "audit_sim",
@@ -111,19 +110,36 @@ class AuditReport(object):
         return "\n".join(lines)
 
 
+def _rows(trace) -> list[tuple[int, int, int]]:
+    """The ``(worker, start, stop)`` rows of a chunk trace: a
+    :class:`~repro.simulation.SimResult`, a runtime result (``.chunks``
+    of triples) or a bare triple list."""
+    return [
+        (rec.worker, rec.start, rec.stop) if hasattr(rec, "start")
+        else tuple(rec)
+        for rec in getattr(trace, "chunks", trace)
+    ]
+
+
 def _check_coverage(
-    spans: Sequence[tuple[int, int]], total: int, report: AuditReport
-) -> None:
-    """Exactly-once tiling of ``[0, total)`` by half-open intervals."""
+    rows: Sequence[tuple[int, int, int]],
+    total: Optional[int],
+    report: AuditReport,
+) -> int:
+    """Exactly-once tiling of ``[0, total)``, ``total`` defaulting to
+    the count the trace implies; returns the ``total`` checked."""
+    if total is None:
+        total = max((stop for _w, _start, stop in rows), default=0)
     report.checks.append("coverage")
     report.checks.append("chunk-sanity")
+    spans = [(start, stop) for _w, start, stop in rows]
     bad = [s for s in spans if s[1] <= s[0] or s[0] < 0 or s[1] > total]
     for start, stop in bad[:5]:
         report.violations.append(
             f"chunk [{start}, {stop}) is empty or outside [0, {total})"
         )
     if bad:
-        return
+        return total
     cursor = 0
     for start, stop in sorted(spans):
         if start > cursor:
@@ -140,18 +156,23 @@ def _check_coverage(
         report.violations.append(
             f"gap: iterations [{cursor}, {total}) never executed"
         )
+    return total
 
 
-def _length_matches(n_values: int, total: int) -> bool:
-    """True when ``n_values`` results can cover ``total`` iterations.
+def _check_result_length(results, total: int, report: AuditReport) -> None:
+    """Collected results must be able to cover ``total`` iterations.
 
     Workloads may produce one value *or one fixed-width vector* per
     iteration (e.g. a Mandelbrot column), so any positive integer
     multiple of ``total`` is a legal flattened length.
     """
-    if total == 0:
-        return n_values == 0
-    return n_values >= total and n_values % total == 0
+    report.checks.append("result-length")
+    n = len(results)
+    if not (n == 0 if total == 0 else n >= total and n % total == 0):
+        report.violations.append(
+            f"collected results hold {n} values for a {total}-iteration "
+            f"loop"
+        )
 
 
 def replay_cut_points(
@@ -163,26 +184,16 @@ def replay_cut_points(
 ) -> Optional[frozenset[int]]:
     """Interval boundaries a pure scheduler replay would produce.
 
-    Serves homogeneous requests round-robin in ``order`` (default
-    ``0..workers-1``) until the scheduler runs dry and returns the set
-    of cut points ``{start_0, stop_0, start_1, ...}``.  Returns None
-    for distributed schemes (their sizes depend on runtime ACP reports,
-    so there is no substrate-independent reference sequence).
-
-    Registry names with a pure :data:`repro.core.kernel.CALCULATORS`
-    form short-circuit through one vectorized
-    :func:`~repro.core.kernel.evaluate_ladder` call instead of the
-    step-by-step replay -- the same boundary set (the kernel is proven
-    against this replay by ``tests/core/test_kernel.py``), without the
-    per-request scheduler walk.  Custom ``order`` still replays: the
-    kernel has no notion of request interleaving.
+    Asks the scheduler the one way every substrate asks,
+    :meth:`~repro.core.Scheduler.stepper`: homogeneous requests served
+    round-robin in ``order`` (default ``0..workers-1``) until the
+    scheduler runs dry.  Returns the set of cut points ``{start_0,
+    stop_0, start_1, ...}``, or None for distributed schemes (their
+    sizes depend on runtime ACP reports, so there is no
+    substrate-independent reference sequence).  The lockstep kernel
+    (:mod:`repro.core.kernel`) is checked against this replay, so the
+    replay never runs through it.
     """
-    if isinstance(scheme, str) and order is None:
-        key, _inline = _registry.parse(scheme)
-        if key in CALCULATORS:
-            return evaluate_ladder(
-                make_calculator(scheme, total, workers, **scheme_kwargs)
-            ).cut_points()
     sched = (
         make(scheme, total, workers, **scheme_kwargs)
         if isinstance(scheme, str)
@@ -192,17 +203,14 @@ def replay_cut_points(
     )
     if sched.distributed:
         return None
-    order = list(order) if order is not None else list(range(workers))
     step = sched.stepper(lambda _wid: (1.0, 1))
     cuts: set[int] = set()
     served = 0
     dry = 0
-    i = 0
     # total + workers is a hard upper bound on request count: every
     # served request covers >= 1 iteration, plus one dry reply each.
-    for _ in range(2 * (total + workers) + 4):
-        wid = order[i % len(order)]
-        i += 1
+    requests = itertools.cycle(range(workers) if order is None else order)
+    for wid in itertools.islice(requests, 2 * (total + workers) + 4):
         chunk = step(wid, None)
         if chunk is None:
             # Static schemes run one worker dry while others still
@@ -219,60 +227,57 @@ def replay_cut_points(
     return frozenset(cuts)
 
 
-def _order_invariant(key: str) -> bool:
-    cls = _registry.SCHEMES.get(key)
-    return cls is not None and cls.order_invariant
-
-
 def _check_conformance(
-    spans: Sequence[tuple[int, int]],
+    rows: Sequence[tuple[int, int, int]],
     scheme: str | Scheduler,
     total: int,
-    workers: int,
     report: AuditReport,
+    check: str = "policy-conformance",
+    what: str = "chunk boundaries",
+    workers: Optional[int] = None,
+    base: int = 0,
     **scheme_kwargs,
 ) -> None:
-    """Trace boundaries must equal a pure-policy replay's.
+    """Cut points inside ``[base, base + total)`` must equal one pure
+    replay's, shifted by ``base``; records ``check`` (once per report)
+    when the scheme admits the check.
 
     Requeued intervals are reassigned *verbatim* on every substrate, so
     a fault plan may reorder chunks across workers but never move a cut
-    point.  The check only applies to ``Scheduler.order_invariant``
-    schemes (size is a pure function of the remaining count / step
-    index).
-    Schemes whose sizes depend on which worker asks or how often (WF's
-    weights, the per-PE stage ladders of FSS/FISS/TFSS, the ACP-driven
-    distributed family) have no substrate-independent reference
-    sequence and are skipped -- by whitelist, and double-checked by
-    replaying with structurally different worker orders (reversed, and
-    skewed so worker 0 requests far more often).
+    point -- for schemes whose boundaries are a pure function of the
+    remaining count.  ``Scheduler.order_invariant`` says which those
+    are, read from the class for an instance and from the registry for
+    a name.  The rest (WF's weights, the per-PE stage ladders of
+    FSS/FISS/TFSS, the ACP-driven family, ``adaptive:``) have no
+    substrate-independent reference sequence and are skipped.
+    ``workers`` defaults to the highest worker id in ``rows`` plus one.
     """
-    name = scheme if isinstance(scheme, str) else scheme.name
-    if not _order_invariant(name.split("(")[0]):
+    if isinstance(scheme, str):
+        cls = _registry.SCHEMES.get(_registry.parse(scheme)[0])
+    else:
+        cls = type(scheme)
+    if cls is None or not cls.order_invariant:
         return
-    forward = replay_cut_points(
-        scheme, total, workers, **scheme_kwargs
+    if check not in report.checks:
+        report.checks.append(check)
+    if workers is None:
+        workers = max((worker for worker, _s, _e in rows), default=0) + 1
+    expected = frozenset(
+        base + pt
+        for pt in replay_cut_points(scheme, total, workers, **scheme_kwargs)
     )
-    if forward is None:  # distributed scheme: no reference replay
-        return
-    skewed = [
-        x for w in range(1, workers) for x in (0, w)
-    ] or [0]
-    for order in (list(reversed(range(workers))), skewed):
-        if replay_cut_points(
-            scheme, total, workers, order=order, **scheme_kwargs
-        ) != forward:  # order-dependent despite whitelist: bail out
-            return
-    report.checks.append("policy-conformance")
     traced = frozenset(
-        pt for start, stop in spans for pt in (start, stop)
+        pt
+        for _w, start, stop in rows
+        if base <= start and stop <= base + total
+        for pt in (start, stop)
     )
-    if traced != forward:
-        extra = sorted(traced - forward)[:8]
-        missing = sorted(forward - traced)[:8]
+    if traced != expected:
+        name = scheme if isinstance(scheme, str) else scheme.name
         report.violations.append(
-            f"chunk boundaries diverge from pure "
-            f"{scheme if isinstance(scheme, str) else scheme.name} "
-            f"replay (unexpected cuts {extra}, missing cuts {missing})"
+            f"{what} diverge from the pure {name} replay (unexpected "
+            f"cuts {sorted(traced - expected)[:8]}, missing cuts "
+            f"{sorted(expected - traced)[:8]})"
         )
 
 
@@ -292,10 +297,8 @@ def audit_sim(
     (e.g. ``acp_model.scale * max(virtual_powers)``).
     """
     report = AuditReport(subject=f"SimResult[{result.scheme}]")
-    spans = [(rec.start, rec.stop) for rec in result.chunks]
-    if total is None:
-        total = max((stop for _start, stop in spans), default=0)
-    _check_coverage(spans, total, report)
+    rows = _rows(result)
+    total = _check_coverage(rows, total, report)
 
     report.checks.append("event-times")
     last_end: dict[int, float] = {}
@@ -343,44 +346,24 @@ def audit_sim(
             f"trace references unknown worker index(es) {stray}"
         )
 
-    acps = [rec.acp for rec in result.chunks if rec.acp is not None]
-    if acps:
+    acped = [rec for rec in result.chunks if rec.acp is not None]
+    if acped:
         report.checks.append("acp-bounds")
-        for rec in result.chunks:
-            if rec.acp is None:
-                continue
-            if rec.acp < 1 or (max_acp is not None and rec.acp > max_acp):
-                report.violations.append(
-                    f"chunk [{rec.start}, {rec.stop}) carries ACP "
-                    f"{rec.acp} outside [1, {max_acp or 'inf'}]"
-                )
+    for rec in acped:
+        if rec.acp < 1 or (max_acp is not None and rec.acp > max_acp):
+            report.violations.append(
+                f"chunk [{rec.start}, {rec.stop}) carries ACP "
+                f"{rec.acp} outside [1, {max_acp or 'inf'}]"
+            )
 
     if result.results is not None:
-        report.checks.append("result-length")
-        if not _length_matches(len(result.results), total):
-            report.violations.append(
-                f"collected results hold {len(result.results)} values "
-                f"for a {total}-iteration loop"
-            )
+        _check_result_length(result.results, total, report)
 
     if scheme is not None and report.ok:
         _check_conformance(
-            spans, scheme, total, len(result.workers), report,
+            rows, scheme, total, report, workers=len(result.workers),
             **scheme_kwargs,
         )
-    return report
-
-
-def audit_chunks(
-    chunks: Iterable[tuple[int, int, int]],
-    total: int,
-    subject: str = "chunks",
-) -> AuditReport:
-    """Audit a bare ``(worker, start, stop)`` log for exactly-once
-    coverage of ``[0, total)``."""
-    report = AuditReport(subject=subject)
-    spans = [(start, stop) for _worker, start, stop in chunks]
-    _check_coverage(spans, total, report)
     return report
 
 
@@ -393,7 +376,8 @@ def audit_run(
     **scheme_kwargs,
 ) -> AuditReport:
     """Audit a runtime :class:`~repro.runtime.RunResult` (or
-    :class:`~repro.runtime.MasterResult`).
+    :class:`~repro.runtime.MasterResult`), or a bare ``(worker, start,
+    stop)`` chunk log.
 
     ``workload`` additionally checks the reassembled results bit for
     bit against ``workload.execute_serial()`` -- the runtime's core
@@ -401,58 +385,29 @@ def audit_run(
     """
     name = getattr(run, "scheme", None) or "runtime"
     report = AuditReport(subject=f"RunResult[{name}]")
-    spans = [(start, stop) for _worker, start, stop in run.chunks]
-    if total is None:
-        total = (
-            workload.size if workload is not None
-            else max((stop for _s, stop in spans), default=0)
-        )
-    _check_coverage(spans, total, report)
+    rows = _rows(run)
+    if total is None and workload is not None:
+        total = workload.size
+    total = _check_coverage(rows, total, report)
 
     results = getattr(run, "results", None)
     if results is not None and workload is not None:
         report.checks.append("results-vs-serial")
-        expected = workload.execute_serial()
+        expected = np.asarray(workload.execute_serial())
         got = np.asarray(results)
-        if got.shape != np.asarray(expected).shape or not np.array_equal(
-            got, expected
-        ):
+        if got.shape != expected.shape or not np.array_equal(got, expected):
             report.violations.append(
                 "reassembled results differ from the serial execution "
-                f"(shapes {got.shape} vs {np.asarray(expected).shape})"
+                f"(shapes {got.shape} vs {expected.shape})"
             )
     elif results is not None:
-        report.checks.append("result-length")
-        if not _length_matches(len(results), total):
-            report.violations.append(
-                f"collected results hold {len(results)} values for a "
-                f"{total}-iteration loop"
-            )
+        _check_result_length(results, total, report)
 
     if scheme is not None and report.ok:
-        nworkers = workers
-        if nworkers is None:
-            nworkers = max(
-                (worker for worker, _s, _e in run.chunks), default=0
-            ) + 1
         _check_conformance(
-            spans, scheme, total, nworkers, report, **scheme_kwargs
+            rows, scheme, total, report, workers=workers, **scheme_kwargs
         )
     return report
-
-
-def _extract_spans(trace) -> list[tuple[int, int]]:
-    """Chunk spans from a SimResult, runtime result, or raw span list."""
-    chunks = getattr(trace, "chunks", trace)
-    spans: list[tuple[int, int]] = []
-    for rec in chunks:
-        if hasattr(rec, "start"):
-            spans.append((rec.start, rec.stop))
-        elif len(rec) == 3:  # runtime (worker, start, stop) triple
-            spans.append((rec[1], rec[2]))
-        else:
-            spans.append((rec[0], rec[1]))
-    return spans
 
 
 def audit_adaptive(
@@ -464,7 +419,7 @@ def audit_adaptive(
     """Audit an adaptive run against its own decision log.
 
     ``trace`` is a :class:`~repro.simulation.SimResult`, a runtime
-    result (``.chunks`` of ``(worker, start, stop)``), or a raw span
+    result (``.chunks`` of ``(worker, start, stop)``), or a bare triple
     list; ``decisions`` is an
     :class:`~repro.adaptive.AdaptiveScheduler` (its ``decisions`` log
     is read) or the :class:`~repro.adaptive.StageDecision` list itself.
@@ -477,25 +432,21 @@ def audit_adaptive(
     * **stage-alignment** -- every executed chunk lies inside exactly
       one stage window (a chunk crossing a switch point would mean the
       sub-scheduler escaped its stage);
-    * **stage-conformance** -- for stages whose scheme is
-      order-invariant (``Scheduler.order_invariant``), the traced
-      cut points inside the window equal a pure
-      :func:`replay_cut_points` of that stage's scheme and recorded
-      parameters, shifted to the stage base.  Requeued intervals are
-      reassigned verbatim on every substrate, so this holds under
-      fault plans too.  Stages running request-order-dependent schemes
+    * **stage-conformance** -- the policy-conformance step run on each
+      stage window: for stages whose scheme is order-invariant, the
+      traced cut points inside the window equal a pure replay of that
+      stage's scheme and recorded parameters, shifted to the stage
+      base.  Stages running request-order-dependent schemes
       (FSS/FISS/TFSS/WF ladders) are skipped, like the fixed-scheme
-      conformance audit skips them.
+      audits skip them.
     """
     decs = list(getattr(decisions, "decisions", decisions))
     selects = sorted(
         (d for d in decs if d.kind == "select"), key=lambda d: d.stage
     )
-    spans = _extract_spans(trace)
-    if total is None:
-        total = max((stop for _start, stop in spans), default=0)
+    rows = _rows(trace)
     report = AuditReport(subject=f"adaptive[{len(selects)} stages]")
-    _check_coverage(spans, total, report)
+    total = _check_coverage(rows, total, report)
 
     report.checks.append("stage-tiling")
     cursor = 0
@@ -514,51 +465,20 @@ def audit_adaptive(
 
     report.checks.append("stage-alignment")
     bounds = sorted((d.base, d.base + d.size) for d in selects)
-    for start, stop in spans:
-        inside = any(b <= start and stop <= e for b, e in bounds)
-        if not inside:
+    for _w, start, stop in rows:
+        if not any(b <= start and stop <= e for b, e in bounds):
             report.violations.append(
                 f"chunk [{start}, {stop}) crosses a stage boundary"
             )
     if not report.ok:
         return report
 
-    if workers is None:
-        workers = max(
-            (
-                getattr(rec, "worker", rec[0] if len(rec) == 3 else 0)
-                for rec in getattr(trace, "chunks", trace)
-            ),
-            default=0,
-        ) + 1
-    checked = 0
     for d in selects:
-        key, _inline = _registry.parse(d.scheme)
-        if not _order_invariant(key):
-            continue
-        expected = replay_cut_points(
-            d.scheme, d.size, workers, **d.params
+        _check_conformance(
+            rows, d.scheme, d.size, report, check="stage-conformance",
+            what=f"stage {d.stage} boundaries", workers=workers,
+            base=d.base, **d.params,
         )
-        if expected is None:  # pragma: no cover - candidates are simple
-            continue
-        checked += 1
-        window = frozenset(d.base + pt for pt in expected)
-        traced = frozenset(
-            pt
-            for start, stop in spans
-            if d.base <= start and stop <= d.base + d.size
-            for pt in (start, stop)
-        )
-        if traced != window:
-            extra = sorted(traced - window)[:8]
-            missing = sorted(window - traced)[:8]
-            report.violations.append(
-                f"stage {d.stage} ({d.scheme}) boundaries diverge from "
-                f"the pure replay (unexpected cuts {extra}, missing "
-                f"cuts {missing})"
-            )
-    if checked:
-        report.checks.append("stage-conformance")
     return report
 
 
@@ -577,9 +497,9 @@ def audit_events(
     :func:`~repro.obs.read_jsonl`) -- a :class:`~repro.obs.capture`
     buffer, a merged trace file, anything.  The audit needs nothing
     else: the ``result`` events alone carry the exactly-once ledger,
-    so the same coverage / sanity / policy-conformance core that
+    so the same coverage / sanity / policy-conformance steps that
     :func:`audit_sim` and :func:`audit_run` apply to native result
-    objects runs here on the trace every substrate emits.
+    objects run here on the trace every substrate emits.
 
     Checks, in order: every event satisfies the :mod:`repro.obs`
     schema; ``result`` intervals tile ``[0, total)`` exactly once;
@@ -610,10 +530,8 @@ def audit_events(
         return report
 
     results = [e for e in evs if e.kind == "result"]
-    spans = [(e.start, e.stop) for e in results]
-    if total is None:
-        total = max((stop for _start, stop in spans), default=0)
-    _check_coverage(spans, total, report)
+    rows = [(e.worker, e.start, e.stop) for e in results]
+    total = _check_coverage(rows, total, report)
 
     report.checks.append("event-times")
     last_t: dict[tuple[str, int], float] = {}
@@ -638,17 +556,16 @@ def audit_events(
         last_t[key] = ev.t
 
     if scheme is not None and report.ok:
-        nworkers = workers
-        if nworkers is None:
+        if workers is None:
             # Infer from *every* event, not just results: a fast worker
             # can drain the whole loop before its peers claim anything,
             # but the idle peers still emit request/heartbeat/acp
             # events, and TSS-family ladders depend on the true count.
-            nworkers = max(
+            workers = max(
                 (e.worker for e in evs if e.worker >= 0), default=0
             ) + 1
         _check_conformance(
-            spans, scheme, total, nworkers, report, **scheme_kwargs
+            rows, scheme, total, report, workers=workers, **scheme_kwargs
         )
     return report
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis import bar_chart, line_chart, profile_chart
+from repro.analysis import line_chart
 
 
 class TestLineChart:
@@ -51,46 +50,3 @@ class TestLineChart:
         # Marker at bottom-left and top-right.
         assert first_col[-1] == "o"
         assert last_col[0] == "o"
-
-
-class TestProfileChart:
-    def test_shape(self):
-        chart = profile_chart(np.arange(100.0), width=50, height=6)
-        rows = [line for line in chart.splitlines()
-                if line.startswith("|")]
-        assert len(rows) == 6
-
-    def test_ramp_fills_rightward(self):
-        chart = profile_chart(np.arange(100.0), width=20, height=5)
-        bottom = [line for line in chart.splitlines()
-                  if line.startswith("|")][-1]
-        top = [line for line in chart.splitlines()
-               if line.startswith("|")][0]
-        assert bottom.count("#") > top.count("#")
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            profile_chart([])
-        with pytest.raises(ValueError):
-            profile_chart(np.zeros((2, 2)))
-
-
-class TestBarChart:
-    def test_labels_and_values(self):
-        chart = bar_chart({"TSS": 23.6, "DTSS": 13.4}, unit="s")
-        assert "TSS" in chart and "DTSS" in chart
-        assert "23.6s" in chart and "13.4s" in chart
-
-    def test_longest_bar_is_max(self):
-        chart = bar_chart({"a": 1.0, "b": 4.0}, width=40)
-        bars = {
-            line.split("|")[0].strip(): line.split("|")[1].count("#")
-            for line in chart.splitlines()
-        }
-        assert bars["b"] > bars["a"]
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            bar_chart({})
-        with pytest.raises(ValueError):
-            bar_chart({"a": 0.0})

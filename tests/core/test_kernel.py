@@ -1,17 +1,15 @@
 """Kernel/ladder equivalence proof (hypothesis).
 
-``repro.core.kernel.evaluate_ladder`` is the single vectorized source
-of truth for every pure chunk ladder: the analytic fast path, the
-decentral counter engine, and ``repro.verify.replay_cut_points`` all
-consume it.  These tests pin the kernel against the slowest, most
-literal reference we have -- a step-by-step scheduler replay -- for
-every registered pure scheme over random ``(N, P)``, including the
-degenerate shapes (``P=1``, ``N<P``, ``N=0``, inline parameters).
-
-The replay reference deliberately passes a *Scheduler instance* to
-``replay_cut_points``: string schemes short-circuit through the very
-kernel under test (see ``repro.verify``), which would make the
-comparison circular.
+The lockstep kernel (``repro.core.kernel``) tabulates every pure
+chunk ladder once: the decentral counter engine reads
+``ChunkCalculator.interval`` per fetched ordinal, and the decentral
+fast path and the ledger read ``evaluate_ladder``, the same table as
+arrays.  These tests pin the kernel against the most literal reference
+we have -- ``repro.verify.replay_cut_points``, a request-by-request
+replay through ``Scheduler.stepper`` -- and against a drained
+scheduler, for every registered pure scheme over random ``(N, P)``,
+including the degenerate shapes (``P=1``, ``N<P``, ``N=0``, inline
+parameters).
 """
 
 from __future__ import annotations
@@ -50,15 +48,10 @@ def kernel_case(draw):
 @given(kernel_case())
 @settings(max_examples=250, deadline=None)
 def test_ladder_matches_step_by_step_replay(case):
-    """Vectorized ladder boundaries == literal scheduler replay."""
+    """Kernel boundaries == literal scheduler replay."""
     name, total, workers = case
-    ladder = evaluate_ladder(name, total, workers)
-    # Scheduler instance => replay_cut_points takes the slow
-    # step-by-step path (the str spelling would route back through the
-    # kernel and prove nothing).
-    reference = replay_cut_points(make(name, total, workers),
-                                  total, workers)
-    assert ladder.cut_points() == reference
+    calc = make_calculator(name, total, workers)
+    assert calc.boundaries() == replay_cut_points(name, total, workers)
 
 
 @given(kernel_case())
@@ -100,33 +93,21 @@ def test_ladder_tiles_the_loop(case):
     ],
 )
 def test_degenerate_shapes(name, total, workers):
-    ladder = evaluate_ladder(name, total, workers)
-    reference = replay_cut_points(make(name, total, workers),
-                                  total, workers)
-    assert ladder.cut_points() == reference
-    assert int(ladder.sizes.sum()) == total
-
-
-def test_verify_shortcut_equals_slow_replay():
-    """The str-scheme shortcut in replay_cut_points is not circularly
-    trusted: pin it against the instance (slow) path explicitly."""
-    for name in PURE_SCHEMES:
-        for total, workers in [(100, 4), (0, 3), (3, 8), (1000, 7)]:
-            fast = replay_cut_points(name, total, workers)
-            slow = replay_cut_points(make(name, total, workers),
-                                     total, workers)
-            assert fast == slow, (name, total, workers)
+    calc = make_calculator(name, total, workers)
+    assert calc.boundaries() == replay_cut_points(name, total, workers)
+    assert int(evaluate_ladder(calc).sizes.sum()) == total
 
 
 def test_custom_order_bypasses_kernel():
-    """A caller-supplied service order must never hit the kernel (the
-    ladder has no notion of request interleaving) -- reversed order on
-    an order-sensitive scheme differs from the kernel ladder."""
+    """A caller-supplied service order replays request by request (the
+    kernel has no notion of request interleaving); any round-robin
+    permutation is still the lockstep ladder, even for a per-PE stage
+    ladder like FSS's."""
     total, workers = 100, 4
     reversed_order = list(range(workers))[::-1]
     via_order = replay_cut_points("FSS", total, workers,
                                   order=reversed_order * total)
-    assert via_order is not None  # replay completed step-by-step
+    assert via_order == make_calculator("FSS", total, workers).boundaries()
 
 
 def test_impure_schemes_rejected():

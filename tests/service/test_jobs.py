@@ -9,6 +9,7 @@ import pytest
 from repro.batch import SimJob
 from repro.obs import stream_digest
 from repro.service.jobs import (
+    MAX_WORKERS,
     JobSpecError,
     cluster_from_spec,
     job_from_spec,
@@ -107,8 +108,23 @@ class TestClusterFromSpec:
 
     def test_workers_shorthand(self):
         assert len(cluster_from_spec({"workers": 7}).nodes) == 7
+        assert len(cluster_from_spec({"workers": MAX_WORKERS}).nodes) \
+            == MAX_WORKERS
         with pytest.raises(JobSpecError, match="workers"):
             cluster_from_spec({"workers": 0})
+
+    @pytest.mark.parametrize("spec", [
+        {"workers": MAX_WORKERS + 1},
+        {"nodes": [{"speed": 100.0}] * (MAX_WORKERS + 1)},
+    ])
+    def test_cluster_size_is_bounded(self, spec):
+        # Admission builds one node per PE on the daemon's event loop:
+        # an unbounded count (``{"workers": 1e9}``) would kill it.
+        with pytest.raises(JobSpecError, match=str(MAX_WORKERS)):
+            cluster_from_spec(spec)
+        with pytest.raises(JobSpecError, match=str(MAX_WORKERS)):
+            job_from_spec({"scheme": "TSS", "cluster": spec,
+                           "workload": {"kind": "uniform", "size": 5}})
 
     def test_explicit_nodes(self):
         cluster = cluster_from_spec({

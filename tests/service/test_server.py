@@ -25,7 +25,7 @@ from repro.obs import stream_digest
 from repro.runtime.config import RuntimeConfig
 from repro.service import ServiceClient, ServiceError, protocol
 from repro.service.protocol import encode_frame, recv_frame
-from repro.service.jobs import job_from_spec
+from repro.service.jobs import MAX_WORKERS, job_from_spec
 from repro.service.server import ServiceConfig, ServiceServer
 from repro.verify import audit_service_log
 
@@ -166,6 +166,17 @@ class TestBasics:
                 c.submit({"scheme": "NOPE",
                           "workload": {"kind": "uniform", "size": 5}})
             assert err.value.reason == "bad-spec"
+
+    def test_oversized_cluster_rejected_with_reason(self, tmp_path):
+        with _Daemon(tmp_path) as d, d.client("alice") as c:
+            for cluster in ({"workers": MAX_WORKERS + 1},
+                            {"nodes": [{"speed": 100.0}]
+                             * (MAX_WORKERS + 1)}):
+                with pytest.raises(ServiceError) as err:
+                    c.submit({"scheme": "TSS", "cluster": cluster,
+                              "workload": {"kind": "uniform", "size": 5}})
+                assert err.value.reason == "bad-spec"
+            assert c.ping()
 
     def test_unknown_op(self, tmp_path):
         with _Daemon(tmp_path) as d, d.client("alice") as c:

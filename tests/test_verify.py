@@ -11,7 +11,6 @@ from repro.simulation import ChunkRecord, SimResult, WorkerMetrics
 from repro.verify import (
     AuditError,
     AuditReport,
-    audit_chunks,
     audit_run,
     audit_sim,
     audit_subscription,
@@ -175,6 +174,29 @@ class TestConformance:
         skew = replay_cut_points("FSS", 100, 3, order=[0, 1, 0, 2])
         assert fwd != skew
 
+    def test_misflagged_order_invariance_is_caught(self):
+        """The flag is the rule: a scheme that claims order invariance
+        falsely is checked, and its trace diverges from the replay."""
+        from repro.core import FactoringScheduler
+
+        class LyingFSS(FactoringScheduler):
+            order_invariant = True
+
+        # Worker 0 asks twice as often: FSS's per-PE stage ladder
+        # gives it a different cut sequence than round-robin service.
+        step = LyingFSS(100, 3).stepper(lambda _wid: (1.0, 1))
+        spans = []
+        for i, wid in enumerate([0, 1, 0, 2] * 100):
+            chunk = step(wid, None)
+            if chunk is None:
+                break
+            spans.append((wid, chunk[0], chunk[1], float(i), i + 0.5))
+        res = make_result(spans, workers=3)
+        assert audit_sim(res, 100).ok
+        report = audit_sim(res, 100, scheme=LyingFSS(100, 3))
+        assert "policy-conformance" in report.checks
+        assert any("diverge" in v for v in report.violations)
+
     def test_replay_cut_points_invariant_for_simple_chain(self):
         for scheme, kw in [("SS", {}), ("CSS", {"k": 7}), ("GSS", {}),
                            ("TSS", {})]:
@@ -189,8 +211,9 @@ class TestConformance:
 
 class TestAuditChunksAndRun:
     def test_audit_chunks(self):
-        audit_chunks([(0, 0, 4), (1, 4, 9)], 9).raise_if_failed()
-        assert not audit_chunks([(0, 0, 4)], 9).ok
+        # a bare (worker, start, stop) chunk log is a runtime trace too
+        audit_run([(0, 0, 4), (1, 4, 9)], 9).raise_if_failed()
+        assert not audit_run([(0, 0, 4)], 9).ok
 
     def test_audit_run_against_workload(self):
         from repro.runtime import RunResult
