@@ -156,20 +156,30 @@ class ObsEvent(NamedTuple):
     wall: Optional[float] = None
 
     def to_dict(self) -> dict[str, Any]:
-        """Compact dict form: unset optional fields are omitted."""
-        doc: dict[str, Any] = {
-            "kind": self.kind,
-            "source": self.source,
-            "t": self.t,
-        }
-        if self.worker != -1:
-            doc["worker"] = self.worker
-        for field in ("start", "stop", "stage", "acp", "value", "wall"):
-            v = getattr(self, field)
-            if v is not None:
-                doc[field] = v
-        if self.detail:
-            doc["detail"] = self.detail
+        """Compact dict form: unset optional fields are omitted.
+
+        Written out field by field from one unpacking of the tuple: a
+        traced job's ``wait`` reply builds one per event.
+        """
+        (kind, source, t, worker, start, stop, stage, acp, value,
+         detail, wall) = self
+        doc: dict[str, Any] = {"kind": kind, "source": source, "t": t}
+        if worker != -1:
+            doc["worker"] = worker
+        if start is not None:
+            doc["start"] = start
+        if stop is not None:
+            doc["stop"] = stop
+        if stage is not None:
+            doc["stage"] = stage
+        if acp is not None:
+            doc["acp"] = acp
+        if value is not None:
+            doc["value"] = value
+        if wall is not None:
+            doc["wall"] = wall
+        if detail:
+            doc["detail"] = detail
         return doc
 
     @classmethod

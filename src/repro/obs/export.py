@@ -19,9 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
+import math
+import operator
 import os
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
+
+import orjson
 
 from .events import ObsEvent
 
@@ -34,6 +39,7 @@ __all__ = [
     "canonical_stream",
     "stream_digest",
     "events_json",
+    "json_text",
 ]
 
 #: Microseconds per unit of event time (Chrome traces use us).
@@ -198,63 +204,49 @@ def stream_digest(events: Iterable[ObsEvent]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_float_repr = float.__repr__
+#: :mod:`json`'s compact writer: what :func:`json_text` falls back to.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+_T, _VALUE, _WALL = (operator.itemgetter(i) for i in (2, 8, 10))
+
+
+def json_text(doc: Any, numbers: Iterable) -> str:
+    """Compact JSON text of ``doc`` that :func:`json.loads` reads back
+    as ``doc``: the one writer of bulk text (results and traces).
+
+    orjson writes it -- floats in their shortest round-trip form,
+    non-ASCII as raw UTF-8, numpy scalars as the numbers they hold --
+    unless that would change the answer, and then :mod:`json` does
+    (``NaN`` / ``Infinity`` tokens, ``\\uXXXX`` escapes):
+
+    * a NaN or an infinity among ``numbers`` -- every float in
+      ``doc``, which orjson would write as ``null``;
+    * a value orjson refuses: an int beyond 64 bits, a string holding
+      a lone surrogate.
+    """
+    try:
+        if all(map(math.isfinite, numbers)):
+            return orjson.dumps(
+                doc, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    except (TypeError, OverflowError):
+        # TypeError: orjson's refusal, or a non-number among
+        # ``numbers``; OverflowError: an int too large to be a float.
+        pass
+    return _dumps(doc)
 
 
 def events_json(events: Sequence[ObsEvent]) -> str:
     """Compact JSON array text of ``[ev.to_dict() for ev in events]``.
 
-    :meth:`ObsEvent.to_dict` is the definition and this is the writer
-    used where a trace leaves the process: the same members in the
-    same order, formatted straight from the tuple (a 4000-event trace
-    cost more to turn into dicts and encode than the run that made
-    it).  Integer fields are written with ``%d`` and times with
-    ``float.__repr__``; a stream holding a time those cannot write as
-    ``json`` would (an int where a float belongs, ``inf``, ``nan``) is
-    encoded from the definition instead.
-    ``tests/obs/test_export.py`` holds the two byte-identical.
+    The writer used where a trace leaves the process (the ``trace``
+    member of a ``wait`` reply), through :func:`json_text`:
+    ``json.loads(events_json(evs)) == [ev.to_dict() for ev in evs]``,
+    and the text is orjson's whenever every value is finite and
+    encodable (``tests/obs/test_export.py`` holds both).
     """
-    try:
-        return _events_text(events)
-    except (TypeError, ValueError):
-        return _dumps([ev.to_dict() for ev in events])
-
-
-def _events_text(events: Sequence[ObsEvent]) -> str:
-    """The fast arm of :func:`events_json`: ``TypeError`` from
-    ``float.__repr__`` of a non-float, ``ValueError`` at a non-finite
-    time (``x - x`` is ``nan`` for ``inf`` and ``nan``)."""
-    heads: dict[tuple, str] = {}
-    out = []
-    for (kind, source, t, worker, start, stop, stage, acp, value,
-         detail, wall) in events:
-        head = heads.get((kind, source))
-        if head is None:
-            head = heads[kind, source] = '{"kind":%s,"source":%s,"t":' % (
-                _dumps(kind), _dumps(source))
-        if t - t != 0.0:
-            raise ValueError(t)
-        text = head + _float_repr(t)
-        if worker != -1:
-            text += ',"worker":%d' % worker
-        if start is not None:
-            text += ',"start":%d' % start
-        if stop is not None:
-            text += ',"stop":%d' % stop
-        if stage is not None:
-            text += ',"stage":%d' % stage
-        if acp is not None:
-            text += ',"acp":%d' % acp
-        if value is not None:
-            if value - value != 0.0:
-                raise ValueError(value)
-            text += ',"value":' + _float_repr(value)
-        if wall is not None:
-            if wall - wall != 0.0:
-                raise ValueError(wall)
-            text += ',"wall":' + _float_repr(wall)
-        if detail:
-            text += ',"detail":' + _dumps(detail)
-        out.append(text)
-    return "[" + "},".join(out) + "}]" if out else "[]"
+    numbers = itertools.chain(
+        map(_T, events),
+        # ``None`` (unset) and 0.0 are left out alike: 0.0 is finite.
+        filter(None, map(_VALUE, events)),
+        filter(None, map(_WALL, events)),
+    )
+    return json_text([ev.to_dict() for ev in events], numbers)

@@ -28,7 +28,10 @@ Spec shape (only ``scheme`` and ``workload`` are required)::
     }
 
 ``cluster`` defaults to ``workers`` (default 4) identical 100-ops/s
-nodes; either spelling is capped at :data:`MAX_WORKERS` PEs.  Workload
+nodes; either spelling is capped at :data:`MAX_WORKERS` PEs.  Loops
+are capped at :data:`MAX_ITERATIONS` iterations, Mandelbrot windows
+at :data:`MAX_PIXELS` pixels and virtual powers at
+:data:`MAX_VIRTUAL_POWER`; a spec over any bound is refused.  Workload
 kinds map onto :mod:`repro.workloads`: ``uniform``, ``linear``,
 ``conditional``, ``random``, ``gaussian-peak``, ``trace``, ``spin``
 and ``mandelbrot`` (the paper's loop; expensive -- its cost
@@ -46,6 +49,9 @@ from ..workloads import Workload
 
 __all__ = [
     "MAX_WORKERS",
+    "MAX_ITERATIONS",
+    "MAX_PIXELS",
+    "MAX_VIRTUAL_POWER",
     "JobSpecError",
     "workload_from_spec",
     "cluster_from_spec",
@@ -60,9 +66,42 @@ __all__ = [
 #: 9 PEs.
 MAX_WORKERS = 1024
 
+#: The largest loop a wire spec may ask for: a workload ``size``, a
+#: ``trace``'s cost count, a ``mandelbrot`` ``width``.  A pool worker's
+#: memory grows with the loop, steepest under SS: one chunk row and
+#: four events per iteration, about 3 KB at the peak of a traced
+#: reply, so the worst admitted job peaks near 300 MB.  The paper's
+#: largest loop is a 4000-column window.  The bound also keeps every
+#: ``start`` / ``stop`` in a reply within 64 bits.
+MAX_ITERATIONS = 100_000
+
+#: The largest ``mandelbrot`` window (``width * height``): the paper's
+#: largest, 4000 x 2000.  The cost pass keeps every pixel's escape
+#: count (4 bytes) and holds complex temporaries for up to 512 columns
+#: at a time.
+MAX_PIXELS = 4000 * 2000
+
+#: The largest ``virtual_power`` a node may declare.  A PE's ACP is
+#: ``floor(scale * V / Q)`` and rides in every chunk row it wins; this
+#: keeps it, and the sum over :data:`MAX_WORKERS` PEs, within 64 bits.
+#: The paper's virtual powers are relative speeds between 1 and ~3.
+MAX_VIRTUAL_POWER = 1e6
+
 
 class JobSpecError(ValueError):
     """A wire job spec is malformed (unknown kind, bad field, ...)."""
+
+
+def _bounded(value: Any, what: str, bound: int) -> int:
+    """``int(value)``, refused above ``bound``."""
+    n = int(value)
+    if n > bound:
+        raise JobSpecError(f"{what} must be <= {bound}, got {n}")
+    return n
+
+
+def _size(spec: dict) -> int:
+    return _bounded(spec["size"], "size", MAX_ITERATIONS)
 
 
 def _spec_number(value: Any, what: str) -> float:
@@ -84,7 +123,7 @@ def _build_uniform(spec: dict) -> Workload:
     from ..workloads import UniformWorkload
 
     return UniformWorkload(
-        size=int(spec["size"]), unit=float(spec.get("unit", 1.0))
+        size=_size(spec), unit=float(spec.get("unit", 1.0))
     )
 
 
@@ -92,7 +131,7 @@ def _build_linear(spec: dict) -> Workload:
     from ..workloads import LinearWorkload
 
     return LinearWorkload(
-        size=int(spec["size"]),
+        size=_size(spec),
         increasing=bool(spec.get("increasing", True)),
         base=float(spec.get("base", 1.0)),
         slope=float(spec.get("slope", 1.0)),
@@ -103,7 +142,7 @@ def _build_conditional(spec: dict) -> Workload:
     from ..workloads import ConditionalWorkload
 
     return ConditionalWorkload(
-        size=int(spec["size"]),
+        size=_size(spec),
         cost_true=float(spec.get("cost_true", 10.0)),
         cost_false=float(spec.get("cost_false", 1.0)),
     )
@@ -113,7 +152,7 @@ def _build_random(spec: dict) -> Workload:
     from ..workloads import RandomWorkload
 
     return RandomWorkload(
-        size=int(spec["size"]),
+        size=_size(spec),
         seed=int(spec.get("seed", 0)),
         mean=float(spec.get("mean", 1.0)),
         sigma=float(spec.get("sigma", 1.0)),
@@ -124,7 +163,7 @@ def _build_gaussian(spec: dict) -> Workload:
     from ..workloads import GaussianPeakWorkload
 
     return GaussianPeakWorkload(
-        size=int(spec["size"]),
+        size=_size(spec),
         amplitude=float(spec.get("amplitude", 100.0)),
         floor=float(spec.get("floor", 1.0)),
         center=(
@@ -146,6 +185,7 @@ def _build_trace(spec: dict) -> Workload:
         raise JobSpecError(
             "trace workloads need a non-empty 'costs' array"
         )
+    _bounded(len(costs), "trace length", MAX_ITERATIONS)
     return TraceWorkload(costs)
 
 
@@ -153,7 +193,7 @@ def _build_spin(spec: dict) -> Workload:
     from ..workloads.synthetic import SpinWorkload
 
     return SpinWorkload(
-        size=int(spec["size"]),
+        size=_size(spec),
         spins=int(spec.get("spins", 20)),
         veclen=int(spec.get("veclen", 2048)),
     )
@@ -162,10 +202,11 @@ def _build_spin(spec: dict) -> Workload:
 def _build_mandelbrot(spec: dict) -> Workload:
     from ..workloads import MandelbrotWorkload
 
-    kwargs: dict[str, Any] = {
-        "width": int(spec.get("width", 400)),
-        "height": int(spec.get("height", 200)),
-    }
+    width = _bounded(spec.get("width", 400), "width", MAX_ITERATIONS)
+    height = int(spec.get("height", 200))
+    # An empty window still lays out one column of ``height`` points.
+    _bounded(max(width, 1) * height, "width * height", MAX_PIXELS)
+    kwargs: dict[str, Any] = {"width": width, "height": height}
     if spec.get("max_iter") is not None:
         kwargs["max_iter"] = int(spec["max_iter"])
     wl = MandelbrotWorkload(**kwargs)
@@ -281,6 +322,11 @@ def cluster_from_spec(
                 )
         if doc.get("segment") is not None:
             node_kwargs["segment"] = str(doc["segment"])
+        if node_kwargs.get("virtual_power", 1.0) > MAX_VIRTUAL_POWER:
+            raise JobSpecError(
+                f"node {i} virtual_power must be <= {MAX_VIRTUAL_POWER:g}, "
+                f"got {node_kwargs['virtual_power']!r}"
+            )
         try:
             nodes.append(NodeSpec(**node_kwargs))
         except SimulationError as exc:

@@ -131,9 +131,11 @@ def _execute_body(
 
     ``body`` is the job's share of its ``wait`` reply, encoded here,
     once: a JSON object of ``digest``, ``events_emitted``, ``result``
-    and (on request) ``trace`` -- or of ``error`` alone, with a
-    ``None`` digest, when the job raised.  Nothing downstream decodes
-    it: the pump stores the bytes, the daemon frames them.
+    (:meth:`~repro.simulation.metrics.SimResult.to_json`) and (on
+    request) ``trace`` (:func:`~repro.obs.events_json`), joined as
+    bytes -- or of ``error`` alone, with a ``None`` digest, when the
+    job or its encoding raised.  Nothing downstream decodes it: the
+    pump stores the bytes, the daemon frames them.
 
     The digest is computed *here*, from the same
     :func:`~repro.obs.stream_digest` a one-shot caller would apply to
@@ -149,15 +151,21 @@ def _execute_body(
             result = job.run(collector=collector)
         else:
             result = job.run()
+        events = result.obs_events or []
+        digest = stream_digest(events)
+        parts = [
+            b'{"digest":"%s","events_emitted":%d,"result":' % (
+                digest.encode("ascii"), len(events)),
+            result.to_json(want_results).encode("utf-8"),
+        ]
+        if want_trace:
+            parts += (b',"trace":', events_json(events).encode("utf-8"))
     except BaseException as exc:  # noqa: BLE001 - ferried to the client
+        # Encoding sits inside too: an exception out of here would kill
+        # the pool worker and requeue the job until too-many-requeues.
         return None, _error_body(f"{type(exc).__name__}: {exc}")
-    events = result.obs_events or []
-    digest = stream_digest(events)
-    text = '{"digest":"%s","events_emitted":%d,"result":%s' % (
-        digest, len(events), result.to_json(want_results))
-    if want_trace:
-        text += ',"trace":' + events_json(events)
-    return digest, (text + "}").encode("utf-8")
+    parts.append(b"}")
+    return digest, b"".join(parts)
 
 
 def service_worker_main(

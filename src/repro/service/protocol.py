@@ -18,6 +18,15 @@ Two IO styles speak the identical wire format: :func:`send_frame` /
 :func:`encode_frame` / :class:`FrameDecoder` for the daemon, whose
 per-connection :class:`asyncio.Protocol` writes whole frames to its
 transport and feeds the decoder whatever the socket delivers.
+
+The two sides decode differently.  The daemon reads requests (a few
+hundred bytes) with :mod:`json`, whose reading of ``NaN`` or ``1e400``
+admission answers with ``bad-spec``.  The client reads replies, up to
+half a megabyte of trace, with orjson, and with :mod:`json` only the
+frames orjson refuses; either way it gets what :func:`json.loads`
+would return.  (orjson would read an int beyond 64 bits as a float;
+admission's bounds in :mod:`repro.service.jobs` keep every int a job's
+reply carries within 64 bits.)
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Optional
+from typing import Any, Callable, Optional
+
+import orjson
 
 __all__ = [
     "MAX_FRAME",
@@ -90,9 +101,26 @@ def encode_frame(doc: dict[str, Any]) -> bytes:
     ).encode("utf-8"))
 
 
-def _decode_payload(payload: bytes) -> dict[str, Any]:
+def _json_loads(payload: bytes) -> Any:
+    return json.loads(payload.decode("utf-8"))
+
+
+def _reply_loads(payload: bytes) -> Any:
+    """:func:`json.loads`'s answer for a reply, by orjson where it
+    gives one: orjson refuses ``NaN`` / ``Infinity`` tokens, numbers
+    beyond a double's range and lone surrogate escapes, all of which
+    :mod:`json` writes and reads."""
     try:
-        doc = json.loads(payload.decode("utf-8"))
+        return orjson.loads(payload)
+    except orjson.JSONDecodeError:
+        return _json_loads(payload)
+
+
+def _decode_payload(
+    payload: bytes, loads: Callable[[bytes], Any] = _json_loads
+) -> dict[str, Any]:
+    try:
+        doc = loads(payload)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the interpreter's stack.
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
@@ -194,4 +222,4 @@ def recv_frame(sock: socket.socket) -> Optional[dict[str, Any]]:
     payload = _recv_exact(sock, length) if length else b""
     if payload is None:
         raise ProtocolError("connection closed between header and payload")
-    return _decode_payload(payload)
+    return _decode_payload(payload, _reply_loads)

@@ -19,11 +19,13 @@ master.
 from __future__ import annotations
 
 import dataclasses
-import json
+import itertools
+import operator
 from typing import Optional
 
 import numpy as np
 
+from ..obs.export import json_text
 from ..obs.metrics import imbalance
 
 __all__ = [
@@ -55,9 +57,9 @@ class WorkerMetrics(object):
 
 
 _WORKER_FIELDS = tuple(f.name for f in dataclasses.fields(WorkerMetrics))
-
-_float_repr = float.__repr__
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
+_WORKER_FLOATS = tuple(
+    f.name for f in dataclasses.fields(WorkerMetrics) if f.type == "float"
+)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -85,28 +87,9 @@ class ChunkRecord(object):
         return self.stop - self.start
 
 
-#: One chunk of :meth:`SimResult.to_json`: ``ChunkRecord``'s fields in
-#: order, the two times pre-formatted, ``acp`` an int or ``null``.
-_CHUNK_JSON = (
-    '{"worker":%d,"start":%d,"stop":%d,"assigned_at":%s,'
-    '"completed_at":%s,"stage":%d,"acp":%s}'
-)
-
-
-def _chunks_text(rows: list[tuple]) -> str:
-    """Rows as the items of a JSON array: ``TypeError`` from
-    ``float.__repr__`` of a non-float, ``ValueError`` at a non-finite
-    time (``x - x`` is ``nan`` for ``inf`` and ``nan``)."""
-    out = []
-    for r in rows:
-        t0, t1 = r[3], r[4]
-        if t0 - t0 != 0.0 or t1 - t1 != 0.0:
-            raise ValueError(r)
-        out.append(_CHUNK_JSON % (
-            r[0], r[1], r[2], _float_repr(t0), _float_repr(t1), r[5],
-            "null" if len(r) < 7 or r[6] is None else r[6],
-        ))
-    return ",".join(out)
+#: The float fields of a chunk row, the ones :meth:`SimResult.to_json`
+#: checks for non-finite values.
+_ASSIGNED_AT, _COMPLETED_AT = operator.itemgetter(3), operator.itemgetter(4)
 
 
 class LazyChunkList(object):
@@ -219,9 +202,20 @@ class SimResult(object):
                          f"[{w.chunks} chunks, {w.iterations} iters]")
         return "\n".join(lines)
 
-    def _summary(self) -> dict:
-        """Everything :meth:`to_dict` holds but ``chunks``/``results``."""
-        return {
+    def to_dict(self, include_results: bool = False) -> dict:
+        """JSON-safe dict; exact round trip via :meth:`from_dict`.
+
+        Floats survive JSON exactly (both ``repr`` and orjson write a
+        double's shortest round-trip form), so a persisted result is
+        bit-identical after reload.  ``obs_events`` is intentionally
+        excluded -- traces are bulky and have their own sinks
+        (:mod:`repro.obs`); ``results`` arrays ride along only on
+        request.
+        """
+        # Built from fields and rows directly: ``dataclasses.asdict``
+        # deep-copies every int and float, which cost more per job
+        # than the fast path's simulation.
+        d = {
             "scheme": self.scheme,
             "t_p": self.t_p,
             "rederivations": self.rederivations,
@@ -230,54 +224,39 @@ class SimResult(object):
                 {name: getattr(w, name) for name in _WORKER_FIELDS}
                 for w in self.workers
             ],
+            "chunks": [
+                {
+                    "worker": r[0], "start": r[1], "stop": r[2],
+                    "assigned_at": r[3], "completed_at": r[4],
+                    "stage": r[5], "acp": r[6] if len(r) > 6 else None,
+                }
+                for r in self.chunks.rows()
+            ],
         }
-
-    def to_dict(self, include_results: bool = False) -> dict:
-        """JSON-safe dict; exact round trip via :meth:`from_dict`.
-
-        Floats survive JSON exactly (``repr`` round-trips doubles in
-        Python 3), so a persisted result is bit-identical after
-        reload.  ``obs_events`` is intentionally excluded -- traces
-        are bulky and have their own sinks (:mod:`repro.obs`);
-        ``results`` arrays ride along only on request.
-        """
-        # Built from fields and rows directly: ``dataclasses.asdict``
-        # deep-copies every int and float, which cost more per job
-        # than the fast path's simulation.
-        d = self._summary()
-        d["chunks"] = [
-            {
-                "worker": r[0], "start": r[1], "stop": r[2],
-                "assigned_at": r[3], "completed_at": r[4],
-                "stage": r[5], "acp": r[6] if len(r) > 6 else None,
-            }
-            for r in self.chunks.rows()
-        ]
         if include_results and self.results is not None:
             d["results"] = self.results.tolist()
         return d
 
     def to_json(self, include_results: bool = False) -> str:
-        """Compact JSON text of :meth:`to_dict`, written from rows.
+        """Compact JSON text of :meth:`to_dict`, the definition.
 
-        :meth:`to_dict` is the definition
-        (``tests/simulation/test_result_transport.py`` holds
-        ``json.loads(r.to_json(x)) == r.to_dict(x)``); this is the
-        writer used where a result leaves the process -- a service
-        reply, a JSONL line -- with no dict per chunk in between.
-        Rows holding what ``%d`` / ``float.__repr__`` cannot write as
-        ``json`` would (an int time, ``inf``, ``nan``) are encoded
-        from the definition instead.
+        The writer used where a result leaves the process -- a service
+        reply, a JSONL line -- through :func:`repro.obs.export.json_text`:
+        ``json.loads(r.to_json(x)) == r.to_dict(x)``, and the text is
+        orjson's whenever every value is finite and encodable
+        (``tests/simulation/test_result_transport.py`` holds both).
         """
-        try:
-            chunks = _chunks_text(self.chunks.rows())
-        except (TypeError, ValueError):
-            return _dumps(self.to_dict(include_results))
-        text = '%s,"chunks":[%s]' % (
-            _dumps(self._summary())[:-1], chunks)
-        if include_results and self.results is not None:
-            text += ',"results":' + _dumps(self.results.tolist())
-        return text + "}"
+        d = self.to_dict(include_results)
+        rows = self.chunks.rows()
+        numbers = itertools.chain(
+            [self.t_p],
+            [getattr(w, name) for w in self.workers
+             for name in _WORKER_FLOATS],
+            map(_ASSIGNED_AT, rows),
+            map(_COMPLETED_AT, rows),
+            d.get("results", ()),
+        )
+        return json_text(d, numbers)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimResult":

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import math
 import os
 
+import orjson
 import pytest
 from hypothesis import settings as hypothesis_settings
 
@@ -141,3 +144,39 @@ def make_cluster(
 @pytest.fixture()
 def hetero_cluster() -> ClusterSpec:
     return make_cluster()
+
+
+def orjson_writes_exactly(doc) -> bool:
+    """True when orjson writes ``doc`` as :mod:`json` reads it back:
+    every float finite, every int within 64 bits, every string free of
+    lone surrogates (numpy float scalars are floats)."""
+    if isinstance(doc, dict):
+        return all(map(orjson_writes_exactly, doc)) \
+            and all(map(orjson_writes_exactly, doc.values()))
+    if isinstance(doc, list):
+        return all(map(orjson_writes_exactly, doc))
+    if isinstance(doc, str):
+        try:
+            doc.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+    if isinstance(doc, float):
+        return math.isfinite(doc)
+    if isinstance(doc, int):
+        return -2 ** 63 <= doc < 2 ** 64
+    return True
+
+
+def assert_json_text(text: str, definition) -> None:
+    """A bulk writer's ``text`` against the ``definition`` it writes.
+
+    Parsed by :mod:`json`, it is the definition: compared through
+    ``json.dumps``, so NaN equals NaN while ``-0.0`` and ``0.0``, or
+    ``1`` and ``1.0``, stay apart and key order counts.  Whenever
+    orjson can write the definition exactly, the text is orjson's.
+    """
+    assert json.dumps(json.loads(text)) == json.dumps(definition)
+    if orjson_writes_exactly(definition):
+        assert text == orjson.dumps(
+            definition, option=orjson.OPT_SERIALIZE_NUMPY).decode()

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.obs import export
 from repro.obs import (
     EVENT_KINDS,
     ObsEvent,
@@ -22,6 +21,8 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+
+from ..conftest import assert_json_text
 
 EVENTS = [
     ObsEvent("request", "sim.master", 0.0, worker=0),
@@ -175,9 +176,8 @@ def test_stream_digest_is_the_digest_of_the_canonical_stream(events):
     assert stream_digest(events[::-1]) == stream_digest(events)
 
 
-def _json_by_definition(events) -> str:
-    return json.dumps(
-        [ev.to_dict() for ev in events], separators=(",", ":"))
+def assert_events_json(events) -> None:
+    assert_json_text(events_json(events), [ev.to_dict() for ev in events])
 
 
 def test_events_json_literal():
@@ -187,25 +187,45 @@ def test_events_json_literal():
         '{"kind":"fault","source":"chaos","t":0.6,"worker":1,'
         '"detail":"death"}]'
     )
-    assert events_json(EVENTS) == _json_by_definition(EVENTS)
-    # An ordinary stream is written by the fast arm, not handed back
-    # to the definition.
-    assert export._events_text(EVENTS) == events_json(EVENTS)
-    with pytest.raises(ValueError):
-        export._events_text([EVENTS[0]._replace(t=float("inf"))])
+    assert_events_json(EVENTS)
+    # orjson's forms, where ``json`` would write 1e+16 and \u2603.
+    text = events_json([EVENTS[0]._replace(t=1e16, detail="\u2603")])
+    assert "1e+16" not in text and '"detail":"\u2603"' in text
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
-#: A float field as an event may hold it: a finite float mostly
-#: (``np.float64`` is one); an int-valued or infinite one goes through
-#: the definition.
+@pytest.mark.parametrize("event, token", [
+    # orjson would write a non-finite float as ``null``.
+    (EVENTS[0]._replace(t=float("nan")), '"t":NaN'),
+    (EVENTS[2]._replace(value=float("inf")), '"value":Infinity'),
+    (EVENTS[0]._replace(wall=np.float64("-inf")), '"wall":-Infinity'),
+    # orjson refuses these outright.
+    (EVENTS[1]._replace(stop=2 ** 64), '"stop":18446744073709551616'),
+    (EVENTS[4]._replace(detail="\udfff"), '"detail":"\\udfff"'),
+], ids=["nan-t", "inf-value", "np-inf-wall", "int-beyond-64-bits",
+        "lone-surrogate"])
+def test_events_json_falls_back_to_json_exactly_there(event, token):
+    text = events_json(EVENTS[:2] + [event])
+    assert token in text
+    text.encode("utf-8")  # a reply body
+    assert_events_json(EVENTS[:2] + [event])
+
+
+#: A float field as an event may hold it: a float of any magnitude
+#: (orjson and ``repr`` part ways below 1e-4 and from 1e16), an
+#: ``np.float64``, an int, or a non-finite value, which goes through
+#: ``json``.
 _float_fields = st.one_of(
-    _finite,
-    _finite.map(np.float64),
+    st.floats(),
+    st.floats().map(np.float64),
     st.integers(min_value=0, max_value=10**6),
-    st.sampled_from([float("inf"), float("-inf"), -0.0, 5e-324]),
+    st.sampled_from([-0.0, 5e-324, 1e-5, 9.99e-5, 1e16, 1.5e300]),
 )
-_int_fields = st.one_of(st.none(), st.integers(-10**12, 10**12))
+#: Ints orjson writes; one beyond 64 bits (or a lone surrogate) sends
+#: the whole text to ``json``, so those are the direct cases above.
+_int_fields = st.one_of(
+    st.none(), st.integers(-10**12, 10**12),
+    st.sampled_from([-2 ** 63, 2 ** 63 - 1, 2 ** 64 - 1]),
+)
 _wire_events = st.builds(
     ObsEvent,
     # Text fields: quotes, backslashes, control and non-ASCII
@@ -222,7 +242,8 @@ _wire_events = st.builds(
     detail=st.one_of(
         st.just(""), st.text(),
         st.sampled_from(['say "hi"', "back\\slash", "tab\there",
-                         "nul\x00", "caf\u00e9 \u2603", "nan inf"]),
+                         "nul\x00", "caf\u00e9 \u2603", "nan inf",
+                         "null"]),
     ),
     wall=st.one_of(st.none(), _float_fields),
 )
@@ -230,8 +251,7 @@ _wire_events = st.builds(
 
 @given(st.lists(_wire_events, max_size=12))
 def test_events_json_is_the_json_of_the_dicts(events):
-    # ``events_json`` formats the tuples itself; ``to_dict`` through
-    # ``json.dumps`` stays the definition.
-    text = events_json(events)
-    assert json.loads(text) == [ev.to_dict() for ev in events]
-    assert text == _json_by_definition(events)
+    # ``to_dict`` is the definition: read back by ``json``, the text is
+    # the dicts, and it is orjson's text of them whenever orjson can
+    # write them exactly.
+    assert_events_json(events)

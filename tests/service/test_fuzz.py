@@ -13,9 +13,9 @@ one daemon shared by the module:
   ``NaN``, ``1e400``, nested junk) is admitted or refused as
   ``bad-spec``; it never costs the client its connection.
 
-Numbers in the strategies stay small: a hostile *finite* size or
-worker count is a memory question for admission bounds, not for the
-connection handler.
+Numbers are drawn up to 1e12: a hostile *finite* size or worker count
+must be refused by admission's bounds (``service.jobs.MAX_ITERATIONS``
+and its neighbours) before a pool worker allocates for it.
 """
 
 from __future__ import annotations
@@ -63,7 +63,9 @@ _SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-3, max_value=8),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1.5, 1e-4]),
+    st.integers(min_value=0, max_value=10 ** 12),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1.5, 1e-4,
+                     1e9, 1e12]),
     st.text(max_size=8),
 )
 #: Wrong types, ``null``, non-finite numbers and nested junk.

@@ -9,6 +9,9 @@ import pytest
 from repro.batch import SimJob
 from repro.obs import stream_digest
 from repro.service.jobs import (
+    MAX_ITERATIONS,
+    MAX_PIXELS,
+    MAX_VIRTUAL_POWER,
     MAX_WORKERS,
     JobSpecError,
     cluster_from_spec,
@@ -99,6 +102,36 @@ class TestWorkloadFromSpec:
         with pytest.raises(JobSpecError, match="unknown workload kind"):
             workload_from_spec({"kind": kind, "size": 5})
 
+    @pytest.mark.parametrize("spec, match", [
+        ({"kind": "uniform", "size": MAX_ITERATIONS + 1}, "size"),
+        ({"kind": "linear", "size": 1e9}, "size"),
+        ({"kind": "spin", "size": 10 ** 12}, "size"),
+        ({"kind": "random", "size": 2 ** 70}, "size"),
+        ({"kind": "trace", "costs": [1.0] * (MAX_ITERATIONS + 1)},
+         "trace length"),
+        ({"kind": "mandelbrot", "width": MAX_ITERATIONS + 1, "height": 1},
+         "width"),
+        ({"kind": "mandelbrot", "width": 4001, "height": 2000},
+         r"width \* height"),
+        ({"kind": "mandelbrot", "width": 0, "height": 10 ** 12},
+         r"width \* height"),
+    ])
+    def test_loop_size_is_bounded(self, spec, match):
+        # Finite but huge: the pool worker would allocate per iteration
+        # and per pixel (gigabytes), and an int past 64 bits would be
+        # in the reply.
+        with pytest.raises(JobSpecError, match=match):
+            workload_from_spec(spec)
+
+    def test_bounds_admit_the_paper_scale(self):
+        assert workload_from_spec(
+            {"kind": "uniform", "size": MAX_ITERATIONS}).size \
+            == MAX_ITERATIONS
+        # The paper's largest window is exactly the pixel bound.
+        wl = workload_from_spec(
+            {"kind": "mandelbrot", "width": 4000, "height": 2000})
+        assert wl.width * wl.height == MAX_PIXELS
+
 
 class TestClusterFromSpec:
     def test_default_is_homogeneous(self):
@@ -125,6 +158,17 @@ class TestClusterFromSpec:
         with pytest.raises(JobSpecError, match=str(MAX_WORKERS)):
             job_from_spec({"scheme": "TSS", "cluster": spec,
                            "workload": {"kind": "uniform", "size": 5}})
+
+    @pytest.mark.parametrize("power", [MAX_VIRTUAL_POWER * 10, 1e300,
+                                       float("inf")])
+    def test_virtual_power_is_bounded(self, power):
+        # A PE's ACP is floor(scale * V / Q) and rides in every chunk
+        # row it wins: V = 1e300 put a 1000-bit int in the reply.
+        cluster_from_spec(
+            {"nodes": [{"speed": 1.0, "virtual_power": MAX_VIRTUAL_POWER}]})
+        with pytest.raises(JobSpecError, match="virtual_power"):
+            cluster_from_spec(
+                {"nodes": [{"speed": 1.0, "virtual_power": power}]})
 
     def test_explicit_nodes(self):
         cluster = cluster_from_spec({

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import struct
 import threading
 
 import pytest
 
+from repro.obs import events_json
+from repro.service.jobs import job_from_spec
 from repro.service.protocol import (
     MAX_FRAME,
     FrameDecoder,
@@ -147,6 +150,52 @@ class TestBlockingSockets:
         finally:
             a.close()
             b.close()
+
+
+class TestReplyDecoding:
+    """``recv_frame`` reads with orjson and answers what ``json.loads``
+    would; what orjson refuses goes to ``json``."""
+
+    def _recv(self, payload: bytes):
+        a, b = socket.socketpair()
+        try:
+            # A large frame outgrows the socket buffer: send beside.
+            sender = threading.Thread(
+                target=a.sendall, args=(frame_payload(payload),))
+            sender.start()
+            try:
+                return recv_frame(b)
+            finally:
+                sender.join()
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("payload", [
+        b'{"t":NaN,"v":[Infinity,-Infinity,1.5],"ok":true}',
+        b'{"name":"\\ud800","big":1e400,"n":null}',
+    ], ids=["non-finite-tokens", "lone-surrogate-and-overflow"])
+    def test_frames_orjson_refuses_decode_as_json_does(self, payload):
+        doc = self._recv(payload)
+        # Through ``json.dumps``, NaN equals NaN.
+        assert json.dumps(doc) == json.dumps(json.loads(payload))
+
+    def test_trace_reply_parses_as_json_does(self):
+        spec = {"scheme": "SS", "cluster": {"workers": 3},
+                "workload": {"kind": "uniform", "size": 1200,
+                             "unit": 1e-4}}
+        result = job_from_spec(spec).run()
+        payload = ('{"ok":true,"result":%s,"trace":%s}' % (
+            result.to_json(), events_json(result.obs_events))).encode()
+        assert len(payload) > 500_000
+        assert self._recv(payload) == json.loads(payload)
+
+    @pytest.mark.parametrize("payload", [
+        b"[1, 2]", b"\xff{}", b"[" * 100000 + b"]" * 100000,
+    ], ids=["not-an-object", "not-utf8", "deep-nesting"])
+    def test_bad_reply_is_a_protocol_error(self, payload):
+        with pytest.raises(ProtocolError):
+            self._recv(payload)
 
 
 class TestAsyncioStreams:

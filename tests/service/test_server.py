@@ -178,6 +178,43 @@ class TestBasics:
                 assert err.value.reason == "bad-spec"
             assert c.ping()
 
+    def test_oversized_loop_rejected_with_reason(self, tmp_path):
+        # Finite sizes near 1e9 made the pool worker allocate gigabytes.
+        with _Daemon(tmp_path) as d, d.client("alice") as c:
+            for workload, cluster in (
+                ({"kind": "uniform", "size": 1e9}, None),
+                ({"kind": "mandelbrot", "width": 4000, "height": 10 ** 6},
+                 None),
+                ({"kind": "uniform", "size": 5},
+                 {"nodes": [{"speed": 100.0, "virtual_power": 1e300}]}),
+            ):
+                with pytest.raises(ServiceError) as err:
+                    c.submit({"scheme": "DTSS", "workload": workload,
+                              "cluster": cluster})
+                assert err.value.reason == "bad-spec"
+            assert c.ping()
+
+    def test_lone_surrogate_name_is_answered_done(self, tmp_path):
+        # ``json`` admits "\ud800" and orjson refuses to write it: the
+        # result is written by ``json`` instead, inside the pool
+        # worker's reply, not left to kill the worker (and requeue the
+        # job until too-many-requeues).
+        spec = {
+            "scheme": "TSS",
+            "workload": {"kind": "uniform", "size": 40, "unit": 1e-4},
+            "cluster": {"nodes": [{"name": "\ud800", "speed": 100.0},
+                                  {"name": "n1", "speed": 100.0}]},
+            "trace": True,
+        }
+        reference = stream_digest(job_from_spec(spec).run().obs_events)
+        with _Daemon(tmp_path) as d, d.client("alice") as c:
+            job_id = c.submit(spec)
+            reply = c._request({"op": "wait", "job_id": job_id,
+                                "timeout": 60.0})
+            assert reply["state"] == "done" and reply["requeues"] == 0
+            assert reply["digest"] == reference
+            assert reply["result"]["workers"][0]["name"] == "\ud800"
+
     def test_unknown_op(self, tmp_path):
         with _Daemon(tmp_path) as d, d.client("alice") as c:
             with pytest.raises(ServiceError) as err:

@@ -4,10 +4,12 @@ and into the text ``to_json`` writes.
 ``LazyChunkList`` pickles its field rows (and stays lazy on the far
 side), a DES result is row-backed like a fast-path one and crosses a
 pickle the same way, ``SimResult.to_dict`` builds its dicts from rows
-and fields, and ``SimResult.to_json`` formats the same rows without
-the dicts.  The reference throughout is the record-object form:
-``list(original)`` for the pickle, ``dataclasses.asdict`` for the
-dicts, and ``to_dict`` through ``json.dumps`` for the text.
+and fields, and ``SimResult.to_json`` writes ``to_dict`` with orjson
+(with ``json`` for what orjson cannot write exactly).  The reference
+throughout is the record-object form: ``list(original)`` for the
+pickle, ``dataclasses.asdict`` for the dicts, and ``to_dict`` for the
+text (read back by ``json``, and orjson's bytes whenever it can write
+them).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.simulation import (
     simulate,
     simulate_tree,
 )
-from repro.simulation import metrics
 from repro.simulation.metrics import (
     ChunkRecord,
     LazyChunkList,
@@ -37,6 +38,8 @@ from repro.simulation.metrics import (
     WorkerMetrics,
 )
 from repro.workloads import LinearWorkload
+
+from ..conftest import assert_json_text
 
 MASTER_ROWS = [(0, 0, 5, 0.0, 1.5, 0, None), (1, 5, 9, 0.25, 2.0, 1, 3)]
 DECENTRAL_ROWS = [(0, 0, 5, 0.0, 1.5, 0), (1, 5, 9, 0.25, 2.0, 1)]
@@ -96,17 +99,11 @@ def assert_same_dicts(result: SimResult) -> None:
     assert_text_is_the_dict(back)
 
 
-def compact(doc) -> str:
-    return json.dumps(doc, separators=(",", ":"))
-
-
 def assert_text_is_the_dict(result: SimResult) -> None:
     """``to_json`` against its definition, parsed and byte for byte."""
     for include_results in (False, True):
-        text = result.to_json(include_results)
-        d = result.to_dict(include_results)
-        assert text == compact(d)
-        assert json.loads(text) == d
+        assert_json_text(result.to_json(include_results),
+                         result.to_dict(include_results))
 
 
 @pytest.mark.parametrize("rows", [MASTER_ROWS, DECENTRAL_ROWS],
@@ -177,16 +174,6 @@ def test_to_json_is_to_dict_tree(workload, cluster, weighted):
         simulate_tree(workload, cluster, weighted=weighted))
 
 
-def test_to_json_writes_ordinary_rows_itself():
-    # The fast arm, not the definition, encodes what engines produce.
-    for rows in (MASTER_ROWS, DECENTRAL_ROWS):
-        assert metrics._chunks_text(rows)
-    with pytest.raises(ValueError):
-        metrics._chunks_text([(0, 0, 5, 0.0, float("inf"), 0)])
-    with pytest.raises(TypeError):
-        metrics._chunks_text([(0, 0, 5, 0, 1.5, 0)])
-
-
 def test_to_json_carries_results_on_request(workload, cluster):
     result = simulate("GSS", workload, cluster, collect_results=True)
     assert result.results is not None
@@ -196,37 +183,75 @@ def test_to_json_carries_results_on_request(workload, cluster):
     assert_text_is_the_dict(result)
 
 
-_ints = st.integers(min_value=0, max_value=10**12)
-#: A time as a row may hold it: a finite float mostly (``np.float64``
-#: is one); an int or an infinity goes through the definition.
+def _result(rows=(), t_p=1.0, name="n0") -> SimResult:
+    return SimResult(scheme="S", workers=[WorkerMetrics(name=name)],
+                     t_p=t_p, chunks=LazyChunkList(list(rows)))
+
+
+def test_to_json_is_orjson_text():
+    # Exponents without "+" or leading zeros, non-ASCII as raw UTF-8:
+    # orjson's form, where ``json`` would write 1e+16, 1e-05, \u00e9.
+    text = _result([(0, 0, 5, 1e-5, 1e16, 0)], name="caf\u00e9").to_json()
+    assert "1e-05" not in text and "1e+16" not in text
+    assert '"name":"caf\u00e9"' in text
+    assert_text_is_the_dict(_result([(0, 0, 5, 1e-5, 1e16, 0)]))
+
+
+@pytest.mark.parametrize("result, token", [
+    # orjson would write a non-finite float as ``null``.
+    (_result(t_p=float("nan")), '"t_p":NaN'),
+    (_result([(0, 0, 5, 0.0, float("inf"), 0)]), '"completed_at":Infinity'),
+    (_result([(0, 0, 5, np.float64("-inf"), 1.0, 0)]),
+     '"assigned_at":-Infinity'),
+    # orjson refuses these outright.
+    (_result([(0, 0, 2 ** 64, 0.0, 1.0, 0, -2 ** 63 - 1)]),
+     '"stop":18446744073709551616'),
+    (_result(name="\ud800"), '"name":"\\ud800"'),
+], ids=["nan", "inf", "np-inf", "int-beyond-64-bits", "lone-surrogate"])
+def test_to_json_falls_back_to_json_exactly_there(result, token):
+    text = result.to_json()
+    assert token in text
+    text.encode("utf-8")  # a reply body or a JSONL line
+    assert_text_is_the_dict(result)
+
+
+#: Ints orjson writes; one beyond 64 bits (or a lone surrogate) sends
+#: the whole text to ``json``, so those are the direct cases above.
+_ints = st.one_of(
+    st.integers(min_value=0, max_value=10**12),
+    st.just(2 ** 64 - 1),
+)
+#: A time as a row may hold it: a float of any magnitude (orjson and
+#: ``repr`` part ways below 1e-4 and from 1e16), an ``np.float64``, an
+#: int, or a non-finite value, which goes through ``json``.
 _times = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(),
+    st.floats().map(np.float64),
     st.integers(min_value=0, max_value=10**6),
-    st.sampled_from([float("inf"), float("-inf"), 0.0, -0.0, 1e-320]),
+    st.sampled_from([0.0, -0.0, 1e-5, 9.99e-5, 1e16, 1.5e300, 1e-320]),
 )
 _rows = st.one_of(
     st.tuples(_ints, _ints, _ints, _times, _times, _ints),
     st.tuples(_ints, _ints, _ints, _times, _times, _ints,
               st.one_of(st.none(), _ints)),
 )
+_names = st.one_of(st.text(max_size=8), st.just("caf\u00e9 \u2603"))
 
 
 @given(
     rows=st.lists(_rows, max_size=12),
     materialized=st.booleans(),
     t_p=_times,
-    scheme=st.text(max_size=8),
-    results=st.one_of(
-        st.none(),
-        st.lists(st.floats(allow_nan=False), max_size=5),
-    ),
+    t_wait=_times,
+    scheme=_names,
+    results=st.one_of(st.none(), st.lists(st.floats(), max_size=5)),
 )
-def test_to_json_is_to_dict_for_any_rows(rows, materialized, t_p,
+def test_to_json_is_to_dict_for_any_rows(rows, materialized, t_p, t_wait,
                                          scheme, results):
     result = SimResult(
         scheme=scheme,
-        workers=[WorkerMetrics(name=scheme, t_comp=1.5, chunks=2)],
+        workers=[WorkerMetrics(name=scheme, t_wait=t_wait, t_comp=1.5,
+                               chunks=2)],
         t_p=t_p,
         chunks=LazyChunkList(rows),
         results=None if results is None else np.asarray(results),
