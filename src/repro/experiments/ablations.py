@@ -2,9 +2,8 @@
 
 Each sweep returns structured rows and has a ``report()`` twin that
 renders a text table; the CLI exposes them as
-``repro-experiments ablations``.  The pytest-benchmark versions (with
-timings) live in ``benchmarks/test_bench_ablations.py``; these are the
-programmatic/engineering entry points.
+``repro-experiments ablations``; ``tests/experiments/test_extensions.py``
+holds the shape each sweep shows.
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ Typical use::
 
 The disabled path is ~free: instrumentation sites gate on a falsy
 :class:`NullCollector`, so runs without a collector never construct
-an event (guarded by ``benchmarks/test_bench_obs.py``).
+an event (guarded, with the gates a chunk passes on each engine, by
+``tests/obs/test_substrates.py``).
 """
 
 from .critpath import (

@@ -7,7 +7,7 @@ The contract every instrumented hot path relies on:
   :class:`NullCollector` is *falsy*, so the disabled path costs one
   truth test and never even constructs the event object.  That is the
   whole design of the ~zero-cost off switch (guarded by
-  ``benchmarks/test_bench_obs.py``).
+  ``tests/obs/test_substrates.py``).
 * A loop that emits per chunk asks :func:`sink` once for the callable
   it will feed.  That is the collector's own ``emit`` -- every event
   reaches it, in order -- except for a :class:`BufferedCollector`

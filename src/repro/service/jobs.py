@@ -30,11 +30,14 @@ Spec shape (only ``scheme`` and ``workload`` are required)::
 ``cluster`` defaults to ``workers`` (default 4) identical 100-ops/s
 nodes; either spelling is capped at :data:`MAX_WORKERS` PEs.  Loops
 are capped at :data:`MAX_ITERATIONS` iterations, Mandelbrot windows
-at :data:`MAX_PIXELS` pixels and virtual powers at
-:data:`MAX_VIRTUAL_POWER`; a spec over any bound is refused.  Workload
-kinds map onto :mod:`repro.workloads`: ``uniform``, ``linear``,
-``conditional``, ``random``, ``gaussian-peak``, ``trace``, ``spin``
-and ``mandelbrot`` (the paper's loop; expensive -- its cost
+at :data:`MAX_PIXELS` pixels and :data:`MAX_ESCAPE_STEPS` escape
+steps (:data:`MAX_ESCAPE_ITER` a pixel), spin loops at
+:data:`MAX_SPIN_PASSES` passes over at most :data:`MAX_VECLEN` floats,
+and virtual powers at :data:`MAX_VIRTUAL_POWER`; a spec over any bound
+is refused.  Workload kinds map onto :mod:`repro.workloads`:
+``uniform``, ``linear``, ``conditional``, ``random``,
+``gaussian-peak``, ``trace``, ``spin`` and ``mandelbrot`` (the
+paper's loop; expensive -- its cost
 profile is resolved by the pool worker that runs the job, through the
 :mod:`repro.cache` directory every worker and every tenant shares).
 """
@@ -51,6 +54,10 @@ __all__ = [
     "MAX_WORKERS",
     "MAX_ITERATIONS",
     "MAX_PIXELS",
+    "MAX_ESCAPE_STEPS",
+    "MAX_ESCAPE_ITER",
+    "MAX_SPIN_PASSES",
+    "MAX_VECLEN",
     "MAX_VIRTUAL_POWER",
     "JobSpecError",
     "workload_from_spec",
@@ -80,6 +87,27 @@ MAX_ITERATIONS = 100_000
 #: count (4 bytes) and holds complex temporaries for up to 512 columns
 #: at a time.
 MAX_PIXELS = 4000 * 2000
+
+#: The most escape-time steps a ``mandelbrot`` spec may ask for
+#: (``width * height * max_iter``): the paper's largest window at the
+#: default ``max_iter`` of 64.  The pool worker's cost pass runs up to
+#: ``max_iter`` steps per pixel, so no admitted window costs more CPU
+#: than that one (~2 s on one core); a smaller window may iterate
+#: deeper, down to :data:`MAX_ESCAPE_ITER` steps a pixel.  That cap
+#: is there because a step costs ~5 us of loop overhead per 512-column
+#: block however few pixels are still live: one pixel of the set at
+#: ``max_iter`` 10^8 would hold a worker for minutes.
+MAX_ESCAPE_STEPS = MAX_PIXELS * 64
+MAX_ESCAPE_ITER = 4096
+
+#: The most vector passes a ``spin`` spec may ask for (``size *
+#: spins``), each over at most :data:`MAX_VECLEN` floats.  With
+#: ``results`` a pool worker runs every pass (~20 us at the default
+#: ``veclen`` on one core, ~2 us even over a few floats), so the worst
+#: admitted spin job is the default one -- 20 passes of 2048 floats an
+#: iteration -- at :data:`MAX_ITERATIONS`: ~40 s of one core.
+MAX_SPIN_PASSES = MAX_ITERATIONS * 20
+MAX_VECLEN = 2048
 
 #: The largest ``virtual_power`` a node may declare.  A PE's ACP is
 #: ``floor(scale * V / Q)`` and rides in every chunk row it wins; this
@@ -192,11 +220,13 @@ def _build_trace(spec: dict) -> Workload:
 def _build_spin(spec: dict) -> Workload:
     from ..workloads.synthetic import SpinWorkload
 
-    return SpinWorkload(
+    wl = SpinWorkload(
         size=_size(spec),
         spins=int(spec.get("spins", 20)),
-        veclen=int(spec.get("veclen", 2048)),
+        veclen=_bounded(spec.get("veclen", 2048), "veclen", MAX_VECLEN),
     )
+    _bounded(wl.size * wl.spins, "size * spins", MAX_SPIN_PASSES)
+    return wl
 
 
 def _build_mandelbrot(spec: dict) -> Workload:
@@ -205,11 +235,14 @@ def _build_mandelbrot(spec: dict) -> Workload:
     width = _bounded(spec.get("width", 400), "width", MAX_ITERATIONS)
     height = int(spec.get("height", 200))
     # An empty window still lays out one column of ``height`` points.
-    _bounded(max(width, 1) * height, "width * height", MAX_PIXELS)
+    pixels = _bounded(max(width, 1) * height, "width * height", MAX_PIXELS)
     kwargs: dict[str, Any] = {"width": width, "height": height}
     if spec.get("max_iter") is not None:
-        kwargs["max_iter"] = int(spec["max_iter"])
+        kwargs["max_iter"] = _bounded(spec["max_iter"], "max_iter",
+                                      MAX_ESCAPE_ITER)
     wl = MandelbrotWorkload(**kwargs)
+    _bounded(pixels * wl.max_iter, "width * height * max_iter",
+             MAX_ESCAPE_STEPS)
     sf = spec.get("sf")
     if sf is not None:
         from ..workloads import ReorderedWorkload

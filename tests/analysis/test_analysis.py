@@ -47,6 +47,16 @@ class TestChunkAnalytics:
         assert set(rows) == {"S", "SS", "GSS", "TSS", "FSS", "FISS",
                              "TFSS"}
 
+    @pytest.mark.parametrize("rounding", ["half-even", "ceil", "floor"])
+    def test_fss_rounding_modes_agree_on_scale(self, rounding):
+        # Every mode covers the loop, in chunk counts within a couple
+        # of stages of each other.
+        stats = chunk_stats(
+            chunk_sequence("FSS", 100_000, 8, rounding=rounding)
+        )
+        assert stats.total == 100_000
+        assert stats.count < 200
+
 
 class TestBalance:
     def test_cov_uniform_is_zero(self):

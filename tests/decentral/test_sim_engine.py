@@ -62,6 +62,16 @@ class TestSimulateDecentral:
         assert t_ps[0] == t_ps[1] == t_ps[2]
         assert master_t_ps[0] < master_t_ps[-1]
 
+    def test_64_workers_cover_the_loop_on_both_engines(self):
+        # Claim-heavy traffic at p = 64: 1024 CSS(8) chunks through
+        # the master's queue and through the shared counter.
+        wl = UniformWorkload(8192, unit=100.0)
+        cluster = make_cluster(n_fast=32, n_slow=32)
+        for run in (simulate, simulate_decentral):
+            res = run("CSS(8)", wl, cluster)
+            assert sum(c.size for c in res.chunks) == wl.size
+            assert len({c.worker for c in res.chunks}) == 64
+
     def test_atomic_cost_creates_contention(self, workload):
         cluster = make_cluster()
         cheap = simulate_decentral("SS", workload, cluster,

@@ -16,10 +16,14 @@ def wl():
 
 class TestAblations:
     def test_acp_scale_sweep_shows_starvation(self, wl):
-        rows = ablations.acp_scale_sweep(wl, scales=(1, 10))
-        classic, improved = rows
+        rows = ablations.acp_scale_sweep(wl, scales=(1, 10, 100))
+        classic, improved, over = rows
         assert classic.idle_pes >= 1  # Sec. 5.2-I starvation
         assert improved.idle_pes == 0
+        # Over-scaling (A ~ I) collapses chunk granularity: early
+        # requesters drain the loop before late ones arrive, which is
+        # why the paper suggests 10, not "as large as possible".
+        assert over.chunks <= 12
 
     def test_css_sweep_chunk_counts(self, wl):
         rows = ablations.css_chunk_sweep(wl, ks=(1, 10))

@@ -271,6 +271,45 @@ def test_the_run_spine_is_written_once():
     }, sites
 
 
+def test_documented_bench_commands_name_files_that_exist():
+    """Every ``pytest benchmarks/…`` or ``python benchmarks/…`` command
+    in the docs and the CI workflow names a file that exists: a bench
+    file deleted or renamed fails here, and so does a bare directory
+    (``pytest benchmarks/ --benchmark-only`` outlived its plugin that
+    way).  A markdown section whose heading names a PR is a dated
+    record of what was run then, not an instruction, and is skipped."""
+    import glob
+    import re
+
+    paths = [os.path.join(_REPO, name)
+             for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
+    paths += sorted(glob.glob(os.path.join(_REPO, "docs", "*.md")))
+    paths.append(os.path.join(_REPO, ".github", "workflows", "ci.yml"))
+    command = re.compile(r"\b(?:pytest|python3?)\s+(benchmarks/[^\s`'\"]*)")
+    stale = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            # one line per shell command, continuations joined
+            lines = re.sub(r"\\\n\s*", " ", handle.read()).splitlines()
+        fenced, skip_level = False, 0
+        for line in lines:
+            if line.startswith("```"):
+                fenced = not fenced
+            heading = re.match(r"(#+) ", line)
+            if path.endswith(".md") and heading and not fenced:
+                level = len(heading.group(1))
+                if not skip_level or level <= skip_level:
+                    skip_level = level if re.search(r"\bPR \d+", line) \
+                        else 0
+            if skip_level:
+                continue
+            for target in command.findall(line):
+                target = target.split("::")[0].rstrip(".,;:)")
+                if not os.path.isfile(os.path.join(_REPO, target)):
+                    stale.append((os.path.relpath(path, _REPO), target))
+    assert stale == [], stale
+
+
 def test_every_module_has_a_who_needs_it_row():
     """Every ``src/repro/**/*.py`` is named, dotted and in backticks,
     in the first column of the module table in

@@ -1,4 +1,6 @@
-"""Every substrate emits schema-valid events for the full lifecycle."""
+"""Every substrate emits schema-valid events for the full lifecycle,
+and a run with a falsy collector pays a pinned number of truth tests
+per chunk on each simulation engine and builds no event."""
 
 from __future__ import annotations
 
@@ -130,3 +132,55 @@ def test_a_custom_collector_gets_every_event_through_its_emit(runner):
     with capture() as trace:
         runner(trace)
     assert custom.seen == trace.events
+
+
+# -- the disabled path: one truth test per would-be event -------------------
+
+#: Big enough that per-worker events (a last request, a terminate) are
+#: a small fraction of the per-chunk ones.
+BIG = UniformWorkload(size=4000, unit=1e-6)
+
+#: engine -> run(collector) on ``BIG``.  ``fast=False`` pins the DES:
+#: the fast path refuses a run with a collector, so the engine that runs
+#: in both modes is the one whose gates are counted.
+ENGINES = {
+    "master": lambda c: simulate("TSS", BIG, _cluster(4), collector=c,
+                                 fast=False),
+    "decentral": lambda c: simulate_decentral("TSS", BIG, _cluster(4),
+                                              collector=c, fast=False),
+    "tree": lambda c: simulate_tree(BIG, _cluster(4), weighted=True,
+                                    grain=4, collector=c),
+}
+
+#: Events a computed chunk costs: request, assign, compute, result on
+#: the master (768 over 190 chunks); a fetch-add on top of those on the
+#: decentral counter (962 / 190); compute and result on a TreeS block
+#: (2004 / 1000).  A new per-chunk emission site adds one and fails.
+GATES_PER_CHUNK = {"master": 4, "decentral": 5, "tree": 2}
+
+
+class _Disabled(Collector):
+    """Falsy like the ``NullCollector``; an event reaching it is a bug."""
+
+    def __bool__(self):
+        return False
+
+    def emit(self, event):
+        raise AssertionError(f"ungated emission site: {event!r}")
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_disabled_path_constructs_no_events(engine):
+    ENGINES[engine](_Disabled())  # an ungated site raises out of the run
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_gates_per_computed_chunk_are_pinned(engine):
+    """A disabled run pays one truth test per event a truthy collector
+    gets: counted here, because a gate count is a property of the code
+    and its nanoseconds are a property of the host."""
+    with capture() as trace:
+        chunks = len(ENGINES[engine](trace).chunks)
+    per_chunk = len(trace.events) / chunks
+    budget = GATES_PER_CHUNK[engine]
+    assert budget <= per_chunk < budget + 0.5, (engine, per_chunk)

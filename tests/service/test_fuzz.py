@@ -13,9 +13,10 @@ one daemon shared by the module:
   ``NaN``, ``1e400``, nested junk) is admitted or refused as
   ``bad-spec``; it never costs the client its connection.
 
-Numbers are drawn up to 1e12: a hostile *finite* size or worker count
-must be refused by admission's bounds (``service.jobs.MAX_ITERATIONS``
-and its neighbours) before a pool worker allocates for it.
+Numbers are drawn up to 1e12: a hostile *finite* size, worker count,
+``max_iter``, ``spins`` or ``veclen`` must be refused by admission's
+bounds (``service.jobs.MAX_ITERATIONS`` and its neighbours) before a
+pool worker allocates or spins for it.
 """
 
 from __future__ import annotations
@@ -50,10 +51,25 @@ BASE_SPEC = {
     "trace": False,
 }
 
-#: Every field path of ``BASE_SPEC`` a mutation may replace.
+#: What a mutation starts from: ``BASE_SPEC``, and one cheap job of
+#: each kind whose extra numbers admission bounds -- the paper's loop,
+#: and a spin loop that ships its results, so that every vector pass
+#: it asks for is executed.
+BASE_SPECS = [
+    BASE_SPEC,
+    dict(BASE_SPEC, workload={"kind": "mandelbrot", "width": 24,
+                              "height": 12, "max_iter": 16}),
+    dict(BASE_SPEC, workload={"kind": "spin", "size": 12, "spins": 2,
+                              "veclen": 16}, results=True),
+]
+
+#: Every field path a mutation may replace (a workload field another
+#: kind does not read is ignored by it).
 PATHS = [
     ("scheme",), ("engine",), ("workload",), ("workload", "kind"),
-    ("workload", "size"), ("workload", "unit"), ("cluster",),
+    ("workload", "size"), ("workload", "unit"), ("workload", "width"),
+    ("workload", "height"), ("workload", "max_iter"),
+    ("workload", "spins"), ("workload", "veclen"), ("cluster",),
     ("cluster", "workers"), ("cluster", "master_service"),
     ("cluster", "nodes"), ("params",), ("chaos",), ("chaos_scale",),
     ("tag",), ("results",), ("trace",), ("stream",),
@@ -218,8 +234,8 @@ class TestBadFrames:
             assert recv_frame(sock) is None
 
 
-def _mutated(path, value) -> dict:
-    spec = json.loads(json.dumps(BASE_SPEC))
+def _mutated(base, path, value) -> dict:
+    spec = json.loads(json.dumps(base))
     node = spec
     for key in path[:-1]:
         node = node[key]
@@ -229,13 +245,14 @@ def _mutated(path, value) -> dict:
 
 class TestMutatedSpecs:
     @settings(max_examples=80, deadline=None)
-    @given(path=st.sampled_from(PATHS), value=JUNK)
+    @given(base=st.sampled_from(BASE_SPECS), path=st.sampled_from(PATHS),
+           value=JUNK)
     def test_mutated_spec_is_admitted_or_bad_spec(
-        self, fuzz_daemon, path, value
+        self, fuzz_daemon, base, path, value
     ):
         client = fuzz_daemon.client
         reply = client._request(
-            {"op": "submit", "job": _mutated(path, value)})
+            {"op": "submit", "job": _mutated(base, path, value)})
         event("admitted" if reply["ok"] else "refused")
         if reply["ok"]:
             waited = client._request({"op": "wait",

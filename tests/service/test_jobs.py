@@ -9,8 +9,12 @@ import pytest
 from repro.batch import SimJob
 from repro.obs import stream_digest
 from repro.service.jobs import (
+    MAX_ESCAPE_ITER,
+    MAX_ESCAPE_STEPS,
     MAX_ITERATIONS,
     MAX_PIXELS,
+    MAX_SPIN_PASSES,
+    MAX_VECLEN,
     MAX_VIRTUAL_POWER,
     MAX_WORKERS,
     JobSpecError,
@@ -123,14 +127,43 @@ class TestWorkloadFromSpec:
         with pytest.raises(JobSpecError, match=match):
             workload_from_spec(spec)
 
+    @pytest.mark.parametrize("spec, match", [
+        ({"kind": "mandelbrot", "width": 4000, "height": 2000,
+          "max_iter": 65}, r"width \* height \* max_iter"),
+        ({"kind": "mandelbrot", "width": 3, "height": 3,
+          "max_iter": MAX_ESCAPE_ITER + 1}, "max_iter must be"),
+        ({"kind": "mandelbrot", "width": 8, "height": 4,
+          "max_iter": 10 ** 12}, "max_iter must be"),
+        ({"kind": "spin", "size": MAX_ITERATIONS, "spins": 21},
+         r"size \* spins"),
+        ({"kind": "spin", "size": 8, "spins": 10 ** 12},
+         r"size \* spins"),
+        ({"kind": "spin", "size": 8, "veclen": MAX_VECLEN + 1},
+         "veclen"),
+        ({"kind": "spin", "size": 8, "veclen": 10 ** 12}, "veclen"),
+    ])
+    def test_pool_worker_cpu_is_bounded(self, spec, match):
+        # Finite but huge: the cost pass (max_iter) or the executed
+        # vector passes (spins, veclen) would hold a pool worker, and
+        # every tenant queued behind it, for hours.
+        with pytest.raises(JobSpecError, match=match):
+            job_from_spec({"scheme": "TSS", "workload": spec})
+
     def test_bounds_admit_the_paper_scale(self):
         assert workload_from_spec(
             {"kind": "uniform", "size": MAX_ITERATIONS}).size \
             == MAX_ITERATIONS
-        # The paper's largest window is exactly the pixel bound.
+        # The paper's largest window, at the default max_iter, is
+        # exactly the pixel and escape-step bounds.
         wl = workload_from_spec(
             {"kind": "mandelbrot", "width": 4000, "height": 2000})
         assert wl.width * wl.height == MAX_PIXELS
+        assert wl.width * wl.height * wl.max_iter == MAX_ESCAPE_STEPS
+        # So is the default spin at the largest loop.
+        wl = workload_from_spec(
+            {"kind": "spin", "size": MAX_ITERATIONS})
+        assert wl.size * wl.spins == MAX_SPIN_PASSES
+        assert wl.veclen == MAX_VECLEN
 
 
 class TestClusterFromSpec:
