@@ -63,6 +63,7 @@ __all__ = [
     "assemble_results",
     "heartbeat_sender",
     "join_or_terminate",
+    "locked_sender",
 ]
 
 #: Injections log as chaos acts (like their events' ``chaos`` source).
@@ -478,6 +479,19 @@ class WorkerStep(object):
             value=duration,
         )
         return payload
+
+
+def locked_sender(conn) -> Callable[[Any], None]:
+    """``conn.send`` under a lock of its own: a worker's main loop and
+    its heartbeat thread share one pipe, which must stay single-writer
+    (a large message is written in more than one piece)."""
+    lock = threading.Lock()
+
+    def send(msg: Any) -> None:
+        with lock:
+            conn.send(msg)
+
+    return send
 
 
 def heartbeat_sender(

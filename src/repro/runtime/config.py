@@ -112,8 +112,9 @@ class RuntimeConfig(object):
 
     # -- the deadline rule ---------------------------------------------------
     # Pure functions of (last-heard-from times, now): the one-shot
-    # master and the service pool's pump both block and scan by them,
-    # so "dropped on time however the wait returned" is one rule.
+    # master blocks and scans by them, and the service pool arms its
+    # liveness timer and scans by them, so "dropped on time however
+    # the wait returned" is one rule.
 
     def overdue(
         self, last_seen: Mapping[_K, float], now: float

@@ -21,14 +21,13 @@ processes started by the executor.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from typing import Optional, Sequence
 
 from ..core.acp import IMPROVED_ACP, AcpModel
 from ..obs import NULL, JsonlCollector
 from ..workloads import Workload
-from .chassis import WorkerStep, heartbeat_sender
+from .chassis import WorkerStep, heartbeat_sender, locked_sender
 from .messages import Assign, Heartbeat, Request, Terminate
 
 __all__ = ["WorkerSpec", "pad_specs", "worker_main"]
@@ -114,13 +113,11 @@ def worker_main(
         obs.emit if obs else None,
     )
     stats = step.stats
-    # Heartbeats come from a side thread while the main loop computes;
-    # the lock keeps the pipe's send side single-writer.
-    send_lock = threading.Lock()
+    # Heartbeats come from a side thread while the main loop computes.
+    send = locked_sender(conn)
 
     def beat() -> None:
-        with send_lock:
-            conn.send(Heartbeat(worker_id=worker_id))
+        send(Heartbeat(worker_id=worker_id))
         step.emit("heartbeat")
 
     stop_heartbeat = heartbeat_sender(beat, heartbeat_interval)
@@ -128,11 +125,8 @@ def worker_main(
         while True:
             step.serve_delays()
             sent_at = time.perf_counter()
-            with send_lock:
-                conn.send(
-                    Request(worker_id=worker_id, acp=acp, result=pending,
-                            stats=stats)
-                )
+            send(Request(worker_id=worker_id, acp=acp, result=pending,
+                         stats=stats))
             pending = None
             msg = conn.recv()
             stats.wait_seconds += time.perf_counter() - sent_at

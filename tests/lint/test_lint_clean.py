@@ -183,9 +183,9 @@ def test_real_process_lifecycle_lives_once_on_the_chassis():
     sender and worker compute step are each written once, in
     ``runtime/chassis.py``: a real substrate says what a worker runs
     and what a stall means, nothing else.  ``service/pool.py`` keeps
-    its own slot spawn and liveness kill (its pump, dispatch and
-    ledger are a different supervisor), but shares the sender thread
-    and the join guard."""
+    its own slot spawn and liveness kill (its event-loop readers,
+    dispatch and ledger are a different supervisor), but shares the
+    sender thread, the locked sender and the join guard."""
     import ast
 
     chassis = os.path.join("repro", "runtime", "chassis.py")
@@ -201,8 +201,8 @@ def test_real_process_lifecycle_lives_once_on_the_chassis():
     }
     once = {
         "spawn", "_drive", "_kill", "_restart", "_spike",
-        "join_or_terminate", "heartbeat_sender", "assemble_results",
-        "serve_delays",
+        "join_or_terminate", "heartbeat_sender", "locked_sender",
+        "assemble_results", "serve_delays",
     }
     calls: dict = {}
     defined: dict = {}

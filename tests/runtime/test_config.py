@@ -32,8 +32,9 @@ class TestDefaultsAndValidation:
 
 
 class TestDeadlineRule:
-    """``overdue`` / ``wait_bound`` on plain data: the master loop and
-    the service pool's pump both block and scan by these two."""
+    """``overdue`` / ``wait_bound`` on plain data: the master loop
+    blocks and scans by these two, the service pool's liveness timer
+    is armed and scans by them."""
 
     CONFIG = RuntimeConfig(
         poll_timeout=0.1, worker_deadline=0.3, heartbeat_interval=0.02
