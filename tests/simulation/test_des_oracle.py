@@ -10,6 +10,11 @@ which order, or to a single accounted float shows up here.  The ledger
 golden pins only the time-stripped digest for fault-free inputs; this
 file pins times, ``events`` and every fault kind per engine.
 
+The ``tie-*`` cases run four identical PEs over a uniform loop, so
+requests, replies and finishes land at exactly the same instants and
+the queue's ``(time, seq)`` tie-break decides the order; they were
+generated before the queue kept its earliest entry outside the heap.
+
 Regenerate (only when a behaviour change is intended and explained)::
 
     PYTHONPATH=src python tests/simulation/test_des_oracle.py
@@ -42,7 +47,7 @@ from repro.simulation import (
     simulate,
     simulate_tree,
 )
-from repro.workloads import GaussianPeakWorkload
+from repro.workloads import GaussianPeakWorkload, UniformWorkload
 
 _GOLDEN = os.path.join(os.path.dirname(__file__), "golden_des.json")
 
@@ -63,6 +68,17 @@ def _cluster(segment=None, fails_at=None) -> ClusterSpec:
             kwargs["fails_at"] = fails_at
         nodes.append(NodeSpec(name=f"n{i}", speed=speed, **kwargs))
     return ClusterSpec(nodes=nodes)
+
+
+def _tie_cluster(segment=None, fails_at=None) -> ClusterSpec:
+    """Four identical PEs: equal speeds and links make ties the rule."""
+    return ClusterSpec(nodes=[
+        NodeSpec(
+            name=f"t{i}", speed=100.0,
+            fails_at=fails_at if i == 2 else None,
+        )
+        for i in range(4)
+    ])
 
 
 #: fault name -> (plan | None, NodeSpec.fails_at for node 2 | None)
@@ -109,28 +125,28 @@ _FAULTS = {
 }
 
 
-def _master(scheme, segment=None):
+def _master(scheme, segment=None, cluster=_cluster):
     def run(workload, chaos, fails_at, collector):
         return simulate(
-            scheme, workload, _cluster(segment, fails_at), chaos=chaos,
+            scheme, workload, cluster(segment, fails_at), chaos=chaos,
             collector=collector, collect_results=True,
         )
     return run
 
 
-def _decentral(**kwargs):
+def _decentral(cluster=_cluster, **kwargs):
     def run(workload, chaos, fails_at, collector):
         return simulate_decentral(
-            "TSS", workload, _cluster(None, fails_at), chaos=chaos,
+            "TSS", workload, cluster(None, fails_at), chaos=chaos,
             collector=collector, collect_results=True, **kwargs,
         )
     return run
 
 
-def _tree(weighted):
+def _tree(weighted, cluster=_cluster):
     def run(workload, chaos, fails_at, collector):
         return simulate_tree(
-            workload, _cluster(None, fails_at), weighted=weighted,
+            workload, cluster(None, fails_at), weighted=weighted,
             flush_interval=0.5, chaos=chaos, collector=collector,
             collect_results=True,
         )
@@ -149,6 +165,11 @@ _SUBSTRATES = {
     # the shared fault scheduler), so that input has no parent oracle.
     "tree-even": (_tree(False), False),
     "tree-weighted": (_tree(True), False),
+    "tie-master-SS": (_master("SS", cluster=_tie_cluster), True),
+    "tie-master-CSS4": (_master("CSS(4)", cluster=_tie_cluster), True),
+    "tie-master-TSS": (_master("TSS", cluster=_tie_cluster), True),
+    "tie-decentral-flat": (_decentral(cluster=_tie_cluster), True),
+    "tie-tree-even": (_tree(False, cluster=_tie_cluster), False),
 }
 
 CASES = [
@@ -162,7 +183,10 @@ CASES = [
 def fingerprint(substrate: str, fault: str) -> str:
     run, _ = _SUBSTRATES[substrate]
     plan, fails_at = _FAULTS[fault]
-    workload = GaussianPeakWorkload(_SIZE, amplitude=6.0)
+    workload = (
+        UniformWorkload(_SIZE) if substrate.startswith("tie-")
+        else GaussianPeakWorkload(_SIZE, amplitude=6.0)
+    )
     collector = BufferedCollector()
     try:
         result = run(workload, plan, fails_at, collector)
