@@ -228,22 +228,53 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
                 "request", self.SRC, t, state.index,
                 None, None, None, None, None, "", None,
             ))
-        node = state.node
-        tx = node.transfer_time(self.cluster.request_bytes)
-        tx_start = self._acquire_segment(node, t, tx)
-        state.metrics.t_wait += tx_start - t
-        state.metrics.t_com += tx
-        index, access_end = self._allocate(state, tx_start + tx)
+        metrics = state.metrics
+        tx = state.request_tx
+        if self._shared_medium:
+            tx_start = self._acquire_segment(state.node, t, tx)
+            metrics.t_wait += tx_start - t
+        else:
+            # A switched link never waits: no zero is added.
+            tx_start = t
+        metrics.t_com += tx
+        at = tx_start + tx
+        index: Optional[int]
+        if self.group_size is None and not self._lost:
+            # The flat counter's claim: ``_allocate`` and
+            # ``_global_access`` inline.
+            index = self._next
+            if index < self._n:
+                self._next = index + 1
+            else:
+                index = None
+            free = self._counter_free
+            start = at if at > free else free
+            wait = start - at
+            if wait:
+                metrics.t_wait += wait
+            access_end = start + self.atomic_op_cost
+            self._counter_free = access_end
+            self._global_ops += 1
+            if self.observing:
+                self._emit(make_event(
+                    "fetch-add", self.SRC, at, state.index,
+                    None, None, None, None, wait, "global", None,
+                ))
+        else:
+            index, access_end = self._allocate(state, at)
         if index is None and self._work_may_reappear():
             # A failing peer holds an incomplete ordinal that may yet
             # land on the scavenging list: retry the fetch when a
             # death resolves the question (see _drain_parked).
             self._park(state, access_end)
             return
-        back = node.transfer_time(self.cluster.reply_bytes)
-        back_start = self._acquire_segment(node, access_end, back)
-        state.metrics.t_wait += back_start - access_end
-        state.metrics.t_com += back
+        back = state.reply_tx
+        if self._shared_medium:
+            back_start = self._acquire_segment(state.node, access_end, back)
+            metrics.t_wait += back_start - access_end
+        else:
+            back_start = access_end
+        metrics.t_com += back
         resume = back_start + back
         if index is None:
             self.queue.push(resume, self._worker_terminate, state)
@@ -259,28 +290,23 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
             ))
         state.pending_index = index
         self.queue.push(
-            resume, self._begin_compute, state, start, stop, stage
-        )
-
-    def _begin_compute(
-        self, state: _DWorkerState, start: int, stop: int, stage: int
-    ) -> None:
-        self._compute(
-            state, start, stop, stage, None, self._finish_chunk
+            resume, self._compute, state,
+            start, stop, stage, None, self._finish_chunk,
         )
 
     def _finish_chunk(self, state: _DWorkerState) -> None:
         # The chunk is durable from here on (shard write in the real
         # runtime): a later death cannot lose it.
+        now = self.queue.now
         if self.observing:
             row = state.undelivered[0]
             self._emit(make_event(
-                "result", self.SRC, self.queue.now, state.index,
+                "result", self.SRC, now, state.index,
                 row[1], row[2], None, None, None, "", None,
             ))
         state.undelivered.clear()
         state.pending_index = None
-        self._last_result_arrival = self.queue.now
+        self._last_result_arrival = now
         self.next_work(state)
 
     # -- failure injection -------------------------------------------------

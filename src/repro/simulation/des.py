@@ -80,6 +80,11 @@ class DesWorker(object):
     #: integral is one division; None = walk the trace.  Set by
     #: :meth:`DesCluster.run` for the DES and the fast path alike.
     rate: Optional[float] = None
+    #: the link times of a bare request and a bare reply
+    #: (``node.transfer_time`` of the cluster's message sizes), bound by
+    #: :meth:`DesCluster.run` for the DES only.
+    request_tx: float = 0.0
+    reply_tx: float = 0.0
     #: computed chunks (the rows :meth:`DesCluster._compute` booked)
     #: whose results are not safe yet -- still on this PE or on the
     #: wire; rolled back if the PE dies.
@@ -134,6 +139,9 @@ class DesCluster(Generic[W]):
     #: the workload's cost prefix sums as plain floats (set by
     #: :meth:`run`): a chunk's cost is one list subtraction.
     _pref: list[float]
+    #: True when some PE is on a shared LAN segment (set by :meth:`run`
+    #: for the DES): only then does a transfer wait for the medium.
+    _shared_medium: bool
 
     def __init__(
         self,
@@ -536,6 +544,16 @@ class DesCluster(Generic[W]):
                 state.rate = state.node.speed / load.q
         if take_fast:
             return self._run_fast()
+        # Per-run link constants of the DES's per-chunk steps; the fast
+        # loops build their own columns, so only this branch pays.
+        request_bytes = self.cluster.request_bytes
+        reply_bytes = self.cluster.reply_bytes
+        for state in self.workers:
+            state.request_tx = state.node.transfer_time(request_bytes)
+            state.reply_tx = state.node.transfer_time(reply_bytes)
+        self._shared_medium = any(
+            node.segment is not None for node in self.cluster.nodes
+        )
         self._schedule_faults()
         for state in self._participants:
             self._start(state)

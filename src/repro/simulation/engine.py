@@ -162,9 +162,12 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         self._step = scheduler.stepper(self._requester)
         scheduler.bind_workload(workload)
         #: stage decisions made since the last request, mirrored into
-        #: ``adapt`` events on an observed run; a fixed scheme's is the
-        #: inert ``Scheduler.drain_decisions``.
-        self._decisions = scheduler.drain_decisions
+        #: ``adapt`` events on an observed run; None when unobserved or
+        #: when the scheduler keeps the inert
+        #: ``Scheduler.drain_decisions`` (a fixed scheme makes none).
+        drain = scheduler.drain_decisions
+        inert = getattr(drain, "__func__", None) is Scheduler.drain_decisions
+        self._decisions = None if inert or not self.observing else drain
         self.acp_model = acp_model
         self._master_free = 0.0
         self._master_link_free = 0.0
@@ -210,14 +213,20 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             return
         t = self.queue.now
         node = state.node
-        nbytes = self.cluster.request_bytes + state.pending_piggyback
-        carries_results = state.pending_piggyback > 0
+        piggyback = state.pending_piggyback
+        nbytes = self.cluster.request_bytes + piggyback
         state.pending_piggyback = 0.0
-        tx = node.transfer_time(nbytes)
-        # Shared-medium contention: wait for the segment, then hold it.
-        tx_start = self._acquire_segment(node, t, tx)
-        state.metrics.t_wait += tx_start - t
-        state.metrics.t_com += tx
+        # ``NodeSpec.transfer_time``, inline.
+        tx = node.latency + nbytes / node.bandwidth
+        metrics = state.metrics
+        if self._shared_medium:
+            # Shared-medium contention: wait for the segment, then hold
+            # it.  A switched link never waits: no zero is added.
+            tx_start = self._acquire_segment(node, t, tx)
+            metrics.t_wait += tx_start - t
+        else:
+            tx_start = t
+        metrics.t_com += tx
         acp = (
             self._acp_now(state, t)
             if self.scheduler.distributed
@@ -230,7 +239,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             ))
         self.queue.push(
             tx_start + tx, self._master_receive, state,
-            acp, carries_results, nbytes,
+            acp, piggyback > 0, nbytes,
         )
 
     def _master_receive(
@@ -241,16 +250,19 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         nbytes: float,
     ) -> None:
         port_arrival = self.queue.now
+        cluster = self.cluster
         # The master's single NIC: inbound payloads serialize (the
         # paper's "contend for master access" effect on result
         # collection).
-        recv_start = max(port_arrival, self._master_link_free)
-        arrival = recv_start + nbytes / self.cluster.master_bandwidth
+        link_free = self._master_link_free
+        recv_start = (
+            port_arrival if port_arrival > link_free else link_free
+        )
+        arrival = recv_start + nbytes / cluster.master_bandwidth
         self._master_link_free = arrival
         if carries_results:
-            self._last_result_arrival = max(
-                self._last_result_arrival, arrival
-            )
+            if arrival > self._last_result_arrival:
+                self._last_result_arrival = arrival
             if self.observing and state.undelivered:
                 delivered = state.undelivered[0]
                 self._emit(make_event(
@@ -259,20 +271,22 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                     None,
                 ))
             state.undelivered.clear()  # results safely delivered
-        service_start = max(arrival, self._master_free)
-        service_end = service_start + self.cluster.master_service
+        master_free = self._master_free
+        service_start = arrival if arrival > master_free else master_free
+        service_end = service_start + cluster.master_service
         self._master_free = service_end
         # Master NIC queueing + master queueing + service is wait time
         # for the slave.
-        state.metrics.t_wait += service_end - port_arrival
-        assignment: Optional[tuple[int, int, int, Optional[int]]] = None
+        metrics = state.metrics
+        metrics.t_wait += service_end - port_arrival
+        reply_tx = state.reply_tx
         if self._requeue:
             start, stop = self._requeue.popleft()
-            assignment = (start, stop, 0, acp)
+            stage = 0
         else:
             self._arrival = arrival
             asked = self._step(state.index, acp)
-            if self.observing:
+            if self._decisions is not None:
                 for d in self._decisions():
                     self._emit(ObsEvent(
                         "adapt", self.SRC, service_end, state.index,
@@ -280,32 +294,33 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                         stage=d.stage, value=d.reward,
                         detail=d.summary(),
                     ))
-            if asked is not None:
-                assignment = (asked[0], asked[1], asked[2], acp)
-        reply_tx = state.node.transfer_time(self.cluster.reply_bytes)
-        if assignment is None:
-            if self._work_may_reappear():
-                # A failing peer still holds undelivered results: park
-                # this worker; its reply comes when (if) work reappears.
-                self._park(state, service_end)
+            if asked is None:
+                if self._work_may_reappear():
+                    # A failing peer still holds undelivered results:
+                    # park this worker; its reply comes when (if) work
+                    # reappears.
+                    self._park(state, service_end)
+                    return
+                metrics.t_com += reply_tx
+                self.queue.push(
+                    service_end + reply_tx, self._worker_terminate, state
+                )
                 return
-            state.metrics.t_com += reply_tx
-            self.queue.push(
-                service_end + reply_tx, self._worker_terminate, state
+            start, stop, stage = asked
+        if self._shared_medium:
+            reply_start = self._acquire_segment(
+                state.node, service_end, reply_tx
             )
-            return
-        reply_start = self._acquire_segment(
-            state.node, service_end, reply_tx
-        )
-        state.metrics.t_wait += reply_start - service_end
-        state.metrics.t_com += reply_tx
+            metrics.t_wait += reply_start - service_end
+        else:
+            reply_start = service_end
+        metrics.t_com += reply_tx
         if self.observing:
             self._emit(make_event(
                 "assign", self.SRC, service_end, state.index,
-                assignment[0], assignment[1], assignment[2],
-                assignment[3], None, "", None,
+                start, stop, stage, acp, None, "", None,
             ))
-        state.pending_chunk = assignment
+        state.pending_chunk = (start, stop, stage, acp)
         self.queue.push(
             reply_start + reply_tx, self._worker_compute, state
         )
@@ -356,7 +371,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         self, state: _WorkerState, then: Callable[..., None]
     ) -> None:
         """The master's late reply to a parked worker."""
-        reply_tx = state.node.transfer_time(self.cluster.reply_bytes)
+        reply_tx = state.reply_tx
         state.metrics.t_com += reply_tx
         self.queue.push(self.queue.now + reply_tx, then, state)
 

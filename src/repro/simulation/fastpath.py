@@ -140,7 +140,8 @@ def master_fast_reason(sim) -> Optional[str]:
     the one place the flag is still read, and it stays because the
     frozen benchmark ledger's ``check_des`` requires every
     ``sweep_des`` job -- the adaptive cells included -- to be refused;
-    only a ``benchmark`` PR may lift that (ROADMAP item 3).
+    it is lifted once ROADMAP item 1 replaces that check (ROADMAP
+    item 5).
     """
     if sim.scheduler.feedback_dependent:
         return (

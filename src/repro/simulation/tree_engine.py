@@ -153,7 +153,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         # Allocation message from the master (at start-up, and again as
         # the rejoin handshake of a restarted PE, which then resumes
         # whatever is left of its queue or sweeps its partners).
-        delay = w.node.transfer_time(self.cluster.reply_bytes)
+        delay = w.reply_tx
         w.metrics.t_com += delay
         w.next_flush = self._next_epoch(self.queue.now + delay)
         self.queue.push(self.queue.now + delay, self.next_work, w)
@@ -300,10 +300,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
             return
         # Steal round trip: request over the thief's link, reply over
         # the victim's.  The thief idles for the duration.
-        rtt = (
-            w.node.transfer_time(self.cluster.request_bytes)
-            + victim.node.transfer_time(self.cluster.reply_bytes)
-        )
+        rtt = w.request_tx + victim.reply_tx
         w.metrics.t_wait += rtt
         self.queue.push(
             self.queue.now + rtt, self._steal_arrival, w, victim

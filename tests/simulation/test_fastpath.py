@@ -246,6 +246,21 @@ def test_auto_takes_fast_path_when_eligible(workload, monkeypatch):
     assert calls == [1]
 
 
+def test_fast_master_run_pays_none_of_the_des_set_up(workload, monkeypatch):
+    """The DES binds each PE's request and reply link times on its own
+    branch of ``DesCluster.run``: a fast-path master run still asks
+    each node for one transfer time (the reply column), no more."""
+    calls = []
+    real = NodeSpec.transfer_time
+    monkeypatch.setattr(
+        NodeSpec, "transfer_time",
+        lambda node, nbytes: calls.append(nbytes) or real(node, nbytes),
+    )
+    cluster = heterogeneous_cluster()
+    simulate("TSS", workload, cluster, fast=True)
+    assert len(calls) <= cluster.size
+
+
 def test_results_pickle_and_serialize_roundtrip(workload):
     """Lazy chunk lists must survive pickling and to_dict/from_dict."""
     import pickle
