@@ -172,22 +172,16 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
     def _allocate(
         self, state: _DWorkerState, arrival: float
     ) -> tuple[Optional[int], float]:
-        """Serve one claim arriving at ``arrival``.
+        """Serve one hierarchical claim arriving at ``arrival``.
 
         Returns ``(ordinal, access_end)``; ordinal None means the loop
         is exhausted from this worker's point of view (the dry fetch
-        still costs a counter access, as in the real runtime).
+        still costs a counter access, as in the real runtime).  The
+        group-local counter is tried first; refills, scavenges and dry
+        probes nest a global access inside the local hold.  (The flat
+        counter's claim is inline in :meth:`next_work`.)
         """
         index: Optional[int] = None
-        if self.group_size is None:
-            if self._lost:
-                index = self._lost.popleft()
-            elif self._next < self._n:
-                index = self._next
-                self._next += 1
-            return index, self._global_access(state, arrival)
-        # Hierarchical: group-local counter first; refills, scavenges
-        # and dry probes nest a global access inside the local hold.
         g = self._group_of(state)
         local_start = max(arrival, self._group_free[g])
         state.metrics.t_wait += local_start - arrival
@@ -239,14 +233,17 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         metrics.t_com += tx
         at = tx_start + tx
         index: Optional[int]
-        if self.group_size is None and not self._lost:
-            # The flat counter's claim: ``_allocate`` and
-            # ``_global_access`` inline.
-            index = self._next
-            if index < self._n:
-                self._next = index + 1
+        if self.group_size is None:
+            # The flat counter's claim, ``_global_access`` inline:
+            # scavenged ordinals first, then the shared counter.
+            if self._lost:
+                index = self._lost.popleft()
             else:
-                index = None
+                index = self._next
+                if index < self._n:
+                    self._next = index + 1
+                else:
+                    index = None
             free = self._counter_free
             start = at if at > free else free
             wait = start - at
