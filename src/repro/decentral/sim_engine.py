@@ -54,7 +54,6 @@ import dataclasses
 from typing import Optional, Union
 
 from ..core.kernel import ChunkCalculator, make_calculator
-from ..obs import make_event
 from ..workloads import Workload
 from ..simulation import fastpath
 from ..simulation.cluster import ClusterSpec
@@ -163,7 +162,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         self._counter_free = end
         self._global_ops += 1
         if self.observing:
-            self._emit(make_event(
+            self._emit((
                 "fetch-add", self.SRC, at, state.index,
                 None, None, None, None, start - at, "global", None,
             ))
@@ -188,7 +187,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         local_end = local_start + self.local_op_cost
         self._group_free[g] = local_end
         if self.observing:
-            self._emit(make_event(
+            self._emit((
                 "fetch-add", self.SRC, arrival, state.index,
                 None, None, None, None, local_start - arrival, "local",
                 None,
@@ -218,7 +217,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
             return
         t = self.queue.now
         if self.observing:
-            self._emit(make_event(
+            self._emit((
                 "request", self.SRC, t, state.index,
                 None, None, None, None, None, "", None,
             ))
@@ -253,7 +252,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
             self._counter_free = access_end
             self._global_ops += 1
             if self.observing:
-                self._emit(make_event(
+                self._emit((
                     "fetch-add", self.SRC, at, state.index,
                     None, None, None, None, wait, "global", None,
                 ))
@@ -281,7 +280,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         start, stop = self.calc.interval(index)
         stage = self.calc.stage_of(index)
         if self.observing:
-            self._emit(make_event(
+            self._emit((
                 "assign", self.SRC, access_end, state.index,
                 start, stop, stage, None, None, "", None,
             ))
@@ -297,7 +296,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         now = self.queue.now
         if self.observing:
             row = state.undelivered[0]
-            self._emit(make_event(
+            self._emit((
                 "result", self.SRC, now, state.index,
                 row[1], row[2], None, None, None, "", None,
             ))

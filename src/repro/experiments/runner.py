@@ -478,7 +478,7 @@ def _trace_report(
         with capture() as run_trace:
             run_decentral("TSS", wl, 3, plan=plan, time_scale=0.2,
                           collector=run_trace)
-        events = sim_trace.events + run_trace.events
+        events = [*sim_trace.events, *run_trace.events]
         a_sim = audit_events(sim_trace.events, total=wl.size,
                              scheme="TSS", workers=3,
                              subject="sim.master")

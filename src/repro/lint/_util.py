@@ -13,7 +13,14 @@ __all__ = [
     "enclosing_functions",
     "iter_scopes",
     "call_tail",
+    "EMIT_HELPERS",
+    "emitted_row",
 ]
+
+#: Helper callees that hand one event on: a string first argument is
+#: the event's kind, a tuple display is the event as a *row* (the
+#: eleven ``ObsEvent`` fields by position).
+EMIT_HELPERS = frozenset({"emit", "_emit", "dump_event"})
 
 
 def parent_map(tree: ast.AST) -> dict:
@@ -57,3 +64,15 @@ def call_tail(node: ast.Call) -> str:
     if isinstance(node.func, ast.Attribute):
         return node.func.attr
     return ""
+
+
+def emitted_row(node: ast.Call) -> Optional[ast.Tuple]:
+    """The tuple display ``node`` emits as a row, else ``None``.
+
+    The per-chunk emission sites write ``self._emit((kind, source, t,
+    ..., wall))``: element 0 is the kind, 2 is ``t`` and 10 ``wall``.
+    """
+    if call_tail(node) in EMIT_HELPERS and node.args \
+            and isinstance(node.args[0], ast.Tuple):
+        return node.args[0]
+    return None

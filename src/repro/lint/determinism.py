@@ -13,7 +13,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ._util import call_tail, dotted_name, enclosing_functions, parent_map
+from ._util import (
+    call_tail, dotted_name, emitted_row, enclosing_functions, parent_map,
+)
 from .engine import LintConfig, ModuleInfo
 from .findings import Finding
 
@@ -132,30 +134,44 @@ def check_rep003(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
 
     ``ObsEvent``'s ``t`` (third positional) and ``wall`` fields are
     stripped by ``canonical_stream``, so clock reads may feed exactly
-    those; any other field becomes part of the digest surface.  In
+    those; any other field becomes part of the digest surface.  A row
+    handed to an emit helper (a tuple display) is the same eleven
+    fields by position: elements 2 and 10 are ``t`` and ``wall``.  In
     digest-critical modules *every* tainted call is flagged.
     """
     flagged: set = set()
     for node in ast.walk(mod.tree):
-        if not isinstance(node, ast.Call) or call_tail(node) != "ObsEvent":
+        if not isinstance(node, ast.Call):
             continue
-        suspect_roots: list = []
-        for idx, arg in enumerate(node.args):
-            if idx != 2:  # slot 2 is ``t``, excluded from the digest
-                suspect_roots.append(arg)
-        for kw in node.keywords:
-            if kw.arg not in ("t", "wall"):
-                suspect_roots.append(kw.value)
+        row = emitted_row(node)
+        if row is not None:
+            what = "an event row element"
+            suspect_roots = [
+                elt for idx, elt in enumerate(row.elts)
+                if idx not in (2, 10)
+            ]
+        elif call_tail(node) == "ObsEvent":
+            what = "an ObsEvent field"
+            suspect_roots = [
+                # slot 2 is ``t``, excluded from the digest
+                arg for idx, arg in enumerate(node.args) if idx != 2
+            ]
+            suspect_roots += [
+                kw.value for kw in node.keywords
+                if kw.arg not in ("t", "wall")
+            ]
+        else:
+            continue
         for root in suspect_roots:
             for sub in ast.walk(root):
                 if isinstance(sub, ast.Call) and _tainted(sub):
                     flagged.add(id(sub))
                     yield mod.finding(
                         "REP003", sub,
-                        f"{dotted_name(sub.func)}() inside an ObsEvent "
-                        f"field other than t/wall enters the canonical "
+                        f"{dotted_name(sub.func)}() inside {what} "
+                        f"other than t/wall enters the canonical "
                         f"stream and breaks digest bit-identity; only "
-                        f"t= and wall= may carry clock reads",
+                        f"t and wall may carry clock reads",
                     )
     if mod.digest_critical:
         for node in ast.walk(mod.tree):

@@ -17,14 +17,11 @@ import os
 import re
 from typing import Iterator, Optional
 
-from ._util import call_tail
+from ._util import EMIT_HELPERS, call_tail
 from .engine import LintConfig, ModuleInfo
 from .findings import Finding
 
 __all__ = ["check_rep301", "check_rep304", "check_rep305"]
-
-#: Helper callees whose first string argument is an event kind.
-_EMIT_HELPERS = frozenset({"emit", "_emit", "dump_event"})
 
 
 def _declared(modules, name: str):
@@ -37,7 +34,9 @@ def _declared(modules, name: str):
 
 
 def _emitted_kinds(mod: ModuleInfo):
-    """(kind, node) for every statically-visible kind emission."""
+    """(kind, node) for every statically-visible kind emission: an
+    ``ObsEvent(...)`` call, or an emit helper's first argument -- a
+    kind string, or a row's element 0."""
     for node in ast.walk(mod.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -51,10 +50,13 @@ def _emitted_kinds(mod: ModuleInfo):
                         and isinstance(kw.value, ast.Constant) \
                         and isinstance(kw.value.value, str):
                     yield kw.value.value, kw.value
-        elif tail in _EMIT_HELPERS:
-            if node.args and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                yield node.args[0].value, node.args[0]
+        elif tail in EMIT_HELPERS and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.Tuple) and first.elts:
+                first = first.elts[0]  # a row: the kind is element 0
+            if isinstance(first, ast.Constant) \
+                    and isinstance(first.value, str):
+                yield first.value, first
 
 
 def check_rep301(modules, config: LintConfig) -> Iterator[Finding]:

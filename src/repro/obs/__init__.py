@@ -60,9 +60,9 @@ from .events import (
     JOB_KINDS,
     LIFECYCLE_KINDS,
     SOURCES,
+    EventList,
     ObsEvent,
     SchemaError,
-    make_event,
     validate_event,
 )
 from .export import (
@@ -99,7 +99,7 @@ __all__ = [
     "ENV_LOG_LEVEL",
     "NULL",
     "ObsEvent",
-    "make_event",
+    "EventList",
     "SchemaError",
     "validate_event",
     "Collector",

@@ -9,10 +9,12 @@ The contract every instrumented hot path relies on:
   whole design of the ~zero-cost off switch (guarded by
   ``tests/obs/test_substrates.py``).
 * A loop that emits per chunk asks :func:`sink` once for the callable
-  it will feed.  That is the collector's own ``emit`` -- every event
-  reaches it, in order -- except for a :class:`BufferedCollector`
-  whose ``emit`` nobody replaced: there ``emit`` *is* the list's
-  ``append``, so that is what the loop gets.
+  it will feed, and feeds it *rows* (the eleven :class:`ObsEvent`
+  fields as a plain tuple; an ``ObsEvent`` is one too).  For a
+  :class:`BufferedCollector` whose ``emit`` nobody replaced that
+  callable is the ``append`` of the row list behind its
+  :class:`~repro.obs.events.EventList`; for any other collector it
+  hands ``emit`` each row as an ``ObsEvent``, in order.
 * Collectors never validate on emit (schema checks live in tests and
   importers) and never raise out of ``emit`` for flow-control reasons:
   an observability layer must not alter the run it observes.
@@ -30,7 +32,7 @@ import os
 import threading
 from typing import Callable, Iterator, Optional, Union
 
-from .events import ObsEvent
+from .events import EventList, ObsEvent
 
 __all__ = [
     "Collector",
@@ -88,10 +90,14 @@ def resolve(collector: Optional[Collector]) -> Collector:
 
 
 class BufferedCollector(Collector):
-    """In-memory event list; appends are GIL-atomic (thread-safe)."""
+    """In-memory event list; appends are GIL-atomic (thread-safe).
+
+    ``events`` is an :class:`~repro.obs.events.EventList`: what the
+    DES appends stays a row until something reads it.
+    """
 
     def __init__(self) -> None:
-        self.events: list[ObsEvent] = []
+        self.events = EventList()
 
     def __len__(self) -> int:
         return len(self.events)
@@ -100,11 +106,11 @@ class BufferedCollector(Collector):
         return iter(self.events)
 
     def emit(self, event: ObsEvent) -> None:
-        self.events.append(event)
+        self.events.rows().append(event)
 
     def extend(self, events) -> None:
         """Fan-in: absorb events gathered elsewhere (shards, pools)."""
-        self.events.extend(events)
+        self.events.rows().extend(events)
 
     def by_kind(self, kind: str) -> list[ObsEvent]:
         return [e for e in self.events if e.kind == kind]
@@ -157,12 +163,12 @@ class JsonlCollector(Collector):
             os.close(fd)
 
 
-def sink(collector: Collector) -> Callable[[ObsEvent], None]:
-    """The callable a hot loop feeds for one whole run.
+def sink(collector: Collector) -> Callable[[tuple], None]:
+    """The callable a hot loop feeds rows to for one whole run.
 
     Nothing is stored on the collector (it still pickles and copies),
     and an ``emit`` overridden in a subclass or set on the instance is
-    what gets called.
+    what gets called -- with an :class:`ObsEvent`, never a bare row.
     """
     emit = collector.emit
     if (
@@ -170,8 +176,13 @@ def sink(collector: Collector) -> Callable[[ObsEvent], None]:
         and getattr(emit, "__func__", None) is BufferedCollector.emit
         and emit.__self__ is collector
     ):
-        return collector.events.append
-    return emit
+        return collector.events.rows().append
+    make = ObsEvent._make
+
+    def emit_event(row: tuple) -> None:
+        emit(make(row))
+
+    return emit_event
 
 
 @contextlib.contextmanager

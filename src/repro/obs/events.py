@@ -50,6 +50,12 @@ event per job transition, emitted by :mod:`repro.service.server` into
 per-tenant streams -- as opposed to the chunk-level lifecycle the
 substrates emit per interval.
 
+The DES writes each chunk-level event as a *row*: a plain tuple of
+the eleven :class:`ObsEvent` fields in order.  A buffered trace is an
+:class:`EventList` over those rows, which turns them into
+:class:`ObsEvent` objects the first time anything reads it; the
+digest and the wire text read the rows as they are.
+
 ``t`` is the substrate's own clock -- virtual seconds in the
 simulators, seconds since run start in the real runtimes; ``wall`` is
 absolute wall-clock time where one exists.  Both are excluded from
@@ -59,7 +65,7 @@ simulator and runtime traces directly diffable.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 __all__ = [
     "EVENT_KINDS",
@@ -67,7 +73,7 @@ __all__ = [
     "LIFECYCLE_KINDS",
     "JOB_KINDS",
     "ObsEvent",
-    "make_event",
+    "EventList",
     "SchemaError",
     "validate_event",
 ]
@@ -129,12 +135,13 @@ class SchemaError(ValueError):
 class ObsEvent(NamedTuple):
     """One observation; immutable, hashable, picklable.
 
-    A named tuple: the DES builds several per chunk, so construction
-    cost is the observed run's bill.  The per-chunk emission sites
-    (the chassis's ``compute``, each engine's ``request``/``assign``/
-    ``result``/``fetch-add``) build theirs with :func:`make_event`.
-    It is still a *tuple* to ``json``: anything leaving the process
-    goes through :meth:`to_dict`.
+    A named tuple, so a plain tuple of the same eleven fields (a
+    *row*) stands for one: the per-chunk emission sites (the
+    chassis's ``compute``, each engine's ``request``/``assign``/
+    ``result``/``fetch-add``) emit rows, and :class:`EventList` turns
+    them into events when they are read.  It is still a *tuple* to
+    ``json``: anything leaving the process goes through
+    :meth:`to_dict`.
 
     ``worker`` is ``-1`` for events not attributable to one worker
     (e.g. a master stall).  ``value`` is the kind-specific measurement
@@ -202,33 +209,71 @@ class ObsEvent(NamedTuple):
             raise SchemaError(f"event dict missing field {exc}") from exc
 
 
-_tuple_new = tuple.__new__
+class EventList(object):
+    """A trace's events, kept as rows until something reads them.
 
+    Wraps the list an emission loop appends to (:meth:`rows`).  A row
+    is the eleven :class:`ObsEvent` fields in order; an ``ObsEvent``
+    is a valid row.  Any read -- iteration, indexing, ``==``,
+    ``repr`` -- first converts the rows not yet read into events *in
+    place* (``ObsEvent._make``, which rejects a row of the wrong width
+    with ``TypeError``), so readers only ever see ``ObsEvent``
+    objects and the list is never copied.  Rows appended after a read
+    are converted at the next one.
 
-def make_event(
-    kind: str,
-    source: str,
-    t: float,
-    worker: int,
-    start: Optional[int],
-    stop: Optional[int],
-    stage: Optional[int],
-    acp: Optional[int],
-    value: Optional[float],
-    detail: str,
-    wall: Optional[float],
-) -> ObsEvent:
-    """``ObsEvent`` from all eleven fields, positionally, no defaults.
-
-    Equal to ``ObsEvent(...)`` of the same fields at about half the
-    cost (no keyword-default ``__new__`` behind ``type.__call__``).
-    The caller writes the unset fields out: ``None``, ``""`` for
-    ``detail``, ``-1`` for no worker.
+    Why rows: CPython's cyclic garbage collector never stops tracking
+    a tuple *subclass*, so a trace of ``ObsEvent`` objects is walked by
+    every older-generation collection, while a row of strings and
+    numbers is untracked at its first young one.
+    :func:`~repro.obs.export.stream_digest` and
+    :func:`~repro.obs.export.events_json` read :meth:`rows` by
+    position, so a job that wants only its digest or its reply body
+    builds no ``ObsEvent`` at all.  It pickles as rows.
     """
-    return _tuple_new(ObsEvent, (
-        kind, source, t, worker, start, stop, stage, acp, value, detail,
-        wall,
-    ))
+
+    __slots__ = ("_rows", "_read")
+
+    def __init__(self, rows: Optional[list] = None) -> None:
+        self._rows: list = [] if rows is None else rows
+        #: ``_rows[:_read]`` are already ``ObsEvent`` objects.
+        self._read = 0
+
+    def _events(self) -> list:
+        rows = self._rows
+        n = len(rows)
+        if self._read < n:
+            make = ObsEvent._make
+            # One slot at a time: each row is freed as its event
+            # lands, so the trace never exists twice.
+            for i in range(self._read, n):
+                rows[i] = make(rows[i])
+            self._read = n
+        return rows
+
+    def rows(self) -> list:
+        """The backing list: rows, and events where already read."""
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[ObsEvent]:
+        return iter(self._events())
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._events()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventList):
+            other = other._events()
+        return self._events() == other
+
+    def __repr__(self) -> str:
+        return repr(self._events())
+
+    def __reduce__(self) -> tuple[type, tuple[list[tuple]]]:
+        # Exact tuples, whether or not the events were read.
+        return (EventList, (list(map(tuple, self._rows)),))
 
 
 def validate_event(event: ObsEvent) -> ObsEvent:

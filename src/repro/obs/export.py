@@ -28,7 +28,7 @@ from typing import Any, Iterable, Sequence, Union
 
 import orjson
 
-from .events import ObsEvent
+from .events import EventList, ObsEvent
 
 __all__ = [
     "to_jsonl",
@@ -183,6 +183,12 @@ def canonical_stream(events: Iterable[ObsEvent]) -> list[dict]:
     return rows
 
 
+def _rows(events: Iterable) -> Iterable:
+    """What to read fields from by position: an :class:`EventList`'s
+    rows, or the events themselves (an ``ObsEvent`` is a row)."""
+    return events.rows() if isinstance(events, EventList) else events
+
+
 def stream_digest(events: Iterable[ObsEvent]) -> str:
     """sha256 over the canonical stream's JSONL serialization.
 
@@ -190,12 +196,13 @@ def stream_digest(events: Iterable[ObsEvent]) -> str:
     sort_keys=True) for row in canonical_stream(events))``; computed in
     one pass over ``(start, stop)`` pairs, writing each line directly
     (every job pays this, and a row dict plus a ``json.dumps`` call per
-    event was a tenth of an observed run).  ``tests/obs/test_export.py``
-    holds the two byte-identical.
+    event was a tenth of an observed run).  Fields are read by
+    position, from an :class:`EventList`'s rows, so no ``ObsEvent`` is
+    built.  ``tests/obs/test_export.py`` holds the two byte-identical.
     """
     pairs = sorted(
-        (ev.start, ev.stop) for ev in events
-        if ev.kind == "result" and ev.start is not None
+        (row[4], row[5]) for row in _rows(events)
+        if row[0] == "result" and row[4] is not None
     )
     payload = "\n".join(
         '{"kind": "result", "start": %d, "stop": %d}' % pair
@@ -207,6 +214,9 @@ def stream_digest(events: Iterable[ObsEvent]) -> str:
 #: :mod:`json`'s compact writer: what :func:`json_text` falls back to.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _T, _VALUE, _WALL = (operator.itemgetter(i) for i in (2, 8, 10))
+#: :meth:`ObsEvent.to_dict` as a plain function: it unpacks its
+#: argument, so it writes a row as it writes the event.
+_to_dict = ObsEvent.to_dict
 
 
 def json_text(doc: Any, numbers: Iterable) -> str:
@@ -241,12 +251,14 @@ def events_json(events: Sequence[ObsEvent]) -> str:
     member of a ``wait`` reply), through :func:`json_text`:
     ``json.loads(events_json(evs)) == [ev.to_dict() for ev in evs]``,
     and the text is orjson's whenever every value is finite and
-    encodable (``tests/obs/test_export.py`` holds both).
+    encodable (``tests/obs/test_export.py`` holds both).  Like
+    :func:`stream_digest` it reads an :class:`EventList`'s rows.
     """
+    rows = _rows(events)
     numbers = itertools.chain(
-        map(_T, events),
+        map(_T, rows),
         # ``None`` (unset) and 0.0 are left out alike: 0.0 is finite.
-        filter(None, map(_VALUE, events)),
-        filter(None, map(_WALL, events)),
+        filter(None, map(_VALUE, rows)),
+        filter(None, map(_WALL, rows)),
     )
-    return json_text([ev.to_dict() for ev in events], numbers)
+    return json_text(list(map(_to_dict, rows)), numbers)

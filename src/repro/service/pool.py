@@ -60,7 +60,7 @@ from typing import Callable, Optional, Union
 
 from .. import cache as _cache
 from ..batch import SimJob
-from ..obs import events_json, stream_digest
+from ..obs import EventList, ObsEvent, events_json, stream_digest
 from ..obs.logutil import get_logger
 from ..runtime.chassis import (
     heartbeat_sender,
@@ -99,8 +99,9 @@ class _StreamCollector(object):
     """Truthy collector that forwards events over the worker pipe.
 
     Retains the full event list (so the result payload and digest are
-    byte-identical to an unstreamed run) while batching compact dict
-    forms to the pool as ``("ev", job_id, batch)`` messages.  Send
+    byte-identical to an unstreamed run) while batching the events
+    themselves to the pool as ``("ev", job_id, batch)`` messages: the
+    daemon builds dicts only for a watcher that wants them.  Send
     failures are swallowed: streaming is best-effort and must never
     fail the job itself.
     """
@@ -110,15 +111,15 @@ class _StreamCollector(object):
     def __init__(self, send, job_id: str) -> None:
         self._send = send
         self._job_id = job_id
-        self._pending: list[dict] = []
-        self.events: list = []
+        self._pending: list[ObsEvent] = []
+        self.events = EventList()
 
     def __bool__(self) -> bool:
         return True
 
-    def emit(self, event) -> None:
-        self.events.append(event)
-        self._pending.append(event.to_dict())
+    def emit(self, event: ObsEvent) -> None:
+        self.events.rows().append(event)
+        self._pending.append(event)
         if len(self._pending) >= self.BATCH:
             self.flush()
 

@@ -338,7 +338,7 @@ class ServiceServer(object):
             self._drained.set()
 
     def _on_events(self, record: JobRecord, batch: list) -> None:
-        """Chunk-level events a worker streamed mid-run.
+        """Chunk-level ``ObsEvent`` objects a worker streamed mid-run.
 
         They join the tenant's server-side trace (so the trace op and
         the subscription stream describe the same events), feed the
@@ -346,11 +346,10 @@ class ServiceServer(object):
         start at 0 and would collide), and fan out to subscribers.
         """
         at = self.pool.now()
-        events = [ObsEvent.from_dict(doc) for doc in batch]
-        for ev in events:
+        for ev in batch:
             self._record_event(record.tenant, ev)
             self.rolling.observe(ev, at=at)
-        self.metrics.counter("stream_events_total").inc(len(events))
+        self.metrics.counter("stream_events_total").inc(len(batch))
         self._publish(record.tenant, batch, job_id=record.job_id)
 
     def _record_event(self, tenant: str, event: ObsEvent) -> None:
@@ -364,25 +363,30 @@ class ServiceServer(object):
         self._record_event(tenant, event)
         self.rolling.observe(event, at=self.pool.now())
         if self._subscribers:
-            self._publish(tenant, [event.to_dict()])
+            self._publish(tenant, [event])
 
     def _publish(
         self, tenant: str, batch: list, job_id: Optional[str] = None
     ) -> None:
         """Fan one event batch out to every matching subscriber.
 
-        ``put_nowait`` against the bounded queue: a full (slow)
-        subscriber loses the batch and its ``drops`` counter grows --
-        the pool and the other watchers never wait.
+        The batch's dict forms are built once, for the first
+        subscriber that wants the tenant, and shared.  ``put_nowait``
+        against the bounded queue: a full (slow) subscriber loses the
+        batch and its ``drops`` counter grows -- the pool and the other
+        watchers never wait.
         """
-        if not self._subscribers:
-            return
-        item: dict[str, Any] = {"tenant": tenant, "events": batch}
-        if job_id is not None:
-            item["job"] = job_id
+        item: Optional[dict[str, Any]] = None
         for sub in self._subscribers:
             if not sub.wants(tenant):
                 continue
+            if item is None:
+                item = {
+                    "tenant": tenant,
+                    "events": [ev.to_dict() for ev in batch],
+                }
+                if job_id is not None:
+                    item["job"] = job_id
             try:
                 sub.queue.put_nowait(item)
             except asyncio.QueueFull:

@@ -47,7 +47,7 @@ from typing import (
 
 import numpy as np
 
-from ..obs import Collector, ObsEvent, make_event
+from ..obs import Collector, ObsEvent
 from ..obs import resolve as _resolve_collector
 from ..obs import sink as _collector_sink
 from ..workloads import Workload, WorkloadError
@@ -355,7 +355,7 @@ class DesCluster(Generic[W]):
             node = state.node
             finish = integrate_compute(t, cost, node.speed, node.load)
         if self.observing:
-            self._emit(make_event(
+            self._emit((
                 "compute", self.SRC, t, state.index,
                 start, stop, stage, acp, finish - t, "", None,
             ))

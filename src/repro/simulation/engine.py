@@ -41,7 +41,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
-from ..obs import ObsEvent, make_event
+from ..obs import ObsEvent
 from ..workloads import Workload
 from . import fastpath
 from .cluster import ClusterSpec
@@ -233,7 +233,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             else None
         )
         if self.observing:
-            self._emit(make_event(
+            self._emit((
                 "request", self.SRC, t, state.index,
                 None, None, None, acp, None, "", None,
             ))
@@ -265,7 +265,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 self._last_result_arrival = arrival
             if self.observing and state.undelivered:
                 delivered = state.undelivered[0]
-                self._emit(make_event(
+                self._emit((
                     "result", self.SRC, arrival, state.index,
                     delivered[1], delivered[2], None, None, None, "",
                     None,
@@ -316,7 +316,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             reply_start = service_end
         metrics.t_com += reply_tx
         if self.observing:
-            self._emit(make_event(
+            self._emit((
                 "assign", self.SRC, service_end, state.index,
                 start, stop, stage, acp, None, "", None,
             ))

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..obs.events import EventList
 from ..obs.export import json_text
 from ..obs.metrics import imbalance
 
@@ -173,10 +174,12 @@ class SimResult(object):
     results: Optional[np.ndarray] = None
     rederivations: int = 0
     events: int = 0
-    #: unified observability trace (list of :class:`repro.obs.ObsEvent`)
-    #: when the run was asked to collect one; ``events`` above predates
-    #: the trace layer and counts *simulator queue* events, not these.
-    obs_events: Optional[list] = None
+    #: unified observability trace when the run was asked to collect
+    #: one: the collector's :class:`repro.obs.EventList`, which reads
+    #: as a list of :class:`repro.obs.ObsEvent`.  ``events`` above
+    #: predates the trace layer and counts *simulator queue* events,
+    #: not these.
+    obs_events: Optional[EventList] = None
 
     @property
     def total_iterations(self) -> int:

@@ -32,7 +32,7 @@ import math
 from typing import Optional
 
 from ..core.tree import TreePartition, partner_order
-from ..obs import ObsEvent, make_event
+from ..obs import ObsEvent
 from ..workloads import Workload
 from .cluster import ClusterSpec
 from .des import DesCluster, DesWorker
@@ -260,7 +260,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         # has computed and not yet delivered was in this message.
         if self.observing:
             for row in w.undelivered:
-                self._emit(make_event(
+                self._emit((
                     "result", self.SRC, self.queue.now, w.index,
                     row[1], row[2], None, None, None, "", None,
                 ))

@@ -48,6 +48,24 @@ class TestRep003ClockIntoDigest:
         assert "REP003" not in rules_of(lint_fixture("rep003_good.py"))
 
 
+class TestRep003Rows:
+    """The same rule over rows: elements 2 and 10 (``t``/``wall``)
+    may read the clock, every other element may not."""
+
+    def test_bad_fixture_fails(self):
+        findings = [
+            f for f in lint_fixture("rep003_rows_bad.py")
+            if f.rule == "REP003"
+        ]
+        # time.time() as the row's value, uuid4 as its detail
+        assert len(findings) == 2
+        assert all("event row" in f.message for f in findings)
+
+    def test_good_fixture_passes(self):
+        assert "REP003" not in rules_of(
+            lint_fixture("rep003_rows_good.py"))
+
+
 class TestRep004SetIteration:
     def test_bad_fixture_fails(self):
         findings = [

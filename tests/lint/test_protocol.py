@@ -35,6 +35,25 @@ class TestProtoFixtureTrees:
         assert findings == [], [f.render() for f in findings]
 
 
+class TestRep301Rows:
+    """A row handed to an emit helper -- what the per-chunk DES sites
+    write -- has its kind at element 0, and REP301 reads it there."""
+
+    def test_bad_tree_flags_each_undeclared_row_kind(self):
+        findings = [
+            f for f in lint_fixture("rep301_rows_bad")
+            if f.rule == "REP301"
+        ]
+        assert sorted(f.message.split("'")[1] for f in findings) == [
+            "compoote", "deliver",
+        ]
+        assert all(f.path.endswith("engine.py") for f in findings)
+
+    def test_good_tree_is_clean(self):
+        findings = lint_fixture("rep301_rows_good")
+        assert findings == [], [f.render() for f in findings]
+
+
 class TestSyntheticTree:
     """The ISSUE acceptance scenario, built from scratch in tmp_path."""
 

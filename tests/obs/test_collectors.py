@@ -112,6 +112,21 @@ def test_sink_never_bypasses_an_emit_somebody_replaced():
     assert duck.calls == 1
 
 
+def test_sink_takes_rows_and_only_a_plain_buffer_keeps_them():
+    row = tuple(_ev(5))
+    trace = BufferedCollector()
+    sink(trace)(row)
+    assert trace.events.rows()[0] is row
+    assert trace.events == [_ev(5)]
+
+    seen = []
+    shadowed = BufferedCollector()
+    shadowed.emit = seen.append
+    sink(shadowed)(row)
+    # Any other emit sees an ObsEvent, never a bare row.
+    assert type(seen[0]) is ObsEvent and seen[0] == _ev(5)
+
+
 def test_capture_context_manager():
     with capture() as trace:
         trace.emit(_ev())

@@ -11,9 +11,9 @@ from repro.obs import (
     EVENT_KINDS,
     LIFECYCLE_KINDS,
     SOURCES,
+    EventList,
     ObsEvent,
     SchemaError,
-    make_event,
     validate_event,
 )
 
@@ -107,29 +107,25 @@ _OPTIONAL = {
 
 @pytest.mark.parametrize("kind", ["request", "fetch-add", "fault"])
 def test_full_width_constructor_equals_the_keyword_one(kind):
-    """``make_event`` against its definition, ``ObsEvent(**kw)``, for
-    every optional field set and unset."""
+    """A row -- the eleven fields by position, as the per-chunk sites
+    write them -- read through an ``EventList`` against its
+    definition, ``ObsEvent(**kw)``, for every optional field set and
+    unset."""
     unset = ObsEvent._field_defaults
     for r in range(len(_OPTIONAL) + 1):
         for chosen in itertools.combinations(_OPTIONAL, r):
             kw = {name: _OPTIONAL[name] for name in chosen}
             reference = ObsEvent(kind=kind, source="sim.master", t=1.5,
                                  **kw)
-            built = make_event(
+            row = (
                 kind, "sim.master", 1.5,
                 *(kw.get(name, unset[name]) for name in _OPTIONAL),
             )
+            built = EventList([row])[0]
             assert type(built) is ObsEvent
             assert built == reference
             assert built.to_dict() == reference.to_dict()
+            assert ObsEvent.to_dict(row) == reference.to_dict()
             if kind != "fault" or "detail" in kw:
                 assert validate_event(built) is built
     assert tuple(_OPTIONAL) == ObsEvent._fields[3:]
-
-
-def test_full_width_constructor_takes_exactly_eleven_fields():
-    with pytest.raises(TypeError):
-        make_event("request", "sim.master", 0.0, 2)
-    with pytest.raises(TypeError):
-        make_event("request", "sim.master", 0.0, 2, None, None, None,
-                   None, None, "", None, None)

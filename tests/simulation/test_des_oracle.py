@@ -180,16 +180,22 @@ CASES = [
 ]
 
 
-def fingerprint(substrate: str, fault: str) -> str:
+def run_case(substrate: str, fault: str, collector):
+    """One case's :class:`SimResult`, its events left in ``collector``
+    (a run that raises leaves what it emitted before the error)."""
     run, _ = _SUBSTRATES[substrate]
     plan, fails_at = _FAULTS[fault]
     workload = (
         UniformWorkload(_SIZE) if substrate.startswith("tie-")
         else GaussianPeakWorkload(_SIZE, amplitude=6.0)
     )
+    return run(workload, plan, fails_at, collector)
+
+
+def fingerprint(substrate: str, fault: str) -> str:
     collector = BufferedCollector()
     try:
-        result = run(workload, plan, fails_at, collector)
+        result = run_case(substrate, fault, collector)
     except SimulationError as exc:
         return f"error: {exc}"
     blob = json.dumps(
