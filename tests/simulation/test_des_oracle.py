@@ -14,6 +14,10 @@ The ``tie-*`` cases run four identical PEs over a uniform loop, so
 requests, replies and finishes land at exactly the same instants and
 the queue's ``(time, seq)`` tie-break decides the order; they were
 generated before the queue kept its earliest entry outside the heap.
+The ``tree-grain8`` rows (the grain of Table 2 and Figures 4-7) and the
+fault-free ``affinity`` row were generated before TreeS took its
+fixed-grain block inline; affinity is the subclass that keeps the
+``_next_block`` hook.
 
 Regenerate (only when a behaviour change is intended and explained)::
 
@@ -45,6 +49,7 @@ from repro.simulation import (
     SimulationError,
     StepLoad,
     simulate,
+    simulate_affinity,
     simulate_tree,
 )
 from repro.workloads import GaussianPeakWorkload, UniformWorkload
@@ -143,14 +148,23 @@ def _decentral(cluster=_cluster, **kwargs):
     return run
 
 
-def _tree(weighted, cluster=_cluster):
+def _tree(weighted, cluster=_cluster, grain=1):
     def run(workload, chaos, fails_at, collector):
         return simulate_tree(
             workload, cluster(None, fails_at), weighted=weighted,
-            flush_interval=0.5, chaos=chaos, collector=collector,
-            collect_results=True,
+            flush_interval=0.5, grain=grain, chaos=chaos,
+            collector=collector, collect_results=True,
         )
     return run
+
+
+def _affinity(workload, chaos, fails_at, collector):
+    # simulate_affinity takes no fault plan and no collector: its row
+    # is fault-free and pins the result and the event count.
+    assert chaos is None and fails_at is None
+    return simulate_affinity(
+        workload, _cluster(), flush_interval=0.5, collect_results=True,
+    )
 
 
 #: substrate name -> (runner, honours NodeSpec.fails_at at the parent)
@@ -165,6 +179,10 @@ _SUBSTRATES = {
     # the shared fault scheduler), so that input has no parent oracle.
     "tree-even": (_tree(False), False),
     "tree-weighted": (_tree(True), False),
+    # Table 2 and Figures 4-7 run TreeS at grain 8.
+    "tree-grain8": (_tree(False, grain=8), False),
+    # The one subclass that keeps the ``_next_block`` hook.
+    "affinity": (_affinity, False),
     "tie-master-SS": (_master("SS", cluster=_tie_cluster), True),
     "tie-master-CSS4": (_master("CSS(4)", cluster=_tie_cluster), True),
     "tie-master-TSS": (_master("TSS", cluster=_tie_cluster), True),
@@ -172,11 +190,15 @@ _SUBSTRATES = {
     "tie-tree-even": (_tree(False, cluster=_tie_cluster), False),
 }
 
+#: substrates whose entry point has no fault model: "none" only.
+_FAULT_FREE = {"affinity"}
+
 CASES = [
     (substrate, fault)
     for substrate, (_run, fails_at_ok) in _SUBSTRATES.items()
     for fault in _FAULTS
-    if fails_at_ok or _FAULTS[fault][1] is None
+    if (fails_at_ok or _FAULTS[fault][1] is None)
+    and (substrate not in _FAULT_FREE or fault == "none")
 ]
 
 
