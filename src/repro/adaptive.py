@@ -45,6 +45,7 @@ Build one via the registry -- ``make("adaptive:TSS+FSS+GSS@6", N, p)``
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 import random
 from typing import Optional, Sequence
@@ -224,13 +225,17 @@ def _balance_efficiency(
     if not costs:
         return 1.0
     speeds = [max(float(s), 1e-12) for s in speeds] or [1.0]
-    p = len(speeds)
-    loads = [0.0] * p
+    loads = [0.0] * len(speeds)
+    # The PEs in a heap on the same ``(load / speed, speed, index)`` key
+    # a scan would minimize: the index makes every key distinct, so the
+    # top is that scan's argmin, and only the PE just charged moves.
+    heap = [(0.0, s, i) for i, s in enumerate(speeds)]
+    heapq.heapify(heap)
     for c in costs:
-        i = min(
-            range(p), key=lambda w: (loads[w] / speeds[w], speeds[w], w)
-        )
-        loads[i] += c + overhead
+        _, s, i = heap[0]
+        load = loads[i] + (c + overhead)
+        loads[i] = load
+        heapq.heapreplace(heap, (load / s, s, i))
     makespan = max(l / s for l, s in zip(loads, speeds))
     if makespan <= 0.0:
         return 1.0
@@ -458,10 +463,11 @@ class AdaptiveScheduler(SteppedScheduler):
         sizes = [stop - start for start, stop in rec.spans]
         workload = self._workload
         if workload is not None:
-            costs = [
-                float(workload.chunk_cost(start, stop))
-                for start, stop in rec.spans
-            ]
+            # ``workload.chunk_cost`` without its per-chunk range check
+            # (the spans tile this scheduler's own loop): the same
+            # float subtraction.
+            pref = workload.prefix_list()
+            costs = [pref[stop] - pref[start] for start, stop in rec.spans]
         else:
             costs = [float(s) for s in sizes]
         iters = sum(sizes)

@@ -119,8 +119,13 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         chaos=None,
         collector=None,
     ) -> None:
-        if flush_interval <= 0:
-            raise SimulationError("flush_interval must be > 0")
+        # A chained ``not`` so NaN fails too: a non-finite interval has
+        # no epoch grid (``_next_epoch`` would floor a NaN mid-run).
+        if not 0 < flush_interval < math.inf:
+            raise SimulationError(
+                f"flush_interval must be finite and > 0, got "
+                f"{flush_interval!r}"
+            )
         if grain < 1:
             raise SimulationError(f"grain must be >= 1, got {grain}")
         if min_steal < 2:
@@ -146,6 +151,14 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         self.weighted = weighted
         self._master_link_free = 0.0
         self._steals = 0
+        #: True when a subclass re-rules the take through
+        #: :meth:`_next_block`; the fixed-grain take runs inline
+        #: otherwise.  Decided once, here.
+        self._hooked = type(self)._next_block is not (
+            TreeSimulation._next_block
+        )
+        #: what ``_compute`` fires when a block finishes, bound once.
+        self._then = self.next_work
 
     # -- lifecycle hooks ---------------------------------------------------------
 
@@ -206,21 +219,47 @@ class TreeSimulation(DesCluster[_TreeWorker]):
             * self.flush_interval
 
     def _next_block(self, w: _TreeWorker) -> Optional[tuple[int, int]]:
-        """The next block of ``w``'s own queue (None when it is dry)."""
+        """The next block of ``w``'s own queue (None when it is dry).
+
+        The hook a subclass overrides to re-rule the take (affinity's
+        shrinking slices).  This one, ``pop_block(grain)``, is what
+        :meth:`next_work` runs inline when no subclass does.
+        """
         return w.pop_block(self.grain)
 
     def next_work(self, w: _TreeWorker) -> None:
         if w.pending_items and self.queue.now >= w.next_flush:
-            self._flush(w, final=False)
+            self._flush(w, False)
             return
-        block = self._next_block(w)
-        if block is None:
-            w.sweep_pos = 0
-            self._try_steal(w)
-            return
-        start, stop = block
+        if self._hooked:
+            block = self._next_block(w)
+            if block is None:
+                w.sweep_pos = 0
+                self._try_steal(w)
+                return
+            start, stop = block
+        else:
+            # ``w.pop_block(self.grain)``, inline: drop spent ranges,
+            # then take up to ``grain`` off the front one.
+            ranges = w.ranges
+            while ranges:
+                front = ranges[0]
+                start, end = front
+                if start < end:
+                    break
+                del ranges[0]
+            else:
+                w.sweep_pos = 0
+                self._try_steal(w)
+                return
+            stop = start + self.grain
+            if stop < end:
+                front[0] = stop
+            else:
+                stop = end
+                del ranges[0]
         w.pending_items += stop - start
-        self._compute(w, start, stop, None, None, self.next_work)
+        self._compute(w, start, stop, None, None, self._then)
 
     def _flush(self, w: _TreeWorker, final: bool) -> None:
         # Chaos delay/loss: the flush leaves (or retransmits) late.
@@ -228,24 +267,27 @@ class TreeSimulation(DesCluster[_TreeWorker]):
             w, self._flush, final
         ):
             return
-        t = self.queue.now
-        nbytes = (
-            self.cluster.request_bytes
-            + w.pending_items * self.cluster.result_bytes_per_item
-        )
+        cluster = self.cluster
         items = w.pending_items
+        nbytes = cluster.request_bytes + items * cluster.result_bytes_per_item
         w.pending_items = 0
-        tx = w.node.transfer_time(nbytes)
-        w.metrics.t_com += tx
+        # ``NodeSpec.transfer_time``, inline.
+        node = w.node
+        tx = node.latency + nbytes / node.bandwidth
+        metrics = w.metrics
+        metrics.t_com += tx
         # The master's single inbound NIC serializes concurrent flushes;
         # the sender blocks (flow control) until its data has landed --
         # the paper's "contend for master access in order to send their
         # results ... they will have to idle" effect.
-        port_arrival = t + tx
-        recv_start = max(port_arrival, self._master_link_free)
-        arrival = recv_start + nbytes / self.cluster.master_bandwidth
+        port_arrival = self.queue.now + tx
+        link_free = self._master_link_free
+        recv_start = (
+            port_arrival if port_arrival > link_free else link_free
+        )
+        arrival = recv_start + nbytes / cluster.master_bandwidth
         self._master_link_free = arrival
-        w.metrics.t_wait += arrival - port_arrival
+        metrics.t_wait += arrival - port_arrival
         w.next_flush = self._next_epoch(arrival)
         # Under fail-stop the flush dies on the wire with its sender
         # (the death handler rolls the blocks back).
@@ -296,7 +338,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
                 w.metrics.t_wait += w.next_flush - t
                 self.queue.push(w.next_flush, self._flush, w, True)
             else:
-                self._flush(w, final=True)
+                self._flush(w, True)
             return
         # Steal round trip: request over the thief's link, reply over
         # the victim's.  The thief idles for the duration.

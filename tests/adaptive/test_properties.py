@@ -7,6 +7,9 @@ Two invariants no policy decision may break:
   (``repro.verify.audit_adaptive`` checks both);
 * the whole trajectory is a pure function of (spec, seed, workload) --
   same inputs, bit-identical ledger and decision log.
+
+The stage score keeps its PEs in a heap; :func:`scan_efficiency` is
+the linear-scan definition it must equal, reward for reward.
 """
 
 from __future__ import annotations
@@ -14,11 +17,33 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adaptive import _balance_efficiency
 from repro.core import make
 from repro.verify import audit_adaptive
 from repro.workloads import GaussianPeakWorkload, UniformWorkload
 
 from .conftest import drain
+
+
+def scan_efficiency(costs, speeds, overhead):
+    """The reference stage score: every chunk re-scans all PEs for the
+    one that frees up first, ties to the slowest, then the lowest index
+    (what :func:`repro.adaptive._balance_efficiency` computes)."""
+    if not costs:
+        return 1.0
+    speeds = [max(float(s), 1e-12) for s in speeds] or [1.0]
+    p = len(speeds)
+    loads = [0.0] * p
+    for c in costs:
+        i = min(
+            range(p), key=lambda w: (loads[w] / speeds[w], speeds[w], w)
+        )
+        loads[i] += c + overhead
+    makespan = max(l / s for l, s in zip(loads, speeds))
+    if makespan <= 0.0:
+        return 1.0
+    ideal = sum(loads) / sum(speeds)
+    return min(1.0, ideal / makespan)
 
 # Candidate pool for generated specs.  All order-invariant, so the
 # audit's per-stage cut-point replay applies to every stage.
@@ -99,3 +124,27 @@ def test_stage_windows_abut_in_decision_log(total, workers, seed):
         assert d.size >= 1
         cursor += d.size
     assert cursor == total
+
+
+@given(
+    costs=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            st.integers(min_value=1, max_value=64).map(float),
+        ),
+        max_size=60,
+    ),
+    # A few distinct speeds so ties are common; zero hits the 1e-12
+    # floor, and the list may be empty or a single PE.
+    speeds=st.lists(
+        st.sampled_from((0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 2.75)),
+        max_size=9,
+    ),
+    overhead=st.sampled_from((0.0, 0.5, 2.0, 1e-9)),
+)
+@settings(max_examples=300, deadline=None)
+def test_heap_score_equals_the_scan(costs, speeds, overhead):
+    assert _balance_efficiency(costs, speeds, overhead) == scan_efficiency(
+        costs, speeds, overhead
+    )

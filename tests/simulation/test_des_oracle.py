@@ -159,9 +159,7 @@ def _tree(weighted, cluster=_cluster, grain=1):
 
 
 def _affinity(workload, chaos, fails_at, collector):
-    # simulate_affinity takes no fault plan and no collector: its row
-    # is fault-free and pins the result and the event count.
-    assert chaos is None and fails_at is None
+    assert chaos is None and fails_at is None  # see UNOBSERVED
     return simulate_affinity(
         workload, _cluster(), flush_interval=0.5, collect_results=True,
     )
@@ -190,15 +188,16 @@ _SUBSTRATES = {
     "tie-tree-even": (_tree(False, cluster=_tie_cluster), False),
 }
 
-#: substrates whose entry point has no fault model: "none" only.
-_FAULT_FREE = {"affinity"}
+#: substrates whose entry point takes no fault plan and no collector:
+#: the fault-free row only, and it emits no events.
+UNOBSERVED = {"affinity"}
 
 CASES = [
     (substrate, fault)
     for substrate, (_run, fails_at_ok) in _SUBSTRATES.items()
     for fault in _FAULTS
     if (fails_at_ok or _FAULTS[fault][1] is None)
-    and (substrate not in _FAULT_FREE or fault == "none")
+    and (substrate not in UNOBSERVED or fault == "none")
 ]
 
 

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.tree import partner_order
-from repro.simulation import NodeSpec, WorkerMetrics
-from repro.simulation.tree_engine import _TreeWorker
+from repro.simulation import (
+    AffinitySimulation,
+    ClusterSpec,
+    NodeSpec,
+    WorkerMetrics,
+)
+from repro.simulation.tree_engine import TreeSimulation, _TreeWorker
+from repro.workloads import UniformWorkload
 
 
 def worker(ranges, index=0, workers=4):
@@ -77,3 +88,63 @@ class TestStealHalf:
             total_stolen += stolen[1] - stolen[0]
         assert total_stolen + w.remaining() == 100
         assert w.remaining() >= 1
+
+
+class TestInlineTake:
+    """``TreeSimulation.next_work`` takes the fixed-grain block inline;
+    ``_TreeWorker.pop_block(grain)`` is its definition."""
+
+    @staticmethod
+    def _sim(cls=TreeSimulation, grain=1):
+        cluster = ClusterSpec(nodes=[
+            NodeSpec(name="n0", speed=1.0), NodeSpec(name="n1", speed=1.0),
+        ])
+        kwargs = {} if cls is AffinitySimulation else {"grain": grain}
+        return cls(UniformWorkload(100), cluster, **kwargs)
+
+    def test_the_path_is_decided_per_class(self):
+        assert not self._sim()._hooked
+        assert self._sim(AffinitySimulation)._hooked
+
+        class Halves(TreeSimulation):
+            def _next_block(self, w):
+                return w.pop_block(max(1, w.remaining() // 2))
+
+        assert Halves(
+            UniformWorkload(10),
+            ClusterSpec(nodes=[NodeSpec(name="n", speed=1.0)]),
+        )._hooked
+
+    @given(
+        ranges=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=60),
+                st.integers(min_value=0, max_value=12),
+            ).map(lambda lw: (lw[0], lw[0] + lw[1])),  # width 0 = empty
+            max_size=6,
+        ),
+        grain=st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_inline_take_equals_pop_block(self, ranges, grain):
+        sim = self._sim(grain=grain)
+        taken = []
+        dry = []
+        sim._compute = lambda w, start, stop, *rest: taken.append(
+            (start, stop)
+        )
+        sim._try_steal = dry.append
+        w = sim.workers[0]
+        w.ranges = [list(r) for r in ranges]
+        w.next_flush = math.inf  # no flush: every call is a take
+        ref = worker(ranges)
+        while not dry:
+            sim.next_work(w)
+            block = ref.pop_block(grain)
+            if block is None:
+                assert dry == [w] and w.sweep_pos == 0
+            else:
+                assert taken.pop() == block
+            assert w.ranges == ref.ranges
+        assert not taken
+        assert w.pending_items == sum(hi - lo for lo, hi in ranges)
