@@ -45,6 +45,7 @@ def scan_efficiency(costs, speeds, overhead):
     ideal = sum(loads) / sum(speeds)
     return min(1.0, ideal / makespan)
 
+
 # Candidate pool for generated specs.  All order-invariant, so the
 # audit's per-stage cut-point replay applies to every stage.
 POOL = ("TSS", "GSS", "CSS(16)", "CSS(64)", "SS", "BC(8)")
