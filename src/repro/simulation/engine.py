@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
@@ -403,6 +403,15 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         return self.scheduler.name, getattr(
             self.scheduler, "rederivations", 0
         )
+
+    def _finish(
+        self, rows: list[tuple[Any, ...]], t_p: float, events: int
+    ) -> SimResult:
+        # A stepper that reads the requester (adaptive, or any scheme
+        # asked through ``next_chunk``) closes over ``self._requester``:
+        # drop it so a finished run frees by refcount alone.
+        self._step = None
+        return super()._finish(rows, t_p, events)
 
     def _fast_reason(self) -> Optional[str]:
         return fastpath.master_fast_reason(self)

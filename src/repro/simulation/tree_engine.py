@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Any, Optional
 
 from ..core.tree import TreePartition, partner_order
 from ..obs import ObsEvent
@@ -37,6 +37,7 @@ from ..workloads import Workload
 from .cluster import ClusterSpec
 from .des import DesCluster, DesWorker
 from .events import SimulationError
+from .metrics import SimResult
 
 __all__ = ["simulate_tree", "TreeSimulation"]
 
@@ -194,6 +195,14 @@ class TreeSimulation(DesCluster[_TreeWorker]):
     def _label(self) -> tuple[str, int]:
         # ``rederivations`` is repurposed: the steal count.
         return "TreeS" + ("-w" if self.weighted else ""), self._steals
+
+    def _finish(
+        self, rows: list[tuple[Any, ...]], t_p: float, events: int
+    ) -> SimResult:
+        # ``_then`` is bound to ``self``: drop it so a finished run
+        # frees by refcount alone.
+        self._then = None
+        return super()._finish(rows, t_p, events)
 
     def _leak(self, assigned: int) -> str:
         if self._death_schedule:

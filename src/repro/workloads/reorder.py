@@ -35,8 +35,11 @@ def sampling_permutation(size: int, sf: int) -> np.ndarray:
         raise WorkloadError(f"size must be >= 0, got {size}")
     if sf < 1:
         raise WorkloadError(f"sampling frequency must be >= 1, got {sf}")
+    # Samples r >= size are empty, so only the first min(sf, size)
+    # contribute: O(size) whatever sf is.
     return np.concatenate(
-        [np.arange(r, size, sf, dtype=np.int64) for r in range(sf)]
+        [np.arange(r, size, sf, dtype=np.int64)
+         for r in range(min(sf, size))]
     ) if size else np.zeros(0, dtype=np.int64)
 
 

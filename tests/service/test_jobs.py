@@ -74,6 +74,24 @@ class TestWorkloadFromSpec:
         assert isinstance(wl.inner, MandelbrotWorkload)
         assert wl.sf == 4
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_mandelbrot_max_iter_below_one_is_refused(self, max_iter):
+        # Refused at admission (bad-spec), not in the pool worker.
+        with pytest.raises(JobSpecError, match="max_iter must be >= 1"):
+            job_from_spec({"scheme": "TSS", "workload": {
+                "kind": "mandelbrot", "width": 10, "height": 10,
+                "max_iter": max_iter,
+            }})
+
+    def test_mandelbrot_huge_sf_admits_in_o_size(self):
+        # Admission runs on the daemon's loop: its work is O(width),
+        # not O(sf).  Every sample past the first ``width`` is empty.
+        job = job_from_spec({"scheme": "TSS", "workload": {
+            "kind": "mandelbrot", "width": 10, "height": 10,
+            "sf": 10 ** 12,
+        }})
+        assert job.workload.perm.tolist() == list(range(10))
+
     def test_unknown_kind_lists_known(self):
         with pytest.raises(JobSpecError, match="uniform"):
             workload_from_spec({"kind": "fractal"})

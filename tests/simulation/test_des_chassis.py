@@ -15,6 +15,7 @@ one ``_finish`` after it.
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.decentral import (
     DECENTRAL_SCHEMES,
     DecentralSimulation,
     make_calculator,
+    simulate_decentral,
 )
 from repro.experiments.config import speedup_configuration
 from repro.obs import BufferedCollector
@@ -35,8 +37,10 @@ from repro.simulation import (
     NodeSpec,
     SimulationError,
     simulate,
+    simulate_tree,
 )
 from repro.simulation import fastpath
+from repro.simulation.affinity_engine import simulate_affinity
 from repro.simulation.engine import StarvationError, make_for_cluster
 from repro.verify import audit_sim
 from repro.workloads import LinearWorkload, UniformWorkload, WorkloadError
@@ -271,3 +275,43 @@ def test_kill_switch_forces_the_des_on_both_engines(engine, monkeypatch):
     on = spied(engine, "TSS", cluster)
     assert on.run() == forced
     assert on.calls == ["prepare", "fast", "finish"]
+
+
+def _free_run(engine: str, chaos: bool) -> None:
+    workload = LinearWorkload(200)
+    cluster = ClusterSpec(nodes=[
+        NodeSpec(name=f"n{i}", speed=speed)
+        for i, speed in enumerate((100.0, 150.0, 200.0, 300.0))
+    ])
+    plan = (
+        FaultPlan.random(3, workers=4, horizon=0.5) if chaos else None
+    )
+    if engine == "master":
+        simulate("TSS", workload, cluster, chaos=plan, fast=False)
+    elif engine == "adaptive":
+        simulate("adaptive:TSS+FSS@4", workload, cluster, chaos=plan)
+    elif engine == "decentral":
+        simulate_decentral("TSS", workload, cluster, chaos=plan,
+                           fast=False)
+    elif engine == "tree":
+        simulate_tree(workload, cluster, chaos=plan)
+    else:
+        simulate_affinity(workload, cluster)
+
+
+@pytest.mark.parametrize("engine, chaos", [
+    ("master", False), ("master", True), ("adaptive", False),
+    ("adaptive", True), ("decentral", False), ("decentral", True),
+    ("tree", False), ("tree", True), ("affinity", False),
+])
+def test_a_finished_run_frees_by_refcount(engine, chaos):
+    # Callbacks bound to the simulation (TreeS's ``_then``, a stepper
+    # closing over the requester) are dropped in ``_finish``: a run
+    # leaves nothing for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        _free_run(engine, chaos)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads import (
     MandelbrotWorkload,
@@ -12,6 +17,33 @@ from repro.workloads import (
     render_ascii,
 )
 from repro.workloads.mandelbrot import PAPER_DOMAIN
+
+
+def scalar_escape(c: complex, max_iter: int) -> int:
+    """Per-point reference: the step at which ``|z| > 2`` (or NaN)."""
+    z = 0j
+    for step in range(1, max_iter + 1):
+        z = z * z + c
+        if not z.real * z.real + z.imag * z.imag <= 4.0:
+            return step
+    return max_iter
+
+
+_R2 = math.sqrt(2.0)
+#: On the escape circle |c| = 2, on the real axis, and not finite.
+_EDGE_POINTS = [
+    2 + 0j, -2 + 0j, 2j, -2j, complex(_R2, _R2), complex(-_R2, -_R2),
+    -0.75 + 0j, 0.25 + 0j, 0.25 + 1e-9j, -1.401155 + 0j, 0j,
+    complex(math.nan, 0.0), complex(0.0, math.nan),
+    complex(math.inf, 0.0), complex(-math.inf, math.inf),
+]
+
+_points = st.one_of(
+    st.sampled_from(_EDGE_POINTS),
+    st.builds(complex, st.floats(-2.5, 2.5), st.just(0.0)),
+    st.builds(complex, st.floats(-2.5, 1.0), st.floats(-1.5, 1.5)),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
 
 
 class TestEscapeCounts:
@@ -53,6 +85,27 @@ class TestEscapeCounts:
             ref[live] += 1
             live &= np.abs(z) <= 2.0
         np.testing.assert_array_equal(fast, ref)
+
+    @given(
+        points=st.lists(_points, max_size=48),
+        max_iter=st.integers(1, 64),
+        two_d=st.booleans(),
+        out_dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_reference(
+        self, points, max_iter, two_d, out_dtype
+    ):
+        c = np.array(points, dtype=np.complex128)
+        if two_d:
+            # An even count folds to two rows; the transpose makes the
+            # input non-contiguous as well.
+            c = c[: c.size // 2 * 2].reshape(2, -1).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = escape_counts(c, max_iter, out_dtype=out_dtype)
+        assert got.shape == c.shape and got.dtype == out_dtype
+        expected = [scalar_escape(complex(p), max_iter) for p in c.flat]
+        assert got.ravel().tolist() == expected
 
 
 class TestWorkload:
@@ -112,15 +165,39 @@ class TestWorkload:
         with pytest.raises(WorkloadError):
             MandelbrotWorkload(10, 10, domain=(1.0, -1.0, 0.0, 1.0))
 
+    def test_invalid_max_iter(self):
+        for bad in (0, -5):
+            with pytest.raises(WorkloadError, match="max_iter"):
+                MandelbrotWorkload(10, 10, max_iter=bad)
+
     def test_block_boundary_consistency(self):
-        # Costs computed via the blocked grid pass must equal per-column
-        # computation across the _COST_BLOCK boundary.
-        wl = MandelbrotWorkload(40, 16, max_iter=24)
-        wl._COST_BLOCK = 16  # force multiple blocks
-        costs = wl.costs()
+        # The blocked grid pass (budgets of one point, one column, a
+        # block that splits the width unevenly, and the whole grid)
+        # must equal per-column computation, memo included.
         fresh = MandelbrotWorkload(40, 16, max_iter=24)
-        for col in (0, 15, 16, 31, 39):
-            assert costs[col] == fresh.column_counts(col).sum()
+        for budget in (1, 16, 16 * 7, 40 * 16):
+            wl = MandelbrotWorkload(40, 16, max_iter=24)
+            wl._COST_BLOCK = budget
+            costs = wl._compute_costs()
+            for col in range(40):
+                counts = fresh.column_counts(col)
+                assert costs[col] == counts.sum()
+                memo = wl.column_counts(col)
+                np.testing.assert_array_equal(memo, counts)
+                assert not memo.flags.writeable
+
+    def test_cost_pass_memory_is_bounded_by_points(self):
+        # A tall window: the pass's transient working set is bounded
+        # by the point budget, not by the columns-per-block x height
+        # product (the whole 64 x 4096 grid in flight took ~18 MB).
+        wl = MandelbrotWorkload(64, 4096)
+        tracemalloc.start()
+        try:
+            wl._compute_costs()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained < 8 * 2 ** 20
 
 
 class TestRenderAscii:

@@ -48,6 +48,25 @@ class TestSamplingPermutation:
         assert sorted(perm.tolist()) == list(range(size))
 
     @given(
+        st.integers(min_value=0, max_value=64),
+        st.integers(min_value=-3, max_value=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_definition_for_sf_around_size(self, size, delta):
+        # One sample per residue r < sf, in order (Sec. 2.1); samples
+        # with r >= size are empty whatever sf is.
+        sf = max(1, size + delta)
+        expected = [
+            i for r in range(sf) for i in range(r, size, sf)
+        ]
+        assert sampling_permutation(size, sf).tolist() == expected
+
+    def test_huge_sf_is_linear_in_size(self):
+        np.testing.assert_array_equal(
+            sampling_permutation(5, 10 ** 12), np.arange(5)
+        )
+
+    @given(
         st.integers(min_value=1, max_value=300),
         st.integers(min_value=1, max_value=16),
     )
