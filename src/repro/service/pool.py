@@ -24,7 +24,10 @@ runtime grew in earlier work (:mod:`repro.runtime`):
   :meth:`WorkerPool.submit`, or the callback that frees or revives a
   slot -- so an idle slot never waits for a timer;
 * **bounded requeues** -- a job that keeps killing workers fails with
-  ``too-many-requeues`` instead of crash-looping the pool.
+  ``too-many-requeues`` instead of crash-looping the pool;
+* **bodies off the heap** -- a finished job's encoded reply goes to
+  one unlinked, append-only spill file, and its record keeps an offset
+  and a length, so the daemon's heap does not grow with its replies.
 
 **One thread.**  Every piece of pool state is touched on one asyncio
 event loop's thread: the pipe and sentinel readers, the liveness timer
@@ -48,12 +51,14 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import dataclasses
+import errno
 import functools
 import json
 import multiprocessing as mp
 import os
 import pickle
 import struct
+import tempfile
 import threading
 from collections import deque
 from typing import Callable, Optional, Union
@@ -239,18 +244,52 @@ def service_worker_main(
         stop_beat()
 
 
-@dataclasses.dataclass
+class _Spill(object):
+    """The pool's reply bodies: one unlinked, append-only file.
+
+    Only the pool's loop writes, at :attr:`end`, so nothing needs a
+    lock; ``pread`` shares no file position, so any thread may read.
+    The pool and every record it finished hold it, and it closes when
+    the last of them is gone, so a body stays readable after
+    :meth:`WorkerPool.stop`.
+    """
+
+    __slots__ = ("_file", "end")
+
+    def __init__(self) -> None:
+        self._file = tempfile.TemporaryFile(buffering=0)
+        self.end = 0
+
+    def append(self, data: bytes) -> int:
+        """Write ``data`` at the end; its offset.  Raises ``OSError``
+        when the file cannot take it all."""
+        at = self.end
+        if os.pwrite(self._file.fileno(), data, at) != len(data):
+            raise OSError(errno.ENOSPC, "short write to the spill file")
+        self.end = at + len(data)
+        return at
+
+    def read(self, at: int, size: int) -> bytes:
+        return os.pread(self._file.fileno(), size, at)
+
+    def __del__(self) -> None:
+        self._file.close()
+
+
+@dataclasses.dataclass(slots=True)
 class JobRecord(object):
     """One admitted job's full lifecycle inside the service.
 
     A terminal record keeps what its ``wait`` replies need and nothing
-    else: ``body`` (the encoded reply members, see
-    :func:`_execute_body`) and ``digest`` (``None`` when the job
-    failed).  ``job`` -- the inputs alone: the daemon stores the wire
-    spec it admitted, and the worker that runs it builds the
-    ``SimJob`` and resolves the cost profile; a ready ``SimJob`` runs
-    as well -- is held for the dispatch, and any re-dispatch after a
-    worker death, and released when the record turns terminal.
+    else: ``digest`` (``None`` when the job failed) and where its
+    ``body`` is (the encoded reply members, see :func:`_execute_body`):
+    an offset and a length in the pool's spill file, or, when that
+    write failed, the bytes themselves.  ``job`` -- the inputs alone:
+    the daemon stores the wire spec it admitted, and the worker that
+    runs it builds the ``SimJob`` and resolves the cost profile; a
+    ready ``SimJob`` runs as well -- is held for the dispatch, and any
+    re-dispatch after a worker death, and released when the record
+    turns terminal.
     """
 
     job_id: str
@@ -267,21 +306,50 @@ class JobRecord(object):
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     digest: Optional[str] = None
-    body: Optional[bytes] = None
+    _spill: Optional[_Spill] = dataclasses.field(
+        default=None, init=False, repr=False)
+    _at: int = dataclasses.field(default=0, init=False, repr=False)
+    _size: int = dataclasses.field(default=0, init=False, repr=False)
+    _held: Optional[bytes] = dataclasses.field(
+        default=None, init=False, repr=False)
 
     @property
     def terminal(self) -> bool:
         return self.state in ("done", "failed")
 
+    @property
+    def body(self) -> Optional[bytes]:
+        """The encoded reply members (``None`` until terminal)."""
+        return self.read_body()
+
+    def read_body(self, skip: int = 0) -> Optional[bytes]:
+        """:attr:`body` less its first ``skip`` bytes: a spilled body is
+        read without them, so no copy of the whole is made to drop
+        them."""
+        if self._spill is not None:
+            return self._spill.read(self._at + skip, self._size - skip)
+        return None if self._held is None else self._held[skip:]
+
     def finish(
-        self, at: float, digest: Optional[str], body: bytes
+        self, at: float, digest: Optional[str], body: bytes,
+        spill: _Spill,
     ) -> None:
-        """Turn terminal: keep the reply, release the inputs."""
+        """Turn terminal: keep the reply -- in ``spill``, or here when
+        it refuses the write -- and release the inputs."""
         self.state = "done" if digest is not None else "failed"
         self.finished_at = at
         self.digest = digest
-        self.body = body
         self.job = None
+        try:
+            self._at = spill.append(body)
+        except OSError as exc:
+            _log.warning(
+                "job %s: body kept in memory, spill write failed: %s",
+                self.job_id, exc,
+            )
+            self._held = body
+        else:
+            self._spill, self._size = spill, len(body)
 
 
 def _on_loop(method):
@@ -430,6 +498,8 @@ class WorkerPool(object):
         self._worker_deaths = 0
         #: ``[hits, misses]`` of incarnations that are gone.
         self._cache_retired = [0, 0]
+        #: Where finished jobs' bodies go, opened by :meth:`start`.
+        self._spill: Optional[_Spill] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -441,6 +511,8 @@ class WorkerPool(object):
             return self
         running = asyncio._get_running_loop()
         loop = self._loop = running or asyncio.new_event_loop()
+        if self._spill is None:
+            self._spill = _Spill()
         self._running = True
         for handle in self._handles:
             self._spawn(handle)
@@ -741,7 +813,7 @@ class WorkerPool(object):
             )
             return
         handle.record = None
-        record.finish(self.now(), digest, body)
+        record.finish(self.now(), digest, body, self._spill)
         self._append_log(
             "result" if digest is not None else "error",
             record,
@@ -779,7 +851,7 @@ class WorkerPool(object):
                 record.finish(self.now(), None, _error_body(
                     f"too-many-requeues: job killed "
                     f"{record.requeues} worker incarnations"
-                ))
+                ), self._spill)
                 self._append_log(
                     "error", record,
                     worker=handle.slot, incarnation=handle.incarnation,

@@ -76,18 +76,19 @@ class ProtocolError(ValueError):
     """A frame violated the wire format (length, encoding, or shape)."""
 
 
-def frame_payload(payload: bytes) -> bytes:
-    """Length-prefix one already-encoded JSON object.
+def frame_payload(*parts: bytes) -> bytes:
+    """Length-prefix one already-encoded JSON object, given as the
+    ``parts`` that joined make it (joined here, in one copy).
 
     The daemon's ``wait`` replies come this way: the result was
     encoded once, where it was made, and is only framed here.
     """
-    if len(payload) > MAX_FRAME:
+    size = sum(map(len, parts))
+    if size > MAX_FRAME:
         raise ProtocolError(
-            f"frame of {len(payload)} bytes exceeds MAX_FRAME "
-            f"({MAX_FRAME})"
+            f"frame of {size} bytes exceeds MAX_FRAME ({MAX_FRAME})"
         )
-    return _LEN.pack(len(payload)) + payload
+    return b"".join((_LEN.pack(size),) + parts)
 
 
 def encode_frame(doc: dict[str, Any]) -> bytes:

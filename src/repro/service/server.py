@@ -594,14 +594,15 @@ class ServiceServer(object):
             state=record.state,
             requeues=record.requeues,
         )
-        body = record.body
-        assert body is not None  # a terminal record has one
         # The job's members were encoded where it ran; they and the
         # envelope are two objects with no key in common, so one brace
-        # less makes them one.
+        # less makes them one.  The body is read without its opening
+        # brace, straight from where the pool keeps it.
+        tail = record.read_body(1)
+        assert tail is not None  # a terminal record has a body
         head = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
         try:
-            return frame_payload(head[:-1] + b"," + body[1:])
+            return frame_payload(head[:-1], b",", tail)
         except ProtocolError as exc:
             envelope.update(
                 ok=False, error="reply-too-large", message=str(exc),

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import errno
+import gc
 import json
 import multiprocessing
 import os
@@ -12,6 +15,9 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
+import warnings
+import weakref
 
 import pytest
 
@@ -79,10 +85,15 @@ def _body(record: JobRecord) -> dict:
 
 
 def _holds_only_scalars(record: JobRecord) -> bool:
-    """A terminal record keeps encoded bytes: no job, no dict tree."""
-    return record.job is None and all(
-        value is None or isinstance(value, (str, bytes, int, float))
-        for value in vars(record).values()
+    """A terminal record keeps scalars and where its body is: no job,
+    no dict tree, no ``__dict__``."""
+    return record.job is None and not hasattr(record, "__dict__") and all(
+        value is None
+        or isinstance(value, (str, bytes, int, float, pool_module._Spill))
+        for value in (
+            getattr(record, field.name)
+            for field in dataclasses.fields(record)
+        )
     )
 
 
@@ -639,3 +650,107 @@ class TestHandOver:
             asker.join(timeout=5.0)
             assert not asker.is_alive(), "the caller was stranded"
         assert answers[0]["workers"] == 1
+
+
+#: SS draws one chunk per iteration: a 216 KB body with its trace,
+#: 50 KB without, in ~10 ms of worker time.
+TRACED_SPEC = {
+    "scheme": "SS",
+    "workload": {"kind": "uniform", "size": 400, "unit": 1e-4},
+    "cluster": {"workers": 2},
+}
+
+
+class TestSpill:
+    """A finished job's body lives in the pool's spill file; its
+    record keeps an offset and a length."""
+
+    def test_heap_per_job_does_not_grow_with_its_body(self):
+        """The same job with and without its trace: the bodies differ
+        by ~166 KB, the heap each finished job keeps must not."""
+        k = 16
+
+        def per_job(want_trace: bool) -> float:
+            sink = _Sink()
+            marks = []
+            with WorkerPool(size=1, config=SNAPPY,
+                            on_complete=sink) as pool:
+                for batch in range(2):  # the first one warms up
+                    ids = [f"j{batch}.{i}" for i in range(k)]
+                    for job_id in ids:
+                        pool.submit(JobRecord(
+                            job_id=job_id, tenant="alice",
+                            job=dict(TRACED_SPEC), want_trace=want_trace,
+                        ))
+                    sink.wait_for(*ids)
+                    # A call on the loop: the read that finished the
+                    # last job has returned and let go of its bytes.
+                    assert pool.idle()
+                    gc.collect()
+                    marks.append(tracemalloc.get_traced_memory()[0])
+            assert len(sink.done[ids[0]].body) > (
+                200_000 if want_trace else 0)
+            return (marks[1] - marks[0]) / k
+
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            traced, plain = per_job(True), per_job(False)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert abs(traced - plain) < 2048, (traced, plain)
+
+    def test_a_failed_spill_write_keeps_that_body_in_memory(
+        self, monkeypatch
+    ):
+        """ENOSPC on one job's write: that record keeps its bytes, the
+        next job spills again, and every body reads back after stop."""
+        append = pool_module._Spill.append
+        writes = []
+
+        def full_once(spill, data):
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return append(spill, data)
+
+        monkeypatch.setattr(pool_module._Spill, "append", full_once)
+        sink = _Sink()
+        ids = ["j0", "j1", "j2"]
+        with WorkerPool(size=1, config=SNAPPY,
+                        on_complete=sink) as pool:
+            for job_id in ids:  # one at a time: the write order is fixed
+                pool.submit(_record(job_id, "alice", FAST_SPEC))
+                sink.wait_for(job_id)
+        first, full, later = (sink.done[j] for j in ids)
+        assert full._spill is None and full._held is not None
+        assert first._spill is later._spill is pool._spill
+        assert pool._spill.end == 2 * len(first.body)
+        assert first.body == full.body == later.body
+        assert full.read_body(1) == later.read_body(1) == full.body[1:]
+        assert _body(full)["digest"] == full.digest
+        assert _holds_only_scalars(full) and _holds_only_scalars(later)
+
+    def test_the_spill_file_closes_with_its_last_holder(self):
+        """The file outlives ``stop`` while a record points into it, and
+        is closed, not left to warn, once nothing does."""
+        sink = _Sink()
+        with WorkerPool(size=1, config=SNAPPY,
+                        on_complete=sink) as pool:
+            pool.submit(_record("j1", "alice", FAST_SPEC))
+            sink.wait_for("j1")
+        spill_file = weakref.ref(pool._spill._file)
+        del pool
+        gc.collect()
+        assert _body(sink.done["j1"])["result"]["scheme"] == "TSS"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del sink
+            gc.collect()
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
+        assert spill_file() is None

@@ -15,15 +15,19 @@ pairing.  The acceptance checks from the issue live here:
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
+import os
+import struct
 import threading
 import time
 
 import pytest
 
-from repro.obs import stream_digest
+from repro.obs import events_json, stream_digest
 from repro.runtime.config import RuntimeConfig
 from repro.service import ServiceClient, ServiceError, protocol
+from repro.service import pool as pool_module
 from repro.service.protocol import encode_frame, recv_frame
 from repro.service.jobs import MAX_WORKERS, job_from_spec
 from repro.service.server import ServiceConfig, ServiceServer
@@ -368,6 +372,85 @@ class TestHeldWait:
             assert a.ping()  # the timed-out connection is served on
             assert recv_frame(b._sock)["state"] == "done"
             assert a.wait(job_id, timeout=60)["state"] == "done"
+
+
+def _recv_payload(sock) -> bytes:
+    """One reply frame's payload, the bytes the daemon sent."""
+    (size,) = struct.unpack(">I", protocol._recv_exact(sock, 4))
+    return protocol._recv_exact(sock, size)
+
+
+class TestSpilledReplies:
+    """A finished job's body is read back from the pool's spill file
+    for every ``wait``, however late."""
+
+    #: SS draws one chunk per iteration: a 216 KB body with its trace.
+    TRACED = {
+        "scheme": "SS",
+        "workload": {"kind": "uniform", "size": 400, "unit": 1e-4},
+        "cluster": {"workers": 2},
+        "trace": True,
+    }
+
+    def test_a_late_wait_answers_the_held_waits_bytes(self, tmp_path):
+        one_shot = job_from_spec(self.TRACED).run()
+        events = one_shot.obs_events
+        with _Daemon(tmp_path, workers=1) as d, d.client("alice") as c:
+            c.submit(TestHeldWait.SLOWISH)  # holds the one worker
+            job_id = c.submit(self.TRACED)
+            ask = encode_frame({"op": "wait", "job_id": job_id, "seq": 7})
+            c._sock.sendall(ask)
+            held = _recv_payload(c._sock)
+            for i in range(50):  # bodies of many sizes land after it
+                reply = c.run(dict(tenant_spec(i), trace=i % 3 == 0),
+                              timeout=60)
+                assert reply["state"] == "done"
+            c._sock.sendall(ask)
+            late = _recv_payload(c._sock)
+        assert late == held
+        assert json.loads(held) == {
+            "ok": True, "state": "done", "job_id": job_id,
+            "requeues": 0, "seq": 7,
+            "digest": stream_digest(events),
+            "events_emitted": len(events),
+            "result": json.loads(one_shot.to_json(False)),
+            "trace": json.loads(events_json(events)),
+        }
+
+    def test_a_body_kept_in_memory_answers_the_same_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """The first job's spill write fails with ENOSPC: its record
+        keeps the bytes, and its ``wait`` reply is the one a spilled
+        record of the same job gives."""
+        append = pool_module._Spill.append
+        writes = []
+
+        def full_once(spill, data):
+            writes.append(len(data))
+            if len(writes) == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return append(spill, data)
+
+        monkeypatch.setattr(pool_module._Spill, "append", full_once)
+        replies = []
+        with _Daemon(tmp_path) as d, d.client("alice") as c:
+            ids = []
+            for _ in range(2):  # one at a time: the write order is fixed
+                ids.append(c.submit(PINNED_SPEC))
+                c._sock.sendall(encode_frame(
+                    {"op": "wait", "job_id": ids[-1], "seq": 3}))
+                replies.append(_recv_payload(c._sock))
+            c.drain()
+            d._thread.join(timeout=30.0)
+            assert not d._thread.is_alive(), "daemon failed to drain"
+        kept, spilled = (d.server._records[job_id] for job_id in ids)
+        assert kept._held is not None and kept._spill is None
+        assert spilled._spill is not None and spilled._held is None
+        assert json.loads(replies[0]) == json.loads(PINNED_REPLY)
+        assert replies[0].replace(ids[0].encode(), ids[1].encode()) \
+            == replies[1]
+        assert kept.body == spilled.body  # read after the pool stopped
 
 
 class TestMultiTenantDigests:
