@@ -20,7 +20,8 @@ Grosu, *A Class of Loop Self-Scheduling for Heterogeneous Clusters*
   (``run_decentral``) and a counter-contention simulator
   (``simulate_decentral``), with a hierarchical (MPI+MPI-style)
   leased mode;
-* :mod:`repro.analysis` -- chunk traces, balance metrics, speedup;
+* :mod:`repro.analysis` -- chunk traces, the speedup cap, paper-layout
+  tables;
 * :mod:`repro.experiments` -- regenerates every table and figure;
 * :mod:`repro.batch` -- process-parallel fan-out of independent
   simulation jobs (``run_batch``);

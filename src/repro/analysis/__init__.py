@@ -1,7 +1,6 @@
-"""Post-hoc analysis: chunk traces (Table 1), balance metrics,
-speedup series (Figures 4-7), and paper-layout text tables."""
+"""Post-hoc analysis: chunk traces (Table 1), the speedup cap
+(Figures 4-7), and paper-layout text tables."""
 
-from .balance import balance_report, cov, max_over_mean, range_over_mean
 from .chunks import (
     ChunkStats,
     chunk_sequence,
@@ -9,7 +8,7 @@ from .chunks import (
     table1_rows,
 )
 from .plots import gantt_chart, line_chart
-from .speedup import SpeedupPoint, efficiency, power_cap, speedup_series
+from .speedup import power_cap
 from .tables import (
     format_chunk_row,
     format_matrix,
@@ -27,18 +26,11 @@ from .theory import (
 )
 
 __all__ = [
-    "cov",
-    "max_over_mean",
-    "range_over_mean",
-    "balance_report",
     "chunk_sequence",
     "ChunkStats",
     "chunk_stats",
     "table1_rows",
-    "SpeedupPoint",
-    "speedup_series",
     "power_cap",
-    "efficiency",
     "format_time_table",
     "format_matrix",
     "format_chunk_row",

@@ -1,4 +1,4 @@
-"""Speedup series -- the quantity behind Figures 4-7.
+"""The speedup cap -- the bound behind Figures 4-7.
 
 The paper plots speedup against PE count for each scheme.  Its
 denominator is the one-fast-PE configuration ("For p = 1: 1 fast PE"),
@@ -11,38 +11,9 @@ out explicitly -- 3 fast + 5 slow with fast ~= 3x slow gives total power
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
-__all__ = ["SpeedupPoint", "speedup_series", "power_cap", "efficiency"]
-
-
-@dataclasses.dataclass(frozen=True)
-class SpeedupPoint(object):
-    """One (p, T_p) measurement and its derived speedup."""
-
-    workers: int
-    t_p: float
-    speedup: float
-
-
-def speedup_series(
-    serial_time: float,
-    measurements: Sequence[tuple[int, float]],
-) -> list[SpeedupPoint]:
-    """Turn ``(p, T_p)`` pairs into speedup points vs ``serial_time``."""
-    if serial_time <= 0:
-        raise ValueError(f"serial_time must be > 0, got {serial_time}")
-    points = []
-    for workers, t_p in measurements:
-        if t_p <= 0:
-            raise ValueError(f"T_p must be > 0, got {t_p} at p={workers}")
-        points.append(
-            SpeedupPoint(
-                workers=workers, t_p=t_p, speedup=serial_time / t_p
-            )
-        )
-    return points
+__all__ = ["power_cap"]
 
 
 def power_cap(virtual_powers: Sequence[float], fast: float | None = None
@@ -60,7 +31,3 @@ def power_cap(virtual_powers: Sequence[float], fast: float | None = None
     denom = float(fast) if fast is not None else max(powers)
     return sum(powers) / denom
 
-
-def efficiency(points: Sequence[SpeedupPoint]) -> list[float]:
-    """Parallel efficiency ``speedup / p`` per point."""
-    return [pt.speedup / pt.workers for pt in points]

@@ -55,7 +55,7 @@ import signal
 import threading
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .obs.logutil import get_logger
 from .simulation import ClusterSpec, SimResult, simulate, simulate_tree
@@ -68,7 +68,6 @@ __all__ = [
     "run_batch",
     "stream_batch",
     "resolve_jobs",
-    "batch_keys",
 ]
 
 #: Environment variable overriding the "all cores" job count.
@@ -492,8 +491,3 @@ def run_batch(
             pool=pool,
         )
     ]
-
-
-def batch_keys(jobs: Sequence[SimJob]) -> list[str]:
-    """Deterministic keys for a job list (submission order)."""
-    return [job.key for job in jobs]

@@ -31,14 +31,13 @@ from .registry import (
     SCHEMES,
     SIMPLE_SCHEMES,
     make,
-    make_many,
     names,
     register,
 )
 from .static_ import BlockCyclicScheduler, StaticScheduler, weighted_block_sizes
 from .tfss import TrapezoidFactoringScheduler, tfss_stage_chunks
 from .trapezoid import TrapezoidParams, TrapezoidScheduler, nominal_tss_chunks
-from .tree import TreePartition, partner_order, steal_split
+from .tree import TreePartition, partner_order
 
 __all__ = [
     "AcpModel",
@@ -71,7 +70,6 @@ __all__ = [
     "DistributedTrapezoidFactoringScheduler",
     "TreePartition",
     "partner_order",
-    "steal_split",
     "ChunkCalculator",
     "ChunkLadder",
     "CALCULATORS",
@@ -81,7 +79,6 @@ __all__ = [
     "SIMPLE_SCHEMES",
     "DISTRIBUTED_SCHEMES",
     "make",
-    "make_many",
     "names",
     "register",
 ]

@@ -10,7 +10,6 @@ inline (e.g. ``"CSS(32)"``).
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .base import Scheduler, SchemeError
 from .chunk import ChunkScheduler, PureScheduler
@@ -202,10 +201,3 @@ def register(name: str, factory: type[Scheduler]) -> None:
     if not key:
         raise SchemeError("scheme name must be non-empty")
     SCHEMES[key] = factory
-
-
-def make_many(
-    names_: Iterable[str], total: int, workers: int, **kwargs
-) -> dict[str, Scheduler]:
-    """Build several fresh schedulers keyed by their given names."""
-    return {n: make(n, total, workers, **kwargs) for n in names_}

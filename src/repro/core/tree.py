@@ -16,7 +16,7 @@ moving parts:
   flushes "from time to time, at predefined time intervals".
 
 This module holds the pure combinatorial pieces (allocation + partner
-order + the steal rule); :mod:`repro.simulation.tree_engine` executes
+order); :mod:`repro.simulation.tree_engine` executes
 them under the cluster model, and the flush interval lives there.
 
 Partner order: workers are leaves of a binomial tree; worker ``i``'s
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .base import SchemeError
 from .static_ import weighted_block_sizes
 
-__all__ = ["TreePartition", "partner_order", "steal_split"]
+__all__ = ["TreePartition", "partner_order"]
 
 
 def partner_order(worker_id: int, workers: int) -> list[int]:
@@ -63,21 +63,6 @@ def partner_order(worker_id: int, workers: int) -> list[int]:
         if other != worker_id and other not in partners:
             partners.append(other)
     return partners
-
-
-def steal_split(start: int, stop: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Split a victim's remaining range in half: (kept, stolen).
-
-    The victim keeps the *front* half (it is already iterating from the
-    front); the thief takes the back half.  Ranges are half-open.  The
-    victim keeps the odd extra iteration.
-    """
-    n = stop - start
-    if n < 2:
-        raise SchemeError(f"cannot split a range of {n} iterations")
-    stolen = n // 2
-    mid = stop - stolen
-    return (start, mid), (mid, stop)
 
 
 @dataclasses.dataclass(frozen=True)

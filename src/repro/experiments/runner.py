@@ -211,8 +211,7 @@ def _schemes_report(args=None, workload=None) -> str:
             + (f"  {params}" if params else "")
         )
     lines.append("")
-    lines.append("TreeS and AS are decentralized: use "
-                 "simulate_tree() / simulate_affinity().")
+    lines.append("TreeS is decentralized: use simulate_tree().")
     lines.append("")
     lines.extend(_adaptive_grammar_lines())
     return "\n".join(lines)

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 from .engine import LintConfig, run_lint
 from .findings import Finding
-from .rules import RULES, rule_ids
+from .rules import RULES
 
 __all__ = [
     "Finding",
     "LintConfig",
     "RULES",
-    "rule_ids",
     "run_lint",
 ]

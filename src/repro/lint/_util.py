@@ -11,7 +11,6 @@ __all__ = [
     "dotted_name",
     "parent_map",
     "enclosing_functions",
-    "iter_scopes",
     "call_tail",
     "EMIT_HELPERS",
     "emitted_row",
@@ -41,14 +40,6 @@ def enclosing_functions(
         if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield current
         current = parents.get(id(current))
-
-
-def iter_scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    """The module plus every (async) function def, outermost first."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def call_tail(node: ast.Call) -> str:

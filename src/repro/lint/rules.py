@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import async_rules, concurrency, determinism, protocol
 from .findings import PARSE_RULE
 
-__all__ = ["FILE_RULES", "PROJECT_RULES", "RULES", "rule_ids"]
+__all__ = ["FILE_RULES", "PROJECT_RULES", "RULES"]
 
 #: (rule id, one-line summary, checker) -- per-file rules.
 FILE_RULES = (
@@ -56,8 +56,3 @@ RULES = {
     **{rid: summary for rid, summary, _ in FILE_RULES},
     **{rid: summary for rid, summary, _ in PROJECT_RULES},
 }
-
-
-def rule_ids() -> list:
-    """Every reportable rule id, sorted."""
-    return sorted(RULES)

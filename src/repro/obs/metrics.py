@@ -284,8 +284,7 @@ def imbalance(values: Sequence[float]) -> float:
     terms of the computation times" for distributed schemes; "not
     well-balanced" for simple ones on the heterogeneous cluster), and
     the one definition behind ``SimResult.comp_imbalance``, the rolling
-    ``imbalance`` gauge, the critical-path report and
-    ``analysis.range_over_mean``.
+    ``imbalance`` gauge and the critical-path report.
     """
     if not values:
         return 0.0

@@ -2,7 +2,6 @@
 substrate; see DESIGN.md for the MPI substitution argument)."""
 
 from .config import DEFAULT_CONFIG, RuntimeConfig
-from .estimator import estimate_virtual_powers, probe_seconds_per_iteration
 from .chassis import BackgroundLoad, ProcessChassis, assemble_results
 from .executor import PipeChassis, RunResult, run_parallel, run_serial
 from .master import (
@@ -39,8 +38,6 @@ __all__ = [
     "run_parallel",
     "run_serial",
     "BackgroundLoad",
-    "estimate_virtual_powers",
-    "probe_seconds_per_iteration",
     "have_mpi",
     "run_mpi",
     "plan_time_scale",

@@ -14,13 +14,11 @@ from .loadgen import (
     ConstantLoad,
     LoadTrace,
     OverlayLoad,
-    PeriodicLoad,
     RandomLoad,
     StepLoad,
     integrate_compute,
 )
-from .metrics import ChunkRecord, SimResult, WorkerMetrics, imbalance
-from .affinity_engine import AffinitySimulation, simulate_affinity
+from .metrics import ChunkRecord, SimResult, WorkerMetrics
 from .tree_engine import TreeSimulation, simulate_tree
 
 __all__ = [
@@ -33,18 +31,14 @@ __all__ = [
     "ConstantLoad",
     "StepLoad",
     "OverlayLoad",
-    "PeriodicLoad",
     "RandomLoad",
     "integrate_compute",
     "WorkerMetrics",
     "ChunkRecord",
     "SimResult",
-    "imbalance",
     "MasterSlaveSimulation",
     "simulate",
     "make_for_cluster",
     "TreeSimulation",
     "simulate_tree",
-    "AffinitySimulation",
-    "simulate_affinity",
 ]

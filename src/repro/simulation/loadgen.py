@@ -13,7 +13,6 @@ Traces provided:
 * :class:`StepLoad` -- explicit breakpoints, e.g. "a new user logs in
   ... and starts a computational resources expensive task" mid-run,
   the scenario motivating DTSS's re-derivation rule.
-* :class:`PeriodicLoad` -- on/off duty cycle.
 * :class:`RandomLoad` -- seeded Poisson arrivals of busy periods, for
   property tests of the adaptive path.
 
@@ -37,7 +36,6 @@ __all__ = [
     "LoadTrace",
     "ConstantLoad",
     "StepLoad",
-    "PeriodicLoad",
     "RandomLoad",
     "OverlayLoad",
     "integrate_compute",
@@ -107,50 +105,6 @@ class StepLoad(LoadTrace):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         steps = list(zip(self._times, self._qs))
         return f"StepLoad(steps={steps!r}, initial={self.initial})"
-
-
-class PeriodicLoad(LoadTrace):
-    """On/off duty cycle: ``q_on`` for ``duty * period``, then ``q_off``."""
-
-    def __init__(
-        self,
-        period: float,
-        q_on: int = 3,
-        q_off: int = 1,
-        duty: float = 0.5,
-        phase: float = 0.0,
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"period must be > 0, got {period}")
-        if not 0.0 < duty < 1.0:
-            raise SimulationError(f"duty must be in (0,1), got {duty}")
-        if q_on < 1 or q_off < 1:
-            raise SimulationError("q_on and q_off must be >= 1")
-        self.period = float(period)
-        self.q_on = int(q_on)
-        self.q_off = int(q_off)
-        self.duty = float(duty)
-        self.phase = float(phase)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PeriodicLoad(period={self.period}, q_on={self.q_on}, "
-            f"q_off={self.q_off}, duty={self.duty}, phase={self.phase})"
-        )
-
-    def _position(self, t: float) -> float:
-        return (t - self.phase) % self.period
-
-    def q_at(self, t: float) -> int:
-        return self.q_on if self._position(t) < self.duty * self.period \
-            else self.q_off
-
-    def next_change(self, t: float) -> Optional[float]:
-        pos = self._position(t)
-        boundary = self.duty * self.period
-        delta = (boundary - pos) if pos < boundary else (self.period - pos)
-        # Guard against landing exactly on the current instant.
-        return t + max(delta, 1e-12)
 
 
 class RandomLoad(LoadTrace):

@@ -29,10 +29,7 @@ from ..obs.events import EventList
 from ..obs.export import json_text
 from ..obs.metrics import imbalance
 
-__all__ = [
-    "WorkerMetrics", "ChunkRecord", "LazyChunkList", "SimResult",
-    "imbalance",
-]
+__all__ = ["WorkerMetrics", "ChunkRecord", "LazyChunkList", "SimResult"]
 
 
 @dataclasses.dataclass

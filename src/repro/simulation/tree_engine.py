@@ -152,12 +152,6 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         self.weighted = weighted
         self._master_link_free = 0.0
         self._steals = 0
-        #: True when a subclass re-rules the take through
-        #: :meth:`_next_block`; the fixed-grain take runs inline
-        #: otherwise.  Decided once, here.
-        self._hooked = type(self)._next_block is not (
-            TreeSimulation._next_block
-        )
         #: what ``_compute`` fires when a block finishes, bound once.
         self._then = self.next_work
 
@@ -227,46 +221,29 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         return (math.floor(t / self.flush_interval) + 1) \
             * self.flush_interval
 
-    def _next_block(self, w: _TreeWorker) -> Optional[tuple[int, int]]:
-        """The next block of ``w``'s own queue (None when it is dry).
-
-        The hook a subclass overrides to re-rule the take (affinity's
-        shrinking slices).  This one, ``pop_block(grain)``, is what
-        :meth:`next_work` runs inline when no subclass does.
-        """
-        return w.pop_block(self.grain)
-
     def next_work(self, w: _TreeWorker) -> None:
         if w.pending_items and self.queue.now >= w.next_flush:
             self._flush(w, False)
             return
-        if self._hooked:
-            block = self._next_block(w)
-            if block is None:
-                w.sweep_pos = 0
-                self._try_steal(w)
-                return
-            start, stop = block
+        # ``w.pop_block(self.grain)``, inline: drop spent ranges, then
+        # take up to ``grain`` off the front one.
+        ranges = w.ranges
+        while ranges:
+            front = ranges[0]
+            start, end = front
+            if start < end:
+                break
+            del ranges[0]
         else:
-            # ``w.pop_block(self.grain)``, inline: drop spent ranges,
-            # then take up to ``grain`` off the front one.
-            ranges = w.ranges
-            while ranges:
-                front = ranges[0]
-                start, end = front
-                if start < end:
-                    break
-                del ranges[0]
-            else:
-                w.sweep_pos = 0
-                self._try_steal(w)
-                return
-            stop = start + self.grain
-            if stop < end:
-                front[0] = stop
-            else:
-                stop = end
-                del ranges[0]
+            w.sweep_pos = 0
+            self._try_steal(w)
+            return
+        stop = start + self.grain
+        if stop < end:
+            front[0] = stop
+        else:
+            stop = end
+            del ranges[0]
         w.pending_items += stop - start
         self._compute(w, start, stop, None, None, self._then)
 

@@ -4,7 +4,7 @@ matrix-add background load used for nondedicated runs."""
 
 from .base import Workload, WorkloadError
 from .mandelbrot import MandelbrotWorkload, escape_counts, render_ascii
-from .matrix import MatrixAddWorkload, matrix_add_load
+from .matrix import matrix_add_load
 from .reorder import (
     ReorderedWorkload,
     inverse_permutation,
@@ -36,6 +36,5 @@ __all__ = [
     "ConditionalWorkload",
     "RandomWorkload",
     "GaussianPeakWorkload",
-    "MatrixAddWorkload",
     "matrix_add_load",
 ]

@@ -2,24 +2,19 @@
 
 For the *nondedicated* experiments the paper "started resource expensive
 processes on some slaves.  Two such processes are started.  Each one
-adds two random matrices of size 1000."  This module supplies both
-faces of that stressor:
-
-* :func:`matrix_add_load` -- the real thing, for the multiprocessing
-  runtime: a process target that repeatedly adds two random matrices
-  until told to stop, pinning a CPU exactly like the paper's load.
-* :class:`MatrixAddWorkload` -- matrix addition *as a parallel loop*
-  (one row-block add per iteration), usable as a uniform real workload
-  for the runtime's correctness tests.
+adds two random matrices of size 1000."  :func:`matrix_add_load` is
+that stressor for the multiprocessing runtime: a process target that
+repeatedly adds two random matrices until told to stop, pinning a CPU
+exactly like the paper's load.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Workload, WorkloadError
+from .base import WorkloadError
 
-__all__ = ["matrix_add_load", "MatrixAddWorkload"]
+__all__ = ["matrix_add_load"]
 
 
 def matrix_add_load(
@@ -45,46 +40,3 @@ def matrix_add_load(
             break
     return rounds
 
-
-class MatrixAddWorkload(Workload):
-    """Matrix addition as a uniform parallel loop.
-
-    The ``n x n`` addition is split into ``size`` row blocks; iteration
-    ``i`` adds block ``i``.  Every iteration costs the same (``n/size``
-    rows of ``n`` additions), so this doubles as the paper's *uniform*
-    loop style backed by real computation.
-    """
-
-    name = "matrix-add"
-
-    def __init__(self, n: int = 256, size: int = 64, seed: int = 0) -> None:
-        if n < 1:
-            raise WorkloadError(f"matrix dimension must be >= 1, got {n}")
-        if size < 1 or size > n:
-            raise WorkloadError(
-                f"size must be in [1, n={n}], got {size}"
-            )
-        super().__init__(size)
-        self.n = int(n)
-        rng = np.random.default_rng(seed)
-        self.a = rng.random((n, n))
-        self.b = rng.random((n, n))
-        # Row-block boundaries (last block absorbs the remainder).
-        edges = np.linspace(0, n, num=size + 1).round().astype(int)
-        self._edges = edges
-
-    def _compute_costs(self) -> np.ndarray:
-        rows = np.diff(self._edges).astype(np.float64)
-        return rows * self.n  # additions per block
-
-    def execute(self, start: int, stop: int) -> np.ndarray:
-        if not 0 <= start <= stop <= self.size:
-            raise WorkloadError(
-                f"chunk [{start}, {stop}) out of range [0, {self.size}]"
-            )
-        lo, hi = self._edges[start], self._edges[stop]
-        return self.a[lo:hi] + self.b[lo:hi]
-
-    def expected(self) -> np.ndarray:
-        """The full serial result ``a + b`` for verification."""
-        return self.a + self.b

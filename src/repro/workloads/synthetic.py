@@ -180,9 +180,8 @@ class SpinWorkload(Workload):
 
     Unlike matrix addition (memory-bound: repeat executions run
     cache-hot and cost far less than the first), a sin/sqrt chain keeps
-    the ALU busy every time -- which makes this the right probe for
-    wall-clock speed estimation (:mod:`repro.runtime.estimator`) and
-    for slowdown emulation tests.
+    the ALU busy every time -- which makes this the right loop for
+    slowdown emulation tests.
     """
 
     name = "spin"

@@ -1,22 +1,16 @@
-"""Tests for chunk analytics, balance metrics, speedup, and tables."""
+"""Tests for chunk analytics, the speedup cap, and tables."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis import (
-    balance_report,
     chunk_sequence,
     chunk_stats,
-    cov,
-    efficiency,
     format_chunk_row,
     format_matrix,
     format_time_table,
-    max_over_mean,
     power_cap,
-    range_over_mean,
-    speedup_series,
     table1_rows,
 )
 from repro.simulation import simulate
@@ -58,37 +52,7 @@ class TestChunkAnalytics:
         assert stats.count < 200
 
 
-class TestBalance:
-    def test_cov_uniform_is_zero(self):
-        assert cov([5.0, 5.0, 5.0]) == 0.0
-
-    def test_cov_scale_invariant(self):
-        a = cov([1.0, 2.0, 3.0])
-        b = cov([10.0, 20.0, 30.0])
-        assert a == pytest.approx(b)
-
-    def test_max_over_mean(self):
-        assert max_over_mean([1.0, 1.0, 4.0]) == pytest.approx(2.0)
-        assert max_over_mean([]) == 1.0
-
-    def test_range_over_mean(self):
-        assert range_over_mean([2.0, 4.0]) == pytest.approx(2.0 / 3.0)
-
-    def test_report_keys(self):
-        report = balance_report([1.0, 2.0])
-        assert set(report) == {"cov", "max_over_mean",
-                               "range_over_mean"}
-
-
 class TestSpeedup:
-    def test_series(self):
-        pts = speedup_series(60.0, [(1, 60.0), (2, 30.0), (4, 20.0)])
-        assert [p.speedup for p in pts] == [1.0, 2.0, 3.0]
-
-    def test_efficiency(self):
-        pts = speedup_series(60.0, [(2, 30.0), (4, 30.0)])
-        assert efficiency(pts) == [1.0, 0.5]
-
     def test_power_cap_paper_mix(self):
         # 3 fast (3x) + 5 slow -> 14/3 ~= 4.67 (Figure 6's bound).
         assert power_cap([3.0] * 3 + [1.0] * 5) == pytest.approx(
@@ -100,11 +64,9 @@ class TestSpeedup:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            speedup_series(0.0, [(1, 1.0)])
-        with pytest.raises(ValueError):
-            speedup_series(1.0, [(1, 0.0)])
-        with pytest.raises(ValueError):
             power_cap([])
+        with pytest.raises(ValueError):
+            power_cap([1.0, 0.0])
 
 
 class TestTables:

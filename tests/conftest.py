@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro import cache
-from repro.simulation import ClusterSpec, ConstantLoad, NodeSpec
+from repro.simulation import ClusterSpec, ConstantLoad, NodeSpec, StepLoad
 from repro.workloads import (
     GaussianPeakWorkload,
     MandelbrotWorkload,
@@ -144,6 +144,20 @@ def make_cluster(
 @pytest.fixture()
 def hetero_cluster() -> ClusterSpec:
     return make_cluster()
+
+
+def square_wave(
+    period: float, q_on: int, phase: float, horizon: float,
+    duty: float = 0.5,
+) -> StepLoad:
+    """An on/off duty cycle as a multi-step trace: ``q_on`` for the
+    first ``duty`` of every ``period`` from ``phase`` on, 1 otherwise,
+    then 1 from ``horizon`` on."""
+    steps = []
+    for k in range(math.ceil((horizon - phase) / period)):
+        start = phase + k * period
+        steps += [(start, q_on), (start + duty * period, 1)]
+    return StepLoad(steps)
 
 
 def orjson_writes_exactly(doc) -> bool:

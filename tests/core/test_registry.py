@@ -14,7 +14,6 @@ from repro.core import (
     WorkerView,
     drain,
     make,
-    make_many,
     names,
     register,
 )
@@ -70,13 +69,6 @@ def test_copied_scheduler_continues_the_same_sequence(scheme, clone):
     rest = list(drain(original, views))
     assert rest == list(drain(copied, views))
     assert rest and rest[-1].stop == total
-
-
-class TestMakeMany:
-    def test_fresh_instances(self):
-        batch = make_many(["TSS", "FSS"], 100, 4)
-        assert set(batch) == {"TSS", "FSS"}
-        assert batch["TSS"] is not make("TSS", 100, 4)
 
 
 class TestRegister:

@@ -8,7 +8,6 @@ from repro.core import (
     SchemeError,
     TreePartition,
     partner_order,
-    steal_split,
 )
 
 
@@ -37,27 +36,6 @@ class TestPartnerOrder:
             partner_order(5, 4)
         with pytest.raises(SchemeError):
             partner_order(0, 0)
-
-
-class TestStealSplit:
-    def test_even_split(self):
-        kept, stolen = steal_split(0, 10)
-        assert kept == (0, 5)
-        assert stolen == (5, 10)
-
-    def test_odd_split_victim_keeps_extra(self):
-        kept, stolen = steal_split(0, 7)
-        assert kept == (0, 4)
-        assert stolen == (4, 7)
-
-    def test_minimum_size(self):
-        with pytest.raises(SchemeError):
-            steal_split(3, 4)
-
-    def test_offsets_preserved(self):
-        kept, stolen = steal_split(100, 110)
-        assert kept[0] == 100 and stolen[1] == 110
-        assert kept[1] == stolen[0]
 
 
 class TestTreePartition:

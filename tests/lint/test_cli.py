@@ -27,7 +27,7 @@ def test_clean_path_exits_zero(tmp_path, capsys):
     assert "repro-lint: clean" in capsys.readouterr().out
 
 
-def test_findings_exit_one_with_rule_ids(tmp_path, capsys):
+def test_findings_exit_one_naming_their_rules(tmp_path, capsys):
     path = _write(tmp_path, "dirty.py", DIRTY)
     assert main([path]) == 1
     out = capsys.readouterr().out

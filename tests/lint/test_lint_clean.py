@@ -145,35 +145,50 @@ def test_des_lifecycle_lives_once_on_the_chassis():
         "_pop_message_fault", "_schedule_faults", "_acquire_segment",
         "_stall",
     }
-    engines = {
-        os.path.join("repro", "simulation", "engine.py"),
-        os.path.join("repro", "simulation", "tree_engine.py"),
-        os.path.join("repro", "simulation", "affinity_engine.py"),
-        os.path.join("repro", "decentral", "sim_engine.py"),
-    }
-    defined: dict = {}
+    trees = {}
     for root, _dirs, files in os.walk(os.path.join(_SRC, "repro")):
         for name in files:
             if not name.endswith(".py"):
                 continue
             path = os.path.join(root, name)
-            rel = os.path.relpath(path, _SRC)
             with open(path, "r", encoding="utf-8") as handle:
-                tree = ast.parse(handle.read(), filename=path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and (
-                    node.name in chassis or node.name.endswith("_stall")
-                ):
-                    defined.setdefault(node.name, []).append(rel)
-                elif rel in engines and isinstance(node, ast.Call):
-                    callee = node.func
-                    called = getattr(callee, "id", None) \
-                        or getattr(callee, "attr", None)
-                    assert called not in (
-                        "ChunkRecord", "integrate_compute",
-                    ), (rel, node.lineno, called)
-                elif rel in engines and isinstance(node, ast.Attribute):
-                    assert node.attr != "epoch", (rel, node.lineno)
+                trees[os.path.relpath(path, _SRC)] = ast.parse(
+                    handle.read(), filename=path)
+
+    def subclasses_chassis(node):
+        return isinstance(node, ast.ClassDef) and any(
+            getattr(getattr(base, "value", base), "id", None)
+            == "DesCluster"
+            for base in node.bases
+        )
+
+    # The engines are whatever subclasses the chassis, so a renamed or
+    # deleted engine cannot leave this test checking less.
+    engines = {
+        rel for rel, tree in trees.items()
+        if any(subclasses_chassis(node) for node in ast.walk(tree))
+    }
+    assert engines == {
+        os.path.join("repro", "simulation", "engine.py"),
+        os.path.join("repro", "simulation", "tree_engine.py"),
+        os.path.join("repro", "decentral", "sim_engine.py"),
+    }, sorted(engines)
+    defined: dict = {}
+    for rel, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (
+                node.name in chassis or node.name.endswith("_stall")
+            ):
+                defined.setdefault(node.name, []).append(rel)
+            elif rel in engines and isinstance(node, ast.Call):
+                callee = node.func
+                called = getattr(callee, "id", None) \
+                    or getattr(callee, "attr", None)
+                assert called not in (
+                    "ChunkRecord", "integrate_compute",
+                ), (rel, node.lineno, called)
+            elif rel in engines and isinstance(node, ast.Attribute):
+                assert node.attr != "epoch", (rel, node.lineno)
     des = os.path.join("repro", "simulation", "des.py")
     assert defined == {name: [des] for name in chassis}, defined
 
@@ -310,33 +325,197 @@ def test_documented_bench_commands_name_files_that_exist():
     assert stale == [], stale
 
 
+def _who_needs_it_rows():
+    """``{repro.module: who-needs-it cell}`` for every module the table
+    in ``docs/architecture.md`` names (a row may name several)."""
+    import re
+
+    doc = os.path.join(_REPO, "docs", "architecture.md")
+    with open(doc, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    table = text[text.index("## Who needs what"):]
+    table = table[:table.index("\n## ", 1)]
+    rows = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            cells = line.split("|")
+            for module in re.findall(r"`([^`]+)`", cells[1]):
+                dotted = "repro" if module == "repro" \
+                    else f"repro.{module}"
+                rows[dotted] = "|".join(cells[2:-1]).strip()
+    return rows
+
+
+def _consumers():
+    """What the code outside ``tests/`` uses of ``src/repro``.
+
+    Consumers are the files under ``src/repro``, ``benchmarks/`` and
+    ``examples/`` plus ``pyproject.toml``'s ``[project.scripts]``.
+    Returns ``(modules, imported, refs, defs)``: every module's dotted
+    name -> ``(path, is_package)``; the
+    modules some consumer imports, an import through a re-export
+    ``__init__`` crediting the module the name comes from, never the
+    ``__init__``; each file's ``(name, line)`` references
+    (``ast.Name`` ids and ``ast.Attribute`` attrs -- import lines and
+    ``__all__`` strings are neither); and every public top-level
+    ``def``/``class`` of ``src/repro`` as ``(module, name, first line,
+    last line)``."""
+    import ast
+    import re
+
+    modules = {}
+    root = os.path.join(_SRC, "repro")
+    for dirpath, _dirs, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                parts = os.path.relpath(path, _SRC)[:-3].split(os.sep)
+                package = parts[-1] == "__init__"
+                if package:
+                    parts.pop()
+                modules[".".join(parts)] = (path, package)
+    files = [(path, dotted, package)
+             for dotted, (path, package) in modules.items()]
+    for top in ("benchmarks", "examples"):
+        for dirpath, _dirs, names in os.walk(os.path.join(_REPO, top)):
+            files += [(os.path.join(dirpath, name), None, False)
+                      for name in sorted(names) if name.endswith(".py")]
+    trees = {}
+    for path, _dotted, _package in files:
+        with open(path, "r", encoding="utf-8") as handle:
+            trees[path] = ast.parse(handle.read(), filename=path)
+
+    def base_of(node, dotted, package):
+        if not node.level:
+            return node.module or ""
+        anchor = dotted.split(".")
+        anchor = anchor[:len(anchor) - node.level + bool(package)]
+        return ".".join(anchor + ([node.module] if node.module else []))
+
+    reexports = {}  # (package, name) -> (module, name)
+    for path, dotted, package in files:
+        if package:
+            for node in ast.walk(trees[path]):
+                if isinstance(node, ast.ImportFrom):
+                    base = base_of(node, dotted, package)
+                    for alias in node.names:
+                        reexports[(dotted, alias.asname or alias.name)] = (
+                            base, alias.name)
+
+    imported = set()
+
+    def credit(module, name=None):
+        if name is not None and f"{module}.{name}" in modules:
+            module, name = f"{module}.{name}", None
+        if name is not None and (module, name) in reexports:
+            credit(*reexports[(module, name)])
+        elif module in modules:
+            imported.add(module)
+
+    refs = {}
+    for path, dotted, package in files:
+        found = refs.setdefault(path, [])
+        if package:
+            continue  # a re-export surface consumes nothing
+        bound = {}  # local name -> module it names
+        renamed = {}  # local alias -> the imported name
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    credit(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+            elif isinstance(node, ast.ImportFrom):
+                base = base_of(node, dotted, package)
+                for alias in node.names:
+                    credit(base, alias.name)
+                    if alias.asname:  # ``alias`` is a use of ``name``
+                        renamed[alias.asname] = alias.name
+                    if f"{base}.{alias.name}" in modules:
+                        bound[alias.asname or alias.name] = (
+                            f"{base}.{alias.name}")
+            elif isinstance(node, ast.Name):
+                found.append((node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                found.append((node.attr, node.lineno))
+        found += [(renamed[name], line) for name, line in found
+                  if name in renamed]
+        for node in ast.walk(trees[path]):
+            # ``pkg.name`` through a module bound by an import
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in bound:
+                credit(bound[node.value.id], node.attr)
+    with open(os.path.join(_REPO, "pyproject.toml"), "r",
+              encoding="utf-8") as handle:
+        text = handle.read()
+    scripts = text[text.index("[project.scripts]"):].split("\n[", 1)[0]
+    for module, name in re.findall(r'"([\w.]+):(\w+)"', scripts):
+        credit(module)
+        refs.setdefault("pyproject.toml", []).append((name, 0))
+    defs = []
+    for dotted, (path, _package) in modules.items():
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defs.append((dotted, node.name, node.lineno,
+                             node.end_lineno))
+    return modules, imported, refs, defs
+
+
 def test_every_module_has_a_who_needs_it_row():
     """Every ``src/repro/**/*.py`` is named, dotted and in backticks,
     in the first column of the module table in
     ``docs/architecture.md`` -- a module nobody can say the consumer
     of does not get to stay -- and the table names no module that
     does not exist."""
-    import re
-
-    modules = set()
-    root = os.path.join(_SRC, "repro")
-    for dirpath, _dirs, files in os.walk(root):
-        for name in files:
-            if not name.endswith(".py"):
-                continue
-            rel = os.path.relpath(os.path.join(dirpath, name), root)
-            parts = rel[:-3].split(os.sep)
-            if parts[-1] == "__init__":
-                parts.pop()
-            modules.add(".".join(parts) or "repro")
-    doc = os.path.join(_REPO, "docs", "architecture.md")
-    with open(doc, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    table = text[text.index("## Who needs what"):]
-    table = table[:table.index("\n## ", 1)]
-    named = set()
-    for line in table.splitlines():
-        if line.startswith("| `"):
-            named.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    modules = set(_consumers()[0])
+    named = set(_who_needs_it_rows())
     assert modules - named == set(), sorted(modules - named)
     assert named - modules == set(), sorted(named - modules)
+
+
+def test_who_needs_it_rows_are_true():
+    """The table's **tests only** marks are machine-checked, both ways.
+
+    A module (re-export ``__init__``s aside) that no consumer outside
+    ``tests/`` imports has a row marked **tests only** that says why,
+    and a row so marked names no module that has a consumer.  Every
+    public top-level ``def``/``class`` is referenced by name somewhere
+    outside ``tests/`` (its own module counts, its own body does not),
+    unless its module's row is marked **tests only** or the lint
+    engine treats it as digest-critical (a reference implementation
+    the tests compare against)."""
+    from repro.lint.engine import _DIGEST_DEFS
+
+    modules, imported, refs, defs = _consumers()
+    rows = _who_needs_it_rows()
+    mark = "**tests only**"
+
+    marked = {dotted for dotted, cell in rows.items() if mark in cell}
+    unmarked = sorted(
+        dotted for dotted, (_path, package) in modules.items()
+        if not package and dotted not in imported | marked
+    )
+    assert unmarked == [], f"no consumer and no {mark} row: {unmarked}"
+    bare = sorted(dotted for dotted in marked
+                  if not rows[dotted].replace(mark, "").strip(" .,;:"))
+    assert bare == [], f"{mark} without a reason: {bare}"
+    consumed = sorted(marked & imported)
+    assert consumed == [], f"marked {mark} but consumed: {consumed}"
+
+    where: dict = {}
+    for path, found in refs.items():
+        for ref, line in found:
+            where.setdefault(ref, []).append((path, line))
+    unused = []
+    for dotted, name, first, last in defs:
+        if dotted in marked or name in _DIGEST_DEFS \
+                or name.startswith("audit_"):
+            continue
+        own = modules[dotted][0]
+        if all(path == own and first <= line <= last
+               for path, line in where.get(name, ())):
+            unused.append(f"{dotted}.{name}")
+    assert unused == [], f"referenced only by tests: {sorted(unused)}"

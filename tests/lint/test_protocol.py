@@ -57,7 +57,7 @@ class TestRep301Rows:
 class TestSyntheticTree:
     """The ISSUE acceptance scenario, built from scratch in tmp_path."""
 
-    def test_orphan_scheme_and_unknown_kind_exact_rule_ids(
+    def test_orphan_scheme_and_unknown_kind_exact_rules(
         self, tmp_path
     ):
         findings = lint_tree(tmp_path, {

@@ -34,7 +34,7 @@ from repro.simulation import SimulationError
 from repro.workloads import GaussianPeakWorkload
 
 from ..conftest import make_cluster
-from ..simulation.test_des_oracle import CASES, UNOBSERVED, run_case
+from ..simulation.test_des_oracle import CASES, run_case
 
 _opt_int = st.none() | st.integers(min_value=0, max_value=10**6)
 _opt_float = st.none() | st.floats(min_value=0.0, max_value=1e6)
@@ -169,12 +169,9 @@ def test_digest_and_wire_text_build_no_chunk_event(engine, monkeypatch):
     assert text == events_json(list(events))
 
 
-@pytest.mark.parametrize(
-    "substrate,fault",
-    [(s, f) for s, f in CASES if s not in UNOBSERVED],
-)
+@pytest.mark.parametrize("substrate,fault", CASES)
 def test_rows_give_the_events_digest_and_wire_text(substrate, fault):
-    """Every observed ``golden_des.json`` case: the digest and the
+    """Every ``golden_des.json`` case: the digest and the
     ``events_json`` text written from the rows equal, byte for byte,
     their definitions over the materialized ``ObsEvent`` list."""
     collector = BufferedCollector()

@@ -8,7 +8,6 @@ import pytest
 from repro.runtime import WorkerSpec, run_parallel, run_serial
 from repro.workloads import (
     MandelbrotWorkload,
-    MatrixAddWorkload,
     ReorderedWorkload,
     UniformWorkload,
 )
@@ -54,14 +53,6 @@ class TestProtocol:
         serial = wl.execute_serial()
         np.testing.assert_array_equal(
             np.asarray(run.results).reshape(serial.shape), serial
-        )
-
-    def test_matrix_workload_correct(self):
-        wl = MatrixAddWorkload(n=64, size=16, seed=4)
-        run = run_parallel("GSS", wl, 3)
-        np.testing.assert_allclose(
-            np.asarray(run.results).reshape(wl.expected().shape),
-            wl.expected(),
         )
 
     def test_empty_loop(self):

@@ -10,8 +10,8 @@ from repro.simulation import (
     NodeSpec,
     SimulationError,
     WorkerMetrics,
-    imbalance,
 )
+from repro.obs.metrics import imbalance
 
 
 class TestNodeSpec:

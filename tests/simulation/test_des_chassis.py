@@ -40,7 +40,6 @@ from repro.simulation import (
     simulate_tree,
 )
 from repro.simulation import fastpath
-from repro.simulation.affinity_engine import simulate_affinity
 from repro.simulation.engine import StarvationError, make_for_cluster
 from repro.verify import audit_sim
 from repro.workloads import LinearWorkload, UniformWorkload, WorkloadError
@@ -293,16 +292,14 @@ def _free_run(engine: str, chaos: bool) -> None:
     elif engine == "decentral":
         simulate_decentral("TSS", workload, cluster, chaos=plan,
                            fast=False)
-    elif engine == "tree":
-        simulate_tree(workload, cluster, chaos=plan)
     else:
-        simulate_affinity(workload, cluster)
+        simulate_tree(workload, cluster, chaos=plan)
 
 
 @pytest.mark.parametrize("engine, chaos", [
     ("master", False), ("master", True), ("adaptive", False),
     ("adaptive", True), ("decentral", False), ("decentral", True),
-    ("tree", False), ("tree", True), ("affinity", False),
+    ("tree", False), ("tree", True),
 ])
 def test_a_finished_run_frees_by_refcount(engine, chaos):
     # Callbacks bound to the simulation (TreeS's ``_then``, a stepper

@@ -14,10 +14,8 @@ The ``tie-*`` cases run four identical PEs over a uniform loop, so
 requests, replies and finishes land at exactly the same instants and
 the queue's ``(time, seq)`` tie-break decides the order; they were
 generated before the queue kept its earliest entry outside the heap.
-The ``tree-grain8`` rows (the grain of Table 2 and Figures 4-7) and the
-fault-free ``affinity`` row were generated before TreeS took its
-fixed-grain block inline; affinity is the subclass that keeps the
-``_next_block`` hook.
+The ``tree-grain8`` rows (the grain of Table 2 and Figures 4-7) were
+generated before TreeS took its fixed-grain block inline.
 
 Regenerate (only when a behaviour change is intended and explained)::
 
@@ -49,7 +47,6 @@ from repro.simulation import (
     SimulationError,
     StepLoad,
     simulate,
-    simulate_affinity,
     simulate_tree,
 )
 from repro.workloads import GaussianPeakWorkload, UniformWorkload
@@ -158,13 +155,6 @@ def _tree(weighted, cluster=_cluster, grain=1):
     return run
 
 
-def _affinity(workload, chaos, fails_at, collector):
-    assert chaos is None and fails_at is None  # see UNOBSERVED
-    return simulate_affinity(
-        workload, _cluster(), flush_interval=0.5, collect_results=True,
-    )
-
-
 #: substrate name -> (runner, honours NodeSpec.fails_at at the parent)
 _SUBSTRATES = {
     "master-TSS": (_master("TSS"), True),
@@ -179,8 +169,6 @@ _SUBSTRATES = {
     "tree-weighted": (_tree(True), False),
     # Table 2 and Figures 4-7 run TreeS at grain 8.
     "tree-grain8": (_tree(False, grain=8), False),
-    # The one subclass that keeps the ``_next_block`` hook.
-    "affinity": (_affinity, False),
     "tie-master-SS": (_master("SS", cluster=_tie_cluster), True),
     "tie-master-CSS4": (_master("CSS(4)", cluster=_tie_cluster), True),
     "tie-master-TSS": (_master("TSS", cluster=_tie_cluster), True),
@@ -188,16 +176,11 @@ _SUBSTRATES = {
     "tie-tree-even": (_tree(False, cluster=_tie_cluster), False),
 }
 
-#: substrates whose entry point takes no fault plan and no collector:
-#: the fault-free row only, and it emits no events.
-UNOBSERVED = {"affinity"}
-
 CASES = [
     (substrate, fault)
     for substrate, (_run, fails_at_ok) in _SUBSTRATES.items()
     for fault in _FAULTS
-    if (fails_at_ok or _FAULTS[fault][1] is None)
-    and (substrate not in UNOBSERVED or fault == "none")
+    if fails_at_ok or _FAULTS[fault][1] is None
 ]
 
 

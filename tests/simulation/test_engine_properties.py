@@ -17,7 +17,6 @@ from repro.simulation import (
     NodeSpec,
     RandomLoad,
     simulate,
-    simulate_affinity,
     simulate_tree,
 )
 from repro.workloads import GaussianPeakWorkload, RandomWorkload
@@ -83,13 +82,6 @@ def test_master_engine_conserves(scheme, workload, cluster):
 def test_tree_engine_conserves(workload, cluster, weighted):
     result = simulate_tree(workload, cluster, weighted=weighted,
                            grain=4)
-    assert result.total_iterations == workload.size
-
-
-@given(workload_strategy(), cluster_strategy())
-@settings(max_examples=40, deadline=None)
-def test_affinity_engine_conserves(workload, cluster):
-    result = simulate_affinity(workload, cluster)
     assert result.total_iterations == workload.size
 
 

@@ -12,7 +12,6 @@ from repro.simulation import (
     NodeSpec,
     SimulationError,
     simulate,
-    simulate_affinity,
     simulate_tree,
 )
 from repro.workloads import GaussianPeakWorkload, UniformWorkload
@@ -133,20 +132,6 @@ class TestMultipleDeaths:
         )
         assert result.workers[3].iterations >= 190
 
-
-    def test_affinity_policy_recovers_a_dead_pe_queue(self):
-        # The AS policy inherits the chassis lifecycle: its events are
-        # epoch-guarded, and a dead PE's queue -- however small -- is
-        # stripped by the most-loaded-victim rule.
-        wl = UniformWorkload(400)
-        for at in (0.0, 0.3, 0.9):
-            result = simulate_affinity(
-                wl, cluster_with_failures({0: at}),
-                flush_interval=0.1, collect_results=True,
-            )
-            assert result.total_iterations == 400
-            assert result.workers[0].iterations < 100
-            np.testing.assert_allclose(result.results, wl.costs())
 
 
 class TestRequeueOrder:

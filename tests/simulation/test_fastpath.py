@@ -32,8 +32,10 @@ from repro.simulation import (
 )
 from repro.simulation import fastpath
 from repro.simulation.engine import simulate
-from repro.simulation.loadgen import PeriodicLoad, RandomLoad
+from repro.simulation.loadgen import RandomLoad
 from repro.workloads import MandelbrotWorkload
+
+from tests.conftest import square_wave
 
 
 def assert_identical(a, b, tag=""):
@@ -67,8 +69,9 @@ def heterogeneous_cluster(loadshape="const", n=4, **overrides):
         elif loadshape == "random":
             load = RandomLoad(seed=42 + i)
         else:
-            load = PeriodicLoad(period=7.0, q_on=3, q_off=1,
-                                duty=0.4, phase=0.3 * i)
+            # past every scheme's T_p on this grid (S's ~3500)
+            load = square_wave(7.0, 3, 0.3 * i, horizon=4000.0,
+                               duty=0.4)
         nodes.append(NodeSpec(
             name=f"n{i}", speed=80.0 + 17.0 * i,
             latency=1e-3 * (1 + i % 3), bandwidth=1.0e6 * (1 + i),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.simulation import (
     ConstantLoad,
-    PeriodicLoad,
     RandomLoad,
     SimulationError,
     StepLoad,
@@ -47,31 +46,6 @@ class TestStepLoad:
             StepLoad([(10.0, 3), (5.0, 1)])
         with pytest.raises(SimulationError):
             StepLoad([(10.0, 0)])
-
-
-class TestPeriodicLoad:
-    def test_duty_cycle(self):
-        trace = PeriodicLoad(period=10.0, q_on=4, q_off=1, duty=0.3)
-        assert trace.q_at(0.0) == 4
-        assert trace.q_at(2.9) == 4
-        assert trace.q_at(3.1) == 1
-        assert trace.q_at(9.9) == 1
-        assert trace.q_at(10.1) == 4
-
-    def test_next_change_progresses(self):
-        trace = PeriodicLoad(period=10.0, duty=0.5)
-        t = 0.0
-        seen = []
-        for _ in range(4):
-            t = trace.next_change(t)
-            seen.append(t)
-        assert seen == pytest.approx([5.0, 10.0, 15.0, 20.0])
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            PeriodicLoad(period=0.0)
-        with pytest.raises(SimulationError):
-            PeriodicLoad(period=1.0, duty=1.5)
 
 
 class TestRandomLoad:

@@ -7,11 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.simulation import (
-    SimulationError,
-    simulate_affinity,
-    simulate_tree,
-)
+from repro.simulation import SimulationError, simulate_tree
 from repro.workloads import UniformWorkload
 
 from tests.conftest import make_cluster
@@ -112,19 +108,17 @@ class TestValidationAndDeterminism:
         with pytest.raises(SimulationError):
             simulate_tree(uniform_workload, hetero_cluster, min_steal=1)
 
-    @pytest.mark.parametrize("engine", [simulate_tree, simulate_affinity])
     @pytest.mark.parametrize(
         "interval", [math.nan, math.inf, 0.0, -1.0],
         ids=["nan", "inf", "zero", "negative"],
     )
-    def test_flush_interval_must_be_finite_and_positive(
-        self, engine, interval
-    ):
+    def test_flush_interval_must_be_finite_and_positive(self, interval):
         # NaN and inf used to pass the check and die mid-run in
-        # ``_next_epoch``'s floor; affinity inherits the check.
+        # ``_next_epoch``'s floor.
         cluster = make_cluster(n_fast=1, n_slow=2)
         with pytest.raises(SimulationError, match="flush_interval"):
-            engine(UniformWorkload(50), cluster, flush_interval=interval)
+            simulate_tree(UniformWorkload(50), cluster,
+                          flush_interval=interval)
 
     def test_deterministic(self, peak_workload):
         a = simulate_tree(peak_workload, make_cluster(), grain=4)

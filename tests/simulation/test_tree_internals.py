@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tree import partner_order
-from repro.simulation import (
-    AffinitySimulation,
-    ClusterSpec,
-    NodeSpec,
-    WorkerMetrics,
-)
+from repro.simulation import ClusterSpec, NodeSpec, WorkerMetrics
 from repro.simulation.tree_engine import TreeSimulation, _TreeWorker
 from repro.workloads import UniformWorkload
 
@@ -95,25 +90,11 @@ class TestInlineTake:
     ``_TreeWorker.pop_block(grain)`` is its definition."""
 
     @staticmethod
-    def _sim(cls=TreeSimulation, grain=1):
+    def _sim(grain=1):
         cluster = ClusterSpec(nodes=[
             NodeSpec(name="n0", speed=1.0), NodeSpec(name="n1", speed=1.0),
         ])
-        kwargs = {} if cls is AffinitySimulation else {"grain": grain}
-        return cls(UniformWorkload(100), cluster, **kwargs)
-
-    def test_the_path_is_decided_per_class(self):
-        assert not self._sim()._hooked
-        assert self._sim(AffinitySimulation)._hooked
-
-        class Halves(TreeSimulation):
-            def _next_block(self, w):
-                return w.pop_block(max(1, w.remaining() // 2))
-
-        assert Halves(
-            UniformWorkload(10),
-            ClusterSpec(nodes=[NodeSpec(name="n", speed=1.0)]),
-        )._hooked
+        return TreeSimulation(UniformWorkload(100), cluster, grain=grain)
 
     @given(
         ranges=st.lists(

@@ -18,8 +18,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.trapezoid import TrapezoidScheduler
-from repro.simulation import ClusterSpec, NodeSpec, PeriodicLoad, simulate
+from repro.simulation import ClusterSpec, NodeSpec, simulate
 from repro.workloads import GaussianPeakWorkload
+
+from tests.conftest import square_wave
 
 #: ``(worker_id, virtual_power, run_queue, acp)`` of every sized request.
 SIMPLE = [
@@ -41,8 +43,8 @@ def cluster() -> ClusterSpec:
     return ClusterSpec(nodes=[
         NodeSpec(name=f"n{i}", speed=40.0 + 25.0 * i,
                  latency=1e-3 * (1 + i), bandwidth=2.0e5 * (1 + i),
-                 load=PeriodicLoad(period=0.05 + 0.02 * i, q_on=2 + i,
-                                   phase=0.01 * i),
+                 load=square_wave(0.05 + 0.02 * i, 2 + i, 0.01 * i,
+                                  horizon=4.0),
                  virtual_power=1.0 + 0.75 * i)
         for i in range(3)
     ], master_service=1e-3, master_bandwidth=2e4)

@@ -16,7 +16,6 @@ import pytest
 from repro.batch import (
     ENV_JOBS,
     SimJob,
-    batch_keys,
     resolve_jobs,
     run_batch,
     stream_batch,
@@ -157,13 +156,6 @@ class TestRunBatch:
         with pytest.raises(TypeError):
             run_batch(["TSS"], n_jobs=1)
 
-    def test_batch_keys_order(self, batch_workload, batch_cluster):
-        jobs = [
-            SimJob(s, batch_workload, batch_cluster)
-            for s in ("TSS", "FSS")
-        ]
-        assert batch_keys(jobs) == [jobs[0].key, jobs[1].key]
-
     def test_batch_results_pass_the_auditor(self, batch_workload,
                                             batch_cluster):
         from repro.verify import audit_sim
@@ -249,7 +241,7 @@ class TestStreamBatch:
         run_batch(jobs, persist=path)
         lines = [json.loads(line)
                  for line in open(path, encoding="utf-8")]
-        assert [rec["key"] for rec in lines] == batch_keys(jobs)
+        assert [rec["key"] for rec in lines] == [job.key for job in jobs]
         assert [rec["index"] for rec in lines] == list(range(len(jobs)))
         manifest = json.load(open(path + ".manifest.json"))
         assert manifest == {
@@ -494,7 +486,7 @@ class TestStreamBatch:
         lines = [json.loads(line)
                  for line in open(path, encoding="utf-8")]
         assert sorted(rec["key"] for rec in lines) \
-            == sorted(batch_keys(jobs))
+            == sorted(job.key for job in jobs)
 
     def test_pool_early_break_counts_yielded_jobs(self, tmp_path):
         """A task's finished but unyielded results are neither counted

@@ -1,11 +1,10 @@
-"""Tests for the matrix-add load process and workload."""
+"""Tests for the matrix-add load process."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.workloads import MatrixAddWorkload, WorkloadError, matrix_add_load
+from repro.workloads import WorkloadError, matrix_add_load
 
 
 class _FakeEvent(object):
@@ -31,27 +30,3 @@ class TestMatrixAddLoad:
         with pytest.raises(WorkloadError):
             matrix_add_load(_FakeEvent(), size=0)
 
-
-class TestMatrixAddWorkload:
-    def test_uniform_costs(self):
-        wl = MatrixAddWorkload(n=64, size=16)
-        costs = wl.costs()
-        assert costs.min() > 0
-        assert costs.max() - costs.min() <= 64  # one row of slack
-
-    def test_blocks_reassemble_to_full_sum(self):
-        wl = MatrixAddWorkload(n=32, size=8, seed=1)
-        parts = [wl.execute(i, i + 1) for i in range(8)]
-        np.testing.assert_allclose(np.vstack(parts), wl.expected())
-
-    def test_chunked_equals_serial(self):
-        wl = MatrixAddWorkload(n=40, size=10, seed=2)
-        serial = wl.execute_serial()
-        chunked = np.vstack([wl.execute(0, 4), wl.execute(4, 10)])
-        np.testing.assert_allclose(chunked, serial)
-
-    def test_invalid_params(self):
-        with pytest.raises(WorkloadError):
-            MatrixAddWorkload(n=0)
-        with pytest.raises(WorkloadError):
-            MatrixAddWorkload(n=8, size=9)
