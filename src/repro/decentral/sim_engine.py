@@ -85,6 +85,11 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         "every worker died with chunk ordinals outstanding; the loop "
         "cannot complete"
     )
+    #: request, fetch-add, assign, compute and result per chunk; the dry
+    #: request, its fetch-add and terminate per worker (plus a global
+    #: fetch-add per global access when claims are hierarchical).
+    TRACE_PER_CHUNK = 5
+    TRACE_PER_PE = 3
 
     def __init__(
         self,

@@ -70,6 +70,7 @@ from .export import (
     events_json,
     read_jsonl,
     stream_digest,
+    tiling_digest,
     to_chrome_trace,
     to_jsonl,
     write_chrome_trace,
@@ -116,6 +117,7 @@ __all__ = [
     "write_chrome_trace",
     "canonical_stream",
     "stream_digest",
+    "tiling_digest",
     "events_json",
     "Counter",
     "Gauge",

@@ -38,6 +38,7 @@ __all__ = [
     "write_chrome_trace",
     "canonical_stream",
     "stream_digest",
+    "tiling_digest",
     "events_json",
     "json_text",
 ]
@@ -189,6 +190,16 @@ def _rows(events: Iterable) -> Iterable:
     return events.rows() if isinstance(events, EventList) else events
 
 
+def _pairs_digest(pairs: Iterable[tuple[int, int]]) -> str:
+    """sha256 of the canonical stream whose ``result`` rows are the
+    ``(start, stop)`` pairs, in any order: the one payload writer."""
+    payload = "\n".join(
+        '{"kind": "result", "start": %d, "stop": %d}' % pair
+        for pair in sorted(pairs)
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def stream_digest(events: Iterable[ObsEvent]) -> str:
     """sha256 over the canonical stream's JSONL serialization.
 
@@ -200,15 +211,26 @@ def stream_digest(events: Iterable[ObsEvent]) -> str:
     position, from an :class:`EventList`'s rows, so no ``ObsEvent`` is
     built.  ``tests/obs/test_export.py`` holds the two byte-identical.
     """
-    pairs = sorted(
+    return _pairs_digest(
         (row[4], row[5]) for row in _rows(events)
         if row[0] == "result" and row[4] is not None
     )
-    payload = "\n".join(
-        '{"kind": "result", "start": %d, "stop": %d}' % pair
-        for pair in pairs
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def tiling_digest(chunks: Iterable[tuple]) -> str:
+    """:func:`stream_digest` of a simulated run, read off its chunk rows.
+
+    ``chunks`` is a result's ``SimResult.chunks`` (its rows are read)
+    or the rows themselves: ``(worker, start, stop, ...)``.  A run's
+    rows are its executed tiling -- lost chunks are un-booked, a
+    requeued interval is booked once more where it ran -- and its
+    trace has one ``result`` event per row, so the two digests are
+    equal on every engine, faults included
+    (``tests/obs/test_tiling_digest.py``).  A run that emitted no trace
+    has its digest all the same.
+    """
+    rows = chunks.rows() if hasattr(chunks, "rows") else chunks
+    return _pairs_digest((row[1], row[2]) for row in rows)
 
 
 #: :mod:`json`'s compact writer: what :func:`json_text` falls back to.

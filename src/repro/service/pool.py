@@ -65,7 +65,7 @@ from typing import Callable, Optional, Union
 
 from .. import cache as _cache
 from ..batch import SimJob
-from ..obs import EventList, ObsEvent, events_json, stream_digest
+from ..obs import EventList, ObsEvent, events_json, tiling_digest
 from ..obs.logutil import get_logger
 from ..runtime.chassis import (
     heartbeat_sender,
@@ -73,6 +73,7 @@ from ..runtime.chassis import (
     locked_sender,
 )
 from ..runtime.config import RuntimeConfig
+from ..simulation import FastPathRefused
 from .jobs import job_from_spec
 
 __all__ = [
@@ -161,25 +162,52 @@ def _execute_body(
     job or its encoding raised.  Nothing downstream decodes it: the
     pool stores the bytes, the daemon frames them.
 
-    The digest is computed *here*, from the same
-    :func:`~repro.obs.stream_digest` a one-shot caller would apply to
-    ``job_from_spec(spec).run().obs_events`` -- that equality is the
-    service's bit-exactness contract.  ``collector`` (a
-    :class:`_StreamCollector`) taps the identical events live without
-    perturbing that digest.
+    **Which jobs observe.**  A job whose reply ships no trace and that
+    no subscriber streams (``want_trace`` false, no ``collector``) is
+    first run unobserved with ``fast=True``, so the chassis's one gate
+    gives it the fast path; when the gate refuses (a fault plan,
+    ``fails_at``, a shared segment, TreeS, an adaptive scheme, the
+    ``REPRO_FAST`` kill-switch) it raises
+    :class:`~repro.simulation.FastPathRefused` before anything runs,
+    and the job runs observed, as a traced or streamed one always
+    does.  A spec that sets ``fast`` itself keeps its own policy.
+
+    **Where the numbers come from.**  The digest is
+    :func:`~repro.obs.tiling_digest` of the result's chunk rows: equal
+    to the :func:`~repro.obs.stream_digest` a one-shot caller applies
+    to ``job_from_spec(spec).run().obs_events`` -- that equality is the
+    service's bit-exactness contract -- whether or not this run
+    observed.  ``events_emitted`` is the length of that trace: counted
+    when the run observed, ``SimResult.trace_length`` when it took the
+    fast path.  ``collector`` (a :class:`_StreamCollector`) taps the
+    events live without perturbing either.
     """
     try:
         if isinstance(job, dict):
             job = job_from_spec(job)
-        if collector is not None:
+        result = None
+        if collector is None and not want_trace \
+                and "fast" not in job.params:
+            try:
+                result = dataclasses.replace(
+                    job, params={**job.params, "fast": True},
+                    collect_events=False,
+                ).run()
+            except FastPathRefused:
+                pass
+        if result is None:
             result = job.run(collector=collector)
+        events = result.obs_events
+        if events is None:
+            # The fast path's count of the trace it did not emit (0 for
+            # a ready job built unobserved, which ran the DES).
+            emitted, events = result.trace_length or 0, ()
         else:
-            result = job.run()
-        events = result.obs_events or []
-        digest = stream_digest(events)
+            emitted = len(events)
+        digest = tiling_digest(result.chunks)
         parts = [
             b'{"digest":"%s","events_emitted":%d,"result":' % (
-                digest.encode("ascii"), len(events)),
+                digest.encode("ascii"), emitted),
             result.to_json(want_results).encode("utf-8"),
         ]
         if want_trace:

@@ -3,6 +3,7 @@ master--slave cluster: the stand-in for the paper's 9-workstation Sun
 testbed (see DESIGN.md for the substitution argument)."""
 
 from .cluster import ClusterSpec, NodeSpec
+from .des import FastPathRefused
 from .engine import (
     MasterSlaveSimulation,
     StarvationError,
@@ -26,6 +27,7 @@ __all__ = [
     "NodeSpec",
     "EventQueue",
     "SimulationError",
+    "FastPathRefused",
     "StarvationError",
     "LoadTrace",
     "ConstantLoad",

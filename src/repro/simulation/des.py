@@ -60,7 +60,22 @@ from .metrics import LazyChunkList, SimResult, WorkerMetrics
 if TYPE_CHECKING:
     from ..chaos.plan import FaultPlan
 
-__all__ = ["DesWorker", "DesCluster"]
+__all__ = ["DesWorker", "DesCluster", "FastPathRefused"]
+
+
+class FastPathRefused(SimulationError):
+    """``fast=True`` asked for a run the one gate refuses.
+
+    Raised by :meth:`DesCluster.run` before anything is prepared, so a
+    caller may catch it and run the job another way; ``reason`` says
+    why (the substrate's ``_fast_reason``, or the kill-switch).
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(
+            f"fast=True but the run is not fast-path eligible: {reason}"
+        )
+        self.reason = reason
 
 
 @dataclasses.dataclass
@@ -130,6 +145,12 @@ class DesCluster(Generic[W]):
     STALLED: str
     #: error raised when :meth:`_stranded`.
     STRANDED: str
+    #: events an observed fault-free run emits per computed chunk and
+    #: (for a substrate with a fast path) per participant: what a fast
+    #: run reports as ``SimResult.trace_length``, the trace it did not
+    #: emit.  ``tests/obs/test_substrates.py`` pins the first.
+    TRACE_PER_CHUNK: int
+    TRACE_PER_PE: int
     #: fast-path policy, read by :meth:`run` alone: ``"auto"`` (take it
     #: when eligible), ``True`` (require it; raise when ineligible) or
     #: ``False`` (always run the DES).  A substrate with a fast path
@@ -532,9 +553,8 @@ class DesCluster(Generic[W]):
             reason = self._fast_reason()
             take_fast = reason is None and fastpath.fast_enabled()
             if self.fast is True and not take_fast:
-                raise SimulationError(
-                    f"fast=True but the run is not fast-path eligible: "
-                    f"{reason or 'disabled via ' + fastpath.ENV_FAST}"
+                raise FastPathRefused(
+                    reason or f"disabled via {fastpath.ENV_FAST}"
                 )
         self._prepare()
         self._pref = self.workload.prefix_list()

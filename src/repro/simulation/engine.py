@@ -128,6 +128,11 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         "every worker died with iterations outstanding; the loop "
         "cannot complete"
     )
+    #: request, assign, compute and result per chunk; the dry request
+    #: and terminate per participant (plus its start-up ``acp-update``
+    #: under a distributed scheme).
+    TRACE_PER_CHUNK = 4
+    TRACE_PER_PE = 2
 
     def __init__(
         self,
@@ -237,9 +242,12 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 "request", self.SRC, t, state.index,
                 None, None, None, acp, None, "", None,
             ))
+        # A request that follows a computed chunk delivers its results,
+        # however few bytes they take (``result_bytes_per_item`` may be
+        # 0): the chunk is safe, and ``T_p`` moves, when it lands.
         self.queue.push(
             tx_start + tx, self._master_receive, state,
-            acp, piggyback > 0, nbytes,
+            acp, bool(state.undelivered), nbytes,
         )
 
     def _master_receive(
@@ -329,9 +337,6 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         assert state.pending_chunk is not None
         start, stop, stage, acp = state.pending_chunk
         state.pending_chunk = None
-        # At most one chunk awaits acknowledgement: a predecessor whose
-        # (empty) result message could not acknowledge it is superseded.
-        state.undelivered.clear()
         state.pending_piggyback = (
             (stop - start) * self.cluster.result_bytes_per_item
         )

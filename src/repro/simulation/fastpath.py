@@ -344,8 +344,7 @@ def run_fast_master(sim) -> SimResult:
             if collect:
                 results.append((start, workload.execute(start, stop)))
             # -- send leg, inline: next arrival becomes pending ---------
-            pig = (stop - start) * res_bpi
-            nb = request_bytes + pig
+            nb = request_bytes + (stop - start) * res_bpi
             tx = latency[i] + nb / bandwidth[i]
             acc_com[i] += tx
             if distributed:
@@ -356,7 +355,7 @@ def run_fast_master(sim) -> SimResult:
             nxt_s[i] = finish
             nxt_c[i] = tc
             nxt_rank[i] = rank
-            nxt_carry[i] = pig > 0
+            nxt_carry[i] = True
             nxt_nb[i] = nb
         else:
             # Dry request: terminate fires at the reply's delivery.
@@ -381,9 +380,14 @@ def run_fast_master(sim) -> SimResult:
     # Fault-free event census: per worker, chunks+1 arrivals (the last
     # is the dry request), one compute and one send event per chunk
     # (the first send is a direct call), one terminate.
-    return sim._finish(
-        rows, last_result, 3 * len(rows) + 2 * len(participants)
-    )
+    n, p = len(rows), len(participants)
+    result = sim._finish(rows, last_result, 3 * n + 2 * p)
+    # The trace the DES would have emitted.  ``p`` counts participants:
+    # a PE screened out by ``A_min`` never asks.
+    result.trace_length = sim.TRACE_PER_CHUNK * n + (
+        sim.TRACE_PER_PE + (1 if distributed else 0)
+    ) * p
+    return result
 
 
 # -- decentral fast path ---------------------------------------------------
@@ -573,4 +577,12 @@ def run_fast_decentral(sim) -> SimResult:
     rows.sort(key=itemgetter(3))
     # Census: compute + durable per chunk, terminate per worker (claims
     # are direct calls, not events).
-    return sim._finish(rows, t_p, 2 * len(rows) + n_workers)
+    result = sim._finish(rows, t_p, 2 * n + n_workers)
+    # The trace the DES would have emitted (``n`` chunks, every worker
+    # a participant): a hierarchical claim's global accesses are
+    # fetch-adds on top of its local one.
+    result.trace_length = (
+        sim.TRACE_PER_CHUNK * n + sim.TRACE_PER_PE * n_workers
+        + (global_ops if hierarchical else 0)
+    )
+    return result

@@ -177,6 +177,13 @@ class SimResult(object):
     #: predates the trace layer and counts *simulator queue* events,
     #: not these.
     obs_events: Optional[EventList] = None
+    #: how many events the DES's trace of this run holds, set by the
+    #: fast path, which emits none (None on a DES run: an observed one
+    #: has ``len(obs_events)``).  Not part of the result's content:
+    #: left out of comparison and of :meth:`to_dict`.
+    trace_length: Optional[int] = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def total_iterations(self) -> int:

@@ -107,6 +107,8 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         "every TreeS PE died or finished with iterations outstanding; "
         "the loop cannot complete"
     )
+    #: compute and result per block.
+    TRACE_PER_CHUNK = 2
 
     def __init__(
         self,
@@ -119,6 +121,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
         collect_results: bool = False,
         chaos=None,
         collector=None,
+        fast: object = False,
     ) -> None:
         # A chained ``not`` so NaN fails too: a non-finite interval has
         # no epoch grid (``_next_epoch`` would floor a NaN mid-run).
@@ -150,6 +153,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
                 w.ranges.append([lo, hi])
             w.partners = partner_order(w.index, cluster.size)
         self.weighted = weighted
+        self.fast = fast
         self._master_link_free = 0.0
         self._steals = 0
         #: what ``_compute`` fires when a block finishes, bound once.
@@ -184,6 +188,12 @@ class TreeSimulation(DesCluster[_TreeWorker]):
     def _stranded(self) -> bool:
         return all(s.dead or s.done for s in self.workers) and any(
             s.remaining() for s in self.workers
+        )
+
+    def _fast_reason(self) -> Optional[str]:
+        return (
+            "the tree engine has no fast path (work stealing entangles "
+            "every decision with timing)"
         )
 
     def _label(self) -> tuple[str, int]:
@@ -367,12 +377,16 @@ def simulate_tree(
     collect_results: bool = False,
     chaos=None,
     collector=None,
+    fast: object = False,
 ) -> SimResult:
     """Simulate one TreeS run (see :class:`TreeSimulation`).
 
     ``chaos`` takes a :class:`repro.chaos.FaultPlan`; recovery is
     decentralized (partners reclaim a dead PE's queue), see
-    ``docs/fault_model.md``.
+    ``docs/fault_model.md``.  ``fast`` is the policy the other engines
+    take; TreeS has no fast path, so ``True`` is refused
+    (:class:`~repro.simulation.des.FastPathRefused`) and ``"auto"``
+    runs the DES.
     """
     return TreeSimulation(
         workload,
@@ -384,4 +398,5 @@ def simulate_tree(
         collect_results=collect_results,
         chaos=chaos,
         collector=collector,
+        fast=fast,
     ).run()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import WorkerSpec, run_parallel, run_serial
+from repro.runtime.chassis import WorkerStep
 from repro.workloads import (
     MandelbrotWorkload,
     ReorderedWorkload,
@@ -70,22 +71,55 @@ class TestProtocol:
             run_parallel("TSS", tiny_mandelbrot, 0)
 
 
+class _CountingWorkload(UniformWorkload):
+    """A loop that counts the iterations it executes, burns included."""
+
+    def __init__(self, size: int) -> None:
+        super().__init__(size)
+        self.work = 0
+        self.burns: list[tuple[int, int]] = []
+
+    def execute(self, start: int, stop: int):
+        self.work += stop - start
+        return super().execute(start, stop)
+
+    def burn(self, start: int, stop: int) -> None:
+        self.burns.append((start, stop))
+        super().burn(start, stop)
+
+
+#: Chunks of 16, 24 and 24 iterations.
+_CHUNKS = ((0, 16), (16, 40), (40, 64))
+
+
 class TestHeterogeneityEmulation:
     def test_slowdown_multiplies_compute_time(self):
-        # A slowed worker re-executes each chunk, so its *per-iteration*
-        # wall time is a multiple of an unslowed peer's.  (Tiny chunks
-        # are round-trip-bound, so we assert on measured compute time,
-        # not on how many iterations the scheduler happened to assign.)
-        wl = MandelbrotWorkload(64, 256, max_iter=64)
-        specs = [WorkerSpec(slowdown=8.0), WorkerSpec()]
-        run = run_parallel("CSS(8)", wl, 2, specs=specs)
-        per_iter = {
-            wid: s.compute_seconds / max(1, s.iterations)
-            for wid, s in run.stats.items()
-            if s.iterations
-        }
-        if 0 in per_iter and 1 in per_iter:
-            assert per_iter[0] > 2.0 * per_iter[1]
+        # A slowed worker executes each chunk once for its result, then
+        # burns ``slowdown - 1`` more executions: stated in counted
+        # work, which a busy host cannot skew as it skews a wall-clock
+        # ratio over real processes.
+        wl = _CountingWorkload(64)
+        step = WorkerStep(wl, 0, 8.0, None, "test", None)
+        for start, stop in _CHUNKS:
+            before = wl.work
+            step.compute(start, stop)
+            assert wl.work - before == 8 * (stop - start)
+            assert wl.burns[-7:] == [(start, stop)] * 7
+        assert step.stats.chunks == len(_CHUNKS)
+        assert step.stats.iterations == 64
+
+    def test_fractional_slowdown_burns_a_prefix(self):
+        # 2.5: the result's execution, one full burn, then the first
+        # half of the chunk once more.
+        wl = _CountingWorkload(64)
+        step = WorkerStep(wl, 0, 2.5, None, "test", None)
+        for start, stop in _CHUNKS:
+            del wl.burns[:]
+            before = wl.work
+            step.compute(start, stop)
+            half = (stop - start) // 2
+            assert wl.burns == [(start, stop), (start, start + half)]
+            assert wl.work - before == 2 * (stop - start) + half
 
     def test_distributed_scheme_uses_acp(self, tiny_mandelbrot):
         specs = [
