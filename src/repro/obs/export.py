@@ -217,20 +217,18 @@ def stream_digest(events: Iterable[ObsEvent]) -> str:
     )
 
 
-def tiling_digest(chunks: Iterable[tuple]) -> str:
+def tiling_digest(chunks) -> str:
     """:func:`stream_digest` of a simulated run, read off its chunk rows.
 
-    ``chunks`` is a result's ``SimResult.chunks`` (its rows are read)
-    or the rows themselves: ``(worker, start, stop, ...)``.  A run's
-    rows are its executed tiling -- lost chunks are un-booked, a
-    requeued interval is booked once more where it ran -- and its
-    trace has one ``result`` event per row, so the two digests are
-    equal on every engine, faults included
-    (``tests/obs/test_tiling_digest.py``).  A run that emitted no trace
-    has its digest all the same.
+    ``chunks`` is a result's ``SimResult.chunks``, whose rows are
+    ``(worker, start, stop, ...)``.  A run's rows are its executed
+    tiling -- lost chunks are un-booked, a requeued interval is booked
+    once more where it ran -- and its trace has one ``result`` event
+    per row, so the two digests are equal on every engine, faults
+    included (``tests/obs/test_tiling_digest.py``).  A run that emitted
+    no trace has its digest all the same.
     """
-    rows = chunks.rows() if hasattr(chunks, "rows") else chunks
-    return _pairs_digest((row[1], row[2]) for row in rows)
+    return _pairs_digest((row[1], row[2]) for row in chunks.rows())
 
 
 #: :mod:`json`'s compact writer: what :func:`json_text` falls back to.

@@ -152,7 +152,8 @@ def _execute_body(
 
     ``job`` is a wire spec (what the daemon admitted), built here with
     :func:`~repro.service.jobs.job_from_spec`, or a ready
-    :class:`~repro.batch.SimJob`.
+    :class:`~repro.batch.SimJob` built as that function builds it
+    (``collect_events=True``).
 
     ``body`` is the job's share of its ``wait`` reply, encoded here,
     once: a JSON object of ``digest``, ``events_emitted``, ``result``
@@ -198,12 +199,9 @@ def _execute_body(
         if result is None:
             result = job.run(collector=collector)
         events = result.obs_events
-        if events is None:
-            # The fast path's count of the trace it did not emit (0 for
-            # a ready job built unobserved, which ran the DES).
-            emitted, events = result.trace_length or 0, ()
-        else:
-            emitted = len(events)
+        emitted = (
+            result.trace_length if events is None else len(events)
+        )
         digest = tiling_digest(result.chunks)
         parts = [
             b'{"digest":"%s","events_emitted":%d,"result":' % (

@@ -119,6 +119,7 @@ def test_a_spec_that_asks_for_fast_keeps_its_policy():
     spec = {**_LINEAR, "params": {"fast": True}}
     with pytest.raises(FastPathRefused) as caught:
         job_from_spec(spec).run()
+    assert caught.value.reason == "an observability collector is attached"
     digest, body = _execute_body(spec, False, False)
     assert digest is None
     assert body.decode() == (
