@@ -36,8 +36,11 @@ adapt      the adaptive meta-scheduler opened a stage: ``[start,
            efficiency posted for the previous stage
 job-submit the service admitted a tenant's job (``detail`` carries
            ``tenant=... job=... scheme=...``)
-job-assign the service finished cost-profile resolution and queued
-           the job onto the shared pool
+job-assign the service handed the admitted job to the shared pool:
+           emitted at admission, right after ``job-submit`` in the
+           same step of the event loop, as the record goes to
+           ``pool.submit`` (admission resolves nothing; the pool
+           worker that runs the job resolves its cost profile)
 job-result the job reached a terminal success; ``value`` carries the
            pool execution time, ``worker`` the slot that ran it
 job-reject admission refused (``detail`` names the backpressure

@@ -40,6 +40,12 @@ thread of its own.  A caller on another thread goes through
 :func:`_on_loop`, which hands the call to the loop and waits for its
 result.  The clock is that loop's ``time()``.
 
+**One job table.**  The pool owns every admitted job's state:
+:attr:`WorkerPool.records` maps each job id to its :class:`JobRecord`,
+and :meth:`WorkerPool.pending` counts what its queues and slots hold,
+for one tenant or for all.  The daemon reads both (admission, ``wait``,
+``status``, drain) and keeps no copy of either.
+
 The pool is transport-agnostic: the asyncio daemon drives it through
 :meth:`~WorkerPool.submit` and its callbacks, and the unit tests drive
 it directly, from the loop or from plain threads.  Every state
@@ -475,13 +481,11 @@ class WorkerPool(object):
     """Shared multi-tenant execution pool (see module doc).
 
     The callbacks run on the pool's loop.  ``on_complete(record)``
-    fires whenever a job reaches a terminal state, and
-    ``on_events(record, batch)`` for each batch of chunk events a
-    worker streams.  ``on_idle()`` fires whenever the pool transitions
-    to fully idle (nothing queued, nothing running) -- the drain hook.
-    Only a job turning terminal can make that transition, so it fires
-    there, after that job's ``on_complete``, and never from an idle
-    liveness scan.
+    fires whenever a job reaches a terminal state, after the dispatch
+    that job's end made possible, and ``on_events(record, batch)`` for
+    each batch of chunk events a worker streams.  The workers are
+    forked, so they inherit the :mod:`repro.cache` directory the daemon
+    configured before :meth:`start`.
     """
 
     def __init__(
@@ -489,33 +493,33 @@ class WorkerPool(object):
         size: int,
         config: Optional[RuntimeConfig] = None,
         on_complete: Optional[Callable[[JobRecord], None]] = None,
-        on_idle: Optional[Callable[[], None]] = None,
         on_events: Optional[
             Callable[[JobRecord, list], None]
         ] = None,
         max_requeues: int = DEFAULT_MAX_REQUEUES,
-        mp_context: str = "fork",
     ) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.size = int(size)
         self.config = config or SERVICE_RUNTIME
         self.on_complete = on_complete or (lambda record: None)
-        self.on_idle = on_idle or (lambda: None)
         self.on_events = on_events or (lambda record, batch: None)
         self.max_requeues = int(max_requeues)
-        self._ctx = mp.get_context(mp_context)
+        self._ctx = mp.get_context("fork")
         self._handles: list[_Handle] = [
             _Handle(slot) for slot in range(self.size)
         ]
         self._queues: dict[str, deque[JobRecord]] = {}
         self._rr: deque[str] = deque()
-        self._records: dict[str, JobRecord] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: The private loop's thread, when start() found no loop running.
         self._host: Optional[threading.Thread] = None
         self._scan: Optional[asyncio.TimerHandle] = None
         self._running = False
+        #: The daemon's one job table: every record :meth:`submit` took,
+        #: by job id, queued, running or terminal.  ``wait`` and
+        #: ``status`` read it; a ``metrics`` poll never scans it.
+        self.records: dict[str, JobRecord] = {}
         #: The service ledger: every submit/assign/result/death/requeue,
         #: consumed by :func:`repro.verify.audit_service_log`.
         self.log: list[dict] = []
@@ -612,7 +616,7 @@ class WorkerPool(object):
             queue = self._queues[record.tenant] = deque()
             self._rr.append(record.tenant)
         queue.append(record)
-        self._records[record.job_id] = record
+        self.records[record.job_id] = record
         self._append_log("submit", record, worker=None, incarnation=None)
         self._dispatch()
 
@@ -640,14 +644,18 @@ class WorkerPool(object):
         }
 
     @_on_loop
-    def pending_total(self) -> int:
-        """Jobs admitted but not terminal (queued + running)."""
-        return sum(len(q) for q in self._queues.values()) + sum(
-            1 for h in self._handles if h.record is not None
+    def pending(self, tenant: Optional[str] = None) -> int:
+        """Jobs submitted but not terminal (queued + running): one
+        tenant's, or every tenant's when ``tenant`` is ``None``.
+        Counted from the queues and the slots, so a requeued job counts
+        once, wherever it is."""
+        return sum(
+            len(queue) for name, queue in self._queues.items()
+            if tenant in (None, name)
+        ) + sum(
+            1 for h in self._handles
+            if h.record is not None and tenant in (None, h.record.tenant)
         )
-
-    def idle(self) -> bool:
-        return self.pending_total() == 0
 
     @_on_loop
     def cache_counters(self) -> tuple[int, int]:
@@ -686,15 +694,6 @@ class WorkerPool(object):
             h.proc.pid if h.proc is not None else None
             for h in self._handles
         ]
-
-    @_on_loop
-    def busy_slots(self) -> dict[int, str]:
-        """``{slot: job_id}`` for slots currently executing a job."""
-        return {
-            h.slot: h.record.job_id
-            for h in self._handles
-            if h.record is not None
-        }
 
     # -- internals: all on the pool's loop ---------------------------------
 
@@ -827,7 +826,7 @@ class WorkerPool(object):
             # Incarnation guard: a delivery the ledger no longer
             # expects (job already requeued elsewhere) is dropped,
             # never double-counted.
-            stale = self._records.get(job_id)
+            stale = self.records.get(job_id)
             if stale is not None:
                 self._append_log(
                     "stale-result", stale,
@@ -847,12 +846,7 @@ class WorkerPool(object):
             incarnation=handle.incarnation,
         )
         self._dispatch()  # the slot this freed
-        self._completed(record)
-
-    def _completed(self, record: JobRecord) -> None:
         self.on_complete(record)
-        if self.pending_total() == 0:
-            self.on_idle()
 
     def _revive(self, handle: _Handle) -> None:
         """An incarnation is gone: close its pipe, requeue its job (or
@@ -906,7 +900,7 @@ class WorkerPool(object):
         self._spawn(handle)
         self._dispatch()  # the slot this revived, or any idle one
         if failed:
-            self._completed(record)
+            self.on_complete(record)
 
     def _dispatch(self) -> None:
         """Hand queued jobs to idle workers, round-robin over tenants.

@@ -5,8 +5,9 @@ the :mod:`repro.service.protocol` frame format, and multiplexes every
 tenant's loop jobs over one shared :class:`~repro.service.pool.
 WorkerPool`.  The production concerns, in the order a job meets them:
 
-* **admission control** -- an admitted-but-unfinished job count is
-  bounded by ``queue_capacity`` globally and ``tenant_capacity`` per
+* **admission control** -- an admitted-but-unfinished job count
+  (:meth:`WorkerPool.pending <repro.service.pool.WorkerPool.pending>`)
+  is bounded by ``queue_capacity`` globally and ``tenant_capacity`` per
   tenant.  Past either bound a submit is *rejected* with a reasoned
   backpressure reply (``queue-full`` / ``tenant-quota``) -- the queue
   never grows without bound, so memory stays bounded no matter how
@@ -49,8 +50,11 @@ answered (see :class:`_Connection`).
 
 The daemon is one thread.  Its event loop serves the connections and
 drives the pool too: the pool reads its workers' pipes and sentinels
-as loop readers and calls :meth:`ServiceServer._on_complete`,
-``_on_events`` and ``_check_drained`` directly, on the loop.
+as loop readers and calls :meth:`ServiceServer._on_complete` and
+``_on_events`` directly, on the loop.  The pool owns the job table
+(:attr:`WorkerPool.records <repro.service.pool.WorkerPool.records>`);
+the daemon keeps only what a client connection needs on top of it:
+each unfinished job's future.
 """
 
 from __future__ import annotations
@@ -172,7 +176,6 @@ class ServiceServer(object):
             size=config.workers,
             config=config.runtime,
             on_complete=self._on_complete,
-            on_idle=self._check_drained,
             on_events=self._on_events,
             max_requeues=config.max_requeues,
         )
@@ -189,10 +192,8 @@ class ServiceServer(object):
         self._subscribers: list[_Subscription] = []
         self._stream_tasks: set[asyncio.Task] = set()
         self._connections: set[_Connection] = set()
-        self._records: dict[str, JobRecord] = {}
         self._futures: dict[str, asyncio.Future] = {}
         self._ids = itertools.count(1)
-        self._tenant_pending: dict[str, int] = {}
         self.draining = False
         self._drained = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
@@ -298,9 +299,6 @@ class ServiceServer(object):
     # -- pool callbacks (on the loop) --------------------------------------
 
     def _on_complete(self, record: JobRecord) -> None:
-        self._tenant_pending[record.tenant] = max(
-            0, self._tenant_pending.get(record.tenant, 1) - 1
-        )
         ok = record.state == "done"
         self.metrics.counter(
             "jobs_completed_total" if ok else "jobs_failed_total"
@@ -332,9 +330,10 @@ class ServiceServer(object):
         future = self._futures.pop(record.job_id, None)
         if future is not None and not future.done():
             future.set_result(record)
+        self._check_drained()
 
     def _check_drained(self) -> None:
-        if self.draining and self.pool.idle():
+        if self.draining and self.pool.pending() == 0:
             self._drained.set()
 
     def _on_events(self, record: JobRecord, batch: list) -> None:
@@ -425,10 +424,9 @@ class ServiceServer(object):
     def _admission_error(self, tenant: str) -> Optional[str]:
         if self.draining:
             return "draining"
-        if self.pool.pending_total() >= self.config.queue_capacity:
+        if self.pool.pending() >= self.config.queue_capacity:
             return "queue-full"
-        if self._tenant_pending.get(tenant, 0) \
-                >= self.config.tenant_capacity:
+        if self.pool.pending(tenant) >= self.config.tenant_capacity:
             return "tenant-quota"
         return None
 
@@ -479,12 +477,8 @@ class ServiceServer(object):
             want_stream=bool(spec.get("stream"))
             or any(sub.wants(tenant) for sub in self._subscribers),
         )
-        self._records[job_id] = record
         self._futures[job_id] = asyncio.get_running_loop() \
             .create_future()
-        self._tenant_pending[tenant] = (
-            self._tenant_pending.get(tenant, 0) + 1
-        )
         self.metrics.counter("jobs_submitted_total").inc()
         self.metrics.counter(f"tenant:{tenant}:submitted").inc()
         self._emit(
@@ -514,7 +508,7 @@ class ServiceServer(object):
     def _status(self) -> dict:
         stats = self.pool.stats()
         states: dict[str, int] = {}
-        for record in self._records.values():
+        for record in self.pool.records.values():
             states[record.state] = states.get(record.state, 0) + 1
         hits, misses = self.pool.cache_counters()
         return {
@@ -876,7 +870,7 @@ class _Connection(asyncio.Protocol):
                           message=str(exc))
         job_id = doc.get("job_id")
         record = (
-            server._records.get(job_id) if isinstance(job_id, str)
+            server.pool.records.get(job_id) if isinstance(job_id, str)
             else None
         )
         if record is None or record.tenant != self.tenant:

@@ -31,11 +31,13 @@ SNAPPY = RuntimeConfig(
 )
 
 # Wall-clock slow in the worker (SS = one DES event pair per
-# iteration, ~2s) -- the window the seeded kill lands in.
+# iteration; ``fast`` off keeps it off the fast path, which would
+# finish it before the kill): the window the seeded kill lands in.
 SLOW_SPEC = {
     "scheme": "SS",
     "workload": {"kind": "uniform", "size": 60000, "unit": 1e-4},
     "cluster": {"workers": 2},
+    "params": {"fast": False},
 }
 FAST_SPEC = {
     "scheme": "TSS",
@@ -128,8 +130,8 @@ class TestLiveChaos:
         # Both slots die shortly after the victim job starts; the
         # plan is seeded data, not an inline kill call.
         plan = FaultPlan(events=(
-            WorkerDeath(worker=0, at=0.6),
-            WorkerDeath(worker=1, at=0.6),
+            WorkerDeath(worker=0, at=0.2),
+            WorkerDeath(worker=1, at=0.2),
             MessageDelay(worker=0, at=0.1, delay=0.5),  # skipped
         ))
         with _Daemon(tmp_path) as d:

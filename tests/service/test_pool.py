@@ -155,7 +155,7 @@ class TestExecution:
                     job_id, f"tenant{i % 3}", FAST_SPEC
                 ))
             sink.wait_for(*ids)
-            assert pool.idle()
+            assert pool.pending() == 0
         digests = {_body(sink.done[j])["digest"] for j in ids}
         assert len(digests) == 1  # identical jobs, identical digests
         report = audit_service_log(pool.log)
@@ -200,14 +200,17 @@ class TestExecution:
 
 
 class TestDeathRecovery:
-    def _wait_busy(self, pool: WorkerPool, timeout: float = 15.0) -> int:
+    def _wait_busy(
+        self, pool: WorkerPool, job_id: str, timeout: float = 15.0
+    ) -> int:
+        """The slot running ``job_id``, once it runs."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            busy = pool.busy_slots()
-            if busy:
-                return next(iter(busy))
+            record = pool.records[job_id]
+            if record.state == "running":
+                return record.worker
             time.sleep(0.02)
-        raise AssertionError("no job ever started running")
+        raise AssertionError(f"{job_id} never started running")
 
     def test_sigkill_requeues_and_recovers_exactly_once(self):
         reference = stream_digest(
@@ -217,7 +220,7 @@ class TestDeathRecovery:
         with WorkerPool(size=1, config=SNAPPY,
                         on_complete=sink) as pool:
             pool.submit(_record("victim", "alice", SLOW_SPEC))
-            slot = self._wait_busy(pool)
+            slot = self._wait_busy(pool, "victim")
             assert pool.kill_worker(slot) is True
             sink.wait_for("victim")
         record = sink.done["victim"]
@@ -237,7 +240,7 @@ class TestDeathRecovery:
                         max_requeues=1) as pool:
             pool.submit(_record("cursed", "alice", SLOW_SPEC))
             for _ in range(2):
-                slot = self._wait_busy(pool)
+                slot = self._wait_busy(pool, "cursed")
                 pool.kill_worker(slot)
                 time.sleep(0.3)  # let the loop revive + redispatch
             sink.wait_for("cursed")
@@ -258,7 +261,7 @@ class TestDeathRecovery:
                         on_complete=sink) as pool:
             pool.submit(_record("a-slow", "alice", SLOW_SPEC))
             # Wait for alice's job to occupy a slot, then kill it.
-            slot = self._wait_busy(pool)
+            slot = self._wait_busy(pool, "a-slow")
             pool.submit(_record("b-fast", "bob", FAST_SPEC))
             pool.kill_worker(slot)
             sink.wait_for("a-slow", "b-fast")
@@ -347,29 +350,6 @@ def _wait_until(what: str, ready, timeout: float = 30.0) -> None:
         time.sleep(0.01)
 
 
-class TestIdleHook:
-    def test_on_idle_fires_on_the_edge_not_every_turn(self):
-        """``on_idle`` is the busy -> idle transition: N jobs run one
-        at a time make it at most N + 1 times, and an idle liveness
-        scan (which still runs every ``poll_timeout``) never does."""
-        sink = _Sink()
-        idles: list[float] = []
-        n = 5
-        with WorkerPool(size=1, config=SNAPPY, on_complete=sink,
-                        on_idle=lambda: idles.append(time.monotonic())
-                        ) as pool:
-            for i in range(n):
-                pool.submit(_record(f"j{i}", "alice", FAST_SPEC))
-                sink.wait_for(f"j{i}")
-            _wait_until("the last job's idle edge never fired",
-                        lambda: len(idles) >= 1 and pool.idle())
-            time.sleep(2 * SNAPPY.poll_timeout)
-            fired = len(idles)
-            time.sleep(5 * SNAPPY.poll_timeout)
-            assert len(idles) == fired, "on_idle fired on an idle turn"
-        assert 1 <= fired <= n + 1, fired
-
-
 class TestTwoThreadDispatch:
     """Every dispatch runs on the pool's loop, whichever thread asks:
     a caller on the loop dispatches inline, a caller on another thread
@@ -414,10 +394,13 @@ class TestTwoThreadDispatch:
             with WorkerPool(size=1, config=SNAPPY,
                             on_complete=on_complete) as pool:
                 pool.submit(_record("blocker", "alice", blocker_spec))
-                assert pool.busy_slots() == {0: "blocker"}
+                blocker = pool.records["blocker"]
+                assert blocker.state == "running" and blocker.worker == 0
                 pool.submit(queued)
                 assert queued.state == "queued" and queued.worker == -1
                 assert pool.stats()["queued_by_tenant"] == {"bob": 1}
+                assert [pool.pending(t) for t in (None, "alice", "bob",
+                                                  "carol")] == [2, 1, 1, 0]
                 assert await asyncio.wait_for(finished, 60.0) is queued
             return pool
 
@@ -502,7 +485,7 @@ class TestTwoThreadDispatch:
                 stop.set()
                 chaos.join(timeout=60.0)
                 assert not chaos.is_alive()
-                assert pool.idle()
+                assert pool.pending() == 0
         finally:
             sys.setswitchinterval(interval)
         assert not errors, errors
@@ -679,7 +662,7 @@ class TestSpill:
 
         @pool_module._on_loop
         def heap_mark(pool: WorkerPool) -> int:
-            assert pool.idle()
+            assert pool.pending() == 0
             gc.collect()
             return tracemalloc.get_traced_memory()[0]
 

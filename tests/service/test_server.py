@@ -313,7 +313,7 @@ class TestBasics:
             assert reply["error"].startswith(
                 "WorkloadError: iteration costs must be finite")
             assert c.ping()  # same connection, handler still alive
-            assert d.server._tenant_pending["alice"] == 0
+            assert d.server.pool.pending("alice") == 0
             # tenant_capacity is 1: a leaked slot would refuse this.
             assert c.run(tenant_spec(0), timeout=60)["state"] == "done"
             ledger = c.log()
@@ -372,6 +372,27 @@ class TestHeldWait:
             assert a.ping()  # the timed-out connection is served on
             assert recv_frame(b._sock)["state"] == "done"
             assert a.wait(job_id, timeout=60)["state"] == "done"
+
+    def test_status_counts_jobs_by_state(self, tmp_path):
+        with _Daemon(tmp_path, workers=1) as d, d.client("alice") as c:
+            assert c.status()["jobs"] == {}
+            assert c.run(tenant_spec(0), timeout=60)["state"] == "done"
+            failed = c.submit(UNRESOLVABLE_SPEC)
+            assert c._request({"op": "wait", "job_id": failed})["state"] \
+                == "failed"
+            assert c.status()["jobs"] == {"done": 1, "failed": 1}
+            # One write: the status is answered in the loop step that
+            # sent the job to the only worker.
+            c._sock.sendall(
+                encode_frame({"op": "submit", "job": self.SLOWISH,
+                              "seq": 1})
+                + encode_frame({"op": "status", "seq": 2})
+            )
+            job_id = recv_frame(c._sock)["job_id"]
+            assert recv_frame(c._sock)["status"]["jobs"] \
+                == {"done": 1, "failed": 1, "running": 1}
+            assert c.wait(job_id, timeout=60)["state"] == "done"
+            assert c.status()["jobs"] == {"done": 2, "failed": 1}
 
 
 def _recv_payload(sock) -> bytes:
@@ -444,7 +465,7 @@ class TestSpilledReplies:
             c.drain()
             d._thread.join(timeout=30.0)
             assert not d._thread.is_alive(), "daemon failed to drain"
-        kept, spilled = (d.server._records[job_id] for job_id in ids)
+        kept, spilled = (d.server.pool.records[job_id] for job_id in ids)
         assert kept._held is not None and kept._spill is None
         assert spilled._spill is not None and spilled._held is None
         assert json.loads(replies[0]) == json.loads(PINNED_REPLY)
@@ -563,6 +584,50 @@ class TestAdmissionControl:
                 other = modest.submit(tenant_spec(1))
                 assert greedy.wait(first, timeout=60)["state"] == "done"
                 assert modest.wait(other, timeout=60)["state"] == "done"
+
+    @pytest.mark.parametrize("max_requeues", [3, 0])
+    def test_tenant_quota_holds_across_a_worker_death(
+        self, tmp_path, max_requeues
+    ):
+        """A job whose worker dies still counts against its tenant's
+        quota while it is requeued, until it finishes; a job that dies
+        once too often fails, and frees the quota, at once."""
+        # SS in the observed DES (``fast`` off): a run is tens of times
+        # a status round trip, the window the requeued job is pending
+        # in.
+        held = dict(tenant_spec(0), scheme="SS",
+                    workload={"kind": "uniform", "size": 30000,
+                              "unit": 1e-4},
+                    params={"fast": False})
+        with _Daemon(tmp_path, workers=1, tenant_capacity=1,
+                     max_requeues=max_requeues) as d, \
+                d.client("alice") as c:
+            # One write: the kill lands in the loop step that sent the
+            # job to slot 0, so it hits the job's incarnation.
+            c._sock.sendall(
+                encode_frame({"op": "submit", "job": held, "seq": 1})
+                + encode_frame({"op": "kill-worker", "worker": 0,
+                                "seq": 2})
+            )
+            job_id = recv_frame(c._sock)["job_id"]
+            assert recv_frame(c._sock)["killed"] is True
+            _wait_until(
+                "the death never reached the ledger",
+                lambda: any(e["ev"] in ("requeue", "error")
+                            for e in c.log()))
+            if max_requeues:
+                with pytest.raises(ServiceError) as err:
+                    c.submit(tenant_spec(0))
+                assert err.value.reason == "tenant-quota"
+                out = c.wait(job_id, timeout=60)
+                assert out["state"] == "done" and out["requeues"] == 1
+            else:
+                out = c._request({"op": "wait", "job_id": job_id})
+                assert out["state"] == "failed"
+                assert out["error"].startswith("too-many-requeues")
+            assert c.run(tenant_spec(0), timeout=60)["state"] == "done"
+            ledger = c.log()
+        audit_service_log(ledger).raise_if_failed()
 
 
 class TestDrain:
@@ -693,7 +758,7 @@ class TestOneThread:
         seen: dict[str, set[int]] = {}
         with _Daemon(tmp_path, workers=1) as d:
             pool = d.server.pool
-            for name in ("on_complete", "on_events", "on_idle"):
+            for name in ("on_complete", "on_events"):
                 def spy(*args, _name=name, _hook=getattr(pool, name)):
                     seen.setdefault(_name, set()).add(threading.get_ident())
                     return _hook(*args)
@@ -707,7 +772,7 @@ class TestOneThread:
         assert out["state"] == "done"
         assert seen == {
             name: {d._thread.ident}
-            for name in ("on_complete", "on_events", "on_idle")
+            for name in ("on_complete", "on_events")
         }, seen
 
     def test_ledger_and_job_events_read_the_loop_clock(self, tmp_path):
