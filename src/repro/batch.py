@@ -29,7 +29,7 @@ once per task.  Results come back as chunk *rows* (see
 object per chunk.
 
 ``n_jobs`` resolution: an explicit positive integer wins; ``0`` or
-``None`` means "all cores" (``REPRO_JOBS`` overrides the core count).
+``None`` means "all cores".
 
 Million-run sweeps additionally need *streaming*: results must land on
 disk as they finish, memory must stay bounded, and a killed sweep must
@@ -69,10 +69,6 @@ __all__ = [
     "stream_batch",
     "resolve_jobs",
 ]
-
-#: Environment variable overriding the "all cores" job count.
-ENV_JOBS = "REPRO_JOBS"
-
 
 @dataclasses.dataclass(frozen=True)
 class SimJob(object):
@@ -197,12 +193,6 @@ def _execute_many(jobs: list[SimJob]) -> list[SimResult]:
 def resolve_jobs(n_jobs: Optional[int]) -> int:
     """Normalize an ``n_jobs`` request to a concrete worker count."""
     if n_jobs is None or n_jobs == 0:
-        env = os.environ.get(ENV_JOBS)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                pass
         return max(1, os.cpu_count() or 1)
     if n_jobs < 0:
         raise ValueError(f"n_jobs must be >= 0 or None, got {n_jobs}")

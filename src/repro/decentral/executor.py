@@ -301,7 +301,6 @@ def run_decentral(
     group_size: Optional[int] = None,
     lease: int = 8,
     collect_results: bool = True,
-    mp_context: str = "fork",
     config: Optional[RuntimeConfig] = None,
     plan: Optional[FaultPlan] = None,
     time_scale: float = 1.0,
@@ -334,7 +333,7 @@ def run_decentral(
     with CounterChassis(
         workload, specs, calc, group_size, lease, collect_results,
         plan=plan, time_scale=time_scale, stress_size=stress_size,
-        mp_context=mp_context, config=config, collector=collector,
+        config=config, collector=collector,
     ) as chassis:
         obs = chassis.obs
         wall0 = time.perf_counter()

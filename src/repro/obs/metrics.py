@@ -182,10 +182,7 @@ class MetricsRegistry(object):
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
-def metrics_from_events(
-    events: Iterable[ObsEvent],
-    registry: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
+def metrics_from_events(events: Iterable[ObsEvent]) -> MetricsRegistry:
     """Derive the standard metric catalog from a unified event stream.
 
     Catalog (see ``docs/observability.md``):
@@ -207,7 +204,7 @@ def metrics_from_events(
     * ``restarts_total`` (counter);
     * ``workers`` (gauge) -- distinct workers observed.
     """
-    reg = registry if registry is not None else MetricsRegistry()
+    reg = MetricsRegistry()
     chunk_size = reg.histogram("chunk_size")
     compute_seconds = reg.histogram("compute_seconds")
     dispatch = reg.histogram("dispatch_latency")

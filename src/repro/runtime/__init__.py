@@ -1,7 +1,7 @@
 """Real master--worker execution on OS processes (the mpi4py-style
 substrate; see DESIGN.md for the MPI substitution argument)."""
 
-from .config import DEFAULT_CONFIG, RuntimeConfig
+from .config import RuntimeConfig
 from .chassis import BackgroundLoad, ProcessChassis, assemble_results
 from .executor import PipeChassis, RunResult, run_parallel, run_serial
 from .master import (
@@ -23,7 +23,6 @@ __all__ = [
     "Terminate",
     "WorkerStats",
     "RuntimeConfig",
-    "DEFAULT_CONFIG",
     "MasterHooks",
     "IncompleteRunError",
     "WorkerTimeoutError",

@@ -111,13 +111,12 @@ class BackgroundLoad(object):
         self,
         processes: int = 2,
         size: int = 1000,
-        mp_context: str = "fork",
     ) -> None:
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.processes = processes
         self.size = size
-        self._ctx: Any = mp.get_context(mp_context)
+        self._ctx: Any = mp.get_context("fork")
         self._stop = self._ctx.Event()
         self._procs: list[BaseProcess] = []
 
@@ -163,7 +162,6 @@ class ProcessChassis(object):
         plan: Optional[FaultPlan] = None,
         time_scale: float = 1.0,
         stress_size: int = 200,
-        mp_context: str = "fork",
         config: Optional[RuntimeConfig] = None,
         collector: Any = None,
     ) -> None:
@@ -178,9 +176,8 @@ class ProcessChassis(object):
         self.n_workers = n_workers
         self.plan = plan
         self.stress_size = int(stress_size)
-        self.mp_context = mp_context
-        self.ctx: Any = mp.get_context(mp_context)
-        self.config = config or RuntimeConfig.from_env()
+        self.ctx: Any = mp.get_context("fork")
+        self.config = config or RuntimeConfig()
         #: injection events (source ``chaos``) land here.
         self.obs = _resolve_collector(collector)
         #: wid -> number of the incarnation currently (or last) alive.
@@ -349,10 +346,7 @@ class ProcessChassis(object):
                 (restart.at, partial(self._restart, restart.worker))
             )
         for spike in self.plan.spikes:
-            load = BackgroundLoad(
-                spike.extra_q, size=self.stress_size,
-                mp_context=self.mp_context,
-            )
+            load = BackgroundLoad(spike.extra_q, size=self.stress_size)
             self._loads.append(load)
             script.append((spike.at, partial(self._spike, spike, load)))
             script.append((spike.at + spike.duration, load.stop))

@@ -1,74 +1,43 @@
-"""Runtime tuning knobs, with environment overrides.
+"""Runtime tuning knobs.
 
 The master's poll timeout used to be a magic ``wait(..., timeout=5.0)``
 buried in :mod:`repro.runtime.master`; every timing behaviour of the
-runtime now lives here, documented, defaulted, and overridable both
-programmatically (pass a :class:`RuntimeConfig`) and operationally
-(environment variables, read by :meth:`RuntimeConfig.from_env`):
+runtime now lives here, documented and defaulted.  A caller that needs
+other values passes its own :class:`RuntimeConfig` (the service pool's
+``SERVICE_RUNTIME`` does):
 
-``REPRO_POLL_TIMEOUT``
+``poll_timeout``
     Seconds :func:`multiprocessing.connection.wait` blocks per poll
     (default 5.0).  Smaller values detect dead workers faster and admit
     chaos-restarted workers sooner, at the cost of more wakeups.
-``REPRO_WORKER_DEADLINE``
+``worker_deadline``
     Seconds of total silence (no request, no heartbeat) after which a
     worker is declared dead and its outstanding interval is requeued
-    (default 120).  ``0`` or negative disables the deadline.
-``REPRO_HEARTBEAT_INTERVAL``
+    (default 120).  ``None`` disables the deadline.
+``heartbeat_interval``
     Seconds between worker heartbeats (default 2.0).  Heartbeats let a
     worker stay "alive" through a long chunk; without them the deadline
-    must exceed the longest chunk.  ``0`` or negative disables them.
-``REPRO_JOIN_TIMEOUT``
+    must exceed the longest chunk.  ``None`` disables them.
+``join_timeout``
     Seconds the executor waits for worker processes to exit (default
     30).
 
-Values are validated; a deadline shorter than the heartbeat interval is
-rejected because every worker would time out by construction.
+Values are validated: every one set is finite and positive (``inf`` would
+overflow the poll's ``wait``), and a deadline shorter than the
+heartbeat interval is rejected because every worker would time out by
+construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from typing import Hashable, Iterable, Mapping, Optional, TypeVar
 
-__all__ = ["RuntimeConfig", "DEFAULT_CONFIG", "env_float"]
+__all__ = ["RuntimeConfig"]
 
 
 _K = TypeVar("_K", bound=Hashable)
-
-
-def env_float(name: str) -> Optional[float]:
-    """Parse ``$name`` as a finite float; ``None`` when unset/empty.
-
-    Shared by every ``REPRO_*`` knob (runtime and service client):
-    errors always name the variable, and non-finite values are
-    rejected before they can disable a timeout forever.
-    """
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"environment variable {name} must be a number, got {raw!r}"
-        ) from None
-    if not math.isfinite(value):
-        # float("nan") / float("inf") parse fine but would either trip
-        # validation with a message that never names the env var, or
-        # (inf) silently disable polling forever.
-        raise ValueError(
-            f"environment variable {name} must be finite, got {raw!r}"
-        )
-    return value
-
-
-def _disable_if_nonpositive(value: Optional[float]) -> Optional[float]:
-    if value is not None and value <= 0:
-        return None
-    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,6 +50,12 @@ class RuntimeConfig(object):
     join_timeout: float = 30.0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(
+                    f"{field.name} must be finite, got {value}"
+                )
         if not (self.poll_timeout > 0):
             raise ValueError(
                 f"poll_timeout must be > 0, got {self.poll_timeout}"
@@ -142,42 +117,3 @@ class RuntimeConfig(object):
             self.poll_timeout,
             max(0.0, oldest + self.worker_deadline - now),
         )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "RuntimeConfig":
-        """Defaults, overlaid with ``REPRO_*`` env vars, then kwargs.
-
-        ``REPRO_WORKER_DEADLINE=0`` / ``REPRO_HEARTBEAT_INTERVAL=0``
-        (or any non-positive value) disable the corresponding feature.
-        """
-        values: dict = {}
-        poll = env_float("REPRO_POLL_TIMEOUT")
-        if poll is not None:
-            if poll <= 0:
-                # Unlike the deadline/heartbeat knobs there is no
-                # "disabled" reading of a non-positive poll timeout;
-                # fail here so the error names the variable instead of
-                # surfacing as a bare constructor complaint.
-                raise ValueError(
-                    f"environment variable REPRO_POLL_TIMEOUT must be "
-                    f"> 0, got {poll}"
-                )
-            values["poll_timeout"] = poll
-        deadline = env_float("REPRO_WORKER_DEADLINE")
-        if deadline is not None:
-            values["worker_deadline"] = _disable_if_nonpositive(deadline)
-        heartbeat = env_float("REPRO_HEARTBEAT_INTERVAL")
-        if heartbeat is not None:
-            values["heartbeat_interval"] = (
-                _disable_if_nonpositive(heartbeat)
-            )
-        join = env_float("REPRO_JOIN_TIMEOUT")
-        if join is not None:
-            values["join_timeout"] = join
-        values.update(overrides)
-        return cls(**values)
-
-
-#: Module-level default (environment not consulted; use
-#: :meth:`RuntimeConfig.from_env` for operational overrides).
-DEFAULT_CONFIG = RuntimeConfig()

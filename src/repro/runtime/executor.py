@@ -128,7 +128,6 @@ def run_parallel(
     specs: Optional[Sequence[WorkerSpec]] = None,
     acp_model: AcpModel = IMPROVED_ACP,
     collect_results: bool = True,
-    mp_context: str = "fork",
     config: Optional[RuntimeConfig] = None,
     plan: Optional[FaultPlan] = None,
     time_scale: float = 1.0,
@@ -156,7 +155,7 @@ def run_parallel(
     simulator's all-dead ``SimulationError``).
 
     ``config`` tunes polling/heartbeat/deadline behaviour (defaults to
-    :meth:`RuntimeConfig.from_env`).
+    ``RuntimeConfig()``).
 
     ``collector`` receives the unified observability stream: the
     master's events inline (source ``runtime.master``), the fault
@@ -175,7 +174,7 @@ def run_parallel(
     # The master process holds the workload (workers get copies); the
     # adaptive meta-scheduler scores its stages from it.
     scheduler.bind_workload(workload)
-    config = config or RuntimeConfig.from_env()
+    config = config or RuntimeConfig()
     if plan is not None and plan.events:
         # A restart is admitted, and a stall begins, at the master's
         # next poll: keep that snappy relative to plan timescales.
@@ -189,7 +188,7 @@ def run_parallel(
     with PipeChassis(
         workload, specs, scheduler.distributed, acp_model,
         plan=plan, time_scale=time_scale, stress_size=stress_size,
-        mp_context=mp_context, config=config, collector=collector,
+        config=config, collector=collector,
     ) as chassis:
         t0 = time.perf_counter()
         master = master_loop(

@@ -29,8 +29,7 @@ simulator implements (see ``docs/fault_model.md``):
   worker is currently connected.
 
 Timing knobs live in :class:`repro.runtime.config.RuntimeConfig`;
-``poll_timeout`` / ``REPRO_POLL_TIMEOUT`` is the ceiling on one
-``wait``.
+``poll_timeout`` is the ceiling on one ``wait``.
 
 The loop *raises* instead of silently returning a partial result:
 :class:`WorkerTimeoutError` when deadline expiry leaves the run unable
@@ -141,7 +140,7 @@ def master_loop(
     seconds since the loop started (comparable to simulator virtual
     time), wall-clock stamps ride in the ``wall`` field.
     """
-    config = config or RuntimeConfig.from_env()
+    config = config or RuntimeConfig()
     hooks = hooks or MasterHooks()
     obs = _resolve_collector(collector)
     t0 = time.monotonic()
@@ -310,8 +309,8 @@ def master_loop(
                 f"worker(s) {sorted(overdue)} sent no message for more "
                 f"than worker_deadline={config.worker_deadline}s and no "
                 f"worker remains; raise RuntimeConfig.worker_deadline "
-                f"(REPRO_WORKER_DEADLINE) or check the heartbeat "
-                f"interval ({config.heartbeat_interval})"
+                f"or check the heartbeat interval "
+                f"({config.heartbeat_interval})"
             )
 
     # Step 1(a), as in the simulator (one rule: ``admit``).

@@ -19,15 +19,13 @@ Typical use::
 
 from __future__ import annotations
 
-import dataclasses
 import socket
 import time
 from typing import Any, Optional
 
-from ..runtime.config import env_float
 from .protocol import ProtocolError, recv_frame, send_frame
 
-__all__ = ["ClientConfig", "ServiceClient", "ServiceError"]
+__all__ = ["ServiceClient", "ServiceError"]
 
 #: Seconds a ``wait(timeout=t)`` reads past ``t``: the daemon answers
 #: ``timeout`` at ``t``, and the reply needs time to arrive.
@@ -36,60 +34,13 @@ WAIT_MARGIN = 5.0
 #: ``_request``'s default: read under the socket's own timeout.
 _SOCKET_TIMEOUT = object()
 
-
-@dataclasses.dataclass(frozen=True)
-class ClientConfig(object):
-    """Connect-retry tuning, overridable per process via environment.
-
-    The retry loop in :meth:`ServiceClient.connect` waits
-    ``retry_initial`` seconds after the first refused/missing socket
-    and doubles the wait per attempt up to ``retry_max`` -- a capped
-    exponential backoff, so a client racing a slow daemon start stops
-    burning a connect syscall every 50ms while still reacting within
-    ``retry_initial`` when the socket appears quickly.
-
-    ``REPRO_CLIENT_RETRY_INITIAL``
-        First wait in seconds (default 0.02).
-    ``REPRO_CLIENT_RETRY_MAX``
-        Wait ceiling in seconds (default 0.5).
-    """
-
-    retry_initial: float = 0.02
-    retry_max: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.retry_initial > 0):
-            raise ValueError(
-                f"retry_initial must be > 0, got {self.retry_initial}"
-            )
-        if self.retry_max < self.retry_initial:
-            raise ValueError(
-                f"retry_max ({self.retry_max}) must be >= "
-                f"retry_initial ({self.retry_initial})"
-            )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ClientConfig":
-        """Defaults, overlaid with ``REPRO_CLIENT_*``, then kwargs."""
-        values: dict = {}
-        initial = env_float("REPRO_CLIENT_RETRY_INITIAL")
-        if initial is not None:
-            if initial <= 0:
-                raise ValueError(
-                    f"environment variable REPRO_CLIENT_RETRY_INITIAL "
-                    f"must be > 0, got {initial}"
-                )
-            values["retry_initial"] = initial
-        ceiling = env_float("REPRO_CLIENT_RETRY_MAX")
-        if ceiling is not None:
-            if ceiling <= 0:
-                raise ValueError(
-                    f"environment variable REPRO_CLIENT_RETRY_MAX "
-                    f"must be > 0, got {ceiling}"
-                )
-            values["retry_max"] = ceiling
-        values.update(overrides)
-        return cls(**values)
+#: :meth:`ServiceClient.connect`'s retry backoff: the first wait after
+#: a refused/missing socket, doubled per attempt up to the ceiling.  A
+#: client racing a slow daemon start stops burning a connect syscall
+#: every few milliseconds, yet still reacts within ``RETRY_INITIAL``
+#: when the socket appears quickly.
+RETRY_INITIAL = 0.02
+RETRY_MAX = 0.5
 
 
 class ServiceError(RuntimeError):
@@ -130,17 +81,14 @@ class ServiceClient(object):
         port: Optional[int] = None,
         timeout: float = 30.0,
         retry_for: float = 0.0,
-        config: Optional[ClientConfig] = None,
     ) -> "ServiceClient":
         """Connect to a Unix socket path (or host+port when ``port``
         is given).  ``retry_for`` > 0 keeps retrying a refused /
         missing socket for that many seconds -- handy right after
         spawning a daemon -- waiting with the capped exponential
-        backoff configured by ``config`` (default:
-        :meth:`ClientConfig.from_env`)."""
-        config = config or ClientConfig.from_env()
+        backoff of ``RETRY_INITIAL`` / ``RETRY_MAX``."""
         deadline = time.monotonic() + retry_for
-        delay = config.retry_initial
+        delay = RETRY_INITIAL
         while True:
             sock: Optional[socket.socket] = None
             try:
@@ -163,7 +111,7 @@ class ServiceClient(object):
                 # happens as close to ``retry_for`` as the backoff
                 # ladder allows.
                 time.sleep(min(delay, remaining))
-                delay = min(delay * 2.0, config.retry_max)
+                delay = min(delay * 2.0, RETRY_MAX)
             finally:
                 # A failed attempt (refused, missing, bad hello) closes.
                 if sock is not None:

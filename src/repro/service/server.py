@@ -164,6 +164,10 @@ class ServiceConfig(object):
                 f"tenant_capacity must be >= 1, got "
                 f"{self.tenant_capacity}"
             )
+        if self.max_requeues < 0:
+            raise ValueError(
+                f"max_requeues must be >= 0, got {self.max_requeues}"
+            )
 
 
 class ServiceServer(object):

@@ -286,6 +286,63 @@ def test_the_run_spine_is_written_once():
     }, sites
 
 
+def test_the_environment_names_three_settings():
+    """``src/repro`` names three ``REPRO_*`` environment variables, in
+    code or docstrings, and reads the environment only where each one
+    is defined.  Every other setting is a parameter or a constant: a
+    run is a function of its arguments.  The three stay because:
+
+    * ``REPRO_CACHE_DIR`` (``cache.py``) is a deployment path, which
+      the benchmark ledger's workloads set;
+    * ``REPRO_LOG_LEVEL`` (``obs/logutil.py``) is a logging setting;
+    * ``REPRO_FAST`` (``simulation/fastpath.py``) is ``--no-fast``'s
+      lever: the runner's one write of ``ENV_FAST`` reaches the engines
+      through it, until the fast path's gate is a run parameter
+      (ROADMAP's standing cleanups).
+    """
+    import ast
+    import re
+
+    def is_environ(node) -> bool:
+        return isinstance(node, ast.Attribute) \
+            and node.attr in ("environ", "getenv") \
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+
+    names: set = set()
+    reads: set = set()
+    writes: list = []
+    for root, _dirs, files in os.walk(os.path.join(_SRC, "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, os.path.join(_SRC, "repro"))
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+            names.update(re.findall(r"\bREPRO_[A-Z_]+", text))
+            # ``ast.walk`` is breadth-first: a write's subscript is seen
+            # before the ``os.environ`` inside it.
+            written: set = set()
+            for node in ast.walk(ast.parse(text, filename=path)):
+                if isinstance(node, ast.Subscript) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and is_environ(node.value):
+                    written.add(id(node.value))
+                    writes.append((rel, ast.unparse(node)))
+                elif is_environ(node) and id(node) not in written:
+                    reads.add(rel)
+    assert names == {"REPRO_CACHE_DIR", "REPRO_FAST", "REPRO_LOG_LEVEL"}, \
+        sorted(names)
+    assert reads == {
+        "cache.py",
+        os.path.join("obs", "logutil.py"),
+        os.path.join("simulation", "fastpath.py"),
+    }, sorted(reads)
+    assert writes == [
+        (os.path.join("experiments", "runner.py"), "os.environ[ENV_FAST]"),
+    ], writes
+
+
 def test_documented_bench_commands_name_files_that_exist():
     """Every ``pytest benchmarks/…`` or ``python benchmarks/…`` command
     in the docs and the CI workflow names a file that exists: a bench

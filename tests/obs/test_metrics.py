@@ -118,10 +118,3 @@ def test_metrics_from_events_catalog():
     assert snap["dispatch_latency"]["count"] == 1
     # the whole snapshot serializes (the per-run JSON artifact)
     assert json.loads(json.dumps(snap)) == snap
-
-
-def test_metrics_from_events_accepts_existing_registry():
-    reg = MetricsRegistry()
-    out = metrics_from_events([], registry=reg)
-    assert out is reg
-    assert reg.counter("chunks_total").value == 0

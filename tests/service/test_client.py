@@ -14,8 +14,8 @@ import warnings
 
 import pytest
 
+import repro.service.client as client_mod
 from repro.service import ServiceClient
-from repro.service.client import ClientConfig
 from repro.service.protocol import ProtocolError, recv_frame, send_frame
 
 #: The connect-time socket timeout every client here is opened with.
@@ -130,13 +130,15 @@ class TestFailedConnect:
             gc.collect()
         return [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_retrying_a_missing_socket_leaks_nothing(self, tmp_path):
-        config = ClientConfig(retry_initial=0.001, retry_max=0.004)
+    def test_retrying_a_missing_socket_leaks_nothing(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(client_mod, "RETRY_INITIAL", 0.001)
+        monkeypatch.setattr(client_mod, "RETRY_MAX", 0.004)
 
         def attempt():
             with pytest.raises(FileNotFoundError):
                 ServiceClient.connect(str(tmp_path / "absent.sock"),
-                                      retry_for=0.05, config=config)
+                                      retry_for=0.05)
 
         assert self._leaks(attempt) == []
 

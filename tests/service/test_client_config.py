@@ -1,49 +1,11 @@
-"""ClientConfig env parsing and the capped-backoff connect retry."""
+"""The capped-backoff connect retry, on a fake clock."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro.service.client as client_mod
-from repro.service.client import ClientConfig, ServiceClient
-
-
-class TestClientConfig:
-    def test_defaults(self):
-        config = ClientConfig()
-        assert config.retry_initial == pytest.approx(0.02)
-        assert config.retry_max == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="retry_initial"):
-            ClientConfig(retry_initial=0.0)
-        with pytest.raises(ValueError, match="retry_max"):
-            ClientConfig(retry_initial=0.5, retry_max=0.1)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLIENT_RETRY_INITIAL", "0.01")
-        monkeypatch.setenv("REPRO_CLIENT_RETRY_MAX", "2.0")
-        config = ClientConfig.from_env()
-        assert config.retry_initial == pytest.approx(0.01)
-        assert config.retry_max == pytest.approx(2.0)
-
-    def test_from_env_kwargs_win(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLIENT_RETRY_MAX", "2.0")
-        config = ClientConfig.from_env(retry_max=0.25)
-        assert config.retry_max == pytest.approx(0.25)
-
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "lots"])
-    def test_bad_env_names_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_CLIENT_RETRY_INITIAL", value)
-        with pytest.raises(ValueError,
-                           match="REPRO_CLIENT_RETRY_INITIAL"):
-            ClientConfig.from_env()
-
-    def test_unset_env_means_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CLIENT_RETRY_INITIAL",
-                           raising=False)
-        monkeypatch.delenv("REPRO_CLIENT_RETRY_MAX", raising=False)
-        assert ClientConfig.from_env() == ClientConfig()
+from repro.service.client import ServiceClient
 
 
 class _FakeClock:
@@ -64,32 +26,42 @@ class _FakeClock:
 
 class TestConnectBackoff:
     def _attempt(self, tmp_path, monkeypatch, retry_for: float,
-                 config: ClientConfig):
+                 backoff=None):
+        """Fail to connect for ``retry_for`` fake seconds, under the
+        module's backoff or ``backoff=(initial, ceiling)``."""
         clock = _FakeClock()
         monkeypatch.setattr(client_mod, "time", clock)
+        if backoff is not None:
+            monkeypatch.setattr(client_mod, "RETRY_INITIAL", backoff[0])
+            monkeypatch.setattr(client_mod, "RETRY_MAX", backoff[1])
         missing = str(tmp_path / "no-daemon.sock")
         with pytest.raises(FileNotFoundError):
-            ServiceClient.connect(
-                missing, retry_for=retry_for, config=config
-            )
+            ServiceClient.connect(missing, retry_for=retry_for)
         return clock
+
+    def test_default_ladder(self, tmp_path, monkeypatch):
+        clock = self._attempt(tmp_path, monkeypatch, retry_for=3.0)
+        assert clock.sleeps[:6] == pytest.approx(
+            [0.02, 0.04, 0.08, 0.16, 0.32, 0.5]
+        )
+        assert max(clock.sleeps) == pytest.approx(0.5)
 
     def test_waits_double_up_to_the_cap(self, tmp_path, monkeypatch):
         clock = self._attempt(
             tmp_path, monkeypatch, retry_for=2.0,
-            config=ClientConfig(retry_initial=0.05, retry_max=0.4),
+            backoff=(0.05, 0.4),
         )
         assert clock.sleeps[:4] == pytest.approx(
             [0.05, 0.1, 0.2, 0.4]
         )
-        # Capped thereafter, never growing past retry_max.
+        # Capped thereafter, never growing past the ceiling.
         assert all(s <= 0.4 + 1e-9 for s in clock.sleeps)
 
     def test_never_sleeps_past_the_deadline(self, tmp_path,
                                             monkeypatch):
         clock = self._attempt(
             tmp_path, monkeypatch, retry_for=0.12,
-            config=ClientConfig(retry_initial=0.05, retry_max=0.4),
+            backoff=(0.05, 0.4),
         )
         # 0.05 + 0.07 == deadline: the final wait is clipped to the
         # remaining budget instead of the backoff ladder's 0.1.
@@ -98,8 +70,5 @@ class TestConnectBackoff:
 
     def test_no_retry_budget_raises_immediately(self, tmp_path,
                                                 monkeypatch):
-        clock = self._attempt(
-            tmp_path, monkeypatch, retry_for=0.0,
-            config=ClientConfig(),
-        )
+        clock = self._attempt(tmp_path, monkeypatch, retry_for=0.0)
         assert clock.sleeps == []

@@ -528,6 +528,20 @@ class TestMultiTenantDigests:
                 )
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"socket_path": None}, "socket_path"),
+    ({"workers": 0}, "workers must be >= 1"),
+    ({"queue_capacity": 0}, "queue_capacity must be >= 1"),
+    ({"tenant_capacity": 0}, "tenant_capacity must be >= 1"),
+    # -1 would fail a job at its first worker death: 0 in disguise.
+    ({"max_requeues": -1}, "max_requeues must be >= 0"),
+], ids=["no-transport", "workers", "queue_capacity", "tenant_capacity",
+        "max_requeues"])
+def test_service_config_rejects_bad_bounds(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ServiceConfig(**{"socket_path": "repro.sock", **kwargs})
+
+
 class TestAdmissionControl:
     def test_queue_capacity_rejects_not_oom(self, tmp_path):
         """10x oversubmission against a tiny queue: the overflow is

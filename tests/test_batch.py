@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.batch import (
-    ENV_JOBS,
     SimJob,
     resolve_jobs,
     run_batch,
@@ -547,15 +546,10 @@ class TestResolveJobs:
         assert resolve_jobs(3) == 3
         assert resolve_jobs(1) == 1
 
-    def test_zero_and_none_mean_all_cores(self, monkeypatch):
-        monkeypatch.delenv(ENV_JOBS, raising=False)
-        assert resolve_jobs(0) >= 1
-        assert resolve_jobs(None) >= 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_JOBS, "7")
-        assert resolve_jobs(0) == 7
-        assert resolve_jobs(2) == 2  # explicit still wins
+    def test_zero_and_none_mean_all_cores(self):
+        cores = max(1, os.cpu_count() or 1)
+        assert resolve_jobs(0) == cores
+        assert resolve_jobs(None) == cores
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
