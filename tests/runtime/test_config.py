@@ -25,16 +25,18 @@ class TestDefaultsAndValidation:
         with pytest.raises(ValueError):
             RuntimeConfig(join_timeout=-1.0)
 
-    @pytest.mark.parametrize("field, value", itertools.product(
+    @pytest.mark.parametrize("field, raw", itertools.product(
         ["poll_timeout", "worker_deadline", "heartbeat_interval",
          "join_timeout"],
-        [float("inf"), float("-inf"), float("nan")],
+        # every non-finite spelling ``float()`` accepts, so a value a
+        # caller parsed from text is held to the same rule
+        ["inf", "-inf", "nan", "NaN"],
     ))
-    def test_rejects_non_finite(self, field, value):
+    def test_rejects_non_finite(self, field, raw):
         # ``None`` disables a feature; ``inf`` must not pass for it:
         # the master's ``wait(timeout=inf)`` overflows.
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            RuntimeConfig(**{field: value})
+            RuntimeConfig(**{field: float(raw)})
 
     def test_deadline_must_exceed_heartbeat(self):
         with pytest.raises(ValueError, match="deadline"):
