@@ -148,6 +148,8 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         self._group_free: dict[int, float] = {}
         #: ordinals lost to deaths, scavenged FIFO by live claimers.
         self._lost: collections.deque[int] = collections.deque()
+        #: claimers waiting for a death to settle whether work reappears.
+        self._parked: list[_DWorkerState] = []
         if group_size is not None:
             for g in range(-(-cluster.size // group_size)):
                 self._lease_state[g] = (0, 0)
@@ -267,7 +269,12 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
             # A failing peer holds an incomplete ordinal that may yet
             # land on the scavenging list: retry the fetch when a
             # death resolves the question (see _drain_parked).
-            self._park(state, access_end)
+            if self.observing:
+                self._emit((
+                    "park", self.SRC, access_end, state.index,
+                    None, None, None, None, None, "", None,
+                ))
+            self._parked.append(state)
             return
         back = state.reply_tx
         if self._shared_medium:

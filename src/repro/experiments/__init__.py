@@ -1,20 +1,10 @@
 """Paper experiments: one module per table/figure plus the CLI runner.
 
 See DESIGN.md's experiment index for the table/figure -> module map and
-EXPERIMENTS.md for paper-vs-measured results.
+EXPERIMENTS.md for paper-vs-measured results.  Importing the package
+loads only its config; ``from repro.experiments import windows``.
 """
 
-from . import (
-    ablations,
-    figures,
-    parity,
-    replicate,
-    table1,
-    table2,
-    table3,
-    validation,
-    windows,
-)
 from .config import (
     FAST_SLOW_RATIO,
     OVERLOAD_Q,
@@ -25,15 +15,6 @@ from .config import (
 )
 
 __all__ = [
-    "ablations",
-    "replicate",
-    "validation",
-    "windows",
-    "parity",
-    "figures",
-    "table1",
-    "table2",
-    "table3",
     "FAST_SLOW_RATIO",
     "OVERLOAD_Q",
     "paper_workload",

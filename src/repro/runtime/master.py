@@ -1,23 +1,19 @@
 """Master loop for the multiprocessing runtime.
 
 The master multiplexes worker pipes with
-:func:`multiprocessing.connection.wait` (the select-style idiom), feeds
-each request through the scheduler's stepper (the one the simulators
-call), and collects piggy-backed results.  Start-up is the simulator's
+:func:`multiprocessing.connection.wait` (the select-style idiom), serves
+each request through :class:`repro.core.master.MasterState` (the
+master the simulator and MPI serve through too), and collects
+piggy-backed results.  Start-up is the simulator's
 step 1(a) (:func:`repro.simulation.engine.admit`); a screened-out PE is
 answered with :class:`~repro.runtime.messages.Terminate`.
 
 Fault tolerance beyond the paper -- the same fail-stop semantics the
 simulator implements (see ``docs/fault_model.md``):
 
-* if a worker dies mid-chunk (its pipe reports EOF, or it misses its
-  liveness deadline), the master *requeues* the outstanding interval in
-  a FIFO deque -- exactly like the simulator's ``_requeue`` -- and hands
-  it to the next requester before consulting the scheduler, so a run
-  completes despite worker loss;
-* a worker that runs dry while a peer still holds an outstanding chunk
-  is *parked*, not terminated: if the peer dies, the parked worker
-  recomputes the lost interval (the simulator parks identically);
+* a worker that dies mid-chunk (EOF on its pipe, or a missed liveness
+  deadline) has its interval requeued for the next requester; a dry
+  worker parks while a chunk is outstanding or a restart is expected;
 * workers send :class:`~repro.runtime.messages.Heartbeat` messages from
   a side thread, so the deadline (``RuntimeConfig.worker_deadline``)
   distinguishes a long chunk from a dead process.  Silence is measured
@@ -39,7 +35,6 @@ iterations are still outstanding.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import time
 from multiprocessing.connection import wait
@@ -47,6 +42,7 @@ from typing import Any, Iterable, Optional
 
 from ..core import Scheduler
 from ..core.distributed import DistributedSchedulerBase
+from ..core.master import PARK, MasterState
 from ..obs import ObsEvent, get_logger
 from ..obs import resolve as _resolve_collector
 from ..simulation.engine import StarvationError, admit
@@ -145,26 +141,25 @@ def master_loop(
     obs = _resolve_collector(collector)
     t0 = time.monotonic()
 
-    def emit(kind: str, worker: int = -1, **fields) -> None:
-        # Early-return on a falsy (Null) collector: call sites guard
-        # too, but the helper must never pay for ObsEvent construction
-        # or clock reads on the disabled path.
-        if not obs:
-            return
-        obs.emit(ObsEvent(
-            kind, _SRC, time.monotonic() - t0, worker,
-            wall=time.time(), **fields,
-        ))
     worker_meta = worker_meta or {}
     requester = lambda wid: worker_meta.get(wid, (1.0, 1))
-    step = scheduler.stepper(requester)
     live = dict(connections)
-    outstanding: dict[int, tuple[int, int]] = {}
-    #: FIFO of intervals lost to worker deaths -- first lost, first
-    #: reassigned (loop order), mirroring the simulator's deque.
-    requeue: collections.deque[tuple[int, int]] = collections.deque()
-    #: workers idle-waiting because a failing peer may return work.
-    parked: list[int] = []
+
+    def record(row: tuple) -> None:
+        obs.emit(ObsEvent(*row[:-1], wall=time.time()))
+
+    def emit(kind: str, worker: int = -1, **fields) -> None:
+        # Never pays for an ObsEvent or a clock read when unobserved.
+        if obs:
+            record(ObsEvent(
+                kind, _SRC, time.monotonic() - t0, worker, **fields
+            ))
+
+    master = MasterState(
+        scheduler, requester,
+        lambda outstanding: bool(outstanding) or hooks.expects_more(),
+        _SRC, record if obs else None,
+    )
     results: list[tuple[int, Any]] = []
     stats: dict[int, WorkerStats] = {}
     chunks: list[tuple[int, int, int]] = []
@@ -174,19 +169,10 @@ def master_loop(
     requeued = 0
     timeouts = 0
 
-    def send_assignment(wid: int, assignment: tuple[int, int],
-                        detail: str = "") -> None:
-        conn = live.get(wid)
-        if conn is None:
-            requeue.append(assignment)
-            return
+    def send_assignment(wid: int, span: tuple[int, int]) -> None:
+        chunks.append((wid, span[0], span[1]))
         try:
-            outstanding[wid] = assignment
-            chunks.append((wid, assignment[0], assignment[1]))
-            conn.send(Assign(*assignment))
-            if obs:
-                emit("assign", wid, start=assignment[0],
-                     stop=assignment[1], detail=detail)
+            live[wid].send(Assign(*span))
         except (BrokenPipeError, OSError):
             drop_worker(wid)
 
@@ -197,100 +183,55 @@ def master_loop(
             return
         try:
             conn.send(Terminate())
-            if obs:
-                emit("terminate", wid)
+            emit("terminate", wid)
         except (BrokenPipeError, OSError):
             pass
 
     def handle_request(wid: int, req: Request) -> None:
-        nonlocal requeued
         if wid in screened:
             send_terminate(wid)
             return
-        if obs:
-            emit("request", wid, acp=req.acp)
+        emit("request", wid, acp=req.acp)
         if req.result is not None:
-            delivered = outstanding.pop(wid, None)
             results.append(req.result)
-            if obs and delivered is not None:
-                emit("result", wid, start=delivered[0],
-                     stop=delivered[1])
-        else:
-            stale = outstanding.pop(wid, None)
-            if stale is not None:
-                # A first request (no piggy-backed result) from an id
-                # with an outstanding chunk means a restarted
-                # incarnation: the old one died holding `stale`.
-                for i in range(len(chunks) - 1, -1, -1):
-                    if chunks[i] == (wid, stale[0], stale[1]):
-                        del chunks[i]
-                        break
-                requeue.append(stale)
         if req.stats is not None:
             stats[wid] = req.stats
-        if requeue:
-            requeued += 1
-            send_assignment(wid, requeue.popleft(), detail="requeue")
-            return
-        chunk = step(wid, req.acp)
-        if obs:
-            # An adaptive scheduler's stage decisions become ``adapt``
-            # events; a fixed scheme drains none.
-            for d in scheduler.drain_decisions():
-                emit("adapt", wid, start=d.base, stop=d.base + d.size,
-                     stage=d.stage, value=d.reward, detail=d.summary())
-        if chunk is not None:
-            send_assignment(wid, chunk[:2])
-        elif outstanding or hooks.expects_more():
-            # Work may reappear if a peer dies (or a chaos restart
-            # brings one back): park this worker instead of terminating
-            # it -- the simulator parks in the same situation.
-            if obs:
-                emit("park", wid)
-            parked.append(wid)
-        else:
+        chunk = master.request(
+            wid, req.acp, req.result is not None, time.monotonic() - t0,
+        )
+        if chunk is None:
             send_terminate(wid)
-            # The request that emptied `outstanding` releases every
-            # parked peer immediately (no poll-timeout lag).
-            drain_parked()
+            # The request that settled the run releases every parked
+            # peer at once (no poll-timeout lag).
+            release()
+        elif chunk is not PARK:
+            send_assignment(wid, chunk[:2])
+
+    def release() -> None:
+        for wid, span in master.release(time.monotonic() - t0):
+            if span is None:
+                send_terminate(wid)
+            else:
+                send_assignment(wid, span)
 
     def drop_worker(wid: int, detail: str = "death") -> None:
+        nonlocal requeued
         was_live = wid in live
         live.pop(wid, None)
         last_seen.pop(wid, None)
-        if wid in parked:
-            parked.remove(wid)
-        lost = outstanding.pop(wid, None)
+        lost = master.lose(wid)
         if was_live or lost is not None:
             logger.warning(
                 "worker %d dropped (%s)%s", wid, detail,
                 f"; requeueing [{lost[0]}, {lost[1]})" if lost else "",
             )
-            if obs:
-                emit("fault", wid, detail=detail)
+            emit("fault", wid, detail=detail)
         if lost is not None:
             # Remove the lost chunk from the log; it will re-enter when
             # reassigned, keeping `chunks` an exact execution record.
-            for i in range(len(chunks) - 1, -1, -1):
-                if chunks[i] == (wid, lost[0], lost[1]):
-                    del chunks[i]
-                    break
-            requeue.append(lost)
-        drain_parked()
-
-    def drain_parked() -> None:
-        nonlocal requeued
-        while requeue and parked:
-            wid = parked.pop(0)
-            if wid not in live:
-                continue
             requeued += 1
-            send_assignment(wid, requeue.popleft(), detail="requeue")
-        if not requeue and not outstanding and scheduler.finished \
-                and not hooks.expects_more():
-            for wid in list(parked):
-                send_terminate(wid)
-            parked.clear()
+            chunks.remove((wid, lost[0], lost[1]))
+        release()
 
     def enforce_deadlines() -> None:
         nonlocal timeouts
@@ -328,7 +269,7 @@ def master_loop(
     while live or hooks.expects_more():
         hooks.on_tick()
         for wid, conn in hooks.admissions():
-            if wid in live or wid in outstanding:
+            if wid in live or wid in master.outstanding:
                 # A restarted incarnation re-uses the id: whatever the
                 # old incarnation still held died with it -- requeue it
                 # before the replacement pipe masks the EOF.
@@ -336,9 +277,8 @@ def master_loop(
             live[wid] = conn
             last_seen[wid] = time.monotonic()
             logger.info("worker %d admitted", wid)
-            if obs:
-                emit("restart", wid, detail="admission")
-        drain_parked()
+            emit("restart", wid, detail="admission")
+        release()
         if not live:
             time.sleep(RESTART_BACKOFF)
             continue
@@ -348,8 +288,8 @@ def master_loop(
         conn_to_wid = {id(c): w for w, c in live.items()}
         for conn in ready:
             wid = conn_to_wid.get(id(conn))
-            if wid is None:
-                continue
+            if wid is None or live.get(wid) is not conn:
+                continue  # dropped earlier in this batch
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
@@ -357,8 +297,7 @@ def master_loop(
                 continue
             last_seen[wid] = time.monotonic()
             if isinstance(msg, Heartbeat):
-                if obs:
-                    emit("heartbeat", wid)
+                emit("heartbeat", wid)
                 continue
             if isinstance(msg, Request):
                 handle_request(wid, msg)
@@ -368,8 +307,8 @@ def master_loop(
         # heartbeats and the deadline disambiguate.
         enforce_deadlines()
 
-    if requeue or not scheduler.finished:
-        missing = sum(stop - start for start, stop in requeue)
+    if master.requeue or not scheduler.finished:
+        missing = sum(stop - start for start, stop in master.requeue)
         raise IncompleteRunError(
             f"every worker is gone but the loop is not covered: "
             f"{missing} requeued iterations"

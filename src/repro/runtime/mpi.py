@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
+from ..core.master import MasterState
 from ..workloads import Workload
 
 __all__ = ["have_mpi", "run_mpi", "mpi_master", "mpi_worker"]
@@ -64,8 +65,8 @@ def mpi_master(
     """Serve slave requests until the loop completes; gather results.
 
     Returns ``(start, payload)`` pairs sorted by ``start`` (i.e. serial
-    order).  Mirrors :func:`repro.runtime.master.master_loop` minus the
-    worker-death handling (MPI aborts the world on rank failure).
+    order), served by :class:`repro.core.master.MasterState`.  MPI aborts
+    the world on rank failure, so no work is ever lost and no one parks.
     """
     n_workers = comm.Get_size() - 1
     if n_workers < 1:
@@ -74,18 +75,19 @@ def mpi_master(
     live = n_workers
     status = mpi.Status()
     reported: dict[int, tuple[float, int]] = {}  # wid -> (V_i, Q_i)
-    step = scheduler.stepper(reported.__getitem__)
+    master = MasterState(scheduler, reported.__getitem__, lambda _: False)
     while live:
         msg = comm.recv(source=mpi.ANY_SOURCE, tag=TAG_REQUEST,
                         status=status)
         source = status.Get_source()
-        if msg.get("result") is not None:
+        delivered = msg.get("result") is not None
+        if delivered:
             results.append(tuple(msg["result"]))
         wid = source - 1
         reported[wid] = (
             msg.get("virtual_power", 1.0), msg.get("run_queue", 1)
         )
-        chunk = step(wid, msg.get("acp"))
+        chunk = master.request(wid, msg.get("acp"), delivered)
         if chunk is None:
             comm.send(None, dest=source, tag=TAG_TERMINATE)
             live -= 1

@@ -225,9 +225,6 @@ class DesCluster(Generic[W]):
         self._message_faults: dict[
             int, list[tuple[float, str, float]]
         ] = {}
-        #: workers told to wait because work may still reappear (a
-        #: failing peer holds undelivered results).
-        self._parked: list[W] = []
 
     # -- substrate hooks -----------------------------------------------------
 
@@ -257,8 +254,8 @@ class DesCluster(Generic[W]):
         raise NotImplementedError
 
     def _drain_parked(self) -> None:
-        """Wake the PEs in ``_parked`` once a death has settled whether
-        work reappears; a substrate that never parks has none."""
+        """Wake the PEs the substrate parked once a death has settled
+        whether work reappears; a substrate that never parks has none."""
 
     def _label(self) -> tuple[str, int]:
         """Scheme name and ``rederivations`` counter of the result."""
@@ -503,13 +500,6 @@ class DesCluster(Generic[W]):
         if self._future_restarts == 0 and self._stranded():
             raise SimulationError(self.STRANDED)
         self._drain_parked()
-
-    def _park(self, state: W, at: float) -> None:
-        """Nothing to hand out now, but a failing peer holds work that
-        may reappear: ``state`` waits for :meth:`_drain_parked`."""
-        if self.observing:
-            self._emit(ObsEvent("park", self.SRC, at, state.index))
-        self._parked.append(state)
 
     def _worker_restart(self, state: W) -> None:
         """A chaos restart: the PE rejoins as a fresh, idle one.

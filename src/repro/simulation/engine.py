@@ -19,8 +19,9 @@ this substrate:
   the previous chunk's results** (the paper found end-of-run collection
   caused contention idling, so piggy-backing is the protocol of
   record); ``T_p`` is the time the last result lands on the master;
-* **lost-work sink** -- intervals a dead slave held go to a FIFO
-  requeue the master serves before asking the scheduler;
+* **lost-work sink** -- :class:`repro.core.master.MasterState`, the
+  master the runtime and MPI share: a dead slave's interval is
+  requeued, and a dry slave parks while a failing peer holds work;
 * **stalled resource** -- the master server itself.
 
 Start-up follows the paper's step 1(a): the master knows every
@@ -35,12 +36,11 @@ screen is :func:`admit`, which the real runtime's master applies too.
 
 from __future__ import annotations
 
-import collections
-import dataclasses
 from typing import Any, Callable, Mapping, Optional, Union
 
 from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
+from ..core.master import PARK, MasterState
 from ..obs import ObsEvent
 from ..workloads import Workload
 from . import fastpath
@@ -112,14 +112,7 @@ def make_for_cluster(
     return make(name, total, cluster.size, **kwargs)
 
 
-@dataclasses.dataclass
-class _WorkerState(DesWorker):
-    pending_piggyback: float = 0.0  # bytes of results to attach
-    #: start, stop, stage, acp-at-assignment
-    pending_chunk: Optional[tuple[int, int, int, Optional[int]]] = None
-
-
-class MasterSlaveSimulation(DesCluster[_WorkerState]):
+class MasterSlaveSimulation(DesCluster[DesWorker]):
     """One simulated run; construct and call :meth:`run` once."""
 
     SRC = "sim.master"
@@ -156,41 +149,34 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
                 f"workload has {workload.size}"
             )
         super().__init__(
-            _WorkerState, workload, cluster, collect_results, chaos,
+            DesWorker, workload, cluster, collect_results, chaos,
             collector,
         )
         self.fast = fast
         self.scheduler = scheduler
         #: when the request being asked about reached the master.
         self._arrival = 0.0
-        #: how the DES and the fast path's non-formula arm ask.
-        self._step = scheduler.stepper(self._requester)
+        #: the master's bookkeeping; its stepper is how the DES and the
+        #: fast path's non-formula arm ask.
+        self.master = MasterState(
+            scheduler, self._requester, self._failer_holds_work,
+            self.SRC, self._emit if self.observing else None,
+        )
+        self._step = self.master.step
         scheduler.bind_workload(workload)
-        #: stage decisions made since the last request, mirrored into
-        #: ``adapt`` events on an observed run; None when unobserved or
-        #: when the scheduler keeps the inert
-        #: ``Scheduler.drain_decisions`` (a fixed scheme makes none).
-        drain = scheduler.drain_decisions
-        inert = getattr(drain, "__func__", None) is Scheduler.drain_decisions
-        self._decisions = None if inert or not self.observing else drain
         self.acp_model = acp_model
         self._master_free = 0.0
         self._master_link_free = 0.0
-        #: intervals lost to worker deaths, awaiting reassignment in
-        #: loop order (FIFO: first interval lost is first reassigned).
-        self._requeue: collections.deque[tuple[int, int]] = (
-            collections.deque()
-        )
 
     # -- helpers ---------------------------------------------------------------
 
-    def _acp_now(self, state: _WorkerState, t: float) -> int:
+    def _acp_now(self, state: DesWorker, t: float) -> int:
         node = state.node
         return self.acp_model.acp(
             float(node.virtual_power or 1.0), node.load.q_at(t)
         )
 
-    def _register_acp(self, state: _WorkerState, t: float) -> None:
+    def _register_acp(self, state: DesWorker, t: float) -> None:
         """Step 1(a): the master learns ``state``'s ACP before it
         assigns to it (at start-up, and again for a late joiner)."""
         acp = self._acp_now(state, t)
@@ -210,7 +196,7 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
 
     # -- protocol events ---------------------------------------------------------
 
-    def next_work(self, state: _WorkerState) -> None:
+    def next_work(self, state: DesWorker) -> None:
         """Worker transmits a request (with piggy-backed results)."""
         if self._message_faults and self._message_held(
             state, self.next_work
@@ -218,9 +204,13 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
             return
         t = self.queue.now
         node = state.node
-        piggyback = state.pending_piggyback
-        nbytes = self.cluster.request_bytes + piggyback
-        state.pending_piggyback = 0.0
+        cluster = self.cluster
+        # The previous chunk's results ride on the request.
+        done = state.undelivered
+        nbytes = cluster.request_bytes + (
+            (done[0][2] - done[0][1]) * cluster.result_bytes_per_item
+            if done else 0.0
+        )
         # ``NodeSpec.transfer_time``, inline.
         tx = node.latency + nbytes / node.bandwidth
         metrics = state.metrics
@@ -247,12 +237,12 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         # 0): the chunk is safe, and ``T_p`` moves, when it lands.
         self.queue.push(
             tx_start + tx, self._master_receive, state,
-            acp, bool(state.undelivered), nbytes,
+            acp, bool(done), nbytes,
         )
 
     def _master_receive(
         self,
-        state: _WorkerState,
+        state: DesWorker,
         acp: Optional[int],
         carries_results: bool,
         nbytes: float,
@@ -271,13 +261,6 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         if carries_results:
             if arrival > self._last_result_arrival:
                 self._last_result_arrival = arrival
-            if self.observing and state.undelivered:
-                delivered = state.undelivered[0]
-                self._emit((
-                    "result", self.SRC, arrival, state.index,
-                    delivered[1], delivered[2], None, None, None, "",
-                    None,
-                ))
             state.undelivered.clear()  # results safely delivered
         master_free = self._master_free
         service_start = arrival if arrival > master_free else master_free
@@ -288,33 +271,20 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         metrics = state.metrics
         metrics.t_wait += service_end - port_arrival
         reply_tx = state.reply_tx
-        if self._requeue:
-            start, stop = self._requeue.popleft()
-            stage = 0
-        else:
-            self._arrival = arrival
-            asked = self._step(state.index, acp)
-            if self._decisions is not None:
-                for d in self._decisions():
-                    self._emit(ObsEvent(
-                        "adapt", self.SRC, service_end, state.index,
-                        start=d.base, stop=d.base + d.size,
-                        stage=d.stage, value=d.reward,
-                        detail=d.summary(),
-                    ))
-            if asked is None:
-                if self._work_may_reappear():
-                    # A failing peer still holds undelivered results:
-                    # park this worker; its reply comes when (if) work
-                    # reappears.
-                    self._park(state, service_end)
-                    return
-                metrics.t_com += reply_tx
-                self.queue.push(
-                    service_end + reply_tx, self._worker_terminate, state
-                )
-                return
-            start, stop, stage = asked
+        self._arrival = arrival
+        chunk = self.master.request(
+            state.index, acp, carries_results, service_end, arrival
+        )
+        if chunk is PARK:
+            # A failing peer still holds undelivered results: the reply
+            # comes when (if) work reappears.
+            return
+        if chunk is None:
+            metrics.t_com += reply_tx
+            self.queue.push(
+                service_end + reply_tx, self._worker_terminate, state
+            )
+            return
         if self._shared_medium:
             reply_start = self._acquire_segment(
                 state.node, service_end, reply_tx
@@ -323,84 +293,51 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
         else:
             reply_start = service_end
         metrics.t_com += reply_tx
-        if self.observing:
-            self._emit((
-                "assign", self.SRC, service_end, state.index,
-                start, stop, stage, acp, None, "", None,
-            ))
-        state.pending_chunk = (start, stop, stage, acp)
+        start, stop, stage = chunk
         self.queue.push(
-            reply_start + reply_tx, self._worker_compute, state
+            reply_start + reply_tx, self._compute, state,
+            start, stop, stage, acp, self.next_work,
         )
-
-    def _worker_compute(self, state: _WorkerState) -> None:
-        assert state.pending_chunk is not None
-        start, stop, stage, acp = state.pending_chunk
-        state.pending_chunk = None
-        state.pending_piggyback = (
-            (stop - start) * self.cluster.result_bytes_per_item
-        )
-        self._compute(state, start, stop, stage, acp, self.next_work)
 
     # -- failure injection --------------------------------------------------
 
-    def _work_may_reappear(self) -> bool:
-        """True while a still-failing worker holds undelivered work."""
-        return any(
-            s.index in self._pending_failers
-            and (s.undelivered or s.pending_chunk is not None)
-            for s in self._participants
-        )
+    def _failer_holds_work(self, outstanding) -> bool:
+        """True while a worker with a death still ahead holds a span."""
+        return not self._pending_failers.isdisjoint(outstanding)
 
     def _lose(
-        self, state: _WorkerState, spans: list[tuple[int, int]]
+        self, state: DesWorker, spans: list[tuple[int, int]]
     ) -> None:
-        if state.pending_chunk is not None:
-            self._requeue.append(state.pending_chunk[:2])
-            state.pending_chunk = None
-        self._requeue.extend(spans)
-        state.pending_piggyback = 0.0
+        # ``spans`` or the chunk whose reply was in flight: its one span.
+        self.master.lose(state.index)
 
     def _stranded(self) -> bool:
         return all(s.dead for s in self._participants) and (
-            bool(self._requeue) or not self.scheduler.finished
+            bool(self.master.requeue) or not self.scheduler.finished
         )
 
-    def _rejoin(self, state: _WorkerState) -> None:
+    def _rejoin(self, state: DesWorker) -> None:
         # A late joiner re-registers its ACP first (paper step 1(a)).
         if self.scheduler.distributed:
             self._register_acp(state, self.queue.now)
         self.next_work(state)
 
-    def _reply_parked(
-        self, state: _WorkerState, then: Callable[..., None]
-    ) -> None:
-        """The master's late reply to a parked worker."""
-        reply_tx = state.reply_tx
-        state.metrics.t_com += reply_tx
-        self.queue.push(self.queue.now + reply_tx, then, state)
-
     def _drain_parked(self) -> None:
-        """Hand requeued work to parked workers; terminate the rest."""
-        while self._requeue and self._parked:
-            state = self._parked.pop(0)
-            if state.dead:
-                continue
-            start, stop = self._requeue.popleft()
-            if self.observing:
-                self._emit(ObsEvent(
-                    "assign", self.SRC, self.queue.now, state.index,
-                    start=start, stop=stop, stage=0,
-                    detail="requeue",
-                ))
-            state.pending_chunk = (start, stop, 0, None)
-            self._reply_parked(state, self._worker_compute)
-        if not self._work_may_reappear() and not self._requeue \
-                and self.scheduler.finished:
-            for state in self._parked:
-                if not state.dead:
-                    self._reply_parked(state, self._worker_terminate)
-            self._parked.clear()
+        """The master's late replies to parked workers."""
+        now = self.queue.now
+        for wid, span in self.master.release(now):
+            state = self.workers[wid]
+            reply_tx = state.reply_tx
+            state.metrics.t_com += reply_tx
+            if span is None:
+                self.queue.push(
+                    now + reply_tx, self._worker_terminate, state
+                )
+            else:
+                self.queue.push(
+                    now + reply_tx, self._compute, state,
+                    span[0], span[1], 0, None, self.next_work,
+                )
 
     # -- run -----------------------------------------------------------------------
 
@@ -412,10 +349,10 @@ class MasterSlaveSimulation(DesCluster[_WorkerState]):
     def _finish(
         self, rows: list[tuple[Any, ...]], t_p: float, events: int
     ) -> SimResult:
-        # A stepper that reads the requester (adaptive, or any scheme
-        # asked through ``next_chunk``) closes over ``self._requester``:
-        # drop it so a finished run frees by refcount alone.
-        self._step = None
+        # The master and a stepper that reads the requester (adaptive,
+        # or any scheme asked through ``next_chunk``) close over this
+        # run: drop them so a finished run frees by refcount alone.
+        self._step = self.master = None
         return super()._finish(rows, t_p, events)
 
     def _fast_reason(self) -> Optional[str]:

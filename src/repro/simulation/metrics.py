@@ -76,8 +76,10 @@ class ChunkRecord(object):
     assigned_at: float
     completed_at: float
     stage: int = 0
-    #: the ACP the worker attached to the request that won this chunk
-    #: (None for non-distributed schemes and requeued assignments).
+    #: the ACP the worker attached to the request that won this chunk:
+    #: None for non-distributed schemes and for a requeued span
+    #: released to a parked worker (which sent no request for it); a
+    #: requeued span served on request keeps the requester's ACP.
     acp: Optional[int] = None
 
     @property

@@ -286,6 +286,77 @@ def test_the_run_spine_is_written_once():
     }, sites
 
 
+def test_the_master_protocol_is_written_once():
+    """The master's half of the protocol has one site per step under
+    ``src/repro``, all in ``repro/core/master.py``, whichever master
+    serves it (the DES, ``master_loop``, ``mpi_master``):
+
+    * requeue-before-step -- a function that pops the requeue FIFO
+      (``requeue.popleft()``) and asks a stepper (``step(...)``):
+      ``MasterState.request``;
+    * park-or-terminate -- a function that asks a stepper and appends
+      the dry requester to a ``parked`` list: ``MasterState.request``;
+    * the parked release -- a function that pops a ``parked`` list and
+      the requeue FIFO: ``MasterState.release``.
+
+    No other function pops a requeue FIFO at all, and the core imports
+    neither ``time`` nor a transport."""
+    import ast
+
+    def name(node) -> str:
+        return getattr(node, "attr", None) or getattr(node, "id", "")
+
+    found: dict = {"requeue-before-step": [], "park-or-terminate": [],
+                   "parked release": [], "requeue pop": []}
+    for root, _dirs, files in os.walk(os.path.join(_SRC, "repro")):
+        for fname in files:
+            if not fname.endswith(".py"):
+                continue
+            path = os.path.join(root, fname)
+            rel = os.path.relpath(path, _SRC)
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                calls = {
+                    (name(node.func.value), node.func.attr)
+                    if isinstance(node.func, ast.Attribute)
+                    else ("", name(node.func))
+                    for node in ast.walk(fn) if isinstance(node, ast.Call)
+                }
+                pops = {("requeue", "popleft"), ("_requeue", "popleft")}
+                site = (rel, fn.name)
+                steps = any(called in ("step", "_step") for _on, called in calls)
+                if calls & pops:
+                    found["requeue pop"].append(site)
+                    if steps:
+                        found["requeue-before-step"].append(site)
+                    if calls & {("parked", "pop"), ("_parked", "pop")}:
+                        found["parked release"].append(site)
+                if steps and calls & {("parked", "append"),
+                                      ("_parked", "append")}:
+                    found["park-or-terminate"].append(site)
+    core = os.path.join("repro", "core", "master.py")
+    assert found == {
+        "requeue-before-step": [(core, "request")],
+        "park-or-terminate": [(core, "request")],
+        "parked release": [(core, "release")],
+        "requeue pop": [(core, "request"), (core, "release")],
+    }, found
+
+    with open(os.path.join(_SRC, core), "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add((node.module or "").split(".")[0])
+    forbidden = {"time", "multiprocessing", "socket", "mpi4py"}
+    assert imported & forbidden == set(), imported
+
+
 def test_the_environment_names_three_settings():
     """``src/repro`` names three ``REPRO_*`` environment variables, in
     code or docstrings, and reads the environment only where each one

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import BufferedCollector
 from repro.simulation import (
     ClusterSpec,
     NodeSpec,
@@ -15,6 +16,8 @@ from repro.simulation import (
     simulate_tree,
 )
 from repro.workloads import GaussianPeakWorkload, UniformWorkload
+
+from .test_des_oracle import run_case
 
 
 def run(scheme, workload, cluster, **kwargs):
@@ -182,6 +185,31 @@ class TestRequeueOrder:
         # [50,75), [25,50), [0,25) in that order, and FIFO hands them
         # back in exactly that order.
         assert [rec.start for rec in redone] == [50, 25, 0]
+
+    @pytest.mark.parametrize("fault, worker, span, acp, detail", [
+        # Served to a requesting worker: that worker's ACP, no detail.
+        ("death", 1, (0, 73), 20, ""),
+        # Released to a parked worker: no request, so no ACP.
+        ("late_death", 0, (170, 200), None, "requeue"),
+    ])
+    def test_requeued_span_assign_variants(
+        self, fault, worker, span, acp, detail
+    ):
+        """The master writes a requeued span's ``assign`` two ways, and
+        its chunk row keeps the ACP of the first (the oracle cases
+        ``master-DFSS/death`` and ``master-DFSS/late_death``)."""
+        collector = BufferedCollector()
+        result = run_case("master-DFSS", fault, collector)
+        assigns = [ev for ev in collector.events if ev.kind == "assign"
+                   and (ev.start, ev.stop) == span]
+        assert len(assigns) == 2  # first assignment, then the requeue
+        again = assigns[1]
+        assert (again.worker, again.stage, again.acp, again.detail) == (
+            worker, 0, acp, detail,
+        )
+        (row,) = [rec for rec in result.chunks
+                  if (rec.start, rec.stop) == span]
+        assert (row.worker, row.acp) == (worker, acp)
 
 
 class TestValidation:
