@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import struct
-import time
 
 __all__ = ["SharedCounter", "LeasedCounter"]
 
@@ -129,19 +128,18 @@ class SharedCounter(object):
         finally:
             fcntl.flock(fd, fcntl.LOCK_UN)
 
-    def hold(self, duration: float) -> None:
-        """Hold the exclusive lock for ``duration`` seconds.
+    def lock(self) -> None:
+        """Take the exclusive lock and keep it until :meth:`unlock`.
 
         Fault injection: models a stalled counter host -- every
         concurrent ``fetch_add`` blocks until release (the decentral
         analog of a master stall).
         """
-        fd = self._handle()
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        try:
-            time.sleep(duration)
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
+        fcntl.flock(self._handle(), fcntl.LOCK_EX)
+
+    def unlock(self) -> None:
+        """Release the lock :meth:`lock` took."""
+        fcntl.flock(self._handle(), fcntl.LOCK_UN)
 
 
 class LeasedCounter(object):

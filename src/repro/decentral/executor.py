@@ -29,9 +29,10 @@ Fault story (the counter side is in :mod:`repro.decentral.counter`):
 
 :func:`run_decentral` accepts a chaos :class:`FaultPlan` directly:
 :class:`CounterChassis` runs the workers on the shared
-:mod:`repro.runtime.chassis` and maps *stall* onto "hold the global
-counter's lock" (the counter, not a master FIFO, is the serialized
-resource here).
+:mod:`repro.runtime.chassis` and maps *stall* onto "lock the global
+counter" for the stall's window (the counter, not a master FIFO, is
+the serialized resource here); the parent's poll loop fires the fault
+script.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
-import threading
 import time
 from typing import Any, Optional, Sequence
 
@@ -217,9 +217,9 @@ class CounterChassis(ProcessChassis):
     """The counter substrate's processes: no pipe, a shard per
     incarnation, and the counter files they all fetch-and-add on.
 
-    A plan *stall* is an exclusive hold on the global counter: with the
-    counter locked, every claim in the system queues behind the hold,
-    which is precisely the decentral meaning of "the dispatch resource
+    A plan *stall* locks the global counter from its start to its end:
+    every claim in the system queues behind the lock, which is
+    precisely the decentral meaning of "the dispatch resource
     stalled".
     """
 
@@ -242,7 +242,7 @@ class CounterChassis(ProcessChassis):
         self.collect_results = collect_results
         self.counter_path = os.path.join(self.workdir, "counter")
         self.group_paths: Optional[list[str]] = None
-        self._holds: list[threading.Thread] = []
+        self.counter = SharedCounter(self.counter_path)
 
     def start(self) -> dict[int, Any]:
         SharedCounter.create(self.counter_path, 0)
@@ -252,8 +252,7 @@ class CounterChassis(ProcessChassis):
             for g in range(n_groups):
                 path = os.path.join(self.workdir, f"group-{g:03d}")
                 LeasedCounter.create(
-                    path, SharedCounter(self.counter_path), self.lease,
-                    self.calc.n_chunks,
+                    path, self.counter, self.lease, self.calc.n_chunks,
                 )
                 self.group_paths.append(path)
         return super().start()
@@ -277,19 +276,13 @@ class CounterChassis(ProcessChassis):
         )
         return (decentral_worker_main, args, kwargs), None, None
 
-    def _freeze(self, duration: float) -> None:
-        def hold() -> None:
-            SharedCounter(self.counter_path).hold(duration)
-
-        thread = threading.Thread(target=hold, daemon=True)
-        thread.start()
-        self._holds.append(thread)
-
-    def join(self) -> None:
-        super().join()
-        for thread in self._holds:
-            thread.join(timeout=self.config.join_timeout)
-        self._holds.clear()
+    def _freeze(self, frozen: bool) -> None:
+        if frozen:
+            self.counter.lock()
+        else:
+            self.counter.unlock()
+            # lock() opened a descriptor: later forks must not inherit it.
+            self.counter.close()
 
 
 def run_decentral(
@@ -341,10 +334,10 @@ def run_decentral(
             chassis.start()
             poll = min(chassis.config.poll_timeout, 0.02)
             while True:
-                chassis.admissions()  # count restarts in
+                chassis.fire()  # restarts are polled by alive()
                 if not chassis.alive() and not chassis.expects_more():
                     break
-                time.sleep(poll)
+                time.sleep(min(chassis.due(), poll))
             chassis.join()
         elapsed = time.perf_counter() - wall0
 

@@ -8,21 +8,27 @@ their worker processes on a :class:`ProcessChassis`, which owns
 * the multiprocessing context and the per-worker incarnation table;
 * **the one spawn site** (:meth:`ProcessChassis.spawn`);
 * one time-ordered **fault script** replaying a
-  :class:`~repro.chaos.FaultPlan` from a side thread: *death* is a
-  SIGKILL of the worker's current incarnation, *restart* a fresh
-  incarnation under the same id, *spike* a :class:`BackgroundLoad` for
-  the window, *stall* the substrate's :meth:`~ProcessChassis._freeze`;
-  message *delay* / *loss* travel to the worker as ``(at, extra)``
-  sleeps (a lost datagram and its retransmission look identical to the
-  protocol: one late request).  An empty plan drives nothing, so a
-  fault-free run is the same path;
+  :class:`~repro.chaos.FaultPlan`, fired by the run's own wait loop
+  (:meth:`ProcessChassis.fire` each turn, the wait bounded by
+  :meth:`ProcessChassis.due`): *death* is a SIGKILL of the worker's
+  current incarnation, *restart* a fresh incarnation under the same id,
+  *spike* a :class:`BackgroundLoad` for the window, *stall* holds the
+  caller inside :meth:`~ProcessChassis.fire` until it ends (overlapping
+  stalls take their union) and calls the substrate's
+  :meth:`~ProcessChassis._freeze` at either edge; message *delay* /
+  *loss* travel to the worker as ``(at, extra)`` sleeps (a lost
+  datagram and its retransmission look identical to the protocol: one
+  late request).  An empty plan fires nothing, so a fault-free run is
+  the same path;
 * join-or-terminate, the run's scratch directory with one shard file
   per incarnation, and result assembly.
 
 A substrate subclasses it with two hooks: :meth:`~ProcessChassis.
 _worker_call` (what a worker process runs, and over which channel) and
-:meth:`~ProcessChassis._freeze` (what "the dispatch resource stalled"
-means: the master thread sleeps / the counter is held).
+:meth:`~ProcessChassis._freeze` (what else "the dispatch resource
+stalled" means: nothing for the master, whose thread held in ``fire``
+*is* the stalled master; the counter is locked for the counter
+runtime).
 
 The worker side of the same contract lives here too: the compute step
 (:class:`WorkerStep`: delay schedule, slowdown burn, ``WorkerStats``,
@@ -35,6 +41,8 @@ Plan times are wall-clock seconds after the initial workers are up;
 
 from __future__ import annotations
 
+import collections
+import math
 import multiprocessing as mp
 import os
 import shutil
@@ -151,8 +159,9 @@ class ProcessChassis(object):
     Use as a context manager: :meth:`start` spawns the initial
     incarnations and arms the fault script, the substrate then waits
     for the work to finish (``master_loop`` / polling :meth:`alive`),
-    and leaving the block joins every incarnation ever spawned and
-    removes :attr:`workdir`.
+    calling :meth:`fire` every turn and waiting no longer than
+    :meth:`due`, and leaving the block joins every incarnation ever
+    spawned and removes :attr:`workdir`.
     """
 
     def __init__(
@@ -182,14 +191,13 @@ class ProcessChassis(object):
         self.obs = _resolve_collector(collector)
         #: wid -> number of the incarnation currently (or last) alive.
         self.incarnations: dict[int, int] = {}
-        self._lock = threading.Lock()
         self._procs: dict[int, BaseProcess] = {}
         self._spawned: list[BaseProcess] = []
-        self._admissions: list[tuple[int, Any]] = []
         self._pending_restarts = len(plan.restarts)
         self._loads: list[BackgroundLoad] = []
-        self._thread: Optional[threading.Thread] = None
-        self._abort = threading.Event()
+        self._script: collections.deque[
+            tuple[float, Callable[[], Any]]] = collections.deque()
+        self._stall_depth = 0
         self._t0 = 0.0
         #: scratch directory of the run: one shard per incarnation.
         self.workdir = tempfile.mkdtemp(prefix="repro-run-")
@@ -208,9 +216,10 @@ class ProcessChassis(object):
         """
         raise NotImplementedError
 
-    def _freeze(self, duration: float) -> None:
-        """Freeze the substrate's dispatch resource for ``duration``."""
-        raise NotImplementedError
+    def _freeze(self, frozen: bool) -> None:
+        """Hold (``frozen``) or release the substrate's dispatch
+        resource at the edges of a plan stall.  Inert here: the master
+        thread, held in :meth:`fire`, *is* the stalled master."""
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -240,51 +249,58 @@ class ProcessChassis(object):
             # keeps the pipe open and a SIGKILL of this worker never
             # reads as EOF on the parent's end.
             child_end.close()
-        with self._lock:
-            self._procs[wid] = proc
-            self._spawned.append(proc)
+        self._procs[wid] = proc
+        self._spawned.append(proc)
         return handle
 
     def start(self) -> dict[int, Any]:
         """Spawn incarnation 0 of every worker, then arm the script."""
         handles = {wid: self.spawn(wid) for wid in range(self.n_workers)}
+        self._script = self._build_script()
         self._t0 = time.monotonic()
-        self._thread = threading.Thread(target=self._drive, daemon=True)
-        self._thread.start()
         return handles
 
     def join(self) -> None:
-        """Stop the script and stressors; reap every incarnation."""
-        self._abort.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.config.join_timeout)
+        """Stop the stressors; reap every incarnation."""
         for load in self._loads:
             load.stop()
-        for proc in self.processes():
+        for proc in self._spawned:
             join_or_terminate(proc, self.config.join_timeout)
 
-    def processes(self) -> list[BaseProcess]:
-        """Every incarnation ever spawned."""
-        with self._lock:
-            return list(self._spawned)
-
     def alive(self) -> bool:
-        return any(proc.is_alive() for proc in self.processes())
+        return any(proc.is_alive() for proc in self._spawned)
 
-    # -- restarts, as the substrate's wait loop sees them ------------------
+    # -- the fault script, as the substrate's wait loop fires it -----------
 
-    def admissions(self) -> list[tuple[int, Any]]:
-        """``(worker_id, handle)`` of incarnations restarted since the
-        last call (the master admits them into its loop)."""
-        with self._lock:
-            batch, self._admissions = self._admissions, []
-            self._pending_restarts -= len(batch)
-        return batch
+    def fire(self) -> list[tuple[int, Any]]:
+        """Run every script action that is due; returns ``(worker_id,
+        handle)`` of the incarnations restarted, for the caller to
+        admit.
+
+        Inside a stall the caller stays here until the stall ends --
+        the thread that serves the run is the one the stall holds --
+        and actions that fall inside the window still fire on time.
+        """
+        restarted = []
+        while True:
+            while self._script and \
+                    self._t0 + self._script[0][0] <= time.monotonic():
+                admission = self._script.popleft()[1]()
+                if admission is not None:
+                    restarted.append(admission)
+            if not self._stall_depth:
+                return restarted
+            time.sleep(self.due())
+
+    def due(self) -> float:
+        """Seconds until the next script action (``inf`` if none)."""
+        if not self._script:
+            return math.inf
+        return max(0.0, self._t0 + self._script[0][0] - time.monotonic())
 
     def expects_more(self) -> bool:
-        """True while a scripted restart has not been admitted yet."""
-        with self._lock:
-            return self._pending_restarts > 0
+        """True while a scripted restart has not fired yet."""
+        return self._pending_restarts > 0
 
     # -- shards ------------------------------------------------------------
 
@@ -319,7 +335,7 @@ class ProcessChassis(object):
             for at, _kind, extra in self.plan.message_faults(wid)
         ]
 
-    # -- the fault script (runs on its own thread) -------------------------
+    # -- the fault script's actions ---------------------------------------
 
     def _emit(self, kind: str, worker: int = -1, **fields: Any) -> None:
         if self.obs:
@@ -328,17 +344,12 @@ class ProcessChassis(object):
                 wall=time.time(), **fields,
             ))
 
-    def _sleep_until(self, at: float) -> bool:
-        """Sleep to plan time ``at``; False if the run ended first."""
-        remaining = (self._t0 + at) - time.monotonic()
-        while remaining > 0:
-            if self._abort.wait(min(remaining, 0.05)):
-                return False
-            remaining = (self._t0 + at) - time.monotonic()
-        return not self._abort.is_set()
-
-    def _drive(self) -> None:
-        script: list[tuple[float, Callable[[], None]]] = []
+    def _build_script(
+        self,
+    ) -> collections.deque[tuple[float, Callable[[], Any]]]:
+        """The plan as ``(plan time, action)`` pairs in time order (an
+        action returns ``(worker_id, handle)`` when it restarts one)."""
+        script: list[tuple[float, Callable[[], Any]]] = []
         for death in self.plan.deaths:
             script.append((death.at, partial(self._kill, death.worker)))
         for restart in self.plan.restarts:
@@ -354,15 +365,12 @@ class ProcessChassis(object):
             script.append(
                 (stall.at, partial(self._stalled, stall.duration))
             )
+            script.append((stall.at + stall.duration, self._resumed))
         script.sort(key=lambda item: item[0])
-        for at, act in script:
-            if not self._sleep_until(at):
-                return
-            act()
+        return collections.deque(script)
 
     def _kill(self, wid: int) -> None:
-        with self._lock:
-            proc = self._procs[wid]
+        proc = self._procs[wid]
         assert proc.pid is not None  # set by start(), in spawn()
         if proc.is_alive():
             logger.info("injecting death of worker %d", wid)
@@ -373,12 +381,11 @@ class ProcessChassis(object):
                 return
         proc.join(timeout=self.config.join_timeout)
 
-    def _restart(self, wid: int) -> None:
+    def _restart(self, wid: int) -> tuple[int, Any]:
         logger.info("injecting restart of worker %d", wid)
         self._emit("restart", wid, detail="spawn")
-        handle = self.spawn(wid)
-        with self._lock:
-            self._admissions.append((wid, handle))
+        self._pending_restarts -= 1
+        return wid, self.spawn(wid)
 
     def _spike(self, spike: LoadSpike, load: BackgroundLoad) -> None:
         self._emit(
@@ -389,7 +396,14 @@ class ProcessChassis(object):
     def _stalled(self, duration: float) -> None:
         logger.info("injecting stall of %.3fs", duration)
         self._emit("fault", value=duration, detail="stall")
-        self._freeze(duration)
+        self._stall_depth += 1
+        if self._stall_depth == 1:
+            self._freeze(True)
+
+    def _resumed(self) -> None:
+        self._stall_depth -= 1
+        if not self._stall_depth:
+            self._freeze(False)
 
 
 # -- the worker side -------------------------------------------------------

@@ -8,8 +8,9 @@ other values passes its own :class:`RuntimeConfig` (the service pool's
 
 ``poll_timeout``
     Seconds :func:`multiprocessing.connection.wait` blocks per poll
-    (default 5.0).  Smaller values detect dead workers faster and admit
-    chaos-restarted workers sooner, at the cost of more wakeups.
+    (default 5.0); the master also cuts it short at the nearest
+    deadline expiry and at the fault script's next action, so it is a
+    ceiling on idle wakeups, not a detection latency.
 ``worker_deadline``
     Seconds of total silence (no request, no heartbeat) after which a
     worker is declared dead and its outstanding interval is requeued

@@ -15,7 +15,6 @@ Nondedicated mode: wrap a run in
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import time
 from typing import Any, Optional, Sequence
@@ -63,10 +62,11 @@ def run_serial(workload: Workload) -> tuple[np.ndarray, float]:
 class PipeChassis(ProcessChassis, MasterHooks):
     """The master substrate's processes: one pipe per incarnation.
 
-    Doubles as the master loop's :class:`MasterHooks`: a restarted
-    incarnation's pipe is admitted into the running loop, and a plan
-    *stall* is slept by the master thread itself (:meth:`on_tick` runs
-    there), so requests queue behind it exactly as in the simulator.
+    Doubles as the master loop's :class:`MasterHooks`: the loop fires
+    the fault script itself, a restarted incarnation's pipe is admitted
+    into it, and a plan *stall* holds the master thread inside
+    :meth:`fire`, so requests queue behind it exactly as in the
+    simulator.
     """
 
     def __init__(
@@ -82,7 +82,6 @@ class PipeChassis(ProcessChassis, MasterHooks):
         self.specs = specs
         self.distributed = distributed
         self.acp_model = acp_model
-        self._stalls: collections.deque[float] = collections.deque()
 
     def _worker_call(
         self, wid: int, incarnation: int
@@ -100,13 +99,6 @@ class PipeChassis(ProcessChassis, MasterHooks):
         }
         call = (worker_main, (child, self.workload, wid), kwargs)
         return call, parent, child
-
-    def _freeze(self, duration: float) -> None:
-        self._stalls.append(duration)
-
-    def on_tick(self) -> None:
-        while self._stalls:
-            time.sleep(self._stalls.popleft())
 
     def __exit__(self, *exc: object) -> None:
         self.join()
@@ -174,13 +166,6 @@ def run_parallel(
     # The master process holds the workload (workers get copies); the
     # adaptive meta-scheduler scores its stages from it.
     scheduler.bind_workload(workload)
-    config = config or RuntimeConfig()
-    if plan is not None and plan.events:
-        # A restart is admitted, and a stall begins, at the master's
-        # next poll: keep that snappy relative to plan timescales.
-        config = dataclasses.replace(
-            config, poll_timeout=min(config.poll_timeout, 0.25)
-        )
     meta = {
         wid: (spec.virtual_power, spec.run_queue)
         for wid, spec in enumerate(specs)

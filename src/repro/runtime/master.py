@@ -20,9 +20,12 @@ simulator implements (see ``docs/fault_model.md``):
   every loop turn, not every idle poll: the wait is bounded by the
   nearest expiry, so a wedged worker is dropped on time however
   chatty its siblings are;
-* chaos restarts enter through :class:`MasterHooks` admissions -- the
-  loop keeps serving while a restart is still expected even if no
-  worker is currently connected.
+* the fault script is fired by this loop, through
+  :class:`MasterHooks`: each turn runs every action that is due and
+  admits the restarted incarnations, and the wait never outlasts the
+  next action.  A plan stall holds the loop inside ``fire``, so
+  requests queue behind it.  The loop keeps serving while a restart is
+  still expected even if no worker is currently connected.
 
 Timing knobs live in :class:`repro.runtime.config.RuntimeConfig`;
 ``poll_timeout`` is the ceiling on one ``wait``.
@@ -36,6 +39,7 @@ iterations are still outstanding.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from multiprocessing.connection import wait
 from typing import Any, Iterable, Optional
@@ -62,10 +66,6 @@ _SRC = "runtime.master"
 
 logger = get_logger(__name__)
 
-#: Seconds the master sleeps between checks while no worker is
-#: connected but a (chaos) restart is still expected.
-RESTART_BACKOFF = 0.05
-
 
 class IncompleteRunError(RuntimeError):
     """Every worker is gone but iterations are still outstanding."""
@@ -84,17 +84,21 @@ class MasterHooks(object):
     """Extension points the master consults every loop iteration.
 
     The base implementation is inert; ``run_parallel`` passes its
-    :class:`~repro.runtime.executor.PipeChassis`, which sleeps plan
-    stalls on the master thread and re-admits restarted workers.
+    :class:`~repro.runtime.executor.PipeChassis`, whose fault script
+    the loop fires: plan stalls hold the master thread, restarted
+    workers are admitted.
     """
 
-    def on_tick(self) -> None:
-        """Called once per loop iteration, before polling."""
-
-    def admissions(self) -> Iterable[tuple[int, Any]]:
-        """New ``(worker_id, connection)`` entries to serve (a fresh
-        incarnation of a known worker id)."""
+    def fire(self) -> Iterable[tuple[int, Any]]:
+        """Called once per loop iteration, before polling: run what is
+        due and return new ``(worker_id, connection)`` entries to serve
+        (a fresh incarnation of a known worker id)."""
         return ()
+
+    def due(self) -> float:
+        """Seconds the next poll may block before :meth:`fire` has
+        more to do."""
+        return math.inf
 
     def expects_more(self) -> bool:
         """True while more admissions may still arrive; keeps the loop
@@ -267,8 +271,7 @@ def master_loop(
         screened = {wid for wid, acp in acps.items() if not acp}
 
     while live or hooks.expects_more():
-        hooks.on_tick()
-        for wid, conn in hooks.admissions():
+        for wid, conn in hooks.fire():
             if wid in live or wid in master.outstanding:
                 # A restarted incarnation re-uses the id: whatever the
                 # old incarnation still held died with it -- requeue it
@@ -279,11 +282,9 @@ def master_loop(
             logger.info("worker %d admitted", wid)
             emit("restart", wid, detail="admission")
         release()
-        if not live:
-            time.sleep(RESTART_BACKOFF)
-            continue
-        ready = wait(list(live.values()), timeout=config.wait_bound(
-            last_seen.values(), time.monotonic()
+        ready = wait(list(live.values()), timeout=min(
+            hooks.due(),
+            config.wait_bound(last_seen.values(), time.monotonic()),
         ))
         conn_to_wid = {id(c): w for w, c in live.items()}
         for conn in ready:

@@ -15,6 +15,7 @@ from repro.chaos import (
     MessageLoss,
     WorkerDeath,
 )
+from repro.decentral import run_decentral
 from repro.obs import capture, stream_digest
 from repro.runtime import run_parallel
 from repro.verify import audit_run
@@ -92,3 +93,27 @@ class TestRunChaos:
                            time_scale=0.01, k=6)
         audit_run(run, workload=spin_workload).raise_if_failed()
         np.testing.assert_array_equal(run.results, spin_serial)
+
+
+@pytest.mark.parametrize("run", [run_parallel, run_decentral],
+                         ids=["master", "counter"])
+def test_overlapping_stalls_take_their_union(run, spin_workload,
+                                             spin_serial):
+    # Two 1 s stalls offset by 0.05 s hold dispatch over their union,
+    # [0.05, 1.1), as on the DES -- not over their sum -- and a death
+    # planned inside the window still fires on time.
+    plan = FaultPlan(events=(
+        MasterStall(at=0.05, duration=1.0),
+        MasterStall(at=0.1, duration=1.0),
+        WorkerDeath(worker=1, at=0.5),
+    ))
+    with capture() as trace:
+        result = run("TSS", spin_workload, 3, plan=plan, collector=trace)
+    assert result.elapsed < 1.6
+    kills = [
+        ev.t for ev in trace.events
+        if ev.source == "chaos" and ev.kind == "fault"
+        and ev.detail == "kill"
+    ]
+    assert len(kills) == 1 and abs(kills[0] - 0.5) <= 0.1, kills
+    np.testing.assert_array_equal(result.results, spin_serial)

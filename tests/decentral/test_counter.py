@@ -31,6 +31,13 @@ def _hold_then_idle(path: str, ready) -> None:
     time.sleep(60)  # killed long before this expires
 
 
+def _claim_and_report(path: str, conn) -> None:
+    conn.send("claiming")
+    counter = SharedCounter(path)
+    conn.send(("claimed", counter.fetch_add(1)))
+    counter.close()
+
+
 class TestSharedCounter:
     def test_fetch_add_and_peek(self, tmp_path):
         counter = SharedCounter.create(str(tmp_path / "ctr"), value=5)
@@ -76,6 +83,29 @@ class TestSharedCounter:
             with open(out, "rb") as fh:
                 claimed.extend(pickle.load(fh))
         assert sorted(claimed) == list(range(200))
+
+    def test_claim_waits_for_unlock(self, tmp_path):
+        # The stall primitive: while the parent holds lock(), a forked
+        # child's fetch_add cannot return.  The value the child fetches
+        # is the order witness: the parent rewrites the counter after
+        # the child announced its claim, and the child must see that.
+        path = str(tmp_path / "ctr")
+        counter = SharedCounter.create(path)
+        counter.lock()
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        child = ctx.Process(target=_claim_and_report, args=(path, theirs))
+        child.start()
+        theirs.close()
+        assert ours.recv() == "claiming"
+        SharedCounter.create(path, value=41).close()
+        assert not ours.poll()
+        counter.unlock()
+        assert ours.recv() == ("claimed", 41)
+        child.join(10)
+        assert child.exitcode == 0
+        assert counter.fetch_add(1) == 42  # the lock is really gone
+        counter.close()
 
     def test_sigkilled_holder_releases_the_lock(self, tmp_path):
         # The design reason for flock over mp.Lock: kill a process

@@ -200,22 +200,25 @@ def test_real_process_lifecycle_lives_once_on_the_chassis():
     and what a stall means, nothing else.  ``service/pool.py`` keeps
     its own slot spawn and liveness kill (its event-loop readers,
     dispatch and ledger are a different supervisor), but shares the
-    sender thread, the locked sender and the join guard."""
+    sender thread, the locked sender and the join guard.  The run's
+    own wait loop fires the fault script, so the three chassis classes
+    create no thread, lock or event."""
     import ast
 
     chassis = os.path.join("repro", "runtime", "chassis.py")
     pool = os.path.join("repro", "service", "pool.py")
-    counter_hold = os.path.join("repro", "decentral", "executor.py")
     #: call (by attribute / name tail) -> modules allowed to make it
     allowed = {
         "Process": {chassis, pool},
         "kill": {chassis, pool},
         "terminate": {chassis},
-        "Thread": {chassis, pool, counter_hold},
+        "Thread": {chassis, pool},
         "burn": {chassis},
     }
+    chassis_classes = {"ProcessChassis", "PipeChassis", "CounterChassis"}
+    in_chassis: list = []
     once = {
-        "spawn", "_drive", "_kill", "_restart", "_spike",
+        "spawn", "_build_script", "_kill", "_restart", "_spike",
         "join_or_terminate", "heartbeat_sender", "locked_sender",
         "assemble_results", "serve_delays",
     }
@@ -241,9 +244,20 @@ def test_real_process_lifecycle_lives_once_on_the_chassis():
                         or getattr(callee, "id", None)
                     if called in allowed:
                         calls.setdefault(called, set()).add(rel)
+                elif isinstance(node, ast.ClassDef) \
+                        and node.name in chassis_classes:
+                    in_chassis.append(node.name)
+                    for inner in ast.walk(node):
+                        callee = getattr(inner, "func", None)
+                        called = getattr(callee, "attr", None) \
+                            or getattr(callee, "id", None)
+                        assert called not in ("Thread", "Lock", "Event"), (
+                            rel, node.name, inner.lineno, called
+                        )
     for called, where in sorted(calls.items()):
         assert where <= allowed[called], (called, sorted(where))
     assert defined == {name: [chassis] for name in once}, defined
+    assert sorted(in_chassis) == sorted(chassis_classes), in_chassis
 
 
 def test_the_run_spine_is_written_once():
