@@ -66,7 +66,6 @@ __all__ = [
     "CALCULATORS",
     "DECENTRAL_SCHEMES",
     "make_calculator",
-    "chunk_size",
     "ChunkLadder",
     "evaluate_ladder",
 ]
@@ -227,13 +226,6 @@ def make_calculator(
     for kw, value in inline.items():
         kwargs.setdefault(kw, value)
     return ChunkCalculator(cls(total, workers, **kwargs), key)
-
-
-def chunk_size(
-    scheme: str, scheduled: int, total: int, workers: int, **kwargs
-) -> int:
-    """One-shot pure form: ``chunk(scheduled, total, p)`` for ``scheme``."""
-    return make_calculator(scheme, total, workers, **kwargs).chunk(scheduled)
 
 
 # -- array-level ladder evaluation -----------------------------------------

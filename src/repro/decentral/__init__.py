@@ -24,7 +24,6 @@ from ..core.kernel import (
     CALCULATORS,
     DECENTRAL_SCHEMES,
     ChunkCalculator,
-    chunk_size,
     make_calculator,
 )
 from .counter import LeasedCounter, SharedCounter
@@ -52,7 +51,6 @@ __all__ = [
     "DecentralSimulation",
     "LeasedCounter",
     "SharedCounter",
-    "chunk_size",
     "decentral_worker_main",
     "make_calculator",
     "run_decentral",

@@ -17,9 +17,10 @@ five execution paths:
   files).
 
 Because every substrate speaks the same schema, simulator and runtime
-traces are directly diffable (:func:`canonical_stream`), one metrics
-catalog serves all of them (:func:`metrics_from_events`), and the
-trace auditor (:func:`repro.verify.audit_events`) checks any of them.
+traces are directly diffable (:func:`canonical_stream`), one
+per-worker fold explains all of them (:func:`critical_path`, which
+:func:`trace_report` renders), and the trace auditor
+(:func:`repro.verify.audit_events`) checks any of them.
 
 Typical use::
 
@@ -44,6 +45,7 @@ from .critpath import (
     WorkerBreakdown,
     critical_path,
     fastpath_drift,
+    trace_report,
 )
 from .collect import (
     NULL,
@@ -87,9 +89,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    metrics_from_events,
 )
-from .report import WorkerSummary, summarize_workers, trace_report
 from .timeseries import RollingMetrics, RollingWindow
 
 __all__ = [
@@ -123,12 +123,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "metrics_from_events",
     "configure_logging",
     "get_logger",
     "write_artifact",
-    "WorkerSummary",
-    "summarize_workers",
     "trace_report",
     "RollingWindow",
     "RollingMetrics",

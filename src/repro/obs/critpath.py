@@ -7,14 +7,18 @@ stream (sim, runtime, decentral, or a service trace) into that
 explanation, offline and purely -- no clock reads, no substrate
 imports, deterministic output for a deterministic stream.
 
-Three products:
+Four products:
 
 * :func:`critical_path` -- per-worker attribution of the full span to
   ``compute`` / ``master-wait`` / ``network`` / ``fault-recovery`` /
   ``idle`` (the categories tile each worker's span exactly, by
   construction), the blocking chain from the makespan backwards, and
   the paper's load-imbalance metrics (finish-time spread, busy-time
-  sigma).
+  sigma).  It is the one per-worker fold over a trace.
+* :func:`trace_report` -- the ``trace-report`` table, rendered from
+  that fold's workers: chunk/iteration counts, busy seconds,
+  utilization, dispatch latency, faults and restarts per worker, then
+  the event census and the canonical-stream digest.
 * :func:`fastpath_drift` -- diff observed chunk completion times
   against an analytic fast-path prediction
   (:func:`repro.simulation.fastpath` chunk records, passed in by the
@@ -37,10 +41,12 @@ acp-update, adapt, job-*) are transparent.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Iterable, Optional, Sequence
 
 from .events import ObsEvent
-from .metrics import imbalance, population_sigma
+from .export import stream_digest
+from .metrics import Histogram, imbalance, population_sigma
 
 __all__ = [
     "CATEGORIES",
@@ -50,6 +56,7 @@ __all__ = [
     "DriftReport",
     "critical_path",
     "fastpath_drift",
+    "trace_report",
 ]
 
 #: The attribution categories; each worker's span tiles into these.
@@ -80,7 +87,11 @@ _AFTER = {
 
 @dataclasses.dataclass
 class WorkerBreakdown(object):
-    """Where one worker's span ``[first_t, span_end]`` went."""
+    """Where one worker's span ``[first_t, span_end]`` went.
+
+    ``last_t``, ``faults``, ``restarts`` and ``dispatch`` are what
+    :func:`trace_report` tabulates; ``to_dict`` leaves them out.
+    """
 
     worker: int
     first_t: float
@@ -91,6 +102,11 @@ class WorkerBreakdown(object):
     categories: dict[str, float] = dataclasses.field(
         default_factory=dict
     )
+    last_t: float = 0.0       # latest event; a compute counts to its end
+    faults: int = 0
+    restarts: int = 0
+    #: request -> assign gaps, paired in stream order
+    dispatch: list[float] = dataclasses.field(default_factory=list)
 
     @property
     def span(self) -> float:
@@ -190,7 +206,7 @@ class CritPathReport(object):
 
 
 def _span_categories(
-    events: Sequence[ObsEvent], makespan: float
+    events: Sequence[ObsEvent], makespan: float, dispatch: list[float],
 ) -> WorkerBreakdown:
     """Attribute one worker's span; events are time-sorted."""
     worker = events[0].worker
@@ -201,6 +217,8 @@ def _span_categories(
     finish_t = first_t
     chunks = 0
     iterations = 0
+    faults = 0
+    restarts = 0
 
     def charge(upto: float) -> None:
         nonlocal cursor
@@ -221,19 +239,28 @@ def _span_categories(
             iterations += (ev.stop or 0) - (ev.start or 0)
             pending = "network"   # next request goes out at finish
         else:
-            if ev.kind == "result":
+            kind = ev.kind
+            if kind == "result":
                 finish_t = max(finish_t, ev.t)
-            pending = _AFTER.get(ev.kind, pending)
+            elif kind == "fault":
+                faults += 1
+            elif kind == "restart":
+                restarts += 1
+            pending = _AFTER.get(kind, pending)
     span_end = max(cursor, makespan)
     charge(span_end)
-    breakdown = WorkerBreakdown(
+    return WorkerBreakdown(
         worker=worker, first_t=first_t, span_end=span_end,
         finish_t=finish_t, chunks=chunks, iterations=iterations,
         categories={
             k: v for k, v in categories.items() if v > 0.0
         } or {"idle": 0.0},
+        # finish_t covers every compute end; results and the first
+        # event are never later than the last event
+        last_t=max(events[-1].t, finish_t),
+        faults=faults, restarts=restarts,
+        dispatch=dispatch,
     )
-    return breakdown
 
 
 def _blocking_chain(
@@ -298,32 +325,45 @@ def critical_path(events: Iterable[ObsEvent]) -> CritPathReport:
     ``makespan`` is the last ``result`` arrival -- the paper's
     :math:`T_p` -- falling back to the last event time for streams
     with no result events.
+
+    Request -> assign gaps pair in stream order, before each worker's
+    events are time-sorted: the sources of a merged file each keep
+    their own time base, so a time sort would pair across them.
     """
-    ordered = sorted(
-        (ev for ev in events if ev.worker >= 0),
-        key=lambda ev: ev.t,
-    )
     per_worker: dict[int, list[ObsEvent]] = {}
+    dispatch: dict[int, list[float]] = {}
+    asked: dict[int, float] = {}
     last_result: Optional[ObsEvent] = None
-    for ev in ordered:
-        per_worker.setdefault(ev.worker, []).append(ev)
-        if ev.kind == "result" and (
-            last_result is None or ev.t >= last_result.t
-        ):
-            last_result = ev
+    for ev in events:
+        worker = ev.worker
+        if worker < 0:
+            continue
+        per_worker.setdefault(worker, []).append(ev)
+        kind = ev.kind
+        if kind == "result":
+            if last_result is None or ev.t >= last_result.t:
+                last_result = ev
+        elif kind == "request":
+            asked[worker] = ev.t
+        elif kind == "assign":
+            at = asked.pop(worker, None)
+            if at is not None and ev.t >= at:
+                dispatch.setdefault(worker, []).append(ev.t - at)
+    for evs in per_worker.values():
+        evs.sort(key=operator.attrgetter("t"))
     if last_result is not None:
         makespan = last_result.t
-    elif ordered:
+    elif per_worker:
         makespan = max(
             ev.t + (ev.value or 0.0) if ev.kind == "compute" else ev.t
-            for ev in ordered
+            for evs in per_worker.values() for ev in evs
         )
     else:
         makespan = 0.0
 
     workers = [
-        _span_categories(evs, makespan)
-        for _, evs in sorted(per_worker.items())
+        _span_categories(evs, makespan, dispatch.get(worker, []))
+        for worker, evs in sorted(per_worker.items())
     ]
     finishes = [w.finish_t for w in workers]
     busies = [w.busy for w in workers]
@@ -344,6 +384,65 @@ def critical_path(events: Iterable[ObsEvent]) -> CritPathReport:
         imbalance=imbalance(finishes),
         busy_sigma=population_sigma(busies),
     )
+
+
+def trace_report(
+    events: Iterable[ObsEvent],
+    title: str = "trace report",
+) -> str:
+    """Render the per-worker utilization/latency table of a trace.
+
+    Works on *any* captured trace -- simulated or real -- because it
+    reads only schema events, through :func:`critical_path`.
+    """
+    events = list(events)
+    if not events:
+        return f"{title}: (empty trace)"
+    workers = critical_path(events).workers
+    horizon = max((w.last_t for w in workers), default=0.0)
+    sources = sorted({ev.source for ev in events})
+    lines = [
+        f"{title} -- {len(events)} events from "
+        f"{', '.join(sources)}; horizon t={horizon:.4f}",
+        "",
+        f"{'worker':>6} {'chunks':>7} {'iters':>8} {'busy(s)':>10} "
+        f"{'util%':>6} {'disp.mean':>10} {'disp.max':>9} "
+        f"{'faults':>6} {'restarts':>8}",
+    ]
+    disp = Histogram("dispatch_latency")
+    for w in workers:
+        mine = Histogram("dispatch_latency")
+        for gap in w.dispatch:
+            mine.observe(gap)
+            disp.observe(gap)
+        span = horizon - w.first_t
+        util = w.busy / span if span > 0 else 0.0
+        lines.append(
+            f"{w.worker:>6d} {w.chunks:>7d} {w.iterations:>8d} "
+            f"{w.busy:>10.4f} {100 * util:>6.1f} "
+            f"{mine.mean:>10.5f} {mine.max or 0.0:>9.5f} "
+            f"{w.faults:>6d} {w.restarts:>8d}"
+        )
+    census: dict[str, int] = {}
+    chunk = Histogram("chunk_size")
+    for ev in events:
+        census[ev.kind] = census.get(ev.kind, 0) + 1
+        if ev.kind == "compute":
+            chunk.observe((ev.stop or 0) - (ev.start or 0))
+    lines.append("")
+    lines.append(
+        "events: " + "  ".join(
+            f"{kind}={census[kind]}" for kind in sorted(census)
+        )
+    )
+    lines.append(
+        f"chunk size: n={chunk.count} mean={chunk.mean:.1f} "
+        f"min={chunk.min or 0:.0f} max={chunk.max or 0:.0f}; "
+        f"dispatch latency: mean={disp.mean:.5f}s "
+        f"p90~{disp.quantile(0.9):.5f}s"
+    )
+    lines.append(f"canonical stream sha256: {stream_digest(events)}")
+    return "\n".join(lines)
 
 
 @dataclasses.dataclass

@@ -2,11 +2,10 @@
 
 No external dependency (the container has no prometheus client and
 must not grow one): a registry is a named bag of three primitive types
-with a JSON-able :meth:`MetricsRegistry.snapshot`.  The standard run
-metrics -- chunk-size distribution, dispatch latency, per-worker idle
-time, counter contention, heartbeat misses, restarts -- are *derived*
-from the unified event stream by :func:`metrics_from_events`, so any
-substrate that emits schema events gets the full catalog for free.
+with a JSON-able :meth:`MetricsRegistry.snapshot`.  The daemon keeps
+one registry for its ``metrics`` op; ``trace_report`` fills two
+:class:`Histogram` s (chunk size, dispatch latency) from a trace.
+Per-worker time is :func:`repro.obs.critpath.critical_path`'s fold.
 """
 
 from __future__ import annotations
@@ -15,16 +14,13 @@ import bisect
 import dataclasses
 import json
 import math
-from typing import Iterable, Optional, Sequence
-
-from .events import ObsEvent
+from typing import Optional, Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "metrics_from_events",
     "imbalance",
     "population_sigma",
 ]
@@ -180,98 +176,6 @@ class MetricsRegistry(object):
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-
-def metrics_from_events(events: Iterable[ObsEvent]) -> MetricsRegistry:
-    """Derive the standard metric catalog from a unified event stream.
-
-    Catalog (see ``docs/observability.md``):
-
-    * ``chunk_size`` (histogram, iterations) -- from compute events;
-    * ``compute_seconds`` (histogram) -- compute durations;
-    * ``dispatch_latency`` (histogram, seconds) -- per-worker
-      request -> next assign gap;
-    * ``worker_idle_seconds`` (histogram) -- per-worker gap between a
-      chunk's result/compute-end and the next assignment;
-    * ``counter_wait_seconds`` (histogram) -- fetch-add queueing delay
-      (decentral contention);
-    * ``counter_ops_global`` / ``counter_ops_local`` (counters);
-    * ``chunks_total`` / ``iterations_total`` / ``results_total`` /
-      ``heartbeats_total`` / ``steals_total`` / ``repairs_total``
-      (counters);
-    * ``faults_total`` plus ``faults_<detail>`` (counters);
-    * ``heartbeat_misses`` (counter) -- deadline-expiry faults;
-    * ``restarts_total`` (counter);
-    * ``workers`` (gauge) -- distinct workers observed.
-    """
-    reg = MetricsRegistry()
-    chunk_size = reg.histogram("chunk_size")
-    compute_seconds = reg.histogram("compute_seconds")
-    dispatch = reg.histogram("dispatch_latency")
-    idle = reg.histogram("worker_idle_seconds")
-    counter_wait = reg.histogram("counter_wait_seconds")
-    chunks_total = reg.counter("chunks_total")
-    iterations_total = reg.counter("iterations_total")
-    results_total = reg.counter("results_total")
-    heartbeats = reg.counter("heartbeats_total")
-    steals = reg.counter("steals_total")
-    repairs = reg.counter("repairs_total")
-    faults = reg.counter("faults_total")
-    misses = reg.counter("heartbeat_misses")
-    restarts = reg.counter("restarts_total")
-    workers_gauge = reg.gauge("workers")
-
-    last_request: dict[int, float] = {}
-    last_done: dict[int, float] = {}
-    workers: set[int] = set()
-    for ev in events:
-        if ev.worker >= 0:
-            workers.add(ev.worker)
-        kind = ev.kind
-        if kind == "request":
-            last_request[ev.worker] = ev.t
-        elif kind == "assign":
-            at = last_request.pop(ev.worker, None)
-            if at is not None and ev.t >= at:
-                dispatch.observe(ev.t - at)
-            done = last_done.pop(ev.worker, None)
-            if done is not None and ev.t >= done:
-                idle.observe(ev.t - done)
-        elif kind == "compute":
-            chunks_total.inc()
-            size = (ev.stop or 0) - (ev.start or 0)
-            chunk_size.observe(size)
-            iterations_total.inc(size)
-            if ev.value is not None:
-                compute_seconds.observe(ev.value)
-                last_done[ev.worker] = ev.t + ev.value
-        elif kind == "result":
-            results_total.inc()
-            last_done[ev.worker] = max(
-                ev.t, last_done.get(ev.worker, 0.0)
-            )
-        elif kind == "heartbeat":
-            heartbeats.inc()
-        elif kind == "fetch-add":
-            if ev.detail == "local":
-                reg.counter("counter_ops_local").inc()
-            else:
-                reg.counter("counter_ops_global").inc()
-            if ev.value is not None:
-                counter_wait.observe(ev.value)
-        elif kind == "steal":
-            steals.inc()
-        elif kind == "repair":
-            repairs.inc()
-        elif kind == "fault":
-            faults.inc()
-            reg.counter(f"faults_{ev.detail or 'unknown'}").inc()
-            if ev.detail == "deadline":
-                misses.inc()
-        elif kind == "restart":
-            restarts.inc()
-    workers_gauge.set(len(workers))
-    return reg
 
 
 def imbalance(values: Sequence[float]) -> float:

@@ -1,7 +1,7 @@
 """Rolling time-series windows over the unified event stream.
 
-:func:`repro.obs.metrics.metrics_from_events` answers "what happened
-over the whole run"; a live daemon needs "what is happening *now*".
+:func:`repro.obs.critpath.critical_path` answers "where did the time
+go over the whole run"; a live daemon needs "what is happening *now*".
 :class:`RollingWindow` is a fixed-width ring of time bins (no
 unbounded growth, O(bins) memory per series) and
 :class:`RollingMetrics` feeds a small catalog of windows from

@@ -11,7 +11,6 @@ from repro.core.base import SchemeError
 from repro.decentral import (
     CALCULATORS,
     DECENTRAL_SCHEMES,
-    chunk_size,
     make_calculator,
 )
 from repro.verify import replay_cut_points
@@ -114,9 +113,10 @@ class TestFactoryAndParams:
             make_calculator("NOPE", 1000, 4)
 
     def test_chunk_size_one_shot(self):
-        assert chunk_size("CSS(25)", 0, 100, 4) == 25
-        assert chunk_size("CSS(25)", 90, 100, 4) == 10  # final clip
-        assert chunk_size("SS", 99, 100, 4) == 1
+        assert make_calculator("CSS(25)", 100, 4).chunk(0) == 25
+        # final clip
+        assert make_calculator("CSS(25)", 100, 4).chunk(90) == 10
+        assert make_calculator("SS", 100, 4).chunk(99) == 1
 
     def test_registry_and_calculators_agree_on_names(self):
         from repro.core import registry

@@ -97,6 +97,33 @@ class TestSyntheticStreams:
         # the whole [0, 2) gap is one network wait
         assert w.categories["network"] == pytest.approx(2.0)
 
+    def test_dispatch_pairs_in_stream_order_across_sources(self):
+        # A merged file: each source keeps its own time base, so a time
+        # sort would pair the runtime's request with the sim's assign.
+        events = [
+            ObsEvent("request", "sim.master", 0.0, worker=0),
+            ObsEvent("assign", "sim.master", 1.0, worker=0,
+                     start=0, stop=8),
+            ObsEvent("request", "runtime.master", 0.5, worker=0),
+            ObsEvent("assign", "runtime.master", 0.75, worker=0,
+                     start=0, stop=8),
+        ]
+        (w,) = critical_path(events).workers
+        assert w.dispatch == [1.0, 0.25]
+
+    def test_lifecycle_counts(self):
+        events = [
+            ObsEvent("request", "sim.master", 0.0, worker=0),
+            ObsEvent("fault", "chaos", 1.0, worker=0, detail="death"),
+            ObsEvent("restart", "sim.master", 5.0, worker=0),
+            ObsEvent("heartbeat", "runtime.master", 9.5, worker=0),
+            ObsEvent("compute", "sim.master", 7.0, worker=0,
+                     start=0, stop=8, value=4.0),
+        ]
+        (w,) = critical_path(events).workers
+        assert (w.faults, w.restarts) == (1, 1)
+        assert w.last_t == 11.0  # the compute's end, past the heartbeat
+
     def test_unattributed_events_ignored(self):
         rep = critical_path([
             ObsEvent("fault", "chaos", 1.0, detail="stall", value=2.0),

@@ -1,4 +1,4 @@
-"""Metrics registry and event-derived catalog tests."""
+"""Metrics registry tests."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    ObsEvent,
-    metrics_from_events,
 )
 
 
@@ -78,43 +76,3 @@ def test_registry_get_or_create_and_type_clash():
     with pytest.raises(TypeError):
         reg.gauge("x")
     assert json.loads(reg.to_json())["x"]["type"] == "counter"
-
-
-def test_metrics_from_events_catalog():
-    events = [
-        ObsEvent("request", "sim.master", 0.0, worker=0),
-        ObsEvent("assign", "sim.master", 0.25, worker=0, start=0, stop=10),
-        ObsEvent("compute", "sim.master", 0.25, worker=0, start=0,
-                 stop=10, value=1.0),
-        ObsEvent("result", "sim.master", 1.25, worker=0, start=0, stop=10),
-        ObsEvent("heartbeat", "runtime.worker", 0.5, worker=1),
-        ObsEvent("fetch-add", "runtime.decentral", 0.1, worker=1,
-                 value=0.02, detail="global"),
-        ObsEvent("fetch-add", "runtime.decentral", 0.2, worker=1,
-                 value=0.0, detail="local"),
-        ObsEvent("fault", "chaos", 0.3, worker=1, detail="death"),
-        ObsEvent("fault", "runtime.master", 0.4, worker=1,
-                 detail="deadline"),
-        ObsEvent("restart", "chaos", 0.5, worker=1),
-        ObsEvent("steal", "sim.tree", 0.6, worker=2, start=10, stop=12),
-        ObsEvent("repair", "runtime.decentral", 0.7, worker=-1,
-                 start=12, stop=14),
-    ]
-    snap = metrics_from_events(events).snapshot()
-    assert snap["chunks_total"]["value"] == 1
-    assert snap["iterations_total"]["value"] == 10
-    assert snap["results_total"]["value"] == 1
-    assert snap["heartbeats_total"]["value"] == 1
-    assert snap["counter_ops_global"]["value"] == 1
-    assert snap["counter_ops_local"]["value"] == 1
-    assert snap["faults_total"]["value"] == 2
-    assert snap["faults_death"]["value"] == 1
-    assert snap["heartbeat_misses"]["value"] == 1
-    assert snap["restarts_total"]["value"] == 1
-    assert snap["steals_total"]["value"] == 1
-    assert snap["repairs_total"]["value"] == 1
-    assert snap["workers"]["value"] == 3
-    assert snap["chunk_size"]["count"] == 1
-    assert snap["dispatch_latency"]["count"] == 1
-    # the whole snapshot serializes (the per-run JSON artifact)
-    assert json.loads(json.dumps(snap)) == snap
