@@ -5,8 +5,8 @@ run before it starts (simulator hooks, ``run_parallel(plan=)``).  A daemon
 has no "before": workers are long-lived and shared across tenants, so
 faults must land on whatever incarnation occupies a slot *when the
 fault fires*.  :func:`inject_service_faults` maps a plan's
-``WorkerDeath`` events onto asyncio timers that SIGKILL the pool slot
-at the scaled wall-clock offset -- the pool's heartbeat/deadline
+``WorkerDeath`` events onto ``loop.call_later`` timers that SIGKILL
+the pool slot at the scaled wall-clock offset -- the pool's heartbeat/deadline
 machinery then detects the death, requeues the victim's job at the
 head of its tenant's queue, and respawns the slot with a bumped
 incarnation.  That full loop (kill -> detect -> requeue -> re-execute
@@ -51,14 +51,14 @@ def inject_service_faults(
     server: "ServiceServer",
     plan: FaultPlan,
     time_scale: float = 1.0,
-) -> list[asyncio.Task]:
+) -> list[asyncio.TimerHandle]:
     """Schedule ``plan``'s worker deaths against a running daemon.
 
     Must be called from the daemon's event loop (the ``chaos`` op
     does).  ``time_scale`` maps the plan's (often virtual) times onto
     wall-clock seconds: a plan authored for a simulator horizon of
     ``H`` virtual seconds replayed over ``W`` wall seconds wants
-    ``time_scale=W/H``.  Returns the scheduled tasks (cancelled on
+    ``time_scale=W/H``.  Returns the scheduled timers (cancelled on
     server shutdown).
     """
     if time_scale <= 0:
@@ -71,20 +71,17 @@ def inject_service_faults(
             "(only worker deaths translate to a live pool)",
             skipped, len(plan.events),
         )
-    tasks: list[asyncio.Task] = []
-    for ev in deaths:
-        tasks.append(
-            asyncio.get_running_loop().create_task(
-                _kill_later(server, ev.worker, ev.at * time_scale)
-            )
+    loop = asyncio.get_running_loop()
+    return [
+        loop.call_later(
+            ev.at * time_scale, _kill_slot, server, ev.worker,
+            ev.at * time_scale,
         )
-    return tasks
+        for ev in deaths
+    ]
 
 
-async def _kill_later(
-    server: "ServiceServer", slot: int, delay: float
-) -> None:
-    await asyncio.sleep(max(0.0, delay))
+def _kill_slot(server: "ServiceServer", slot: int, delay: float) -> None:
     hit = server.pool.kill_worker(slot)
     _log.info(
         "chaos: SIGKILL slot %d at +%.3fs (%s)",

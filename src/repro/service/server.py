@@ -34,11 +34,12 @@ WorkerPool`.  The production concerns, in the order a job meets them:
 
 * **live telemetry** -- a ``subscribe`` (alias ``watch``) op turns a
   connection into a push stream: chunk-level ObsEvents forwarded from
-  the pool workers mid-run, job-level lifecycle events, per-subscriber
-  bounded queues with explicit drop accounting (a slow watcher can
-  never block the pool or another tenant), and rolling time-series
-  gauges (:class:`repro.obs.timeseries.RollingMetrics`) in the
-  ``metrics`` snapshot.
+  the pool workers mid-run, job-level lifecycle events, a bounded
+  per-subscriber backlog while its transport is paused, with explicit
+  drop accounting (a slow watcher can never block the pool or another
+  tenant), and rolling time-series gauges
+  (:class:`repro.obs.timeseries.RollingMetrics`) in the ``metrics``
+  snapshot.
 
 Protocol ops (every request may carry a ``seq`` echoed in the reply):
 ``hello``, ``submit``, ``wait``, ``status``, ``metrics``, ``trace``,
@@ -53,13 +54,15 @@ drives the pool too: the pool reads its workers' pipes and sentinels
 as loop readers and calls :meth:`ServiceServer._on_complete` and
 ``_on_events`` directly, on the loop.  The pool owns the job table
 (:attr:`WorkerPool.records <repro.service.pool.WorkerPool.records>`);
-the daemon keeps only what a client connection needs on top of it:
-each unfinished job's future.
+the daemon keeps no job state beside it.  A held ``wait`` is its
+connection, listed under the job id until ``_on_complete`` answers it,
+and a watch frame is written by ``_publish`` itself.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import functools
 import itertools
@@ -94,9 +97,10 @@ _log = get_logger("service.server")
 #: Event source tag for job-level lifecycle events.
 _SRC = "service"
 
-#: Bounded per-subscriber queue: a watcher that cannot keep up loses
-#: event batches (counted in its ``drops``) instead of backpressuring
-#: the pool or the other tenants.
+#: Event batches a subscriber's backlog holds while its transport is
+#: paused: a watcher that cannot keep up loses event batches (counted
+#: in its ``drops``) instead of backpressuring the pool or the other
+#: tenants.
 SUBSCRIBER_QUEUE = 256
 
 #: Width (seconds of service clock) of the rolling telemetry window.
@@ -108,23 +112,6 @@ READ_LIMIT = 64 * 1024
 
 #: Seconds shutdown lets the closing connections flush their replies.
 FLUSH_TIMEOUT = 5.0
-
-
-class _Subscription(object):
-    """One live watcher: a tenant filter and a bounded frame queue."""
-
-    __slots__ = ("tenant", "queue", "drops", "n")
-
-    def __init__(self, tenant: Optional[str]) -> None:
-        self.tenant = tenant  # None means every tenant
-        self.queue: asyncio.Queue = asyncio.Queue(
-            maxsize=SUBSCRIBER_QUEUE
-        )
-        self.drops = 0   # cumulative events lost to the bound
-        self.n = 0       # monotone stream-frame counter
-
-    def wants(self, tenant: str) -> bool:
-        return self.tenant is None or self.tenant == tenant
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,15 +180,15 @@ class ServiceServer(object):
         #: merge so repeated polls are incremental, not O(total).
         self._merged: list[ObsEvent] = []
         self._merged_idx: dict[str, int] = {}
-        self._subscribers: list[_Subscription] = []
-        self._stream_tasks: set[asyncio.Task] = set()
+        self._subscribers: list[_Connection] = []
         self._connections: set[_Connection] = set()
-        self._futures: dict[str, asyncio.Future] = {}
+        #: Connections holding a ``wait``, by the job id they wait on.
+        self._waiting: dict[str, list[_Connection]] = {}
         self._ids = itertools.count(1)
         self.draining = False
         self._drained = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._chaos_tasks: list[asyncio.Task] = []
+        self._chaos_timers: list[asyncio.TimerHandle] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -267,19 +254,10 @@ class ServiceServer(object):
     async def shutdown(self) -> None:
         """Close the listener and the connections, and stop the pool
         (hard stop)."""
-        for sub in self._subscribers:  # the terminal frame
-            try:
-                sub.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                # Full queue: the watcher is hopelessly behind; the
-                # connection teardown will cancel its writer task.
-                pass
-        if self._stream_tasks:
-            # Let the writer tasks flush their terminal frames; a
-            # wedged peer cannot hold shutdown beyond the timeout.
-            await asyncio.wait(set(self._stream_tasks), timeout=1.0)
-        for task in self._chaos_tasks:
-            task.cancel()
+        for conn in self._subscribers:
+            conn.end_stream()
+        for timer in self._chaos_timers:
+            timer.cancel()
         if self._server is not None:
             self._server.close()
             conns = list(self._connections)
@@ -331,9 +309,8 @@ class ServiceServer(object):
                 + ("" if ok else " failed"),
             ),
         )
-        future = self._futures.pop(record.job_id, None)
-        if future is not None and not future.done():
-            future.set_result(record)
+        for conn in self._waiting.pop(record.job_id, ()):
+            conn.release(self._wait_reply(record, conn.held_seq))
         self._check_drained()
 
     def _check_drained(self) -> None:
@@ -374,14 +351,14 @@ class ServiceServer(object):
         """Fan one event batch out to every matching subscriber.
 
         The batch's dict forms are built once, for the first
-        subscriber that wants the tenant, and shared.  ``put_nowait``
-        against the bounded queue: a full (slow) subscriber loses the
-        batch and its ``drops`` counter grows -- the pool and the other
-        watchers never wait.
+        subscriber that wants the tenant, and shared.  A subscriber
+        whose backlog is full (a slow watcher) loses the batch and its
+        ``drops`` counter grows -- the pool and the other watchers
+        never wait.
         """
         item: Optional[dict[str, Any]] = None
-        for sub in self._subscribers:
-            if not sub.wants(tenant):
+        for conn in self._subscribers:
+            if not conn.watches(tenant):
                 continue
             if item is None:
                 item = {
@@ -390,10 +367,7 @@ class ServiceServer(object):
                 }
                 if job_id is not None:
                     item["job"] = job_id
-            try:
-                sub.queue.put_nowait(item)
-            except asyncio.QueueFull:
-                sub.drops += len(batch)
+            if not conn.push(item, len(batch)):
                 self.metrics.counter("stream_drops_total").inc(
                     len(batch)
                 )
@@ -479,10 +453,8 @@ class ServiceServer(object):
             # streamed events are the same objects the digest is
             # computed from -- the bit-exactness contract holds.)
             want_stream=bool(spec.get("stream"))
-            or any(sub.wants(tenant) for sub in self._subscribers),
+            or any(conn.watches(tenant) for conn in self._subscribers),
         )
-        self._futures[job_id] = asyncio.get_running_loop() \
-            .create_future()
         self.metrics.counter("jobs_submitted_total").inc()
         self.metrics.counter(f"tenant:{tenant}:submitted").inc()
         self._emit(
@@ -556,15 +528,15 @@ class ServiceServer(object):
         """Map a FaultPlan's worker deaths onto live pool slots.
 
         Delegates to :func:`repro.chaos.inject_service_faults`;
-        returns the number of scheduled fault tasks.
+        returns the number of scheduled faults.
         """
         from ..chaos import inject_service_faults
 
-        tasks = inject_service_faults(
+        timers = inject_service_faults(
             self, plan, time_scale=time_scale
         )
-        self._chaos_tasks.extend(tasks)
-        return len(tasks)
+        self._chaos_timers.extend(timers)
+        return len(timers)
 
     # -- connections ----------------------------------------------------------
 
@@ -609,69 +581,26 @@ class ServiceServer(object):
             return envelope
 
 
-class _HeldWait(object):
-    """A ``wait`` on a running job, holding its connection.
-
-    Answered by whichever comes first: the job future's done-callback
-    (the job's reply) or the ``call_later`` timer (a ``timeout``
-    reply).  Either way the other is withdrawn, and the shared future
-    -- other connections may be waiting on the same job -- is never
-    cancelled.
-    """
-
-    __slots__ = ("conn", "record", "seq", "future", "timer")
-
-    def __init__(
-        self,
-        conn: "_Connection",
-        record: JobRecord,
-        seq,
-        future: asyncio.Future,
-        timeout: Optional[float],
-    ) -> None:
-        self.conn = conn
-        self.record = record
-        self.seq = seq
-        self.future = future
-        future.add_done_callback(self.finished)
-        self.timer = (
-            future.get_loop().call_later(timeout, self.expired)
-            if timeout is not None else None
-        )
-
-    def finished(self, _future: asyncio.Future) -> None:
-        self.conn.release(
-            self, self.conn.server._wait_reply(self.record, self.seq)
-        )
-
-    def expired(self) -> None:
-        self.conn.release(self, _reply(
-            self.seq, ok=False, error="timeout", state=self.record.state,
-        ))
-
-    def withdraw(self) -> None:
-        self.future.remove_done_callback(self.finished)
-        if self.timer is not None:
-            self.timer.cancel()
-
-
 class _Connection(asyncio.Protocol):
     """One client connection: frames in, replies out, in request order.
 
     ``data_received`` buffers bytes in a :class:`FrameDecoder` and
     answers every whole frame synchronously, in order.  Two things stop
     that loop, leaving the later frames buffered: a ``wait`` on a
-    running job (a :class:`_HeldWait`, answered from the job's
-    completion or its timeout) and a transport write buffer over its
-    high-water mark (``pause_writing`` .. ``resume_writing``).  While
-    either holds and more than :data:`READ_LIMIT` bytes are buffered,
-    the transport stops reading, so a client that pipelines requests
-    cannot grow the daemon's memory.
+    running job (``_held``: answered by the server's ``_on_complete``
+    or by its own ``call_later`` timeout, whichever comes first) and a
+    transport write buffer over its high-water mark (``pause_writing``
+    .. ``resume_writing``).  While either holds and more than
+    :data:`READ_LIMIT` bytes are buffered, the transport stops reading,
+    so a client that pipelines requests cannot grow the daemon's
+    memory.
 
     After ``subscribe`` the connection also carries pushed stream
-    frames, written by one task per subscription under the same write
-    flow control: a watcher that does not read fills its bounded queue
-    and loses batches (counted), never the daemon's memory.
+    frames, written by :meth:`push` straight to the transport, or,
+    while it is paused, kept in a backlog of at most
+    :data:`SUBSCRIBER_QUEUE` batches that ``resume_writing`` drains: a
+    watcher that does not read loses batches (counted), never the
+    daemon's memory.
     """
 
     transport: asyncio.Transport  # set by connection_made
@@ -680,14 +609,21 @@ class _Connection(asyncio.Protocol):
         self.server = server
         self.tenant = "default"
         self._decoder = FrameDecoder()
-        self._held: Optional[_HeldWait] = None
+        #: The running job a ``wait`` holds this connection for, the
+        #: ``seq`` it answers and its timeout.
+        self._held: Optional[JobRecord] = None
+        self.held_seq: Any = None
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._write_paused = False
         self._read_paused = False
-        #: Set by ``resume_writing`` for a stream task waiting on it.
-        self._writable: Optional[asyncio.Future] = None
         self._eof = False
-        self._subscription: Optional[_Subscription] = None
-        self._stream_task: Optional[asyncio.Task] = None
+        #: The tenant a ``subscribe`` watches (``"*"``: every tenant),
+        #: the frames waiting for a paused transport, the stream's
+        #: frame counter and its cumulative count of shed events.
+        self._watch: Optional[str] = None
+        self._backlog: collections.deque = collections.deque()
+        self._n = 0
+        self._drops = 0
         #: Done once the transport is gone (shutdown waits on it).
         self.closed: asyncio.Future = asyncio.get_running_loop() \
             .create_future()
@@ -719,9 +655,9 @@ class _Connection(asyncio.Protocol):
 
     def resume_writing(self) -> None:
         self._write_paused = False
-        waiter, self._writable = self._writable, None
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
+        backlog = self._backlog
+        while backlog and not self._write_paused:
+            self._write_frame(backlog.popleft())
         self._serve_frames()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
@@ -729,12 +665,11 @@ class _Connection(asyncio.Protocol):
         server._connections.discard(self)
         self.closed.set_result(None)
         if self._held is not None:
-            self._held.withdraw()
-            self._held = None
-        if self._subscription is not None:
-            server._subscribers.remove(self._subscription)
-        if self._stream_task is not None:
-            self._stream_task.cancel()
+            if self._timer is not None:
+                self._timer.cancel()
+            self._leave_waiters(self._held.job_id)
+        if self._watch is not None:
+            server._subscribers.remove(self)
 
     # -- requests -------------------------------------------------------------
 
@@ -777,14 +712,31 @@ class _Connection(asyncio.Protocol):
                           message=message))
         self.transport.close()
 
-    def release(self, held: _HeldWait, reply: Union[dict, bytes]) -> None:
-        """Answer a held ``wait`` and serve the frames behind it."""
-        if self._held is not held:
-            return  # withdrawn: the connection went, or the other won
+    def release(self, reply: Union[dict, bytes]) -> None:
+        """Answer the held ``wait`` and serve the frames behind it."""
         self._held = None
-        held.withdraw()
-        self._send(reply, held.seq)
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._send(reply, self.held_seq)
         self._serve_frames()
+
+    def _expired(self) -> None:
+        """The held ``wait``'s timeout: a ``timeout`` reply; the job
+        stays waitable for the other connections."""
+        record = cast(JobRecord, self._held)
+        self._timer = None
+        self._leave_waiters(record.job_id)
+        self.release(_reply(
+            self.held_seq, ok=False, error="timeout", state=record.state,
+        ))
+
+    def _leave_waiters(self, job_id: str) -> None:
+        waiting = self.server._waiting
+        conns = waiting[job_id]
+        conns.remove(self)
+        if not conns:
+            del waiting[job_id]
 
     def _send(self, reply: Union[dict, bytes], seq=None) -> None:
         try:
@@ -881,66 +833,72 @@ class _Connection(asyncio.Protocol):
             # Tenant isolation: another tenant's job ids are
             # indistinguishable from nonexistent ones.
             return _reply(seq, ok=False, error="unknown-job")
-        future = server._futures.get(job_id)
-        if future is None or record.terminal:
+        if record.terminal:
             return server._wait_reply(record, seq)
         if timeout is not None and timeout <= 0:
             return _reply(seq, ok=False, error="timeout",
                           state=record.state)
-        self._held = _HeldWait(self, record, seq, future, timeout)
+        self._held, self.held_seq = record, seq
+        server._waiting.setdefault(record.job_id, []).append(self)
+        if timeout is not None:
+            self._timer = asyncio.get_running_loop().call_later(
+                timeout, self._expired
+            )
         return None
 
     # -- live telemetry ------------------------------------------------------
 
     def _subscribe(self, doc: dict, seq) -> dict:
-        if self._subscription is not None:
+        if self._watch is not None:
             return _reply(seq, ok=False, error="already-subscribed")
         server = self.server
         raw = doc.get("tenant", self.tenant)
-        sub = self._subscription = _Subscription(
-            None if raw == "*" else str(raw)
-        )
-        server._subscribers.append(sub)
+        self._watch = str(raw)
+        server._subscribers.append(self)
         server.metrics.counter("subscriptions_total").inc()
-        task = self._stream_task = asyncio.get_running_loop() \
-            .create_task(self._stream_to(sub))
-        server._stream_tasks.add(task)
-        task.add_done_callback(server._stream_tasks.discard)
         return _reply(
             seq, ok=True, subscribed=True, tenant=raw,
             queue_capacity=SUBSCRIBER_QUEUE,
         )
 
-    async def _stream_to(self, sub: _Subscription) -> None:
-        """Push queued event batches to this subscriber until told to
-        stop (a ``None`` sentinel) or the peer goes away.
+    def watches(self, tenant: str) -> bool:
+        return self._watch == "*" or self._watch == tenant
 
-        Every frame carries the subscription's monotone ``n`` and its
-        *cumulative* ``drops``, so a reader can both order frames and
-        see exactly how much it missed at any point; the sentinel
-        produces a final ``{"watch": "end"}`` frame with the closing
-        totals.  A frame waits for the transport to take it
-        (``resume_writing``) while the queue behind it fills.  The
-        connection cancels this task when its peer goes away.
-        """
-        while True:
-            item = await sub.queue.get()
-            sub.n += 1
-            if item is None:
-                frame: dict[str, Any] = {"watch": "end"}
-            else:
-                frame = {"watch": "events", **item}
-            frame["n"] = sub.n
-            frame["drops"] = sub.drops
-            if self._write_paused:
-                self._writable = asyncio.get_running_loop() \
-                    .create_future()
-                await self._writable
-            if self.transport.is_closing():
-                return
-            self._send(frame)
-            if item is None:
-                return
+    def push(self, item: dict[str, Any], events: int) -> bool:
+        """Write one batch of ``events`` events to this subscriber, or
+        keep it in the backlog while the transport is paused; ``False``
+        when the backlog is full and the batch is shed."""
+        if not (self._write_paused or self._backlog):
+            self._write_frame(item)
+        elif len(self._backlog) < SUBSCRIBER_QUEUE:
+            self._backlog.append(item)
+        else:
+            self._drops += events
+            return False
+        return True
+
+    def end_stream(self) -> None:
+        """Hand the transport the backlog, then ``{"watch": "end"}``:
+        the closing flush delivers both."""
+        while self._backlog:
+            self._write_frame(self._backlog.popleft())
+        self._write_frame(None)
+
+    def _write_frame(self, item: Optional[dict[str, Any]]) -> None:
+        """One stream frame: an event batch, or the end frame for
+        ``None``.  Every frame carries the stream's monotone ``n`` and
+        its *cumulative* ``drops``, so a reader can both order frames
+        and see exactly how much it missed at any point."""
+        if self.transport.is_closing():
+            return
+        self._n += 1
+        frame: dict[str, Any] = (
+            {"watch": "end"} if item is None
+            else {"watch": "events", **item}
+        )
+        frame["n"] = self._n
+        frame["drops"] = self._drops
+        self._send(frame)
 
 
 def _wire_number(doc: dict, field: str, default: float) -> float:

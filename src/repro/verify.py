@@ -572,7 +572,6 @@ def audit_events(
 
 def audit_service_log(
     log: Iterable[dict],
-    require_terminal: bool = True,
     subject: str = "service-log",
 ) -> AuditReport:
     """Audit a service job ledger (:attr:`repro.service.WorkerPool.log`).
@@ -582,9 +581,8 @@ def audit_service_log(
     ``stale-result`` / ``result`` / ``error``); this audit proves the
     service's delivery contract from it:
 
-    * **exactly-once delivery** -- every submitted job has at most one
-      terminal entry (``result`` or ``error``), and exactly one when
-      ``require_terminal`` (the post-drain form); duplicated results
+    * **exactly-once delivery** -- every submitted job has exactly one
+      terminal entry (``result`` or ``error``); duplicated results
       from stale incarnations must appear as ``stale-result``, never
       as a second ``result``;
     * **incarnation freshness** -- a terminal ``result`` carries the
@@ -645,7 +643,7 @@ def audit_service_log(
                 f"job {job_id} delivered {len(terminals)} terminal "
                 f"entries -- exactly-once violated"
             )
-        elif not terminals and require_terminal:
+        elif not terminals:
             report.violations.append(
                 f"job {job_id} never reached a terminal state"
             )

@@ -115,6 +115,20 @@ def _wait_until(what: str, ready) -> None:
         time.sleep(0.02)
 
 
+def _call_on(loop: asyncio.AbstractEventLoop, fn):
+    """What ``fn()`` returns when ``loop`` runs it (from its thread)."""
+    done = threading.Event()
+    out = []
+
+    def call() -> None:
+        out.append(fn())
+        done.set()
+
+    loop.call_soon_threadsafe(call)
+    assert done.wait(30.0), "the loop never ran the call"
+    return out[0]
+
+
 class _Daemon(object):
     """A live daemon on a background thread, torn down on exit.
 
@@ -356,8 +370,8 @@ class TestHeldWait:
     def test_a_timed_out_or_closed_wait_leaves_the_job_waitable(
         self, tmp_path
     ):
-        """Several waits share one job future: a wait that times out,
-        or whose connection closes, withdraws only itself."""
+        """Several connections may wait on one job: a wait that times
+        out, or whose connection closes, withdraws only itself."""
         with _Daemon(tmp_path, workers=1) as d, \
                 d.client("alice") as a, d.client("alice") as b:
             job_id = a.submit(self.SLOWISH)
@@ -788,6 +802,39 @@ class TestOneThread:
             name: {d._thread.ident}
             for name in ("on_complete", "on_events")
         }, seen
+
+    def test_a_watcher_a_held_wait_and_a_chaos_plan_start_no_task(
+        self, tmp_path
+    ):
+        """Two subscribers, a ``wait`` held on a running job and a
+        chaos plan's two pending deaths are connection state and loop
+        timers: the loop runs the tasks it ran before they came."""
+        from repro.chaos import FaultPlan, WorkerDeath
+
+        slow = dict(tenant_spec(0), scheme="SS",
+                    workload={"kind": "uniform", "size": 30000,
+                              "unit": 1e-4},
+                    params={"fast": False})
+        plan = FaultPlan(events=(
+            WorkerDeath(worker=0, at=60.0),
+            WorkerDeath(worker=1, at=60.0),
+        ))
+        with _Daemon(tmp_path) as d, d.client("alice") as c, \
+                d.client("alice") as watcher, d.client("bob") as every, \
+                d.client("alice") as waiter:
+            loop = d.server.pool._loop
+            before = _call_on(loop, asyncio.all_tasks)
+            watcher.subscribe()
+            every.subscribe(tenant="*")
+            job_id = c.submit(slow)
+            waiter._sock.sendall(encode_frame(
+                {"op": "wait", "job_id": job_id, "seq": 1}))
+            assert c.inject_chaos(plan.to_json()) == 2
+            _wait_until("the wait was never held",
+                        lambda: job_id in d.server._waiting)
+            during = _call_on(loop, asyncio.all_tasks)
+            assert recv_frame(waiter._sock)["state"] == "done"
+        assert during == before, during - before
 
     def test_ledger_and_job_events_read_the_loop_clock(self, tmp_path):
         with _Daemon(tmp_path, loop_factory=_FarClockLoop) as d, \

@@ -214,6 +214,47 @@ class TestLiveStream:
         assert gauges["chunk_rate"] > 0.0
 
 
+class TestSlowWatcher:
+    #: SS draws one chunk per iteration: about 80 000 streamed events,
+    #: far more than a watcher that never reads can buffer.
+    SPEC = {
+        "scheme": "SS",
+        "workload": {"kind": "uniform", "size": 20000, "unit": 1e-4},
+        "cluster": {"workers": 2},
+        "stream": True,
+    }
+
+    def test_a_watcher_that_falls_behind_loses_batches_not_its_end(
+        self, tmp_path
+    ):
+        """A subscriber that reads nothing while a job streams sheds
+        batches (counted); the job and its digest are untouched, and
+        at drain the watcher still gets its backlog and the end
+        frame."""
+        reference = stream_digest(job_from_spec(self.SPEC).run().obs_events)
+        frames: list = []
+        with _Daemon(tmp_path, workers=1) as d, \
+                d.client("alice") as watcher, d.client("alice") as c:
+            watcher.subscribe()
+            out = c.run(self.SPEC, timeout=120.0)
+            metrics = c.metrics()
+            reader = threading.Thread(
+                target=lambda: frames.extend(watcher.watch(timeout=60.0))
+            )
+            reader.start()
+            c.drain()
+            reader.join(timeout=60.0)
+            d._thread.join(timeout=30.0)
+            assert not d._thread.is_alive(), "daemon failed to drain"
+        assert out["state"] == "done"
+        assert out["digest"] == reference
+        assert metrics.get("stream_drops_total", {"value": 0})["value"] > 0
+        assert not reader.is_alive()
+        audit_subscription(frames, complete=False).raise_if_failed()
+        assert frames[-1]["watch"] == "end", frames[-1]
+        assert frames[-1]["drops"] > 0
+
+
 class TestIncrementalTrace:
     def _server(self) -> ServiceServer:
         return ServiceServer(ServiceConfig(socket_path="unused"))
