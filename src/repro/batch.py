@@ -57,6 +57,8 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, Optional
 
+from .decentral import simulate_decentral
+from .obs import BufferedCollector
 from .obs.logutil import get_logger
 from .simulation import ClusterSpec, SimResult, simulate, simulate_tree
 from .workloads import Workload
@@ -157,25 +159,20 @@ class SimJob(object):
         subscribers) without perturbing the run: the collector must
         retain its events (``.events``) for ``SimResult.obs_events``.
         """
-        kwargs = dict(self.params)
+        kwargs = self.params
         trace = None
         if self.collect_events and "collector" not in kwargs:
-            if collector is None:
-                from .obs import BufferedCollector
-
-                collector = BufferedCollector()
-            trace = collector
-            kwargs["collector"] = trace
-        if self.engine == "tree":
-            result = simulate_tree(self.workload, self.cluster, **kwargs)
-        elif self.engine == "decentral":
-            from .decentral import simulate_decentral
-
+            trace = BufferedCollector() if collector is None else collector
+            kwargs = {**kwargs, "collector": trace}
+        engine = self.engine
+        if engine == "master":
+            result = simulate(self.scheme, self.workload, self.cluster,
+                              **kwargs)
+        elif engine == "decentral":
             result = simulate_decentral(self.scheme, self.workload,
                                         self.cluster, **kwargs)
         else:
-            result = simulate(self.scheme, self.workload, self.cluster,
-                              **kwargs)
+            result = simulate_tree(self.workload, self.cluster, **kwargs)
         if trace is not None:
             result.obs_events = trace.events
         return result

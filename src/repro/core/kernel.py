@@ -27,9 +27,10 @@ locally.  Its consumers:
 
 * the **decentral simulator and runtime** map fetched ordinals to
   intervals (``calc.interval(i)`` after ``i = counter.fetch_add(1)``);
-* the decentral fast path and the ledger read whole ladders as arrays
-  (:func:`evaluate_ladder`, :class:`ChunkLadder`: the calculator's own
-  table, handed over as int64 arrays).
+* the decentral fast path reads the whole table as it is (plain
+  lists); the ledger reads it as arrays (:func:`evaluate_ladder`,
+  :class:`ChunkLadder`: the calculator's own table, handed over as
+  int64 arrays).
 
 The kernel's oracle is :func:`repro.verify.replay_cut_points`, a
 request-by-request :meth:`~repro.core.base.Scheduler.stepper` replay

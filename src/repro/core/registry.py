@@ -153,13 +153,15 @@ def parse(name: str) -> tuple[str, dict]:
     so other factories (the decentral calculators, CLI validation)
     share one parser and one error message.
     """
-    key = name.strip()
-    if key.upper().startswith(ADAPTIVE_KEY):
-        return _parse_adaptive(key.upper())
-    match = _PARAM_RE.match(key)
+    key = name.strip().upper()
+    if key.startswith(ADAPTIVE_KEY):
+        return _parse_adaptive(key)
     inline: dict = {}
+    # Only an inline parameter has a parenthesis: a plain name skips
+    # the regex.
+    match = _PARAM_RE.match(key) if "(" in key else None
     if match:
-        base, arg = match.group(1).upper(), int(match.group(2))
+        base, arg = match.group(1), int(match.group(2))
         if base not in _INLINE_KEYWORD:
             raise SchemeError(
                 f"scheme {base!r} takes no inline parameter; "
@@ -168,8 +170,6 @@ def parse(name: str) -> tuple[str, dict]:
             )
         inline[_INLINE_KEYWORD[base]] = arg
         key = base
-    else:
-        key = key.upper()
     if key not in SCHEMES:
         raise SchemeError(
             f"unknown scheme {name!r}; known: {', '.join(names())}"

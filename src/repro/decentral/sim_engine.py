@@ -80,6 +80,7 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
     """One simulated master-less run; construct and :meth:`run` once."""
 
     SRC = "sim.decentral"
+    WORKER = _DWorkerState
     STALLED = "_counter_free"
     STRANDED = (
         "every worker died with chunk ordinals outstanding; the loop "
@@ -127,10 +128,8 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         if lease < 1:
             raise SimulationError(f"lease must be >= 1, got {lease}")
         super().__init__(
-            _DWorkerState, workload, cluster, collect_results, chaos,
-            collector,
+            workload, cluster, collect_results, chaos, collector, fast,
         )
-        self.fast = fast
         self.calc = calc
         self.atomic_op_cost = float(atomic_op_cost)
         self.local_op_cost = float(
@@ -146,14 +145,17 @@ class DecentralSimulation(DesCluster[_DWorkerState]):
         #: per-group (next_local, lease_end) and local-counter busy-until.
         self._lease_state: dict[int, tuple[int, int]] = {}
         self._group_free: dict[int, float] = {}
-        #: ordinals lost to deaths, scavenged FIFO by live claimers.
-        self._lost: collections.deque[int] = collections.deque()
-        #: claimers waiting for a death to settle whether work reappears.
-        self._parked: list[_DWorkerState] = []
         if group_size is not None:
             for g in range(-(-cluster.size // group_size)):
                 self._lease_state[g] = (0, 0)
                 self._group_free[g] = 0.0
+
+    def _build_des(self) -> None:
+        super()._build_des()
+        #: ordinals lost to deaths, scavenged FIFO by live claimers.
+        self._lost: collections.deque[int] = collections.deque()
+        #: claimers waiting for a death to settle whether work reappears.
+        self._parked: list[_DWorkerState] = []
 
     # -- helpers -----------------------------------------------------------
 

@@ -13,7 +13,8 @@ first of all.  The analytic fast path
 (:mod:`~repro.simulation.fastpath`) is a run mode of the same chassis:
 :meth:`DesCluster.run` is the one gate that chooses it, and both modes
 share one :meth:`~DesCluster._prepare` step before the run and one
-:meth:`~DesCluster._finish` epilogue after it.
+:meth:`~DesCluster._finish` epilogue after it; only a DES run builds
+the DES's own state (:meth:`~DesCluster._build_des`).
 
 Accounting matches Tables 2-3: per-PE ``T_com`` is link occupancy,
 ``T_wait`` is queueing for whatever the substrate serializes plus
@@ -54,7 +55,7 @@ from ..workloads import Workload, WorkloadError
 from . import fastpath
 from .cluster import ClusterSpec, NodeSpec
 from .events import EventQueue, SimulationError
-from .loadgen import ConstantLoad, OverlayLoad, integrate_compute
+from .loadgen import OverlayLoad, constant_rates, integrate_compute
 from .metrics import LazyChunkList, SimResult, WorkerMetrics
 
 if TYPE_CHECKING:
@@ -92,12 +93,11 @@ class DesWorker(object):
     #: restart (the guard is in :meth:`EventQueue.run`).
     epoch: int = 0
     #: ``speed / q`` under a :class:`ConstantLoad`, where the compute
-    #: integral is one division; None = walk the trace.  Set by
-    #: :meth:`DesCluster.run` for the DES and the fast path alike.
+    #: integral is one division; None = walk the trace
+    #: (:func:`~repro.simulation.loadgen.constant_rates`).
     rate: Optional[float] = None
     #: the link times of a bare request and a bare reply
-    #: (``node.transfer_time`` of the cluster's message sizes), bound by
-    #: :meth:`DesCluster.run` for the DES only.
+    #: (``node.transfer_time`` of the cluster's message sizes).
     request_tx: float = 0.0
     reply_tx: float = 0.0
     #: computed chunks (the rows :meth:`DesCluster._compute` booked)
@@ -145,44 +145,48 @@ class DesCluster(Generic[W]):
     STALLED: str
     #: error raised when :meth:`_stranded`.
     STRANDED: str
+    #: the per-PE state the substrate's DES tracks (a :class:`DesWorker`
+    #: subclass, or the class itself).
+    WORKER: Callable[..., Any]
     #: events an observed fault-free run emits per computed chunk and
     #: (for a substrate with a fast path) per participant: what a fast
     #: run reports as ``SimResult.trace_length``, the trace it did not
     #: emit.  ``tests/obs/test_substrates.py`` pins the first.
     TRACE_PER_CHUNK: int
     TRACE_PER_PE: int
-    #: fast-path policy, read by :meth:`run` alone: ``"auto"`` (take it
-    #: when eligible), ``True`` (require it; raise when ineligible) or
-    #: ``False`` (always run the DES).  A substrate with a fast path
-    #: sets it per run and answers :meth:`_fast_reason` /
-    #: :meth:`_run_fast`; the others keep False.
-    fast: object = False
+    #: fast-path policy, set per run at construction and read by
+    #: :meth:`run` alone: ``"auto"`` (take it when eligible), ``True``
+    #: (require it; raise when ineligible) or ``False`` (always run the
+    #: DES).  A substrate with a fast path answers :meth:`_fast_reason`
+    #: / :meth:`_run_fast`; the others refuse it.
+    fast: object
     #: the workload's cost prefix sums as plain floats (set by
     #: :meth:`run`): a chunk's cost is one list subtraction.
     _pref: list[float]
-    #: True when some PE is on a shared LAN segment (set by :meth:`run`
-    #: for the DES): only then does a transfer wait for the medium.
-    _shared_medium: bool
+    #: the per-PE books, ``SimResult.workers``: built with the DES's
+    #: state, or written by a fast loop from its columns before
+    #: :meth:`_finish` closes them.
+    metrics: list[WorkerMetrics]
 
     def __init__(
         self,
-        worker_type: Callable[..., W],
         workload: Workload,
         cluster: ClusterSpec,
         collect_results: bool,
         chaos: Optional["FaultPlan"],
         collector: Optional[Collector],
+        fast: object,
     ) -> None:
         #: unified event stream sink; falsy NullCollector when disabled.
-        self.obs = _resolve_collector(collector)
+        self.obs = obs = _resolve_collector(collector)
         # Cached truthiness: the hot loops test this plain bool
         # (~5x cheaper than NullCollector.__bool__ per gate);
         # the collector never changes after construction.
-        self.observing = bool(self.obs)
+        self.observing = collector is not None and bool(obs)
         #: where the emission sites put an event: resolved once, so a
         #: plain buffer costs a list append per event and any other
-        #: collector one ``emit`` call.
-        self._emit = _collector_sink(self.obs)
+        #: collector one ``emit`` call.  An unobserved run never emits.
+        self._emit = _collector_sink(obs) if self.observing else obs.emit
         self.chaos = chaos
         if chaos is not None:
             if chaos.max_worker >= cluster.size:
@@ -194,37 +198,55 @@ class DesCluster(Generic[W]):
         self.workload = workload
         self.cluster = cluster
         self.collect_results = collect_results
-        self.queue = EventQueue()
+        self.fast = fast
+        #: indices of the PEs that take part (a substrate may screen
+        #: some out before the run, and the DES drops the dead when it
+        #: ends); faults and terminal idling apply to these.
+        self._participants: list[int] = list(range(len(cluster.nodes)))
+        self._results: list[tuple[int, np.ndarray]] = []
+        #: when the last result became safe; ``T_p`` at the end.
+        self._last_result_arrival = 0.0
+        if fast is False:
+            # Only the DES can run: its state exists from here on, for
+            # a substrate's own set-up (or a test) to read before run().
+            self._build_des()
+
+    def _build_des(self) -> None:
+        """Build what only the DES reads, once: at construction when the
+        run can only be a DES run, else when :meth:`run`'s gate has
+        chosen the DES (a fast run builds none of it).  A substrate
+        extends it with its own DES-only state."""
+        nodes = self.cluster.nodes
+        request_bytes = self.cluster.request_bytes
+        reply_bytes = self.cluster.reply_bytes
+        self.metrics = [WorkerMetrics(name=node.name) for node in nodes]
+        rates = constant_rates(
+            [node.speed for node in nodes], [node.load for node in nodes]
+        )
+        #: what the DES tracks per PE, each booking into its
+        #: ``metrics`` entry, with its link and rate constants bound.
         self.workers: list[W] = [
-            worker_type(
-                index=i, node=node, metrics=WorkerMetrics(name=node.name)
+            self.WORKER(
+                index=i, node=node, metrics=metrics, rate=rate,
+                request_tx=node.transfer_time(request_bytes),
+                reply_tx=node.transfer_time(reply_bytes),
             )
-            for i, node in enumerate(cluster.nodes)
+            for i, (node, metrics, rate) in enumerate(
+                zip(nodes, self.metrics, rates)
+            )
         ]
-        #: the PEs that take part (a substrate may screen some out
-        #: before the run); faults and terminal idling apply to these.
-        self._participants: list[W] = list(self.workers)
+        self.queue = EventQueue()
+        #: True when some PE is on a shared LAN segment: only then does
+        #: a transfer wait for the medium.
+        self._shared_medium = any(
+            node.segment is not None for node in nodes
+        )
+        #: shared-medium availability per LAN segment id.
+        self._segment_free: dict[str, float] = {}
         #: one row per computed chunk, ``ChunkRecord``'s fields in
         #: order: (worker, start, stop, assigned_at, completed_at,
         #: stage, acp) -- what the fast path writes too.
         self._chunks: list[tuple[Any, ...]] = []
-        self._results: list[tuple[int, np.ndarray]] = []
-        #: when the last result became safe; ``T_p`` at the end.
-        self._last_result_arrival = 0.0
-        #: shared-medium availability per LAN segment id.
-        self._segment_free: dict[str, float] = {}
-        #: per-worker list of scheduled death times still ahead
-        #: (fails_at plus chaos deaths), consumed in time order.
-        self._death_schedule: dict[int, list[float]] = {}
-        #: participants with a scheduled death still ahead.
-        self._pending_failers: set[int] = set()
-        #: chaos restarts not yet fired: while > 0 the all-dead check
-        #: stays soft because a PE is still coming back.
-        self._future_restarts = 0
-        #: per-worker (at, kind, extra_seconds) message faults, sorted.
-        self._message_faults: dict[
-            int, list[tuple[float, str, float]]
-        ] = {}
 
     # -- substrate hooks -----------------------------------------------------
 
@@ -412,13 +434,24 @@ class DesCluster(Generic[W]):
         order decides same-instant ties: restarts and stalls in plan
         order, then deaths per worker in time order.
         """
-        taking_part = {s.index for s in self._participants}
+        #: per-worker list of scheduled death times still ahead
+        #: (fails_at plus chaos deaths), consumed in time order.
+        self._death_schedule: dict[int, list[float]] = {}
+        #: participants with a scheduled death still ahead.
+        self._pending_failers: set[int] = set()
+        #: chaos restarts not yet fired: while > 0 the all-dead check
+        #: stays soft because a PE is still coming back.
+        self._future_restarts = 0
+        #: per-worker (at, kind, extra_seconds) message faults, sorted.
+        self._message_faults: dict[
+            int, list[tuple[float, str, float]]
+        ] = {}
+        taking_part = set(self._participants)
+        nodes = self.cluster.nodes
         deaths: dict[int, list[float]] = {}
-        for s in self._participants:
-            if s.node.fails_at is not None:
-                deaths.setdefault(s.index, []).append(
-                    float(s.node.fails_at)
-                )
+        for i in self._participants:
+            if nodes[i].fails_at is not None:
+                deaths.setdefault(i, []).append(float(nodes[i].fails_at))
         if self.chaos is not None:
             # One loop dispatches on ``kind``; the event union has no
             # common shape beyond ``kind`` and ``at``.
@@ -548,26 +581,20 @@ class DesCluster(Generic[W]):
                 )
         self._prepare()
         self._pref = self.workload.prefix_list()
-        for state in self.workers:
-            load = state.node.load
-            if type(load) is ConstantLoad:
-                state.rate = state.node.speed / load.q
         if take_fast:
             return self._run_fast()
-        # Per-run link constants of the DES's per-chunk steps; the fast
-        # loops build their own columns, so only this branch pays.
-        request_bytes = self.cluster.request_bytes
-        reply_bytes = self.cluster.reply_bytes
-        for state in self.workers:
-            state.request_tx = state.node.transfer_time(request_bytes)
-            state.reply_tx = state.node.transfer_time(reply_bytes)
-        self._shared_medium = any(
-            node.segment is not None for node in self.cluster.nodes
-        )
+        if self.fast is not False:
+            self._build_des()
+        workers = self.workers
         self._schedule_faults()
-        for state in self._participants:
-            self._start(state)
+        for i in self._participants:
+            self._start(workers[i])
         self.queue.run()
+        # A dead PE's clock stopped at death: only the survivors idle
+        # until ``T_p``.
+        self._participants = [
+            i for i in self._participants if not workers[i].dead
+        ]
         return self._finish(
             self._chunks, self._last_result_arrival, self.queue.processed
         )
@@ -576,30 +603,27 @@ class DesCluster(Generic[W]):
         self, rows: list[tuple[Any, ...]], t_p: float, events: int
     ) -> SimResult:
         """The epilogue of every simulated run, DES or fast path: close
-        the books on ``rows`` (in compute order) and build the result."""
+        the books (:attr:`metrics`) on ``rows`` (in compute order) and
+        build the result."""
+        metrics = self.metrics
         # Terminal idling: PEs that finished early wait for the run to
-        # end (paper rows for fast PEs sum to ~T_p).  Dead workers do
-        # not idle -- their clock stopped at death.
-        for state in self._participants:
-            if state.dead:
-                continue
-            tracked = state.metrics.busy
+        # end (paper rows for fast PEs sum to ~T_p).
+        for i in self._participants:
+            books = metrics[i]
+            # ``WorkerMetrics.busy``, inline.
+            tracked = books.t_com + books.t_wait + books.t_comp
             if tracked < t_p:
-                state.metrics.t_wait += t_p - tracked
+                books.t_wait += t_p - tracked
         # Per-PE ``iterations`` move with the rows on both paths (booked
-        # and un-booked with each row by the DES, written back from the
-        # fast loops' columns), so coverage is O(P) to check, not O(rows).
-        assigned = sum(s.metrics.iterations for s in self.workers)
+        # and un-booked with each row by the DES, written from the fast
+        # loops' columns), so coverage is O(P) to check, not O(rows).
+        assigned = sum(books.iterations for books in metrics)
         if assigned != self.workload.size:
             raise SimulationError(self._leak(assigned))
         scheme, rederivations = self._label()
         result = SimResult(
-            scheme=scheme,
-            workers=[s.metrics for s in self.workers],
-            t_p=t_p,
-            chunks=LazyChunkList(rows),
-            rederivations=rederivations,
-            events=events,
+            scheme, metrics, t_p, LazyChunkList(rows),
+            rederivations=rederivations, events=events,
         )
         if self.collect_results:
             self._results.sort(key=lambda pair: pair[0])

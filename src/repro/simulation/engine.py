@@ -116,6 +116,7 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
     """One simulated run; construct and call :meth:`run` once."""
 
     SRC = "sim.master"
+    WORKER = DesWorker
     STALLED = "_master_free"
     STRANDED = (
         "every worker died with iterations outstanding; the loop "
@@ -138,7 +139,7 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
         collector=None,
         fast: object = "auto",
     ) -> None:
-        if scheduler.workers != cluster.size:
+        if scheduler.workers != len(cluster.nodes):
             raise SimulationError(
                 f"scheduler built for {scheduler.workers} workers but "
                 f"cluster has {cluster.size}"
@@ -148,25 +149,25 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
                 f"scheduler covers {scheduler.total} iterations but "
                 f"workload has {workload.size}"
             )
-        super().__init__(
-            DesWorker, workload, cluster, collect_results, chaos,
-            collector,
-        )
-        self.fast = fast
         self.scheduler = scheduler
+        super().__init__(
+            workload, cluster, collect_results, chaos, collector, fast,
+        )
         #: when the request being asked about reached the master.
         self._arrival = 0.0
-        #: the master's bookkeeping; its stepper is how the DES and the
-        #: fast path's non-formula arm ask.
-        self.master = MasterState(
-            scheduler, self._requester, self._failer_holds_work,
-            self.SRC, self._emit if self.observing else None,
-        )
-        self._step = self.master.step
         scheduler.bind_workload(workload)
         self.acp_model = acp_model
         self._master_free = 0.0
         self._master_link_free = 0.0
+
+    def _build_des(self) -> None:
+        super()._build_des()
+        #: the master's bookkeeping (the fast path asks the scheduler's
+        #: stepper itself).
+        self.master = MasterState(
+            self.scheduler, self._requester, self._failer_holds_work,
+            self.SRC, self._emit if self.observing else None,
+        )
 
     # -- helpers ---------------------------------------------------------------
 
@@ -312,7 +313,8 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
         self.master.lose(state.index)
 
     def _stranded(self) -> bool:
-        return all(s.dead for s in self._participants) and (
+        workers = self.workers
+        return all(workers[i].dead for i in self._participants) and (
             bool(self.master.requeue) or not self.scheduler.finished
         )
 
@@ -352,7 +354,7 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
         # The master and a stepper that reads the requester (adaptive,
         # or any scheme asked through ``next_chunk``) close over this
         # run: drop them so a finished run frees by refcount alone.
-        self._step = self.master = None
+        self.master = None
         return super()._finish(rows, t_p, events)
 
     def _fast_reason(self) -> Optional[str]:
@@ -365,17 +367,15 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
         # Step 1(a): availability screen + initial ACP registration.
         if self.scheduler.distributed:
             acps = admit(self.scheduler, self.acp_model, {
-                s.index: (float(s.node.virtual_power or 1.0),
-                          s.node.load.q_at(0.0))
-                for s in self.workers
+                i: (float(node.virtual_power or 1.0), node.load.q_at(0.0))
+                for i, node in enumerate(self.cluster.nodes)
             })
-            self._participants = [s for s in self.workers if acps[s.index]]
+            self._participants = [i for i in self._participants if acps[i]]
             if self.observing:
                 # A screened-out PE never asks: no acp-update for it.
-                for s in self._participants:
+                for i in self._participants:
                     self._emit(ObsEvent(
-                        "acp-update", self.SRC, 0.0, s.index,
-                        acp=acps[s.index],
+                        "acp-update", self.SRC, 0.0, i, acp=acps[i],
                     ))
 
 

@@ -69,7 +69,11 @@ engine's ``_fast_reason`` hook; ``docs/performance.md`` documents the
 rules), ``_prepare`` has screened availability and registered ACPs
 before either loop here starts, and both return through
 ``DesCluster._finish`` -- terminal idling, the leak check and the
-result assembly are the DES's own.
+result assembly are the DES's own.  What only the DES reads (its
+``EventQueue``, a ``DesWorker`` per PE, the master's ``MasterState``)
+is never built for a run that takes a loop here: each reads the
+nodes as columns, books into plain lists and writes the run's
+``metrics`` from them at the end.
 
 Set ``REPRO_FAST=0`` (or pass ``fast=False``) to force the DES; pass
 ``fast=True`` to *require* the fast path (raises when ineligible).
@@ -84,8 +88,7 @@ import os
 from operator import itemgetter
 from typing import Optional
 
-from ..core.kernel import evaluate_ladder
-from .loadgen import integrate_compute
+from .loadgen import constant_rates, integrate_compute
 from .metrics import SimResult, WorkerMetrics
 
 __all__ = [
@@ -106,18 +109,19 @@ _INF = math.inf
 
 def fast_enabled() -> bool:
     """False when the ``REPRO_FAST`` kill-switch is set."""
-    return os.environ.get(ENV_FAST, "").strip().lower() not in (
+    value = os.environ.get(ENV_FAST)
+    return value is None or value.strip().lower() not in (
         "0", "off", "no", "false"
     )
 
 
-def _cluster_fast_reason(cluster, chaos, obs) -> Optional[str]:
+def _cluster_fast_reason(sim) -> Optional[str]:
     """Shared eligibility core; None = eligible, else the blocker."""
-    if chaos is not None:
+    if sim.chaos is not None:
         return "a fault plan is attached"
-    if obs:
+    if sim.observing:
         return "an observability collector is attached"
-    for node in cluster.nodes:
+    for node in sim.cluster.nodes:
         if node.fails_at is not None:
             return f"node {node.name} has fails_at set"
         if node.segment is not None:
@@ -148,40 +152,39 @@ def master_fast_reason(sim) -> Optional[str]:
             "the scheduler is feedback-dependent (adaptive "
             "meta-scheduling observes the run it is steering)"
         )
-    return _cluster_fast_reason(sim.cluster, sim.chaos, sim.obs)
+    return _cluster_fast_reason(sim)
 
 
 def decentral_fast_reason(sim) -> Optional[str]:
     """Why this decentral run cannot take the fast path (None = can)."""
-    return _cluster_fast_reason(sim.cluster, sim.chaos, sim.obs)
+    return _cluster_fast_reason(sim)
 
 
-def _open_books(metrics: list[WorkerMetrics]) -> tuple[list, ...]:
-    """The five accumulator columns of a collapsed loop as plain lists
-    (``t_com``, ``t_wait``, ``t_comp``, ``chunks``, ``iterations``):
-    same values, same per-worker addition order as the dataclass
-    fields, and list stores are much cheaper than attribute updates on
-    the hot path."""
-    return (
-        [m.t_com for m in metrics],
-        [m.t_wait for m in metrics],
-        [m.t_comp for m in metrics],
-        [m.chunks for m in metrics],
-        [m.iterations for m in metrics],
+def _node_columns(cluster) -> tuple:
+    """The per-node constants a collapsed loop reads, as read-only
+    columns indexed by worker: names, link latencies and bandwidths,
+    speeds, load traces and the :func:`constant_rates` (None where the
+    trace must be walked)."""
+    names, latency, bandwidth, speed, load = zip(*[
+        (node.name, node.latency, node.bandwidth, node.speed, node.load)
+        for node in cluster.nodes
+    ])
+    return names, latency, bandwidth, speed, load, constant_rates(
+        speed, load
     )
 
 
-def _close_books(
-    metrics: list[WorkerMetrics], books: tuple[list, ...]
-) -> None:
-    """Write the columns back, once, at the end of the loop."""
-    acc_com, acc_wait, acc_comp, acc_chunks, acc_iters = books
-    for i, m in enumerate(metrics):
-        m.t_com = acc_com[i]
-        m.t_wait = acc_wait[i]
-        m.t_comp = acc_comp[i]
-        m.chunks = acc_chunks[i]
-        m.iterations = acc_iters[i]
+def _open_books(n: int) -> tuple[list, ...]:
+    """The accumulator columns of a collapsed loop as plain lists
+    (``t_com``, ``t_wait``, ``t_comp``, ``chunks``, ``iterations``,
+    ``finished_at``), starting where a fresh :class:`WorkerMetrics`
+    does: same values, same per-worker addition order as the dataclass
+    fields, and list stores are much cheaper than attribute updates on
+    the hot path.  The loop writes them back, once, as the run's books
+    (``sim.metrics``, which ``_finish`` closes):
+    ``WorkerMetrics(name, *columns)`` per node, the fields in
+    declaration order."""
+    return [0.0] * n, [0.0] * n, [0.0] * n, [0] * n, [0] * n, [0.0] * n
 
 
 # -- master-engine fast path -----------------------------------------------
@@ -191,8 +194,9 @@ def run_fast_master(sim) -> SimResult:
     """Fault-free master--slave run, bit-identical to the DES.
 
     ``sim`` is a :class:`~repro.simulation.engine.MasterSlaveSimulation`
-    that passed :func:`master_fast_reason`; its worker metrics are
-    mutated in place exactly as the DES would.
+    that passed :func:`master_fast_reason`; its books (``sim.metrics``)
+    come out exactly as the DES would leave them, and the scheduler's
+    drained state as ``next_chunk`` would.
 
     One pending *arrival* per worker, processed in exact DES order via
     the pedigree key (see module docstring); the compute and send legs
@@ -203,7 +207,7 @@ def run_fast_master(sim) -> SimResult:
     scheduler = sim.scheduler
     workload = sim.workload
     cluster = sim.cluster
-    total = workload.size
+    total = scheduler.total
     pref = sim._pref
 
     distributed = scheduler.distributed
@@ -214,8 +218,8 @@ def run_fast_master(sim) -> SimResult:
     # index is its chunk count so far and the global step is the row
     # count.  A constant formula (SS, CSS, BC) is two integer ops
     # inlined in the arrival branch, no call at all.  Any other
-    # scheduler steps itself through the stepper the DES calls.
-    step = sim._step
+    # scheduler steps itself through the stepper the DES's master asks.
+    step = scheduler.stepper(sim._requester)
     pure = getattr(step, "formula", False)
     const_k = scheduler.constant if pure else None
     nominal = scheduler._nominal
@@ -224,21 +228,21 @@ def run_fast_master(sim) -> SimResult:
     acp_model = sim.acp_model
     collect = sim.collect_results
 
-    n_nodes = len(cluster.nodes)
-    metrics = [s.metrics for s in sim.workers]
-    node_of = [s.node for s in sim.workers]
-    latency = [node.latency for node in node_of]
-    bandwidth = [node.bandwidth for node in node_of]
-    reply_tx = [
-        node.transfer_time(cluster.reply_bytes) for node in node_of
-    ]
-    vpower = [float(node.virtual_power or 1.0) for node in node_of]
-    load_of = [node.load for node in node_of]
-    speed_of = [node.speed for node in node_of]
     # ConstantLoad: the compute integral collapses to cost / rate.
-    const_rate = [s.rate for s in sim.workers]
-    books = _open_books(metrics)
-    acc_com, acc_wait, acc_comp, acc_chunks, acc_iters = books
+    names, latency, bandwidth, speed_of, load_of, const_rate = (
+        _node_columns(cluster)
+    )
+    n_nodes = len(names)
+    reply_bytes = cluster.reply_bytes
+    # ``NodeSpec.transfer_time``, inline.
+    reply_tx = [
+        lat + reply_bytes / bw for lat, bw in zip(latency, bandwidth)
+    ]
+    vpower = [
+        float(node.virtual_power or 1.0) for node in cluster.nodes
+    ] if distributed else None
+    books = _open_books(n_nodes)
+    acc_com, acc_wait, acc_comp, acc_chunks, acc_iters, finished = books
 
     request_bytes = cluster.request_bytes
     master_bw = cluster.master_bandwidth
@@ -266,8 +270,7 @@ def run_fast_master(sim) -> SimResult:
     # order -- seqs 0..P-1 below every later seq, encoded as negative
     # ranks with pedigree (-1, -1) < any real fire time.
     active = 0
-    for idx, s in enumerate(participants):
-        i = s.index
+    for idx, i in enumerate(participants):
         tx = latency[i] + request_bytes / bandwidth[i]
         acc_com[i] += tx
         nxt_t[i] = tx
@@ -359,12 +362,12 @@ def run_fast_master(sim) -> SimResult:
             nxt_nb[i] = nb
         else:
             # Dry request: terminate fires at the reply's delivery.
-            metrics[i].finished_at = tc
+            finished[i] = tc
             nxt_t[i] = _INF
             active -= 1
         rank += 1
 
-    _close_books(metrics, books)
+    sim.metrics = list(map(WorkerMetrics, names, *books))
     if pure:
         # Hand the drained state back, as ``next_chunk`` leaves it.
         scheduler._cursor = cursor
@@ -398,8 +401,9 @@ def run_fast_decentral(sim) -> SimResult:
 
     ``sim`` is a :class:`~repro.decentral.sim_engine.DecentralSimulation`
     that passed :func:`decentral_fast_reason`.  The whole chunk ladder
-    comes from one :func:`repro.core.kernel.evaluate_ladder` call; the
-    loop keeps one pending *chunk-durable* event per worker (claims
+    is the calculator's own table, read as the plain lists it is (no
+    array round trip, unlike :func:`repro.core.kernel.evaluate_ladder`);
+    the loop keeps one pending *chunk-durable* event per worker (claims
     happen at durability, so that is where counter ordering is
     decided) and evaluates claim + compute inline, replaying the
     engine's exact float expressions including the hierarchical lease
@@ -412,24 +416,25 @@ def run_fast_decentral(sim) -> SimResult:
     cluster = sim.cluster
     pref = sim._pref
 
-    ladder = evaluate_ladder(calc)
-    starts = ladder.starts.tolist()
-    stops = ladder.stops.tolist()
-    stages = ladder.stages.tolist()
-    n = ladder.n_chunks
+    # The calculator's own table, already plain lists: chunk ordinal
+    # ``m`` is ``[bounds[m], bounds[m + 1])`` at stage ``stages[m]``.
+    bounds, stages = calc._tabulate()
+    starts, stops = bounds, bounds[1:]
+    n = len(stages)
 
-    n_workers = len(sim.workers)
-    metrics = [s.metrics for s in sim.workers]
-    node_of = [s.node for s in sim.workers]
+    names, latency, bandwidth, speed_of, load_of, const_rate = (
+        _node_columns(cluster)
+    )
+    n_workers = len(names)
+    request_bytes = cluster.request_bytes
+    reply_bytes = cluster.reply_bytes
+    # ``NodeSpec.transfer_time``, inline.
     req_tx = [
-        node.transfer_time(cluster.request_bytes) for node in node_of
+        lat + request_bytes / bw for lat, bw in zip(latency, bandwidth)
     ]
     rep_tx = [
-        node.transfer_time(cluster.reply_bytes) for node in node_of
+        lat + reply_bytes / bw for lat, bw in zip(latency, bandwidth)
     ]
-    load_of = [node.load for node in node_of]
-    speed_of = [node.speed for node in node_of]
-    const_rate = [s.rate for s in sim.workers]
     collect = sim.collect_results
 
     atomic_op_cost = sim.atomic_op_cost
@@ -446,8 +451,8 @@ def run_fast_decentral(sim) -> SimResult:
 
     rows: list[tuple] = []
     results = sim._results
-    books = _open_books(metrics)
-    acc_com, acc_wait, acc_comp, acc_chunks, acc_iters = books
+    books = _open_books(n_workers)
+    acc_com, acc_wait, acc_comp, acc_chunks, acc_iters, finished = books
 
     def allocate(i: int, at: float) -> tuple[Optional[int], float]:
         # Hierarchical (group-counter) claim path; the global-counter
@@ -532,7 +537,7 @@ def run_fast_decentral(sim) -> SimResult:
         resume = access_end + rep_tx[i]
         if index is None:
             # Dry counter: the chain terminates at the reply.
-            metrics[i].finished_at = resume
+            finished[i] = resume
             nxt_t[i] = _INF
             active -= 1
         else:
@@ -565,7 +570,7 @@ def run_fast_decentral(sim) -> SimResult:
         # chunk -- performs exactly one global counter access.
         global_ops = len(rows) + n_workers
 
-    _close_books(metrics, books)
+    sim.metrics = list(map(WorkerMetrics, names, *books))
     sim._next = next_ord
     sim._counter_free = counter_free
     sim._global_ops = global_ops

@@ -39,6 +39,7 @@ __all__ = [
     "RandomLoad",
     "OverlayLoad",
     "integrate_compute",
+    "constant_rates",
 ]
 
 
@@ -214,6 +215,19 @@ class OverlayLoad(LoadTrace):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OverlayLoad(base={self.base!r}, windows={self.windows!r})"
+
+
+def constant_rates(
+    speeds: Sequence[float], traces: Sequence[LoadTrace]
+) -> list[Optional[float]]:
+    """Per PE, ``speed / q`` under a :class:`ConstantLoad`, where the
+    compute integral is one division (``finish = t + cost / rate``, the
+    exact shape :func:`integrate_compute` evaluates); None for any other
+    trace, which must be walked."""
+    return [
+        speed / trace.q if type(trace) is ConstantLoad else None
+        for speed, trace in zip(speeds, traces)
+    ]
 
 
 def integrate_compute(

@@ -102,6 +102,7 @@ class TreeSimulation(DesCluster[_TreeWorker]):
     """One simulated TreeS run; construct and call :meth:`run` once."""
 
     SRC = "sim.tree"
+    WORKER = _TreeWorker
     STALLED = "_master_link_free"
     STRANDED = (
         "every TreeS PE died or finished with iterations outstanding; "
@@ -134,30 +135,31 @@ class TreeSimulation(DesCluster[_TreeWorker]):
             raise SimulationError(f"grain must be >= 1, got {grain}")
         if min_steal < 2:
             raise SimulationError(f"min_steal must be >= 2, got {min_steal}")
+        self.weighted = weighted
         super().__init__(
-            _TreeWorker, workload, cluster, collect_results, chaos,
-            collector,
+            workload, cluster, collect_results, chaos, collector, fast,
         )
         self.flush_interval = float(flush_interval)
         self.grain = int(grain)
         self.min_steal = int(min_steal)
-        partition = (
-            TreePartition.weighted(
-                workload.size, self.cluster.virtual_powers()
-            )
-            if weighted
-            else TreePartition.even(workload.size, cluster.size)
-        )
-        for w, (lo, hi) in zip(self.workers, partition.blocks()):
-            if hi > lo:
-                w.ranges.append([lo, hi])
-            w.partners = partner_order(w.index, cluster.size)
-        self.weighted = weighted
-        self.fast = fast
         self._master_link_free = 0.0
         self._steals = 0
         #: what ``_compute`` fires when a block finishes, bound once.
         self._then = self.next_work
+
+    def _build_des(self) -> None:
+        super()._build_des()
+        # Each PE starts with its block of the initial partition.
+        size, p = self.workload.size, self.cluster.size
+        partition = (
+            TreePartition.weighted(size, self.cluster.virtual_powers())
+            if self.weighted
+            else TreePartition.even(size, p)
+        )
+        for w, (lo, hi) in zip(self.workers, partition.blocks()):
+            if hi > lo:
+                w.ranges.append([lo, hi])
+            w.partners = partner_order(w.index, p)
 
     # -- lifecycle hooks ---------------------------------------------------------
 

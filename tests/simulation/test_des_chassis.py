@@ -19,6 +19,7 @@ import gc
 
 import pytest
 
+from repro.batch import SimJob, stream_batch
 from repro.chaos import FaultPlan, MasterStall, WorkerDeath, WorkerRestart
 from repro.core import make, names
 from repro.core.acp import CLASSIC_ACP
@@ -217,7 +218,8 @@ def test_both_paths_leave_through_the_same_finish(engine, scheme,
     a, b = fast.run(), des.run()
     assert fast.calls == ["prepare", "fast", "finish"]
     assert des.calls == ["prepare", "finish"]
-    assert fast.queue.processed == 0 < des.queue.processed
+    # The fast run builds no event queue at all; the DES runs one.
+    assert not hasattr(fast, "queue") and des.queue.processed > 0
     assert a == b
     audit_sim(a, total=SPINE_WORKLOAD.size).raise_if_failed()
 
@@ -287,11 +289,24 @@ def _free_run(engine: str, chaos: bool) -> None:
     )
     if engine == "master":
         simulate("TSS", workload, cluster, chaos=plan, fast=False)
+    elif engine == "master-fast":
+        simulate("TSS", workload, cluster, fast=True)
     elif engine == "adaptive":
         simulate("adaptive:TSS+FSS@4", workload, cluster, chaos=plan)
     elif engine == "decentral":
         simulate_decentral("TSS", workload, cluster, chaos=plan,
                            fast=False)
+    elif engine == "decentral-fast":
+        simulate_decentral("TSS", workload, cluster, fast=True)
+    elif engine in ("job", "job-events"):
+        for kind in ("master", "decentral", "tree"):
+            SimJob("TSS", workload, cluster, engine=kind,
+                   collect_events=engine == "job-events").run()
+    elif engine == "stream":
+        jobs = [SimJob("TSS", workload, cluster, engine=kind)
+                for kind in ("master", "decentral", "tree")]
+        for _index, _result in stream_batch(jobs, n_jobs=1):
+            pass
     else:
         simulate_tree(workload, cluster, chaos=plan)
 
@@ -299,12 +314,16 @@ def _free_run(engine: str, chaos: bool) -> None:
 @pytest.mark.parametrize("engine, chaos", [
     ("master", False), ("master", True), ("adaptive", False),
     ("adaptive", True), ("decentral", False), ("decentral", True),
-    ("tree", False), ("tree", True),
+    ("tree", False), ("tree", True), ("master-fast", False),
+    ("decentral-fast", False), ("job", False), ("job-events", False),
+    ("stream", False),
 ])
 def test_a_finished_run_frees_by_refcount(engine, chaos):
     # Callbacks bound to the simulation (TreeS's ``_then``, a stepper
-    # closing over the requester) are dropped in ``_finish``: a run
-    # leaves nothing for the cyclic collector.
+    # closing over the requester) are dropped in ``_finish``, and the
+    # fast path keeps its stepper local: a run -- on either path, on
+    # its own, as a ``SimJob`` (traced or not) or streamed in-process
+    # -- leaves nothing for the cyclic collector.
     gc.collect()
     gc.disable()
     try:
