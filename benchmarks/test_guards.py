@@ -38,10 +38,10 @@ ENGINES = {"master": simulate, "decentral": simulate_decentral}
 #: (engine, scheme, reps, floor).  Each floor was set at 0.45-0.65 of
 #: the ratio read on a 2-CPU container when it was derived; the ratios
 #: read there now (median of 5 readings) are master
-#: SS/CSS(4)/FSS/TSS/DTSS 3.2 / 3.1 / 2.2 / 2.0 / 1.7x, decentral
-#: SS/CSS(4)/TSS 2.9 / 2.6 / 1.6x; decentral TSS (13 chunks) only has
-#: to not lose.  A PR that speeds up the DES, the denominator, rescales
-#: the floors.
+#: SS/CSS(4)/FSS/TSS/DTSS 4.1 / 3.9 / 2.4 / 2.1 / 1.9x, decentral
+#: SS/CSS(4)/TSS 4.4 / 3.4 / 1.9x; decentral TSS (13 chunks) only has
+#: to not lose.  A change that speeds up the DES, the denominator,
+#: rescales the floors.
 CASES = [
     ("master", "SS", 20, 2.05), ("master", "CSS(4)", 20, 1.6),
     ("master", "FSS", 60, 1.05), ("master", "TSS", 40, 0.9),

@@ -16,25 +16,29 @@ three-to-four events per chunk into **one processed event per chunk**:
   request *arrives* at the master (link + service serialization,
   scheduler call).  The compute and send legs of a worker's chain are
   pure functions of its own arrival, so the whole leg is evaluated
-  inline and only the *next arrival* is kept pending -- one pending
-  event per worker, found by an O(P) scan instead of a heap.
+  inline and only the *next arrival* is kept pending -- one heap
+  entry per live chain.
 * Decentral engine: the shared state is the counter; a claim happens
   when a chunk becomes *durable*, so the loop keeps one pending
-  durable event per worker and evaluates claim + compute inline.
+  durable event per live chain and evaluates claim + compute inline.
 
-Event order is still **exactly** the DES's ``(time, seq)`` order.  The
-DES breaks time ties by ``seq``, and seq values are assigned in firing
-order of the *scheduling* events -- so each pending arrival carries a
-pedigree key ``(arrival time, send fire time, compute fire time,
-predecessor rank)``.  Comparing pedigrees lexicographically reproduces
-the DES tie-break chain: equal arrival times compare send seqs, which
-were assigned in compute firing order, which were assigned in the
-order the *previous* arrivals were processed -- a rank this loop
-knows, because it processed them.  Initial requests use rank slots
-below every later rank, in worker index order, exactly like the DES's
-startup seq assignment.  Chunk records are emitted in processing
-order and stably sorted by compute-fire time afterwards, which equals
-the DES's compute-event order for the same reason.
+Event order is still **exactly** the DES's ``(time, seq)`` order,
+because a heap entry *is* its event's pedigree.  The DES breaks time
+ties by ``seq``, and seq values are assigned in firing order of the
+*scheduling* events -- so a pending arrival's entry leads with
+``(arrival time, send fire time, compute fire time, predecessor
+rank)``.  Tuple order on these fields reproduces the DES tie-break
+chain: equal arrival times compare send seqs, which were assigned in
+compute firing order, which were assigned in the order the *previous*
+arrivals were processed -- a rank this loop knows, because it
+processed them.  Ranks are unique, so the payload behind them (the
+worker and its request) is never compared, and each processed event
+costs one ``heapreplace`` (or one ``heappop`` when its chain ends).
+Initial requests use rank slots below every later rank, in worker
+index order, exactly like the DES's startup seq assignment.  Chunk
+records are emitted in processing order and stably sorted by
+compute-fire time afterwards, which equals the DES's compute-event
+order for the same reason.
 
 Further per-chunk costs are shaved without touching the numbers:
 
@@ -83,8 +87,8 @@ decision with timing, so there is nothing to precompute.
 
 from __future__ import annotations
 
-import math
 import os
+from heapq import heapify, heappop, heapreplace
 from operator import itemgetter
 from typing import Optional
 
@@ -103,8 +107,6 @@ __all__ = [
 #: Environment kill-switch: set to ``0``/``off``/``no``/``false`` to
 #: force every simulation down the generic DES path (debugging aid).
 ENV_FAST = "REPRO_FAST"
-
-_INF = math.inf
 
 
 def fast_enabled() -> bool:
@@ -198,11 +200,12 @@ def run_fast_master(sim) -> SimResult:
     come out exactly as the DES would leave them, and the scheduler's
     drained state as ``next_chunk`` would.
 
-    One pending *arrival* per worker, processed in exact DES order via
-    the pedigree key (see module docstring); the compute and send legs
-    of each chain are evaluated inline at arrival time -- their values
-    only depend on the arrival, and the ``q_at`` realizations of
-    stochastic load traces are query-order independent.
+    One pending *arrival* per live chain, popped from a heap keyed on
+    its pedigree in exact DES order (see module docstring); the
+    compute and send legs of each chain are evaluated inline at
+    arrival time -- their values only depend on the arrival, and the
+    ``q_at`` realizations of stochastic load traces are query-order
+    independent.
     """
     scheduler = sim.scheduler
     workload = sim.workload
@@ -255,52 +258,33 @@ def run_fast_master(sim) -> SimResult:
     rows: list[tuple] = []
     results = sim._results
 
-    # Pending next arrival per worker: time (inf = chain done), the
-    # pedigree (send fire time, compute fire time, predecessor rank),
-    # and the request payload (acp, carries-results flag, nbytes).
-    nxt_t = [_INF] * n_nodes
-    nxt_s = [0.0] * n_nodes
-    nxt_c = [0.0] * n_nodes
-    nxt_rank = [0] * n_nodes
-    nxt_acp: list = [None] * n_nodes
-    nxt_carry = [False] * n_nodes
-    nxt_nb = [0.0] * n_nodes
-
-    # Initial requests: direct calls in the DES too, worker index
-    # order -- seqs 0..P-1 below every later seq, encoded as negative
-    # ranks with pedigree (-1, -1) < any real fire time.
-    active = 0
+    # Pending arrivals, one heap entry per live chain: the pedigree
+    # (arrival time, send fire time, compute fire time, rank), then the
+    # worker and its request payload (acp, carries-results flag,
+    # nbytes), which ``rank`` -- unique -- keeps from ever being
+    # compared.  Initial requests are direct calls in the DES too,
+    # worker index order: seqs 0..P-1 below every later seq, encoded as
+    # negative ranks with pedigree (-1, -1) < any real fire time.
+    heap = []
     for idx, i in enumerate(participants):
         tx = latency[i] + request_bytes / bandwidth[i]
         acc_com[i] += tx
-        nxt_t[i] = tx
-        nxt_s[i] = -1.0
-        nxt_c[i] = -1.0
-        nxt_rank[i] = idx - n_nodes
-        if distributed:
-            nxt_acp[i] = acp_model.acp(vpower[i], load_of[i].q_at(0.0))
-        nxt_nb[i] = request_bytes
-        active += 1
+        acp = acp_model.acp(
+            vpower[i], load_of[i].q_at(0.0)
+        ) if distributed else None
+        heap.append(
+            (tx, -1.0, -1.0, idx - n_nodes, i, acp, False, request_bytes)
+        )
+    heapify(heap)
 
     rank = 0
-    while active:
-        t = min(nxt_t)
-        i = nxt_t.index(t)
-        if nxt_t.count(t) > 1:
-            # Coincident arrivals: full DES tie-break on the pedigree.
-            best = (nxt_s[i], nxt_c[i], nxt_rank[i])
-            for j in range(i + 1, n_nodes):
-                if nxt_t[j] == t:
-                    key = (nxt_s[j], nxt_c[j], nxt_rank[j])
-                    if key < best:
-                        best = key
-                        i = j
+    while heap:
+        t, _, _, _, i, acp, carry, nb = heap[0]
         # -- arrival: master link + service serialization ----------------
-        nb = nxt_nb[i]
         recv_start = t if t > link_free else link_free
         arrival = recv_start + nb / master_bw
         link_free = arrival
-        if nxt_carry[i] and arrival > last_result:
+        if carry and arrival > last_result:
             last_result = arrival
         service_start = arrival if arrival > master_free else master_free
         service_end = service_start + master_service
@@ -312,7 +296,7 @@ def run_fast_master(sim) -> SimResult:
         # -- assignment --------------------------------------------------
         if not pure:
             sim._arrival = arrival
-            a = step(i, nxt_acp[i])
+            a = step(i, acp)
             if a is None:
                 start = -1
             else:
@@ -343,7 +327,7 @@ def run_fast_master(sim) -> SimResult:
             acc_comp[i] += finish - tc
             acc_chunks[i] += 1
             acc_iters[i] += stop - start
-            rows.append((i, start, stop, tc, finish, stage, nxt_acp[i]))
+            rows.append((i, start, stop, tc, finish, stage, acp))
             if collect:
                 results.append((start, workload.execute(start, stop)))
             # -- send leg, inline: next arrival becomes pending ---------
@@ -351,20 +335,14 @@ def run_fast_master(sim) -> SimResult:
             tx = latency[i] + nb / bandwidth[i]
             acc_com[i] += tx
             if distributed:
-                nxt_acp[i] = acp_model.acp(
-                    vpower[i], load_of[i].q_at(finish)
-                )
-            nxt_t[i] = finish + tx
-            nxt_s[i] = finish
-            nxt_c[i] = tc
-            nxt_rank[i] = rank
-            nxt_carry[i] = True
-            nxt_nb[i] = nb
+                acp = acp_model.acp(vpower[i], load_of[i].q_at(finish))
+            heapreplace(
+                heap, (finish + tx, finish, tc, rank, i, acp, True, nb)
+            )
         else:
             # Dry request: terminate fires at the reply's delivery.
             finished[i] = tc
-            nxt_t[i] = _INF
-            active -= 1
+            heappop(heap)
         rank += 1
 
     sim.metrics = list(map(WorkerMetrics, names, *books))
@@ -403,13 +381,13 @@ def run_fast_decentral(sim) -> SimResult:
     that passed :func:`decentral_fast_reason`.  The whole chunk ladder
     is the calculator's own table, read as the plain lists it is (no
     array round trip, unlike :func:`repro.core.kernel.evaluate_ladder`);
-    the loop keeps one pending *chunk-durable* event per worker (claims
-    happen at durability, so that is where counter ordering is
-    decided) and evaluates claim + compute inline, replaying the
-    engine's exact float expressions including the hierarchical lease
-    logic.  Durable-event ties break on ``(compute fire time, claim
-    rank)`` -- the DES's seq order, by the same pedigree argument as
-    the master loop.
+    the loop keeps one pending *chunk-durable* event per live chain in
+    a heap (claims happen at durability, so that is where counter
+    ordering is decided) and evaluates claim + compute inline,
+    replaying the engine's exact float expressions including the
+    hierarchical lease logic.  Durable-event ties break on ``(compute
+    fire time, claim rank)`` -- the DES's seq order, by the same
+    pedigree argument as the master loop.
     """
     calc = sim.calc
     workload = sim.workload
@@ -491,30 +469,19 @@ def run_fast_decentral(sim) -> SimResult:
     hierarchical = group_size is not None
     t_p = 0.0
 
-    # Pending durable event per worker: fire time (inf = done) plus
-    # the pedigree (compute fire time, claim rank); claim + compute
-    # legs are evaluated inline when the event is processed.  Initial
-    # claims are direct calls in the DES, worker index order at t = 0
-    # (``0.0 + tx == tx`` exactly): encoded as due-at-zero events with
-    # pedigree (-1, i - W), which the tie-break resolves to exactly
-    # that order before any real durable can fire.
-    nxt_t = [0.0] * n_workers
-    nxt_c = [-1.0] * n_workers
-    nxt_rank = [i - n_workers for i in range(n_workers)]
-    active = n_workers
+    # Pending durable events, one heap entry per live chain: the
+    # pedigree (fire time, compute fire time, claim rank), then the
+    # worker, which the unique rank keeps from being compared; claim +
+    # compute legs are evaluated inline when the event is processed.
+    # Initial claims are direct calls in the DES, worker index order at
+    # t = 0 (``0.0 + tx == tx`` exactly): encoded as due-at-zero events
+    # with pedigree (-1, i - W), which order them exactly so before any
+    # real durable can fire.  Built in that order, the list is a heap.
+    heap = [(0.0, -1.0, i - n_workers, i) for i in range(n_workers)]
 
     rank = 0
-    while active:
-        t = min(nxt_t)
-        i = nxt_t.index(t)
-        if nxt_t.count(t) > 1:
-            best = (nxt_c[i], nxt_rank[i])
-            for j in range(i + 1, n_workers):
-                if nxt_t[j] == t:
-                    key = (nxt_c[j], nxt_rank[j])
-                    if key < best:
-                        best = key
-                        i = j
+    while heap:
+        t, _, _, i = heap[0]
         # -- claim -------------------------------------------------------
         rqx = req_tx[i]
         acc_com[i] += rqx
@@ -538,8 +505,7 @@ def run_fast_decentral(sim) -> SimResult:
         if index is None:
             # Dry counter: the chain terminates at the reply.
             finished[i] = resume
-            nxt_t[i] = _INF
-            active -= 1
+            heappop(heap)
         else:
             # -- compute leg, inline ------------------------------------
             start = starts[index]
@@ -560,9 +526,7 @@ def run_fast_decentral(sim) -> SimResult:
                 t_p = finish
             if collect:
                 results.append((start, workload.execute(start, stop)))
-            nxt_t[i] = finish
-            nxt_c[i] = resume
-            nxt_rank[i] = rank
+            heapreplace(heap, (finish, resume, rank, i))
         rank += 1
 
     if not hierarchical:

@@ -8,6 +8,9 @@ all three load-generator shapes, the paper cluster (identical fast
 nodes force structural event-time ties, exercising the pedigree
 tie-break), the decentral engine in global / hierarchical / leased
 modes, and both non-string scheduler provenances (instance, factory).
+A property test draws clusters of identical PEs on an exact time
+lattice, where arrivals tie to the last bit, over the registry and
+every engine mode.
 
 Selection-rule tests pin the dispatch contract: ``fast="auto"`` falls
 back silently, ``fast=True`` raises with the blocking reason,
@@ -16,8 +19,13 @@ back silently, ``fast=True`` raises with the blocking reason,
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import FaultPlan
 from repro.core import WorkerView, make, names
@@ -33,7 +41,7 @@ from repro.simulation import (
 from repro.simulation import fastpath
 from repro.simulation.engine import simulate
 from repro.simulation.loadgen import RandomLoad
-from repro.workloads import MandelbrotWorkload
+from repro.workloads import MandelbrotWorkload, TraceWorkload
 
 from tests.conftest import square_wave
 
@@ -177,6 +185,90 @@ def test_decentral_bit_identity(workload, scheme, mode):
                            collect_results=True, **mode)
     assert_identical(a, b, f"dec/{scheme}/{mode}")
     assert np.array_equal(a.results, b.results)
+
+
+# -- ties ------------------------------------------------------------------
+
+
+def tie_runs(p):
+    """What a tie among ``p`` PEs can be resolved by: the master engine
+    over every fast-eligible scheme, the decentral engine in global,
+    group-counter and leased modes."""
+    groups = st.integers(1, p)
+    return st.one_of(
+        st.tuples(st.just("master"), st.sampled_from(FAST_ELIGIBLE),
+                  st.just({})),
+        st.tuples(
+            st.just("decentral"),
+            st.sampled_from(sorted(DECENTRAL_SCHEMES)),
+            st.one_of(
+                st.just({}),
+                st.builds(dict, group_size=groups),
+                st.builds(dict, group_size=groups,
+                          lease=st.integers(1, 6)),
+            ),
+        ),
+    )
+
+
+#: Exact binary fractions only: every sum and quotient of these is
+#: exact, so arrivals, claims and finishes that ought to coincide do,
+#: to the last bit.
+LATTICE = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+#: A free master (no service time, no transfer cost) lets chains that
+#: arrive together be served at one instant, and a chunk that grows
+#: while its iterations get cheaper lets a later compute finish first
+#: and still arrive with an earlier one.  Random draws reach these ties
+#: about once in a few thousand runs, so each is pinned by the smallest
+#: run found that decides it: the claim rank behind an equal pedigree
+#: (master and group counter), and the send fire time ahead of the
+#: compute fire time.
+FREE_MASTER = dict(latency=0.0, service=0.0, op_cost=0.0, request=0.0,
+                   master_bandwidth=math.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=(3, ("master", "CSS", {})), costs=[1, 4, 4, 3, 3, 3, 3, 1],
+         per_item=0.0, **FREE_MASTER)
+@example(case=(5, ("decentral", "CSS", {"group_size": 3, "lease": 2})),
+         costs=[1] * 7 + [2, 1], per_item=0.0,
+         **dict(FREE_MASTER, op_cost=0.5))
+@example(case=(5, ("master", "DFISS", {})), costs=[1] * 4 + [4] + [1] * 18,
+         per_item=0.5, **FREE_MASTER)
+@given(case=st.integers(1, 8).flatmap(
+           lambda p: st.tuples(st.just(p), tie_runs(p))),
+       costs=st.lists(st.integers(1, 4), min_size=1, max_size=300),
+       latency=LATTICE, service=LATTICE, op_cost=LATTICE,
+       request=LATTICE, per_item=LATTICE,
+       master_bandwidth=st.sampled_from([1.0, 4.0, math.inf]))
+def test_identical_pes_tie_every_arrival(case, costs, latency, service,
+                                         op_cost, request, per_item,
+                                         master_bandwidth):
+    """P identical PEs on an exact time lattice: equal chunks arrive,
+    claim and finish at equal times, and unequal ones meet where an
+    earlier send and a later compute cross.  The pedigree must break
+    each such tie exactly as the DES's seq order does."""
+    p, (engine, scheme, mode) = case
+    cluster = ClusterSpec(
+        nodes=[
+            NodeSpec(name=f"n{i}", speed=1.0, latency=latency,
+                     bandwidth=1.0, load=ConstantLoad(1))
+            for i in range(p)
+        ],
+        master_service=service, master_bandwidth=master_bandwidth,
+        request_bytes=request, reply_bytes=request,
+        result_bytes_per_item=per_item,
+    )
+    workload = TraceWorkload(costs)
+    if engine == "master":
+        run = partial(simulate, scheme, workload, cluster)
+    else:
+        run = partial(simulate_decentral, scheme, workload, cluster,
+                      atomic_op_cost=op_cost, **mode)
+    assert_identical(run(fast=True), run(fast=False),
+                     f"tie/{engine}/{scheme}/{mode}/p={p}")
 
 
 # -- selection rules -------------------------------------------------------

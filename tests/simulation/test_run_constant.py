@@ -14,7 +14,11 @@ which differ between 3.10's and 3.12's comprehensions):
 * the decentral fast path reads the calculator's ladder as it is (plain
   lists), and no fast run calls into numpy at all;
 * ``registry.parse`` runs once per ``SimJob.run`` and no import
-  statement runs inside one.
+  statement runs inside one;
+* a fast loop pays one heap operation per processed event: a
+  ``heapreplace`` per chunk and a ``heappop`` per chain that ends (one
+  per participant on the master, one per worker on the decentral
+  engine), and nothing per PE per arrival.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ import pytest
 from repro.batch import SimJob
 from repro.core import master as master_mod
 from repro.core import registry
+from repro.core.acp import AcpModel
 from repro.decentral import sim_engine
-from repro.simulation import des, events
+from repro.simulation import des, events, fastpath
 from repro.simulation import metrics as metrics_mod
 from repro.workloads import GaussianPeakWorkload
 
@@ -72,11 +77,11 @@ def built(monkeypatch):
     return counts
 
 
-def _job(engine, **params):
+def _job(engine, scheme="TSS", **params):
     # Resolve the workload's costs up front: a run reads its prefix
     # list, it does not build one.
     WORKLOAD.prefix_list()
-    return SimJob("TSS", WORKLOAD, CLUSTER, engine=engine, params=params)
+    return SimJob(scheme, WORKLOAD, CLUSTER, engine=engine, params=params)
 
 
 @pytest.mark.parametrize("engine", ["master", "decentral"])
@@ -103,6 +108,37 @@ def test_only_an_observed_run_builds_a_sink(engine, built):
                  collect_events=True)
     job.run()
     assert built["sink"] == 1
+
+
+@pytest.fixture
+def heap_ops(monkeypatch):
+    """A counter of the fast loops' heap operations, spies installed."""
+    counts: collections.Counter = collections.Counter()
+    _spy(monkeypatch, counts, fastpath, "heapreplace")
+    _spy(monkeypatch, counts, fastpath, "heappop")
+    return counts
+
+
+@pytest.mark.parametrize("engine", ["master", "decentral"])
+@pytest.mark.parametrize("scheme", ["SS", "CSS(4)", "TSS", "FSS"])
+def test_a_fast_run_does_one_heap_operation_per_event(engine, scheme,
+                                                      heap_ops):
+    result = _job(engine, scheme, fast=True).run()
+    assert result.total_chunks > P
+    assert heap_ops == {"heapreplace": result.total_chunks, "heappop": P}
+
+
+def test_a_screened_out_pe_pops_nothing(heap_ops):
+    # ACPs 30, 30, 3, 3 against A_min = 6: the two loaded PEs never
+    # ask, so only two chains start and two end.
+    cluster = make_cluster(overloaded=(2, 3))
+    model = AcpModel(scale=10, a_min=6)
+    result = SimJob("DTSS", WORKLOAD, cluster,
+                    params={"fast": True, "acp_model": model}).run()
+    assert [w.chunks == 0 for w in result.workers] == [
+        False, False, True, True,
+    ]
+    assert heap_ops == {"heapreplace": result.total_chunks, "heappop": 2}
 
 
 def _numpy_calls(run) -> list:
