@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import drain, make, paper_cluster, paper_workload, simulate
-from repro.core import Scheduler, WorkerView, register
+from repro.core import Scheduler, register
 from repro.runtime import run_parallel
 
 
@@ -36,15 +36,15 @@ class QuadraticScheduler(Scheduler):
         weights = [(steps - i) ** 2 for i in range(steps)]
         scale = total / sum(weights) if weights else 0.0
         self._plan = [max(1, int(w * scale)) for w in weights]
-        self._step_idx = 0
 
-    def _chunk_size(self, worker: WorkerView) -> int:
-        if self._step_idx < len(self._plan):
-            size = self._plan[self._step_idx]
-            self._step_idx += 1
-            return size
+    def _nominal(
+        self, rem: int, step: int, wid: int, k: int
+    ) -> tuple[int, int]:
+        """``C_i = f(R_{i-1}, p)``: the planned size at step ``i``."""
+        if step < len(self._plan):
+            return self._plan[step], 0
         # Plan exhausted (rounding leftovers): GSS-style tail.
-        return max(1, self.remaining // (2 * self.workers))
+        return max(1, rem // (2 * self.workers)), 0
 
 
 def main() -> None:

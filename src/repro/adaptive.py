@@ -51,8 +51,7 @@ import random
 from typing import Optional, Sequence
 
 from .core import registry as _registry
-from .core.base import Reply, Requester, Scheduler, SchemeError
-from .core.base import SteppedScheduler, Stepper
+from .core.base import Reply, Requester, Scheduler, SchemeError, Stepper
 
 __all__ = [
     "DEFAULT_CANDIDATES",
@@ -322,7 +321,7 @@ def _normalize_candidates(
     return tuple(normalized)
 
 
-class AdaptiveScheduler(SteppedScheduler):
+class AdaptiveScheduler(Scheduler):
     """Stage-wise meta-scheduler over the fixed-scheme registry.
 
     Implements the standard :class:`~repro.core.base.Scheduler`
@@ -413,7 +412,7 @@ class AdaptiveScheduler(SteppedScheduler):
 
     # -- policy ------------------------------------------------------------
 
-    def _lean_stepper(self, requester: Requester) -> Stepper:
+    def stepper(self, requester: Requester) -> Stepper:
         """Drive the current stage's sub-scheduler through its own
         stepper; a dry one opens the next stage."""
         total, speeds = self.total, self._speeds

@@ -36,7 +36,6 @@ __all__ = [
     "WorkerView",
     "ChunkAssignment",
     "Scheduler",
-    "SteppedScheduler",
     "SchemeError",
     "drain",
 ]
@@ -142,11 +141,10 @@ class Scheduler(object):
     on the ledger's ``sweep_fast`` (``jobs_per_s`` medians 3006 ->
     2688, +21% ``job_p95_ms``, 6 of 6 alternating pairs).
 
-    User-written schemes may override :meth:`_chunk_size` instead; the
-    stepper then asks through :meth:`next_chunk`, one
-    :class:`WorkerView` per request.  A scheme whose policy *is* a
-    stepper (the ACP-driven family, the adaptive meta-scheduler)
-    derives from :class:`SteppedScheduler`.
+    A scheme states :meth:`_nominal` (pure) or overrides :meth:`stepper`
+    (stateful: the ACP-driven family, the adaptive meta-scheduler);
+    :meth:`next_chunk` is the object protocol's one adapter over
+    whichever it is.
 
     A scheduler instance is single-use: it walks the loop from iteration
     0 to ``total`` exactly once.  Create a fresh instance per run (the
@@ -180,11 +178,6 @@ class Scheduler(object):
     #: weighs by requester, and the distributed family consumes
     #: runtime ACP reports.
     order_invariant: bool = False
-    #: The hooks :meth:`_lean_stepper` stands in for (the hook rule of
-    #: :meth:`stepper`).
-    _bypasses: tuple[str, ...] = (
-        "next_chunk", "_take", "_chunk_size", "_current_stage",
-    )
 
     def __init__(self, total: int, workers: int) -> None:
         if total < 0:
@@ -227,37 +220,16 @@ class Scheduler(object):
 
     def stepper(self, requester: Requester) -> Stepper:
         """The one way a substrate asks: ``step(wid, acp)``, where
-        ``requester`` describes the PE asking (only a
-        :class:`WorkerView` reads it).  One step is one
-        :meth:`next_chunk`: the same reply, the same state left behind.
+        ``requester`` describes the PE asking.
 
-        The hook rule lives here, once: a scheduler that replaces none
-        of ``_bypasses`` gets its :meth:`_lean_stepper` -- the formula
-        closure (tagged ``formula``: the fast path inlines it), the ACP
-        family's ``step``, the adaptive stage driver.  Any other is
-        asked through its own :meth:`next_chunk`.
+        Here that is the formula closure: :meth:`_nominal` at the
+        scheduler's own cursor, step and request counts, floored at 1
+        and clipped to the remaining iterations.  It is tagged
+        ``formula``, so the fast path may inline it.  A stateful scheme
+        overrides this method instead (the ACP family returns its
+        ``step``, the adaptive meta-scheduler its stage driver); a
+        replacement on the instance is what every substrate then asks.
         """
-        for owner in type(self).__mro__:  # the class defining it
-            if "_lean_stepper" in owner.__dict__:
-                break
-        if calls_own_hooks(self, owner, self._bypasses):
-            return self._lean_stepper(requester)
-
-        def step(wid: int, acp: Optional[int] = None) -> Reply:
-            virtual_power, run_queue = requester(wid)
-            chunk = self.next_chunk(
-                WorkerView(wid, virtual_power, run_queue, acp)
-            )
-            if chunk is None:
-                return None
-            return chunk.start, chunk.stop, chunk.stage
-
-        return step
-
-    def _lean_stepper(self, requester: Requester) -> Stepper:
-        """The formula closure: :meth:`_nominal` at the scheduler's own
-        cursor, step and request counts, without the ``WorkerView`` and
-        ``ChunkAssignment`` the formula never looks at."""
         total = self.total
         nominal = self._nominal
         # A constant formula (SS, CSS, BC) needs no call at all.
@@ -287,43 +259,25 @@ class Scheduler(object):
         return step
 
     def next_chunk(self, view: WorkerView) -> Optional[ChunkAssignment]:
-        """Assign the next chunk to the worker ``view`` describes.
+        """Assign the next chunk to the worker ``view`` describes: one
+        step of :meth:`stepper`, as an object.
 
         Returns ``None`` when the loop is exhausted (the master then
         replies with a termination message).  The returned interval is
         clipped to the remaining iterations, so chunk sizes always
         conserve the loop: the sizes over a full drain sum to ``total``.
         """
-        if self._cursor >= self.total:
+        got = self.stepper(
+            lambda _wid: (view.virtual_power, view.run_queue)
+        )(view.worker_id, view.acp)
+        if got is None:
             return None
-        start = self._take(view)
         return ChunkAssignment(
-            start=start,
-            stop=self._cursor,
-            worker_id=view.worker_id,
-            step=self._step,
-            stage=self._current_stage(),
+            start=got[0], stop=got[1], worker_id=view.worker_id,
+            step=self._step, stage=got[2],
         )
 
-    def _take(self, worker: WorkerView) -> int:
-        """Size, clip and consume the next chunk; return its start.
-
-        The loop must not be finished.  The min-1 / clip-to-remaining
-        rule lives here for the hook-driven schedulers, in the formula
-        closure (:meth:`_lean_stepper`) for the formula-driven and in
-        :meth:`repro.core.distributed.DistributedSchedulerBase.step`
-        for the ACP-driven family.
-        """
-        size = int(self._chunk_size(worker))
-        if size < 1:
-            size = 1
-        start = self._cursor
-        rem = self.total - start
-        self._cursor = start + (size if size < rem else rem)
-        self._step += 1
-        return start
-
-    # -- subclass hooks ----------------------------------------------------
+    # -- subclass hook -----------------------------------------------------
 
     def _nominal(
         self, rem: int, step: int, wid: int, k: int
@@ -340,27 +294,9 @@ class Scheduler(object):
         if const is None:
             raise NotImplementedError(
                 f"{type(self).__name__} implements neither _nominal "
-                f"nor _chunk_size"
+                f"nor stepper"
             )
         return const, 0
-
-    def _chunk_size(self, worker: WorkerView) -> int:
-        """Return the *nominal* next chunk size (clipping is ours).
-
-        The default evaluates :meth:`_nominal` at the scheduler's own
-        position; stateful schemes override this hook instead.
-        """
-        wid = worker.worker_id
-        k = self._requests.get(wid, 0)
-        self._requests[wid] = k + 1
-        size, self._stage = self._nominal(
-            self.total - self._cursor, self._step, wid, k
-        )
-        return size
-
-    def _current_stage(self) -> int:
-        """Stage index recorded on the assignment just sized."""
-        return self._stage
 
     # -- substrate hooks (inert here; ACP-driven / adaptive schemes override)
 
@@ -415,46 +351,6 @@ class Scheduler(object):
             f"<{type(self).__name__} {self.name} total={self.total} "
             f"workers={self.workers} remaining={self.remaining}>"
         )
-
-
-class SteppedScheduler(Scheduler):
-    """A scheduler whose policy is its :meth:`~Scheduler._lean_stepper`
-    (the ACP-driven family, the adaptive meta-scheduler):
-    :meth:`next_chunk` is the object protocol's one adapter over it."""
-
-    _bypasses = ("next_chunk",)
-
-    def next_chunk(self, view: WorkerView) -> Optional[ChunkAssignment]:
-        got = self._lean_stepper(
-            lambda _wid: (view.virtual_power, view.run_queue)
-        )(view.worker_id, view.acp)
-        if got is None:
-            return None
-        return ChunkAssignment(
-            start=got[0], stop=got[1], worker_id=view.worker_id,
-            step=self._step, stage=got[2],
-        )
-
-
-def calls_own_hooks(
-    scheduler: Scheduler, owner: type, hooks: Sequence[str]
-) -> bool:
-    """The hook rule of :meth:`Scheduler.stepper`: True when
-    ``scheduler`` would call ``owner``'s own definition of each of
-    ``hooks``.  A class override and an instance shadow both count as
-    a replacement: then the replacement must be what runs."""
-    for hook in hooks:
-        # What the scheduler would call, class override and instance
-        # shadow alike.  (Not ``vars(scheduler)``: reading ``__dict__``
-        # un-inlines the instance's attribute values in CPython 3.11+
-        # and slows every later attribute access on it.)
-        bound = getattr(scheduler, hook, None)
-        if (
-            getattr(bound, "__func__", None) is not getattr(owner, hook)
-            or bound.__self__ is not scheduler
-        ):
-            return False
-    return True
 
 
 def drain(scheduler: Scheduler, worker_cycle: Optional[list[WorkerView]] = None

@@ -19,10 +19,9 @@ Steps 1a, 2a and 2c are written once, in
 :meth:`DistributedSchedulerBase.step`, the family's stepper
 ``(wid, acp) -> (start, stop, stage)``; a scheme states only 1b
 (``_derive``) and 2b (``_size``).  It is what
-:meth:`~repro.core.base.Scheduler.stepper` returns for the family, so
-every substrate calls it directly, and ``next_chunk`` is the adapter
-every stepped scheduler shares
-(:class:`~repro.core.base.SteppedScheduler`).
+:meth:`DistributedSchedulerBase.stepper` returns, so every substrate
+calls it directly, and ``next_chunk`` is the base class's one adapter
+over it (:meth:`~repro.core.base.Scheduler.next_chunk`).
 
 Schemes implemented on this pattern:
 
@@ -53,7 +52,7 @@ import math
 from typing import Optional
 
 from .acp import IMPROVED_ACP, AcpModel
-from .base import Reply, Requester, SchemeError, SteppedScheduler, Stepper
+from .base import Reply, Requester, Scheduler, SchemeError, Stepper
 from .trapezoid import TrapezoidParams
 
 __all__ = [
@@ -65,7 +64,7 @@ __all__ = [
 ]
 
 
-class DistributedSchedulerBase(SteppedScheduler):
+class DistributedSchedulerBase(Scheduler):
     """Shared ACP bookkeeping, the "half changed -> re-derive" rule and
     the family's stepper.
 
@@ -162,7 +161,7 @@ class DistributedSchedulerBase(SteppedScheduler):
 
     # -- the stepper -------------------------------------------------------
 
-    def _lean_stepper(self, requester: Requester) -> Stepper:
+    def stepper(self, requester: Requester) -> Stepper:
         return self.step
 
     def step(self, wid: int, acp: Optional[int] = None) -> Reply:

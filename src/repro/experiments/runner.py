@@ -139,11 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent cost-profile cache",
     )
     parser.add_argument(
-        "--no-fast", action="store_true",
-        help="force the generic DES engines for every simulation "
-             "(disable the analytic fast path; see docs/performance.md)",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="trace-report: audit and summarize an existing JSONL "
              "trace instead of running the seeded demo scenario",
@@ -662,15 +657,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     configure_logging(args.log_level)
-    if args.no_fast:
-        # Every experiment module reaches simulate() through the
-        # engines' auto-dispatch; the environment kill-switch is the
-        # one lever that covers them all.
-        import os
-
-        from ..simulation.fastpath import ENV_FAST
-
-        os.environ[ENV_FAST] = "0"
     if args.cache_dir is not None or args.no_cache:
         cache.configure(
             directory=args.cache_dir, enabled=not args.no_cache

@@ -173,8 +173,7 @@ def _execute_body(
     no subscriber streams (``want_trace`` false, no ``collector``) is
     first run unobserved with ``fast=True``, so the chassis's one gate
     gives it the fast path; when the gate refuses (a fault plan,
-    ``fails_at``, a shared segment, TreeS, an adaptive scheme, the
-    ``REPRO_FAST`` kill-switch) it raises
+    ``fails_at``, a shared segment, TreeS, an adaptive scheme) it raises
     :class:`~repro.simulation.FastPathRefused` before anything runs,
     and the job runs observed, as a traced or streamed one always
     does.  A spec that sets ``fast`` itself keeps its own policy.

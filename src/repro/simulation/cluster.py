@@ -114,9 +114,12 @@ class ClusterSpec(object):
                 or self.result_bytes_per_item < 0:
             raise SimulationError("message sizes must be >= 0")
         slowest = min(n.speed for n in self.nodes)
-        for node in self.nodes:
-            if node.virtual_power is None:
-                node.virtual_power = node.speed / slowest
+        # Fill V on copies: the caller's node may sit in another cluster.
+        self.nodes = [
+            node if node.virtual_power is not None
+            else dataclasses.replace(node, virtual_power=node.speed / slowest)
+            for node in self.nodes
+        ]
 
     @property
     def size(self) -> int:

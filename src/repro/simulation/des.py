@@ -52,7 +52,6 @@ from ..obs import Collector, ObsEvent
 from ..obs import resolve as _resolve_collector
 from ..obs import sink as _collector_sink
 from ..workloads import Workload, WorkloadError
-from . import fastpath
 from .cluster import ClusterSpec, NodeSpec
 from .events import EventQueue, SimulationError
 from .loadgen import OverlayLoad, constant_rates, integrate_compute
@@ -69,7 +68,7 @@ class FastPathRefused(SimulationError):
 
     Raised by :meth:`DesCluster.run` before anything is prepared, so a
     caller may catch it and run the job another way; ``reason`` says
-    why (the substrate's ``_fast_reason``, or the kill-switch).
+    why (the substrate's ``_fast_reason``).
     """
 
     def __init__(self, reason: str) -> None:
@@ -574,11 +573,9 @@ class DesCluster(Generic[W]):
         take_fast = False
         if self.fast is not False:
             reason = self._fast_reason()
-            take_fast = reason is None and fastpath.fast_enabled()
+            take_fast = reason is None
             if self.fast is True and not take_fast:
-                raise FastPathRefused(
-                    reason or f"disabled via {fastpath.ENV_FAST}"
-                )
+                raise FastPathRefused(reason)
         self._prepare()
         self._pref = self.workload.prefix_list()
         if take_fast:

@@ -50,9 +50,8 @@ Further per-chunk costs are shaved without touching the numbers:
   drained state is handed back to the scheduler afterwards.  Calling
   the closure instead measured 10.6% slower on the ledger's
   ``sweep_fast``.  Every other scheduler keeps its own state current
-  through its stepper (the ACP-driven family's, or a ``WorkerView``
-  per request for a user scheme that replaces a driver hook: still
-  bit-identical, less speedup);
+  through its stepper (the ACP-driven family's ``step``, or a
+  replacement ``stepper``: still bit-identical, less speedup);
 * the per-chunk compute integral is inlined for ``ConstantLoad``
   (``finish = t + cost / rate``), the overwhelmingly common case;
 * additions of exact zeros (switched-segment waits) are skipped --
@@ -79,15 +78,14 @@ is never built for a run that takes a loop here: each reads the
 nodes as columns, books into plain lists and writes the run's
 ``metrics`` from them at the end.
 
-Set ``REPRO_FAST=0`` (or pass ``fast=False``) to force the DES; pass
-``fast=True`` to *require* the fast path (raises when ineligible).
+Pass ``fast=False`` to force the DES; pass ``fast=True`` to *require*
+the fast path (raises when ineligible).
 The tree engine has no fast path: work stealing entangles every
 decision with timing, so there is nothing to precompute.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heapreplace
 from operator import itemgetter
 from typing import Optional
@@ -96,26 +94,11 @@ from .loadgen import constant_rates, integrate_compute
 from .metrics import SimResult, WorkerMetrics
 
 __all__ = [
-    "ENV_FAST",
-    "fast_enabled",
     "master_fast_reason",
     "decentral_fast_reason",
     "run_fast_master",
     "run_fast_decentral",
 ]
-
-#: Environment kill-switch: set to ``0``/``off``/``no``/``false`` to
-#: force every simulation down the generic DES path (debugging aid).
-ENV_FAST = "REPRO_FAST"
-
-
-def fast_enabled() -> bool:
-    """False when the ``REPRO_FAST`` kill-switch is set."""
-    value = os.environ.get(ENV_FAST)
-    return value is None or value.strip().lower() not in (
-        "0", "off", "no", "false"
-    )
-
 
 def _cluster_fast_reason(sim) -> Optional[str]:
     """Shared eligibility core; None = eligible, else the blocker."""

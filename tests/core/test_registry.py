@@ -76,8 +76,8 @@ class TestRegister:
         class Halver(Scheduler):
             name = "HALVE"
 
-            def _chunk_size(self, worker: WorkerView) -> int:
-                return max(1, self.remaining // 2)
+            def _nominal(self, rem, step, wid, k):
+                return max(1, rem // 2), 0
 
         register("halve", Halver)
         try:

@@ -82,50 +82,55 @@ def test_drivers_import_no_scheme_formula_module():
 def test_there_is_one_way_to_ask():
     """Every substrate asks a scheduler through ``Scheduler.stepper``,
     so under ``src/repro``: a ``WorkerView`` is built in ``core/base.py``
-    only (the stepper's adapter over ``next_chunk``, and ``drain``);
-    the hook rule (``calls_own_hooks``) is applied inside
-    ``Scheduler.stepper`` only; no module outside ``core/`` reads a
-    scheduler's ``_take`` or ``_chunk_size``; and outside ``core/`` only
-    the fast path's inlined formula arm reads ``_nominal``."""
+    only (``next_chunk``'s caller-facing object, and ``drain``); outside
+    ``core/`` only the fast path's inlined formula arm reads
+    ``_nominal``; and no module under ``src/repro`` or ``examples/``
+    defines a second driver's hook (``_take``, ``_chunk_size``,
+    ``_current_stage``, ``_lean_stepper``, ``calls_own_hooks``,
+    ``SteppedScheduler``): a scheme states ``_nominal`` or overrides
+    ``stepper``."""
     import ast
 
-    built, ruled, hooks, nominal = set(), [], [], []
-    root = os.path.join(_SRC, "repro")
-    for dirpath, _dirs, files in os.walk(root):
-        for name in sorted(files):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root)
-            core = rel.startswith("core" + os.sep)
-            with open(path, "r", encoding="utf-8") as handle:
-                tree = ast.parse(handle.read(), filename=path)
-            funcs = [f for f in ast.walk(tree)
-                     if isinstance(f, ast.FunctionDef)]
+    second_driver = {"_take", "_chunk_size", "_current_stage",
+                     "_lean_stepper", "calls_own_hooks",
+                     "SteppedScheduler"}
+    built, nominal, defined = set(), [], []
+    src = os.path.join(_SRC, "repro")
+    for top in (src, os.path.join(_REPO, "examples")):
+        for dirpath, _dirs, files in os.walk(top):
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, src)
+                core = rel.startswith("core" + os.sep)
+                with open(path, "r", encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), filename=path)
+                funcs = [f for f in ast.walk(tree)
+                         if isinstance(f, ast.FunctionDef)]
 
-            def around(node):
-                # The innermost function around ``node``.
-                names = [f.name for f in funcs
-                         if f.lineno <= node.lineno <= f.end_lineno]
-                return names[-1] if names else None
+                def around(node):
+                    # The innermost function around ``node``.
+                    names = [f.name for f in funcs
+                             if f.lineno <= node.lineno <= f.end_lineno]
+                    return names[-1] if names else None
 
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    called = getattr(node.func, "id", None) \
-                        or getattr(node.func, "attr", None)
-                    if called == "WorkerView":
-                        built.add(rel)
-                    elif called == "calls_own_hooks":
-                        ruled.append((rel, around(node)))
-                elif isinstance(node, ast.Attribute) and not core:
-                    if node.attr in ("_take", "_chunk_size"):
-                        hooks.append((rel, node.lineno))
-                    elif node.attr == "_nominal":
+                for node in ast.walk(tree):
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                            and node.name in second_driver:
+                        defined.append((rel, node.name))
+                    if top != src:
+                        continue
+                    if isinstance(node, ast.Call):
+                        called = getattr(node.func, "id", None) \
+                            or getattr(node.func, "attr", None)
+                        if called == "WorkerView":
+                            built.add(rel)
+                    elif isinstance(node, ast.Attribute) and not core \
+                            and node.attr == "_nominal":
                         nominal.append((rel, around(node)))
-    base = os.path.join("core", "base.py")
-    assert built == {base}, built
-    assert ruled == [(base, "stepper")], ruled
-    assert hooks == [], hooks
+    assert defined == [], defined
+    assert built == {os.path.join("core", "base.py")}, built
     assert nominal == [
         (os.path.join("simulation", "fastpath.py"), "run_fast_master")
     ], nominal
@@ -262,14 +267,14 @@ def test_real_process_lifecycle_lives_once_on_the_chassis():
 
 def test_the_run_spine_is_written_once():
     """What defines a finished simulated run has one site under
-    ``src/repro``: the ``fast`` gate (the ``fast_enabled()`` call), the
+    ``src/repro``: the ``fast`` gate (the ``_fast_reason()`` call), the
     availability screen (the ``StarvationError(...)`` construction),
     the leak check (its ``"scheduling leak"`` text) and the result
     assembly (the ``SimResult(...)`` construction).  A second copy is
     how the fast path and the DES drifted apart before."""
     import ast
 
-    sites: dict = {"fast_enabled": [], "StarvationError": [],
+    sites: dict = {"_fast_reason": [], "StarvationError": [],
                    "SimResult": [], "scheduling leak": []}
     for root, _dirs, files in os.walk(os.path.join(_SRC, "repro")):
         for name in files:
@@ -291,7 +296,7 @@ def test_the_run_spine_is_written_once():
                         sites[called].append(rel)
     des = os.path.join("repro", "simulation", "des.py")
     assert sites == {
-        "fast_enabled": [des],
+        "_fast_reason": [des],
         "StarvationError": [
             os.path.join("repro", "simulation", "engine.py")
         ],
@@ -371,19 +376,18 @@ def test_the_master_protocol_is_written_once():
     assert imported & forbidden == set(), imported
 
 
-def test_the_environment_names_three_settings():
-    """``src/repro`` names three ``REPRO_*`` environment variables, in
-    code or docstrings, and reads the environment only where each one
-    is defined.  Every other setting is a parameter or a constant: a
-    run is a function of its arguments.  The three stay because:
+def test_the_environment_names_two_settings():
+    """``src/repro`` names two ``REPRO_*`` environment variables, in
+    code or docstrings, reads the environment only where each one is
+    defined, and never writes it.  Every other setting is a parameter
+    or a constant: a run is a function of its arguments.  The two stay
+    because:
 
     * ``REPRO_CACHE_DIR`` (``cache.py``) is a deployment path, which
       the benchmark ledger's workloads set;
-    * ``REPRO_LOG_LEVEL`` (``obs/logutil.py``) is a logging setting;
-    * ``REPRO_FAST`` (``simulation/fastpath.py``) is ``--no-fast``'s
-      lever: the runner's one write of ``ENV_FAST`` reaches the engines
-      through it, until the fast path's gate is a run parameter
-      (ROADMAP's standing cleanups).
+    * ``REPRO_LOG_LEVEL`` (``obs/logutil.py``) is a logging setting.
+
+    The fast path's one switch is the ``fast`` run parameter.
     """
     import ast
     import re
@@ -416,16 +420,12 @@ def test_the_environment_names_three_settings():
                     writes.append((rel, ast.unparse(node)))
                 elif is_environ(node) and id(node) not in written:
                     reads.add(rel)
-    assert names == {"REPRO_CACHE_DIR", "REPRO_FAST", "REPRO_LOG_LEVEL"}, \
-        sorted(names)
+    assert names == {"REPRO_CACHE_DIR", "REPRO_LOG_LEVEL"}, sorted(names)
     assert reads == {
         "cache.py",
         os.path.join("obs", "logutil.py"),
-        os.path.join("simulation", "fastpath.py"),
     }, sorted(reads)
-    assert writes == [
-        (os.path.join("experiments", "runner.py"), "os.environ[ENV_FAST]"),
-    ], writes
+    assert writes == [], writes
 
 
 def test_documented_bench_commands_name_files_that_exist():

@@ -107,10 +107,12 @@ def test_untraced_body_equals_the_one_shot(name):
 
 
 @pytest.mark.parametrize("name", sorted(ELIGIBLE))
-def test_kill_switch_runs_observed_with_the_same_bytes(name, monkeypatch):
-    monkeypatch.setenv(fastpath.ENV_FAST, "0")
+def test_kill_switch_runs_observed_with_the_same_bytes(name):
+    """A spec that sets ``fast=False`` keeps its policy: the job runs
+    observed on the DES, and its bytes are the eligible one-shot's."""
     spec = ELIGIBLE[name]
-    assert _body(spec) == one_shot_body(spec)
+    pinned = {**spec, "params": {**spec.get("params", {}), "fast": False}}
+    assert _body(pinned) == one_shot_body(spec)
 
 
 def test_a_spec_that_asks_for_fast_keeps_its_policy():

@@ -48,6 +48,15 @@ class TestClusterSpec:
         ])
         assert cluster.virtual_powers() == [2.5, 1.0]
 
+    def test_a_reused_node_keeps_no_stale_virtual_power(self):
+        """The default V is filled on a copy: a node that sat in a
+        faster cluster is the slowest of its next one."""
+        a = NodeSpec(name="a", speed=100.0)
+        b = NodeSpec(name="b", speed=300.0)
+        ClusterSpec([a, b])
+        assert ClusterSpec([b]).virtual_powers() == [1.0]
+        assert b.virtual_power is None
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(SimulationError):
             ClusterSpec(nodes=[

@@ -14,7 +14,6 @@ one ``_finish`` after it.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 
 import pytest
@@ -40,7 +39,6 @@ from repro.simulation import (
     simulate,
     simulate_tree,
 )
-from repro.simulation import fastpath
 from repro.simulation.engine import StarvationError, make_for_cluster
 from repro.verify import audit_sim
 from repro.workloads import LinearWorkload, UniformWorkload, WorkloadError
@@ -154,12 +152,22 @@ def test_ownerless_entries_always_fire():
 ])
 def test_compute_refuses_an_interval_outside_the_loop(shift):
     scheduler = make(CHUNK, SIZE, 2)
-    honest = scheduler.next_chunk
+    honest = scheduler.stepper
 
-    def rogue(view):
-        return dataclasses.replace(honest(view), **shift)
+    def rogue(requester):
+        step = honest(requester)
 
-    scheduler.next_chunk = rogue
+        def shifted(wid, acp=None):
+            got = step(wid, acp)
+            if got is None:
+                return None
+            start, stop, stage = got
+            return (shift.get("start", start), shift.get("stop", stop),
+                    stage)
+
+        return shifted
+
+    scheduler.stepper = rogue
     cluster = ClusterSpec(
         nodes=[NodeSpec(name=f"n{i}", speed=100.0) for i in range(2)]
     )
@@ -262,17 +270,13 @@ def test_refusal_comes_before_prepare_touches_the_scheduler():
 
 
 @pytest.mark.parametrize("engine", ["master", "decentral"])
-def test_kill_switch_forces_the_des_on_both_engines(engine, monkeypatch):
+def test_kill_switch_forces_the_des_on_both_engines(engine):
+    """``fast=False`` is the one way to force the DES on an eligible
+    run."""
     cluster = speedup_configuration(SPINE_WORKLOAD, 4, True)
-    monkeypatch.setenv(fastpath.ENV_FAST, "0")
-    off = spied(engine, "TSS", cluster)
+    off = spied(engine, "TSS", cluster, fast=False)
     forced = off.run()
     assert off.calls == ["prepare", "finish"] and off.queue.processed
-    refused = spied(engine, "TSS", cluster, fast=True)
-    with pytest.raises(SimulationError, match="disabled via REPRO_FAST"):
-        refused.run()
-    assert refused.calls == []
-    monkeypatch.delenv(fastpath.ENV_FAST)
     on = spied(engine, "TSS", cluster)
     assert on.run() == forced
     assert on.calls == ["prepare", "fast", "finish"]

@@ -14,7 +14,7 @@ every engine mode.
 
 Selection-rule tests pin the dispatch contract: ``fast="auto"`` falls
 back silently, ``fast=True`` raises with the blocking reason,
-``REPRO_FAST=0`` kills the path globally.
+``fast=False`` forces the DES.
 """
 
 from __future__ import annotations
@@ -312,24 +312,6 @@ def test_auto_falls_back_silently_on_collector(workload):
                       collector=obs)
     assert result.t_p > 0
     assert len(obs) > 0
-
-
-def test_env_kill_switch_forces_des(workload, monkeypatch):
-    """REPRO_FAST=0 disables the path even for eligible runs."""
-    calls = []
-    real = fastpath.run_fast_master
-    monkeypatch.setattr(fastpath, "run_fast_master",
-                        lambda sim: calls.append(1) or real(sim))
-    cluster = heterogeneous_cluster()
-    monkeypatch.setenv(fastpath.ENV_FAST, "0")
-    off = simulate("SS", workload, cluster)
-    assert not calls
-    with pytest.raises(SimulationError, match="disabled"):
-        simulate("SS", workload, cluster, fast=True)
-    monkeypatch.delenv(fastpath.ENV_FAST)
-    on = simulate("SS", workload, cluster)
-    assert calls == [1]
-    assert_identical(off, on, "kill-switch")
 
 
 def test_auto_takes_fast_path_when_eligible(workload, monkeypatch):

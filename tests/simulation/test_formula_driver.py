@@ -1,18 +1,15 @@
-"""The lean steppers against their oracle: a pass-through subclass.
+"""The steppers against their ``next_chunk`` twin.
 
-Every substrate asks through ``Scheduler.stepper()``.  A scheduler
-that leaves the driver hooks alone *is* its ``_nominal`` formula, and
-its stepper is the formula closure -- no ``WorkerView``, no
-``ChunkAssignment``.  An ACP-driven scheduler (DTSS, DFSS, DFISS,
+Every substrate asks through ``Scheduler.stepper()``.  A scheme that
+states ``_nominal`` gets the formula closure -- no ``WorkerView``, no
+``ChunkAssignment`` -- an ACP-driven scheduler (DTSS, DFSS, DFISS,
 DTFSS) steps itself through the family's ``step(wid, acp)``, and the
 adaptive meta-scheduler drives its current stage's sub-scheduler
-through that scheduler's own stepper.  A subclass whose ``next_chunk``
-only calls ``super()`` computes the very same chunks but replaces a
-hook, so its stepper takes the long way: one ``WorkerView`` per
-request, through ``next_chunk``.  The two must be indistinguishable:
-same ``SimResult``, same ``ObsEvent`` list, same state left on the
-scheduler (the adaptive policy's decisions and sub-scheduler
-included) -- on the DES, under a fault plan, and on the fast path.
+through that scheduler's own stepper.  ``next_chunk`` is the object
+protocol's adapter over the same stepper: a twin asked through it, in
+the request order a simulated run recorded, must be left in the same
+state (the adaptive policy's decisions and sub-scheduler included) --
+on the DES, under a fault plan, and on the fast path.
 """
 
 from __future__ import annotations
@@ -65,11 +62,6 @@ def stepper_of(scheduler):
     return scheduler.stepper(lambda _wid: (1.0, 1))
 
 
-def long_way(step) -> bool:
-    """True for the ``WorkerView`` adapter over ``next_chunk``."""
-    return step.__qualname__ == "Scheduler.stepper.<locals>.step"
-
-
 #: Registry schemes whose stepper is their formula closure.
 PURE = [n for n in names()
         if getattr(stepper_of(_probe(n)), "formula", False)]
@@ -96,20 +88,6 @@ def test_every_registry_scheme_has_a_lean_driver():
         assert step.__qualname__.startswith("AdaptiveScheduler.")
     # The fast path still refuses the adaptive policy.
     assert _probe("ADAPTIVE").feedback_dependent
-
-
-def pass_through(scheduler):
-    """``scheduler`` re-classed so that it replaces ``next_chunk`` --
-    a hook every lean stepper stands in for -- with one that changes
-    nothing."""
-
-    class PassThrough(type(scheduler)):
-        def next_chunk(self, worker):
-            return super().next_chunk(worker)
-
-    scheduler.__class__ = PassThrough
-    assert long_way(stepper_of(scheduler))
-    return scheduler
 
 
 def facts(result, trace):
@@ -177,8 +155,8 @@ def asked_in_order(trace, total):
 def logged(scheduler):
     """Record what a family scheduler is told, in order: every stepped
     request (with its answer) and every out-of-band report.  Shadows
-    ``step`` and ``observe_acp`` on the instance; neither is a driver
-    hook, so the scheduler stays stepped."""
+    ``step`` and ``observe_acp`` on the instance; the family's
+    ``stepper`` returns ``self.step``, so the shadow is what it asks."""
     log = []
     step, observe = scheduler.step, scheduler.observe_acp
 
@@ -224,15 +202,13 @@ def check_indistinguishable(name, p, loads, seed, size, chaos):
         horizon = simulate(fresh(), workload, cluster).t_p
         plan = FaultPlan.random(seed, workers=p,
                                 horizon=max(horizon, 0.1))
-    driven, oracle = fresh(), pass_through(fresh())
+    driven = fresh()
     family = name in FAMILY
     log = logged(driven) if family else None
     got = outcome(driven, workload, cluster, chaos=plan)
-    assert got == outcome(oracle, workload, cluster, chaos=plan)
     if got[0] != "error":
         # One stepper call is one next_chunk: the state it leaves is
         # what a next_chunk drain in the same request order leaves.
-        assert loop_state(driven) == loop_state(oracle)
         twin = fresh()
         twin.bind_workload(workload)
         if family:
@@ -246,19 +222,13 @@ def check_indistinguishable(name, p, loads, seed, size, chaos):
         assert twin.next_chunk(WorkerView(worker_id=0)) is None
         assert driven.next_chunk(WorkerView(worker_id=0)) is None
     if plan is None and not driven.feedback_dependent:
-        # The fast path: its inlined loop for the formula-driven one,
-        # the stepper for any other (the family's, or the
-        # ``WorkerView`` adapter for the oracle); all leave the
-        # drained state on the scheduler.  (It refuses the adaptive
-        # policy.)
-        fast, fast_oracle = fresh(), pass_through(fresh())
-        unobserved = got[:-1] + (None,)
+        # The fast path: its inlined loop for the formula-driven, the
+        # stepper for the family; both leave the drained state on the
+        # scheduler.  (It refuses the adaptive policy.)
+        fast = fresh()
         assert outcome(fast, workload, cluster, observed=False,
-                       fast=True) == unobserved
-        assert outcome(fast_oracle, workload, cluster, observed=False,
-                       fast=True) == unobserved
+                       fast=True) == got[:-1] + (None,)
         assert loop_state(fast) == loop_state(driven)
-        assert loop_state(fast_oracle) == loop_state(driven)
     return got
 
 
@@ -271,7 +241,7 @@ def check_indistinguishable(name, p, loads, seed, size, chaos):
     size=st.integers(min_value=0, max_value=300),
     chaos=st.booleans(),
 )
-def test_pass_through_subclass_is_indistinguishable(
+def test_a_driven_run_is_indistinguishable(
     name, p, loads, seed, size, chaos
 ):
     check_indistinguishable(name, p, loads, seed, size, chaos)
@@ -322,15 +292,20 @@ def test_a_family_request_without_a_report(name, registered):
 
 
 def _counting(scheduler):
-    """Shadow ``next_chunk`` on the instance; returns the call log."""
+    """Shadow ``stepper`` on the instance; returns the request log."""
     calls = []
-    honest = scheduler.next_chunk
+    honest = scheduler.stepper
 
-    def wrapper(view):
-        calls.append(view.worker_id)
-        return honest(view)
+    def wrapper(requester):
+        step = honest(requester)
 
-    scheduler.next_chunk = wrapper
+        def counted(wid, acp=None):
+            calls.append(wid)
+            return step(wid, acp)
+
+        return counted
+
+    scheduler.stepper = wrapper
     return calls
 
 
@@ -342,24 +317,10 @@ def test_an_instance_level_hook_is_never_bypassed(fast):
     workload = GaussianPeakWorkload(40, amplitude=5.0)
     scheduler = make("CSS(4)", 40, 2)
     calls = _counting(scheduler)
-    assert long_way(stepper_of(scheduler))
+    assert not getattr(stepper_of(scheduler), "formula", False)
     result = simulate(scheduler, workload, cluster, fast=fast)
     # Ten chunks, then one dry request per worker.
     assert len(result.chunks) == 10 and len(calls) == 12
     plain = simulate(make("CSS(4)", 40, 2), workload, cluster,
                      fast=fast)
     assert facts(result, None) == facts(plain, None)
-
-
-@pytest.mark.parametrize("hook", ["_take", "_chunk_size",
-                                  "_current_stage"])
-def test_every_driver_hook_counts_when_shadowed(hook):
-    scheduler = make("TSS", 100, 4)
-    assert not long_way(stepper_of(scheduler))
-    honest = getattr(scheduler, hook)
-    setattr(scheduler, hook, lambda *args: honest(*args))
-    assert long_way(stepper_of(scheduler))
-    # Another scheduler's method is not this scheduler's own either.
-    setattr(scheduler, hook, getattr(make("TSS", 100, 4), hook))
-    assert long_way(stepper_of(scheduler))
-

@@ -1,16 +1,16 @@
-"""A hook-driven scheme sees the same ``WorkerView`` on every path.
+"""A scheme that replaces its stepper sees the same requests on every path.
 
-A scheme that overrides ``_chunk_size`` is asked through the object
-protocol: the scheduler's stepper builds one ``WorkerView`` per request
-from the substrate's description of the PE (``V_i`` and the run queue
-``Q_i``) plus the ACP the request carries.  The views are pinned here,
-request by request, on a nondedicated heterogeneous cluster whose run
-queues change faster than a chunk takes, behind a master NIC slow
-enough that a request's send, its reaching the master's port and its
-arrival through the NIC straddle load edges: ``Q_i`` is sampled at the
-arrival, while the ACP of a distributed request was sampled when the
-worker sent it.  Moving the view's construction must not move either
-sampling instant, on the DES or on the fast path.
+Every substrate asks through ``Scheduler.stepper(requester)``: the
+requester describes the PE asking (``V_i`` and the run queue ``Q_i``),
+and each request carries its ACP.  A stepper override that logs
+``(wid, *requester(wid), acp)`` per sized request pins what it is
+told, request by request, on a nondedicated heterogeneous cluster
+whose run queues change faster than a chunk takes, behind a master NIC
+slow enough that a request's send, its reaching the master's port and
+its arrival through the NIC straddle load edges: ``Q_i`` is sampled at
+the arrival, while the ACP of a distributed request was sampled when
+the worker sent it.  Neither sampling instant may move, on the DES or
+on the fast path.
 """
 
 from __future__ import annotations
@@ -51,14 +51,20 @@ def cluster() -> ClusterSpec:
 
 
 def logging_tss(distributed: bool) -> TrapezoidScheduler:
-    """TSS with a pass-through ``_chunk_size`` that logs its view; as a
-    ``distributed`` scheme its requests carry an ACP."""
+    """TSS with a ``stepper`` that logs each sized request and
+    delegates; as a ``distributed`` scheme its requests carry an ACP."""
 
     class Logged(TrapezoidScheduler):
-        def _chunk_size(self, worker):
-            self.log.append((worker.worker_id, worker.virtual_power,
-                             worker.run_queue, worker.acp))
-            return super()._chunk_size(worker)
+        def stepper(self, requester):
+            step = super().stepper(requester)
+
+            def logged(wid, acp=None):
+                got = step(wid, acp)
+                if got is not None:
+                    self.log.append((wid, *requester(wid), acp))
+                return got
+
+            return logged
 
     Logged.distributed = distributed
     scheduler = Logged(60, 3)
