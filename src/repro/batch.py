@@ -119,11 +119,13 @@ class SimJob(object):
                  f",costs={wl.cost_digest()})"
         )
         cl = self.cluster
+        # Each node's effective V: its override as given, else the
+        # cluster's derived value.
         nodes = ";".join(
             f"{n.name}:s={n.speed!r}:l={n.latency!r}:b={n.bandwidth!r}"
-            f":v={n.virtual_power!r}:f={n.fails_at!r}"
-            f":seg={n.segment!r}:load={n.load!r}"
-            for n in cl.nodes
+            f":v={(v if n.virtual_power is None else n.virtual_power)!r}"
+            f":f={n.fails_at!r}:seg={n.segment!r}:load={n.load!r}"
+            for n, v in zip(cl.nodes, cl.virtual_powers())
         )
         cl_part = (
             f"nodes=[{nodes}]:ms={cl.master_service!r}"

@@ -24,16 +24,19 @@ REP1xx    fork & lock safety: bare ``acquire()``, threads or event
 REP2xx    async hygiene: blocking calls in ``async def``, un-awaited
           coroutines, dropped tasks
 REP3xx    cross-file protocol checks: event kinds vs the
-          ``obs.events`` schema, registry schemes vs kernel
-          calculators and test references, wire ops vs
-          ``service.protocol.OPS``
+          ``obs.events`` schema, registry schemes vs test
+          references, wire ops vs ``service.protocol.OPS``
+REP4xx    repo rules: each "written once" invariant of the ``repro``
+          package pinned to its one site, read over the one parse of
+          the package and its ``benchmarks/`` / ``examples/``
+          consumers (needs ``LintConfig.root``)
 ========  =============================================================
 
 Everything here is stdlib-only (``ast``): the gate must run in every
 environment the tests run in.  Entry points: the ``repro-lint``
 console script (:mod:`repro.lint.cli`) and :func:`run_lint` for
 programmatic use (the tier-1 test ``tests/lint/test_lint_clean.py``
-runs it over ``src/``).
+runs it over ``src/`` with the repo as root).
 """
 
 from __future__ import annotations

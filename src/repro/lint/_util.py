@@ -12,6 +12,9 @@ __all__ = [
     "parent_map",
     "enclosing_functions",
     "call_tail",
+    "name_of",
+    "is_str",
+    "call_statements",
     "EMIT_HELPERS",
     "emitted_row",
 ]
@@ -55,6 +58,24 @@ def call_tail(node: ast.Call) -> str:
     if isinstance(node.func, ast.Attribute):
         return node.func.attr
     return ""
+
+
+def name_of(node) -> str:
+    """A Name's id or an Attribute's attr (``''`` for other nodes)."""
+    return getattr(node, "attr", None) or getattr(node, "id", "")
+
+
+def is_str(node) -> bool:
+    """``node`` is a string constant."""
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def call_statements(nodes) -> Iterator[tuple[ast.Expr, ast.Call]]:
+    """``(statement, call)`` for each bare call statement in ``nodes``
+    (a result nobody keeps)."""
+    for node in nodes:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            yield node, node.value
 
 
 def emitted_row(node: ast.Call) -> Optional[ast.Tuple]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ._util import call_tail, dotted_name
+from ._util import call_statements, call_tail, dotted_name
 from .engine import LintConfig, ModuleInfo
 from .findings import Finding
 
@@ -37,32 +37,22 @@ _BLOCKING_NAMES = frozenset({"open", "input"})
 
 
 def _async_body_calls(fn: ast.AsyncFunctionDef):
-    """Call nodes in ``fn``'s own async frame (nested defs excluded)."""
-
-    def visit(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef,
-                                 ast.AsyncFunctionDef)):
-                continue
-            yield from _calls_in(stmt)
-
-    def _calls_in(stmt):
-        stack = [stmt]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef,
-                                 ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Call):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    yield from visit(fn.body)
+    """Call nodes in ``fn``'s own async frame (nested defs excluded),
+    statement by statement."""
+    stack: list = list(reversed(fn.body))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef,
+                             ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def check_rep201(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP201: blocking call inside ``async def``."""
-    for fn in ast.walk(mod.tree):
+    for fn in mod.nodes:
         if not isinstance(fn, ast.AsyncFunctionDef):
             continue
         for call in _async_body_calls(fn):
@@ -86,23 +76,11 @@ def check_rep201(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
                 )
 
 
-def _async_def_names(mod: ModuleInfo) -> set:
-    return {
-        node.name for node in ast.walk(mod.tree)
-        if isinstance(node, ast.AsyncFunctionDef)
-    }
-
-
 def check_rep202(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP202: coroutine called but never awaited."""
-    async_names = _async_def_names(mod)
-    if not async_names:
-        return
-    for node in ast.walk(mod.tree):
-        if not (isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)):
-            continue
-        call = node.value
+    async_names = {node.name for node in mod.nodes
+                   if isinstance(node, ast.AsyncFunctionDef)}
+    for node, call in call_statements(mod.nodes) if async_names else ():
         name = None
         if isinstance(call.func, ast.Name) \
                 and call.func.id in async_names:
@@ -124,11 +102,8 @@ def check_rep202(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
 
 def check_rep203(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP203: ``create_task`` / ``ensure_future`` handle dropped."""
-    for node in ast.walk(mod.tree):
-        if not (isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)):
-            continue
-        tail = call_tail(node.value)
+    for node, call in call_statements(mod.nodes):
+        tail = call_tail(call)
         if tail in ("create_task", "ensure_future"):
             yield mod.finding(
                 "REP203", node,

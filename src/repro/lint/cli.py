@@ -43,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule-id prefixes to skip",
     )
     parser.add_argument(
-        "--tests-dir", default=None, metavar="DIR",
-        help="test tree for the REP304 scheme-reference check "
-             "(default: ./tests when it exists)",
+        "--root", default=".", metavar="DIR",
+        help="repo root, read by REP304 (tests/) and the REP4xx rules "
+             "(benchmarks/, examples/, docs, CI) (default: .)",
     )
     parser.add_argument(
         "--format", choices=["text", "json"], default="text",
@@ -74,13 +74,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-lint: no such path: {', '.join(missing)}",
               file=sys.stderr)
         return 2
-    tests_dir = args.tests_dir
-    if tests_dir is None and os.path.isdir("tests"):
-        tests_dir = "tests"
     config = LintConfig(
         select=_split(args.select) or ("REP",),
         ignore=_split(args.ignore),
-        tests_dir=tests_dir,
+        root=args.root,
     )
     findings = run_lint(paths, config)
     if args.format == "json":

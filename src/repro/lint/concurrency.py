@@ -17,7 +17,7 @@ import ast
 import re
 from typing import Iterator, Optional
 
-from ._util import call_tail, dotted_name, parent_map
+from ._util import call_statements, call_tail, dotted_name, parent_map
 from .engine import LintConfig, ModuleInfo
 from .findings import Finding
 
@@ -47,44 +47,30 @@ def _acquire_base(node: ast.Call) -> Optional[str]:
 
 
 def _releases(stmts, base: str) -> bool:
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) \
-                    and dotted_name(node.func) == f"{base}.release":
-                return True
-    return False
+    return any(isinstance(node, ast.Call)
+               and dotted_name(node.func) == f"{base}.release"
+               for stmt in stmts for node in ast.walk(stmt))
 
 
 def check_rep101(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP101: ``lock.acquire()`` outside ``with`` / try-finally."""
     parents = parent_map(mod.tree)
-    for node in ast.walk(mod.tree):
-        if not (isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)):
-            continue
-        base = _acquire_base(node.value)
+    for node, call in call_statements(mod.nodes):
+        base = _acquire_base(call)
         if base is None:
             continue
-        # Pattern A: the acquire sits inside a try whose finally
-        # releases the same lock.
-        covered = False
+        # Covered when the acquire sits inside a try whose finally
+        # releases the same lock, or is immediately followed by one.
+        tries = []  # the enclosing statements, then the next one
         current = parents.get(id(node))
-        while current is not None and not covered:
-            if isinstance(current, ast.Try) \
-                    and _releases(current.finalbody, base):
-                covered = True
+        while current is not None:
+            tries.append(current)
             current = parents.get(id(current))
-        # Pattern B: ``x.acquire()`` immediately followed by a
-        # try/finally that releases it.
-        if not covered:
-            parent = parents.get(id(node))
-            body = getattr(parent, "body", None)
-            if isinstance(body, list) and node in body:
-                idx = body.index(node)
-                if idx + 1 < len(body) \
-                        and isinstance(body[idx + 1], ast.Try) \
-                        and _releases(body[idx + 1].finalbody, base):
-                    covered = True
+        body = getattr(tries[0], "body", None) if tries else None
+        if isinstance(body, list) and node in body:
+            tries += body[body.index(node) + 1:][:1]
+        covered = any(isinstance(stmt, ast.Try)
+                      and _releases(stmt.finalbody, base) for stmt in tries)
         if not covered:
             yield mod.finding(
                 "REP101", node,
@@ -97,33 +83,22 @@ def check_rep101(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
 
 def _creations(scope_body) -> list:
     """(line, kind, node) creation events in one scope, in source
-    order, not descending into nested function/class scopes."""
+    order, not descending into nested function/class statements."""
     out = []
-
-    def visit(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+    for stmt in scope_body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
                 continue
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    # lambdas/defs inside a statement: skip their body
-                    # by relying on ast.walk order being harmless here;
-                    # nested defs as statements were skipped above.
-                    continue
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func) or ""
-                tail = name.rsplit(".", 1)[-1]
-                if tail == "Thread":
-                    out.append((node.lineno, "thread", node))
-                elif name in _LOOP_FACTORIES:
-                    out.append((node.lineno, "loop", node))
-                elif tail == "Process":
-                    out.append((node.lineno, "process", node))
-
-    visit(scope_body)
+            name = dotted_name(node.func) or ""
+            tail = name.rsplit(".", 1)[-1]
+            kind = "thread" if tail == "Thread" \
+                else "loop" if name in _LOOP_FACTORIES \
+                else "process" if tail == "Process" else None
+            if kind is not None:
+                out.append((node.lineno, kind, node))
     out.sort(key=lambda item: item[0])
     return out
 
@@ -133,7 +108,7 @@ def check_rep102(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     if not mod.fork_sensitive:
         return
     scopes = [("module", mod.tree.body)]
-    for node in ast.walk(mod.tree):
+    for node in mod.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scopes.append((node.name, node.body))
     for scope_name, body in scopes:
@@ -192,13 +167,10 @@ def _module_mutables(tree: ast.Module) -> set:
 
 
 def _local_bindings(fn) -> set:
-    bound = {a.arg for a in fn.args.args}
-    bound.update(a.arg for a in fn.args.posonlyargs)
-    bound.update(a.arg for a in fn.args.kwonlyargs)
-    if fn.args.vararg:
-        bound.add(fn.args.vararg.arg)
-    if fn.args.kwarg:
-        bound.add(fn.args.kwarg.arg)
+    args = fn.args
+    bound = {a.arg for a in [*args.posonlyargs, *args.args,
+                             *args.kwonlyargs, args.vararg, args.kwarg]
+             if a is not None}
     def bind_target(target) -> None:
         # Only plain names (and destructuring of them) bind locals;
         # ``x[k] = v`` / ``x.attr = v`` *mutate* x, they do not shadow
@@ -228,7 +200,7 @@ def _local_bindings(fn) -> set:
 def check_rep103(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP103: worker-entry code mutating module-level mutable state."""
     mutables = _module_mutables(mod.tree)
-    for fn in ast.walk(mod.tree):
+    for fn in mod.nodes:
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if not _WORKER_NAME.search(fn.name):

@@ -52,18 +52,15 @@ _TAINTED_CALLS = frozenset({
 
 
 def _from_random_imports(mod: ModuleInfo) -> set:
-    names = set()
-    for node in ast.walk(mod.tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
-            for alias in node.names:
-                names.add(alias.asname or alias.name)
-    return names
+    return {alias.asname or alias.name for node in mod.nodes
+            if isinstance(node, ast.ImportFrom) and node.module == "random"
+            for alias in node.names}
 
 
 def check_rep001(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP001: call into the process-global RNG."""
     bare = _from_random_imports(mod)
-    for node in ast.walk(mod.tree):
+    for node in mod.nodes:
         if not isinstance(node, ast.Call):
             continue
         callee = dotted_name(node.func)
@@ -94,7 +91,7 @@ def check_rep001(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
 def check_rep002(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP002: RNG constructed without a seed (or from OS entropy)."""
     bare = _from_random_imports(mod)
-    for node in ast.walk(mod.tree):
+    for node in mod.nodes:
         if not isinstance(node, ast.Call):
             continue
         callee = dotted_name(node.func)
@@ -140,7 +137,7 @@ def check_rep003(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     digest-critical modules *every* tainted call is flagged.
     """
     flagged: set = set()
-    for node in ast.walk(mod.tree):
+    for node in mod.nodes:
         if not isinstance(node, ast.Call):
             continue
         row = emitted_row(node)
@@ -174,7 +171,7 @@ def check_rep003(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
                         f"t and wall may carry clock reads",
                     )
     if mod.digest_critical:
-        for node in ast.walk(mod.tree):
+        for node in mod.nodes:
             if isinstance(node, ast.Call) and _tainted(node) \
                     and id(node) not in flagged:
                 yield mod.finding(
@@ -202,7 +199,7 @@ def check_rep004(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
         "elements; wrap in sorted(...) before it can influence the "
         "canonical stream"
     )
-    for node in ast.walk(mod.tree):
+    for node in mod.nodes:
         if isinstance(node, (ast.For, ast.AsyncFor)) \
                 and _is_unordered_iterable(node.iter):
             yield mod.finding(
@@ -235,7 +232,7 @@ def check_rep005(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     if not mod.digest_critical:
         return
     parents = parent_map(mod.tree)
-    for node in ast.walk(mod.tree):
+    for node in mod.nodes:
         if not isinstance(node, ast.Call):
             continue
         if not (isinstance(node.func, ast.Name)

@@ -17,6 +17,9 @@ downstream layout:
 * schema carriers: modules assigning ``EVENT_KINDS`` / ``SCHEMES`` /
   ``OPS`` literals are the authorities the REP3xx rules check
   emissions against.
+
+With a repo ``root`` it also parses ``benchmarks/`` and ``examples/``
+under it, once, as consumers only the REP4xx repo rules read.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ _DIGEST_DEFS = ("canonical_stream", "stream_digest", "replay_cut_points")
 #: are not the authority.
 _PROTOCOL_NAMES = frozenset({"EVENT_KINDS", "SCHEMES", "OPS"})
 _DICT_ONLY_NAMES = frozenset({"SCHEMES"})
+
+#: Directories under the repo root parsed as consumers, never checked.
+CONSUMER_DIRS = ("benchmarks", "examples")
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -84,6 +90,8 @@ class ModuleInfo(object):
     source: str
     tree: ast.Module
     lines: list[str] = dataclasses.field(default_factory=list)
+    #: ``tree``'s nodes in ``ast.walk`` order, walked once for all rules
+    nodes: list = dataclasses.field(default_factory=list)
 
     # content-discovered roles
     digest_critical: bool = False
@@ -95,6 +103,7 @@ class ModuleInfo(object):
 
     def __post_init__(self) -> None:
         self.lines = self.source.splitlines()
+        self.nodes = list(ast.walk(self.tree))
         self._classify()
 
     # -- finding helper ----------------------------------------------------
@@ -114,7 +123,7 @@ class ModuleInfo(object):
     # -- classification ----------------------------------------------------
 
     def _classify(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.name in _DIGEST_DEFS \
                         or node.name.startswith("audit_"):
@@ -150,8 +159,9 @@ class LintConfig(object):
     select: tuple = ("REP",)
     #: Rule-id prefixes to skip (applied after ``select``).
     ignore: tuple = ()
-    #: Test tree for the REP304 test-reference check; ``None`` skips it.
-    tests_dir: Optional[str] = None
+    #: Repo root, read by REP304 (``tests/``) and the REP4xx rules
+    #: (consumers, docs, CI); ``None`` skips whatever needs it.
+    root: Optional[str] = None
 
     def wants(self, rule_id: str) -> bool:
         return any(rule_id.startswith(p) for p in self.select) \
@@ -182,13 +192,15 @@ def _display_path(path: str) -> str:
 
 
 def parse_modules(
-    paths: Sequence[PathLike],
+    paths: Sequence[PathLike], skip: frozenset = frozenset(),
 ) -> tuple[list[ModuleInfo], list[Finding]]:
-    """Parse every file under ``paths``; syntax errors become
-    :data:`~repro.lint.findings.PARSE_RULE` findings."""
+    """Parse every file under ``paths`` but the absolute paths in
+    ``skip``; syntax errors become ``PARSE_RULE`` findings."""
     modules: list[ModuleInfo] = []
     findings: list[Finding] = []
     for path in _collect_files(paths):
+        if os.path.abspath(path) in skip:
+            continue
         display = _display_path(path)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -210,10 +222,17 @@ def run_lint(
     config: Optional[LintConfig] = None,
 ) -> list[Finding]:
     """Run every selected rule over ``paths``; sorted findings."""
-    from .rules import FILE_RULES, PROJECT_RULES
+    from .rules import FILE_RULES, PROJECT_RULES, REPO_RULES
 
     config = config or LintConfig()
     modules, findings = parse_modules(paths)
+    consumers: list[ModuleInfo] = []
+    if config.root is not None:
+        consumers, errors = parse_modules(
+            [os.path.join(config.root, top) for top in CONSUMER_DIRS],
+            skip=frozenset(os.path.abspath(m.path) for m in modules),
+        )
+        findings += errors
     for rule_id, _summary, check in FILE_RULES:
         if not config.wants(rule_id):
             continue
@@ -222,6 +241,9 @@ def run_lint(
     for rule_id, _summary, check in PROJECT_RULES:
         if config.wants(rule_id):
             findings.extend(check(modules, config))
+    for rule_id, _summary, check in REPO_RULES:
+        if config.wants(rule_id):
+            findings.extend(check(modules + consumers, config))
     findings = [f for f in findings if config.wants(f.rule)
                 or f.rule == PARSE_RULE]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))

@@ -15,10 +15,10 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Iterator, Optional
+from typing import Iterator
 
-from ._util import EMIT_HELPERS, call_tail
-from .engine import LintConfig, ModuleInfo
+from ._util import EMIT_HELPERS, call_tail, is_str, name_of
+from .engine import LintConfig, ModuleInfo, _collect_files
 from .findings import Finding
 
 __all__ = ["check_rep301", "check_rep304", "check_rep305"]
@@ -37,26 +37,18 @@ def _emitted_kinds(mod: ModuleInfo):
     """(kind, node) for every statically-visible kind emission: an
     ``ObsEvent(...)`` call, or an emit helper's first argument -- a
     kind string, or a row's element 0."""
-    for node in ast.walk(mod.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        tail = call_tail(node)
+    for node in mod.nodes:
+        tail = call_tail(node) if isinstance(node, ast.Call) else ""
         if tail == "ObsEvent":
-            if node.args and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                yield node.args[0].value, node.args[0]
-            for kw in node.keywords:
-                if kw.arg == "kind" \
-                        and isinstance(kw.value, ast.Constant) \
-                        and isinstance(kw.value.value, str):
-                    yield kw.value.value, kw.value
+            kinds = [*node.args[:1],
+                     *(kw.value for kw in node.keywords if kw.arg == "kind")]
         elif tail in EMIT_HELPERS and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Tuple) and first.elts:
-                first = first.elts[0]  # a row: the kind is element 0
-            if isinstance(first, ast.Constant) \
-                    and isinstance(first.value, str):
-                yield first.value, first
+            kinds = [node.args[0]]
+            if isinstance(kinds[0], ast.Tuple) and kinds[0].elts:
+                kinds = kinds[0].elts[:1]  # a row: the kind is element 0
+        else:
+            continue
+        yield from ((kind.value, kind) for kind in kinds if is_str(kind))
 
 
 def check_rep301(modules, config: LintConfig) -> Iterator[Finding]:
@@ -79,26 +71,20 @@ def check_rep301(modules, config: LintConfig) -> Iterator[Finding]:
 
 def _tests_text(tests_dir: str) -> str:
     chunks: list[str] = []
-    for root, dirs, names in os.walk(tests_dir):
-        dirs[:] = [d for d in dirs
-                   if not d.startswith(".") and d != "__pycache__"]
-        for name in sorted(names):
-            if not name.endswith(".py"):
-                continue
-            try:
-                with open(os.path.join(root, name), "r",
-                          encoding="utf-8") as handle:
-                    chunks.append(handle.read())
-            except OSError:
-                continue
+    for path in _collect_files([tests_dir]):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                chunks.append(handle.read())
+        except OSError:
+            continue
     return "\n".join(chunks)
 
 
 def check_rep304(modules, config: LintConfig) -> Iterator[Finding]:
     """REP304: registered scheme never referenced by the test suite."""
     schemes = _declared(modules, "SCHEMES")
-    tests_dir: Optional[str] = config.tests_dir
-    if not schemes or not tests_dir or not os.path.isdir(tests_dir):
+    tests_dir = os.path.join(config.root or "", "tests")
+    if not schemes or config.root is None or not os.path.isdir(tests_dir):
         return
     text = _tests_text(tests_dir)
     for name, (mod, line) in sorted(schemes.items()):
@@ -116,48 +102,28 @@ def _op_literals(mod: ModuleInfo):
     entries, ``doc["op"] = "x"`` assignments, ``op == "x"``
     comparisons, and ``op in ("x", "y")`` membership tests (the shape
     a dispatch arm handling aliased ops takes)."""
-    for node in ast.walk(mod.tree):
+    for node in mod.nodes:
         if isinstance(node, ast.Dict):
-            for key, value in zip(node.keys, node.values):
-                if isinstance(key, ast.Constant) and key.value == "op" \
-                        and isinstance(value, ast.Constant) \
-                        and isinstance(value.value, str):
-                    yield value.value, value
+            ops = [value for key, value in zip(node.keys, node.values)
+                   if is_str(key) and key.value == "op"]
         elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) \
-                        and isinstance(target.slice, ast.Constant) \
-                        and target.slice.value == "op" \
-                        and isinstance(node.value, ast.Constant) \
-                        and isinstance(node.value.value, str):
-                    yield node.value.value, node.value
-        elif isinstance(node, ast.Compare) and len(node.ops) == 1 \
-                and isinstance(node.ops[0], (ast.In, ast.NotIn)):
-            if not ((isinstance(node.left, ast.Name)
-                     and node.left.id == "op")
-                    or (isinstance(node.left, ast.Attribute)
-                        and node.left.attr == "op")):
+            ops = [node.value for target in node.targets
+                   if isinstance(target, ast.Subscript)
+                   and is_str(target.slice) and target.slice.value == "op"]
+        elif isinstance(node, ast.Compare) and len(node.ops) == 1:
+            sides = [node.left, *node.comparators]
+            if isinstance(node.ops[0], (ast.In, ast.NotIn)) \
+                    and name_of(node.left) == "op" \
+                    and isinstance(sides[1], (ast.Tuple, ast.List, ast.Set)):
+                ops = sides[1].elts
+            elif isinstance(node.ops[0], (ast.Eq, ast.NotEq)) \
+                    and any(name_of(side) == "op" for side in sides):
+                ops = sides
+            else:
                 continue
-            container = node.comparators[0]
-            if isinstance(container, (ast.Tuple, ast.List, ast.Set)):
-                for elt in container.elts:
-                    if isinstance(elt, ast.Constant) \
-                            and isinstance(elt.value, str):
-                        yield elt.value, elt
-        elif isinstance(node, ast.Compare) and len(node.ops) == 1 \
-                and isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-            sides = (node.left, *node.comparators)
-            names = [
-                s for s in sides
-                if (isinstance(s, ast.Name) and s.id == "op")
-                or (isinstance(s, ast.Attribute) and s.attr == "op")
-            ]
-            if not names:
-                continue
-            for side in sides:
-                if isinstance(side, ast.Constant) \
-                        and isinstance(side.value, str):
-                    yield side.value, side
+        else:
+            continue
+        yield from ((op.value, op) for op in ops if is_str(op))
 
 
 def check_rep305(modules, config: LintConfig) -> Iterator[Finding]:

@@ -3,7 +3,7 @@ substrate; see DESIGN.md for the MPI substitution argument)."""
 
 from .config import RuntimeConfig
 from .chassis import BackgroundLoad, ProcessChassis, assemble_results
-from .executor import PipeChassis, RunResult, run_parallel, run_serial
+from .executor import PipeChassis, RunResult, run_parallel
 from .master import (
     IncompleteRunError,
     MasterHooks,
@@ -13,7 +13,7 @@ from .master import (
 )
 from .mpi import have_mpi, run_mpi
 from .messages import Assign, Heartbeat, Request, Terminate, WorkerStats
-from .serial import plan_time_scale, time_serial
+from .serial import plan_time_scale, run_serial
 from .worker import WorkerSpec, worker_main
 
 __all__ = [
@@ -40,5 +40,4 @@ __all__ = [
     "have_mpi",
     "run_mpi",
     "plan_time_scale",
-    "time_serial",
 ]

@@ -33,7 +33,7 @@ from .master import MasterHooks, master_loop
 from .messages import WorkerStats
 from .worker import WorkerSpec, pad_specs, worker_main
 
-__all__ = ["RunResult", "PipeChassis", "run_parallel", "run_serial"]
+__all__ = ["RunResult", "PipeChassis", "run_parallel"]
 
 
 @dataclasses.dataclass
@@ -50,13 +50,6 @@ class RunResult(object):
     @property
     def total_chunks(self) -> int:
         return len(self.chunks)
-
-
-def run_serial(workload: Workload) -> tuple[np.ndarray, float]:
-    """Execute the loop serially; returns (results, elapsed seconds)."""
-    t0 = time.perf_counter()
-    out = workload.execute_serial()
-    return out, time.perf_counter() - t0
 
 
 class PipeChassis(ProcessChassis, MasterHooks):

@@ -8,22 +8,18 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..workloads import Workload
 
-__all__ = ["time_serial", "plan_time_scale"]
+__all__ = ["run_serial", "plan_time_scale"]
 
 
-def time_serial(workload: Workload, repeats: int = 1) -> float:
-    """Median wall-clock seconds for a full serial execution."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        workload.execute_serial()
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    return times[len(times) // 2]
+def run_serial(workload: Workload) -> tuple[np.ndarray, float]:
+    """Execute the loop serially; returns (results, elapsed seconds)."""
+    t0 = time.perf_counter()
+    out = workload.execute_serial()
+    return out, time.perf_counter() - t0
 
 
 def plan_time_scale(workload: Workload, n_workers: int) -> float:
@@ -35,4 +31,4 @@ def plan_time_scale(workload: Workload, n_workers: int) -> float:
     hits a worker that owns a chunk whether the host is fast, slow or
     loaded.  The 50 ms floor keeps injections behind process start-up.
     """
-    return max(0.4 * time_serial(workload) / n_workers, 0.05)
+    return max(0.4 * run_serial(workload)[1] / n_workers, 0.05)

@@ -65,7 +65,9 @@ OPS = frozenset({
     "trace", "log", "drain", "chaos", "kill-worker",
     # Live telemetry: ``subscribe`` turns the connection into an event
     # stream (the daemon pushes chunk-level ObsEvent frames while jobs
-    # run); ``watch`` is its client-facing alias used by the CLI.
+    # run).  ``watch`` is an accepted alias of ``subscribe`` that no
+    # code here sends: ``repro-service watch`` goes through
+    # ``ServiceClient.subscribe``, which sends ``subscribe``.
     "subscribe", "watch",
 })
 

@@ -46,7 +46,7 @@ class NodeSpec(object):
     latency: float = 1e-3  # seconds, one-way message latency
     bandwidth: float = 1.25e6  # bytes / second (10 Mb/s default)
     load: LoadTrace = dataclasses.field(default_factory=ConstantLoad)
-    virtual_power: Optional[float] = None  # filled by ClusterSpec if None
+    virtual_power: Optional[float] = None  # None: ClusterSpec derives V
     fails_at: Optional[float] = None  # fail-stop time (None = reliable)
     #: Shared-medium LAN segment id.  Nodes sharing a segment contend
     #: for it: their transfers serialize, like hosts on a year-2001
@@ -113,13 +113,6 @@ class ClusterSpec(object):
         if self.request_bytes < 0 or self.reply_bytes < 0 \
                 or self.result_bytes_per_item < 0:
             raise SimulationError("message sizes must be >= 0")
-        slowest = min(n.speed for n in self.nodes)
-        # Fill V on copies: the caller's node may sit in another cluster.
-        self.nodes = [
-            node if node.virtual_power is not None
-            else dataclasses.replace(node, virtual_power=node.speed / slowest)
-            for node in self.nodes
-        ]
 
     @property
     def size(self) -> int:
@@ -127,15 +120,20 @@ class ClusterSpec(object):
         return len(self.nodes)
 
     def virtual_powers(self) -> list[float]:
-        """``V_i`` per node (1.0 for the slowest)."""
-        powers = []
-        for node in self.nodes:
-            # __post_init__ fills every None before the spec escapes
-            # the constructor; assert narrows for the type checker and
-            # turns a regression into a loud failure.
-            assert node.virtual_power is not None
-            powers.append(float(node.virtual_power))
-        return powers
+        """``V_i`` per node: the node's own ``virtual_power`` when set,
+        else its speed relative to this cluster's slowest node (1.0 for
+        the slowest).
+
+        The one place V is derived.  V is relative to the cluster, so it
+        is computed here and never written back: the nodes are the
+        caller's, and one node may sit in several clusters.
+        """
+        slowest = min(node.speed for node in self.nodes)
+        return [
+            node.speed / slowest if node.virtual_power is None
+            else float(node.virtual_power)
+            for node in self.nodes
+        ]
 
     def subset(self, indices: Sequence[int]) -> "ClusterSpec":
         """A cluster containing only the selected slaves.

@@ -157,6 +157,8 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
         self._arrival = 0.0
         scheduler.bind_workload(workload)
         self.acp_model = acp_model
+        #: ``V_i`` per PE, read once per run for either path.
+        self._powers = self.cluster.virtual_powers()
         self._master_free = 0.0
         self._master_link_free = 0.0
 
@@ -172,9 +174,8 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
     # -- helpers ---------------------------------------------------------------
 
     def _acp_now(self, state: DesWorker, t: float) -> int:
-        node = state.node
         return self.acp_model.acp(
-            float(node.virtual_power or 1.0), node.load.q_at(t)
+            self._powers[state.index], state.node.load.q_at(t)
         )
 
     def _register_acp(self, state: DesWorker, t: float) -> None:
@@ -189,10 +190,9 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
 
     def _requester(self, wid: int) -> tuple[float, int]:
         """``(V_i, Q_i)`` of ``wid``, ``Q_i`` when its request arrived."""
-        node = self.cluster.nodes[wid]
         return (
-            float(node.virtual_power or 1.0),
-            node.load.q_at(self._arrival),
+            self._powers[wid],
+            self.cluster.nodes[wid].load.q_at(self._arrival),
         )
 
     # -- protocol events ---------------------------------------------------------
@@ -367,7 +367,7 @@ class MasterSlaveSimulation(DesCluster[DesWorker]):
         # Step 1(a): availability screen + initial ACP registration.
         if self.scheduler.distributed:
             acps = admit(self.scheduler, self.acp_model, {
-                i: (float(node.virtual_power or 1.0), node.load.q_at(0.0))
+                i: (self._powers[i], node.load.q_at(0.0))
                 for i, node in enumerate(self.cluster.nodes)
             })
             self._participants = [i for i in self._participants if acps[i]]

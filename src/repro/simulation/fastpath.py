@@ -224,9 +224,7 @@ def run_fast_master(sim) -> SimResult:
     reply_tx = [
         lat + reply_bytes / bw for lat, bw in zip(latency, bandwidth)
     ]
-    vpower = [
-        float(node.virtual_power or 1.0) for node in cluster.nodes
-    ] if distributed else None
+    vpower = sim._powers if distributed else None
     books = _open_books(n_nodes)
     acc_com, acc_wait, acc_comp, acc_chunks, acc_iters, finished = books
 

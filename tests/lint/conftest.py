@@ -6,7 +6,7 @@ Tests drive :func:`repro.lint.run_lint` two ways:
   ``repNNN_bad.py`` / ``repNNN_good.py`` pair per rule, plus the
   ``proto_bad`` / ``proto_good`` trees for the cross-file rules);
 * over throwaway module trees written to ``tmp_path`` (the synthetic
-  violation tests).
+  violation tests, and the REP4xx mutant table).
 
 Fixture files are *parsed, never imported*, so they are free to
 reference undefined names (``ObsEvent``) and commit the exact sins
@@ -20,6 +20,9 @@ import os
 from repro.lint import LintConfig, run_lint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+#: The repository root (the clean gate's ``LintConfig.root``).
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def lint_fixture(name: str, **config):
@@ -29,13 +32,14 @@ def lint_fixture(name: str, **config):
     )
 
 
-def lint_tree(tmp_path, sources: dict, **config):
-    """Write ``{relpath: source}`` under ``tmp_path`` and lint it."""
+def lint_tree(tmp_path, sources: dict, under: str = "", **config):
+    """Write ``{relpath: source}`` under ``tmp_path`` and lint
+    ``tmp_path / under``."""
     for rel, src in sources.items():
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(src, encoding="utf-8")
-    return run_lint([tmp_path], LintConfig(**config))
+    return run_lint([tmp_path / under], LintConfig(**config))
 
 
 def rules_of(findings) -> set:

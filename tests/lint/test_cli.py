@@ -62,7 +62,8 @@ def test_select_and_ignore(tmp_path):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("REP000", "REP001", "REP101", "REP201", "REP301"):
+    for rule_id in ("REP000", "REP001", "REP101", "REP201", "REP301",
+                    *(f"REP4{n:02}" for n in range(1, 11))):
         assert rule_id in out
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from .conftest import lint_fixture, lint_tree, rules_of
 
+#: A test file that references the TSS scheme (REP304 reads tests/).
+TESTS_TSS = 'def test_tss():\n    assert "TSS"\n'
+
 
 class TestProtoFixtureTrees:
     def test_bad_tree_fails_per_rule(self):
@@ -97,35 +100,20 @@ class TestSyntheticTree:
         # only dict displays are the authority (the false positive the
         # first run over this repo actually hit).  "TreeS" appears in
         # no test, so REP304 would flag it if the tuple counted.
-        tests = tmp_path / "tests"
-        tests.mkdir()
-        (tests / "test_schemes.py").write_text(
-            'def test_tss():\n    assert "TSS"\n', encoding="utf-8"
-        )
-        findings = lint_tree(tmp_path / "src", {
-            "pkg/registry.py": 'SCHEMES = {"TSS": "t"}\n',
-            "pkg/table.py": 'SCHEMES = ("TSS", "TreeS")\n',
-        }, tests_dir=str(tests))
+        findings = lint_tree(tmp_path, {
+            "tests/test_schemes.py": TESTS_TSS,
+            "src/pkg/registry.py": 'SCHEMES = {"TSS": "t"}\n',
+            "src/pkg/table.py": 'SCHEMES = ("TSS", "TreeS")\n',
+        }, under="src", root=str(tmp_path))
         assert findings == [], [f.render() for f in findings]
 
 
 class TestRep304SchemeTestCoverage:
     def test_unreferenced_scheme_flagged(self, tmp_path):
-        src = tmp_path / "src"
-        tests = tmp_path / "tests"
-        tests.mkdir()
-        (tests / "test_schemes.py").write_text(
-            'def test_tss():\n    assert "TSS"\n', encoding="utf-8"
-        )
-        src.mkdir()
-        (src / "registry.py").write_text(
-            'SCHEMES = {"TSS": "t", "ZZZQ": "z"}\n', encoding="utf-8"
-        )
-        from repro.lint import LintConfig, run_lint
-
-        findings = run_lint(
-            [src], LintConfig(tests_dir=str(tests))
-        )
+        findings = lint_tree(tmp_path, {
+            "tests/test_schemes.py": TESTS_TSS,
+            "src/registry.py": 'SCHEMES = {"TSS": "t", "ZZZQ": "z"}\n',
+        }, under="src", root=str(tmp_path))
         rep304 = [f for f in findings if f.rule == "REP304"]
         assert len(rep304) == 1
         assert "'ZZZQ'" in rep304[0].message

@@ -49,13 +49,48 @@ class TestClusterSpec:
         assert cluster.virtual_powers() == [2.5, 1.0]
 
     def test_a_reused_node_keeps_no_stale_virtual_power(self):
-        """The default V is filled on a copy: a node that sat in a
-        faster cluster is the slowest of its next one."""
+        """The default V is derived by the cluster, never stored on the
+        node: a node that sat in a faster cluster is the slowest of its
+        next one."""
         a = NodeSpec(name="a", speed=100.0)
         b = NodeSpec(name="b", speed=300.0)
         ClusterSpec([a, b])
         assert ClusterSpec([b]).virtual_powers() == [1.0]
         assert b.virtual_power is None
+
+    def test_building_a_cluster_copies_no_node(self, monkeypatch):
+        """V belongs to the cluster: construction leaves the caller's
+        nodes as they are and builds no ``NodeSpec``."""
+        nodes = [NodeSpec(name=f"n{i}", speed=100.0 * (i + 1))
+                 for i in range(4)]
+        built = []
+        init = NodeSpec.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NodeSpec, "__init__", counting)
+        cluster = ClusterSpec(nodes)
+        assert built == []
+        assert all(a is b for a, b in zip(cluster.nodes, nodes))
+        assert cluster.virtual_powers() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_paper_cluster_job_keys_are_pinned(self):
+        """Each node's effective V is in the job key: an explicit V (the
+        paper cluster) and a derived one (its subset) hash as they did
+        when V was stored on a copy of the node."""
+        from repro.batch import SimJob
+        from repro.experiments.config import paper_cluster, paper_workload
+
+        wl = paper_workload(width=200, height=100)
+        cluster = paper_cluster(wl, overloaded=(0, 4))
+        assert SimJob("DTSS", wl, cluster).key == (
+            "3be3eb68b04bb1d976ee1b64b9db2d3fc83192239c0238019c799b05b8699baa"
+        )
+        assert SimJob("DTSS", wl, cluster.subset([0, 3, 5])).key == (
+            "2b85d8df4ce71a890ed3c3d36a82bcfabbe7eaccf362eb51c98344faa67e4dd9"
+        )
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SimulationError):
