@@ -35,18 +35,20 @@ Million-run sweeps additionally need *streaming*: results must land on
 disk as they finish, memory must stay bounded, and a killed sweep must
 be resumable.  :func:`stream_batch` provides that -- a generator
 yielding ``(index, result)`` in submission order with a bounded
-in-flight window, optional incremental JSONL persistence (one
-``json`` line per finished job, flushed immediately, keyed by
-:meth:`SimJob.key`), and ``resume=True`` to skip any job whose key is
-already in the file.  ``KeyboardInterrupt`` and ``SIGTERM`` flush
-everything finished so far plus a ``<persist>.manifest.json`` resume
-manifest before propagating.  :func:`run_batch` is now a thin list
-collector over the same core.
+in-flight window, optional incremental JSONL persistence (one JSON
+line per finished job, flushed immediately, keyed by
+:meth:`SimJob.key`; the result's chunks are stored as rows, see
+:meth:`SimResult.row_dict`), and ``resume=True`` to skip any job whose
+key is already in the file.  ``KeyboardInterrupt`` and ``SIGTERM``
+flush everything finished so far plus a ``<persist>.manifest.json``
+resume manifest (replaced whole, never truncated) before propagating.
+:func:`run_batch` is now a thin list collector over the same core.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import json
@@ -57,8 +59,11 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, Optional
 
+import orjson
+
 from .decentral import simulate_decentral
 from .obs import BufferedCollector
+from .obs.export import json_text
 from .obs.logutil import get_logger
 from .simulation import ClusterSpec, SimResult, simulate, simulate_tree
 from .workloads import Workload
@@ -229,42 +234,42 @@ def _sigterm_as_interrupt():
 class _Persister(object):
     """Incremental JSONL sink keyed by :meth:`SimJob.key`.
 
-    One flushed ``json`` line per finished job, so a killed sweep
-    loses at most the in-flight jobs.  On resume, a torn final line
-    (the process died mid-write) is tolerated: it fails to parse, is
-    ignored, and a newline is patched in before appending so the next
-    record starts clean.
+    One flushed line per finished job, so a killed sweep loses at most
+    the in-flight jobs.  A line is one JSON object -- ``key``,
+    ``index``, ``scheme``, ``engine``, ``tag`` and the ``result`` in
+    its row form (:meth:`SimResult.row_dict`) -- written as bytes by
+    one :func:`~repro.obs.export.json_text` call and read back by one
+    ``orjson.loads`` (``json.loads`` where the line holds ``NaN`` /
+    ``Infinity`` or anything else orjson will not parse).  Lines whose
+    result holds each chunk as a dict (:meth:`SimResult.to_dict`, the
+    earlier format) read back the same way.
+
+    On resume, every record is rebuilt (:meth:`SimResult.from_dict`)
+    as it is loaded.  A line that does not parse (a torn tail: the
+    process died mid-write), is not a keyed object, or whose result
+    does not rebuild is skipped with one warning, and its job re-runs;
+    a newline is patched in before appending so the next record starts
+    clean.
     """
 
     def __init__(self, path: Optional[str], resume: bool) -> None:
         self.path = path
-        self.loaded: dict[str, dict] = {}
+        self.loaded: dict[str, SimResult] = {}
         self._fh = None
         if path is None:
             return
         if resume and os.path.exists(path):
             skipped = 0
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
+            with open(path, "rb") as fh:
+                for line in fh:
                     line = line.strip()
                     if not line:
                         continue
-                    try:
-                        rec = json.loads(line)
-                    except ValueError:
-                        # Torn tail from a killed sweep: skip it; the
-                        # job re-runs and rewrites a whole record.
+                    key, result = _load_record(line)
+                    if result is None:
                         skipped += 1
-                        continue
-                    key = rec.get("key") if isinstance(rec, dict) \
-                        else None
-                    if not key:
-                        # Parses as JSON but is not one of our records
-                        # (e.g. a torn line that happens to be valid,
-                        # or foreign content): same treatment.
-                        skipped += 1
-                        continue
-                    self.loaded[key] = rec
+                    else:
+                        self.loaded[key] = result
             if skipped:
                 _log.warning(
                     "resume from %s: skipped %d unusable line(s) "
@@ -277,21 +282,20 @@ class _Persister(object):
                     fh.seek(-1, os.SEEK_END)
                     if fh.read(1) != b"\n":
                         fh.write(b"\n")
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "ab")
 
     def record(self, job: SimJob, index: int, result: SimResult) -> None:
         if self._fh is None:
             return
-        head = json.dumps({
+        line = json_text({
             "key": job.key,
             "index": index,
             "scheme": job.scheme,
             "engine": job.engine,
             "tag": job.tag,
-        })
-        self._fh.write(
-            '%s, "result": %s}\n' % (head[:-1], result.to_json())
-        )
+            "result": result.row_dict(),
+        }, result.floats())
+        self._fh.write(line.encode("utf-8") + b"\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -300,13 +304,46 @@ class _Persister(object):
             self._fh = None
 
 
+def _load_record(line: bytes) -> tuple[str, Optional[SimResult]]:
+    """``(key, result)`` of one persisted line; ``result`` is None
+    when the line is not a usable record."""
+    try:
+        rec = orjson.loads(line)
+    except ValueError:
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            # Torn tail from a killed sweep: the job re-runs and
+            # rewrites a whole record.
+            return "", None
+    key = rec.get("key") if isinstance(rec, dict) else None
+    if not key:
+        # Parses, but is not one of our records (a torn line that
+        # happens to be valid, or foreign content): same treatment.
+        return "", None
+    result = rec.get("result")
+    if isinstance(result, dict):
+        try:
+            return key, SimResult.from_dict(result)
+        except (KeyError, TypeError, ValueError):
+            pass
+    # Keyed, but its result is missing or malformed (say, a chunk row
+    # of the wrong width): same treatment.
+    return key, None
+
+
 def _write_manifest(path: str, total: int, done: int,
                     complete: bool) -> None:
-    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
+    """Write ``<path>.manifest.json`` whole or not at all: a kill
+    mid-write leaves the previous manifest, never an empty one."""
+    target = path + ".manifest.json"
+    tmp = target + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(
             {"total": total, "done": done, "complete": complete}, fh
         )
         fh.write("\n")
+    os.replace(tmp, target)
 
 
 def stream_batch(
@@ -329,12 +366,16 @@ def stream_batch(
       ``submit``: four jobs a task by default, one when the window
       (or the whole batch) is shorter than ``4 x workers`` jobs.
     * **Incremental persistence** -- ``persist="sweep.jsonl"`` appends
-      one flushed JSON line per finished job (``SimResult.to_json``
-      round-trips exactly; ``obs_events`` traces are not persisted).
+      one flushed JSON line per finished job: the job's key, index,
+      scheme, engine and tag, and the result with its chunks as rows
+      (:meth:`SimResult.row_dict`, which round-trips exactly;
+      ``obs_events`` traces and ``results`` arrays are not persisted).
     * **Resume** -- ``resume=True`` loads the existing file and yields
-      persisted results (rebuilt via :meth:`SimResult.from_dict`) for
+      persisted results (rebuilt via :meth:`SimResult.from_dict`,
+      which also reads the earlier lines whose chunks are dicts) for
       any job whose :meth:`SimJob.key` already appears, running only
-      the remainder.
+      the remainder.  A line that is torn, foreign or whose result
+      does not rebuild is skipped with a warning, and its job re-runs.
     * **Interrupt safety** -- ``KeyboardInterrupt`` or ``SIGTERM``
       cancels outstanding work, flushes ``<persist>.manifest.json``
       (``{"total", "done", "complete"}``) and propagates; a later
@@ -368,10 +409,17 @@ def _stream(jobs, n_jobs, window, persist, resume, pool):
         with _sigterm_as_interrupt():
             cached: dict[int, SimResult] = {}
             if sink.loaded:
+                seen: set = set()
                 for idx, job in enumerate(jobs):
-                    rec = sink.loaded.get(job.key)
-                    if rec is not None:
-                        cached[idx] = SimResult.from_dict(rec["result"])
+                    key = job.key
+                    result = sink.loaded.get(key)
+                    if result is not None:
+                        # A job listed twice gets a result of its own.
+                        cached[idx] = (
+                            copy.deepcopy(result) if key in seen
+                            else result
+                        )
+                        seen.add(key)
             to_run = total - len(cached)
             workers = resolve_jobs(n_jobs)
             if pool is None and (workers == 1 or to_run <= 1):
@@ -466,8 +514,9 @@ def run_batch(
     start-up across batches (``n_jobs`` is then ignored).
 
     ``persist``/``resume``/``window`` stream through
-    :func:`stream_batch`: incremental JSONL persistence, killed-sweep
-    resume, and a bounded in-flight submission window.
+    :func:`stream_batch`: incremental JSONL persistence (one line per
+    job, its chunks as rows), killed-sweep resume, and a bounded
+    in-flight submission window.
     """
     return [
         result

@@ -9,7 +9,6 @@ from .engine import dotted_name
 
 __all__ = [
     "dotted_name",
-    "parent_map",
     "enclosing_functions",
     "call_tail",
     "name_of",
@@ -25,19 +24,11 @@ __all__ = [
 EMIT_HELPERS = frozenset({"emit", "_emit", "dump_event"})
 
 
-def parent_map(tree: ast.AST) -> dict:
-    """``{id(child): parent}`` for every node in ``tree``."""
-    parents: dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    return parents
-
-
 def enclosing_functions(
     node: ast.AST, parents: dict
 ) -> Iterator[ast.AST]:
-    """Function/AsyncFunction defs around ``node``, innermost first."""
+    """Function/AsyncFunction defs around ``node``, innermost first
+    (``parents`` is :attr:`ModuleInfo.parents`)."""
     current: Optional[ast.AST] = parents.get(id(node))
     while current is not None:
         if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -17,7 +17,7 @@ import ast
 import re
 from typing import Iterator, Optional
 
-from ._util import call_statements, call_tail, dotted_name, parent_map
+from ._util import call_statements, call_tail, dotted_name
 from .engine import LintConfig, ModuleInfo
 from .findings import Finding
 
@@ -54,7 +54,6 @@ def _releases(stmts, base: str) -> bool:
 
 def check_rep101(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP101: ``lock.acquire()`` outside ``with`` / try-finally."""
-    parents = parent_map(mod.tree)
     for node, call in call_statements(mod.nodes):
         base = _acquire_base(call)
         if base is None:
@@ -62,10 +61,10 @@ def check_rep101(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
         # Covered when the acquire sits inside a try whose finally
         # releases the same lock, or is immediately followed by one.
         tries = []  # the enclosing statements, then the next one
-        current = parents.get(id(node))
+        current = mod.parents.get(id(node))
         while current is not None:
             tries.append(current)
-            current = parents.get(id(current))
+            current = mod.parents.get(id(current))
         body = getattr(tries[0], "body", None) if tries else None
         if isinstance(body, list) and node in body:
             tries += body[body.index(node) + 1:][:1]

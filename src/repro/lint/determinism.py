@@ -13,9 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ._util import (
-    call_tail, dotted_name, emitted_row, enclosing_functions, parent_map,
-)
+from ._util import call_tail, dotted_name, emitted_row, enclosing_functions
 from .engine import LintConfig, ModuleInfo
 from .findings import Finding
 
@@ -231,7 +229,6 @@ def check_rep005(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
     """REP005: builtin ``hash()`` in digest-critical code."""
     if not mod.digest_critical:
         return
-    parents = parent_map(mod.tree)
     for node in mod.nodes:
         if not isinstance(node, ast.Call):
             continue
@@ -240,7 +237,7 @@ def check_rep005(mod: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
             continue
         inside_dunder = any(
             fn.name == "__hash__"
-            for fn in enclosing_functions(node, parents)
+            for fn in enclosing_functions(node, mod.parents)
         )
         if inside_dunder:
             continue

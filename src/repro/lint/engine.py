@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import os
 from typing import Iterable, Optional, Sequence, Union
 
@@ -105,6 +106,16 @@ class ModuleInfo(object):
         self.lines = self.source.splitlines()
         self.nodes = list(ast.walk(self.tree))
         self._classify()
+
+    @functools.cached_property
+    def parents(self) -> dict:
+        """``{id(child): parent}`` for every node of ``tree``, built
+        from :attr:`nodes` on first use, once for all rules."""
+        return {
+            id(child): node
+            for node in self.nodes
+            for child in ast.iter_child_nodes(node)
+        }
 
     # -- finding helper ----------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -87,8 +87,8 @@ class ChunkRecord(object):
         return self.stop - self.start
 
 
-#: The float fields of a chunk row, the ones :meth:`SimResult.to_json`
-#: checks for non-finite values.
+#: The float fields of a chunk row, the ones :meth:`SimResult.floats`
+#: yields for the non-finite check.
 _ASSIGNED_AT, _COMPLETED_AT = operator.itemgetter(3), operator.itemgetter(4)
 
 
@@ -107,10 +107,10 @@ class LazyChunkList(object):
     content.
 
     Rows are also the transport form: a result crosses a process pool
-    and lands in JSONL (:meth:`SimResult.to_dict`) as rows, whether or
-    not anyone has read a record.  A row is a :class:`ChunkRecord`'s
-    fields in order; trailing defaulted fields may be left off (the
-    decentral fast path writes no ``acp``).
+    and lands in a persisted sweep line (:meth:`SimResult.row_dict`)
+    as rows, whether or not anyone has read a record.  A row is a
+    :class:`ChunkRecord`'s fields in order; trailing defaulted fields
+    may be left off (the decentral fast path writes no ``acp``).
     """
 
     __slots__ = ("_rows", "_records")
@@ -157,6 +157,18 @@ class LazyChunkList(object):
         return (LazyChunkList, (self._rows,))
 
 
+def _chunk_row(chunk) -> tuple:
+    """One persisted chunk, a row or a dict, as a row."""
+    if isinstance(chunk, dict):
+        return (chunk["worker"], chunk["start"], chunk["stop"],
+                chunk["assigned_at"], chunk["completed_at"],
+                chunk.get("stage", 0), chunk.get("acp"))
+    if not isinstance(chunk, (list, tuple)) or not 6 <= len(chunk) <= 7:
+        raise ValueError(
+            f"a chunk is a dict or a row of 6 or 7 fields, not {chunk!r}")
+    return tuple(chunk)
+
+
 @dataclasses.dataclass
 class SimResult(object):
     """Everything a simulated run produced."""
@@ -166,9 +178,9 @@ class SimResult(object):
     t_p: float
     #: one :class:`ChunkRecord` per chunk, in compute-start order:
     #: the row-backed :class:`LazyChunkList`, which is what
-    #: :meth:`to_dict`, :meth:`to_json` and pickling write from.  (The
-    #: auditors only iterate, so a test may hand them a result holding
-    #: a plain list of edited records.)
+    #: :meth:`to_dict`, :meth:`row_dict`, :meth:`to_json` and pickling
+    #: write from.  (The auditors only iterate, so a test may hand them
+    #: a result holding a plain list of edited records.)
     chunks: LazyChunkList
     results: Optional[np.ndarray] = None
     rederivations: int = 0
@@ -211,6 +223,19 @@ class SimResult(object):
                          f"[{w.chunks} chunks, {w.iterations} iters]")
         return "\n".join(lines)
 
+    def _fields(self) -> dict:
+        """The dict forms' members before ``chunks``, in their order."""
+        return {
+            "scheme": self.scheme,
+            "t_p": self.t_p,
+            "rederivations": self.rederivations,
+            "events": self.events,
+            "workers": [
+                {name: getattr(w, name) for name in _WORKER_FIELDS}
+                for w in self.workers
+            ],
+        }
+
     def to_dict(self, include_results: bool = False) -> dict:
         """JSON-safe dict; exact round trip via :meth:`from_dict`.
 
@@ -224,62 +249,74 @@ class SimResult(object):
         # Built from fields and rows directly: ``dataclasses.asdict``
         # deep-copies every int and float, which cost more per job
         # than the fast path's simulation.
-        d = {
-            "scheme": self.scheme,
-            "t_p": self.t_p,
-            "rederivations": self.rederivations,
-            "events": self.events,
-            "workers": [
-                {name: getattr(w, name) for name in _WORKER_FIELDS}
-                for w in self.workers
-            ],
-            "chunks": [
-                {
-                    "worker": r[0], "start": r[1], "stop": r[2],
-                    "assigned_at": r[3], "completed_at": r[4],
-                    "stage": r[5], "acp": r[6] if len(r) > 6 else None,
-                }
-                for r in self.chunks.rows()
-            ],
-        }
+        d = self._fields()
+        d["chunks"] = [
+            {
+                "worker": r[0], "start": r[1], "stop": r[2],
+                "assigned_at": r[3], "completed_at": r[4],
+                "stage": r[5], "acp": r[6] if len(r) > 6 else None,
+            }
+            for r in self.chunks.rows()
+        ]
         if include_results and self.results is not None:
             d["results"] = self.results.tolist()
         return d
 
-    def to_json(self, include_results: bool = False) -> str:
-        """Compact JSON text of :meth:`to_dict`, the definition.
+    def row_dict(self) -> dict:
+        """:meth:`to_dict` with each chunk left as its row.
 
-        The writer used where a result leaves the process -- a service
-        reply, a JSONL line -- through :func:`repro.obs.export.json_text`:
-        ``json.loads(r.to_json(x)) == r.to_dict(x)``, and the text is
-        orjson's whenever every value is finite and encodable
-        (``tests/simulation/test_result_transport.py`` holds both).
+        The form a persisted sweep line holds (``repro.batch``): a
+        chunk is ``[worker, start, stop, assigned_at, completed_at,
+        stage(, acp)]``, the :class:`ChunkRecord` fields in order, so
+        no per-chunk dict is built and the text is about half as long.
+        :meth:`from_dict` reads either form.  The rows are the
+        result's own, not copies: write the dict out, do not keep it.
         """
-        d = self.to_dict(include_results)
+        d = self._fields()
+        d["chunks"] = self.chunks.rows()
+        return d
+
+    def floats(self, include_results: bool = False) -> Iterator:
+        """Every float of :meth:`to_dict` (or :meth:`row_dict`): the
+        ``numbers`` :func:`repro.obs.export.json_text` checks."""
         rows = self.chunks.rows()
-        numbers = itertools.chain(
+        return itertools.chain(
             [self.t_p],
             [getattr(w, name) for w in self.workers
              for name in _WORKER_FLOATS],
             map(_ASSIGNED_AT, rows),
             map(_COMPLETED_AT, rows),
-            d.get("results", ()),
+            self.results if include_results and self.results is not None
+            else (),
         )
-        return json_text(d, numbers)
+
+    def to_json(self, include_results: bool = False) -> str:
+        """Compact JSON text of :meth:`to_dict`, the definition.
+
+        The writer used where a result leaves the process as a dict --
+        a service reply -- through :func:`repro.obs.export.json_text`:
+        ``json.loads(r.to_json(x)) == r.to_dict(x)``, and the text is
+        orjson's whenever every value is finite and encodable
+        (``tests/simulation/test_result_transport.py`` holds both).
+        """
+        return json_text(self.to_dict(include_results),
+                         self.floats(include_results))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimResult":
-        """Rebuild a result persisted with :meth:`to_dict`."""
+        """Rebuild a result persisted with :meth:`to_dict` or
+        :meth:`row_dict`: a chunk is a dict or a row of 6 or 7 fields.
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` on a dict
+        that is neither (a row of another width among them), so a
+        reader can refuse a bad record before anything reads a chunk.
+        """
         results = d.get("results")
         return cls(
             scheme=d["scheme"],
             workers=[WorkerMetrics(**w) for w in d["workers"]],
             t_p=d["t_p"],
-            chunks=LazyChunkList([
-                (c["worker"], c["start"], c["stop"], c["assigned_at"],
-                 c["completed_at"], c.get("stage", 0), c.get("acp"))
-                for c in d["chunks"]
-            ]),
+            chunks=LazyChunkList(list(map(_chunk_row, d["chunks"]))),
             results=(
                 None if results is None
                 else np.asarray(results, dtype=float)

@@ -167,7 +167,7 @@ def orjson_writes_exactly(doc) -> bool:
     if isinstance(doc, dict):
         return all(map(orjson_writes_exactly, doc)) \
             and all(map(orjson_writes_exactly, doc.values()))
-    if isinstance(doc, list):
+    if isinstance(doc, (list, tuple)):
         return all(map(orjson_writes_exactly, doc))
     if isinstance(doc, str):
         try:

@@ -1,5 +1,6 @@
-"""A result's chunks travel as rows: across a pickle, into ``to_dict``
-and into the text ``to_json`` writes.
+"""A result's chunks travel as rows: across a pickle, into ``to_dict``,
+into the text ``to_json`` writes and into ``row_dict``, the form a
+persisted sweep line holds.
 
 ``LazyChunkList`` pickles its field rows (and stays lazy on the far
 side), a DES result is row-backed like a fast-path one and crosses a
@@ -9,7 +10,8 @@ and fields, and ``SimResult.to_json`` writes ``to_dict`` with orjson
 throughout is the record-object form: ``list(original)`` for the
 pickle, ``dataclasses.asdict`` for the dicts, and ``to_dict`` for the
 text (read back by ``json``, and orjson's bytes whenever it can write
-them).
+them).  ``row_dict`` is ``to_dict`` with each chunk dict replaced by
+its row, and ``from_dict`` rebuilds the same result from either.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from hypothesis import given, strategies as st
 from repro.chaos import FaultPlan
 from repro.core import names
 from repro.decentral import DECENTRAL_SCHEMES, simulate_decentral
+from repro.obs.export import json_text
 from repro.simulation import (
     ClusterSpec,
     NodeSpec,
@@ -97,6 +100,24 @@ def assert_same_dicts(result: SimResult) -> None:
     assert back.to_dict() == d
     assert_text_is_the_dict(result)
     assert_text_is_the_dict(back)
+    assert_rows_are_the_dict(result)
+
+
+def assert_rows_are_the_dict(result: SimResult) -> None:
+    """``row_dict`` against ``to_dict``, and back through its text."""
+    rows = result.row_dict()
+    d = result.to_dict()
+    assert list(rows) == list(d)
+    assert {k: v for k, v in rows.items() if k != "chunks"} \
+        == {k: v for k, v in d.items() if k != "chunks"}
+    assert rows["chunks"] == result.chunks.rows()
+    text = json_text(rows, result.floats())
+    assert_json_text(text, rows)
+    back = SimResult.from_dict(json.loads(text))
+    assert isinstance(back.chunks, LazyChunkList)
+    # ``json.dumps`` writes NaN as NaN: the comparison holds there too.
+    assert json.dumps(back.to_dict()) == json.dumps(d)
+    assert back.to_json() == result.to_json()
 
 
 def assert_text_is_the_dict(result: SimResult) -> None:
@@ -170,8 +191,30 @@ def test_to_dict_equals_asdict_form_under_chaos(workload, cluster):
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_to_json_is_to_dict_tree(workload, cluster, weighted):
-    assert_text_is_the_dict(
-        simulate_tree(workload, cluster, weighted=weighted))
+    result = simulate_tree(workload, cluster, weighted=weighted)
+    assert_text_is_the_dict(result)
+    assert_rows_are_the_dict(result)
+
+
+@pytest.mark.parametrize("rows", [MASTER_ROWS, DECENTRAL_ROWS],
+                         ids=["master-7", "decentral-6"])
+def test_from_dict_reads_rows_and_dicts_alike(rows):
+    result = _result(rows)
+    as_rows = SimResult.from_dict(json.loads(json.dumps(result.row_dict())))
+    as_dicts = SimResult.from_dict(json.loads(result.to_json()))
+    assert as_rows == as_dicts == result
+    assert as_rows.chunks.rows() == list(rows)
+    assert all(type(row) is tuple for row in as_rows.chunks.rows())
+
+
+@pytest.mark.parametrize("chunk", [
+    [0, 0, 5, 0.0, 1.5], [0, 0, 5, 0.0, 1.5, 0, None, 1], [], "abcdef", 7,
+], ids=["5", "8", "0", "str", "int"])
+def test_from_dict_refuses_a_chunk_that_is_no_row(chunk):
+    d = _result(MASTER_ROWS).row_dict()
+    d["chunks"] = [list(MASTER_ROWS[0]), chunk]
+    with pytest.raises(ValueError, match="6 or 7 fields"):
+        SimResult.from_dict(d)
 
 
 def test_to_json_carries_results_on_request(workload, cluster):
@@ -213,6 +256,7 @@ def test_to_json_falls_back_to_json_exactly_there(result, token):
     assert token in text
     text.encode("utf-8")  # a reply body or a JSONL line
     assert_text_is_the_dict(result)
+    assert_rows_are_the_dict(result)
 
 
 #: Ints orjson writes; one beyond 64 bits (or a lone surrogate) sends
@@ -259,3 +303,4 @@ def test_to_json_is_to_dict_for_any_rows(rows, materialized, t_p, t_wait,
     if materialized:
         assert len(list(result.chunks)) == len(rows)
     assert_text_is_the_dict(result)
+    assert_rows_are_the_dict(result)

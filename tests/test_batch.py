@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import os
@@ -11,17 +12,22 @@ import time
 from concurrent.futures import Future
 
 import numpy as np
+import orjson
 import pytest
 
+from repro import batch as batch_mod
 from repro.batch import (
     SimJob,
+    _Persister,
     resolve_jobs,
     run_batch,
     stream_batch,
 )
+from repro.chaos import FaultPlan
 from repro.core import names
 from repro.experiments import paper_cluster, paper_workload
 from repro.simulation import ClusterSpec, NodeSpec
+from repro.simulation.metrics import LazyChunkList, SimResult, WorkerMetrics
 from repro.workloads import (
     GaussianPeakWorkload,
     LinearWorkload,
@@ -288,37 +294,144 @@ class TestStreamBatch:
     def test_resume_reads_the_earlier_line_format(self, tmp_path,
                                                   monkeypatch):
         """A line used to be ``json.dumps`` of one dict holding
-        ``result.to_dict()``; it is now spliced from ``to_json`` text.
-        Both parse to the same record, and one file may hold both."""
+        ``result.to_dict()``, then that record's head spliced with
+        ``result.to_json()``; it now holds the result's rows.  One
+        file may hold all three, and each resumes bit-identically."""
         jobs = small_jobs(6)
         results = run_batch(jobs)
 
-        def record(i):
+        def head(i):
             return {
                 "key": jobs[i].key, "index": i,
                 "scheme": jobs[i].scheme, "engine": jobs[i].engine,
-                "tag": jobs[i].tag, "result": results[i].to_dict(),
+                "tag": jobs[i].tag,
             }
+
+        def dumped(i):
+            return json.dumps({**head(i), "result": results[i].to_dict()})
+
+        def spliced(i):
+            return '%s, "result": %s}' % (
+                json.dumps(head(i))[:-1], results[i].to_json())
 
         path = str(tmp_path / "sweep.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(3):
-                fh.write(json.dumps(record(i)) + "\n")
+            for line in (dumped(0), dumped(1), spliced(2), spliced(3)):
+                fh.write(line + "\n")
         runs = []
         original = SimJob.run
         monkeypatch.setattr(
             SimJob, "run",
             lambda self: runs.append(self.tag) or original(self),
         )
-        for expected_runs in (["j3", "j4", "j5"], []):
+        for expected_runs in (["j4", "j5"], []):
             runs.clear()
             resumed = run_batch(jobs, persist=path, resume=True)
             assert runs == expected_runs
             assert [result_rows(r) for r in resumed] \
                 == [result_rows(r) for r in results]
-        lines = [json.loads(line)
-                 for line in open(path, encoding="utf-8")]
-        assert lines == [record(i) for i in range(6)]
+            assert resumed == results
+        lines = open(path, encoding="utf-8").read().splitlines()
+        assert lines[:4] == [dumped(0), dumped(1), spliced(2), spliced(3)]
+        assert lines[4:] == [
+            orjson.dumps({**head(i), "result": results[i].row_dict()})
+            .decode()
+            for i in (4, 5)
+        ]
+
+    @pytest.mark.parametrize("engine, widths", [
+        ("master", {7}), ("decentral", {6}), ("tree", {7}),
+        ("chaos", {7}),
+    ])
+    def test_a_line_holds_rows_and_resumes_bit_identically(
+        self, tmp_path, monkeypatch, engine, widths
+    ):
+        wl = GaussianPeakWorkload(120, amplitude=4.0)
+        cluster = ClusterSpec(nodes=[
+            NodeSpec(name=f"n{i}", speed=50.0 + 10.0 * i)
+            for i in range(3)
+        ])
+        params = {}
+        if engine == "chaos":
+            params["chaos"] = FaultPlan.random(3, workers=3, horizon=2.0)
+            assert params["chaos"].events
+        job = SimJob("TreeS" if engine == "tree" else "FSS", wl, cluster,
+                     engine="master" if engine == "chaos" else engine,
+                     params=params)
+        path = str(tmp_path / "sweep.jsonl")
+        [result] = run_batch([job], persist=path)
+        [line] = open(path, "rb").read().splitlines()
+        rec = orjson.loads(line)
+        assert list(rec) == ["key", "index", "scheme", "engine", "tag",
+                             "result"]
+        rows = rec["result"]["chunks"]
+        assert {len(row) for row in rows} == widths
+        assert rows == [list(row) for row in result.chunks.rows()]
+        assert line == orjson.dumps(rec)
+        monkeypatch.setattr(
+            SimJob, "run",
+            lambda self: (_ for _ in ()).throw(
+                AssertionError("resume re-ran a persisted job")),
+        )
+        [back] = run_batch([job], persist=path, resume=True)
+        assert back == result
+        assert back.to_json() == result.to_json()
+        assert back.to_dict() == result.to_dict()
+        assert pickle.dumps(back.to_dict()) \
+            == pickle.dumps(result.to_dict())
+
+    @pytest.mark.parametrize("rows, t_wait, token", [
+        ([(0, 0, 5, 0.0, float("inf"), 0, None)], 0.5, b"Infinity"),
+        ([(0, 0, 5, float("-inf"), 1.0, 0)], 0.5, b"-Infinity"),
+        ([(0, 0, 5, float("nan"), 1.0, 1, 2)], 0.5, b"NaN"),
+        ([(0, 0, 5, 0.0, 1.0, 0)], float("nan"), b"NaN"),
+        ([(0, 0, 5, 0.0, 1.0, 0)], float("inf"), b"Infinity"),
+    ], ids=["row-inf", "row-neg-inf", "row-nan", "cell-nan", "cell-inf"])
+    def test_non_finite_values_round_trip_exactly(self, tmp_path, rows,
+                                                  t_wait, token):
+        job = small_jobs(1)[0]
+        result = SimResult(
+            scheme="S", t_p=1.0, chunks=LazyChunkList(rows),
+            workers=[WorkerMetrics(name="n0", t_wait=t_wait)],
+        )
+        path = str(tmp_path / "sweep.jsonl")
+        sink = _Persister(path, resume=False)
+        sink.record(job, 0, result)
+        sink.close()
+        line = open(path, "rb").read()
+        assert token in line and line.endswith(b"}\n")
+        back = _Persister(path, resume=True).loaded[job.key]
+        # ``json.dumps`` writes NaN as NaN, so NaN compares equal here.
+        assert json.dumps(back.to_dict()) == json.dumps(result.to_dict())
+        assert back.to_json() == result.to_json()
+
+    def test_record_writes_one_json_text_and_no_dict_form(
+        self, tmp_path, monkeypatch
+    ):
+        """A persisted line is one ``json_text`` call over the row
+        form: the per-chunk dicts of ``to_dict`` / ``to_json`` are
+        never built on the way to disk."""
+        calls = collections.Counter()
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(SimResult, "to_dict")
+        spy(SimResult, "to_json")
+        spy(batch_mod, "json_text")
+        jobs = small_jobs(4)
+        path = str(tmp_path / "sweep.jsonl")
+        run_batch(jobs, persist=path)
+        run_batch(jobs, persist=path, pool=_SyncPool())
+        lines = open(path, "rb").read().splitlines()
+        assert len(lines) == 2 * len(jobs)
+        assert calls == {"json_text": len(lines)}
 
     def test_resume_tolerates_torn_tail_line(self, tmp_path):
         jobs = small_jobs(3)
@@ -373,6 +486,74 @@ class TestStreamBatch:
         resumed = run_batch(jobs, persist=path, resume=True)
         assert [result_rows(r) for r in resumed] \
             == [result_rows(r) for r in run_batch(jobs)]
+
+    @pytest.mark.parametrize("bad", [
+        "no-result", "null-result", "row-of-5", "row-of-8", "row-not-list",
+    ])
+    def test_resume_skips_a_keyed_record_that_does_not_rebuild(
+        self, tmp_path, caplog, bad
+    ):
+        """A record with its key but a missing or malformed result is
+        treated like a torn line: one warning, the job re-runs, and its
+        whole record is appended."""
+        import logging
+
+        jobs = small_jobs(3)
+        path = str(tmp_path / "sweep.jsonl")
+        run_batch(jobs[:2], persist=path)
+        rec = {"key": jobs[2].key, "index": 2,
+               "result": jobs[2].run().row_dict()}
+        chunks = rec["result"]["chunks"]
+        if bad == "no-result":
+            del rec["result"]
+        elif bad == "null-result":
+            rec["result"] = None
+        elif bad == "row-of-5":
+            chunks[1] = chunks[1][:5]
+        elif bad == "row-of-8":
+            chunks[-1] = (*chunks[-1], None, 0)[:8]
+        else:
+            chunks[0] = 7
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        with caplog.at_level(logging.WARNING, logger="repro.batch"):
+            resumed = run_batch(jobs, persist=path, resume=True)
+        assert any("skipped 1" in r.message for r in caplog.records)
+        assert [result_rows(r) for r in resumed] \
+            == [result_rows(r) for r in run_batch(jobs)]
+        lines = open(path, encoding="utf-8").read().splitlines()
+        assert len(lines) == 4
+        assert json.loads(lines[-1])["key"] == jobs[2].key
+
+    def test_resume_gives_a_repeated_job_its_own_result(self, tmp_path):
+        job = small_jobs(1)[0]
+        path = str(tmp_path / "sweep.jsonl")
+        run_batch([job], persist=path)
+        first, second = run_batch([job, job], persist=path, resume=True)
+        assert first == second and first is not second
+        assert first.chunks is not second.chunks
+
+    def test_manifest_write_is_all_or_nothing(self, tmp_path,
+                                              monkeypatch):
+        """A manifest write that dies partway leaves the previous
+        manifest whole, not a truncated file."""
+        jobs = small_jobs(2)
+        path = str(tmp_path / "sweep.jsonl")
+        run_batch(jobs, persist=path)
+        manifest = path + ".manifest.json"
+        before = open(manifest, "rb").read()
+
+        def dies_partway(obj, fh, **kwargs):
+            fh.write('{"total": ')
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(json, "dump", dies_partway)
+        with pytest.raises(OSError, match="mid-write"):
+            batch_mod._write_manifest(path, 9, 3, False)
+        assert open(manifest, "rb").read() == before
+        assert json.loads(before) == {
+            "total": 2, "done": 2, "complete": True,
+        }
 
     def test_interrupt_flushes_results_and_manifest(self, tmp_path):
         """A sweep killed mid-run persists everything finished plus a
