@@ -8,6 +8,9 @@ Tests drive :func:`repro.lint.run_lint` two ways:
 * over throwaway module trees written to ``tmp_path`` (the synthetic
   violation tests, and the REP4xx mutant table).
 
+The repo itself is linted once per session (:func:`repo_lint`): the
+clean gate reads its findings, the engine test its ``ast.parse`` count.
+
 Fixture files are *parsed, never imported*, so they are free to
 reference undefined names (``ObsEvent``) and commit the exact sins
 the rules exist to catch.
@@ -15,7 +18,11 @@ the rules exist to catch.
 
 from __future__ import annotations
 
+import ast
 import os
+from types import SimpleNamespace
+
+import pytest
 
 from repro.lint import LintConfig, run_lint
 
@@ -23,6 +30,25 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 #: The repository root (the clean gate's ``LintConfig.root``).
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+
+
+@pytest.fixture(scope="session")
+def repo_lint():
+    """One ``run_lint`` over ``src`` with the repo as root: its
+    ``findings`` and the absolute path of every file it ``parsed``."""
+    parsed = []
+    parse = ast.parse
+
+    def counting(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(os.path.abspath(filename))
+        return parse(source, filename, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ast, "parse", counting)
+        findings = run_lint(
+            [os.path.join(REPO, "src")], LintConfig(root=REPO)
+        )
+    return SimpleNamespace(findings=findings, parsed=parsed)
 
 
 def lint_fixture(name: str, **config):

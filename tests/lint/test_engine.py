@@ -1,18 +1,25 @@
-"""The lint engine: content-based roles.
+"""The lint engine: one parse per file, content-based roles.
 
-The one parse per file is counted in the clean gate's own run
-(``test_lint_clean.py``), so the suite lints the repo once.
+The parse count reads the session's one ``repo_lint`` (``conftest.py``),
+the same run the clean gate reads, so the suite lints the repo once.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.lint.engine import parse_modules
+from repro.lint.engine import CONSUMER_DIRS, _collect_files, parse_modules
 
 from .conftest import REPO
 
 SRC = os.path.join(REPO, "src")
+
+
+def test_one_parse_per_file(repo_lint):
+    """Every rule reads the engine's one parse: ``run_lint`` over the
+    repo parses each file of src, benchmarks and examples just once."""
+    files = _collect_files([SRC, *(f"{REPO}/{top}" for top in CONSUMER_DIRS)])
+    assert sorted(repo_lint.parsed) == sorted(map(os.path.abspath, files))
 
 
 def test_role_discovery_finds_the_real_authorities():

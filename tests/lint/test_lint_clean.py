@@ -6,35 +6,15 @@ PR that introduces a violation fails here.  With the repo as root the
 REP4xx "written once" rules (``repro.lint.repo``) run too; this gate is
 their clean side, ``test_repo_rules.py`` holds their mutants.
 
-The same run shows that every rule reads the engine's one parse: each
-file of src, benchmarks and examples is parsed just once.
+The run is the session's one ``repo_lint`` (``conftest.py``), which
+``test_engine.py::test_one_parse_per_file`` reads as well.
 """
 
 from __future__ import annotations
 
-import ast
-import os
 
-from repro.lint import LintConfig, run_lint
-from repro.lint.engine import CONSUMER_DIRS, _collect_files
-
-from .conftest import REPO
-
-SRC = os.path.join(REPO, "src")
-
-
-def test_repo_source_is_lint_clean(monkeypatch):
-    parsed = []
-    parse = ast.parse
-
-    def counting(source, filename="<unknown>", *args, **kwargs):
-        parsed.append(os.path.abspath(filename))
-        return parse(source, filename, *args, **kwargs)
-
-    monkeypatch.setattr(ast, "parse", counting)
-    findings = run_lint([SRC], LintConfig(root=REPO))
+def test_repo_source_is_lint_clean(repo_lint):
+    findings = repo_lint.findings
     assert findings == [], "\n" + "\n".join(
         f.render() for f in findings
     )
-    files = _collect_files([SRC, *(f"{REPO}/{top}" for top in CONSUMER_DIRS)])
-    assert sorted(parsed) == sorted(map(os.path.abspath, files))
