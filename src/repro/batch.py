@@ -19,14 +19,21 @@ parallelism lives:
 Before submission the parent resolves every workload's cost vector
 (persistent cache hit or one computation) so pool workers receive a
 precomputed profile inside the pickled workload and never re-derive
-the grid; the Mandelbrot column memo is explicitly *excluded* from the
-pickle (see ``MandelbrotWorkload.__getstate__``).  The pool is fed
-*tasks* of several consecutive jobs (the paper's CSS(k), applied to
-our own sweep): one pickle per task, so a workload or cluster shared
-by the task's jobs crosses the pipe once, and the pool hop is paid
-once per task.  Results come back as chunk *rows* (see
-:class:`~repro.simulation.metrics.LazyChunkList`), not as one record
-object per chunk.
+the grid.  A workload pickles only what cannot be rebuilt: the
+Mandelbrot column memo, the prefix sums, the sampling permutation and
+the Mandelbrot axes stay behind and are rebuilt on the far side (see
+``Workload.__getstate__``).  The pool is fed *tasks* of several
+consecutive jobs (the paper's CSS(k), applied to our own sweep): one
+pickle per task, so a workload or cluster shared by the task's jobs
+crosses the pipe once, and the pool hop is paid once per task.
+
+The per-result work is the workers', as a distributed chunk
+calculation moves the master's: each result's chunk rows come back as
+the exact orjson text a persisted line holds for them (see
+:class:`~repro.simulation.metrics.LazyChunkList`), encoded once, in
+the worker.  The parent keeps the text undecoded and writes it into
+the line as it is (:meth:`SimResult.row_json`), so it never
+unpickles, re-encodes or re-checks a row.
 
 ``n_jobs`` resolution: an explicit positive integer wins; ``0`` or
 ``None`` means "all cores".
@@ -50,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -63,7 +71,6 @@ import orjson
 
 from .decentral import simulate_decentral
 from .obs import BufferedCollector
-from .obs.export import json_text
 from .obs.logutil import get_logger
 from .simulation import ClusterSpec, SimResult, simulate, simulate_tree
 from .workloads import Workload
@@ -95,6 +102,9 @@ class SimJob(object):
     ``collect_events=True`` additionally captures the unified
     observability trace (see :mod:`repro.obs`) and attaches it to the
     result as ``SimResult.obs_events``.
+
+    A job's inputs must not be mutated after construction: its
+    :attr:`key` is computed once, on first read, and kept.
     """
 
     scheme: str
@@ -150,12 +160,21 @@ class SimJob(object):
             f"|{cl_part}|{params}{events_part}"
         )
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
-        """Deterministic job identity: sha256 of :meth:`describe`."""
+        """Deterministic job identity: sha256 of :meth:`describe`,
+        computed once per job (``dataclasses.replace`` makes a new job,
+        which computes its own)."""
         return hashlib.sha256(
             self.describe().encode("utf-8")
         ).hexdigest()
+
+    def __getstate__(self) -> dict:
+        """Pickle the inputs only: a job's pickle bytes do not depend
+        on whether its :attr:`key` was read."""
+        state = self.__dict__.copy()
+        state.pop("key", None)
+        return state
 
     def run(self, collector=None) -> SimResult:
         """Execute this job in the current process.
@@ -238,11 +257,15 @@ class _Persister(object):
     the in-flight jobs.  A line is one JSON object -- ``key``,
     ``index``, ``scheme``, ``engine``, ``tag`` and the ``result`` in
     its row form (:meth:`SimResult.row_dict`) -- written as bytes by
-    one :func:`~repro.obs.export.json_text` call and read back by one
-    ``orjson.loads`` (``json.loads`` where the line holds ``NaN`` /
-    ``Infinity`` or anything else orjson will not parse).  Lines whose
-    result holds each chunk as a dict (:meth:`SimResult.to_dict`, the
-    earlier format) read back the same way.
+    :meth:`SimResult.row_json` and read back by one ``orjson.loads``
+    (``json.loads`` where the line holds ``NaN`` / ``Infinity`` or
+    anything else orjson will not parse).  A result from a pool
+    worker brings its rows as text, and its line is orjson's bytes of
+    the head followed by that text; any other result's line is one
+    :func:`~repro.obs.export.json_text` call.  The bytes are the same
+    either way.  Lines whose result holds each chunk as a dict
+    (:meth:`SimResult.to_dict`, the earlier format) read back the same
+    way.
 
     On resume, every record is rebuilt (:meth:`SimResult.from_dict`)
     as it is loaded.  A line that does not parse (a torn tail: the
@@ -287,15 +310,14 @@ class _Persister(object):
     def record(self, job: SimJob, index: int, result: SimResult) -> None:
         if self._fh is None:
             return
-        line = json_text({
+        line = result.row_json({
             "key": job.key,
             "index": index,
             "scheme": job.scheme,
             "engine": job.engine,
             "tag": job.tag,
-            "result": result.row_dict(),
-        }, result.floats())
-        self._fh.write(line.encode("utf-8") + b"\n")
+        })
+        self._fh.write(line + b"\n")
         self._fh.flush()
 
     def close(self) -> None:

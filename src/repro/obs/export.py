@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
 import math
 import operator
 import os
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 import orjson
 
@@ -41,6 +40,8 @@ __all__ = [
     "tiling_digest",
     "events_json",
     "json_text",
+    "orjson_exact",
+    "all_finite",
 ]
 
 #: Microseconds per unit of event time (Chrome traces use us).
@@ -239,29 +240,54 @@ _T, _VALUE, _WALL = (operator.itemgetter(i) for i in (2, 8, 10))
 _to_dict = ObsEvent.to_dict
 
 
-def json_text(doc: Any, numbers: Iterable) -> str:
+def all_finite(columns: Iterable[Sequence]) -> bool:
+    """True when every number of every column is finite.
+
+    One C-level ``sum`` per column: a NaN or an infinity makes the sum
+    non-finite, so a finite sum clears the whole column.  Only a
+    column whose sum is not finite -- it holds a NaN or an infinity,
+    or its finite numbers overflow -- is scanned number by number.
+    Raises ``TypeError`` on a non-number and ``OverflowError`` on an
+    int too large to be a float, as :func:`math.isfinite` does.
+    """
+    return all(
+        math.isfinite(sum(column)) or all(map(math.isfinite, column))
+        for column in columns
+    )
+
+
+def orjson_exact(doc: Any,
+                 columns: Iterable[Sequence]) -> Optional[bytes]:
+    """orjson's bytes of ``doc`` when :func:`json.loads` reads them
+    back as ``doc``, else None.
+
+    ``columns`` hold every float in ``doc``: orjson would write a NaN
+    or an infinity as ``null``.  None also where orjson refuses a
+    value: an int beyond 64 bits, a string holding a lone surrogate.
+    """
+    try:
+        if all_finite(columns):
+            return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY)
+    except (TypeError, OverflowError):
+        # TypeError: orjson's refusal, or a non-number in ``columns``;
+        # OverflowError: an int too large to be a float.
+        pass
+    return None
+
+
+def json_text(doc: Any, columns: Iterable[Sequence]) -> str:
     """Compact JSON text of ``doc`` that :func:`json.loads` reads back
     as ``doc``: the one writer of bulk text (results and traces).
 
     orjson writes it -- floats in their shortest round-trip form,
     non-ASCII as raw UTF-8, numpy scalars as the numbers they hold --
-    unless that would change the answer, and then :mod:`json` does
-    (``NaN`` / ``Infinity`` tokens, ``\\uXXXX`` escapes):
-
-    * a NaN or an infinity among ``numbers`` -- every float in
-      ``doc``, which orjson would write as ``null``;
-    * a value orjson refuses: an int beyond 64 bits, a string holding
-      a lone surrogate.
+    unless that would change the answer (:func:`orjson_exact`), and
+    then :mod:`json` does (``NaN`` / ``Infinity`` tokens, ``\\uXXXX``
+    escapes).  ``columns`` hold every float in ``doc``, checked a
+    column at a time (:func:`all_finite`).
     """
-    try:
-        if all(map(math.isfinite, numbers)):
-            return orjson.dumps(
-                doc, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    except (TypeError, OverflowError):
-        # TypeError: orjson's refusal, or a non-number among
-        # ``numbers``; OverflowError: an int too large to be a float.
-        pass
-    return _dumps(doc)
+    data = orjson_exact(doc, columns)
+    return _dumps(doc) if data is None else data.decode()
 
 
 def events_json(events: Sequence[ObsEvent]) -> str:
@@ -275,10 +301,10 @@ def events_json(events: Sequence[ObsEvent]) -> str:
     :func:`stream_digest` it reads an :class:`EventList`'s rows.
     """
     rows = _rows(events)
-    numbers = itertools.chain(
-        map(_T, rows),
+    columns = (
+        list(map(_T, rows)),
         # ``None`` (unset) and 0.0 are left out alike: 0.0 is finite.
-        filter(None, map(_VALUE, rows)),
-        filter(None, map(_WALL, rows)),
+        list(filter(None, map(_VALUE, rows))),
+        list(filter(None, map(_WALL, rows))),
     )
-    return json_text(list(map(_to_dict, rows)), numbers)
+    return json_text(list(map(_to_dict, rows)), columns)

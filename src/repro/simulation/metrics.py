@@ -21,12 +21,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
+import orjson
 
 from ..obs.events import EventList
-from ..obs.export import json_text
+from ..obs.export import all_finite, json_text, orjson_exact
 from ..obs.metrics import imbalance
 
 __all__ = ["WorkerMetrics", "ChunkRecord", "LazyChunkList", "SimResult"]
@@ -58,6 +59,8 @@ _WORKER_FIELDS = tuple(f.name for f in dataclasses.fields(WorkerMetrics))
 _WORKER_FLOATS = tuple(
     f.name for f in dataclasses.fields(WorkerMetrics) if f.type == "float"
 )
+#: A worker's float fields as one tuple.
+_worker_floats = operator.attrgetter(*_WORKER_FLOATS)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -87,9 +90,30 @@ class ChunkRecord(object):
         return self.stop - self.start
 
 
-#: The float fields of a chunk row, the ones :meth:`SimResult.floats`
-#: yields for the non-finite check.
+#: The float fields of a chunk row: the columns checked for NaN and
+#: infinities (:meth:`SimResult.floats`, :func:`_rows_text`).
 _ASSIGNED_AT, _COMPLETED_AT = operator.itemgetter(3), operator.itemgetter(4)
+
+
+def _rows_text(rows: list[tuple]) -> Optional[bytes]:
+    """orjson's text of ``rows`` when it decodes to the same rows, else
+    None.
+
+    A row holds :class:`ChunkRecord`'s field types: ints, the two
+    times, an int or None ``acp``.  orjson writes a NaN or an infinity
+    as ``null``, so the time columns must be finite (one C-level
+    ``sum`` each, :func:`~repro.obs.export.all_finite`); it refuses,
+    without options, a numpy scalar, an int subclass, an int beyond 64
+    bits and anything else it would not read back as the same type.
+    """
+    try:
+        if all_finite((list(map(_ASSIGNED_AT, rows)),
+                       list(map(_COMPLETED_AT, rows)))):
+            return orjson.dumps(
+                rows, option=orjson.OPT_PASSTHROUGH_SUBCLASS)
+    except (TypeError, OverflowError):
+        pass
+    return None
 
 
 class LazyChunkList(object):
@@ -104,31 +128,40 @@ class LazyChunkList(object):
     when someone actually touches them.  Materialization is exact
     (rows hold the final field values, in final order) and happens at
     most once; the records are frozen, so the rows stay the list's
-    content.
+    content.  A row is a tuple of a :class:`ChunkRecord`'s fields in
+    order; trailing defaulted fields may be left off (the decentral
+    fast path writes no ``acp``).
 
-    Rows are also the transport form: a result crosses a process pool
-    and lands in a persisted sweep line (:meth:`SimResult.row_dict`)
-    as rows, whether or not anyone has read a record.  A row is a
-    :class:`ChunkRecord`'s fields in order; trailing defaulted fields
-    may be left off (the decentral fast path writes no ``acp``).
+    The transport form is the rows' JSON text: a result crosses a
+    process pool as the exact orjson bytes a persisted sweep line
+    holds for its chunks (:meth:`SimResult.row_json`), encoded once,
+    by the pool worker.  The far side keeps the text undecoded
+    (:meth:`text`): ``len`` needs no decode, and :meth:`rows` decodes
+    once, on first read, into the same tuples.  Where orjson would not
+    write the rows exactly (a non-finite time, a numpy scalar, an int
+    beyond 64 bits) the rows themselves are pickled, as before.
     """
 
-    __slots__ = ("_rows", "_records")
+    __slots__ = ("_rows", "_records", "_text", "_length")
 
     def __init__(self, rows: list[tuple]):
-        self._rows = rows
+        self._rows: Optional[list[tuple]] = rows
         self._records: Optional[list[ChunkRecord]] = None
+        #: the rows' orjson text, when they arrived as text
+        self._text: Optional[bytes] = None
+        self._length = 0
 
     def _materialize(self) -> list[ChunkRecord]:
         records = self._records
         if records is None:
             records = self._records = [
-                ChunkRecord(*row) for row in self._rows
+                ChunkRecord(*row) for row in self.rows()
             ]
         return records
 
     def __len__(self) -> int:
-        return len(self._rows)
+        rows = self._rows
+        return self._length if rows is None else len(rows)
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -148,13 +181,37 @@ class LazyChunkList(object):
         return repr(self._materialize())
 
     def rows(self) -> list[tuple]:
-        """The field rows (read-only)."""
-        return self._rows
+        """The field rows (read-only), decoded from the text once."""
+        rows = self._rows
+        if rows is None:
+            assert self._text is not None
+            rows = self._rows = list(map(tuple, orjson.loads(self._text)))
+        return rows
+
+    def text(self) -> Optional[bytes]:
+        """The rows' orjson text when they arrived as text, else None."""
+        return self._text
 
     def __reduce__(self):
-        # Crosses a process pool as rows and stays lazy on the far
-        # side -- consumers only rely on the sequence protocol.
-        return (LazyChunkList, (self._rows,))
+        # Crosses a process pool as text where that is exact, and stays
+        # undecoded on the far side -- consumers only rely on the
+        # sequence protocol.
+        text = self._text
+        if text is None:
+            text = _rows_text(self._rows)
+            if text is None:
+                return (LazyChunkList, (self._rows,))
+        return (_chunks_from_text, (text, len(self)))
+
+
+def _chunks_from_text(text: bytes, length: int) -> LazyChunkList:
+    """A :class:`LazyChunkList` of ``length`` rows held as ``text``: the
+    far side of its pickle."""
+    chunks = LazyChunkList([])
+    chunks._rows = None
+    chunks._text = text
+    chunks._length = length
+    return chunks
 
 
 def _chunk_row(chunk) -> tuple:
@@ -276,19 +333,45 @@ class SimResult(object):
         d["chunks"] = self.chunks.rows()
         return d
 
-    def floats(self, include_results: bool = False) -> Iterator:
-        """Every float of :meth:`to_dict` (or :meth:`row_dict`): the
-        ``numbers`` :func:`repro.obs.export.json_text` checks."""
+    def _head_floats(self) -> list:
+        """Every float before ``chunks``: ``t_p`` and the workers'."""
+        return [self.t_p,
+                *itertools.chain.from_iterable(
+                    map(_worker_floats, self.workers))]
+
+    def floats(self, include_results: bool = False) -> list:
+        """Every float of :meth:`to_dict` (or :meth:`row_dict`), in
+        columns: what :func:`repro.obs.export.json_text` checks."""
         rows = self.chunks.rows()
-        return itertools.chain(
-            [self.t_p],
-            [getattr(w, name) for w in self.workers
-             for name in _WORKER_FLOATS],
-            map(_ASSIGNED_AT, rows),
-            map(_COMPLETED_AT, rows),
-            self.results if include_results and self.results is not None
-            else (),
-        )
+        columns = [self._head_floats(), list(map(_ASSIGNED_AT, rows)),
+                   list(map(_COMPLETED_AT, rows))]
+        if include_results and self.results is not None:
+            columns.append(self.results.tolist())
+        return columns
+
+    def row_json(self, head: dict) -> bytes:
+        """JSON bytes of ``{**head, "result": self.row_dict()}``: one
+        persisted sweep line, as :func:`~repro.obs.export.json_text`
+        writes it.
+
+        When the chunks arrived as text (:class:`LazyChunkList`),
+        orjson writes the head and the result's fields, and the text
+        follows as ``chunks``, the last member: the same bytes, with no
+        row decoded, re-encoded or re-checked.  That holds whenever the
+        fields are exact in orjson's hands
+        (:func:`~repro.obs.export.orjson_exact`); otherwise, and for
+        rows that never crossed a pickle, one ``json_text`` call
+        writes the whole line.  ``head`` holds no float.
+        """
+        text = self.chunks.text()
+        if text is not None:
+            data = orjson_exact({**head, "result": self._fields()},
+                                [self._head_floats()])
+            if data is not None:
+                # ``data`` ends in the result's ``}`` and the line's.
+                return b"%s,\"chunks\":%s}}" % (data[:-2], text)
+        return json_text({**head, "result": self.row_dict()},
+                         self.floats()).encode()
 
     def to_json(self, include_results: bool = False) -> str:
         """Compact JSON text of :meth:`to_dict`, the definition.

@@ -43,6 +43,14 @@ class WorkloadError(ValueError):
     """Raised for invalid workload parameters or out-of-range indices."""
 
 
+def _prefix_sums(costs: np.ndarray) -> np.ndarray:
+    """``[0, L(0), L(0) + L(1), ...]``, read-only: the one definition,
+    so a rebuilt prefix is bit-identical to the installed one."""
+    prefix = np.concatenate(([0.0], np.cumsum(costs)))
+    prefix.setflags(write=False)
+    return prefix
+
+
 class Workload(ABC):
     """A parallel loop of ``size`` independent iterations ("tasks")."""
 
@@ -118,9 +126,7 @@ class Workload(ABC):
         self._costs = costs
         vars(self).pop("_cost_digest", None)
         vars(self).pop("_prefix_list", None)
-        prefix = np.concatenate(([0.0], np.cumsum(costs)))
-        prefix.setflags(write=False)
-        self._prefix = prefix
+        self._prefix = _prefix_sums(costs)
         return costs
 
     def costs(self) -> np.ndarray:
@@ -216,12 +222,19 @@ class Workload(ABC):
         self.execute(start, stop)
 
     def __getstate__(self) -> dict:
-        """Pickle without the :meth:`prefix_list` memo: the far side
-        rebuilds it from the prefix array on first use, for less than
-        it costs to ship a float list at nine bytes an entry."""
+        """Pickle what cannot be rebuilt: not the prefix sums (rebuilt
+        from the cost vector, see :meth:`__setstate__`) nor the
+        :meth:`prefix_list` memo (rebuilt on first use), each cheaper
+        to recompute than to ship at eight or nine bytes an entry."""
         state = self.__dict__.copy()
+        state.pop("_prefix", None)
         state.pop("_prefix_list", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        costs = self._costs
+        self._prefix = None if costs is None else _prefix_sums(costs)
 
     def __len__(self) -> int:
         return self._size

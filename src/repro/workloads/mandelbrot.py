@@ -119,8 +119,7 @@ class MandelbrotWorkload(Workload):
         if not (xmin < xmax and ymin < ymax):
             raise WorkloadError(f"degenerate domain {domain}")
         self.domain = (xmin, xmax, ymin, ymax)
-        self._xs = np.linspace(xmin, xmax, num=max(width, 1))
-        self._ys = np.linspace(ymin, ymax, num=height)
+        self._axes()
         # Column-count cache: computed on demand, shared by cost() and
         # execute() so simulation and execution agree exactly.
         self._columns: dict[int, np.ndarray] = {}
@@ -137,13 +136,26 @@ class MandelbrotWorkload(Workload):
             list(self.domain),
         ]
 
+    def _axes(self) -> None:
+        """The pixel coordinates: ``width`` real parts, ``height``
+        imaginary parts spanning the domain."""
+        xmin, xmax, ymin, ymax = self.domain
+        self._xs = np.linspace(xmin, xmax, num=max(self.width, 1))
+        self._ys = np.linspace(ymin, ymax, num=self.height)
+
     def __getstate__(self) -> dict:
         """Pickle without the column memo: pool workers re-derive any
         column they actually execute, and shipping a full-grid memo
-        (hundreds of MB at paper scale) would swamp job submission."""
+        (hundreds of MB at paper scale) would swamp job submission.
+        The axes are left out too: the window rebuilds them."""
         state = super().__getstate__()
         state["_columns"] = {}
+        del state["_xs"], state["_ys"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self._axes()
 
     # -- kernels ---------------------------------------------------------------
 

@@ -67,6 +67,16 @@ class ReorderedWorkload(Workload):
         self.perm = sampling_permutation(inner.size, sf)
         self.name = f"{inner.name}/Sf={sf}"
 
+    def __getstate__(self) -> dict:
+        """Pickle without ``perm``: ``size`` and ``sf`` rebuild it."""
+        state = super().__getstate__()
+        del state["perm"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self.perm = sampling_permutation(self.size, self.sf)
+
     def cost_signature(self):
         """Cacheable iff the inner profile is: the reordered vector is
         the inner signature plus the sampling frequency (which fixes

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.export import all_finite, json_text
 
 from ..conftest import assert_json_text
 
@@ -255,3 +258,41 @@ def test_events_json_is_the_json_of_the_dicts(events):
     # the dicts, and it is orjson's text of them whenever orjson can
     # write them exactly.
     assert_events_json(events)
+
+
+def _per_float_rule(doc: list) -> str:
+    """``json_text`` as it was: a ``math.isfinite`` call per float."""
+    if all(map(math.isfinite, doc)):
+        return orjson.dumps(doc).decode()
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def test_finite_floats_whose_sum_overflows_stay_orjson_text():
+    column = [1e308, 1e308]
+    assert not math.isfinite(sum(column))
+    assert all_finite([column])
+    assert json_text(column, [column]) == orjson.dumps(column).decode()
+    assert json_text(column, [column]) == "[1e308,1e308]"
+
+
+@pytest.mark.parametrize("value, token", [
+    (float("nan"), "NaN"), (float("inf"), "Infinity"),
+    (float("-inf"), "-Infinity"), (-0.0, "-0.0"),
+], ids=["nan", "inf", "-inf", "-0.0"])
+def test_non_finite_and_negative_zero_are_written_as_before(value, token):
+    doc = [1.5, value, 1e308, 1e308]
+    for columns in ([doc], [doc[:2], doc[2:]], [[], doc]):
+        assert all_finite(columns) == math.isfinite(value)
+        text = json_text(doc, columns)
+        assert text == _per_float_rule(doc)
+        assert token in text
+
+
+@given(st.lists(st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, float("inf")]),
+), max_size=8), st.integers(min_value=0, max_value=8))
+def test_column_test_agrees_with_the_per_float_rule(doc, cut):
+    columns = [doc[:cut], doc[cut:]]
+    assert all_finite(columns) == all(map(math.isfinite, doc))
+    assert json_text(doc, columns) == _per_float_rule(doc)

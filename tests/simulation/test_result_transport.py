@@ -1,12 +1,14 @@
-"""A result's chunks travel as rows: across a pickle, into ``to_dict``,
-into the text ``to_json`` writes and into ``row_dict``, the form a
-persisted sweep line holds.
+"""A result's chunks travel as rows: into ``to_dict``, into the text
+``to_json`` writes and into ``row_dict``, the form a persisted sweep
+line holds; across a pickle they travel as that line's text of them.
 
-``LazyChunkList`` pickles its field rows (and stays lazy on the far
-side), a DES result is row-backed like a fast-path one and crosses a
-pickle the same way, ``SimResult.to_dict`` builds its dicts from rows
-and fields, and ``SimResult.to_json`` writes ``to_dict`` with orjson
-(with ``json`` for what orjson cannot write exactly).  The reference
+``LazyChunkList`` pickles its rows' orjson text where that is exact,
+and its rows otherwise (and stays lazy on the far side, the text
+undecoded until read); a DES result is row-backed like a fast-path one
+and crosses a pickle the same way, ``SimResult.to_dict`` builds its
+dicts from rows and fields, and ``SimResult.to_json`` writes
+``to_dict`` with orjson (with ``json`` for what orjson cannot write
+exactly).  The reference
 throughout is the record-object form: ``list(original)`` for the
 pickle, ``dataclasses.asdict`` for the dicts, and ``to_dict`` for the
 text (read back by ``json``, and orjson's bytes whenever it can write
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pickle
 
 import numpy as np
@@ -142,6 +145,70 @@ def test_lazy_chunk_list_pickles_as_rows(rows, materialized):
     assert len(clone) == len(rows)
     assert list(clone) == list(original)
     assert list(clone) == [ChunkRecord(*row) for row in rows]
+
+
+#: Ints a row may hold: orjson writes -2**63 .. 2**64 - 1, and a row
+#: beyond that crosses a pickle as a row.
+_row_ints = st.one_of(
+    st.integers(min_value=-2 ** 63, max_value=2 ** 64 - 1),
+    st.integers(min_value=2 ** 64, max_value=2 ** 80),
+    st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, -2 ** 63 - 1]),
+)
+#: Times as a row holds them: any double, subnormals and -0.0 among
+#: them; a NaN or an infinity sends the rows across as rows.
+_row_times = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                     1e308, float("nan"), float("inf"), float("-inf")]),
+)
+_transport_rows = st.one_of(
+    st.tuples(_row_ints, _row_ints, _row_ints, _row_times, _row_times,
+              _row_ints),
+    st.tuples(_row_ints, _row_ints, _row_ints, _row_times, _row_times,
+              _row_ints, st.one_of(st.none(), _row_ints)),
+)
+
+
+def _orjson_int(value) -> bool:
+    return value is None or -2 ** 63 <= value < 2 ** 64
+
+
+@given(rows=st.lists(_transport_rows, max_size=12))
+def test_rows_cross_a_pickle_exactly(rows):
+    """Text where orjson writes every row exactly, rows elsewhere; the
+    far side reads the same values of the same types either way."""
+    clone = pickle.loads(pickle.dumps(LazyChunkList(list(rows))))
+    exact = all(
+        math.isfinite(row[3]) and math.isfinite(row[4])
+        and all(map(_orjson_int, row[:3] + row[5:]))
+        for row in rows
+    )
+    assert (clone.text() is not None) == exact
+    assert len(clone) == len(rows)
+    assert clone._rows is None or not exact
+    # ``repr`` tells 1 from 1.0 and -0.0 from 0.0, and NaN reads alike.
+    assert repr(clone.rows()) == repr(rows)
+    assert all(type(row) is tuple for row in clone.rows())
+
+
+def test_text_crosses_again_undecoded():
+    clone = pickle.loads(pickle.dumps(LazyChunkList(list(MASTER_ROWS))))
+    again = pickle.loads(pickle.dumps(clone))
+    assert clone._rows is None and again._rows is None
+    assert again.text() == clone.text() == json.dumps(
+        MASTER_ROWS, separators=(",", ":")).encode()
+    assert again.rows() == MASTER_ROWS
+
+
+@pytest.mark.parametrize("row", [
+    (0, 0, 5, np.float64(0.5), 1.5, 0),
+    (0, 0, 5, 0.5, 1.5, 0, np.int64(3)),
+], ids=["np-float64", "np-int64"])
+def test_numpy_scalars_cross_as_rows(row):
+    clone = pickle.loads(pickle.dumps(LazyChunkList([row])))
+    assert clone.text() is None
+    assert [tuple(map(type, r)) for r in clone.rows()] \
+        == [tuple(map(type, row))]
 
 
 def test_records_are_frozen_views_of_the_rows():

@@ -9,7 +9,7 @@ import os
 import pickle
 import signal
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import orjson
@@ -27,6 +27,7 @@ from repro.chaos import FaultPlan
 from repro.core import names
 from repro.experiments import paper_cluster, paper_workload
 from repro.simulation import ClusterSpec, NodeSpec
+from repro.simulation import metrics as metrics_mod
 from repro.simulation.metrics import LazyChunkList, SimResult, WorkerMetrics
 from repro.workloads import (
     GaussianPeakWorkload,
@@ -118,6 +119,81 @@ class TestSimJob:
         # ...but the Mandelbrot column memo does not.
         assert not clone.inner._columns
 
+    def test_pickle_rebuilds_what_it_leaves_out(self, batch_workload):
+        """The prefix sums, the sampling permutation and the Mandelbrot
+        axes stay out of the pickle and come back bit for bit."""
+        batch_workload.costs()
+        inner = batch_workload.inner
+        assert not {"_prefix", "perm"} & set(batch_workload.__getstate__())
+        assert not {"_prefix", "_xs", "_ys"} & set(inner.__getstate__())
+        clone = pickle.loads(pickle.dumps(batch_workload))
+        pairs = [
+            (batch_workload._prefix, clone._prefix),
+            (batch_workload.perm, clone.perm),
+            (inner._xs, clone.inner._xs),
+            (inner._ys, clone.inner._ys),
+        ]
+        if inner._costs is not None:
+            pairs.append((inner._prefix, clone.inner._prefix))
+        else:
+            assert clone.inner._prefix is None
+        for built, rebuilt in pairs:
+            assert rebuilt.dtype == built.dtype
+            assert rebuilt.tobytes() == built.tobytes()
+        assert not clone._prefix.flags.writeable
+        assert clone.prefix_list() == batch_workload.prefix_list()
+
+    @pytest.mark.parametrize("engine", ["master", "decentral", "tree"])
+    def test_job_runs_identically_after_a_pickle(self, batch_workload,
+                                                 batch_cluster, engine):
+        batch_workload.costs()
+        job = SimJob("TreeS" if engine == "tree" else "GSS",
+                     batch_workload, batch_cluster, engine=engine,
+                     params=dict(collect_results=True)
+                     if engine == "master" else {})
+        clone = pickle.loads(pickle.dumps(job))
+        result, again = job.run(), clone.run()
+        assert again.to_json(True) == result.to_json(True)
+        assert again.chunks == result.chunks
+        if engine == "master":
+            assert again.results.tobytes() == result.results.tobytes()
+
+    def test_key_is_computed_once_per_job(self, tmp_path, monkeypatch):
+        """``record`` and the resume lookups read one memo."""
+        described = collections.Counter()
+        describe = SimJob.describe
+        monkeypatch.setattr(
+            SimJob, "describe",
+            lambda self: described.update([id(self)]) or describe(self),
+        )
+        jobs = small_jobs(4)
+        path = str(tmp_path / "sweep.jsonl")
+        run_batch(jobs[:2], persist=path)
+        run_batch(jobs, persist=path, resume=True)
+        run_batch(jobs, persist=path, resume=True, pool=_SyncPool())
+        assert described == {id(job): 1 for job in jobs}
+
+    def test_replace_computes_a_fresh_key(self):
+        job = small_jobs(1)[0]
+        key = job.key
+        edited = dataclasses.replace(job, tag="other")
+        assert "key" not in vars(edited)
+        assert edited.key != key
+        assert edited.key == SimJob(job.scheme, job.workload, job.cluster,
+                                    tag="other").key
+        assert dataclasses.replace(job).key == key
+
+    def test_key_memo_stays_out_of_the_pickle(self):
+        job = small_jobs(1)[0]
+        # ``describe`` memoizes the workload's cost digest, a part of
+        # the workload's pickle: only the key's memo is under test.
+        job.describe()
+        before = pickle.dumps(job)
+        key = job.key
+        assert vars(job)["key"] == key
+        assert pickle.dumps(job) == before
+        assert pickle.loads(before).key == key
+
 
 class TestRunBatch:
     def test_results_in_submission_order(self, batch_workload,
@@ -205,7 +281,10 @@ def result_rows(result):
 
 
 class _SyncPool(object):
-    """Executor stub that runs inline and counts tasks and their jobs."""
+    """Executor stub that runs inline and counts tasks and their jobs.
+
+    Each task and its results cross a pickle, as they cross a process
+    pool's pipe: results arrive with their chunks as text."""
 
     _max_workers = 2
 
@@ -217,8 +296,29 @@ class _SyncPool(object):
         self.submitted += 1
         self.jobs += len(jobs)
         fut = Future()
-        fut.set_result(fn(jobs))
+        results = fn(pickle.loads(pickle.dumps(jobs)))
+        fut.set_result(pickle.loads(pickle.dumps(results)))
         return fut
+
+
+@pytest.fixture(scope="module")
+def process_pool():
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+def spy(monkeypatch, calls, owner, name, args=None):
+    """Count the calls of ``owner.name`` in ``calls`` (and keep their
+    arguments in ``args``)."""
+    real = getattr(owner, name)
+
+    def counted(*a, **kw):
+        calls[name] += 1
+        if args is not None:
+            args.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,6 +329,46 @@ class _KillJob(SimJob):
         os.kill(os.getpid(), signal.SIGTERM)
         time.sleep(5.0)  # interrupted by the translated signal
         raise AssertionError("SIGTERM was not delivered")
+
+
+@dataclasses.dataclass(frozen=True)
+class _NonFiniteJob(SimJob):
+    """A job whose result holds what orjson would write as ``null``: an
+    infinite time in a row (tag ``row-inf``: the rows cross a pool as
+    rows) or a NaN worker cell (``cell-nan``: the rows cross as text,
+    and the line falls back to ``json``)."""
+
+    def run(self, collector=None):
+        result = SimJob(self.scheme, self.workload, self.cluster).run()
+        if self.tag == "row-inf":
+            rows = list(result.chunks.rows())
+            rows[-1] = (*rows[-1][:4], float("inf"), *rows[-1][5:])
+            result.chunks = LazyChunkList(rows)
+        else:
+            result.workers[0].t_wait = float("nan")
+        return result
+
+
+def identity_jobs(case) -> list[SimJob]:
+    """Three or four jobs of one engine (or fault, or non-finite kind)."""
+    wl = GaussianPeakWorkload(120, amplitude=4.0)
+    cluster = ClusterSpec(nodes=[
+        NodeSpec(name=f"n{i}", speed=50.0 + 10.0 * i) for i in range(3)
+    ])
+    if case == "non-finite":
+        return [_NonFiniteJob("FSS", wl, cluster, tag=tag)
+                for tag in ("row-inf", "cell-nan", "row-inf")]
+    if case == "tree":
+        return [SimJob("TreeS", wl, cluster, engine="tree",
+                       params=dict(weighted=weighted, grain=grain))
+                for weighted, grain in ((True, 8), (False, 8), (True, 4))]
+    params = {}
+    if case == "chaos":
+        params["chaos"] = FaultPlan.random(3, workers=3, horizon=2.0)
+        assert params["chaos"].events
+    engine = "decentral" if case == "decentral" else "master"
+    return [SimJob(scheme, wl, cluster, engine=engine, params=params)
+            for scheme in ("FSS", "TSS", "GSS", "SS")]
 
 
 class TestStreamBatch:
@@ -408,30 +548,100 @@ class TestStreamBatch:
     def test_record_writes_one_json_text_and_no_dict_form(
         self, tmp_path, monkeypatch
     ):
-        """A persisted line is one ``json_text`` call over the row
-        form: the per-chunk dicts of ``to_dict`` / ``to_json`` are
-        never built on the way to disk."""
+        """A persisted line is one encode, and the per-chunk dicts of
+        ``to_dict`` / ``to_json`` are never built on the way to disk:
+        one ``json_text`` call over the row form for a result built
+        in-process; for one whose rows crossed a pool as text, no
+        ``json_text`` call but one ``orjson_exact`` over the head
+        alone, the text spliced after it."""
         calls = collections.Counter()
-
-        def spy(owner, name):
-            real = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        spy(SimResult, "to_dict")
-        spy(SimResult, "to_json")
-        spy(batch_mod, "json_text")
+        spy(monkeypatch, calls, SimResult, "to_dict")
+        spy(monkeypatch, calls, SimResult, "to_json")
+        spy(monkeypatch, calls, metrics_mod, "json_text")
+        spy(monkeypatch, calls, metrics_mod, "orjson_exact")
         jobs = small_jobs(4)
         path = str(tmp_path / "sweep.jsonl")
         run_batch(jobs, persist=path)
+        assert calls == {"json_text": len(jobs)}
         run_batch(jobs, persist=path, pool=_SyncPool())
+        assert calls == {"json_text": len(jobs), "orjson_exact": len(jobs)}
         lines = open(path, "rb").read().splitlines()
         assert len(lines) == 2 * len(jobs)
-        assert calls == {"json_text": len(lines)}
+        assert lines[:len(jobs)] == lines[len(jobs):]
+
+    def test_recording_rows_that_arrived_as_text_decodes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """The parent writes a pool result's line without decoding,
+        re-encoding or re-checking a row."""
+        job = small_jobs(1)[0]
+        here = job.run()
+        result = pickle.loads(pickle.dumps(here))
+        assert result.chunks.text() is not None
+        calls = collections.Counter()
+        encoded = []
+        spy(monkeypatch, calls, LazyChunkList, "rows")
+        spy(monkeypatch, calls, SimResult, "floats")
+        spy(monkeypatch, calls, metrics_mod, "json_text")
+        spy(monkeypatch, calls, metrics_mod, "orjson_exact")
+        spy(monkeypatch, calls, orjson, "dumps", encoded)
+        spy(monkeypatch, calls, orjson, "loads")
+        path = str(tmp_path / "sweep.jsonl")
+        sink = _Persister(path, resume=False)
+        sink.record(job, 0, result)
+        sink.close()
+        # One encode, of the head and the result's fields only.
+        assert calls == {"orjson_exact": 1, "dumps": 1}
+        [(doc,)] = encoded
+        assert list(doc["result"]) == ["scheme", "t_p", "rederivations",
+                                       "events", "workers"]
+        assert result.chunks._rows is None
+        monkeypatch.undo()
+        inline = str(tmp_path / "inline.jsonl")
+        sink = _Persister(inline, resume=False)
+        sink.record(job, 0, here)
+        sink.close()
+        assert open(path, "rb").read() == open(inline, "rb").read()
+
+    @pytest.mark.parametrize("case", [
+        "master", "decentral", "tree", "chaos", "non-finite",
+    ])
+    def test_pool_lines_are_the_in_process_lines(
+        self, tmp_path, monkeypatch, process_pool, case
+    ):
+        """A file written through a pool -- the pickling stub or two
+        real worker processes -- is byte for byte the in-process one,
+        and resumes to the same results."""
+        jobs = identity_jobs(case)
+        files, yielded = {}, {}
+        for name, pool in (("inline", None), ("stub", _SyncPool()),
+                           ("process", process_pool)):
+            path = str(tmp_path / f"{name}.jsonl")
+            yielded[name] = run_batch(jobs, persist=path, pool=pool)
+            files[name] = open(path, "rb").read()
+        assert files["stub"] == files["inline"]
+        assert files["process"] == files["inline"]
+        rows = [json.loads(line)["result"]["chunks"]
+                for line in files["inline"].splitlines()]
+        if case in ("master", "decentral"):
+            width = 7 if case == "master" else 6
+            assert {len(r) for chunks in rows for r in chunks} == {width}
+        # The transport was the text wherever it is exact.
+        texts = [r.chunks.text() is not None for r in yielded["stub"]]
+        assert texts == [job.tag != "row-inf" for job in jobs]
+        monkeypatch.setattr(
+            SimJob, "run",
+            lambda self: (_ for _ in ()).throw(
+                AssertionError("resume re-ran a persisted job")),
+        )
+        resumed = run_batch(jobs, persist=str(tmp_path / "process.jsonl"),
+                            resume=True)
+        # ``json.dumps`` writes NaN as NaN: the comparison holds there.
+        for expected in yielded.values():
+            assert [json.dumps(r.to_dict()) for r in resumed] \
+                == [json.dumps(r.to_dict()) for r in expected]
+        if case != "non-finite":
+            assert resumed == yielded["inline"] == yielded["process"]
 
     def test_resume_tolerates_torn_tail_line(self, tmp_path):
         jobs = small_jobs(3)
