@@ -19,13 +19,15 @@ parallelism lives:
 Before submission the parent resolves every workload's cost vector
 (persistent cache hit or one computation) so pool workers receive a
 precomputed profile inside the pickled workload and never re-derive
-the grid.  A workload pickles only what cannot be rebuilt: the
-Mandelbrot column memo, the prefix sums, the sampling permutation and
-the Mandelbrot axes stay behind and are rebuilt on the far side (see
-``Workload.__getstate__``).  The pool is fed *tasks* of several
-consecutive jobs (the paper's CSS(k), applied to our own sweep): one
-pickle per task, so a workload or cluster shared by the task's jobs
-crosses the pipe once, and the pool hop is paid once per task.
+the grid.  A workload pickles only what cannot be rebuilt, its
+constructor arguments and its resolved cost vector: every value it
+derives is a cached property, which the pickle leaves behind and the
+far side rebuilds (``workloads.base.uncached_state``; a job's
+:attr:`SimJob.key` memo stays behind by the same rule).  The pool is
+fed *tasks* of several consecutive jobs (the paper's CSS(k), applied
+to our own sweep): one pickle per task, so a workload or cluster
+shared by the task's jobs crosses the pipe once, and the pool hop is
+paid once per task.
 
 The per-result work is the workers', as a distributed chunk
 calculation moves the master's: each result's chunk rows come back as
@@ -73,7 +75,7 @@ from .decentral import simulate_decentral
 from .obs import BufferedCollector
 from .obs.logutil import get_logger
 from .simulation import ClusterSpec, SimResult, simulate, simulate_tree
-from .workloads import Workload
+from .workloads.base import Workload, uncached_state
 
 _log = get_logger("batch")
 
@@ -172,9 +174,7 @@ class SimJob(object):
     def __getstate__(self) -> dict:
         """Pickle the inputs only: a job's pickle bytes do not depend
         on whether its :attr:`key` was read."""
-        state = self.__dict__.copy()
-        state.pop("key", None)
-        return state
+        return uncached_state(self)
 
     def run(self, collector=None) -> SimResult:
         """Execute this job in the current process.

@@ -9,7 +9,7 @@ so it is cached **content-addressed**: :meth:`repro.workloads.Workload
 ``S_f``/permutation) and this module maps the key to the vector through
 two layers:
 
-* an **in-memory LRU** (per-process, bounded number of vectors) so
+* an **in-memory LRU** (per-process, :data:`MEMORY_SLOTS` vectors) so
   repeated lookups inside one run are free;
 * an **on-disk store** of ``.npy`` files under ``REPRO_CACHE_DIR``
   (default ``~/.cache/repro``) so a grid is computed once per machine,
@@ -42,6 +42,7 @@ import numpy as np
 __all__ = [
     "CACHE_VERSION",
     "ENV_CACHE_DIR",
+    "MEMORY_SLOTS",
     "default_cache_dir",
     "signature_key",
     "CostCache",
@@ -57,6 +58,9 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Header length (version stamp + payload length) in float64 slots.
 _HEADER = 2
+
+#: Vectors the in-memory LRU layer keeps per process.
+MEMORY_SLOTS = 64
 
 
 def default_cache_dir() -> Path:
@@ -96,17 +100,11 @@ class CostCache(object):
     def __init__(
         self,
         directory: Optional[os.PathLike] = None,
-        memory_slots: int = 64,
         enabled: bool = True,
     ) -> None:
-        if memory_slots < 0:
-            raise ValueError(
-                f"memory_slots must be >= 0, got {memory_slots}"
-            )
         self.directory = (
             Path(directory) if directory is not None else default_cache_dir()
         )
-        self.memory_slots = int(memory_slots)
         self.enabled = bool(enabled)
         self._memory: OrderedDict[str, np.ndarray] = OrderedDict()
         self.hits = 0
@@ -191,11 +189,9 @@ class CostCache(object):
             raise
 
     def _remember(self, key: str, vec: np.ndarray) -> None:
-        if self.memory_slots == 0:
-            return
         self._memory[key] = vec
         self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_slots:
+        while len(self._memory) > MEMORY_SLOTS:
             self._memory.popitem(last=False)
 
     # -- maintenance ------------------------------------------------------------
@@ -219,7 +215,7 @@ class CostCache(object):
         state = "on" if self.enabled else "off"
         return (
             f"<CostCache [{state}] dir={self.directory} "
-            f"mem={len(self._memory)}/{self.memory_slots} "
+            f"mem={len(self._memory)}/{MEMORY_SLOTS} "
             f"hits={self.hits} misses={self.misses}>"
         )
 
@@ -239,11 +235,8 @@ def get_cache() -> CostCache:
 def configure(
     directory: Optional[os.PathLike] = None,
     enabled: bool = True,
-    memory_slots: int = 64,
 ) -> CostCache:
     """Replace the active cache (CLI flags, tests) and return it."""
     global _active
-    _active = CostCache(
-        directory=directory, enabled=enabled, memory_slots=memory_slots
-    )
+    _active = CostCache(directory=directory, enabled=enabled)
     return _active

@@ -402,6 +402,17 @@ def _verify_chaos_report(
     return "\n".join(lines), ok
 
 
+def _runs_by_source(events) -> list[tuple[str, list]]:
+    """``(source, events)`` per event source with a ``result`` event,
+    sorted: a merged trace holds one run per substrate (auditing the
+    union would double-count), and helper sources carry no ledger."""
+    by_source: dict[str, list] = {}
+    for ev in events:
+        by_source.setdefault(ev.source, []).append(ev)
+    return [(source, by_source[source]) for source in sorted(by_source)
+            if any(e.kind == "result" for e in by_source[source])]
+
+
 def _trace_report(
     args: argparse.Namespace, workload=None
 ) -> tuple[str, bool]:
@@ -434,24 +445,15 @@ def _trace_report(
             trace_report(events, title=f"trace-report: {args.trace}"),
             "",
         ]
-        # A merged file may hold one run per substrate (that is the
-        # point of the unified schema), so coverage is audited per
-        # event source -- auditing the union would double-count.
-        by_source: dict[str, list] = {}
-        for ev in events:
-            by_source.setdefault(ev.source, []).append(ev)
+        runs = _runs_by_source(events)
         ok = True
-        for source in sorted(by_source):
-            if not any(e.kind == "result" for e in by_source[source]):
-                continue  # helper sources (e.g. chaos) carry no ledger
-            audit = audit_events(by_source[source], subject=source)
+        for source, run in runs:
+            audit = audit_events(run, subject=source)
             parts.append(audit.summary())
             ok = ok and audit.ok
-        for source in sorted(by_source):
-            if not any(e.kind == "result" for e in by_source[source]):
-                continue
+        for _source, run in runs:
             parts.append("")
-            parts.append(critical_path(by_source[source]).summary())
+            parts.append(critical_path(run).summary())
     else:
         from ..chaos import FaultPlan
         from ..decentral import run_decentral
@@ -531,18 +533,10 @@ def _critpath_report(
     from ..obs import capture, critical_path, fastpath_drift, read_jsonl
 
     if args.trace:
-        events = list(read_jsonl(args.trace))
-        by_source: dict[str, list] = {}
-        for ev in events:
-            by_source.setdefault(ev.source, []).append(ev)
         parts = [f"critpath-report: {args.trace}"]
-        for source in sorted(by_source):
-            if not any(e.kind == "result" for e in by_source[source]):
-                continue
+        for _source, run in _runs_by_source(read_jsonl(args.trace)):
             parts.append("")
-            parts.append(
-                critical_path(by_source[source]).summary()
-            )
+            parts.append(critical_path(run).summary())
         return "\n".join(parts), True
 
     from ..simulation import simulate

@@ -24,7 +24,7 @@ from .findings import Finding
 __all__ = [
     "INVARIANTS", "check_rep401", "check_rep402", "check_rep403",
     "check_rep404", "check_rep405", "check_rep406", "check_rep407",
-    "check_rep408", "check_rep409", "check_rep410",
+    "check_rep408", "check_rep409", "check_rep410", "check_rep411",
 ]
 
 #: ``{rule id: invariant (the PR that made it)}``: every message ends so.
@@ -39,6 +39,7 @@ INVARIANTS = {
     "REP408": "a documented bench command names a file (PR 30)",
     "REP409": "every module has a who-needs-it row (PR 18)",
     "REP410": "the who-needs-it rows are true (PR 37)",
+    "REP411": "a job and its workload pickle by one rule",
 }
 
 
@@ -548,3 +549,17 @@ def check_rep410(modules, config: LintConfig) -> Iterator[Finding]:
         if name in imported:
             yield _flag("REP410", arch, line, f"{name} is consumed but "
                         f"marked {_MARK}")
+
+
+def check_rep411(modules, config: LintConfig) -> Iterator[Finding]:
+    """``workloads/`` has one pickle hook, ``Workload.__getstate__`` in
+    ``workloads/base.py``: every derived value is a cached property,
+    which that hook leaves behind.  A subclass's own hook is how a memo
+    rode along in every task pickle before."""
+    hooks = ("__getstate__", "__setstate__", "__reduce__", "__reduce_ex__")
+    pkg = _package(modules, config)
+    found = [(f"{rel}:{node.name}", mod, node) for rel, mod in pkg.items()
+             if rel.startswith("workloads/") for node in mod.nodes
+             if isinstance(node, ast.FunctionDef) and node.name in hooks]
+    yield from _once("REP411", pkg, "a workload pickle hook", found,
+                     ["workloads/base.py:__getstate__"])

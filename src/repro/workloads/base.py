@@ -18,6 +18,11 @@ A :class:`Workload` exposes both faces a scheduling experiment needs:
 Costs are cached as a NumPy vector with a prefix-sum, so chunk costs are
 O(1) regardless of chunk size.
 
+A workload pickles by one rule (:func:`uncached_state`): what it
+derives is a :class:`functools.cached_property`, left behind and rebuilt
+on first read, so what crosses is its constructor arguments and its
+resolved cost vector.
+
 Workloads whose cost vector is a pure function of their construction
 parameters additionally expose :meth:`Workload.cost_signature`, which
 :meth:`Workload.cost_key` hashes into a content address; ``costs()``
@@ -28,6 +33,7 @@ computed once per machine rather than once per experiment module.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from abc import ABC, abstractmethod
 from typing import Optional
@@ -36,19 +42,27 @@ import numpy as np
 
 from .. import cache as _cost_cache
 
-__all__ = ["Workload", "WorkloadError"]
+__all__ = ["Workload", "WorkloadError", "uncached_state"]
 
 
 class WorkloadError(ValueError):
     """Raised for invalid workload parameters or out-of-range indices."""
 
 
-def _prefix_sums(costs: np.ndarray) -> np.ndarray:
-    """``[0, L(0), L(0) + L(1), ...]``, read-only: the one definition,
-    so a rebuilt prefix is bit-identical to the installed one."""
-    prefix = np.concatenate(([0.0], np.cumsum(costs)))
-    prefix.setflags(write=False)
-    return prefix
+@functools.cache
+def _cached_names(cls: type) -> frozenset:
+    """The names of ``cls``'s cached properties, inherited ones too."""
+    return frozenset(
+        name for klass in cls.__mro__ for name, attr in vars(klass).items()
+        if isinstance(attr, functools.cached_property)
+    )
+
+
+def uncached_state(obj) -> dict:
+    """``obj``'s instance state without its cached properties' values:
+    a pickle's bytes do not depend on which derived values were read."""
+    drop = _cached_names(type(obj))
+    return {k: v for k, v in obj.__dict__.items() if k not in drop}
 
 
 class Workload(ABC):
@@ -59,7 +73,6 @@ class Workload(ABC):
             raise WorkloadError(f"size must be >= 0, got {size}")
         self._size = int(size)
         self._costs: Optional[np.ndarray] = None
-        self._prefix: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -94,10 +107,6 @@ class Workload(ABC):
             return None
         return _cost_cache.signature_key(signature)
 
-    #: memo of :meth:`cost_digest`; an instance attribute only once
-    #: computed, so workloads that never need it pickle without it.
-    _cost_digest: Optional[str] = None
-
     def cost_digest(self) -> str:
         """sha256 of the resolved cost vector, computed once.
 
@@ -105,13 +114,14 @@ class Workload(ABC):
         two such workloads of one class and size are told apart only
         by what ``L(i)`` they resolve to.
         """
-        costs = self.costs()
-        if self._cost_digest is None:
-            self._cost_digest = hashlib.sha256(costs.tobytes()).hexdigest()
         return self._cost_digest
 
-    def _install_costs(self, costs: np.ndarray) -> np.ndarray:
-        """Validate, freeze, and prefix-sum a cost vector."""
+    @functools.cached_property
+    def _cost_digest(self) -> str:
+        return hashlib.sha256(self.costs().tobytes()).hexdigest()
+
+    def _checked(self, costs: np.ndarray) -> np.ndarray:
+        """Validate and freeze a cost vector."""
         costs = np.ascontiguousarray(costs, dtype=np.float64)
         if costs.shape != (self._size,):
             raise WorkloadError(
@@ -123,31 +133,36 @@ class Workload(ABC):
             raise WorkloadError("iteration costs must be finite and >= 0")
         costs = costs.copy() if not costs.flags.owndata else costs
         costs.setflags(write=False)
-        self._costs = costs
-        vars(self).pop("_cost_digest", None)
-        vars(self).pop("_prefix_list", None)
-        self._prefix = _prefix_sums(costs)
         return costs
 
-    def costs(self) -> np.ndarray:
-        """The full cost vector, computed once and cached (read-only).
+    def _resolve_costs(self) -> np.ndarray:
+        """The cost vector, installed on no one: this instance's, else
+        the persistent cache's (:mod:`repro.cache`, by :meth:`cost_key`),
+        else ``_compute_costs()``, written back to that cache."""
+        if self._costs is not None:
+            return self._costs
+        key = self.cost_key()
+        cached = _cost_cache.get_cache().get(key)
+        if cached is not None:
+            try:
+                return self._checked(cached)
+            except WorkloadError:
+                pass  # poisoned entry: recompute below
+        costs = self._checked(self._compute_costs())
+        _cost_cache.get_cache().put(key, costs)
+        return costs
 
-        Lookup order: this instance's memo, the persistent cost-profile
-        cache (:mod:`repro.cache`, keyed by :meth:`cost_key`), and only
-        then ``_compute_costs()``; a fresh computation is written back
-        to the persistent cache.
-        """
+    @functools.cached_property
+    def _resolved(self) -> np.ndarray:
+        """What the default :meth:`execute` reads: executing a
+        wrapper's inner loop installs nothing on it."""
+        return self._resolve_costs()
+
+    def costs(self) -> np.ndarray:
+        """The full cost vector, resolved and installed once (read-only),
+        before any other derived value reads it."""
         if self._costs is None:
-            key = self.cost_key()
-            cached = _cost_cache.get_cache().get(key)
-            if cached is not None:
-                try:
-                    self._install_costs(cached)
-                except WorkloadError:
-                    cached = None  # poisoned entry: recompute below
-            if cached is None:
-                self._install_costs(self._compute_costs())
-                _cost_cache.get_cache().put(key, self._costs)
+            self._costs = self._resolved
         return self._costs
 
     def cost(self, index: int) -> float:
@@ -164,13 +179,15 @@ class Workload(ABC):
             raise WorkloadError(
                 f"chunk [{start}, {stop}) out of range [0, {self._size}]"
             )
-        self.costs()
-        assert self._prefix is not None
-        return float(self._prefix[stop] - self._prefix[start])
+        prefix = self._prefix
+        return float(prefix[stop] - prefix[start])
 
-    #: memo of :meth:`prefix_list`; an instance attribute only once
-    #: computed, and never pickled (see :meth:`__getstate__`).
-    _prefix_list: Optional[list[float]] = None
+    @functools.cached_property
+    def _prefix(self) -> np.ndarray:
+        """``[0, L(0), L(0) + L(1), ...]``, read-only."""
+        prefix = np.concatenate(([0.0], np.cumsum(self.costs())))
+        prefix.setflags(write=False)
+        return prefix
 
     def prefix_list(self) -> list[float]:
         """The cost prefix sums as a plain float list, built once.
@@ -180,11 +197,11 @@ class Workload(ABC):
         simulators' inner loops read this.  No range check: the caller
         owns it.
         """
-        if self._prefix_list is None:
-            self.costs()
-            assert self._prefix is not None
-            self._prefix_list = self._prefix.tolist()
         return self._prefix_list
+
+    @functools.cached_property
+    def _prefix_list(self) -> list[float]:
+        return self._prefix.tolist()
 
     def total_cost(self) -> float:
         """Total serial basic computations of the whole loop."""
@@ -206,7 +223,7 @@ class Workload(ABC):
             raise WorkloadError(
                 f"chunk [{start}, {stop}) out of range [0, {self._size}]"
             )
-        return np.asarray(self.costs()[start:stop])
+        return np.asarray(self._resolved[start:stop])
 
     def execute_serial(self) -> np.ndarray:
         """Run the whole loop serially (baseline for correctness/speedup)."""
@@ -222,19 +239,8 @@ class Workload(ABC):
         self.execute(start, stop)
 
     def __getstate__(self) -> dict:
-        """Pickle what cannot be rebuilt: not the prefix sums (rebuilt
-        from the cost vector, see :meth:`__setstate__`) nor the
-        :meth:`prefix_list` memo (rebuilt on first use), each cheaper
-        to recompute than to ship at eight or nine bytes an entry."""
-        state = self.__dict__.copy()
-        state.pop("_prefix", None)
-        state.pop("_prefix_list", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        costs = self._costs
-        self._prefix = None if costs is None else _prefix_sums(costs)
+        """Pickle what cannot be rebuilt (see :func:`uncached_state`)."""
+        return uncached_state(self)
 
     def __len__(self) -> int:
         return self._size

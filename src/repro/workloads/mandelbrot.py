@@ -27,6 +27,8 @@ only its own columns.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .base import Workload, WorkloadError
@@ -119,10 +121,6 @@ class MandelbrotWorkload(Workload):
         if not (xmin < xmax and ymin < ymax):
             raise WorkloadError(f"degenerate domain {domain}")
         self.domain = (xmin, xmax, ymin, ymax)
-        self._axes()
-        # Column-count cache: computed on demand, shared by cost() and
-        # execute() so simulation and execution agree exactly.
-        self._columns: dict[int, np.ndarray] = {}
 
     def cost_signature(self) -> list:
         """Everything that determines the Figure 1 profile -- class,
@@ -136,26 +134,25 @@ class MandelbrotWorkload(Workload):
             list(self.domain),
         ]
 
-    def _axes(self) -> None:
-        """The pixel coordinates: ``width`` real parts, ``height``
-        imaginary parts spanning the domain."""
-        xmin, xmax, ymin, ymax = self.domain
-        self._xs = np.linspace(xmin, xmax, num=max(self.width, 1))
-        self._ys = np.linspace(ymin, ymax, num=self.height)
+    @functools.cached_property
+    def _xs(self) -> np.ndarray:
+        """The pixel columns' real parts, ``width`` of them."""
+        xmin, xmax, _, _ = self.domain
+        return np.linspace(xmin, xmax, num=max(self.width, 1))
 
-    def __getstate__(self) -> dict:
-        """Pickle without the column memo: pool workers re-derive any
-        column they actually execute, and shipping a full-grid memo
-        (hundreds of MB at paper scale) would swamp job submission.
-        The axes are left out too: the window rebuilds them."""
-        state = super().__getstate__()
-        state["_columns"] = {}
-        del state["_xs"], state["_ys"]
-        return state
+    @functools.cached_property
+    def _ys(self) -> np.ndarray:
+        """The pixel rows' imaginary parts, ``height`` of them."""
+        _, _, ymin, ymax = self.domain
+        return np.linspace(ymin, ymax, num=self.height)
 
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._axes()
+    @functools.cached_property
+    def _columns(self) -> dict[int, np.ndarray]:
+        """Column-count memo, filled on demand and shared by cost() and
+        execute() so simulation and execution agree exactly.  A pool
+        worker re-derives any column it executes: a full-grid memo is
+        hundreds of MB at paper scale."""
+        return {}
 
     # -- kernels ---------------------------------------------------------------
 

@@ -18,6 +18,8 @@ original order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .base import Workload, WorkloadError
@@ -61,21 +63,18 @@ class ReorderedWorkload(Workload):
     """
 
     def __init__(self, inner: Workload, sf: int) -> None:
+        if sf < 1:
+            raise WorkloadError(f"sampling frequency must be >= 1, got {sf}")
         super().__init__(inner.size)
         self.inner = inner
         self.sf = int(sf)
-        self.perm = sampling_permutation(inner.size, sf)
         self.name = f"{inner.name}/Sf={sf}"
 
-    def __getstate__(self) -> dict:
-        """Pickle without ``perm``: ``size`` and ``sf`` rebuild it."""
-        state = super().__getstate__()
-        del state["perm"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self.perm = sampling_permutation(self.size, self.sf)
+    @functools.cached_property
+    def perm(self) -> np.ndarray:
+        """``perm[new_index] = original_index``: ``size`` and ``sf``
+        rebuild it."""
+        return sampling_permutation(self.size, self.sf)
 
     def cost_signature(self):
         """Cacheable iff the inner profile is: the reordered vector is
@@ -87,7 +86,7 @@ class ReorderedWorkload(Workload):
         return ["reordered", self.sf, inner]
 
     def _compute_costs(self) -> np.ndarray:
-        inner_costs = self.inner.costs()
+        inner_costs = self.inner._resolve_costs()
         return inner_costs[self.perm] if self.size else inner_costs
 
     def execute(self, start: int, stop: int) -> np.ndarray:

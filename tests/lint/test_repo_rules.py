@@ -60,6 +60,15 @@ MUTANTS = [
                   "examples/use.py": "import repro.extra\n",
                   "tests/test_extra.py": "from repro.extra import helper\n"},
                  "REP410", "repro.extra.helper", id="REP410-tests-only-def"),
+    # the hooks the sampling wrapper and the Mandelbrot loop had
+    pytest.param({"src/repro/workloads/base.py": (
+        "class Workload:\n    def __getstate__(self):\n"
+        "        return uncached_state(self)\n"),
+        "src/repro/workloads/reorder.py": (
+        "class ReorderedWorkload(Workload):\n"
+        "    def __setstate__(self, state):\n"
+        "        self.__dict__.update(state)\n")},
+        "REP411", "reorder.py", id="REP411-second-pickle-hook"),
 ]
 
 

@@ -133,10 +133,8 @@ class TestSimJob:
             (inner._xs, clone.inner._xs),
             (inner._ys, clone.inner._ys),
         ]
-        if inner._costs is not None:
-            pairs.append((inner._prefix, clone.inner._prefix))
-        else:
-            assert clone.inner._prefix is None
+        # The wrapper resolved the inner vector without installing it.
+        assert inner._costs is None and clone.inner._costs is None
         for built, rebuilt in pairs:
             assert rebuilt.dtype == built.dtype
             assert rebuilt.tobytes() == built.tobytes()
@@ -185,9 +183,9 @@ class TestSimJob:
 
     def test_key_memo_stays_out_of_the_pickle(self):
         job = small_jobs(1)[0]
-        # ``describe`` memoizes the workload's cost digest, a part of
-        # the workload's pickle: only the key's memo is under test.
-        job.describe()
+        # Resolved costs are part of the workload's pickle; everything
+        # the key derives from them (the cost digest) is not.
+        job.workload.costs()
         before = pickle.dumps(job)
         key = job.key
         assert vars(job)["key"] == key

@@ -65,9 +65,6 @@ class TestProtocol:
         clone = pickle.loads(pickle.dumps(wl))
         assert "_prefix_list" not in vars(clone)
         assert clone.prefix_list() == pref
-        # Re-installed costs drop the memo with the prefix array.
-        wl._install_costs(np.ones(wl.size))
-        assert wl.prefix_list() == [float(i) for i in range(wl.size + 1)]
 
     def test_costs_are_read_only(self, uniform_workload):
         with pytest.raises(ValueError):

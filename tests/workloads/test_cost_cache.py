@@ -154,12 +154,11 @@ class TestRobustness:
 
 
 class TestLru:
-    def test_memory_layer_is_bounded(self, tmp_path):
+    def test_memory_layer_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "MEMORY_SLOTS", 2)
         previous = cache.get_cache()
         try:
-            store = cache.configure(
-                directory=tmp_path / "lru", memory_slots=2
-            )
+            store = cache.configure(directory=tmp_path / "lru")
             for i in range(5):
                 store.put(f"key{i}", np.full(3, float(i)))
             assert len(store._memory) == 2
