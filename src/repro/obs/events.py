@@ -143,8 +143,9 @@ class ObsEvent(NamedTuple):
     chassis's ``compute``, each engine's ``request``/``assign``/
     ``result``/``fetch-add``) emit rows, and :class:`EventList` turns
     them into events when they are read.  It is still a *tuple* to
-    ``json``: anything leaving the process goes through
-    :meth:`to_dict`.
+    ``json``: a traced reply ships rows on purpose
+    (:func:`~repro.obs.export.events_json`); anything else leaving the
+    process goes through :meth:`to_dict`.
 
     ``worker`` is ``-1`` for events not attributable to one worker
     (e.g. a master stall).  ``value`` is the kind-specific measurement
@@ -169,7 +170,8 @@ class ObsEvent(NamedTuple):
         """Compact dict form: unset optional fields are omitted.
 
         Written out field by field from one unpacking of the tuple: a
-        traced job's ``wait`` reply builds one per event.
+        watch batch, a ``trace`` reply and a JSONL line build one per
+        event.
         """
         (kind, source, t, worker, start, stop, stage, acp, value,
          detail, wall) = self

@@ -235,25 +235,29 @@ def tiling_digest(chunks) -> str:
 #: :mod:`json`'s compact writer: what :func:`json_text` falls back to.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _T, _VALUE, _WALL = (operator.itemgetter(i) for i in (2, 8, 10))
-#: :meth:`ObsEvent.to_dict` as a plain function: it unpacks its
-#: argument, so it writes a row as it writes the event.
-_to_dict = ObsEvent.to_dict
 
 
 def all_finite(columns: Iterable[Sequence]) -> bool:
     """True when every number of every column is finite.
 
-    One C-level ``sum`` per column: a NaN or an infinity makes the sum
-    non-finite, so a finite sum clears the whole column.  Only a
-    column whose sum is not finite -- it holds a NaN or an infinity,
-    or its finite numbers overflow -- is scanned number by number.
-    Raises ``TypeError`` on a non-number and ``OverflowError`` on an
-    int too large to be a float, as :func:`math.isfinite` does.
+    One C-level :func:`math.fsum` per column: a NaN or an infinity
+    makes the sum non-finite (or raises ``ValueError`` for ``inf +
+    -inf``), so a finite sum clears the whole column.  Only a column
+    whose sum is not finite or overflows is scanned number by number.
+    ``fsum`` adds C doubles, so numpy scalars that overflow raise
+    ``OverflowError`` here rather than warn.  Raises ``TypeError`` on
+    a non-number and ``OverflowError`` on an int too large to be a
+    float, as :func:`math.isfinite` does.
     """
-    return all(
-        math.isfinite(sum(column)) or all(map(math.isfinite, column))
-        for column in columns
-    )
+    for column in columns:
+        try:
+            if math.isfinite(math.fsum(column)):
+                continue
+        except (OverflowError, ValueError):
+            pass
+        if not all(map(math.isfinite, column)):
+            return False
+    return True
 
 
 def orjson_exact(doc: Any,
@@ -291,20 +295,24 @@ def json_text(doc: Any, columns: Iterable[Sequence]) -> str:
 
 
 def events_json(events: Sequence[ObsEvent]) -> str:
-    """Compact JSON array text of ``[ev.to_dict() for ev in events]``.
+    """Compact JSON array text of the trace's rows: one array of the
+    eleven :class:`ObsEvent` fields in order per event, ``null`` for
+    an unset field.
 
     The writer used where a trace leaves the process (the ``trace``
     member of a ``wait`` reply), through :func:`json_text`:
-    ``json.loads(events_json(evs)) == [ev.to_dict() for ev in evs]``,
-    and the text is orjson's whenever every value is finite and
-    encodable (``tests/obs/test_export.py`` holds both).  Like
-    :func:`stream_digest` it reads an :class:`EventList`'s rows.
+    ``json.loads(events_json(evs)) == [list(ev) for ev in evs]``, and
+    the text is orjson's whenever every value is finite and encodable
+    (``tests/obs/test_export.py`` holds both).  Like
+    :func:`stream_digest` it reads an :class:`EventList`'s rows; an
+    ``ObsEvent`` among them is copied to a plain tuple, which orjson
+    writes (it refuses a named tuple).
     """
-    rows = _rows(events)
+    rows = list(map(tuple, _rows(events)))
     columns = (
         list(map(_T, rows)),
         # ``None`` (unset) and 0.0 are left out alike: 0.0 is finite.
         list(filter(None, map(_VALUE, rows))),
         list(filter(None, map(_WALL, rows))),
     )
-    return json_text(list(map(_to_dict, rows)), columns)
+    return json_text(rows, columns)

@@ -394,7 +394,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.command == "submit":
                 job_id = client.submit(_spec_from_args(args))
                 if args.wait:
-                    _dump(client.wait(job_id, timeout=args.timeout))
+                    reply = client.wait(job_id, timeout=args.timeout)
+                    if "trace" in reply:
+                        # Printed as one dict per event, not as rows.
+                        reply["trace"] = [
+                            ev.to_dict() for ev in reply["trace"]
+                        ]
+                    _dump(reply)
                 else:
                     _dump({"job_id": job_id})
             elif args.command == "status":

@@ -23,6 +23,7 @@ import socket
 import time
 from typing import Any, Optional
 
+from ..obs import EventList
 from .protocol import ProtocolError, recv_frame, send_frame
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -206,6 +207,12 @@ class ServiceClient(object):
         payload (``result``, ``digest``, ``state``, ``requeues``,
         optionally ``results`` / ``trace``).
 
+        A shipped ``trace`` arrives as rows (one array of the eleven
+        event fields per event) and is returned as an
+        :class:`~repro.obs.EventList` over them: ``len`` and
+        :func:`~repro.obs.stream_digest` read the rows, and an event
+        is built only when the trace is read.
+
         The daemon answers ``timeout`` after ``timeout`` seconds (none
         given, or 0: it waits for the job), so the read waits that
         long plus :data:`WAIT_MARGIN`, or blocks -- never the socket
@@ -214,9 +221,12 @@ class ServiceClient(object):
         doc: dict[str, Any] = {"op": "wait", "job_id": job_id}
         if timeout is not None:
             doc["timeout"] = timeout
-        return self._checked(
+        reply = self._checked(
             doc, max(timeout, 0.0) + WAIT_MARGIN if timeout else None
         )
+        if "trace" in reply:
+            reply["trace"] = EventList(reply["trace"])
+        return reply
 
     def run(
         self, job: dict[str, Any], timeout: Optional[float] = None

@@ -164,10 +164,12 @@ def _execute_body(
     ``body`` is the job's share of its ``wait`` reply, encoded here,
     once: a JSON object of ``digest``, ``events_emitted``, ``result``
     (:meth:`~repro.simulation.metrics.SimResult.to_json`) and (on
-    request) ``trace`` (:func:`~repro.obs.events_json`), joined as
-    bytes -- or of ``error`` alone, with a ``None`` digest, when the
-    job or its encoding raised.  Nothing downstream decodes it: the
-    pool stores the bytes, the daemon frames them.
+    request) ``trace`` (:func:`~repro.obs.events_json`: one row of
+    the eleven event fields per event, written from the trace's rows
+    without building an event or a dict), joined as bytes -- or of
+    ``error`` alone, with a ``None`` digest, when the job or its
+    encoding raised.  Nothing downstream decodes it: the pool stores
+    the bytes, the daemon frames them.
 
     **Which jobs observe.**  A job whose reply ships no trace and that
     no subscriber streams (``want_trace`` false, no ``collector``) is

@@ -102,9 +102,10 @@ def _rows_text(rows: list[tuple]) -> Optional[bytes]:
     A row holds :class:`ChunkRecord`'s field types: ints, the two
     times, an int or None ``acp``.  orjson writes a NaN or an infinity
     as ``null``, so the time columns must be finite (one C-level
-    ``sum`` each, :func:`~repro.obs.export.all_finite`); it refuses,
-    without options, a numpy scalar, an int subclass, an int beyond 64
-    bits and anything else it would not read back as the same type.
+    ``math.fsum`` each, :func:`~repro.obs.export.all_finite`); it
+    refuses, without options, a numpy scalar, an int subclass, an int
+    beyond 64 bits and anything else it would not read back as the
+    same type.
     """
     try:
         if all_finite((list(map(_ASSIGNED_AT, rows)),

@@ -243,6 +243,9 @@ class GaussianPeakWorkload(Workload):
 
     def _compute_costs(self) -> np.ndarray:
         i = np.arange(self.size, dtype=np.float64)
-        return self.floor + self.amplitude * np.exp(
-            -(((i - self.center) / self.width) ** 2)
-        )
+        # Huge ``floor`` and ``amplitude`` overflow to inf here, which
+        # ``_checked`` then refuses as a non-finite cost.
+        with np.errstate(over="ignore"):
+            return self.floor + self.amplitude * np.exp(
+                -(((i - self.center) / self.width) ** 2)
+            )

@@ -14,11 +14,15 @@ import collections
 import hashlib
 import json
 import pickle
+import socket
+import threading
 
+import orjson
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.batch import SimJob
+from repro.chaos import FaultPlan, MessageDelay, WorkerDeath
 from repro.obs import (
     EVENT_KINDS,
     LIFECYCLE_KINDS,
@@ -30,6 +34,10 @@ from repro.obs import (
     events_json,
     stream_digest,
 )
+from repro.service import ServiceClient
+from repro.service.jobs import job_from_spec
+from repro.service.pool import _execute_body
+from repro.service.protocol import recv_frame, send_frame
 from repro.simulation import SimulationError
 from repro.workloads import GaussianPeakWorkload
 
@@ -137,10 +145,11 @@ def test_a_row_of_the_wrong_width_raises_when_read(width, row):
 _CHUNK_KINDS = LIFECYCLE_KINDS | {"fetch-add"}
 
 
-@pytest.mark.parametrize("engine", ["master", "decentral", "tree"])
-def test_digest_and_wire_text_build_no_chunk_event(engine, monkeypatch):
+def _count_events(monkeypatch) -> collections.Counter:
+    """Count, by kind, every ``ObsEvent`` built and (under the key
+    ``"to_dict"``) every ``ObsEvent.to_dict`` call, until undone."""
     built: collections.Counter = collections.Counter()
-    new, make = ObsEvent.__new__, ObsEvent._make
+    new, make, to_dict = ObsEvent.__new__, ObsEvent._make, ObsEvent.to_dict
 
     def counting_new(cls, *args, **kwargs):
         event = new(cls, *args, **kwargs)
@@ -152,8 +161,19 @@ def test_digest_and_wire_text_build_no_chunk_event(engine, monkeypatch):
         built[event.kind] += 1
         return event
 
+    def counting_to_dict(event):
+        built["to_dict"] += 1
+        return to_dict(event)
+
     monkeypatch.setattr(ObsEvent, "__new__", counting_new)
     monkeypatch.setattr(ObsEvent, "_make", classmethod(counting_make))
+    monkeypatch.setattr(ObsEvent, "to_dict", counting_to_dict)
+    return built
+
+
+@pytest.mark.parametrize("engine", ["master", "decentral", "tree"])
+def test_digest_and_wire_text_build_no_chunk_event(engine, monkeypatch):
+    built = _count_events(monkeypatch)
     job = SimJob(
         "TSS", GaussianPeakWorkload(300, amplitude=6.0),
         make_cluster(), engine=engine, collect_events=True,
@@ -192,4 +212,84 @@ def test_rows_give_the_events_digest_and_wire_text(substrate, fault):
     assert digest == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     assert digest == stream_digest(materialized)
     assert text == events_json(materialized)
-    assert json.loads(text) == [ev.to_dict() for ev in materialized]
+    assert json.loads(text) == [list(ev) for ev in materialized]
+
+
+#: A traced service job per engine, chaos included: the fault events
+#: and ``terminate`` are ``ObsEvent`` objects among the rows.
+_TRACED = {
+    "scheme": "TSS",
+    "workload": {"kind": "gaussian-peak", "size": 300, "amplitude": 6.0},
+    "cluster": {"workers": 3},
+    "chaos": FaultPlan(events=(
+        WorkerDeath(worker=1, at=0.02),
+        MessageDelay(worker=2, at=0.0, delay=0.01),
+    )).to_json(),
+}
+
+
+@pytest.mark.parametrize("engine", ["master", "decentral", "tree"])
+def test_a_traced_reply_body_calls_no_to_dict(engine, monkeypatch):
+    """The pool worker writes a traced reply from the rows: no
+    ``to_dict`` call, and no event built for a DES-emitted row."""
+    spec = dict(_TRACED, engine=engine)
+    built = _count_events(monkeypatch)
+    digest, body = _execute_body(spec, False, True)
+    assert digest is not None, body
+    shipped = orjson.loads(body)["trace"]
+    assert built["to_dict"] == 0, built
+    assert not _CHUNK_KINDS & set(built), built
+    assert built["fault"] > 0  # the plan fired, as an event among rows
+
+    monkeypatch.undo()
+    one_shot = job_from_spec(spec).run().obs_events
+    rows = sum(type(row) is tuple for row in one_shot.rows())
+    assert rows + sum(built.values()) == len(shipped) == len(one_shot)
+
+
+class _Peer(object):
+    """One end of a socketpair standing in for the daemon: it answers
+    every request with ``reply``, its ``seq`` set to the request's."""
+
+    def __init__(self, reply: dict) -> None:
+        mine, self.sock = socket.socketpair()
+        mine.settimeout(10.0)
+        self._reply = reply
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+        self.client = ServiceClient(mine, tenant="alice")
+
+    def _serve(self) -> None:
+        try:
+            while (doc := recv_frame(self.sock)) is not None:
+                send_frame(self.sock, dict(self._reply, seq=doc["seq"]))
+        except OSError:
+            return  # closed by the test
+
+    def close(self) -> None:
+        self.client.close()
+        self.sock.close()
+        self._thread.join(timeout=5.0)
+
+
+def test_wait_builds_no_event_until_the_trace_is_read(monkeypatch):
+    events = SimJob(
+        "TSS", GaussianPeakWorkload(300, amplitude=6.0),
+        make_cluster(), collect_events=True,
+    ).run().obs_events
+    expected = list(events)
+    peer = _Peer({"ok": True, "state": "done",
+                  "digest": stream_digest(events),
+                  "trace": json.loads(events_json(events))})
+    built = _count_events(monkeypatch)
+    try:
+        reply = peer.client.wait("alice-000001", timeout=5.0)
+    finally:
+        peer.close()
+    trace = reply["trace"]
+    assert type(trace) is EventList
+    assert len(trace) == len(expected)
+    assert stream_digest(trace) == reply["digest"]
+    assert not built, built
+    assert list(trace) == expected
+    assert sum(built.values()) == len(expected)

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from repro.obs import (
     EVENT_KINDS,
+    EventList,
     ObsEvent,
     canonical_stream,
     events_json,
@@ -180,30 +181,34 @@ def test_stream_digest_is_the_digest_of_the_canonical_stream(events):
 
 
 def assert_events_json(events) -> None:
-    assert_json_text(events_json(events), [ev.to_dict() for ev in events])
+    """The text is the events' rows, and the same whether the trace
+    holds ``ObsEvent`` objects or plain tuples (as the DES emits)."""
+    text = events_json(events)
+    assert_json_text(text, [list(ev) for ev in events])
+    assert events_json(EventList([tuple(ev) for ev in events])) == text
 
 
 def test_events_json_literal():
     assert events_json([]) == "[]"
     assert events_json(EVENTS[:1] + EVENTS[4:5]) == (
-        '[{"kind":"request","source":"sim.master","t":0.0,"worker":0},'
-        '{"kind":"fault","source":"chaos","t":0.6,"worker":1,'
-        '"detail":"death"}]'
+        '[["request","sim.master",0.0,0,null,null,null,null,null,"",'
+        'null],["fault","chaos",0.6,1,null,null,null,null,null,'
+        '"death",null]]'
     )
     assert_events_json(EVENTS)
     # orjson's forms, where ``json`` would write 1e+16 and \u2603.
     text = events_json([EVENTS[0]._replace(t=1e16, detail="\u2603")])
-    assert "1e+16" not in text and '"detail":"\u2603"' in text
+    assert "1e+16" not in text and ',"\u2603",' in text
 
 
 @pytest.mark.parametrize("event, token", [
     # orjson would write a non-finite float as ``null``.
-    (EVENTS[0]._replace(t=float("nan")), '"t":NaN'),
-    (EVENTS[2]._replace(value=float("inf")), '"value":Infinity'),
-    (EVENTS[0]._replace(wall=np.float64("-inf")), '"wall":-Infinity'),
+    (EVENTS[0]._replace(t=float("nan")), '"sim.master",NaN,0,'),
+    (EVENTS[2]._replace(value=float("inf")), ',Infinity,""'),
+    (EVENTS[0]._replace(wall=np.float64("-inf")), ',-Infinity]'),
     # orjson refuses these outright.
-    (EVENTS[1]._replace(stop=2 ** 64), '"stop":18446744073709551616'),
-    (EVENTS[4]._replace(detail="\udfff"), '"detail":"\\udfff"'),
+    (EVENTS[1]._replace(stop=2 ** 64), ',0,18446744073709551616,'),
+    (EVENTS[4]._replace(detail="\udfff"), ',"\\udfff",'),
 ], ids=["nan-t", "inf-value", "np-inf-wall", "int-beyond-64-bits",
         "lone-surrogate"])
 def test_events_json_falls_back_to_json_exactly_there(event, token):
@@ -253,10 +258,10 @@ _wire_events = st.builds(
 
 
 @given(st.lists(_wire_events, max_size=12))
-def test_events_json_is_the_json_of_the_dicts(events):
-    # ``to_dict`` is the definition: read back by ``json``, the text is
-    # the dicts, and it is orjson's text of them whenever orjson can
-    # write them exactly.
+def test_events_json_is_the_json_of_the_rows(events):
+    # The rows are the definition: read back by ``json``, the text is
+    # each event's eleven fields in order, and it is orjson's text of
+    # them whenever orjson can write them exactly.
     assert_events_json(events)
 
 
@@ -273,6 +278,12 @@ def test_finite_floats_whose_sum_overflows_stay_orjson_text():
     assert all_finite([column])
     assert json_text(column, [column]) == orjson.dumps(column).decode()
     assert json_text(column, [column]) == "[1e308,1e308]"
+    # numpy scalars add as numpy does, so a Python ``sum`` of these
+    # would overflow with a RuntimeWarning (an error in tier-1).
+    assert all_finite([[np.float64(1e308)] * 2])
+    assert all_finite([[np.float64(-1e308)] * 2, column])
+    assert not all_finite([[np.float64("inf"), np.float64("-inf")]])
+    assert not all_finite([[np.float64(1e308)] * 2 + [float("nan")]])
 
 
 @pytest.mark.parametrize("value, token", [

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.obs import events_json, stream_digest
+from repro.obs import stream_digest
 from repro.runtime.config import RuntimeConfig
 from repro.service import ServiceClient, ServiceError, protocol
 from repro.service import pool as pool_module
@@ -61,9 +61,10 @@ PINNED_SPEC = {
     "cluster": {"workers": 2},
     "trace": True,
 }
-#: The frame payload the daemon sent for ``PINNED_SPEC`` (first job of
-#: tenant ``alice``, ``seq`` 3) when a reply was still a dict tree
-#: re-encoded with ``sort_keys`` on the event loop.
+#: The frame payload the daemon sends for ``PINNED_SPEC`` (first job of
+#: tenant ``alice``, ``seq`` 3), keys sorted as when a reply was still a
+#: dict tree re-encoded with ``sort_keys`` on the event loop.  The trace
+#: is one row per event: the eleven ``ObsEvent`` fields in order.
 PINNED_REPLY = (
     '{"digest":"e9265275850ac46ca17546b956c096ba513f192b78a8c54025edb70'
     'e5e46f51a","events_emitted":12,"job_id":"alice-000001","ok":true,"'
@@ -76,22 +77,19 @@ PINNED_REPLY = (
     '","t_com":0.0041664,"t_comp":0.005,"t_wait":0.0004115200000000007}'
     ',{"chunks":1,"finished_at":0.00977792,"iterations":2,"name":"n1","'
     't_com":0.0041664,"t_comp":0.005,"t_wait":0.0006115200000000008}]},'
-    '"seq":3,"state":"done","trace":[{"kind":"request","source":"sim.ma'
-    'ster","t":0.0,"worker":0},{"kind":"request","source":"sim.master",'
-    '"t":0.0,"worker":1},{"kind":"assign","source":"sim.master","stage"'
-    ':0,"start":0,"stop":2,"t":0.00125632,"worker":0},{"kind":"assign",'
-    '"source":"sim.master","stage":0,"start":2,"stop":4,"t":0.00145632,'
-    '"worker":1},{"kind":"compute","source":"sim.master","stage":0,"sta'
-    'rt":0,"stop":2,"t":0.0022819199999999998,"value":0.005,"worker":0}'
-    ',{"kind":"compute","source":"sim.master","stage":0,"start":2,"stop'
-    '":4,"t":0.0024819200000000003,"value":0.005,"worker":1},{"kind":"r'
-    'equest","source":"sim.master","t":0.00728192,"worker":0},{"kind":"'
-    'request","source":"sim.master","t":0.00748192,"worker":1},{"kind":'
-    '"result","source":"sim.master","start":0,"stop":2,"t":0.00835232,"'
-    'worker":0},{"kind":"result","source":"sim.master","start":2,"stop"'
-    ':4,"t":0.00855232,"worker":1},{"kind":"terminate","source":"sim.ma'
-    'ster","t":0.00957792,"worker":0},{"kind":"terminate","source":"sim'
-    '.master","t":0.00977792,"worker":1}]}'
+    '"seq":3,"state":"done","trace":[["request","sim.master",0.0,0,null'
+    ',null,null,null,null,"",null],["request","sim.master",0.0,1,null,n'
+    'ull,null,null,null,"",null],["assign","sim.master",0.00125632,0,0,'
+    '2,0,null,null,"",null],["assign","sim.master",0.00145632,1,2,4,0,n'
+    'ull,null,"",null],["compute","sim.master",0.0022819199999999998,0,'
+    '0,2,0,null,0.005,"",null],["compute","sim.master",0.00248192000000'
+    '00003,1,2,4,0,null,0.005,"",null],["request","sim.master",0.007281'
+    '92,0,null,null,null,null,null,"",null],["request","sim.master",0.0'
+    '0748192,1,null,null,null,null,null,"",null],["result","sim.master"'
+    ',0.00835232,0,0,2,null,null,null,"",null],["result","sim.master",0'
+    '.00855232,1,2,4,null,null,null,"",null],["terminate","sim.master",'
+    '0.00957792,0,null,null,null,null,null,"",null],["terminate","sim.m'
+    'aster",0.00977792,1,null,null,null,null,null,"",null]]}'
 )
 #: Passes ``job_from_spec``; ``costs()`` raises (1e308 + 1e308).
 UNRESOLVABLE_SPEC = {
@@ -419,7 +417,7 @@ class TestSpilledReplies:
     """A finished job's body is read back from the pool's spill file
     for every ``wait``, however late."""
 
-    #: SS draws one chunk per iteration: a 216 KB body with its trace.
+    #: SS draws one chunk per iteration: a 177 KB body with its trace.
     TRACED = {
         "scheme": "SS",
         "workload": {"kind": "uniform", "size": 400, "unit": 1e-4},
@@ -449,7 +447,7 @@ class TestSpilledReplies:
             "digest": stream_digest(events),
             "events_emitted": len(events),
             "result": json.loads(one_shot.to_json(False)),
-            "trace": json.loads(events_json(events)),
+            "trace": [list(ev) for ev in events],
         }
 
     def test_a_body_kept_in_memory_answers_the_same_bytes(

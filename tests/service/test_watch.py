@@ -149,20 +149,24 @@ class TestLiveStream:
 
     def test_wire_carries_event_dicts_never_bare_events(self, tmp_path):
         """``ObsEvent`` is a named tuple, and ``json`` encodes a tuple
-        silently as an array: every event that crosses the wire -- a
-        watch batch, a ``trace`` reply, a job's shipped trace -- must
-        be its ``to_dict()`` form."""
+        silently as an array: every event of a watch batch or a
+        ``trace`` reply must be its ``to_dict()`` form.  A job's
+        shipped trace is rows on purpose: exactly the eleven fields of
+        each one-shot event, in order."""
+        spec = dict(SPEC, trace=True)
         with _Daemon(tmp_path) as d:
-            frames, result, trace_docs = _collect(
-                d, "alice", dict(SPEC, trace=True)
-            )
+            frames, result, trace_docs = _collect(d, "alice", spec)
         batches = [f["events"] for f in frames if f.get("events")]
         assert batches and trace_docs and result["trace"]
-        for docs in batches + [trace_docs, result["trace"]]:
+        for docs in batches + [trace_docs]:
             for doc in docs:
                 assert isinstance(doc, dict), doc
                 assert {"kind", "source", "t"} <= set(doc)
                 assert ObsEvent.from_dict(doc).to_dict() == doc
+        rows = result["trace"].rows()
+        assert all(type(row) is list and len(row) == 11 for row in rows)
+        one_shot = job_from_spec(spec).run().obs_events
+        assert rows == [list(ev) for ev in one_shot]
         assert len(result["trace"]) == result["events_emitted"]
 
     def test_wildcard_subscriber_sees_every_tenant(self, tmp_path):
