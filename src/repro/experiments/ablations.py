@@ -163,8 +163,9 @@ def master_service_sweep(
     wl = workload or paper_workload(width=1000, height=500)
     jobs = []
     for ms in services_ms:
-        cluster = paper_cluster(wl)
-        cluster.master_service = ms / 1000.0
+        cluster = dataclasses.replace(
+            paper_cluster(wl), master_service=ms / 1000.0
+        )
         jobs.append((ms, SimJob(
             scheme=scheme, workload=wl, cluster=cluster,
             tag=f"ablation/service_ms={ms}",

@@ -40,6 +40,7 @@ __all__ = [
     "tiling_digest",
     "events_json",
     "json_text",
+    "json_bytes",
     "orjson_exact",
     "all_finite",
 ]
@@ -279,9 +280,10 @@ def orjson_exact(doc: Any,
     return None
 
 
-def json_text(doc: Any, columns: Iterable[Sequence]) -> str:
-    """Compact JSON text of ``doc`` that :func:`json.loads` reads back
-    as ``doc``: the one writer of bulk text (results and traces).
+def json_bytes(doc: Any, columns: Iterable[Sequence]) -> bytes:
+    """Compact JSON of ``doc``, as UTF-8 bytes, that :func:`json.loads`
+    reads back as ``doc``: the one writer of bulk text (results and
+    traces).
 
     orjson writes it -- floats in their shortest round-trip form,
     non-ASCII as raw UTF-8, numpy scalars as the numbers they hold --
@@ -291,19 +293,24 @@ def json_text(doc: Any, columns: Iterable[Sequence]) -> str:
     column at a time (:func:`all_finite`).
     """
     data = orjson_exact(doc, columns)
-    return _dumps(doc) if data is None else data.decode()
+    return _dumps(doc).encode() if data is None else data
 
 
-def events_json(events: Sequence[ObsEvent]) -> str:
-    """Compact JSON array text of the trace's rows: one array of the
-    eleven :class:`ObsEvent` fields in order per event, ``null`` for
-    an unset field.
+def json_text(doc: Any, columns: Iterable[Sequence]) -> str:
+    """:func:`json_bytes` as text."""
+    return json_bytes(doc, columns).decode()
+
+
+def events_json(events: Sequence[ObsEvent]) -> bytes:
+    """Compact JSON array of the trace's rows, as UTF-8 bytes: one
+    array of the eleven :class:`ObsEvent` fields in order per event,
+    ``null`` for an unset field.
 
     The writer used where a trace leaves the process (the ``trace``
-    member of a ``wait`` reply), through :func:`json_text`:
+    member of a ``wait`` reply), through :func:`json_bytes`:
     ``json.loads(events_json(evs)) == [list(ev) for ev in evs]``, and
-    the text is orjson's whenever every value is finite and encodable
-    (``tests/obs/test_export.py`` holds both).  Like
+    the bytes are orjson's whenever every value is finite and
+    encodable (``tests/obs/test_export.py`` holds both).  Like
     :func:`stream_digest` it reads an :class:`EventList`'s rows; an
     ``ObsEvent`` among them is copied to a plain tuple, which orjson
     writes (it refuses a named tuple).
@@ -315,4 +322,4 @@ def events_json(events: Sequence[ObsEvent]) -> str:
         list(filter(None, map(_VALUE, rows))),
         list(filter(None, map(_WALL, rows))),
     )
-    return json_text(rows, columns)
+    return json_bytes(rows, columns)

@@ -44,6 +44,7 @@ profile is resolved by the pool worker that runs the job, through the
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Optional
 
 from ..batch import SimJob
@@ -297,6 +298,13 @@ def cluster_from_spec(
     ``None`` (or ``{"workers": p}``) yields ``p`` identical
     100-ops/s nodes -- the homogeneous testbed most service jobs want.
     An explicit ``nodes`` array carries the full heterogeneous form.
+
+    A spec with no ``nodes`` and no cluster field set gets the one
+    default cluster of its size, built once and shared by every job
+    that asks for it (the daemon's admission and its pool worker's
+    build among them).  Sharing is safe because no run writes a
+    cluster or a node it was given: a run that changes one (a chaos
+    plan's load spike) works on a ``dataclasses.replace`` copy.
     """
     spec = spec or {}
     if not isinstance(spec, dict):
@@ -325,6 +333,8 @@ def cluster_from_spec(
             raise JobSpecError(
                 f"workers must be <= {MAX_WORKERS}, got {workers}"
             )
+        if not cluster_kwargs:
+            return _default_cluster(workers)
         raw_nodes = [{"name": f"n{i}", "speed": 100.0}
                      for i in range(workers)]
     if not isinstance(raw_nodes, (list, tuple)):
@@ -372,6 +382,21 @@ def cluster_from_spec(
         # SimulationError: the constructor's own validation (an empty
         # ``nodes`` array, ...).  Anything else is a real bug.
         raise JobSpecError(f"bad cluster spec: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=MAX_WORKERS)
+def _default_node(i: int) -> NodeSpec:
+    """Node ``i`` of the default clusters: one object in all of them."""
+    return NodeSpec(name=f"n{i}", speed=100.0)
+
+
+@functools.lru_cache(maxsize=MAX_WORKERS)
+def _default_cluster(workers: int) -> ClusterSpec:
+    """The shared default cluster of ``workers`` PEs (see
+    :func:`cluster_from_spec`): one per size, so at most
+    :data:`MAX_WORKERS` of them, over at most :data:`MAX_WORKERS`
+    nodes."""
+    return ClusterSpec(nodes=list(map(_default_node, range(workers))))
 
 
 def job_from_spec(spec: dict) -> SimJob:

@@ -59,7 +59,6 @@ import concurrent.futures
 import dataclasses
 import errno
 import functools
-import json
 import multiprocessing as mp
 import os
 import pickle
@@ -72,6 +71,7 @@ from typing import Callable, Optional, Union
 from .. import cache as _cache
 from ..batch import SimJob
 from ..obs import EventList, ObsEvent, events_json, tiling_digest
+from ..obs.export import json_bytes
 from ..obs.logutil import get_logger
 from ..runtime.chassis import (
     heartbeat_sender,
@@ -146,9 +146,7 @@ class _StreamCollector(object):
 
 
 def _error_body(message: str) -> bytes:
-    return json.dumps(
-        {"error": message}, separators=(",", ":")
-    ).encode("utf-8")
+    return json_bytes({"error": message}, ())
 
 
 def _execute_body(
@@ -163,10 +161,11 @@ def _execute_body(
 
     ``body`` is the job's share of its ``wait`` reply, encoded here,
     once: a JSON object of ``digest``, ``events_emitted``, ``result``
-    (:meth:`~repro.simulation.metrics.SimResult.to_json`) and (on
-    request) ``trace`` (:func:`~repro.obs.events_json`: one row of
-    the eleven event fields per event, written from the trace's rows
-    without building an event or a dict), joined as bytes -- or of
+    (:meth:`~repro.simulation.metrics.SimResult.to_json_bytes`) and
+    (on request) ``trace`` (:func:`~repro.obs.events_json`: one row
+    of the eleven event fields per event, written from the trace's
+    rows without building an event or a dict), each written as bytes
+    and joined -- or of
     ``error`` alone, with a ``None`` digest, when the job or its
     encoding raised.  Nothing downstream decodes it: the pool stores
     the bytes, the daemon frames them.
@@ -213,10 +212,10 @@ def _execute_body(
         parts = [
             b'{"digest":"%s","events_emitted":%d,"result":' % (
                 digest.encode("ascii"), emitted),
-            result.to_json(want_results).encode("utf-8"),
+            result.to_json_bytes(want_results),
         ]
         if want_trace:
-            parts += (b',"trace":', events_json(events).encode("utf-8"))
+            parts += (b',"trace":', events_json(events))
     except BaseException as exc:  # noqa: BLE001 - ferried to the client
         # Encoding sits inside too: an exception out of here would kill
         # the pool worker and requeue the job until too-many-requeues.
@@ -353,26 +352,32 @@ class JobRecord(object):
     @property
     def body(self) -> Optional[bytes]:
         """The encoded reply members (``None`` until terminal)."""
-        return self.read_body()
+        body = self.read_body()
+        return None if body is None else bytes(body)
 
-    def read_body(self, skip: int = 0) -> Optional[bytes]:
-        """:attr:`body` less its first ``skip`` bytes: a spilled body is
-        read without them, so no copy of the whole is made to drop
-        them."""
+    def read_body(self, skip: int = 0) -> Union[bytes, memoryview, None]:
+        """:attr:`body` less its first ``skip`` bytes, with no copy of
+        the whole made to drop them: a body in hand is sliced by a
+        ``memoryview``, a spilled one is read without them."""
+        if self._held is not None:
+            return memoryview(self._held)[skip:]
         if self._spill is not None:
             return self._spill.read(self._at + skip, self._size - skip)
-        return None if self._held is None else self._held[skip:]
+        return None
 
     def finish(
         self, at: float, digest: Optional[str], body: bytes,
         spill: _Spill,
     ) -> None:
         """Turn terminal: keep the reply -- in ``spill``, or here when
-        it refuses the write -- and release the inputs."""
+        it refuses the write -- and release the inputs.  The body stays
+        in hand as well until :meth:`settle`, so the ``wait`` replies
+        the completion answers are framed without reading it back."""
         self.state = "done" if digest is not None else "failed"
         self.finished_at = at
         self.digest = digest
         self.job = None
+        self._held = body
         try:
             self._at = spill.append(body)
         except OSError as exc:
@@ -380,9 +385,13 @@ class JobRecord(object):
                 "job %s: body kept in memory, spill write failed: %s",
                 self.job_id, exc,
             )
-            self._held = body
         else:
             self._spill, self._size = spill, len(body)
+
+    def settle(self) -> None:
+        """Let go of the body in hand when the spill file holds it."""
+        if self._spill is not None:
+            self._held = None
 
 
 def _on_loop(method):
@@ -483,7 +492,9 @@ class WorkerPool(object):
 
     The callbacks run on the pool's loop.  ``on_complete(record)``
     fires whenever a job reaches a terminal state, after the dispatch
-    that job's end made possible, and ``on_events(record, batch)`` for
+    that job's end made possible, with the job's body still in hand
+    (:meth:`JobRecord.read_body` reads no file), and
+    ``on_events(record, batch)`` for
     each batch of chunk events a worker streams.  The workers are
     forked, so they inherit the :mod:`repro.cache` directory the daemon
     configured before :meth:`start`.
@@ -847,7 +858,15 @@ class WorkerPool(object):
             incarnation=handle.incarnation,
         )
         self._dispatch()  # the slot this freed
-        self.on_complete(record)
+        self._complete(record)
+
+    def _complete(self, record: JobRecord) -> None:
+        """``on_complete(record)`` with the record's body still in
+        hand, then only in the spill file."""
+        try:
+            self.on_complete(record)
+        finally:
+            record.settle()
 
     def _revive(self, handle: _Handle) -> None:
         """An incarnation is gone: close its pipe, requeue its job (or
@@ -901,7 +920,7 @@ class WorkerPool(object):
         self._spawn(handle)
         self._dispatch()  # the slot this revived, or any idle one
         if failed:
-            self.on_complete(record)
+            self._complete(record)
 
     def _dispatch(self) -> None:
         """Hand queued jobs to idle workers, round-robin over tenants.

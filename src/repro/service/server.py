@@ -66,7 +66,6 @@ import collections
 import dataclasses
 import functools
 import itertools
-import json
 import math
 import signal as _signal
 from typing import Any, Optional, Union, cast
@@ -87,6 +86,7 @@ from .protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame,
+    encode_json,
     frame_payload,
 )
 
@@ -566,11 +566,14 @@ class ServiceServer(object):
         )
         # The job's members were encoded where it ran; they and the
         # envelope are two objects with no key in common, so one brace
-        # less makes them one.  The body is read without its opening
-        # brace, straight from where the pool keeps it.
+        # less makes them one.  The body is taken without its opening
+        # brace, straight from where the pool keeps it: in hand while
+        # the job's completion answers its held waits, else from the
+        # spill file.  The envelope holds the client's ``seq``, so the
+        # frame writer writes it.
         tail = record.read_body(1)
         assert tail is not None  # a terminal record has a body
-        head = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+        head = encode_json(envelope)
         try:
             return frame_payload(head[:-1], b",", tail)
         except ProtocolError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 import orjson
 
 from ..obs.events import EventList
-from ..obs.export import all_finite, json_text, orjson_exact
+from ..obs.export import all_finite, json_bytes, json_text, orjson_exact
 from ..obs.metrics import imbalance
 
 __all__ = ["WorkerMetrics", "ChunkRecord", "LazyChunkList", "SimResult"]
@@ -342,7 +342,7 @@ class SimResult(object):
 
     def floats(self, include_results: bool = False) -> list:
         """Every float of :meth:`to_dict` (or :meth:`row_dict`), in
-        columns: what :func:`repro.obs.export.json_text` checks."""
+        columns: what :func:`repro.obs.export.json_bytes` checks."""
         rows = self.chunks.rows()
         columns = [self._head_floats(), list(map(_ASSIGNED_AT, rows)),
                    list(map(_COMPLETED_AT, rows))]
@@ -375,16 +375,21 @@ class SimResult(object):
                          self.floats()).encode()
 
     def to_json(self, include_results: bool = False) -> str:
-        """Compact JSON text of :meth:`to_dict`, the definition.
+        """Compact JSON text of :meth:`to_dict`:
+        :meth:`to_json_bytes` as text."""
+        return self.to_json_bytes(include_results).decode()
+
+    def to_json_bytes(self, include_results: bool = False) -> bytes:
+        """Compact JSON of :meth:`to_dict`, as UTF-8 bytes.
 
         The writer used where a result leaves the process as a dict --
-        a service reply -- through :func:`repro.obs.export.json_text`:
-        ``json.loads(r.to_json(x)) == r.to_dict(x)``, and the text is
-        orjson's whenever every value is finite and encodable
+        a service reply -- through :func:`repro.obs.export.json_bytes`:
+        ``json.loads(r.to_json_bytes(x)) == r.to_dict(x)``, and the
+        bytes are orjson's whenever every value is finite and encodable
         (``tests/simulation/test_result_transport.py`` holds both).
         """
-        return json_text(self.to_dict(include_results),
-                         self.floats(include_results))
+        return json_bytes(self.to_dict(include_results),
+                          self.floats(include_results))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimResult":

@@ -183,21 +183,23 @@ def test_stream_digest_is_the_digest_of_the_canonical_stream(events):
 def assert_events_json(events) -> None:
     """The text is the events' rows, and the same whether the trace
     holds ``ObsEvent`` objects or plain tuples (as the DES emits)."""
-    text = events_json(events)
+    text = events_json(events).decode()
     assert_json_text(text, [list(ev) for ev in events])
-    assert events_json(EventList([tuple(ev) for ev in events])) == text
+    assert events_json(EventList([tuple(ev) for ev in events])) \
+        == text.encode()
 
 
 def test_events_json_literal():
-    assert events_json([]) == "[]"
+    assert events_json([]) == b"[]"
     assert events_json(EVENTS[:1] + EVENTS[4:5]) == (
-        '[["request","sim.master",0.0,0,null,null,null,null,null,"",'
-        'null],["fault","chaos",0.6,1,null,null,null,null,null,'
-        '"death",null]]'
+        b'[["request","sim.master",0.0,0,null,null,null,null,null,"",'
+        b'null],["fault","chaos",0.6,1,null,null,null,null,null,'
+        b'"death",null]]'
     )
     assert_events_json(EVENTS)
     # orjson's forms, where ``json`` would write 1e+16 and \u2603.
-    text = events_json([EVENTS[0]._replace(t=1e16, detail="\u2603")])
+    text = events_json(
+        [EVENTS[0]._replace(t=1e16, detail="\u2603")]).decode()
     assert "1e+16" not in text and ',"\u2603",' in text
 
 
@@ -212,9 +214,8 @@ def test_events_json_literal():
 ], ids=["nan-t", "inf-value", "np-inf-wall", "int-beyond-64-bits",
         "lone-surrogate"])
 def test_events_json_falls_back_to_json_exactly_there(event, token):
-    text = events_json(EVENTS[:2] + [event])
+    text = events_json(EVENTS[:2] + [event]).decode()
     assert token in text
-    text.encode("utf-8")  # a reply body
     assert_events_json(EVENTS[:2] + [event])
 
 

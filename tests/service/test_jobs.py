@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.batch import SimJob
+from repro.chaos import FaultPlan, LoadSpike
 from repro.obs import stream_digest
 from repro.service.jobs import (
     MAX_ESCAPE_ITER,
@@ -196,6 +198,62 @@ class TestClusterFromSpec:
             == MAX_WORKERS
         with pytest.raises(JobSpecError, match="workers"):
             cluster_from_spec({"workers": 0})
+
+    def test_default_cluster_is_shared_per_size(self):
+        """No ``nodes`` and no cluster field: one cluster per size, and
+        node ``i`` is one object in every default cluster."""
+        three = cluster_from_spec({"workers": 3})
+        assert cluster_from_spec({"workers": 3}) is three
+        assert cluster_from_spec({"workers": 3, "tag": "x"}) is three
+        four = cluster_from_spec(None)
+        assert four is cluster_from_spec({})
+        assert four.nodes[:3] == three.nodes
+        assert all(a is b for a, b in zip(four.nodes, three.nodes))
+        for field in ("master_service", "request_bytes", "reply_bytes",
+                      "result_bytes_per_item", "master_bandwidth"):
+            value = getattr(three, field)
+            own = cluster_from_spec({"workers": 3, field: value})
+            assert own is not three
+            assert repr(own) == repr(three)
+
+    @pytest.mark.parametrize("engine, params", [
+        ("master", {"fast": True}),
+        ("master", {"fast": False}),
+        ("decentral", {}),
+        ("tree", {}),
+        ("master", {"chaos": FaultPlan(events=(
+            LoadSpike(worker=1, at=0.0, duration=0.5, extra_q=3),
+        ))}),
+    ], ids=["master-fast", "master-des", "decentral", "tree",
+            "load-spike"])
+    def test_no_run_writes_the_shared_cluster(self, engine, params):
+        """The shared default cluster is safe only while no run writes a
+        cluster or a node it was given: field for field, every node and
+        its load are what they were before the run."""
+        cluster = cluster_from_spec({"workers": 3})
+
+        def snapshot():
+            return (
+                [(f.name, getattr(cluster, f.name))
+                 for f in dataclasses.fields(cluster) if f.name != "nodes"],
+                cluster.nodes, list(cluster.nodes),
+                [[(f.name, getattr(node, f.name))
+                  for f in dataclasses.fields(node)]
+                 for node in cluster.nodes],
+                [dict(vars(node.load)) for node in cluster.nodes],
+            )
+
+        before = snapshot()
+        result = SimJob(
+            scheme="TSS", workload=LinearWorkload(size=300),
+            cluster=cluster, engine=engine, params=params,
+            collect_events=params.get("fast") is False,
+        ).run()
+        assert result.chunks
+        after = snapshot()
+        assert after[1] is before[1]
+        assert [a is b for a, b in zip(after[2], before[2])] == [True] * 3
+        assert after == before
 
     @pytest.mark.parametrize("spec", [
         {"workers": MAX_WORKERS + 1},

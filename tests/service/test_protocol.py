@@ -8,7 +8,9 @@ import socket
 import struct
 import threading
 
+import orjson
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs import events_json
 from repro.service.jobs import job_from_spec
@@ -16,11 +18,51 @@ from repro.service.protocol import (
     MAX_FRAME,
     FrameDecoder,
     ProtocolError,
+    _json_loads,
+    _reply_loads,
     encode_frame,
     frame_payload,
     recv_frame,
     send_frame,
 )
+
+
+def _json_writer(doc) -> bytes:
+    """The frame payload :mod:`json` writes: sorted keys, compact."""
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+
+
+#: JSON values with what only :mod:`json` writes or reads exactly: NaN
+#: and infinities, ints beyond 64 bits, lone surrogates; beside
+#: non-ASCII text, ``None`` and int keys.
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2 ** 63, 2 ** 64 - 1, 2 ** 64, -2 ** 63 - 1,
+                     10 ** 30]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     1e-05, 1e16]),
+    st.text(max_size=6),
+    st.sampled_from(["\ud800", "a\udfff", "\u00e9t\u00e9", "\u2603",
+                     "null"]),
+)
+
+def _objects(values):
+    """Objects keyed by text or by ints (``json`` sorts either)."""
+    return st.dictionaries(st.text(max_size=4), values, max_size=4) \
+        | st.dictionaries(st.integers(-3, 3), values, max_size=4)
+
+
+_values = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4) | _objects(kids),
+    max_leaves=12,
+)
+_docs = _objects(_values)
 
 
 class TestEncode:
@@ -39,6 +81,56 @@ class TestEncode:
         assert b"\n" not in a and b" " not in a[4:]
         # A payload encoded elsewhere is framed to the same bytes.
         assert frame_payload(b'{"a":2,"b":1}') == a
+
+    @given(_docs)
+    def test_every_reader_decodes_what_the_json_writer_gives(self, doc):
+        """The daemon's :mod:`json` decode of ``encode_frame(doc)``
+        equals its decode of :mod:`json`'s own bytes of ``doc``, and so
+        does the client's :func:`_reply_loads`.  Through ``json.dumps``,
+        NaN equals NaN."""
+        payload = encode_frame(doc)[4:]
+        want = json.dumps(_json_loads(_json_writer(doc)))
+        assert json.dumps(_json_loads(payload)) == want
+        assert json.dumps(_reply_loads(payload)) == want
+
+    @pytest.mark.parametrize("doc", [
+        {"tenant": "\u00e9t\u00e9", "unit": 1e-05, "n": None,
+         "b": [1.5, -0.0, 2 ** 64 - 1]},
+        {"z": {"b": 1, "a": [True, "\u2603"]}, "a": 0.1},
+    ], ids=["non-ascii-and-null", "nested"])
+    def test_exact_docs_are_orjson_bytes(self, doc):
+        """Where orjson is exact the payload is its bytes, sorted: raw
+        UTF-8, no escapes."""
+        payload = encode_frame(doc)[4:]
+        assert payload == orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
+        assert json.loads(payload) == doc
+
+    @pytest.mark.parametrize("doc", [
+        {"t": float("nan")},
+        {"v": [float("inf"), None]},
+        {"seq": 2 ** 64},
+        {"name": "\ud800"},
+        {1: "int key"},
+    ], ids=["nan", "inf-beside-null", "int-beyond-64-bits",
+            "lone-surrogate", "int-key"])
+    def test_the_rest_are_json_bytes_after_a_space(self, doc):
+        """What orjson would write wrong or refuses is :mod:`json`'s
+        bytes, marked by a leading space for the client's reader; an
+        int beyond 64 bits reads back as that int, not a float."""
+        payload = encode_frame(doc)[4:]
+        assert payload == b" " + _json_writer(doc)
+        assert json.dumps(_reply_loads(payload)) \
+            == json.dumps(json.loads(payload))
+        if "seq" in doc:
+            assert _reply_loads(payload)["seq"] == 2 ** 64
+
+    def test_a_doc_json_cannot_write_is_refused_alike(self):
+        # Int and str keys side by side cannot be sorted.
+        doc = {"a": {1: 2, "b": 3}}
+        with pytest.raises(TypeError):
+            _json_writer(doc)
+        with pytest.raises(TypeError):
+            encode_frame(doc)
 
     def test_rejects_non_object(self):
         with pytest.raises(ProtocolError, match="JSON object"):
@@ -186,7 +278,8 @@ class TestReplyDecoding:
                              "unit": 1e-4}}
         result = job_from_spec(spec).run()
         payload = ('{"ok":true,"result":%s,"trace":%s}' % (
-            result.to_json(), events_json(result.obs_events))).encode()
+            result.to_json(), events_json(result.obs_events).decode())
+        ).encode()
         assert len(payload) > 500_000
         assert self._recv(payload) == json.loads(payload)
 
