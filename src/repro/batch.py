@@ -31,7 +31,7 @@ paid once per task.
 
 The per-result work is the workers', as a distributed chunk
 calculation moves the master's: each result's chunk rows come back as
-the exact orjson text a persisted line holds for them (see
+the exact JSON text a persisted line holds for them (see
 :class:`~repro.simulation.metrics.LazyChunkList`), encoded once, in
 the worker.  The parent keeps the text undecoded and writes it into
 the line as it is (:meth:`SimResult.row_json`), so it never
@@ -69,10 +69,9 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, Optional
 
-import orjson
-
 from .decentral import simulate_decentral
 from .obs import BufferedCollector
+from .obs.export import json_loads
 from .obs.logutil import get_logger
 from .simulation import ClusterSpec, SimResult, simulate, simulate_tree
 from .workloads.base import Workload, uncached_state
@@ -257,12 +256,13 @@ class _Persister(object):
     the in-flight jobs.  A line is one JSON object -- ``key``,
     ``index``, ``scheme``, ``engine``, ``tag`` and the ``result`` in
     its row form (:meth:`SimResult.row_dict`) -- written as bytes by
-    :meth:`SimResult.row_json` and read back by one ``orjson.loads``
-    (``json.loads`` where the line holds ``NaN`` / ``Infinity`` or
-    anything else orjson will not parse).  A result from a pool
-    worker brings its rows as text, and its line is orjson's bytes of
-    the head followed by that text; any other result's line is one
-    :func:`~repro.obs.export.json_text` call.  The bytes are the same
+    :meth:`SimResult.row_json` and read back by one
+    :func:`~repro.obs.export.json_loads` (the codec's tolerant reader:
+    :mod:`json` reads what the fast reader will not, ``NaN`` /
+    ``Infinity`` among it).  A result from a pool worker brings its
+    rows as text, and its line is the codec's bytes of the head
+    followed by that text; any other result's line is one
+    :func:`~repro.obs.export.json_bytes` call.  The bytes are the same
     either way.  Lines whose result holds each chunk as a dict
     (:meth:`SimResult.to_dict`, the earlier format) read back the same
     way.
@@ -330,14 +330,11 @@ def _load_record(line: bytes) -> tuple[str, Optional[SimResult]]:
     """``(key, result)`` of one persisted line; ``result`` is None
     when the line is not a usable record."""
     try:
-        rec = orjson.loads(line)
+        rec = json_loads(line)
     except ValueError:
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            # Torn tail from a killed sweep: the job re-runs and
-            # rewrites a whole record.
-            return "", None
+        # Torn tail from a killed sweep: the job re-runs and rewrites a
+        # whole record.
+        return "", None
     key = rec.get("key") if isinstance(rec, dict) else None
     if not key:
         # Parses, but is not one of our records (a torn line that

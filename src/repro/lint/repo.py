@@ -25,6 +25,7 @@ __all__ = [
     "INVARIANTS", "check_rep401", "check_rep402", "check_rep403",
     "check_rep404", "check_rep405", "check_rep406", "check_rep407",
     "check_rep408", "check_rep409", "check_rep410", "check_rep411",
+    "check_rep412",
 ]
 
 #: ``{rule id: invariant (the PR that made it)}``: every message ends so.
@@ -40,6 +41,7 @@ INVARIANTS = {
     "REP409": "every module has a who-needs-it row (PR 18)",
     "REP410": "the who-needs-it rows are true (PR 37)",
     "REP411": "a job and its workload pickle by one rule",
+    "REP412": "one JSON codec decides when orjson's bytes are exact",
 }
 
 
@@ -563,3 +565,19 @@ def check_rep411(modules, config: LintConfig) -> Iterator[Finding]:
              if isinstance(node, ast.FunctionDef) and node.name in hooks]
     yield from _once("REP411", pkg, "a workload pickle hook", found,
                      ["workloads/base.py:__getstate__"])
+
+
+def check_rep412(modules, config: LintConfig) -> Iterator[Finding]:
+    """``obs/export.py`` is the only module that imports ``orjson``:
+    whether orjson's bytes are exact for a document, the tolerant
+    reader and the event line are decided there once.  Three modules
+    made the first decision under three rules before."""
+    pkg = _package(modules, config)
+    found = [(rel, mod, node) for rel, mod in pkg.items()
+             for node in mod.nodes
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "orjson" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and (node.module or "").split(".")[0] == "orjson"]
+    yield from _once("REP412", pkg, "an orjson import", _per_module(found),
+                     ["obs/export.py"])

@@ -60,7 +60,7 @@ REPO_RULES = tuple((rid, repo.INVARIANTS[rid], check) for rid, check in (
     ("REP405", repo.check_rep405), ("REP406", repo.check_rep406),
     ("REP407", repo.check_rep407), ("REP408", repo.check_rep408),
     ("REP409", repo.check_rep409), ("REP410", repo.check_rep410),
-    ("REP411", repo.check_rep411),
+    ("REP411", repo.check_rep411), ("REP412", repo.check_rep412),
 ))
 
 #: ``{rule id: one-line summary}`` for every rule (parse errors too).

@@ -18,21 +18,20 @@ The contract every instrumented hot path relies on:
 * Collectors never validate on emit (schema checks live in tests and
   importers) and never raise out of ``emit`` for flow-control reasons:
   an observability layer must not alter the run it observes.
-* :class:`JsonlCollector` is process- and thread-safe: lines are
-  buffered and flushed with a single ``O_APPEND`` write under a lock,
-  so concurrent emitters (the chaos driver thread, the master loop)
-  interleave whole lines, never fragments.
+* :class:`JsonlCollector` is process- and thread-safe: each event is
+  one line written with a single ``O_APPEND`` write, so concurrent
+  emitters (the chaos driver thread, the master loop) interleave whole
+  lines, never fragments.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import os
-import threading
 from typing import Callable, Iterator, Optional, Union
 
 from .events import EventList, ObsEvent
+from .export import event_line
 
 __all__ = [
     "Collector",
@@ -119,46 +118,27 @@ class BufferedCollector(Collector):
 class JsonlCollector(Collector):
     """Append-only JSONL sink; safe across threads and processes.
 
-    Lines accumulate in memory and are written ``flush_every`` events
-    at a time with one :func:`os.write` on an ``O_APPEND`` descriptor.
-    POSIX guarantees O_APPEND writes are atomic with respect to each
-    other, so multiple processes can share one trace file and the
-    reader still sees whole lines.
+    Each :meth:`emit` appends the event's line
+    (:func:`~repro.obs.export.event_line`) with one :func:`os.write`
+    on an ``O_APPEND`` descriptor, so a killed worker's trace holds
+    every event it emitted.  POSIX guarantees O_APPEND writes are
+    atomic with respect to each other, so multiple processes can share
+    one trace file and the reader still sees whole lines.
     """
 
-    def __init__(self, path: Union[str, os.PathLike],
-                 flush_every: int = 256) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = os.fspath(path)
-        self.flush_every = int(flush_every)
-        self._lines: list[str] = []
-        self._lock = threading.Lock()
         # Create eagerly so an empty run still leaves a readable file.
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        os.close(fd)
+        os.close(self._open())
+
+    def _open(self) -> int:
+        return os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                       0o644)
 
     def emit(self, event: ObsEvent) -> None:
-        line = json.dumps(event.to_dict(), sort_keys=True)
-        with self._lock:
-            self._lines.append(line)
-            if len(self._lines) >= self.flush_every:
-                self._flush_locked()
-
-    def flush(self) -> None:
-        with self._lock:
-            self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        if not self._lines:
-            return
-        payload = ("\n".join(self._lines) + "\n").encode("utf-8")
-        self._lines = []
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
+        fd = self._open()
         try:
-            os.write(fd, payload)
+            os.write(fd, (event_line(event) + "\n").encode("utf-8"))
         finally:
             os.close(fd)
 

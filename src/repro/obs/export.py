@@ -13,17 +13,18 @@
   fault plan produce byte-identical canonical streams -- that equality
   is what validates the simulator against reality (see
   ``tests/obs/test_cross_substrate.py``).
+* The **JSON codec** is here too, the only module that imports
+  orjson: :func:`exact_bytes`, :func:`json_loads`, :func:`event_line`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import operator
 import os
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import orjson
 
@@ -39,23 +40,32 @@ __all__ = [
     "stream_digest",
     "tiling_digest",
     "events_json",
-    "json_text",
+    "event_line",
+    "BULK_DOMAIN",
+    "ROW_DOMAIN",
+    "FRAME_DOMAIN",
+    "exact_bytes",
+    "json_dumps",
+    "json_loads",
     "json_bytes",
-    "orjson_exact",
     "all_finite",
+    "finite",
 ]
 
 #: Microseconds per unit of event time (Chrome traces use us).
 _US = 1_000_000.0
 
 
+def event_line(ev: ObsEvent) -> str:
+    """One event's JSONL line, without its newline: the event's dict,
+    keys sorted.  The one writer of a trace line (:func:`to_jsonl`,
+    ``JsonlCollector``, ``verify.audit_subscription``)."""
+    return json.dumps(ev.to_dict(), sort_keys=True)
+
+
 def to_jsonl(events: Iterable[ObsEvent]) -> str:
-    """Serialize events as JSON lines (compact dict per line)."""
-    out = io.StringIO()
-    for ev in events:
-        out.write(json.dumps(ev.to_dict(), sort_keys=True))
-        out.write("\n")
-    return out.getvalue()
+    """Serialize events as JSON lines (:func:`event_line` per line)."""
+    return "".join(event_line(ev) + "\n" for ev in events)
 
 
 def write_jsonl(path: Union[str, os.PathLike],
@@ -233,13 +243,79 @@ def tiling_digest(chunks) -> str:
     return _pairs_digest((row[1], row[2]) for row in chunks.rows())
 
 
-#: :mod:`json`'s compact writer: what :func:`json_text` falls back to.
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
 _T, _VALUE, _WALL = (operator.itemgetter(i) for i in (2, 8, 10))
+
+# -- the one JSON codec: orjson's bytes where they are exact ----------------
+
+#: orjson's options per type domain.  Bulk text (results, traces)
+#: writes numpy scalars as the numbers they hold.
+BULK_DOMAIN = orjson.OPT_SERIALIZE_NUMPY
+#: Chunk rows, type-exact: a numpy scalar or an int subclass is refused,
+#: so such rows cross a pickle as rows.
+ROW_DOMAIN = orjson.OPT_PASSTHROUGH_SUBCLASS
+#: A frame: keys sorted, dataclasses and datetimes refused, as
+#: :mod:`json` does.
+FRAME_DOMAIN = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+                | orjson.OPT_PASSTHROUGH_DATETIME)
+
+#: :mod:`json`'s compact encoders, keys as given and sorted (``encode``
+#: is looked up per call, so a pin on ``JSONEncoder.encode`` sees it).
+_JSON = (json.JSONEncoder(separators=(",", ":")),
+         json.JSONEncoder(separators=(",", ":"), sort_keys=True))
+
+
+def exact_bytes(doc: Any, domain: int,
+                finite: Callable[[Any], bool]) -> Optional[bytes]:
+    """orjson's bytes of ``doc`` under the ``domain``'s options when
+    :func:`json.loads` reads them back as ``doc``, else None: the one
+    place that decision is made, for every document that leaves a
+    process (frames, reply bodies, chunk row text, sweep lines).
+
+    orjson refuses an int beyond 64 bits and a lone surrogate, and
+    writes a NaN or an infinity as ``null``: ``finite(doc)``, the
+    caller's check that every float in ``doc`` is finite, is asked
+    only when the bytes hold a ``null``.
+    """
+    try:
+        data = orjson.dumps(doc, option=domain)
+        if b"null" not in data or finite(doc):
+            return data
+    except (TypeError, OverflowError):
+        # TypeError: orjson's refusal (``JSONEncodeError`` is one), or
+        # a non-number in a checked column; OverflowError: an int too
+        # large to be a float.
+        pass
+    return None
+
+
+def json_dumps(doc: Any, sort_keys: bool = False) -> bytes:
+    """:mod:`json`'s compact bytes of ``doc``: what a writer falls back
+    to where :func:`exact_bytes` gives None (``NaN`` / ``Infinity``
+    tokens, ``\\uXXXX`` escapes, ints of any size)."""
+    return _JSON[sort_keys].encode(doc).encode()
+
+
+def json_loads(payload: bytes) -> Any:
+    """:func:`json.loads`'s answer for ``payload``, by orjson where it
+    gives one: the one tolerant reader.
+
+    A payload that opens with a space (``service.protocol``'s marker)
+    was written by :mod:`json` and may hold an int beyond 64 bits,
+    which orjson would read as a float: :mod:`json` reads it, and
+    whatever orjson refuses (``NaN`` / ``Infinity`` tokens, numbers
+    beyond a double's range, lone surrogate escapes).
+    """
+    if payload[:1] != b" ":
+        try:
+            return orjson.loads(payload)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(payload.decode("utf-8"))
 
 
 def all_finite(columns: Iterable[Sequence]) -> bool:
-    """True when every number of every column is finite.
+    """True when every number of every column is finite: a bulk
+    writer's check, over the columns that hold every float.
 
     One C-level :func:`math.fsum` per column: a NaN or an infinity
     makes the sum non-finite (or raises ``ValueError`` for ``inf +
@@ -261,44 +337,36 @@ def all_finite(columns: Iterable[Sequence]) -> bool:
     return True
 
 
-def orjson_exact(doc: Any,
-                 columns: Iterable[Sequence]) -> Optional[bytes]:
-    """orjson's bytes of ``doc`` when :func:`json.loads` reads them
-    back as ``doc``, else None.
-
-    ``columns`` hold every float in ``doc``: orjson would write a NaN
-    or an infinity as ``null``.  None also where orjson refuses a
-    value: an int beyond 64 bits, a string holding a lone surrogate.
-    """
-    try:
-        if all_finite(columns):
-            return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY)
-    except (TypeError, OverflowError):
-        # TypeError: orjson's refusal, or a non-number in ``columns``;
-        # OverflowError: an int too large to be a float.
-        pass
-    return None
+def finite(doc: Any) -> bool:
+    """True when no float anywhere in ``doc`` is a NaN or an infinity:
+    a frame's check, a walk that stops at the first one."""
+    stack = [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, float):
+            if not math.isfinite(item):
+                return False
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return True
 
 
 def json_bytes(doc: Any, columns: Iterable[Sequence]) -> bytes:
     """Compact JSON of ``doc``, as UTF-8 bytes, that :func:`json.loads`
-    reads back as ``doc``: the one writer of bulk text (results and
-    traces).
+    reads back as ``doc``: the one writer of bulk text (results, sweep
+    lines and traces).
 
     orjson writes it -- floats in their shortest round-trip form,
     non-ASCII as raw UTF-8, numpy scalars as the numbers they hold --
-    unless that would change the answer (:func:`orjson_exact`), and
-    then :mod:`json` does (``NaN`` / ``Infinity`` tokens, ``\\uXXXX``
-    escapes).  ``columns`` hold every float in ``doc``, checked a
-    column at a time (:func:`all_finite`).
+    unless that would change the answer (:func:`exact_bytes`), and
+    then :mod:`json` does (:func:`json_dumps`).  ``columns`` hold
+    every float in ``doc``, checked a column at a time
+    (:func:`all_finite`).
     """
-    data = orjson_exact(doc, columns)
-    return _dumps(doc).encode() if data is None else data
-
-
-def json_text(doc: Any, columns: Iterable[Sequence]) -> str:
-    """:func:`json_bytes` as text."""
-    return json_bytes(doc, columns).decode()
+    data = exact_bytes(doc, BULK_DOMAIN, lambda _: all_finite(columns))
+    return json_dumps(doc) if data is None else data
 
 
 def events_json(events: Sequence[ObsEvent]) -> bytes:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import json
 import math
 from typing import Optional, Sequence
 
@@ -173,9 +172,6 @@ class MetricsRegistry(object):
             name: self._metrics[name].snapshot()
             for name in sorted(self._metrics)
         }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
 def imbalance(values: Sequence[float]) -> float:

@@ -107,7 +107,7 @@ def worker_main(
         else None
     )
     pending: Optional[tuple[int, object]] = None
-    obs = JsonlCollector(obs_path, flush_every=1) if obs_path else NULL
+    obs = JsonlCollector(obs_path) if obs_path else NULL
     step = WorkerStep(
         workload, worker_id, spec.slowdown, delays, _SRC,
         obs.emit if obs else None,

@@ -19,40 +19,42 @@ Two IO styles speak the identical wire format: :func:`send_frame` /
 per-connection :class:`asyncio.Protocol` writes whole frames to its
 transport and feeds the decoder whatever the socket delivers.
 
-**One writer.**  Both sides write with :func:`encode_json`: orjson's
-compact bytes with sorted keys wherever :func:`json.loads` reads them
-back as the same value, so non-ASCII text travels as raw UTF-8 and a
-float in orjson's shortest round-trip form (``1e-05`` as
-``0.00001``).  Elsewhere the bytes are :mod:`json`'s, sorted and
-compact, after one space: a NaN or an infinity (which orjson would
-write as ``null``), an int beyond 64 bits, a lone surrogate, a
-non-``str`` key or a value orjson refuses (a numpy scalar, say).
-Either way every reader decodes the same value.
+**One writer.**  Both sides write with :func:`encode_json`, a wrapper
+over :mod:`repro.obs.export`'s codec: its exact fast bytes with sorted
+keys wherever :func:`json.loads` reads them back as the same value
+(``exact_bytes`` under ``FRAME_DOMAIN``, a ``null`` checked by one
+``finite`` walk), so non-ASCII text travels as raw UTF-8 and a float
+in its shortest round-trip form (``1e-05`` as ``0.00001``).  Elsewhere
+the bytes are :mod:`json`'s, sorted and compact, after one space: a
+NaN or an infinity, an int beyond 64 bits, a lone surrogate, a
+non-``str`` key or a value the fast writer refuses (a numpy scalar,
+say).  Either way every reader decodes the same value.
 
 The two sides decode differently.  The daemon reads requests (a few
 hundred bytes) with :mod:`json`, whose reading of ``NaN`` or ``1e400``
-admission answers with ``bad-spec``.  orjson would save little on so
-small a frame, and it reads some requests differently: an int beyond
-64 bits comes back as a float (``2**64`` as
+admission answers with ``bad-spec``.  The fast reader would save
+little on so small a frame, and it reads some requests differently: an
+int beyond 64 bits comes back as a float (``2**64`` as
 ``1.8446744073709552e+19``), and a lone surrogate escape is refused.
-The client reads replies, up to half a megabyte of trace, with
-orjson, and with :mod:`json` the frames orjson refuses and the frames
-:mod:`json` wrote (the leading space), the only ones that can hold an
-int beyond 64 bits; either way it gets what :func:`json.loads` would
-return.  (A ``wait`` reply's job members are written by the pool
-worker, not here, and admission's bounds in :mod:`repro.service.jobs`
-keep every int they carry within 64 bits.)
+The client reads replies, up to half a megabyte of trace, with the
+codec's one tolerant reader, ``json_loads``: :mod:`json` reads the
+frames it wrote (the leading space), the only ones that can hold an
+int beyond 64 bits, and the frames the fast reader refuses; either way
+the client gets what :func:`json.loads` would return.  (A ``wait``
+reply's job members are written by the pool worker, not here, and
+admission's bounds in :mod:`repro.service.jobs` keep every int they
+carry within 64 bits.)
 """
 
 from __future__ import annotations
 
 import json
-import math
 import socket
 import struct
 from typing import Any, Callable, Optional
 
-import orjson
+from ..obs.export import (FRAME_DOMAIN, exact_bytes, finite, json_dumps,
+                          json_loads)
 
 __all__ = [
     "MAX_FRAME",
@@ -110,50 +112,19 @@ def frame_payload(*parts: bytes) -> bytes:
     return b"".join((_LEN.pack(size),) + parts)
 
 
-#: orjson's options for a frame: sorted keys, as :mod:`json` writes
-#: them, and dataclasses and datetimes refused, as :mod:`json` refuses
-#: them, rather than written as objects and strings.
-_ORJSON_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
-                   | orjson.OPT_PASSTHROUGH_DATETIME)
-
-
-def _finite(doc: Any) -> bool:
-    """True when no float anywhere in ``doc`` is a NaN or an infinity."""
-    stack = [doc]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, float):
-            if not math.isfinite(item):
-                return False
-        elif isinstance(item, dict):
-            stack.extend(item.values())
-        elif isinstance(item, (list, tuple)):
-            stack.extend(item)
-    return True
-
-
 def encode_json(doc: Any) -> bytes:
     """Compact JSON bytes of ``doc`` with sorted keys: the frame writer.
 
-    orjson's bytes when :func:`json.loads` reads them back as ``doc``,
+    The codec's exact bytes (``exact_bytes`` under ``FRAME_DOMAIN``),
     else ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``'s
-    after one space (see the module doc).  orjson writes a non-finite
-    float as ``null``, so its bytes are checked for one only when they
-    hold a ``null``.  The space is JSON whitespace, which every reader
-    skips; it tells :func:`recv_frame` to read the payload with
-    :mod:`json`, since only such a payload can hold an int beyond 64
-    bits, which orjson would read as a float.
+    after one space (see the module doc).  The space is JSON
+    whitespace, which every reader skips; it tells :func:`recv_frame`
+    to read the payload with :mod:`json`, since only such a payload can
+    hold an int beyond 64 bits, which the fast reader would read as a
+    float.
     """
-    try:
-        data = orjson.dumps(doc, option=_ORJSON_OPTIONS)
-    except TypeError:
-        pass  # orjson's refusal (``JSONEncodeError`` is a TypeError)
-    else:
-        if b"null" not in data or _finite(doc):
-            return data
-    return b" " + json.dumps(
-        doc, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    data = exact_bytes(doc, FRAME_DOMAIN, finite)
+    return b" " + json_dumps(doc, sort_keys=True) if data is None else data
 
 
 def encode_frame(doc: dict[str, Any]) -> bytes:
@@ -168,22 +139,6 @@ def encode_frame(doc: dict[str, Any]) -> bytes:
 
 def _json_loads(payload: bytes) -> Any:
     return json.loads(payload.decode("utf-8"))
-
-
-def _reply_loads(payload: bytes) -> Any:
-    """:func:`json.loads`'s answer for a reply, by orjson where it
-    gives one.  A payload that opens with a space was written by
-    :mod:`json` (:func:`encode_json`), and :mod:`json` reads it: it may
-    hold an int beyond 64 bits, which orjson would read as a float.
-    orjson refuses ``NaN`` / ``Infinity`` tokens, numbers beyond a
-    double's range and lone surrogate escapes, all of which :mod:`json`
-    writes and reads."""
-    if payload[:1] != b" ":
-        try:
-            return orjson.loads(payload)
-        except orjson.JSONDecodeError:
-            pass
-    return _json_loads(payload)
 
 
 def _decode_payload(
@@ -292,4 +247,4 @@ def recv_frame(sock: socket.socket) -> Optional[dict[str, Any]]:
     payload = _recv_exact(sock, length) if length else b""
     if payload is None:
         raise ProtocolError("connection closed between header and payload")
-    return _decode_payload(payload, _reply_loads)
+    return _decode_payload(payload, json_loads)

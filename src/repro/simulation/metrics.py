@@ -24,10 +24,10 @@ import operator
 from typing import Optional
 
 import numpy as np
-import orjson
 
 from ..obs.events import EventList
-from ..obs.export import all_finite, json_bytes, json_text, orjson_exact
+from ..obs.export import (BULK_DOMAIN, ROW_DOMAIN, all_finite, exact_bytes,
+                          json_bytes, json_loads)
 from ..obs.metrics import imbalance
 
 __all__ = ["WorkerMetrics", "ChunkRecord", "LazyChunkList", "SimResult"]
@@ -91,30 +91,13 @@ class ChunkRecord(object):
 
 
 #: The float fields of a chunk row: the columns checked for NaN and
-#: infinities (:meth:`SimResult.floats`, :func:`_rows_text`).
+#: infinities (:meth:`SimResult.floats`, :meth:`LazyChunkList.__reduce__`).
 _ASSIGNED_AT, _COMPLETED_AT = operator.itemgetter(3), operator.itemgetter(4)
 
 
-def _rows_text(rows: list[tuple]) -> Optional[bytes]:
-    """orjson's text of ``rows`` when it decodes to the same rows, else
-    None.
-
-    A row holds :class:`ChunkRecord`'s field types: ints, the two
-    times, an int or None ``acp``.  orjson writes a NaN or an infinity
-    as ``null``, so the time columns must be finite (one C-level
-    ``math.fsum`` each, :func:`~repro.obs.export.all_finite`); it
-    refuses, without options, a numpy scalar, an int subclass, an int
-    beyond 64 bits and anything else it would not read back as the
-    same type.
-    """
-    try:
-        if all_finite((list(map(_ASSIGNED_AT, rows)),
-                       list(map(_COMPLETED_AT, rows)))):
-            return orjson.dumps(
-                rows, option=orjson.OPT_PASSTHROUGH_SUBCLASS)
-    except (TypeError, OverflowError):
-        pass
-    return None
+def _times(rows: list[tuple]) -> list[list]:
+    """The rows' two time columns."""
+    return [list(map(_ASSIGNED_AT, rows)), list(map(_COMPLETED_AT, rows))]
 
 
 class LazyChunkList(object):
@@ -134,12 +117,13 @@ class LazyChunkList(object):
     fast path writes no ``acp``).
 
     The transport form is the rows' JSON text: a result crosses a
-    process pool as the exact orjson bytes a persisted sweep line
-    holds for its chunks (:meth:`SimResult.row_json`), encoded once,
-    by the pool worker.  The far side keeps the text undecoded
+    process pool as the exact bytes a persisted sweep line holds for
+    its chunks (:meth:`SimResult.row_json`), encoded once, by the pool
+    worker, with :mod:`repro.obs.export`'s codec under its type-exact
+    ``ROW_DOMAIN``.  The far side keeps the text undecoded
     (:meth:`text`): ``len`` needs no decode, and :meth:`rows` decodes
-    once, on first read, into the same tuples.  Where orjson would not
-    write the rows exactly (a non-finite time, a numpy scalar, an int
+    once, on first read, into the same tuples.  Where the codec's
+    bytes would not be exact (a non-finite time, a numpy scalar, an int
     beyond 64 bits) the rows themselves are pickled, as before.
     """
 
@@ -148,7 +132,7 @@ class LazyChunkList(object):
     def __init__(self, rows: list[tuple]):
         self._rows: Optional[list[tuple]] = rows
         self._records: Optional[list[ChunkRecord]] = None
-        #: the rows' orjson text, when they arrived as text
+        #: the rows' JSON text, when they arrived as text
         self._text: Optional[bytes] = None
         self._length = 0
 
@@ -186,11 +170,11 @@ class LazyChunkList(object):
         rows = self._rows
         if rows is None:
             assert self._text is not None
-            rows = self._rows = list(map(tuple, orjson.loads(self._text)))
+            rows = self._rows = list(map(tuple, json_loads(self._text)))
         return rows
 
     def text(self) -> Optional[bytes]:
-        """The rows' orjson text when they arrived as text, else None."""
+        """The rows' JSON text when they arrived as text, else None."""
         return self._text
 
     def __reduce__(self):
@@ -199,7 +183,8 @@ class LazyChunkList(object):
         # sequence protocol.
         text = self._text
         if text is None:
-            text = _rows_text(self._rows)
+            text = exact_bytes(self._rows, ROW_DOMAIN,
+                               lambda rows: all_finite(_times(rows)))
             if text is None:
                 return (LazyChunkList, (self._rows,))
         return (_chunks_from_text, (text, len(self)))
@@ -236,7 +221,7 @@ class SimResult(object):
     t_p: float
     #: one :class:`ChunkRecord` per chunk, in compute-start order:
     #: the row-backed :class:`LazyChunkList`, which is what
-    #: :meth:`to_dict`, :meth:`row_dict`, :meth:`to_json` and pickling
+    #: :meth:`to_dict`, :meth:`row_dict`, :meth:`to_json_bytes` and pickling
     #: write from.  (The auditors only iterate, so a test may hand them
     #: a result holding a plain list of edited records.)
     chunks: LazyChunkList
@@ -297,7 +282,7 @@ class SimResult(object):
     def to_dict(self, include_results: bool = False) -> dict:
         """JSON-safe dict; exact round trip via :meth:`from_dict`.
 
-        Floats survive JSON exactly (both ``repr`` and orjson write a
+        Floats survive JSON exactly (``repr`` and the codec alike write a
         double's shortest round-trip form), so a persisted result is
         bit-identical after reload.  ``obs_events`` is intentionally
         excluded -- traces are bulky and have their own sinks
@@ -343,41 +328,34 @@ class SimResult(object):
     def floats(self, include_results: bool = False) -> list:
         """Every float of :meth:`to_dict` (or :meth:`row_dict`), in
         columns: what :func:`repro.obs.export.json_bytes` checks."""
-        rows = self.chunks.rows()
-        columns = [self._head_floats(), list(map(_ASSIGNED_AT, rows)),
-                   list(map(_COMPLETED_AT, rows))]
+        columns = [self._head_floats(), *_times(self.chunks.rows())]
         if include_results and self.results is not None:
             columns.append(self.results.tolist())
         return columns
 
     def row_json(self, head: dict) -> bytes:
         """JSON bytes of ``{**head, "result": self.row_dict()}``: one
-        persisted sweep line, as :func:`~repro.obs.export.json_text`
+        persisted sweep line, as :func:`~repro.obs.export.json_bytes`
         writes it.
 
-        When the chunks arrived as text (:class:`LazyChunkList`),
-        orjson writes the head and the result's fields, and the text
+        When the chunks arrived as text (:class:`LazyChunkList`), the
+        codec writes the head and the result's fields, and the text
         follows as ``chunks``, the last member: the same bytes, with no
         row decoded, re-encoded or re-checked.  That holds whenever the
-        fields are exact in orjson's hands
-        (:func:`~repro.obs.export.orjson_exact`); otherwise, and for
-        rows that never crossed a pickle, one ``json_text`` call
+        fields' bytes are exact
+        (:func:`~repro.obs.export.exact_bytes`); otherwise, and for
+        rows that never crossed a pickle, one ``json_bytes`` call
         writes the whole line.  ``head`` holds no float.
         """
         text = self.chunks.text()
         if text is not None:
-            data = orjson_exact({**head, "result": self._fields()},
-                                [self._head_floats()])
+            data = exact_bytes({**head, "result": self._fields()},
+                               BULK_DOMAIN,
+                               lambda _: all_finite([self._head_floats()]))
             if data is not None:
                 # ``data`` ends in the result's ``}`` and the line's.
                 return b"%s,\"chunks\":%s}}" % (data[:-2], text)
-        return json_text({**head, "result": self.row_dict()},
-                         self.floats()).encode()
-
-    def to_json(self, include_results: bool = False) -> str:
-        """Compact JSON text of :meth:`to_dict`:
-        :meth:`to_json_bytes` as text."""
-        return self.to_json_bytes(include_results).decode()
+        return json_bytes({**head, "result": self.row_dict()}, self.floats())
 
     def to_json_bytes(self, include_results: bool = False) -> bytes:
         """Compact JSON of :meth:`to_dict`, as UTF-8 bytes.
@@ -385,8 +363,9 @@ class SimResult(object):
         The writer used where a result leaves the process as a dict --
         a service reply -- through :func:`repro.obs.export.json_bytes`:
         ``json.loads(r.to_json_bytes(x)) == r.to_dict(x)``, and the
-        bytes are orjson's whenever every value is finite and encodable
-        (``tests/simulation/test_result_transport.py`` holds both).
+        bytes are the codec's fast ones whenever every value is finite
+        and encodable (``tests/simulation/test_result_transport.py``
+        holds both).
         """
         return json_bytes(self.to_dict(include_results),
                           self.floats(include_results))

@@ -46,6 +46,7 @@ import numpy as np
 from .core import Scheduler, make
 from .core import registry as _registry
 from .obs.events import ObsEvent, SchemaError, validate_event
+from .obs.export import event_line
 
 __all__ = [
     "AuditError",
@@ -728,8 +729,6 @@ def audit_subscription(
       the two multisets must be *equal*, so the subscriber holds a
       bit-identical copy of the ledger-consistent trace.
     """
-    import json as _json
-
     report = AuditReport(subject=subject)
     docs = list(frames)
 
@@ -783,7 +782,7 @@ def audit_subscription(
     def _normalize(ev) -> str:
         if not isinstance(ev, ObsEvent):
             ev = ObsEvent.from_dict(ev)
-        return _json.dumps(ev.to_dict(), sort_keys=True)
+        return event_line(ev)
 
     streamed: dict[str, int] = {}
     for frame in docs:

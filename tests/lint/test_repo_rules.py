@@ -69,6 +69,11 @@ MUTANTS = [
         "    def __setstate__(self, state):\n"
         "        self.__dict__.update(state)\n")},
         "REP411", "reorder.py", id="REP411-second-pickle-hook"),
+    # the frame writer's own orjson call, before the one codec
+    pytest.param({"src/repro/obs/export.py": "import orjson\n",
+                  "src/repro/service/protocol.py": (
+                      "from orjson import dumps\n")},
+        "REP412", "service/protocol.py", id="REP412-second-orjson-import"),
 ]
 
 

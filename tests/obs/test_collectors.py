@@ -135,7 +135,7 @@ def test_capture_context_manager():
 
 def test_jsonl_collector_round_trips(tmp_path):
     path = tmp_path / "trace.jsonl"
-    sink = JsonlCollector(path, flush_every=2)
+    sink = JsonlCollector(path)
     events = [_ev(i) for i in range(5)]
     for ev in events:
         sink.emit(ev)
@@ -150,21 +150,11 @@ def test_jsonl_collector_creates_file_eagerly(tmp_path):
     assert read_jsonl(path) == []
 
 
-def test_jsonl_collector_flush_threshold(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    sink = JsonlCollector(path, flush_every=3)
-    sink.emit(_ev(0))
-    sink.emit(_ev(1))
-    assert read_jsonl(path) == []  # still buffered
-    sink.emit(_ev(2))              # hits the threshold
-    assert len(read_jsonl(path)) == 3
-
-
 def test_jsonl_collector_concurrent_writers_interleave_whole_lines(
     tmp_path,
 ):
     path = tmp_path / "trace.jsonl"
-    sinks = [JsonlCollector(path, flush_every=1) for _ in range(4)]
+    sinks = [JsonlCollector(path) for _ in range(4)]
 
     def pump(sink, base):
         for i in range(50):

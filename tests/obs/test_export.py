@@ -24,7 +24,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.export import all_finite, json_text
+from repro.obs.export import all_finite, json_bytes
 
 from ..conftest import assert_json_text
 
@@ -267,7 +267,7 @@ def test_events_json_is_the_json_of_the_rows(events):
 
 
 def _per_float_rule(doc: list) -> str:
-    """``json_text`` as it was: a ``math.isfinite`` call per float."""
+    """The bulk writer as it was: a ``math.isfinite`` call per float."""
     if all(map(math.isfinite, doc)):
         return orjson.dumps(doc).decode()
     return json.dumps(doc, separators=(",", ":"))
@@ -277,8 +277,8 @@ def test_finite_floats_whose_sum_overflows_stay_orjson_text():
     column = [1e308, 1e308]
     assert not math.isfinite(sum(column))
     assert all_finite([column])
-    assert json_text(column, [column]) == orjson.dumps(column).decode()
-    assert json_text(column, [column]) == "[1e308,1e308]"
+    assert json_bytes(column, [column]) == orjson.dumps(column)
+    assert json_bytes(column, [column]) == b"[1e308,1e308]"
     # numpy scalars add as numpy does, so a Python ``sum`` of these
     # would overflow with a RuntimeWarning (an error in tier-1).
     assert all_finite([[np.float64(1e308)] * 2])
@@ -295,7 +295,7 @@ def test_non_finite_and_negative_zero_are_written_as_before(value, token):
     doc = [1.5, value, 1e308, 1e308]
     for columns in ([doc], [doc[:2], doc[2:]], [[], doc]):
         assert all_finite(columns) == math.isfinite(value)
-        text = json_text(doc, columns)
+        text = json_bytes(doc, columns).decode()
         assert text == _per_float_rule(doc)
         assert token in text
 
@@ -307,4 +307,4 @@ def test_non_finite_and_negative_zero_are_written_as_before(value, token):
 def test_column_test_agrees_with_the_per_float_rule(doc, cut):
     columns = [doc[:cut], doc[cut:]]
     assert all_finite(columns) == all(map(math.isfinite, doc))
-    assert json_text(doc, columns) == _per_float_rule(doc)
+    assert json_bytes(doc, columns).decode() == _per_float_rule(doc)

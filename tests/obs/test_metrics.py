@@ -75,4 +75,4 @@ def test_registry_get_or_create_and_type_clash():
     assert reg.counter("x") is reg.counter("x")
     with pytest.raises(TypeError):
         reg.gauge("x")
-    assert json.loads(reg.to_json())["x"]["type"] == "counter"
+    assert json.loads(json.dumps(reg.snapshot()))["x"]["type"] == "counter"

@@ -90,7 +90,7 @@ def one_shot_body(spec: dict) -> bytes:
     events = result.obs_events
     return b'{"digest":"%s","events_emitted":%d,"result":%s}' % (
         stream_digest(events).encode("ascii"), len(events),
-        result.to_json(bool(spec.get("results"))).encode("utf-8"),
+        result.to_json_bytes(bool(spec.get("results"))),
     )
 
 

@@ -142,7 +142,7 @@ class TestExecution:
         assert record.state == "done"
         assert record.digest == stream_digest(reference.obs_events)
         assert _body(record)["result"] == json.loads(
-            reference.to_json(True))
+            reference.to_json_bytes(True))
         assert _holds_only_scalars(record)
 
     def test_many_jobs_across_tenants_all_complete(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import struct
 import threading
@@ -13,13 +14,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.obs import events_json
+from repro.obs.export import json_loads
 from repro.service.jobs import job_from_spec
 from repro.service.protocol import (
     MAX_FRAME,
     FrameDecoder,
     ProtocolError,
     _json_loads,
-    _reply_loads,
     encode_frame,
     frame_payload,
     recv_frame,
@@ -65,6 +66,28 @@ _values = st.recursive(
 _docs = _objects(_values)
 
 
+def _floats_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_floats_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_floats_finite, value))
+    return True
+
+
+def _reference_payload(doc) -> bytes:
+    """The frame payload rule, written out: orjson's sorted bytes when
+    they are exact, else a space and :mod:`json`'s."""
+    try:
+        exact = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
+    except TypeError:
+        exact = None
+    if exact is not None and _floats_finite(doc):
+        return exact
+    return b" " + _json_writer(doc)
+
+
 class TestEncode:
     def test_roundtrip_layout(self):
         frame = encode_frame({"op": "ping", "seq": 1})
@@ -86,12 +109,14 @@ class TestEncode:
     def test_every_reader_decodes_what_the_json_writer_gives(self, doc):
         """The daemon's :mod:`json` decode of ``encode_frame(doc)``
         equals its decode of :mod:`json`'s own bytes of ``doc``, and so
-        does the client's :func:`_reply_loads`.  Through ``json.dumps``,
-        NaN equals NaN."""
+        does the client's :func:`json_loads`.  Through ``json.dumps``,
+        NaN equals NaN.  Byte for byte, the payload is the rule written
+        out in :func:`_reference_payload`."""
         payload = encode_frame(doc)[4:]
         want = json.dumps(_json_loads(_json_writer(doc)))
         assert json.dumps(_json_loads(payload)) == want
-        assert json.dumps(_reply_loads(payload)) == want
+        assert json.dumps(json_loads(payload)) == want
+        assert payload == _reference_payload(doc)
 
     @pytest.mark.parametrize("doc", [
         {"tenant": "\u00e9t\u00e9", "unit": 1e-05, "n": None,
@@ -119,10 +144,10 @@ class TestEncode:
         int beyond 64 bits reads back as that int, not a float."""
         payload = encode_frame(doc)[4:]
         assert payload == b" " + _json_writer(doc)
-        assert json.dumps(_reply_loads(payload)) \
+        assert json.dumps(json_loads(payload)) \
             == json.dumps(json.loads(payload))
         if "seq" in doc:
-            assert _reply_loads(payload)["seq"] == 2 ** 64
+            assert json_loads(payload)["seq"] == 2 ** 64
 
     def test_a_doc_json_cannot_write_is_refused_alike(self):
         # Int and str keys side by side cannot be sorted.
@@ -277,9 +302,8 @@ class TestReplyDecoding:
                 "workload": {"kind": "uniform", "size": 1200,
                              "unit": 1e-4}}
         result = job_from_spec(spec).run()
-        payload = ('{"ok":true,"result":%s,"trace":%s}' % (
-            result.to_json(), events_json(result.obs_events).decode())
-        ).encode()
+        payload = b'{"ok":true,"result":%s,"trace":%s}' % (
+            result.to_json_bytes(), events_json(result.obs_events))
         assert len(payload) > 500_000
         assert self._recv(payload) == json.loads(payload)
 

@@ -446,7 +446,7 @@ class TestSpilledReplies:
             "requeues": 0, "seq": 7,
             "digest": stream_digest(events),
             "events_emitted": len(events),
-            "result": json.loads(one_shot.to_json(False)),
+            "result": json.loads(one_shot.to_json_bytes(False)),
             "trace": [list(ev) for ev in events],
         }
 

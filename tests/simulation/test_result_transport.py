@@ -1,12 +1,12 @@
 """A result's chunks travel as rows: into ``to_dict``, into the text
-``to_json`` writes and into ``row_dict``, the form a persisted sweep
+``to_json_bytes`` writes and into ``row_dict``, the form a persisted sweep
 line holds; across a pickle they travel as that line's text of them.
 
 ``LazyChunkList`` pickles its rows' orjson text where that is exact,
 and its rows otherwise (and stays lazy on the far side, the text
 undecoded until read); a DES result is row-backed like a fast-path one
 and crosses a pickle the same way, ``SimResult.to_dict`` builds its
-dicts from rows and fields, and ``SimResult.to_json`` writes
+dicts from rows and fields, and ``SimResult.to_json_bytes`` writes
 ``to_dict`` with orjson (with ``json`` for what orjson cannot write
 exactly).  The reference
 throughout is the record-object form: ``list(original)`` for the
@@ -30,7 +30,7 @@ from hypothesis import given, strategies as st
 from repro.chaos import FaultPlan
 from repro.core import names
 from repro.decentral import DECENTRAL_SCHEMES, simulate_decentral
-from repro.obs.export import json_text
+from repro.obs.export import json_bytes
 from repro.simulation import (
     ClusterSpec,
     NodeSpec,
@@ -114,19 +114,20 @@ def assert_rows_are_the_dict(result: SimResult) -> None:
     assert {k: v for k, v in rows.items() if k != "chunks"} \
         == {k: v for k, v in d.items() if k != "chunks"}
     assert rows["chunks"] == result.chunks.rows()
-    text = json_text(rows, result.floats())
+    text = json_bytes(rows, result.floats()).decode()
     assert_json_text(text, rows)
     back = SimResult.from_dict(json.loads(text))
     assert isinstance(back.chunks, LazyChunkList)
     # ``json.dumps`` writes NaN as NaN: the comparison holds there too.
     assert json.dumps(back.to_dict()) == json.dumps(d)
-    assert back.to_json() == result.to_json()
+    assert back.to_json_bytes() == result.to_json_bytes()
 
 
 def assert_text_is_the_dict(result: SimResult) -> None:
-    """``to_json`` against its definition, parsed and byte for byte."""
+    """``to_json_bytes`` against its definition, parsed and byte for
+    byte."""
     for include_results in (False, True):
-        assert_json_text(result.to_json(include_results),
+        assert_json_text(result.to_json_bytes(include_results).decode(),
                          result.to_dict(include_results))
 
 
@@ -268,7 +269,7 @@ def test_to_json_is_to_dict_tree(workload, cluster, weighted):
 def test_from_dict_reads_rows_and_dicts_alike(rows):
     result = _result(rows)
     as_rows = SimResult.from_dict(json.loads(json.dumps(result.row_dict())))
-    as_dicts = SimResult.from_dict(json.loads(result.to_json()))
+    as_dicts = SimResult.from_dict(json.loads(result.to_json_bytes()))
     assert as_rows == as_dicts == result
     assert as_rows.chunks.rows() == list(rows)
     assert all(type(row) is tuple for row in as_rows.chunks.rows())
@@ -287,8 +288,8 @@ def test_from_dict_refuses_a_chunk_that_is_no_row(chunk):
 def test_to_json_carries_results_on_request(workload, cluster):
     result = simulate("GSS", workload, cluster, collect_results=True)
     assert result.results is not None
-    assert "results" not in json.loads(result.to_json())
-    assert json.loads(result.to_json(True))["results"] \
+    assert "results" not in json.loads(result.to_json_bytes())
+    assert json.loads(result.to_json_bytes(True))["results"] \
         == result.results.tolist()
     assert_text_is_the_dict(result)
 
@@ -301,7 +302,8 @@ def _result(rows=(), t_p=1.0, name="n0") -> SimResult:
 def test_to_json_is_orjson_text():
     # Exponents without "+" or leading zeros, non-ASCII as raw UTF-8:
     # orjson's form, where ``json`` would write 1e+16, 1e-05, \u00e9.
-    text = _result([(0, 0, 5, 1e-5, 1e16, 0)], name="caf\u00e9").to_json()
+    text = _result([(0, 0, 5, 1e-5, 1e16, 0)],
+                   name="caf\u00e9").to_json_bytes().decode()
     assert "1e-05" not in text and "1e+16" not in text
     assert '"name":"caf\u00e9"' in text
     assert_text_is_the_dict(_result([(0, 0, 5, 1e-5, 1e16, 0)]))
@@ -319,7 +321,7 @@ def test_to_json_is_orjson_text():
     (_result(name="\ud800"), '"name":"\\ud800"'),
 ], ids=["nan", "inf", "np-inf", "int-beyond-64-bits", "lone-surrogate"])
 def test_to_json_falls_back_to_json_exactly_there(result, token):
-    text = result.to_json()
+    text = result.to_json_bytes().decode()
     assert token in text
     text.encode("utf-8")  # a reply body or a JSONL line
     assert_text_is_the_dict(result)

@@ -151,7 +151,7 @@ class TestSimJob:
                      if engine == "master" else {})
         clone = pickle.loads(pickle.dumps(job))
         result, again = job.run(), clone.run()
-        assert again.to_json(True) == result.to_json(True)
+        assert again.to_json_bytes(True) == result.to_json_bytes(True)
         assert again.chunks == result.chunks
         if engine == "master":
             assert again.results.tobytes() == result.results.tobytes()
@@ -433,7 +433,7 @@ class TestStreamBatch:
                                                   monkeypatch):
         """A line used to be ``json.dumps`` of one dict holding
         ``result.to_dict()``, then that record's head spliced with
-        ``result.to_json()``; it now holds the result's rows.  One
+        the result's ``to_json_bytes()`` text; it now holds its rows.  One
         file may hold all three, and each resumes bit-identically."""
         jobs = small_jobs(6)
         results = run_batch(jobs)
@@ -450,7 +450,8 @@ class TestStreamBatch:
 
         def spliced(i):
             return '%s, "result": %s}' % (
-                json.dumps(head(i))[:-1], results[i].to_json())
+                json.dumps(head(i))[:-1],
+                results[i].to_json_bytes().decode())
 
         path = str(tmp_path / "sweep.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
@@ -513,7 +514,7 @@ class TestStreamBatch:
         )
         [back] = run_batch([job], persist=path, resume=True)
         assert back == result
-        assert back.to_json() == result.to_json()
+        assert back.to_json_bytes() == result.to_json_bytes()
         assert back.to_dict() == result.to_dict()
         assert pickle.dumps(back.to_dict()) \
             == pickle.dumps(result.to_dict())
@@ -541,28 +542,30 @@ class TestStreamBatch:
         back = _Persister(path, resume=True).loaded[job.key]
         # ``json.dumps`` writes NaN as NaN, so NaN compares equal here.
         assert json.dumps(back.to_dict()) == json.dumps(result.to_dict())
-        assert back.to_json() == result.to_json()
+        assert back.to_json_bytes() == result.to_json_bytes()
 
     def test_record_writes_one_json_text_and_no_dict_form(
         self, tmp_path, monkeypatch
     ):
         """A persisted line is one encode, and the per-chunk dicts of
-        ``to_dict`` / ``to_json`` are never built on the way to disk:
-        one ``json_text`` call over the row form for a result built
-        in-process; for one whose rows crossed a pool as text, no
-        ``json_text`` call but one ``orjson_exact`` over the head
-        alone, the text spliced after it."""
+        ``to_dict`` / ``to_json_bytes`` are never built on the way to
+        disk: one ``json_bytes`` call over the row form for a result
+        built in-process; for one whose rows crossed a pool as text, no
+        ``json_bytes`` call but one ``exact_bytes`` over the head
+        alone, the text spliced after it (the stub pool's pickle of the
+        rows is the other ``exact_bytes`` call per job)."""
         calls = collections.Counter()
         spy(monkeypatch, calls, SimResult, "to_dict")
-        spy(monkeypatch, calls, SimResult, "to_json")
-        spy(monkeypatch, calls, metrics_mod, "json_text")
-        spy(monkeypatch, calls, metrics_mod, "orjson_exact")
+        spy(monkeypatch, calls, SimResult, "to_json_bytes")
+        spy(monkeypatch, calls, metrics_mod, "json_bytes")
+        spy(monkeypatch, calls, metrics_mod, "exact_bytes")
         jobs = small_jobs(4)
         path = str(tmp_path / "sweep.jsonl")
         run_batch(jobs, persist=path)
-        assert calls == {"json_text": len(jobs)}
+        assert calls == {"json_bytes": len(jobs)}
         run_batch(jobs, persist=path, pool=_SyncPool())
-        assert calls == {"json_text": len(jobs), "orjson_exact": len(jobs)}
+        assert calls == {"json_bytes": len(jobs),
+                         "exact_bytes": 2 * len(jobs)}
         lines = open(path, "rb").read().splitlines()
         assert len(lines) == 2 * len(jobs)
         assert lines[:len(jobs)] == lines[len(jobs):]
@@ -580,8 +583,8 @@ class TestStreamBatch:
         encoded = []
         spy(monkeypatch, calls, LazyChunkList, "rows")
         spy(monkeypatch, calls, SimResult, "floats")
-        spy(monkeypatch, calls, metrics_mod, "json_text")
-        spy(monkeypatch, calls, metrics_mod, "orjson_exact")
+        spy(monkeypatch, calls, metrics_mod, "json_bytes")
+        spy(monkeypatch, calls, metrics_mod, "exact_bytes")
         spy(monkeypatch, calls, orjson, "dumps", encoded)
         spy(monkeypatch, calls, orjson, "loads")
         path = str(tmp_path / "sweep.jsonl")
@@ -589,7 +592,7 @@ class TestStreamBatch:
         sink.record(job, 0, result)
         sink.close()
         # One encode, of the head and the result's fields only.
-        assert calls == {"orjson_exact": 1, "dumps": 1}
+        assert calls == {"exact_bytes": 1, "dumps": 1}
         [(doc,)] = encoded
         assert list(doc["result"]) == ["scheme", "t_p", "rederivations",
                                        "events", "workers"]
