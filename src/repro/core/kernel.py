@@ -151,15 +151,6 @@ class ChunkCalculator(object):
         """Number of chunks a full run produces."""
         return len(self._tabulate()[1])
 
-    def prefix(self, index: int) -> int:
-        """Iterations assigned before chunk ordinal ``index``."""
-        bounds = self._tabulate()[0]
-        if not 0 <= index < len(bounds):
-            raise SchemeError(
-                f"chunk index {index} out of range [0, {len(bounds) - 1}]"
-            )
-        return bounds[index]
-
     def interval(self, index: int) -> tuple[int, int]:
         """Half-open iteration interval of chunk ordinal ``index``."""
         bounds = self._tabulate()[0]

@@ -5,8 +5,8 @@ no master process in the dispatch path: each worker loops
 
     1. ``i = counter.fetch_add(1)``      (or a group-lease claim),
     2. ``start, stop = calc.interval(i)``  (pure local arithmetic),
-    3. execute, append ``(i, start, stop, payload)`` to its own shard
-       file, flush, go to 1,
+    3. execute, append ``("chunk", i, start, stop, payload)`` to its
+       own shard file (one write), go to 1,
 
 until a fetched ordinal falls beyond ``calc.n_chunks``.  The parent
 only spawns processes, waits, and merges shards -- coordination-free
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
 import time
 from typing import Any, Optional, Sequence
 
@@ -53,6 +52,7 @@ from ..runtime.chassis import (
     WorkerCall,
     WorkerStep,
     assemble_results,
+    shard_writer,
 )
 from ..runtime.config import RuntimeConfig
 from ..runtime.messages import WorkerStats
@@ -132,29 +132,26 @@ def decentral_worker_main(
     """Claim/compute/record loop (process target; exits when dry).
 
     ``counter`` is a :class:`SharedCounter` (flat) or
-    :class:`LeasedCounter` (hierarchical).  Every record is flushed
-    before the next claim, so anything this process *recorded* survives
-    its own SIGKILL (page cache, not process memory).
+    :class:`LeasedCounter` (hierarchical).  Every record is written
+    (:func:`~repro.runtime.chassis.shard_writer`) before the next
+    claim, so anything this process *recorded* survives its own
+    SIGKILL.
 
     ``emit_events`` interleaves unified observability events (source
-    ``runtime.decentral``) into the shard stream as
-    ``("event", event_dict)`` records; the parent replays them into its
-    collector at merge time, deduping ``result`` events by interval
-    alongside the chunk records themselves.
+    ``runtime.decentral``) into the shard stream as ``("event", row)``
+    records; the parent replays them into its collector at merge time,
+    deduping ``result`` events by interval alongside the chunk records
+    themselves.
     """
     spec = spec or WorkerSpec()
     n = calc.n_chunks
     global_ops = 0
     local_ops = 0
     leased = isinstance(counter, LeasedCounter)
-    with open(shard_path, "wb", buffering=0) as out:
-        def dump(record: tuple) -> None:
-            pickle.dump(record, out, protocol=pickle.HIGHEST_PROTOCOL)
-
+    with shard_writer(shard_path) as append:
         step = WorkerStep(
             workload, worker_id, spec.slowdown, delays, _SRC,
-            (lambda ev: dump(("event", ev.to_dict())))
-            if emit_events else None,
+            append if emit_events else None,
         )
         stats = step.stats
         while True:
@@ -183,34 +180,14 @@ def decentral_worker_main(
                 start, stop,
                 calc.stage_of(index) if emit_events else None,
             )
-            dump((
+            append((
                 "chunk", index, start, stop,
                 payload if collect_results else None,
             ))
             # After the chunk record: the result is durable now.
             step.emit("result", start=start, stop=stop)
-        dump(("stats", worker_id, stats, global_ops, local_ops))
+        append(("stats", worker_id, stats, global_ops, local_ops))
     counter.close()
-
-
-def _read_shard(path: str) -> list[tuple]:
-    """Decode a shard, stopping at the first torn (half-written) record."""
-    records: list[tuple] = []
-    with open(path, "rb") as handle:
-        while True:
-            try:
-                records.append(pickle.load(handle))
-            except EOFError:
-                break
-            except (pickle.UnpicklingError, AttributeError, ImportError,
-                    IndexError, ValueError, TypeError, OSError):
-                # A SIGKILL mid-write leaves a truncated/garbled tail;
-                # everything before it decoded fine and stands.  This
-                # tuple is the documented set of errors ``pickle.load``
-                # raises on corrupt input (plus OSError for a torn
-                # read); a genuine bug still propagates.
-                break
-    return records
 
 
 class CounterChassis(ProcessChassis):
@@ -272,7 +249,7 @@ class CounterChassis(ProcessChassis):
         }
         args = (
             wid, self.workload, self.calc, counter,
-            self.shard_path(wid, ".pkl"),
+            self.shard_path(wid),
         )
         return (decentral_worker_main, args, kwargs), None, None
 
@@ -350,28 +327,27 @@ def run_decentral(
         #: lockstep with the chunk dedup: a chunk's start identifies its
         #: ordinal, and the same shard scan order decides both.
         result_events: dict[int, ObsEvent] = {}
-        for shard_wid, path in chassis.shards():
-            for record in _read_shard(path):
-                if record[0] == "chunk":
-                    _tag, index, start, stop, payload = record
-                    completed.setdefault(
-                        index, (shard_wid, start, stop, payload)
-                    )
-                elif record[0] == "stats":
-                    _tag, wid, wstats, gops, lops = record
-                    agg = stats.setdefault(wid, WorkerStats())
-                    agg.compute_seconds += wstats.compute_seconds
-                    agg.wait_seconds += wstats.wait_seconds
-                    agg.chunks += wstats.chunks
-                    agg.iterations += wstats.iterations
-                    global_ops += gops
-                    local_ops += lops
-                elif record[0] == "event":
-                    ev = ObsEvent.from_dict(record[1])
-                    if ev.kind == "result":
-                        result_events.setdefault(ev.start, ev)
-                    else:
-                        obs.emit(ev)
+        for shard_wid, record in chassis.records():
+            if record[0] == "chunk":
+                _tag, index, start, stop, payload = record
+                completed.setdefault(
+                    index, (shard_wid, start, stop, payload)
+                )
+            elif record[0] == "stats":
+                _tag, wid, wstats, gops, lops = record
+                agg = stats.setdefault(wid, WorkerStats())
+                agg.compute_seconds += wstats.compute_seconds
+                agg.wait_seconds += wstats.wait_seconds
+                agg.chunks += wstats.chunks
+                agg.iterations += wstats.iterations
+                global_ops += gops
+                local_ops += lops
+            elif record[0] == "event":
+                ev = ObsEvent._make(record[1])
+                if ev.kind == "result":
+                    result_events.setdefault(ev.start, ev)
+                else:
+                    obs.emit(ev)
         missing = [i for i in range(n) if i not in completed]
         if obs:
             for index in sorted(completed):

@@ -26,9 +26,10 @@ from ..analysis import format_matrix
 from ..batch import SimJob, run_batch
 from ..chaos import FaultPlan
 from ..core import make
-from ..simulation import ClusterSpec, NodeSpec, simulate
+from ..simulation import ClusterSpec, simulate
 from ..verify import audit_adaptive
 from ..workloads import GaussianPeakWorkload, UniformWorkload
+from .config import alternating_cluster
 
 __all__ = ["FIXED_SCHEMES", "ADAPTIVE_SPEC", "sweep", "report"]
 
@@ -44,20 +45,6 @@ SCENARIOS: dict[str, Optional[dict]] = {
     "spike": dict(deaths=0, delays=0, losses=0, stalls=0, spikes=3),
     "chaos": dict(),
 }
-
-
-def _cluster(p: int) -> ClusterSpec:
-    """Alternating fast/slow nodes in the testbed's ~440:166 ratio."""
-    nodes = [
-        NodeSpec(
-            name=f"pe{i}",
-            speed=4.4e4 if i % 2 == 0 else 1.66e4,
-            latency=1e-4,
-            bandwidth=1.25e6,
-        )
-        for i in range(p)
-    ]
-    return ClusterSpec(nodes=nodes, master_service=2e-4)
 
 
 def _workloads(total: int) -> dict[str, object]:
@@ -80,7 +67,7 @@ def sweep(
     and scaled to half the clean TSS makespan of the cell's workload,
     so every scheme in a row faces the *same* fault times.
     """
-    cluster = _cluster(workers)
+    cluster = alternating_cluster(workers, 2e-4)
     wls = _workloads(total)
     schemes = list(FIXED_SCHEMES) + [ADAPTIVE_SPEC]
     jobs: list[SimJob] = []
@@ -140,7 +127,7 @@ def report(
 ) -> str:
     """The full artifact: matrix tables, loss ratios, audits, decisions."""
     grid = sweep(workers=workers, total=total, seed=seed, n_jobs=n_jobs)
-    cluster = _cluster(workers)
+    cluster = alternating_cluster(workers, 2e-4)
     schemes = list(FIXED_SCHEMES) + ["adaptive"]
     lines = [
         "adaptive-sweep -- scheme selection and retuning during the loop",

@@ -92,6 +92,27 @@ def _node(
     )
 
 
+def alternating_cluster(p: int, master_service: float) -> ClusterSpec:
+    """A heterogeneous p-node cluster in the paper's fast/slow mix.
+
+    Speeds alternate ~440:166 (the testbed's UltraSPARC 10 vs 1
+    ratio); absolute scale puts makespans in single-digit seconds so
+    millisecond-level dispatch costs are visible but not dominant.
+    The decentral and adaptive sweeps differ only in the master's
+    per-request ``master_service``.
+    """
+    nodes = [
+        NodeSpec(
+            name=f"pe{i}",
+            speed=4.4e4 if i % 2 == 0 else 1.66e4,
+            latency=1e-4,
+            bandwidth=1.25e6,
+        )
+        for i in range(p)
+    ]
+    return ClusterSpec(nodes=nodes, master_service=master_service)
+
+
 def paper_cluster(
     workload: Workload,
     n_fast: int = 3,

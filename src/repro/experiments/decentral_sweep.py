@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 
 from ..analysis import format_matrix, line_chart
 from ..batch import SimJob, run_batch
-from ..simulation import ClusterSpec, NodeSpec
 from ..workloads import UniformWorkload
+from .config import alternating_cluster
 
 __all__ = [
     "DecentralPoint",
@@ -60,25 +60,6 @@ class DecentralPoint(object):
     decentral_t_p: float
 
 
-def _cluster(p: int, master_service: float) -> ClusterSpec:
-    """A heterogeneous p-node cluster in the paper's fast/slow mix.
-
-    Speeds alternate ~440:166 (the testbed's UltraSPARC 10 vs 1
-    ratio); absolute scale puts makespans in single-digit seconds so
-    millisecond-level dispatch costs are visible but not dominant.
-    """
-    nodes = [
-        NodeSpec(
-            name=f"pe{i}",
-            speed=4.4e4 if i % 2 == 0 else 1.66e4,
-            latency=1e-4,
-            bandwidth=1.25e6,
-        )
-        for i in range(p)
-    ]
-    return ClusterSpec(nodes=nodes, master_service=master_service)
-
-
 def _workload(total: int) -> UniformWorkload:
     return UniformWorkload(total, unit=100.0)
 
@@ -101,7 +82,7 @@ def dispatch_sweep(
     grid: list[tuple[int, float, SimJob, SimJob]] = []
     for p in sizes:
         for cost in dispatch_costs:
-            cluster = _cluster(p, cost)
+            cluster = alternating_cluster(p, cost)
             grid.append((
                 p,
                 cost,
@@ -142,7 +123,7 @@ def contention_sweep(
     jobs: list[SimJob] = []
     for p in sizes:
         for cost in atomic_costs:
-            cluster = _cluster(p, 0.0)
+            cluster = alternating_cluster(p, 0.0)
             jobs.append(SimJob(
                 scheme="SS", workload=wl, cluster=cluster,
                 engine="decentral",

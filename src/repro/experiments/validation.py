@@ -77,8 +77,8 @@ def run_checks(
         best = min(master, key=master.get)
         return best in ("TSS", "TFSS"), f"best simple = {best}"
 
-    add('"TSS performed best, followed by TFSS" (Table 2, within '
-        "single-run noise)', decreasing-chunk scheme first",
+    add('"TSS performed best, followed by TFSS" (Table 2): a '
+        "decreasing-chunk scheme first, within single-run noise",
         check_simple_best)
 
     def check_simple_imbalanced():

@@ -11,10 +11,10 @@ five execution paths:
   (``simulate_decentral(..., collector=...)``),
 * the real master--worker runtime
   (``run_parallel(..., collector=...)`` -- master-side events plus
-  worker-side shard writers merged after the run),
+  the workers' shards, merged after the run),
 * the decentral counter runtime
-  (``run_decentral(..., collector=...)`` -- events ride in the shard
-  files).
+  (``run_decentral(..., collector=...)`` -- events ride in the same
+  shards as its chunk records).
 
 Because every substrate speaks the same schema, simulator and runtime
 traces are directly diffable (:func:`canonical_stream`), one
@@ -51,7 +51,6 @@ from .collect import (
     NULL,
     BufferedCollector,
     Collector,
-    JsonlCollector,
     NullCollector,
     capture,
     resolve,
@@ -106,7 +105,6 @@ __all__ = [
     "Collector",
     "NullCollector",
     "BufferedCollector",
-    "JsonlCollector",
     "capture",
     "resolve",
     "sink",

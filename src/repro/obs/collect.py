@@ -18,26 +18,19 @@ The contract every instrumented hot path relies on:
 * Collectors never validate on emit (schema checks live in tests and
   importers) and never raise out of ``emit`` for flow-control reasons:
   an observability layer must not alter the run it observes.
-* :class:`JsonlCollector` is process- and thread-safe: each event is
-  one line written with a single ``O_APPEND`` write, so concurrent
-  emitters (the chaos driver thread, the master loop) interleave whole
-  lines, never fragments.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .events import EventList, ObsEvent
-from .export import event_line
 
 __all__ = [
     "Collector",
     "NullCollector",
     "BufferedCollector",
-    "JsonlCollector",
     "NULL",
     "resolve",
     "sink",
@@ -113,34 +106,6 @@ class BufferedCollector(Collector):
 
     def by_kind(self, kind: str) -> list[ObsEvent]:
         return [e for e in self.events if e.kind == kind]
-
-
-class JsonlCollector(Collector):
-    """Append-only JSONL sink; safe across threads and processes.
-
-    Each :meth:`emit` appends the event's line
-    (:func:`~repro.obs.export.event_line`) with one :func:`os.write`
-    on an ``O_APPEND`` descriptor, so a killed worker's trace holds
-    every event it emitted.  POSIX guarantees O_APPEND writes are
-    atomic with respect to each other, so multiple processes can share
-    one trace file and the reader still sees whole lines.
-    """
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.path = os.fspath(path)
-        # Create eagerly so an empty run still leaves a readable file.
-        os.close(self._open())
-
-    def _open(self) -> int:
-        return os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                       0o644)
-
-    def emit(self, event: ObsEvent) -> None:
-        fd = self._open()
-        try:
-            os.write(fd, (event_line(event) + "\n").encode("utf-8"))
-        finally:
-            os.close(fd)
 
 
 def sink(collector: Collector) -> Callable[[tuple], None]:

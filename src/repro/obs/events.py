@@ -196,6 +196,9 @@ class ObsEvent(NamedTuple):
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ObsEvent":
+        """The inverse of :meth:`to_dict`; a ``doc`` it cannot read
+        (a missing field, a wrong type, no dict at all) raises
+        :class:`SchemaError`."""
         try:
             return cls(
                 kind=doc["kind"],
@@ -212,6 +215,8 @@ class ObsEvent(NamedTuple):
             )
         except KeyError as exc:
             raise SchemaError(f"event dict missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"not an event dict: {exc}") from exc
 
 
 class EventList(object):

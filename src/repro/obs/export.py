@@ -59,7 +59,7 @@ _US = 1_000_000.0
 def event_line(ev: ObsEvent) -> str:
     """One event's JSONL line, without its newline: the event's dict,
     keys sorted.  The one writer of a trace line (:func:`to_jsonl`,
-    ``JsonlCollector``, ``verify.audit_subscription``)."""
+    ``verify.audit_subscription``)."""
     return json.dumps(ev.to_dict(), sort_keys=True)
 
 
@@ -77,31 +77,24 @@ def write_jsonl(path: Union[str, os.PathLike],
     return len(events)
 
 
-def read_jsonl(source: Union[str, os.PathLike]) -> list[ObsEvent]:
-    """Load events from a JSONL file path (or raw JSONL text).
+def read_jsonl(path: Union[str, os.PathLike]) -> list[ObsEvent]:
+    """Load events from the JSONL file at ``path``.
 
-    A string containing a newline (or starting with ``{``) is treated
-    as JSONL text, anything else as a path.  Blank lines are skipped;
-    a torn trailing line (killed writer) is ignored, mirroring the
-    decentral shard reader's posture.
+    Blank lines are skipped, and a torn trailing line (killed writer)
+    is ignored.  Any other line that is not an event's JSON object
+    raises :class:`~repro.obs.SchemaError` (or
+    :class:`json.JSONDecodeError` where it is not JSON at all).
     """
-    text: str
-    if isinstance(source, str) and (
-        "\n" in source or source.lstrip().startswith("{")
-    ):
-        text = source
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
     events: list[ObsEvent] = []
-    lines = text.split("\n")
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
         try:
             events.append(ObsEvent.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, ValueError):
+        except ValueError:
             if i == len(lines) - 1:
                 break  # torn tail from a killed writer
             raise

@@ -158,7 +158,6 @@ class RollingMetrics(object):
         self.faults = RollingWindow(width, bins)
         self.jobs = RollingWindow(width, bins)
         self.busy: dict[int, RollingWindow] = {}
-        self.events_seen = 0
 
     def _busy_window(self, worker: int) -> RollingWindow:
         win = self.busy.get(worker)
@@ -171,7 +170,6 @@ class RollingMetrics(object):
                 at: Optional[float] = None) -> None:
         """Fold one event into the windows."""
         t = float(event.t) if at is None else float(at)
-        self.events_seen += 1
         kind = event.kind
         if kind == "compute":
             self.chunks.observe(t)

@@ -21,7 +21,14 @@ their worker processes on a :class:`ProcessChassis`, which owns
   late request).  An empty plan fires nothing, so a fault-free run is
   the same path;
 * join-or-terminate, the run's scratch directory with one shard file
-  per incarnation, and result assembly.
+  per incarnation, and result assembly;
+* **the shard format**: a worker appends each record to its shard as
+  one pickle (:func:`shard_writer`), and the parent reads every whole
+  record back after the join (:func:`read_shard`,
+  :meth:`ProcessChassis.records`).  An observability event is the
+  record ``("event", row)``, ``row`` the eleven
+  :class:`~repro.obs.ObsEvent` fields; the counter substrate adds its
+  ``chunk`` and ``stats`` records to the same stream.
 
 A substrate subclasses it with two hooks: :meth:`~ProcessChassis.
 _worker_call` (what a worker process runs, and over which channel) and
@@ -42,9 +49,11 @@ Plan times are wall-clock seconds after the initial workers are up;
 from __future__ import annotations
 
 import collections
+import contextlib
 import math
 import multiprocessing as mp
 import os
+import pickle
 import shutil
 import signal
 import tempfile
@@ -52,7 +61,7 @@ import threading
 import time
 from functools import partial
 from multiprocessing.process import BaseProcess
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -72,6 +81,8 @@ __all__ = [
     "heartbeat_sender",
     "join_or_terminate",
     "locked_sender",
+    "read_shard",
+    "shard_writer",
 ]
 
 #: Injections log as chaos acts (like their events' ``chaos`` source).
@@ -304,21 +315,22 @@ class ProcessChassis(object):
 
     # -- shards ------------------------------------------------------------
 
-    def shard_path(self, wid: int, suffix: str) -> str:
+    def shard_path(self, wid: int) -> str:
         """Shard file of ``wid``'s current incarnation."""
         return os.path.join(
-            self.workdir,
-            f"shard-{wid:03d}-{self.incarnations[wid]:02d}{suffix}",
+            self.workdir, f"shard-{wid:03d}-{self.incarnations[wid]:02d}"
         )
 
-    def shards(self) -> list[tuple[int, str]]:
-        """``(worker_id, path)`` per shard written, in (worker,
-        incarnation) order -- SIGKILLed incarnations included."""
-        return [
-            (int(name.split("-")[1]), os.path.join(self.workdir, name))
-            for name in sorted(os.listdir(self.workdir))
-            if name.startswith("shard-")
-        ]
+    def records(self) -> Iterator[tuple[int, tuple]]:
+        """``(worker_id, record)`` for every whole record written, shard
+        by shard in (worker, incarnation) order -- SIGKILLed
+        incarnations included, each up to its torn tail.  Whole-file
+        reads after the join, so no cross-process locking."""
+        for name in sorted(os.listdir(self.workdir)):
+            if name.startswith("shard-"):
+                wid = int(name.split("-")[1])
+                for record in read_shard(os.path.join(self.workdir, name)):
+                    yield wid, record
 
     def delays_for(
         self, wid: int, incarnation: int
@@ -406,6 +418,52 @@ class ProcessChassis(object):
             self._freeze(False)
 
 
+# -- the shard format ------------------------------------------------------
+
+
+@contextlib.contextmanager
+def shard_writer(path: str) -> Iterator[Callable[[tuple], None]]:
+    """The callable that appends one record to the shard at ``path``.
+
+    Each record is one :func:`os.write` of its pickle on an
+    ``O_APPEND`` descriptor held open until the block exits.  Appends
+    from several threads (a worker's main loop and its heartbeat) or
+    processes never interleave inside a record, and anything written
+    survives the writer's SIGKILL (page cache, not process memory); a
+    kill mid-write tears only the last record.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    dumps, protocol = pickle.dumps, pickle.HIGHEST_PROTOCOL
+
+    def append(record: tuple) -> None:
+        os.write(fd, dumps(record, protocol))
+
+    try:
+        yield append
+    finally:
+        os.close(fd)
+
+
+def read_shard(path: str) -> list[tuple]:
+    """Every whole record of a shard, stopping at a torn tail."""
+    records: list[tuple] = []
+    with open(path, "rb") as handle:
+        while True:
+            try:
+                records.append(pickle.load(handle))
+            except EOFError:
+                break
+            except (pickle.UnpicklingError, AttributeError, ImportError,
+                    IndexError, ValueError, TypeError, OSError):
+                # A SIGKILL mid-write leaves a truncated/garbled tail;
+                # everything before it decoded fine and stands.  This
+                # tuple is the documented set of errors ``pickle.load``
+                # raises on corrupt input (plus OSError for a torn
+                # read); a genuine bug still propagates.
+                break
+    return records
+
+
 # -- the worker side -------------------------------------------------------
 
 
@@ -415,9 +473,10 @@ class WorkerStep(object):
     Owns what every worker loop repeats around "get the next interval":
     the delay schedule served before each request or claim, the chunk
     execution with its slowdown burn, the :class:`WorkerStats` tally,
-    and the ``compute`` event.  ``sink`` receives this worker's
-    observability events (``None`` disables them; nothing is built on
-    that path).
+    and the ``compute`` event.  ``shard`` is the :func:`shard_writer`
+    callable that receives this worker's observability events as
+    ``("event", row)`` records (``None`` disables them; nothing is
+    built on that path).
     """
 
     def __init__(
@@ -427,7 +486,7 @@ class WorkerStep(object):
         slowdown: float,
         delays: Optional[Sequence[tuple[float, float]]],
         source: str,
-        sink: Optional[Callable[[ObsEvent], None]],
+        shard: Optional[Callable[[tuple], None]],
     ) -> None:
         self.workload = workload
         self.worker_id = worker_id
@@ -436,19 +495,27 @@ class WorkerStep(object):
         self.born = time.perf_counter()
         self._delays = sorted(delays) if delays else []
         self._source = source
-        self._sink = sink
+        self._shard = shard
 
     def emit(
-        self, kind: str, at: Optional[float] = None, **fields: Any
+        self,
+        kind: str,
+        at: Optional[float] = None,
+        *,
+        start: Optional[int] = None,
+        stop: Optional[int] = None,
+        stage: Optional[int] = None,
+        value: Optional[float] = None,
+        detail: str = "",
     ) -> None:
-        """Emit one event stamped ``at`` (default: now) since birth."""
-        if self._sink is None:
+        """Record one event stamped ``at`` (default: now) since birth."""
+        if self._shard is None:
             return
         t = (time.perf_counter() if at is None else at) - self.born
-        self._sink(ObsEvent(
-            kind, self._source, t, self.worker_id, wall=time.time(),
-            **fields,
-        ))
+        self._shard(("event", (
+            kind, self._source, t, self.worker_id, start, stop, stage,
+            None, value, detail, time.time(),
+        )))
 
     def serve_delays(self) -> None:
         """Sleep out every ``(at, extra)`` delay that has come due."""

@@ -25,7 +25,7 @@ from ..chaos.plan import FaultPlan
 from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
 from ..core.registry import DISTRIBUTED_SCHEMES, parse
-from ..obs import read_jsonl
+from ..obs import ObsEvent
 from ..workloads import Workload
 from .chassis import ProcessChassis, WorkerCall, assemble_results
 from .config import RuntimeConfig
@@ -86,22 +86,17 @@ class PipeChassis(ProcessChassis, MasterHooks):
             "acp_model": self.acp_model,
             "heartbeat_interval": self.config.heartbeat_interval,
             "delays": self.delays_for(wid, incarnation),
-            "obs_path": (
-                self.shard_path(wid, ".jsonl") if self.obs else None
-            ),
+            "shard_path": self.shard_path(wid) if self.obs else None,
         }
         call = (worker_main, (child, self.workload, wid), kwargs)
         return call, parent, child
 
     def __exit__(self, *exc: object) -> None:
         self.join()
-        # Fan the worker shards (every incarnation, SIGKILLed ones
-        # included -- the JSONL reader tolerates a torn tail) into the
-        # caller's collector: whole-file reads after the join, so no
-        # cross-process locking.
-        for _wid, path in self.shards():
-            for ev in read_jsonl(path):
-                self.obs.emit(ev)
+        # Fan the worker shards' event records (every incarnation,
+        # SIGKILLed ones included) into the caller's collector.
+        for _wid, (_tag, row) in self.records():
+            self.obs.emit(ObsEvent._make(row))
         super().__exit__(*exc)
 
 
@@ -145,8 +140,8 @@ def run_parallel(
     ``collector`` receives the unified observability stream: the
     master's events inline (source ``runtime.master``), the fault
     script's injections (source ``chaos``), plus each worker
-    incarnation's JSONL shard (source ``runtime.worker``), merged after
-    the join -- see :mod:`repro.obs`.
+    incarnation's shard of event records (source ``runtime.worker``),
+    merged after the join -- see :mod:`repro.obs`.
     """
     specs = pad_specs(specs, n_workers)
     if isinstance(scheme, str):

@@ -20,14 +20,14 @@ processes started by the executor.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from typing import Optional, Sequence
 
 from ..core.acp import IMPROVED_ACP, AcpModel
-from ..obs import NULL, JsonlCollector
 from ..workloads import Workload
-from .chassis import WorkerStep, heartbeat_sender, locked_sender
+from .chassis import WorkerStep, heartbeat_sender, locked_sender, shard_writer
 from .messages import Assign, Heartbeat, Request, Terminate
 
 __all__ = ["WorkerSpec", "pad_specs", "worker_main"]
@@ -78,7 +78,7 @@ def worker_main(
     acp_model: AcpModel = IMPROVED_ACP,
     heartbeat_interval: Optional[float] = None,
     delays: Optional[Sequence[tuple[float, float]]] = None,
-    obs_path: Optional[str] = None,
+    shard_path: Optional[str] = None,
 ) -> None:
     """Run the request/compute loop until Terminate (process target).
 
@@ -87,12 +87,13 @@ def worker_main(
     liveness deadline survives long chunks (see
     :class:`repro.runtime.config.RuntimeConfig`).
 
-    ``obs_path`` names a per-worker JSONL shard receiving this
-    process's half of the unified observability stream (source
-    ``runtime.worker``); the executor merges shards into the caller's
-    collector after the join.  The shard writer is thread-safe (the
-    heartbeat thread also emits) and appends with ``O_APPEND``, so a
-    killed worker leaves at most one torn trailing line.
+    ``shard_path`` names this incarnation's shard, which receives its
+    half of the unified observability stream (source
+    ``runtime.worker``) as :func:`~repro.runtime.chassis.shard_writer`
+    records; the executor merges shards into the caller's collector
+    after the join.  The heartbeat thread emits too: each record is
+    one ``O_APPEND`` write, so records stay whole and a killed worker
+    leaves at most one torn trailing record.  ``None`` records nothing.
 
     ``delays`` is a list of ``(at, extra)`` pairs (seconds since worker
     start): before the first request sent at/after ``at``, the worker
@@ -107,10 +108,11 @@ def worker_main(
         else None
     )
     pending: Optional[tuple[int, object]] = None
-    obs = JsonlCollector(obs_path) if obs_path else NULL
+    shard = contextlib.ExitStack()
     step = WorkerStep(
         workload, worker_id, spec.slowdown, delays, _SRC,
-        obs.emit if obs else None,
+        shard.enter_context(shard_writer(shard_path)) if shard_path
+        else None,
     )
     stats = step.stats
     # Heartbeats come from a side thread while the main loop computes.
@@ -141,5 +143,5 @@ def worker_main(
         pass
     finally:
         stop_heartbeat()
-        obs.close()
+        shard.close()
         conn.close()

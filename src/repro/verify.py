@@ -516,7 +516,7 @@ def audit_events(
         if not isinstance(ev, ObsEvent):
             try:
                 ev = ObsEvent.from_dict(ev)
-            except (SchemaError, TypeError, KeyError) as exc:
+            except SchemaError as exc:
                 if len(report.violations) < 5:
                     report.violations.append(f"undecodable event: {exc}")
                 continue

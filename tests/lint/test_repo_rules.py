@@ -28,6 +28,11 @@ MUTANTS = [
         "import threading\n\nclass CounterChassis(ProcessChassis):\n"
         "    def start(self):\n        self._held = threading.Event()\n")},
         "REP404", "creates Event()", id="REP404-event-in-chassis"),
+    # the counter runtime's own torn-tail reader, before the one shard
+    pytest.param({"src/repro/decentral/executor.py": (
+        "def read_shard(path):\n    return []\n")},
+        "REP404", "def read_shard at decentral/executor.py",
+        id="REP404-second-shard-reader"),
     pytest.param({"src/repro/batch.py": (
         "def rebuild(rows):\n    return SimResult(rows)\n")},
         "REP405", "SimResult", id="REP405-second-result"),

@@ -1,19 +1,16 @@
-"""Collector tests: truthiness contract, buffering, JSONL sink."""
+"""Collector tests: truthiness contract, buffering, the row sink."""
 
 from __future__ import annotations
 
 import copy
 import pickle
-import threading
 
 from repro.obs import (
     NULL,
     BufferedCollector,
-    JsonlCollector,
     NullCollector,
     ObsEvent,
     capture,
-    read_jsonl,
     resolve,
     sink,
 )
@@ -131,48 +128,3 @@ def test_capture_context_manager():
     with capture() as trace:
         trace.emit(_ev())
     assert len(trace.events) == 1
-
-
-def test_jsonl_collector_round_trips(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    sink = JsonlCollector(path)
-    events = [_ev(i) for i in range(5)]
-    for ev in events:
-        sink.emit(ev)
-    sink.close()
-    assert read_jsonl(path) == events
-
-
-def test_jsonl_collector_creates_file_eagerly(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    JsonlCollector(path)
-    assert path.exists()
-    assert read_jsonl(path) == []
-
-
-def test_jsonl_collector_concurrent_writers_interleave_whole_lines(
-    tmp_path,
-):
-    path = tmp_path / "trace.jsonl"
-    sinks = [JsonlCollector(path) for _ in range(4)]
-
-    def pump(sink, base):
-        for i in range(50):
-            sink.emit(_ev(base + i))
-
-    threads = [
-        threading.Thread(target=pump, args=(sink, 1000 * n))
-        for n, sink in enumerate(sinks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for sink in sinks:
-        sink.close()
-    events = read_jsonl(path)
-    assert len(events) == 200
-    # every line decoded as a schema event => no torn writes
-    assert {e.worker for e in events} == {
-        1000 * n + i for n in range(4) for i in range(50)
-    }

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import orjson
@@ -15,6 +17,7 @@ from repro.obs import (
     EVENT_KINDS,
     EventList,
     ObsEvent,
+    SchemaError,
     canonical_stream,
     events_json,
     read_jsonl,
@@ -41,11 +44,15 @@ EVENTS = [
 
 
 def test_jsonl_round_trip_text_and_file(tmp_path):
-    text = to_jsonl(EVENTS)
+    text = tmp_path / "text.jsonl"
+    text.write_text(to_jsonl(EVENTS), encoding="utf-8")
     assert read_jsonl(text) == EVENTS
     path = tmp_path / "t.jsonl"
     assert write_jsonl(path, EVENTS) == len(EVENTS)
     assert read_jsonl(path) == EVENTS
+    # a path is never mistaken for JSONL text, nor text for a path
+    with pytest.raises(FileNotFoundError):
+        read_jsonl(to_jsonl(EVENTS[:1]))
 
 
 def test_read_jsonl_tolerates_torn_tail_only(tmp_path):
@@ -57,6 +64,52 @@ def test_read_jsonl_tolerates_torn_tail_only(tmp_path):
     bad.write_text('garbage\n' + to_jsonl(EVENTS[:1]))
     with pytest.raises(json.JSONDecodeError):
         read_jsonl(bad)
+
+
+@pytest.mark.parametrize("line", ["[]", "1", "null", '"kind"', "true"])
+def test_read_jsonl_refuses_a_line_that_is_no_object(tmp_path, line):
+    path = tmp_path / "shape.jsonl"
+    path.write_text(line + "\n" + to_jsonl(EVENTS[:1]), encoding="utf-8")
+    with pytest.raises(SchemaError):
+        read_jsonl(path)
+    # ...and forgives it as the torn tail of a killed writer
+    path.write_text(to_jsonl(EVENTS[:1]) + line, encoding="utf-8")
+    assert read_jsonl(path) == EVENTS[:1]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+_EVENT_KEYS = ("worker", "start", "stop", "stage", "acp", "value",
+               "detail", "wall")
+_LINES = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",))).filter(
+        lambda line: "\n" not in line),
+    _JSON.map(json.dumps),
+    st.fixed_dictionaries(
+        {"kind": _JSON, "source": _JSON, "t": _JSON},
+        optional={key: _JSON for key in _EVENT_KEYS},
+    ).map(json.dumps),
+)
+
+
+@given(line=_LINES)
+def test_read_jsonl_is_total_on_a_non_final_line(line):
+    """Any non-final line gives events or one ``ValueError`` --
+    ``SchemaError`` or ``json.JSONDecodeError`` -- never ``TypeError``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(line + "\n" + to_jsonl(EVENTS[:1]))
+        try:
+            events = read_jsonl(path)
+        except (SchemaError, json.JSONDecodeError):
+            return
+    assert events[-1] == EVENTS[0]
 
 
 def test_chrome_trace_layout(tmp_path):
