@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import orjson
 
-from .events import EventList, ObsEvent
+from .events import EventList, ObsEvent, SchemaError
 
 __all__ = [
     "to_jsonl",
@@ -93,12 +93,25 @@ def read_jsonl(path: Union[str, os.PathLike]) -> list[ObsEvent]:
         if not line:
             continue
         try:
-            events.append(ObsEvent.from_dict(json.loads(line)))
+            events.append(ObsEvent.from_dict(_line_object(line)))
         except ValueError:
             if i == len(lines) - 1:
                 break  # torn tail from a killed writer
             raise
     return events
+
+
+def _line_object(line: str) -> Any:
+    """``json.loads(line)``, where JSON that :mod:`json` cannot build
+    raises :class:`SchemaError`: nesting deeper than the interpreter's
+    stack (``RecursionError``) or an int of more digits than
+    :func:`int` converts (a bare ``ValueError``)."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"unreadable event line: {exc}") from exc
 
 
 def to_chrome_trace(events: Sequence[ObsEvent]) -> dict:

@@ -394,7 +394,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.command == "submit":
                 job_id = client.submit(_spec_from_args(args))
                 if args.wait:
-                    reply = client.wait(job_id, timeout=args.timeout)
+                    reply = dict(client.wait(job_id,
+                                             timeout=args.timeout))
                     if "trace" in reply:
                         # Printed as one dict per event, not as rows.
                         reply["trace"] = [

@@ -15,18 +15,24 @@ Typical use::
                                         "size": 200, "unit": 1e-4}})
         result = c.wait(job_id)
         print(result["digest"], result["result"]["makespan"])
+
+``wait`` returns a :class:`WaitReply`: a read-only mapping that
+answers the envelope's members (``state``, ``digest``, ...) at once
+and decodes the job's body the first time anything else is read.
 """
 
 from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Optional
+from collections.abc import Iterator, Mapping
+from typing import Any, Callable, Optional, Union, cast
 
 from ..obs import EventList
-from .protocol import ProtocolError, recv_frame, send_frame
+from .protocol import (ProtocolError, decode_reply, recv_frame,
+                       recv_payload, send_frame)
 
-__all__ = ["ServiceClient", "ServiceError"]
+__all__ = ["ServiceClient", "ServiceError", "WaitReply"]
 
 #: Seconds a ``wait(timeout=t)`` reads past ``t``: the daemon answers
 #: ``timeout`` at ``t``, and the reply needs time to arrive.
@@ -57,6 +63,71 @@ class ServiceError(RuntimeError):
             f"{reason}: {message}" if message else reason
         )
         self.reason = reason
+
+
+class WaitReply(Mapping[str, Any]):
+    """A finished job's ``wait`` reply: its envelope now, its body
+    when read.
+
+    The daemon sends the reply as two frames (see
+    :mod:`repro.service.protocol`): the envelope (``job_id``, ``ok``,
+    ``state``, ``requeues``, ``seq``, ``digest``), decoded on receipt,
+    and the body the pool worker encoded (``events_emitted``,
+    ``result``, ``trace``, or ``error``), kept as the received bytes.
+    An envelope member is answered from the envelope.  The first read
+    of anything else -- a body member, ``in`` on a key the envelope
+    lacks, ``len``, iteration, ``==``, ``dict(reply)`` -- decodes the
+    body, once, with the codec's tolerant reader; a body that is no
+    JSON object raises :class:`ProtocolError` there.  A shipped
+    ``trace`` is an :class:`~repro.obs.EventList` over its rows.
+
+    A :class:`~collections.abc.Mapping`, not a ``dict``: orjson and
+    the ``dict`` C API read a subclass's own storage and would miss a
+    member not yet decoded.  ``dict(reply)`` gives a ``dict``.  It
+    pickles as it stands: undecoded, or decoded.
+    """
+
+    __slots__ = ("_head", "_body", "_doc")
+
+    def __init__(
+        self, head: dict[str, Any], body: Union[bytes, bytearray]
+    ) -> None:
+        self._head = head
+        #: The body's bytes until they are decoded, then ``None``.
+        self._body: Optional[Union[bytes, bytearray]] = body
+        #: Every member, once the body is decoded.
+        self._doc: Optional[dict[str, Any]] = None
+
+    def _members(self) -> dict[str, Any]:
+        doc = self._doc
+        if doc is None:
+            doc = decode_reply(cast(bytearray, self._body))
+            if "trace" in doc:
+                rows = doc["trace"]
+                if not isinstance(rows, list):
+                    raise ProtocolError(
+                        f"a reply's trace must be an array, got "
+                        f"{type(rows).__name__}"
+                    )
+                doc["trace"] = EventList(rows)
+            doc.update(self._head)
+            self._doc, self._body = doc, None
+        return doc
+
+    def __getitem__(self, key: str) -> Any:
+        head = self._head
+        if key in head:
+            return head[key]
+        return self._members()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._members())
+
+    def __len__(self) -> int:
+        return len(self._members())
+
+    def __repr__(self) -> str:
+        return f"WaitReply({self._members()!r})"
 
 
 class ServiceClient(object):
@@ -134,22 +205,21 @@ class ServiceClient(object):
 
     def _request(
         self, doc: dict[str, Any], timeout: Any = _SOCKET_TIMEOUT
-    ) -> dict[str, Any]:
+    ) -> Mapping[str, Any]:
         """Send one request and read its reply.  ``timeout`` (seconds,
         or ``None`` to block) replaces the socket timeout for the read.
 
         A reply whose ``seq`` is not the request's is an error: it
         answers something else (a late reply to an earlier request, or
         a pushed stream frame), and taking it would shift every later
-        reply on this connection by one.
+        reply on this connection by one.  A ``wait`` reply that names
+        no ``error`` is a finished job's: its body frame follows, and
+        the two make one :class:`WaitReply`.
         """
         self._seq += 1
         doc = dict(doc, seq=self._seq)
         send_frame(self._sock, doc)
-        reply = (
-            recv_frame(self._sock) if timeout is _SOCKET_TIMEOUT
-            else self._recv_within(timeout)
-        )
+        reply = self._read(recv_frame, timeout)
         if reply is None:
             raise ProtocolError(
                 "daemon closed the connection mid-request"
@@ -159,23 +229,32 @@ class ServiceClient(object):
                 f"reply seq {reply.get('seq')!r} does not answer "
                 f"request seq {self._seq}"
             )
-        return reply
+        if doc["op"] != "wait" or "error" in reply:
+            return reply
+        body = self._read(recv_payload, timeout)
+        if body is None:
+            raise ProtocolError(
+                "daemon closed the connection before the reply's body"
+            )
+        return WaitReply(reply, body)
 
-    def _recv_within(
-        self, timeout: Optional[float]
-    ) -> Optional[dict[str, Any]]:
-        """One frame, read under ``timeout`` instead of the socket
-        timeout, which is restored afterwards."""
+    def _read(self, reader: Callable[[socket.socket], Any],
+              timeout: Any = _SOCKET_TIMEOUT) -> Any:
+        """``reader(sock)``, under ``timeout`` instead of the socket
+        timeout, which is restored afterwards (or under the socket
+        timeout itself, by default)."""
+        if timeout is _SOCKET_TIMEOUT:
+            return reader(self._sock)
         saved = self._sock.gettimeout()
         self._sock.settimeout(timeout)
         try:
-            return recv_frame(self._sock)
+            return reader(self._sock)
         finally:
             self._sock.settimeout(saved)
 
     def _checked(
         self, doc: dict[str, Any], timeout: Any = _SOCKET_TIMEOUT
-    ) -> dict[str, Any]:
+    ) -> Mapping[str, Any]:
         reply = self._request(doc, timeout)
         if not reply.get("ok"):
             raise ServiceError(
@@ -202,11 +281,16 @@ class ServiceClient(object):
 
     def wait(
         self, job_id: str, timeout: Optional[float] = None
-    ) -> dict[str, Any]:
+    ) -> WaitReply:
         """Block until a job reaches a terminal state; returns its
-        payload (``result``, ``digest``, ``state``, ``requeues``,
-        optionally ``results`` / ``trace``).
+        reply, a read-only :class:`WaitReply` mapping (``result``,
+        ``digest``, ``state``, ``requeues``, ``events_emitted``,
+        optionally ``results`` / ``trace``; ``dict(reply)`` for a
+        ``dict``).
 
+        ``state`` and ``digest`` are read from the reply's envelope;
+        the body (``result``, ``trace``, ...) stays the received bytes
+        until one of its members is read, and is decoded then, once.
         A shipped ``trace`` arrives as rows (one array of the eleven
         event fields per event) and is returned as an
         :class:`~repro.obs.EventList` over them: ``len`` and
@@ -221,16 +305,13 @@ class ServiceClient(object):
         doc: dict[str, Any] = {"op": "wait", "job_id": job_id}
         if timeout is not None:
             doc["timeout"] = timeout
-        reply = self._checked(
+        return cast(WaitReply, self._checked(
             doc, max(timeout, 0.0) + WAIT_MARGIN if timeout else None
-        )
-        if "trace" in reply:
-            reply["trace"] = EventList(reply["trace"])
-        return reply
+        ))
 
     def run(
         self, job: dict[str, Any], timeout: Optional[float] = None
-    ) -> dict[str, Any]:
+    ) -> WaitReply:
         """submit + wait in one call."""
         return self.wait(self.submit(job), timeout=timeout)
 
@@ -277,7 +358,9 @@ class ServiceClient(object):
             )["killed"]
         )
 
-    def subscribe(self, tenant: Optional[str] = None) -> dict[str, Any]:
+    def subscribe(
+        self, tenant: Optional[str] = None
+    ) -> Mapping[str, Any]:
         """Turn this connection into a live event stream.
 
         After this call the daemon pushes ``{"watch": "events", "n":
@@ -307,9 +390,9 @@ class ServiceClient(object):
         connection).  ``timeout`` overrides the socket timeout for
         this read only; ``socket.timeout`` propagates on expiry.
         """
-        if timeout is None:
-            return recv_frame(self._sock)
-        return self._recv_within(timeout)
+        return self._read(
+            recv_frame, _SOCKET_TIMEOUT if timeout is None else timeout
+        )
 
     def watch(
         self,

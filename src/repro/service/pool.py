@@ -351,18 +351,12 @@ class JobRecord(object):
 
     @property
     def body(self) -> Optional[bytes]:
-        """The encoded reply members (``None`` until terminal)."""
-        body = self.read_body()
-        return None if body is None else bytes(body)
-
-    def read_body(self, skip: int = 0) -> Union[bytes, memoryview, None]:
-        """:attr:`body` less its first ``skip`` bytes, with no copy of
-        the whole made to drop them: a body in hand is sliced by a
-        ``memoryview``, a spilled one is read without them."""
+        """The encoded reply members (``None`` until terminal): the
+        bytes in hand, else read from the spill file."""
         if self._held is not None:
-            return memoryview(self._held)[skip:]
+            return self._held
         if self._spill is not None:
-            return self._spill.read(self._at + skip, self._size - skip)
+            return self._spill.read(self._at, self._size)
         return None
 
     def finish(
@@ -493,7 +487,7 @@ class WorkerPool(object):
     The callbacks run on the pool's loop.  ``on_complete(record)``
     fires whenever a job reaches a terminal state, after the dispatch
     that job's end made possible, with the job's body still in hand
-    (:meth:`JobRecord.read_body` reads no file), and
+    (:attr:`JobRecord.body` reads no file), and
     ``on_events(record, batch)`` for
     each batch of chunk events a worker streams.  The workers are
     forked, so they inherit the :mod:`repro.cache` directory the daemon

@@ -40,10 +40,20 @@ The client reads replies, up to half a megabyte of trace, with the
 codec's one tolerant reader, ``json_loads``: :mod:`json` reads the
 frames it wrote (the leading space), the only ones that can hold an
 int beyond 64 bits, and the frames the fast reader refuses; either way
-the client gets what :func:`json.loads` would return.  (A ``wait``
-reply's job members are written by the pool worker, not here, and
-admission's bounds in :mod:`repro.service.jobs` keep every int they
-carry within 64 bits.)
+the client gets what :func:`json.loads` would return.
+
+**A finished job's** ``wait`` **reply is two frames**, written in one
+transport write: an *envelope* (``job_id``, ``ok``, ``state``,
+``requeues``, ``seq``, ``digest``), written here, then the job's
+*body*, the bytes the pool worker encoded (see
+:func:`repro.service.pool._execute_body`), framed as they are: the
+daemon never parses them.  Every other reply, a ``wait`` that names an
+``error`` included, is one frame.  The client reads the body with
+:func:`recv_payload` and keeps it undecoded until a member of it is
+read (:class:`repro.service.client.WaitReply`); :func:`decode_reply`
+then reads it as :func:`recv_frame` reads a frame.  Admission's bounds
+in :mod:`repro.service.jobs` keep every int a body carries within 64
+bits.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from ..obs.export import (FRAME_DOMAIN, exact_bytes, finite, json_dumps,
                           json_loads)
@@ -60,12 +70,14 @@ __all__ = [
     "MAX_FRAME",
     "OPS",
     "ProtocolError",
+    "decode_reply",
     "encode_frame",
     "encode_json",
     "frame_payload",
     "FrameDecoder",
     "send_frame",
     "recv_frame",
+    "recv_payload",
 ]
 
 #: Hard upper bound on one frame's JSON payload (bytes).  Large enough
@@ -92,24 +104,33 @@ OPS = frozenset({
 
 _LEN = struct.Struct(">I")
 
+#: What a frame's payload arrives as: bytes from the daemon's decoder,
+#: one received buffer on the client.
+_Payload = Union[bytes, bytearray]
+
 
 class ProtocolError(ValueError):
     """A frame violated the wire format (length, encoding, or shape)."""
 
 
-def frame_payload(*parts: bytes) -> bytes:
-    """Length-prefix one already-encoded JSON object, given as the
-    ``parts`` that joined make it (joined here, in one copy).
+def frame_payload(*payloads: bytes) -> bytes:
+    """Length-prefix each already-encoded JSON object and join the
+    frames, in one copy.  Raises :class:`ProtocolError` when any
+    payload exceeds :data:`MAX_FRAME`.
 
-    The daemon's ``wait`` replies come this way: the result was
-    encoded once, where it was made, and is only framed here.
+    A finished job's ``wait`` reply comes this way, as its envelope
+    and its body: the body was encoded once, where the job ran, and
+    is only framed here.
     """
-    size = sum(map(len, parts))
-    if size > MAX_FRAME:
-        raise ProtocolError(
-            f"frame of {size} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-        )
-    return b"".join((_LEN.pack(size),) + parts)
+    parts: list[bytes] = []
+    for payload in payloads:
+        size = len(payload)
+        if size > MAX_FRAME:
+            raise ProtocolError(
+                f"frame of {size} bytes exceeds MAX_FRAME ({MAX_FRAME})"
+            )
+        parts += (_LEN.pack(size), payload)
+    return b"".join(parts)
 
 
 def encode_json(doc: Any) -> bytes:
@@ -137,17 +158,19 @@ def encode_frame(doc: dict[str, Any]) -> bytes:
     return frame_payload(encode_json(doc))
 
 
-def _json_loads(payload: bytes) -> Any:
+def _json_loads(payload: _Payload) -> Any:
     return json.loads(payload.decode("utf-8"))
 
 
 def _decode_payload(
-    payload: bytes, loads: Callable[[bytes], Any] = _json_loads
+    payload: _Payload, loads: Callable[[_Payload], Any] = _json_loads
 ) -> dict[str, Any]:
     try:
         doc = loads(payload)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the interpreter's stack.
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an int of more digits
+        # than :func:`int` converts; RecursionError: nesting deeper
+        # than the interpreter's stack.
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError(
@@ -214,23 +237,27 @@ def send_frame(sock: socket.socket, doc: dict[str, Any]) -> None:
     sock.sendall(encode_frame(doc))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    chunks = bytearray()
-    while len(chunks) < n:
-        part = sock.recv(n - len(chunks))
-        if not part:
-            if chunks:
-                raise ProtocolError(
-                    f"connection closed mid-frame ({len(chunks)}/{n} "
-                    f"bytes)"
-                )
-            return None
-        chunks.extend(part)
-    return bytes(chunks)
+def _recv_exact(sock: socket.socket, n: int) -> Optional[bytearray]:
+    """``n`` bytes received straight into one buffer, which is handed
+    on: no copy beyond the kernel's.  ``None`` on EOF before the
+    first byte."""
+    buf = bytearray(n)
+    got = 0
+    with memoryview(buf) as view:
+        while got < n:
+            count = sock.recv_into(view[got:])
+            if not count:
+                if got:
+                    raise ProtocolError(
+                        f"connection closed mid-frame ({got}/{n} bytes)"
+                    )
+                return None
+            got += count
+    return buf
 
 
-def recv_frame(sock: socket.socket) -> Optional[dict[str, Any]]:
-    """Read one frame from a blocking socket.
+def recv_payload(sock: socket.socket) -> Optional[bytearray]:
+    """Read one frame's payload from a blocking socket, undecoded.
 
     Returns ``None`` on a clean EOF (peer closed between frames);
     raises :class:`ProtocolError` on a torn frame or oversized length.
@@ -244,7 +271,24 @@ def recv_frame(sock: socket.socket) -> Optional[dict[str, Any]]:
             f"announced frame length {length} exceeds MAX_FRAME "
             f"({MAX_FRAME})"
         )
-    payload = _recv_exact(sock, length) if length else b""
+    payload = _recv_exact(sock, length)
     if payload is None:
         raise ProtocolError("connection closed between header and payload")
+    return payload
+
+
+def decode_reply(payload: _Payload) -> dict[str, Any]:
+    """A reply payload's object, read by the codec's tolerant reader
+    (``json_loads``); :class:`ProtocolError` when it is none."""
     return _decode_payload(payload, json_loads)
+
+
+def recv_frame(sock: socket.socket) -> Optional[dict[str, Any]]:
+    """Read one frame from a blocking socket and decode it
+    (:func:`decode_reply`).
+
+    Returns ``None`` on a clean EOF (peer closed between frames);
+    raises :class:`ProtocolError` on a torn frame or oversized length.
+    """
+    payload = recv_payload(sock)
+    return None if payload is None else decode_reply(payload)

@@ -555,8 +555,9 @@ class ServiceServer(object):
         return _reply(seq, ok=True, scheduled=count)
 
     def _wait_reply(self, record: JobRecord, seq) -> Union[dict, bytes]:
-        """A terminal job's ``wait`` reply: its whole frame, or a dict
-        when that frame would outgrow ``MAX_FRAME``."""
+        """A terminal job's ``wait`` reply: its envelope frame and its
+        body frame, or the envelope alone, as a ``reply-too-large``
+        dict, when either frame would outgrow ``MAX_FRAME``."""
         envelope = _reply(
             seq,
             ok=record.state == "done",
@@ -564,22 +565,19 @@ class ServiceServer(object):
             state=record.state,
             requeues=record.requeues,
         )
-        # The job's members were encoded where it ran; they and the
-        # envelope are two objects with no key in common, so one brace
-        # less makes them one.  The body is taken without its opening
-        # brace, straight from where the pool keeps it: in hand while
-        # the job's completion answers its held waits, else from the
-        # spill file.  The envelope holds the client's ``seq``, so the
-        # frame writer writes it.
-        tail = record.read_body(1)
-        assert tail is not None  # a terminal record has a body
-        head = encode_json(envelope)
+        if record.digest is not None:  # a failed job has none
+            envelope["digest"] = record.digest
+        # The body was encoded where the job ran, and is framed as it
+        # is, never parsed: taken straight from where the pool keeps
+        # it, in hand while the job's completion answers its held
+        # waits, else from the spill file.
+        body = record.body
+        assert body is not None  # a terminal record has a body
         try:
-            return frame_payload(head[:-1], b",", tail)
+            return frame_payload(encode_json(envelope), body)
         except ProtocolError as exc:
             envelope.update(
                 ok=False, error="reply-too-large", message=str(exc),
-                digest=record.digest,
             )
             return envelope
 

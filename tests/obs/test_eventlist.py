@@ -249,12 +249,14 @@ def test_a_traced_reply_body_calls_no_to_dict(engine, monkeypatch):
 
 class _Peer(object):
     """One end of a socketpair standing in for the daemon: it answers
-    every request with ``reply``, its ``seq`` set to the request's."""
+    every request with ``envelope``, its ``seq`` set to the request's,
+    and a ``wait`` with ``body`` behind it, in a frame of its own, as
+    the daemon answers a finished job's."""
 
-    def __init__(self, reply: dict) -> None:
+    def __init__(self, envelope: dict, body: dict) -> None:
         mine, self.sock = socket.socketpair()
         mine.settimeout(10.0)
-        self._reply = reply
+        self._envelope, self._body = envelope, body
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         self.client = ServiceClient(mine, tenant="alice")
@@ -262,7 +264,9 @@ class _Peer(object):
     def _serve(self) -> None:
         try:
             while (doc := recv_frame(self.sock)) is not None:
-                send_frame(self.sock, dict(self._reply, seq=doc["seq"]))
+                send_frame(self.sock, dict(self._envelope, seq=doc["seq"]))
+                if doc["op"] == "wait":
+                    send_frame(self.sock, self._body)
         except OSError:
             return  # closed by the test
 
@@ -279,8 +283,8 @@ def test_wait_builds_no_event_until_the_trace_is_read(monkeypatch):
     ).run().obs_events
     expected = list(events)
     peer = _Peer({"ok": True, "state": "done",
-                  "digest": stream_digest(events),
-                  "trace": json.loads(events_json(events))})
+                  "digest": stream_digest(events)},
+                 {"trace": json.loads(events_json(events))})
     built = _count_events(monkeypatch)
     try:
         reply = peer.client.wait("alice-000001", timeout=5.0)

@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.obs import (
     EVENT_KINDS,
@@ -98,11 +98,18 @@ _LINES = st.one_of(
 
 
 @given(line=_LINES)
+@example(line="[" * 100000)
+@example(line='{"kind": ' + "7" * 5000 + "}")
 def test_read_jsonl_is_total_on_a_non_final_line(line):
     """Any non-final line gives events or one ``ValueError`` --
-    ``SchemaError`` or ``json.JSONDecodeError`` -- never ``TypeError``."""
+    ``SchemaError`` or ``json.JSONDecodeError`` -- never ``TypeError``
+    or ``RecursionError``; as the last line it is read or forgiven."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.jsonl")
+        if "\r" not in line:  # else universal newlines split it
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(to_jsonl(EVENTS[:1]) + line)
+            assert read_jsonl(path)[0] == EVENTS[0]
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(line + "\n" + to_jsonl(EVENTS[:1]))
         try:

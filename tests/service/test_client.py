@@ -24,8 +24,9 @@ SOCKET_TIMEOUT = 0.2
 
 class _Peer(object):
     """Answers each request ``{"ok": true, "seq": <seq + shift>}``
-    after ``delays[op]`` seconds; pushes ``{"watch": "events"}``
-    frames on request."""
+    after ``delays[op]`` seconds, a ``wait`` as a finished job's, with
+    a body frame behind it; pushes ``{"watch": "events"}`` frames on
+    request."""
 
     def __init__(self, delays=None, shift=0):
         self.delays = delays or {}
@@ -48,6 +49,8 @@ class _Peer(object):
                     "ok": True, "seq": doc["seq"] + shift,
                     "state": "done",
                 })
+                if doc["op"] == "wait":
+                    send_frame(self.sock, {"events_emitted": 0})
         except OSError:
             return  # closed by the test
 

@@ -44,6 +44,7 @@ from repro.service.protocol import (
     OPS,
     encode_frame,
     recv_frame,
+    recv_payload,
 )
 
 from .test_server import _Daemon
@@ -187,6 +188,9 @@ class TestChunking:
             for frame in frames:
                 sock.sendall(frame)
                 expected.append(recv_frame(sock))
+            # The last request waits on a finished job: its envelope
+            # is followed by the job's body frame.
+            expected.append(recv_payload(sock))
         blob = b"".join(frames)
         cuts = sorted(data.draw(st.sets(
             st.integers(1, len(blob) - 1), max_size=10)))
@@ -195,9 +199,11 @@ class TestChunking:
                 sock.sendall(blob[lo:hi])
                 time.sleep(0.0005)  # let the daemon read this piece
             got = [recv_frame(sock) for _ in frames]
+            got.append(recv_payload(sock))
         assert got == expected
-        assert [reply.get("seq") for reply in got] \
+        assert [reply.get("seq") for reply in got[:-1]] \
             == list(range(len(frames)))
+        assert json.loads(got[-1])["digest"] == got[-2]["digest"]
 
 
 class TestBadFrames:
@@ -230,6 +236,15 @@ class TestBadFrames:
 
     def test_deep_nesting_gets_one_protocol_error(self, fuzz_daemon):
         payload = b"[" * 100000 + b"]" * 100000
+        self._assert_refused_then_closed(
+            fuzz_daemon, struct.pack(">I", len(payload)) + payload)
+
+    def test_an_int_too_long_to_convert_gets_one_protocol_error(
+        self, fuzz_daemon
+    ):
+        """:func:`json.loads` refuses an int of more digits than
+        :func:`int` converts with a bare ``ValueError``."""
+        payload = b'{"op": "ping", "seq": ' + b"7" * 5000 + b"}"
         self._assert_refused_then_closed(
             fuzz_daemon, struct.pack(">I", len(payload)) + payload)
 

@@ -723,7 +723,6 @@ class TestSpill:
         assert first._spill is later._spill is pool._spill
         assert pool._spill.end == 2 * len(first.body)
         assert first.body == full.body == later.body
-        assert full.read_body(1) == later.read_body(1) == full.body[1:]
         assert _body(full)["digest"] == full.digest
         assert _holds_only_scalars(full) and _holds_only_scalars(later)
 

@@ -19,6 +19,7 @@ from repro.core import registry
 from repro.obs import stream_digest
 from repro.service import jobs as jobs_module
 from repro.service import pool as pool_module
+from repro.service import protocol
 from repro.service.jobs import job_from_spec
 from repro.simulation import ClusterSpec
 
@@ -128,6 +129,30 @@ def test_a_later_wait_reads_the_spilled_body(tmp_path, monkeypatch):
         again = c.wait(job_id, timeout=60.0)
         assert calls["read"] == 1
         assert again == dict(first, seq=again["seq"])
+
+
+def test_a_wait_decodes_its_body_once_and_only_when_read(
+    tmp_path, monkeypatch
+):
+    """A ``wait`` on a finished job makes one codec decode, of its
+    envelope; the body is decoded at the first read of a member of it,
+    and never again."""
+    reference = stream_digest(job_from_spec(SPEC).run().obs_events)
+    with _Daemon(tmp_path, workers=1) as d, d.client("alice") as c:
+        job_id = c.submit(SPEC)
+        c.wait(job_id, timeout=60.0)
+        calls: collections.Counter = collections.Counter()
+        _count(monkeypatch, calls, protocol, "json_loads")
+        reply = c.wait(job_id, timeout=60.0)
+        assert calls["json_loads"] == 1
+        assert reply["state"] == "done" and reply["digest"] == reference
+        assert reply["ok"] and reply["job_id"] == job_id
+        assert calls["json_loads"] == 1
+        assert reply["result"]["chunks"]
+        assert calls["json_loads"] == 2
+        assert dict(reply)["events_emitted"] == reply["events_emitted"]
+        assert "trace" not in reply and len(reply) == 8
+        assert calls["json_loads"] == 2
 
 
 def test_two_default_cluster_specs_build_one_cluster(monkeypatch):

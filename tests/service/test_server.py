@@ -18,7 +18,6 @@ import asyncio
 import errno
 import json
 import os
-import struct
 import threading
 import time
 
@@ -61,10 +60,11 @@ PINNED_SPEC = {
     "cluster": {"workers": 2},
     "trace": True,
 }
-#: The frame payload the daemon sends for ``PINNED_SPEC`` (first job of
-#: tenant ``alice``, ``seq`` 3), keys sorted as when a reply was still a
-#: dict tree re-encoded with ``sort_keys`` on the event loop.  The trace
-#: is one row per event: the eleven ``ObsEvent`` fields in order.
+#: The ``wait`` reply the daemon sends for ``PINNED_SPEC`` (first job
+#: of tenant ``alice``, ``seq`` 3), its envelope and body frames as one
+#: object, keys sorted as when a reply was still a dict tree
+#: re-encoded with ``sort_keys`` on the event loop.  The trace is one
+#: row per event: the eleven ``ObsEvent`` fields in order.
 PINNED_REPLY = (
     '{"digest":"e9265275850ac46ca17546b956c096ba513f192b78a8c54025edb70'
     'e5e46f51a","events_emitted":12,"job_id":"alice-000001","ok":true,"'
@@ -268,13 +268,14 @@ class TestBasics:
             assert c.ping()  # same connection, handler still alive
 
     def test_wait_reply_parses_to_the_pinned_dicts(self, tmp_path):
-        # The reply is spliced from bytes encoded in the pool worker;
-        # parsed, it is the dict the daemon always sent (key order is
-        # the one thing that moved).
+        # The reply's body is the bytes encoded in the pool worker;
+        # read with its envelope, it is the dict the daemon always
+        # sent (its trace's rows read as events).
         with _Daemon(tmp_path) as d, d.client("alice") as c:
             job_id = c.submit(PINNED_SPEC)
             reply = c._request({"op": "wait", "job_id": job_id})
-            assert reply == json.loads(PINNED_REPLY)
+            assert dict(reply, trace=list(map(list, reply["trace"]))) \
+                == json.loads(PINNED_REPLY)
             # A second wait re-frames the same stored bytes.
             again = c._request({"op": "wait", "job_id": job_id})
             assert again == dict(reply, seq=again["seq"])
@@ -298,7 +299,7 @@ class TestBasics:
             reply = c._request({"op": "wait", "job_id": job_id})
             assert reply["ok"] is False
             assert reply["error"] == "reply-too-large"
-            size = len(PINNED_REPLY) - len('"seq":3,') + len('"seq":2,')
+            size = len(d.server.pool.records[job_id].body)
             assert f"{size} bytes" in reply["message"]
             assert "MAX_FRAME (1024)" in reply["message"]
             assert reply["state"] == "done"
@@ -361,8 +362,10 @@ class TestHeldWait:
                 encode_frame({"op": "wait", "job_id": job_id, "seq": 7})
                 + encode_frame({"op": "ping", "seq": 8})
             )
-            first, second = recv_frame(c._sock), recv_frame(c._sock)
+            first, body = recv_frame(c._sock), _recv_payload(c._sock)
+            second = recv_frame(c._sock)
         assert first["seq"] == 7 and first["state"] == "done"
+        assert json.loads(body)["digest"] == first["digest"]
         assert second == {"ok": True, "pong": True, "seq": 8}
 
     def test_a_timed_out_or_closed_wait_leaves_the_job_waitable(
@@ -409,8 +412,12 @@ class TestHeldWait:
 
 def _recv_payload(sock) -> bytes:
     """One reply frame's payload, the bytes the daemon sent."""
-    (size,) = struct.unpack(">I", protocol._recv_exact(sock, 4))
-    return protocol._recv_exact(sock, size)
+    return bytes(protocol.recv_payload(sock))
+
+
+def _joined(envelope: bytes, body: bytes) -> dict:
+    """The one object a ``wait`` reply's two payloads make."""
+    return {**json.loads(body), **json.loads(envelope)}
 
 
 class TestSpilledReplies:
@@ -433,15 +440,15 @@ class TestSpilledReplies:
             job_id = c.submit(self.TRACED)
             ask = encode_frame({"op": "wait", "job_id": job_id, "seq": 7})
             c._sock.sendall(ask)
-            held = _recv_payload(c._sock)
+            held = _recv_payload(c._sock), _recv_payload(c._sock)
             for i in range(50):  # bodies of many sizes land after it
                 reply = c.run(dict(tenant_spec(i), trace=i % 3 == 0),
                               timeout=60)
                 assert reply["state"] == "done"
             c._sock.sendall(ask)
-            late = _recv_payload(c._sock)
+            late = _recv_payload(c._sock), _recv_payload(c._sock)
         assert late == held
-        assert json.loads(held) == {
+        assert _joined(*held) == {
             "ok": True, "state": "done", "job_id": job_id,
             "requeues": 0, "seq": 7,
             "digest": stream_digest(events),
@@ -473,16 +480,17 @@ class TestSpilledReplies:
                 ids.append(c.submit(PINNED_SPEC))
                 c._sock.sendall(encode_frame(
                     {"op": "wait", "job_id": ids[-1], "seq": 3}))
-                replies.append(_recv_payload(c._sock))
+                replies.append(
+                    (_recv_payload(c._sock), _recv_payload(c._sock)))
             c.drain()
             d._thread.join(timeout=30.0)
             assert not d._thread.is_alive(), "daemon failed to drain"
         kept, spilled = (d.server.pool.records[job_id] for job_id in ids)
         assert kept._held is not None and kept._spill is None
         assert spilled._spill is not None and spilled._held is None
-        assert json.loads(replies[0]) == json.loads(PINNED_REPLY)
-        assert replies[0].replace(ids[0].encode(), ids[1].encode()) \
-            == replies[1]
+        assert _joined(*replies[0]) == json.loads(PINNED_REPLY)
+        assert [part.replace(ids[0].encode(), ids[1].encode())
+                for part in replies[0]] == list(replies[1])
         assert kept.body == spilled.body  # read after the pool stopped
 
 
