@@ -33,6 +33,7 @@ import hashlib
 import json
 import os
 import tempfile
+import tokenize
 from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
@@ -122,8 +123,8 @@ class CostCache(object):
         """The cached vector for ``key``, or ``None`` on any miss.
 
         Disk problems of every kind (missing file, unreadable file,
-        truncated write, foreign format, stale version stamp) count as
-        misses: the caller recomputes and overwrites.
+        truncated write, garbled header, foreign format, stale version
+        stamp) count as misses: the caller recomputes and overwrites.
         """
         if not self.enabled or key is None:
             return None
@@ -143,7 +144,9 @@ class CostCache(object):
     def _load(self, key: str) -> Optional[np.ndarray]:
         try:
             raw = np.load(self.path_for(key), allow_pickle=False)
-        except (OSError, ValueError, EOFError):
+        except (OSError, ValueError, EOFError, SyntaxError,
+                tokenize.TokenError):
+            # The last two are np.load's parse of a garbled header dict.
             return None
         vec = _unwrap(raw)
         if vec is None:

@@ -5,12 +5,13 @@ no master process in the dispatch path: each worker loops
 
     1. ``i = counter.fetch_add(1)``      (or a group-lease claim),
     2. ``start, stop = calc.interval(i)``  (pure local arithmetic),
-    3. execute, append ``("chunk", i, start, stop, payload)`` to its
+    3. execute, append the round's record -- its claim wait, compute
+       seconds, interval, ordinal ``i``, counter and payload -- to its
        own shard file (one write), go to 1,
 
-until a fetched ordinal falls beyond ``calc.n_chunks``.  The parent
-only spawns processes, waits, and merges shards -- coordination-free
-until the very end.
+until a fetched ordinal falls beyond ``calc.n_chunks`` (that dry
+claim is booked too).  The parent only spawns processes, waits, and
+merges shards -- coordination-free until the very end.
 
 Fault story (the counter side is in :mod:`repro.decentral.counter`):
 
@@ -55,8 +56,8 @@ from ..runtime.chassis import (
     shard_writer,
 )
 from ..runtime.config import RuntimeConfig
-from ..runtime.messages import WorkerStats
 from ..runtime.worker import WorkerSpec, pad_specs
+from ..simulation.metrics import WorkerMetrics
 from ..workloads import Workload
 from .counter import LeasedCounter, SharedCounter
 
@@ -83,12 +84,14 @@ class DecentralResult(object):
     substrate is about: ``global_ops`` counts fetch-and-adds on the
     global counter, ``local_ops`` group-local claims (hierarchical
     mode), ``recovered`` the chunks re-executed by the repair pass.
+    ``stats`` (each worker's books) and both op counts come from every
+    whole round record of every incarnation.
     """
 
     scheme: str
     elapsed: float
     results: Optional[np.ndarray]
-    stats: dict[int, WorkerStats]
+    stats: dict[int, WorkerMetrics]
     chunks: list[tuple[int, int, int]]
     n_chunks: int
     global_ops: int = 0
@@ -99,23 +102,6 @@ class DecentralResult(object):
     @property
     def total_chunks(self) -> int:
         return len(self.chunks)
-
-
-def _make_worker_counter(
-    counter_path: str,
-    group_paths: Optional[Sequence[str]],
-    wid: int,
-    group_size: Optional[int],
-    lease: int,
-    limit: int,
-):
-    """Fresh (picklable) counter handle for one worker."""
-    shared = SharedCounter(counter_path)
-    if group_paths is None:
-        return shared
-    return LeasedCounter(
-        group_paths[wid // group_size], shared, lease, limit
-    )
 
 
 def decentral_worker_main(
@@ -132,61 +118,56 @@ def decentral_worker_main(
     """Claim/compute/record loop (process target; exits when dry).
 
     ``counter`` is a :class:`SharedCounter` (flat) or
-    :class:`LeasedCounter` (hierarchical).  Every record is written
-    (:func:`~repro.runtime.chassis.shard_writer`) before the next
-    claim, so anything this process *recorded* survives its own
-    SIGKILL.
+    :class:`LeasedCounter` (hierarchical).  Each claim is one
+    ``("round", wait, compute, start, stop, index, refilled, payload,
+    t, wall)`` record (:func:`~repro.runtime.chassis.shard_writer`),
+    written before the next claim, so anything this process *recorded*
+    survives its own SIGKILL: ``refilled`` says the claim went to the
+    global counter, ``t`` / ``wall`` stamp the record (its chunk's
+    ``result`` event at merge time), and the dry claim that ends the
+    loop has no interval.
 
     ``emit_events`` interleaves unified observability events (source
     ``runtime.decentral``) into the shard stream as ``("event", row)``
-    records; the parent replays them into its collector at merge time,
-    deduping ``result`` events by interval alongside the chunk records
-    themselves.
+    records; the parent replays them into its collector at merge time.
     """
     spec = spec or WorkerSpec()
     n = calc.n_chunks
-    global_ops = 0
-    local_ops = 0
     leased = isinstance(counter, LeasedCounter)
     with shard_writer(shard_path) as append:
         step = WorkerStep(
             workload, worker_id, spec.slowdown, delays, _SRC,
             append if emit_events else None,
         )
-        stats = step.stats
         while True:
             step.serve_delays()
             step.emit("request")
             t0 = time.perf_counter()
             if leased:
                 index, refilled = counter.claim()
-                global_ops += 1 if refilled else 0
-                local_ops += 0 if refilled else 1
             else:
                 index = counter.fetch_add(1)
                 refilled = True
-                global_ops += 1
             wait = time.perf_counter() - t0
-            stats.wait_seconds += wait
             step.emit(
                 "fetch-add", at=t0, value=wait,
                 detail="global" if refilled else "local",
             )
             if index >= n:
+                append(("round", wait, 0.0, None, None, index, refilled,
+                        None, None, None))
                 step.emit("terminate")
                 break
             start, stop = calc.interval(index)
-            payload = step.compute(
+            payload, seconds = step.compute(
                 start, stop,
                 calc.stage_of(index) if emit_events else None,
             )
             append((
-                "chunk", index, start, stop,
+                "round", wait, seconds, start, stop, index, refilled,
                 payload if collect_results else None,
+                time.perf_counter() - step.born, time.time(),
             ))
-            # After the chunk record: the result is durable now.
-            step.emit("result", start=start, stop=stop)
-        append(("stats", worker_id, stats, global_ops, local_ops))
     counter.close()
 
 
@@ -237,10 +218,13 @@ class CounterChassis(ProcessChassis):
     def _worker_call(
         self, wid: int, incarnation: int
     ) -> tuple[WorkerCall, Any, Any]:
-        counter = _make_worker_counter(
-            self.counter_path, self.group_paths, wid, self.group_size,
-            self.lease, self.calc.n_chunks,
-        )
+        # A fresh (picklable) counter handle for the worker.
+        counter: Any = SharedCounter(self.counter_path)
+        if self.group_paths is not None:
+            counter = LeasedCounter(
+                self.group_paths[wid // self.group_size], counter,
+                self.lease, self.calc.n_chunks,
+            )
         kwargs = {
             "spec": self.specs[wid],
             "collect_results": self.collect_results,
@@ -319,57 +303,37 @@ def run_decentral(
         elapsed = time.perf_counter() - wall0
 
         # -- merge: dedupe by ordinal, then repair the holes ------------
-        completed: dict[int, tuple[int, int, int, object]] = {}
-        stats: dict[int, WorkerStats] = {}
+        #: ordinal -> (worker, start, stop, payload, t, wall)
+        completed: dict[int, tuple] = {}
         global_ops = 0
         local_ops = 0
-        #: result events deduped by interval start (first wins), in
-        #: lockstep with the chunk dedup: a chunk's start identifies its
-        #: ordinal, and the same shard scan order decides both.
-        result_events: dict[int, ObsEvent] = {}
-        for shard_wid, record in chassis.records():
-            if record[0] == "chunk":
-                _tag, index, start, stop, payload = record
+        for shard_wid, record in chassis.merge():
+            (_tag, _wait, _compute, start, stop, index, refilled,
+             payload, t, wall) = record
+            global_ops += refilled
+            local_ops += not refilled
+            if start is not None:
                 completed.setdefault(
-                    index, (shard_wid, start, stop, payload)
+                    index, (shard_wid, start, stop, payload, t, wall)
                 )
-            elif record[0] == "stats":
-                _tag, wid, wstats, gops, lops = record
-                agg = stats.setdefault(wid, WorkerStats())
-                agg.compute_seconds += wstats.compute_seconds
-                agg.wait_seconds += wstats.wait_seconds
-                agg.chunks += wstats.chunks
-                agg.iterations += wstats.iterations
-                global_ops += gops
-                local_ops += lops
-            elif record[0] == "event":
-                ev = ObsEvent._make(record[1])
-                if ev.kind == "result":
-                    result_events.setdefault(ev.start, ev)
-                else:
-                    obs.emit(ev)
         missing = [i for i in range(n) if i not in completed]
         if obs:
+            # Each chunk's result event, from the record that made it
+            # durable (first wins, as for the chunk itself).
             for index in sorted(completed):
-                wid_, start, stop, _payload = completed[index]
-                ev = result_events.get(start)
-                if ev is None:
-                    # Chunk record landed but the worker was killed
-                    # before its result event: synthesize one at merge
-                    # time so the stream still covers the interval.
-                    ev = ObsEvent(
-                        "result", _SRC, time.perf_counter() - wall0,
-                        wid_, start=start, stop=stop,
-                        wall=time.time(), detail="merge",
-                    )
-                obs.emit(ev)
+                wid_, start, stop, _payload, t, wall = completed[index]
+                obs.emit(ObsEvent(
+                    "result", _SRC, t, wid_, start=start, stop=stop,
+                    wall=wall,
+                ))
         for index in missing:
             start, stop = calc.interval(index)
             payload = (
                 workload.execute(start, stop) if collect_results
                 else None
             )
-            completed[index] = (REPAIR_LANE, start, stop, payload)
+            completed[index] = (REPAIR_LANE, start, stop, payload,
+                                None, None)
             if obs:
                 # The repair pass runs in the parent after the join;
                 # both events carry the same post-run timestamp.
@@ -398,7 +362,7 @@ def run_decentral(
             scheme=calc.scheme,
             elapsed=elapsed,
             results=results,
-            stats=stats,
+            stats=chassis.books,
             chunks=chunks,
             n_chunks=n,
             global_ops=global_ops,

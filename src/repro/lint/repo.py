@@ -213,9 +213,10 @@ def check_rep403(modules, config: LintConfig) -> Iterator[Finding]:
 def check_rep404(modules, config: LintConfig) -> Iterator[Finding]:
     """The real-process lifecycle lives once: spawn, SIGKILL,
     join-or-terminate, fault script, heartbeat sender, worker compute
-    step and the worker shard's writer and reader are written in
-    ``runtime/chassis.py``, so a real substrate says what a worker runs
-    and what a stall means, nothing else.
+    step, the worker shard's writer and reader and the fold of its
+    rounds into a worker's books are written in ``runtime/chassis.py``,
+    so a real substrate says what a worker runs and what a stall means,
+    nothing else.
     ``service/pool.py``, a different supervisor, keeps its slot spawn
     and liveness kill but shares the sender thread and the join guard.
     The run's own wait loop fires the fault script (PR 42), so the three
@@ -229,7 +230,7 @@ def check_rep404(modules, config: LintConfig) -> Iterator[Finding]:
     once = {"spawn", "_build_script", "_kill", "_restart", "_spike",
             "join_or_terminate", "heartbeat_sender", "locked_sender",
             "assemble_results", "serve_delays", "shard_writer",
-            "read_shard"}
+            "read_shard", "worker_books"}
     homes = {"ProcessChassis": chassis, "PipeChassis": "runtime/executor.py",
              "CounterChassis": "decentral/executor.py"}
     pkg = {rel: mod for rel, mod in _package(modules, config).items()

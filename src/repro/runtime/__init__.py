@@ -12,7 +12,7 @@ from .master import (
     master_loop,
 )
 from .mpi import have_mpi, run_mpi
-from .messages import Assign, Heartbeat, Request, Terminate, WorkerStats
+from .messages import Assign, Heartbeat, Request, Terminate
 from .serial import plan_time_scale, run_serial
 from .worker import WorkerSpec, worker_main
 
@@ -21,7 +21,6 @@ __all__ = [
     "Heartbeat",
     "Request",
     "Terminate",
-    "WorkerStats",
     "RuntimeConfig",
     "MasterHooks",
     "IncompleteRunError",

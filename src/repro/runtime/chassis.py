@@ -23,12 +23,15 @@ their worker processes on a :class:`ProcessChassis`, which owns
 * join-or-terminate, the run's scratch directory with one shard file
   per incarnation, and result assembly;
 * **the shard format**: a worker appends each record to its shard as
-  one pickle (:func:`shard_writer`), and the parent reads every whole
-  record back after the join (:func:`read_shard`,
+  one length-framed pickle (:func:`shard_writer`), and the parent reads
+  every whole record back after the join (:func:`read_shard`,
   :meth:`ProcessChassis.records`).  An observability event is the
   record ``("event", row)``, ``row`` the eleven
-  :class:`~repro.obs.ObsEvent` fields; the counter substrate adds its
-  ``chunk`` and ``stats`` records to the same stream.
+  :class:`~repro.obs.ObsEvent` fields; each served round is the record
+  ``("round", wait, compute, start, stop, ...)``.  After the join
+  :meth:`ProcessChassis.merge` hands the events to the collector and
+  folds every incarnation's rounds into the workers' books
+  (:func:`worker_books`).
 
 A substrate subclasses it with two hooks: :meth:`~ProcessChassis.
 _worker_call` (what a worker process runs, and over which channel) and
@@ -38,9 +41,9 @@ stalled" means: nothing for the master, whose thread held in ``fire``
 runtime).
 
 The worker side of the same contract lives here too: the compute step
-(:class:`WorkerStep`: delay schedule, slowdown burn, ``WorkerStats``,
-the ``compute`` event) and the heartbeat sender thread, which the
-service pool's workers share.
+(:class:`WorkerStep`: delay schedule, slowdown burn, the ``compute``
+event) and the heartbeat sender thread, which the service pool's
+workers share.
 
 Plan times are wall-clock seconds after the initial workers are up;
 ``time_scale`` maps a virtual-time plan onto a wall-clock budget.
@@ -56,6 +59,7 @@ import os
 import pickle
 import shutil
 import signal
+import struct
 import tempfile
 import threading
 import time
@@ -68,9 +72,9 @@ import numpy as np
 from ..chaos.plan import ChaosError, FaultPlan, LoadSpike
 from ..obs import ObsEvent, get_logger
 from ..obs import resolve as _resolve_collector
+from ..simulation.metrics import WorkerMetrics
 from ..workloads import Workload, matrix_add_load
 from .config import RuntimeConfig
-from .messages import WorkerStats
 
 __all__ = [
     "BackgroundLoad",
@@ -83,6 +87,7 @@ __all__ = [
     "locked_sender",
     "read_shard",
     "shard_writer",
+    "worker_books",
 ]
 
 #: Injections log as chaos acts (like their events' ``chaos`` source).
@@ -210,6 +215,8 @@ class ProcessChassis(object):
             tuple[float, Callable[[], Any]]] = collections.deque()
         self._stall_depth = 0
         self._t0 = 0.0
+        #: each worker's books, folded by :meth:`merge`.
+        self.books: dict[int, WorkerMetrics] = {}
         #: scratch directory of the run: one shard per incarnation.
         self.workdir = tempfile.mkdtemp(prefix="repro-run-")
 
@@ -323,14 +330,30 @@ class ProcessChassis(object):
 
     def records(self) -> Iterator[tuple[int, tuple]]:
         """``(worker_id, record)`` for every whole record written, shard
-        by shard in (worker, incarnation) order -- SIGKILLed
+        by shard in numeric (worker, incarnation) order -- SIGKILLed
         incarnations included, each up to its torn tail.  Whole-file
         reads after the join, so no cross-process locking."""
-        for name in sorted(os.listdir(self.workdir)):
+        shards = []
+        for name in os.listdir(self.workdir):
             if name.startswith("shard-"):
-                wid = int(name.split("-")[1])
-                for record in read_shard(os.path.join(self.workdir, name)):
-                    yield wid, record
+                _tag, wid, incarnation = name.split("-")
+                shards.append((int(wid), int(incarnation), name))
+        for wid, _incarnation, name in sorted(shards):
+            for record in read_shard(os.path.join(self.workdir, name)):
+                yield wid, record
+
+    def merge(self) -> list[tuple[int, tuple]]:
+        """After the join: emit every event record into the collector,
+        fold the round records into :attr:`books`, and return them as
+        ``(worker_id, record)`` in :meth:`records` order."""
+        rounds = []
+        for wid, record in self.records():
+            if record[0] == "event":
+                self.obs.emit(ObsEvent._make(record[1]))
+            else:
+                rounds.append((wid, record))
+        self.books = worker_books(rounds)
+        return rounds
 
     def delays_for(
         self, wid: int, incarnation: int
@@ -420,23 +443,27 @@ class ProcessChassis(object):
 
 # -- the shard format ------------------------------------------------------
 
+#: A record's frame: the length of the pickle that follows it.
+_FRAME = struct.Struct("!Q")
+
 
 @contextlib.contextmanager
 def shard_writer(path: str) -> Iterator[Callable[[tuple], None]]:
     """The callable that appends one record to the shard at ``path``.
 
-    Each record is one :func:`os.write` of its pickle on an
-    ``O_APPEND`` descriptor held open until the block exits.  Appends
-    from several threads (a worker's main loop and its heartbeat) or
-    processes never interleave inside a record, and anything written
-    survives the writer's SIGKILL (page cache, not process memory); a
-    kill mid-write tears only the last record.
+    Each record is one :func:`os.write` of its length frame and pickle
+    on an ``O_APPEND`` descriptor held open until the block exits.
+    Appends from several threads (a worker's main loop and its
+    heartbeat) or processes never interleave inside a record, and
+    anything written survives the writer's SIGKILL (page cache, not
+    process memory); a kill mid-write tears only the last record.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     dumps, protocol = pickle.dumps, pickle.HIGHEST_PROTOCOL
 
     def append(record: tuple) -> None:
-        os.write(fd, dumps(record, protocol))
+        blob = dumps(record, protocol)
+        os.write(fd, _FRAME.pack(len(blob)) + blob)
 
     try:
         yield append
@@ -445,38 +472,62 @@ def shard_writer(path: str) -> Iterator[Callable[[tuple], None]]:
 
 
 def read_shard(path: str) -> list[tuple]:
-    """Every whole record of a shard, stopping at a torn tail."""
-    records: list[tuple] = []
+    """Every whole record of a shard, stopping at a torn tail: a frame
+    that runs past the end of the file, or framed bytes that do not
+    unpickle (nothing is allocated beyond the file's size)."""
     with open(path, "rb") as handle:
-        while True:
-            try:
-                records.append(pickle.load(handle))
-            except EOFError:
-                break
-            except (pickle.UnpicklingError, AttributeError, ImportError,
-                    IndexError, ValueError, TypeError, OSError):
-                # A SIGKILL mid-write leaves a truncated/garbled tail;
-                # everything before it decoded fine and stands.  This
-                # tuple is the documented set of errors ``pickle.load``
-                # raises on corrupt input (plus OSError for a torn
-                # read); a genuine bug still propagates.
-                break
+        data = handle.read()
+    records: list[tuple] = []
+    view, at = memoryview(data), 0
+    while at + _FRAME.size <= len(data):
+        (size,) = _FRAME.unpack_from(data, at)
+        end = at + _FRAME.size + size
+        if end > len(data):
+            break
+        try:
+            records.append(pickle.loads(view[at + _FRAME.size:end]))
+        except Exception:  # noqa: BLE001 - framed bytes, not a record
+            break
+        at = end
     return records
+
+
+def worker_books(
+    records: Sequence[tuple[int, tuple]],
+) -> dict[int, WorkerMetrics]:
+    """Each worker's books: the sum over the ``round`` records of
+    :meth:`ProcessChassis.records`, so a SIGKILLed or restarted
+    incarnation's whole rounds stay booked.  A round's wait is
+    ``t_wait``, its compute ``t_comp``, a round with an interval one
+    chunk; ``t_com`` and ``finished_at`` stay ``0.0``."""
+    books: dict[int, WorkerMetrics] = {}
+    for wid, record in records:
+        if record[0] != "round":
+            continue
+        if wid not in books:
+            books[wid] = WorkerMetrics(f"w{wid}")
+        cells = books[wid]
+        _tag, wait, compute, start, stop = record[:5]
+        cells.t_wait += wait
+        cells.t_comp += compute
+        if start is not None:
+            cells.chunks += 1
+            cells.iterations += stop - start
+    return books
 
 
 # -- the worker side -------------------------------------------------------
 
 
 class WorkerStep(object):
-    """One worker process's compute step and its accounting.
+    """One worker process's compute step.
 
     Owns what every worker loop repeats around "get the next interval":
     the delay schedule served before each request or claim, the chunk
-    execution with its slowdown burn, the :class:`WorkerStats` tally,
-    and the ``compute`` event.  ``shard`` is the :func:`shard_writer`
-    callable that receives this worker's observability events as
-    ``("event", row)`` records (``None`` disables them; nothing is
-    built on that path).
+    execution with its slowdown burn, and the ``compute`` event.
+    ``shard`` is the :func:`shard_writer` callable that receives this
+    worker's observability events as ``("event", row)`` records
+    (``None`` disables them; nothing is built on that path).
     """
 
     def __init__(
@@ -491,7 +542,6 @@ class WorkerStep(object):
         self.workload = workload
         self.worker_id = worker_id
         self.slowdown = slowdown
-        self.stats = WorkerStats()
         self.born = time.perf_counter()
         self._delays = sorted(delays) if delays else []
         self._source = source
@@ -525,8 +575,9 @@ class WorkerStep(object):
 
     def compute(
         self, start: int, stop: int, stage: Optional[int] = None
-    ) -> Any:
-        """Execute ``[start, stop)``; returns the chunk's payload.
+    ) -> tuple[Any, float]:
+        """Execute ``[start, stop)``; returns the chunk's payload and
+        the seconds it took, burns included.
 
         A worker with ``slowdown = s`` executes the chunk once for the
         result, then burns ``s - 1`` more executions through
@@ -544,16 +595,13 @@ class WorkerStep(object):
             part = max(1, int((stop - start) * extra))
             self.workload.burn(start, start + part)
         duration = time.perf_counter() - t0
-        self.stats.compute_seconds += duration
-        self.stats.chunks += 1
-        self.stats.iterations += stop - start
         # Span anchored at the compute *start*, so the Chrome trace
         # renders [t, t+value) as the busy interval.
         self.emit(
             "compute", at=t0, start=start, stop=stop, stage=stage,
             value=duration,
         )
-        return payload
+        return payload, duration
 
 
 def locked_sender(conn) -> Callable[[Any], None]:

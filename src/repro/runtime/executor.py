@@ -25,12 +25,11 @@ from ..chaos.plan import FaultPlan
 from ..core import Scheduler, make
 from ..core.acp import IMPROVED_ACP, AcpModel
 from ..core.registry import DISTRIBUTED_SCHEMES, parse
-from ..obs import ObsEvent
+from ..simulation.metrics import WorkerMetrics
 from ..workloads import Workload
 from .chassis import ProcessChassis, WorkerCall, assemble_results
 from .config import RuntimeConfig
 from .master import MasterHooks, master_loop
-from .messages import WorkerStats
 from .worker import WorkerSpec, pad_specs, worker_main
 
 __all__ = ["RunResult", "PipeChassis", "run_parallel"]
@@ -38,12 +37,13 @@ __all__ = ["RunResult", "PipeChassis", "run_parallel"]
 
 @dataclasses.dataclass
 class RunResult(object):
-    """Outcome of one real parallel run."""
+    """Outcome of one real parallel run (``stats``: each worker's books,
+    :func:`~repro.runtime.chassis.worker_books`)."""
 
     scheme: str
     elapsed: float
     results: Optional[np.ndarray]
-    stats: dict[int, WorkerStats]
+    stats: dict[int, WorkerMetrics]
     chunks: list[tuple[int, int, int]]
     requeued: int = 0
 
@@ -86,17 +86,15 @@ class PipeChassis(ProcessChassis, MasterHooks):
             "acp_model": self.acp_model,
             "heartbeat_interval": self.config.heartbeat_interval,
             "delays": self.delays_for(wid, incarnation),
-            "shard_path": self.shard_path(wid) if self.obs else None,
+            "emit_events": bool(self.obs),
         }
-        call = (worker_main, (child, self.workload, wid), kwargs)
-        return call, parent, child
+        args = (child, self.workload, wid, self.shard_path(wid))
+        return (worker_main, args, kwargs), parent, child
 
     def __exit__(self, *exc: object) -> None:
         self.join()
-        # Fan the worker shards' event records (every incarnation,
-        # SIGKILLed ones included) into the caller's collector.
-        for _wid, (_tag, row) in self.records():
-            self.obs.emit(ObsEvent._make(row))
+        # Every incarnation's shard, SIGKILLed ones included.
+        self.merge()
         super().__exit__(*exc)
 
 
@@ -175,7 +173,7 @@ def run_parallel(
         results=(
             assemble_results(master.results) if collect_results else None
         ),
-        stats=master.stats,
+        stats=chassis.books,
         chunks=master.chunks,
         requeued=master.requeued,
     )

@@ -51,7 +51,7 @@ from ..obs import ObsEvent, get_logger
 from ..obs import resolve as _resolve_collector
 from ..simulation.engine import StarvationError, admit
 from .config import RuntimeConfig
-from .messages import Assign, Heartbeat, Request, Terminate, WorkerStats
+from .messages import Assign, Heartbeat, Request, Terminate
 
 __all__ = [
     "MasterResult",
@@ -111,7 +111,6 @@ class MasterResult(object):
     """Everything the master gathered from one run."""
 
     results: list[tuple[int, Any]]
-    stats: dict[int, WorkerStats]
     chunks: list[tuple[int, int, int]]  # (worker_id, start, stop)
     requeued: int = 0  # chunks reassigned after a worker death
     timeouts: int = 0  # workers dropped for missing their deadline
@@ -165,7 +164,6 @@ def master_loop(
         _SRC, record if obs else None,
     )
     results: list[tuple[int, Any]] = []
-    stats: dict[int, WorkerStats] = {}
     chunks: list[tuple[int, int, int]] = []
     last_seen: dict[int, float] = {
         wid: time.monotonic() for wid in live
@@ -198,8 +196,6 @@ def master_loop(
         emit("request", wid, acp=req.acp)
         if req.result is not None:
             results.append(req.result)
-        if req.stats is not None:
-            stats[wid] = req.stats
         chunk = master.request(
             wid, req.acp, req.result is not None, time.monotonic() - t0,
         )
@@ -318,7 +314,6 @@ def master_loop(
         )
     return MasterResult(
         results=results,
-        stats=stats,
         chunks=chunks,
         requeued=requeued,
         timeouts=timeouts,

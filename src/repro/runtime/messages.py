@@ -15,25 +15,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Optional
 
-__all__ = ["Request", "Assign", "Terminate", "Heartbeat", "WorkerStats"]
-
-
-@dataclasses.dataclass
-class WorkerStats(object):
-    """Per-worker wall-clock accounting shipped with every request.
-
-    ``wait_seconds`` measures request-to-assignment latency (pipe +
-    master queueing + service) -- the runtime analogue of the
-    simulator's ``t_wait``; ``compute_seconds`` is chunk execution
-    (including slowdown-emulation burns), the analogue of ``t_comp``.
-    Serialization costs ride inside ``wait_seconds`` (a real pipe has
-    no separable "link occupancy" to meter).
-    """
-
-    compute_seconds: float = 0.0
-    wait_seconds: float = 0.0
-    chunks: int = 0
-    iterations: int = 0
+__all__ = ["Request", "Assign", "Terminate", "Heartbeat"]
 
 
 @dataclasses.dataclass
@@ -48,7 +30,6 @@ class Request(object):
     worker_id: int
     acp: Optional[int] = None
     result: Optional[tuple[int, Any]] = None
-    stats: Optional[WorkerStats] = None
 
 
 @dataclasses.dataclass
@@ -65,7 +46,7 @@ class Assign(object):
 
 @dataclasses.dataclass
 class Terminate(object):
-    """Master -> worker: no more work; send final stats and exit."""
+    """Master -> worker: no more work; exit."""
 
 
 @dataclasses.dataclass

@@ -3,7 +3,8 @@
 Each worker owns one end of a pipe to the master and loops:
 
     request (piggy-backing the previous result) -> receive assignment ->
-    execute the chunk -> repeat; on Terminate, ship final stats and exit.
+    execute the chunk -> book the round in its shard -> repeat; on
+    Terminate, book the dry round and exit.
 
 Heterogeneity emulation: the paper's slow PEs are ~2.65x slower than its
 fast ones.  On a single host all cores run at the same speed, so a
@@ -20,7 +21,6 @@ processes started by the executor.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import time
 from typing import Optional, Sequence
@@ -73,12 +73,13 @@ def worker_main(
     conn,
     workload: Workload,
     worker_id: int,
+    shard_path: str,
     spec: Optional[WorkerSpec] = None,
     distributed: bool = False,
     acp_model: AcpModel = IMPROVED_ACP,
     heartbeat_interval: Optional[float] = None,
     delays: Optional[Sequence[tuple[float, float]]] = None,
-    shard_path: Optional[str] = None,
+    emit_events: bool = False,
 ) -> None:
     """Run the request/compute loop until Terminate (process target).
 
@@ -87,13 +88,16 @@ def worker_main(
     liveness deadline survives long chunks (see
     :class:`repro.runtime.config.RuntimeConfig`).
 
-    ``shard_path`` names this incarnation's shard, which receives its
-    half of the unified observability stream (source
-    ``runtime.worker``) as :func:`~repro.runtime.chassis.shard_writer`
-    records; the executor merges shards into the caller's collector
-    after the join.  The heartbeat thread emits too: each record is
-    one ``O_APPEND`` write, so records stay whole and a killed worker
-    leaves at most one torn trailing record.  ``None`` records nothing.
+    ``shard_path`` names this incarnation's shard, which receives one
+    ``("round", wait, compute, start, stop)`` record per answered
+    request (:func:`~repro.runtime.chassis.worker_books` folds them
+    into the run's books), written before that chunk's result leaves
+    in the next request; the dry round that ends the loop is booked
+    too.  ``emit_events`` adds this worker's half of the unified
+    observability stream (source ``runtime.worker``) as ``("event",
+    row)`` records; the heartbeat thread emits too.  Each record is one
+    ``O_APPEND`` write, so records stay whole and a killed worker
+    leaves at most one torn trailing record.
 
     ``delays`` is a list of ``(at, extra)`` pairs (seconds since worker
     start): before the first request sent at/after ``at``, the worker
@@ -108,40 +112,42 @@ def worker_main(
         else None
     )
     pending: Optional[tuple[int, object]] = None
-    shard = contextlib.ExitStack()
-    step = WorkerStep(
-        workload, worker_id, spec.slowdown, delays, _SRC,
-        shard.enter_context(shard_writer(shard_path)) if shard_path
-        else None,
-    )
-    stats = step.stats
     # Heartbeats come from a side thread while the main loop computes.
     send = locked_sender(conn)
+    with shard_writer(shard_path) as append:
+        step = WorkerStep(
+            workload, worker_id, spec.slowdown, delays, _SRC,
+            append if emit_events else None,
+        )
 
-    def beat() -> None:
-        send(Heartbeat(worker_id=worker_id))
-        step.emit("heartbeat")
+        def beat() -> None:
+            send(Heartbeat(worker_id=worker_id))
+            step.emit("heartbeat")
 
-    stop_heartbeat = heartbeat_sender(beat, heartbeat_interval)
-    try:
-        while True:
-            step.serve_delays()
-            sent_at = time.perf_counter()
-            send(Request(worker_id=worker_id, acp=acp, result=pending,
-                         stats=stats))
-            pending = None
-            msg = conn.recv()
-            stats.wait_seconds += time.perf_counter() - sent_at
-            if isinstance(msg, Terminate):
-                step.emit("terminate")
-                break
-            assert isinstance(msg, Assign), f"unexpected message {msg!r}"
-            pending = (msg.start, step.compute(msg.start, msg.stop))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        # Master vanished (or interactive interrupt): exit quietly; the
-        # master side handles reassignment of any outstanding chunk.
-        pass
-    finally:
-        stop_heartbeat()
-        shard.close()
-        conn.close()
+        stop_heartbeat = heartbeat_sender(beat, heartbeat_interval)
+        try:
+            while True:
+                step.serve_delays()
+                sent_at = time.perf_counter()
+                send(Request(worker_id=worker_id, acp=acp,
+                             result=pending))
+                pending = None
+                msg = conn.recv()
+                wait = time.perf_counter() - sent_at
+                if isinstance(msg, Terminate):
+                    append(("round", wait, 0.0, None, None))
+                    step.emit("terminate")
+                    break
+                assert isinstance(msg, Assign), \
+                    f"unexpected message {msg!r}"
+                payload, seconds = step.compute(msg.start, msg.stop)
+                append(("round", wait, seconds, msg.start, msg.stop))
+                pending = (msg.start, payload)
+        except (EOFError, BrokenPipeError, KeyboardInterrupt):
+            # Master vanished (or interactive interrupt): exit quietly;
+            # the master side handles reassignment of any outstanding
+            # chunk.
+            pass
+        finally:
+            stop_heartbeat()
+            conn.close()

@@ -35,7 +35,15 @@ __all__ = ["WorkerMetrics", "ChunkRecord", "LazyChunkList", "SimResult"]
 
 @dataclasses.dataclass
 class WorkerMetrics(object):
-    """Accumulated times and counters for one slave PE."""
+    """Accumulated times and counters for one slave PE.
+
+    The real substrates fill the same cells from their workers' shards
+    (:func:`repro.runtime.chassis.worker_books`): ``t_wait``,
+    ``t_comp``, ``chunks`` and ``iterations``.  ``t_com`` and
+    ``finished_at`` stay ``0.0`` there: a pipe or a counter file has no
+    separable link occupancy, so serialization rides in ``t_wait``, and
+    a real run reports ``elapsed`` on its result.
+    """
 
     name: str
     t_com: float = 0.0

@@ -109,8 +109,8 @@ class TestRunDecentral:
         slow = run.stats[0]
         if slow.chunks and fast.chunks:
             # Nominal ratio is 6x; 2x leaves headroom for a loaded box.
-            assert (slow.compute_seconds / max(slow.iterations, 1)
-                    > 2.0 * fast.compute_seconds
+            assert (slow.t_comp / max(slow.iterations, 1)
+                    > 2.0 * fast.t_comp
                     / max(fast.iterations, 1))
 
     def test_empty_loop(self):

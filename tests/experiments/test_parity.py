@@ -58,6 +58,6 @@ def test_runtime_wait_accounting_present(parity_workload):
     from repro.runtime import run_parallel
 
     run = run_parallel("GSS", parity_workload, 3)
-    waits = [s.wait_seconds for s in run.stats.values()]
+    waits = [s.t_wait for s in run.stats.values()]
     assert all(w >= 0.0 for w in waits)
     assert any(w > 0.0 for w in waits)

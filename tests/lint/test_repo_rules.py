@@ -33,6 +33,12 @@ MUTANTS = [
         "def read_shard(path):\n    return []\n")},
         "REP404", "def read_shard at decentral/executor.py",
         id="REP404-second-shard-reader"),
+    # the counter runtime's own tally of its workers' time, beside the
+    # chassis's one fold of every incarnation's rounds
+    pytest.param({"src/repro/decentral/executor.py": (
+        "def worker_books(records):\n    return {}\n")},
+        "REP404", "def worker_books at decentral/executor.py",
+        id="REP404-second-books-fold"),
     pytest.param({"src/repro/batch.py": (
         "def rebuild(rows):\n    return SimResult(rows)\n")},
         "REP405", "SimResult", id="REP405-second-result"),

@@ -14,7 +14,7 @@ from repro.chaos import FaultPlan, WorkerDeath, WorkerRestart
 from repro.core import make
 from repro.runtime import RuntimeConfig, plan_time_scale, run_parallel
 from repro.runtime.master import master_loop
-from repro.runtime.messages import Assign, Request, Terminate, WorkerStats
+from repro.runtime.messages import Assign, Request, Terminate
 from repro.verify import audit_run
 from repro.workloads import SpinWorkload, UniformWorkload
 
@@ -46,7 +46,7 @@ class ScriptedWorker(object):
         self.completed = 0
         self.dead = False
         self.terminated = False
-        self._outbox = [Request(worker_id=wid, stats=WorkerStats())]
+        self._outbox = [Request(worker_id=wid)]
         self._pending = None
 
     # master-side interface ------------------------------------------------
@@ -71,11 +71,7 @@ class ScriptedWorker(object):
         payload = self.workload.execute(msg.start, msg.stop)
         self.completed += 1
         self._outbox.append(
-            Request(
-                worker_id=self.wid,
-                result=(msg.start, payload),
-                stats=WorkerStats(chunks=self.completed),
-            )
+            Request(worker_id=self.wid, result=(msg.start, payload))
         )
 
     def fileno(self) -> int:  # pragma: no cover - not used by fake wait
@@ -244,7 +240,7 @@ class TestWedgedWorker:
 
 
 class TestRealProcessDeath:
-    def test_sigkilled_worker_does_not_hang_run(self):
+    def test_sigkilled_worker_does_not_hang_run(self, tmp_path):
         """End-to-end: a real worker process is killed mid-run."""
         import multiprocessing as mp
         import os
@@ -261,7 +257,9 @@ class TestRealProcessDeath:
             parent, child = ctx.Pipe()
             pipes[wid] = parent
             proc = ctx.Process(
-                target=worker_main, args=(child, wl, wid), daemon=True
+                target=worker_main,
+                args=(child, wl, wid, str(tmp_path / f"shard-{wid}")),
+                daemon=True,
             )
             proc.start()
             procs.append(proc)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.factoring import WeightedFactoringScheduler
-from repro.runtime.messages import Assign, Request, Terminate, WorkerStats
+from repro.runtime.messages import Assign, Request, Terminate
 from repro.simulation import make_for_cluster
 
 from tests.conftest import make_cluster
@@ -23,14 +23,6 @@ class TestMessages:
         req = Request(worker_id=2)
         assert req.acp is None
         assert req.result is None
-
-    def test_worker_stats_accumulators(self):
-        stats = WorkerStats()
-        stats.compute_seconds += 1.5
-        stats.wait_seconds += 0.5
-        stats.iterations += 10
-        assert stats.compute_seconds == 1.5
-        assert stats.wait_seconds == 0.5
 
     def test_terminate_is_plain(self):
         assert isinstance(Terminate(), Terminate)

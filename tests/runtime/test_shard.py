@@ -15,7 +15,7 @@ import tempfile
 import threading
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.decentral import REPAIR_LANE, CounterChassis, run_decentral
 from repro.obs import EVENT_KINDS, ObsEvent, capture
@@ -97,9 +97,12 @@ def _tear_after_join(monkeypatch, chassis_cls, cut):
             path = os.path.join(self.workdir, name)
             ends, records = [0], []
             with open(path, "rb") as handle:
-                while handle.peek(1):
-                    records.append(pickle.load(handle))
-                    ends.append(handle.tell())
+                data = handle.read()
+            while ends[-1] < len(data):
+                body = ends[-1] + 8
+                end = body + int.from_bytes(data[ends[-1]:body], "big")
+                records.append(pickle.loads(data[body:end]))
+                ends.append(end)
             index = None if torn else cut(records)
             if index is None:
                 whole.extend(records)
@@ -121,20 +124,22 @@ def test_runtime_merge_keeps_every_whole_event_of_a_torn_shard(
         run_parallel("TSS", WL, 2, collector=trace)
     assert len(torn) == 1 and torn[0][0] == "event"
     workers = [ev for ev in trace.events if ev.source == "runtime.worker"]
-    assert workers == [ObsEvent._make(row) for _tag, row in whole]
+    assert workers == [ObsEvent._make(record[1]) for record in whole
+                       if record[0] == "event"]
     assert ObsEvent._make(torn[0][1]) not in workers
 
 
 def test_decentral_merge_repairs_the_chunk_a_torn_record_lost(monkeypatch):
     def last_chunk(records):
-        chunks = [i for i, r in enumerate(records) if r[0] == "chunk"]
+        chunks = [i for i, r in enumerate(records)
+                  if r[0] == "round" and r[3] is not None]
         return chunks[-1] if chunks else None
 
     _whole, torn = _tear_after_join(monkeypatch, CounterChassis,
                                     last_chunk)
     with capture() as trace:
         res = run_decentral("TSS", WL, 2, collector=trace)
-    (_tag, _index, start, stop, _payload), = torn
+    (_tag, _wait, _compute, start, stop, *_claim), = torn
     assert res.recovered == 1
     assert (REPAIR_LANE, start, stop) in res.chunks
     np.testing.assert_array_equal(res.results, WL.execute_serial())
@@ -173,3 +178,41 @@ def test_a_record_reads_back_as_the_jsonl_shard_delivered_it(ev):
     assert tag == "event" and type(row) is tuple
     assert ObsEvent._make(row) == ev
     assert ev == ObsEvent.from_dict(json.loads(event_line(ev)))
+
+
+#: Records of the kinds a shard holds: events and rounds.
+_RECORDS = st.lists(
+    st.builds(lambda ev: ("event", tuple(ev)), _EVENTS)
+    | st.tuples(st.just("round"), _FINITE, _FINITE, _OPT_INT, _OPT_INT),
+    max_size=5,
+)
+
+
+@given(records=_RECORDS, tail=st.binary(max_size=64))
+@example(records=[("round", 0.5, 0.25, 0, 8)],
+         tail=b"\x8e" + (2**63).to_bytes(8, "little"))
+@example(records=[("round", 0.5, 0.25, 0, 8)],
+         tail=b"\x8e" + (2**40).to_bytes(8, "little"))
+@example(records=[], tail=(3).to_bytes(8, "big") + b"\x80\x05N")
+def test_any_tail_after_whole_records_reads_them_back(records, tail):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shard")
+        with shard_writer(path) as append:
+            for record in records:
+                append(record)
+        with open(path, "ab") as handle:
+            handle.write(tail)
+        read = read_shard(path)
+    assert read[:len(records)] == records
+
+
+def test_records_come_in_numeric_worker_and_incarnation_order():
+    order = [(7, 0), (7, 99), (7, 100), (999, 0), (1000, 0), (1000, 2)]
+    with ProcessChassis(1001) as chassis:
+        for wid, incarnation in reversed(order):
+            chassis.incarnations[wid] = incarnation
+            with shard_writer(chassis.shard_path(wid)) as append:
+                append(("event", (wid, incarnation)))
+        assert [record[1] for _wid, record in chassis.records()] == order
+        assert [wid for wid, _record in chassis.records()] == \
+            [wid for wid, _incarnation in order]

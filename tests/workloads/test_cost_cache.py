@@ -3,8 +3,11 @@ integration with Workload.costs()/cost_key()."""
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro import cache
 from repro.workloads import (
@@ -151,6 +154,61 @@ class TestRobustness:
         cache.get_cache().put(wl.cost_key(), np.full(wl.size, poison))
         cache.configure(directory=cache_dir)
         assert np.array_equal(fresh_workload().costs(), expected)
+
+
+def _small() -> MandelbrotWorkload:
+    return MandelbrotWorkload(40, 20)
+
+
+#: How a cache file goes bad: cut at a byte, bytes overwritten, or
+#: replaced by arbitrary bytes.  Flips land before the cost payload
+#: (the ``.npy`` header dict and the version/length slots): the file
+#: carries no checksum, so a flipped cost that stays finite and >= 0
+#: reads back as a cost.
+_CORRUPTIONS = (
+    st.tuples(st.just("cut"), st.integers(0, 2**16))
+    | st.tuples(st.just("flip"), st.lists(
+        st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+        min_size=1, max_size=5))
+    | st.tuples(st.just("bytes"), st.binary(max_size=300))
+)
+
+
+@given(corruption=_CORRUPTIONS)
+@example(corruption=("flip", [(19, ord("#"))]))
+def test_a_corrupt_cache_file_is_a_miss_that_recomputes(corruption):
+    previous = cache.get_cache()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            store = cache.configure(directory=tmp)
+            expected = _small().costs().copy()
+            key = _small().cost_key()
+            path = store.path_for(key)
+            clean = path.read_bytes()
+            kind, arg = corruption
+            if kind == "cut":
+                data = clean[:arg % (len(clean) + 1)]
+            elif kind == "flip":
+                header = len(clean) - expected.nbytes
+                flipped = bytearray(clean)
+                for at, value in arg:
+                    flipped[at % header] = value
+                data = bytes(flipped)
+            else:
+                data = arg
+            path.write_bytes(data)
+            store.clear_memory()
+            vec = store.get(key)
+            assert vec is None or (
+                vec.dtype == np.float64 and vec.ndim == 1
+                and not vec.flags.writeable
+            )
+            if kind != "bytes":
+                assert vec is None or np.array_equal(vec, expected)
+            store.clear_memory()
+            assert np.array_equal(_small().costs(), expected)
+    finally:
+        cache._active = previous
 
 
 class TestLru:
