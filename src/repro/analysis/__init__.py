@@ -1,12 +1,7 @@
 """Post-hoc analysis: chunk traces (Table 1), the speedup cap
 (Figures 4-7), and paper-layout text tables."""
 
-from .chunks import (
-    ChunkStats,
-    chunk_sequence,
-    chunk_stats,
-    table1_rows,
-)
+from .chunks import chunk_sequence, table1_rows
 from .plots import gantt_chart, line_chart
 from .speedup import power_cap
 from .tables import (
@@ -27,8 +22,6 @@ from .theory import (
 
 __all__ = [
     "chunk_sequence",
-    "ChunkStats",
-    "chunk_stats",
     "table1_rows",
     "power_cap",
     "format_time_table",

@@ -5,14 +5,9 @@ pure function of the schemes, no cluster needed;
 :func:`chunk_sequence` drains a scheme analytically and
 :func:`table1_rows` formats the table's rows, including the nominal TSS
 row the paper prints (which over-covers ``I`` -- see EXPERIMENTS.md).
-
-Also here: summary statistics used by the ablation benchmarks.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from typing import Sequence
 
 from ..core import (
     Scheduler,
@@ -22,12 +17,7 @@ from ..core import (
     tfss_stage_chunks,
 )
 
-__all__ = [
-    "chunk_sequence",
-    "ChunkStats",
-    "chunk_stats",
-    "table1_rows",
-]
+__all__ = ["chunk_sequence", "table1_rows"]
 
 
 def chunk_sequence(
@@ -40,36 +30,6 @@ def chunk_sequence(
         else scheme
     )
     return [c.size for c in drain(scheduler)]
-
-
-@dataclasses.dataclass(frozen=True)
-class ChunkStats(object):
-    """Summary of a chunk-size sequence."""
-
-    count: int
-    total: int
-    largest: int
-    smallest: int
-    mean: float
-
-    @property
-    def messages(self) -> int:
-        """Master round-trips implied (one per chunk, plus terminations)."""
-        return self.count
-
-
-def chunk_stats(sizes: Sequence[int]) -> ChunkStats:
-    """Compute :class:`ChunkStats` for a sequence of chunk sizes."""
-    sizes = list(sizes)
-    if not sizes:
-        return ChunkStats(count=0, total=0, largest=0, smallest=0, mean=0.0)
-    return ChunkStats(
-        count=len(sizes),
-        total=sum(sizes),
-        largest=max(sizes),
-        smallest=min(sizes),
-        mean=sum(sizes) / len(sizes),
-    )
 
 
 def table1_rows(total: int = 1000, workers: int = 4) -> dict[str, list[int]]:

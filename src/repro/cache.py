@@ -17,10 +17,12 @@ two layers:
   carry a version stamp; corrupted or version-mismatched files are
   silently ignored and recomputed, never fatal.
 
-The on-disk format is a plain 1-D float64 ``.npy`` whose first two
-elements are a header -- ``[CACHE_VERSION, payload_length]`` -- followed
-by the cost vector.  The header lets a reader reject stale formats and
-truncated writes without a sidecar file.
+The on-disk format is a plain 1-D float64 ``.npy`` whose first three
+elements are a header -- ``[CACHE_VERSION, payload_length,
+payload_crc32]`` -- followed by the cost vector.  The header lets a
+reader reject stale formats, truncated writes and a flipped payload
+byte (``zlib.crc32`` of the vector's bytes; a uint32 is exact in
+float64) without a sidecar file.
 
 The module keeps one process-wide active cache (:func:`get_cache`);
 :func:`configure` swaps it, which is how the CLI's ``--cache-dir`` /
@@ -34,6 +36,7 @@ import json
 import os
 import tempfile
 import tokenize
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
@@ -52,13 +55,14 @@ __all__ = [
 ]
 
 #: On-disk format version; bump when the file layout changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Environment variable overriding the cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
-#: Header length (version stamp + payload length) in float64 slots.
-_HEADER = 2
+#: Header length (version stamp, payload length, payload CRC32) in
+#: float64 slots.
+_HEADER = 3
 
 #: Vectors the in-memory LRU layer keeps per process.
 MEMORY_SLOTS = 64
@@ -79,7 +83,8 @@ def signature_key(signature: object) -> str:
 
 
 def _wrap(costs: np.ndarray) -> np.ndarray:
-    header = np.array([CACHE_VERSION, costs.size], dtype=np.float64)
+    header = np.array([CACHE_VERSION, costs.size, zlib.crc32(costs)],
+                      dtype=np.float64)
     return np.concatenate((header, costs))
 
 
@@ -89,10 +94,12 @@ def _unwrap(raw: object) -> Optional[np.ndarray]:
         return None
     if raw.ndim != 1 or raw.dtype != np.float64 or raw.size < _HEADER:
         return None
-    version, length = raw[0], raw[1]
-    if version != CACHE_VERSION or length != raw.size - _HEADER:
+    version, length, crc = raw[:_HEADER]
+    payload = raw[_HEADER:]
+    if version != CACHE_VERSION or length != payload.size \
+            or crc != zlib.crc32(payload):
         return None
-    return raw[_HEADER:]
+    return payload
 
 
 class CostCache(object):
@@ -124,7 +131,8 @@ class CostCache(object):
 
         Disk problems of every kind (missing file, unreadable file,
         truncated write, garbled header, foreign format, stale version
-        stamp) count as misses: the caller recomputes and overwrites.
+        stamp, a payload whose CRC32 disagrees) count as misses: the
+        caller recomputes and overwrites.
         """
         if not self.enabled or key is None:
             return None

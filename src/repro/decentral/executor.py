@@ -32,15 +32,16 @@ Fault story (the counter side is in :mod:`repro.decentral.counter`):
 :class:`CounterChassis` runs the workers on the shared
 :mod:`repro.runtime.chassis` and maps *stall* onto "lock the global
 counter" for the stall's window (the counter, not a master FIFO, is
-the serialized resource here); the parent's poll loop fires the fault
-script.
+the serialized resource here).  The parent's wait loop fires the
+fault script and blocks on the running incarnations' sentinels until
+one exits or the next action is due: no timer turns it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import time
+from multiprocessing.connection import wait
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -48,13 +49,8 @@ import numpy as np
 from ..chaos.plan import FaultPlan
 from ..core.kernel import ChunkCalculator, make_calculator
 from ..obs import ObsEvent
-from ..runtime.chassis import (
-    ProcessChassis,
-    WorkerCall,
-    WorkerStep,
-    assemble_results,
-    shard_writer,
-)
+from ..runtime.chassis import (Clock, ProcessChassis, WorkerCall, WorkerStep,
+                               assemble_results, shard_writer)
 from ..runtime.config import RuntimeConfig
 from ..runtime.worker import WorkerSpec, pad_specs
 from ..simulation.metrics import WorkerMetrics
@@ -114,18 +110,18 @@ def decentral_worker_main(
     collect_results: bool = True,
     delays: Optional[Sequence[tuple[float, float]]] = None,
     emit_events: bool = False,
+    clock: Optional[Clock] = None,
 ) -> None:
     """Claim/compute/record loop (process target; exits when dry).
 
     ``counter`` is a :class:`SharedCounter` (flat) or
     :class:`LeasedCounter` (hierarchical).  Each claim is one
     ``("round", wait, compute, start, stop, index, refilled, payload,
-    t, wall)`` record (:func:`~repro.runtime.chassis.shard_writer`),
-    written before the next claim, so anything this process *recorded*
-    survives its own SIGKILL: ``refilled`` says the claim went to the
-    global counter, ``t`` / ``wall`` stamp the record (its chunk's
-    ``result`` event at merge time), and the dry claim that ends the
-    loop has no interval.
+    t)`` record (:func:`~repro.runtime.chassis.shard_writer`), written
+    before the next claim, so anything this process *recorded* survives
+    its own SIGKILL: ``refilled`` says the claim went to the global
+    counter, ``t`` (on ``clock``, the run's one clock) stamps its
+    chunk's ``result`` event, and the dry claim has no interval.
 
     ``emit_events`` interleaves unified observability events (source
     ``runtime.decentral``) into the shard stream as ``("event", row)``
@@ -137,25 +133,26 @@ def decentral_worker_main(
     with shard_writer(shard_path) as append:
         step = WorkerStep(
             workload, worker_id, spec.slowdown, delays, _SRC,
-            append if emit_events else None,
+            append if emit_events else None, clock,
         )
+        now = step.clock.now
         while True:
             step.serve_delays()
             step.emit("request")
-            t0 = time.perf_counter()
+            t0 = now()
             if leased:
                 index, refilled = counter.claim()
             else:
                 index = counter.fetch_add(1)
                 refilled = True
-            wait = time.perf_counter() - t0
+            waited = now() - t0
             step.emit(
-                "fetch-add", at=t0, value=wait,
+                "fetch-add", at=t0, value=waited,
                 detail="global" if refilled else "local",
             )
             if index >= n:
-                append(("round", wait, 0.0, None, None, index, refilled,
-                        None, None, None))
+                append(("round", waited, 0.0, None, None, index,
+                        refilled, None, None))
                 step.emit("terminate")
                 break
             start, stop = calc.interval(index)
@@ -164,9 +161,8 @@ def decentral_worker_main(
                 calc.stage_of(index) if emit_events else None,
             )
             append((
-                "round", wait, seconds, start, stop, index, refilled,
-                payload if collect_results else None,
-                time.perf_counter() - step.born, time.time(),
+                "round", waited, seconds, start, stop, index, refilled,
+                payload if collect_results else None, now(),
             ))
     counter.close()
 
@@ -215,9 +211,7 @@ class CounterChassis(ProcessChassis):
                 self.group_paths.append(path)
         return super().start()
 
-    def _worker_call(
-        self, wid: int, incarnation: int
-    ) -> tuple[WorkerCall, Any, Any]:
+    def _worker_call(self, wid: int) -> tuple[WorkerCall, Any, Any]:
         # A fresh (picklable) counter handle for the worker.
         counter: Any = SharedCounter(self.counter_path)
         if self.group_paths is not None:
@@ -225,17 +219,11 @@ class CounterChassis(ProcessChassis):
                 self.group_paths[wid // self.group_size], counter,
                 self.lease, self.calc.n_chunks,
             )
-        kwargs = {
+        args = (wid, self.workload, self.calc, counter)
+        return (decentral_worker_main, args, {
             "spec": self.specs[wid],
             "collect_results": self.collect_results,
-            "delays": self.delays_for(wid, incarnation),
-            "emit_events": bool(self.obs),
-        }
-        args = (
-            wid, self.workload, self.calc, counter,
-            self.shard_path(wid),
-        )
-        return (decentral_worker_main, args, kwargs), None, None
+        }), None, None
 
     def _freeze(self, frozen: bool) -> None:
         if frozen:
@@ -268,8 +256,8 @@ def run_decentral(
     consecutively (``wid // group_size``), each group shares a local
     counter that leases ``lease`` ordinals at a time from the global
     one.  ``plan`` injects faults via :class:`CounterChassis`; plan
-    times are wall-clock seconds (pre-scaled by ``time_scale`` as in
-    ``run_parallel``).
+    times are seconds on the run's clock (pre-scaled by ``time_scale``
+    as in ``run_parallel``).
 
     The merged result is bit-identical to
     ``workload.execute_serial()`` for every decentralizable scheme --
@@ -289,42 +277,45 @@ def run_decentral(
         plan=plan, time_scale=time_scale, stress_size=stress_size,
         config=config, collector=collector,
     ) as chassis:
-        obs = chassis.obs
-        wall0 = time.perf_counter()
+        obs, clock = chassis.obs, chassis.clock
         if n > 0:
             chassis.start()
-            poll = min(chassis.config.poll_timeout, 0.02)
             while True:
-                chassis.fire()  # restarts are polled by alive()
-                if not chassis.alive() and not chassis.expects_more():
+                chassis.fire()  # a restart joins the sentinels below
+                running = chassis.running()
+                if not running and not chassis.expects_more():
                     break
-                time.sleep(min(chassis.due(), poll))
+                # One list for the check and the wait: an exit between
+                # the two leaves a ready sentinel, never an empty wait.
+                for sentinel in wait(list(running), min(
+                        chassis.due(), chassis.config.poll_timeout)):
+                    running[sentinel].join()
             chassis.join()
-        elapsed = time.perf_counter() - wall0
+        elapsed = clock.now()
 
         # -- merge: dedupe by ordinal, then repair the holes ------------
-        #: ordinal -> (worker, start, stop, payload, t, wall)
+        #: ordinal -> (worker, start, stop, payload, t)
         completed: dict[int, tuple] = {}
         global_ops = 0
         local_ops = 0
         for shard_wid, record in chassis.merge():
             (_tag, _wait, _compute, start, stop, index, refilled,
-             payload, t, wall) = record
+             payload, t) = record
             global_ops += refilled
             local_ops += not refilled
             if start is not None:
                 completed.setdefault(
-                    index, (shard_wid, start, stop, payload, t, wall)
+                    index, (shard_wid, start, stop, payload, t)
                 )
         missing = [i for i in range(n) if i not in completed]
         if obs:
             # Each chunk's result event, from the record that made it
             # durable (first wins, as for the chunk itself).
             for index in sorted(completed):
-                wid_, start, stop, _payload, t, wall = completed[index]
+                wid_, start, stop, _payload, t = completed[index]
                 obs.emit(ObsEvent(
                     "result", _SRC, t, wid_, start=start, stop=stop,
-                    wall=wall,
+                    wall=clock.wall + t,
                 ))
         for index in missing:
             start, stop = calc.interval(index)
@@ -332,22 +323,17 @@ def run_decentral(
                 workload.execute(start, stop) if collect_results
                 else None
             )
-            completed[index] = (REPAIR_LANE, start, stop, payload,
-                                None, None)
+            completed[index] = (REPAIR_LANE, start, stop, payload, None)
             if obs:
                 # The repair pass runs in the parent after the join;
                 # both events carry the same post-run timestamp.
-                t_rep = time.perf_counter() - wall0
-                obs.emit(ObsEvent(
-                    "repair", _SRC, t_rep, REPAIR_LANE,
-                    start=start, stop=stop, wall=time.time(),
-                    detail="hole",
-                ))
-                obs.emit(ObsEvent(
-                    "result", _SRC, t_rep, REPAIR_LANE,
-                    start=start, stop=stop, wall=time.time(),
-                    detail="repair",
-                ))
+                t_rep = clock.now()
+                for kind, detail in (("repair", "hole"),
+                                     ("result", "repair")):
+                    obs.emit(ObsEvent(
+                        kind, _SRC, t_rep, REPAIR_LANE, start=start,
+                        stop=stop, wall=clock.wall + t_rep, detail=detail,
+                    ))
         chunks = [
             (completed[i][0], completed[i][1], completed[i][2])
             for i in sorted(completed)

@@ -25,7 +25,7 @@ __all__ = [
     "INVARIANTS", "check_rep401", "check_rep402", "check_rep403",
     "check_rep404", "check_rep405", "check_rep406", "check_rep407",
     "check_rep408", "check_rep409", "check_rep410", "check_rep411",
-    "check_rep412",
+    "check_rep412", "check_rep413",
 ]
 
 #: ``{rule id: invariant (the PR that made it)}``: every message ends so.
@@ -42,6 +42,7 @@ INVARIANTS = {
     "REP410": "the who-needs-it rows are true (PR 37)",
     "REP411": "a job and its workload pickle by one rule",
     "REP412": "one JSON codec decides when orjson's bytes are exact",
+    "REP413": "a real run reads time through its chassis's one clock",
 }
 
 
@@ -584,3 +585,41 @@ def check_rep412(modules, config: LintConfig) -> Iterator[Finding]:
              and (node.module or "").split(".")[0] == "orjson"]
     yield from _once("REP412", pkg, "an orjson import", _per_module(found),
                      ["obs/export.py"])
+
+
+def check_rep413(modules, config: LintConfig) -> Iterator[Finding]:
+    """``runtime/`` and ``decentral/`` read ``time.monotonic``,
+    ``time.perf_counter`` and ``time.time`` (or their ``_ns`` forms)
+    and reach ``time.sleep`` only inside ``Clock`` in
+    ``runtime/chassis.py``: the chassis takes one origin per run before
+    its first fork, and the master, the workers, the fault script and
+    the merge stamp on it.  Each worker incarnation's own origin and
+    three parent-side ones put a worker's ``compute`` outside its
+    chunk's master window before."""
+    reads = {"monotonic", "perf_counter", "time", "sleep"}
+    clock = "runtime/chassis.py"
+    for rel, mod in _package(modules, config).items():
+        if rel.split("/")[0] not in ("runtime", "decentral"):
+            continue
+        inside = {id(sub) for node in mod.nodes if rel == clock
+                  and isinstance(node, ast.ClassDef) and node.name == "Clock"
+                  for sub in ast.walk(node)}
+        bound = {alias.asname or alias.name for node in mod.nodes
+                 if isinstance(node, ast.Import) for alias in node.names
+                 if alias.name == "time"}
+        for node in mod.nodes:
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.ImportFrom) and not node.level \
+                    and node.module == "time":
+                names = [alias.name for alias in node.names
+                         if alias.name.removesuffix("_ns") in reads]
+                if names:
+                    yield _flag("REP413", mod, node, f"from time import "
+                                f"{', '.join(names)} outside {clock}'s Clock")
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in bound \
+                    and node.attr.removesuffix("_ns") in reads:
+                yield _flag("REP413", mod, node, f"time.{node.attr} outside "
+                            f"{clock}'s Clock")

@@ -45,8 +45,12 @@ The worker side of the same contract lives here too: the compute step
 event) and the heartbeat sender thread, which the service pool's
 workers share.
 
-Plan times are wall-clock seconds after the initial workers are up;
-``time_scale`` maps a virtual-time plan onto a wall-clock budget.
+Time has one owner: the run's :class:`Clock`, whose origin the
+chassis takes before its first fork.  The fault script, the wait loop,
+every worker and the merge read it, so every event's ``t`` is seconds
+since that origin, its ``wall`` the origin's wall stamp plus ``t``, and
+plan times and message delays are times on it (``time_scale`` maps a
+virtual-time plan onto a wall-clock budget).
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from .config import RuntimeConfig
 
 __all__ = [
     "BackgroundLoad",
+    "Clock",
     "ProcessChassis",
     "WorkerCall",
     "WorkerStep",
@@ -117,6 +122,25 @@ def assemble_results(
         if ordered
         else np.zeros(0)
     )
+
+
+class Clock(object):
+    """The one clock of a real run: seconds since its origin, one
+    ``time.monotonic()`` reading paired with one ``time.time()`` reading
+    (:attr:`wall`).  CLOCK_MONOTONIC is system-wide, so a forked worker
+    reads the same timeline; an event at ``t`` carries ``wall + t``."""
+
+    __slots__ = ("origin", "wall")
+
+    def __init__(self) -> None:
+        self.origin, self.wall = time.monotonic(), time.time()
+
+    def now(self) -> float:
+        """Seconds since the origin."""
+        return time.monotonic() - self.origin
+
+    #: Block the calling thread for the given seconds.
+    sleep = staticmethod(time.sleep)
 
 
 class BackgroundLoad(object):
@@ -174,10 +198,11 @@ class ProcessChassis(object):
 
     Use as a context manager: :meth:`start` spawns the initial
     incarnations and arms the fault script, the substrate then waits
-    for the work to finish (``master_loop`` / polling :meth:`alive`),
-    calling :meth:`fire` every turn and waiting no longer than
-    :meth:`due`, and leaving the block joins every incarnation ever
-    spawned and removes :attr:`workdir`.
+    for the work to finish (``master_loop`` on the pipes, the counter
+    runtime on the :meth:`running` sentinels), calling :meth:`fire`
+    every turn and waiting no longer than :meth:`due`, and leaving the
+    block joins every incarnation ever spawned and removes
+    :attr:`workdir`.  Plan times are seconds on :attr:`clock`.
     """
 
     def __init__(
@@ -214,7 +239,8 @@ class ProcessChassis(object):
         self._script: collections.deque[
             tuple[float, Callable[[], Any]]] = collections.deque()
         self._stall_depth = 0
-        self._t0 = 0.0
+        #: the run's one clock: its origin precedes the first fork.
+        self.clock = Clock()
         #: each worker's books, folded by :meth:`merge`.
         self.books: dict[int, WorkerMetrics] = {}
         #: scratch directory of the run: one shard per incarnation.
@@ -222,15 +248,15 @@ class ProcessChassis(object):
 
     # -- substrate hooks ---------------------------------------------------
 
-    def _worker_call(
-        self, wid: int, incarnation: int
-    ) -> tuple[WorkerCall, Any, Any]:
+    def _worker_call(self, wid: int) -> tuple[WorkerCall, Any, Any]:
         """``(call, handle, child_end)`` for one worker incarnation.
 
         ``handle`` is what the parent keeps to talk to the worker (the
         master's pipe end; ``None`` on the counter substrate);
         ``child_end`` is the worker's end of that channel, closed in
-        the parent as soon as the worker has it.
+        the parent as soon as the worker has it.  :meth:`spawn` adds
+        what every worker gets from the chassis: ``shard_path``,
+        ``clock``, ``delays`` and ``emit_events``.
         """
         raise NotImplementedError
 
@@ -252,8 +278,14 @@ class ProcessChassis(object):
         """Start the next incarnation of ``wid``; returns its handle."""
         incarnation = self.incarnations.get(wid, -1) + 1
         self.incarnations[wid] = incarnation
-        (target, args, kwargs), handle, child_end = self._worker_call(
-            wid, incarnation
+        (target, args, kwargs), handle, child_end = self._worker_call(wid)
+        # Message faults hit the original incarnation only; a restarted
+        # process starts with a clean wire.
+        kwargs.update(
+            shard_path=self.shard_path(wid), clock=self.clock,
+            emit_events=bool(self.obs), delays=None if incarnation else [
+                (at, extra) for at, _kind, extra
+                in self.plan.message_faults(wid)],
         )
         proc = self.ctx.Process(
             target=target, args=args, kwargs=kwargs, daemon=True
@@ -275,7 +307,6 @@ class ProcessChassis(object):
         """Spawn incarnation 0 of every worker, then arm the script."""
         handles = {wid: self.spawn(wid) for wid in range(self.n_workers)}
         self._script = self._build_script()
-        self._t0 = time.monotonic()
         return handles
 
     def join(self) -> None:
@@ -285,8 +316,10 @@ class ProcessChassis(object):
         for proc in self._spawned:
             join_or_terminate(proc, self.config.join_timeout)
 
-    def alive(self) -> bool:
-        return any(proc.is_alive() for proc in self._spawned)
+    def running(self) -> dict[int, BaseProcess]:
+        """The incarnations not yet reaped, by process sentinel."""
+        return {proc.sentinel: proc for proc in self._spawned
+                if proc.is_alive()}
 
     # -- the fault script, as the substrate's wait loop fires it -----------
 
@@ -301,20 +334,19 @@ class ProcessChassis(object):
         """
         restarted = []
         while True:
-            while self._script and \
-                    self._t0 + self._script[0][0] <= time.monotonic():
+            while self._script and self._script[0][0] <= self.clock.now():
                 admission = self._script.popleft()[1]()
                 if admission is not None:
                     restarted.append(admission)
             if not self._stall_depth:
                 return restarted
-            time.sleep(self.due())
+            self.clock.sleep(self.due())
 
     def due(self) -> float:
         """Seconds until the next script action (``inf`` if none)."""
         if not self._script:
             return math.inf
-        return max(0.0, self._t0 + self._script[0][0] - time.monotonic())
+        return max(0.0, self._script[0][0] - self.clock.now())
 
     def expects_more(self) -> bool:
         """True while a scripted restart has not fired yet."""
@@ -355,28 +387,13 @@ class ProcessChassis(object):
         self.books = worker_books(rounds)
         return rounds
 
-    def delays_for(
-        self, wid: int, incarnation: int
-    ) -> Optional[list[tuple[float, float]]]:
-        """The worker's delay/loss faults as ``(at, extra)`` sleeps.
-
-        Message faults hit the original incarnation only; a restarted
-        process starts with a clean wire.
-        """
-        if incarnation > 0:
-            return None
-        return [
-            (at, extra)
-            for at, _kind, extra in self.plan.message_faults(wid)
-        ]
-
     # -- the fault script's actions ---------------------------------------
 
     def _emit(self, kind: str, worker: int = -1, **fields: Any) -> None:
         if self.obs:
+            t = self.clock.now()
             self.obs.emit(ObsEvent(
-                kind, "chaos", time.monotonic() - self._t0, worker,
-                wall=time.time(), **fields,
+                kind, "chaos", t, worker, wall=self.clock.wall + t, **fields
             ))
 
     def _build_script(
@@ -527,7 +544,8 @@ class WorkerStep(object):
     execution with its slowdown burn, and the ``compute`` event.
     ``shard`` is the :func:`shard_writer` callable that receives this
     worker's observability events as ``("event", row)`` records
-    (``None`` disables them; nothing is built on that path).
+    (``None`` disables them; nothing is built on that path).  ``clock``
+    is the run's :class:`Clock` (a fresh one for a direct caller).
     """
 
     def __init__(
@@ -538,11 +556,12 @@ class WorkerStep(object):
         delays: Optional[Sequence[tuple[float, float]]],
         source: str,
         shard: Optional[Callable[[tuple], None]],
+        clock: Optional[Clock] = None,
     ) -> None:
         self.workload = workload
         self.worker_id = worker_id
         self.slowdown = slowdown
-        self.born = time.perf_counter()
+        self.clock = clock or Clock()
         self._delays = sorted(delays) if delays else []
         self._source = source
         self._shard = shard
@@ -558,20 +577,19 @@ class WorkerStep(object):
         value: Optional[float] = None,
         detail: str = "",
     ) -> None:
-        """Record one event stamped ``at`` (default: now) since birth."""
+        """Record one event stamped ``at`` (default: now) on the clock."""
         if self._shard is None:
             return
-        t = (time.perf_counter() if at is None else at) - self.born
+        t = self.clock.now() if at is None else at
         self._shard(("event", (
             kind, self._source, t, self.worker_id, start, stop, stage,
-            None, value, detail, time.time(),
+            None, value, detail, self.clock.wall + t,
         )))
 
     def serve_delays(self) -> None:
         """Sleep out every ``(at, extra)`` delay that has come due."""
-        while self._delays \
-                and time.perf_counter() - self.born >= self._delays[0][0]:
-            time.sleep(self._delays.pop(0)[1])
+        while self._delays and self.clock.now() >= self._delays[0][0]:
+            self.clock.sleep(self._delays.pop(0)[1])
 
     def compute(
         self, start: int, stop: int, stage: Optional[int] = None
@@ -585,7 +603,7 @@ class WorkerStep(object):
         executions really cost CPU); a fractional remainder re-executes
         a prefix of the chunk.
         """
-        t0 = time.perf_counter()
+        t0 = self.clock.now()
         payload = self.workload.execute(start, stop)
         extra = self.slowdown - 1.0
         while extra >= 1.0:
@@ -594,7 +612,7 @@ class WorkerStep(object):
         if extra > 0:
             part = max(1, int((stop - start) * extra))
             self.workload.burn(start, start + part)
-        duration = time.perf_counter() - t0
+        duration = self.clock.now() - t0
         # Span anchored at the compute *start*, so the Chrome trace
         # renders [t, t+value) as the busy interval.
         self.emit(

@@ -16,7 +16,6 @@ Nondedicated mode: wrap a run in
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -76,20 +75,14 @@ class PipeChassis(ProcessChassis, MasterHooks):
         self.distributed = distributed
         self.acp_model = acp_model
 
-    def _worker_call(
-        self, wid: int, incarnation: int
-    ) -> tuple[WorkerCall, Any, Any]:
+    def _worker_call(self, wid: int) -> tuple[WorkerCall, Any, Any]:
         parent, child = self.ctx.Pipe()
-        kwargs = {
+        return (worker_main, (child, self.workload, wid), {
             "spec": self.specs[wid],
             "distributed": self.distributed,
             "acp_model": self.acp_model,
             "heartbeat_interval": self.config.heartbeat_interval,
-            "delays": self.delays_for(wid, incarnation),
-            "emit_events": bool(self.obs),
-        }
-        args = (child, self.workload, wid, self.shard_path(wid))
-        return (worker_main, args, kwargs), parent, child
+        }), parent, child
 
     def __exit__(self, *exc: object) -> None:
         self.join()
@@ -125,8 +118,9 @@ def run_parallel(
     any ``plan``.
 
     ``plan`` injects faults while the loop runs (``docs/fault_model.md``
-    has the per-fault semantics); its times are wall-clock seconds,
-    pre-scaled by ``time_scale``, and its load spikes run
+    has the per-fault semantics); its times are seconds on the run's
+    clock (0 is the chassis's origin, taken before the first worker
+    forks), pre-scaled by ``time_scale``, and its load spikes run
     ``stress_size``-sized matrix-add stressors.  Raises
     :class:`~repro.runtime.master.IncompleteRunError` if the plan kills
     every worker with no restart ahead (the runtime analogue of the
@@ -161,12 +155,11 @@ def run_parallel(
         plan=plan, time_scale=time_scale, stress_size=stress_size,
         config=config, collector=collector,
     ) as chassis:
-        t0 = time.perf_counter()
         master = master_loop(
             scheduler, chassis.start(), meta, config=config,
             hooks=chassis, collector=collector,
         )
-        elapsed = time.perf_counter() - t0
+        elapsed = chassis.clock.now()
     return RunResult(
         scheme=scheduler.name,
         elapsed=elapsed,

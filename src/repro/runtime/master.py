@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from multiprocessing.connection import wait
 from typing import Any, Iterable, Optional
 
@@ -50,6 +49,7 @@ from ..core.master import PARK, MasterState
 from ..obs import ObsEvent, get_logger
 from ..obs import resolve as _resolve_collector
 from ..simulation.engine import StarvationError, admit
+from .chassis import Clock
 from .config import RuntimeConfig
 from .messages import Assign, Heartbeat, Request, Terminate
 
@@ -86,8 +86,12 @@ class MasterHooks(object):
     The base implementation is inert; ``run_parallel`` passes its
     :class:`~repro.runtime.executor.PipeChassis`, whose fault script
     the loop fires: plan stalls hold the master thread, restarted
-    workers are admitted.
+    workers are admitted.  :attr:`clock` is the loop's one clock: the
+    run's for a chassis, its own (origin: now) for the inert hooks.
     """
+
+    def __init__(self) -> None:
+        self.clock = Clock()
 
     def fire(self) -> Iterable[tuple[int, Any]]:
         """Called once per loop iteration, before polling: run what is
@@ -136,27 +140,25 @@ def master_loop(
 
     ``collector`` receives the master-side half of the unified
     observability stream (source ``runtime.master``): event times are
-    seconds since the loop started (comparable to simulator virtual
-    time), wall-clock stamps ride in the ``wall`` field.
+    seconds on ``hooks.clock`` (comparable to simulator virtual time),
+    and each ``wall`` is the clock's wall stamp plus that time.
     """
     config = config or RuntimeConfig()
     hooks = hooks or MasterHooks()
     obs = _resolve_collector(collector)
-    t0 = time.monotonic()
+    now, wall = hooks.clock.now, hooks.clock.wall
 
     worker_meta = worker_meta or {}
     requester = lambda wid: worker_meta.get(wid, (1.0, 1))
     live = dict(connections)
 
     def record(row: tuple) -> None:
-        obs.emit(ObsEvent(*row[:-1], wall=time.time()))
+        obs.emit(ObsEvent(*row[:-1], wall=wall + row[2]))
 
     def emit(kind: str, worker: int = -1, **fields) -> None:
         # Never pays for an ObsEvent or a clock read when unobserved.
         if obs:
-            record(ObsEvent(
-                kind, _SRC, time.monotonic() - t0, worker, **fields
-            ))
+            record(ObsEvent(kind, _SRC, now(), worker, **fields))
 
     master = MasterState(
         scheduler, requester,
@@ -165,9 +167,7 @@ def master_loop(
     )
     results: list[tuple[int, Any]] = []
     chunks: list[tuple[int, int, int]] = []
-    last_seen: dict[int, float] = {
-        wid: time.monotonic() for wid in live
-    }
+    last_seen: dict[int, float] = {wid: now() for wid in live}
     requeued = 0
     timeouts = 0
 
@@ -197,7 +197,7 @@ def master_loop(
         if req.result is not None:
             results.append(req.result)
         chunk = master.request(
-            wid, req.acp, req.result is not None, time.monotonic() - t0,
+            wid, req.acp, req.result is not None, now(),
         )
         if chunk is None:
             send_terminate(wid)
@@ -208,7 +208,7 @@ def master_loop(
             send_assignment(wid, chunk[:2])
 
     def release() -> None:
-        for wid, span in master.release(time.monotonic() - t0):
+        for wid, span in master.release(now()):
             if span is None:
                 send_terminate(wid)
             else:
@@ -235,7 +235,7 @@ def master_loop(
 
     def enforce_deadlines() -> None:
         nonlocal timeouts
-        overdue = config.overdue(last_seen, time.monotonic())
+        overdue = config.overdue(last_seen, now())
         for wid in overdue:
             conn = live.get(wid)
             timeouts += 1
@@ -274,13 +274,12 @@ def master_loop(
                 # before the replacement pipe masks the EOF.
                 drop_worker(wid)
             live[wid] = conn
-            last_seen[wid] = time.monotonic()
+            last_seen[wid] = now()
             logger.info("worker %d admitted", wid)
             emit("restart", wid, detail="admission")
         release()
         ready = wait(list(live.values()), timeout=min(
-            hooks.due(),
-            config.wait_bound(last_seen.values(), time.monotonic()),
+            hooks.due(), config.wait_bound(last_seen.values(), now()),
         ))
         conn_to_wid = {id(c): w for w, c in live.items()}
         for conn in ready:
@@ -292,7 +291,7 @@ def master_loop(
             except (EOFError, OSError):
                 drop_worker(wid)
                 continue
-            last_seen[wid] = time.monotonic()
+            last_seen[wid] = now()
             if isinstance(msg, Heartbeat):
                 emit("heartbeat", wid)
                 continue

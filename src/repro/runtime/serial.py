@@ -6,20 +6,19 @@ place to get a timed serial execution.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..workloads import Workload
+from .chassis import Clock
 
 __all__ = ["run_serial", "plan_time_scale"]
 
 
 def run_serial(workload: Workload) -> tuple[np.ndarray, float]:
     """Execute the loop serially; returns (results, elapsed seconds)."""
-    t0 = time.perf_counter()
+    clock = Clock()
     out = workload.execute_serial()
-    return out, time.perf_counter() - t0
+    return out, clock.now()
 
 
 def plan_time_scale(workload: Workload, n_workers: int) -> float:

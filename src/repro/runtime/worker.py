@@ -22,12 +22,12 @@ processes started by the executor.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Optional, Sequence
 
 from ..core.acp import IMPROVED_ACP, AcpModel
 from ..workloads import Workload
-from .chassis import WorkerStep, heartbeat_sender, locked_sender, shard_writer
+from .chassis import (Clock, WorkerStep, heartbeat_sender, locked_sender,
+                      shard_writer)
 from .messages import Assign, Heartbeat, Request, Terminate
 
 __all__ = ["WorkerSpec", "pad_specs", "worker_main"]
@@ -80,6 +80,7 @@ def worker_main(
     heartbeat_interval: Optional[float] = None,
     delays: Optional[Sequence[tuple[float, float]]] = None,
     emit_events: bool = False,
+    clock: Optional[Clock] = None,
 ) -> None:
     """Run the request/compute loop until Terminate (process target).
 
@@ -99,8 +100,10 @@ def worker_main(
     ``O_APPEND`` write, so records stay whole and a killed worker
     leaves at most one torn trailing record.
 
-    ``delays`` is a list of ``(at, extra)`` pairs (seconds since worker
-    start): before the first request sent at/after ``at``, the worker
+    ``clock`` is the run's :class:`~repro.runtime.chassis.Clock` (a
+    fresh one when omitted), on which this worker reads every time.
+    ``delays`` is a list of ``(at, extra)`` pairs (``at`` on that
+    clock): before the first request sent at/after ``at``, the worker
     sleeps ``extra`` seconds -- how chaos message delay/loss faults
     reach the real runtime (a lost datagram and its retransmission look
     identical to the protocol: one late request).
@@ -117,8 +120,9 @@ def worker_main(
     with shard_writer(shard_path) as append:
         step = WorkerStep(
             workload, worker_id, spec.slowdown, delays, _SRC,
-            append if emit_events else None,
+            append if emit_events else None, clock,
         )
+        now = step.clock.now
 
         def beat() -> None:
             send(Heartbeat(worker_id=worker_id))
@@ -128,12 +132,12 @@ def worker_main(
         try:
             while True:
                 step.serve_delays()
-                sent_at = time.perf_counter()
+                sent_at = now()
                 send(Request(worker_id=worker_id, acp=acp,
                              result=pending))
                 pending = None
                 msg = conn.recv()
-                wait = time.perf_counter() - sent_at
+                wait = now() - sent_at
                 if isinstance(msg, Terminate):
                     append(("round", wait, 0.0, None, None))
                     step.emit("terminate")

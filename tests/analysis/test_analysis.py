@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     chunk_sequence,
-    chunk_stats,
     format_chunk_row,
     format_matrix,
     format_time_table,
@@ -23,19 +22,6 @@ class TestChunkAnalytics:
     def test_chunk_sequence_matches_drain(self):
         assert chunk_sequence("CSS(10)", 35, 2) == [10, 10, 10, 5]
 
-    def test_chunk_stats(self):
-        stats = chunk_stats([10, 20, 30])
-        assert stats.count == 3
-        assert stats.total == 60
-        assert stats.largest == 30
-        assert stats.smallest == 10
-        assert stats.mean == 20.0
-        assert stats.messages == 3
-
-    def test_chunk_stats_empty(self):
-        stats = chunk_stats([])
-        assert stats.count == 0 and stats.total == 0
-
     def test_table1_has_all_schemes(self):
         rows = table1_rows()
         assert set(rows) == {"S", "SS", "GSS", "TSS", "FSS", "FISS",
@@ -45,11 +31,9 @@ class TestChunkAnalytics:
     def test_fss_rounding_modes_agree_on_scale(self, rounding):
         # Every mode covers the loop, in chunk counts within a couple
         # of stages of each other.
-        stats = chunk_stats(
-            chunk_sequence("FSS", 100_000, 8, rounding=rounding)
-        )
-        assert stats.total == 100_000
-        assert stats.count < 200
+        sizes = chunk_sequence("FSS", 100_000, 8, rounding=rounding)
+        assert sum(sizes) == 100_000
+        assert len(sizes) < 200
 
 
 class TestSpeedup:

@@ -85,6 +85,10 @@ MUTANTS = [
                   "src/repro/service/protocol.py": (
                       "from orjson import dumps\n")},
         "REP412", "service/protocol.py", id="REP412-second-orjson-import"),
+    # a worker stamping from its own origin, beside the run's one clock
+    pytest.param({"src/repro/runtime/worker.py": (
+        "import time\n\ndef stamp():\n    return time.perf_counter()\n")},
+        "REP413", "time.perf_counter outside", id="REP413-second-clock"),
 ]
 
 

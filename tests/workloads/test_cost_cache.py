@@ -161,10 +161,9 @@ def _small() -> MandelbrotWorkload:
 
 
 #: How a cache file goes bad: cut at a byte, bytes overwritten, or
-#: replaced by arbitrary bytes.  Flips land before the cost payload
-#: (the ``.npy`` header dict and the version/length slots): the file
-#: carries no checksum, so a flipped cost that stays finite and >= 0
-#: reads back as a cost.
+#: replaced by arbitrary bytes.  A flip lands anywhere: in the ``.npy``
+#: header dict, the version/length/CRC32 slots or the cost payload,
+#: where the payload's CRC32 refuses a cost that stays finite and >= 0.
 _CORRUPTIONS = (
     st.tuples(st.just("cut"), st.integers(0, 2**16))
     | st.tuples(st.just("flip"), st.lists(
@@ -176,6 +175,8 @@ _CORRUPTIONS = (
 
 @given(corruption=_CORRUPTIONS)
 @example(corruption=("flip", [(19, ord("#"))]))
+# 40.0 read back as 40.0078125 (the last cost's third-to-last byte)
+@example(corruption=("flip", [(-3, 1)]))
 def test_a_corrupt_cache_file_is_a_miss_that_recomputes(corruption):
     previous = cache.get_cache()
     try:
@@ -189,10 +190,9 @@ def test_a_corrupt_cache_file_is_a_miss_that_recomputes(corruption):
             if kind == "cut":
                 data = clean[:arg % (len(clean) + 1)]
             elif kind == "flip":
-                header = len(clean) - expected.nbytes
                 flipped = bytearray(clean)
                 for at, value in arg:
-                    flipped[at % header] = value
+                    flipped[at % len(clean)] = value
                 data = bytes(flipped)
             else:
                 data = arg
