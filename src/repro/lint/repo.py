@@ -17,7 +17,7 @@ import os
 import re
 from typing import Iterator
 
-from ._util import call_tail, name_of
+from ._util import call_tail, enclosing_functions, name_of
 from .engine import _DIGEST_DEFS, CONSUMER_DIRS, LintConfig
 from .findings import Finding
 
@@ -25,7 +25,7 @@ __all__ = [
     "INVARIANTS", "check_rep401", "check_rep402", "check_rep403",
     "check_rep404", "check_rep405", "check_rep406", "check_rep407",
     "check_rep408", "check_rep409", "check_rep410", "check_rep411",
-    "check_rep412", "check_rep413",
+    "check_rep412", "check_rep413", "check_rep414",
 ]
 
 #: ``{rule id: invariant (the PR that made it)}``: every message ends so.
@@ -43,6 +43,7 @@ INVARIANTS = {
     "REP411": "a job and its workload pickle by one rule",
     "REP412": "one JSON codec decides when orjson's bytes are exact",
     "REP413": "a real run reads time through its chassis's one clock",
+    "REP414": "a workload computes a chunk's iterations in one call",
 }
 
 
@@ -623,3 +624,30 @@ def check_rep413(modules, config: LintConfig) -> Iterator[Finding]:
                     and node.attr.removesuffix("_ns") in reads:
                 yield _flag("REP413", mod, node, f"time.{node.attr} outside "
                             f"{clock}'s Clock")
+
+
+def check_rep414(modules, config: LintConfig) -> Iterator[Finding]:
+    """Under ``workloads/`` only ``base.py`` (``Workload.execute``,
+    written once over the ``_block`` hook) and ``reorder.py`` (its
+    ``(n, k)`` rows) define ``execute``: a new workload states
+    ``_block``, which ``ReorderedWorkload`` hands ``perm[start:stop]``
+    in one call, so nothing can bypass it.  ``escape_counts`` has one
+    call site, ``MandelbrotWorkload._kernel``, a ``_COST_BLOCK`` of
+    points a call.  The sampling wrapper forwarded one iteration at a
+    time, and three sites called the kernel once per column, before."""
+    pkg = _package(modules, config)
+    hosts = ("workloads/base.py", "workloads/reorder.py")
+    for rel, mod in pkg.items():
+        if not rel.startswith("workloads/") or rel in hosts:
+            continue
+        for node in mod.nodes:
+            if isinstance(node, ast.FunctionDef) and node.name == "execute":
+                yield _flag("REP414", mod, node, f"def execute at {rel}, "
+                            f"not only at {', '.join(hosts)}")
+    calls = []
+    for rel, mod, node in _named(pkg, "escape_counts".__eq__,
+                                 ast.Call).get("escape_counts", []):
+        around = next(enclosing_functions(node, mod.parents), None)
+        calls.append((f"{rel}:{getattr(around, 'name', '-')}", mod, node))
+    yield from _once("REP414", pkg, "an escape_counts call", calls,
+                     ["workloads/mandelbrot.py:_kernel"])

@@ -61,7 +61,7 @@ REPO_RULES = tuple((rid, repo.INVARIANTS[rid], check) for rid, check in (
     ("REP407", repo.check_rep407), ("REP408", repo.check_rep408),
     ("REP409", repo.check_rep409), ("REP410", repo.check_rep410),
     ("REP411", repo.check_rep411), ("REP412", repo.check_rep412),
-    ("REP413", repo.check_rep413),
+    ("REP413", repo.check_rep413), ("REP414", repo.check_rep414),
 ))
 
 #: ``{rule id: one-line summary}`` for every rule (parse errors too).

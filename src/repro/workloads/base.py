@@ -154,7 +154,7 @@ class Workload(ABC):
 
     @functools.cached_property
     def _resolved(self) -> np.ndarray:
-        """What the default :meth:`execute` reads: executing a
+        """What the default :meth:`_block` reads: executing a
         wrapper's inner loop installs nothing on it."""
         return self._resolve_costs()
 
@@ -173,12 +173,16 @@ class Workload(ABC):
             )
         return float(self.costs()[index])
 
-    def chunk_cost(self, start: int, stop: int) -> float:
-        """Total cost of iterations ``[start, stop)`` in O(1)."""
+    def _check(self, start: int, stop: int) -> None:
+        """The one chunk range check: ``0 <= start <= stop <= size``."""
         if not 0 <= start <= stop <= self._size:
             raise WorkloadError(
                 f"chunk [{start}, {stop}) out of range [0, {self._size}]"
             )
+
+    def chunk_cost(self, start: int, stop: int) -> float:
+        """Total cost of iterations ``[start, stop)`` in O(1)."""
+        self._check(start, stop)
         prefix = self._prefix
         return float(prefix[stop] - prefix[start])
 
@@ -209,21 +213,25 @@ class Workload(ABC):
 
     # -- execution -------------------------------------------------------------
 
+    def _block(self, idx: np.ndarray) -> np.ndarray:
+        """One result row per iteration in ``idx``: the hook
+        :meth:`execute` is written over.  By default the costs (a
+        synthetic loop's "result" is its profile)."""
+        return self._resolved[idx]
+
+    def _burn(self, idx: np.ndarray) -> None:
+        """Re-do the work of iterations ``idx`` without any memo."""
+        self._block(idx)
+
     def execute(self, start: int, stop: int) -> np.ndarray:
         """Actually compute iterations ``[start, stop)``; return results.
 
-        The default implementation returns the cost values themselves
-        (adequate for synthetic loops whose "result" is their profile);
-        real workloads (Mandelbrot) override this with the true
-        computation.  Results concatenated over any partition of
-        ``[0, size)`` in index order must equal a serial run -- engines
-        assert this.
+        The chunk's rows in one :meth:`_block` call, flattened.
+        Results concatenated over any partition of ``[0, size)`` in
+        index order must equal a serial run -- engines assert this.
         """
-        if not 0 <= start <= stop <= self._size:
-            raise WorkloadError(
-                f"chunk [{start}, {stop}) out of range [0, {self._size}]"
-            )
-        return np.asarray(self._resolved[start:stop])
+        self._check(start, stop)
+        return self._block(np.arange(start, stop)).reshape(-1)
 
     def execute_serial(self) -> np.ndarray:
         """Run the whole loop serially (baseline for correctness/speedup)."""

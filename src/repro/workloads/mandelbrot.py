@@ -18,16 +18,18 @@ slower and this kernel is the hot path of every real execution.  It
 steps ``z`` in place and records each point's count once, at the step
 it escapes; the complex ufuncs and the ``re*re + im*im <= 4.0`` test
 are kept exactly, which is what keeps the counts the same integers on
-every path.  The whole-grid cost pass runs in blocks bounded by points
+every path.  It is called from one place, ``_kernel``, over a set of
+columns in calls bounded by points
 (:attr:`MandelbrotWorkload._COST_BLOCK`), so its working set does not
-grow with the window height.  Columns are computed lazily and memoized
-column-by-column so that a worker executing chunk ``[a, b)`` touches
-only its own columns.
+grow with the window height.  Columns are computed lazily, a chunk's
+missing ones in those calls, and memoized column-by-column so that a
+worker executing chunk ``[a, b)`` touches only its own columns.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -148,80 +150,73 @@ class MandelbrotWorkload(Workload):
 
     @functools.cached_property
     def _columns(self) -> dict[int, np.ndarray]:
-        """Column-count memo, filled on demand and shared by cost() and
-        execute() so simulation and execution agree exactly.  A pool
-        worker re-derives any column it executes: a full-grid memo is
-        hundreds of MB at paper scale."""
+        """Column-count memo, filled on demand by :meth:`_block` and
+        shared by cost() and execute() so simulation and execution
+        agree exactly.  A pool worker re-derives any column it
+        executes: a full-grid memo is hundreds of MB at paper scale."""
         return {}
 
     # -- kernels ---------------------------------------------------------------
 
-    def column_counts(self, col: int) -> np.ndarray:
-        """Escape counts for every pixel of column ``col`` (memoized)."""
-        if not 0 <= col < self.width:
-            raise WorkloadError(
-                f"column {col} out of range [0, {self.width})"
-            )
-        cached = self._columns.get(col)
-        if cached is None:
-            c = self._xs[col] + 1j * self._ys
-            cached = escape_counts(c, self.max_iter)
-            cached.setflags(write=False)
-            self._columns[col] = cached
-        return cached
-
-    #: Points per block in the whole-grid cost pass, in whole columns
-    #: (at least one).  The kernel holds ~80 B a point in flight, so a
-    #: block's working set stays near 2.5 MB at any window height.
+    #: Points per :func:`escape_counts` call, in whole columns (at least
+    #: one).  The kernel holds ~80 B a point in flight, so a call's
+    #: working set stays near 2.5 MB at any window height.
     _COST_BLOCK = 1 << 15
 
-    def _compute_costs(self) -> np.ndarray:
-        # Whole-grid vectorized pass, block of columns at a time.  This
-        # is the profile of Figure 1 (per-column basic computations).
-        if self.width == 0:
-            return np.zeros(0)
-        costs = np.empty(self.width, dtype=np.float64)
+    def _kernel(self, cols: list[int] | np.ndarray) -> Iterator[tuple]:
+        """Yield ``(block, counts)`` over the columns ``cols``, a block
+        of ``_COST_BLOCK`` points at a time, one row of counts per
+        column: the one call site of :func:`escape_counts`."""
         step = max(1, self._COST_BLOCK // self.height)
-        for lo in range(0, self.width, step):
-            hi = min(lo + step, self.width)
+        for lo in range(0, len(cols), step):
+            block = cols[lo:lo + step]
             # One row per column, so each column's counts are contiguous.
-            # The memo takes copies: views of the block arrays measured
-            # 5 MB more peak RSS at 4000x2000.
-            c = self._xs[lo:hi, None] + 1j * self._ys[None, :]
-            counts = escape_counts(c, self.max_iter)
-            for col in range(lo, hi):
-                frozen = counts[col - lo].copy()
-                frozen.setflags(write=False)
-                self._columns.setdefault(col, frozen)
-            costs[lo:hi] = counts.sum(axis=1, dtype=np.float64)
-        return costs
+            c = self._xs[block, None] + 1j * self._ys[None, :]
+            yield block, escape_counts(c, self.max_iter)
 
-    def execute(self, start: int, stop: int) -> np.ndarray:
-        """Compute columns ``[start, stop)``; returns counts flattened
-        column-by-column (length ``(stop-start) * height``)."""
-        if not 0 <= start <= stop <= self.width:
-            raise WorkloadError(
-                f"chunk [{start}, {stop}) out of range [0, {self.width}]"
-            )
-        if start == stop:
-            return np.zeros(0, dtype=np.int32)
-        return np.concatenate(
-            [self.column_counts(col) for col in range(start, stop)]
-        )
+    def _block(self, idx: np.ndarray) -> np.ndarray:
+        """Columns ``idx``'s counts, one row each, from the memo; the
+        columns it lacks are computed first and stored as read-only
+        copies (views measured 5 MB more peak RSS at 4000x2000)."""
+        memo, cols = self._columns, idx.tolist()
+        missing = [col for col in cols if col not in memo]
+        for block, counts in self._kernel(missing):
+            for col, row in zip(block, counts):
+                memo[col] = row.copy()
+                memo[col].setflags(write=False)
+        rows = np.array([memo[col] for col in cols], dtype=np.int32)
+        return rows.reshape(len(cols), self.height)
+
+    def _burn(self, idx: np.ndarray) -> None:
+        """Recompute columns ``idx`` in :meth:`_kernel`'s calls, no memo."""
+        for _ in self._kernel(idx):
+            pass
+
+    def column_counts(self, col: int) -> np.ndarray:
+        """Escape counts for every pixel of column ``col`` (memoized,
+        read-only)."""
+        if not 0 <= col < self.width:
+            raise WorkloadError(f"column {col} out of range [0, {self.width})")
+        self._block(np.array([col]))
+        return self._columns[col]
+
+    def _compute_costs(self) -> np.ndarray:
+        # Figure 1's profile (per-column basic computations), one kernel
+        # call's columns per gather: a whole-grid gather is a second memo.
+        step = max(1, self._COST_BLOCK // self.height)
+        return np.concatenate([np.zeros(0), *(
+            self._block(np.arange(lo, min(lo + step, self.width))).sum(axis=1)
+            for lo in range(0, self.width, step))])
 
     def burn(self, start: int, stop: int) -> None:
-        """Recompute columns without the memo cache (slowdown emulation)."""
-        if not 0 <= start <= stop <= self.width:
-            raise WorkloadError(
-                f"chunk [{start}, {stop}) out of range [0, {self.width}]"
-            )
-        for col in range(start, stop):
-            escape_counts(self._xs[col] + 1j * self._ys, self.max_iter)
+        """Recompute columns without the memo cache (slowdown
+        emulation): a burn costs what a cold execute does."""
+        self._check(start, stop)
+        self._burn(np.arange(start, stop))
 
     def image(self) -> np.ndarray:
         """The full ``height x width`` escape-count image (Figure 2)."""
-        flat = self.execute(0, self.width)
-        return flat.reshape(self.width, self.height).T
+        return self._block(np.arange(self.width)).T
 
 
 def render_ascii(

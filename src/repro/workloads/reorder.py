@@ -89,23 +89,24 @@ class ReorderedWorkload(Workload):
         inner_costs = self.inner._resolve_costs()
         return inner_costs[self.perm] if self.size else inner_costs
 
+    def _block(self, idx: np.ndarray) -> np.ndarray:
+        """The inner workload's rows for ``perm[idx]``, in one call."""
+        rows = self.inner._block(self.perm[idx])
+        return rows.reshape(len(rows), -1)
+
+    def _burn(self, idx: np.ndarray) -> None:
+        self.inner._burn(self.perm[idx])
+
     def execute(self, start: int, stop: int) -> np.ndarray:
-        if not 0 <= start <= stop <= self.size:
-            raise WorkloadError(
-                f"chunk [{start}, {stop}) out of range [0, {self.size}]"
-            )
-        parts = [
-            self.inner.execute(int(orig), int(orig) + 1)
-            for orig in self.perm[start:stop]
-        ]
-        if not parts:
-            return np.zeros(0)
-        return np.stack(parts)
+        """One ``(n, k)`` row per iteration; ``np.zeros(0)`` if empty."""
+        self._check(start, stop)
+        return self._block(np.arange(start, stop)) if stop > start \
+            else np.zeros(0)
 
     def burn(self, start: int, stop: int) -> None:
         """Forward cache-bypassing re-execution to the inner workload."""
-        for orig in self.perm[start:stop]:
-            self.inner.burn(int(orig), int(orig) + 1)
+        self._check(start, stop)
+        self._burn(np.arange(start, stop))
 
     def restore(self, rows: np.ndarray) -> np.ndarray:
         """Un-permute per-iteration result rows back to original order."""

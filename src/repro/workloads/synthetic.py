@@ -200,13 +200,9 @@ class SpinWorkload(Workload):
     def _compute_costs(self) -> np.ndarray:
         return np.full(self.size, float(self.spins * self.veclen))
 
-    def execute(self, start: int, stop: int) -> np.ndarray:
-        if not 0 <= start <= stop <= self.size:
-            raise WorkloadError(
-                f"chunk [{start}, {stop}) out of range [0, {self.size}]"
-            )
-        out = np.empty(stop - start)
-        for k, i in enumerate(range(start, stop)):
+    def _block(self, idx: np.ndarray) -> np.ndarray:
+        out = np.empty(len(idx))
+        for k, i in enumerate(idx.tolist()):
             x = np.linspace(0.1, 1.0, self.veclen) + i
             for _ in range(self.spins):
                 x = np.sqrt(np.abs(np.sin(x)) + 0.5)

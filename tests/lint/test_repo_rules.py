@@ -89,6 +89,16 @@ MUTANTS = [
     pytest.param({"src/repro/runtime/worker.py": (
         "import time\n\ndef stamp():\n    return time.perf_counter()\n")},
         "REP413", "time.perf_counter outside", id="REP413-second-clock"),
+    # the Mandelbrot loop's own burn, one kernel call per column, beside
+    # the one kernel helper
+    pytest.param({"src/repro/workloads/mandelbrot.py": (
+        "class MandelbrotWorkload(Workload):\n"
+        "    def _kernel(self, cols):\n"
+        "        yield cols, escape_counts(self._xs[cols, None], 64)\n\n"
+        "    def burn(self, start, stop):\n"
+        "        for col in range(start, stop):\n"
+        "            escape_counts(self._xs[col] + 1j * self._ys, 64)\n")},
+        "REP414", "mandelbrot.py:burn, not only", id="REP414-per-column-burn"),
 ]
 
 
