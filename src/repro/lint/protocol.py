@@ -2,12 +2,14 @@
 
 The repo's string protocols are *closed*: an ObsEvent ``kind`` must be
 declared in ``repro.obs.events.EVENT_KINDS`` (the auditor and the
-canonical stream reject or mis-classify unknown kinds), a wire ``op``
-must be one the daemon dispatches (``repro.service.protocol.OPS``),
-and every scheme in ``core.registry.SCHEMES`` needs a test that
-references it.  These rules read the authoritative literals from
-whatever modules in the analyzed tree declare them (see
-:mod:`repro.lint.engine`), so they work on fixture trees too.
+canonical stream reject or mis-classify unknown kinds), a trace row
+must have the eleven ``ObsEvent`` fields (the flat trace store cannot
+tell a row's width), a wire ``op`` must be one the daemon dispatches
+(``repro.service.protocol.OPS``), and every scheme in
+``core.registry.SCHEMES`` needs a test that references it.  These
+rules read the authoritative literals from whatever modules in the
+analyzed tree declare them (see :mod:`repro.lint.engine`), so they
+work on fixture trees too.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ import os
 import re
 from typing import Iterator
 
-from ._util import EMIT_HELPERS, call_tail, is_str, name_of
+from ._util import EMIT_HELPERS, call_tail, emitted_row, is_str, name_of
 from .engine import LintConfig, ModuleInfo, _collect_files
 from .findings import Finding
 
-__all__ = ["check_rep301", "check_rep304", "check_rep305"]
+__all__ = ["check_rep301", "check_rep302", "check_rep304", "check_rep305"]
+
+#: ``ObsEvent``'s field count: the width of every trace row.
+ROW_WIDTH = 11
 
 
 def _declared(modules, name: str):
@@ -67,6 +72,41 @@ def check_rep301(modules, config: LintConfig) -> Iterator[Finding]:
                     f"it; add it to the schema or fix the literal "
                     f"(known: {', '.join(sorted(kinds))})",
                 )
+
+
+def _row_displays(mod: ModuleInfo) -> Iterator[ast.Tuple]:
+    """Every tuple display handed on as one trace row: an emit
+    helper's (:func:`emitted_row`) or ``record(...)``'s first
+    argument (``core.master.MasterState``'s row writer)."""
+    for node in mod.nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        row = emitted_row(node)
+        if row is None and call_tail(node) == "record" and node.args \
+                and isinstance(node.args[0], ast.Tuple):
+            row = node.args[0]
+        if row is not None:
+            yield row
+
+
+def check_rep302(modules, config: LintConfig) -> Iterator[Finding]:
+    """REP302: a trace row that is not the eleven ``ObsEvent`` fields."""
+    for mod in modules:
+        for row in _row_displays(mod):
+            if any(isinstance(elt, ast.Starred) for elt in row.elts):
+                width = "a starred element hides its width"
+            elif len(row.elts) != ROW_WIDTH:
+                width = f"it has {len(row.elts)} fields"
+            else:
+                continue
+            yield mod.finding(
+                "REP302", row,
+                f"a trace row has the {ROW_WIDTH} ObsEvent fields in "
+                f"order, and {width}: the trace's flat store keeps "
+                f"fields, not rows, so a row of another width shifts "
+                f"every later event's fields and no read can tell; "
+                f"write all {ROW_WIDTH} fields as a plain tuple display",
+            )
 
 
 def _tests_text(tests_dir: str) -> str:

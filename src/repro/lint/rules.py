@@ -47,6 +47,8 @@ FILE_RULES = (
 PROJECT_RULES = (
     ("REP301", "event kind not in the EVENT_KINDS schema",
      protocol.check_rep301),
+    ("REP302", "trace row that is not the eleven ObsEvent fields",
+     protocol.check_rep302),
     ("REP304", "registered scheme never referenced by tests",
      protocol.check_rep304),
     ("REP305", "wire op not in service.protocol.OPS",

@@ -12,9 +12,9 @@ The contract every instrumented hot path relies on:
   it will feed, and feeds it *rows* (the eleven :class:`ObsEvent`
   fields as a plain tuple; an ``ObsEvent`` is one too).  For a
   :class:`BufferedCollector` whose ``emit`` nobody replaced that
-  callable is the ``append`` of the row list behind its
-  :class:`~repro.obs.events.EventList`; for any other collector it
-  hands ``emit`` each row as an ``ObsEvent``, in order.
+  callable is :meth:`EventList.sink <repro.obs.events.EventList.sink>`,
+  the ``extend`` of the trace's flat store; for any other collector
+  it hands ``emit`` each row as an ``ObsEvent``, in order.
 * Collectors never validate on emit (schema checks live in tests and
   importers) and never raise out of ``emit`` for flow-control reasons:
   an observability layer must not alter the run it observes.
@@ -23,7 +23,8 @@ The contract every instrumented hot path relies on:
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .events import EventList, ObsEvent
 
@@ -84,8 +85,10 @@ def resolve(collector: Optional[Collector]) -> Collector:
 class BufferedCollector(Collector):
     """In-memory event list; appends are GIL-atomic (thread-safe).
 
-    ``events`` is an :class:`~repro.obs.events.EventList`: what the
-    DES appends stays a row until something reads it.
+    ``events`` is an :class:`~repro.obs.events.EventList`, and
+    ``emit`` / ``extend`` write its flat store through its one writer,
+    :meth:`~repro.obs.events.EventList.sink`: an event is kept as its
+    eleven fields, never as an object.
     """
 
     def __init__(self) -> None:
@@ -98,11 +101,11 @@ class BufferedCollector(Collector):
         return iter(self.events)
 
     def emit(self, event: ObsEvent) -> None:
-        self.events.rows().append(event)
+        self.events.sink()(event)
 
-    def extend(self, events) -> None:
+    def extend(self, events: Iterable[ObsEvent]) -> None:
         """Fan-in: absorb events gathered elsewhere (shards, pools)."""
-        self.events.rows().extend(events)
+        self.events.sink()(chain.from_iterable(events))
 
     def by_kind(self, kind: str) -> list[ObsEvent]:
         return [e for e in self.events if e.kind == kind]
@@ -111,6 +114,9 @@ class BufferedCollector(Collector):
 def sink(collector: Collector) -> Callable[[tuple], None]:
     """The callable a hot loop feeds rows to for one whole run.
 
+    For a plain :class:`BufferedCollector` it is the trace's own
+    writer, :meth:`EventList.sink <repro.obs.events.EventList.sink>`:
+    each row's fields land in the flat store and the row is freed.
     Nothing is stored on the collector (it still pickles and copies),
     and an ``emit`` overridden in a subclass or set on the instance is
     what gets called -- with an :class:`ObsEvent`, never a bare row.
@@ -121,7 +127,7 @@ def sink(collector: Collector) -> Callable[[tuple], None]:
         and getattr(emit, "__func__", None) is BufferedCollector.emit
         and emit.__self__ is collector
     ):
-        return collector.events.rows().append
+        return collector.events.sink()
     make = ObsEvent._make
 
     def emit_event(row: tuple) -> None:

@@ -55,9 +55,10 @@ substrates emit per interval.
 
 The DES writes each chunk-level event as a *row*: a plain tuple of
 the eleven :class:`ObsEvent` fields in order.  A buffered trace is an
-:class:`EventList` over those rows, which turns them into
-:class:`ObsEvent` objects the first time anything reads it; the
-digest and the wire text read the rows as they are.
+:class:`EventList`: one flat list that keeps the eleven fields of
+every event in a row, and no container per event.  A read builds
+:class:`ObsEvent` objects on demand and keeps none; the digest and
+the wire text read the flat list's columns as they are.
 
 ``t`` is the substrate's own clock -- virtual seconds in the
 simulators, seconds since run start in the real runtimes; ``wall`` is
@@ -68,7 +69,9 @@ simulator and runtime traces directly diffable.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, NamedTuple, Optional
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, \
+    Optional, Sequence
 
 __all__ = [
     "EVENT_KINDS",
@@ -141,9 +144,9 @@ class ObsEvent(NamedTuple):
     A named tuple, so a plain tuple of the same eleven fields (a
     *row*) stands for one: the per-chunk emission sites (the
     chassis's ``compute``, each engine's ``request``/``assign``/
-    ``result``/``fetch-add``) emit rows, and :class:`EventList` turns
-    them into events when they are read.  It is still a *tuple* to
-    ``json``: a traced reply ships rows on purpose
+    ``result``/``fetch-add``) emit rows, and :class:`EventList` keeps
+    their fields and builds events when they are read.  It is still a
+    *tuple* to ``json``: a traced reply ships rows on purpose
     (:func:`~repro.obs.export.events_json`); anything else leaving the
     process goes through :meth:`to_dict`.
 
@@ -219,71 +222,100 @@ class ObsEvent(NamedTuple):
             raise SchemaError(f"not an event dict: {exc}") from exc
 
 
+#: Fields per event: the width of a row, the stride of a flat store.
+WIDTH = len(ObsEvent._fields)
+
+
 class EventList(object):
-    """A trace's events, kept as rows until something reads them.
+    """A trace's events, kept as one flat list of their fields.
 
-    Wraps the list an emission loop appends to (:meth:`rows`).  A row
-    is the eleven :class:`ObsEvent` fields in order; an ``ObsEvent``
-    is a valid row.  Any read -- iteration, indexing, ``==``,
-    ``repr`` -- first converts the rows not yet read into events *in
-    place* (``ObsEvent._make``, which rejects a row of the wrong width
-    with ``TypeError``), so readers only ever see ``ObsEvent``
-    objects and the list is never copied.  Rows appended after a read
-    are converted at the next one.
+    The store holds the eleven :class:`ObsEvent` fields of every event
+    in a row, in field order: event ``i`` is ``flat[11 * i:11 * i +
+    11]``.  Its one writer is :meth:`sink`, the list's ``extend``: a
+    row or an ``ObsEvent`` (both eleven-field tuples) goes in field by
+    field, and the tuple itself is freed at once.  A read -- ``len``,
+    iteration, indexing, ``==``, ``repr``, :meth:`rows` -- builds what
+    it returns from the store and keeps nothing, so a trace that has
+    been read costs what an unread one does.  A store whose length is
+    not a multiple of eleven raises :class:`SchemaError` at any read.
 
-    Why rows: CPython's cyclic garbage collector never stops tracking
-    a tuple *subclass*, so a trace of ``ObsEvent`` objects is walked by
-    every older-generation collection, while a row of strings and
-    numbers is untracked at its first young one.
+    Why flat: CPython's cyclic garbage collector tracks a tuple until
+    its first young collection, and an ``ObsEvent`` (a tuple
+    *subclass*) for good, so a trace of one container per event fed
+    every collection while it was kept.  The store is one tracked list
+    of strings, numbers and ``None``, none of them tracked.
     :func:`~repro.obs.export.stream_digest` and
-    :func:`~repro.obs.export.events_json` read :meth:`rows` by
-    position, so a job that wants only its digest or its reply body
-    builds no ``ObsEvent`` at all.  It pickles as rows.
+    :func:`~repro.obs.export.events_json` read its columns by stride
+    (:meth:`flat`), so a job that wants only its digest or its reply
+    body builds no ``ObsEvent``.  It pickles as its flat list.
     """
 
-    __slots__ = ("_rows", "_read")
+    __slots__ = ("_flat",)
 
-    def __init__(self, rows: Optional[list] = None) -> None:
-        self._rows: list = [] if rows is None else rows
-        #: ``_rows[:_read]`` are already ``ObsEvent`` objects.
-        self._read = 0
+    def __init__(self, rows: Sequence[Sequence] = ()) -> None:
+        """The trace of ``rows`` (rows or ``ObsEvent`` objects); a row
+        whose width is not eleven raises :class:`SchemaError`."""
+        widths = set(map(len, rows))
+        if widths - {WIDTH}:
+            raise SchemaError(
+                f"a trace row has {WIDTH} fields, got widths "
+                f"{sorted(widths - {WIDTH})}"
+            )
+        self._flat: list = list(chain.from_iterable(rows))
 
-    def _events(self) -> list:
-        rows = self._rows
-        n = len(rows)
-        if self._read < n:
-            make = ObsEvent._make
-            # One slot at a time: each row is freed as its event
-            # lands, so the trace never exists twice.
-            for i in range(self._read, n):
-                rows[i] = make(rows[i])
-            self._read = n
-        return rows
+    @classmethod
+    def of_flat(cls, flat: list) -> "EventList":
+        """The trace whose store is ``flat`` (kept, not copied)."""
+        events = cls.__new__(cls)
+        events._flat = flat
+        return events
 
-    def rows(self) -> list:
-        """The backing list: rows, and events where already read."""
-        return self._rows
+    def flat(self) -> list:
+        """The store itself, eleven fields per event in field order;
+        raises :class:`SchemaError` when its length is not a multiple
+        of eleven."""
+        flat = self._flat
+        if len(flat) % WIDTH:
+            raise SchemaError(
+                f"a trace store holds {len(flat)} fields, not a "
+                f"multiple of {WIDTH}"
+            )
+        return flat
+
+    def sink(self) -> Callable[[Iterable], None]:
+        """The one writer: the store's ``extend``, fed one row (or
+        ``ObsEvent``) per event."""
+        return self._flat.extend
+
+    def rows(self) -> list[tuple]:
+        """A new list of the events' fields as plain tuples."""
+        return list(zip(*[iter(self.flat())] * WIDTH))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.flat()) // WIDTH
 
     def __iter__(self) -> Iterator[ObsEvent]:
-        return iter(self._events())
+        return map(ObsEvent._make, zip(*[iter(self.flat())] * WIDTH))
 
     def __getitem__(self, index: Any) -> Any:
-        return self._events()[index]
+        flat = self.flat()
+        # Where each event starts: a range indexes and slices as the
+        # list of events would, negative indices and IndexError too.
+        at = range(0, len(flat), WIDTH)[index]
+        if isinstance(at, range):
+            return [ObsEvent._make(flat[i:i + WIDTH]) for i in at]
+        return ObsEvent._make(flat[at:at + WIDTH])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventList):
-            other = other._events()
-        return self._events() == other
+            return self.flat() == other.flat()
+        return list(self) == other
 
     def __repr__(self) -> str:
-        return repr(self._events())
+        return repr(list(self))
 
-    def __reduce__(self) -> tuple[type, tuple[list[tuple]]]:
-        # Exact tuples, whether or not the events were read.
-        return (EventList, (list(map(tuple, self._rows)),))
+    def __reduce__(self) -> tuple[Callable, tuple[list]]:
+        return (EventList.of_flat, (self._flat,))
 
 
 def validate_event(event: ObsEvent) -> ObsEvent:

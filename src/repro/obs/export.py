@@ -22,13 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
+from itertools import islice
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import orjson
 
-from .events import EventList, ObsEvent, SchemaError
+from .events import WIDTH, EventList, ObsEvent, SchemaError
 
 __all__ = [
     "to_jsonl",
@@ -202,10 +202,30 @@ def canonical_stream(events: Iterable[ObsEvent]) -> list[dict]:
     return rows
 
 
-def _rows(events: Iterable) -> Iterable:
-    """What to read fields from by position: an :class:`EventList`'s
-    rows, or the events themselves (an ``ObsEvent`` is a row)."""
-    return events.rows() if isinstance(events, EventList) else events
+def _flat(events: Iterable) -> list:
+    """The flat store to read columns from: an :class:`EventList`'s
+    own, or the one built from plain events or rows."""
+    if not isinstance(events, EventList):
+        events = EventList(list(events))
+    return events.flat()
+
+
+def _result_pairs(flat: list) -> list[tuple]:
+    """``(start, stop)`` of every ``result`` event that has a start,
+    read off the store's columns.  The result positions come from the
+    kind column first (one C-level ``list.index`` scan per result), so
+    only result events are touched by Python."""
+    find = flat[0::WIDTH].index
+    starts, stops = flat[4::WIDTH], flat[5::WIDTH]
+    pairs = []
+    i = -1
+    try:
+        while True:
+            i = find("result", i + 1)
+            if starts[i] is not None:
+                pairs.append((starts[i], stops[i]))
+    except ValueError:  # no result event after ``i``
+        return pairs
 
 
 def _pairs_digest(pairs: Iterable[tuple[int, int]]) -> str:
@@ -225,14 +245,12 @@ def stream_digest(events: Iterable[ObsEvent]) -> str:
     sort_keys=True) for row in canonical_stream(events))``; computed in
     one pass over ``(start, stop)`` pairs, writing each line directly
     (every job pays this, and a row dict plus a ``json.dumps`` call per
-    event was a tenth of an observed run).  Fields are read by
-    position, from an :class:`EventList`'s rows, so no ``ObsEvent`` is
-    built.  ``tests/obs/test_export.py`` holds the two byte-identical.
+    event was a tenth of an observed run).  It reads the kind, start
+    and stop columns of an :class:`EventList`'s flat store as stride
+    slices, so no ``ObsEvent`` is built.  ``tests/obs/test_export.py``
+    holds the two byte-identical.
     """
-    return _pairs_digest(
-        (row[4], row[5]) for row in _rows(events)
-        if row[0] == "result" and row[4] is not None
-    )
+    return _pairs_digest(_result_pairs(_flat(events)))
 
 
 def tiling_digest(chunks) -> str:
@@ -248,8 +266,6 @@ def tiling_digest(chunks) -> str:
     """
     return _pairs_digest((row[1], row[2]) for row in chunks.rows())
 
-
-_T, _VALUE, _WALL = (operator.itemgetter(i) for i in (2, 8, 10))
 
 # -- the one JSON codec: orjson's bytes where they are exact ----------------
 
@@ -375,25 +391,49 @@ def json_bytes(doc: Any, columns: Iterable[Sequence]) -> bytes:
     return json_dumps(doc) if data is None else data
 
 
+#: Rows :func:`events_json` encodes per orjson call: each batch of row
+#: tuples is freed before the next is built, so a long trace's rows
+#: never trip a young collection (700 tracked allocations).
+ROWS_PER_BATCH = 256
+
+
 def events_json(events: Sequence[ObsEvent]) -> bytes:
     """Compact JSON array of the trace's rows, as UTF-8 bytes: one
     array of the eleven :class:`ObsEvent` fields in order per event,
     ``null`` for an unset field.
 
     The writer used where a trace leaves the process (the ``trace``
-    member of a ``wait`` reply), through :func:`json_bytes`:
+    member of a ``wait`` reply), deciding as :func:`json_bytes` does:
     ``json.loads(events_json(evs)) == [list(ev) for ev in evs]``, and
     the bytes are orjson's whenever every value is finite and
     encodable (``tests/obs/test_export.py`` holds both).  Like
-    :func:`stream_digest` it reads an :class:`EventList`'s rows; an
-    ``ObsEvent`` among them is copied to a plain tuple, which orjson
-    writes (it refuses a named tuple).
+    :func:`stream_digest` it reads an :class:`EventList`'s flat store:
+    the rows are zipped from it once, as plain tuples (orjson refuses
+    a named tuple), :data:`ROWS_PER_BATCH` at a time, and the float
+    columns (``t``, ``value``, ``wall``) are its stride slices.  A
+    batch's bytes are orjson's array less its brackets, so the joined
+    batches are the bytes of the whole.
     """
-    rows = list(map(tuple, _rows(events)))
+    flat = _flat(events)
     columns = (
-        list(map(_T, rows)),
+        flat[2::WIDTH],
         # ``None`` (unset) and 0.0 are left out alike: 0.0 is finite.
-        list(filter(None, map(_VALUE, rows))),
-        list(filter(None, map(_WALL, rows))),
+        list(filter(None, flat[8::WIDTH])),
+        list(filter(None, flat[10::WIDTH])),
     )
-    return json_bytes(rows, columns)
+    verdict: list[bool] = []
+
+    def finite(_: Any) -> bool:
+        # The trace's columns, checked once for every batch.
+        if not verdict:
+            verdict.append(all_finite(columns))
+        return verdict[0]
+
+    rows = zip(*[iter(flat)] * WIDTH)
+    parts = []
+    while batch := list(islice(rows, ROWS_PER_BATCH)):
+        data = exact_bytes(batch, BULK_DOMAIN, finite)
+        if data is None:
+            return json_dumps(list(zip(*[iter(flat)] * WIDTH)))
+        parts.append(data[1:-1])
+    return b"[%s]" % b",".join(parts)

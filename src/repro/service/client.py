@@ -28,7 +28,7 @@ import time
 from collections.abc import Iterator, Mapping
 from typing import Any, Callable, Optional, Union, cast
 
-from ..obs import EventList
+from ..obs import EventList, SchemaError
 from .protocol import (ProtocolError, decode_reply, recv_frame,
                        recv_payload, send_frame)
 
@@ -65,6 +65,20 @@ class ServiceError(RuntimeError):
         self.reason = reason
 
 
+def _trace(rows: Any) -> EventList:
+    """A shipped trace as an :class:`~repro.obs.EventList`: an array
+    of arrays of the eleven event fields, else :class:`ProtocolError`.
+    Both checks are C-level passes over the rows (``set(map(...))``):
+    once flat, the store cannot tell a row's width."""
+    if not isinstance(rows, list) or set(map(type, rows)) - {list}:
+        raise ProtocolError("a reply's trace must be an array of arrays")
+    try:
+        return EventList(rows)
+    except SchemaError as exc:
+        raise ProtocolError(f"a reply's trace is malformed: {exc}") \
+            from None
+
+
 class WaitReply(Mapping[str, Any]):
     """A finished job's ``wait`` reply: its envelope now, its body
     when read.
@@ -78,8 +92,9 @@ class WaitReply(Mapping[str, Any]):
     of anything else -- a body member, ``in`` on a key the envelope
     lacks, ``len``, iteration, ``==``, ``dict(reply)`` -- decodes the
     body, once, with the codec's tolerant reader; a body that is no
-    JSON object raises :class:`ProtocolError` there.  A shipped
-    ``trace`` is an :class:`~repro.obs.EventList` over its rows.
+    JSON object raises :class:`ProtocolError` there, and so does a
+    shipped ``trace`` that is no array of eleven-field arrays; a good
+    one is an :class:`~repro.obs.EventList` holding its rows' fields.
 
     A :class:`~collections.abc.Mapping`, not a ``dict``: orjson and
     the ``dict`` C API read a subclass's own storage and would miss a
@@ -103,13 +118,7 @@ class WaitReply(Mapping[str, Any]):
         if doc is None:
             doc = decode_reply(cast(bytearray, self._body))
             if "trace" in doc:
-                rows = doc["trace"]
-                if not isinstance(rows, list):
-                    raise ProtocolError(
-                        f"a reply's trace must be an array, got "
-                        f"{type(rows).__name__}"
-                    )
-                doc["trace"] = EventList(rows)
+                doc["trace"] = _trace(doc["trace"])
             doc.update(self._head)
             self._doc, self._body = doc, None
         return doc
@@ -293,9 +302,9 @@ class ServiceClient(object):
         until one of its members is read, and is decoded then, once.
         A shipped ``trace`` arrives as rows (one array of the eleven
         event fields per event) and is returned as an
-        :class:`~repro.obs.EventList` over them: ``len`` and
-        :func:`~repro.obs.stream_digest` read the rows, and an event
-        is built only when the trace is read.
+        :class:`~repro.obs.EventList` of their fields: ``len`` and
+        :func:`~repro.obs.stream_digest` read its flat store, and an
+        event is built only when the trace is read.
 
         The daemon answers ``timeout`` after ``timeout`` seconds (none
         given, or 0: it waits for the job), so the read waits that

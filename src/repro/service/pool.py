@@ -110,7 +110,8 @@ SERVICE_RUNTIME = RuntimeConfig(
 class _StreamCollector(object):
     """Truthy collector that forwards events over the worker pipe.
 
-    Retains the full event list (so the result payload and digest are
+    Retains the full trace in an :class:`~repro.obs.EventList`, written
+    through its one writer (so the result payload and digest are
     byte-identical to an unstreamed run) while batching the events
     themselves to the pool as ``("ev", job_id, batch)`` messages: the
     daemon builds dicts only for a watcher that wants them.  Send
@@ -125,12 +126,13 @@ class _StreamCollector(object):
         self._job_id = job_id
         self._pending: list[ObsEvent] = []
         self.events = EventList()
+        self._keep = self.events.sink()
 
     def __bool__(self) -> bool:
         return True
 
     def emit(self, event: ObsEvent) -> None:
-        self.events.rows().append(event)
+        self._keep(event)
         self._pending.append(event)
         if len(self._pending) >= self.BATCH:
             self.flush()

@@ -1,6 +1,7 @@
-"""REP4xx repo rules: one mutant per rule, a small tree (``src/repro``
-plus the root files its rule reads) that must yield exactly its rule id
-with a message naming what it broke.  The repo itself, linted by
+"""REP4xx repo rules (and REP302, the trace-row width): one mutant per
+rule, a small tree (``src/repro`` plus the root files its rule reads)
+that must yield exactly its rule id with a message naming what it
+broke.  The repo itself, linted by
 ``test_lint_clean.py``, is every rule's clean side.
 """
 
@@ -14,6 +15,18 @@ TABLE = "## Who needs what\n\n| `repro` | the package |\n"
 ANY = {"src/repro/batch.py": "X = 1\n"}
 
 MUTANTS = [
+    # a row one field short, and a row spliced from a star: the flat
+    # trace store would shift every later event's fields
+    pytest.param({"src/repro/simulation/rows.py": (
+        "class Engine:\n    def chunk(self, t, worker):\n"
+        "        self._emit((\"result\", \"sim.master\", t, worker,\n"
+        "                    0, 4, None, None, None, \"\"))\n")},
+        "REP302", "it has 10 fields", id="REP302-ten-field-row"),
+    pytest.param({"src/repro/core/requeue.py": (
+        "def lose(record, at, span):\n"
+        "    record((\"assign\", \"sim.master\", at, -1, *span,\n"
+        "            0, None, None, \"requeue\", None))\n")},
+        "REP302", "starred element", id="REP302-starred-record-row"),
     pytest.param({"src/repro/core/kernel.py": "from . import guided\n"},
                  "REP401", "['guided']", id="REP401-formula-import"),
     pytest.param({**ANY, "examples/qss.py": (

@@ -10,7 +10,8 @@ read.  Two properties:
   read of the eager decode of the same bytes;
 * a valid envelope followed by an arbitrary body frame: ``wait``
   returns, a body member reads as its decoded value or raises
-  :class:`ProtocolError`, and a torn body frame raises
+  :class:`ProtocolError` (a ``trace`` that is no array of eleven-field
+  arrays does, at the first read), and a torn body frame raises
   :class:`ProtocolError` when it is received.
 
 The bytes are replayed to a :class:`ServiceClient` from one end of a
@@ -184,8 +185,22 @@ BODY_OBJECTS = st.dictionaries(
                      "digest", "state", "other"]),
     JUNK, max_size=4,
 ).map(lambda doc: json.dumps(doc).encode("utf-8"))
+#: Traces of rows of every width near eleven, a non-array row now and
+#: then: the flat store cannot tell a row's width, so the reader must.
+TRACE_ROWS = st.lists(
+    st.one_of(
+        st.integers(min_value=9, max_value=13).flatmap(
+            lambda width: st.lists(JUNK, min_size=width, max_size=width)),
+        JUNK,
+    ),
+    max_size=4,
+)
+TRACE_BODIES = st.fixed_dictionaries(
+    {"trace": TRACE_ROWS}, optional={"events_emitted": JUNK},
+).map(lambda doc: json.dumps(doc).encode("utf-8"))
 BODIES = st.one_of(
     BODY_OBJECTS,
+    TRACE_BODIES,
     st.binary(max_size=64),
     JUNK.map(lambda doc: json.dumps(doc).encode("utf-8")),
 )
@@ -194,6 +209,12 @@ BODIES = st.one_of(
 def _same(a, b) -> bool:
     """Equal as JSON values (a NaN equals a NaN)."""
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _good_trace(rows) -> bool:
+    """An array of arrays of the eleven event fields."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == 11 for row in rows)
 
 
 def _wire(body: bytes) -> bytes:
@@ -218,7 +239,7 @@ class TestArbitraryBody:
             except ProtocolError:
                 assert not isinstance(doc, dict) or (
                     key != "digest"
-                    and not isinstance(doc.get("trace", []), list))
+                    and not _good_trace(doc.get("trace", [])))
                 continue
             if key in ENVELOPE:
                 assert value == ENVELOPE[key]

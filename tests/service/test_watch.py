@@ -164,9 +164,9 @@ class TestLiveStream:
                 assert {"kind", "source", "t"} <= set(doc)
                 assert ObsEvent.from_dict(doc).to_dict() == doc
         rows = result["trace"].rows()
-        assert all(type(row) is list and len(row) == 11 for row in rows)
+        assert all(type(row) is tuple and len(row) == 11 for row in rows)
         one_shot = job_from_spec(spec).run().obs_events
-        assert rows == [list(ev) for ev in one_shot]
+        assert rows == [tuple(ev) for ev in one_shot]
         assert len(result["trace"]) == result["events_emitted"]
 
     def test_wildcard_subscriber_sees_every_tenant(self, tmp_path):
